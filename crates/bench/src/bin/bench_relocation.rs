@@ -424,7 +424,7 @@ fn main() {
             "and equal to a serial replay on every repetition; and the WAL overhead grid — ",
             "the same stream with the checksummed write-ahead log detached vs logging every ",
             "commit (in-memory sink), interleaved best-of-reps, with recovery from ",
-            "(streaming v2 checkpoint, full log) asserted bit-identical to the final ",
+            "(streaming checkpoint, full log) asserted bit-identical to the final ",
             "partition on every emission\",\n",
             "  \"units\": \"nanoseconds (median of {reps} kernel / {preps} end-to-end / ",
             "{pareps} parallel / {sreps} streaming repetitions, best of {servreps} ",

@@ -13,7 +13,7 @@
 //! The WAL overhead leg serves the same stream with the write-ahead log
 //! detached vs logging every commit; its gate (`required_wal_overhead`)
 //! requires logging to cost < 15% of the WAL-off arrivals/sec at the
-//! acceptance shape, and recovery from (streaming v2 checkpoint, full
+//! acceptance shape, and recovery from (streaming checkpoint, full
 //! log) is asserted bit-identical to the final partition on every run.
 //!
 //! Usage:

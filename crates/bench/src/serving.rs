@@ -311,7 +311,7 @@ pub fn wal_comparison(
 ) -> WalRow {
     let w = serving_workload(shape, spec, seed);
     let (ref_labels, ref_bits) = serial_reference(&w);
-    let checkpoint = settled_engine(&w).snapshot_v2();
+    let checkpoint = settled_engine(&w).snapshot();
     let mut best_off: Option<u128> = None;
     let mut best_on: Option<u128> = None;
     let mut log_bytes: Option<Vec<u8>> = None;

@@ -1,0 +1,380 @@
+//! The one binary encoding layer: every durable byte the workspace writes
+//! — snapshot chunks, WAL frames, shard-log rounds and shard checkpoints —
+//! goes out through its `Writer` and comes back through its `Reader` and
+//! `scan_frames`.
+//!
+//! Integers are little-endian; an `f64` is its [`f64::to_bits`] pattern,
+//! little-endian, so every statistic and moment row round-trips bit for
+//! bit. Every stream is a fixed head followed by self-delimiting frames:
+//!
+//! ```text
+//! frame    len      u32         payload length in bytes
+//!          payload  len × u8    first byte = record tag / section kind
+//!          crc      u32         CRC-32 (IEEE) of len ‖ payload
+//!
+//! stream            head                                  payload tags
+//! WAL / shard log   "UCPCWAL\0" | version u32 = 1 |       1 Commit, 2 Remove,
+//!                   m u64 | crc u32 (of the 20 bytes)     3 Stabilize, 4 Round
+//! snapshot /        "UCPCSNAP" | version u32 = 3          1 META, 2 SLOTS,
+//! shard checkpoint                                        3 FREE, 4 ROWS, 5 END,
+//!                                                         6 SHARD, 7 SHARD_ROWS
+//! ```
+//!
+//! [`crate::wal`] and [`crate::snapshot`] document the payload of each tag.
+//!
+//! Readers never trust a length they have not checked: `Reader::ensure`
+//! clamps a count against the unread input *before* anything is
+//! allocated, and `scan_frames` rejects a frame that runs past the end of
+//! its buffer before reading its payload — a hostile `u32::MAX` or
+//! `u64::MAX` count costs nothing but the error.
+
+use crate::snapshot::SnapshotError;
+use std::fmt;
+
+// Slicing-by-8: table[0] is the classic byte-at-a-time table; table[k]
+// advances a byte through k additional zero bytes, so eight table lookups
+// retire eight input bytes per iteration. The WAL sits on the serving
+// layer's commit path and checksums every moment row, so the ~8x over the
+// byte-at-a-time loop keeps the logging overhead small.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0usize;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1usize;
+    while k < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`) of `bytes` — the checksum
+/// guarding every frame and the WAL header. The tables are built at
+/// compile time, so it needs no external crate and no runtime init.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = !0u32;
+    let mut chunks = bytes.chunks_exact(8);
+    for ch in &mut chunks {
+        let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
+        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
+        c = CRC_TABLES[7][(lo & 0xFF) as usize]
+            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[4][(lo >> 24) as usize]
+            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
+            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
+}
+
+/// Appends `vals` to `p` as LE IEEE-754 bit patterns. On little-endian
+/// targets the in-memory representation *is* that byte stream (`f64` has
+/// no padding and `u8` has alignment 1), so the copy is one `memcpy`
+/// instead of a per-element loop — this sits on the serving commit path.
+pub(crate) fn extend_f64_bits(p: &mut Vec<u8>, vals: &[f64]) {
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: the pointer comes from a live `&[f64]` of `vals.len()`
+        // elements, i.e. `vals.len() * 8` initialized bytes that the shared
+        // borrow keeps alive and unaliased by writers for this call; `u8`
+        // has alignment 1 and every byte pattern is a valid `u8`.
+        let bytes =
+            unsafe { std::slice::from_raw_parts(vals.as_ptr().cast::<u8>(), vals.len() * 8) };
+        p.extend_from_slice(bytes);
+    }
+    #[cfg(target_endian = "big")]
+    {
+        for &v in vals {
+            p.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
+}
+
+/// The LE writer and frame encoder, over one scratch buffer that callers
+/// keep and reuse: [`Self::begin_frame`] clears it, the put methods append
+/// the payload, and [`Self::seal_frame`] returns the finished frame for a
+/// single sink write. Peak memory is one frame.
+#[derive(Debug, Default)]
+pub(crate) struct Writer {
+    buf: Vec<u8>,
+}
+
+impl Writer {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Everything written since the last clear.
+    pub(crate) fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
+    pub(crate) fn bytes(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
+    pub(crate) fn u8(&mut self, v: u8) {
+        self.buf.push(v);
+    }
+
+    pub(crate) fn u32(&mut self, v: u32) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    pub(crate) fn u64(&mut self, v: u64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    pub(crate) fn f64s(&mut self, vs: &[f64]) {
+        extend_f64_bits(&mut self.buf, vs);
+    }
+
+    /// Starts a frame: clears the buffer and reserves the length field.
+    pub(crate) fn begin_frame(&mut self) {
+        self.buf.clear();
+        self.buf.extend_from_slice(&[0; 4]);
+    }
+
+    /// Patches the length of the frame begun by [`Self::begin_frame`],
+    /// appends the CRC-32 over `len ‖ payload`, and returns the frame.
+    pub(crate) fn seal_frame(&mut self) -> &[u8] {
+        let len = self.buf.len() - 4;
+        debug_assert!(u32::try_from(len).is_ok(), "frame payload exceeds u32");
+        self.buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        let crc = crc32(&self.buf);
+        self.buf.extend_from_slice(&crc.to_le_bytes());
+        &self.buf
+    }
+}
+
+/// Bounds-checked LE reader: every getter returns
+/// [`SnapshotError::Truncated`] past the end of its slice instead of
+/// panicking.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Self { buf, pos: 0 }
+    }
+
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
+        let s = self
+            .buf
+            .get(self.pos..end)
+            .ok_or(SnapshotError::Truncated)?;
+        self.pos = end;
+        Ok(s)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        self.take(N)?
+            .try_into()
+            .map_err(|_| SnapshotError::Truncated)
+    }
+
+    pub(crate) fn u8(&mut self) -> Result<u8, SnapshotError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// A `u64` count or index that must fit in `usize`.
+    pub(crate) fn usize(&mut self) -> Result<usize, SnapshotError> {
+        usize::try_from(self.u64()?).map_err(|_| SnapshotError::Corrupt("count overflows usize"))
+    }
+
+    pub(crate) fn f64(&mut self) -> Result<f64, SnapshotError> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// `n` floats, clamped against the unread input before allocating.
+    pub(crate) fn f64s(&mut self, n: usize) -> Result<Vec<f64>, SnapshotError> {
+        self.ensure(n, 8)?;
+        (0..n).map(|_| self.f64()).collect()
+    }
+
+    /// Pre-allocation clamp: `units` entries of at least `bytes_each`
+    /// encoded bytes apiece must still fit in the unread input, else the
+    /// input is truncated. Call it *before* any `Vec::with_capacity`, so a
+    /// flipped count field can demand at most the input's own size.
+    pub(crate) fn ensure(&self, units: usize, bytes_each: usize) -> Result<(), SnapshotError> {
+        match units.checked_mul(bytes_each) {
+            Some(total) if total <= self.remaining() => Ok(()),
+            _ => Err(SnapshotError::Truncated),
+        }
+    }
+}
+
+/// Where (and why) a framed byte stream stops being intact — the damage
+/// report of the codec's salvage scan, and through it of
+/// [`crate::wal::scan_wal`] and [`crate::wal::recover`].
+///
+/// Carries the *location* of the first damaged frame, not just a flag:
+/// `offset` is the byte at which that frame starts (equivalently, the
+/// end of the valid prefix) and `frame_index` is its zero-based index —
+/// the coordinates an operator needs to inspect, truncate, or quarantine
+/// the tail. Header damage reports `offset == 0` and `frame_index == 0`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WalDamage {
+    /// Byte offset where the first damaged frame starts (0 when the
+    /// header itself is damaged).
+    pub offset: u64,
+    /// Zero-based index of the first damaged frame (== the number of
+    /// intact frames before it).
+    pub frame_index: u64,
+    /// What the scanner tripped on.
+    pub reason: &'static str,
+}
+
+impl fmt::Display for WalDamage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "frame {} (byte offset {}) is damaged: {}",
+            self.frame_index, self.offset, self.reason
+        )
+    }
+}
+
+/// [`WalDamage::reason`] of a frame whose bytes are all present but fail
+/// the CRC — as opposed to a torn one that runs past the end.
+pub(crate) const CHECKSUM_MISMATCH: &str = "frame checksum mismatch";
+
+/// The intact prefix of a framed stream: what [`scan_frames`] returns.
+#[derive(Debug)]
+pub(crate) struct Salvage<T> {
+    /// Decoded intact frames, in stream order.
+    pub(crate) frames: Vec<T>,
+    /// `frame_ends[i]` is the byte offset just past frame `i`.
+    pub(crate) frame_ends: Vec<u64>,
+    /// End of the valid prefix (`start` if no frame is intact).
+    pub(crate) valid_bytes: u64,
+    /// The first damaged frame, or `None` if the stream is clean to its end.
+    pub(crate) damage: Option<WalDamage>,
+}
+
+/// Walks the frames of `bytes` from offset `start` until the first one that
+/// is torn (runs past the end), fails its CRC, or whose payload `decode`
+/// rejects; everything before it is the valid prefix. Damage is reported,
+/// never an error and never a panic: a torn tail is exactly what a crash
+/// mid-append leaves behind.
+pub(crate) fn scan_frames<'a, T>(
+    bytes: &'a [u8],
+    start: usize,
+    mut decode: impl FnMut(&'a [u8]) -> Option<T>,
+) -> Salvage<T> {
+    let mut out = Salvage {
+        frames: Vec::new(),
+        frame_ends: Vec::new(),
+        valid_bytes: start as u64,
+        damage: None,
+    };
+    let mut pos = start;
+    while pos < bytes.len() {
+        let mut r = Reader::new(&bytes[pos..]);
+        // Torn check first: a frame that runs past the end is a crash
+        // mid-append, however implausible its length field.
+        let framed = r.u32().and_then(|len| {
+            let payload = r.take(len as usize)?;
+            Ok((payload, r.u32()?))
+        });
+        let reason = match framed {
+            Err(_) if bytes.len() - pos < 4 => "torn frame length",
+            Err(_) => "torn frame",
+            Ok((payload, crc)) => {
+                let end = pos + 4 + payload.len();
+                if crc32(&bytes[pos..end]) != crc {
+                    CHECKSUM_MISMATCH
+                } else if let Some(frame) = decode(payload) {
+                    out.frames.push(frame);
+                    pos = end + 4;
+                    out.frame_ends.push(pos as u64);
+                    out.valid_bytes = pos as u64;
+                    continue;
+                } else {
+                    "malformed frame payload"
+                }
+            }
+        };
+        out.damage = Some(WalDamage {
+            offset: out.valid_bytes,
+            frame_index: out.frames.len() as u64,
+            reason,
+        });
+        break;
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn frames_round_trip_and_salvage_stops_at_the_first_damage() {
+        let mut w = Writer::default();
+        let mut stream = vec![0xAB];
+        for payload in [&b"one"[..], b"", b"three"] {
+            w.begin_frame();
+            w.bytes(payload);
+            stream.extend_from_slice(w.seal_frame());
+        }
+        let clean = scan_frames(&stream, 1, Some);
+        assert_eq!(clean.frames, vec![&b"one"[..], b"", b"three"]);
+        assert_eq!(clean.frame_ends, vec![12, 20, 33]);
+        assert_eq!((clean.valid_bytes, clean.damage), (33, None));
+
+        let mut bent = stream.clone();
+        bent[25] ^= 1;
+        let s = scan_frames(&bent, 1, Some);
+        assert_eq!(s.frames.len(), 2);
+        assert_eq!(s.damage.unwrap().reason, CHECKSUM_MISMATCH);
+        for cut in 13..20 {
+            let s = scan_frames(&stream[..cut], 1, Some);
+            let d = s.damage.unwrap();
+            assert_eq!((s.valid_bytes, d.offset, d.frame_index), (12, 12, 1));
+        }
+        let s = scan_frames(&stream, 1, |p: &[u8]| (!p.is_empty()).then_some(p));
+        assert_eq!(s.damage.unwrap().reason, "malformed frame payload");
+    }
+}

@@ -251,7 +251,7 @@ impl MomentStore {
 
     /// The generation counter of slot `slot` (current occupant while live,
     /// next occupant while free).
-    fn generation(&self, slot: usize) -> u32 {
+    pub(crate) fn generation(&self, slot: usize) -> u32 {
         match self {
             Self::Objects { gens, .. } => gens[slot],
             Self::Slab { slab } => slab.generation(slot),
@@ -259,7 +259,7 @@ impl MomentStore {
     }
 
     /// Kernel view of the live object in slot `slot`.
-    fn view(&self, slot: usize) -> MomentView<'_> {
+    pub(crate) fn view(&self, slot: usize) -> MomentView<'_> {
         match self {
             Self::Objects { objects, .. } => objects[slot].as_ref().expect("live slot").view(),
             Self::Slab { slab } => slab.view(slot),

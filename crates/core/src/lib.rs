@@ -72,6 +72,7 @@
 
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod fault;
 pub mod framework;
 pub mod incremental;

@@ -99,7 +99,7 @@
 //! the first fault the writer stays poisoned (the file tail is
 //! indeterminate, so later frames could be unreachable) until the caller
 //! rotates logs. [`ServingUcpc::checkpoint_into`] is that rotation:
-//! stream a chunked v2 snapshot, sync it, start a fresh log.
+//! stream a chunked snapshot, sync it, start a fresh log.
 //! [`crate::wal::recover`]`(snapshot, wal)` then rebuilds an engine
 //! byte-identical to the never-crashed run at every crash point — the
 //! derivation lives in the [`crate::wal`] module docs, and
@@ -567,7 +567,7 @@ impl ServingUcpc {
     }
 
     /// Checkpoint + log-rotate, the durability maintenance step: streams a
-    /// v2 snapshot of the **flushed** engine state into `snapshot_io`
+    /// snapshot of the **flushed** engine state into `snapshot_io`
     /// (chunked — never materializes the full state; see
     /// [`IncrementalUcpc::write_snapshot`]), syncs it, then starts a fresh
     /// write-ahead log on `wal_io` and returns the retired writer (whose

@@ -55,12 +55,38 @@
 //!   sides drop envelopes from a stale epoch, so a restarted shard never
 //!   consumes pre-crash traffic.
 //! * **Crash + recovery** — [`ShardedUcpc::crash`] drops a participant's
-//!   volatile state; its durable bytes (checkpoint + shard WAL, a
+//!   volatile state; its durable bytes (checkpoint + shard log, a
 //!   [`crate::wal::SharedVecIo`] surviving the crash) remain.
 //!   [`ShardedUcpc::restart`] rebuilds the shard from checkpoint + the
-//!   WAL's valid prefix, bumps its epoch, and runs a `Join`/`Catchup`
-//!   exchange that replays any committed rounds the durable state missed
-//!   — rejoining without perturbing the apply log.
+//!   log's valid prefix, bumps its epoch, re-anchors its durable state,
+//!   and sends it a `Catchup` of any committed rounds the durable state
+//!   missed — rejoining without perturbing the apply log.
+//!
+//! # Durable format
+//!
+//! Both durable streams go through the one [`crate::codec`]:
+//!
+//! * The **shard log** is a real WAL ([`crate::wal::WalWriter`]): the
+//!   `UCPCWAL` header, then one [`crate::wal::WalRecord::Round`] frame
+//!   (`seq`, then each entry's op, slot, clusters and raw rows) per
+//!   round the shard logs, synced before the shard replies.
+//! * The **shard checkpoint** is the snapshot container of
+//!   [`crate::snapshot`] — the same head, CRC'd chunks and END — with
+//!   two section kinds of its own:
+//!
+//! ```text
+//! kind 6 SHARD       m u64, k u64, rows u64, applied u64, stats k × STATS
+//! kind 7 SHARD_ROWS  rows { slot u32, mu m × f64, mu2 m × f64 },
+//!                    ascending slot order (≤ ROWS_PER_CHUNK per chunk)
+//! kind 5 END         empty
+//! ```
+//!
+//! `STATS` is the snapshot's own per-cluster encoding. A checkpoint
+//! rotates the log to a fresh header, as
+//! [`crate::serving::ServingUcpc::checkpoint_into`] does. Recovery decodes
+//! through the checked reader: a corrupt checkpoint, a bad log header or a
+//! wrong `m` is a [`crate::wal::WalError`], while a torn log tail is
+//! tolerated because catch-up repairs it.
 //!
 //! The differential chaos harness (`tests/sharded_differential.rs`) pins
 //! the headline: at shard counts {1, 2, 4, 8}, under clean and chaotic
@@ -72,12 +98,18 @@ use crate::framework::ClusterError;
 use crate::objective::{total_objective, ClusterStats};
 use crate::pruning::{best_candidate, best_insertion};
 use crate::serving::Clock;
-use crate::wal::{crc32, SharedVecIo};
+use crate::snapshot::{
+    read_stats, write_stats, ChunkWriter, Sections, SnapshotError, CHUNK_SHARD, CHUNK_SHARD_ROWS,
+    ROWS_PER_CHUNK,
+};
+use crate::wal::{
+    scan_wal, SharedVecIo, VecIo, WalError, WalFsync, WalRecord, WalWriter, WAL_HEADER_LEN,
+};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Duration;
-use ucpc_uncertain::{Moments, ObjectHandle, SlabArena, UncertainObject};
+use ucpc_uncertain::{MomentView, Moments, ObjectHandle, SlabArena, UncertainObject};
 
 /// Relocation acceptance threshold — identical to the single-node
 /// engine's, so decision boundaries match bit-for-bit.
@@ -228,12 +260,6 @@ pub enum Payload {
     Ack {
         /// Highest acknowledged sequence number.
         seq: u64,
-    },
-    /// Restarted participant → coordinator: durable state reaches
-    /// `applied`; replay anything later.
-    Join {
-        /// Highest round the recovered durable state contains.
-        applied: u64,
     },
     /// Coordinator → rejoining participant: the committed rounds it
     /// missed, in sequence order.
@@ -404,223 +430,41 @@ impl Transport for ChaosTransport {
     }
 }
 
-// ---------------------------------------------------------------------
-// Codec: log frames + shard checkpoints
-// ---------------------------------------------------------------------
-
-fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(b: &mut Vec<u8>, v: f64) {
-    b.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_row(b: &mut Vec<u8>, row: &[f64]) {
-    for &x in row {
-        put_f64(b, x);
-    }
-}
-
-/// Bounds-checked little-endian reader; every getter returns `None` past
-/// the end, so truncated (torn) bytes decode to a clean valid prefix.
-struct Reader<'a> {
-    b: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(b: &'a [u8]) -> Self {
-        Self { b, at: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.at.checked_add(n)?;
-        let s = self.b.get(self.at..end)?;
-        self.at = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.bytes(1).map(|s| s[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.bytes(4)
-            .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.bytes(8)
-            .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-
-    fn row(&mut self, m: usize) -> Option<Vec<f64>> {
-        let mut out = Vec::with_capacity(m);
-        for _ in 0..m {
-            out.push(self.f64()?);
-        }
-        Some(out)
-    }
-}
-
-fn encode_entry(b: &mut Vec<u8>, e: &LogEntry) {
-    match e.op {
-        LogOp::Insert { slot, cluster } => {
-            b.push(1);
-            put_u32(b, slot);
-            put_u32(b, cluster as u32);
-        }
-        LogOp::Remove { slot, cluster } => {
-            b.push(2);
-            put_u32(b, slot);
-            put_u32(b, cluster as u32);
-        }
-        LogOp::Move { slot, src, dst } => {
-            b.push(3);
-            put_u32(b, slot);
-            put_u32(b, src as u32);
-            put_u32(b, dst as u32);
-        }
-        LogOp::NoMove { slot } => {
-            b.push(4);
-            put_u32(b, slot);
-        }
-    }
-    if !matches!(e.op, LogOp::NoMove { .. }) {
-        put_row(b, &e.mu);
-        put_row(b, &e.mu2);
-    }
-}
-
-fn decode_entry(r: &mut Reader<'_>, m: usize) -> Option<LogEntry> {
-    let tag = r.u8()?;
-    let slot = r.u32()?;
-    let op = match tag {
-        1 => LogOp::Insert {
-            slot,
-            cluster: r.u32()? as usize,
-        },
-        2 => LogOp::Remove {
-            slot,
-            cluster: r.u32()? as usize,
-        },
-        3 => LogOp::Move {
-            slot,
-            src: r.u32()? as usize,
-            dst: r.u32()? as usize,
-        },
-        4 => LogOp::NoMove { slot },
-        _ => return None,
-    };
-    let (mu, mu2) = if matches!(op, LogOp::NoMove { .. }) {
-        (Vec::new(), Vec::new())
-    } else {
-        (r.row(m)?, r.row(m)?)
-    };
-    Some(LogEntry { op, mu, mu2 })
-}
-
-/// One shard-log frame: `len | payload | crc32(payload)`, payload =
-/// `seq u64 | count u32 | entries…` — the same torn-tail-salvageable
-/// framing discipline as [`crate::wal`].
-fn encode_frame(seq: u64, entries: &[LogEntry]) -> Vec<u8> {
-    let mut payload = Vec::new();
-    put_u64(&mut payload, seq);
-    put_u32(&mut payload, entries.len() as u32);
+/// Replays one round's entries onto a statistics replica: every replica
+/// performs the identical `add_view`/`remove_view` calls in the identical
+/// order, which is the whole bit-identity argument. `each` runs the
+/// caller's own bookkeeping for every state-changing entry, with the
+/// entry's moment view.
+fn fold_entries(
+    stats: &mut [ClusterStats],
+    entries: &[LogEntry],
+    mut each: impl FnMut(LogOp, &MomentView<'_>),
+) {
     for e in entries {
-        encode_entry(&mut payload, e);
-    }
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    put_u32(&mut frame, payload.len() as u32);
-    frame.extend_from_slice(&payload);
-    put_u32(&mut frame, crc32(&payload));
-    frame
-}
-
-/// Decodes the valid prefix of a shard log: complete, checksummed frames
-/// in order, stopping silently at the first truncated or corrupt frame
-/// (a torn tail is expected after a crash; the `Join`/`Catchup` exchange
-/// replays whatever the prefix is missing).
-fn scan_shard_log(bytes: &[u8], m: usize) -> Vec<(u64, Vec<LogEntry>)> {
-    let mut out = Vec::new();
-    let mut at = 0usize;
-    while bytes.len() - at >= 8 {
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-        let Some(end) = at.checked_add(4 + len + 4) else {
-            break;
-        };
-        if end > bytes.len() {
-            break;
+        if let LogOp::NoMove { .. } = e.op {
+            continue;
         }
-        let payload = &bytes[at + 4..at + 4 + len];
-        let crc = u32::from_le_bytes(bytes[at + 4 + len..end].try_into().unwrap());
-        if crc32(payload) != crc {
-            break;
-        }
-        let mut r = Reader::new(payload);
-        let Some(seq) = r.u64() else { break };
-        let Some(count) = r.u32() else { break };
-        let mut entries = Vec::with_capacity(count as usize);
-        let mut ok = true;
-        for _ in 0..count {
-            match decode_entry(&mut r, m) {
-                Some(e) => entries.push(e),
-                None => {
-                    ok = false;
-                    break;
-                }
+        let mo = Moments::from_mu_mu2(e.mu.clone(), e.mu2.clone());
+        let v = mo.view();
+        match e.op {
+            LogOp::Insert { cluster, .. } => stats[cluster].add_view(&v),
+            LogOp::Remove { cluster, .. } => stats[cluster].remove_view(&v),
+            LogOp::Move { src, dst, .. } => {
+                stats[src].remove_view(&v);
+                stats[dst].add_view(&v);
             }
+            LogOp::NoMove { .. } => {}
         }
-        if !ok {
-            break;
-        }
-        out.push((seq, entries));
-        at = end;
+        each(e.op, &v);
     }
-    out
 }
 
-const CHECKPOINT_MAGIC: &[u8; 8] = b"UCPCSHCK";
-const CHECKPOINT_VERSION: u32 = 1;
-
-fn encode_stats(b: &mut Vec<u8>, s: &ClusterStats) {
-    put_u64(b, s.size() as u64);
-    put_row(b, s.psi());
-    put_row(b, s.phi());
-    put_row(b, s.mean_sum());
-    let (psi_tot, phi_tot, s_sq_tot) = s.scalar_aggregates();
-    put_f64(b, psi_tot);
-    put_f64(b, phi_tot);
-    put_f64(b, s_sq_tot);
-}
-
-fn decode_stats(r: &mut Reader<'_>, m: usize) -> Option<ClusterStats> {
-    let size = r.u64()? as usize;
-    let psi = r.row(m)?;
-    let phi = r.row(m)?;
-    let mean_sum = r.row(m)?;
-    let psi_tot = r.f64()?;
-    let phi_tot = r.f64()?;
-    let s_sq_tot = r.f64()?;
-    Some(ClusterStats::from_raw_parts(
-        psi,
-        phi,
-        mean_sum,
-        size,
-        psi_tot,
-        phi_tot,
-        s_sq_tot,
-        Default::default(),
-    ))
+/// A shard log on `io`: a WAL of [`WalRecord::Round`] frames, synced per
+/// round so a round is durable before the shard acknowledges it.
+fn shard_log(io: SharedVecIo, m: usize) -> WalWriter<SharedVecIo> {
+    // Invariant: shard logs are unbounded in-memory sinks with no fault
+    // plan, so neither the header write nor its sync can fail.
+    WalWriter::create(io, m, WalFsync::Every).expect("in-memory shard log cannot fault")
 }
 
 // ---------------------------------------------------------------------
@@ -648,9 +492,9 @@ struct Participant {
     /// The last round this shard executed as owner — resent verbatim
     /// when a retransmitted `Execute` arrives after the `Done` was lost.
     last_done: Option<(u64, Vec<LogEntry>)>,
-    /// Durable log handle; the buffer outlives the participant (the
-    /// harness keeps a clone), which is what crash recovery reads.
-    wal: SharedVecIo,
+    /// The shard log. Its sink's buffer outlives the participant
+    /// ([`ShardedUcpc`] keeps a clone), which is what crash recovery reads.
+    log: WalWriter<SharedVecIo>,
 }
 
 impl Participant {
@@ -660,7 +504,7 @@ impl Participant {
         shards: usize,
         shard: usize,
         epoch: u64,
-        wal: SharedVecIo,
+        log: SharedVecIo,
     ) -> Self {
         Self {
             shard,
@@ -672,15 +516,19 @@ impl Participant {
             local: BTreeMap::new(),
             applied: 0,
             last_done: None,
-            wal,
+            log: shard_log(log, m),
         }
     }
 
     /// Rebuilds a shard from its durable bytes: decode the checkpoint
     /// (if any), then replay the shard log's valid prefix on top. A torn
-    /// tail truncates the replay at the last complete frame; the
-    /// `Join`/`Catchup` exchange supplies whatever is missing.
-    #[allow(clippy::too_many_arguments)]
+    /// tail — even a torn header — truncates the replay at the last
+    /// complete frame; the coordinator's `Catchup` supplies whatever is
+    /// missing. A corrupt checkpoint, or a log that is not this shard's
+    /// WAL (bad magic, version or header checksum, wrong `m`, serving
+    /// records, a round that does not follow the watermark), is a checked
+    /// error. The recovered participant logs to a detached sink until
+    /// [`ShardedUcpc::restart`] re-anchors it.
     fn recover(
         m: usize,
         k: usize,
@@ -688,70 +536,113 @@ impl Participant {
         shard: usize,
         epoch: u64,
         checkpoint: &[u8],
-        log_bytes: &[u8],
-        wal: SharedVecIo,
-    ) -> Self {
-        let mut p = Self::fresh(m, k, shards, shard, epoch, wal);
+        log: &[u8],
+    ) -> Result<Self, WalError> {
+        let mut p = Self::fresh(m, k, shards, shard, epoch, SharedVecIo::new());
         if !checkpoint.is_empty() {
-            let body = &checkpoint[..checkpoint.len() - 4];
-            let crc = u32::from_le_bytes(checkpoint[checkpoint.len() - 4..].try_into().unwrap());
-            assert_eq!(crc32(body), crc, "shard {shard} checkpoint corrupt");
-            let mut r = Reader::new(body);
-            assert_eq!(
-                r.bytes(8),
-                Some(&CHECKPOINT_MAGIC[..]),
-                "bad checkpoint magic"
-            );
-            assert_eq!(r.u32(), Some(CHECKPOINT_VERSION), "bad checkpoint version");
-            assert_eq!(r.u64(), Some(m as u64), "checkpoint dimension mismatch");
-            assert_eq!(r.u64(), Some(k as u64), "checkpoint k mismatch");
-            p.applied = r.u64().expect("checkpoint applied");
-            for c in 0..k {
-                p.stats[c] = decode_stats(&mut r, m).expect("checkpoint stats");
-            }
-            let rows = r.u64().expect("checkpoint row count");
-            for _ in 0..rows {
-                let slot = r.u32().expect("checkpoint row slot");
-                let mu = r.row(m).expect("checkpoint row mu");
-                let mu2 = r.row(m).expect("checkpoint row mu2");
-                let mo = Moments::from_mu_mu2(mu, mu2);
-                let h = p.slab.insert_view(&mo.view());
-                p.local.insert(slot, h);
-            }
+            p.restore_checkpoint(checkpoint)?;
         }
-        for (seq, entries) in scan_shard_log(log_bytes, m) {
-            if seq > p.applied {
-                p.apply_entries(&entries);
-                p.applied = seq;
-                p.last_done = Some((seq, entries));
-            }
+        let scan = scan_wal(log)?;
+        if let Some(found) = scan.m.filter(|&found| found != m) {
+            return Err(WalError::DimensionMismatch { expected: m, found });
         }
-        p
+        if scan.m.is_none() && log.len() >= WAL_HEADER_LEN {
+            // The header is all there but fails its checksum: damage at
+            // the head of the log, not a torn tail.
+            return Err(WalError::Corrupt {
+                valid_bytes: 0,
+                frames: 0,
+                reason: "shard log header checksum mismatch",
+            });
+        }
+        for (i, record) in scan.records.into_iter().enumerate() {
+            let WalRecord::Round { seq, entries } = record else {
+                return Err(WalError::ForeignRecord);
+            };
+            // A shard logs every round in order from its checkpoint on, so
+            // a gap means the log does not belong on this checkpoint.
+            if seq != p.applied + 1 {
+                return Err(WalError::Corrupt {
+                    valid_bytes: i
+                        .checked_sub(1)
+                        .map_or(WAL_HEADER_LEN as u64, |j| scan.frame_ends[j]),
+                    frames: i as u64,
+                    reason: "shard log round does not follow the watermark",
+                });
+            }
+            p.apply_entries(&entries);
+            p.applied = seq;
+            p.last_done = Some((seq, entries));
+        }
+        Ok(p)
     }
 
-    /// Serializes the complete shard state (stats replica, owned rows,
-    /// watermark) with a trailing CRC. Restoring it and replaying an
-    /// empty log reproduces the state bit-for-bit.
+    /// Serializes the complete shard state in the snapshot container (see
+    /// the module docs): a SHARD chunk with the watermark and the stats
+    /// replica, SHARD_ROWS chunks with the owned rows, and END. Restoring
+    /// it and replaying an empty log reproduces the state bit-for-bit.
     fn encode_checkpoint(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        b.extend_from_slice(CHECKPOINT_MAGIC);
-        put_u32(&mut b, CHECKPOINT_VERSION);
-        put_u64(&mut b, self.m as u64);
-        put_u64(&mut b, self.stats.len() as u64);
-        put_u64(&mut b, self.applied);
-        for s in &self.stats {
-            encode_stats(&mut b, s);
+        let mut io = VecIo::new();
+        self.write_checkpoint(&mut io)
+            .expect("in-memory sink cannot fault");
+        io.into_bytes()
+    }
+
+    fn write_checkpoint(&self, io: &mut VecIo) -> Result<u64, SnapshotError> {
+        let mut out = ChunkWriter::start(io)?;
+        let w = out.begin(CHUNK_SHARD);
+        for v in [self.m, self.stats.len(), self.local.len()] {
+            w.u64(v as u64);
         }
-        put_u64(&mut b, self.local.len() as u64);
-        for (&slot, &h) in &self.local {
-            put_u32(&mut b, slot);
-            let v = self.slab.view(h.slot());
-            put_row(&mut b, v.mu);
-            put_row(&mut b, v.mu2);
+        w.u64(self.applied);
+        write_stats(w, &self.stats);
+        out.seal()?;
+        out.chunked(
+            CHUNK_SHARD_ROWS,
+            ROWS_PER_CHUNK,
+            &self.local,
+            |w, (&slot, h)| {
+                let v = self.slab.view(h.slot());
+                w.u32(slot);
+                w.f64s(v.mu);
+                w.f64s(v.mu2);
+            },
+        )?;
+        out.finish()
+    }
+
+    /// Installs a checkpoint written by [`Self::encode_checkpoint`] into a
+    /// fresh participant, checking its dimensionality, cluster count and
+    /// row ownership.
+    fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), WalError> {
+        let mut sections = Sections::open(bytes)?;
+        let r = sections.entry(CHUNK_SHARD)?;
+        let (m, k, rows) = (r.usize()?, r.usize()?, r.usize()?);
+        if m != self.m {
+            return Err(WalError::DimensionMismatch {
+                expected: self.m,
+                found: m,
+            });
         }
-        let crc = crc32(&b);
-        put_u32(&mut b, crc);
-        b
+        if k != self.stats.len() {
+            return Err(SnapshotError::Corrupt("checkpoint cluster count mismatch").into());
+        }
+        self.applied = r.u64()?;
+        self.stats = read_stats(r, m, k)?;
+        let mut last = None;
+        for _ in 0..rows {
+            let r = sections.entry(CHUNK_SHARD_ROWS)?;
+            let slot = r.u32()?;
+            if !self.owns(slot) || last.is_some_and(|l| l >= slot) {
+                return Err(SnapshotError::Corrupt("checkpoint row slot invalid").into());
+            }
+            last = Some(slot);
+            let mo = Moments::from_mu_mu2(r.f64s(m)?, r.f64s(m)?);
+            let h = self.slab.insert_view(&mo.view());
+            self.local.insert(slot, h);
+        }
+        sections.finish()?;
+        Ok(())
     }
 
     fn owns(&self, slot: u32) -> bool {
@@ -767,46 +658,29 @@ impl Participant {
         }
     }
 
-    fn wal_append(&mut self, seq: u64, entries: &[LogEntry]) {
-        use crate::wal::DurableIo;
-        let frame = encode_frame(seq, entries);
-        self.wal.write_all(&frame).expect("shard log append");
-        self.wal.sync().expect("shard log sync");
+    fn log_round(&mut self, seq: u64, entries: &[LogEntry]) {
+        // Invariant: see `shard_log` — the in-memory sink cannot fault.
+        self.log
+            .log_round(seq, entries)
+            .expect("in-memory shard log cannot fault");
     }
 
-    /// Replays log entries onto this replica: every replica performs the
-    /// identical `add_view`/`remove_view` calls in the identical order,
-    /// which is the whole bit-identity argument. Slab bookkeeping runs
-    /// only for rows this shard owns.
+    /// Replays log entries onto this replica through the shared
+    /// [`fold_entries`]; slab bookkeeping runs only for rows this shard
+    /// owns.
     fn apply_entries(&mut self, entries: &[LogEntry]) {
-        for e in entries {
-            match e.op {
-                LogOp::Insert { slot, cluster } => {
-                    let mo = Moments::from_mu_mu2(e.mu.clone(), e.mu2.clone());
-                    let v = mo.view();
-                    self.stats[cluster].add_view(&v);
-                    if self.owns(slot) {
-                        let h = self.slab.insert_view(&v);
-                        self.local.insert(slot, h);
-                    }
-                }
-                LogOp::Remove { slot, cluster } => {
-                    let mo = Moments::from_mu_mu2(e.mu.clone(), e.mu2.clone());
-                    self.stats[cluster].remove_view(&mo.view());
-                    if self.owns(slot) {
-                        let h = self.local.remove(&slot).expect("owned row present");
-                        self.slab.remove(h).expect("owned row live");
-                    }
-                }
-                LogOp::Move { slot: _, src, dst } => {
-                    let mo = Moments::from_mu_mu2(e.mu.clone(), e.mu2.clone());
-                    let v = mo.view();
-                    self.stats[src].remove_view(&v);
-                    self.stats[dst].add_view(&v);
-                }
-                LogOp::NoMove { .. } => {}
+        let (shard, shards) = (self.shard, self.shards);
+        let (slab, local) = (&mut self.slab, &mut self.local);
+        fold_entries(&mut self.stats, entries, |op, v| match op {
+            LogOp::Insert { slot, .. } if owner_of_slot(slot, shards) == shard => {
+                local.insert(slot, slab.insert_view(v));
             }
-        }
+            LogOp::Remove { slot, .. } if owner_of_slot(slot, shards) == shard => {
+                let h = local.remove(&slot).expect("owned row present");
+                slab.remove(h).expect("owned row live");
+            }
+            _ => {}
+        });
     }
 
     /// The local propose phase: price each op against the replica with
@@ -871,7 +745,7 @@ impl Participant {
             self.apply_entries(std::slice::from_ref(&entry));
             entries.push(entry);
         }
-        self.wal_append(seq, &entries);
+        self.log_round(seq, &entries);
         self.applied = seq;
         entries
     }
@@ -908,7 +782,7 @@ impl Participant {
             }
             Payload::Apply { seq, entries } => {
                 if seq > self.applied {
-                    self.wal_append(seq, &entries);
+                    self.log_round(seq, &entries);
                     self.apply_entries(&entries);
                     self.applied = seq;
                 }
@@ -917,7 +791,7 @@ impl Participant {
             Payload::Catchup { rounds } => {
                 for (seq, entries) in rounds {
                     if seq > self.applied {
-                        self.wal_append(seq, &entries);
+                        self.log_round(seq, &entries);
                         self.apply_entries(&entries);
                         self.applied = seq;
                     }
@@ -926,7 +800,7 @@ impl Participant {
             }
             // Coordinator-bound payloads misdelivered by a confused
             // fabric: drop.
-            Payload::Done { .. } | Payload::Ack { .. } | Payload::Join { .. } => {}
+            Payload::Done { .. } | Payload::Ack { .. } => {}
         }
     }
 }
@@ -997,43 +871,37 @@ impl Coordinator {
     }
 
     /// Applies a committed round to the coordinator's replica: the same
-    /// stats transitions every participant performs, plus the label map
-    /// and allocator bookkeeping mirroring the single-node engine
-    /// (generation bump + LIFO free on removal).
+    /// stats transitions every participant performs ([`fold_entries`]),
+    /// plus the label map and allocator bookkeeping mirroring the
+    /// single-node engine (generation bump + LIFO free on removal).
     fn apply_round(&mut self, entries: &[LogEntry]) {
-        for e in entries {
-            match e.op {
-                LogOp::Insert { slot, cluster } => {
-                    let mo = Moments::from_mu_mu2(e.mu.clone(), e.mu2.clone());
-                    self.stats[cluster].add_view(&mo.view());
-                    let s = slot as usize;
-                    if s == self.labels.len() {
-                        self.labels.push(Some(cluster));
-                    } else {
-                        debug_assert!(self.labels[s].is_none(), "recycled slot must be free");
-                        self.labels[s] = Some(cluster);
-                    }
-                    self.live += 1;
+        let (labels, gens, free, live) = (
+            &mut self.labels,
+            &mut self.gens,
+            &mut self.free,
+            &mut self.live,
+        );
+        fold_entries(&mut self.stats, entries, |op, _| match op {
+            LogOp::Insert { slot, cluster } => {
+                let s = slot as usize;
+                if s == labels.len() {
+                    labels.push(Some(cluster));
+                } else {
+                    debug_assert!(labels[s].is_none(), "recycled slot must be free");
+                    labels[s] = Some(cluster);
                 }
-                LogOp::Remove { slot, cluster } => {
-                    let mo = Moments::from_mu_mu2(e.mu.clone(), e.mu2.clone());
-                    self.stats[cluster].remove_view(&mo.view());
-                    let s = slot as usize;
-                    self.labels[s] = None;
-                    self.gens[s] = self.gens[s].wrapping_add(1);
-                    self.free.push(slot);
-                    self.live -= 1;
-                }
-                LogOp::Move { slot, src, dst } => {
-                    let mo = Moments::from_mu_mu2(e.mu.clone(), e.mu2.clone());
-                    let v = mo.view();
-                    self.stats[src].remove_view(&v);
-                    self.stats[dst].add_view(&v);
-                    self.labels[slot as usize] = Some(dst);
-                }
-                LogOp::NoMove { .. } => {}
+                *live += 1;
             }
-        }
+            LogOp::Remove { slot, .. } => {
+                let s = slot as usize;
+                labels[s] = None;
+                gens[s] = gens[s].wrapping_add(1);
+                free.push(slot);
+                *live -= 1;
+            }
+            LogOp::Move { slot, dst, .. } => labels[slot as usize] = Some(dst),
+            LogOp::NoMove { .. } => {}
+        });
     }
 }
 
@@ -1044,13 +912,16 @@ impl Coordinator {
 #[derive(Debug)]
 struct ShardDurable {
     checkpoint: Vec<u8>,
-    wal: SharedVecIo,
+    log: SharedVecIo,
 }
 
 fn reply_matches(request: &Payload, reply: &Payload) -> bool {
     match (request, reply) {
         (Payload::Execute { seq: a, .. }, Payload::Done { seq: b, .. }) => a == b,
         (Payload::Apply { seq: a, .. }, Payload::Ack { seq: b }) => a == b,
+        (Payload::Catchup { rounds }, Payload::Ack { seq }) => {
+            rounds.last().is_none_or(|(last, _)| last == seq)
+        }
         _ => false,
     }
 }
@@ -1131,18 +1002,18 @@ impl ShardedUcpc {
         let durable: Vec<ShardDurable> = (0..shards)
             .map(|_| ShardDurable {
                 checkpoint: Vec::new(),
-                wal: SharedVecIo::new(),
+                log: SharedVecIo::new(),
             })
             .collect();
         let participants = (0..shards)
-            .map(|shard| {
+            .map(|s| {
                 Some(Participant::fresh(
                     m,
                     k,
                     shards,
-                    shard,
+                    s,
                     1,
-                    durable[shard].wal.clone(),
+                    durable[s].log.clone(),
                 ))
             })
             .collect();
@@ -1368,17 +1239,26 @@ impl ShardedUcpc {
     }
 
     /// Recovers a crashed shard from checkpoint + shard-log valid
-    /// prefix, fences off its previous life with a new epoch, and runs
-    /// the `Join`/`Catchup` exchange so the rejoined replica reflects
-    /// every committed round — all without perturbing the apply log.
-    pub fn restart(&mut self, shard: usize) {
+    /// prefix, fences off its previous life with a new epoch, re-anchors
+    /// its durable state with [`Self::checkpoint_shard`] (so a torn tail
+    /// is dropped, not appended after), and sends it a `Catchup` so the
+    /// rejoined replica reflects every committed round —
+    /// all without perturbing the apply log.
+    ///
+    /// A corrupt checkpoint, a bad log header or a wrong `m` is a checked
+    /// [`WalError`] and leaves the shard down; a torn log tail is not an
+    /// error, because catch-up repairs it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range or still running.
+    pub fn restart(&mut self, shard: usize) -> Result<(), WalError> {
         assert!(shard < self.shards, "shard index out of range");
         assert!(
             self.participants[shard].is_none(),
             "shard {shard} is running"
         );
         let epoch = self.coordinator.epochs[shard] + 1;
-        self.coordinator.epochs[shard] = epoch;
         let d = &self.durable[shard];
         let p = Participant::recover(
             self.m,
@@ -1387,25 +1267,33 @@ impl ShardedUcpc {
             shard,
             epoch,
             &d.checkpoint,
-            &d.wal.bytes(),
-            d.wal.clone(),
-        );
+            &d.log.bytes(),
+        )?;
+        self.coordinator.epochs[shard] = epoch;
         self.participants[shard] = Some(p);
+        self.checkpoint_shard(shard);
         self.rejoin(shard);
+        Ok(())
     }
 
     /// Checkpoints a live shard: serializes its full state, installs it
-    /// as the durable checkpoint, then truncates the shard log — the
-    /// same checkpoint-then-truncate rotation discipline as
+    /// as the durable checkpoint, then rotates the shard log to a fresh
+    /// header — the same checkpoint-then-rotate discipline as
     /// [`crate::serving::ServingUcpc::checkpoint_into`], at shard
     /// granularity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range or crashed.
     pub fn checkpoint_shard(&mut self, shard: usize) {
         assert!(shard < self.shards, "shard index out of range");
         let p = self.participants[shard]
-            .as_ref()
+            .as_mut()
             .expect("cannot checkpoint a crashed shard");
-        self.durable[shard].checkpoint = p.encode_checkpoint();
-        self.durable[shard].wal.truncate(0);
+        let d = &mut self.durable[shard];
+        d.checkpoint = p.encode_checkpoint();
+        d.log.truncate(0);
+        p.log = shard_log(d.log.clone(), self.m);
     }
 
     /// Truncates a shard's *durable* log to `keep` bytes — the
@@ -1413,7 +1301,7 @@ impl ShardedUcpc {
     /// running participant is unaffected until it crashes).
     pub fn truncate_shard_wal(&mut self, shard: usize, keep: usize) {
         assert!(shard < self.shards, "shard index out of range");
-        self.durable[shard].wal.truncate(keep);
+        self.durable[shard].log.truncate(keep);
     }
 
     // -- protocol driving ---------------------------------------------
@@ -1538,69 +1426,29 @@ impl ShardedUcpc {
         }
     }
 
-    /// The rejoin exchange after [`Self::restart`]: the recovered
-    /// participant announces its durable watermark (`Join`), the
-    /// coordinator replays the committed rounds past it (`Catchup`), and
-    /// the participant acknowledges the full committed prefix. Retried
-    /// under the same backoff discipline; every leg is idempotent.
+    /// The catch-up exchange after [`Self::restart`]: the coordinator
+    /// sends the recovered participant every committed round past its
+    /// durable watermark (`Catchup`) and waits for the acknowledgement of
+    /// the full committed prefix, through the same retry loop as every
+    /// other request. Every leg is idempotent.
     fn rejoin(&mut self, shard: usize) {
-        let node = shard + 1;
-        let epoch = self.coordinator.epochs[shard];
         let applied = self.participants[shard]
             .as_ref()
             .expect("restart installed the participant")
             .applied;
-        let join = Envelope {
-            from: node,
-            to: 0,
-            epoch,
-            payload: Payload::Join { applied },
-        };
-        let committed = self.coordinator.next_seq - 1;
-        self.transport.send(join.clone());
-        let (mut deadline, mut attempt) = (self.clock.now() + RETRY_BASE, 0u32);
-        loop {
-            let mut progressed = self.pump_participants();
-            while let Some(env) = self.transport.recv(0) {
-                progressed = true;
-                if env.from != node || env.epoch != epoch {
-                    continue;
-                }
-                match env.payload {
-                    Payload::Join { applied } => {
-                        let rounds: Vec<(u64, Vec<LogEntry>)> = self
-                            .coordinator
-                            .log
-                            .iter()
-                            .filter(|(s, _)| *s > applied)
-                            .cloned()
-                            .collect();
-                        self.transport.send(Envelope {
-                            from: 0,
-                            to: node,
-                            epoch,
-                            payload: Payload::Catchup { rounds },
-                        });
-                    }
-                    Payload::Ack { seq } if seq == committed => return,
-                    _ => {}
-                }
-            }
-            if !progressed {
-                self.transport.step();
-                self.clock.advance(TICK);
-                if self.clock.now() >= deadline {
-                    assert!(
-                        attempt < MAX_ATTEMPTS,
-                        "rejoin of shard {shard} stalled after {attempt} retransmissions"
-                    );
-                    self.transport.send(join.clone());
-                    self.coordinator.retries += 1;
-                    attempt += 1;
-                    deadline = self.clock.now() + RETRY_BASE * (1u32 << attempt.min(6));
-                }
-            }
-        }
+        let rounds = self
+            .coordinator
+            .log
+            .iter()
+            .filter(|(s, _)| *s > applied)
+            .cloned()
+            .collect();
+        self.complete(vec![Envelope {
+            from: 0,
+            to: shard + 1,
+            epoch: self.coordinator.epochs[shard],
+            payload: Payload::Catchup { rounds },
+        }]);
     }
 }
 
@@ -1608,6 +1456,7 @@ impl ShardedUcpc {
 mod tests {
     use super::*;
     use crate::incremental::IncrementalUcpc;
+    use crate::wal::DurableIo;
     use ucpc_uncertain::UnivariatePdf;
 
     fn obj(c: f64) -> UncertainObject {
@@ -1615,20 +1464,12 @@ mod tests {
     }
 
     fn bits_equal(a: &ClusterStats, b: &ClusterStats) -> bool {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         a.size() == b.size()
             && a.j().to_bits() == b.j().to_bits()
-            && a.psi()
-                .iter()
-                .zip(b.psi())
-                .all(|(x, y)| x.to_bits() == y.to_bits())
-            && a.phi()
-                .iter()
-                .zip(b.phi())
-                .all(|(x, y)| x.to_bits() == y.to_bits())
-            && a.mean_sum()
-                .iter()
-                .zip(b.mean_sum())
-                .all(|(x, y)| x.to_bits() == y.to_bits())
+            && bits(a.psi()) == bits(b.psi())
+            && bits(a.phi()) == bits(b.phi())
+            && bits(a.mean_sum()) == bits(b.mean_sum())
     }
 
     fn assert_matches_single_node(sharded: &ShardedUcpc, single: &IncrementalUcpc) {
@@ -1702,7 +1543,7 @@ mod tests {
         }
         sharded.checkpoint_shard(0);
         sharded.crash(0);
-        sharded.restart(0);
+        sharded.restart(0).unwrap();
         assert_eq!(sharded.shard_applied(0), Some(sharded.committed_rounds()));
         assert_eq!(sharded.stabilize(5), single.stabilize(5));
         assert_matches_single_node(&sharded, &single);
@@ -1717,14 +1558,97 @@ mod tests {
             sharded.insert(&o).unwrap();
             single.insert(&o).unwrap();
         }
-        // Tear the tail of shard 1's durable log mid-frame; recovery
-        // salvages the prefix and Catchup replays the difference.
         sharded.crash(1);
+        // A cut three bytes into frame i + 1 keeps frames 0..=i whole:
+        // recovery lands on frame i's round, before any catch-up.
+        let log = sharded.durable[1].log.bytes();
+        let scan = scan_wal(&log).unwrap();
+        for i in [0, scan.records.len() / 2, scan.records.len() - 2] {
+            let WalRecord::Round { seq, .. } = scan.records[i] else {
+                panic!("shard logs hold rounds only");
+            };
+            let cut = scan.frame_ends[i] as usize + 3;
+            let p = Participant::recover(1, 2, 2, 1, 9, &[], &log[..cut]).unwrap();
+            assert_eq!(p.applied, seq, "cut {cut} lands on frame {i}");
+        }
+        // Tear the log mid-header; recovery salvages the empty prefix and
+        // catch-up replays the difference.
         sharded.truncate_shard_wal(1, 11);
-        sharded.restart(1);
+        sharded.restart(1).unwrap();
         assert_eq!(sharded.shard_applied(1), Some(sharded.committed_rounds()));
         assert_eq!(sharded.stabilize(5), single.stabilize(5));
         assert_matches_single_node(&sharded, &single);
+    }
+
+    /// Installs `checkpoint` + `log` as shard 0's durable bytes and
+    /// restarts it. A checked error leaves the shard down (`false`); a
+    /// rejoin must land on the committed watermark with the coordinator's
+    /// stats bits (`true`).
+    fn restart_from(sharded: &mut ShardedUcpc, checkpoint: &[u8], log: &[u8]) -> bool {
+        let d = &mut sharded.durable[0];
+        d.checkpoint = checkpoint.to_vec();
+        d.log.truncate(0);
+        d.log.clone().write_all(log).unwrap();
+        if sharded.restart(0).is_err() {
+            return false;
+        }
+        assert_eq!(sharded.shard_applied(0), Some(sharded.committed_rounds()));
+        let replica = sharded.shard_stats(0).unwrap();
+        assert!(replica
+            .iter()
+            .zip(sharded.cluster_stats())
+            .all(|(a, b)| bits_equal(a, b)));
+        sharded.crash(0);
+        true
+    }
+
+    #[test]
+    fn corrupt_shard_durable_state_is_a_checked_error_or_a_repaired_rejoin() {
+        let mut sharded = ShardedUcpc::new(1, 2, 2).unwrap();
+        for c in [0.0, 9.0, 0.3, 9.3, 0.1] {
+            sharded.insert(&obj(c)).unwrap();
+        }
+        sharded.checkpoint_shard(0);
+        for c in [9.1, 0.2] {
+            sharded.insert(&obj(c)).unwrap();
+        }
+        sharded.crash(0);
+        let checkpoint = sharded.durable[0].checkpoint.clone();
+        let log = sharded.durable[0].log.bytes();
+        assert!(restart_from(&mut sharded, &checkpoint, &log));
+        // Every truncation — 0 to 4 bytes included, once an underflow.
+        // An empty checkpoint means none, and the rotated log then skips
+        // the checkpointed rounds.
+        for cut in 0..checkpoint.len() {
+            assert!(!restart_from(&mut sharded, &checkpoint[..cut], &log));
+        }
+        for byte in 0..checkpoint.len() {
+            for bit in 0..8 {
+                let mut bent = checkpoint.clone();
+                bent[byte] ^= 1 << bit;
+                assert!(!restart_from(&mut sharded, &bent, &log), "{byte}:{bit}");
+            }
+        }
+        let mut dice = Dice::new(11);
+        for len in [5, 12, 40, 300] {
+            let garbage: Vec<u8> = (0..len).map(|_| dice.pick(256) as u8).collect();
+            restart_from(&mut sharded, &garbage, &log);
+        }
+        // A torn tail past whole rounds rejoins through catch-up.
+        for &end in &scan_wal(&log).unwrap().frame_ends {
+            assert!(restart_from(
+                &mut sharded,
+                &checkpoint,
+                &log[..end as usize - 1]
+            ));
+        }
+        // A bad log header is a checked error; a torn one is a torn tail.
+        for byte in 0..WAL_HEADER_LEN {
+            let mut bent = log.clone();
+            bent[byte] ^= 0x10;
+            assert!(!restart_from(&mut sharded, &checkpoint, &bent), "{byte}");
+            assert!(restart_from(&mut sharded, &checkpoint, &log[..byte]));
+        }
     }
 
     #[test]

@@ -33,91 +33,73 @@
 //! cached after restore are validated against exactly the history the
 //! original engine would have used.
 //!
-//! # Formats
+//! # Format
 //!
-//! Two wire versions share the `UCPCSNAP` magic. **v1** is the original
-//! single-buffer layout below; [`IncrementalUcpc::snapshot`] still writes
-//! it and [`IncrementalUcpc::restore`] reads both. **v2**
-//! ([`IncrementalUcpc::write_snapshot`] /
-//! [`IncrementalUcpc::snapshot_v2`]) carries the *same logical fields* —
-//! bit for bit, in the same order — but streams them as bounded,
-//! individually CRC-32-checksummed chunks over a [`DurableIo`] sink, so a
-//! checkpoint never materializes the full state in one buffer (the moment
-//! rows, the dominant term, go out [`ROWS_PER_CHUNK`] rows at a time) and
-//! any single flipped or torn byte is caught by the chunk checksum rather
-//! than by downstream validation:
+//! One format, version 3: a 12-byte head, then bounded, individually
+//! CRC-32-checksummed chunks — each one a [`crate::codec`] frame whose
+//! payload starts with the section kind. [`IncrementalUcpc::write_snapshot`]
+//! streams them to a [`DurableIo`] sink, so a checkpoint never
+//! materializes the full state in one buffer (the moment rows, the
+//! dominant term, go out [`ROWS_PER_CHUNK`] rows at a time), and any
+//! flipped or torn byte is caught by the chunk checksum rather than by
+//! downstream validation. Readers reject every other version — versions 1
+//! and 2 included — with [`SnapshotError::UnsupportedVersion`].
 //!
-//! ```text
-//! magic    8 × u8   "UCPCSNAP"
-//! version  u32      2
-//! chunk    kind u8 | len u32 | payload len × u8 | crc u32 (over kind‖len‖payload)
-//!   kind 1 META     backend u8, pruning u8, m u64, k u64, live u64,
-//!                   epoch u64, n_slots u64, n_free u64, versions k × u64,
-//!                   totals 6 × f64, stats k × {…}   (exactly the v1 fields)
-//!   kind 2 SLOTS    per slot: flag u8, label u64 if live, gen u32
-//!                   (≤ SLOTS_PER_CHUNK slots per chunk, ascending)
-//!   kind 3 FREE     freed slots u32, LIFO order (≤ FREE_PER_CHUNK each)
-//!   kind 4 ROWS     live rows { mu m × f64, mu2 m × f64 }, ascending slot
-//!                   order (≤ ROWS_PER_CHUNK rows per chunk)
-//!   kind 5 END      empty — a stream without it is truncated
-//! ```
-//!
-//! Chunk boundaries are fixed constants, so the v2 bytes of a given engine
-//! state are deterministic and `snapshot_v2(restore(s)) == s` holds
-//! bytewise, exactly like v1. Restore clamps every length field against
-//! the bytes actually remaining *before* allocating, so a hostile or
-//! bit-flipped count fails fast as [`SnapshotError::Truncated`] instead of
-//! reserving unbounded memory (`tests/snapshot_fuzz.rs` fuzzes both
-//! versions with truncations and bit flips).
-//!
-//! # v1 format
-//!
-//! Integers are little-endian; `f64` is [`f64::to_bits`] little-endian.
+//! The head and the chunk framing are in the [`crate::codec`] table; the
+//! sections, in this order, are:
 //!
 //! ```text
-//! magic    8 × u8   "UCPCSNAP"
-//! version  u32      1 (bumped on any layout change; readers reject others)
-//! backend  u8       0 = Objects, 1 = Slab
-//! pruning  u8       0 = Off, 1 = Bounds
-//! m        u64      dimensions
-//! k        u64      clusters
-//! live     u64      live-object count (validated against the slot flags)
-//! epoch    u64      prune-cache epoch
-//! versions k × u64  per-cluster remove-direction versions
-//! totals   6 × f64  global drift totals
-//! stats    k × { size u64, psi m × f64, phi m × f64, mean_sum m × f64,
-//!                psi_tot f64, phi_tot f64, s_sq_tot f64, drift 6 × f64 }
-//! n_slots  u64      storage slots ever created (live-window high-water mark)
-//! slots    n_slots × { live u8, label u64 if live }
-//! gens     n_slots × u32
-//! n_free   u64      free-list length (== n_slots − live)
-//! free     n_free × u32   freed slots, LIFO order preserved
-//! rows     live × { mu m × f64, mu2 m × f64 }   ascending slot order
+//! kind 1 META   backend u8 (0 Objects, 1 Slab), pruning u8 (0 Off,
+//!               1 Bounds), m u64, k u64, live u64, epoch u64, n_slots u64,
+//!               n_free u64, versions k × u64, totals 6 × f64, k × STATS
+//! kind 2 SLOTS  per slot: flag u8, label u64 if live, gen u32
+//!               (≤ SLOTS_PER_CHUNK slots per chunk, ascending)
+//! kind 3 FREE   freed slots u32, LIFO order (≤ FREE_PER_CHUNK each)
+//! kind 4 ROWS   live rows { mu m × f64, mu2 m × f64 }, ascending slot
+//!               order (≤ ROWS_PER_CHUNK rows per chunk)
+//! kind 5 END    empty — a stream without it is truncated
+//! STATS         size u64, psi m × f64, phi m × f64, mean_sum m × f64,
+//!               psi_tot f64, phi_tot f64, s_sq_tot f64, drift 6 × f64
 //! ```
+//!
+//! Kinds 6 and 7 are the shard checkpoint's sections; a shard checkpoint
+//! is the same container with the same STATS encoding (see
+//! [`crate::sharded`]).
+//!
+//! Chunk boundaries are fixed constants, so the bytes of a given engine
+//! state are deterministic and `snapshot(restore(s)) == s` holds bytewise.
+//! Restore clamps every count against the bytes actually present *before*
+//! allocating, so a hostile count fails fast as
+//! [`SnapshotError::Truncated`] instead of reserving unbounded memory
+//! (`tests/snapshot_fuzz.rs` fuzzes truncations, bit flips and hostile
+//! counts).
 
+use crate::codec::{scan_frames, Reader, Writer, CHECKSUM_MISMATCH};
 use crate::incremental::{IncrementalUcpc, MomentStore, StreamBackend};
 use crate::objective::{ClusterDrift, ClusterStats};
 use crate::pruning::{DriftTotals, PruneCache, PruneCounters, PruningConfig};
-use crate::wal::{crc32, DurableIo, IoFault, VecIo};
+use crate::wal::{DurableIo, IoFault, VecIo};
 use std::fmt;
 use ucpc_uncertain::{MomentArena, Moments, SlabArena};
 
 const MAGIC: &[u8; 8] = b"UCPCSNAP";
-const VERSION: u32 = 1;
-const VERSION_V2: u32 = 2;
+const VERSION: u32 = 3;
+const HEAD_LEN: usize = 12;
 
 const CHUNK_META: u8 = 1;
 const CHUNK_SLOTS: u8 = 2;
 const CHUNK_FREE: u8 = 3;
 const CHUNK_ROWS: u8 = 4;
 const CHUNK_END: u8 = 5;
+pub(crate) const CHUNK_SHARD: u8 = 6;
+pub(crate) const CHUNK_SHARD_ROWS: u8 = 7;
 
-/// Moment rows per v2 `ROWS` chunk — the writer's peak buffer is
+/// Moment rows per `ROWS` chunk — the writer's peak buffer is
 /// `ROWS_PER_CHUNK × 16m` bytes regardless of how many objects are live.
 pub const ROWS_PER_CHUNK: usize = 512;
-/// Slot entries per v2 `SLOTS` chunk.
+/// Slot entries per `SLOTS` chunk.
 pub const SLOTS_PER_CHUNK: usize = 4096;
-/// Free-list entries per v2 `FREE` chunk.
+/// Free-list entries per `FREE` chunk.
 pub const FREE_PER_CHUNK: usize = 4096;
 
 /// Errors from [`IncrementalUcpc::restore`].
@@ -130,12 +112,12 @@ pub enum SnapshotError {
     /// The buffer ended before the declared state was complete.
     Truncated,
     /// The buffer decodes to an inconsistent state (bad tag, slot count,
-    /// label range, free-list shape, or trailing bytes).
+    /// label range, free-list shape, section order, or trailing bytes).
     Corrupt(&'static str),
-    /// A v2 chunk failed its CRC-32 — a flipped or torn byte inside the
+    /// A chunk failed its CRC-32 — a flipped or torn byte inside the
     /// named section.
     ChecksumMismatch(&'static str),
-    /// The [`DurableIo`] sink faulted while streaming a v2 snapshot out.
+    /// The [`DurableIo`] sink faulted while streaming a snapshot out.
     Io(IoFault),
 }
 
@@ -146,7 +128,7 @@ impl fmt::Display for SnapshotError {
             Self::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "snapshot format version {v} is not supported (expected {VERSION} or {VERSION_V2})"
+                    "snapshot format version {v} is not supported (expected {VERSION})"
                 )
             }
             Self::Truncated => write!(f, "snapshot buffer is truncated"),
@@ -161,135 +143,239 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-struct Writer {
-    buf: Vec<u8>,
+fn section_name(kind: u8) -> &'static str {
+    match kind {
+        CHUNK_META => "META",
+        CHUNK_SLOTS => "SLOTS",
+        CHUNK_FREE => "FREE",
+        CHUNK_ROWS => "ROWS",
+        CHUNK_END => "END",
+        CHUNK_SHARD => "SHARD",
+        CHUNK_SHARD_ROWS => "SHARD_ROWS",
+        _ => "unknown",
+    }
 }
 
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    fn f64s(&mut self, vs: &[f64]) {
-        crate::wal::extend_f64_bits(&mut self.buf, vs);
+/// Streams one container to a sink: the head, then one CRC'd chunk per
+/// [`Self::begin`] / [`Self::seal`], closed by [`Self::finish`]'s END.
+/// The chunk buffer is reused, so peak memory is one chunk.
+pub(crate) struct ChunkWriter<'a, I: DurableIo> {
+    io: &'a mut I,
+    w: Writer,
+    written: u64,
+}
+
+impl<'a, I: DurableIo> ChunkWriter<'a, I> {
+    pub(crate) fn start(io: &'a mut I) -> Result<Self, SnapshotError> {
+        let mut out = Self {
+            io,
+            w: Writer::with_capacity(4096),
+            written: 0,
+        };
+        out.w.bytes(MAGIC);
+        out.w.u32(VERSION);
+        out.write()?;
+        Ok(out)
     }
 
-    /// Starts a v2 chunk: kind byte plus a length placeholder patched by
-    /// [`Self::finish_chunk`]. The buffer is reused across chunks, so the
-    /// writer's peak memory is one chunk, not the whole snapshot.
-    fn begin_chunk(&mut self, kind: u8) {
-        self.buf.clear();
-        self.u8(kind);
-        self.u32(0);
+    /// Starts a chunk of `kind`; the caller writes its body.
+    pub(crate) fn begin(&mut self, kind: u8) -> &mut Writer {
+        self.w.begin_frame();
+        self.w.u8(kind);
+        &mut self.w
     }
 
-    /// Patches the length, appends the CRC-32 over `kind ‖ len ‖ payload`,
-    /// and streams the framed chunk to the sink.
-    fn finish_chunk<I: DurableIo>(
+    /// Seals the chunk begun by [`Self::begin`] and streams it out.
+    pub(crate) fn seal(&mut self) -> Result<(), SnapshotError> {
+        self.w.seal_frame();
+        self.write()
+    }
+
+    fn write(&mut self) -> Result<(), SnapshotError> {
+        let bytes = self.w.as_slice();
+        self.io.write_all(bytes).map_err(SnapshotError::Io)?;
+        self.written += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Writes `items` as a section of `kind`, at most `per_chunk` per chunk.
+    pub(crate) fn chunked<T>(
         &mut self,
-        io: &mut I,
-        written: &mut u64,
+        kind: u8,
+        per_chunk: usize,
+        items: impl IntoIterator<Item = T>,
+        mut put: impl FnMut(&mut Writer, T),
     ) -> Result<(), SnapshotError> {
-        let len = (self.buf.len() - 5) as u32;
-        self.buf[1..5].copy_from_slice(&len.to_le_bytes());
-        let crc = crc32(&self.buf);
-        self.buf.extend_from_slice(&crc.to_le_bytes());
-        io.write_all(&self.buf).map_err(SnapshotError::Io)?;
-        *written += self.buf.len() as u64;
+        let mut in_chunk = 0usize;
+        for item in items {
+            if in_chunk == 0 {
+                self.begin(kind);
+            }
+            put(&mut self.w, item);
+            in_chunk += 1;
+            if in_chunk == per_chunk {
+                self.seal()?;
+                in_chunk = 0;
+            }
+        }
+        if in_chunk > 0 {
+            self.seal()?;
+        }
+        Ok(())
+    }
+
+    /// Writes the END chunk; returns the bytes written in total.
+    pub(crate) fn finish(mut self) -> Result<u64, SnapshotError> {
+        self.begin(CHUNK_END);
+        self.seal()?;
+        Ok(self.written)
+    }
+}
+
+/// The chunks of one container, read back in order and checked end to end:
+/// magic, version, every chunk's CRC (through the codec's salvage scan),
+/// the section order, and an END chunk closing the stream with nothing
+/// after it.
+pub(crate) struct Sections<'a> {
+    chunks: std::vec::IntoIter<&'a [u8]>,
+    cur: Reader<'a>,
+    kind: u8,
+    /// Whether the scan reached the end of the input undamaged.
+    clean: bool,
+    /// What running out of intact chunks before END means.
+    cut: SnapshotError,
+}
+
+impl<'a> Sections<'a> {
+    pub(crate) fn open(bytes: &'a [u8]) -> Result<Self, SnapshotError> {
+        let mut head = Reader::new(bytes);
+        if head.take(8)? != MAGIC {
+            return Err(SnapshotError::BadMagic);
+        }
+        let version = head.u32()?;
+        if version != VERSION {
+            return Err(SnapshotError::UnsupportedVersion(version));
+        }
+        let scan = scan_frames(bytes, HEAD_LEN, Some);
+        let cut = match &scan.damage {
+            Some(d) if d.reason == CHECKSUM_MISMATCH => {
+                // Names the section by the damaged chunk's own kind byte.
+                let kind = bytes.get(d.offset as usize + 4).copied().unwrap_or(0);
+                SnapshotError::ChecksumMismatch(section_name(kind))
+            }
+            _ => SnapshotError::Truncated,
+        };
+        Ok(Self {
+            chunks: scan.frames.into_iter(),
+            cur: Reader::new(&[]),
+            kind: CHUNK_END,
+            clean: scan.damage.is_none(),
+            cut,
+        })
+    }
+
+    fn next_chunk(&mut self) -> Result<(), SnapshotError> {
+        let chunk = self.chunks.next().ok_or_else(|| self.cut.clone())?;
+        let (&kind, body) = chunk
+            .split_first()
+            .ok_or(SnapshotError::Corrupt("empty chunk"))?;
+        self.kind = kind;
+        self.cur = Reader::new(body);
+        Ok(())
+    }
+
+    /// The reader for the next entry of section `kind`, moving on to the
+    /// section's next chunk once the current one is used up. Entries never
+    /// straddle chunks.
+    pub(crate) fn entry(&mut self, kind: u8) -> Result<&mut Reader<'a>, SnapshotError> {
+        while self.cur.remaining() == 0 {
+            self.next_chunk()?;
+            if self.kind != kind {
+                return Err(SnapshotError::Corrupt("section missing or out of order"));
+            }
+        }
+        if self.kind != kind {
+            return Err(SnapshotError::Corrupt("section carries extra entries"));
+        }
+        Ok(&mut self.cur)
+    }
+
+    /// Checks that the END chunk follows the last section and closes the
+    /// input.
+    pub(crate) fn finish(mut self) -> Result<(), SnapshotError> {
+        if self.cur.remaining() != 0 {
+            return Err(SnapshotError::Corrupt("section carries extra entries"));
+        }
+        self.next_chunk()?;
+        if self.kind != CHUNK_END {
+            return Err(SnapshotError::Corrupt("section carries extra entries"));
+        }
+        if self.cur.remaining() != 0 {
+            return Err(SnapshotError::Corrupt("END chunk carries payload"));
+        }
+        if self.chunks.len() != 0 || !self.clean {
+            return Err(SnapshotError::Corrupt("trailing bytes"));
+        }
         Ok(())
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn usize(&mut self) -> Result<usize, SnapshotError> {
-        usize::try_from(self.u64()?).map_err(|_| SnapshotError::Corrupt("count overflows usize"))
-    }
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(u64::from_le_bytes(
-            self.take(8)?.try_into().unwrap(),
-        )))
-    }
-    fn f64s(&mut self, n: usize) -> Result<Vec<f64>, SnapshotError> {
-        // Clamp before allocating: a hostile count must fail as Truncated,
-        // never reserve unbounded memory.
-        self.ensure(n, 8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
-        Ok(out)
-    }
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-    /// Pre-allocation clamp: `units` entries of at least `bytes_each`
-    /// serialized bytes apiece must still fit in the unread input, else the
-    /// buffer is truncated — checked *before* any `Vec::with_capacity` so a
-    /// flipped length field can demand at most the input's own size.
-    fn ensure(&self, units: usize, bytes_each: usize) -> Result<(), SnapshotError> {
-        match units.checked_mul(bytes_each) {
-            Some(total) if total <= self.remaining() => Ok(()),
-            _ => Err(SnapshotError::Truncated),
-        }
+/// The STATS encoding of the module docs, shared by the snapshot's META
+/// chunk and the shard checkpoint's SHARD chunk.
+pub(crate) fn write_stats(w: &mut Writer, stats: &[ClusterStats]) {
+    for s in stats {
+        w.u64(s.size() as u64);
+        w.f64s(s.psi());
+        w.f64s(s.phi());
+        w.f64s(s.mean_sum());
+        let (psi_tot, phi_tot, s_sq_tot) = s.scalar_aggregates();
+        let d = s.drift();
+        w.f64s(&[
+            psi_tot,
+            phi_tot,
+            s_sq_tot,
+            d.add_const,
+            d.add_size,
+            d.add_mean,
+            d.rem_const,
+            d.rem_size,
+            d.rem_mean,
+        ]);
     }
 }
 
-fn write_drift(w: &mut Writer, d: ClusterDrift) {
-    w.f64(d.add_const);
-    w.f64(d.add_size);
-    w.f64(d.add_mean);
-    w.f64(d.rem_const);
-    w.f64(d.rem_size);
-    w.f64(d.rem_mean);
-}
-
-fn read_drift(r: &mut Reader<'_>) -> Result<ClusterDrift, SnapshotError> {
-    Ok(ClusterDrift {
-        add_const: r.f64()?,
-        add_size: r.f64()?,
-        add_mean: r.f64()?,
-        rem_const: r.f64()?,
-        rem_size: r.f64()?,
-        rem_mean: r.f64()?,
-    })
-}
-
-fn slot_gen(store: &MomentStore, slot: usize) -> u32 {
-    match store {
-        MomentStore::Objects { gens, .. } => gens[slot],
-        MomentStore::Slab { slab } => slab.generation(slot),
+/// Inverse of [`write_stats`] for `k` clusters of `m` dimensions.
+pub(crate) fn read_stats(
+    r: &mut Reader<'_>,
+    m: usize,
+    k: usize,
+) -> Result<Vec<ClusterStats>, SnapshotError> {
+    // Each cluster owes at least its size and nine scalars.
+    r.ensure(k, 80)?;
+    let mut stats = Vec::with_capacity(k);
+    for _ in 0..k {
+        let size = r.usize()?;
+        let (psi, phi, mean_sum) = (r.f64s(m)?, r.f64s(m)?, r.f64s(m)?);
+        let (psi_tot, phi_tot, s_sq_tot) = (r.f64()?, r.f64()?, r.f64()?);
+        let drift = ClusterDrift {
+            add_const: r.f64()?,
+            add_size: r.f64()?,
+            add_mean: r.f64()?,
+            rem_const: r.f64()?,
+            rem_size: r.f64()?,
+            rem_mean: r.f64()?,
+        };
+        stats.push(ClusterStats::from_raw_parts(
+            psi, phi, mean_sum, size, psi_tot, phi_tot, s_sq_tot, drift,
+        ));
     }
+    Ok(stats)
+}
+
+/// The `(mu, mu2)` row of the next ROWS entry.
+fn read_row(sections: &mut Sections<'_>, m: usize) -> Result<(Vec<f64>, Vec<f64>), SnapshotError> {
+    let r = sections.entry(CHUNK_ROWS)?;
+    Ok((r.f64s(m)?, r.f64s(m)?))
 }
 
 fn free_list(store: &MomentStore) -> &[u32] {
@@ -299,422 +385,19 @@ fn free_list(store: &MomentStore) -> &[u32] {
     }
 }
 
-fn row_of(store: &MomentStore, slot: usize) -> (&[f64], &[f64]) {
-    match store {
-        MomentStore::Objects { objects, .. } => {
-            let mo = objects[slot].as_ref().expect("live slot has a row");
-            (mo.mu(), mo.mu2())
-        }
-        MomentStore::Slab { slab } => {
-            let v = slab.view(slot);
-            (v.mu, v.mu2)
-        }
-    }
-}
-
-/// Decoded v2 `META` chunk — everything except the per-slot sections
-/// (the backend tag lives on as the [`RowSink`] variant).
-struct V2Meta {
-    pruning: PruningConfig,
-    m: usize,
-    k: usize,
-    live: usize,
-    epoch: u64,
-    n_slots: usize,
-    n_free: usize,
-    versions: Vec<u64>,
-    totals: DriftTotals,
-    stats: Vec<ClusterStats>,
-}
-
-/// Row storage being rebuilt during a v2 restore, fed one slot at a time
-/// in ascending order (freed slots as zero rows, exactly like v1).
-enum RowSink {
-    Objects {
-        objects: Vec<Option<Moments>>,
-    },
-    Slab {
-        arena: MomentArena,
-        occupied: Vec<bool>,
-    },
-}
-
-impl RowSink {
-    fn push_free(&mut self, m: usize) {
-        match self {
-            Self::Objects { objects } => objects.push(None),
-            Self::Slab { arena, occupied } => {
-                arena.push_row_with(m, |_| (0.0, 0.0));
-                occupied.push(false);
-            }
-        }
-    }
-
-    fn push_live(&mut self, m: usize, mu: Vec<f64>, mu2: Vec<f64>) {
-        match self {
-            Self::Objects { objects } => objects.push(Some(Moments::from_mu_mu2(mu, mu2))),
-            Self::Slab { arena, occupied } => {
-                // The same canonical per-dimension fold the original
-                // insertion used — bit-identical row reconstruction.
-                arena.push_row_with(m, |d| (mu[d], mu2[d]));
-                occupied.push(true);
-            }
-        }
-    }
-}
-
-/// Accumulator of a v2 chunked restore: enforces chunk order
-/// (META → SLOTS → FREE → ROWS → END), runs the same validations as the
-/// v1 decoder, and clamps every count against the input size before
-/// allocating.
-struct V2State {
-    input_len: usize,
-    meta: Option<V2Meta>,
-    labels: Vec<Option<usize>>,
-    gens: Vec<u32>,
-    free: Vec<u32>,
-    freed_seen: Vec<bool>,
-    sink: Option<RowSink>,
-    next_slot: usize,
-    rows_seen: usize,
-    free_begun: bool,
-    rows_begun: bool,
-}
-
-impl V2State {
-    fn new(input_len: usize) -> Self {
-        Self {
-            input_len,
-            meta: None,
-            labels: Vec::new(),
-            gens: Vec::new(),
-            free: Vec::new(),
-            freed_seen: Vec::new(),
-            sink: None,
-            next_slot: 0,
-            rows_seen: 0,
-            free_begun: false,
-            rows_begun: false,
-        }
-    }
-
-    /// Clamp for counts whose entries live in *later* chunks: they must
-    /// still fit in the whole input, else some chunk is missing — fail as
-    /// Truncated before reserving anything.
-    fn fits_input(&self, units: usize, bytes_each: usize) -> Result<(), SnapshotError> {
-        match units.checked_mul(bytes_each) {
-            Some(total) if total <= self.input_len => Ok(()),
-            _ => Err(SnapshotError::Truncated),
-        }
-    }
-
-    fn meta(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        if self.meta.is_some() {
-            return Err(SnapshotError::Corrupt("duplicate META chunk"));
-        }
-        let backend = match r.u8()? {
-            0 => StreamBackend::Objects,
-            1 => StreamBackend::Slab,
-            _ => return Err(SnapshotError::Corrupt("unknown backend tag")),
-        };
-        let pruning = match r.u8()? {
-            0 => PruningConfig::Off,
-            1 => PruningConfig::Bounds,
-            _ => return Err(SnapshotError::Corrupt("unknown pruning tag")),
-        };
-        let m = r.usize()?;
-        let k = r.usize()?;
-        if k == 0 {
-            return Err(SnapshotError::Corrupt("k must be at least 1"));
-        }
-        let live = r.usize()?;
-        let epoch = r.u64()?;
-        let n_slots = r.usize()?;
-        let n_free = r.usize()?;
-        if n_slots
-            .checked_sub(live)
-            .is_none_or(|expected| n_free != expected)
-        {
-            return Err(SnapshotError::Corrupt("free-list length mismatch"));
-        }
-        r.ensure(k, 8)?;
-        let mut versions = Vec::with_capacity(k);
-        for _ in 0..k {
-            versions.push(r.u64()?);
-        }
-        let totals_arr: [f64; 6] = r.f64s(6)?.try_into().expect("fixed-length read");
-        let totals = DriftTotals::from_array(totals_arr);
-        let mut stats = Vec::with_capacity(k);
-        for _ in 0..k {
-            let size = r.usize()?;
-            let psi = r.f64s(m)?;
-            let phi = r.f64s(m)?;
-            let mean_sum = r.f64s(m)?;
-            let psi_tot = r.f64()?;
-            let phi_tot = r.f64()?;
-            let s_sq_tot = r.f64()?;
-            let drift = read_drift(r)?;
-            stats.push(ClusterStats::from_raw_parts(
-                psi, phi, mean_sum, size, psi_tot, phi_tot, s_sq_tot, drift,
-            ));
-        }
-        // Entries owed by later chunks, clamped against the whole input.
-        self.fits_input(n_slots, 5)?;
-        self.fits_input(n_free, 4)?;
-        self.fits_input(live.checked_mul(m).ok_or(SnapshotError::Truncated)?, 16)?;
-        self.labels = Vec::with_capacity(n_slots);
-        self.gens = Vec::with_capacity(n_slots);
-        self.free = Vec::with_capacity(n_free);
-        self.freed_seen = vec![false; n_slots];
-        self.sink = Some(match backend {
-            StreamBackend::Objects => RowSink::Objects {
-                objects: Vec::with_capacity(n_slots),
-            },
-            StreamBackend::Slab => RowSink::Slab {
-                arena: MomentArena::with_capacity(n_slots, m),
-                occupied: Vec::with_capacity(n_slots),
-            },
-        });
-        self.meta = Some(V2Meta {
-            pruning,
-            m,
-            k,
-            live,
-            epoch,
-            n_slots,
-            n_free,
-            versions,
-            totals,
-            stats,
-        });
-        Ok(())
-    }
-
-    fn slots(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        let Some(meta) = &self.meta else {
-            return Err(SnapshotError::Corrupt("chunk before META"));
-        };
-        let (n_slots, k) = (meta.n_slots, meta.k);
-        if self.free_begun || self.rows_begun {
-            return Err(SnapshotError::Corrupt("SLOTS chunk out of order"));
-        }
-        while r.remaining() > 0 {
-            if self.labels.len() == n_slots {
-                return Err(SnapshotError::Corrupt("too many slot entries"));
-            }
-            match r.u8()? {
-                0 => self.labels.push(None),
-                1 => {
-                    let c = r.usize()?;
-                    if c >= k {
-                        return Err(SnapshotError::Corrupt("label out of range"));
-                    }
-                    self.labels.push(Some(c));
-                }
-                _ => return Err(SnapshotError::Corrupt("unknown slot flag")),
-            }
-            self.gens.push(r.u32()?);
-        }
-        Ok(())
-    }
-
-    fn free(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        let Some(meta) = &self.meta else {
-            return Err(SnapshotError::Corrupt("chunk before META"));
-        };
-        let (n_slots, n_free) = (meta.n_slots, meta.n_free);
-        if self.labels.len() != n_slots || self.rows_begun {
-            return Err(SnapshotError::Corrupt("FREE chunk out of order"));
-        }
-        self.free_begun = true;
-        while r.remaining() > 0 {
-            if self.free.len() == n_free {
-                return Err(SnapshotError::Corrupt("too many free-list entries"));
-            }
-            let s = r.u32()?;
-            let slot = s as usize;
-            if slot >= n_slots || self.labels[slot].is_some() || self.freed_seen[slot] {
-                return Err(SnapshotError::Corrupt("free-list entry invalid"));
-            }
-            self.freed_seen[slot] = true;
-            self.free.push(s);
-        }
-        Ok(())
-    }
-
-    fn rows(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        let Some(meta) = &self.meta else {
-            return Err(SnapshotError::Corrupt("chunk before META"));
-        };
-        let (n_slots, n_free, live, m) = (meta.n_slots, meta.n_free, meta.live, meta.m);
-        if self.labels.len() != n_slots || self.free.len() != n_free {
-            return Err(SnapshotError::Corrupt("ROWS chunk out of order"));
-        }
-        self.rows_begun = true;
-        let sink = self.sink.as_mut().expect("sink built with META");
-        while r.remaining() > 0 {
-            if self.rows_seen == live {
-                return Err(SnapshotError::Corrupt("too many rows"));
-            }
-            let mu = r.f64s(m)?;
-            let mu2 = r.f64s(m)?;
-            // Zero-fill freed slots up to the next live one, like v1.
-            while self.labels[self.next_slot].is_none() {
-                sink.push_free(m);
-                self.next_slot += 1;
-            }
-            sink.push_live(m, mu, mu2);
-            self.next_slot += 1;
-            self.rows_seen += 1;
-        }
-        Ok(())
-    }
-
-    fn finish(mut self) -> Result<IncrementalUcpc, SnapshotError> {
-        let Some(meta) = self.meta.take() else {
-            return Err(SnapshotError::Corrupt("chunk before META"));
-        };
-        if self.labels.len() != meta.n_slots
-            || self.free.len() != meta.n_free
-            || self.rows_seen != meta.live
-        {
-            return Err(SnapshotError::Truncated);
-        }
-        let live_slots = self.labels.iter().filter(|l| l.is_some()).count();
-        if live_slots != meta.live {
-            return Err(SnapshotError::Corrupt(
-                "live count does not match slot flags",
-            ));
-        }
-        let mut sink = self.sink.take().expect("sink built with META");
-        // Every live slot is behind the cursor (rows_seen == live ==
-        // flagged-live count); zero-fill the freed tail.
-        while self.next_slot < meta.n_slots {
-            debug_assert!(self.labels[self.next_slot].is_none());
-            sink.push_free(meta.m);
-            self.next_slot += 1;
-        }
-        let store = match sink {
-            RowSink::Objects { objects } => MomentStore::Objects {
-                objects,
-                free: self.free,
-                gens: self.gens,
-            },
-            RowSink::Slab { arena, occupied } => MomentStore::Slab {
-                slab: SlabArena::from_parts(arena, occupied, self.free, self.gens),
-            },
-        };
-        Ok(IncrementalUcpc {
-            m: meta.m,
-            k: meta.k,
-            stats: meta.stats,
-            store,
-            labels: self.labels,
-            live: meta.live,
-            pruning: meta.pruning,
-            epoch: meta.epoch,
-            versions: meta.versions,
-            totals: meta.totals,
-            cache: PruneCache::new(0, meta.k),
-            counters: PruneCounters::default(),
-        })
-    }
-}
-
 impl IncrementalUcpc {
-    /// Serializes the complete logical state into a versioned byte buffer.
-    /// See the [module docs](crate::snapshot) for the format and the
-    /// bit-identity argument.
+    /// Serializes the complete logical state into a versioned byte buffer:
+    /// [`Self::write_snapshot`] into memory. See the
+    /// [module docs](crate::snapshot) for the format and the bit-identity
+    /// argument.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = Writer {
-            buf: Vec::with_capacity(
-                64 + self.k * (8 + (3 * self.m + 9) * 8)
-                    + self.labels.len() * 13
-                    + self.live * self.m * 16,
-            ),
-        };
-        w.buf.extend_from_slice(MAGIC);
-        w.u32(VERSION);
-        w.u8(match self.backend() {
-            StreamBackend::Objects => 0,
-            StreamBackend::Slab => 1,
-        });
-        w.u8(match self.pruning {
-            PruningConfig::Off => 0,
-            PruningConfig::Bounds => 1,
-        });
-        w.u64(self.m as u64);
-        w.u64(self.k as u64);
-        w.u64(self.live as u64);
-        w.u64(self.epoch);
-        for &v in &self.versions {
-            w.u64(v);
-        }
-        w.f64s(&self.totals.to_array());
-        for s in &self.stats {
-            w.u64(s.size() as u64);
-            w.f64s(s.psi());
-            w.f64s(s.phi());
-            w.f64s(s.mean_sum());
-            let (psi_tot, phi_tot, s_sq_tot) = s.scalar_aggregates();
-            w.f64(psi_tot);
-            w.f64(phi_tot);
-            w.f64(s_sq_tot);
-            write_drift(&mut w, s.drift());
-        }
-        let n_slots = self.labels.len();
-        w.u64(n_slots as u64);
-        for l in &self.labels {
-            match l {
-                Some(c) => {
-                    w.u8(1);
-                    w.u64(*c as u64);
-                }
-                None => w.u8(0),
-            }
-        }
-        match &self.store {
-            MomentStore::Objects {
-                objects,
-                free,
-                gens,
-            } => {
-                for &g in gens {
-                    w.u32(g);
-                }
-                w.u64(free.len() as u64);
-                for &s in free {
-                    w.u32(s);
-                }
-                for mo in objects.iter().flatten() {
-                    w.f64s(mo.mu());
-                    w.f64s(mo.mu2());
-                }
-            }
-            MomentStore::Slab { slab } => {
-                for slot in 0..n_slots {
-                    w.u32(slab.generation(slot));
-                }
-                let free = slab.free_slots();
-                w.u64(free.len() as u64);
-                for &s in free {
-                    w.u32(s);
-                }
-                for slot in 0..n_slots {
-                    if slab.is_live(slot) {
-                        let v = slab.view(slot);
-                        w.f64s(v.mu);
-                        w.f64s(v.mu2);
-                    }
-                }
-            }
-        }
-        w.buf
+        let mut io = VecIo::new();
+        self.write_snapshot(&mut io)
+            .expect("in-memory sink cannot fault");
+        io.into_bytes()
     }
 
-    /// Streams a **v2** snapshot — the same logical fields as
-    /// [`Self::snapshot`], bit for bit, so the identity argument carries
-    /// over unchanged — to `io` as bounded, checksummed chunks (module
+    /// Streams the snapshot to `io` as bounded, checksummed chunks (module
     /// docs), returning the bytes written. Peak writer memory is one chunk
     /// (`ROWS_PER_CHUNK × 16m` bytes for the dominant row section)
     /// regardless of live-set size, which is what lets checkpoint +
@@ -722,19 +405,9 @@ impl IncrementalUcpc {
     /// full state. The sink is *not* synced here — durability policy
     /// belongs to the caller (see `ServingUcpc::checkpoint_into`).
     pub fn write_snapshot<I: DurableIo>(&self, io: &mut I) -> Result<u64, SnapshotError> {
-        let mut written = 0u64;
-        let mut head = [0u8; 12];
-        head[..8].copy_from_slice(MAGIC);
-        head[8..].copy_from_slice(&VERSION_V2.to_le_bytes());
-        io.write_all(&head).map_err(SnapshotError::Io)?;
-        written += head.len() as u64;
         let n_slots = self.labels.len();
-        let n_free = n_slots - self.live;
-        let mut w = Writer {
-            buf: Vec::with_capacity(4096),
-        };
-
-        w.begin_chunk(CHUNK_META);
+        let mut out = ChunkWriter::start(io)?;
+        let w = out.begin(CHUNK_META);
         w.u8(match self.backend() {
             StreamBackend::Objects => 0,
             StreamBackend::Slab => 1,
@@ -743,167 +416,50 @@ impl IncrementalUcpc {
             PruningConfig::Off => 0,
             PruningConfig::Bounds => 1,
         });
-        w.u64(self.m as u64);
-        w.u64(self.k as u64);
-        w.u64(self.live as u64);
+        for v in [self.m, self.k, self.live] {
+            w.u64(v as u64);
+        }
         w.u64(self.epoch);
         w.u64(n_slots as u64);
-        w.u64(n_free as u64);
+        w.u64((n_slots - self.live) as u64);
         for &v in &self.versions {
             w.u64(v);
         }
         w.f64s(&self.totals.to_array());
-        for s in &self.stats {
-            w.u64(s.size() as u64);
-            w.f64s(s.psi());
-            w.f64s(s.phi());
-            w.f64s(s.mean_sum());
-            let (psi_tot, phi_tot, s_sq_tot) = s.scalar_aggregates();
-            w.f64(psi_tot);
-            w.f64(phi_tot);
-            w.f64(s_sq_tot);
-            write_drift(&mut w, s.drift());
-        }
-        w.finish_chunk(io, &mut written)?;
-
-        for start in (0..n_slots).step_by(SLOTS_PER_CHUNK) {
-            w.begin_chunk(CHUNK_SLOTS);
-            for slot in start..(start + SLOTS_PER_CHUNK).min(n_slots) {
-                match self.labels[slot] {
-                    Some(c) => {
-                        w.u8(1);
-                        w.u64(c as u64);
-                    }
-                    None => w.u8(0),
+        write_stats(w, &self.stats);
+        out.seal()?;
+        out.chunked(CHUNK_SLOTS, SLOTS_PER_CHUNK, 0..n_slots, |w, slot| {
+            match self.labels[slot] {
+                Some(c) => {
+                    w.u8(1);
+                    w.u64(c as u64);
                 }
-                w.u32(slot_gen(&self.store, slot));
+                None => w.u8(0),
             }
-            w.finish_chunk(io, &mut written)?;
-        }
-
-        let free = free_list(&self.store);
-        for group in free.chunks(FREE_PER_CHUNK) {
-            w.begin_chunk(CHUNK_FREE);
-            for &s in group {
-                w.u32(s);
-            }
-            w.finish_chunk(io, &mut written)?;
-        }
-
-        let mut in_chunk = 0usize;
-        for slot in 0..n_slots {
-            if self.labels[slot].is_none() {
-                continue;
-            }
-            if in_chunk == 0 {
-                w.begin_chunk(CHUNK_ROWS);
-            }
-            let (mu, mu2) = row_of(&self.store, slot);
-            w.f64s(mu);
-            w.f64s(mu2);
-            in_chunk += 1;
-            if in_chunk == ROWS_PER_CHUNK {
-                w.finish_chunk(io, &mut written)?;
-                in_chunk = 0;
-            }
-        }
-        if in_chunk > 0 {
-            w.finish_chunk(io, &mut written)?;
-        }
-
-        w.begin_chunk(CHUNK_END);
-        w.finish_chunk(io, &mut written)?;
-        Ok(written)
+            w.u32(self.store.generation(slot));
+        })?;
+        out.chunked(
+            CHUNK_FREE,
+            FREE_PER_CHUNK,
+            free_list(&self.store),
+            |w, &s| w.u32(s),
+        )?;
+        let live = (0..n_slots).filter(|&slot| self.labels[slot].is_some());
+        out.chunked(CHUNK_ROWS, ROWS_PER_CHUNK, live, |w, slot| {
+            let v = self.store.view(slot);
+            w.f64s(v.mu);
+            w.f64s(v.mu2);
+        })?;
+        out.finish()
     }
 
-    /// [`Self::write_snapshot`] into a fresh in-memory buffer — the v2
-    /// counterpart of [`Self::snapshot`], for callers that want the bytes
-    /// rather than a stream.
-    pub fn snapshot_v2(&self) -> Vec<u8> {
-        let mut io = VecIo::new();
-        self.write_snapshot(&mut io)
-            .expect("in-memory sink cannot fault");
-        io.into_bytes()
-    }
-
-    /// The v2 chunked decode; `bytes` is the whole buffer.
-    fn restore_v2(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut v2 = V2State::new(bytes.len());
-        let mut pos = 12usize;
-        loop {
-            if pos == bytes.len() {
-                // No END chunk seen: the stream stopped mid-write.
-                return Err(SnapshotError::Truncated);
-            }
-            let remaining = bytes.len() - pos;
-            if remaining < 9 {
-                return Err(SnapshotError::Truncated);
-            }
-            let kind = bytes[pos];
-            let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap()) as usize;
-            // Clamp against the input before touching the payload: a
-            // hostile length is Truncated, never an allocation.
-            if len > remaining - 9 {
-                return Err(SnapshotError::Truncated);
-            }
-            let end = pos + 5 + len;
-            let stored = u32::from_le_bytes(bytes[end..end + 4].try_into().unwrap());
-            let section = match kind {
-                CHUNK_META => "META",
-                CHUNK_SLOTS => "SLOTS",
-                CHUNK_FREE => "FREE",
-                CHUNK_ROWS => "ROWS",
-                CHUNK_END => "END",
-                _ => return Err(SnapshotError::Corrupt("unknown chunk kind")),
-            };
-            if crc32(&bytes[pos..end]) != stored {
-                return Err(SnapshotError::ChecksumMismatch(section));
-            }
-            let mut r = Reader {
-                buf: &bytes[pos + 5..end],
-                pos: 0,
-            };
-            match kind {
-                CHUNK_META => v2.meta(&mut r)?,
-                CHUNK_SLOTS => v2.slots(&mut r)?,
-                CHUNK_FREE => v2.free(&mut r)?,
-                CHUNK_ROWS => v2.rows(&mut r)?,
-                _ => {
-                    if r.remaining() != 0 {
-                        return Err(SnapshotError::Corrupt("END chunk carries payload"));
-                    }
-                    if end + 4 != bytes.len() {
-                        return Err(SnapshotError::Corrupt("trailing bytes"));
-                    }
-                    return v2.finish();
-                }
-            }
-            if r.remaining() != 0 {
-                return Err(SnapshotError::Corrupt("chunk carries trailing payload"));
-            }
-            pos = end + 4;
-        }
-    }
-    /// [`Self::snapshot_v2`] / [`Self::write_snapshot`] (v2) buffer,
-    /// bit-identical to the engine that produced it. The prune cache
-    /// restarts empty (entries regrow invalid — always sound); the
-    /// pruning counters restart at zero.
+    /// Rebuilds the engine from a [`Self::snapshot`] /
+    /// [`Self::write_snapshot`] buffer, bit-identical to the engine that
+    /// produced it. The prune cache restarts empty (entries regrow invalid
+    /// — always sound); the pruning counters restart at zero.
     pub fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = Reader { buf: bytes, pos: 0 };
-        if r.take(8)? != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        match r.u32()? {
-            VERSION => Self::restore_v1(r),
-            VERSION_V2 => Self::restore_v2(bytes),
-            other => Err(SnapshotError::UnsupportedVersion(other)),
-        }
-    }
-
-    /// The v1 single-buffer decode; `r` is positioned just past the
-    /// magic + version prefix.
-    fn restore_v1(mut r: Reader<'_>) -> Result<Self, SnapshotError> {
-        let bytes = r.buf;
+        let mut sections = Sections::open(bytes)?;
+        let r = sections.entry(CHUNK_META)?;
         let backend = match r.u8()? {
             0 => StreamBackend::Objects,
             1 => StreamBackend::Slab,
@@ -921,81 +477,66 @@ impl IncrementalUcpc {
         }
         let live = r.usize()?;
         let epoch = r.u64()?;
-        r.ensure(k, 8)?;
-        let mut versions = Vec::with_capacity(k);
-        for _ in 0..k {
-            versions.push(r.u64()?);
-        }
-        let totals_arr: [f64; 6] = r.f64s(6)?.try_into().expect("fixed-length read");
-        let totals = DriftTotals::from_array(totals_arr);
-        let mut stats = Vec::with_capacity(k);
-        for _ in 0..k {
-            let size = r.usize()?;
-            let psi = r.f64s(m)?;
-            let phi = r.f64s(m)?;
-            let mean_sum = r.f64s(m)?;
-            let psi_tot = r.f64()?;
-            let phi_tot = r.f64()?;
-            let s_sq_tot = r.f64()?;
-            let drift = read_drift(&mut r)?;
-            stats.push(ClusterStats::from_raw_parts(
-                psi, phi, mean_sum, size, psi_tot, phi_tot, s_sq_tot, drift,
-            ));
-        }
         let n_slots = r.usize()?;
-        // Each slot still owes ≥ 5 bytes (flag + generation).
-        r.ensure(n_slots, 5)?;
-        let mut labels: Vec<Option<usize>> = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            match r.u8()? {
-                0 => labels.push(None),
-                1 => {
-                    let c = r.usize()?;
-                    if c >= k {
-                        return Err(SnapshotError::Corrupt("label out of range"));
-                    }
-                    labels.push(Some(c));
-                }
-                _ => return Err(SnapshotError::Corrupt("unknown slot flag")),
-            }
+        let n_free = r.usize()?;
+        if n_slots.checked_sub(live) != Some(n_free) {
+            return Err(SnapshotError::Corrupt("free-list length mismatch"));
         }
-        let live_slots = labels.iter().filter(|l| l.is_some()).count();
-        if live_slots != live {
+        r.ensure(k, 8)?;
+        let versions = (0..k).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
+        let mut totals = [0.0; 6];
+        for t in &mut totals {
+            *t = r.f64()?;
+        }
+        let stats = read_stats(r, m, k)?;
+        // Entries owed by later chunks must fit in the whole input before
+        // anything is reserved for them.
+        let input = Reader::new(bytes);
+        input.ensure(n_slots, 5)?;
+        input.ensure(n_free, 4)?;
+        input.ensure(live.checked_mul(m).ok_or(SnapshotError::Truncated)?, 16)?;
+
+        let mut labels = Vec::with_capacity(n_slots);
+        let mut gens = Vec::with_capacity(n_slots);
+        for _ in 0..n_slots {
+            let r = sections.entry(CHUNK_SLOTS)?;
+            labels.push(match r.u8()? {
+                0 => None,
+                1 => match r.usize()? {
+                    c if c < k => Some(c),
+                    _ => return Err(SnapshotError::Corrupt("label out of range")),
+                },
+                _ => return Err(SnapshotError::Corrupt("unknown slot flag")),
+            });
+            gens.push(r.u32()?);
+        }
+        if labels.iter().flatten().count() != live {
             return Err(SnapshotError::Corrupt(
                 "live count does not match slot flags",
             ));
         }
-        let mut gens = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            gens.push(r.u32()?);
-        }
-        let n_free = r.usize()?;
-        if n_free != n_slots - live {
-            return Err(SnapshotError::Corrupt("free-list length mismatch"));
-        }
-        r.ensure(n_free, 4)?;
         let mut free = Vec::with_capacity(n_free);
-        let mut freed_seen = vec![false; n_slots];
+        let mut freed = vec![false; n_slots];
         for _ in 0..n_free {
-            let s = r.u32()?;
+            let s = sections.entry(CHUNK_FREE)?.u32()?;
             let slot = s as usize;
-            if slot >= n_slots || labels[slot].is_some() || freed_seen[slot] {
+            if slot >= n_slots || labels[slot].is_some() || freed[slot] {
                 return Err(SnapshotError::Corrupt("free-list entry invalid"));
             }
-            freed_seen[slot] = true;
+            freed[slot] = true;
             free.push(s);
         }
         let store = match backend {
             StreamBackend::Objects => {
-                let mut objects: Vec<Option<Moments>> = Vec::with_capacity(n_slots);
+                let mut objects = Vec::with_capacity(n_slots);
                 for l in &labels {
-                    if l.is_some() {
-                        let mu = r.f64s(m)?;
-                        let mu2 = r.f64s(m)?;
-                        objects.push(Some(Moments::from_mu_mu2(mu, mu2)));
-                    } else {
-                        objects.push(None);
-                    }
+                    objects.push(match l {
+                        Some(_) => {
+                            let (mu, mu2) = read_row(&mut sections, m)?;
+                            Some(Moments::from_mu_mu2(mu, mu2))
+                        }
+                        None => None,
+                    });
                 }
                 MomentStore::Objects {
                     objects,
@@ -1004,34 +545,24 @@ impl IncrementalUcpc {
                 }
             }
             StreamBackend::Slab => {
-                // Rows owe `live × 2m` f64s; clamp before the arena
-                // reserves `n_slots` rows.
-                r.ensure(live.checked_mul(m).ok_or(SnapshotError::Truncated)?, 16)?;
                 let mut arena = MomentArena::with_capacity(n_slots, m);
-                let mut occupied = Vec::with_capacity(n_slots);
                 for l in &labels {
                     if l.is_some() {
-                        let mu = r.f64s(m)?;
-                        let mu2 = r.f64s(m)?;
+                        let (mu, mu2) = read_row(&mut sections, m)?;
                         // The same canonical per-dimension fold the original
                         // insertion used — bit-identical row reconstruction.
                         arena.push_row_with(m, |d| (mu[d], mu2[d]));
-                        occupied.push(true);
                     } else {
-                        // Freed rows are never read; zeros make the
-                        // snapshot-of-restore byte-identical.
                         arena.push_row_with(m, |_| (0.0, 0.0));
-                        occupied.push(false);
                     }
                 }
+                let occupied = labels.iter().map(Option::is_some).collect();
                 MomentStore::Slab {
                     slab: SlabArena::from_parts(arena, occupied, free, gens),
                 }
             }
         };
-        if r.pos != bytes.len() {
-            return Err(SnapshotError::Corrupt("trailing bytes"));
-        }
+        sections.finish()?;
         Ok(Self {
             m,
             k,
@@ -1042,7 +573,7 @@ impl IncrementalUcpc {
             pruning,
             epoch,
             versions,
-            totals,
+            totals: DriftTotals::from_array(totals),
             cache: PruneCache::new(0, k),
             counters: PruneCounters::default(),
         })
@@ -1092,7 +623,8 @@ mod tests {
                 inc.objective().to_bits(),
                 "objective must round-trip bitwise ({backend:?})"
             );
-            // Snapshotting the restored engine reproduces the exact bytes.
+            // Chunk boundaries are fixed constants: snapshotting the
+            // restored engine reproduces the exact bytes.
             assert_eq!(back.snapshot(), bytes, "snapshot(restore(s)) == s");
         }
     }
@@ -1100,21 +632,24 @@ mod tests {
     #[test]
     fn v2_roundtrip_is_bit_identical_and_deterministic() {
         for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-            let inc = churned(backend);
-            let v2 = inc.snapshot_v2();
-            let back = IncrementalUcpc::restore(&v2).unwrap();
-            assert_eq!(back.backend(), backend);
-            assert_eq!(back.live_labels(), inc.live_labels());
+            let mut inc = churned(backend);
+            let bytes = inc.snapshot();
+            // Serializing the same engine twice yields the same bytes.
+            assert_eq!(inc.snapshot(), bytes, "snapshot is deterministic");
+            let mut back = IncrementalUcpc::restore(&bytes).unwrap();
+            assert_eq!(back.snapshot(), bytes, "snapshot(restore(s)) == s");
+            // The restored engine evolves exactly like the original.
+            let a = inc.insert(&obj(2.25)).unwrap();
+            let b = back.insert(&obj(2.25)).unwrap();
+            assert_eq!(a, b, "handle assignment survives restore ({backend:?})");
+            inc.stabilize(4);
+            back.stabilize(4);
             assert_eq!(
                 back.objective().to_bits(),
                 inc.objective().to_bits(),
-                "objective must round-trip bitwise ({backend:?})"
+                "objective stays bitwise equal after restore ({backend:?})"
             );
-            // Chunk boundaries are fixed constants: the v2 bytes of the
-            // restored engine reproduce the original v2 bytes exactly.
-            assert_eq!(back.snapshot_v2(), v2, "snapshot_v2(restore(s)) == s");
-            // And both versions restore to the same engine.
-            assert_eq!(back.snapshot(), inc.snapshot(), "v1 view agrees");
+            assert_eq!(back.snapshot(), inc.snapshot(), "states stay identical");
         }
     }
 
@@ -1125,19 +660,19 @@ mod tests {
         for i in 0..(2 * ROWS_PER_CHUNK + 17) {
             inc.insert(&obj((i % 5) as f64)).unwrap();
         }
-        let v2 = inc.snapshot_v2();
-        let back = IncrementalUcpc::restore(&v2).unwrap();
-        assert_eq!(back.snapshot_v2(), v2);
+        let bytes = inc.snapshot();
+        let back = IncrementalUcpc::restore(&bytes).unwrap();
+        assert_eq!(back.snapshot(), bytes);
         assert_eq!(back.len(), inc.len());
     }
 
     #[test]
     fn v2_write_snapshot_surfaces_sink_faults() {
         let inc = churned(StreamBackend::Slab);
-        let full = inc.snapshot_v2().len();
+        let full = inc.snapshot().len();
         // ENOSPC at any offset is a checked error, never a panic.
         for limit in [0, 11, 12, 40, full - 1] {
-            let mut io = crate::wal::VecIo::limited(limit);
+            let mut io = VecIo::limited(limit);
             let err = inc.write_snapshot(&mut io).unwrap_err();
             assert!(
                 matches!(err, SnapshotError::Io(_)),
@@ -1149,22 +684,28 @@ mod tests {
     #[test]
     fn v2_rejects_flips_truncations_and_reordering() {
         let inc = churned(StreamBackend::Slab);
-        let v2 = inc.snapshot_v2();
+        let bytes = inc.snapshot();
         // Any truncation fails checked.
-        for cut in [12, 13, 40, v2.len() / 2, v2.len() - 1] {
-            assert!(IncrementalUcpc::restore(&v2[..cut]).is_err(), "cut {cut}");
+        for cut in [12, 13, 40, bytes.len() / 2, bytes.len() - 1] {
+            assert!(
+                IncrementalUcpc::restore(&bytes[..cut]).is_err(),
+                "cut {cut}"
+            );
         }
         // A flipped byte inside a chunk is caught by that chunk's CRC.
-        let mut flipped = v2.clone();
+        let mut flipped = bytes.clone();
         flipped[20] ^= 0x40;
-        assert!(matches!(
+        assert_eq!(
             IncrementalUcpc::restore(&flipped).unwrap_err(),
-            SnapshotError::ChecksumMismatch(_) | SnapshotError::Corrupt(_)
-        ));
-        // Trailing bytes after END are rejected.
-        let mut trailing = v2.clone();
-        trailing.push(0);
-        assert!(IncrementalUcpc::restore(&trailing).is_err());
+            SnapshotError::ChecksumMismatch("META")
+        );
+        // A well-formed container missing its sections is rejected.
+        let mut io = VecIo::new();
+        ChunkWriter::start(&mut io).unwrap().finish().unwrap();
+        assert_eq!(
+            IncrementalUcpc::restore(io.bytes()).unwrap_err(),
+            SnapshotError::Corrupt("section missing or out of order")
+        );
     }
 
     #[test]
@@ -1175,12 +716,15 @@ mod tests {
             IncrementalUcpc::restore(b"not a snapshot at all...").unwrap_err(),
             SnapshotError::BadMagic
         );
-        let mut wrong_version = bytes.clone();
-        wrong_version[8] = 99;
-        assert_eq!(
-            IncrementalUcpc::restore(&wrong_version).unwrap_err(),
-            SnapshotError::UnsupportedVersion(99)
-        );
+        // Versions 1 and 2 are gone; any version but 3 is rejected.
+        for version in [1, 2, 99] {
+            let mut other = bytes.clone();
+            other[8] = version;
+            assert_eq!(
+                IncrementalUcpc::restore(&other).unwrap_err(),
+                SnapshotError::UnsupportedVersion(version.into())
+            );
+        }
         assert_eq!(
             IncrementalUcpc::restore(&bytes[..bytes.len() - 1]).unwrap_err(),
             SnapshotError::Truncated

@@ -16,10 +16,10 @@
 //!
 //! 1. **Moments round-trip through their defining bits.** Every arrival is
 //!    logged as its `(mu, mu_2)` vectors in raw little-endian IEEE-754 bits
-//!    (exactly like `UCPCSNAP`). All [`Moments`] construction funnels
-//!    through [`Moments::from_mu_mu2`], a pure function of those bits — so
-//!    rebuilding the arrival at recovery reproduces its variance row and
-//!    every scalar aggregate bit for bit.
+//!    (exactly like `UCPCSNAP`, through the same [`crate::codec`]). All
+//!    [`Moments`] construction funnels through [`Moments::from_mu_mu2`], a
+//!    pure function of those bits — so rebuilding the arrival at recovery
+//!    reproduces its variance row and every scalar aggregate bit for bit.
 //! 2. **Placement is a pure function of engine state and arrival bits.**
 //!    The serving layer's batched commit is shadow-asserted bit-identical
 //!    to the serial [`IncrementalUcpc::insert_moments`] scan at the same
@@ -36,20 +36,23 @@
 //!
 //! # Format
 //!
-//! Integers are little-endian; `f64` is [`f64::to_bits`] little-endian.
+//! A WAL is a [`crate::codec`] stream — the codec docs hold the header
+//! and frame layout, with `m` the dimensionality validated against the
+//! engine. Each frame's payload is one record:
 //!
 //! ```text
-//! header   "UCPCWAL\0"  8 × u8
-//!          version      u32    1
-//!          m            u64    dimensions (validated against the engine)
-//!          crc          u32    CRC-32 (IEEE) of the 20 bytes above
-//! frame    len          u32    payload length in bytes
-//!          payload      len × u8
-//!          crc          u32    CRC-32 (IEEE) of len ‖ payload
-//! payload  tag 1 Commit     mu m × f64, mu2 m × f64
-//!          tag 2 Remove     slot u32, gen u32
-//!          tag 3 Stabilize  passes u64
+//! tag 1 Commit     mu m × f64, mu2 m × f64
+//! tag 2 Remove     slot u32, gen u32
+//! tag 3 Stabilize  passes u64
+//! tag 4 Round      seq u64, count u32, count × { op u8, slot u32,
+//!                  op 1 Insert / 2 Remove: cluster u32, 3 Move: src u32,
+//!                  dst u32; then mu m × f64, mu2 m × f64 — op 4 NoMove
+//!                  carries neither }
 //! ```
+//!
+//! Tags 1–3 are the serving log; tag 4 is the shard log of
+//! [`crate::sharded`], one frame per replicated round. Each log kind
+//! rejects the other's records with [`WalError::ForeignRecord`].
 //!
 //! # Torn tails, corruption, and poisoning
 //!
@@ -72,8 +75,10 @@
 //! offset, short writes, failing fsync) and [`FileIo`] is the `std::fs`
 //! one.
 
+use crate::codec::{crc32, scan_frames, Reader, Writer};
 use crate::framework::ClusterError;
 use crate::incremental::{IncrementalUcpc, ObjectHandle};
+use crate::sharded::{LogEntry, LogOp};
 use crate::snapshot::SnapshotError;
 use std::fmt;
 use std::io::Write as _;
@@ -89,90 +94,14 @@ pub const WAL_HEADER_LEN: usize = 8 + 4 + 8 + 4;
 const TAG_COMMIT: u8 = 1;
 const TAG_REMOVE: u8 = 2;
 const TAG_STABILIZE: u8 = 3;
+const TAG_ROUND: u8 = 4;
 
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) — table built at compile time
-// so the checksum needs no external crate and no runtime init.
-// ---------------------------------------------------------------------------
+const OP_INSERT: u8 = 1;
+const OP_REMOVE: u8 = 2;
+const OP_MOVE: u8 = 3;
+const OP_NO_MOVE: u8 = 4;
 
-// Slicing-by-8: table[0] is the classic byte-at-a-time table; table[k]
-// advances a byte through k additional zero bytes, so eight table lookups
-// retire eight input bytes per iteration. The WAL sits on the serving
-// layer's commit path and checksums every moment row, so the ~8x over the
-// byte-at-a-time loop is what keeps the `required_wal_overhead` gate
-// comfortable.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0usize;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1usize;
-    while k < 8 {
-        let mut i = 0usize;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-};
-
-/// CRC-32 (IEEE) of `bytes` — the checksum guarding every WAL frame and
-/// every snapshot-v2 chunk.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = !0u32;
-    let mut chunks = bytes.chunks_exact(8);
-    for ch in &mut chunks {
-        let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
-        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
-        c = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
-/// Appends `vals` to `p` as LE IEEE-754 bit patterns — the format every
-/// commit frame and snapshot row section specifies. On little-endian
-/// targets the in-memory representation *is* that byte stream (`f64` has
-/// no padding and `u8` has alignment 1), so the copy is one `memcpy`
-/// instead of a per-element loop — this sits on the serving commit path.
-pub(crate) fn extend_f64_bits(p: &mut Vec<u8>, vals: &[f64]) {
-    #[cfg(target_endian = "little")]
-    {
-        let bytes =
-            unsafe { std::slice::from_raw_parts(vals.as_ptr().cast::<u8>(), vals.len() * 8) };
-        p.extend_from_slice(bytes);
-    }
-    #[cfg(target_endian = "big")]
-    {
-        for &v in vals {
-            p.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-    }
-}
+pub use crate::codec::WalDamage;
 
 // ---------------------------------------------------------------------------
 // DurableIo — the pluggable byte sink
@@ -307,8 +236,7 @@ impl DurableIo for VecIo {
 /// injects ENOSPC at that exact offset, leaving the torn tail readable.
 #[derive(Debug, Clone, Default)]
 pub struct SharedVecIo {
-    buf: std::sync::Arc<std::sync::Mutex<Vec<u8>>>,
-    plan: IoFaultPlan,
+    inner: std::sync::Arc<std::sync::Mutex<VecIo>>,
 }
 
 impl SharedVecIo {
@@ -322,8 +250,7 @@ impl SharedVecIo {
     /// so the crash/recovery harnesses configure both sinks identically.
     pub fn with_faults(plan: IoFaultPlan) -> Self {
         Self {
-            plan,
-            ..Self::default()
+            inner: std::sync::Arc::new(std::sync::Mutex::new(VecIo::with_faults(plan))),
         }
     }
 
@@ -335,31 +262,28 @@ impl SharedVecIo {
 
     /// A copy of everything accepted so far.
     pub fn bytes(&self) -> Vec<u8> {
-        self.buf.lock().expect("sink mutex poisoned").clone()
+        self.lock().buf.clone()
     }
 
     /// Truncates the shared buffer to `len` bytes (no-op when already
     /// shorter) — the crash-surgery hook recovery harnesses use to cut a
     /// torn tail, and checkpoint rotation uses to reset a shard log.
     pub fn truncate(&self, len: usize) {
-        self.buf.lock().expect("sink mutex poisoned").truncate(len);
+        self.lock().buf.truncate(len);
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecIo> {
+        self.inner.lock().expect("sink mutex poisoned")
     }
 }
 
 impl DurableIo for SharedVecIo {
     fn write(&mut self, buf: &[u8]) -> Result<usize, IoFault> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        let mut held = self.buf.lock().expect("sink mutex poisoned");
-        let n = self.plan.admit(held.len(), buf.len())?;
-        held.extend_from_slice(&buf[..n]);
-        Ok(n)
+        self.lock().write(buf)
     }
 
     fn sync(&mut self) -> Result<(), IoFault> {
-        let held = self.buf.lock().expect("sink mutex poisoned").len();
-        self.plan.check_sync(held)
+        self.lock().sync()
     }
 }
 
@@ -453,6 +377,10 @@ pub enum WalError {
     /// remove of a handle that was never live) — the log and snapshot
     /// disagree about history.
     Replay(ClusterError),
+    /// A well-formed record of the other log kind: a shard
+    /// [`WalRecord::Round`] replayed into a serving engine, or a serving
+    /// mutation found in a shard log.
+    ForeignRecord,
 }
 
 impl fmt::Display for WalError {
@@ -483,11 +411,18 @@ impl fmt::Display for WalError {
             ),
             Self::Snapshot(e) => write!(f, "snapshot half of recovery failed: {e}"),
             Self::Replay(e) => write!(f, "WAL frame did not replay cleanly: {e}"),
+            Self::ForeignRecord => write!(f, "WAL record belongs to the other log kind"),
         }
     }
 }
 
 impl std::error::Error for WalError {}
+
+impl From<SnapshotError> for WalError {
+    fn from(e: SnapshotError) -> Self {
+        WalError::Snapshot(e)
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Writer
@@ -533,7 +468,7 @@ pub struct WalWriter<I: DurableIo> {
     frames: u64,
     bytes: u64,
     poison: Option<IoFault>,
-    scratch: Vec<u8>,
+    scratch: Writer,
 }
 
 impl<I: DurableIo> WalWriter<I> {
@@ -546,13 +481,13 @@ impl<I: DurableIo> WalWriter<I> {
             frames: 0,
             bytes: 0,
             poison: None,
-            scratch: Vec::with_capacity(WAL_HEADER_LEN),
+            scratch: Writer::with_capacity(WAL_HEADER_LEN),
         };
-        w.scratch.extend_from_slice(WAL_MAGIC);
-        w.scratch.extend_from_slice(&WAL_VERSION.to_le_bytes());
-        w.scratch.extend_from_slice(&(m as u64).to_le_bytes());
-        let crc = crc32(&w.scratch);
-        w.scratch.extend_from_slice(&crc.to_le_bytes());
+        w.scratch.bytes(WAL_MAGIC);
+        w.scratch.u32(WAL_VERSION);
+        w.scratch.u64(m as u64);
+        let crc = crc32(w.scratch.as_slice());
+        w.scratch.u32(crc);
         w.commit_scratch()?;
         if w.fsync == WalFsync::Every {
             w.sync_or_poison()?;
@@ -591,26 +526,58 @@ impl<I: DurableIo> WalWriter<I> {
     pub fn log_commit(&mut self, mu: &[f64], mu2: &[f64]) -> Result<(), WalError> {
         debug_assert_eq!(mu.len(), mu2.len());
         self.append_frame(|p| {
-            p.push(TAG_COMMIT);
-            extend_f64_bits(p, mu);
-            extend_f64_bits(p, mu2);
+            p.u8(TAG_COMMIT);
+            p.f64s(mu);
+            p.f64s(mu2);
         })
     }
 
     /// Logs an (effective) removal by its generation-stamped handle.
     pub fn log_remove(&mut self, h: ObjectHandle) -> Result<(), WalError> {
         self.append_frame(|p| {
-            p.push(TAG_REMOVE);
-            p.extend_from_slice(&(h.slot() as u32).to_le_bytes());
-            p.extend_from_slice(&h.generation().to_le_bytes());
+            p.u8(TAG_REMOVE);
+            p.u32(h.slot() as u32);
+            p.u32(h.generation());
         })
     }
 
     /// Logs a stabilization (explicit or cadence-triggered) about to run.
     pub fn log_stabilize(&mut self, passes: u64) -> Result<(), WalError> {
         self.append_frame(|p| {
-            p.push(TAG_STABILIZE);
-            p.extend_from_slice(&passes.to_le_bytes());
+            p.u8(TAG_STABILIZE);
+            p.u64(passes);
+        })
+    }
+
+    /// Logs one replicated shard round (a [`crate::sharded`] shard log):
+    /// its sequence number and entries, rows as raw moment bits.
+    pub fn log_round(&mut self, seq: u64, entries: &[LogEntry]) -> Result<(), WalError> {
+        self.append_frame(|p| {
+            p.u8(TAG_ROUND);
+            p.u64(seq);
+            p.u32(entries.len() as u32);
+            for e in entries {
+                let (op, slot) = match e.op {
+                    LogOp::Insert { slot, .. } => (OP_INSERT, slot),
+                    LogOp::Remove { slot, .. } => (OP_REMOVE, slot),
+                    LogOp::Move { slot, .. } => (OP_MOVE, slot),
+                    LogOp::NoMove { slot } => (OP_NO_MOVE, slot),
+                };
+                p.u8(op);
+                p.u32(slot);
+                match e.op {
+                    LogOp::Insert { cluster, .. } | LogOp::Remove { cluster, .. } => {
+                        p.u32(cluster as u32);
+                    }
+                    LogOp::Move { src, dst, .. } => {
+                        p.u32(src as u32);
+                        p.u32(dst as u32);
+                    }
+                    LogOp::NoMove { .. } => continue,
+                }
+                p.f64s(&e.mu);
+                p.f64s(&e.mu2);
+            }
         })
     }
 
@@ -627,18 +594,13 @@ impl<I: DurableIo> WalWriter<I> {
         Ok(())
     }
 
-    fn append_frame(&mut self, build: impl FnOnce(&mut Vec<u8>)) -> Result<(), WalError> {
+    fn append_frame(&mut self, build: impl FnOnce(&mut Writer)) -> Result<(), WalError> {
         if let Some(fault) = &self.poison {
             return Err(WalError::Poisoned(fault.clone()));
         }
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&[0u8; 4]);
+        self.scratch.begin_frame();
         build(&mut self.scratch);
-        let len = self.scratch.len() - 4;
-        debug_assert!(u32::try_from(len).is_ok(), "frame payload exceeds u32");
-        self.scratch[..4].copy_from_slice(&(len as u32).to_le_bytes());
-        let crc = crc32(&self.scratch);
-        self.scratch.extend_from_slice(&crc.to_le_bytes());
+        self.scratch.seal_frame();
         self.commit_scratch()?;
         self.frames += 1;
         if self.fsync == WalFsync::Every {
@@ -649,9 +611,10 @@ impl<I: DurableIo> WalWriter<I> {
 
     /// Writes the assembled scratch buffer whole, poisoning on any fault.
     fn commit_scratch(&mut self) -> Result<(), WalError> {
-        match self.io.write_all(&self.scratch) {
+        let bytes = self.scratch.as_slice();
+        match self.io.write_all(bytes) {
             Ok(()) => {
-                self.bytes += self.scratch.len() as u64;
+                self.bytes += bytes.len() as u64;
                 Ok(())
             }
             Err(fault) => {
@@ -693,36 +656,13 @@ pub enum WalRecord {
         /// Relocation passes requested.
         passes: u64,
     },
-}
-
-/// Where (and why) a WAL byte stream stops being intact — the damage
-/// report of [`scan_wal`] and [`recover`].
-///
-/// Carries the *location* of the first damaged frame, not just a flag:
-/// `offset` is the byte at which that frame starts (equivalently, the
-/// end of the valid prefix) and `frame_index` is its zero-based index —
-/// the coordinates an operator needs to inspect, truncate, or quarantine
-/// the tail. Header damage reports `offset == 0` and `frame_index == 0`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalDamage {
-    /// Byte offset where the first damaged frame starts (0 when the
-    /// header itself is damaged).
-    pub offset: u64,
-    /// Zero-based index of the first damaged frame (== the number of
-    /// intact frames before it).
-    pub frame_index: u64,
-    /// What the scanner tripped on.
-    pub reason: &'static str,
-}
-
-impl fmt::Display for WalDamage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "frame {} (byte offset {}) is damaged: {}",
-            self.frame_index, self.offset, self.reason
-        )
-    }
+    /// One replicated round of a [`crate::sharded`] shard log.
+    Round {
+        /// Global round sequence number.
+        seq: u64,
+        /// The round's log entries, in apply order.
+        entries: Vec<LogEntry>,
+    },
 }
 
 impl From<WalDamage> for WalError {
@@ -774,31 +714,28 @@ pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, WalError> {
         valid_bytes: 0,
         damage: None,
     };
-    if bytes.len() >= 8 && &bytes[..8] != WAL_MAGIC {
+    let mut head = Reader::new(bytes);
+    if head.take(8).is_ok_and(|magic| magic != WAL_MAGIC) {
         return Err(WalError::BadMagic);
     }
-    if bytes.len() < WAL_HEADER_LEN {
-        scan.damage = Some(WalDamage {
+    let header_damage = |reason| {
+        Some(WalDamage {
             offset: 0,
             frame_index: 0,
-            reason: "torn header",
-        });
+            reason,
+        })
+    };
+    let (Ok(version), Ok(m_raw), Ok(stored)) = (head.u32(), head.u64(), head.u32()) else {
+        scan.damage = header_damage("torn header");
+        return Ok(scan);
+    };
+    if crc32(&bytes[..WAL_HEADER_LEN - 4]) != stored {
+        scan.damage = header_damage("header checksum mismatch");
         return Ok(scan);
     }
-    let stored = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-    if crc32(&bytes[..20]) != stored {
-        scan.damage = Some(WalDamage {
-            offset: 0,
-            frame_index: 0,
-            reason: "header checksum mismatch",
-        });
-        return Ok(scan);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     if version != WAL_VERSION {
         return Err(WalError::UnsupportedVersion(version));
     }
-    let m_raw = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
     let Ok(m) = usize::try_from(m_raw) else {
         return Err(WalError::Corrupt {
             valid_bytes: 0,
@@ -806,96 +743,70 @@ pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, WalError> {
             reason: "header dimensionality overflows usize",
         });
     };
+    let frames = scan_frames(bytes, WAL_HEADER_LEN, |p| decode_payload(p, m).ok());
     scan.m = Some(m);
-    scan.valid_bytes = WAL_HEADER_LEN as u64;
-
-    let mut pos = WAL_HEADER_LEN;
-    loop {
-        let remaining = bytes.len() - pos;
-        if remaining == 0 {
-            return Ok(scan);
-        }
-        // The damaged frame starts exactly where the valid prefix ends,
-        // and its index is the count of intact frames before it.
-        let damage = |reason| {
-            Some(WalDamage {
-                offset: scan.valid_bytes,
-                frame_index: scan.records.len() as u64,
-                reason,
-            })
-        };
-        if remaining < 4 {
-            scan.damage = damage("torn frame length");
-            return Ok(scan);
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        // Torn check first: a frame that runs past the end is a crash
-        // mid-append, however implausible its length field.
-        let Some(frame_end) = pos
-            .checked_add(4)
-            .and_then(|p| p.checked_add(len))
-            .and_then(|p| p.checked_add(4))
-        else {
-            scan.damage = damage("torn frame");
-            return Ok(scan);
-        };
-        if frame_end > bytes.len() {
-            scan.damage = damage("torn frame");
-            return Ok(scan);
-        }
-        let payload = &bytes[pos + 4..pos + 4 + len];
-        let stored = u32::from_le_bytes(bytes[frame_end - 4..frame_end].try_into().expect("crc"));
-        if crc32(&bytes[pos..pos + 4 + len]) != stored {
-            scan.damage = damage("frame checksum mismatch");
-            return Ok(scan);
-        }
-        let Some(record) = decode_payload(payload, m) else {
-            scan.damage = damage("malformed frame payload");
-            return Ok(scan);
-        };
-        scan.records.push(record);
-        scan.frame_ends.push(frame_end as u64);
-        scan.valid_bytes = frame_end as u64;
-        pos = frame_end;
-    }
+    scan.records = frames.frames;
+    scan.frame_ends = frames.frame_ends;
+    scan.valid_bytes = frames.valid_bytes;
+    scan.damage = frames.damage;
+    Ok(scan)
 }
 
-/// Decodes one checksummed frame payload; `None` if the tag or shape is
-/// wrong (allocation is bounded by the payload slice — no hostile length
-/// field reaches an allocator).
-fn decode_payload(payload: &[u8], m: usize) -> Option<WalRecord> {
-    let (&tag, body) = payload.split_first()?;
-    match tag {
-        TAG_COMMIT => {
-            if body.len() != m.checked_mul(16)? {
-                return None;
+/// Decodes one checksummed frame payload; an error if the tag or shape is
+/// wrong. Every count is clamped against the payload before allocating.
+fn decode_payload(payload: &[u8], m: usize) -> Result<WalRecord, SnapshotError> {
+    let mut r = Reader::new(payload);
+    let record = match r.u8()? {
+        TAG_COMMIT => WalRecord::Commit {
+            mu: r.f64s(m)?,
+            mu2: r.f64s(m)?,
+        },
+        TAG_REMOVE => WalRecord::Remove(ObjectHandle::new(r.u32()?, r.u32()?)),
+        TAG_STABILIZE => WalRecord::Stabilize { passes: r.u64()? },
+        TAG_ROUND => {
+            let seq = r.u64()?;
+            let count = r.u32()? as usize;
+            r.ensure(count, 5)?;
+            let mut entries = Vec::with_capacity(count);
+            for _ in 0..count {
+                entries.push(decode_entry(&mut r, m)?);
             }
-            let f64_at = |i: usize| {
-                f64::from_bits(u64::from_le_bytes(
-                    body[i * 8..i * 8 + 8].try_into().expect("8 bytes"),
-                ))
-            };
-            let mu = (0..m).map(f64_at).collect();
-            let mu2 = (m..2 * m).map(f64_at).collect();
-            Some(WalRecord::Commit { mu, mu2 })
+            WalRecord::Round { seq, entries }
         }
-        TAG_REMOVE => {
-            if body.len() != 8 {
-                return None;
-            }
-            let slot = u32::from_le_bytes(body[..4].try_into().expect("4 bytes"));
-            let gen = u32::from_le_bytes(body[4..].try_into().expect("4 bytes"));
-            Some(WalRecord::Remove(ObjectHandle::new(slot, gen)))
-        }
-        TAG_STABILIZE => {
-            if body.len() != 8 {
-                return None;
-            }
-            let passes = u64::from_le_bytes(body.try_into().expect("8 bytes"));
-            Some(WalRecord::Stabilize { passes })
-        }
-        _ => None,
+        _ => return Err(SnapshotError::Corrupt("unknown record tag")),
+    };
+    if r.remaining() != 0 {
+        return Err(SnapshotError::Corrupt("record carries trailing bytes"));
     }
+    Ok(record)
+}
+
+fn decode_entry(r: &mut Reader<'_>, m: usize) -> Result<LogEntry, SnapshotError> {
+    let tag = r.u8()?;
+    let slot = r.u32()?;
+    let op = match tag {
+        OP_INSERT => LogOp::Insert {
+            slot,
+            cluster: r.u32()? as usize,
+        },
+        OP_REMOVE => LogOp::Remove {
+            slot,
+            cluster: r.u32()? as usize,
+        },
+        OP_MOVE => LogOp::Move {
+            slot,
+            src: r.u32()? as usize,
+            dst: r.u32()? as usize,
+        },
+        OP_NO_MOVE => LogOp::NoMove { slot },
+        _ => return Err(SnapshotError::Corrupt("unknown round entry op")),
+    };
+    let (mu, mu2) = if tag == OP_NO_MOVE {
+        (Vec::new(), Vec::new())
+    } else {
+        (r.f64s(m)?, r.f64s(m)?)
+    };
+    Ok(LogEntry { op, mu, mu2 })
 }
 
 // ---------------------------------------------------------------------------
@@ -927,22 +838,26 @@ pub struct Recovery {
 /// A commit rebuilds the arrival via [`Moments::from_mu_mu2`] (bit-exact
 /// from the logged bits) and inserts it through the serial scan — which
 /// the serving layer's batched commit is shadow-asserted equal to — so
-/// replay reproduces labels, handles, and statistics bits exactly.
-pub fn apply_record(engine: &mut IncrementalUcpc, rec: &WalRecord) -> Result<(), ClusterError> {
+/// replay reproduces labels, handles, and statistics bits exactly. A
+/// shard [`WalRecord::Round`] is [`WalError::ForeignRecord`]: it belongs
+/// to a shard log, not to a serving engine's.
+pub fn apply_record(engine: &mut IncrementalUcpc, rec: &WalRecord) -> Result<(), WalError> {
     match rec {
         WalRecord::Commit { mu, mu2 } => engine
             .insert_moments(&Moments::from_mu_mu2(mu.clone(), mu2.clone()))
-            .map(|_| ()),
-        WalRecord::Remove(h) => engine.remove(*h),
+            .map(|_| ())
+            .map_err(WalError::Replay),
+        WalRecord::Remove(h) => engine.remove(*h).map_err(WalError::Replay),
         WalRecord::Stabilize { passes } => {
             engine.stabilize(usize::try_from(*passes).unwrap_or(usize::MAX));
             Ok(())
         }
+        WalRecord::Round { .. } => Err(WalError::ForeignRecord),
     }
 }
 
 /// Rebuilds an engine from its last checkpoint plus the WAL written since:
-/// restores the snapshot (v1 or v2), scans the log's valid prefix, and
+/// restores the snapshot, scans the log's valid prefix, and
 /// replays every intact frame. See the module docs for the byte-identity
 /// derivation and the salvage semantics.
 ///
@@ -953,7 +868,7 @@ pub fn apply_record(engine: &mut IncrementalUcpc, rec: &WalRecord) -> Result<(),
 /// the snapshot — is a hard error: snapshot and log are not from the same
 /// history.
 pub fn recover(snapshot: &[u8], wal: &[u8]) -> Result<Recovery, WalError> {
-    let mut engine = IncrementalUcpc::restore(snapshot).map_err(WalError::Snapshot)?;
+    let mut engine = IncrementalUcpc::restore(snapshot)?;
     if wal.is_empty() {
         return Ok(Recovery {
             engine,
@@ -972,7 +887,7 @@ pub fn recover(snapshot: &[u8], wal: &[u8]) -> Result<Recovery, WalError> {
         }
     }
     for rec in &scan.records {
-        apply_record(&mut engine, rec).map_err(WalError::Replay)?;
+        apply_record(&mut engine, rec)?;
     }
     Ok(Recovery {
         engine,
@@ -1004,12 +919,36 @@ mod tests {
 
     #[test]
     fn header_then_frames_scan_back_exactly() {
+        let (slot, mu, mu2) = (3, vec![1.0, -2.5], vec![2.0, 7.0]);
+        let no_move = LogEntry {
+            op: LogOp::NoMove { slot: 4 },
+            mu: Vec::new(),
+            mu2: Vec::new(),
+        };
+        let entries: Vec<LogEntry> = [
+            LogOp::Insert { slot, cluster: 1 },
+            LogOp::Move {
+                slot,
+                src: 1,
+                dst: 0,
+            },
+            LogOp::Remove { slot, cluster: 0 },
+        ]
+        .into_iter()
+        .map(|op| LogEntry {
+            op,
+            mu: mu.clone(),
+            mu2: mu2.clone(),
+        })
+        .chain([no_move])
+        .collect();
         let mut w = WalWriter::create(VecIo::new(), 2, WalFsync::Flush).unwrap();
         w.log_commit(&[1.5, -2.0], &[3.0, 4.25]).unwrap();
         w.log_remove(ObjectHandle::new(7, 3)).unwrap();
         w.log_stabilize(4).unwrap();
+        w.log_round(9, &entries).unwrap();
         w.group_commit().unwrap();
-        assert_eq!(w.frames(), 3);
+        assert_eq!(w.frames(), 4);
         assert_eq!(w.io().syncs(), 1, "group commit syncs once per flush");
         let bytes = w.into_io().into_bytes();
         let scan = scan_wal(&bytes).unwrap();
@@ -1025,9 +964,10 @@ mod tests {
                 },
                 WalRecord::Remove(ObjectHandle::new(7, 3)),
                 WalRecord::Stabilize { passes: 4 },
+                WalRecord::Round { seq: 9, entries },
             ]
         );
-        assert_eq!(scan.frame_ends.len(), 3);
+        assert_eq!(scan.frame_ends.len(), 4);
         assert_eq!(*scan.frame_ends.last().unwrap(), bytes.len() as u64);
     }
 
@@ -1215,5 +1155,11 @@ mod tests {
         w.log_remove(ObjectHandle::new(99, 7)).unwrap();
         let err = recover(&snap, w.io().bytes()).unwrap_err();
         assert!(matches!(err, WalError::Replay(_)), "{err:?}");
+        // A shard round belongs to a shard log, not a serving engine.
+        let round = WalRecord::Round {
+            seq: 1,
+            entries: Vec::new(),
+        };
+        assert_eq!(apply_record(&mut e, &round), Err(WalError::ForeignRecord));
     }
 }

@@ -228,7 +228,7 @@ fn mid_run_crash_recovery_and_rejoin_stays_bit_identical() {
         apply_step(step, &mut sharded, &mut single, &mut handles);
     }
     sharded.crash(crash_shard);
-    sharded.restart(crash_shard);
+    sharded.restart(crash_shard).unwrap();
     assert_eq!(
         sharded.shard_applied(crash_shard),
         Some(sharded.committed_rounds()),
@@ -240,7 +240,7 @@ fn mid_run_crash_recovery_and_rejoin_stays_bit_identical() {
     // prefix replays, coordinator catch-up supplies the missing rounds.
     sharded.truncate_shard_wal(crash_shard, 10);
     sharded.crash(crash_shard);
-    sharded.restart(crash_shard);
+    sharded.restart(crash_shard).unwrap();
     assert_same_bits(&sharded, &single, "after torn log + catch-up");
 
     for step in third {

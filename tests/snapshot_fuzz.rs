@@ -1,26 +1,23 @@
 //! Corruption fuzz for `snapshot::restore`.
 //!
 //! The contract: `restore` over arbitrary damaged input — truncations,
-//! bit flips, hostile length fields — either succeeds or returns a
-//! checked `SnapshotError`. It never panics, and it never trusts a
-//! length field it has not clamped against the remaining input, so a
-//! hostile count cannot drive a huge allocation. For the checksummed v2
-//! format the guarantee is stronger: any single-bit flip anywhere in the
-//! stream is *detected* (magic/version checks over the 12-byte head,
-//! CRC-32 over every chunk). v1 carries no checksums — a flip inside a
-//! moment row can restore "successfully" to different bits — so v1 only
-//! asserts the no-panic / checked-error half, which is exactly why
-//! checkpoints taken for crash recovery use v2.
+//! bit flips, hostile length fields — returns a checked `SnapshotError`.
+//! It never panics, and it never trusts a length field it has not
+//! clamped against the remaining input, so a hostile count cannot drive a
+//! huge allocation. Every single-bit flip anywhere in the stream is
+//! *detected*: magic/version checks over the 12-byte head, CRC-32 over
+//! every chunk.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
+use ucpc::core::codec::crc32;
 use ucpc::core::incremental::{IncrementalUcpc, StreamBackend};
-use ucpc::core::PruningConfig;
+use ucpc::core::{PruningConfig, SnapshotError};
 use ucpc::uncertain::{UncertainObject, UnivariatePdf};
 
-/// Valid victim snapshots, one per (format, backend) corner, built once.
+/// Valid victim snapshots, one per backend, built once.
 fn victims() -> &'static Vec<Vec<u8>> {
     static VICTIMS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
     VICTIMS.get_or_init(|| {
@@ -42,7 +39,6 @@ fn victims() -> &'static Vec<Vec<u8>> {
             }
             engine.stabilize(3);
             out.push(engine.snapshot());
-            out.push(engine.snapshot_v2());
         }
         out
     })
@@ -51,21 +47,21 @@ fn victims() -> &'static Vec<Vec<u8>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// Any strict truncation of a valid snapshot (either format, either
-    /// backend) is a checked error: every read is bounded by the input,
-    /// so starving the tail can only surface as `SnapshotError`.
+    /// Any strict truncation of a valid snapshot (either backend) is a
+    /// checked error: every read is bounded by the input, so starving the
+    /// tail can only surface as `SnapshotError`.
     #[test]
-    fn truncations_always_fail_checked(which in 0usize..4, frac in 0.0f64..1.0) {
+    fn truncations_always_fail_checked(which in 0usize..2, frac in 0.0f64..1.0) {
         let v = &victims()[which];
         let cut = ((v.len() - 1) as f64 * frac) as usize;
         prop_assert!(IncrementalUcpc::restore(&v[..cut]).is_err());
     }
 
-    /// Any single-bit flip never panics; in the checksummed v2 format it
-    /// is always *detected* as a checked error.
+    /// Any single-bit flip never panics and is always *detected* as a
+    /// checked error.
     #[test]
     fn bit_flips_never_panic_and_v2_always_detects(
-        which in 0usize..4,
+        which in 0usize..2,
         frac in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
@@ -73,14 +69,10 @@ proptest! {
         let pos = ((v.len() - 1) as f64 * frac) as usize;
         let mut bent = v.clone();
         bent[pos] ^= 1 << bit;
-        let out = IncrementalUcpc::restore(&bent);
-        if which % 2 == 1 {
-            prop_assert!(out.is_err(), "v2 flip at byte {} bit {} undetected", pos, bit);
-        } else if let Ok(engine) = out {
-            // v1 has no checksums: a payload flip may restore — but to a
-            // structurally sound engine that snapshots back cleanly.
-            prop_assert_eq!(engine.snapshot(), bent);
-        }
+        prop_assert!(
+            IncrementalUcpc::restore(&bent).is_err(),
+            "flip at byte {} bit {} undetected", pos, bit
+        );
     }
 
     /// Random garbage never panics. (Almost everything fails the magic
@@ -93,29 +85,50 @@ proptest! {
     }
 }
 
-/// A hostile length field must fail fast against the remaining-input
-/// clamp, not reach an allocator: patching v1's `k` count to `u64::MAX`
-/// asks restore for ~10^19 centroid slots backed by a few hundred bytes.
+/// A hostile count must fail fast against the pre-allocation clamp, not
+/// reach an allocator — and the clamp itself, not the checksum, must be
+/// what stops it. So the META chunk's `k` or `n_slots` is patched to
+/// `u64::MAX` (with `n_free` kept consistent, so the free-list check
+/// passes) and the chunk CRC is re-sealed: the input is checksum-clean and
+/// asks restore for ~10^19 clusters or slots backed by a few hundred bytes.
 #[test]
-fn hostile_v1_count_fields_fail_fast_without_allocating() {
-    let v1 = &victims()[0];
-    // Head: magic(8) + version(4) + backend(1) + pruning(1) + m(8); the
-    // k count lives at bytes 22..30 (see the module docs format table).
-    for field_at in [14usize, 22] {
-        let mut bent = v1.clone();
-        bent[field_at..field_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(IncrementalUcpc::restore(&bent).is_err());
+fn hostile_meta_count_fields_fail_fast_without_allocating() {
+    let victim = &victims()[0];
+    // Head: magic(8) + version(4). META chunk: len u32 at 12, kind at 16,
+    // backend 17, pruning 18, then u64 fields m 19, k 27, live 35,
+    // epoch 43, n_slots 51, n_free 59 — see the module docs format table.
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let len = u32::from_le_bytes(victim[12..16].try_into().unwrap()) as usize;
+    let crc_at = 16 + len;
+    let live = u64_at(victim, 35);
+    for (field, patches) in [
+        ("k", vec![(27, u64::MAX)]),
+        ("n_slots", vec![(51, u64::MAX), (59, u64::MAX - live)]),
+    ] {
+        let mut bent = victim.clone();
+        for (at, value) in patches {
+            bent[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        }
+        let crc = crc32(&bent[12..crc_at]);
+        bent[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            IncrementalUcpc::restore(&bent).unwrap_err(),
+            SnapshotError::Truncated,
+            "hostile {field}"
+        );
     }
 }
 
-/// Same for v2: the first chunk's length field patched to `u32::MAX`
-/// claims a 4 GiB payload; the reader must reject it against the bytes
-/// actually present before allocating anything.
+/// The first chunk's length field patched to `u32::MAX` claims a 4 GiB
+/// payload; the reader must reject it against the bytes actually present
+/// before allocating anything.
 #[test]
 fn hostile_v2_chunk_length_fails_fast_without_allocating() {
-    let v2 = &victims()[1];
-    // Head: magic(8) + version(4); first chunk kind at 12, length at 13.
-    let mut bent = v2.clone();
-    bent[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(IncrementalUcpc::restore(&bent).is_err());
+    let mut bent = victims()[1].clone();
+    // Head: magic(8) + version(4); the first chunk's length is at 12.
+    bent[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(
+        IncrementalUcpc::restore(&bent).unwrap_err(),
+        SnapshotError::Truncated
+    );
 }

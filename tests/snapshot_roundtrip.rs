@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ucpc::core::incremental::{IncrementalUcpc, ObjectHandle, StreamBackend};
-use ucpc::core::PruningConfig;
+use ucpc::core::{PruningConfig, SnapshotError, VecIo};
 use ucpc::uncertain::simd::{self, Backend};
 use ucpc::uncertain::{UncertainObject, UnivariatePdf};
 
@@ -155,30 +155,30 @@ fn snapshot_of_restored_engine_reproduces_the_bytes() {
 }
 
 #[test]
-fn v2_streaming_snapshot_roundtrips_and_v1_stays_readable() {
+fn streaming_snapshot_roundtrips_and_older_versions_are_rejected() {
     for backend in [StreamBackend::Objects, StreamBackend::Slab] {
         for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
             let what = format!("{} / {:?}", backend.name(), pruning);
             let live = run(backend, pruning, &churn_script(33, 120), None);
-            let v1 = live.snapshot();
-            let v2 = live.snapshot_v2();
-            // Both formats restore, to bitwise-identical engines.
-            let from_v1 = IncrementalUcpc::restore(&v1).expect("v1 restores");
-            let from_v2 = IncrementalUcpc::restore(&v2).expect("v2 restores");
-            assert_eq!(from_v2.backend(), backend);
-            assert_identical(&from_v1, &from_v2, &what);
-            // Chunking is deterministic: snapshot_v2(restore(s)) == s, and
-            // the restored engine still emits the exact v1 bytes too.
-            assert_eq!(
-                from_v2.snapshot_v2(),
-                v2,
-                "v2 round-trip bytes diverged: {what}"
-            );
-            assert_eq!(
-                from_v2.snapshot(),
-                v1,
-                "v1 view of the v2-restored engine diverged: {what}"
-            );
+            let bytes = live.snapshot();
+            // Streaming through a sink that accepts 7 bytes per write
+            // produces the same bytes as the in-memory snapshot.
+            let mut sink = VecIo::chunked(7);
+            let written = live.write_snapshot(&mut sink).expect("sink accepts");
+            assert_eq!(written, bytes.len() as u64, "{what}");
+            assert_eq!(sink.bytes(), &bytes[..], "streamed bytes diverged: {what}");
+            let back = IncrementalUcpc::restore(&bytes).expect("restores");
+            assert_identical(&live, &back, &what);
+            // Versions 1 and 2 are no longer read: one format, version 3.
+            for version in [1u8, 2] {
+                let mut old = bytes.clone();
+                old[8..12].copy_from_slice(&u32::from(version).to_le_bytes());
+                assert_eq!(
+                    IncrementalUcpc::restore(&old).unwrap_err(),
+                    SnapshotError::UnsupportedVersion(version.into()),
+                    "{what}"
+                );
+            }
         }
     }
 }

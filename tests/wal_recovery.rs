@@ -7,7 +7,7 @@
 //! rebuilds labels, handles, per-cluster statistic bits and objective
 //! bits **byte-identical** to the run that never crashed. Pinned across
 //! {objects, slab} × {pruning off, bounds}, at every frame boundary and
-//! mid-frame, from both v1 and v2 checkpoints; plus a bit-flip sweep
+//! mid-frame, from a checksummed snapshot checkpoint; plus a bit-flip sweep
 //! asserting corruption anywhere in the log or checkpoint surfaces as a
 //! checked error or reported damage — never a panic, never silent
 //! divergence.
@@ -75,13 +75,9 @@ struct LoggedRun {
 /// Runs the script through a serving engine logging into a shared sink.
 /// Mixed micro-batches (batch 4) and a stabilize cadence make the log
 /// carry all three frame kinds, including cadence stabilizes.
-fn logged_run(backend: StreamBackend, pruning: PruningConfig, v2_checkpoint: bool) -> LoggedRun {
+fn logged_run(backend: StreamBackend, pruning: PruningConfig) -> LoggedRun {
     let engine = settled(backend, pruning);
-    let checkpoint = if v2_checkpoint {
-        engine.snapshot_v2()
-    } else {
-        engine.snapshot()
-    };
+    let checkpoint = engine.snapshot();
     let sink = SharedVecIo::new();
     let mut serving = ServingUcpc::over(
         engine,
@@ -163,10 +159,10 @@ fn cut_points(scan: &WalScan, wal_len: usize) -> Vec<usize> {
 
 #[test]
 fn recovery_at_every_cut_point_is_bit_identical_across_the_matrix() {
-    for (backend, v2_checkpoint) in [(StreamBackend::Objects, false), (StreamBackend::Slab, true)] {
+    for backend in [StreamBackend::Objects, StreamBackend::Slab] {
         for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
             let what = format!("{backend:?} / {pruning:?}");
-            let run = logged_run(backend, pruning, v2_checkpoint);
+            let run = logged_run(backend, pruning);
             let reference = run.serving.engine();
             for cut in cut_points(&run.scan, run.wal.len()) {
                 let rec = recover(&run.checkpoint, &run.wal[..cut])
@@ -211,7 +207,7 @@ fn recovery_at_every_cut_point_is_bit_identical_across_the_matrix() {
 
 #[test]
 fn corruption_anywhere_is_a_checked_error_or_reported_damage() {
-    let run = logged_run(StreamBackend::Slab, PruningConfig::Bounds, true);
+    let run = logged_run(StreamBackend::Slab, PruningConfig::Bounds);
     // Flip bits across the whole log: CRC-32 catches every single-bit
     // flip inside a frame or the header, and flips in the magic/version
     // prefix are hard errors — recovery must never panic and never
@@ -228,7 +224,7 @@ fn corruption_anywhere_is_a_checked_error_or_reported_damage() {
             ),
         }
     }
-    // Flip bits across the v2 checkpoint: every byte past the 12-byte
+    // Flip bits across the checkpoint: every byte past the 12-byte
     // head is under a chunk checksum, and head flips fail the magic or
     // version check — always a checked snapshot error.
     for pos in (0..run.checkpoint.len()).step_by(3) {
@@ -250,7 +246,7 @@ fn recovery_from_a_faulted_writer_matches_the_applied_prefix() {
     // survivor is left holding.
     use ucpc::core::wal::WalError;
     let engine = settled(StreamBackend::Slab, PruningConfig::Bounds);
-    let checkpoint = engine.snapshot_v2();
+    let checkpoint = engine.snapshot();
     let mut serving = ServingUcpc::over(
         engine,
         ServingConfig {
@@ -299,7 +295,7 @@ fn recovery_from_a_faulted_writer_matches_the_applied_prefix() {
 
 #[test]
 fn damage_report_carries_offset_and_frame_index_of_first_damaged_frame() {
-    let run = logged_run(StreamBackend::Slab, PruningConfig::Bounds, true);
+    let run = logged_run(StreamBackend::Slab, PruningConfig::Bounds);
     // Damage frame 5 (0-based): its bytes span frame_ends[4]..frame_ends[5].
     let start = run.scan.frame_ends[4];
     let end = run.scan.frame_ends[5];
