@@ -9,7 +9,6 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ucpc_bench::relocation::{kernel_pass, naive_pass, workload, Shape, GRID};
 use ucpc_bench::streaming::{churn_once, streaming_workload, ChurnSpec};
-use ucpc_core::incremental::StreamBackend;
 use ucpc_core::pruning::PruningConfig;
 use ucpc_uncertain::simd::{active_backend, force_backend, Backend};
 
@@ -47,11 +46,9 @@ fn bench_relocation_pass(c: &mut Criterion) {
 }
 
 fn bench_streaming_churn(c: &mut Criterion) {
-    // The IncrementalUcpc churn loop (remove/insert/stabilize) on both
-    // storage backends, pruning on — the configuration where the slab's
-    // surgical invalidation separates from the reference path's global
-    // epoch bumps. Small shape: criterion re-runs the whole cycle many
-    // times.
+    // The IncrementalUcpc churn loop (remove/insert/stabilize), pruning on
+    // — the configuration where surgical invalidation engages. Small
+    // shape: criterion re-runs the whole cycle many times.
     let shape = Shape {
         n: 2_000,
         m: 16,
@@ -65,11 +62,9 @@ fn bench_streaming_churn(c: &mut Criterion) {
     let w = streaming_workload(shape, spec, 7);
     let mut group = c.benchmark_group("streaming_churn");
     group.sample_size(10);
-    for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-        group.bench_function(BenchmarkId::new(backend.name(), "n2000_m16_k5"), |b| {
-            b.iter(|| black_box(churn_once(&w, backend, PruningConfig::Bounds).objective))
-        });
-    }
+    group.bench_function(BenchmarkId::new("bounds", "n2000_m16_k5"), |b| {
+        b.iter(|| black_box(churn_once(&w, PruningConfig::Bounds).objective))
+    });
     group.finish();
 }
 

@@ -11,13 +11,12 @@
 //!   workload, with skip/scan counters — the pruned run is asserted
 //!   label-identical to the unpruned one on every repetition; and
 //! * the same full relocation phase under `ParallelUcpc` for threads ∈
-//!   {1, 2, 4, 8} × backends {even, steal} (pruning on) on the acceptance
-//!   blob shape and on a load-skewed shape, with labels asserted
-//!   byte-identical across every configuration; and
+//!   {1, 2, 4, 8} (pruning on) on the acceptance blob shape and on a
+//!   load-skewed shape, with labels asserted byte-identical across every
+//!   thread count; and
 //! * the `IncrementalUcpc` streaming churn window (interleaved
-//!   remove/insert/stabilize) over storage backends {objects, slab} ×
-//!   pruning {off, bounds}, with live labels and objective bits asserted
-//!   identical across all four configurations; and
+//!   remove/insert/stabilize) with pruning {off, bounds}, with live labels
+//!   and objective bits asserted identical across both configurations; and
 //! * the `ServingUcpc` serving grid: an open-loop placement-heavy request
 //!   stream through the batched assignment-serving front door across
 //!   micro-batch sizes, with the final partition asserted byte-identical
@@ -148,9 +147,9 @@ fn main() {
         ));
     }
 
-    // Parallel scheduler grid: threads × {even, steal} on the acceptance
-    // blob shape and on the load-skewed shape, pruning on; label identity
-    // across every configuration is asserted inside `parallel_comparison`.
+    // Parallel scheduler grid: threads on the acceptance blob shape and on
+    // the load-skewed shape, pruning on; label identity across every
+    // thread count is asserted inside `parallel_comparison`.
     let acceptance_shape = Shape {
         n: 10_000,
         m: 32,
@@ -163,8 +162,8 @@ fn main() {
         .unwrap_or(1);
     let mut parallel_rows = Vec::new();
     println!(
-        "\n{:<10} {:<8} {:>8} {:>14} {:>9} {:>8} {:>12}",
-        "parallel", "backend", "threads", "ns/run", "speedup", "steals", "revalidated"
+        "\n{:<10} {:>8} {:>14} {:>9} {:>8} {:>12}",
+        "parallel", "threads", "ns/run", "speedup", "steals", "revalidated"
     );
     for (workload_name, arena, labels) in [
         ("blob", blob_workload(acceptance_shape, 7)),
@@ -179,39 +178,27 @@ fn main() {
             parallel_reps,
             &threads_grid,
         );
-        let base: Vec<(&str, u128)> = rows
+        let base_ns = rows
             .iter()
-            .filter(|r| r.threads == 1)
-            .map(|r| (r.backend, r.ns_per_run))
-            .collect();
+            .find(|r| r.threads == 1)
+            .expect("1-thread row present")
+            .ns_per_run;
         for row in rows {
-            let base_ns = base
-                .iter()
-                .find(|(b, _)| *b == row.backend)
-                .expect("1-thread row present")
-                .1;
             let speedup = base_ns as f64 / row.ns_per_run as f64;
             println!(
-                "{:<10} {:<8} {:>8} {:>14} {:>8.2}x {:>8} {:>12}",
-                workload_name,
-                row.backend,
-                row.threads,
-                row.ns_per_run,
-                speedup,
-                row.steals,
-                row.revalidated
+                "{:<10} {:>8} {:>14} {:>8.2}x {:>8} {:>12}",
+                workload_name, row.threads, row.ns_per_run, speedup, row.steals, row.revalidated
             );
             parallel_rows.push(format!(
                 concat!(
                     "    {{\"workload\": \"{}\", \"n\": {}, \"m\": {}, \"k\": {}, ",
-                    "\"backend\": \"{}\", \"threads\": {}, \"ns_per_run\": {}, ",
+                    "\"threads\": {}, \"ns_per_run\": {}, ",
                     "\"speedup_vs_1t\": {:.3}, \"steals\": {}, \"revalidated\": {}}}"
                 ),
                 workload_name,
                 row.shape.n,
                 row.shape.m,
                 row.shape.k,
-                row.backend,
                 row.threads,
                 row.ns_per_run,
                 speedup,
@@ -221,15 +208,15 @@ fn main() {
         }
     }
 
-    // Streaming churn grid: IncrementalUcpc backends × pruning on a small
-    // and the acceptance shape; labels and objective bits are asserted
-    // identical across every configuration inside `streaming_comparison`.
+    // Streaming churn grid: IncrementalUcpc pruning off/on on a small and
+    // the acceptance shape; labels and objective bits are asserted
+    // identical across both configurations inside `streaming_comparison`.
     let streaming_reps = 3;
     let spec = ChurnSpec::default();
     let mut streaming_rows = Vec::new();
     println!(
-        "\n{:<22} {:<8} {:<7} {:>14} {:>9} {:>10}",
-        "streaming (churn)", "backend", "prune", "ns/window", "speedup", "skip rate"
+        "\n{:<22} {:<7} {:>14} {:>10}",
+        "streaming (churn)", "prune", "ns/window", "skip rate"
     );
     for shape in [
         Shape {
@@ -239,48 +226,29 @@ fn main() {
         },
         acceptance_shape,
     ] {
-        let rows = streaming_comparison(shape, spec, 7, streaming_reps);
-        let base: Vec<(&str, u128)> = rows
-            .iter()
-            .filter(|r| r.backend == "objects")
-            .map(|r| (r.pruning, r.churn_ns))
-            .collect();
-        for row in rows {
-            // Speedup of this row over the reference `objects` backend at
-            // the same pruning configuration.
-            let base_ns = base
-                .iter()
-                .find(|(p, _)| *p == row.pruning)
-                .expect("objects row present")
-                .1;
-            let speedup = base_ns as f64 / row.churn_ns as f64;
+        for row in streaming_comparison(shape, spec, 7, streaming_reps) {
             let c = row.counters;
             println!(
-                "n={:<6} m={:<3} k={:<4} {:<8} {:<7} {:>14} {:>8.2}x {:>9.1}%",
+                "n={:<6} m={:<3} k={:<4} {:<7} {:>14} {:>9.1}%",
                 shape.n,
                 shape.m,
                 shape.k,
-                row.backend,
                 row.pruning,
                 row.churn_ns,
-                speedup,
                 100.0 * c.skip_rate()
             );
             streaming_rows.push(format!(
                 concat!(
                     "    {{\"n\": {}, \"m\": {}, \"k\": {}, ",
-                    "\"backend\": \"{}\", \"pruning\": \"{}\", ",
-                    "\"churn_ns\": {}, \"speedup_vs_objects\": {:.3}, ",
+                    "\"pruning\": \"{}\", \"churn_ns\": {}, ",
                     "\"skips\": {}, \"confirms\": {}, \"full_scans\": {}, ",
                     "\"skip_rate\": {:.4}}}"
                 ),
                 shape.n,
                 shape.m,
                 shape.k,
-                row.backend,
                 row.pruning,
                 row.churn_ns,
-                speedup,
                 c.skips,
                 c.confirms,
                 c.full_scans,
@@ -408,15 +376,14 @@ fn main() {
             "pass under UCPC_SIMD=scalar vs the detected SIMD backend (labels asserted ",
             "byte-identical across backends); the full relocation phase with drift-bound ",
             "candidate pruning off vs on (clustered blob workload, pruned labels asserted ",
-            "identical to unpruned); and the full ParallelUcpc relocation phase over threads x ",
-            "{{even, steal}} backends on the acceptance blob shape and a load-skewed shape ",
-            "(labels asserted byte-identical across every configuration; workloads built via ",
-            "the zero-allocation assign_into_arena pipeline); and the IncrementalUcpc ",
-            "streaming churn window (interleaved remove/insert/stabilize) over storage ",
-            "backends {{objects, slab}} x pruning {{off, bounds}} — slab = free-list row ",
-            "reuse + drift-tracked edits + surgical per-cluster cache invalidation, objects = ",
-            "the seed per-object reference path with global epoch bumps (live labels and ",
-            "objective bits asserted identical across all four configurations); and the ",
+            "identical to unpruned); and the full ParallelUcpc relocation phase over threads ",
+            "on the acceptance blob shape and a load-skewed shape (labels asserted ",
+            "byte-identical across every thread count; workloads built via the ",
+            "zero-allocation assign_into_arena pipeline); and the IncrementalUcpc streaming ",
+            "churn window (interleaved remove/insert/stabilize) with pruning {{off, bounds}} ",
+            "— free-list row reuse + drift-tracked edits + surgical per-cluster cache ",
+            "invalidation (live labels and objective bits asserted identical across both ",
+            "configurations); and the ",
             "ServingUcpc serving grid — an open-loop placement-heavy request stream ",
             "(1 commit per 16 arrivals, top-4 answers) through the batched ",
             "assignment-serving front door across micro-batch sizes, interleaved ",
@@ -435,18 +402,13 @@ fn main() {
             // cheaper, shrinking pruning's end-to-end win (see ROADMAP).
             "\"required_speedup\": 2.0, \"required_pruning_speedup\": 1.2, ",
             "\"required_simd_speedup\": 1.5, ",
-            // Parallel gates: steal@8t >= 3x over steal@1t on the blob
-            // acceptance shape, and steal >= 1.15x over even at 8 threads
-            // on the skewed shape. Both compare thread-level parallelism,
-            // so they are only evaluable on hosts with >= 8 cores —
+            // Parallel gate: 8 threads >= 3x over 1 thread on the blob
+            // acceptance shape. It compares thread-level parallelism, so it
+            // is only evaluable on hosts with >= 8 cores —
             // "parallel_gates_evaluable" below records whether the emitting
-            // host could exercise them (a single-core container cannot show
+            // host could exercise it (a single-core container cannot show
             // any multi-thread speedup, only the determinism asserts).
-            // Streaming gate: the slab backend >= 1.5x over the seed
-            // objects backend on the pruned (bounds) churn window at the
-            // acceptance shape — the configuration where contiguity and
-            // surgical invalidation both engage.
-            "\"required_parallel_speedup\": 3.0, \"required_steal_advantage\": 1.15, ",
+            "\"required_parallel_speedup\": 3.0, ",
             // Serving gate: some batched row >= 1.5x the batch-size-1
             // arrivals/sec on the acceptance shape. Single-core noise on a
             // shared host moves both sides of that ratio; the serving grid
@@ -457,7 +419,7 @@ fn main() {
             // at the acceptance shape (the fsync policy is the deployment's
             // cost, not the encoder's; the gate prices framing + CRC +
             // group commit). Checked by `bench_serving --check`.
-            "\"required_streaming_speedup\": 1.5, \"required_serving_speedup\": 1.5, ",
+            "\"required_serving_speedup\": 1.5, ",
             "\"required_wal_overhead\": 0.15}},\n",
             "  \"acceptance_row_index\": {acceptance},\n",
             "  \"simd_backend\": \"{backend}\",\n",

@@ -1,5 +1,5 @@
 //! Churn soak bench: millions of edits through `IncrementalUcpc` on the
-//! slab backend, gated on **flat memory**.
+//! slab store, gated on **flat memory**.
 //!
 //! The generation-stamped handle scheme promises that weeks of streaming
 //! churn cannot grow any handle-indexed structure: slots are recycled, so
@@ -25,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use ucpc_core::incremental::{IncrementalUcpc, ObjectHandle, StreamBackend};
+use ucpc_core::incremental::{IncrementalUcpc, ObjectHandle};
 use ucpc_core::PruningConfig;
 use ucpc_uncertain::{UncertainObject, UnivariatePdf};
 
@@ -99,7 +99,7 @@ fn soak(pruning: PruningConfig, edits: usize) -> SoakRow {
     };
     let objects: Vec<UncertainObject> = (0..pool).map(mk).collect();
 
-    let mut live = IncrementalUcpc::with_backend(m, k, StreamBackend::Slab).unwrap();
+    let mut live = IncrementalUcpc::new(m, k).unwrap();
     live.set_pruning(pruning);
     let mut ids: Vec<ObjectHandle> = (0..n)
         .map(|i| live.insert(&objects[i % pool]).unwrap())

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use ucpc_core::objective::ClusterStats;
-use ucpc_core::parallel::{ParallelBackend, ParallelUcpc};
+use ucpc_core::parallel::ParallelUcpc;
 use ucpc_core::pruning::{best_candidate, PruneCounters, PruningConfig};
 use ucpc_core::Ucpc;
 use ucpc_datasets::uncertainty::{NoiseKind, PdfAssignment, SpreadScaling, UncertaintyModel};
@@ -223,8 +223,9 @@ pub fn blob_workload(shape: Shape, seed: u64) -> (MomentArena, Vec<usize>) {
 /// retire them, so they pay the full `k−1` candidate scan pass after pass),
 /// while the remaining three quarters form tight, well-separated blobs that
 /// tier-0 drift tests skip in O(1) after the first passes. Because the hard
-/// objects are contiguous at the front, even chunking concentrates nearly
-/// all scan work on the first worker(s); work stealing redistributes it.
+/// objects are contiguous at the front, a static even split would
+/// concentrate nearly all scan work on the first worker(s); work stealing
+/// redistributes it.
 /// Built through the arena-native `assign_into_arena` pipeline.
 pub fn skewed_workload(shape: Shape, seed: u64) -> (MomentArena, Vec<usize>) {
     let Shape { n, m, k } = shape;
@@ -331,22 +332,20 @@ pub struct ParallelRow {
     pub shape: Shape,
     /// Worker threads of the propose phase.
     pub threads: usize,
-    /// Backend name (`"even"` or `"steal"`).
-    pub backend: &'static str,
     /// Median wall time of the full relocation phase.
     pub ns_per_run: u128,
-    /// Shards claimed across worker-run boundaries (steal backend only).
+    /// Shards claimed across worker-run boundaries.
     pub steals: usize,
-    /// Apply-phase proposals that had to be re-priced (on the steal backend
-    /// only the version-staled ones; on even, every survivor).
+    /// Apply-phase proposals that had to be re-priced (the version-staled
+    /// ones).
     pub revalidated: usize,
     /// Relocations applied (identical across every configuration).
     pub applied: usize,
 }
 
 /// Runs the full parallel relocation phase (identical arena + initial
-/// labels, candidate pruning on) for every combination of `threads_grid`
-/// and the two scheduling backends, `reps` repetitions each, reporting
+/// labels, candidate pruning on) for every thread count of
+/// `threads_grid`, `reps` repetitions each, reporting
 /// median wall times. Asserts — on every repetition — that all
 /// configurations produce byte-identical labels and identical pass/apply
 /// counts: the benchmark doubles as an end-to-end scheduler-determinism
@@ -360,52 +359,45 @@ pub fn parallel_comparison(
 ) -> Vec<ParallelRow> {
     let mut reference: Option<(Vec<usize>, usize, usize)> = None;
     let mut rows = Vec::new();
-    for backend in [ParallelBackend::Even, ParallelBackend::Steal] {
-        for &threads in threads_grid {
-            let algo = ParallelUcpc {
-                threads,
-                backend,
-                pruning: PruningConfig::Bounds,
-                ..ParallelUcpc::default()
-            };
-            let mut ns = Vec::with_capacity(reps);
-            let mut last = None;
-            for _ in 0..reps {
-                let init = labels.to_vec();
-                let t = Instant::now();
-                let r = algo
-                    .run_on_arena(arena, shape.k, init)
-                    .expect("parallel relocation run");
-                ns.push(t.elapsed().as_nanos());
-                match &reference {
-                    Some((ref_labels, iters, applied)) => {
-                        assert_eq!(
-                            ref_labels.as_slice(),
-                            r.clustering.labels(),
-                            "labels diverged: {} backend, {threads} threads",
-                            backend.name()
-                        );
-                        assert_eq!(*iters, r.iterations);
-                        assert_eq!(*applied, r.applied);
-                    }
-                    None => {
-                        reference = Some((r.clustering.labels().to_vec(), r.iterations, r.applied))
-                    }
+    for &threads in threads_grid {
+        let algo = ParallelUcpc {
+            threads,
+            pruning: PruningConfig::Bounds,
+            ..ParallelUcpc::default()
+        };
+        let mut ns = Vec::with_capacity(reps);
+        let mut last = None;
+        for _ in 0..reps {
+            let init = labels.to_vec();
+            let t = Instant::now();
+            let r = algo
+                .run_on_arena(arena, shape.k, init)
+                .expect("parallel relocation run");
+            ns.push(t.elapsed().as_nanos());
+            match &reference {
+                Some((ref_labels, iters, applied)) => {
+                    assert_eq!(
+                        ref_labels.as_slice(),
+                        r.clustering.labels(),
+                        "labels diverged: {threads} threads"
+                    );
+                    assert_eq!(*iters, r.iterations);
+                    assert_eq!(*applied, r.applied);
                 }
-                last = Some(r);
+                None => reference = Some((r.clustering.labels().to_vec(), r.iterations, r.applied)),
             }
-            let r = last.expect("reps >= 1");
-            ns.sort_unstable();
-            rows.push(ParallelRow {
-                shape,
-                threads,
-                backend: backend.name(),
-                ns_per_run: ns[ns.len() / 2],
-                steals: r.steals,
-                revalidated: r.revalidated,
-                applied: r.applied,
-            });
+            last = Some(r);
         }
+        let r = last.expect("reps >= 1");
+        ns.sort_unstable();
+        rows.push(ParallelRow {
+            shape,
+            threads,
+            ns_per_run: ns[ns.len() / 2],
+            steals: r.steals,
+            revalidated: r.revalidated,
+            applied: r.applied,
+        });
     }
     rows
 }
@@ -541,13 +533,11 @@ mod tests {
         let shape = Shape { n: 300, m: 8, k: 4 };
         let (arena, labels) = skewed_workload(shape, 5);
         let rows = parallel_comparison(&arena, &labels, shape, 2, &[1, 3]);
-        // 2 backends × 2 thread counts; label identity asserted inside.
-        assert_eq!(rows.len(), 4);
+        // 2 thread counts; label identity asserted inside.
+        assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| r.ns_per_run > 0));
-        assert!(rows
-            .iter()
-            .filter(|r| r.backend == "even")
-            .all(|r| r.steals == 0));
+        // One worker owns every shard: nothing to steal.
+        assert_eq!(rows[0].steals, 0);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
-use ucpc_core::incremental::{IncrementalUcpc, StreamBackend};
+use ucpc_core::incremental::IncrementalUcpc;
 use ucpc_core::pruning::PruningConfig;
 use ucpc_core::serving::{ServingConfig, ServingUcpc};
 use ucpc_core::wal::{recover, SharedVecIo, WalFsync};
@@ -112,8 +112,7 @@ pub struct ServingOutcome {
 /// configuration (any batch size, and the serial reference) starts from
 /// the identical partition.
 fn settled_engine(w: &ServingWorkload) -> IncrementalUcpc {
-    let mut engine =
-        IncrementalUcpc::with_backend(w.shape.m, w.shape.k, StreamBackend::Slab).unwrap();
+    let mut engine = IncrementalUcpc::new(w.shape.m, w.shape.k).unwrap();
     engine.set_pruning(PruningConfig::Bounds);
     for mo in &w.window {
         engine.insert_moments(mo).expect("window insert");

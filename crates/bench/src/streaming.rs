@@ -1,23 +1,20 @@
 //! Shared streaming-churn workload: `IncrementalUcpc` under interleaved
-//! insert/remove/stabilize traffic, measured across the two storage
-//! backends (the seed `Vec<Option<Moments>>` reference vs the slab arena)
-//! and both pruning configurations.
+//! insert/remove/stabilize traffic, measured with both pruning
+//! configurations.
 //!
 //! The churn loop models the moving-objects deployment: a settled live
 //! partition, a stream of departures and arrivals (each arrival placed by
 //! the O(k·m) Corollary-1 scan, each departure an O(m) retraction), and a
-//! periodic stabilization sweep. On the reference backend every edit bumps
-//! the global cache epoch, so each sweep re-scans the whole window; on the
-//! slab backend edits are drift-tracked and the sweep keeps its cached
-//! bounds (surgical invalidation — see `ucpc_core::pruning`), on top of the
-//! slab's contiguous rows and allocation-free slot reuse. Labels are
-//! asserted byte-identical across every configuration on every repetition,
-//! so the comparison doubles as an end-to-end exactness check.
+//! periodic stabilization sweep. Edits are drift-tracked, so the sweep
+//! keeps its cached bounds (surgical invalidation — see
+//! `ucpc_core::pruning`). Labels are asserted byte-identical across both
+//! configurations on every repetition, so the comparison doubles as an
+//! end-to-end exactness check.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
-use ucpc_core::incremental::{IncrementalUcpc, ObjectHandle, StreamBackend};
+use ucpc_core::incremental::{IncrementalUcpc, ObjectHandle};
 use ucpc_core::pruning::{PruneCounters, PruningConfig};
 use ucpc_uncertain::{UncertainObject, UnivariatePdf};
 
@@ -98,17 +95,13 @@ pub struct ChurnOutcome {
     pub counters: PruneCounters,
 }
 
-/// Runs one full churn cycle (setup + measured window) on the given
-/// backend/pruning configuration; returns the outcome. The setup phase —
-/// initial insertion and a settling stabilization — is identical across
+/// Runs one full churn cycle (setup + measured window) with the given
+/// pruning configuration; returns the outcome. The setup phase — initial
+/// insertion and a settling stabilization — is identical across
 /// configurations, so outcomes are directly comparable.
-pub fn churn_once(
-    w: &StreamingWorkload,
-    backend: StreamBackend,
-    pruning: PruningConfig,
-) -> ChurnOutcome {
-    let mut live = IncrementalUcpc::with_backend(w.shape.m, w.shape.k, backend)
-        .expect("valid streaming configuration");
+pub fn churn_once(w: &StreamingWorkload, pruning: PruningConfig) -> ChurnOutcome {
+    let mut live =
+        IncrementalUcpc::new(w.shape.m, w.shape.k).expect("valid streaming configuration");
     live.set_pruning(pruning);
     let mut ids: Vec<ObjectHandle> = w
         .initial
@@ -149,8 +142,6 @@ pub fn churn_once(
 pub struct StreamingRow {
     /// The shape measured.
     pub shape: Shape,
-    /// Storage backend name (`"objects"` or `"slab"`).
-    pub backend: &'static str,
     /// Pruning configuration name (`"off"` or `"bounds"`).
     pub pruning: &'static str,
     /// Median wall time of the measured churn window.
@@ -159,7 +150,7 @@ pub struct StreamingRow {
     pub counters: PruneCounters,
 }
 
-/// Runs the churn cycle for every backend × pruning configuration, `reps`
+/// Runs the churn cycle for both pruning configurations, `reps`
 /// repetitions each, reporting median wall times of the measured window.
 /// Asserts — on every repetition — that all configurations produce
 /// byte-identical live labels and bit-identical objectives: the benchmark
@@ -173,48 +164,40 @@ pub fn streaming_comparison(
     let w = streaming_workload(shape, spec, seed);
     let mut reference: Option<(Vec<(ObjectHandle, usize)>, u64)> = None;
     let mut rows = Vec::new();
-    for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-        for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
-            let mut ns = Vec::with_capacity(reps);
-            let mut last = None;
-            for _ in 0..reps {
-                let t = Instant::now();
-                let outcome = churn_once(&w, backend, pruning);
-                ns.push(t.elapsed().as_nanos());
-                match &reference {
-                    Some((labels, obj_bits)) => {
-                        assert_eq!(
-                            labels,
-                            &outcome.labels,
-                            "streaming labels diverged: {} / {:?}",
-                            backend.name(),
-                            pruning
-                        );
-                        assert_eq!(
-                            *obj_bits,
-                            outcome.objective.to_bits(),
-                            "streaming objective bits diverged: {} / {:?}",
-                            backend.name(),
-                            pruning
-                        );
-                    }
-                    None => reference = Some((outcome.labels.clone(), outcome.objective.to_bits())),
+    for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
+        let mut ns = Vec::with_capacity(reps);
+        let mut last = None;
+        for _ in 0..reps {
+            let t = Instant::now();
+            let outcome = churn_once(&w, pruning);
+            ns.push(t.elapsed().as_nanos());
+            match &reference {
+                Some((labels, obj_bits)) => {
+                    assert_eq!(
+                        labels, &outcome.labels,
+                        "streaming labels diverged: {pruning:?}"
+                    );
+                    assert_eq!(
+                        *obj_bits,
+                        outcome.objective.to_bits(),
+                        "streaming objective bits diverged: {pruning:?}"
+                    );
                 }
-                last = Some(outcome);
+                None => reference = Some((outcome.labels.clone(), outcome.objective.to_bits())),
             }
-            ns.sort_unstable();
-            rows.push(StreamingRow {
-                shape,
-                backend: backend.name(),
-                pruning: if pruning.is_enabled() {
-                    "bounds"
-                } else {
-                    "off"
-                },
-                churn_ns: ns[ns.len() / 2],
-                counters: last.expect("reps >= 1").counters,
-            });
+            last = Some(outcome);
         }
+        ns.sort_unstable();
+        rows.push(StreamingRow {
+            shape,
+            pruning: if pruning.is_enabled() {
+                "bounds"
+            } else {
+                "off"
+            },
+            churn_ns: ns[ns.len() / 2],
+            counters: last.expect("reps >= 1").counters,
+        });
     }
     rows
 }
@@ -231,9 +214,9 @@ mod tests {
             stabilize_every: 10,
             passes: 2,
         };
-        // Label identity across backends × pruning asserted inside.
+        // Label identity across pruning configurations asserted inside.
         let rows = streaming_comparison(shape, spec, 11, 2);
-        assert_eq!(rows.len(), 4);
+        assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| r.churn_ns > 0));
         // Pruned-off rows never touch the counters.
         assert!(rows
@@ -254,19 +237,39 @@ mod tests {
             stabilize_every: 10,
             passes: 2,
         };
-        let rows = streaming_comparison(shape, spec, 23, 1);
-        let rate = |backend: &str| {
-            rows.iter()
-                .find(|r| r.backend == backend && r.pruning == "bounds")
-                .expect("row present")
-                .counters
-                .skip_rate()
+        let w = streaming_workload(shape, spec, 23);
+        let tracked = churn_once(&w, PruningConfig::Bounds);
+        // The same churn with the whole cache dropped (an epoch bump)
+        // before every sweep: what an engine with untracked edits must do.
+        let mut live = IncrementalUcpc::new(shape.m, shape.k).unwrap();
+        live.set_pruning(PruningConfig::Bounds);
+        let mut ids: Vec<ObjectHandle> =
+            w.initial.iter().map(|o| live.insert(o).unwrap()).collect();
+        live.stabilize(5);
+        let before = live.pruning_counters();
+        for (op, arrival) in w.replacements.iter().enumerate() {
+            live.remove(ids[op]).unwrap();
+            ids.push(live.insert(arrival).unwrap());
+            if (op + 1) % spec.stabilize_every == 0 {
+                live.set_pruning(PruningConfig::Bounds);
+                live.stabilize(spec.passes);
+            }
+        }
+        live.set_pruning(PruningConfig::Bounds);
+        live.stabilize(spec.passes);
+        assert_eq!(live.live_labels(), tracked.labels);
+        let after = live.pruning_counters();
+        let bumped = PruneCounters {
+            skips: after.skips - before.skips,
+            confirms: after.confirms - before.confirms,
+            full_scans: after.full_scans - before.full_scans,
+            ..PruneCounters::default()
         };
         assert!(
-            rate("slab") > rate("objects"),
-            "slab skip-rate {} must beat objects {}",
-            rate("slab"),
-            rate("objects")
+            tracked.counters.skip_rate() > bumped.skip_rate(),
+            "tracked skip-rate {} must beat epoch bumps {}",
+            tracked.counters.skip_rate(),
+            bumped.skip_rate()
         );
     }
 }

@@ -45,13 +45,16 @@ pub enum ClusterError {
     },
     /// A streaming [`ObjectHandle`](ucpc_uncertain::ObjectHandle) names an
     /// object that is gone: already removed, or its slot recycled to a
-    /// later occupant. Both streaming backends return this identically.
+    /// later occupant.
     StaleHandle {
         /// The handle's storage slot.
         slot: u32,
         /// The generation the handle was issued under.
         generation: u32,
     },
+    /// A streaming arrival carries a NaN or infinite moment, or a finite
+    /// one whose precomputed scalars overflow; it was not admitted.
+    NonFinite,
 }
 
 impl fmt::Display for ClusterError {
@@ -81,6 +84,7 @@ impl fmt::Display for ClusterError {
                 f,
                 "stale handle: slot {slot} generation {generation} is not live"
             ),
+            ClusterError::NonFinite => write!(f, "arrival has a non-finite moment"),
         }
     }
 }

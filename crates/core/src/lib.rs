@@ -41,11 +41,10 @@
 //! [`restarts::BestOfRestarts`]'s restart queue) share the work-stealing
 //! [`scheduler::WorkPool`] and the `UCPC_THREADS` resolution helper
 //! ([`scheduler::resolve_threads`]); [`parallel::SharedStats`] adds
-//! per-cluster version counters so the propose phase runs snapshot-free
-//! (env knob `UCPC_PARALLEL`). The streaming driver
-//! ([`incremental::IncrementalUcpc`]) stores its live window in a
-//! [`ucpc_uncertain::SlabArena`] (free-list row reuse, env knob
-//! `UCPC_STREAMING`), routes placements through the dot3-batched
+//! per-cluster version counters so the propose phase runs snapshot-free.
+//! The streaming driver ([`incremental::IncrementalUcpc`]) stores its live
+//! window in a [`ucpc_uncertain::SlabArena`] (free-list row reuse), routes
+//! placements through the dot3-batched
 //! [`pruning::best_insertion`] scan, and performs edits through the
 //! drift-tracked updates so pruning bounds survive them — only a cluster
 //! passing through size < 2 surgically invalidates the entries rooted in
@@ -71,6 +70,15 @@
 //! ```
 
 #![warn(missing_docs)]
+
+// The differential reference models live with the integration tests and
+// name this crate by its public path; the unit tests share them.
+#[cfg(test)]
+extern crate self as ucpc_core;
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../../../tests/support/reference.rs"]
+mod reference;
 
 pub mod codec;
 pub mod fault;

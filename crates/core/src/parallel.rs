@@ -14,38 +14,30 @@
 //!    the objective) so monotone descent — Proposition 4's termination
 //!    argument — is preserved exactly.
 //!
-//! Two propose-phase backends share that structure, selected by
-//! [`ParallelBackend`] (env knob `UCPC_PARALLEL`):
+//! The propose phase drains size-adaptive shards (roughly L2-sized blocks
+//! of `mu` rows, see [`crate::scheduler::steal_shard_rows`]) through a
+//! work-stealing [`WorkPool`], so skewed per-object cost — a pruning
+//! tier-0 skip is one cache line while a full scan is `k` fused dot
+//! products — does not leave workers idle behind a static split. Workers
+//! read the live [`SharedStats`] directly, with no per-pass clone (safe:
+//! the apply phase is quiescent while workers run), and each proposal
+//! records the per-cluster *version* counters it priced against. The
+//! sequential apply phase bumps a cluster's version on every mutation, so a
+//! proposal whose source and destination versions are unchanged is
+//! provably priced against the exact current statistics and is applied
+//! without re-pricing; only proposals staled by an earlier relocation in
+//! the same pass pay the two re-validation dot products.
 //!
-//! * [`ParallelBackend::Even`] — the reference layout: one contiguous
-//!   `n/threads` chunk per worker, statically assigned, scanned against a
-//!   per-pass *clone* of the cluster statistics, and every surviving
-//!   proposal re-priced from scratch during apply. This is the PR 2/3 code
-//!   path, kept bit-exact as the baseline the stealing backend is tested
-//!   against.
-//! * [`ParallelBackend::Steal`] — size-adaptive shards (roughly L2-sized
-//!   blocks of `mu` rows, see [`crate::scheduler::steal_shard_rows`]) drained
-//!   through a work-stealing [`WorkPool`], so skewed per-object cost — a
-//!   pruning tier-0 skip is one cache line while a full scan is `k` fused
-//!   dot products — no longer leaves workers idle behind a static split.
-//!   The per-pass statistics clone is gone: workers read the live
-//!   [`SharedStats`] directly (safe: the apply phase is quiescent while
-//!   workers run), and each proposal records the per-cluster *version*
-//!   counters it priced against. The sequential apply phase bumps a
-//!   cluster's version on every mutation, so a proposal whose source and
-//!   destination versions are unchanged is provably priced against the
-//!   exact current statistics and is applied without re-pricing; only
-//!   proposals staled by an earlier relocation in the same pass pay the two
-//!   re-validation dot products.
-//!
-//! Both backends evaluate every object against bit-identical pass-start
-//! statistics with the identical kernel calls, collect proposals indexed by
-//! object, and apply them in ascending object order with the same
-//! strictly-decreasing test — so the relocation sequence, and therefore the
-//! final labels, are byte-identical across backends and across any thread
-//! count (pinned end to end by `tests/parallel_determinism.rs`). When
-//! candidate pruning is on, each shard carries its own [`PruneShard`] window
-//! of the cache, which follows the shard to whichever worker claims it.
+//! Every object is evaluated against bit-identical pass-start statistics,
+//! proposals are indexed by object, and they are applied in ascending
+//! object order with the same strictly-decreasing test — so the relocation
+//! sequence, and therefore the final labels, are byte-identical across any
+//! thread count and identical to a single-threaded model that proposes
+//! against a pass-start clone and re-prices every proposal (pinned end to
+//! end by `tests/parallel_determinism.rs` against
+//! `tests/support/reference.rs`). When candidate pruning is on, each shard
+//! carries its own [`PruneShard`] window of the cache, which follows the
+//! shard to whichever worker claims it.
 
 use crate::framework::{validate_labels, ClusterError, Clustering, UncertainClusterer};
 use crate::init::Initializer;
@@ -58,56 +50,6 @@ use crate::scheduler::{resolve_threads, steal_shard_rows, WorkPool};
 use rand::RngCore;
 use ucpc_uncertain::arena::MomentView;
 use ucpc_uncertain::{MomentArena, UncertainObject};
-
-/// Propose-phase scheduling/validation strategy of [`ParallelUcpc`].
-///
-/// The default honours the `UCPC_PARALLEL` environment variable (`even` or
-/// `steal`, unset ⇒ `Steal`), mirroring `UCPC_PRUNING`/`UCPC_SIMD`; both
-/// backends produce byte-identical labels, so the knob only changes speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParallelBackend {
-    /// Fixed even chunks, per-pass statistics snapshot, full apply-phase
-    /// re-validation — the PR 2/3 reference path.
-    Even,
-    /// Work-stealing size-adaptive shards over snapshot-free versioned
-    /// statistics ([`SharedStats`]).
-    Steal,
-}
-
-impl ParallelBackend {
-    /// Parses one knob value (`"even"` ⇒ [`Self::Even`], `"steal"` ⇒
-    /// [`Self::Steal`], anything else ⇒ `None`) — the pure worker behind
-    /// [`Self::from_env`], exposed for env-free unit tests.
-    pub fn parse(v: &str) -> Option<Self> {
-        match v {
-            "even" => Some(Self::Even),
-            "steal" => Some(Self::Steal),
-            _ => None,
-        }
-    }
-
-    /// Reads the `UCPC_PARALLEL` environment knob through the shared
-    /// warn-and-fall-back reader ([`ucpc_uncertain::env::read_knob`]): a
-    /// set but invalid value warns on stderr and yields `None` (callers
-    /// fall back to their default), instead of failing silently.
-    pub fn from_env() -> Option<Self> {
-        ucpc_uncertain::env::read_knob("UCPC_PARALLEL", "even|steal", Self::parse)
-    }
-
-    /// The knob spelling of this backend.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Even => "even",
-            Self::Steal => "steal",
-        }
-    }
-}
-
-impl Default for ParallelBackend {
-    fn default() -> Self {
-        Self::from_env().unwrap_or(Self::Steal)
-    }
-}
 
 /// Versioned cluster aggregates: the snapshot-free substitute for the
 /// per-pass `ClusterStats` clone.
@@ -211,9 +153,6 @@ pub struct ParallelUcpc {
     /// falling back to available parallelism; see
     /// [`crate::scheduler::resolve_threads`]).
     pub threads: usize,
-    /// Propose-phase backend (see [`ParallelBackend`]; label-identical, the
-    /// knob only changes speed).
-    pub backend: ParallelBackend,
     /// Candidate pruning for the propose phase. Each worker evaluates the
     /// drift bounds of [`crate::pruning`] against the same pass-start
     /// statistics it proposes against, over the cache window of whichever
@@ -229,7 +168,6 @@ impl Default for ParallelUcpc {
             max_iters: 200,
             tolerance: 1e-9,
             threads: 0,
-            backend: ParallelBackend::default(),
             pruning: PruningConfig::default(),
         }
     }
@@ -253,14 +191,10 @@ pub struct ParallelUcpcResult {
     /// Candidate-pruning counters summed over all propose phases (all zero
     /// when pruning is off).
     pub pruning: PruneCounters,
-    /// Shards claimed by a worker that did not own them (always zero on the
-    /// [`ParallelBackend::Even`] backend).
+    /// Shards claimed by a worker that did not own them.
     pub steals: usize,
-    /// Proposals whose delta had to be re-priced during apply. On
-    /// [`ParallelBackend::Even`] this counts every surviving proposal (the
-    /// reference path re-validates unconditionally); on
-    /// [`ParallelBackend::Steal`] only proposals staled by an earlier
-    /// relocation in the same pass.
+    /// Proposals whose delta had to be re-priced during apply: those staled
+    /// by an earlier relocation in the same pass.
     pub revalidated: usize,
 }
 
@@ -357,25 +291,18 @@ impl ParallelUcpc {
             iterations += 1;
 
             // Phase 1: propose against the pass-start statistics, reading
-            // moments from the shared arena. The even backend scans a cloned
-            // snapshot; the steal backend reads the live SharedStats, whose
-            // bits are identical (the apply phase is quiescent). Each task
-            // owns one shard of the prune cache and evaluates the drift
-            // bounds against the same pass-start state it scans, so
-            // proposals — pruned or not, stolen or not — are deterministic
-            // functions of that state.
-            let chunk = match self.backend {
-                ParallelBackend::Even => n.div_ceil(threads).max(1),
-                ParallelBackend::Steal => steal_shard_rows(n, m, threads),
-            };
+            // moments from the shared arena and the live SharedStats (the
+            // apply phase is quiescent). Each task owns one shard of the
+            // prune cache and evaluates the drift bounds against the same
+            // pass-start state it scans, so proposals — pruned or not,
+            // stolen or not — are deterministic functions of that state.
+            let chunk = steal_shard_rows(n, m, threads);
             let n_chunks = n.div_ceil(chunk);
             let scale = if cache.is_some() {
                 fp_scale(shared.stats())
             } else {
                 0.0
             };
-            let snapshot: Option<Vec<ClusterStats>> =
-                matches!(self.backend, ParallelBackend::Even).then(|| shared.stats().to_vec());
 
             proposals.fill(None);
             {
@@ -397,7 +324,7 @@ impl ParallelUcpc {
                 }
                 let pool = WorkPool::new(tasks, threads);
                 let ctx = PassCtx {
-                    stats: snapshot.as_deref().unwrap_or(shared.stats()),
+                    stats: shared.stats(),
                     versions: shared.versions(),
                     arena,
                     labels: &labels,
@@ -406,7 +333,6 @@ impl ParallelUcpc {
                     totals,
                     scale,
                 };
-                let stealing = matches!(self.backend, ParallelBackend::Steal);
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = (0..threads)
                         .map(|w| {
@@ -414,13 +340,7 @@ impl ParallelUcpc {
                             let ctx = &ctx;
                             scope.spawn(move || {
                                 let mut worker_counters = PruneCounters::default();
-                                loop {
-                                    let task = if stealing {
-                                        pool.claim(w)
-                                    } else {
-                                        pool.claim_own(w)
-                                    };
-                                    let Some(mut task) = task else { break };
+                                while let Some(mut task) = pool.claim(w) {
                                     propose_shard(&mut task, ctx, &mut worker_counters);
                                 }
                                 worker_counters
@@ -435,11 +355,10 @@ impl ParallelUcpc {
             }
 
             // Phase 2: sequential validation + application, in ascending
-            // object order on both backends. A steal-backend proposal whose
-            // source and destination versions are untouched is applied on
-            // its priced delta (bit-exactly what re-pricing would return);
-            // anything else — and every even-backend proposal — is
-            // re-priced against the live statistics.
+            // object order. A proposal whose source and destination versions
+            // are untouched is applied on its priced delta (bit-exactly what
+            // re-pricing would return); anything else is re-priced against
+            // the live statistics.
             let mut moved = false;
             for (i, p) in proposals.iter().enumerate() {
                 let Some(p) = p else { continue };
@@ -449,9 +368,7 @@ impl ParallelUcpc {
                     continue;
                 }
                 let v = arena.view(i);
-                let fresh = matches!(self.backend, ParallelBackend::Steal)
-                    && shared.version(src) == p.src_ver
-                    && shared.version(p.dst) == p.dst_ver;
+                let fresh = shared.version(src) == p.src_ver && shared.version(p.dst) == p.dst_ver;
                 let delta = if fresh {
                     p.delta
                 } else {
@@ -526,68 +443,52 @@ fn propose_shard(task: &mut ShardTask<'_>, ctx: &PassCtx<'_>, counters: &mut Pru
             ),
             None => PruneDecision::FullScan,
         };
-        match decision {
-            PruneDecision::Skip => counters.skips += 1,
-            PruneDecision::ConfirmBest(dst) => {
-                counters.confirms += 1;
-                let delta = ctx.stats[src].delta_j_remove(&v) + ctx.stats[dst].delta_j_add(&v);
-                if delta < -ctx.tolerance {
-                    *slot = Some(Proposal {
-                        dst,
-                        delta,
-                        src_ver: ctx.versions[src],
-                        dst_ver: ctx.versions[dst],
-                    });
-                }
-            }
-            PruneDecision::FullScan => {
-                if task.prune.is_some() {
-                    counters.full_scans += 1;
-                }
-                *slot = full_scan(i, src, &v, ctx, task.prune.as_mut());
-            }
-        }
-    }
-}
-
-/// The reference `k−1` candidate scan of one object, with second-best
-/// tracking; caches a "no move" outcome when a shard window is present.
-fn full_scan(
-    i: usize,
-    src: usize,
-    v: &MomentView<'_>,
-    ctx: &PassCtx<'_>,
-    shard: Option<&mut PruneShard<'_>>,
-) -> Option<Proposal> {
-    let proposal = |dst: usize, delta: f64| Proposal {
-        dst,
-        delta,
-        src_ver: ctx.versions[src],
-        dst_ver: ctx.versions[dst],
-    };
-    match shard {
-        Some(s) => match best_candidate_with_second(ctx.stats, src, v) {
-            Some((dst, delta, _)) if delta < -ctx.tolerance => Some(proposal(dst, delta)),
-            Some((dst, delta, second)) => {
-                s.store(
-                    i,
-                    0,
-                    0,
-                    ctx.stats,
-                    ctx.totals,
-                    ctx.prune_versions,
-                    src,
-                    dst,
-                    delta,
-                    second,
-                );
+        let best = match (decision, task.prune.as_mut()) {
+            (PruneDecision::Skip, _) => {
+                counters.skips += 1;
                 None
             }
-            None => None,
-        },
-        None => best_candidate(ctx.stats, src, v)
+            (PruneDecision::ConfirmBest(dst), _) => {
+                counters.confirms += 1;
+                Some((
+                    dst,
+                    ctx.stats[src].delta_j_remove(&v) + ctx.stats[dst].delta_j_add(&v),
+                ))
+            }
+            // The reference `k−1` candidate scan with second-best tracking;
+            // a "no move" outcome is cached in the shard's window.
+            (PruneDecision::FullScan, Some(s)) => {
+                counters.full_scans += 1;
+                match best_candidate_with_second(ctx.stats, src, &v) {
+                    Some((dst, delta, _)) if delta < -ctx.tolerance => Some((dst, delta)),
+                    Some((dst, delta, second)) => {
+                        s.store(
+                            i,
+                            0,
+                            0,
+                            ctx.stats,
+                            ctx.totals,
+                            ctx.prune_versions,
+                            src,
+                            dst,
+                            delta,
+                            second,
+                        );
+                        None
+                    }
+                    None => None,
+                }
+            }
+            (PruneDecision::FullScan, None) => best_candidate(ctx.stats, src, &v),
+        };
+        *slot = best
             .filter(|&(_, delta)| delta < -ctx.tolerance)
-            .map(|(dst, delta)| proposal(dst, delta)),
+            .map(|(dst, delta)| Proposal {
+                dst,
+                delta,
+                src_ver: ctx.versions[src],
+                dst_ver: ctx.versions[dst],
+            });
     }
 }
 
@@ -609,25 +510,9 @@ impl UncertainClusterer for ParallelUcpc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::ref_parallel;
     use crate::ucpc::Ucpc;
 
-    #[test]
-    fn parallel_knob_parses_both_backends_and_warns_on_typos() {
-        assert_eq!(ParallelBackend::parse("even"), Some(ParallelBackend::Even));
-        assert_eq!(
-            ParallelBackend::parse("steal"),
-            Some(ParallelBackend::Steal)
-        );
-        assert_eq!(ParallelBackend::parse("stealing"), None);
-        let (outcome, warning) = ucpc_uncertain::env::parse_knob(
-            "UCPC_PARALLEL",
-            Some("Stealing"),
-            "even|steal",
-            ParallelBackend::parse,
-        );
-        assert_eq!(outcome.value(), None);
-        assert!(warning.unwrap().contains("UCPC_PARALLEL=\"Stealing\""));
-    }
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ucpc_uncertain::UnivariatePdf;
@@ -703,59 +588,59 @@ mod tests {
         assert!((r.objective - rebuilt).abs() < 1e-6);
     }
 
+    /// The reference model's outcome on `data` from the initial partition
+    /// `cfg.run` draws with `seed`.
+    fn reference_run(
+        cfg: &ParallelUcpc,
+        data: &[UncertainObject],
+        k: usize,
+        seed: u64,
+    ) -> (Vec<usize>, usize, usize, usize) {
+        let labels = cfg
+            .init
+            .initial_partition(data, k, &mut StdRng::seed_from_u64(seed));
+        ref_parallel(cfg, &MomentArena::from_objects(data), k, labels)
+    }
+
     #[test]
     fn single_thread_matches_multi_thread() {
         let data = blobs(12);
-        let run = |threads, backend| {
+        let (want, ..) = reference_run(&ParallelUcpc::default(), &data, 3, 9);
+        for threads in [1, 4] {
             let mut rng = StdRng::seed_from_u64(9);
-            ParallelUcpc {
+            let got = ParallelUcpc {
                 threads,
-                backend,
                 ..Default::default()
             }
             .run(&data, 3, &mut rng)
-            .unwrap()
-            .clustering
-        };
-        let reference = run(1, ParallelBackend::Even);
-        for backend in [ParallelBackend::Even, ParallelBackend::Steal] {
-            for threads in [1, 4] {
-                assert_eq!(
-                    reference.labels(),
-                    run(threads, backend).labels(),
-                    "thread count / backend must not change the result \
-                     ({threads} threads, {})",
-                    backend.name()
-                );
-            }
+            .unwrap();
+            assert_eq!(
+                got.clustering.labels(),
+                &want[..],
+                "thread count must not change the result ({threads} threads)"
+            );
         }
     }
 
     #[test]
     fn steal_backend_matches_even_backend_with_pruning() {
+        // The work-stealing, snapshot-free schedule against the reference
+        // model that proposes on a pass-start clone and re-prices every
+        // proposal.
         let data = blobs(16);
-        let run = |backend| {
-            let mut rng = StdRng::seed_from_u64(13);
-            ParallelUcpc {
-                threads: 4,
-                backend,
-                pruning: PruningConfig::Bounds,
-                ..Default::default()
-            }
-            .run(&data, 3, &mut rng)
-            .unwrap()
+        let cfg = ParallelUcpc {
+            threads: 4,
+            pruning: PruningConfig::Bounds,
+            ..Default::default()
         };
-        let even = run(ParallelBackend::Even);
-        let steal = run(ParallelBackend::Steal);
-        assert_eq!(even.clustering.labels(), steal.clustering.labels());
-        assert_eq!(even.iterations, steal.iterations);
-        assert_eq!(even.applied, steal.applied);
-        assert_eq!(even.rejected, steal.rejected);
-        assert_eq!(even.pruning, steal.pruning);
-        assert_eq!(even.steals, 0, "even backend never steals");
-        // The snapshot-free path re-prices only staled proposals; the
-        // reference path re-prices everything that survived.
-        assert!(steal.revalidated <= even.revalidated);
+        let steal = cfg.run(&data, 3, &mut StdRng::seed_from_u64(13)).unwrap();
+        let (labels, iterations, applied, rejected) = reference_run(&cfg, &data, 3, 13);
+        assert_eq!(steal.clustering.labels(), &labels[..]);
+        assert_eq!(steal.iterations, iterations);
+        assert_eq!(steal.applied, applied);
+        assert_eq!(steal.rejected, rejected);
+        // Only proposals staled within their pass are re-priced.
+        assert!(steal.revalidated <= applied + rejected);
     }
 
     #[test]
@@ -791,11 +676,5 @@ mod tests {
         let r = ParallelUcpc::default().run(&data, 4, &mut rng).unwrap();
         assert_eq!(r.clustering.len(), 40);
         assert!(r.converged || r.iterations == 200);
-    }
-
-    #[test]
-    fn backend_knob_parses() {
-        assert_eq!(ParallelBackend::Even.name(), "even");
-        assert_eq!(ParallelBackend::Steal.name(), "steal");
     }
 }

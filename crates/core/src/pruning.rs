@@ -126,17 +126,15 @@
 //! entry only when `versions[src]` moved past the value snapshotted at
 //! store time. Entries whose `src` sits elsewhere ride straight through —
 //! their bounds simply widen by the (always-sound) add-direction drift.
-//! The same argument covers streaming edits: `IncrementalUcpc`'s slab
-//! backend performs inserts/removals through the *tracked* updates, so an
-//! edit is just one more transition the accumulators already bound, and
-//! only a small edit bumps the touched cluster's version — no cached bound
-//! elsewhere is disturbed. (The pre-slab object backend keeps the seed
-//! semantics: untracked edits plus a global epoch bump on every edit.)
+//! The same argument covers streaming edits: `IncrementalUcpc` performs
+//! inserts/removals through the *tracked* updates, so an edit is just one
+//! more transition the accumulators already bound, and only a small edit
+//! bumps the touched cluster's version — no cached bound elsewhere is
+//! disturbed.
 //!
 //! A global *epoch* remains as the coarse kill-switch (entries record the
 //! epoch they were written in): `IncrementalUcpc::set_pruning` bumps it,
-//! the reference streaming backend bumps it per edit, and `BestOfRestarts`
-//! resets the cache between restarts.
+//! and `BestOfRestarts` resets the cache between restarts.
 //!
 //! The accumulators and bounds are themselves computed in floating point, so
 //! every test inflates the drift by [`slack`] — a safety margin proportional
@@ -695,7 +693,7 @@ pub fn apply_tracked_relocation(
 /// statistics to the plain `add_view`), folds `c`'s accumulator movement
 /// into `totals`, and bumps `versions[c]` iff the transition was small —
 /// the insert half of the surgical-invalidation contract used by
-/// `IncrementalUcpc`'s slab backend.
+/// `IncrementalUcpc`.
 pub fn apply_tracked_insert(
     stats: &mut [ClusterStats],
     c: usize,

@@ -4,8 +4,8 @@
 //! loop of [`crate::restarts::BestOfRestarts`] both reduce to the same
 //! shape: a fixed list of independent work items (arena shards, restart
 //! indices) to be drained by a small pool of workers. Fixed even chunking —
-//! the PR 2 layout, one contiguous `n/threads` block per worker — balances
-//! perfectly only when every item costs the same; with candidate pruning the
+//! one contiguous `n/threads` block per worker — balances perfectly only
+//! when every item costs the same; with candidate pruning the
 //! per-object cost is wildly skewed (a tier-0 skip is one cache line, a full
 //! scan is `k` fused dot products), so a worker whose block happens to hold
 //! the converged region finishes early and idles while another grinds
@@ -59,7 +59,7 @@ pub fn parse_threads(v: &str) -> Option<usize> {
     v.parse::<usize>().ok().filter(|&t| t > 0)
 }
 
-/// Picks the steal backend's shard size (in arena rows) for a propose phase
+/// Picks the propose phase's shard size (in arena rows) for a propose phase
 /// over `n` objects of `m` dimensions drained by `threads` workers.
 ///
 /// Two pressures, resolved by taking the smaller:
@@ -124,16 +124,6 @@ impl<T> WorkPool<T> {
         self.bounds.len() - 1
     }
 
-    /// Total number of items (claimed or not).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the pool was built over zero items.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Claims the next item for `worker`: the front of its own run first,
     /// then — stealing — the *back* of the other workers' runs, starting
     /// from the next worker over. Returns `None` when every item has been
@@ -158,15 +148,6 @@ impl<T> WorkPool<T> {
             }
         }
         None
-    }
-
-    /// Claims the next item from `worker`'s own run only — the static
-    /// assignment of the even-chunking reference backend, which must not
-    /// steal by definition.
-    pub fn claim_own(&self, worker: usize) -> Option<T> {
-        debug_assert!(worker < self.workers(), "worker {worker} out of range");
-        let (lo, hi) = (self.bounds[worker], self.bounds[worker + 1]);
-        (lo..hi).find_map(|i| self.try_take(i))
     }
 
     /// Cross-run claims observed so far.

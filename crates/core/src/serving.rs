@@ -37,10 +37,10 @@
 //!
 //! # Why batched pricing is bit-identical to serial
 //!
-//! The correctness bar is the one every backend of the engine has met: a
-//! committed batch of `B` arrivals must leave labels, `ClusterStats` and
-//! the objective **byte-identical** to `B` serial
-//! [`IncrementalUcpc::insert`] calls. That holds by construction:
+//! The correctness bar is the engine's own: a committed batch of `B`
+//! arrivals must leave labels, `ClusterStats` and the objective
+//! **byte-identical** to `B` serial [`IncrementalUcpc::insert`] calls.
+//! That holds by construction:
 //!
 //! * **Deltas.** Serial placement scans fold
 //!   `delta = stats[c].delta_j_add(v)` over ascending `c` (the pruned scan,
@@ -72,7 +72,7 @@
 //!   commit).
 //! * **Storage.** The staged copy of an arrival is written and re-read
 //!   **verbatim** — [`MomentArena::overwrite_row`] on admission,
-//!   [`MomentStore::insert_view`] on commit copy every moment row and
+//!   [`SlabArena::insert_view`] on commit copy every moment row and
 //!   scalar aggregate bit for bit, deriving nothing — and
 //!   `IncrementalUcpc::commit_placed` replays the serial insert's exact
 //!   mutation sequence (tracked statistics update, verbatim store, label
@@ -85,7 +85,8 @@
 //!   arrivals were batched, and a serial replay reproduces them exactly.
 //!
 //! The differential harness (`tests/serving_differential.rs`) pins all of
-//! this across batch sizes × storage backends × pruning × SIMD backends.
+//! this across batch sizes × pruning × SIMD backends, against a serial
+//! replay on the per-object reference model.
 //!
 //! # Durability
 //!
@@ -122,13 +123,13 @@
 //! [`AddPricer`]: crate::objective::AddPricer
 //! [`DISPATCH_THRESHOLD`]: ucpc_uncertain::simd::DISPATCH_THRESHOLD
 //! [`MomentArena::overwrite_row`]: ucpc_uncertain::MomentArena::overwrite_row
-//! [`MomentStore::insert_view`]: crate::incremental::IncrementalUcpc
+//! [`SlabArena::insert_view`]: ucpc_uncertain::SlabArena::insert_view
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use crate::framework::ClusterError;
-use crate::incremental::{IncrementalUcpc, ObjectHandle, StreamBackend};
+use crate::incremental::{IncrementalUcpc, ObjectHandle};
 use crate::objective::AddPricer;
 use crate::wal::{DurableIo, VecIo, WalError, WalFsync, WalWriter};
 use ucpc_uncertain::simd::{dot_block, DISPATCH_THRESHOLD};
@@ -182,6 +183,9 @@ pub enum ServingError {
         /// The arrival's dimensionality.
         found: usize,
     },
+    /// The arrival carries a NaN or infinite moment, or a finite one whose
+    /// precomputed scalars overflow: it was not admitted, logged or staged.
+    NonFinite,
 }
 
 impl std::fmt::Display for ServingError {
@@ -196,6 +200,7 @@ impl std::fmt::Display for ServingError {
                     "arrival has {found} dimensions, engine expects {expected}"
                 )
             }
+            Self::NonFinite => write!(f, "arrival has a non-finite moment"),
         }
     }
 }
@@ -462,22 +467,9 @@ pub struct ServingUcpc {
 
 impl ServingUcpc {
     /// A serving layer over a fresh engine of `m` dimensions and `k`
-    /// clusters on the env-default storage backend.
+    /// clusters.
     pub fn new(m: usize, k: usize, cfg: ServingConfig) -> Result<Self, ClusterError> {
         Ok(Self::over(IncrementalUcpc::new(m, k)?, cfg))
-    }
-
-    /// [`Self::new`] with an explicit storage backend.
-    pub fn with_backend(
-        m: usize,
-        k: usize,
-        backend: StreamBackend,
-        cfg: ServingConfig,
-    ) -> Result<Self, ClusterError> {
-        Ok(Self::over(
-            IncrementalUcpc::with_backend(m, k, backend)?,
-            cfg,
-        ))
     }
 
     /// Wraps an existing live engine (its current partition is served
@@ -630,6 +622,9 @@ impl ServingUcpc {
                 expected: self.engine.m,
                 found: mo.dims(),
             });
+        }
+        if !mo.view().is_finite() {
+            return Err(ServingError::NonFinite);
         }
         let row = self
             .free_rows

@@ -434,30 +434,44 @@ impl Transport for ChaosTransport {
 /// performs the identical `add_view`/`remove_view` calls in the identical
 /// order, which is the whole bit-identity argument. `each` runs the
 /// caller's own bookkeeping for every state-changing entry, with the
-/// entry's moment view.
+/// entry's moment view. An entry naming a cluster out of range, draining
+/// an empty cluster, or refused by `each` stops the fold with the reason
+/// — a checksum-valid round can still be corrupt — and leaves the replica
+/// partly updated, for the caller to discard.
 fn fold_entries(
     stats: &mut [ClusterStats],
     entries: &[LogEntry],
-    mut each: impl FnMut(LogOp, &MomentView<'_>),
-) {
+    mut each: impl FnMut(LogOp, &MomentView<'_>) -> Result<(), &'static str>,
+) -> Result<(), &'static str> {
     for e in entries {
-        if let LogOp::NoMove { .. } = e.op {
-            continue;
+        let (drained, joined) = match e.op {
+            LogOp::Insert { cluster, .. } => (None, Some(cluster)),
+            LogOp::Remove { cluster, .. } => (Some(cluster), None),
+            LogOp::Move { src, dst, .. } => (Some(src), Some(dst)),
+            LogOp::NoMove { .. } => continue,
+        };
+        if drained.into_iter().chain(joined).any(|c| c >= stats.len()) {
+            return Err("round names a cluster out of range");
+        }
+        if drained.is_some_and(|c| stats[c].is_empty()) {
+            return Err("round drains an empty cluster");
         }
         let mo = Moments::from_mu_mu2(e.mu.clone(), e.mu2.clone());
         let v = mo.view();
-        match e.op {
-            LogOp::Insert { cluster, .. } => stats[cluster].add_view(&v),
-            LogOp::Remove { cluster, .. } => stats[cluster].remove_view(&v),
-            LogOp::Move { src, dst, .. } => {
-                stats[src].remove_view(&v);
-                stats[dst].add_view(&v);
-            }
-            LogOp::NoMove { .. } => {}
+        each(e.op, &v)?;
+        if let Some(c) = drained {
+            stats[c].remove_view(&v);
         }
-        each(e.op, &v);
+        if let Some(c) = joined {
+            stats[c].add_view(&v);
+        }
     }
+    Ok(())
 }
+
+/// The `expect` message of folds over rounds the coordinator built:
+/// well-formed by construction, unlike rounds read back from a log.
+const BUILT_ROUND: &str = "coordinator-built rounds are well-formed";
 
 /// A shard log on `io`: a WAL of [`WalRecord::Round`] frames, synced per
 /// round so a round is durable before the shard acknowledges it.
@@ -561,16 +575,20 @@ impl Participant {
             };
             // A shard logs every round in order from its checkpoint on, so
             // a gap means the log does not belong on this checkpoint.
-            if seq != p.applied + 1 {
+            let replayed = if seq != p.applied + 1 {
+                Err("shard log round does not follow the watermark")
+            } else {
+                p.apply_entries(&entries)
+            };
+            if let Err(reason) = replayed {
                 return Err(WalError::Corrupt {
                     valid_bytes: i
                         .checked_sub(1)
                         .map_or(WAL_HEADER_LEN as u64, |j| scan.frame_ends[j]),
                     frames: i as u64,
-                    reason: "shard log round does not follow the watermark",
+                    reason,
                 });
             }
-            p.apply_entries(&entries);
             p.applied = seq;
             p.last_done = Some((seq, entries));
         }
@@ -667,20 +685,27 @@ impl Participant {
 
     /// Replays log entries onto this replica through the shared
     /// [`fold_entries`]; slab bookkeeping runs only for rows this shard
-    /// owns.
-    fn apply_entries(&mut self, entries: &[LogEntry]) {
+    /// owns, and an owned `Insert` (`Remove`) of a row the shard already
+    /// holds (does not hold) is refused like any other corrupt entry.
+    fn apply_entries(&mut self, entries: &[LogEntry]) -> Result<(), &'static str> {
         let (shard, shards) = (self.shard, self.shards);
         let (slab, local) = (&mut self.slab, &mut self.local);
         fold_entries(&mut self.stats, entries, |op, v| match op {
             LogOp::Insert { slot, .. } if owner_of_slot(slot, shards) == shard => {
+                if local.contains_key(&slot) {
+                    return Err("round inserts a row the shard already holds");
+                }
                 local.insert(slot, slab.insert_view(v));
+                Ok(())
             }
             LogOp::Remove { slot, .. } if owner_of_slot(slot, shards) == shard => {
-                let h = local.remove(&slot).expect("owned row present");
-                slab.remove(h).expect("owned row live");
+                let h = local
+                    .remove(&slot)
+                    .ok_or("round removes a row the shard does not hold")?;
+                slab.remove(h).map_err(|_| "shard row map is out of sync")
             }
-            _ => {}
-        });
+            _ => Ok(()),
+        })
     }
 
     /// The local propose phase: price each op against the replica with
@@ -742,7 +767,8 @@ impl Participant {
                     }
                 }
             };
-            self.apply_entries(std::slice::from_ref(&entry));
+            self.apply_entries(std::slice::from_ref(&entry))
+                .expect(BUILT_ROUND);
             entries.push(entry);
         }
         self.log_round(seq, &entries);
@@ -783,7 +809,7 @@ impl Participant {
             Payload::Apply { seq, entries } => {
                 if seq > self.applied {
                     self.log_round(seq, &entries);
-                    self.apply_entries(&entries);
+                    self.apply_entries(&entries).expect(BUILT_ROUND);
                     self.applied = seq;
                 }
                 tx.send(self.reply(Payload::Ack { seq }));
@@ -792,7 +818,7 @@ impl Participant {
                 for (seq, entries) in rounds {
                     if seq > self.applied {
                         self.log_round(seq, &entries);
-                        self.apply_entries(&entries);
+                        self.apply_entries(&entries).expect(BUILT_ROUND);
                         self.applied = seq;
                     }
                 }
@@ -847,7 +873,7 @@ impl Coordinator {
     }
 
     /// Allocates a global slot + generation, mirroring the single-node
-    /// `MomentStore` bit-for-bit: pop the LIFO free-list under the
+    /// slab bit-for-bit: pop the LIFO free-list under the
     /// slot's current generation, else append a fresh slot at
     /// generation 0.
     fn alloc(&mut self) -> (u32, u32) {
@@ -881,27 +907,31 @@ impl Coordinator {
             &mut self.free,
             &mut self.live,
         );
-        fold_entries(&mut self.stats, entries, |op, _| match op {
-            LogOp::Insert { slot, cluster } => {
-                let s = slot as usize;
-                if s == labels.len() {
-                    labels.push(Some(cluster));
-                } else {
-                    debug_assert!(labels[s].is_none(), "recycled slot must be free");
-                    labels[s] = Some(cluster);
+        fold_entries(&mut self.stats, entries, |op, _| {
+            match op {
+                LogOp::Insert { slot, cluster } => {
+                    let s = slot as usize;
+                    if s == labels.len() {
+                        labels.push(Some(cluster));
+                    } else {
+                        debug_assert!(labels[s].is_none(), "recycled slot must be free");
+                        labels[s] = Some(cluster);
+                    }
+                    *live += 1;
                 }
-                *live += 1;
+                LogOp::Remove { slot, .. } => {
+                    let s = slot as usize;
+                    labels[s] = None;
+                    gens[s] = gens[s].wrapping_add(1);
+                    free.push(slot);
+                    *live -= 1;
+                }
+                LogOp::Move { slot, dst, .. } => labels[slot as usize] = Some(dst),
+                LogOp::NoMove { .. } => {}
             }
-            LogOp::Remove { slot, .. } => {
-                let s = slot as usize;
-                labels[s] = None;
-                gens[s] = gens[s].wrapping_add(1);
-                free.push(slot);
-                *live -= 1;
-            }
-            LogOp::Move { slot, dst, .. } => labels[slot as usize] = Some(dst),
-            LogOp::NoMove { .. } => {}
-        });
+            Ok(())
+        })
+        .expect(BUILT_ROUND);
     }
 }
 
@@ -1135,7 +1165,9 @@ impl ShardedUcpc {
         self.insert_moments(object.moments())
     }
 
-    /// [`Self::insert`] for an arrival already reduced to its moments.
+    /// [`Self::insert`] for an arrival already reduced to its moments. A
+    /// non-finite arrival is [`ClusterError::NonFinite`] and starts no
+    /// round.
     pub fn insert_moments(&mut self, mo: &Moments) -> Result<ObjectHandle, ClusterError> {
         if mo.dims() != self.m {
             return Err(ClusterError::DimensionMismatch {
@@ -1143,6 +1175,9 @@ impl ShardedUcpc {
                 found: mo.dims(),
                 index: self.coordinator.labels.len(),
             });
+        }
+        if !mo.view().is_finite() {
+            return Err(ClusterError::NonFinite);
         }
         let (slot, gen) = self.coordinator.alloc();
         let owner = owner_of_slot(slot, self.shards);
@@ -1649,6 +1684,67 @@ mod tests {
             assert!(!restart_from(&mut sharded, &checkpoint, &bent), "{byte}");
             assert!(restart_from(&mut sharded, &checkpoint, &log[..byte]));
         }
+        // Checksum-valid rounds, written through the log writer, that name
+        // a cluster >= k, drain an empty cluster, or insert (remove) an
+        // owned row the shard does (does not) hold: checked errors at the
+        // end of the intact log, never replay panics. Slots 0..7 are live
+        // and owned by shard 0; slot 7 is owned but free; slot 8 belongs
+        // to shard 1. Cluster sizes are 4 and 3.
+        let rounds = scan_wal(&log).unwrap().records;
+        let Some(WalRecord::Round { seq: last, .. }) = rounds.last() else {
+            panic!("the log holds rounds");
+        };
+        let with_round = |extra: &[LogEntry]| {
+            let io = SharedVecIo::new();
+            let mut w = WalWriter::create(io.clone(), 1, WalFsync::Off).unwrap();
+            for r in &rounds {
+                let WalRecord::Round { seq, entries } = r else {
+                    panic!("shard logs hold rounds only");
+                };
+                w.log_round(*seq, entries).unwrap();
+            }
+            w.log_round(last + 1, extra).unwrap();
+            io.bytes()
+        };
+        let entry = |op| LogEntry {
+            op,
+            mu: vec![0.5],
+            mu2: vec![0.5],
+        };
+        let insert = |slot, cluster| entry(LogOp::Insert { slot, cluster });
+        let remove = |slot, cluster| entry(LogOp::Remove { slot, cluster });
+        let relocate = |src, dst| entry(LogOp::Move { slot: 0, src, dst });
+        for (bad, why) in [
+            (vec![insert(7, 2)], "out of range"),
+            (vec![relocate(0, 2)], "out of range"),
+            (vec![relocate(9, 0)], "out of range"),
+            (vec![remove(8, 1); 4], "empty cluster"),
+            (vec![remove(7, 0)], "does not hold"),
+            (vec![insert(3, 0)], "already holds"),
+            (
+                vec![insert(7, 0), remove(7, 0), remove(7, 0)],
+                "does not hold",
+            ),
+        ] {
+            let bent = with_round(&bad);
+            assert_eq!(&bent[..log.len()], &log[..], "re-logged prefix");
+            match Participant::recover(1, 2, 2, 0, 1, &checkpoint, &bent) {
+                Err(WalError::Corrupt {
+                    valid_bytes,
+                    frames,
+                    reason,
+                }) => {
+                    let intact = (log.len() as u64, rounds.len() as u64);
+                    assert_eq!((valid_bytes, frames), intact, "{bad:?}");
+                    assert!(reason.contains(why), "{bad:?}: {reason}");
+                }
+                other => panic!("{bad:?}: {other:?}"),
+            }
+            assert!(!restart_from(&mut sharded, &checkpoint, &bent), "{bad:?}");
+        }
+        // The last of those rounds is valid without its final removal.
+        let fine = with_round(&[insert(7, 0), remove(7, 0)]);
+        assert!(Participant::recover(1, 2, 2, 0, 1, &checkpoint, &fine).is_ok());
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Versioned binary snapshot/restore for the streaming engine.
 //!
 //! [`IncrementalUcpc::snapshot`] serializes the complete logical state of a
-//! live clustering — storage backend and its moment rows, slot generations
-//! and free-list, labels, per-cluster [`ClusterStats`] (including the drift
+//! live clustering — its moment rows, slot generations and free-list,
+//! labels, per-cluster [`ClusterStats`] (including the drift
 //! accumulators), the pruning configuration, and the invalidation
 //! watermarks (`epoch`, per-cluster `versions`, global drift totals) — into
 //! a self-describing byte buffer. [`IncrementalUcpc::restore`] reassembles
 //! an engine that is **bit-identical** to the original: continuing the same
 //! edit script on the restored engine produces byte-for-byte the labels,
-//! statistics bits and objective of the uninterrupted run, across both
-//! backends, pruning on/off and every SIMD backend
-//! (`tests/snapshot_roundtrip.rs`).
+//! statistics bits and objective of the uninterrupted run, with pruning
+//! on/off and on every SIMD backend (`tests/snapshot_roundtrip.rs`).
 //!
 //! # Why the round-trip is exact
 //!
@@ -35,7 +34,7 @@
 //!
 //! # Format
 //!
-//! One format, version 3: a 12-byte head, then bounded, individually
+//! One format, version 4: a 12-byte head, then bounded, individually
 //! CRC-32-checksummed chunks — each one a [`crate::codec`] frame whose
 //! payload starts with the section kind. [`IncrementalUcpc::write_snapshot`]
 //! streams them to a [`DurableIo`] sink, so a checkpoint never
@@ -43,15 +42,17 @@
 //! dominant term, go out [`ROWS_PER_CHUNK`] rows at a time), and any
 //! flipped or torn byte is caught by the chunk checksum rather than by
 //! downstream validation. Readers reject every other version — versions 1
-//! and 2 included — with [`SnapshotError::UnsupportedVersion`].
+//! to 3 included — with [`SnapshotError::UnsupportedVersion`]. Version 4
+//! dropped version 3's META backend byte when the slab became the only
+//! moment store.
 //!
 //! The head and the chunk framing are in the [`crate::codec`] table; the
 //! sections, in this order, are:
 //!
 //! ```text
-//! kind 1 META   backend u8 (0 Objects, 1 Slab), pruning u8 (0 Off,
-//!               1 Bounds), m u64, k u64, live u64, epoch u64, n_slots u64,
-//!               n_free u64, versions k × u64, totals 6 × f64, k × STATS
+//! kind 1 META   pruning u8 (0 Off, 1 Bounds), m u64, k u64, live u64,
+//!               epoch u64, n_slots u64, n_free u64, versions k × u64,
+//!               totals 6 × f64, k × STATS
 //! kind 2 SLOTS  per slot: flag u8, label u64 if live, gen u32
 //!               (≤ SLOTS_PER_CHUNK slots per chunk, ascending)
 //! kind 3 FREE   freed slots u32, LIFO order (≤ FREE_PER_CHUNK each)
@@ -75,15 +76,15 @@
 //! counts).
 
 use crate::codec::{scan_frames, Reader, Writer, CHECKSUM_MISMATCH};
-use crate::incremental::{IncrementalUcpc, MomentStore, StreamBackend};
+use crate::incremental::IncrementalUcpc;
 use crate::objective::{ClusterDrift, ClusterStats};
 use crate::pruning::{DriftTotals, PruneCache, PruneCounters, PruningConfig};
 use crate::wal::{DurableIo, IoFault, VecIo};
 use std::fmt;
-use ucpc_uncertain::{MomentArena, Moments, SlabArena};
+use ucpc_uncertain::{MomentArena, SlabArena};
 
 const MAGIC: &[u8; 8] = b"UCPCSNAP";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 const HEAD_LEN: usize = 12;
 
 const CHUNK_META: u8 = 1;
@@ -372,19 +373,6 @@ pub(crate) fn read_stats(
     Ok(stats)
 }
 
-/// The `(mu, mu2)` row of the next ROWS entry.
-fn read_row(sections: &mut Sections<'_>, m: usize) -> Result<(Vec<f64>, Vec<f64>), SnapshotError> {
-    let r = sections.entry(CHUNK_ROWS)?;
-    Ok((r.f64s(m)?, r.f64s(m)?))
-}
-
-fn free_list(store: &MomentStore) -> &[u32] {
-    match store {
-        MomentStore::Objects { free, .. } => free,
-        MomentStore::Slab { slab } => slab.free_slots(),
-    }
-}
-
 impl IncrementalUcpc {
     /// Serializes the complete logical state into a versioned byte buffer:
     /// [`Self::write_snapshot`] into memory. See the
@@ -408,10 +396,6 @@ impl IncrementalUcpc {
         let n_slots = self.labels.len();
         let mut out = ChunkWriter::start(io)?;
         let w = out.begin(CHUNK_META);
-        w.u8(match self.backend() {
-            StreamBackend::Objects => 0,
-            StreamBackend::Slab => 1,
-        });
         w.u8(match self.pruning {
             PruningConfig::Off => 0,
             PruningConfig::Bounds => 1,
@@ -436,17 +420,17 @@ impl IncrementalUcpc {
                 }
                 None => w.u8(0),
             }
-            w.u32(self.store.generation(slot));
+            w.u32(self.slab.generation(slot));
         })?;
         out.chunked(
             CHUNK_FREE,
             FREE_PER_CHUNK,
-            free_list(&self.store),
+            self.slab.free_slots(),
             |w, &s| w.u32(s),
         )?;
         let live = (0..n_slots).filter(|&slot| self.labels[slot].is_some());
         out.chunked(CHUNK_ROWS, ROWS_PER_CHUNK, live, |w, slot| {
-            let v = self.store.view(slot);
+            let v = self.slab.view(slot);
             w.f64s(v.mu);
             w.f64s(v.mu2);
         })?;
@@ -460,11 +444,6 @@ impl IncrementalUcpc {
     pub fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut sections = Sections::open(bytes)?;
         let r = sections.entry(CHUNK_META)?;
-        let backend = match r.u8()? {
-            0 => StreamBackend::Objects,
-            1 => StreamBackend::Slab,
-            _ => return Err(SnapshotError::Corrupt("unknown backend tag")),
-        };
         let pruning = match r.u8()? {
             0 => PruningConfig::Off,
             1 => PruningConfig::Bounds,
@@ -526,48 +505,26 @@ impl IncrementalUcpc {
             freed[slot] = true;
             free.push(s);
         }
-        let store = match backend {
-            StreamBackend::Objects => {
-                let mut objects = Vec::with_capacity(n_slots);
-                for l in &labels {
-                    objects.push(match l {
-                        Some(_) => {
-                            let (mu, mu2) = read_row(&mut sections, m)?;
-                            Some(Moments::from_mu_mu2(mu, mu2))
-                        }
-                        None => None,
-                    });
-                }
-                MomentStore::Objects {
-                    objects,
-                    free,
-                    gens,
-                }
+        let mut arena = MomentArena::with_capacity(n_slots, m);
+        for l in &labels {
+            if l.is_some() {
+                let r = sections.entry(CHUNK_ROWS)?;
+                let (mu, mu2) = (r.f64s(m)?, r.f64s(m)?);
+                // The same canonical per-dimension fold the original
+                // insertion used — bit-identical row reconstruction.
+                arena.push_row_with(m, |d| (mu[d], mu2[d]));
+            } else {
+                arena.push_row_with(m, |_| (0.0, 0.0));
             }
-            StreamBackend::Slab => {
-                let mut arena = MomentArena::with_capacity(n_slots, m);
-                for l in &labels {
-                    if l.is_some() {
-                        let (mu, mu2) = read_row(&mut sections, m)?;
-                        // The same canonical per-dimension fold the original
-                        // insertion used — bit-identical row reconstruction.
-                        arena.push_row_with(m, |d| (mu[d], mu2[d]));
-                    } else {
-                        arena.push_row_with(m, |_| (0.0, 0.0));
-                    }
-                }
-                let occupied = labels.iter().map(Option::is_some).collect();
-                MomentStore::Slab {
-                    slab: SlabArena::from_parts(arena, occupied, free, gens),
-                }
-            }
-        };
+        }
+        let occupied = labels.iter().map(Option::is_some).collect();
+        let slab = SlabArena::from_parts(arena, occupied, free, gens);
         sections.finish()?;
         Ok(Self {
             m,
             k,
             stats,
-            store,
+            slab,
             labels,
             live,
             pruning,
@@ -583,6 +540,7 @@ impl IncrementalUcpc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::RefStream;
     use ucpc_uncertain::{UncertainObject, UnivariatePdf};
 
     fn obj(c: f64) -> UncertainObject {
@@ -592,36 +550,43 @@ mod tests {
         ])
     }
 
-    fn churned(backend: StreamBackend) -> IncrementalUcpc {
-        let mut inc = IncrementalUcpc::with_backend(2, 3, backend).unwrap();
-        inc.set_pruning(PruningConfig::Bounds);
+    /// An engine after a churn script with slot reuse, and the reference
+    /// model after the same script.
+    fn churned(pruning: PruningConfig) -> (IncrementalUcpc, RefStream) {
+        let mut inc = IncrementalUcpc::new(2, 3).unwrap();
+        let mut reference = RefStream::new(2, 3);
+        inc.set_pruning(pruning);
         let mut live = Vec::new();
         for i in 0..12 {
-            live.push(inc.insert(&obj((i % 4) as f64 * 3.0)).unwrap());
+            let o = obj((i % 4) as f64 * 3.0);
+            live.push(inc.insert(&o).unwrap());
+            reference.insert(&o).unwrap();
         }
-        inc.stabilize(4);
+        assert_eq!(inc.stabilize(4), reference.stabilize(4));
         for _ in 0..5 {
             let victim = live.remove(1);
             inc.remove(victim).unwrap();
+            reference.remove(victim).unwrap();
             live.push(inc.insert(&obj(1.5)).unwrap());
+            reference.insert(&obj(1.5)).unwrap();
         }
-        inc.stabilize(4);
-        inc
+        assert_eq!(inc.stabilize(4), reference.stabilize(4));
+        (inc, reference)
     }
 
     #[test]
     fn roundtrip_is_bit_identical() {
-        for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-            let inc = churned(backend);
+        for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
+            let (inc, reference) = churned(pruning);
             let bytes = inc.snapshot();
             let back = IncrementalUcpc::restore(&bytes).unwrap();
-            assert_eq!(back.backend(), backend);
-            assert_eq!(back.len(), inc.len());
-            assert_eq!(back.live_labels(), inc.live_labels());
+            assert_eq!(back.len(), reference.len());
+            assert_eq!(back.live_labels(), reference.live_labels());
+            assert_eq!(back.cluster_stats(), reference.cluster_stats());
             assert_eq!(
                 back.objective().to_bits(),
-                inc.objective().to_bits(),
-                "objective must round-trip bitwise ({backend:?})"
+                reference.objective().to_bits(),
+                "objective must round-trip bitwise ({pruning:?})"
             );
             // Chunk boundaries are fixed constants: snapshotting the
             // restored engine reproduces the exact bytes.
@@ -631,8 +596,8 @@ mod tests {
 
     #[test]
     fn v2_roundtrip_is_bit_identical_and_deterministic() {
-        for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-            let mut inc = churned(backend);
+        for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
+            let (mut inc, mut reference) = churned(pruning);
             let bytes = inc.snapshot();
             // Serializing the same engine twice yields the same bytes.
             assert_eq!(inc.snapshot(), bytes, "snapshot is deterministic");
@@ -641,13 +606,16 @@ mod tests {
             // The restored engine evolves exactly like the original.
             let a = inc.insert(&obj(2.25)).unwrap();
             let b = back.insert(&obj(2.25)).unwrap();
-            assert_eq!(a, b, "handle assignment survives restore ({backend:?})");
+            assert_eq!(a, b, "handle assignment survives restore ({pruning:?})");
+            assert_eq!(reference.insert(&obj(2.25)), Ok(a));
             inc.stabilize(4);
             back.stabilize(4);
+            reference.stabilize(4);
+            assert_eq!(back.live_labels(), reference.live_labels());
             assert_eq!(
                 back.objective().to_bits(),
-                inc.objective().to_bits(),
-                "objective stays bitwise equal after restore ({backend:?})"
+                reference.objective().to_bits(),
+                "objective stays bitwise equal after restore ({pruning:?})"
             );
             assert_eq!(back.snapshot(), inc.snapshot(), "states stay identical");
         }
@@ -656,7 +624,7 @@ mod tests {
     #[test]
     fn v2_streams_rows_in_bounded_chunks() {
         // Enough live objects to force several ROWS chunks.
-        let mut inc = IncrementalUcpc::with_backend(2, 3, StreamBackend::Slab).unwrap();
+        let mut inc = IncrementalUcpc::new(2, 3).unwrap();
         for i in 0..(2 * ROWS_PER_CHUNK + 17) {
             inc.insert(&obj((i % 5) as f64)).unwrap();
         }
@@ -668,7 +636,7 @@ mod tests {
 
     #[test]
     fn v2_write_snapshot_surfaces_sink_faults() {
-        let inc = churned(StreamBackend::Slab);
+        let inc = churned(PruningConfig::Bounds).0;
         let full = inc.snapshot().len();
         // ENOSPC at any offset is a checked error, never a panic.
         for limit in [0, 11, 12, 40, full - 1] {
@@ -683,7 +651,7 @@ mod tests {
 
     #[test]
     fn v2_rejects_flips_truncations_and_reordering() {
-        let inc = churned(StreamBackend::Slab);
+        let inc = churned(PruningConfig::Bounds).0;
         let bytes = inc.snapshot();
         // Any truncation fails checked.
         for cut in [12, 13, 40, bytes.len() / 2, bytes.len() - 1] {
@@ -710,14 +678,14 @@ mod tests {
 
     #[test]
     fn corrupt_inputs_are_rejected() {
-        let inc = churned(StreamBackend::Slab);
+        let inc = churned(PruningConfig::Bounds).0;
         let bytes = inc.snapshot();
         assert_eq!(
             IncrementalUcpc::restore(b"not a snapshot at all...").unwrap_err(),
             SnapshotError::BadMagic
         );
-        // Versions 1 and 2 are gone; any version but 3 is rejected.
-        for version in [1, 2, 99] {
+        // Versions 1 to 3 are gone; any version but 4 is rejected.
+        for version in [1, 2, 3, 99] {
             let mut other = bytes.clone();
             other[8] = version;
             assert_eq!(

@@ -900,7 +900,6 @@ pub fn recover(snapshot: &[u8], wal: &[u8]) -> Result<Recovery, WalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::incremental::StreamBackend;
     use ucpc_uncertain::{UncertainObject, UnivariatePdf};
 
     fn obj(c: f64) -> UncertainObject {
@@ -1085,7 +1084,7 @@ mod tests {
 
     #[test]
     fn recover_replays_snapshot_plus_log() {
-        let mut reference = IncrementalUcpc::with_backend(2, 2, StreamBackend::Slab).unwrap();
+        let mut reference = IncrementalUcpc::new(2, 2).unwrap();
         let mut handles = Vec::new();
         for c in [0.0, 0.5, 8.0] {
             handles.push(reference.insert(&obj(c)).unwrap());

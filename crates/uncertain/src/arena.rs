@@ -89,6 +89,18 @@ impl MomentView<'_> {
     pub fn dims(&self) -> usize {
         self.mu.len()
     }
+
+    /// Whether every moment entry and every precomputed scalar is finite.
+    /// A NaN or ±inf anywhere — including a finite `mu` whose square
+    /// overflows — would poison the cluster statistics it joins, so
+    /// streaming engines reject such arrivals before pricing them.
+    #[inline]
+    pub fn is_finite(&self) -> bool {
+        // A branch-free fold per row, so the check vectorizes.
+        let finite = |row: &[f64]| row.iter().fold(true, |ok, x| ok & x.is_finite());
+        let scalars = [self.sum_mu_sq, self.sum_mu2, self.sum_var, self.norm_mu];
+        finite(self.mu) & finite(self.mu2) & finite(self.var) & finite(&scalars)
+    }
 }
 
 /// Contiguous row-major SoA storage of the moments of `n` objects over `m`

@@ -1,10 +1,11 @@
 //! One shared warn-and-fall-back parser for every `UCPC_*` environment knob.
 //!
 //! The workspace reads its runtime knobs (`UCPC_SIMD`, `UCPC_PRUNING`,
-//! `UCPC_STREAMING`, `UCPC_THREADS`, `UCPC_PARALLEL`, `UCPC_BATCH`,
-//! `UCPC_STABILIZE`) from the environment, and every knob shares one
-//! failure policy: an **unset** knob silently takes the default, while a
-//! **set-but-invalid** value warns once on stderr — naming the knob, the
+//! `UCPC_THREADS`, `UCPC_BATCH`, `UCPC_STABILIZE`, `UCPC_WAL`,
+//! `UCPC_WAL_FSYNC`, `UCPC_SHARDS`, `UCPC_CHAOS_SEED`) from the
+//! environment, and every knob shares one failure policy: an **unset**
+//! knob silently takes the default, while a **set-but-invalid** value
+//! warns once on stderr — naming the knob, the
 //! rejected value and the accepted forms — and then falls back to the
 //! default. Historically `UCPC_SIMD` warned while the other knobs fell back
 //! silently, so a typo like `UCPC_PRUNING=bonds` silently benchmarked the

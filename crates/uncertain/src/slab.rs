@@ -69,9 +69,7 @@
 use crate::arena::{MomentArena, MomentView};
 use crate::moments::Moments;
 
-/// A generation-stamped handle to one object stored in a [`SlabArena`] (or
-/// in the incremental driver's reference backend, which mirrors the slab's
-/// slot discipline).
+/// A generation-stamped handle to one object stored in a [`SlabArena`].
 ///
 /// `slot` is the storage row; `gen` is the slot's generation counter at
 /// insertion time. The handle is valid exactly while the object it named

@@ -3,27 +3,30 @@
 //!
 //! Three pins:
 //!
-//! 1. **Cache/stat consistency** (seed regression): removing an object on
-//!    the reference `objects` backend mutates a cluster's statistics
-//!    outside the drift-tracked relocation path; if the prune cache
-//!    survived that edit, a stale bound could skip a scan whose outcome the
-//!    departed member changed. The reference backend therefore bumps its
-//!    cache epoch on every insert/remove.
-//! 2. **Backend equivalence**: the slab backend (free-list row reuse,
+//! 1. **Cache/stat consistency** (seed regression): a removal changes a
+//!    cluster's statistics between stabilization passes; a cached bound
+//!    that ignored it could skip a scan whose outcome the departed member
+//!    changed. The engine's tracked edits must keep every cached bound
+//!    sound.
+//! 2. **Reference equivalence**: the slab engine (free-list row reuse,
 //!    drift-tracked edits, surgical per-cluster invalidation) must be
-//!    *byte-identical* to the reference backend — labels, per-cluster
+//!    *byte-identical* to the per-object reference model `RefStream`
+//!    (`tests/support/reference.rs`) — handles, labels, per-cluster
 //!    statistics, objectives — across pruning configurations and SIMD
 //!    backends, under arbitrary interleavings with slot reuse. A proptest
-//!    drives random scripts through both backends and cross-checks the
-//!    maintained aggregates against a from-scratch rebuild after replay.
+//!    drives random scripts through both and cross-checks the maintained
+//!    aggregates against a from-scratch rebuild after replay.
 //! 3. **Aggregate integrity**: the maintained `ClusterStats` stay close to
 //!    a from-scratch rebuild after every step of a random interleaving.
+
+mod support;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use ucpc::core::incremental::{IncrementalUcpc, ObjectHandle, StreamBackend};
+use support::reference::RefStream;
+use ucpc::core::incremental::{IncrementalUcpc, ObjectHandle};
 use ucpc::core::objective::ClusterStats;
 use ucpc::core::PruningConfig;
 use ucpc::uncertain::simd::{self, Backend};
@@ -58,88 +61,83 @@ fn close(a: f64, b: f64) -> bool {
 
 #[test]
 fn aggregates_match_rebuild_after_interleaved_removals_and_passes() {
-    for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-        for seed in 0..3u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut live = IncrementalUcpc::with_backend(2, 3, backend).unwrap();
-            live.set_pruning(PruningConfig::Bounds);
-            let mut log: HashMap<ObjectHandle, UncertainObject> = HashMap::new();
-            let mut ids = Vec::new();
+    for seed in 0..3u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut live = IncrementalUcpc::new(2, 3).unwrap();
+        live.set_pruning(PruningConfig::Bounds);
+        let mut log: HashMap<ObjectHandle, UncertainObject> = HashMap::new();
+        let mut ids = Vec::new();
 
-            for step in 0..150 {
-                match rng.gen_range(0..10u8) {
-                    0..=5 => {
-                        let o = object(&mut rng);
-                        let h = live.insert(&o).unwrap();
-                        ids.push(h);
-                        log.insert(h, o);
-                    }
-                    6..=7 => {
-                        if !ids.is_empty() {
-                            // The picked handle may already be stale (its
-                            // slot possibly recycled); the checked error is
-                            // exactly the no-op the old bool API promised.
-                            let id = ids[rng.gen_range(0..ids.len())];
-                            let _ = live.remove(id);
-                        }
-                    }
-                    _ => {
-                        live.stabilize(rng.gen_range(1..4usize));
+        for step in 0..150 {
+            match rng.gen_range(0..10u8) {
+                0..=5 => {
+                    let o = object(&mut rng);
+                    let h = live.insert(&o).unwrap();
+                    ids.push(h);
+                    log.insert(h, o);
+                }
+                6..=7 => {
+                    if !ids.is_empty() {
+                        // The picked handle may already be stale (its
+                        // slot possibly recycled); the checked error is
+                        // exactly the no-op the old bool API promised.
+                        let id = ids[rng.gen_range(0..ids.len())];
+                        let _ = live.remove(id);
                     }
                 }
-
-                let rebuilt = rebuild(&live, &log);
-                for (c, (kept, fresh)) in live.cluster_stats().iter().zip(&rebuilt).enumerate() {
-                    assert_eq!(
-                        kept.size(),
-                        fresh.size(),
-                        "cluster {c} size at step {step} (seed {seed}, {})",
-                        backend.name()
-                    );
-                    assert!(
-                        close(kept.j(), fresh.j()),
-                        "cluster {c} J drifted from rebuild: {} vs {} \
-                         (step {step}, seed {seed}, {})",
-                        kept.j(),
-                        fresh.j(),
-                        backend.name()
-                    );
-                    for j in 0..kept.dims() {
-                        assert!(close(kept.psi()[j], fresh.psi()[j]), "psi[{j}]");
-                        assert!(close(kept.phi()[j], fresh.phi()[j]), "phi[{j}]");
-                        assert!(
-                            close(kept.mean_sum()[j], fresh.mean_sum()[j]),
-                            "mean_sum[{j}]"
-                        );
-                    }
+                _ => {
+                    live.stabilize(rng.gen_range(1..4usize));
                 }
-                let total: f64 = rebuilt.iter().map(ClusterStats::j).sum();
-                assert!(close(live.objective(), total), "total objective");
             }
+
+            let rebuilt = rebuild(&live, &log);
+            for (c, (kept, fresh)) in live.cluster_stats().iter().zip(&rebuilt).enumerate() {
+                assert_eq!(
+                    kept.size(),
+                    fresh.size(),
+                    "cluster {c} size at step {step} (seed {seed})"
+                );
+                assert!(
+                    close(kept.j(), fresh.j()),
+                    "cluster {c} J drifted from rebuild: {} vs {} \
+                     (step {step}, seed {seed})",
+                    kept.j(),
+                    fresh.j()
+                );
+                for j in 0..kept.dims() {
+                    assert!(close(kept.psi()[j], fresh.psi()[j]), "psi[{j}]");
+                    assert!(close(kept.phi()[j], fresh.phi()[j]), "phi[{j}]");
+                    assert!(
+                        close(kept.mean_sum()[j], fresh.mean_sum()[j]),
+                        "mean_sum[{j}]"
+                    );
+                }
+            }
+            let total: f64 = rebuilt.iter().map(ClusterStats::j).sum();
+            assert!(close(live.objective(), total), "total objective");
         }
     }
 }
 
 #[test]
 fn removal_then_stabilize_cannot_reuse_stale_bounds() {
-    // Craft the failure the reference backend's epoch bump prevents: warm
-    // the cache with a stabilization pass, then remove members so a
-    // previously-hopeless relocation becomes beneficial, and verify the
-    // next pass actually takes it (a stale "skip" would leave the partition
-    // frozen). Pinned to the `objects` backend, whose untracked edits make
-    // the global invalidation load-bearing; the slab backend survives the
-    // same script through drift-tracked edits and is pinned byte-identical
-    // to this path by the equivalence tests below.
-    let mut live = IncrementalUcpc::with_backend(1, 2, StreamBackend::Objects).unwrap();
+    // Warm the cache with a stabilization pass, then remove members so a
+    // previously-hopeless relocation may become beneficial, and verify the
+    // next pass rescans instead of skipping on stale bounds — and lands
+    // exactly where the cache-free reference model does.
+    let mut live = IncrementalUcpc::new(1, 2).unwrap();
     live.set_pruning(PruningConfig::Bounds);
+    let mut reference = RefStream::new(1, 2);
     let obj = |c: f64| UncertainObject::new(vec![UnivariatePdf::normal(c, 0.1)]);
 
     // Cluster layout after insertions + settle: {0.0, 0.2, 0.4} | {9.0, 9.2, 5.5}.
     let mut ids = Vec::new();
     for c in [0.0, 0.2, 0.4, 9.0, 9.2, 5.5] {
         ids.push(live.insert(&obj(c)).unwrap());
+        reference.insert(&obj(c)).unwrap();
     }
-    live.stabilize(10); // warm caches at the settled partition
+    // Warm caches at the settled partition.
+    assert_eq!(live.stabilize(10), reference.stabilize(10));
     let settled: Vec<(ObjectHandle, usize)> = live.live_labels();
     let right = settled
         .iter()
@@ -149,36 +147,26 @@ fn removal_then_stabilize_cannot_reuse_stale_bounds() {
 
     // Remove the two far-right anchors; 5.5 should now prefer whichever
     // side wins on the remaining data — recompute, don't trust the cache.
-    live.remove(ids[3]).unwrap();
-    live.remove(ids[4]).unwrap();
-    live.stabilize(10);
+    let decisions_before = live.pruning_counters().decisions();
+    for id in [ids[3], ids[4]] {
+        live.remove(id).unwrap();
+        reference.remove(id).unwrap();
+    }
+    assert_eq!(live.stabilize(10), reference.stabilize(10));
 
     let after = live.live_labels();
     let lone = after.iter().find(|&&(id, _)| id == ids[5]).unwrap().1;
     // With {0.0, 0.2, 0.4} on one side and only 5.5 left on the other, a
-    // singleton source is pinned by the k-preservation rule; the essential
-    // assertion is that the pass re-scanned (epoch bumped) instead of
-    // skipping on stale bounds — observable through the counters.
+    // singleton source is pinned by the k-preservation rule. The pass after
+    // the removals consulted the warm cache (so the check is not vacuous),
+    // and its outcome is the cache-free reference model's, bit for bit.
     let counters = live.pruning_counters();
     assert!(
-        counters.full_scans > 0,
-        "stabilize after removal must rescan, got {counters:?}"
+        counters.decisions() > decisions_before,
+        "stabilize after removal must consult the cache, got {counters:?}"
     );
     assert_eq!(lone, right, "handle bookkeeping survived the removals");
-
-    // And an unpruned twin replaying the same history agrees exactly.
-    let mut twin = IncrementalUcpc::with_backend(1, 2, StreamBackend::Objects).unwrap();
-    twin.set_pruning(PruningConfig::Off);
-    let mut twin_ids = Vec::new();
-    for c in [0.0, 0.2, 0.4, 9.0, 9.2, 5.5] {
-        twin_ids.push(twin.insert(&obj(c)).unwrap());
-    }
-    twin.stabilize(10);
-    twin.remove(twin_ids[3]).unwrap();
-    twin.remove(twin_ids[4]).unwrap();
-    twin.stabilize(10);
-    assert_eq!(live.live_labels(), twin.live_labels());
-    assert!((live.objective() - twin.objective()).abs() <= 1e-10);
+    assert_identical(&live, &reference, "removal then stabilize");
 }
 
 /// One scripted streaming session: the op stream every equivalence check
@@ -191,13 +179,22 @@ enum Op {
     Stabilize(usize),
 }
 
+/// Replays `script` on the engine and, in lockstep, on the reference
+/// model, asserting per step that both issue the same handle and apply
+/// the same number of relocations. With `global_invalidation` the engine
+/// drops its whole prune cache before every stabilization.
 fn replay(
-    backend: StreamBackend,
     pruning: PruningConfig,
     script: &[Op],
-) -> (IncrementalUcpc, HashMap<ObjectHandle, UncertainObject>) {
-    let mut live = IncrementalUcpc::with_backend(2, 3, backend).unwrap();
+    global_invalidation: bool,
+) -> (
+    IncrementalUcpc,
+    RefStream,
+    HashMap<ObjectHandle, UncertainObject>,
+) {
+    let mut live = IncrementalUcpc::new(2, 3).unwrap();
     live.set_pruning(pruning);
+    let mut reference = RefStream::new(2, 3);
     let mut ids: Vec<ObjectHandle> = Vec::new();
     let mut by_handle: HashMap<ObjectHandle, UncertainObject> = HashMap::new();
     for op in script {
@@ -208,6 +205,7 @@ fn replay(
                     UnivariatePdf::uniform_centered(-c * 0.5, s + 0.1),
                 ]);
                 let h = live.insert(&o).unwrap();
+                assert_eq!(reference.insert(&o), Ok(h), "handles diverged");
                 ids.push(h);
                 by_handle.insert(h, o);
             }
@@ -218,20 +216,25 @@ fn replay(
                     .filter(|&id| live.label_of(id).is_some())
                     .collect();
                 if !alive.is_empty() {
-                    live.remove(alive[r % alive.len()])
-                        .expect("picked handle is live");
+                    let h = alive[r % alive.len()];
+                    live.remove(h).expect("picked handle is live");
+                    reference.remove(h).expect("picked handle is live");
                 }
             }
             Op::Stabilize(p) => {
-                live.stabilize(p);
+                if global_invalidation {
+                    live.set_pruning(pruning);
+                }
+                assert_eq!(live.stabilize(p), reference.stabilize(p), "relocations");
             }
         }
     }
-    (live, by_handle)
+    (live, reference, by_handle)
 }
 
-/// Byte-level equality of two drivers' partitions and statistics.
-fn assert_identical(a: &IncrementalUcpc, b: &IncrementalUcpc, what: &str) {
+/// Byte-level equality of the engine's partition and statistics with the
+/// reference model's.
+fn assert_identical(a: &IncrementalUcpc, b: &RefStream, what: &str) {
     assert_eq!(a.live_labels(), b.live_labels(), "labels diverged: {what}");
     assert_eq!(
         a.cluster_stats(),
@@ -267,35 +270,25 @@ fn churn_script(seed: u64, steps: usize) -> Vec<Op> {
 
 #[test]
 fn slab_backend_is_byte_identical_to_objects_backend() {
-    // {objects, slab} × {pruning off, bounds} × {scalar, detected SIMD}:
-    // every configuration must produce the same labels, bit-identical
-    // per-cluster statistics and objective. The SIMD dimension is trivial
+    // The slab engine against the per-object reference model (the former
+    // `objects` backend), × {pruning off, bounds} × {scalar, detected
+    // SIMD}: every configuration must produce the reference's labels,
+    // bit-identical per-cluster statistics and objective, and the same
+    // result as every other configuration. The SIMD dimension is trivial
     // by the backend bit-identity contract, but asserting it end to end
     // here pins the whole streaming path, slot reuse included.
     let restore = simd::active_backend();
     for seed in 0..4u64 {
         let script = churn_script(seed, 120);
-        let mut reference: Option<IncrementalUcpc> = None;
+        let mut first: Option<RefStream> = None;
         for simd_backend in [Backend::Scalar, Backend::detect()] {
             simd::force_backend(simd_backend).expect("backend available");
             for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
-                for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-                    let (run, _) = replay(backend, pruning, &script);
-                    if let Some(r) = &reference {
-                        assert_identical(
-                            r,
-                            &run,
-                            &format!(
-                                "seed {seed}, {} / {:?} / {}",
-                                backend.name(),
-                                pruning,
-                                simd_backend.name()
-                            ),
-                        );
-                    } else {
-                        reference = Some(run);
-                    }
-                }
+                let what = format!("seed {seed}, {:?} / {}", pruning, simd_backend.name());
+                let (run, reference, _) = replay(pruning, &script, false);
+                assert_identical(&run, &reference, &what);
+                let first = first.get_or_insert(reference);
+                assert_identical(&run, first, &format!("{what} vs first configuration"));
             }
         }
     }
@@ -304,10 +297,10 @@ fn slab_backend_is_byte_identical_to_objects_backend() {
 
 #[test]
 fn stale_handle_errors_are_identical_across_backends() {
-    // Satellite regression: the reference backend used to silently no-op a
-    // remove of an already-removed id. Both backends must now return the
-    // identical checked error — for a double remove and for a handle whose
-    // slot has been recycled to a later arrival.
+    // Satellite regression: a remove of an already-removed id used to be a
+    // silent no-op. The engine must return the reference model's checked
+    // error — for a double remove and for a handle whose slot has been
+    // recycled to a later arrival.
     use ucpc::core::ClusterError;
     let obj = |c: f64| {
         UncertainObject::new(vec![
@@ -315,47 +308,47 @@ fn stale_handle_errors_are_identical_across_backends() {
             UnivariatePdf::uniform_centered(c, 0.5),
         ])
     };
-    let mut errors: Vec<Vec<ClusterError>> = Vec::new();
-    for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-        let mut live = IncrementalUcpc::with_backend(2, 2, backend).unwrap();
-        let a = live.insert(&obj(0.0)).unwrap();
-        let b = live.insert(&obj(9.0)).unwrap();
-        live.remove(a).unwrap();
-        let double = live.remove(a).expect_err("double remove is an error");
-        // Recycle a's slot; the old handle must still be stale.
-        let c = live.insert(&obj(0.5)).unwrap();
-        assert_eq!(c.slot(), a.slot(), "slot recycled ({})", backend.name());
-        let recycled = live.remove(a).expect_err("recycled slot is stale");
-        assert!(matches!(double, ClusterError::StaleHandle { .. }));
-        assert_eq!(live.label_of(a), None);
-        assert!(live.label_of(b).is_some() && live.label_of(c).is_some());
-        assert_eq!(live.len(), 2, "stale removes must not change state");
-        errors.push(vec![double, recycled]);
-    }
-    assert_eq!(
-        errors[0], errors[1],
-        "backends must report identical stale-handle errors"
-    );
+    let mut live = IncrementalUcpc::new(2, 2).unwrap();
+    let mut reference = RefStream::new(2, 2);
+    let a = live.insert(&obj(0.0)).unwrap();
+    let b = live.insert(&obj(9.0)).unwrap();
+    reference.insert(&obj(0.0)).unwrap();
+    reference.insert(&obj(9.0)).unwrap();
+    live.remove(a).unwrap();
+    reference.remove(a).unwrap();
+    let double = live.remove(a).expect_err("double remove is an error");
+    assert_eq!(reference.remove(a), Err(double.clone()));
+    // Recycle a's slot; the old handle must still be stale.
+    let c = live.insert(&obj(0.5)).unwrap();
+    assert_eq!(reference.insert(&obj(0.5)), Ok(c));
+    assert_eq!(c.slot(), a.slot(), "slot recycled");
+    let recycled = live.remove(a).expect_err("recycled slot is stale");
+    assert_eq!(reference.remove(a), Err(recycled));
+    assert!(matches!(double, ClusterError::StaleHandle { .. }));
+    assert_eq!(live.label_of(a), None);
+    assert!(live.label_of(b).is_some() && live.label_of(c).is_some());
+    assert_eq!(live.len(), 2, "stale removes must not change state");
+    assert_identical(&live, &reference, "after stale removes");
 }
 
 #[test]
 fn surgical_invalidation_skips_more_than_epoch_bumps() {
-    // The whole point of the tracked-edit path: after edits, the slab
-    // backend's cached bounds survive (widened), while the reference
-    // backend rescans everything. Same script, same labels — strictly
-    // better hit rate.
+    // The whole point of the tracked-edit path: after edits, cached bounds
+    // survive (widened). The same script replayed with the whole cache
+    // dropped before every stabilization — a global invalidation per edit
+    // batch — must reach the same labels and statistics with a strictly
+    // lower hit rate.
     let script = churn_script(99, 200);
-    let (objects, _) = replay(StreamBackend::Objects, PruningConfig::Bounds, &script);
-    let (slab, _) = replay(StreamBackend::Slab, PruningConfig::Bounds, &script);
-    assert_identical(&objects, &slab, "hit-rate comparison script");
-    let co = objects.pruning_counters();
-    let cs = slab.pruning_counters();
+    let (tracked, reference, _) = replay(PruningConfig::Bounds, &script, false);
+    let (global, _, _) = replay(PruningConfig::Bounds, &script, true);
+    assert_identical(&tracked, &reference, "tracked run");
+    assert_identical(&global, &reference, "globally invalidated run");
+    let ct = tracked.pruning_counters();
+    let cg = global.pruning_counters();
     assert!(
-        cs.skip_rate() > co.skip_rate(),
+        ct.skip_rate() > cg.skip_rate(),
         "surgical invalidation must raise the cache hit-rate: \
-         slab {:?} vs objects {:?}",
-        cs,
-        co
+         tracked {ct:?} vs global {cg:?}"
     );
 }
 
@@ -363,8 +356,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Free-list churn property: random interleavings of
-    /// insert/remove/stabilize — with slot reuse on the slab side — keep
-    /// the two backends byte-identical and the maintained aggregates
+    /// insert/remove/stabilize — with slot reuse — keep the engine
+    /// byte-identical to the reference model and the maintained aggregates
     /// consistent with a from-scratch rebuild.
     #[test]
     fn random_churn_scripts_keep_backends_identical(
@@ -374,13 +367,12 @@ proptest! {
     ) {
         let script = churn_script(seed, steps);
         let pruning = if pruned == 1 { PruningConfig::Bounds } else { PruningConfig::Off };
-        let (objects, _) = replay(StreamBackend::Objects, pruning, &script);
-        let (slab, by_handle) = replay(StreamBackend::Slab, pruning, &script);
+        let (slab, reference, by_handle) = replay(pruning, &script, false);
 
-        prop_assert_eq!(objects.live_labels(), slab.live_labels());
-        prop_assert_eq!(objects.cluster_stats(), slab.cluster_stats());
+        prop_assert_eq!(reference.live_labels(), slab.live_labels());
+        prop_assert_eq!(reference.cluster_stats(), slab.cluster_stats());
         prop_assert_eq!(
-            objects.objective().to_bits(),
+            reference.objective().to_bits(),
             slab.objective().to_bits()
         );
 

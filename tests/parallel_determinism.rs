@@ -1,22 +1,26 @@
 //! Scheduler-determinism gate for the parallel relocation engine: for a
-//! fixed dataset, seed and initial partition, `ParallelUcpc` must produce
-//! **byte-identical** labels across
+//! fixed dataset, seed and initial partition, `ParallelUcpc` (work-stealing
+//! shards over snapshot-free versioned statistics) must produce
+//! **byte-identical** labels, pass counts and applied relocations across
 //!
 //! * thread counts 1 / 2 / 4 / 8,
-//! * the `even` (static chunks + snapshot clone) and `steal`
-//!   (work-stealing shards + snapshot-free versioned stats) backends,
 //! * candidate pruning off and on, and
 //! * the scalar and the machine's detected SIMD dot-product backend,
 //!
-//! all against **one** shared reference per dataset — so any pairwise
-//! combination of the four axes is pinned, not just neighbors. SIMD forcing
+//! all against **one** shared reference per dataset: the single-threaded
+//! model `ref_parallel` (`tests/support/reference.rs`), which proposes
+//! against a pass-start clone and re-prices every proposal — so any
+//! pairwise combination of the axes is pinned, not just neighbors. SIMD forcing
 //! is process-global, but the backends are bit-identical by construction
 //! (see `ucpc_uncertain::simd`), so concurrently running tests cannot be
 //! perturbed by it.
 
+mod support;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ucpc::core::parallel::{ParallelBackend, ParallelUcpc};
+use support::reference::ref_parallel;
+use ucpc::core::parallel::ParallelUcpc;
 use ucpc::core::restarts::BestOfRestarts;
 use ucpc::core::{PruningConfig, Ucpc};
 use ucpc::uncertain::simd::{self, Backend};
@@ -69,33 +73,26 @@ fn labels_are_identical_across_threads_backends_pruning_and_simd() {
             let data = dataset(n, m, seed);
             let arena = MomentArena::from_objects(&data);
             let init = random_labels(n, k, seed + 31);
-            let mut reference: Option<(Vec<usize>, usize, usize)> = None;
+            let (labels, iterations, applied, _) =
+                ref_parallel(&ParallelUcpc::default(), &arena, k, init.clone());
+            let want = (labels, iterations, applied);
             for simd_backend in [Backend::Scalar, Backend::detect()] {
                 simd::force_backend(simd_backend).expect("backend available");
                 for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
-                    for backend in [ParallelBackend::Even, ParallelBackend::Steal] {
-                        for threads in [1usize, 2, 4, 8] {
-                            let r = ParallelUcpc {
-                                threads,
-                                backend,
-                                pruning,
-                                ..ParallelUcpc::default()
-                            }
-                            .run_on_arena(&arena, k, init.clone())
-                            .unwrap();
-                            let got = (r.clustering.labels().to_vec(), r.iterations, r.applied);
-                            match &reference {
-                                Some(want) => assert_eq!(
-                                    want,
-                                    &got,
-                                    "diverged: n={n} m={m} k={k} seed={seed} \
-                                     {threads} threads, {} backend, {pruning:?}, \
-                                     simd {simd_backend:?}",
-                                    backend.name()
-                                ),
-                                None => reference = Some(got),
-                            }
+                    for threads in [1usize, 2, 4, 8] {
+                        let r = ParallelUcpc {
+                            threads,
+                            pruning,
+                            ..ParallelUcpc::default()
                         }
+                        .run_on_arena(&arena, k, init.clone())
+                        .unwrap();
+                        let got = (r.clustering.labels().to_vec(), r.iterations, r.applied);
+                        assert_eq!(
+                            want, got,
+                            "diverged: n={n} m={m} k={k} seed={seed} \
+                             {threads} threads, {pruning:?}, simd {simd_backend:?}"
+                        );
                     }
                 }
             }

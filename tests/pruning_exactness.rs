@@ -6,13 +6,16 @@
 //! Pruning is configured explicitly on both arms so the suite is immune to
 //! the `UCPC_PRUNING` environment knob the CI matrix flips.
 
+mod support;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use support::reference::ref_parallel;
 use ucpc::core::incremental::IncrementalUcpc;
-use ucpc::core::parallel::{ParallelBackend, ParallelUcpc};
+use ucpc::core::parallel::ParallelUcpc;
 use ucpc::core::restarts::BestOfRestarts;
-use ucpc::core::{PruningConfig, Ucpc};
-use ucpc::uncertain::{UncertainObject, UnivariatePdf};
+use ucpc::core::{Initializer, PruningConfig, Ucpc};
+use ucpc::uncertain::{MomentArena, UncertainObject, UnivariatePdf};
 
 /// Mixed-family random dataset; with `duplicates`, every third object is a
 /// clone of the first (ties must break identically in both arms).
@@ -134,34 +137,46 @@ fn ucpc_pruning_actually_fires_on_clustered_data() {
 fn parallel_ucpc_pruned_matches_unpruned() {
     for (gi, &(n, m, k)) in GRID.iter().enumerate() {
         for seed in 0..2u64 {
-            for backend in [ParallelBackend::Even, ParallelBackend::Steal] {
-                let seed = seed + 10 * gi as u64;
-                let data = dataset(n, m, seed, gi % 2 == 0);
-                let run = |pruning| {
-                    let mut rng = StdRng::seed_from_u64(seed + 1);
-                    ParallelUcpc {
-                        threads: 3,
-                        backend,
-                        pruning,
-                        ..ParallelUcpc::default()
-                    }
-                    .run(&data, k, &mut rng)
-                    .unwrap()
-                };
-                let off = run(PruningConfig::Off);
-                let on = run(PruningConfig::Bounds);
-                assert_eq!(
-                    off.clustering.labels(),
-                    on.clustering.labels(),
-                    "parallel labels diverged: n={n} m={m} k={k} seed={seed} \
-                     backend={}",
-                    backend.name()
-                );
-                assert_eq!(off.iterations, on.iterations);
-                assert_eq!(off.applied, on.applied);
-                assert_eq!(off.rejected, on.rejected);
-                assert!(objectives_match(off.objective, on.objective));
-            }
+            let seed = seed + 10 * gi as u64;
+            let data = dataset(n, m, seed, gi % 2 == 0);
+            let run = |pruning| {
+                let mut rng = StdRng::seed_from_u64(seed + 1);
+                ParallelUcpc {
+                    threads: 3,
+                    pruning,
+                    ..ParallelUcpc::default()
+                }
+                .run(&data, k, &mut rng)
+                .unwrap()
+            };
+            let off = run(PruningConfig::Off);
+            let on = run(PruningConfig::Bounds);
+            assert_eq!(
+                off.clustering.labels(),
+                on.clustering.labels(),
+                "parallel labels diverged: n={n} m={m} k={k} seed={seed}"
+            );
+            assert_eq!(off.iterations, on.iterations);
+            assert_eq!(off.applied, on.applied);
+            assert_eq!(off.rejected, on.rejected);
+            assert!(objectives_match(off.objective, on.objective));
+            // Both match the single-threaded reference model.
+            let init = Initializer::RandomPartition.initial_partition(
+                &data,
+                k,
+                &mut StdRng::seed_from_u64(seed + 1),
+            );
+            let (labels, iterations, applied, rejected) = ref_parallel(
+                &ParallelUcpc::default(),
+                &MomentArena::from_objects(&data),
+                k,
+                init,
+            );
+            assert_eq!(on.clustering.labels(), &labels[..]);
+            assert_eq!(
+                (on.iterations, on.applied, on.rejected),
+                (iterations, applied, rejected)
+            );
         }
     }
 }

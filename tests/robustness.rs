@@ -7,9 +7,12 @@ use ucpc::baselines::{FdbScan, Foptics, MmVar, Uahc, UkMeans, UkMedoids};
 use ucpc::core::framework::UncertainClusterer;
 use ucpc::core::incremental::IncrementalUcpc;
 use ucpc::core::parallel::ParallelUcpc;
-use ucpc::core::{ServingConfig, ServingError, ServingResponse, ServingUcpc, ShardedUcpc, Ucpc};
+use ucpc::core::{
+    recover, ClusterError, ServingConfig, ServingError, ServingResponse, ServingUcpc, ShardedUcpc,
+    SharedVecIo, Ucpc, WalError, WalFsync, WalWriter,
+};
 use ucpc::eval::quality;
-use ucpc::uncertain::{UncertainObject, UnivariatePdf};
+use ucpc::uncertain::{Moments, UncertainObject, UnivariatePdf};
 
 fn algorithms() -> Vec<Box<dyn UncertainClusterer>> {
     vec![
@@ -247,4 +250,81 @@ fn high_dimensional_objects() {
         })
         .collect();
     run_all(&data, 2);
+}
+
+/// Arrivals carrying NaN, ±inf, or a finite `mu = 1e200` whose square
+/// overflows, in the second of two dimensions.
+fn poisoned_arrivals() -> Vec<Moments> {
+    [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e200]
+        .into_iter()
+        .map(|x| Moments::from_mu_mu2(vec![1.0, x], vec![2.0, x * x + 1.0]))
+        .collect()
+}
+
+#[test]
+fn non_finite_arrivals_are_rejected_at_admission() {
+    let clean = |i: usize| point(&[i as f64, -(i as f64)]);
+
+    // Streaming engine: checked error, state unchanged.
+    let mut engine = IncrementalUcpc::new(2, 2).unwrap();
+    for i in 0..6 {
+        engine.insert(&clean(i)).unwrap();
+    }
+    let before = engine.snapshot();
+    for mo in poisoned_arrivals() {
+        assert_eq!(engine.insert_moments(&mo), Err(ClusterError::NonFinite));
+        assert_eq!(engine.snapshot(), before, "rejected arrival changed state");
+    }
+
+    // Sharded engine: checked error before any round starts.
+    let mut sharded = ShardedUcpc::new(2, 2, 2).unwrap();
+    for i in 0..6 {
+        sharded.insert(&clean(i)).unwrap();
+    }
+    let (labels, rounds) = (sharded.live_labels(), sharded.committed_rounds());
+    let stats = sharded.cluster_stats().to_vec();
+    for mo in poisoned_arrivals() {
+        assert_eq!(sharded.insert_moments(&mo), Err(ClusterError::NonFinite));
+        assert_eq!(sharded.live_labels(), labels);
+        assert_eq!(sharded.committed_rounds(), rounds, "no round was started");
+        assert_eq!(sharded.cluster_stats(), &stats[..]);
+    }
+
+    // Serving layer: queries and commits are refused before staging, so
+    // the queue, the WAL and the engine never see them, and the next
+    // flush runs clean.
+    let mut serving = ServingUcpc::over(engine, ServingConfig::default());
+    let sink = SharedVecIo::new();
+    serving.attach_wal(sink.clone()).unwrap();
+    serving.submit_commit_object(&clean(9)).unwrap();
+    let (queued, logged) = (serving.pending_len(), sink.bytes());
+    for mo in poisoned_arrivals() {
+        assert_eq!(serving.submit_commit(&mo), Err(ServingError::NonFinite));
+        assert_eq!(serving.submit_query(&mo), Err(ServingError::NonFinite));
+        assert_eq!(serving.pending_len(), queued);
+        assert_eq!(sink.bytes(), logged);
+    }
+    serving.flush();
+    assert!(serving.engine().objective().is_finite());
+    assert_eq!(serving.engine().len(), 7);
+}
+
+#[test]
+fn a_logged_non_finite_commit_fails_recovery_instead_of_restoring_nan() {
+    // A log written by another tool (or a build without the admission
+    // check) can still hold a poison commit; replay goes through the same
+    // checked insert, so recovery refuses it.
+    let engine = IncrementalUcpc::new(2, 2).unwrap();
+    let checkpoint = engine.snapshot();
+    for mo in poisoned_arrivals() {
+        let sink = SharedVecIo::new();
+        let mut wal = WalWriter::create(sink.clone(), 2, WalFsync::Off).unwrap();
+        wal.log_commit(&[0.0, 1.0], &[1.0, 2.0]).unwrap();
+        wal.log_commit(mo.mu(), mo.mu2()).unwrap();
+        match recover(&checkpoint, &sink.bytes()) {
+            Err(WalError::Replay(ClusterError::NonFinite)) => {}
+            Err(other) => panic!("wrong error: {other}"),
+            Ok(rec) => panic!("recovered objective {}", rec.engine.objective()),
+        }
+    }
 }

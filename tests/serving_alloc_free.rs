@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use ucpc::core::incremental::{IncrementalUcpc, ObjectHandle, StreamBackend};
+use ucpc::core::incremental::{IncrementalUcpc, ObjectHandle};
 use ucpc::core::serving::{ServingConfig, ServingResponse, ServingUcpc};
 use ucpc::core::PruningConfig;
 use ucpc::uncertain::{Moments, UncertainObject, UnivariatePdf};
@@ -68,7 +68,7 @@ fn steady_state_serving_allocates_nothing() {
     let per_attempt = churn / 5;
     let payloads: Vec<Moments> = (0..n + 6 * per_attempt).map(mk).collect();
 
-    let mut engine = IncrementalUcpc::with_backend(m, k, StreamBackend::Slab).unwrap();
+    let mut engine = IncrementalUcpc::new(m, k).unwrap();
     engine.set_pruning(PruningConfig::Off);
     let mut serving = ServingUcpc::over(
         engine,

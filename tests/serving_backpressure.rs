@@ -7,7 +7,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ucpc::core::incremental::StreamBackend;
 use ucpc::core::serving::{ServingConfig, ServingError, ServingResponse, ServingUcpc};
 use ucpc::uncertain::{Moments, UncertainObject, UnivariatePdf};
 
@@ -38,7 +37,7 @@ fn config(batch: usize, queue_capacity: usize) -> ServingConfig {
 }
 
 fn serving(batch: usize, queue_capacity: usize) -> ServingUcpc {
-    ServingUcpc::with_backend(M, K, StreamBackend::Slab, config(batch, queue_capacity)).unwrap()
+    ServingUcpc::new(M, K, config(batch, queue_capacity)).unwrap()
 }
 
 #[test]

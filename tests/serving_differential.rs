@@ -1,20 +1,24 @@
 //! Differential serving harness: random request scripts — placement
 //! queries, commits, removals, stabilizations — replayed through the
 //! batched [`ServingUcpc`] front door at batch sizes {1, 3, 16, 64} must
-//! produce *bitwise* the answers and engine state of a serial
-//! [`IncrementalUcpc`] replay of the same requests, across storage backends
-//! × pruning × SIMD backends, and at both kernel regimes (short rows and
-//! the dot3-batched `m ≥ DISPATCH_THRESHOLD` path).
+//! produce *bitwise* the answers and engine state of a serial replay of
+//! the same requests on the per-object reference model `RefStream`
+//! (`tests/support/reference.rs`), across pruning × SIMD backends, and at
+//! both kernel regimes (short rows and the dot3-batched
+//! `m ≥ DISPATCH_THRESHOLD` path).
 //!
 //! The serial reference computes every expected placement answer with its
 //! own independent implementation (per-cluster `delta_j_add` + a stable
 //! sort), so agreement pins the serving layer's batched pricing, dirty-
 //! cluster merging, top-k selection and margin — not just the argmin.
 
+mod support;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ucpc::core::incremental::{IncrementalUcpc, ObjectHandle, StreamBackend};
+use support::reference::RefStream;
+use ucpc::core::incremental::{IncrementalUcpc, ObjectHandle};
 use ucpc::core::objective::ClusterStats;
 use ucpc::core::serving::{PlacementAnswer, ServingConfig, ServingResponse, ServingUcpc};
 use ucpc::core::{ClusterError, PruningConfig};
@@ -94,17 +98,11 @@ enum Expected {
     Stabilized(usize),
 }
 
-/// Serial reference replay: one engine, one op at a time, stabilizing
-/// after every `STABILIZE_EVERY`-th commit exactly like the serving
-/// layer's cadence.
-fn replay_serial(
-    backend: StreamBackend,
-    pruning: PruningConfig,
-    ops: &[Op],
-    m: usize,
-) -> (IncrementalUcpc, Vec<Expected>) {
-    let mut engine = IncrementalUcpc::with_backend(m, K, backend).unwrap();
-    engine.set_pruning(pruning);
+/// Serial reference replay: the reference model, one op at a time,
+/// stabilizing after every `STABILIZE_EVERY`-th commit exactly like the
+/// serving layer's cadence.
+fn replay_serial(ops: &[Op], m: usize) -> (RefStream, Vec<Expected>) {
+    let mut engine = RefStream::new(m, K);
     let mut ids: Vec<ObjectHandle> = Vec::new();
     let mut commits = 0usize;
     let mut expected = Vec::new();
@@ -153,13 +151,12 @@ fn replay_serial(
 /// address handles it has already received (and the drain keeps the
 /// handle list — and hence the removal target — aligned with serial).
 fn replay_serving(
-    backend: StreamBackend,
     pruning: PruningConfig,
     ops: &[Op],
     m: usize,
     batch: usize,
 ) -> (ServingUcpc, Vec<ServingResponse>) {
-    let mut engine = IncrementalUcpc::with_backend(m, K, backend).unwrap();
+    let mut engine = IncrementalUcpc::new(m, K).unwrap();
     engine.set_pruning(pruning);
     let cfg = ServingConfig {
         batch,
@@ -239,7 +236,7 @@ fn assert_answer(got: &PlacementAnswer, ranked: &[(usize, f64)], margin: f64, wh
 fn assert_equivalent(
     serving: &ServingUcpc,
     log: &[ServingResponse],
-    serial: &IncrementalUcpc,
+    serial: &RefStream,
     expected: &[Expected],
     what: &str,
 ) {
@@ -286,33 +283,30 @@ fn assert_equivalent(
 
 #[test]
 fn serving_is_bit_identical_to_serial_across_the_full_matrix() {
-    // batch {1,3,16,64} × {objects,slab} × {off,bounds} × {scalar,detected
-    // SIMD}, at m = 16 — the dot3-batched pricing regime, where the
-    // arrival-blocked kernel and the serial cluster-triple scan must still
-    // agree bit for bit.
+    // batch {1,3,16,64} × {off,bounds} × {scalar,detected SIMD}, at
+    // m = 16 — the dot3-batched pricing regime, where the arrival-blocked
+    // kernel and the serial cluster-triple scan must still agree bit for
+    // bit.
     let restore = simd::active_backend();
     for seed in 0..2u64 {
         let ops = script(seed, 70, 16);
         for simd_backend in [Backend::Scalar, Backend::detect()] {
             simd::force_backend(simd_backend).expect("backend available");
+            let (serial, expected) = replay_serial(&ops, 16);
             for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
-                for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-                    let (serial, expected) = replay_serial(backend, pruning, &ops, 16);
-                    for batch in BATCH_SIZES {
-                        let (serving, log) = replay_serving(backend, pruning, &ops, 16, batch);
-                        assert_equivalent(
-                            &serving,
-                            &log,
-                            &serial,
-                            &expected,
-                            &format!(
-                                "seed {seed}, batch {batch}, {} / {:?} / {}",
-                                backend.name(),
-                                pruning,
-                                simd_backend.name()
-                            ),
-                        );
-                    }
+                for batch in BATCH_SIZES {
+                    let (serving, log) = replay_serving(pruning, &ops, 16, batch);
+                    assert_equivalent(
+                        &serving,
+                        &log,
+                        &serial,
+                        &expected,
+                        &format!(
+                            "seed {seed}, batch {batch}, {:?} / {}",
+                            pruning,
+                            simd_backend.name()
+                        ),
+                    );
                 }
             }
         }
@@ -323,19 +317,19 @@ fn serving_is_bit_identical_to_serial_across_the_full_matrix() {
 #[test]
 fn serving_is_bit_identical_on_short_rows() {
     // m = 2 stays below DISPATCH_THRESHOLD: pricing takes the per-cluster
-    // delta_j_add regime. Slab × both prunings × all batch sizes.
+    // delta_j_add regime. Both prunings × all batch sizes.
     for seed in 0..3u64 {
         let ops = script(seed + 100, 90, 2);
+        let (serial, expected) = replay_serial(&ops, 2);
         for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
-            let (serial, expected) = replay_serial(StreamBackend::Slab, pruning, &ops, 2);
             for batch in BATCH_SIZES {
-                let (serving, log) = replay_serving(StreamBackend::Slab, pruning, &ops, 2, batch);
+                let (serving, log) = replay_serving(pruning, &ops, 2, batch);
                 assert_equivalent(
                     &serving,
                     &log,
                     &serial,
                     &expected,
-                    &format!("seed {seed}, batch {batch}, slab / {pruning:?} / short rows"),
+                    &format!("seed {seed}, batch {batch}, {pruning:?} / short rows"),
                 );
             }
         }
@@ -346,8 +340,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Property form: arbitrary scripts and batch sizes keep the serving
-    /// layer bit-identical to serial on the slab backend (the production
-    /// configuration), pruning on and off.
+    /// layer bit-identical to the serial reference replay, pruning on and
+    /// off.
     #[test]
     fn random_scripts_serve_bit_identically(
         seed in 0u64..1_000_000,
@@ -359,9 +353,9 @@ proptest! {
         let m = if wide == 1 { 16 } else { 2 };
         let ops = script(seed, steps, m);
         let pruning = if pruned == 1 { PruningConfig::Bounds } else { PruningConfig::Off };
-        let (serial, expected) = replay_serial(StreamBackend::Slab, pruning, &ops, m);
+        let (serial, expected) = replay_serial(&ops, m);
         let batch = BATCH_SIZES[batch_idx];
-        let (serving, log) = replay_serving(StreamBackend::Slab, pruning, &ops, m, batch);
+        let (serving, log) = replay_serving(pruning, &ops, m, batch);
         assert_equivalent(
             &serving,
             &log,

@@ -7,7 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ucpc::core::incremental::{IncrementalUcpc, StreamBackend};
+use ucpc::core::incremental::IncrementalUcpc;
 use ucpc::core::pruning::{best_insertion, best_insertion_bounded, fp_scale};
 use ucpc::core::serving::{
     PlacementAnswer, ServingConfig, ServingResponse, ServingUcpc, MAX_TOP_K,
@@ -54,7 +54,7 @@ fn ranking_length_clamps_to_the_live_cluster_count() {
     // top_k = MAX_TOP_K (8) against k = 3 clusters: the answer holds every
     // cluster once, no padding.
     let mut rng = StdRng::seed_from_u64(1);
-    let engine = IncrementalUcpc::with_backend(4, 3, StreamBackend::Slab).unwrap();
+    let engine = IncrementalUcpc::new(4, 3).unwrap();
     let mut serving = ServingUcpc::over(engine, config(MAX_TOP_K));
     for c in 0..6 {
         let mo = arrival_at(&mut rng, 4, (c % 3) as f64 * 10.0);
@@ -78,7 +78,7 @@ fn ties_in_delta_j_keep_the_lower_cluster_index() {
     // the serial scan's strict-less, first-index-wins rule — with a zero
     // margin.
     let mut rng = StdRng::seed_from_u64(2);
-    let engine = IncrementalUcpc::with_backend(4, 4, StreamBackend::Slab).unwrap();
+    let engine = IncrementalUcpc::new(4, 4).unwrap();
     let mut serving = ServingUcpc::over(engine, config(MAX_TOP_K));
     let probe = arrival_at(&mut rng, 4, 1.0);
     let a = query(&mut serving, &probe);
@@ -99,7 +99,7 @@ fn ties_in_delta_j_keep_the_lower_cluster_index() {
 #[test]
 fn single_cluster_margin_is_infinite() {
     let mut rng = StdRng::seed_from_u64(3);
-    let engine = IncrementalUcpc::with_backend(4, 1, StreamBackend::Slab).unwrap();
+    let engine = IncrementalUcpc::new(4, 1).unwrap();
     let mut serving = ServingUcpc::over(engine, config(MAX_TOP_K));
     let mo = arrival_at(&mut rng, 4, 0.0);
     serving.submit_commit(&mo).unwrap();
@@ -125,7 +125,7 @@ fn bounded_placement_agrees_with_the_full_scan_ranking_head() {
     let m = 16;
     let k = 6;
     let mut rng = StdRng::seed_from_u64(4);
-    let mut engine = IncrementalUcpc::with_backend(m, k, StreamBackend::Slab).unwrap();
+    let mut engine = IncrementalUcpc::new(m, k).unwrap();
     engine.set_pruning(PruningConfig::Bounds);
     for i in 0..120 {
         let mo = arrival_at(&mut rng, m, (i % k) as f64 * 40.0);

@@ -8,23 +8,29 @@
 //! *detected*: magic/version checks over the 12-byte head, CRC-32 over
 //! every chunk.
 
+mod support;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
+use support::reference::RefStream;
 use ucpc::core::codec::crc32;
-use ucpc::core::incremental::{IncrementalUcpc, StreamBackend};
+use ucpc::core::incremental::IncrementalUcpc;
 use ucpc::core::{PruningConfig, SnapshotError};
 use ucpc::uncertain::{UncertainObject, UnivariatePdf};
 
-/// Valid victim snapshots, one per backend, built once.
+/// Valid victim snapshots, one per pruning configuration, built once.
+/// Each victim's engine is checked against the reference model first, so
+/// the fuzz starts from a state known to be right.
 fn victims() -> &'static Vec<Vec<u8>> {
     static VICTIMS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
     VICTIMS.get_or_init(|| {
         let mut out = Vec::new();
-        for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-            let mut engine = IncrementalUcpc::with_backend(2, 3, backend).unwrap();
-            engine.set_pruning(PruningConfig::Bounds);
+        for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
+            let mut engine = IncrementalUcpc::new(2, 3).unwrap();
+            engine.set_pruning(pruning);
+            let mut reference = RefStream::new(2, 3);
             let mut rng = StdRng::seed_from_u64(5);
             let mut handles = Vec::new();
             for _ in 0..40 {
@@ -33,12 +39,18 @@ fn victims() -> &'static Vec<Vec<u8>> {
                     UnivariatePdf::uniform_centered(rng.gen_range(-3.0..3.0), 0.5),
                 ]);
                 handles.push(engine.insert(&o).unwrap());
+                reference.insert(&o).unwrap();
             }
             for i in [3, 11, 26] {
                 engine.remove(handles[i]).unwrap();
+                reference.remove(handles[i]).unwrap();
             }
-            engine.stabilize(3);
-            out.push(engine.snapshot());
+            assert_eq!(engine.stabilize(3), reference.stabilize(3));
+            let bytes = engine.snapshot();
+            let back = IncrementalUcpc::restore(&bytes).unwrap();
+            assert_eq!(back.live_labels(), reference.live_labels());
+            assert_eq!(back.cluster_stats(), reference.cluster_stats());
+            out.push(bytes);
         }
         out
     })
@@ -47,7 +59,7 @@ fn victims() -> &'static Vec<Vec<u8>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// Any strict truncation of a valid snapshot (either backend) is a
+    /// Any strict truncation of a valid snapshot (either victim) is a
     /// checked error: every read is bounded by the input, so starving the
     /// tail can only surface as `SnapshotError`.
     #[test]
@@ -95,15 +107,15 @@ proptest! {
 fn hostile_meta_count_fields_fail_fast_without_allocating() {
     let victim = &victims()[0];
     // Head: magic(8) + version(4). META chunk: len u32 at 12, kind at 16,
-    // backend 17, pruning 18, then u64 fields m 19, k 27, live 35,
-    // epoch 43, n_slots 51, n_free 59 — see the module docs format table.
+    // pruning 17, then u64 fields m 18, k 26, live 34, epoch 42,
+    // n_slots 50, n_free 58 — see the module docs format table.
     let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
     let len = u32::from_le_bytes(victim[12..16].try_into().unwrap()) as usize;
     let crc_at = 16 + len;
-    let live = u64_at(victim, 35);
+    let live = u64_at(victim, 34);
     for (field, patches) in [
-        ("k", vec![(27, u64::MAX)]),
-        ("n_slots", vec![(51, u64::MAX), (59, u64::MAX - live)]),
+        ("k", vec![(26, u64::MAX)]),
+        ("n_slots", vec![(50, u64::MAX), (58, u64::MAX - live)]),
     ] {
         let mut bent = victim.clone();
         for (at, value) in patches {

@@ -17,7 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ucpc::core::incremental::{IncrementalUcpc, ObjectHandle, StreamBackend};
+use ucpc::core::incremental::{IncrementalUcpc, ObjectHandle};
 use ucpc::core::PruningConfig;
 use ucpc::uncertain::{UncertainObject, UnivariatePdf};
 
@@ -69,7 +69,7 @@ fn steady_state_insert_after_remove_allocates_nothing() {
     };
     let objects: Vec<UncertainObject> = (0..n + churn).map(mk).collect();
 
-    let mut live = IncrementalUcpc::with_backend(m, k, StreamBackend::Slab).unwrap();
+    let mut live = IncrementalUcpc::new(m, k).unwrap();
     live.set_pruning(PruningConfig::Off);
     // Each live handle rides with the index of its payload in `objects`,
     // for the from-scratch rebuild below (slots are recycled, so a slot is

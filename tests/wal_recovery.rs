@@ -5,20 +5,26 @@
 //! log can lose its process at **any byte** of the log, and
 //! `recover(checkpoint, wal_prefix)` plus replay of the lost suffix
 //! rebuilds labels, handles, per-cluster statistic bits and objective
-//! bits **byte-identical** to the run that never crashed. Pinned across
-//! {objects, slab} × {pruning off, bounds}, at every frame boundary and
-//! mid-frame, from a checksummed snapshot checkpoint; plus a bit-flip sweep
-//! asserting corruption anywhere in the log or checkpoint surfaces as a
-//! checked error or reported damage — never a panic, never silent
-//! divergence.
+//! bits **byte-identical** to the run that never crashed, and to the
+//! per-object reference model `RefStream` (`tests/support/reference.rs`)
+//! replaying the same mutations. Pinned with pruning off and on, at every
+//! frame boundary and mid-frame, from a checksummed snapshot checkpoint;
+//! plus a bit-flip sweep asserting corruption anywhere in the log or
+//! checkpoint surfaces as a checked error or reported damage — never a
+//! panic, never silent divergence.
+
+mod support;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ucpc::core::incremental::{IncrementalUcpc, ObjectHandle, StreamBackend};
+use support::reference::RefStream;
+use ucpc::core::incremental::{IncrementalUcpc, ObjectHandle};
 use ucpc::core::serving::{ServingConfig, ServingResponse, ServingUcpc};
-use ucpc::core::wal::{apply_record, recover, scan_wal, SharedVecIo, WalScan, WAL_HEADER_LEN};
+use ucpc::core::wal::{
+    apply_record, recover, scan_wal, SharedVecIo, WalRecord, WalScan, WAL_HEADER_LEN,
+};
 use ucpc::core::PruningConfig;
-use ucpc::uncertain::{UncertainObject, UnivariatePdf};
+use ucpc::uncertain::{Moments, UncertainObject, UnivariatePdf};
 
 /// One scripted serving mutation.
 #[derive(Debug, Clone, Copy)]
@@ -48,18 +54,47 @@ fn obj(c: f64, s: f64) -> UncertainObject {
     ])
 }
 
-/// A settled live window: what the checkpoint captures.
-fn settled(backend: StreamBackend, pruning: PruningConfig) -> IncrementalUcpc {
-    let mut engine = IncrementalUcpc::with_backend(2, 3, backend).unwrap();
-    engine.set_pruning(pruning);
+/// The arrivals of the settled live window the checkpoint captures.
+fn settled_arrivals() -> Vec<UncertainObject> {
     let mut rng = StdRng::seed_from_u64(11);
-    for _ in 0..10 {
-        engine
-            .insert(&obj(rng.gen_range(-10.0..10.0), 0.3))
-            .unwrap();
+    (0..10)
+        .map(|_| obj(rng.gen_range(-10.0..10.0), 0.3))
+        .collect()
+}
+
+/// A settled live window: what the checkpoint captures.
+fn settled(pruning: PruningConfig) -> IncrementalUcpc {
+    let mut engine = IncrementalUcpc::new(2, 3).unwrap();
+    engine.set_pruning(pruning);
+    for o in settled_arrivals() {
+        engine.insert(&o).unwrap();
     }
     engine.stabilize(3);
     engine
+}
+
+/// The reference model after the settled window and every logged record.
+fn reference_model(records: &[WalRecord]) -> RefStream {
+    let mut model = RefStream::new(2, 3);
+    for o in settled_arrivals() {
+        model.insert(&o).unwrap();
+    }
+    model.stabilize(3);
+    for r in records {
+        match r {
+            WalRecord::Commit { mu, mu2 } => {
+                model
+                    .insert_moments(&Moments::from_mu_mu2(mu.clone(), mu2.clone()))
+                    .unwrap();
+            }
+            WalRecord::Remove(h) => model.remove(*h).unwrap(),
+            WalRecord::Stabilize { passes } => {
+                model.stabilize(*passes as usize);
+            }
+            WalRecord::Round { .. } => panic!("serving logs hold no shard rounds"),
+        }
+    }
+    model
 }
 
 /// Everything one uninterrupted logged serving run leaves behind: the
@@ -75,8 +110,8 @@ struct LoggedRun {
 /// Runs the script through a serving engine logging into a shared sink.
 /// Mixed micro-batches (batch 4) and a stabilize cadence make the log
 /// carry all three frame kinds, including cadence stabilizes.
-fn logged_run(backend: StreamBackend, pruning: PruningConfig) -> LoggedRun {
-    let engine = settled(backend, pruning);
+fn logged_run(pruning: PruningConfig) -> LoggedRun {
+    let engine = settled(pruning);
     let checkpoint = engine.snapshot();
     let sink = SharedVecIo::new();
     let mut serving = ServingUcpc::over(
@@ -159,55 +194,60 @@ fn cut_points(scan: &WalScan, wal_len: usize) -> Vec<usize> {
 
 #[test]
 fn recovery_at_every_cut_point_is_bit_identical_across_the_matrix() {
-    for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-        for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
-            let what = format!("{backend:?} / {pruning:?}");
-            let run = logged_run(backend, pruning);
-            let reference = run.serving.engine();
-            for cut in cut_points(&run.scan, run.wal.len()) {
-                let rec = recover(&run.checkpoint, &run.wal[..cut])
-                    .unwrap_or_else(|e| panic!("{what}, cut {cut}: {e}"));
-                // A cut on a frame boundary (or before any log bytes) is a
-                // clean prefix; anything else must be reported as damage
-                // with the salvage point right at the last boundary.
-                let boundary = cut == 0
-                    || cut == WAL_HEADER_LEN
-                    || run.scan.frame_ends.contains(&(cut as u64));
-                if boundary {
-                    assert!(rec.damage.is_none(), "{what}, cut {cut}: {:?}", rec.damage);
-                    assert_eq!(rec.valid_bytes as usize, cut, "{what}, cut {cut}");
-                } else {
-                    assert!(rec.damage.is_some(), "{what}, cut {cut}: damage unreported");
-                    assert!(rec.valid_bytes as usize <= cut, "{what}, cut {cut}");
-                }
-                // Finish the script: replay the records the crash cut off.
-                let mut engine = rec.engine;
-                for r in &run.scan.records[rec.frames_applied as usize..] {
-                    apply_record(&mut engine, r).expect("suffix replays");
-                }
-                assert_eq!(
-                    engine.live_labels(),
-                    reference.live_labels(),
-                    "labels/handles diverged: {what}, cut {cut}"
-                );
-                assert_eq!(
-                    engine.cluster_stats(),
-                    reference.cluster_stats(),
-                    "cluster statistic bits diverged: {what}, cut {cut}"
-                );
-                assert_eq!(
-                    engine.objective().to_bits(),
-                    reference.objective().to_bits(),
-                    "objective bits diverged: {what}, cut {cut}"
-                );
+    for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
+        let what = format!("{pruning:?}");
+        let run = logged_run(pruning);
+        let reference = run.serving.engine();
+        let model = reference_model(&run.scan.records);
+        assert_eq!(reference.live_labels(), model.live_labels(), "{what}");
+        assert_eq!(reference.cluster_stats(), model.cluster_stats(), "{what}");
+        assert_eq!(
+            reference.objective().to_bits(),
+            model.objective().to_bits(),
+            "{what}"
+        );
+        for cut in cut_points(&run.scan, run.wal.len()) {
+            let rec = recover(&run.checkpoint, &run.wal[..cut])
+                .unwrap_or_else(|e| panic!("{what}, cut {cut}: {e}"));
+            // A cut on a frame boundary (or before any log bytes) is a
+            // clean prefix; anything else must be reported as damage
+            // with the salvage point right at the last boundary.
+            let boundary =
+                cut == 0 || cut == WAL_HEADER_LEN || run.scan.frame_ends.contains(&(cut as u64));
+            if boundary {
+                assert!(rec.damage.is_none(), "{what}, cut {cut}: {:?}", rec.damage);
+                assert_eq!(rec.valid_bytes as usize, cut, "{what}, cut {cut}");
+            } else {
+                assert!(rec.damage.is_some(), "{what}, cut {cut}: damage unreported");
+                assert!(rec.valid_bytes as usize <= cut, "{what}, cut {cut}");
             }
+            // Finish the script: replay the records the crash cut off.
+            let mut engine = rec.engine;
+            for r in &run.scan.records[rec.frames_applied as usize..] {
+                apply_record(&mut engine, r).expect("suffix replays");
+            }
+            assert_eq!(
+                engine.live_labels(),
+                reference.live_labels(),
+                "labels/handles diverged: {what}, cut {cut}"
+            );
+            assert_eq!(
+                engine.cluster_stats(),
+                reference.cluster_stats(),
+                "cluster statistic bits diverged: {what}, cut {cut}"
+            );
+            assert_eq!(
+                engine.objective().to_bits(),
+                reference.objective().to_bits(),
+                "objective bits diverged: {what}, cut {cut}"
+            );
         }
     }
 }
 
 #[test]
 fn corruption_anywhere_is_a_checked_error_or_reported_damage() {
-    let run = logged_run(StreamBackend::Slab, PruningConfig::Bounds);
+    let run = logged_run(PruningConfig::Bounds);
     // Flip bits across the whole log: CRC-32 catches every single-bit
     // flip inside a frame or the header, and flips in the magic/version
     // prefix are hard errors — recovery must never panic and never
@@ -245,7 +285,7 @@ fn recovery_from_a_faulted_writer_matches_the_applied_prefix() {
     // recovery from the torn sink must reproduce exactly the engine the
     // survivor is left holding.
     use ucpc::core::wal::WalError;
-    let engine = settled(StreamBackend::Slab, PruningConfig::Bounds);
+    let engine = settled(PruningConfig::Bounds);
     let checkpoint = engine.snapshot();
     let mut serving = ServingUcpc::over(
         engine,
@@ -295,7 +335,7 @@ fn recovery_from_a_faulted_writer_matches_the_applied_prefix() {
 
 #[test]
 fn damage_report_carries_offset_and_frame_index_of_first_damaged_frame() {
-    let run = logged_run(StreamBackend::Slab, PruningConfig::Bounds);
+    let run = logged_run(PruningConfig::Bounds);
     // Damage frame 5 (0-based): its bytes span frame_ends[4]..frame_ends[5].
     let start = run.scan.frame_ends[4];
     let end = run.scan.frame_ends[5];
@@ -333,7 +373,7 @@ fn checkpoint_rotation_under_injected_sync_failure_is_atomic() {
     use ucpc::core::fault::IoFaultPlan;
     use ucpc::core::wal::VecIo;
 
-    let engine = settled(StreamBackend::Slab, PruningConfig::Bounds);
+    let engine = settled(PruningConfig::Bounds);
     let mut serving = ServingUcpc::over(
         engine,
         ServingConfig {
