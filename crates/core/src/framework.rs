@@ -55,6 +55,8 @@ pub enum ClusterError {
     /// A streaming arrival carries a NaN or infinite moment, or a finite
     /// one whose precomputed scalars overflow; it was not admitted.
     NonFinite,
+    /// A sharded engine was asked for zero shards.
+    NoShards,
 }
 
 impl fmt::Display for ClusterError {
@@ -85,6 +87,7 @@ impl fmt::Display for ClusterError {
                 "stale handle: slot {slot} generation {generation} is not live"
             ),
             ClusterError::NonFinite => write!(f, "arrival has a non-finite moment"),
+            ClusterError::NoShards => write!(f, "a sharded engine needs at least one shard"),
         }
     }
 }

@@ -70,7 +70,7 @@ use crate::objective::{total_objective, ClusterStats};
 use crate::pruning::{
     apply_tracked_insert, apply_tracked_relocation, apply_tracked_remove, best_candidate,
     best_candidate_with_second, best_insertion, best_insertion_bounded, fp_scale, DriftTotals,
-    PruneCache, PruneCounters, PruneDecision, PruningConfig,
+    PruneCache, PruneCounters, PruneDecision, PruningConfig, TOLERANCE,
 };
 use ucpc_uncertain::arena::MomentView;
 use ucpc_uncertain::{Moments, SlabArena, UncertainObject};
@@ -372,7 +372,6 @@ impl IncrementalUcpc {
     /// enabled the passes take the exact tier-1/tier-2 shortcuts of
     /// [`crate::pruning`]; the relocation sequence is identical either way.
     pub fn stabilize(&mut self, passes: usize) -> usize {
-        const TOLERANCE: f64 = 1e-9;
         let mut relocations = 0usize;
         let pruned = self.pruning.is_enabled();
         if pruned {

@@ -267,18 +267,6 @@ impl ClusterStats {
         cross
     }
 
-    /// One object's statistics as a standalone singleton aggregate — the
-    /// unit the sharded layer ships as a `ClusterStats` delta. Merging a
-    /// singleton into live statistics ([`Self::merge`]) performs exactly
-    /// the arithmetic of [`Self::add_view`], so a replica applying shipped
-    /// singletons in log order stays bit-identical to a node applying the
-    /// views directly.
-    pub fn from_view(v: &MomentView<'_>) -> Self {
-        let mut s = Self::empty(v.dims());
-        s.add_view(v);
-        s
-    }
-
     /// Merges another aggregate's contribution into this one — the
     /// commutative combine that makes `ClusterStats` distribute: a shard's
     /// contribution to a cluster is itself a `ClusterStats`, and the
@@ -288,13 +276,13 @@ impl ClusterStats {
     /// mixes the partitions' mean sums, so the combine adds the cross
     /// term `2⟨s_self, s_other⟩` (through the dispatched SIMD kernel —
     /// the same code path as [`Self::add_view`], of which this is the
-    /// generalization: merging [`Self::from_view`]'s singleton performs
-    /// add_view's arithmetic operation for operation).
+    /// generalization: merging a one-object aggregate performs add_view's
+    /// arithmetic operation for operation).
     ///
     /// The merge is commutative in the mathematical sense; like any
     /// floating-point reduction it is not *associative* at the bit level,
-    /// which is why the sharded protocol fixes one global apply order (the
-    /// replicated log) rather than merging opportunistically. Drift
+    /// which is why the sharded protocol ships raw rows in one global
+    /// apply order (the replicated log) rather than merging partials. Drift
     /// accumulators are bookkeeping outside the statistics proper and are
     /// left untouched.
     pub fn merge(&mut self, other: &ClusterStats) {
@@ -311,40 +299,6 @@ impl ClusterStats {
         self.phi_tot += other.phi_tot;
         self.s_sq_tot += 2.0 * cross + other.s_sq_tot;
         self.size += other.size;
-    }
-
-    /// Removes another aggregate's contribution — the inverse of
-    /// [`Self::merge`], structured exactly like [`Self::remove_view`]
-    /// (per-dimension subtraction first, cross term against the
-    /// *post-removal* mean sums, re-zeroed scalar aggregates on reaching
-    /// empty), so unmerging a [`Self::from_view`] singleton is
-    /// bit-identical to `remove_view` of the same object.
-    ///
-    /// The caller must only unmerge contributions previously merged; this
-    /// is not checked beyond a size underflow panic.
-    pub fn unmerge(&mut self, other: &ClusterStats) {
-        assert!(
-            self.size >= other.size,
-            "cannot unmerge a larger contribution"
-        );
-        debug_assert_eq!(self.dims(), other.dims(), "dimension mismatch");
-        for j in 0..self.dims() {
-            self.psi[j] -= other.psi[j];
-            self.phi[j] -= other.phi[j];
-            self.mean_sum[j] -= other.mean_sum[j];
-        }
-        let cross = dot(&self.mean_sum, &other.mean_sum);
-        self.psi_tot -= other.psi_tot;
-        self.phi_tot -= other.phi_tot;
-        self.s_sq_tot -= 2.0 * cross + other.s_sq_tot;
-        self.size -= other.size;
-        if self.size == 0 {
-            // Same residue discipline as remove_view: a reused empty
-            // cluster starts from exact zeros.
-            self.psi_tot = 0.0;
-            self.phi_tot = 0.0;
-            self.s_sq_tot = 0.0;
-        }
     }
 
     /// Adds one object like [`Self::add_view`] while accumulating the drift
@@ -1139,31 +1093,11 @@ mod tests {
         for i in 0..arena.len() {
             let v = arena.view(i);
             direct.add_view(&v);
-            merged.merge(&ClusterStats::from_view(&v));
+            let mut singleton = ClusterStats::empty(arena.dims());
+            singleton.add_view(&v);
+            merged.merge(&singleton);
             assert_bits(&direct, &merged);
         }
-    }
-
-    #[test]
-    fn unmerging_a_singleton_is_bitwise_remove_view() {
-        let objs = objects();
-        let arena = ucpc_uncertain::MomentArena::from_objects(&objs);
-        let mut direct = ClusterStats::empty(arena.dims());
-        let mut unmerged = ClusterStats::empty(arena.dims());
-        for i in 0..arena.len() {
-            direct.add_view(&arena.view(i));
-            unmerged.add_view(&arena.view(i));
-        }
-        // Remove down to empty in an arbitrary order; both paths must
-        // agree at every step, including the re-zeroed empty state.
-        for &i in &[2usize, 0, 3, 1] {
-            let v = arena.view(i);
-            direct.remove_view(&v);
-            unmerged.unmerge(&ClusterStats::from_view(&v));
-            assert_bits(&direct, &unmerged);
-        }
-        assert_eq!(direct.size, 0);
-        assert_eq!(direct.s_sq_tot.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

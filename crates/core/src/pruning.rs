@@ -474,6 +474,12 @@ pub fn slack(fp_scale: f64, q: f64, r: f64) -> f64 {
     1e-12 * fp_scale + 1e-9 * (1.0 + q + r)
 }
 
+/// The relocation acceptance threshold of the streaming engines: a move
+/// applies iff its delta-`J` is below `-TOLERANCE`. The single-node
+/// [`crate::incremental::IncrementalUcpc`] and the sharded owner both read
+/// this one constant, which is what keeps their decisions bit-identical.
+pub(crate) const TOLERANCE: f64 = 1e-9;
+
 /// The per-pass aggregate-magnitude scale fed to [`slack`].
 pub fn fp_scale(stats: &[ClusterStats]) -> f64 {
     stats

@@ -24,7 +24,10 @@
 //!    exact kernels ([`crate::pruning::best_insertion`],
 //!    [`crate::pruning::best_candidate`]), appends the resulting
 //!    [`LogEntry`]s to its write-ahead shard log, applies them, and
-//!    replies.
+//!    replies. Only mutations become entries: a relocation scan that
+//!    keeps its object in place emits nothing, so a round may be empty.
+//!    An empty round is still sequenced, logged and acknowledged like
+//!    any other.
 //! 3. The coordinator applies the entries to its own replica and
 //!    broadcasts them to every other participant; each logs and applies
 //!    them in the same global order and acknowledges. Only then does the
@@ -38,10 +41,11 @@
 //!
 //! # Robustness
 //!
-//! Messages travel through a pluggable [`Transport`]: the in-process
-//! [`MpscTransport`], or the seeded [`ChaosTransport`] which drops,
+//! Messages travel through the seeded [`ChaosTransport`], which drops,
 //! duplicates, reorders and delays envelopes per a
-//! [`crate::fault::ChaosPlan`]. The protocol tolerates all of it:
+//! [`crate::fault::ChaosPlan`]. [`ShardedUcpc::new`] runs it under
+//! [`ChaosPlan::clean`], which does none of that: a lossless FIFO. The
+//! protocol tolerates every fault a plan can inject:
 //!
 //! * **Idempotence** — every message carries its round's sequence
 //!   number; participants track the highest applied sequence, re-ack
@@ -96,7 +100,7 @@
 use crate::fault::{ChaosPlan, Dice, ManualClock};
 use crate::framework::ClusterError;
 use crate::objective::{total_objective, ClusterStats};
-use crate::pruning::{best_candidate, best_insertion};
+use crate::pruning::{best_candidate, best_insertion, TOLERANCE};
 use crate::serving::Clock;
 use crate::snapshot::{
     read_stats, write_stats, ChunkWriter, Sections, SnapshotError, CHUNK_SHARD, CHUNK_SHARD_ROWS,
@@ -106,14 +110,8 @@ use crate::wal::{
     scan_wal, SharedVecIo, VecIo, WalError, WalFsync, WalRecord, WalWriter, WAL_HEADER_LEN,
 };
 use std::collections::BTreeMap;
-use std::fmt;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Duration;
 use ucpc_uncertain::{MomentView, Moments, ObjectHandle, SlabArena, UncertainObject};
-
-/// Relocation acceptance threshold — identical to the single-node
-/// engine's, so decision boundaries match bit-for-bit.
-const TOLERANCE: f64 = 1e-9;
 
 /// Contiguous slots per ownership block: slot `s` belongs to shard
 /// `(s / BLOCK) % shards`. Block ownership is what lets a stabilization
@@ -172,28 +170,18 @@ pub enum Op {
     },
 }
 
-/// The deterministic outcome of one [`Op`], as appended to the
-/// replicated log. State-changing kinds carry the object's raw moment
-/// rows so every replica can replay the exact `add_view`/`remove_view`
-/// arithmetic itself.
+/// The deterministic outcome of one [`Op`] that changed state, as
+/// appended to the replicated log. Every entry carries the object's raw
+/// moment rows so every replica can replay the exact
+/// `add_view`/`remove_view` arithmetic itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogEntry {
     /// What happened.
     pub op: LogOp,
-    /// `E[X_j]` row of the object (empty for [`LogOp::NoMove`]).
+    /// `E[X_j]` row of the object.
     pub mu: Vec<f64>,
-    /// `E[X_j²]` row of the object (empty for [`LogOp::NoMove`]).
+    /// `E[X_j²]` row of the object.
     pub mu2: Vec<f64>,
-}
-
-impl LogEntry {
-    fn no_move(slot: u32) -> Self {
-        Self {
-            op: LogOp::NoMove { slot },
-            mu: Vec::new(),
-            mu2: Vec::new(),
-        }
-    }
 }
 
 /// The kind of a [`LogEntry`].
@@ -221,13 +209,6 @@ pub enum LogOp {
         src: usize,
         /// Cluster it joined.
         dst: usize,
-    },
-    /// The relocation scan kept `slot` where it was (logged by the owner
-    /// for byte-stable retransmissions, never broadcast as a mutation —
-    /// it mutates nothing).
-    NoMove {
-        /// Global slot the scan visited.
-        slot: u32,
     },
 }
 
@@ -286,55 +267,8 @@ pub struct Envelope {
 }
 
 // ---------------------------------------------------------------------
-// Transports
+// Transport
 // ---------------------------------------------------------------------
-
-/// Message-passing fabric between the coordinator and the participants.
-///
-/// Delivery is pull-based: the driver calls [`Transport::recv`] per node
-/// until it returns `None`, and [`Transport::step`] to advance transport
-/// time when nothing was deliverable (a no-op for fabrics without
-/// delays). Implementations may drop, duplicate, reorder or delay
-/// envelopes arbitrarily — the protocol is built to tolerate it.
-pub trait Transport: fmt::Debug {
-    /// Accepts an envelope for (eventual, possibly unfaithful) delivery.
-    fn send(&mut self, env: Envelope);
-    /// Next deliverable envelope addressed to `node`, if any.
-    fn recv(&mut self, node: usize) -> Option<Envelope>;
-    /// Advances transport time by one tick (delayed deliveries mature).
-    fn step(&mut self) {}
-}
-
-/// The faithful in-process transport: one `std::sync::mpsc` channel per
-/// node, FIFO, lossless, delay-free.
-#[derive(Debug)]
-pub struct MpscTransport {
-    inboxes: Vec<(Sender<Envelope>, Receiver<Envelope>)>,
-}
-
-impl MpscTransport {
-    /// A fabric connecting `nodes` nodes (coordinator + participants).
-    pub fn new(nodes: usize) -> Self {
-        Self {
-            inboxes: (0..nodes).map(|_| channel()).collect(),
-        }
-    }
-}
-
-impl Transport for MpscTransport {
-    fn send(&mut self, env: Envelope) {
-        if let Some((tx, _)) = self.inboxes.get(env.to) {
-            tx.send(env)
-                .expect("receiver half lives as long as the fabric");
-        }
-    }
-
-    fn recv(&mut self, node: usize) -> Option<Envelope> {
-        self.inboxes
-            .get(node)
-            .and_then(|(_, rx)| rx.try_recv().ok())
-    }
-}
 
 #[derive(Debug)]
 struct Queued {
@@ -347,12 +281,18 @@ struct Queued {
     env: Envelope,
 }
 
-/// The adversarial transport: every send rolls seeded dice
-/// ([`crate::fault::Dice`]) against a [`ChaosPlan`] — drop the envelope,
-/// deliver it twice, delay a copy up to `max_delay` ticks, or perturb
-/// its ordering key so it overtakes (or is overtaken by) its neighbors.
-/// Identical plan + identical protocol traffic ⇒ identical schedule, so
-/// any failing chaos run replays bit-for-bit from its seed.
+/// The message fabric between the coordinator and the participants.
+/// Every send rolls seeded dice ([`crate::fault::Dice`]) against a
+/// [`ChaosPlan`] — drop the envelope, deliver it twice, delay a copy up
+/// to `max_delay` ticks, or perturb its ordering key so it overtakes (or
+/// is overtaken by) its neighbors. Identical plan + identical protocol
+/// traffic ⇒ identical schedule, so any failing chaos run replays
+/// bit-for-bit from its seed. Under [`ChaosPlan::clean`] no die ever
+/// fires: every envelope is delivered exactly once, in send order.
+///
+/// Delivery is pull-based: the driver calls [`Self::recv`] per node
+/// until it returns `None`, and [`Self::step`] to advance transport time
+/// when nothing was deliverable.
 #[derive(Debug)]
 pub struct ChaosTransport {
     plan: ChaosPlan,
@@ -372,11 +312,6 @@ impl ChaosTransport {
             counter: 0,
             queues: (0..nodes).map(|_| Vec::new()).collect(),
         }
-    }
-
-    /// Envelopes queued but not yet delivered (dropped ones excluded).
-    pub fn pending(&self) -> usize {
-        self.queues.iter().map(Vec::len).sum()
     }
 
     fn enqueue_copy(&mut self, env: Envelope) {
@@ -399,21 +334,22 @@ impl ChaosTransport {
             });
         }
     }
-}
 
-impl Transport for ChaosTransport {
-    fn send(&mut self, env: Envelope) {
+    /// Accepts an envelope for (eventual, possibly unfaithful) delivery.
+    pub fn send(&mut self, env: Envelope) {
         if self.dice.chance(self.plan.drop) {
             return;
         }
-        let duplicate = self.dice.chance(self.plan.duplicate);
-        self.enqueue_copy(env.clone());
-        if duplicate {
-            self.enqueue_copy(env);
+        // Only a duplicated send pays for a clone; the two copies are
+        // identical, so the dice roll in the same order either way.
+        if self.dice.chance(self.plan.duplicate) {
+            self.enqueue_copy(env.clone());
         }
+        self.enqueue_copy(env);
     }
 
-    fn recv(&mut self, node: usize) -> Option<Envelope> {
+    /// Next deliverable envelope addressed to `node`, if any.
+    pub fn recv(&mut self, node: usize) -> Option<Envelope> {
         let tick = self.tick;
         let q = self.queues.get_mut(node)?;
         let best = q
@@ -425,7 +361,8 @@ impl Transport for ChaosTransport {
         Some(q.swap_remove(best).env)
     }
 
-    fn step(&mut self) {
+    /// Advances transport time by one tick (delayed deliveries mature).
+    pub fn step(&mut self) {
         self.tick += 1;
     }
 }
@@ -435,8 +372,9 @@ impl Transport for ChaosTransport {
 /// order, which is the whole bit-identity argument. `each` runs the
 /// caller's own bookkeeping for every state-changing entry, with the
 /// entry's moment view. An entry naming a cluster out of range, draining
-/// an empty cluster, or refused by `each` stops the fold with the reason
-/// — a checksum-valid round can still be corrupt — and leaves the replica
+/// an empty cluster, carrying a non-finite row (which admission would
+/// have refused), or refused by `each` stops the fold with the reason —
+/// a checksum-valid round can still be corrupt — and leaves the replica
 /// partly updated, for the caller to discard.
 fn fold_entries(
     stats: &mut [ClusterStats],
@@ -448,7 +386,6 @@ fn fold_entries(
             LogOp::Insert { cluster, .. } => (None, Some(cluster)),
             LogOp::Remove { cluster, .. } => (Some(cluster), None),
             LogOp::Move { src, dst, .. } => (Some(src), Some(dst)),
-            LogOp::NoMove { .. } => continue,
         };
         if drained.into_iter().chain(joined).any(|c| c >= stats.len()) {
             return Err("round names a cluster out of range");
@@ -458,6 +395,9 @@ fn fold_entries(
         }
         let mo = Moments::from_mu_mu2(e.mu.clone(), e.mu2.clone());
         let v = mo.view();
+        if !v.is_finite() {
+            return Err("round carries a non-finite row");
+        }
         each(e.op, &v)?;
         if let Some(c) = drained {
             stats[c].remove_view(&v);
@@ -630,8 +570,10 @@ impl Participant {
     }
 
     /// Installs a checkpoint written by [`Self::encode_checkpoint`] into a
-    /// fresh participant, checking its dimensionality, cluster count and
-    /// row ownership.
+    /// fresh participant, checking its dimensionality, cluster count, row
+    /// ownership and row finiteness. A non-finite row is
+    /// [`WalError::Corrupt`] with an empty valid prefix, as a corrupt log
+    /// round would be: the live path never admits one.
     fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), WalError> {
         let mut sections = Sections::open(bytes)?;
         let r = sections.entry(CHUNK_SHARD)?;
@@ -656,6 +598,13 @@ impl Participant {
             }
             last = Some(slot);
             let mo = Moments::from_mu_mu2(r.f64s(m)?, r.f64s(m)?);
+            if !mo.view().is_finite() {
+                return Err(WalError::Corrupt {
+                    valid_bytes: 0,
+                    frames: 0,
+                    reason: "checkpoint row is non-finite",
+                });
+            }
             let h = self.slab.insert_view(&mo.view());
             self.local.insert(slot, h);
         }
@@ -711,12 +660,12 @@ impl Participant {
     /// The local propose phase: price each op against the replica with
     /// the exact kernels, apply the outcome immediately (so later ops in
     /// the batch see it, exactly as the single-node pass would), then
-    /// log the round as one frame and advance the watermark. Round
-    /// frames are atomic: a crash mid-round recovers to the previous
-    /// round boundary and the coordinator's retry re-executes
-    /// deterministically.
+    /// log the round as one frame and advance the watermark. A
+    /// relocation that stays put yields no entry. Round frames are
+    /// atomic: a crash mid-round recovers to the previous round boundary
+    /// and the coordinator's retry re-executes deterministically.
     fn execute(&mut self, seq: u64, ops: &[Op]) -> Vec<LogEntry> {
-        let mut entries = Vec::with_capacity(ops.len());
+        let mut entries = Vec::new();
         for op in ops {
             let entry = match op {
                 Op::Insert { slot, mu, mu2 } => {
@@ -744,26 +693,23 @@ impl Participant {
                         mu2: v.mu2.to_vec(),
                     }
                 }
+                // Sole member: relocating it is a no-op on J. Same
+                // visit-time skip as the single-node pass.
+                Op::Relocate { src, .. } if self.stats[*src].size() == 1 => continue,
                 Op::Relocate { slot, src } => {
-                    if self.stats[*src].size() == 1 {
-                        // Sole member: relocating it is a no-op on J.
-                        // Same visit-time skip as the single-node pass.
-                        LogEntry::no_move(*slot)
-                    } else {
-                        let h = *self.local.get(slot).expect("owner holds the candidate row");
-                        let v = self.slab.view(h.slot());
-                        match best_candidate(&self.stats, *src, &v) {
-                            Some((dst, delta)) if delta < -TOLERANCE => LogEntry {
-                                op: LogOp::Move {
-                                    slot: *slot,
-                                    src: *src,
-                                    dst,
-                                },
-                                mu: v.mu.to_vec(),
-                                mu2: v.mu2.to_vec(),
+                    let h = *self.local.get(slot).expect("owner holds the candidate row");
+                    let v = self.slab.view(h.slot());
+                    match best_candidate(&self.stats, *src, &v) {
+                        Some((dst, delta)) if delta < -TOLERANCE => LogEntry {
+                            op: LogOp::Move {
+                                slot: *slot,
+                                src: *src,
+                                dst,
                             },
-                            _ => LogEntry::no_move(*slot),
-                        }
+                            mu: v.mu.to_vec(),
+                            mu2: v.mu2.to_vec(),
+                        },
+                        _ => continue,
                     }
                 }
             };
@@ -779,7 +725,7 @@ impl Participant {
     /// The participant's message loop body. Epoch fencing happens first;
     /// everything else is keyed on the applied watermark so duplicated
     /// and reordered deliveries are harmless.
-    fn handle(&mut self, env: Envelope, tx: &mut dyn Transport) {
+    fn handle(&mut self, env: Envelope, tx: &mut ChaosTransport) {
         if env.epoch != self.epoch {
             return; // fenced: a pre-restart straggler
         }
@@ -927,7 +873,6 @@ impl Coordinator {
                     *live -= 1;
                 }
                 LogOp::Move { slot, dst, .. } => labels[slot as usize] = Some(dst),
-                LogOp::NoMove { .. } => {}
             }
             Ok(())
         })
@@ -985,7 +930,7 @@ pub struct ShardedUcpc {
     k: usize,
     shards: usize,
     clock: ManualClock,
-    transport: Box<dyn Transport>,
+    transport: ChaosTransport,
     coordinator: Coordinator,
     participants: Vec<Option<Participant>>,
     durable: Vec<ShardDurable>,
@@ -993,42 +938,27 @@ pub struct ShardedUcpc {
 
 impl ShardedUcpc {
     /// A sharded engine over `m` dimensions, `k` clusters and `shards`
-    /// participants on the faithful [`MpscTransport`].
+    /// participants on a lossless FIFO fabric: [`Self::with_chaos`] under
+    /// [`ChaosPlan::clean`]. `k == 0` is [`ClusterError::InvalidK`] and
+    /// `shards == 0` is [`ClusterError::NoShards`].
     pub fn new(m: usize, k: usize, shards: usize) -> Result<Self, ClusterError> {
-        Self::with_transport(m, k, shards, Box::new(MpscTransport::new(shards + 1)))
+        Self::with_chaos(m, k, shards, ChaosPlan::clean(0))
     }
 
-    /// [`Self::new`] on a [`ChaosTransport`] faulting per `plan`.
+    /// [`Self::new`] on a [`ChaosTransport`] faulting per `plan` (node 0
+    /// is the coordinator, nodes `1..=shards` the participants).
     pub fn with_chaos(
         m: usize,
         k: usize,
         shards: usize,
         plan: ChaosPlan,
     ) -> Result<Self, ClusterError> {
-        Self::with_transport(
-            m,
-            k,
-            shards,
-            Box::new(ChaosTransport::new(shards + 1, plan)),
-        )
-    }
-
-    /// [`Self::new`] on a caller-supplied fabric (node 0 is the
-    /// coordinator, nodes `1..=shards` the participants).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn with_transport(
-        m: usize,
-        k: usize,
-        shards: usize,
-        transport: Box<dyn Transport>,
-    ) -> Result<Self, ClusterError> {
         if k == 0 {
             return Err(ClusterError::InvalidK { k, n: 0 });
         }
-        assert!(shards >= 1, "at least one shard is required");
+        if shards == 0 {
+            return Err(ClusterError::NoShards);
+        }
         let durable: Vec<ShardDurable> = (0..shards)
             .map(|_| ShardDurable {
                 checkpoint: Vec::new(),
@@ -1052,19 +982,10 @@ impl ShardedUcpc {
             k,
             shards,
             clock: ManualClock::new(),
-            transport,
+            transport: ChaosTransport::new(shards + 1, plan),
             coordinator: Coordinator::new(m, k, shards),
             participants,
             durable,
-        })
-    }
-
-    /// Reads the `UCPC_SHARDS` environment knob (a positive integer)
-    /// through the shared warn-and-fall-back reader; `None` when unset
-    /// or invalid (callers fall back to their default).
-    pub fn shards_from_env() -> Option<usize> {
-        ucpc_uncertain::env::read_knob("UCPC_SHARDS", "positive integer", |v| {
-            v.parse::<usize>().ok().filter(|&s| s >= 1)
         })
     }
 
@@ -1120,13 +1041,6 @@ impl ShardedUcpc {
     /// Protocol retransmissions performed so far (0 on a clean fabric).
     pub fn retries(&self) -> u64 {
         self.coordinator.retries
-    }
-
-    /// The shard owning a live handle's row; `None` if stale.
-    pub fn owner_shard(&self, h: ObjectHandle) -> Option<usize> {
-        self.coordinator
-            .contains(h)
-            .then(|| owner_of_slot(h.slot() as u32, self.shards))
     }
 
     /// Current cluster of a live object; `None` if the handle is stale.
@@ -1242,13 +1156,10 @@ impl ShardedUcpc {
                     }
                     j += 1;
                 }
-                let entries = self.run_round(owner, ops);
-                for e in &entries {
-                    if matches!(e.op, LogOp::Move { .. }) {
-                        relocations += 1;
-                        moved = true;
-                    }
-                }
+                // A relocation round logs only its moves.
+                let moves = self.run_round(owner, ops).len();
+                relocations += moves;
+                moved |= moves > 0;
                 i = j;
             }
             if !moved {
@@ -1351,7 +1262,7 @@ impl ShardedUcpc {
             while let Some(env) = self.transport.recv(node) {
                 progressed = true;
                 if let Some(p) = self.participants[shard].as_mut() {
-                    p.handle(env, self.transport.as_mut());
+                    p.handle(env, &mut self.transport);
                 }
             }
         }
@@ -1685,11 +1596,12 @@ mod tests {
             assert!(restart_from(&mut sharded, &checkpoint, &log[..byte]));
         }
         // Checksum-valid rounds, written through the log writer, that name
-        // a cluster >= k, drain an empty cluster, or insert (remove) an
-        // owned row the shard does (does not) hold: checked errors at the
-        // end of the intact log, never replay panics. Slots 0..7 are live
-        // and owned by shard 0; slot 7 is owned but free; slot 8 belongs
-        // to shard 1. Cluster sizes are 4 and 3.
+        // a cluster >= k, drain an empty cluster, carry a non-finite row,
+        // or insert (remove) an owned row the shard does (does not) hold:
+        // checked errors at the end of the intact log, never replay panics
+        // or silent poison. Slots 0..7 are live and owned by shard 0; slot
+        // 7 is owned but free; slot 8 belongs to shard 1. Cluster sizes
+        // are 4 and 3.
         let rounds = scan_wal(&log).unwrap().records;
         let Some(WalRecord::Round { seq: last, .. }) = rounds.last() else {
             panic!("the log holds rounds");
@@ -1714,7 +1626,16 @@ mod tests {
         let insert = |slot, cluster| entry(LogOp::Insert { slot, cluster });
         let remove = |slot, cluster| entry(LogOp::Remove { slot, cluster });
         let relocate = |src, dst| entry(LogOp::Move { slot: 0, src, dst });
+        let nan = LogEntry {
+            op: LogOp::Insert {
+                slot: 7,
+                cluster: 0,
+            },
+            mu: vec![f64::NAN],
+            mu2: vec![f64::NAN],
+        };
         for (bad, why) in [
+            (vec![nan], "non-finite"),
             (vec![insert(7, 2)], "out of range"),
             (vec![relocate(0, 2)], "out of range"),
             (vec![relocate(9, 0)], "out of range"),
@@ -1745,6 +1666,16 @@ mod tests {
         // The last of those rounds is valid without its final removal.
         let fine = with_round(&[insert(7, 0), remove(7, 0)]);
         assert!(Participant::recover(1, 2, 2, 0, 1, &checkpoint, &fine).is_ok());
+        // A checkpoint holding a non-finite row is corrupt, not restored.
+        let mut p = Participant::recover(1, 2, 2, 0, 1, &checkpoint, &[]).unwrap();
+        let poison = Moments::from_mu_mu2(vec![f64::INFINITY], vec![0.5]);
+        p.local.insert(7, p.slab.insert_view(&poison.view()));
+        let poisoned = p.encode_checkpoint();
+        match Participant::recover(1, 2, 2, 0, 1, &poisoned, &[]) {
+            Err(WalError::Corrupt { reason, .. }) => assert!(reason.contains("non-finite")),
+            other => panic!("{other:?}"),
+        }
+        assert!(!restart_from(&mut sharded, &poisoned, &log));
     }
 
     #[test]
@@ -1761,9 +1692,78 @@ mod tests {
     }
 
     #[test]
+    fn clean_chaos_transport_delivers_each_envelope_once_in_send_order() {
+        let mut tx = ChaosTransport::new(3, ChaosPlan::clean(5));
+        let ack = |to, seq| Envelope {
+            from: 0,
+            to,
+            epoch: 1,
+            payload: Payload::Ack { seq },
+        };
+        for seq in 0..40 {
+            tx.send(ack(1 + (seq as usize) % 2, seq));
+        }
+        for node in [1, 2] {
+            let got: Vec<u64> = std::iter::from_fn(|| tx.recv(node))
+                .map(|env| match env.payload {
+                    Payload::Ack { seq } => seq,
+                    other => panic!("{other:?}"),
+                })
+                .collect();
+            let sent: Vec<u64> = (0..40).filter(|s| 1 + (*s as usize) % 2 == node).collect();
+            assert_eq!(got, sent, "node {node}: once each, in send order");
+        }
+        tx.step();
+        assert!((0..3).all(|node| tx.recv(node).is_none()), "nothing left");
+    }
+
+    #[test]
+    fn a_pass_that_moves_nothing_commits_an_empty_round_that_replays_and_catches_up() {
+        let mut sharded = ShardedUcpc::new(1, 2, 2).unwrap();
+        let mut single = IncrementalUcpc::new(1, 2).unwrap();
+        for c in [0.0, 0.4, 9.0, 9.2, 0.2, 8.9, 0.3, 9.4, 0.1, 9.5] {
+            sharded.insert(&obj(c)).unwrap();
+            single.insert(&obj(c)).unwrap();
+        }
+        sharded.stabilize(5);
+        single.stabilize(5);
+        let before = (
+            sharded.committed_rounds(),
+            sharded.durable[1].log.bytes().len(),
+        );
+        assert_eq!(sharded.stabilize(1), 0, "the window has settled");
+        let still: Vec<u64> = (before.0 + 1..=sharded.committed_rounds()).collect();
+        assert!(!still.is_empty(), "a pass that moves nothing still commits");
+        // The sequence numbers of the empty rounds past `before`.
+        let empty = |log: &[u8]| -> Vec<u64> {
+            let scan = scan_wal(log).unwrap();
+            scan.records
+                .into_iter()
+                .filter_map(|r| match r {
+                    WalRecord::Round { seq, entries } if entries.is_empty() && seq > before.0 => {
+                        Some(seq)
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        let log = sharded.durable[1].log.bytes();
+        assert_eq!(empty(&log), still, "zero-entry rounds scan back");
+        let p = Participant::recover(1, 2, 2, 1, 9, &[], &log).unwrap();
+        assert_eq!(p.applied, sharded.committed_rounds(), "and replay in order");
+        // Cut the empty rounds from shard 1's log: catch-up resends them.
+        sharded.crash(1);
+        sharded.truncate_shard_wal(1, before.1);
+        sharded.restart(1).unwrap();
+        assert_eq!(sharded.shard_applied(1), Some(sharded.committed_rounds()));
+        assert_eq!(empty(&sharded.durable[1].log.bytes()), still);
+        assert_matches_single_node(&sharded, &single);
+    }
+
+    #[test]
     fn stale_epoch_envelopes_are_fenced_off() {
         let mut p = Participant::fresh(1, 2, 1, 0, 2, SharedVecIo::new());
-        let mut tx = MpscTransport::new(2);
+        let mut tx = ChaosTransport::new(2, ChaosPlan::clean(0));
         p.handle(
             Envelope {
                 from: 0,
@@ -1782,15 +1782,5 @@ mod tests {
         );
         assert_eq!(p.applied, 0, "stale-epoch Execute must be dropped");
         assert!(tx.recv(0).is_none(), "and not answered");
-    }
-
-    #[test]
-    fn sharding_knob_parses_positive_integers_only() {
-        let (outcome, warning) =
-            ucpc_uncertain::env::parse_knob("UCPC_SHARDS", Some("0"), "positive integer", |v| {
-                v.parse::<usize>().ok().filter(|&s| s >= 1)
-            });
-        assert_eq!(outcome.value(), None);
-        assert!(warning.unwrap().contains("UCPC_SHARDS"));
     }
 }

@@ -46,12 +46,12 @@
 //! tag 3 Stabilize  passes u64
 //! tag 4 Round      seq u64, count u32, count × { op u8, slot u32,
 //!                  op 1 Insert / 2 Remove: cluster u32, 3 Move: src u32,
-//!                  dst u32; then mu m × f64, mu2 m × f64 — op 4 NoMove
-//!                  carries neither }
+//!                  dst u32; then mu m × f64, mu2 m × f64 }
 //! ```
 //!
 //! Tags 1–3 are the serving log; tag 4 is the shard log of
-//! [`crate::sharded`], one frame per replicated round. Each log kind
+//! [`crate::sharded`], one frame per replicated round. A round holds only
+//! the mutations it made, so `count` may be 0. Each log kind
 //! rejects the other's records with [`WalError::ForeignRecord`].
 //!
 //! # Torn tails, corruption, and poisoning
@@ -99,7 +99,6 @@ const TAG_ROUND: u8 = 4;
 const OP_INSERT: u8 = 1;
 const OP_REMOVE: u8 = 2;
 const OP_MOVE: u8 = 3;
-const OP_NO_MOVE: u8 = 4;
 
 pub use crate::codec::WalDamage;
 
@@ -561,7 +560,6 @@ impl<I: DurableIo> WalWriter<I> {
                     LogOp::Insert { slot, .. } => (OP_INSERT, slot),
                     LogOp::Remove { slot, .. } => (OP_REMOVE, slot),
                     LogOp::Move { slot, .. } => (OP_MOVE, slot),
-                    LogOp::NoMove { slot } => (OP_NO_MOVE, slot),
                 };
                 p.u8(op);
                 p.u32(slot);
@@ -573,7 +571,6 @@ impl<I: DurableIo> WalWriter<I> {
                         p.u32(src as u32);
                         p.u32(dst as u32);
                     }
-                    LogOp::NoMove { .. } => continue,
                 }
                 p.f64s(&e.mu);
                 p.f64s(&e.mu2);
@@ -798,15 +795,13 @@ fn decode_entry(r: &mut Reader<'_>, m: usize) -> Result<LogEntry, SnapshotError>
             src: r.u32()? as usize,
             dst: r.u32()? as usize,
         },
-        OP_NO_MOVE => LogOp::NoMove { slot },
         _ => return Err(SnapshotError::Corrupt("unknown round entry op")),
     };
-    let (mu, mu2) = if tag == OP_NO_MOVE {
-        (Vec::new(), Vec::new())
-    } else {
-        (r.f64s(m)?, r.f64s(m)?)
-    };
-    Ok(LogEntry { op, mu, mu2 })
+    Ok(LogEntry {
+        op,
+        mu: r.f64s(m)?,
+        mu2: r.f64s(m)?,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -919,11 +914,6 @@ mod tests {
     #[test]
     fn header_then_frames_scan_back_exactly() {
         let (slot, mu, mu2) = (3, vec![1.0, -2.5], vec![2.0, 7.0]);
-        let no_move = LogEntry {
-            op: LogOp::NoMove { slot: 4 },
-            mu: Vec::new(),
-            mu2: Vec::new(),
-        };
         let entries: Vec<LogEntry> = [
             LogOp::Insert { slot, cluster: 1 },
             LogOp::Move {
@@ -939,15 +929,15 @@ mod tests {
             mu: mu.clone(),
             mu2: mu2.clone(),
         })
-        .chain([no_move])
         .collect();
         let mut w = WalWriter::create(VecIo::new(), 2, WalFsync::Flush).unwrap();
         w.log_commit(&[1.5, -2.0], &[3.0, 4.25]).unwrap();
         w.log_remove(ObjectHandle::new(7, 3)).unwrap();
         w.log_stabilize(4).unwrap();
         w.log_round(9, &entries).unwrap();
+        w.log_round(10, &[]).unwrap();
         w.group_commit().unwrap();
-        assert_eq!(w.frames(), 4);
+        assert_eq!(w.frames(), 5);
         assert_eq!(w.io().syncs(), 1, "group commit syncs once per flush");
         let bytes = w.into_io().into_bytes();
         let scan = scan_wal(&bytes).unwrap();
@@ -964,9 +954,13 @@ mod tests {
                 WalRecord::Remove(ObjectHandle::new(7, 3)),
                 WalRecord::Stabilize { passes: 4 },
                 WalRecord::Round { seq: 9, entries },
+                WalRecord::Round {
+                    seq: 10,
+                    entries: Vec::new(),
+                },
             ]
         );
-        assert_eq!(scan.frame_ends.len(), 4);
+        assert_eq!(scan.frame_ends.len(), 5);
         assert_eq!(*scan.frame_ends.last().unwrap(), bytes.len() as u64);
     }
 

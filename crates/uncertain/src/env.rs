@@ -2,8 +2,8 @@
 //!
 //! The workspace reads its runtime knobs (`UCPC_SIMD`, `UCPC_PRUNING`,
 //! `UCPC_THREADS`, `UCPC_BATCH`, `UCPC_STABILIZE`, `UCPC_WAL`,
-//! `UCPC_WAL_FSYNC`, `UCPC_SHARDS`, `UCPC_CHAOS_SEED`) from the
-//! environment, and every knob shares one failure policy: an **unset**
+//! `UCPC_WAL_FSYNC`, `UCPC_CHAOS_SEED`) from the environment, and every
+//! knob shares one failure policy: an **unset**
 //! knob silently takes the default, while a **set-but-invalid** value
 //! warns once on stderr — naming the knob, the
 //! rejected value and the accepted forms — and then falls back to the

@@ -8,8 +8,8 @@ use ucpc::core::framework::UncertainClusterer;
 use ucpc::core::incremental::IncrementalUcpc;
 use ucpc::core::parallel::ParallelUcpc;
 use ucpc::core::{
-    recover, ClusterError, ServingConfig, ServingError, ServingResponse, ServingUcpc, ShardedUcpc,
-    SharedVecIo, Ucpc, WalError, WalFsync, WalWriter,
+    recover, ChaosPlan, ClusterError, ServingConfig, ServingError, ServingResponse, ServingUcpc,
+    ShardedUcpc, SharedVecIo, Ucpc, WalError, WalFsync, WalWriter,
 };
 use ucpc::eval::quality;
 use ucpc::uncertain::{Moments, UncertainObject, UnivariatePdf};
@@ -234,6 +234,22 @@ fn sharded_engine_single_object_and_degenerate_k_m() {
     }
     assert!(sharded.is_empty());
     assert_eq!(sharded.objective(), 0.0);
+}
+
+#[test]
+fn sharded_engine_rejects_zero_shards_and_zero_clusters() {
+    assert_eq!(
+        ShardedUcpc::new(1, 2, 0).unwrap_err(),
+        ClusterError::NoShards
+    );
+    assert_eq!(
+        ShardedUcpc::with_chaos(1, 2, 0, ChaosPlan::mixed(3)).unwrap_err(),
+        ClusterError::NoShards
+    );
+    assert_eq!(
+        ShardedUcpc::new(1, 0, 0).unwrap_err(),
+        ClusterError::InvalidK { k: 0, n: 0 }
+    );
 }
 
 #[test]
