@@ -13,9 +13,9 @@
 //!          crc      u32         CRC-32 (IEEE) of len ‖ payload
 //!
 //! stream            head                                  payload tags
-//! WAL / shard log   "UCPCWAL\0" | version u32 = 1 |       1 Commit, 2 Remove,
-//!                   m u64 | crc u32 (of the 20 bytes)     3 Stabilize, 4 Round
-//! snapshot /        "UCPCSNAP" | version u32 = 3          1 META, 2 SLOTS,
+//! WAL / shard log   "UCPCWAL\0" | version u32 = 2 |       1 Round
+//!                   m u64 | crc u32 (of the 20 bytes)
+//! snapshot /        "UCPCSNAP" | version u32 = 4          1 META, 2 SLOTS,
 //! shard checkpoint                                        3 FREE, 4 ROWS, 5 END,
 //!                                                         6 SHARD, 7 SHARD_ROWS
 //! ```

@@ -68,11 +68,11 @@
 use crate::framework::ClusterError;
 use crate::objective::{total_objective, ClusterStats};
 use crate::pruning::{
-    apply_tracked_insert, apply_tracked_relocation, apply_tracked_remove, best_candidate,
-    best_candidate_with_second, best_insertion, best_insertion_bounded, fp_scale, DriftTotals,
-    PruneCache, PruneCounters, PruneDecision, PruningConfig, TOLERANCE,
+    apply_tracked_insert, apply_tracked_remove, best_candidate, best_candidate_with_second,
+    best_insertion, best_insertion_bounded, fp_scale, DriftTotals, PruneCache, PruneCounters,
+    PruneDecision, PruningConfig, TOLERANCE,
 };
-use ucpc_uncertain::arena::MomentView;
+use crate::wal::{LogEntry, LogOp};
 use ucpc_uncertain::{Moments, SlabArena, UncertainObject};
 
 pub use ucpc_uncertain::ObjectHandle;
@@ -278,92 +278,150 @@ impl IncrementalUcpc {
         if !v.is_finite() {
             return Err(ClusterError::NonFinite);
         }
-        let best = self.price_insertion(&v);
-        Ok(self.commit_placed(&v, best))
-    }
-
-    /// The placement scan of [`Self::insert`], factored out so the serving
-    /// layer prices arrivals through the identical kernel: with pruning off
-    /// the dot3-batched [`best_insertion`] over all `k` clusters, with
-    /// pruning on the Cauchy–Schwarz-bounded [`best_insertion_bounded`]
-    /// scan, which returns a bit-identical cluster (shadow-asserted in
-    /// debug builds). Mutates only the pruning counters.
-    pub(crate) fn price_insertion(&mut self, v: &MomentView<'_>) -> usize {
-        let (best, _delta) = if self.pruning.is_enabled() {
+        let (cluster, _delta) = if self.pruning.is_enabled() {
             let scale = fp_scale(&self.stats);
-            let picked = best_insertion_bounded(&self.stats, v, scale, &mut self.counters)
+            let picked = best_insertion_bounded(&self.stats, &v, scale, &mut self.counters)
                 .expect("k >= 1 clusters");
             #[cfg(debug_assertions)]
             {
-                let shadow = best_insertion(&self.stats, v).expect("k >= 1 clusters");
+                let shadow = best_insertion(&self.stats, &v).expect("k >= 1 clusters");
                 debug_assert_eq!(
-                    picked.0, shadow.0,
-                    "bounded placement must pick the full scan's cluster"
-                );
-                debug_assert_eq!(
-                    picked.1.to_bits(),
-                    shadow.1.to_bits(),
-                    "bounded placement delta must be bit-identical"
+                    (picked.0, picked.1.to_bits()),
+                    (shadow.0, shadow.1.to_bits()),
+                    "bounded placement must match the full scan bit for bit"
                 );
             }
             picked
         } else {
-            best_insertion(&self.stats, v).expect("k >= 1 clusters")
+            best_insertion(&self.stats, &v).expect("k >= 1 clusters")
         };
-        best
+        let h = self.next_handle();
+        let op = LogOp::Insert {
+            slot: h.slot() as u32,
+            cluster,
+        };
+        // Invariant: the slab's next slot, an existing cluster, a finite row.
+        self.apply_round(&[LogEntry {
+            op,
+            mu: mo.mu(),
+            mu2: mo.mu2(),
+        }])
+        .expect("a priced, finite arrival applies");
+        Ok(h)
     }
 
-    /// Applies an already-priced placement: the exact mutation sequence of
-    /// [`Self::insert`] after its scan — tracked statistics update, verbatim
-    /// store of the arrival's bits ([`SlabArena::insert_view`]), label
-    /// write, live count. The serving layer calls this per batched arrival,
-    /// with `best` produced by batch pricing that is bit-identical to
-    /// [`Self::price_insertion`]; the resulting engine state is therefore
-    /// byte-identical to a serial `insert` of the same arrival.
-    pub(crate) fn commit_placed(&mut self, v: &MomentView<'_>, best: usize) -> ObjectHandle {
-        // Tracked edit: outstanding bounds widen by the accumulated drift
-        // instead of dying; only a small-size transition stales
-        // (surgically) the entries rooted in this cluster.
-        apply_tracked_insert(
-            &mut self.stats,
-            best,
-            v,
-            &mut self.totals,
-            &mut self.versions,
-        );
-        let h = self.slab.insert_view(v);
-        let slot = h.slot();
-        if slot == self.labels.len() {
-            self.labels.push(Some(best));
-        } else {
-            debug_assert!(self.labels[slot].is_none(), "recycled slot must be free");
-            self.labels[slot] = Some(best);
+    /// The handle the next insertion receives: the slab's LIFO free list
+    /// hands out its most recently freed slot under that slot's current
+    /// generation, else a fresh slot at generation 0.
+    pub(crate) fn next_handle(&self) -> ObjectHandle {
+        match self.slab.free_slots().last() {
+            Some(&slot) => ObjectHandle::new(slot, self.slab.generation(slot as usize)),
+            None => ObjectHandle::new(self.labels.len() as u32, 0),
         }
-        self.live += 1;
-        h
     }
 
     /// Removes a live object in O(m). A stale handle — already removed, or
     /// its slot recycled to a later arrival — returns
     /// [`ClusterError::StaleHandle`] and changes nothing.
     pub fn remove(&mut self, h: ObjectHandle) -> Result<(), ClusterError> {
-        if !self.slab.contains(h) {
-            return Err(ClusterError::StaleHandle {
-                slot: h.slot() as u32,
-                generation: h.generation(),
-            });
-        }
-        let slot = h.slot();
-        let cluster = self.labels[slot].take().expect("live slot has a label");
-        apply_tracked_remove(
-            &mut self.stats,
+        let cluster = self.label_of(h).ok_or(ClusterError::StaleHandle {
+            slot: h.slot() as u32,
+            generation: h.generation(),
+        })?;
+        let entry = LogEntry::bare(LogOp::Remove {
+            slot: h.slot() as u32,
             cluster,
-            &self.slab.view(slot),
-            &mut self.totals,
-            &mut self.versions,
-        );
-        self.slab.remove(h).expect("contains(h) checked above");
-        self.live -= 1;
+        });
+        // Invariant: the handle is live and `cluster` is its label.
+        self.apply_round(&[entry])
+            .expect("removing a live object applies");
+        Ok(())
+    }
+
+    /// Applies one logged round — the engine's only mutation path, shared
+    /// by [`Self::insert`], [`Self::remove`], [`Self::stabilize`], the
+    /// serving flush, [`crate::wal::recover`] and the sharded coordinator.
+    ///
+    /// Each entry is checked before it applies: its clusters exist and a
+    /// drained one is not empty; an `Insert` names the slot the slab
+    /// allocates next and carries a finite `m`-dimensional row; a `Remove`
+    /// or `Move` names a live slot labelled with the cluster it leaves (its
+    /// row is read from the slab). Inserts and removes are drift-tracked
+    /// edits; a move is drift-tracked exactly when pruning is on, as in the
+    /// live pass. The first failing entry stops the fold with the reason
+    /// and leaves the engine partly updated, for a replaying caller to
+    /// discard.
+    pub fn apply_round<R: AsRef<[f64]>>(
+        &mut self,
+        entries: &[LogEntry<R>],
+    ) -> Result<(), &'static str> {
+        for e in entries {
+            let (drained, joined) = e.op.check(&self.stats)?;
+            let (LogOp::Insert { slot, .. }
+            | LogOp::Remove { slot, .. }
+            | LogOp::Move { slot, .. }) = e.op;
+            let s = slot as usize;
+            let h = match drained {
+                Some(c) if self.labels.get(s) == Some(&Some(c)) => {
+                    ObjectHandle::new(slot, self.slab.generation(s))
+                }
+                Some(_) => return Err("round names a free slot or the wrong cluster"),
+                None if self.next_handle().slot() != s => {
+                    return Err("round inserts at a slot the slab would not allocate")
+                }
+                None => {
+                    let (mu, mu2) = e.row(self.m)?;
+                    // The one canonical fold derives the variance row and
+                    // scalar aggregates, live and at replay alike.
+                    let h = self.slab.insert_with(self.m, |j| (mu[j], mu2[j]));
+                    // For a folded row these three sums are finite iff
+                    // every entry is: a non-finite `mu_j` or `mu2_j`, or an
+                    // overflowing square or sum, reaches one of them.
+                    let v = self.slab.view(s);
+                    let sums = [v.sum_mu_sq, v.sum_mu2, v.sum_var];
+                    if !sums.iter().all(|x| x.is_finite()) {
+                        return Err("round carries a non-finite row");
+                    }
+                    h
+                }
+            };
+            let v = self.slab.view(s);
+            let (stats, totals, versions) = (&mut self.stats, &mut self.totals, &mut self.versions);
+            // Edits are drift-tracked; a move only under pruning, as the
+            // live pass applies it.
+            match (drained, joined) {
+                (Some(src), Some(dst)) if !self.pruning.is_enabled() => {
+                    stats[src].remove_view(&v);
+                    stats[dst].add_view(&v);
+                }
+                _ => {
+                    if let Some(c) = drained {
+                        apply_tracked_remove(stats, c, &v, totals, versions);
+                    }
+                    if let Some(c) = joined {
+                        apply_tracked_insert(stats, c, &v, totals, versions);
+                    }
+                }
+            }
+            if s == self.labels.len() {
+                self.labels.push(joined);
+            } else {
+                self.labels[s] = joined;
+            }
+            // A departure frees its slot; a move retires the slot's cached
+            // bound (the cache covers the slots of the last pruned pass).
+            match (drained, joined) {
+                (None, _) => self.live += 1,
+                (_, None) => {
+                    self.slab
+                        .remove(h)
+                        .map_err(|_| "slab and label map are out of sync")?;
+                    self.live -= 1;
+                }
+                _ if s < self.cache.len() => self.cache.invalidate(s),
+                _ => {}
+            }
+        }
         Ok(())
     }
 
@@ -372,6 +430,13 @@ impl IncrementalUcpc {
     /// enabled the passes take the exact tier-1/tier-2 shortcuts of
     /// [`crate::pruning`]; the relocation sequence is identical either way.
     pub fn stabilize(&mut self, passes: usize) -> usize {
+        self.stabilize_with(passes, |_| {})
+    }
+
+    /// [`Self::stabilize`], handing every move to `each` after applying it
+    /// through [`Self::apply_round`] — the serving layer logs a pass's
+    /// moves as one round this way.
+    pub(crate) fn stabilize_with(&mut self, passes: usize, mut each: impl FnMut(LogOp)) -> usize {
         let mut relocations = 0usize;
         let pruned = self.pruning.is_enabled();
         if pruned {
@@ -385,10 +450,8 @@ impl IncrementalUcpc {
                 if self.stats[src].size() == 1 {
                     continue;
                 }
-                // Borrowed straight out of the slab — applied relocations
-                // below mutate only `stats`/`totals`/`versions`/`cache`,
-                // all disjoint from the moment storage, so no per-move
-                // clone of the moments is ever needed.
+                // Borrowed straight out of the slab: no per-object clone
+                // of the moments is ever needed.
                 let v = self.slab.view(i);
                 let gen = self.slab.generation(i);
 
@@ -447,21 +510,16 @@ impl IncrementalUcpc {
                         .map(|(dst, _)| dst),
                 };
                 let Some(dst) = dst else { continue };
-                if pruned {
-                    apply_tracked_relocation(
-                        &mut self.stats,
-                        src,
-                        dst,
-                        &v,
-                        &mut self.totals,
-                        &mut self.versions,
-                    );
-                    self.cache.invalidate(i);
-                } else {
-                    self.stats[src].remove_view(&v);
-                    self.stats[dst].add_view(&v);
-                }
-                self.labels[i] = Some(dst);
+                let op = LogOp::Move {
+                    slot: i as u32,
+                    src,
+                    dst,
+                };
+                // Invariant: `i` is live in `src` and the scans pick an
+                // existing cluster.
+                self.apply_round(&[LogEntry::bare(op)])
+                    .expect("a relocation the pass picked applies");
+                each(op);
                 relocations += 1;
                 moved = true;
             }
@@ -470,6 +528,30 @@ impl IncrementalUcpc {
             }
         }
         relocations
+    }
+
+    /// A copy of what a relocation pass mutates besides labels, for
+    /// [`Self::undo_pass`].
+    pub(crate) fn save_pass(&self) -> PassUndo {
+        PassUndo {
+            stats: self.stats.clone(),
+            totals: self.totals,
+            versions: self.versions.clone(),
+        }
+    }
+
+    /// Rolls back the pass that made `moves` since [`Self::save_pass`]
+    /// returned `undo`: restores the statistics, drift totals, version
+    /// counters and labels, and retires the prune cache (epoch bump),
+    /// whose entries the pass wrote against statistics that are gone.
+    pub(crate) fn undo_pass(&mut self, undo: PassUndo, moves: &[LogEntry<&[f64]>]) {
+        (self.stats, self.totals, self.versions) = (undo.stats, undo.totals, undo.versions);
+        for e in moves.iter().rev() {
+            if let LogOp::Move { slot, src, .. } = e.op {
+                self.labels[slot as usize] = Some(src);
+            }
+        }
+        self.epoch += 1;
     }
 
     /// Current handles and labels of all live objects, in slot order.
@@ -487,6 +569,15 @@ impl IncrementalUcpc {
             })
             .collect()
     }
+}
+
+/// What a relocation pass mutates besides labels, saved so that a pass
+/// whose round cannot be logged can be undone.
+#[derive(Debug)]
+pub(crate) struct PassUndo {
+    stats: Vec<ClusterStats>,
+    totals: DriftTotals,
+    versions: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -602,6 +693,27 @@ mod tests {
         }
         assert_eq!(inc.live_labels(), reference.live_labels());
         assert_eq!(inc.cluster_stats(), reference.cluster_stats());
+    }
+
+    #[test]
+    fn an_undone_pass_restores_the_engine_and_retires_the_prune_cache() {
+        let mut inc = IncrementalUcpc::new(1, 2).unwrap();
+        inc.set_pruning(PruningConfig::Bounds);
+        for c in [0.0, 1.0, 10.0, 11.0, 12.0] {
+            inc.insert(&obj(c)).unwrap();
+        }
+        let before = inc.clone();
+        let undo = inc.save_pass();
+        let mut moves = Vec::new();
+        let moved = inc.stabilize_with(3, |op| moves.push(LogEntry::bare(op)));
+        assert!(moved > 0 && moves.len() == moved);
+        inc.undo_pass(undo, &moves);
+        assert_eq!(inc.live_labels(), before.live_labels());
+        assert_eq!(inc.cluster_stats(), before.cluster_stats());
+        assert_eq!(inc.totals, before.totals);
+        assert_eq!(inc.versions, before.versions);
+        // The pass cached bounds against statistics that are gone.
+        assert_eq!(inc.epoch, before.epoch + 1);
     }
 
     #[test]

@@ -111,6 +111,6 @@ pub use snapshot::SnapshotError;
 pub use ucentroid::UCentroid;
 pub use ucpc::{Ucpc, UcpcResult};
 pub use wal::{
-    apply_record, recover, scan_wal, DurableIo, IoFault, Recovery, SharedVecIo, VecIo, WalDamage,
-    WalError, WalFsync, WalRecord, WalScan, WalWriter,
+    recover, scan_wal, DurableIo, IoFault, LogEntry, LogOp, Recovery, SharedVecIo, VecIo,
+    WalDamage, WalError, WalFsync, WalRecord, WalScan, WalWriter,
 };

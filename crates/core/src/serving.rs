@@ -23,9 +23,9 @@
 //!    cache-hot — producing the full `B × k` delta matrix and every
 //!    arrival's ranked answer in one batch;
 //! 2. **apply** — requests are replayed in submission order: queries read
-//!    their delta row, commits place the arrival through
-//!    `IncrementalUcpc::commit_placed` (the exact serial mutation
-//!    sequence), removals and stabilizations run on the live engine;
+//!    their delta row; commits, removals and every move of a stabilization
+//!    become [`LogEntry`] rounds applied through
+//!    [`IncrementalUcpc::apply_round`], the engine's one mutation path;
 //! 3. **respond** — each request's answer ([`ServingResponse`]) is queued
 //!    in submission order for [`ServingUcpc::pop_response`], with placement
 //!    answers carrying the top-`k'` clusters by exact delta-`J` and the
@@ -70,14 +70,14 @@
 //!   semantics. The folded argmin therefore matches the serial scan bit for
 //!   bit (debug builds shadow-assert this against a live full scan on every
 //!   commit).
-//! * **Storage.** The staged copy of an arrival is written and re-read
-//!   **verbatim** — [`MomentArena::overwrite_row`] on admission,
-//!   [`SlabArena::insert_view`] on commit copy every moment row and
-//!   scalar aggregate bit for bit, deriving nothing — and
-//!   `IncrementalUcpc::commit_placed` replays the serial insert's exact
-//!   mutation sequence (tracked statistics update, verbatim store, label
-//!   write, live count). Handles come from the same slot/generation
-//!   discipline, so even the issued [`ObjectHandle`]s coincide.
+//! * **Storage.** The staged copy of an arrival is written **verbatim**
+//!   ([`MomentArena::overwrite_row`] on admission), and a commit is the
+//!   same `Insert` entry a serial [`IncrementalUcpc::insert`] applies: the
+//!   arrival's `(mu, mu2)` rows, the cluster, and the slot the slab
+//!   allocates next. [`IncrementalUcpc::apply_round`] derives the stored
+//!   row through the slab's one canonical fold and replays the serial
+//!   insert's mutation sequence (tracked statistics update, store, label
+//!   write, live count), so even the issued [`ObjectHandle`]s coincide.
 //! * **Cadence.** Stabilization runs on a *commit counter*
 //!   ([`ServingConfig::stabilize_every`]), firing immediately after every
 //!   N-th commit — mid-batch when the batch spans the boundary — so the
@@ -91,21 +91,27 @@
 //! # Durability
 //!
 //! With a write-ahead log attached ([`ServingUcpc::attach_wal`], or the
-//! `UCPC_WAL=on` auto-attach), every mutation in a flush — commit,
-//! effective removal, explicit *and cadence-triggered* stabilization — is
-//! appended to the log **before** it is applied, and the flush ends with
-//! one group-commit sync. The invariant is *applied iff logged*: a
-//! mutation whose frame cannot be written answers
-//! [`ServingResponse::Failed`] and leaves the engine untouched, and after
-//! the first fault the writer stays poisoned (the file tail is
-//! indeterminate, so later frames could be unreachable) until the caller
-//! rotates logs. [`ServingUcpc::checkpoint_into`] is that rotation:
+//! `UCPC_WAL=on` auto-attach), the flush logs every mutation as a round of
+//! [`LogEntry`] decisions and ends with one group-commit sync. A commit is
+//! one `Insert` carrying the arrival's row and an effective removal one
+//! `Remove`, each logged **before** it is applied. A stabilization,
+//! explicit or cadence-triggered, is one round of the `Move`s its passes
+//! made, logged *after* the passes run on a saved copy of what they
+//! mutate; if that round cannot be logged, the passes are undone. Rounds
+//! are numbered from 1 in every log.
+//!
+//! The invariant is *applied iff logged*: a mutation whose round cannot
+//! be written answers [`ServingResponse::Failed`] and leaves the engine as
+//! it was, and after the first fault the writer stays poisoned (the file
+//! tail is indeterminate, so later frames could be unreachable) until the
+//! caller rotates logs. [`ServingUcpc::checkpoint_into`] is that rotation:
 //! stream a chunked snapshot, sync it, start a fresh log.
-//! [`crate::wal::recover`]`(snapshot, wal)` then rebuilds an engine
-//! byte-identical to the never-crashed run at every crash point — the
-//! derivation lives in the [`crate::wal`] module docs, and
-//! `tests/wal_recovery.rs` pins it at every frame boundary and mid-frame
-//! cut.
+//! [`crate::wal::recover`]`(snapshot, wal)` then folds the rounds through
+//! the same [`IncrementalUcpc::apply_round`], pricing nothing, and
+//! rebuilds an engine byte-identical to the never-crashed run at every
+//! crash point — the derivation lives in the [`crate::wal`] module docs,
+//! and `tests/wal_recovery.rs` pins it at every frame boundary and
+//! mid-frame cut.
 //!
 //! # Knobs
 //!
@@ -123,7 +129,6 @@
 //! [`AddPricer`]: crate::objective::AddPricer
 //! [`DISPATCH_THRESHOLD`]: ucpc_uncertain::simd::DISPATCH_THRESHOLD
 //! [`MomentArena::overwrite_row`]: ucpc_uncertain::MomentArena::overwrite_row
-//! [`SlabArena::insert_view`]: ucpc_uncertain::SlabArena::insert_view
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -131,7 +136,7 @@ use std::time::{Duration, Instant};
 use crate::framework::ClusterError;
 use crate::incremental::{IncrementalUcpc, ObjectHandle};
 use crate::objective::AddPricer;
-use crate::wal::{DurableIo, VecIo, WalError, WalFsync, WalWriter};
+use crate::wal::{DurableIo, LogEntry, LogOp, VecIo, WalError, WalFsync, WalWriter};
 use ucpc_uncertain::simd::{dot_block, DISPATCH_THRESHOLD};
 use ucpc_uncertain::{MomentArena, Moments, UncertainObject};
 
@@ -261,11 +266,12 @@ pub enum ServingResponse {
         relocations: usize,
     },
     /// The request's mutation could not be written to the attached
-    /// write-ahead log, so it was **not applied** — log-before-apply means
-    /// the engine only ever holds state the log can reproduce. After the
-    /// first fault the writer is poisoned ([`WalError::Poisoned`]), so
-    /// every later mutation fails the same way until the caller rotates
-    /// the log ([`ServingUcpc::checkpoint_into`]) or detaches it.
+    /// write-ahead log, so it was **not applied** (a stabilization's
+    /// passes were undone) — the engine only ever holds state the log can
+    /// reproduce. After the first fault the writer is poisoned
+    /// ([`WalError::Poisoned`]), so every later mutation fails the same
+    /// way until the caller rotates the log
+    /// ([`ServingUcpc::checkpoint_into`]) or detaches it.
     Failed {
         /// The logging failure.
         error: WalError,
@@ -460,9 +466,11 @@ pub struct ServingUcpc {
     /// injectable via [`Self::set_clock`] so deadline tests are exact).
     clock: Box<dyn Clock>,
     /// The attached write-ahead log, if any: every mutation is logged
-    /// here *before* it is applied, and [`Self::flush`] group-commits once
-    /// at the end (module docs, "Durability").
+    /// here as a round, and [`Self::flush`] group-commits once at the end
+    /// (module docs, "Durability").
     wal: Option<BoxedWal>,
+    /// The moves of the current logged relocation pass: one round.
+    moves: Vec<LogEntry<&'static [f64]>>,
 }
 
 impl ServingUcpc {
@@ -497,6 +505,7 @@ impl ServingUcpc {
             .expect("in-memory sink cannot fault")
         });
         Self {
+            moves: Vec::new(),
             engine,
             staging,
             free_rows: (0..cap as u32).rev().collect(),
@@ -748,28 +757,15 @@ impl ServingUcpc {
                 ReqKind::Commit { row } => {
                     let answer = self.answer_for(arrival, row);
                     arrival += 1;
-                    // Log before apply: an arrival the WAL cannot hold is
-                    // never committed — the engine only ever contains
-                    // state the log can reproduce.
-                    let logged = match &mut self.wal {
-                        Some(w) => {
-                            let v = self.staging.view(row as usize);
-                            w.log_commit(v.mu, v.mu2)
-                        }
-                        None => Ok(()),
-                    };
-                    if let Err(error) = logged {
-                        self.free_rows.push(row);
-                        self.responses
-                            .push_back((req.ticket, ServingResponse::Failed { error }));
-                        continue;
-                    }
+                    // Nothing is admitted mid-flush, so the row stays
+                    // intact for the rest of this request.
+                    self.free_rows.push(row);
                     let best = answer.best().0;
+                    let v = self.staging.view(row as usize);
                     #[cfg(debug_assertions)]
                     {
                         // The merged fold must agree with a live full scan —
                         // the direct check of the dirty-stamp argument.
-                        let v = self.staging.view(row as usize);
                         let shadow = crate::pruning::best_insertion(&self.engine.stats, &v)
                             .expect("k >= 1 clusters");
                         debug_assert_eq!(
@@ -778,75 +774,62 @@ impl ServingUcpc {
                             "merged batch fold diverged from the serial scan"
                         );
                     }
-                    let handle = {
-                        let v = self.staging.view(row as usize);
-                        self.engine.commit_placed(&v, best)
+                    let handle = self.engine.next_handle();
+                    let op = LogOp::Insert {
+                        slot: handle.slot() as u32,
+                        cluster: best,
                     };
-                    self.dirty[best] = self.flush_seq;
-                    self.any_dirty = true;
-                    self.free_rows.push(row);
-                    self.commits_since_stabilize += 1;
-                    if self.cfg.stabilize_every != 0
-                        && self.commits_since_stabilize >= self.cfg.stabilize_every
-                    {
-                        // The cadence stabilization is a mutation too: log
-                        // it (so recovery replays it at the same point)
-                        // before running it. If logging fails the pass is
-                        // skipped and the counter stands — neither log nor
-                        // engine saw it, so they still agree.
-                        let logged = match &mut self.wal {
-                            Some(w) => w.log_stabilize(self.cfg.stabilize_passes as u64),
-                            None => Ok(()),
-                        };
-                        if logged.is_ok() {
-                            self.commits_since_stabilize = 0;
-                            if self.engine.stabilize(self.cfg.stabilize_passes) > 0 {
-                                self.dirty.fill(self.flush_seq);
-                                self.any_dirty = true;
-                            }
-                        }
-                    }
-                    ServingResponse::Committed { handle, answer }
-                }
-                ReqKind::Remove(h) => {
-                    let cluster = self.engine.label_of(h);
-                    // Only an *effective* remove reaches the log: replaying
-                    // a stale-handle remove would be a false corruption at
-                    // recovery, so it must never be a WAL frame.
-                    if cluster.is_some() {
-                        if let Some(w) = &mut self.wal {
-                            if let Err(error) = w.log_remove(h) {
-                                self.responses
-                                    .push_back((req.ticket, ServingResponse::Failed { error }));
-                                continue;
-                            }
-                        }
-                    }
-                    let result = self.engine.remove(h);
-                    if result.is_ok() {
-                        let c = cluster.expect("removed object had a label");
-                        self.dirty[c] = self.flush_seq;
-                        self.any_dirty = true;
-                    }
-                    ServingResponse::Removed(result)
-                }
-                ReqKind::Stabilize { passes } => {
-                    let logged = match &mut self.wal {
-                        Some(w) => w.log_stabilize(passes as u64),
-                        None => Ok(()),
+                    let entry = LogEntry {
+                        op,
+                        mu: v.mu,
+                        mu2: v.mu2,
                     };
-                    if let Err(error) = logged {
+                    // An arrival the WAL cannot hold is never committed.
+                    if let Err(error) = log_then_apply(&mut self.wal, &mut self.engine, &[entry]) {
                         self.responses
                             .push_back((req.ticket, ServingResponse::Failed { error }));
                         continue;
                     }
-                    let relocations = self.engine.stabilize(passes);
-                    if relocations > 0 {
-                        self.dirty.fill(self.flush_seq);
-                        self.any_dirty = true;
+                    self.dirty[best] = self.flush_seq;
+                    self.any_dirty = true;
+                    self.commits_since_stabilize += 1;
+                    // A cadence pass whose round cannot be logged is undone
+                    // and leaves the counter standing: neither log nor
+                    // engine saw it.
+                    if self.cfg.stabilize_every != 0
+                        && self.commits_since_stabilize >= self.cfg.stabilize_every
+                        && self.stabilize_logged(self.cfg.stabilize_passes).is_ok()
+                    {
+                        self.commits_since_stabilize = 0;
                     }
-                    ServingResponse::Stabilized { relocations }
+                    ServingResponse::Committed { handle, answer }
                 }
+                ReqKind::Remove(h) => match self.engine.label_of(h) {
+                    // Only an *effective* remove reaches the log: replaying
+                    // a stale-handle remove would be a false corruption at
+                    // recovery, so it must never be a WAL frame.
+                    None => ServingResponse::Removed(self.engine.remove(h)),
+                    Some(cluster) => {
+                        let entry = LogEntry::bare(LogOp::Remove {
+                            slot: h.slot() as u32,
+                            cluster,
+                        });
+                        if let Err(error) =
+                            log_then_apply(&mut self.wal, &mut self.engine, &[entry])
+                        {
+                            self.responses
+                                .push_back((req.ticket, ServingResponse::Failed { error }));
+                            continue;
+                        }
+                        self.dirty[cluster] = self.flush_seq;
+                        self.any_dirty = true;
+                        ServingResponse::Removed(Ok(()))
+                    }
+                },
+                ReqKind::Stabilize { passes } => match self.stabilize_logged(passes) {
+                    Ok(relocations) => ServingResponse::Stabilized { relocations },
+                    Err(error) => ServingResponse::Failed { error },
+                },
             };
             self.responses.push_back((req.ticket, response));
         }
@@ -859,6 +842,36 @@ impl ServingUcpc {
             let _ = w.group_commit();
         }
         n
+    }
+
+    /// Runs up to `passes` relocation passes and logs their moves as one
+    /// round. The pass runs first — its moves are known only afterwards —
+    /// on a saved copy of what it mutates: if the round cannot be logged,
+    /// the pass is undone (statistics, drift totals, versions and labels
+    /// restored, prune cache retired) and the logging failure returned, so
+    /// the engine still holds only state the log can reproduce.
+    fn stabilize_logged(&mut self, passes: usize) -> Result<usize, WalError> {
+        let relocations = match &mut self.wal {
+            None => self.engine.stabilize(passes),
+            Some(w) => {
+                let undo = self.engine.save_pass();
+                let moves = &mut self.moves;
+                moves.clear();
+                let relocations = self
+                    .engine
+                    .stabilize_with(passes, |op| moves.push(LogEntry::bare(op)));
+                if let Err(error) = w.log_round(w.frames() + 1, moves) {
+                    self.engine.undo_pass(undo, moves);
+                    return Err(error);
+                }
+                relocations
+            }
+        };
+        if relocations > 0 {
+            self.dirty.fill(self.flush_seq);
+            self.any_dirty = true;
+        }
+        Ok(relocations)
     }
 
     /// The oldest unread `(ticket, response)`, in submission order.
@@ -973,6 +986,25 @@ impl ServingUcpc {
             }
         })
     }
+}
+
+/// Log before apply: logs one round to the attached log, if any, then
+/// applies it. Rounds are numbered after the log's last frame, so serving
+/// rounds count from 1 in every log.
+fn log_then_apply(
+    wal: &mut Option<BoxedWal>,
+    engine: &mut IncrementalUcpc,
+    entries: &[LogEntry<&[f64]>],
+) -> Result<(), WalError> {
+    if let Some(w) = wal {
+        w.log_round(w.frames() + 1, entries)?;
+    }
+    // Invariant: the flush builds rounds from priced, admitted arrivals at
+    // the slab's next slot and from live handles in their own clusters.
+    engine
+        .apply_round(entries)
+        .expect("a round the flush built applies");
+    Ok(())
 }
 
 /// [`fold_with`] over a contiguous pre-priced delta row.
@@ -1279,9 +1311,11 @@ mod tests {
     #[test]
     fn enospc_mid_flush_fails_checked_and_skips_the_apply() {
         let mut serving = ServingUcpc::new(2, 2, cfg(8)).unwrap();
-        // Header + one commit frame, then the wall: the second commit's
-        // frame cannot fit.
-        let header_and_one = crate::wal::WAL_HEADER_LEN + 4 + 1 + 2 * 2 * 8 + 4;
+        // Header + one commit frame (len, tag, seq, count, one row-carrying
+        // insert entry, crc), then the wall: the second commit's frame
+        // cannot fit.
+        let header_and_one =
+            crate::wal::WAL_HEADER_LEN + 4 + 1 + 8 + 4 + (1 + 4 + 4 + 2 * 2 * 8) + 4;
         serving.attach_wal(VecIo::limited(header_and_one)).unwrap();
         serving.submit_commit_object(&obj(0.0)).unwrap();
         serving.submit_commit_object(&obj(8.0)).unwrap();

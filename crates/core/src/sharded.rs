@@ -12,32 +12,37 @@
 //! depends on the order bit-for-bit ([`ClusterStats::merge`] is
 //! commutative mathematically but, like any floating-point reduction,
 //! not bit-associative). So the protocol replicates the *sequence*, not
-//! the result:
+//! the result — as [`LogEntry`] rounds, the same record every WAL holds:
 //!
-//! 1. The **coordinator** (node 0) owns the op order. It allocates
-//!    global slots through the same LIFO free-list + generation
-//!    discipline as the single-node moment store, so handle sequences
-//!    match [`crate::incremental::IncrementalUcpc`] exactly, and it
-//!    assigns each op batch a global sequence number.
+//! 1. The **coordinator** (node 0) owns the op order and is itself an
+//!    engine replica: an [`IncrementalUcpc`] holding every row. Its slab
+//!    allocates the global slots and generations, so handle sequences
+//!    match the single-node engine exactly, and it assigns each op batch
+//!    a global sequence number.
 //! 2. The slot's **owner participant** runs the local propose phase: it
 //!    prices the ops against its full `ClusterStats` replica with the
 //!    exact kernels ([`crate::pruning::best_insertion`],
-//!    [`crate::pruning::best_candidate`]), appends the resulting
-//!    [`LogEntry`]s to its write-ahead shard log, applies them, and
-//!    replies. Only mutations become entries: a relocation scan that
-//!    keeps its object in place emits nothing, so a round may be empty.
-//!    An empty round is still sequenced, logged and acknowledged like
-//!    any other.
-//! 3. The coordinator applies the entries to its own replica and
-//!    broadcasts them to every other participant; each logs and applies
-//!    them in the same global order and acknowledges. Only then does the
-//!    round commit and the next sequence number get used.
+//!    [`crate::pruning::best_candidate`]), appends the resulting entries
+//!    to its write-ahead shard log, applies them, and replies. Only
+//!    mutations become entries: a relocation scan that keeps its object
+//!    in place emits nothing, so a round may be empty. An empty round is
+//!    still sequenced, logged and acknowledged like any other.
+//! 3. The coordinator folds the round into its engine through
+//!    [`IncrementalUcpc::apply_round`] — the one mutation path serving,
+//!    WAL recovery and the single-node engine share — and broadcasts it to
+//!    every other participant; each logs and applies it in the same global
+//!    order and acknowledges. Only then does the round commit and the next
+//!    sequence number get used.
 //!
-//! Every entry ships the object's raw moment rows (`mu`, `mu2`), and
-//! every replica applies `add_view`/`remove_view` *itself*: the `S₂`
-//! update inside `add_view` depends on the target's current mean sum, so
-//! shipping precomputed deltas would not reproduce the bits — shipping
-//! the inputs and replaying the fold does.
+//! Every entry ships the object's raw moment rows (`mu`, `mu2`), because
+//! a participant holds only the rows it owns, and every replica applies
+//! `add_view`/`remove_view` *itself*: the `S₂` update inside `add_view`
+//! depends on the target's current mean sum, so shipping precomputed
+//! deltas would not reproduce the bits — shipping the inputs and
+//! replaying the fold does. Participants run the same per-entry check as
+//! the engine (clusters in range, no drain of an empty cluster, a finite
+//! row) plus their own owned-row check. The coordinator's replica costs
+//! one extra copy of the rows, at node 0.
 //!
 //! # Robustness
 //!
@@ -71,9 +76,9 @@
 //! Both durable streams go through the one [`crate::codec`]:
 //!
 //! * The **shard log** is a real WAL ([`crate::wal::WalWriter`]): the
-//!   `UCPCWAL` header, then one [`crate::wal::WalRecord::Round`] frame
-//!   (`seq`, then each entry's op, slot, clusters and raw rows) per
-//!   round the shard logs, synced before the shard replies.
+//!   `UCPCWAL` header, then one round frame (`seq`, then each entry's op,
+//!   slot, clusters and raw rows) per round the shard logs, synced before
+//!   the shard replies.
 //! * The **shard checkpoint** is the snapshot container of
 //!   [`crate::snapshot`] — the same head, CRC'd chunks and END — with
 //!   two section kinds of its own:
@@ -99,19 +104,21 @@
 
 use crate::fault::{ChaosPlan, Dice, ManualClock};
 use crate::framework::ClusterError;
-use crate::objective::{total_objective, ClusterStats};
-use crate::pruning::{best_candidate, best_insertion, TOLERANCE};
+use crate::incremental::IncrementalUcpc;
+use crate::objective::ClusterStats;
+use crate::pruning::{best_candidate, best_insertion, PruningConfig, TOLERANCE};
 use crate::serving::Clock;
 use crate::snapshot::{
     read_stats, write_stats, ChunkWriter, Sections, SnapshotError, CHUNK_SHARD, CHUNK_SHARD_ROWS,
     ROWS_PER_CHUNK,
 };
 use crate::wal::{
-    scan_wal, SharedVecIo, VecIo, WalError, WalFsync, WalRecord, WalWriter, WAL_HEADER_LEN,
+    replay_rounds, scan_for_replay, LogEntry, LogOp, SharedVecIo, VecIo, WalError, WalFsync,
+    WalWriter,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
-use ucpc_uncertain::{MomentView, Moments, ObjectHandle, SlabArena, UncertainObject};
+use ucpc_uncertain::{Moments, ObjectHandle, SlabArena, UncertainObject};
 
 /// Contiguous slots per ownership block: slot `s` belongs to shard
 /// `(s / BLOCK) % shards`. Block ownership is what lets a stabilization
@@ -167,48 +174,6 @@ pub enum Op {
         /// Its committed cluster at batch-build time (stable within a
         /// pass: only a slot's own relocation changes its label).
         src: usize,
-    },
-}
-
-/// The deterministic outcome of one [`Op`] that changed state, as
-/// appended to the replicated log. Every entry carries the object's raw
-/// moment rows so every replica can replay the exact
-/// `add_view`/`remove_view` arithmetic itself.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogEntry {
-    /// What happened.
-    pub op: LogOp,
-    /// `E[X_j]` row of the object.
-    pub mu: Vec<f64>,
-    /// `E[X_j²]` row of the object.
-    pub mu2: Vec<f64>,
-}
-
-/// The kind of a [`LogEntry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LogOp {
-    /// The arrival in `slot` joined `cluster`.
-    Insert {
-        /// Global slot of the arrival.
-        slot: u32,
-        /// Cluster the owner's placement scan picked.
-        cluster: usize,
-    },
-    /// The object in `slot` left `cluster`.
-    Remove {
-        /// Global slot of the departure.
-        slot: u32,
-        /// Cluster it departed from.
-        cluster: usize,
-    },
-    /// The object in `slot` relocated from `src` to `dst`.
-    Move {
-        /// Global slot of the relocated object.
-        slot: u32,
-        /// Cluster it left.
-        src: usize,
-        /// Cluster it joined.
-        dst: usize,
     },
 }
 
@@ -367,54 +332,12 @@ impl ChaosTransport {
     }
 }
 
-/// Replays one round's entries onto a statistics replica: every replica
-/// performs the identical `add_view`/`remove_view` calls in the identical
-/// order, which is the whole bit-identity argument. `each` runs the
-/// caller's own bookkeeping for every state-changing entry, with the
-/// entry's moment view. An entry naming a cluster out of range, draining
-/// an empty cluster, carrying a non-finite row (which admission would
-/// have refused), or refused by `each` stops the fold with the reason —
-/// a checksum-valid round can still be corrupt — and leaves the replica
-/// partly updated, for the caller to discard.
-fn fold_entries(
-    stats: &mut [ClusterStats],
-    entries: &[LogEntry],
-    mut each: impl FnMut(LogOp, &MomentView<'_>) -> Result<(), &'static str>,
-) -> Result<(), &'static str> {
-    for e in entries {
-        let (drained, joined) = match e.op {
-            LogOp::Insert { cluster, .. } => (None, Some(cluster)),
-            LogOp::Remove { cluster, .. } => (Some(cluster), None),
-            LogOp::Move { src, dst, .. } => (Some(src), Some(dst)),
-        };
-        if drained.into_iter().chain(joined).any(|c| c >= stats.len()) {
-            return Err("round names a cluster out of range");
-        }
-        if drained.is_some_and(|c| stats[c].is_empty()) {
-            return Err("round drains an empty cluster");
-        }
-        let mo = Moments::from_mu_mu2(e.mu.clone(), e.mu2.clone());
-        let v = mo.view();
-        if !v.is_finite() {
-            return Err("round carries a non-finite row");
-        }
-        each(e.op, &v)?;
-        if let Some(c) = drained {
-            stats[c].remove_view(&v);
-        }
-        if let Some(c) = joined {
-            stats[c].add_view(&v);
-        }
-    }
-    Ok(())
-}
-
 /// The `expect` message of folds over rounds the coordinator built:
 /// well-formed by construction, unlike rounds read back from a log.
 const BUILT_ROUND: &str = "coordinator-built rounds are well-formed";
 
-/// A shard log on `io`: a WAL of [`WalRecord::Round`] frames, synced per
-/// round so a round is durable before the shard acknowledges it.
+/// A shard log on `io`: a WAL of round frames, synced per round so a
+/// round is durable before the shard acknowledges it.
 fn shard_log(io: SharedVecIo, m: usize) -> WalWriter<SharedVecIo> {
     // Invariant: shard logs are unbounded in-memory sinks with no fault
     // plan, so neither the header write nor its sync can fail.
@@ -479,8 +402,8 @@ impl Participant {
     /// tail — even a torn header — truncates the replay at the last
     /// complete frame; the coordinator's `Catchup` supplies whatever is
     /// missing. A corrupt checkpoint, or a log that is not this shard's
-    /// WAL (bad magic, version or header checksum, wrong `m`, serving
-    /// records, a round that does not follow the watermark), is a checked
+    /// WAL (bad magic, version or header checksum, wrong `m`, a round that
+    /// does not follow the watermark or does not apply), is a checked
     /// error. The recovered participant logs to a detached sink until
     /// [`ShardedUcpc::restart`] re-anchors it.
     fn recover(
@@ -496,41 +419,13 @@ impl Participant {
         if !checkpoint.is_empty() {
             p.restore_checkpoint(checkpoint)?;
         }
-        let scan = scan_wal(log)?;
-        if let Some(found) = scan.m.filter(|&found| found != m) {
-            return Err(WalError::DimensionMismatch { expected: m, found });
-        }
-        if scan.m.is_none() && log.len() >= WAL_HEADER_LEN {
-            // The header is all there but fails its checksum: damage at
-            // the head of the log, not a torn tail.
-            return Err(WalError::Corrupt {
-                valid_bytes: 0,
-                frames: 0,
-                reason: "shard log header checksum mismatch",
-            });
-        }
-        for (i, record) in scan.records.into_iter().enumerate() {
-            let WalRecord::Round { seq, entries } = record else {
-                return Err(WalError::ForeignRecord);
-            };
-            // A shard logs every round in order from its checkpoint on, so
-            // a gap means the log does not belong on this checkpoint.
-            let replayed = if seq != p.applied + 1 {
-                Err("shard log round does not follow the watermark")
-            } else {
-                p.apply_entries(&entries)
-            };
-            if let Err(reason) = replayed {
-                return Err(WalError::Corrupt {
-                    valid_bytes: i
-                        .checked_sub(1)
-                        .map_or(WAL_HEADER_LEN as u64, |j| scan.frame_ends[j]),
-                    frames: i as u64,
-                    reason,
-                });
-            }
-            p.applied = seq;
-            p.last_done = Some((seq, entries));
+        let mut scan = scan_for_replay(log, m)?;
+        // A shard logs every round in order from its checkpoint on, so a
+        // gap means the log does not belong on this checkpoint.
+        let from = p.applied;
+        p.applied = replay_rounds(&scan, from, |entries| p.apply_entries(entries))?;
+        if let Some(last) = scan.records.pop() {
+            p.last_done = Some((last.seq, last.entries));
         }
         Ok(p)
     }
@@ -632,29 +527,49 @@ impl Participant {
             .expect("in-memory shard log cannot fault");
     }
 
-    /// Replays log entries onto this replica through the shared
-    /// [`fold_entries`]; slab bookkeeping runs only for rows this shard
-    /// owns, and an owned `Insert` (`Remove`) of a row the shard already
-    /// holds (does not hold) is refused like any other corrupt entry.
+    /// Replays log entries onto this replica: the engine's per-entry check
+    /// ([`LogOp::check`]) and a finite row, then the identical
+    /// `add_view`/`remove_view` calls every replica makes in the identical
+    /// order, which is the whole bit-identity argument. Slab bookkeeping
+    /// runs only for rows this shard owns, and an owned `Insert` (`Remove`)
+    /// of a row the shard already holds (does not hold) is refused like any
+    /// other corrupt entry. A refused entry leaves the replica partly
+    /// updated, for the caller to discard.
     fn apply_entries(&mut self, entries: &[LogEntry]) -> Result<(), &'static str> {
-        let (shard, shards) = (self.shard, self.shards);
-        let (slab, local) = (&mut self.slab, &mut self.local);
-        fold_entries(&mut self.stats, entries, |op, v| match op {
-            LogOp::Insert { slot, .. } if owner_of_slot(slot, shards) == shard => {
-                if local.contains_key(&slot) {
-                    return Err("round inserts a row the shard already holds");
+        for e in entries {
+            let (drained, joined) = e.op.check(&self.stats)?;
+            let (mu, mu2) = e.row(self.m)?;
+            let mo = Moments::from_mu_mu2(mu.to_vec(), mu2.to_vec());
+            let v = mo.view();
+            if !v.is_finite() {
+                return Err("round carries a non-finite row");
+            }
+            match e.op {
+                LogOp::Insert { slot, .. } if self.owns(slot) => {
+                    if self.local.contains_key(&slot) {
+                        return Err("round inserts a row the shard already holds");
+                    }
+                    self.local.insert(slot, self.slab.insert_view(&v));
                 }
-                local.insert(slot, slab.insert_view(v));
-                Ok(())
+                LogOp::Remove { slot, .. } if self.owns(slot) => {
+                    let h = self
+                        .local
+                        .remove(&slot)
+                        .ok_or("round removes a row the shard does not hold")?;
+                    self.slab
+                        .remove(h)
+                        .map_err(|_| "shard row map is out of sync")?;
+                }
+                _ => {}
             }
-            LogOp::Remove { slot, .. } if owner_of_slot(slot, shards) == shard => {
-                let h = local
-                    .remove(&slot)
-                    .ok_or("round removes a row the shard does not hold")?;
-                slab.remove(h).map_err(|_| "shard row map is out of sync")
+            if let Some(c) = drained {
+                self.stats[c].remove_view(&v);
             }
-            _ => Ok(()),
-        })
+            if let Some(c) = joined {
+                self.stats[c].add_view(&v);
+            }
+        }
+        Ok(())
     }
 
     /// The local propose phase: price each op against the replica with
@@ -777,109 +692,6 @@ impl Participant {
     }
 }
 
-// ---------------------------------------------------------------------
-// Coordinator
-// ---------------------------------------------------------------------
-
-/// Node 0: the global sequencer. Allocates slots with the single-node
-/// store's exact LIFO free-list + generation discipline (so handle
-/// sequences match [`crate::incremental::IncrementalUcpc`]), keeps its
-/// own label map and stats replica, retains the committed log for
-/// `Catchup`, and tracks per-participant epochs.
-#[derive(Debug)]
-struct Coordinator {
-    labels: Vec<Option<usize>>,
-    gens: Vec<u32>,
-    free: Vec<u32>,
-    live: usize,
-    stats: Vec<ClusterStats>,
-    /// Next round sequence number (rounds start at 1).
-    next_seq: u64,
-    /// Committed rounds, for catch-up replays.
-    log: Vec<(u64, Vec<LogEntry>)>,
-    /// Current epoch of each participant; bumped by restarts.
-    epochs: Vec<u64>,
-    /// Protocol retransmissions performed (diagnostic).
-    retries: u64,
-}
-
-impl Coordinator {
-    fn new(m: usize, k: usize, shards: usize) -> Self {
-        Self {
-            labels: Vec::new(),
-            gens: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            stats: vec![ClusterStats::empty(m); k],
-            next_seq: 1,
-            log: Vec::new(),
-            epochs: vec![1; shards],
-            retries: 0,
-        }
-    }
-
-    /// Allocates a global slot + generation, mirroring the single-node
-    /// slab bit-for-bit: pop the LIFO free-list under the
-    /// slot's current generation, else append a fresh slot at
-    /// generation 0.
-    fn alloc(&mut self) -> (u32, u32) {
-        match self.free.pop() {
-            Some(slot) => (slot, self.gens[slot as usize]),
-            None => {
-                let slot = u32::try_from(self.gens.len()).expect("slot space exhausted (u32)");
-                self.gens.push(0);
-                (slot, 0)
-            }
-        }
-    }
-
-    /// Whether `h` names a live object (same staleness semantics as the
-    /// single-node store: slot live *and* generation current).
-    fn contains(&self, h: ObjectHandle) -> bool {
-        let slot = h.slot();
-        slot < self.gens.len()
-            && self.gens[slot] == h.generation()
-            && self.labels.get(slot).is_some_and(Option::is_some)
-    }
-
-    /// Applies a committed round to the coordinator's replica: the same
-    /// stats transitions every participant performs ([`fold_entries`]),
-    /// plus the label map and allocator bookkeeping mirroring the
-    /// single-node engine (generation bump + LIFO free on removal).
-    fn apply_round(&mut self, entries: &[LogEntry]) {
-        let (labels, gens, free, live) = (
-            &mut self.labels,
-            &mut self.gens,
-            &mut self.free,
-            &mut self.live,
-        );
-        fold_entries(&mut self.stats, entries, |op, _| {
-            match op {
-                LogOp::Insert { slot, cluster } => {
-                    let s = slot as usize;
-                    if s == labels.len() {
-                        labels.push(Some(cluster));
-                    } else {
-                        debug_assert!(labels[s].is_none(), "recycled slot must be free");
-                        labels[s] = Some(cluster);
-                    }
-                    *live += 1;
-                }
-                LogOp::Remove { slot, .. } => {
-                    let s = slot as usize;
-                    labels[s] = None;
-                    gens[s] = gens[s].wrapping_add(1);
-                    free.push(slot);
-                    *live -= 1;
-                }
-                LogOp::Move { slot, dst, .. } => labels[slot as usize] = Some(dst),
-            }
-            Ok(())
-        })
-        .expect(BUILT_ROUND);
-    }
-}
-
 /// A shard's surviving storage: the last checkpoint's bytes plus the
 /// shard log accumulated since. Both live outside the participant (the
 /// [`SharedVecIo`] buffer is shared), so [`ShardedUcpc::crash`] destroys
@@ -926,12 +738,21 @@ fn reply_matches(request: &Payload, reply: &Payload) -> bool {
 /// ```
 #[derive(Debug)]
 pub struct ShardedUcpc {
-    m: usize,
-    k: usize,
     shards: usize,
     clock: ManualClock,
     transport: ChaosTransport,
-    coordinator: Coordinator,
+    /// Node 0's engine replica: its slab allocates slots and generations
+    /// (so handle sequences match the single-node engine) and it folds
+    /// every committed round.
+    engine: IncrementalUcpc,
+    /// Next round sequence number (rounds start at 1).
+    next_seq: u64,
+    /// Committed rounds, for catch-up replays.
+    log: Vec<(u64, Vec<LogEntry>)>,
+    /// Current epoch of each participant; bumped by restarts.
+    epochs: Vec<u64>,
+    /// Protocol retransmissions performed (diagnostic).
+    retries: u64,
     participants: Vec<Option<Participant>>,
     durable: Vec<ShardDurable>,
 }
@@ -953,9 +774,10 @@ impl ShardedUcpc {
         shards: usize,
         plan: ChaosPlan,
     ) -> Result<Self, ClusterError> {
-        if k == 0 {
-            return Err(ClusterError::InvalidK { k, n: 0 });
-        }
+        // The replica never runs a relocation pass of its own, so it
+        // keeps no pruning state.
+        let mut engine = IncrementalUcpc::new(m, k)?;
+        engine.set_pruning(PruningConfig::Off);
         if shards == 0 {
             return Err(ClusterError::NoShards);
         }
@@ -978,12 +800,14 @@ impl ShardedUcpc {
             })
             .collect();
         Ok(Self {
-            m,
-            k,
             shards,
             clock: ManualClock::new(),
             transport: ChaosTransport::new(shards + 1, plan),
-            coordinator: Coordinator::new(m, k, shards),
+            engine,
+            next_seq: 1,
+            log: Vec::new(),
+            epochs: vec![1; shards],
+            retries: 0,
             participants,
             durable,
         })
@@ -996,27 +820,27 @@ impl ShardedUcpc {
 
     /// Number of clusters.
     pub fn k(&self) -> usize {
-        self.k
+        self.engine.k
     }
 
     /// Number of live objects.
     pub fn len(&self) -> usize {
-        self.coordinator.live
+        self.engine.len()
     }
 
     /// Whether no objects are present.
     pub fn is_empty(&self) -> bool {
-        self.coordinator.live == 0
+        self.engine.is_empty()
     }
 
     /// Current total objective `Σ_C J(C)` from the coordinator replica.
     pub fn objective(&self) -> f64 {
-        total_objective(&self.coordinator.stats)
+        self.engine.objective()
     }
 
     /// The coordinator's per-cluster statistics replica.
     pub fn cluster_stats(&self) -> &[ClusterStats] {
-        &self.coordinator.stats
+        self.engine.cluster_stats()
     }
 
     /// A live participant's statistics replica (`None` while crashed) —
@@ -1035,41 +859,25 @@ impl ShardedUcpc {
 
     /// Rounds committed so far.
     pub fn committed_rounds(&self) -> u64 {
-        self.coordinator.next_seq - 1
+        self.next_seq - 1
     }
 
     /// Protocol retransmissions performed so far (0 on a clean fabric).
     pub fn retries(&self) -> u64 {
-        self.coordinator.retries
+        self.retries
     }
 
     /// Current cluster of a live object; `None` if the handle is stale.
     pub fn label_of(&self, h: ObjectHandle) -> Option<usize> {
-        if !self.coordinator.contains(h) {
-            return None;
-        }
-        self.coordinator.labels[h.slot()]
+        self.engine.label_of(h)
     }
 
     /// Current handles and labels of all live objects, in slot order —
     /// directly comparable with the single-node engine's
-    /// [`crate::incremental::IncrementalUcpc::live_labels`] because the
-    /// coordinator allocates slots and generations with the identical
-    /// discipline.
+    /// [`IncrementalUcpc::live_labels`] because the coordinator's replica
+    /// allocates slots and generations with the identical slab.
     pub fn live_labels(&self) -> Vec<(ObjectHandle, usize)> {
-        self.coordinator
-            .labels
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, l)| {
-                l.map(|c| {
-                    (
-                        ObjectHandle::new(slot as u32, self.coordinator.gens[slot]),
-                        c,
-                    )
-                })
-            })
-            .collect()
+        self.engine.live_labels()
     }
 
     /// Inserts an object into the cluster minimizing the objective
@@ -1083,46 +891,39 @@ impl ShardedUcpc {
     /// non-finite arrival is [`ClusterError::NonFinite`] and starts no
     /// round.
     pub fn insert_moments(&mut self, mo: &Moments) -> Result<ObjectHandle, ClusterError> {
-        if mo.dims() != self.m {
+        if mo.dims() != self.engine.m {
             return Err(ClusterError::DimensionMismatch {
-                expected: self.m,
+                expected: self.engine.m,
                 found: mo.dims(),
-                index: self.coordinator.labels.len(),
+                index: self.engine.slot_rows(),
             });
         }
         if !mo.view().is_finite() {
             return Err(ClusterError::NonFinite);
         }
-        let (slot, gen) = self.coordinator.alloc();
-        let owner = owner_of_slot(slot, self.shards);
+        let h = self.engine.next_handle();
+        let slot = h.slot() as u32;
         let ops = vec![Op::Insert {
             slot,
             mu: mo.mu().to_vec(),
             mu2: mo.mu2().to_vec(),
         }];
-        self.run_round(owner, ops);
-        Ok(ObjectHandle::new(slot, gen))
+        self.run_round(owner_of_slot(slot, self.shards), ops);
+        Ok(h)
     }
 
     /// Removes a live object. A stale handle is a checked
     /// [`ClusterError::StaleHandle`], verified against the coordinator's
-    /// generation mirror before any message is sent.
+    /// replica before any message is sent.
     pub fn remove(&mut self, h: ObjectHandle) -> Result<(), ClusterError> {
-        if !self.coordinator.contains(h) {
-            return Err(ClusterError::StaleHandle {
-                slot: h.slot() as u32,
-                generation: h.generation(),
-            });
-        }
-        let slot = h.slot();
-        let cluster = self.coordinator.labels[slot].expect("live slot has a label");
-        let owner = owner_of_slot(slot as u32, self.shards);
+        let cluster = self.label_of(h).ok_or(ClusterError::StaleHandle {
+            slot: h.slot() as u32,
+            generation: h.generation(),
+        })?;
+        let slot = h.slot() as u32;
         self.run_round(
-            owner,
-            vec![Op::Remove {
-                slot: slot as u32,
-                cluster,
-            }],
+            owner_of_slot(slot, self.shards),
+            vec![Op::Remove { slot, cluster }],
         );
         Ok(())
     }
@@ -1137,18 +938,17 @@ impl ShardedUcpc {
         for _ in 0..passes {
             let mut moved = false;
             let mut i = 0usize;
-            while i < self.coordinator.labels.len() {
-                if self.coordinator.labels[i].is_none() {
+            while i < self.engine.labels.len() {
+                if self.engine.labels[i].is_none() {
                     i += 1;
                     continue;
                 }
                 let owner = owner_of_slot(i as u32, self.shards);
                 let mut ops = Vec::new();
                 let mut j = i;
-                while j < self.coordinator.labels.len()
-                    && owner_of_slot(j as u32, self.shards) == owner
+                while j < self.engine.labels.len() && owner_of_slot(j as u32, self.shards) == owner
                 {
-                    if let Some(src) = self.coordinator.labels[j] {
+                    if let Some(src) = self.engine.labels[j] {
                         ops.push(Op::Relocate {
                             slot: j as u32,
                             src,
@@ -1204,18 +1004,18 @@ impl ShardedUcpc {
             self.participants[shard].is_none(),
             "shard {shard} is running"
         );
-        let epoch = self.coordinator.epochs[shard] + 1;
+        let epoch = self.epochs[shard] + 1;
         let d = &self.durable[shard];
         let p = Participant::recover(
-            self.m,
-            self.k,
+            self.engine.m,
+            self.engine.k,
             self.shards,
             shard,
             epoch,
             &d.checkpoint,
             &d.log.bytes(),
         )?;
-        self.coordinator.epochs[shard] = epoch;
+        self.epochs[shard] = epoch;
         self.participants[shard] = Some(p);
         self.checkpoint_shard(shard);
         self.rejoin(shard);
@@ -1239,7 +1039,7 @@ impl ShardedUcpc {
         let d = &mut self.durable[shard];
         d.checkpoint = p.encode_checkpoint();
         d.log.truncate(0);
-        p.log = shard_log(d.log.clone(), self.m);
+        p.log = shard_log(d.log.clone(), self.engine.m);
     }
 
     /// Truncates a shard's *durable* log to `keep` bytes — the
@@ -1275,24 +1075,24 @@ impl ShardedUcpc {
     /// the next sequence number is not used until this one is fully
     /// replicated.
     fn run_round(&mut self, owner: usize, ops: Vec<Op>) -> Vec<LogEntry> {
-        let seq = self.coordinator.next_seq;
+        let seq = self.next_seq;
         let exec = Envelope {
             from: 0,
             to: owner + 1,
-            epoch: self.coordinator.epochs[owner],
+            epoch: self.epochs[owner],
             payload: Payload::Execute { seq, ops },
         };
         let mut replies = self.complete(vec![exec]);
         let Some(Payload::Done { entries, .. }) = replies.pop() else {
             unreachable!("complete() returns the matched Done");
         };
-        self.coordinator.apply_round(&entries);
+        self.engine.apply_round(&entries).expect(BUILT_ROUND);
         let applies: Vec<Envelope> = (0..self.shards)
             .filter(|&s| s != owner)
             .map(|s| Envelope {
                 from: 0,
                 to: s + 1,
-                epoch: self.coordinator.epochs[s],
+                epoch: self.epochs[s],
                 payload: Payload::Apply {
                     seq,
                     entries: entries.clone(),
@@ -1302,8 +1102,8 @@ impl ShardedUcpc {
         if !applies.is_empty() {
             self.complete(applies);
         }
-        self.coordinator.log.push((seq, entries.clone()));
-        self.coordinator.next_seq += 1;
+        self.log.push((seq, entries.clone()));
+        self.next_seq += 1;
         entries
     }
 
@@ -1328,7 +1128,7 @@ impl ShardedUcpc {
                 if env.from == 0 || env.from > self.shards {
                     continue;
                 }
-                if env.epoch != self.coordinator.epochs[env.from - 1] {
+                if env.epoch != self.epochs[env.from - 1] {
                     continue; // fenced
                 }
                 if let Some(i) = requests
@@ -1363,7 +1163,7 @@ impl ShardedUcpc {
                             attempt
                         );
                         self.transport.send(r.clone());
-                        self.coordinator.retries += 1;
+                        self.retries += 1;
                         let next = attempt + 1;
                         deadlines[i] = (now + RETRY_BASE * (1u32 << next.min(6)), next);
                     }
@@ -1383,7 +1183,6 @@ impl ShardedUcpc {
             .expect("restart installed the participant")
             .applied;
         let rounds = self
-            .coordinator
             .log
             .iter()
             .filter(|(s, _)| *s > applied)
@@ -1392,7 +1191,7 @@ impl ShardedUcpc {
         self.complete(vec![Envelope {
             from: 0,
             to: shard + 1,
-            epoch: self.coordinator.epochs[shard],
+            epoch: self.epochs[shard],
             payload: Payload::Catchup { rounds },
         }]);
     }
@@ -1401,8 +1200,7 @@ impl ShardedUcpc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::incremental::IncrementalUcpc;
-    use crate::wal::DurableIo;
+    use crate::wal::{scan_wal, DurableIo, WalRecord, WAL_HEADER_LEN};
     use ucpc_uncertain::UnivariatePdf;
 
     fn obj(c: f64) -> UncertainObject {
@@ -1510,9 +1308,7 @@ mod tests {
         let log = sharded.durable[1].log.bytes();
         let scan = scan_wal(&log).unwrap();
         for i in [0, scan.records.len() / 2, scan.records.len() - 2] {
-            let WalRecord::Round { seq, .. } = scan.records[i] else {
-                panic!("shard logs hold rounds only");
-            };
+            let seq = scan.records[i].seq;
             let cut = scan.frame_ends[i] as usize + 3;
             let p = Participant::recover(1, 2, 2, 1, 9, &[], &log[..cut]).unwrap();
             assert_eq!(p.applied, seq, "cut {cut} lands on frame {i}");
@@ -1603,17 +1399,12 @@ mod tests {
         // 7 is owned but free; slot 8 belongs to shard 1. Cluster sizes
         // are 4 and 3.
         let rounds = scan_wal(&log).unwrap().records;
-        let Some(WalRecord::Round { seq: last, .. }) = rounds.last() else {
-            panic!("the log holds rounds");
-        };
+        let last = rounds.last().expect("the log holds rounds").seq;
         let with_round = |extra: &[LogEntry]| {
             let io = SharedVecIo::new();
             let mut w = WalWriter::create(io.clone(), 1, WalFsync::Off).unwrap();
             for r in &rounds {
-                let WalRecord::Round { seq, entries } = r else {
-                    panic!("shard logs hold rounds only");
-                };
-                w.log_round(*seq, entries).unwrap();
+                w.log_round(r.seq, &r.entries).unwrap();
             }
             w.log_round(last + 1, extra).unwrap();
             io.bytes()
@@ -1739,12 +1530,8 @@ mod tests {
             let scan = scan_wal(log).unwrap();
             scan.records
                 .into_iter()
-                .filter_map(|r| match r {
-                    WalRecord::Round { seq, entries } if entries.is_empty() && seq > before.0 => {
-                        Some(seq)
-                    }
-                    _ => None,
-                })
+                .filter(|r: &WalRecord| r.entries.is_empty() && r.seq > before.0)
+                .map(|r| r.seq)
                 .collect()
         };
         let log = sharded.durable[1].log.bytes();

@@ -356,18 +356,26 @@ pub(crate) fn read_stats(
     let mut stats = Vec::with_capacity(k);
     for _ in 0..k {
         let size = r.usize()?;
-        let (psi, phi, mean_sum) = (r.f64s(m)?, r.f64s(m)?, r.f64s(m)?);
-        let (psi_tot, phi_tot, s_sq_tot) = (r.f64()?, r.f64()?, r.f64()?);
+        let rows = [r.f64s(m)?, r.f64s(m)?, r.f64s(m)?];
+        // psi_tot, phi_tot, s_sq_tot, then the six drift accumulators.
+        let mut t = [0.0; 9];
+        for x in &mut t {
+            *x = r.f64()?;
+        }
+        if !rows.iter().flatten().chain(&t).all(|x| x.is_finite()) {
+            return Err(SnapshotError::Corrupt("cluster statistics are non-finite"));
+        }
+        let [psi, phi, mean_sum] = rows;
         let drift = ClusterDrift {
-            add_const: r.f64()?,
-            add_size: r.f64()?,
-            add_mean: r.f64()?,
-            rem_const: r.f64()?,
-            rem_size: r.f64()?,
-            rem_mean: r.f64()?,
+            add_const: t[3],
+            add_size: t[4],
+            add_mean: t[5],
+            rem_const: t[6],
+            rem_size: t[7],
+            rem_mean: t[8],
         };
         stats.push(ClusterStats::from_raw_parts(
-            psi, phi, mean_sum, size, psi_tot, phi_tot, s_sq_tot, drift,
+            psi, phi, mean_sum, size, t[0], t[1], t[2], drift,
         ));
     }
     Ok(stats)
@@ -441,6 +449,12 @@ impl IncrementalUcpc {
     /// [`Self::write_snapshot`] buffer, bit-identical to the engine that
     /// produced it. The prune cache restarts empty (entries regrow invalid
     /// — always sound); the pruning counters restart at zero.
+    ///
+    /// Statistics are not trusted either: a cluster whose size differs
+    /// from the number of live slots labelled with it, or any non-finite
+    /// statistic or row, is [`SnapshotError::Corrupt`] — state the live
+    /// engine never holds, which a later removal or relocation would trip
+    /// over.
     pub fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut sections = Sections::open(bytes)?;
         let r = sections.entry(CHUNK_META)?;
@@ -494,6 +508,15 @@ impl IncrementalUcpc {
                 "live count does not match slot flags",
             ));
         }
+        let mut members = vec![0usize; k];
+        for &c in labels.iter().flatten() {
+            members[c] += 1;
+        }
+        if stats.iter().zip(&members).any(|(s, &n)| s.size() != n) {
+            return Err(SnapshotError::Corrupt(
+                "cluster size does not match its label count",
+            ));
+        }
         let mut free = Vec::with_capacity(n_free);
         let mut freed = vec![false; n_slots];
         for _ in 0..n_free {
@@ -513,6 +536,9 @@ impl IncrementalUcpc {
                 // The same canonical per-dimension fold the original
                 // insertion used — bit-identical row reconstruction.
                 arena.push_row_with(m, |d| (mu[d], mu2[d]));
+                if !arena.view(arena.len() - 1).is_finite() {
+                    return Err(SnapshotError::Corrupt("row is non-finite"));
+                }
             } else {
                 arena.push_row_with(m, |_| (0.0, 0.0));
             }

@@ -1,58 +1,60 @@
-//! Checksummed write-ahead log of serving mutations, and crash recovery.
+//! Checksummed write-ahead log of engine mutations, and crash recovery.
 //!
 //! A process crash between snapshots loses every edit since the last
 //! checkpoint. This module closes that hole with the classic database
 //! discipline, built to the repo's exactness bar: **log before apply**,
 //! recover by **replaying the logged suffix on top of the last snapshot**,
 //! and prove the recovered engine *byte-identical* — labels, handles,
-//! [`ClusterStats`](crate::objective::ClusterStats) bits, objective — to
-//! the engine that never crashed (`tests/wal_recovery.rs` pins this at
-//! every possible crash point).
+//! [`ClusterStats`] bits, objective — to the engine that never crashed
+//! (`tests/wal_recovery.rs` pins this at every possible crash point).
 //!
 //! # Why replay is bit-exact
 //!
-//! Three facts, each already load-bearing elsewhere in the workspace,
-//! compose into the recovery guarantee:
+//! Every log, serving or shard, holds one kind of record: a **round** of
+//! [`LogEntry`] decisions — `Insert` an object into a cluster, `Remove`
+//! it, `Move` it. A serving commit or remove is a one-entry round; a
+//! stabilization is one round of the moves its passes made.
 //!
-//! 1. **Moments round-trip through their defining bits.** Every arrival is
-//!    logged as its `(mu, mu_2)` vectors in raw little-endian IEEE-754 bits
-//!    (exactly like `UCPCSNAP`, through the same [`crate::codec`]). All
-//!    [`Moments`] construction funnels through [`Moments::from_mu_mu2`], a
-//!    pure function of those bits — so rebuilding the arrival at recovery
-//!    reproduces its variance row and every scalar aggregate bit for bit.
-//! 2. **Placement is a pure function of engine state and arrival bits.**
-//!    The serving layer's batched commit is shadow-asserted bit-identical
-//!    to the serial [`IncrementalUcpc::insert_moments`] scan at the same
-//!    point of the edit sequence (see [`crate::serving`]). Replay *runs*
-//!    the serial scan — on an engine whose state is bit-identical by
-//!    induction — so it picks the same cluster and mutates the same bits,
-//!    and even the issued [`ObjectHandle`]s coincide (same slot/generation
-//!    discipline).
-//! 3. **Cadence is logged, not re-derived.** Every stabilization the
-//!    serving layer runs — explicit *or* cadence-triggered — writes its own
-//!    [`WalRecord::Stabilize`] frame before running, so recovery never has
-//!    to reconstruct the batching/cadence configuration: the log *is* the
-//!    mutation sequence.
+//! 1. **One fold.** The engine changes state only through
+//!    [`IncrementalUcpc::apply_round`]: inserts, removes, every move of a
+//!    relocation pass, the serving flush and the sharded coordinator all
+//!    apply entries there. Recovery applies the logged entries through the
+//!    same function, in the same order, to a state that is bit-identical
+//!    by induction (the snapshot restores bit for bit), so it performs the
+//!    identical `add_view`/`remove_view` steps. No pricing kernel runs at
+//!    recovery, so replay does not depend on serial pricing equalling
+//!    batched pricing, and a stabilization costs its moves, not its passes.
+//! 2. **Rows round-trip through their bits.** An `Insert` carries the
+//!    arrival's `(mu, mu2)` rows as raw IEEE-754 bits, and the slab
+//!    derives the rest of the row through one canonical fold, live and at
+//!    replay alike. A serving `Remove` or `Move` carries no row: the
+//!    engine already holds it.
+//! 3. **The decision names everything else.** An `Insert` names the slot
+//!    the slab's LIFO free list hands out next (any other is refused), so
+//!    issued handles coincide; a `Move` is drift-tracked exactly when the
+//!    engine prunes, as in the live pass (the snapshot records pruning),
+//!    so even drift totals and version counters match.
 //!
 //! # Format
 //!
 //! A WAL is a [`crate::codec`] stream — the codec docs hold the header
 //! and frame layout, with `m` the dimensionality validated against the
-//! engine. Each frame's payload is one record:
+//! engine. Each frame's payload is one round:
 //!
 //! ```text
-//! tag 1 Commit     mu m × f64, mu2 m × f64
-//! tag 2 Remove     slot u32, gen u32
-//! tag 3 Stabilize  passes u64
-//! tag 4 Round      seq u64, count u32, count × { op u8, slot u32,
-//!                  op 1 Insert / 2 Remove: cluster u32, 3 Move: src u32,
-//!                  dst u32; then mu m × f64, mu2 m × f64 }
+//! tag 1 Round  seq u64, count u32, count × entry
+//! entry        op u8, slot u32, then
+//!                op 1 Insert / 2 Remove: cluster u32
+//!                op 3 Move:              src u32, dst u32
+//!              then, iff op has bit 0x80 set: mu m × f64, mu2 m × f64
 //! ```
 //!
-//! Tags 1–3 are the serving log; tag 4 is the shard log of
-//! [`crate::sharded`], one frame per replicated round. A round holds only
-//! the mutations it made, so `count` may be 0. Each log kind
-//! rejects the other's records with [`WalError::ForeignRecord`].
+//! A round holds only the mutations it made, so `count` may be 0. Serving
+//! rounds count from 1 in each log; a shard log continues the global
+//! sequence from its checkpoint. A gap is refused. Only serving `Insert`s
+//! carry a row, while every shard entry does (a shard holds only the rows
+//! it owns). At `m = 16` a serving commit frame is 286 bytes, a remove 30,
+//! and a stabilization 21 plus 13 per move.
 //!
 //! # Torn tails, corruption, and poisoning
 //!
@@ -61,14 +63,17 @@
 //! before is the **valid prefix**, everything after is damage. [`recover`]
 //! replays the valid prefix and reports the damage as a [`WalDamage`]
 //! carrying the byte offset and frame index of the first damaged frame — a
-//! crash mid-append is expected, not an error in the log's past.
+//! crash mid-append is expected, not an error in the log's past. A
+//! complete header that fails its checksum, and an intact round that does
+//! not apply, are [`WalError::Corrupt`] instead.
 //!
 //! A *write* failure is different: after a failed or short append the tail
 //! of the log is indeterminate, so any further append could sit after
 //! garbage and be silently unreachable at recovery. [`WalWriter`] therefore
 //! **poisons itself permanently** on the first I/O fault — every later
-//! append returns [`WalError::Poisoned`] — preserving the invariant that a
-//! mutation is applied *iff* its frame is durably readable.
+//! append returns [`WalError::Poisoned`]. A frame fully appended before a
+//! failed sync still counts as logged (it is readable at recovery), so a
+//! mutation is applied *iff* its frame is readable.
 //!
 //! All I/O goes through the pluggable [`DurableIo`] trait; [`VecIo`] is the
 //! in-memory implementation with byte-exact fault injection (ENOSPC at any
@@ -76,31 +81,121 @@
 //! one.
 
 use crate::codec::{crc32, scan_frames, Reader, Writer};
-use crate::framework::ClusterError;
-use crate::incremental::{IncrementalUcpc, ObjectHandle};
-use crate::sharded::{LogEntry, LogOp};
+use crate::incremental::IncrementalUcpc;
+use crate::objective::ClusterStats;
 use crate::snapshot::SnapshotError;
 use std::fmt;
 use std::io::Write as _;
-use ucpc_uncertain::Moments;
 
 /// Magic prefix of a WAL byte stream.
 pub const WAL_MAGIC: &[u8; 8] = b"UCPCWAL\0";
 /// Current WAL format version; readers reject any other.
-pub const WAL_VERSION: u32 = 1;
+pub const WAL_VERSION: u32 = 2;
 /// Size of the fixed WAL header (magic + version + m + crc).
 pub const WAL_HEADER_LEN: usize = 8 + 4 + 8 + 4;
 
-const TAG_COMMIT: u8 = 1;
-const TAG_REMOVE: u8 = 2;
-const TAG_STABILIZE: u8 = 3;
-const TAG_ROUND: u8 = 4;
+const TAG_ROUND: u8 = 1;
 
 const OP_INSERT: u8 = 1;
 const OP_REMOVE: u8 = 2;
 const OP_MOVE: u8 = 3;
+/// Set on an entry's op byte when the entry carries its row.
+const OP_ROW: u8 = 0x80;
 
 pub use crate::codec::WalDamage;
+
+// ---------------------------------------------------------------------------
+// Log entries
+// ---------------------------------------------------------------------------
+
+/// One logged mutation: the decision (a [`LogOp`]) and, when the entry
+/// carries it, the object's raw moment rows. `R` is the row storage:
+/// `Vec<f64>` for decoded and shipped entries, `&[f64]` for entries that
+/// borrow their row from where it already lives. An entry without a row
+/// has empty `mu` and `mu2`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LogEntry<R = Vec<f64>> {
+    /// What happened.
+    pub op: LogOp,
+    /// `E[X_j]` row of the object, or empty.
+    pub mu: R,
+    /// `E[X_j²]` row of the object, or empty.
+    pub mu2: R,
+}
+
+impl LogEntry<&'static [f64]> {
+    /// An entry without a row: a serving log's `Remove` or `Move`, whose
+    /// row the engine applying it already holds.
+    pub fn bare(op: LogOp) -> Self {
+        Self {
+            op,
+            mu: &[],
+            mu2: &[],
+        }
+    }
+}
+
+impl<R: AsRef<[f64]>> LogEntry<R> {
+    /// The entry's row, which must be `m`-dimensional.
+    pub(crate) fn row(&self, m: usize) -> Result<(&[f64], &[f64]), &'static str> {
+        let (mu, mu2) = (self.mu.as_ref(), self.mu2.as_ref());
+        if mu.len() != m || mu2.len() != m {
+            return Err("round entry is missing its row");
+        }
+        Ok((mu, mu2))
+    }
+}
+
+/// The decision a [`LogEntry`] records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LogOp {
+    /// The arrival in `slot` joined `cluster`.
+    Insert {
+        /// Slot of the arrival.
+        slot: u32,
+        /// Cluster the placement scan picked.
+        cluster: usize,
+    },
+    /// The object in `slot` left `cluster`.
+    Remove {
+        /// Slot of the departure.
+        slot: u32,
+        /// Cluster it departed from.
+        cluster: usize,
+    },
+    /// The object in `slot` relocated from `src` to `dst`.
+    Move {
+        /// Slot of the relocated object.
+        slot: u32,
+        /// Cluster it left.
+        src: usize,
+        /// Cluster it joined.
+        dst: usize,
+    },
+}
+
+impl LogOp {
+    /// The per-entry check every replica runs before it folds an entry
+    /// into its statistics: every named cluster exists and the drained
+    /// cluster is not empty. Returns the drained and the joined cluster.
+    pub(crate) fn check(
+        self,
+        stats: &[ClusterStats],
+    ) -> Result<(Option<usize>, Option<usize>), &'static str> {
+        let (drained, joined) = match self {
+            LogOp::Insert { cluster, .. } => (None, Some(cluster)),
+            LogOp::Remove { cluster, .. } => (Some(cluster), None),
+            LogOp::Move { src, dst, .. } => (Some(src), Some(dst)),
+        };
+        if drained.into_iter().chain(joined).any(|c| c >= stats.len()) {
+            return Err("round names a cluster out of range");
+        }
+        if drained.is_some_and(|c| stats[c].is_empty()) {
+            return Err("round drains an empty cluster");
+        }
+        Ok((drained, joined))
+    }
+}
 
 // ---------------------------------------------------------------------------
 // DurableIo — the pluggable byte sink
@@ -345,15 +440,14 @@ pub enum WalError {
     UnsupportedVersion(u32),
     /// The log is damaged past `valid_bytes`: frames `0..frames` (the
     /// valid prefix, ending at byte `valid_bytes`) are intact and
-    /// replayable; everything after is torn or corrupt. This is the
-    /// salvage point — [`recover`] applies the prefix and surfaces this
-    /// alongside, never silently.
+    /// replayable; what follows is corrupt, or an intact round that does
+    /// not apply. Recovery refuses the log rather than replay past it.
     Corrupt {
         /// Byte offset of the end of the last intact frame (or header).
         valid_bytes: u64,
         /// Number of intact frames before the damage.
         frames: u64,
-        /// What the scanner tripped on.
+        /// What the scanner or the fold tripped on.
         reason: &'static str,
     },
     /// An append or sync faulted; the log tail is now indeterminate.
@@ -372,14 +466,6 @@ pub enum WalError {
     },
     /// The snapshot half of [`recover`] failed.
     Snapshot(SnapshotError),
-    /// A checksummed, well-formed frame did not apply cleanly (e.g. a
-    /// remove of a handle that was never live) — the log and snapshot
-    /// disagree about history.
-    Replay(ClusterError),
-    /// A well-formed record of the other log kind: a shard
-    /// [`WalRecord::Round`] replayed into a serving engine, or a serving
-    /// mutation found in a shard log.
-    ForeignRecord,
 }
 
 impl fmt::Display for WalError {
@@ -409,8 +495,6 @@ impl fmt::Display for WalError {
                 "WAL logs {found}-dimensional arrivals, snapshot engine has {expected}"
             ),
             Self::Snapshot(e) => write!(f, "snapshot half of recovery failed: {e}"),
-            Self::Replay(e) => write!(f, "WAL frame did not replay cleanly: {e}"),
-            Self::ForeignRecord => write!(f, "WAL record belongs to the other log kind"),
         }
     }
 }
@@ -453,7 +537,7 @@ impl WalFsync {
     }
 }
 
-/// Appends checksummed mutation frames to a [`DurableIo`] sink —
+/// Appends checksummed round frames to a [`DurableIo`] sink —
 /// log-before-apply's logging half.
 ///
 /// Permanently poisons itself on the first I/O fault (module docs): every
@@ -520,62 +604,54 @@ impl<I: DurableIo> WalWriter<I> {
         self.poison.as_ref()
     }
 
-    /// Logs a committed arrival as its raw moment bits.
-    /// `mu` and `mu2` must have the header's dimensionality.
-    pub fn log_commit(&mut self, mu: &[f64], mu2: &[f64]) -> Result<(), WalError> {
-        debug_assert_eq!(mu.len(), mu2.len());
-        self.append_frame(|p| {
-            p.u8(TAG_COMMIT);
-            p.f64s(mu);
-            p.f64s(mu2);
-        })
-    }
-
-    /// Logs an (effective) removal by its generation-stamped handle.
-    pub fn log_remove(&mut self, h: ObjectHandle) -> Result<(), WalError> {
-        self.append_frame(|p| {
-            p.u8(TAG_REMOVE);
-            p.u32(h.slot() as u32);
-            p.u32(h.generation());
-        })
-    }
-
-    /// Logs a stabilization (explicit or cadence-triggered) about to run.
-    pub fn log_stabilize(&mut self, passes: u64) -> Result<(), WalError> {
-        self.append_frame(|p| {
-            p.u8(TAG_STABILIZE);
-            p.u64(passes);
-        })
-    }
-
-    /// Logs one replicated shard round (a [`crate::sharded`] shard log):
-    /// its sequence number and entries, rows as raw moment bits.
-    pub fn log_round(&mut self, seq: u64, entries: &[LogEntry]) -> Result<(), WalError> {
-        self.append_frame(|p| {
-            p.u8(TAG_ROUND);
-            p.u64(seq);
-            p.u32(entries.len() as u32);
-            for e in entries {
-                let (op, slot) = match e.op {
-                    LogOp::Insert { slot, .. } => (OP_INSERT, slot),
-                    LogOp::Remove { slot, .. } => (OP_REMOVE, slot),
-                    LogOp::Move { slot, .. } => (OP_MOVE, slot),
-                };
-                p.u8(op);
-                p.u32(slot);
-                match e.op {
-                    LogOp::Insert { cluster, .. } | LogOp::Remove { cluster, .. } => {
-                        p.u32(cluster as u32);
-                    }
-                    LogOp::Move { src, dst, .. } => {
-                        p.u32(src as u32);
-                        p.u32(dst as u32);
-                    }
-                }
-                p.f64s(&e.mu);
-                p.f64s(&e.mu2);
+    /// Logs one round: its sequence number and entries, rows as raw moment
+    /// bits for the entries that carry one. Rows are borrowed, so logging
+    /// allocates nothing beyond the writer's reused frame buffer.
+    ///
+    /// `Ok` means the frame was fully appended and will be readable at
+    /// recovery. Under [`WalFsync::Every`] a sync that fails after the
+    /// append poisons the writer, yet the round still counts as logged.
+    pub fn log_round<R: AsRef<[f64]>>(
+        &mut self,
+        seq: u64,
+        entries: &[LogEntry<R>],
+    ) -> Result<(), WalError> {
+        if let Some(fault) = &self.poison {
+            return Err(WalError::Poisoned(fault.clone()));
+        }
+        let p = &mut self.scratch;
+        p.begin_frame();
+        p.u8(TAG_ROUND);
+        p.u64(seq);
+        p.u32(entries.len() as u32);
+        for e in entries {
+            let (mu, mu2) = (e.mu.as_ref(), e.mu2.as_ref());
+            let row = if mu.is_empty() { 0 } else { OP_ROW };
+            let (op, slot, cluster, dst) = match e.op {
+                LogOp::Insert { slot, cluster } => (OP_INSERT, slot, cluster, None),
+                LogOp::Remove { slot, cluster } => (OP_REMOVE, slot, cluster, None),
+                LogOp::Move { slot, src, dst } => (OP_MOVE, slot, src, Some(dst)),
+            };
+            p.u8(op | row);
+            p.u32(slot);
+            p.u32(cluster as u32);
+            if let Some(dst) = dst {
+                p.u32(dst as u32);
             }
-        })
+            if row != 0 {
+                p.f64s(mu);
+                p.f64s(mu2);
+            }
+        }
+        p.seal_frame();
+        self.commit_scratch()?;
+        self.frames += 1;
+        if self.fsync == WalFsync::Every {
+            // The frame is readable whether or not this sync succeeds: a
+            // failure poisons later appends but does not unlog this one.
+            let _ = self.sync_or_poison();
+        }
+        Ok(())
     }
 
     /// Group commit: makes every frame logged so far durable with one sync
@@ -586,21 +662,6 @@ impl<I: DurableIo> WalWriter<I> {
             return Err(WalError::Poisoned(fault.clone()));
         }
         if self.fsync == WalFsync::Flush {
-            self.sync_or_poison()?;
-        }
-        Ok(())
-    }
-
-    fn append_frame(&mut self, build: impl FnOnce(&mut Writer)) -> Result<(), WalError> {
-        if let Some(fault) = &self.poison {
-            return Err(WalError::Poisoned(fault.clone()));
-        }
-        self.scratch.begin_frame();
-        build(&mut self.scratch);
-        self.scratch.seal_frame();
-        self.commit_scratch()?;
-        self.frames += 1;
-        if self.fsync == WalFsync::Every {
             self.sync_or_poison()?;
         }
         Ok(())
@@ -636,42 +697,13 @@ impl<I: DurableIo> WalWriter<I> {
 // Scanner
 // ---------------------------------------------------------------------------
 
-/// One decoded WAL frame — the unit of replay.
+/// One decoded WAL frame — a round, the unit of replay.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WalRecord {
-    /// An arrival committed into the engine, as its defining moment bits.
-    Commit {
-        /// Expected-value vector, bit-exact.
-        mu: Vec<f64>,
-        /// Second-order moment vector, bit-exact.
-        mu2: Vec<f64>,
-    },
-    /// An effective removal (the handle was live when logged).
-    Remove(ObjectHandle),
-    /// A stabilization of up to `passes` relocation passes.
-    Stabilize {
-        /// Relocation passes requested.
-        passes: u64,
-    },
-    /// One replicated round of a [`crate::sharded`] shard log.
-    Round {
-        /// Global round sequence number.
-        seq: u64,
-        /// The round's log entries, in apply order.
-        entries: Vec<LogEntry>,
-    },
-}
-
-impl From<WalDamage> for WalError {
-    /// The equivalent checked error: frames `0..frame_index` (ending at
-    /// byte `offset`) are intact, everything after is damage.
-    fn from(d: WalDamage) -> Self {
-        WalError::Corrupt {
-            valid_bytes: d.offset,
-            frames: d.frame_index,
-            reason: d.reason,
-        }
-    }
+pub struct WalRecord {
+    /// Round sequence number.
+    pub seq: u64,
+    /// The round's entries, in apply order.
+    pub entries: Vec<LogEntry>,
 }
 
 /// Result of [`scan_wal`]: the intact prefix of a log, plus where (and
@@ -680,7 +712,7 @@ impl From<WalDamage> for WalError {
 pub struct WalScan {
     /// Dimensionality declared by the header, when the header was intact.
     pub m: Option<usize>,
-    /// Decoded frames of the valid prefix, in log order.
+    /// Decoded rounds of the valid prefix, in log order.
     pub records: Vec<WalRecord>,
     /// Byte offset just past frame `i` — `frame_ends[i]` is the smallest
     /// prefix of the log that still contains frames `0..=i` whole. The
@@ -702,7 +734,8 @@ pub struct WalScan {
 /// checksum-failing header or frame — is *not* an error here: the scan
 /// stops at the salvage point and reports the damage in
 /// [`WalScan::damage`], because a torn tail is exactly what a crash
-/// mid-append leaves behind.
+/// mid-append leaves behind. (Recovery refuses a *complete* header that
+/// fails its checksum; see [`recover`].)
 pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, WalError> {
     let mut scan = WalScan {
         m: None,
@@ -740,7 +773,7 @@ pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, WalError> {
             reason: "header dimensionality overflows usize",
         });
     };
-    let frames = scan_frames(bytes, WAL_HEADER_LEN, |p| decode_payload(p, m).ok());
+    let frames = scan_frames(bytes, WAL_HEADER_LEN, |p| decode_round(p, m).ok());
     scan.m = Some(m);
     scan.records = frames.frames;
     scan.frame_ends = frames.frame_ends;
@@ -751,62 +784,106 @@ pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, WalError> {
 
 /// Decodes one checksummed frame payload; an error if the tag or shape is
 /// wrong. Every count is clamped against the payload before allocating.
-fn decode_payload(payload: &[u8], m: usize) -> Result<WalRecord, SnapshotError> {
+fn decode_round(payload: &[u8], m: usize) -> Result<WalRecord, SnapshotError> {
     let mut r = Reader::new(payload);
-    let record = match r.u8()? {
-        TAG_COMMIT => WalRecord::Commit {
-            mu: r.f64s(m)?,
-            mu2: r.f64s(m)?,
-        },
-        TAG_REMOVE => WalRecord::Remove(ObjectHandle::new(r.u32()?, r.u32()?)),
-        TAG_STABILIZE => WalRecord::Stabilize { passes: r.u64()? },
-        TAG_ROUND => {
-            let seq = r.u64()?;
-            let count = r.u32()? as usize;
-            r.ensure(count, 5)?;
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                entries.push(decode_entry(&mut r, m)?);
-            }
-            WalRecord::Round { seq, entries }
-        }
-        _ => return Err(SnapshotError::Corrupt("unknown record tag")),
-    };
+    if r.u8()? != TAG_ROUND {
+        return Err(SnapshotError::Corrupt("unknown record tag"));
+    }
+    let seq = r.u64()?;
+    let count = r.u32()? as usize;
+    // An entry is at least its op, slot and one cluster.
+    r.ensure(count, 9)?;
+    let mut entries = Vec::with_capacity(count);
+    for _ in 0..count {
+        let op = r.u8()?;
+        let slot = r.u32()?;
+        let op_kind = match op & !OP_ROW {
+            OP_INSERT => LogOp::Insert {
+                slot,
+                cluster: r.u32()? as usize,
+            },
+            OP_REMOVE => LogOp::Remove {
+                slot,
+                cluster: r.u32()? as usize,
+            },
+            OP_MOVE => LogOp::Move {
+                slot,
+                src: r.u32()? as usize,
+                dst: r.u32()? as usize,
+            },
+            _ => return Err(SnapshotError::Corrupt("unknown round entry op")),
+        };
+        let (mu, mu2) = if op & OP_ROW != 0 {
+            (r.f64s(m)?, r.f64s(m)?)
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        entries.push(LogEntry {
+            op: op_kind,
+            mu,
+            mu2,
+        });
+    }
     if r.remaining() != 0 {
         return Err(SnapshotError::Corrupt("record carries trailing bytes"));
     }
-    Ok(record)
-}
-
-fn decode_entry(r: &mut Reader<'_>, m: usize) -> Result<LogEntry, SnapshotError> {
-    let tag = r.u8()?;
-    let slot = r.u32()?;
-    let op = match tag {
-        OP_INSERT => LogOp::Insert {
-            slot,
-            cluster: r.u32()? as usize,
-        },
-        OP_REMOVE => LogOp::Remove {
-            slot,
-            cluster: r.u32()? as usize,
-        },
-        OP_MOVE => LogOp::Move {
-            slot,
-            src: r.u32()? as usize,
-            dst: r.u32()? as usize,
-        },
-        _ => return Err(SnapshotError::Corrupt("unknown round entry op")),
-    };
-    Ok(LogEntry {
-        op,
-        mu: r.f64s(m)?,
-        mu2: r.f64s(m)?,
-    })
+    Ok(WalRecord { seq, entries })
 }
 
 // ---------------------------------------------------------------------------
 // Recovery
 // ---------------------------------------------------------------------------
+
+/// [`scan_wal`] for a log about to be replayed onto an `m`-dimensional
+/// replica — the header checks serving and shard recovery share. On top
+/// of the scan's own, a header that is all there but fails its checksum
+/// is [`WalError::Corrupt`] (damage at the head of the log, not a torn
+/// tail), and a header declaring another `m` is
+/// [`WalError::DimensionMismatch`].
+pub(crate) fn scan_for_replay(bytes: &[u8], m: usize) -> Result<WalScan, WalError> {
+    let scan = scan_wal(bytes)?;
+    if let Some(found) = scan.m.filter(|&found| found != m) {
+        return Err(WalError::DimensionMismatch { expected: m, found });
+    }
+    if scan.m.is_none() && bytes.len() >= WAL_HEADER_LEN {
+        return Err(WalError::Corrupt {
+            valid_bytes: 0,
+            frames: 0,
+            reason: "log header checksum mismatch",
+        });
+    }
+    Ok(scan)
+}
+
+/// Folds the scanned rounds in log order through `apply`, the first one
+/// following watermark `applied`; returns the last sequence number
+/// applied. A round that does not follow its predecessor, or that `apply`
+/// refuses, is [`WalError::Corrupt`] at the end of the intact prefix
+/// before it: a checksum-valid round can still be corrupt.
+pub(crate) fn replay_rounds(
+    scan: &WalScan,
+    mut applied: u64,
+    mut apply: impl FnMut(&[LogEntry]) -> Result<(), &'static str>,
+) -> Result<u64, WalError> {
+    for (i, rec) in scan.records.iter().enumerate() {
+        let replayed = if rec.seq != applied.wrapping_add(1) {
+            Err("round does not follow the log's sequence")
+        } else {
+            apply(&rec.entries)
+        };
+        if let Err(reason) = replayed {
+            return Err(WalError::Corrupt {
+                valid_bytes: i
+                    .checked_sub(1)
+                    .map_or(WAL_HEADER_LEN as u64, |j| scan.frame_ends[j]),
+                frames: i as u64,
+                reason,
+            });
+        }
+        applied = rec.seq;
+    }
+    Ok(applied)
+}
 
 /// Outcome of [`recover`]: the rebuilt engine plus the salvage report.
 #[derive(Debug)]
@@ -826,42 +903,18 @@ pub struct Recovery {
     pub damage: Option<WalDamage>,
 }
 
-/// Replays one decoded WAL record on a live engine — the single replay
-/// step [`recover`] folds, exposed so the crash-point harness can finish
-/// an interrupted log suffix on a recovered engine.
-///
-/// A commit rebuilds the arrival via [`Moments::from_mu_mu2`] (bit-exact
-/// from the logged bits) and inserts it through the serial scan — which
-/// the serving layer's batched commit is shadow-asserted equal to — so
-/// replay reproduces labels, handles, and statistics bits exactly. A
-/// shard [`WalRecord::Round`] is [`WalError::ForeignRecord`]: it belongs
-/// to a shard log, not to a serving engine's.
-pub fn apply_record(engine: &mut IncrementalUcpc, rec: &WalRecord) -> Result<(), WalError> {
-    match rec {
-        WalRecord::Commit { mu, mu2 } => engine
-            .insert_moments(&Moments::from_mu_mu2(mu.clone(), mu2.clone()))
-            .map(|_| ())
-            .map_err(WalError::Replay),
-        WalRecord::Remove(h) => engine.remove(*h).map_err(WalError::Replay),
-        WalRecord::Stabilize { passes } => {
-            engine.stabilize(usize::try_from(*passes).unwrap_or(usize::MAX));
-            Ok(())
-        }
-        WalRecord::Round { .. } => Err(WalError::ForeignRecord),
-    }
-}
-
 /// Rebuilds an engine from its last checkpoint plus the WAL written since:
-/// restores the snapshot, scans the log's valid prefix, and
-/// replays every intact frame. See the module docs for the byte-identity
-/// derivation and the salvage semantics.
+/// restores the snapshot, scans the log's valid prefix, and folds every
+/// intact round through [`IncrementalUcpc::apply_round`], rounds numbered
+/// from 1. See the module docs for the byte-identity derivation and the
+/// salvage semantics.
 ///
 /// An empty `wal` (crash before the log header was written) recovers to
 /// exactly the snapshot. A torn or corrupt tail truncates replay at the
-/// salvage point, reported in [`Recovery::damage`]. A log whose *intact*
-/// frames do not apply cleanly — or whose dimensionality disagrees with
-/// the snapshot — is a hard error: snapshot and log are not from the same
-/// history.
+/// salvage point, reported in [`Recovery::damage`]. A complete header that
+/// fails its checksum, a header of another dimensionality, or an intact
+/// round that does not apply is a hard error: snapshot and log are not
+/// from the same history.
 pub fn recover(snapshot: &[u8], wal: &[u8]) -> Result<Recovery, WalError> {
     let mut engine = IncrementalUcpc::restore(snapshot)?;
     if wal.is_empty() {
@@ -872,18 +925,8 @@ pub fn recover(snapshot: &[u8], wal: &[u8]) -> Result<Recovery, WalError> {
             damage: None,
         });
     }
-    let scan = scan_wal(wal)?;
-    if let Some(m) = scan.m {
-        if m != engine.m {
-            return Err(WalError::DimensionMismatch {
-                expected: engine.m,
-                found: m,
-            });
-        }
-    }
-    for rec in &scan.records {
-        apply_record(&mut engine, rec)?;
-    }
+    let scan = scan_for_replay(wal, engine.m)?;
+    replay_rounds(&scan, 0, |entries| engine.apply_round(entries))?;
     Ok(Recovery {
         engine,
         frames_applied: scan.records.len() as u64,
@@ -895,6 +938,7 @@ pub fn recover(snapshot: &[u8], wal: &[u8]) -> Result<Recovery, WalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pruning::PruningConfig;
     use ucpc_uncertain::{UncertainObject, UnivariatePdf};
 
     fn obj(c: f64) -> UncertainObject {
@@ -903,6 +947,34 @@ mod tests {
             UnivariatePdf::uniform_centered(-c, 0.5),
         ])
     }
+
+    /// An entry carrying the row `(mu, mu2)`.
+    fn with_row(op: LogOp, mu: &[f64], mu2: &[f64]) -> LogEntry {
+        LogEntry {
+            op,
+            mu: mu.to_vec(),
+            mu2: mu2.to_vec(),
+        }
+    }
+
+    /// An entry without a row.
+    fn bare(op: LogOp) -> LogEntry {
+        with_row(op, &[], &[])
+    }
+
+    /// A one-entry round inserting `(mu, mu2)` into slot 0 of cluster 0.
+    fn insert_round(mu: &[f64], mu2: &[f64]) -> [LogEntry; 1] {
+        [with_row(
+            LogOp::Insert {
+                slot: 0,
+                cluster: 0,
+            },
+            mu,
+            mu2,
+        )]
+    }
+
+    const EMPTY: &[LogEntry] = &[];
 
     #[test]
     fn crc32_matches_the_ieee_check_value() {
@@ -913,29 +985,52 @@ mod tests {
 
     #[test]
     fn header_then_frames_scan_back_exactly() {
-        let (slot, mu, mu2) = (3, vec![1.0, -2.5], vec![2.0, 7.0]);
-        let entries: Vec<LogEntry> = [
-            LogOp::Insert { slot, cluster: 1 },
-            LogOp::Move {
-                slot,
-                src: 1,
-                dst: 0,
+        let (mu, mu2) = ([1.0, -2.5], [2.0, 7.0]);
+        let insert = LogOp::Insert {
+            slot: 3,
+            cluster: 1,
+        };
+        let relocate = LogOp::Move {
+            slot: 3,
+            src: 1,
+            dst: 0,
+        };
+        let remove = LogOp::Remove {
+            slot: 3,
+            cluster: 0,
+        };
+        let rounds = vec![
+            // A serving commit, remove and stabilization...
+            WalRecord {
+                seq: 1,
+                entries: vec![with_row(insert, &mu, &mu2)],
             },
-            LogOp::Remove { slot, cluster: 0 },
-        ]
-        .into_iter()
-        .map(|op| LogEntry {
-            op,
-            mu: mu.clone(),
-            mu2: mu2.clone(),
-        })
-        .collect();
+            WalRecord {
+                seq: 2,
+                entries: vec![bare(remove)],
+            },
+            WalRecord {
+                seq: 3,
+                entries: vec![bare(relocate), bare(relocate)],
+            },
+            // ... a shard round, every entry with its row ...
+            WalRecord {
+                seq: 9,
+                entries: [insert, relocate, remove]
+                    .into_iter()
+                    .map(|op| with_row(op, &mu, &mu2))
+                    .collect(),
+            },
+            // ... and a round that moved nothing.
+            WalRecord {
+                seq: 10,
+                entries: Vec::new(),
+            },
+        ];
         let mut w = WalWriter::create(VecIo::new(), 2, WalFsync::Flush).unwrap();
-        w.log_commit(&[1.5, -2.0], &[3.0, 4.25]).unwrap();
-        w.log_remove(ObjectHandle::new(7, 3)).unwrap();
-        w.log_stabilize(4).unwrap();
-        w.log_round(9, &entries).unwrap();
-        w.log_round(10, &[]).unwrap();
+        for r in &rounds {
+            w.log_round(r.seq, &r.entries).unwrap();
+        }
         w.group_commit().unwrap();
         assert_eq!(w.frames(), 5);
         assert_eq!(w.io().syncs(), 1, "group commit syncs once per flush");
@@ -944,36 +1039,52 @@ mod tests {
         assert_eq!(scan.m, Some(2));
         assert_eq!(scan.damage, None);
         assert_eq!(scan.valid_bytes, bytes.len() as u64);
-        assert_eq!(
-            scan.records,
-            vec![
-                WalRecord::Commit {
-                    mu: vec![1.5, -2.0],
-                    mu2: vec![3.0, 4.25],
-                },
-                WalRecord::Remove(ObjectHandle::new(7, 3)),
-                WalRecord::Stabilize { passes: 4 },
-                WalRecord::Round { seq: 9, entries },
-                WalRecord::Round {
-                    seq: 10,
-                    entries: Vec::new(),
-                },
-            ]
-        );
+        assert_eq!(scan.records, rounds);
         assert_eq!(scan.frame_ends.len(), 5);
         assert_eq!(*scan.frame_ends.last().unwrap(), bytes.len() as u64);
     }
 
     #[test]
+    fn frames_have_the_documented_sizes() {
+        // m = 16: a frame is len 4 + tag 1 + seq 8 + count 4 + crc 4 = 21
+        // bytes plus its entries; an entry is op 1 + slot 4 + one cluster
+        // 4 (two for a move), plus 256 bytes of row when it carries one.
+        let row = [0.5; 16];
+        let mut w = WalWriter::create(VecIo::new(), 16, WalFsync::Off).unwrap();
+        let mut sizes = Vec::new();
+        let mut log = |entries: &[LogEntry]| {
+            let before = w.bytes_logged();
+            w.log_round(1, entries).unwrap();
+            sizes.push(w.bytes_logged() - before);
+        };
+        let remove = LogOp::Remove {
+            slot: 0,
+            cluster: 0,
+        };
+        let relocate = LogOp::Move {
+            slot: 0,
+            src: 0,
+            dst: 1,
+        };
+        log(&insert_round(&row, &row));
+        log(&[bare(remove)]);
+        log(&[bare(relocate), bare(relocate)]);
+        log(&[with_row(remove, &row, &row)]);
+        log(&[with_row(relocate, &row, &row)]);
+        log(EMPTY);
+        assert_eq!(sizes, [286, 30, 47, 286, 290, 21]);
+    }
+
+    #[test]
     fn every_fsync_syncs_per_frame() {
         let mut w = WalWriter::create(VecIo::new(), 1, WalFsync::Every).unwrap();
-        w.log_stabilize(1).unwrap();
-        w.log_stabilize(1).unwrap();
+        w.log_round(1, EMPTY).unwrap();
+        w.log_round(2, EMPTY).unwrap();
         w.group_commit().unwrap();
         // Header + 2 frames, and group_commit adds nothing under Every.
         assert_eq!(w.io().syncs(), 3);
         let mut w = WalWriter::create(VecIo::new(), 1, WalFsync::Off).unwrap();
-        w.log_stabilize(1).unwrap();
+        w.log_round(1, EMPTY).unwrap();
         w.group_commit().unwrap();
         assert_eq!(w.io().syncs(), 0);
     }
@@ -981,8 +1092,8 @@ mod tests {
     #[test]
     fn torn_tail_salvages_to_the_last_intact_frame() {
         let mut w = WalWriter::create(VecIo::new(), 1, WalFsync::Off).unwrap();
-        w.log_commit(&[1.0], &[2.0]).unwrap();
-        w.log_commit(&[3.0], &[10.0]).unwrap();
+        w.log_round(1, &insert_round(&[1.0], &[2.0])).unwrap();
+        w.log_round(2, &insert_round(&[3.0], &[10.0])).unwrap();
         let bytes = w.into_io().into_bytes();
         let full = scan_wal(&bytes).unwrap();
         let first_end = full.frame_ends[0] as usize;
@@ -1003,8 +1114,13 @@ mod tests {
     #[test]
     fn bit_flips_never_pass_the_checksum() {
         let mut w = WalWriter::create(VecIo::new(), 1, WalFsync::Off).unwrap();
-        w.log_commit(&[1.0], &[2.0]).unwrap();
-        w.log_stabilize(2).unwrap();
+        w.log_round(1, &insert_round(&[1.0], &[2.0])).unwrap();
+        let relocate = LogOp::Move {
+            slot: 0,
+            src: 0,
+            dst: 1,
+        };
+        w.log_round(2, &[bare(relocate)]).unwrap();
         let bytes = w.into_io().into_bytes();
         let clean = scan_wal(&bytes).unwrap();
         for byte in 0..bytes.len() {
@@ -1027,20 +1143,21 @@ mod tests {
     #[test]
     fn enospc_poisons_the_writer_permanently() {
         // Room for the header and one frame, then the wall.
+        let round = insert_round(&[1.0], &[2.0]);
         let mut probe = WalWriter::create(VecIo::new(), 1, WalFsync::Off).unwrap();
-        probe.log_commit(&[1.0], &[2.0]).unwrap();
+        probe.log_round(1, &round).unwrap();
         let one_frame = probe.bytes_logged() as usize;
 
         for limit in WAL_HEADER_LEN..one_frame {
             let mut w = WalWriter::create(VecIo::limited(limit), 1, WalFsync::Off).unwrap();
-            let err = w.log_commit(&[1.0], &[2.0]).unwrap_err();
+            let err = w.log_round(1, &round).unwrap_err();
             assert!(
                 matches!(err, WalError::Io(IoFault::NoSpace { .. })),
                 "{err:?}"
             );
             // Sticky: later appends fail without touching the sink.
             let tail = w.io().bytes().len();
-            let err = w.log_stabilize(1).unwrap_err();
+            let err = w.log_round(1, EMPTY).unwrap_err();
             assert!(matches!(err, WalError::Poisoned(_)), "{err:?}");
             assert_eq!(w.io().bytes().len(), tail, "poisoned append wrote bytes");
             let err = w.group_commit().unwrap_err();
@@ -1056,9 +1173,14 @@ mod tests {
     fn short_writes_are_transparent() {
         let mut chunked = WalWriter::create(VecIo::chunked(3), 2, WalFsync::Off).unwrap();
         let mut whole = WalWriter::create(VecIo::new(), 2, WalFsync::Off).unwrap();
+        let remove = LogOp::Remove {
+            slot: 0,
+            cluster: 1,
+        };
         for w in [&mut chunked, &mut whole] {
-            w.log_commit(&[1.0, 2.0], &[3.0, 8.0]).unwrap();
-            w.log_remove(ObjectHandle::new(0, 1)).unwrap();
+            w.log_round(1, &insert_round(&[1.0, 2.0], &[3.0, 8.0]))
+                .unwrap();
+            w.log_round(2, &[bare(remove)]).unwrap();
         }
         assert_eq!(chunked.io().bytes(), whole.io().bytes());
     }
@@ -1066,47 +1188,70 @@ mod tests {
     #[test]
     fn failing_sync_poisons_too() {
         let mut w = WalWriter::create(VecIo::new().failing_syncs(), 1, WalFsync::Flush).unwrap();
-        w.log_stabilize(1).unwrap();
+        w.log_round(1, EMPTY).unwrap();
         let err = w.group_commit().unwrap_err();
         assert!(
             matches!(err, WalError::Io(IoFault::Failed { .. })),
             "{err:?}"
         );
-        let err = w.log_stabilize(1).unwrap_err();
+        let err = w.log_round(2, EMPTY).unwrap_err();
         assert!(matches!(err, WalError::Poisoned(_)), "{err:?}");
     }
 
     #[test]
     fn recover_replays_snapshot_plus_log() {
-        let mut reference = IncrementalUcpc::new(2, 2).unwrap();
-        let mut handles = Vec::new();
-        for c in [0.0, 0.5, 8.0] {
-            handles.push(reference.insert(&obj(c)).unwrap());
-        }
-        let checkpoint = reference.snapshot();
-        // Post-checkpoint traffic, logged as it happens.
-        let mut w = WalWriter::create(VecIo::new(), 2, WalFsync::Flush).unwrap();
-        let arrivals = [obj(8.5), obj(0.25)];
-        for a in &arrivals {
-            let mo = a.moments();
-            w.log_commit(mo.mu(), mo.mu2()).unwrap();
-            reference.insert(a).unwrap();
-        }
-        w.log_remove(handles[1]).unwrap();
-        reference.remove(handles[1]).unwrap();
-        w.log_stabilize(3).unwrap();
-        reference.stabilize(3);
-        w.group_commit().unwrap();
+        for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
+            let mut reference = IncrementalUcpc::new(2, 2).unwrap();
+            reference.set_pruning(pruning);
+            let mut handles = Vec::new();
+            for c in [0.0, 1.0] {
+                handles.push(reference.insert(&obj(c)).unwrap());
+            }
+            let checkpoint = reference.snapshot();
+            // Post-checkpoint traffic on the public API, each mutation
+            // logged as the round it makes.
+            let mut w = WalWriter::create(VecIo::new(), 2, WalFsync::Flush).unwrap();
+            let mut seq = 0;
+            let mut log = |entries: &[LogEntry<&[f64]>]| {
+                seq += 1;
+                w.log_round(seq, entries).unwrap();
+            };
+            let arrivals = [obj(10.0), obj(11.0), obj(0.25)];
+            for a in &arrivals {
+                let h = reference.insert(a).unwrap();
+                let op = LogOp::Insert {
+                    slot: h.slot() as u32,
+                    cluster: reference.label_of(h).unwrap(),
+                };
+                let mo = a.moments();
+                log(&[LogEntry {
+                    op,
+                    mu: mo.mu(),
+                    mu2: mo.mu2(),
+                }]);
+            }
+            let cluster = reference.label_of(handles[0]).unwrap();
+            reference.remove(handles[0]).unwrap();
+            log(&[LogEntry::bare(LogOp::Remove {
+                slot: handles[0].slot() as u32,
+                cluster,
+            })]);
+            let mut moves = Vec::new();
+            reference.stabilize_with(3, |op| moves.push(LogEntry::bare(op)));
+            assert!(!moves.is_empty(), "the script must relocate something");
+            log(&moves);
+            w.group_commit().unwrap();
 
-        let rec = recover(&checkpoint, w.io().bytes()).unwrap();
-        assert_eq!(rec.frames_applied, 4);
-        assert_eq!(rec.damage, None);
-        assert_eq!(rec.engine.live_labels(), reference.live_labels());
-        assert_eq!(
-            rec.engine.objective().to_bits(),
-            reference.objective().to_bits()
-        );
-        assert_eq!(rec.engine.snapshot(), reference.snapshot());
+            let rec = recover(&checkpoint, w.io().bytes()).unwrap();
+            assert_eq!(rec.frames_applied, 5);
+            assert_eq!(rec.damage, None);
+            assert_eq!(rec.engine.live_labels(), reference.live_labels());
+            assert_eq!(
+                rec.engine.objective().to_bits(),
+                reference.objective().to_bits()
+            );
+            assert_eq!(rec.engine.snapshot(), reference.snapshot(), "{pruning:?}");
+        }
     }
 
     #[test]
@@ -1145,14 +1290,21 @@ mod tests {
         e.insert(&obj(1.0)).unwrap();
         let snap = e.snapshot();
         let mut w = WalWriter::create(VecIo::new(), 2, WalFsync::Off).unwrap();
-        w.log_remove(ObjectHandle::new(99, 7)).unwrap();
-        let err = recover(&snap, w.io().bytes()).unwrap_err();
-        assert!(matches!(err, WalError::Replay(_)), "{err:?}");
-        // A shard round belongs to a shard log, not a serving engine.
-        let round = WalRecord::Round {
-            seq: 1,
-            entries: Vec::new(),
+        let remove = LogOp::Remove {
+            slot: 99,
+            cluster: 0,
         };
-        assert_eq!(apply_record(&mut e, &round), Err(WalError::ForeignRecord));
+        w.log_round(1, &[bare(remove)]).unwrap();
+        match recover(&snap, w.io().bytes()) {
+            Err(WalError::Corrupt {
+                valid_bytes,
+                frames: 0,
+                reason,
+            }) => {
+                assert_eq!(valid_bytes, WAL_HEADER_LEN as u64);
+                assert!(reason.contains("free slot"), "{reason}");
+            }
+            other => panic!("{other:?}"),
+        }
     }
 }

@@ -7,9 +7,10 @@ use ucpc::baselines::{FdbScan, Foptics, MmVar, Uahc, UkMeans, UkMedoids};
 use ucpc::core::framework::UncertainClusterer;
 use ucpc::core::incremental::IncrementalUcpc;
 use ucpc::core::parallel::ParallelUcpc;
+use ucpc::core::wal::WAL_HEADER_LEN;
 use ucpc::core::{
-    recover, ChaosPlan, ClusterError, ServingConfig, ServingError, ServingResponse, ServingUcpc,
-    ShardedUcpc, SharedVecIo, Ucpc, WalError, WalFsync, WalWriter,
+    recover, ChaosPlan, ClusterError, LogEntry, LogOp, ServingConfig, ServingError,
+    ServingResponse, ServingUcpc, ShardedUcpc, SharedVecIo, Ucpc, WalError, WalFsync, WalWriter,
 };
 use ucpc::eval::quality;
 use ucpc::uncertain::{Moments, UncertainObject, UnivariatePdf};
@@ -328,17 +329,31 @@ fn non_finite_arrivals_are_rejected_at_admission() {
 #[test]
 fn a_logged_non_finite_commit_fails_recovery_instead_of_restoring_nan() {
     // A log written by another tool (or a build without the admission
-    // check) can still hold a poison commit; replay goes through the same
-    // checked insert, so recovery refuses it.
+    // check) can still hold a poison commit; replay checks every inserted
+    // row, so recovery refuses it at the end of the intact prefix.
     let engine = IncrementalUcpc::new(2, 2).unwrap();
     let checkpoint = engine.snapshot();
     for mo in poisoned_arrivals() {
         let sink = SharedVecIo::new();
         let mut wal = WalWriter::create(sink.clone(), 2, WalFsync::Off).unwrap();
-        wal.log_commit(&[0.0, 1.0], &[1.0, 2.0]).unwrap();
-        wal.log_commit(mo.mu(), mo.mu2()).unwrap();
+        let insert = |slot, mu, mu2| LogEntry {
+            op: LogOp::Insert { slot, cluster: 0 },
+            mu,
+            mu2,
+        };
+        wal.log_round(1, &[insert(0, &[0.0, 1.0][..], &[1.0, 2.0][..])])
+            .unwrap();
+        wal.log_round(2, &[insert(1, mo.mu(), mo.mu2())]).unwrap();
+        let intact = WAL_HEADER_LEN as u64 + (wal.bytes_logged() - WAL_HEADER_LEN as u64) / 2;
         match recover(&checkpoint, &sink.bytes()) {
-            Err(WalError::Replay(ClusterError::NonFinite)) => {}
+            Err(WalError::Corrupt {
+                valid_bytes,
+                frames: 1,
+                reason,
+            }) => {
+                assert_eq!(valid_bytes, intact);
+                assert!(reason.contains("non-finite"), "{reason}");
+            }
             Err(other) => panic!("wrong error: {other}"),
             Ok(rec) => panic!("recovered objective {}", rec.engine.objective()),
         }

@@ -144,3 +144,77 @@ fn hostile_v2_chunk_length_fails_fast_without_allocating() {
         SnapshotError::Truncated
     );
 }
+
+/// The byte offsets of every chunk of a snapshot: `(start, kind)`, where
+/// `start` is the chunk's length field. The head is 12 bytes; a chunk is
+/// `len u32 | kind u8 | body | crc u32`.
+fn chunks(snapshot: &[u8]) -> Vec<(usize, u8)> {
+    let mut out = Vec::new();
+    let mut at = 12;
+    while at < snapshot.len() {
+        let len = u32::from_le_bytes(snapshot[at..at + 4].try_into().unwrap()) as usize;
+        out.push((at, snapshot[at + 4]));
+        at += 4 + len + 4;
+    }
+    out
+}
+
+/// Overwrites `bytes` at `at` inside the chunk starting at `chunk` and
+/// re-seals that chunk's CRC, so only restore's own checks can object.
+fn patch_and_reseal(snapshot: &[u8], chunk: usize, at: usize, bytes: &[u8]) -> Vec<u8> {
+    let mut bent = snapshot.to_vec();
+    bent[at..at + bytes.len()].copy_from_slice(bytes);
+    let len = u32::from_le_bytes(bent[chunk..chunk + 4].try_into().unwrap()) as usize;
+    let crc_at = chunk + 4 + len;
+    let crc = crc32(&bent[chunk..crc_at]);
+    bent[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    bent
+}
+
+/// Restore checks its STATS section against the rows instead of trusting
+/// it: a checksum-clean snapshot whose cluster 0 claims `psi[0] = NaN`, or
+/// size 0 while live slots carry label 0, or whose first row is NaN, is
+/// corrupt: restored as-is, the first would yield `J = NaN` and the
+/// second a panic in the next relocation pass.
+#[test]
+fn restore_refuses_stats_that_disagree_with_the_rows_or_are_not_finite() {
+    for victim in victims() {
+        let back = IncrementalUcpc::restore(victim).unwrap();
+        // META is the first chunk: after pruning 17, the six u64 fields
+        // from m at 18 to n_free at 58, versions k × u64 from 66, then
+        // totals 6 × f64 and cluster 0's STATS: size u64, psi m × f64.
+        let k = back.k();
+        let size_at = 66 + 8 * k + 6 * 8;
+        let size = u64::from_le_bytes(victim[size_at..size_at + 8].try_into().unwrap());
+        assert_eq!(size as usize, back.sizes()[0], "offsets match the format");
+        assert!(size > 0, "cluster 0 has members");
+        let rows = chunks(victim)
+            .into_iter()
+            .find(|&(_, kind)| kind == 4)
+            .expect("a ROWS chunk")
+            .0;
+        for (what, bent) in [
+            (
+                "psi[0] = NaN",
+                patch_and_reseal(victim, 12, size_at + 8, &f64::NAN.to_le_bytes()),
+            ),
+            (
+                "size = 0",
+                patch_and_reseal(victim, 12, size_at, &0u64.to_le_bytes()),
+            ),
+            (
+                "row mu[0] = NaN",
+                patch_and_reseal(victim, rows, rows + 5, &f64::NAN.to_le_bytes()),
+            ),
+        ] {
+            assert!(
+                matches!(
+                    IncrementalUcpc::restore(&bent),
+                    Err(SnapshotError::Corrupt(_))
+                ),
+                "{what}: {:?}",
+                IncrementalUcpc::restore(&bent).map(|e| e.objective())
+            );
+        }
+    }
+}

@@ -7,10 +7,13 @@
 //! rebuilds labels, handles, per-cluster statistic bits and objective
 //! bits **byte-identical** to the run that never crashed, and to the
 //! per-object reference model `RefStream` (`tests/support/reference.rs`)
-//! replaying the same mutations. Pinned with pruning off and on, at every
-//! frame boundary and mid-frame, from a checksummed snapshot checkpoint;
-//! plus a bit-flip sweep asserting corruption anywhere in the log or
-//! checkpoint surfaces as a checked error or reported damage — never a
+//! serving the same request script serially. The oracle is driven by the
+//! requests, never by decoding the log: decoded decisions folded into the
+//! oracle would check the fold against itself. Pinned with pruning off and
+//! on, at every frame boundary and mid-frame, from a checksummed snapshot
+//! checkpoint; plus a bit-flip sweep asserting corruption anywhere in the
+//! log or checkpoint surfaces as a checked error or reported damage, and
+//! hostile checksum-valid rounds that recovery must refuse — never a
 //! panic, never silent divergence.
 
 mod support;
@@ -18,13 +21,16 @@ mod support;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use support::reference::RefStream;
+use ucpc::core::codec::crc32;
+use ucpc::core::fault::IoFault;
 use ucpc::core::incremental::{IncrementalUcpc, ObjectHandle};
 use ucpc::core::serving::{ServingConfig, ServingResponse, ServingUcpc};
 use ucpc::core::wal::{
-    apply_record, recover, scan_wal, SharedVecIo, WalRecord, WalScan, WAL_HEADER_LEN,
+    recover, scan_wal, DurableIo, LogEntry, LogOp, SharedVecIo, WalError, WalFsync, WalScan,
+    WalWriter, WAL_HEADER_LEN, WAL_MAGIC,
 };
 use ucpc::core::PruningConfig;
-use ucpc::uncertain::{Moments, UncertainObject, UnivariatePdf};
+use ucpc::uncertain::{UncertainObject, UnivariatePdf};
 
 /// One scripted serving mutation.
 #[derive(Debug, Clone, Copy)]
@@ -73,25 +79,46 @@ fn settled(pruning: PruningConfig) -> IncrementalUcpc {
     engine
 }
 
-/// The reference model after the settled window and every logged record.
-fn reference_model(records: &[WalRecord]) -> RefStream {
+/// One request as the client submitted it, with the handle a remove
+/// named resolved at submission time.
+#[derive(Debug, Clone, Copy)]
+enum Sent {
+    Commit(f64, f64),
+    Remove(ObjectHandle),
+    Stabilize(usize),
+}
+
+/// Commits per cadence stabilization in [`logged_run`].
+const STABILIZE_EVERY: usize = 5;
+/// Passes per cadence stabilization in [`logged_run`].
+const STABILIZE_PASSES: usize = 2;
+
+/// The reference model after the settled window and the request script,
+/// served one request at a time: a commit is an insert, and every
+/// `STABILIZE_EVERY`-th commit runs the cadence stabilization right after
+/// it; a remove of a stale handle is refused and changes nothing.
+fn reference_model(requests: &[Sent]) -> RefStream {
     let mut model = RefStream::new(2, 3);
     for o in settled_arrivals() {
         model.insert(&o).unwrap();
     }
     model.stabilize(3);
-    for r in records {
+    let mut commits = 0;
+    for &r in requests {
         match r {
-            WalRecord::Commit { mu, mu2 } => {
-                model
-                    .insert_moments(&Moments::from_mu_mu2(mu.clone(), mu2.clone()))
-                    .unwrap();
+            Sent::Commit(c, s) => {
+                model.insert(&obj(c, s)).unwrap();
+                commits += 1;
+                if commits % STABILIZE_EVERY == 0 {
+                    model.stabilize(STABILIZE_PASSES);
+                }
             }
-            WalRecord::Remove(h) => model.remove(*h).unwrap(),
-            WalRecord::Stabilize { passes } => {
-                model.stabilize(*passes as usize);
+            Sent::Remove(h) => {
+                let _ = model.remove(h);
             }
-            WalRecord::Round { .. } => panic!("serving logs hold no shard rounds"),
+            Sent::Stabilize(passes) => {
+                model.stabilize(passes);
+            }
         }
     }
     model
@@ -105,11 +132,13 @@ struct LoggedRun {
     wal: Vec<u8>,
     scan: WalScan,
     serving: ServingUcpc,
+    requests: Vec<Sent>,
 }
 
 /// Runs the script through a serving engine logging into a shared sink.
 /// Mixed micro-batches (batch 4) and a stabilize cadence make the log
-/// carry all three frame kinds, including cadence stabilizes.
+/// carry every kind of round: commits, removes, explicit and cadence
+/// stabilizations.
 fn logged_run(pruning: PruningConfig) -> LoggedRun {
     let engine = settled(pruning);
     let checkpoint = engine.snapshot();
@@ -120,8 +149,8 @@ fn logged_run(pruning: PruningConfig) -> LoggedRun {
             batch: 4,
             queue_capacity: 16,
             deadline: None,
-            stabilize_every: 5,
-            stabilize_passes: 2,
+            stabilize_every: STABILIZE_EVERY,
+            stabilize_passes: STABILIZE_PASSES,
             top_k: 2,
             ..ServingConfig::default()
         },
@@ -129,6 +158,7 @@ fn logged_run(pruning: PruningConfig) -> LoggedRun {
     serving.detach_wal();
     serving.attach_wal(sink.clone()).unwrap();
     let mut handles: Vec<ObjectHandle> = Vec::new();
+    let mut requests = Vec::new();
     let drain = |serving: &mut ServingUcpc, handles: &mut Vec<ObjectHandle>| {
         serving.flush();
         while let Some((_, resp)) = serving.pop_response() {
@@ -141,18 +171,19 @@ fn logged_run(pruning: PruningConfig) -> LoggedRun {
     };
     let mut queued = 0usize;
     for op in script(29, 60) {
-        match op {
-            Op::Commit(c, s) => {
-                serving.submit_commit_object(&obj(c, s)).unwrap();
-            }
-            Op::Remove(r) if !handles.is_empty() => {
-                serving.submit_remove(handles[r % handles.len()]).unwrap();
-            }
+        let sent = match op {
+            Op::Commit(c, s) => Sent::Commit(c, s),
+            Op::Remove(r) if !handles.is_empty() => Sent::Remove(handles[r % handles.len()]),
             Op::Remove(_) => continue,
-            Op::Stabilize(p) => {
-                serving.submit_stabilize(p).unwrap();
-            }
+            Op::Stabilize(p) => Sent::Stabilize(p),
+        };
+        match sent {
+            Sent::Commit(c, s) => serving.submit_commit_object(&obj(c, s)),
+            Sent::Remove(h) => serving.submit_remove(h),
+            Sent::Stabilize(p) => serving.submit_stabilize(p),
         }
+        .unwrap();
+        requests.push(sent);
         queued += 1;
         if queued == 4 {
             queued = 0;
@@ -174,6 +205,7 @@ fn logged_run(pruning: PruningConfig) -> LoggedRun {
         wal,
         scan,
         serving,
+        requests,
     }
 }
 
@@ -198,7 +230,7 @@ fn recovery_at_every_cut_point_is_bit_identical_across_the_matrix() {
         let what = format!("{pruning:?}");
         let run = logged_run(pruning);
         let reference = run.serving.engine();
-        let model = reference_model(&run.scan.records);
+        let model = reference_model(&run.requests);
         assert_eq!(reference.live_labels(), model.live_labels(), "{what}");
         assert_eq!(reference.cluster_stats(), model.cluster_stats(), "{what}");
         assert_eq!(
@@ -221,10 +253,10 @@ fn recovery_at_every_cut_point_is_bit_identical_across_the_matrix() {
                 assert!(rec.damage.is_some(), "{what}, cut {cut}: damage unreported");
                 assert!(rec.valid_bytes as usize <= cut, "{what}, cut {cut}");
             }
-            // Finish the script: replay the records the crash cut off.
+            // Finish the script: replay the rounds the crash cut off.
             let mut engine = rec.engine;
             for r in &run.scan.records[rec.frames_applied as usize..] {
-                apply_record(&mut engine, r).expect("suffix replays");
+                engine.apply_round(&r.entries).expect("suffix replays");
             }
             assert_eq!(
                 engine.live_labels(),
@@ -284,7 +316,6 @@ fn recovery_from_a_faulted_writer_matches_the_applied_prefix() {
     // serving layer refuses the unlogged mutations (log-before-apply), and
     // recovery from the torn sink must reproduce exactly the engine the
     // survivor is left holding.
-    use ucpc::core::wal::WalError;
     let engine = settled(PruningConfig::Bounds);
     let checkpoint = engine.snapshot();
     let mut serving = ServingUcpc::over(
@@ -301,8 +332,11 @@ fn recovery_from_a_faulted_writer_matches_the_applied_prefix() {
     );
     serving.detach_wal();
     // Room for the header and exactly two commit frames plus a torn sliver
-    // of the third; the rest of the batch hits the wall.
-    let sink = SharedVecIo::limited(WAL_HEADER_LEN + 2 * (4 + 1 + 2 * 2 * 8 + 4) + 7);
+    // of the third; the rest of the batch hits the wall. A commit frame is
+    // len 4, tag 1, seq 8, count 4, one insert entry (op 1, slot 4,
+    // cluster 4, then its m = 2 row as 2 × 2 f64s) and crc 4.
+    let commit_frame = 4 + 1 + 8 + 4 + (1 + 4 + 4 + 2 * 2 * 8) + 4;
+    let sink = SharedVecIo::limited(WAL_HEADER_LEN + 2 * commit_frame + 7);
     serving.attach_wal(sink.clone()).unwrap();
     for c in [0.0, 1.0, 2.0, 3.0, 4.0] {
         serving.submit_commit_object(&obj(c, 0.3)).unwrap();
@@ -410,7 +444,7 @@ fn checkpoint_rotation_under_injected_sync_failure_is_atomic() {
     let err = serving
         .checkpoint_into(&mut bad_snap, fresh.clone())
         .expect_err("failing snapshot sync must refuse the rotation");
-    assert!(matches!(err, ucpc::core::wal::WalError::Io(_)), "{err:?}");
+    assert!(matches!(err, WalError::Io(_)), "{err:?}");
     assert!(
         serving.wal().unwrap().poisoned().is_some(),
         "failed rotation must leave the old (poisoned) writer in place"
@@ -454,4 +488,284 @@ fn checkpoint_rotation_under_injected_sync_failure_is_atomic() {
         rec.engine.objective().to_bits(),
         serving.engine().objective().to_bits()
     );
+}
+
+/// A shared in-memory sink whose `fail_at`-th sync (counting from 1)
+/// fails; every other call passes through.
+#[derive(Debug)]
+struct FlakySync {
+    inner: SharedVecIo,
+    syncs: u64,
+    fail_at: u64,
+}
+
+impl DurableIo for FlakySync {
+    fn write(&mut self, buf: &[u8]) -> Result<usize, IoFault> {
+        self.inner.write(buf)
+    }
+
+    fn sync(&mut self) -> Result<(), IoFault> {
+        self.syncs += 1;
+        if self.syncs == self.fail_at {
+            return Err(IoFault::Failed {
+                at: 0,
+                what: "injected sync failure",
+            });
+        }
+        self.inner.sync()
+    }
+}
+
+#[test]
+fn a_failed_per_frame_sync_still_logs_the_frame_it_follows() {
+    // Under `UCPC_WAL_FSYNC=every` the second sync — the first commit
+    // frame's — fails after the frame is fully appended. The frame is
+    // readable at recovery, so the commit must apply; the writer is
+    // poisoned, so the later commits must not.
+    let engine = settled(PruningConfig::Bounds);
+    let checkpoint = engine.snapshot();
+    let mut serving = ServingUcpc::over(
+        engine,
+        ServingConfig {
+            batch: 8,
+            queue_capacity: 16,
+            deadline: None,
+            stabilize_every: 0,
+            stabilize_passes: 2,
+            top_k: 2,
+            wal: false,
+            wal_fsync: WalFsync::Every,
+        },
+    );
+    let sink = SharedVecIo::new();
+    serving
+        .attach_wal(FlakySync {
+            inner: sink.clone(),
+            syncs: 0,
+            fail_at: 2,
+        })
+        .unwrap();
+    for c in [0.0, 1.0, 2.0] {
+        serving.submit_commit_object(&obj(c, 0.3)).unwrap();
+    }
+    serving.flush();
+    let responses: Vec<ServingResponse> = std::iter::from_fn(|| serving.pop_response())
+        .map(|(_, r)| r)
+        .collect();
+    assert!(
+        matches!(responses[0], ServingResponse::Committed { .. }),
+        "{:?}",
+        responses[0]
+    );
+    for r in &responses[1..] {
+        assert!(
+            matches!(
+                r,
+                ServingResponse::Failed {
+                    error: WalError::Poisoned(_)
+                }
+            ),
+            "{r:?}"
+        );
+    }
+    assert!(serving.wal().unwrap().poisoned().is_some());
+    assert_eq!(serving.engine().len(), settled_arrivals().len() + 1);
+    let rec = recover(&checkpoint, &sink.bytes()).unwrap();
+    assert_eq!(rec.damage, None);
+    assert_eq!(rec.frames_applied, 1);
+    assert_eq!(rec.engine.live_labels(), serving.engine().live_labels());
+    assert_eq!(rec.engine.cluster_stats(), serving.engine().cluster_stats());
+    assert_eq!(
+        rec.engine.objective().to_bits(),
+        serving.engine().objective().to_bits()
+    );
+}
+
+#[test]
+fn a_stabilize_whose_round_hits_enospc_fails_and_changes_nothing() {
+    // Two identical servings: the probe's log has room for everything,
+    // the victim's for the commits only, so its stabilization runs its
+    // passes and then cannot log their moves. Arrivals far past the
+    // window drag one cluster's mean away from its older members, which
+    // the stabilization then relocates.
+    let commits = [25.0, 26.0, 27.0, 28.0];
+    let serve = |sink: SharedVecIo| {
+        let engine = settled(PruningConfig::Bounds);
+        let mut serving = ServingUcpc::over(
+            engine,
+            ServingConfig {
+                batch: 16,
+                queue_capacity: 16,
+                deadline: None,
+                stabilize_every: 0,
+                stabilize_passes: 2,
+                top_k: 2,
+                ..ServingConfig::default()
+            },
+        );
+        serving.detach_wal();
+        serving.attach_wal(sink).unwrap();
+        for c in commits {
+            serving.submit_commit_object(&obj(c, 0.3)).unwrap();
+        }
+        serving.flush();
+        while serving.pop_response().is_some() {}
+        serving
+    };
+    let checkpoint = settled(PruningConfig::Bounds).snapshot();
+    let probe_sink = SharedVecIo::new();
+    let mut probe = serve(probe_sink.clone());
+    let commits_end = probe.wal().unwrap().bytes_logged() as usize;
+    probe.submit_stabilize(3).unwrap();
+    probe.flush();
+    let moves = scan_wal(&probe_sink.bytes())
+        .unwrap()
+        .records
+        .last()
+        .unwrap()
+        .entries
+        .len();
+    assert!(moves > 0, "the stabilization must relocate something");
+
+    let sink = SharedVecIo::limited(commits_end + 10);
+    let mut victim = serve(sink.clone());
+    let before = victim.engine().clone();
+    victim.submit_stabilize(3).unwrap();
+    victim.flush();
+    let (_, resp) = victim.pop_response().unwrap();
+    assert!(
+        matches!(
+            resp,
+            ServingResponse::Failed {
+                error: WalError::Io(IoFault::NoSpace { .. })
+            }
+        ),
+        "{resp:?}"
+    );
+    let after = victim.engine();
+    assert_eq!(after.live_labels(), before.live_labels());
+    assert_eq!(after.cluster_stats(), before.cluster_stats());
+    assert_eq!(after.objective().to_bits(), before.objective().to_bits());
+
+    // Recovery equals the survivor, and both evolve identically.
+    let rec = recover(&checkpoint, &sink.bytes()).unwrap();
+    assert!(rec.damage.is_some(), "the torn round must be reported");
+    let (mut survivor, mut recovered) = (victim.into_engine(), rec.engine);
+    assert_eq!(recovered.live_labels(), survivor.live_labels());
+    assert_eq!(recovered.cluster_stats(), survivor.cluster_stats());
+    assert_eq!(survivor.stabilize(3), recovered.stabilize(3));
+    assert_eq!(recovered.live_labels(), survivor.live_labels());
+    assert_eq!(recovered.cluster_stats(), survivor.cluster_stats());
+    assert_eq!(
+        recovered.objective().to_bits(),
+        survivor.objective().to_bits()
+    );
+}
+
+#[test]
+fn a_flipped_log_header_byte_is_a_checked_error() {
+    let run = logged_run(PruningConfig::Off);
+    for pos in 0..WAL_HEADER_LEN {
+        let mut bent = run.wal.clone();
+        bent[pos] ^= 0x04;
+        match recover(&run.checkpoint, &bent) {
+            Err(WalError::BadMagic) => assert!(pos < WAL_MAGIC.len(), "byte {pos}"),
+            Err(WalError::Corrupt {
+                valid_bytes: 0,
+                frames: 0,
+                ..
+            }) => assert!(pos >= WAL_MAGIC.len(), "byte {pos}"),
+            other => panic!("byte {pos}: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_version_1_log_is_rejected_as_unsupported() {
+    let checkpoint = settled(PruningConfig::Off).snapshot();
+    let mut header = WAL_MAGIC.to_vec();
+    header.extend_from_slice(&1u32.to_le_bytes());
+    header.extend_from_slice(&2u64.to_le_bytes());
+    let crc = crc32(&header);
+    header.extend_from_slice(&crc.to_le_bytes());
+    assert_eq!(
+        recover(&checkpoint, &header).unwrap_err(),
+        WalError::UnsupportedVersion(1)
+    );
+}
+
+#[test]
+fn hostile_rounds_are_refused_at_the_intact_prefix() {
+    // One intact round, then a checksum-valid round that must not apply.
+    // Recovery reports it as corrupt at the end of the intact round —
+    // never a panic, never a silently different engine.
+    let engine = settled(PruningConfig::Off);
+    assert!(
+        engine.sizes().iter().all(|&n| n > 0),
+        "every cluster is live"
+    );
+    let checkpoint = engine.snapshot();
+    let labels = engine.live_labels();
+    let (h, c) = (labels[0].0.slot() as u32, labels[0].1);
+    let other = (c + 1) % 3;
+    // No slot is free, so the intact round takes the next fresh slot and
+    // the one after it is never allocated.
+    let next = engine.slot_rows() as u32;
+    let (row, row2, nan): (&[f64], &[f64], &[f64]) = (&[0.5, -0.5], &[0.5, 1.0], &[f64::NAN, 0.0]);
+    let insert = |slot, cluster, mu: &'static [f64], mu2: &'static [f64]| LogEntry {
+        op: LogOp::Insert { slot, cluster },
+        mu,
+        mu2,
+    };
+    let remove = |slot, cluster| LogEntry::bare(LogOp::Remove { slot, cluster });
+    let relocate = |slot, src, dst| LogEntry::bare(LogOp::Move { slot, src, dst });
+    // Drains cluster `c` member by member, then once more.
+    let mut drain: Vec<_> = labels
+        .iter()
+        .filter(|&&(_, l)| l == c)
+        .map(|&(m, _)| remove(m.slot() as u32, c))
+        .collect();
+    drain.push(remove(h, c));
+    let cases = vec![
+        (2, vec![insert(next + 1, 3, row, row2)], "out of range"),
+        (2, vec![relocate(h, c, 3)], "out of range"),
+        (
+            2,
+            vec![insert(next + 5, 0, row, row2)],
+            "would not allocate",
+        ),
+        (2, vec![remove(next + 1, 0)], "free slot"),
+        (2, vec![remove(h, other)], "wrong cluster"),
+        (2, vec![relocate(next + 1, 0, 1)], "free slot"),
+        (2, vec![relocate(h, other, c)], "wrong cluster"),
+        (2, drain, "empty cluster"),
+        (2, vec![insert(next + 1, 0, nan, row2)], "non-finite"),
+        (
+            2,
+            vec![LogEntry::bare(LogOp::Insert {
+                slot: next + 1,
+                cluster: 0,
+            })],
+            "missing",
+        ),
+        (3, vec![], "sequence"),
+    ];
+    for (seq, bad, why) in cases {
+        let sink = SharedVecIo::new();
+        let mut w = WalWriter::create(sink.clone(), 2, WalFsync::Off).unwrap();
+        w.log_round(1, &[insert(next, 0, row, row2)]).unwrap();
+        let intact = w.bytes_logged();
+        w.log_round(seq, &bad).unwrap();
+        match recover(&checkpoint, &sink.bytes()) {
+            Err(WalError::Corrupt {
+                valid_bytes,
+                frames,
+                reason,
+            }) => {
+                assert_eq!((valid_bytes, frames), (intact, 1), "{bad:?}");
+                assert!(reason.contains(why), "{bad:?}: {reason}");
+            }
+            other => panic!("{bad:?}: {other:?}"),
+        }
+    }
 }
