@@ -57,6 +57,12 @@ pub enum ClusterError {
     NonFinite,
     /// A sharded engine was asked for zero shards.
     NoShards,
+    /// A sharded engine's shard is down, so no round can commit; restart
+    /// it first. Nothing was changed.
+    ShardDown {
+        /// The crashed shard.
+        shard: usize,
+    },
 }
 
 impl fmt::Display for ClusterError {
@@ -88,6 +94,9 @@ impl fmt::Display for ClusterError {
             ),
             ClusterError::NonFinite => write!(f, "arrival has a non-finite moment"),
             ClusterError::NoShards => write!(f, "a sharded engine needs at least one shard"),
+            ClusterError::ShardDown { shard } => {
+                write!(f, "shard {shard} is down; restart it first")
+            }
         }
     }
 }

@@ -12,37 +12,37 @@
 //! depends on the order bit-for-bit ([`ClusterStats::merge`] is
 //! commutative mathematically but, like any floating-point reduction,
 //! not bit-associative). So the protocol replicates the *sequence*, not
-//! the result — as [`LogEntry`] rounds, the same record every WAL holds:
+//! the result — as [`LogEntry`] rounds, the same record every WAL holds.
+//! A round takes two steps:
 //!
-//! 1. The **coordinator** (node 0) owns the op order and is itself an
-//!    engine replica: an [`IncrementalUcpc`] holding every row. Its slab
-//!    allocates the global slots and generations, so handle sequences
-//!    match the single-node engine exactly, and it assigns each op batch
-//!    a global sequence number.
-//! 2. The slot's **owner participant** runs the local propose phase: it
-//!    prices the ops against its full `ClusterStats` replica with the
-//!    exact kernels ([`crate::pruning::best_insertion`],
-//!    [`crate::pruning::best_candidate`]), appends the resulting entries
-//!    to its write-ahead shard log, applies them, and replies. Only
-//!    mutations become entries: a relocation scan that keeps its object
-//!    in place emits nothing, so a round may be empty. An empty round is
-//!    still sequenced, logged and acknowledged like any other.
-//! 3. The coordinator folds the round into its engine through
-//!    [`IncrementalUcpc::apply_round`] — the one mutation path serving,
-//!    WAL recovery and the single-node engine share — and broadcasts it to
-//!    every other participant; each logs and applies it in the same global
-//!    order and acknowledges. Only then does the round commit and the next
-//!    sequence number get used.
+//! 1. The **coordinator** (node 0) decides and folds. It is itself an
+//!    engine replica: an [`IncrementalUcpc`] holding every row, whose
+//!    slab allocates the global slots and generations, so handle
+//!    sequences match the single-node engine exactly. An insert, a
+//!    remove or a whole `stabilize` call runs on that engine — the same
+//!    placement scan, relocation passes and pruning the single-node
+//!    engine runs, folded through [`IncrementalUcpc::apply_round`] — and
+//!    its mutations become one round under the next global sequence
+//!    number. Only mutations become entries: a `stabilize` that moves
+//!    nothing commits an empty round, which is still sequenced, logged
+//!    and acknowledged like any other.
+//! 2. The coordinator broadcasts the round as one `Apply` to every
+//!    participant; each logs it to its write-ahead shard log, folds it in
+//!    the same global order and acknowledges. Only when every shard has
+//!    acknowledged does the round commit and the next sequence number get
+//!    used.
 //!
 //! Every entry ships the object's raw moment rows (`mu`, `mu2`), because
 //! a participant holds only the rows it owns, and every replica applies
 //! `add_view`/`remove_view` *itself*: the `S₂` update inside `add_view`
 //! depends on the target's current mean sum, so shipping precomputed
 //! deltas would not reproduce the bits — shipping the inputs and
-//! replaying the fold does. Participants run the same per-entry check as
-//! the engine (clusters in range, no drain of an empty cluster, a finite
-//! row) plus their own owned-row check. The coordinator's replica costs
-//! one extra copy of the rows, at node 0.
+//! replaying the fold does. Participants price nothing. They run the same
+//! per-entry check as the engine (clusters in range, no drain of an empty
+//! cluster, a finite row of the right length) plus their own owned-row
+//! check, and derive each row's view with the engine's canonical row
+//! fold. A round is one shared allocation: every shard's `Apply` and the
+//! coordinator's catch-up log hold the same `Arc`.
 //!
 //! # Robustness
 //!
@@ -53,9 +53,8 @@
 //! protocol tolerates every fault a plan can inject:
 //!
 //! * **Idempotence** — every message carries its round's sequence
-//!   number; participants track the highest applied sequence, re-ack
-//!   duplicates, and resend the cached reply for a retransmitted
-//!   `Execute` of the round they just ran.
+//!   number; participants track the highest applied sequence and re-ack
+//!   duplicates without logging or folding them again.
 //! * **Retry with backoff** — the coordinator re-sends unanswered
 //!   requests on deadlines from the injectable [`crate::serving::Clock`]
 //!   (a [`crate::fault::ManualClock`] here, advanced only when the
@@ -65,7 +64,9 @@
 //!   consumes pre-crash traffic.
 //! * **Crash + recovery** — [`ShardedUcpc::crash`] drops a participant's
 //!   volatile state; its durable bytes (checkpoint + shard log, a
-//!   [`crate::wal::SharedVecIo`] surviving the crash) remain.
+//!   [`crate::wal::SharedVecIo`] surviving the crash) remain. While a
+//!   shard is down, edits are refused with [`ClusterError::ShardDown`]
+//!   before the coordinator decides anything.
 //!   [`ShardedUcpc::restart`] rebuilds the shard from checkpoint + the
 //!   log's valid prefix, bumps its epoch, re-anchors its durable state,
 //!   and sends it a `Catchup` of any committed rounds the durable state
@@ -106,7 +107,6 @@ use crate::fault::{ChaosPlan, Dice, ManualClock};
 use crate::framework::ClusterError;
 use crate::incremental::IncrementalUcpc;
 use crate::objective::ClusterStats;
-use crate::pruning::{best_candidate, best_insertion, PruningConfig, TOLERANCE};
 use crate::serving::Clock;
 use crate::snapshot::{
     read_stats, write_stats, ChunkWriter, Sections, SnapshotError, CHUNK_SHARD, CHUNK_SHARD_ROWS,
@@ -117,14 +117,16 @@ use crate::wal::{
     WalWriter,
 };
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
-use ucpc_uncertain::{Moments, ObjectHandle, SlabArena, UncertainObject};
+use ucpc_uncertain::{MomentArena, Moments, ObjectHandle, SlabArena, UncertainObject};
 
 /// Contiguous slots per ownership block: slot `s` belongs to shard
-/// `(s / BLOCK) % shards`. Block ownership is what lets a stabilization
-/// pass batch runs of consecutive same-owner slots into one proposal
-/// round. Any deterministic mapping preserves bit-identity (the log
-/// order, not the placement of rows, fixes the arithmetic).
+/// `(s / BLOCK) % shards`. Ownership only places rows — a participant
+/// holds (and checkpoints) the rows of the slots it owns — since every
+/// shard folds every round. Any deterministic mapping preserves
+/// bit-identity (the log order, not the placement of rows, fixes the
+/// arithmetic).
 const BLOCK: u32 = 8;
 
 /// Base retry timeout; doubles per attempt (capped) under the manual
@@ -135,7 +137,7 @@ const RETRY_BASE: Duration = Duration::from_millis(4);
 const TICK: Duration = Duration::from_millis(1);
 
 /// Retransmission budget per request before the driver declares the
-/// shard unreachable (a crashed participant that was never restarted).
+/// shard unreachable.
 const MAX_ATTEMPTS: u32 = 64;
 
 /// The shard owning global slot `slot` under `shards` shards.
@@ -147,59 +149,15 @@ fn owner_of_slot(slot: u32, shards: usize) -> usize {
 // Protocol messages
 // ---------------------------------------------------------------------
 
-/// One proposal the coordinator asks a slot's owner to price.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Op {
-    /// Place a new arrival (already allocated global `slot`) into the
-    /// cluster minimizing the objective increase.
-    Insert {
-        /// Global slot the coordinator allocated for the arrival.
-        slot: u32,
-        /// First raw moments `E[X_j]` of the arrival.
-        mu: Vec<f64>,
-        /// Second raw moments `E[X_j²]` of the arrival.
-        mu2: Vec<f64>,
-    },
-    /// Remove the live object in `slot` from `cluster`.
-    Remove {
-        /// Global slot of the departing object.
-        slot: u32,
-        /// Its committed cluster (the coordinator's label replica).
-        cluster: usize,
-    },
-    /// Price a relocation of the object in `slot` out of `src`.
-    Relocate {
-        /// Global slot of the candidate object.
-        slot: u32,
-        /// Its committed cluster at batch-build time (stable within a
-        /// pass: only a slot's own relocation changes its label).
-        src: usize,
-    },
-}
-
 /// A protocol message body.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
-    /// Coordinator → owner: price and apply `ops` as round `seq`.
-    Execute {
-        /// Global round sequence number.
-        seq: u64,
-        /// The round's proposal batch, all owned by the recipient.
-        ops: Vec<Op>,
-    },
-    /// Owner → coordinator: round `seq` produced `entries`.
-    Done {
-        /// Echoed round sequence number.
-        seq: u64,
-        /// The round's log entries, in op order.
-        entries: Vec<LogEntry>,
-    },
-    /// Coordinator → non-owner: append and apply round `seq`.
+    /// Coordinator → participant: append and apply round `seq`.
     Apply {
         /// Global round sequence number.
         seq: u64,
-        /// The round's log entries.
-        entries: Vec<LogEntry>,
+        /// The round's log entries, shared by every shard's copy.
+        entries: Arc<[LogEntry]>,
     },
     /// Participant → coordinator: round `seq` (or, after a `Catchup`,
     /// everything up to `seq`) is durable and applied.
@@ -212,7 +170,7 @@ pub enum Payload {
     Catchup {
         /// `(seq, entries)` for every committed round past the joiner's
         /// watermark.
-        rounds: Vec<(u64, Vec<LogEntry>)>,
+        rounds: Vec<(u64, Arc<[LogEntry]>)>,
     },
 }
 
@@ -350,8 +308,8 @@ fn shard_log(io: SharedVecIo, m: usize) -> WalWriter<SharedVecIo> {
 
 /// One shard node: a [`SlabArena`] partition holding the rows it owns, a
 /// full `ClusterStats` replica maintained by replaying the global log,
-/// an applied-sequence watermark (idempotence), a cached last reply
-/// (retransmissions), and a write-ahead shard log (recovery).
+/// an applied-sequence watermark (idempotence), and a write-ahead shard
+/// log (recovery).
 #[derive(Debug)]
 struct Participant {
     shard: usize,
@@ -362,13 +320,13 @@ struct Participant {
     slab: SlabArena,
     /// Global slot → local slab handle for the rows this shard owns.
     local: BTreeMap<u32, ObjectHandle>,
+    /// One reused row that each replayed entry's view is folded into, so
+    /// deriving the view allocates nothing.
+    row: MomentArena,
     /// Highest globally-sequenced round reflected in durable + volatile
     /// state. Lockstep commits guarantee in-order delivery of *new*
     /// rounds, so a single watermark (not a gap set) suffices.
     applied: u64,
-    /// The last round this shard executed as owner — resent verbatim
-    /// when a retransmitted `Execute` arrives after the `Done` was lost.
-    last_done: Option<(u64, Vec<LogEntry>)>,
     /// The shard log. Its sink's buffer outlives the participant
     /// ([`ShardedUcpc`] keeps a clone), which is what crash recovery reads.
     log: WalWriter<SharedVecIo>,
@@ -383,6 +341,8 @@ impl Participant {
         epoch: u64,
         log: SharedVecIo,
     ) -> Self {
+        let mut row = MomentArena::with_capacity(1, m);
+        row.push_row_with(m, |_| (0.0, 0.0));
         Self {
             shard,
             shards,
@@ -391,8 +351,8 @@ impl Participant {
             stats: vec![ClusterStats::empty(m); k],
             slab: SlabArena::new(),
             local: BTreeMap::new(),
+            row,
             applied: 0,
-            last_done: None,
             log: shard_log(log, m),
         }
     }
@@ -419,14 +379,11 @@ impl Participant {
         if !checkpoint.is_empty() {
             p.restore_checkpoint(checkpoint)?;
         }
-        let mut scan = scan_for_replay(log, m)?;
+        let scan = scan_for_replay(log, m)?;
         // A shard logs every round in order from its checkpoint on, so a
         // gap means the log does not belong on this checkpoint.
         let from = p.applied;
         p.applied = replay_rounds(&scan, from, |entries| p.apply_entries(entries))?;
-        if let Some(last) = scan.records.pop() {
-            p.last_done = Some((last.seq, last.entries));
-        }
         Ok(p)
     }
 
@@ -520,27 +477,21 @@ impl Participant {
         }
     }
 
-    fn log_round(&mut self, seq: u64, entries: &[LogEntry]) {
-        // Invariant: see `shard_log` — the in-memory sink cannot fault.
-        self.log
-            .log_round(seq, entries)
-            .expect("in-memory shard log cannot fault");
-    }
-
     /// Replays log entries onto this replica: the engine's per-entry check
-    /// ([`LogOp::check`]) and a finite row, then the identical
-    /// `add_view`/`remove_view` calls every replica makes in the identical
-    /// order, which is the whole bit-identity argument. Slab bookkeeping
-    /// runs only for rows this shard owns, and an owned `Insert` (`Remove`)
-    /// of a row the shard already holds (does not hold) is refused like any
-    /// other corrupt entry. A refused entry leaves the replica partly
-    /// updated, for the caller to discard.
+    /// ([`LogOp::check`]), a row of length `m` and a finite row, then the
+    /// identical `add_view`/`remove_view` calls every replica makes in the
+    /// identical order, which is the whole bit-identity argument. Slab
+    /// bookkeeping runs only for rows this shard owns, and an owned
+    /// `Insert` (`Remove`) of a row the shard already holds (does not
+    /// hold) is refused like any other corrupt entry. A refused entry
+    /// leaves the replica partly updated, for the caller to discard.
     fn apply_entries(&mut self, entries: &[LogEntry]) -> Result<(), &'static str> {
         for e in entries {
             let (drained, joined) = e.op.check(&self.stats)?;
             let (mu, mu2) = e.row(self.m)?;
-            let mo = Moments::from_mu_mu2(mu.to_vec(), mu2.to_vec());
-            let v = mo.view();
+            // The engine's canonical row fold, into the reused row.
+            self.row.overwrite_row_with(0, self.m, |j| (mu[j], mu2[j]));
+            let v = self.row.view(0);
             if !v.is_finite() {
                 return Err("round carries a non-finite row");
             }
@@ -572,69 +523,20 @@ impl Participant {
         Ok(())
     }
 
-    /// The local propose phase: price each op against the replica with
-    /// the exact kernels, apply the outcome immediately (so later ops in
-    /// the batch see it, exactly as the single-node pass would), then
-    /// log the round as one frame and advance the watermark. A
-    /// relocation that stays put yields no entry. Round frames are
-    /// atomic: a crash mid-round recovers to the previous round boundary
-    /// and the coordinator's retry re-executes deterministically.
-    fn execute(&mut self, seq: u64, ops: &[Op]) -> Vec<LogEntry> {
-        let mut entries = Vec::new();
-        for op in ops {
-            let entry = match op {
-                Op::Insert { slot, mu, mu2 } => {
-                    let mo = Moments::from_mu_mu2(mu.clone(), mu2.clone());
-                    let (cluster, _delta) =
-                        best_insertion(&self.stats, &mo.view()).expect("k >= 1 clusters");
-                    LogEntry {
-                        op: LogOp::Insert {
-                            slot: *slot,
-                            cluster,
-                        },
-                        mu: mu.clone(),
-                        mu2: mu2.clone(),
-                    }
-                }
-                Op::Remove { slot, cluster } => {
-                    let h = *self.local.get(slot).expect("owner holds the departing row");
-                    let v = self.slab.view(h.slot());
-                    LogEntry {
-                        op: LogOp::Remove {
-                            slot: *slot,
-                            cluster: *cluster,
-                        },
-                        mu: v.mu.to_vec(),
-                        mu2: v.mu2.to_vec(),
-                    }
-                }
-                // Sole member: relocating it is a no-op on J. Same
-                // visit-time skip as the single-node pass.
-                Op::Relocate { src, .. } if self.stats[*src].size() == 1 => continue,
-                Op::Relocate { slot, src } => {
-                    let h = *self.local.get(slot).expect("owner holds the candidate row");
-                    let v = self.slab.view(h.slot());
-                    match best_candidate(&self.stats, *src, &v) {
-                        Some((dst, delta)) if delta < -TOLERANCE => LogEntry {
-                            op: LogOp::Move {
-                                slot: *slot,
-                                src: *src,
-                                dst,
-                            },
-                            mu: v.mu.to_vec(),
-                            mu2: v.mu2.to_vec(),
-                        },
-                        _ => continue,
-                    }
-                }
-            };
-            self.apply_entries(std::slice::from_ref(&entry))
-                .expect(BUILT_ROUND);
-            entries.push(entry);
+    /// Logs and folds round `seq` unless the watermark already covers it
+    /// (a duplicate or a retransmission, which changes nothing). Round
+    /// frames are atomic: a crash mid-round recovers to the previous round
+    /// boundary and catch-up resends the rest.
+    fn take_round(&mut self, seq: u64, entries: &[LogEntry]) {
+        if seq <= self.applied {
+            return;
         }
-        self.log_round(seq, &entries);
+        // Invariant: see `shard_log` — the in-memory sink cannot fault.
+        self.log
+            .log_round(seq, entries)
+            .expect("in-memory shard log cannot fault");
+        self.apply_entries(entries).expect(BUILT_ROUND);
         self.applied = seq;
-        entries
     }
 
     /// The participant's message loop body. Epoch fencing happens first;
@@ -645,49 +547,19 @@ impl Participant {
             return; // fenced: a pre-restart straggler
         }
         match env.payload {
-            Payload::Execute { seq, ops } => {
-                if seq <= self.applied {
-                    // Retransmission. Under lockstep it can only name the
-                    // round we last executed; resend the cached reply.
-                    if let Some((s, entries)) = &self.last_done {
-                        if *s == seq {
-                            let done = Payload::Done {
-                                seq,
-                                entries: entries.clone(),
-                            };
-                            tx.send(self.reply(done));
-                        }
-                    }
-                    return;
-                }
-                let entries = self.execute(seq, &ops);
-                tx.send(self.reply(Payload::Done {
-                    seq,
-                    entries: entries.clone(),
-                }));
-                self.last_done = Some((seq, entries));
-            }
             Payload::Apply { seq, entries } => {
-                if seq > self.applied {
-                    self.log_round(seq, &entries);
-                    self.apply_entries(&entries).expect(BUILT_ROUND);
-                    self.applied = seq;
-                }
+                self.take_round(seq, &entries);
                 tx.send(self.reply(Payload::Ack { seq }));
             }
             Payload::Catchup { rounds } => {
                 for (seq, entries) in rounds {
-                    if seq > self.applied {
-                        self.log_round(seq, &entries);
-                        self.apply_entries(&entries).expect(BUILT_ROUND);
-                        self.applied = seq;
-                    }
+                    self.take_round(seq, &entries);
                 }
                 tx.send(self.reply(Payload::Ack { seq: self.applied }));
             }
-            // Coordinator-bound payloads misdelivered by a confused
+            // A coordinator-bound payload misdelivered by a confused
             // fabric: drop.
-            Payload::Done { .. } | Payload::Ack { .. } => {}
+            Payload::Ack { .. } => {}
         }
     }
 }
@@ -704,12 +576,23 @@ struct ShardDurable {
 
 fn reply_matches(request: &Payload, reply: &Payload) -> bool {
     match (request, reply) {
-        (Payload::Execute { seq: a, .. }, Payload::Done { seq: b, .. }) => a == b,
         (Payload::Apply { seq: a, .. }, Payload::Ack { seq: b }) => a == b,
         (Payload::Catchup { rounds }, Payload::Ack { seq }) => {
             rounds.last().is_none_or(|(last, _)| last == seq)
         }
         _ => false,
+    }
+}
+
+/// A log entry for `op` carrying its slot's row, copied out of
+/// `engine`'s slab.
+fn with_row(engine: &IncrementalUcpc, op: LogOp) -> LogEntry {
+    let (LogOp::Insert { slot, .. } | LogOp::Remove { slot, .. } | LogOp::Move { slot, .. }) = op;
+    let v = engine.slab.view(slot as usize);
+    LogEntry {
+        op,
+        mu: v.mu.to_vec(),
+        mu2: v.mu2.to_vec(),
     }
 }
 
@@ -742,13 +625,13 @@ pub struct ShardedUcpc {
     clock: ManualClock,
     transport: ChaosTransport,
     /// Node 0's engine replica: its slab allocates slots and generations
-    /// (so handle sequences match the single-node engine) and it folds
-    /// every committed round.
+    /// (so handle sequences match the single-node engine), and it decides
+    /// and folds every round before the round is broadcast.
     engine: IncrementalUcpc,
     /// Next round sequence number (rounds start at 1).
     next_seq: u64,
     /// Committed rounds, for catch-up replays.
-    log: Vec<(u64, Vec<LogEntry>)>,
+    log: Vec<(u64, Arc<[LogEntry]>)>,
     /// Current epoch of each participant; bumped by restarts.
     epochs: Vec<u64>,
     /// Protocol retransmissions performed (diagnostic).
@@ -774,10 +657,7 @@ impl ShardedUcpc {
         shards: usize,
         plan: ChaosPlan,
     ) -> Result<Self, ClusterError> {
-        // The replica never runs a relocation pass of its own, so it
-        // keeps no pruning state.
-        let mut engine = IncrementalUcpc::new(m, k)?;
-        engine.set_pruning(PruningConfig::Off);
+        let engine = IncrementalUcpc::new(m, k)?;
         if shards == 0 {
             return Err(ClusterError::NoShards);
         }
@@ -888,93 +768,79 @@ impl ShardedUcpc {
     }
 
     /// [`Self::insert`] for an arrival already reduced to its moments. A
-    /// non-finite arrival is [`ClusterError::NonFinite`] and starts no
+    /// down shard is [`ClusterError::ShardDown`], a wrong dimensionality
+    /// [`ClusterError::DimensionMismatch`] and a non-finite arrival
+    /// [`ClusterError::NonFinite`]; each changes nothing and starts no
     /// round.
     pub fn insert_moments(&mut self, mo: &Moments) -> Result<ObjectHandle, ClusterError> {
-        if mo.dims() != self.engine.m {
-            return Err(ClusterError::DimensionMismatch {
-                expected: self.engine.m,
-                found: mo.dims(),
-                index: self.engine.slot_rows(),
-            });
-        }
-        if !mo.view().is_finite() {
-            return Err(ClusterError::NonFinite);
-        }
-        let h = self.engine.next_handle();
-        let slot = h.slot() as u32;
-        let ops = vec![Op::Insert {
-            slot,
-            mu: mo.mu().to_vec(),
-            mu2: mo.mu2().to_vec(),
-        }];
-        self.run_round(owner_of_slot(slot, self.shards), ops);
+        self.shards_up()?;
+        let h = self.engine.insert_moments(mo)?;
+        let cluster = self.engine.labels[h.slot()].expect("the arrival is live");
+        let op = LogOp::Insert {
+            slot: h.slot() as u32,
+            cluster,
+        };
+        self.run_round(Arc::new([with_row(&self.engine, op)]));
         Ok(h)
     }
 
-    /// Removes a live object. A stale handle is a checked
-    /// [`ClusterError::StaleHandle`], verified against the coordinator's
-    /// replica before any message is sent.
+    /// Removes a live object. A down shard is [`ClusterError::ShardDown`]
+    /// and a stale handle [`ClusterError::StaleHandle`], both checked
+    /// before anything changes.
     pub fn remove(&mut self, h: ObjectHandle) -> Result<(), ClusterError> {
+        self.shards_up()?;
         let cluster = self.label_of(h).ok_or(ClusterError::StaleHandle {
             slot: h.slot() as u32,
             generation: h.generation(),
         })?;
-        let slot = h.slot() as u32;
-        self.run_round(
-            owner_of_slot(slot, self.shards),
-            vec![Op::Remove { slot, cluster }],
-        );
+        let op = LogOp::Remove {
+            slot: h.slot() as u32,
+            cluster,
+        };
+        // The row leaves the coordinator's slab with the object.
+        let entry = with_row(&self.engine, op);
+        self.engine.remove(h)?;
+        self.run_round(Arc::new([entry]));
         Ok(())
     }
 
-    /// Runs up to `passes` relocation passes of Algorithm 1 across the
-    /// shards; returns the number of relocations applied. Each pass
-    /// visits live slots in global slot order — batched into proposal
-    /// rounds of consecutive same-owner slots — so the relocation
-    /// sequence is identical to the single-node pass.
+    /// Runs up to `passes` relocation passes of Algorithm 1 on the
+    /// coordinator's replica — the single-node pass itself, pruning
+    /// included — and replicates every move it made as one round (an
+    /// empty one if nothing moved); returns the number of relocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before any pass runs, if a shard is down: restart it
+    /// first.
     pub fn stabilize(&mut self, passes: usize) -> usize {
-        let mut relocations = 0usize;
-        for _ in 0..passes {
-            let mut moved = false;
-            let mut i = 0usize;
-            while i < self.engine.labels.len() {
-                if self.engine.labels[i].is_none() {
-                    i += 1;
-                    continue;
-                }
-                let owner = owner_of_slot(i as u32, self.shards);
-                let mut ops = Vec::new();
-                let mut j = i;
-                while j < self.engine.labels.len() && owner_of_slot(j as u32, self.shards) == owner
-                {
-                    if let Some(src) = self.engine.labels[j] {
-                        ops.push(Op::Relocate {
-                            slot: j as u32,
-                            src,
-                        });
-                    }
-                    j += 1;
-                }
-                // A relocation round logs only its moves.
-                let moves = self.run_round(owner, ops).len();
-                relocations += moves;
-                moved |= moves > 0;
-                i = j;
-            }
-            if !moved {
-                break;
-            }
+        if let Err(down) = self.shards_up() {
+            panic!("cannot stabilize: {down}");
         }
+        let mut moves = Vec::new();
+        let relocations = self.engine.stabilize_with(passes, |op| moves.push(op));
+        let entries = moves
+            .into_iter()
+            .map(|op| with_row(&self.engine, op))
+            .collect();
+        self.run_round(entries);
         relocations
+    }
+
+    /// [`ClusterError::ShardDown`] naming the first crashed shard, if any.
+    fn shards_up(&self) -> Result<(), ClusterError> {
+        match self.participants.iter().position(Option::is_none) {
+            Some(shard) => Err(ClusterError::ShardDown { shard }),
+            None => Ok(()),
+        }
     }
 
     // -- crash / recovery ---------------------------------------------
 
     /// Kills a participant's volatile state (its process). Durable bytes
-    /// — checkpoint and shard log — survive for [`Self::restart`].
-    /// Issuing ops against a crashed shard stalls and panics after the
-    /// retry budget; restart it first.
+    /// — checkpoint and shard log — survive for [`Self::restart`]. Until
+    /// then, inserts and removes are [`ClusterError::ShardDown`] and
+    /// [`Self::stabilize`] panics.
     pub fn crash(&mut self, shard: usize) {
         assert!(shard < self.shards, "shard index out of range");
         assert!(
@@ -1069,42 +935,26 @@ impl ShardedUcpc {
         progressed
     }
 
-    /// One full committed round: `Execute` at the owner, apply the
-    /// resulting entries at the coordinator, broadcast `Apply` to every
-    /// other shard, collect all acknowledgements, then commit. Lockstep:
-    /// the next sequence number is not used until this one is fully
-    /// replicated.
-    fn run_round(&mut self, owner: usize, ops: Vec<Op>) -> Vec<LogEntry> {
+    /// One full committed round of entries the coordinator has already
+    /// decided and folded: broadcast `Apply` to every shard, collect all
+    /// acknowledgements, then commit. Lockstep: the next sequence number
+    /// is not used until this one is fully replicated.
+    fn run_round(&mut self, entries: Arc<[LogEntry]>) {
         let seq = self.next_seq;
-        let exec = Envelope {
-            from: 0,
-            to: owner + 1,
-            epoch: self.epochs[owner],
-            payload: Payload::Execute { seq, ops },
-        };
-        let mut replies = self.complete(vec![exec]);
-        let Some(Payload::Done { entries, .. }) = replies.pop() else {
-            unreachable!("complete() returns the matched Done");
-        };
-        self.engine.apply_round(&entries).expect(BUILT_ROUND);
-        let applies: Vec<Envelope> = (0..self.shards)
-            .filter(|&s| s != owner)
+        let applies = (0..self.shards)
             .map(|s| Envelope {
                 from: 0,
                 to: s + 1,
                 epoch: self.epochs[s],
                 payload: Payload::Apply {
                     seq,
-                    entries: entries.clone(),
+                    entries: Arc::clone(&entries),
                 },
             })
             .collect();
-        if !applies.is_empty() {
-            self.complete(applies);
-        }
-        self.log.push((seq, entries.clone()));
+        self.complete(applies);
+        self.log.push((seq, entries));
         self.next_seq += 1;
-        entries
     }
 
     /// Sends `requests` and drives the fabric until each has its
@@ -1112,11 +962,11 @@ impl ShardedUcpc {
     /// off deadlines from the manual clock (advanced only when nothing
     /// was deliverable, so schedules are deterministic). Epoch-fenced:
     /// replies from a stale participant life are dropped.
-    fn complete(&mut self, requests: Vec<Envelope>) -> Vec<Payload> {
+    fn complete(&mut self, requests: Vec<Envelope>) {
         for r in &requests {
             self.transport.send(r.clone());
         }
-        let mut got: Vec<Option<Payload>> = vec![None; requests.len()];
+        let mut got = vec![false; requests.len()];
         let mut deadlines: Vec<(std::time::Instant, u32)> = requests
             .iter()
             .map(|_| (self.clock.now() + RETRY_BASE, 0u32))
@@ -1135,30 +985,27 @@ impl ShardedUcpc {
                     .iter()
                     .position(|r| r.to == env.from && reply_matches(&r.payload, &env.payload))
                 {
-                    if got[i].is_none() {
-                        got[i] = Some(env.payload);
-                    }
+                    got[i] = true;
                 }
                 // Anything else — duplicate, stale round, misdelivery —
                 // is dropped; idempotence makes that safe.
             }
-            if got.iter().all(Option::is_some) {
-                return got.into_iter().map(|g| g.expect("checked")).collect();
+            if got.iter().all(|&g| g) {
+                return;
             }
             if !progressed {
                 self.transport.step();
                 self.clock.advance(TICK);
                 let now = self.clock.now();
                 for (i, r) in requests.iter().enumerate() {
-                    if got[i].is_some() {
+                    if got[i] {
                         continue;
                     }
                     let (deadline, attempt) = deadlines[i];
                     if now >= deadline {
                         assert!(
                             attempt < MAX_ATTEMPTS,
-                            "shard {} unresponsive after {} retransmissions \
-                             (crashed without restart?)",
+                            "shard {} unresponsive after {} retransmissions",
                             r.to - 1,
                             attempt
                         );
@@ -1547,27 +1394,102 @@ mod tests {
         assert_matches_single_node(&sharded, &single);
     }
 
+    /// Round 1 for a one-shard participant in epoch `epoch`: one insert.
+    fn apply_one(epoch: u64) -> Envelope {
+        Envelope {
+            from: 0,
+            to: 1,
+            epoch,
+            payload: Payload::Apply {
+                seq: 1,
+                entries: Arc::new([LogEntry {
+                    op: LogOp::Insert {
+                        slot: 0,
+                        cluster: 0,
+                    },
+                    mu: vec![1.0],
+                    mu2: vec![2.0],
+                }]),
+            },
+        }
+    }
+
     #[test]
     fn stale_epoch_envelopes_are_fenced_off() {
         let mut p = Participant::fresh(1, 2, 1, 0, 2, SharedVecIo::new());
         let mut tx = ChaosTransport::new(2, ChaosPlan::clean(0));
-        p.handle(
-            Envelope {
-                from: 0,
-                to: 1,
-                epoch: 1, // previous life
-                payload: Payload::Execute {
-                    seq: 1,
-                    ops: vec![Op::Insert {
-                        slot: 0,
-                        mu: vec![1.0],
-                        mu2: vec![2.0],
-                    }],
-                },
-            },
-            &mut tx,
-        );
-        assert_eq!(p.applied, 0, "stale-epoch Execute must be dropped");
+        p.handle(apply_one(1), &mut tx); // previous life
+        assert_eq!(p.applied, 0, "stale-epoch Apply must be dropped");
+        assert!(p.local.is_empty() && p.stats.iter().all(ClusterStats::is_empty));
         assert!(tx.recv(0).is_none(), "and not answered");
+    }
+
+    #[test]
+    fn a_duplicated_apply_is_re_acked_without_a_second_frame() {
+        let io = SharedVecIo::new();
+        let mut p = Participant::fresh(1, 2, 1, 0, 1, io.clone());
+        let mut tx = ChaosTransport::new(2, ChaosPlan::clean(0));
+        let acks = |tx: &mut ChaosTransport| -> Vec<Payload> {
+            std::iter::from_fn(|| tx.recv(0))
+                .map(|e| e.payload)
+                .collect()
+        };
+        p.handle(apply_one(1), &mut tx);
+        assert_eq!(acks(&mut tx), [Payload::Ack { seq: 1 }]);
+        let (log, stats) = (io.bytes(), p.stats.clone());
+        assert_eq!(scan_wal(&log).unwrap().records.len(), 1);
+        p.handle(apply_one(1), &mut tx);
+        assert_eq!(acks(&mut tx), [Payload::Ack { seq: 1 }], "re-acked");
+        assert_eq!(io.bytes(), log, "no second log frame");
+        assert!(p.stats.iter().zip(&stats).all(|(a, b)| bits_equal(a, b)));
+        assert_eq!((p.applied, p.local.len()), (1, 1));
+    }
+
+    #[test]
+    fn a_torn_stabilize_round_recovers_at_every_cut() {
+        let mut sharded = ShardedUcpc::new(1, 3, 2).unwrap();
+        let mut single = IncrementalUcpc::new(1, 3).unwrap();
+        for c in [
+            5.8, 4.02, 8.42, 7.95, 3.87, 2.99, 6.98, 5.64, 3.71, 2.95, 0.27, 0.38,
+        ] {
+            sharded.insert(&obj(c)).unwrap();
+            single.insert(&obj(c)).unwrap();
+        }
+        let (rounds, start) = (
+            sharded.committed_rounds(),
+            sharded.durable[0].log.bytes().len(),
+        );
+        let moved = sharded.stabilize(5);
+        assert_eq!(moved, single.stabilize(5));
+        assert!(moved > 1, "the round carries several moves");
+        assert_eq!(sharded.committed_rounds(), rounds + 1, "one round per call");
+        let log = sharded.durable[0].log.bytes();
+        let scan = scan_wal(&log).unwrap();
+        let frame = scan.records.last().unwrap();
+        assert_eq!((frame.seq, frame.entries.len()), (rounds + 1, moved));
+        for cut in start..log.len() {
+            let p = Participant::recover(1, 3, 2, 0, 9, &[], &log[..cut]).unwrap();
+            assert_eq!(p.applied, rounds, "cut {cut} drops the torn round");
+            sharded.crash(0);
+            let d = &mut sharded.durable[0];
+            d.checkpoint.clear();
+            d.log.truncate(0);
+            d.log.clone().write_all(&log[..cut]).unwrap();
+            sharded.restart(0).unwrap();
+            assert_eq!(sharded.shard_applied(0), Some(rounds + 1), "cut {cut}");
+            assert_matches_single_node(&sharded, &single);
+        }
+        assert_eq!(sharded.stabilize(1), single.stabilize(1));
+        assert_eq!(sharded.committed_rounds(), rounds + 2, "one round per call");
+        assert_matches_single_node(&sharded, &single);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 1 is down")]
+    fn stabilize_with_a_shard_down_panics_before_its_passes() {
+        let mut sharded = ShardedUcpc::new(1, 2, 2).unwrap();
+        sharded.insert(&obj(0.0)).unwrap();
+        sharded.crash(1);
+        sharded.stabilize(1);
     }
 }

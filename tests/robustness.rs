@@ -254,6 +254,43 @@ fn sharded_engine_rejects_zero_shards_and_zero_clusters() {
 }
 
 #[test]
+fn sharded_edits_against_a_downed_shard_are_checked_and_change_nothing() {
+    let mut sharded = ShardedUcpc::new(1, 2, 3).unwrap();
+    let mut single = IncrementalUcpc::new(1, 2).unwrap();
+    let mut handles = Vec::new();
+    for x in [0.0, 9.0, 0.4, 9.4, 0.2] {
+        handles.push(sharded.insert(&point(&[x])).unwrap());
+        single.insert(&point(&[x])).unwrap();
+    }
+    sharded.crash(1);
+    let (labels, rounds) = (sharded.live_labels(), sharded.committed_rounds());
+    let bits = |s: &ShardedUcpc| -> Vec<u64> {
+        s.cluster_stats()
+            .iter()
+            .flat_map(|c| [c.j(), c.psi()[0], c.phi()[0], c.mean_sum()[0]])
+            .map(f64::to_bits)
+            .collect()
+    };
+    let stats = bits(&sharded);
+    let down = Err(ClusterError::ShardDown { shard: 1 });
+    assert_eq!(sharded.insert(&point(&[4.0])).map(|_| ()), down);
+    assert_eq!(sharded.remove(handles[0]), down);
+    assert_eq!(sharded.live_labels(), labels);
+    assert_eq!(sharded.committed_rounds(), rounds, "no round was started");
+    assert_eq!(bits(&sharded), stats);
+    assert!(handles.iter().all(|&h| sharded.label_of(h).is_some()));
+    // Once the shard is back, the refused edits go through and the next
+    // handle is the one the single-node engine issues.
+    sharded.restart(1).unwrap();
+    let h = sharded.insert(&point(&[4.0])).unwrap();
+    assert_eq!(h, single.insert(&point(&[4.0])).unwrap());
+    sharded.remove(handles[0]).unwrap();
+    single.remove(handles[0]).unwrap();
+    assert_eq!(sharded.live_labels(), single.live_labels());
+    assert_eq!(sharded.objective().to_bits(), single.objective().to_bits());
+}
+
+#[test]
 fn high_dimensional_objects() {
     let m = 64;
     let data: Vec<UncertainObject> = (0..20)

@@ -125,9 +125,15 @@ fn apply_step(
             false
         }
         Step::Stabilize(passes) => {
+            let rounds = sharded.committed_rounds();
             let ms = sharded.stabilize(*passes);
             let mi = single.stabilize(*passes);
             assert_eq!(ms, mi, "relocation counts diverged");
+            assert_eq!(
+                sharded.committed_rounds(),
+                rounds + 1,
+                "one round per stabilize"
+            );
             true
         }
     }
