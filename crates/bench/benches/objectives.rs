@@ -5,6 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ucpc_bench::naive::j_after_add;
 use ucpc_core::objective::ClusterStats;
 use ucpc_core::ucentroid::UCentroid;
 use ucpc_uncertain::{UncertainObject, UnivariatePdf};
@@ -58,7 +59,7 @@ fn bench_corollary1_updates(c: &mut Criterion) {
         let stats = ClusterStats::from_members(objs[..127].iter());
         let extra = objs[127].moments();
         group.bench_with_input(BenchmarkId::new("j_after_add", m), &m, |b, _| {
-            b.iter(|| black_box(stats.j_after_add(extra)))
+            b.iter(|| black_box(j_after_add(&stats, extra)))
         });
         group.bench_with_input(BenchmarkId::new("rebuild_from_scratch", m), &m, |b, _| {
             b.iter(|| black_box(ClusterStats::from_members(objs.iter()).j()))

@@ -56,6 +56,7 @@
 
 pub mod args;
 pub mod harness;
+pub mod naive;
 pub mod relocation;
 pub mod report;
 pub mod serving;

@@ -1,14 +1,16 @@
 //! Shared workload for the relocation-kernel micro-benchmark: the UCPC inner
 //! loop evaluated two ways over identical data — the original naive
-//! three-sweep path (`j_after_remove` + (k−1) × `j_after_add` against cached
-//! cluster objectives) and the scalar-aggregate delta-`J` kernel (one fused
-//! dot product per candidate, moments read from the flat [`MomentArena`]).
+//! three-sweep path ([`crate::naive`]: `j_after_remove` + (k−1) ×
+//! `j_after_add` against cached cluster objectives) and the
+//! scalar-aggregate delta-`J` kernel (one fused dot product per candidate,
+//! moments read from the flat [`MomentArena`]).
 //!
 //! Both the criterion bench (`benches/relocation_kernel.rs`) and the
 //! `bench_relocation` binary (which emits the machine-readable
 //! `BENCH_relocation.json` baseline) drive these functions, so the numbers
 //! in the report and the JSON come from the same code path.
 
+use crate::naive::{j_after_add, j_after_remove, j_naive};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -104,7 +106,7 @@ pub fn workload(shape: Shape, seed: u64) -> Workload {
 /// pre-kernel UCPC inner loop performed. Returns the sum of best deltas (a
 /// value the optimizer cannot discard).
 pub fn naive_pass(w: &Workload) -> f64 {
-    let j_cache: Vec<f64> = w.stats.iter().map(ClusterStats::j_naive).collect();
+    let j_cache: Vec<f64> = w.stats.iter().map(j_naive).collect();
     let mut acc = 0.0;
     for (i, o) in w.data.iter().enumerate() {
         let src = w.labels[i];
@@ -112,13 +114,13 @@ pub fn naive_pass(w: &Workload) -> f64 {
             continue;
         }
         let moments = o.moments();
-        let removal_gain = w.stats[src].j_after_remove(moments) - j_cache[src];
+        let removal_gain = j_after_remove(&w.stats[src], moments) - j_cache[src];
         let mut best = f64::INFINITY;
         for (dst, (stat, cached)) in w.stats.iter().zip(&j_cache).enumerate() {
             if dst == src {
                 continue;
             }
-            let delta = removal_gain + stat.j_after_add(moments) - cached;
+            let delta = removal_gain + j_after_add(stat, moments) - cached;
             if delta < best {
                 best = delta;
             }

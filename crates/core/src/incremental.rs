@@ -7,7 +7,9 @@
 //! live partition of a stream of uncertain objects, inserting each arrival
 //! into the cluster that minimizes the objective increase, removing departed
 //! objects, and periodically re-stabilizing with relocation passes (each pass
-//! is one iteration of Algorithm 1).
+//! is one iteration of Algorithm 1, run through the same relocation step as
+//! the batch searches: [`best_move`] decides, [`apply_relocation`] applies,
+//! and a move needs to lower `J` by more than [`crate::pruning::TOLERANCE`]).
 //!
 //! This is the natural "moving objects" deployment of the paper's machinery:
 //! positions go stale and get refreshed continuously, and re-running batch
@@ -68,9 +70,9 @@
 use crate::framework::ClusterError;
 use crate::objective::{total_objective, ClusterStats};
 use crate::pruning::{
-    apply_tracked_insert, apply_tracked_remove, best_candidate, best_candidate_with_second,
-    best_insertion, best_insertion_bounded, fp_scale, DriftTotals, PruneCache, PruneCounters,
-    PruneDecision, PruningConfig, TOLERANCE,
+    apply_relocation, apply_tracked_insert, apply_tracked_remove, best_insertion,
+    best_insertion_bounded, best_move, fp_scale, DriftTotals, PassState, PruneCache, PruneCounters,
+    PruningConfig,
 };
 use crate::wal::{LogEntry, LogOp};
 use ucpc_uncertain::{Moments, SlabArena, UncertainObject};
@@ -89,9 +91,11 @@ pub enum StreamBackend {
 }
 
 /// A live UCPC partition supporting O(k·m) insertions, O(m) removals and
-/// on-demand relocation passes. Handles are generation-stamped: using one
-/// after its removal is a checked [`ClusterError::StaleHandle`], and all
-/// handle-indexed state stays bounded by the live-window high-water mark.
+/// on-demand relocation passes, which move an object iff that lowers `J` by
+/// more than [`crate::pruning::TOLERANCE`]. Handles are generation-stamped:
+/// using one after its removal is a checked [`ClusterError::StaleHandle`],
+/// and all handle-indexed state stays bounded by the live-window high-water
+/// mark.
 ///
 /// ```
 /// use ucpc_core::incremental::IncrementalUcpc;
@@ -386,22 +390,18 @@ impl IncrementalUcpc {
                 }
             };
             let v = self.slab.view(s);
-            let (stats, totals, versions) = (&mut self.stats, &mut self.totals, &mut self.versions);
             // Edits are drift-tracked; a move only under pruning, as the
             // live pass applies it.
+            let tracked = self.pruning.is_enabled();
+            let (stats, totals, versions) = (&mut self.stats, &mut self.totals, &mut self.versions);
             match (drained, joined) {
-                (Some(src), Some(dst)) if !self.pruning.is_enabled() => {
-                    stats[src].remove_view(&v);
-                    stats[dst].add_view(&v);
+                (Some(src), Some(dst)) => {
+                    let drift = tracked.then_some((totals, &mut versions[..]));
+                    apply_relocation(stats, src, dst, &v, drift);
                 }
-                _ => {
-                    if let Some(c) = drained {
-                        apply_tracked_remove(stats, c, &v, totals, versions);
-                    }
-                    if let Some(c) = joined {
-                        apply_tracked_insert(stats, c, &v, totals, versions);
-                    }
-                }
+                (Some(c), None) => apply_tracked_remove(stats, c, &v, totals, versions),
+                (None, Some(c)) => apply_tracked_insert(stats, c, &v, totals, versions),
+                (None, None) => {}
             }
             if s == self.labels.len() {
                 self.labels.push(joined);
@@ -426,9 +426,11 @@ impl IncrementalUcpc {
     }
 
     /// Runs up to `passes` relocation passes of Algorithm 1 over the live
-    /// objects; returns the number of relocations applied. With pruning
-    /// enabled the passes take the exact tier-1/tier-2 shortcuts of
-    /// [`crate::pruning`]; the relocation sequence is identical either way.
+    /// objects; returns the number of relocations applied. Each object's
+    /// move is decided by [`best_move`] — with pruning enabled through the
+    /// exact tier-1/tier-2 shortcuts of [`crate::pruning`] — and applies iff
+    /// it lowers `J` by more than [`crate::pruning::TOLERANCE`]; the
+    /// relocation sequence is identical either way.
     pub fn stabilize(&mut self, passes: usize) -> usize {
         self.stabilize_with(passes, |_| {})
     }
@@ -453,63 +455,20 @@ impl IncrementalUcpc {
                 // Borrowed straight out of the slab: no per-object clone
                 // of the moments is ever needed.
                 let v = self.slab.view(i);
+                let pass = PassState {
+                    stats: &self.stats,
+                    totals: self.totals,
+                    versions: &self.versions,
+                    epoch: self.epoch,
+                    scale,
+                };
+                let mut shard = pruned.then(|| self.cache.view());
                 let gen = self.slab.generation(i);
-
-                let decision = if pruned {
-                    self.cache.view().decide(
-                        i,
-                        gen,
-                        self.epoch,
-                        &self.stats,
-                        self.totals,
-                        &self.versions,
-                        src,
-                        &v,
-                        TOLERANCE,
-                        scale,
-                    )
-                } else {
-                    PruneDecision::FullScan
+                let Some((dst, _)) =
+                    best_move(&pass, shard.as_mut(), i, gen, src, &v, &mut self.counters)
+                else {
+                    continue;
                 };
-
-                let dst = match decision {
-                    PruneDecision::Skip => {
-                        self.counters.skips += 1;
-                        None
-                    }
-                    PruneDecision::ConfirmBest(dst) => {
-                        self.counters.confirms += 1;
-                        let delta =
-                            self.stats[src].delta_j_remove(&v) + self.stats[dst].delta_j_add(&v);
-                        (delta < -TOLERANCE).then_some(dst)
-                    }
-                    PruneDecision::FullScan if pruned => {
-                        self.counters.full_scans += 1;
-                        match best_candidate_with_second(&self.stats, src, &v) {
-                            Some((dst, delta, _)) if delta < -TOLERANCE => Some(dst),
-                            Some((dst, delta, second)) => {
-                                self.cache.view().store(
-                                    i,
-                                    gen,
-                                    self.epoch,
-                                    &self.stats,
-                                    self.totals,
-                                    &self.versions,
-                                    src,
-                                    dst,
-                                    delta,
-                                    second,
-                                );
-                                None
-                            }
-                            None => None,
-                        }
-                    }
-                    PruneDecision::FullScan => best_candidate(&self.stats, src, &v)
-                        .filter(|&(_, delta)| delta < -TOLERANCE)
-                        .map(|(dst, _)| dst),
-                };
-                let Some(dst) = dst else { continue };
                 let op = LogOp::Move {
                     slot: i as u32,
                     src,

@@ -37,9 +37,10 @@
 //! collapse each candidate relocation to closed-form scalars plus a single
 //! fused dot product `⟨s, mu(o)⟩` over contiguous memory — see the
 //! derivation in [`ucpc_uncertain::arena`]. The `delta_j_*` methods are this
-//! kernel; the `*_after_add` / `*_after_remove` methods keep the original
-//! three-sweep O(m) evaluation as the `naive` reference path that tests and
-//! benches compare against.
+//! kernel. The original three-sweep O(m) evaluation, the `naive` reference
+//! that tests and benches compare against, lives outside the engine in
+//! `ucpc_bench::naive`, over the public [`ClusterStats::psi`] /
+//! [`ClusterStats::phi`] / [`ClusterStats::mean_sum`] getters.
 
 use ucpc_uncertain::arena::{dot, MomentView};
 use ucpc_uncertain::{Moments, UncertainObject};
@@ -393,20 +394,6 @@ impl ClusterStats {
         self.psi_tot * inv + self.phi_tot - self.s_sq_tot * inv
     }
 
-    /// `J(C)` recomputed by the original per-dimension sweep — the naive
-    /// reference for the scalar-aggregate [`Self::j`].
-    pub fn j_naive(&self) -> f64 {
-        if self.size == 0 {
-            return 0.0;
-        }
-        let inv = 1.0 / self.size as f64;
-        let mut acc = 0.0;
-        for j in 0..self.dims() {
-            acc += self.psi[j] * inv + self.phi[j] - self.mean_sum[j] * self.mean_sum[j] * inv;
-        }
-        acc
-    }
-
     /// The UK-means objective `J_UK(C)` in Lemma 1's closed form, scalar
     /// aggregates: `Φ_tot − S₂/|C|`. O(1); zero for an empty cluster.
     pub fn j_uk(&self) -> f64 {
@@ -414,20 +401,6 @@ impl ClusterStats {
             return 0.0;
         }
         self.phi_tot - self.s_sq_tot / self.size as f64
-    }
-
-    /// `J_UK(C)` recomputed by the original per-dimension sweep — the naive
-    /// reference for the scalar-aggregate [`Self::j_uk`].
-    pub fn j_uk_naive(&self) -> f64 {
-        if self.size == 0 {
-            return 0.0;
-        }
-        let inv = 1.0 / self.size as f64;
-        let mut acc = 0.0;
-        for j in 0..self.dims() {
-            acc += self.phi[j] - self.mean_sum[j] * self.mean_sum[j] * inv;
-        }
-        acc
     }
 
     /// The MMVar objective `J_MM(C) = sigma^2(C_MM)`; by Proposition 2 this
@@ -671,91 +644,6 @@ impl ClusterStats {
         (self.j_uk() + self.delta_j_uk_remove(v)) / new_size - self.j_mm()
     }
 
-    /// `J` of the cluster with `o` added, computed by the original three
-    /// per-dimension sweeps (Corollary 1, Eq. 15). Kept as the `naive`
-    /// reference path for the kernel above; tests and the
-    /// `relocation_kernel` bench compare the two.
-    pub fn j_after_add(&self, o: &Moments) -> f64 {
-        debug_assert_eq!(o.dims(), self.dims(), "dimension mismatch");
-        let n = (self.size + 1) as f64;
-        let inv = 1.0 / n;
-        let mut acc = 0.0;
-        for j in 0..self.dims() {
-            let psi = self.psi[j] + o.variance()[j];
-            let phi = self.phi[j] + o.mu2()[j];
-            let s = self.mean_sum[j] + o.mu()[j];
-            acc += psi * inv + phi - s * s * inv;
-        }
-        acc
-    }
-
-    /// `J` of the cluster with member `o` removed, computed in O(m) without
-    /// mutating the statistics (Corollary 1, Eq. 16). Zero if the cluster
-    /// would become empty.
-    pub fn j_after_remove(&self, o: &Moments) -> f64 {
-        debug_assert_eq!(o.dims(), self.dims(), "dimension mismatch");
-        assert!(self.size > 0, "cannot remove from an empty cluster");
-        if self.size == 1 {
-            return 0.0;
-        }
-        let n = (self.size - 1) as f64;
-        let inv = 1.0 / n;
-        let mut acc = 0.0;
-        for j in 0..self.dims() {
-            let psi = self.psi[j] - o.variance()[j];
-            let phi = self.phi[j] - o.mu2()[j];
-            let s = self.mean_sum[j] - o.mu()[j];
-            acc += psi * inv + phi - s * s * inv;
-        }
-        acc
-    }
-
-    /// `J_UK` of the cluster with `o` added, in O(m) (the UK-means analogue
-    /// of Corollary 1; MMVar's local search divides it by the new size).
-    pub fn j_uk_after_add(&self, o: &Moments) -> f64 {
-        debug_assert_eq!(o.dims(), self.dims(), "dimension mismatch");
-        let inv = 1.0 / (self.size + 1) as f64;
-        let mut acc = 0.0;
-        for j in 0..self.dims() {
-            let phi = self.phi[j] + o.mu2()[j];
-            let s = self.mean_sum[j] + o.mu()[j];
-            acc += phi - s * s * inv;
-        }
-        acc
-    }
-
-    /// `J_UK` of the cluster with member `o` removed, in O(m). Zero if the
-    /// cluster would become empty.
-    pub fn j_uk_after_remove(&self, o: &Moments) -> f64 {
-        debug_assert_eq!(o.dims(), self.dims(), "dimension mismatch");
-        assert!(self.size > 0, "cannot remove from an empty cluster");
-        if self.size == 1 {
-            return 0.0;
-        }
-        let inv = 1.0 / (self.size - 1) as f64;
-        let mut acc = 0.0;
-        for j in 0..self.dims() {
-            let phi = self.phi[j] - o.mu2()[j];
-            let s = self.mean_sum[j] - o.mu()[j];
-            acc += phi - s * s * inv;
-        }
-        acc
-    }
-
-    /// `J_MM` of the cluster with `o` added, in O(m) (Proposition 2 form).
-    pub fn j_mm_after_add(&self, o: &Moments) -> f64 {
-        self.j_uk_after_add(o) / (self.size + 1) as f64
-    }
-
-    /// `J_MM` of the cluster with member `o` removed, in O(m). Zero if the
-    /// cluster would become empty.
-    pub fn j_mm_after_remove(&self, o: &Moments) -> f64 {
-        if self.size <= 1 {
-            return 0.0;
-        }
-        self.j_uk_after_remove(o) / (self.size - 1) as f64
-    }
-
     /// The UK-means centroid (Eq. 7) — the average of member expected values;
     /// also `mu` of both the MMVar mixture centroid (Lemma 2) and the
     /// U-centroid (Lemma 5).
@@ -934,7 +822,7 @@ mod tests {
     fn corollary_1_add_matches_rebuild() {
         let objs = objects();
         let stats = ClusterStats::from_members(objs[..3].iter());
-        let predicted = stats.j_after_add(objs[3].moments());
+        let predicted = stats.j() + stats.delta_j_add(&objs[3].moments().view());
         let rebuilt = ClusterStats::from_members(objs.iter()).j();
         assert!(
             (predicted - rebuilt).abs() < 1e-9,
@@ -946,7 +834,7 @@ mod tests {
     fn corollary_1_remove_matches_rebuild() {
         let objs = objects();
         let stats = ClusterStats::from_members(objs.iter());
-        let predicted = stats.j_after_remove(objs[1].moments());
+        let predicted = stats.j() + stats.delta_j_remove(&objs[1].moments().view());
         let rebuilt = ClusterStats::from_members(
             objs.iter()
                 .enumerate()
@@ -965,10 +853,11 @@ mod tests {
         let objs = objects();
         let partial = ClusterStats::from_members(objs[..3].iter());
         let full = ClusterStats::from_members(objs.iter());
-        assert!((partial.j_uk_after_add(objs[3].moments()) - full.j_uk()).abs() < 1e-9);
-        assert!((partial.j_mm_after_add(objs[3].moments()) - full.j_mm()).abs() < 1e-9);
-        assert!((full.j_uk_after_remove(objs[3].moments()) - partial.j_uk()).abs() < 1e-9);
-        assert!((full.j_mm_after_remove(objs[3].moments()) - partial.j_mm()).abs() < 1e-9);
+        let v = objs[3].moments().view();
+        assert!((partial.j_uk() + partial.delta_j_uk_add(&v) - full.j_uk()).abs() < 1e-9);
+        assert!((partial.j_mm() + partial.delta_j_mm_add(&v) - full.j_mm()).abs() < 1e-9);
+        assert!((full.j_uk() + full.delta_j_uk_remove(&v) - partial.j_uk()).abs() < 1e-9);
+        assert!((full.j_mm() + full.delta_j_mm_remove(&v) - partial.j_mm()).abs() < 1e-9);
     }
 
     #[test]
@@ -997,7 +886,7 @@ mod tests {
         let stats = ClusterStats::from_members(objs.iter());
         assert!(stats.mean_sum()[0] < 0.0);
         let extra = UncertainObject::new(vec![UnivariatePdf::normal(-1.0, 0.2)]);
-        let predicted = stats.j_after_add(extra.moments());
+        let predicted = stats.j() + stats.delta_j_add(&extra.moments().view());
         let rebuilt = ClusterStats::from_members(objs.iter().chain(std::iter::once(&extra))).j();
         assert!((predicted - rebuilt).abs() < 1e-9);
     }
@@ -1012,7 +901,10 @@ mod tests {
         // J_UK(singleton) = sigma^2(o) (distance of o to its own mean), and
         // (1/1) Σ sigma^2 = sigma^2, so J = 2 sigma^2(o).
         assert!((stats.j() - 2.0 * objs[0].total_variance()).abs() < 1e-9);
-        assert_eq!(stats.j_after_remove(objs[0].moments()), 0.0);
+        assert_eq!(
+            stats.j() + stats.delta_j_remove(&objs[0].moments().view()),
+            0.0
+        );
     }
 
     #[test]

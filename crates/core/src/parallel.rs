@@ -38,13 +38,17 @@
 //! `tests/support/reference.rs`). When candidate pruning is on, each shard
 //! carries its own [`PruneShard`] window of the cache, which follows the
 //! shard to whichever worker claims it.
+//!
+//! Proposals come from the serial search's decision, [`best_move`], and
+//! moves apply through its [`apply_relocation`]; both phases accept a move
+//! iff it lowers `J` by more than [`crate::pruning::TOLERANCE`].
 
 use crate::framework::{validate_labels, ClusterError, Clustering, UncertainClusterer};
 use crate::init::Initializer;
 use crate::objective::{total_objective, ClusterStats};
 use crate::pruning::{
-    apply_tracked_relocation, best_candidate, best_candidate_with_second, fp_scale, DriftTotals,
-    PruneCache, PruneCounters, PruneDecision, PruneShard, PruningConfig,
+    apply_relocation, best_move, fp_scale, DriftTotals, PassState, PruneCache, PruneCounters,
+    PruneShard, PruningConfig, TOLERANCE,
 };
 use crate::scheduler::{resolve_threads, steal_shard_rows, WorkPool};
 use rand::RngCore;
@@ -93,14 +97,10 @@ impl SharedStats {
         self.versions[c]
     }
 
-    /// Applies one relocation (remove `v` from `src`, add it to `dst`) and
-    /// bumps both clusters' re-pricing versions. With `pruning`, the
-    /// drift-tracked updates of [`crate::pruning`] run, folding into the
-    /// supplied totals and bumping the supplied per-cluster
-    /// *invalidation* versions on small-size transitions (surgical
-    /// invalidation — distinct from the re-pricing versions this struct
-    /// owns, which move on *every* relocation); without, the plain updates
-    /// run.
+    /// Applies one relocation through [`apply_relocation`] (`pruning` is
+    /// its drift: the totals and the per-cluster *invalidation* versions,
+    /// distinct from the re-pricing versions this struct owns) and bumps
+    /// both clusters' re-pricing versions, which move on *every* relocation.
     pub fn apply_relocation(
         &mut self,
         src: usize,
@@ -108,21 +108,14 @@ impl SharedStats {
         v: &MomentView<'_>,
         pruning: Option<(&mut DriftTotals, &mut [u64])>,
     ) {
-        match pruning {
-            Some((totals, inval_versions)) => {
-                apply_tracked_relocation(&mut self.stats, src, dst, v, totals, inval_versions);
-            }
-            None => {
-                self.stats[src].remove_view(v);
-                self.stats[dst].add_view(v);
-            }
-        }
+        apply_relocation(&mut self.stats, src, dst, v, pruning);
         self.versions[src] = self.versions[src].wrapping_add(1);
         self.versions[dst] = self.versions[dst].wrapping_add(1);
     }
 }
 
-/// Configuration of the parallel UCPC search.
+/// Configuration of the parallel UCPC search. A relocation is proposed and
+/// applied iff it lowers `J` by more than [`crate::pruning::TOLERANCE`].
 ///
 /// ```
 /// use rand::rngs::StdRng;
@@ -147,8 +140,6 @@ pub struct ParallelUcpc {
     pub init: Initializer,
     /// Cap on propose/apply passes.
     pub max_iters: usize,
-    /// Minimum objective decrease for a relocation to be applied.
-    pub tolerance: f64,
     /// Worker threads for the propose phase (`0` = the `UCPC_THREADS` knob,
     /// falling back to available parallelism; see
     /// [`crate::scheduler::resolve_threads`]).
@@ -166,7 +157,6 @@ impl Default for ParallelUcpc {
         Self {
             init: Initializer::RandomPartition,
             max_iters: 200,
-            tolerance: 1e-9,
             threads: 0,
             pruning: PruningConfig::default(),
         }
@@ -220,16 +210,13 @@ struct ShardTask<'a> {
 
 /// The read-only pass context shared by every propose worker.
 struct PassCtx<'a> {
-    stats: &'a [ClusterStats],
+    /// What [`best_move`] decides against. Its `versions` are the
+    /// remove-direction invalidation watermarks of [`crate::pruning`],
+    /// unrelated to the re-pricing `versions` below.
+    pass: PassState<'a>,
     versions: &'a [u64],
     arena: &'a MomentArena,
     labels: &'a [usize],
-    tolerance: f64,
-    /// Per-cluster remove-direction invalidation watermarks (see
-    /// [`crate::pruning`]); unrelated to the re-pricing `versions` above.
-    prune_versions: &'a [u64],
-    totals: DriftTotals,
-    scale: f64,
 }
 
 impl ParallelUcpc {
@@ -298,11 +285,7 @@ impl ParallelUcpc {
             // stolen or not — are deterministic functions of that state.
             let chunk = steal_shard_rows(n, m, threads);
             let n_chunks = n.div_ceil(chunk);
-            let scale = if cache.is_some() {
-                fp_scale(shared.stats())
-            } else {
-                0.0
-            };
+            let scale = cache.as_ref().map_or(0.0, |_| fp_scale(shared.stats()));
 
             proposals.fill(None);
             {
@@ -324,14 +307,16 @@ impl ParallelUcpc {
                 }
                 let pool = WorkPool::new(tasks, threads);
                 let ctx = PassCtx {
-                    stats: shared.stats(),
+                    pass: PassState {
+                        stats: shared.stats(),
+                        totals,
+                        versions: &prune_versions,
+                        epoch: 0,
+                        scale,
+                    },
                     versions: shared.versions(),
                     arena,
                     labels: &labels,
-                    tolerance: self.tolerance,
-                    prune_versions: &prune_versions,
-                    totals,
-                    scale,
                 };
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = (0..threads)
@@ -375,14 +360,11 @@ impl ParallelUcpc {
                     revalidated += 1;
                     shared.stats()[src].delta_j_remove(&v) + shared.stats()[p.dst].delta_j_add(&v)
                 };
-                if delta < -self.tolerance {
-                    let pruned = cache.is_some();
-                    shared.apply_relocation(
-                        src,
-                        p.dst,
-                        &v,
-                        pruned.then(|| (&mut totals, &mut prune_versions[..])),
-                    );
+                if delta < -TOLERANCE {
+                    let drift = cache
+                        .is_some()
+                        .then_some((&mut totals, &mut prune_versions[..]));
+                    shared.apply_relocation(src, p.dst, &v, drift);
                     if let Some(c) = cache.as_mut() {
                         c.invalidate(i);
                     }
@@ -414,81 +396,26 @@ impl ParallelUcpc {
     }
 }
 
-/// One propose-phase task: scans the shard's object range against the
-/// pass-start statistics, taking the pruning shortcuts when a cache window
-/// is attached. Every proposal (and non-proposal) is identical to what the
-/// unpruned scan of the same range would emit — tier 1 only fires when the
-/// scan provably proposes nothing, tier 2 recomputes the confirmed argmin's
-/// delta with the exact kernel calls of the full scan.
+/// One propose-phase task: runs [`best_move`] for every object of the
+/// shard against the pass-start statistics, through the shard's cache
+/// window when one is attached — so every proposal (and non-proposal) is
+/// the one the unpruned scan of the same range would emit.
 fn propose_shard(task: &mut ShardTask<'_>, ctx: &PassCtx<'_>, counters: &mut PruneCounters) {
     for (off, slot) in task.out.iter_mut().enumerate() {
         let i = task.start + off;
         let src = ctx.labels[i];
-        if ctx.stats[src].size() <= 1 {
+        if ctx.pass.stats[src].size() <= 1 {
             continue;
         }
         let v = ctx.arena.view(i);
-        let decision = match &task.prune {
-            Some(s) => s.decide(
-                i,
-                0,
-                0,
-                ctx.stats,
-                ctx.totals,
-                ctx.prune_versions,
-                src,
-                &v,
-                ctx.tolerance,
-                ctx.scale,
-            ),
-            None => PruneDecision::FullScan,
-        };
-        let best = match (decision, task.prune.as_mut()) {
-            (PruneDecision::Skip, _) => {
-                counters.skips += 1;
-                None
-            }
-            (PruneDecision::ConfirmBest(dst), _) => {
-                counters.confirms += 1;
-                Some((
-                    dst,
-                    ctx.stats[src].delta_j_remove(&v) + ctx.stats[dst].delta_j_add(&v),
-                ))
-            }
-            // The reference `k−1` candidate scan with second-best tracking;
-            // a "no move" outcome is cached in the shard's window.
-            (PruneDecision::FullScan, Some(s)) => {
-                counters.full_scans += 1;
-                match best_candidate_with_second(ctx.stats, src, &v) {
-                    Some((dst, delta, _)) if delta < -ctx.tolerance => Some((dst, delta)),
-                    Some((dst, delta, second)) => {
-                        s.store(
-                            i,
-                            0,
-                            0,
-                            ctx.stats,
-                            ctx.totals,
-                            ctx.prune_versions,
-                            src,
-                            dst,
-                            delta,
-                            second,
-                        );
-                        None
-                    }
-                    None => None,
-                }
-            }
-            (PruneDecision::FullScan, None) => best_candidate(ctx.stats, src, &v),
-        };
-        *slot = best
-            .filter(|&(_, delta)| delta < -ctx.tolerance)
-            .map(|(dst, delta)| Proposal {
+        *slot = best_move(&ctx.pass, task.prune.as_mut(), i, 0, src, &v, counters).map(
+            |(dst, delta)| Proposal {
                 dst,
                 delta,
                 src_ver: ctx.versions[src],
                 dst_ver: ctx.versions[dst],
-            });
+            },
+        );
     }
 }
 

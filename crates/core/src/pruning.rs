@@ -69,23 +69,20 @@
 //! A full scan of object `o` (current cluster `src`) computes
 //! `d(c) = delta_remove(src, o) + delta_add(c, o)` for every candidate
 //! `c ≠ src`, takes the minimum `d* = d(c*)` (first index wins ties), and
-//! applies the move iff `d* < −tolerance`. After a full scan that applied no
+//! applies the move iff `d* < −TOLERANCE`. After a full scan that applied no
 //! move, the cache stores `best = d(c*)`, `c*`, and
 //! `second = min_{c ∉ {src, c*}} d(c)`, together with a snapshot of every
-//! cluster's drift accumulators. Let `D_add(o)` be the add-direction drift
-//! bound maximised over candidates (per-coefficient maxima of
-//! `acc − snapshot`, combined with `q(o)` and `‖mu(o)‖`), and `D_rem(o)` the
-//! remove-direction bound of `src` alone. Then for the current statistics:
-//!
-//! Let `D_best(o)` be the add-direction drift bound of the cached best
-//! cluster `c*` alone, `D_oth(o)` the per-coefficient maxima over the
-//! remaining candidates, and `D_rem(o)` the remove-direction bound of `src`.
+//! cluster's drift accumulators. Let `D_best(o)` be the add-direction drift
+//! bound of the cached best cluster `c*` alone, `D_oth(o)` the
+//! per-coefficient maxima (of `acc − snapshot`, combined with `q(o)` and
+//! `‖mu(o)‖`) over the remaining candidates, and `D_rem(o)` the
+//! remove-direction bound of `src`. Then for the current statistics:
 //!
 //! * **Tier 1 (skip).** The current candidate deltas satisfy
 //!   `d(c*) ≥ best − D_best − D_rem` and, for every other candidate,
 //!   `d(c) ≥ second − D_oth − D_rem` (the cached `second` is the minimum
 //!   over exactly those clusters). If both right-hand sides are
-//!   `≥ −tolerance`, the full scan would find `d* ≥ −tolerance` and apply
+//!   `≥ −TOLERANCE`, the full scan would find `d* ≥ −TOLERANCE` and apply
 //!   nothing — the scan is skipped outright and the state is untouched,
 //!   exactly as the unpruned pass would leave it. Splitting `c*` from the
 //!   rest lets the (usually large) `second − best` margin absorb churn that
@@ -121,7 +118,7 @@
 //! transition **iff** its `src` is the flagged cluster.
 //!
 //! The drivers exploit this with per-cluster *remove-direction version
-//! counters*: [`apply_tracked_relocation`] bumps `versions[c]` only when
+//! counters*: a tracked [`apply_relocation`] bumps `versions[c]` only when
 //! cluster `c`'s half of the relocation was small, and `decide` rejects an
 //! entry only when `versions[src]` moved past the value snapshotted at
 //! store time. Entries whose `src` sits elsewhere ride straight through —
@@ -144,6 +141,20 @@
 //! while staying orders of magnitude below any decision margin the data can
 //! sustain, and the exactness suite (`tests/pruning_exactness.rs`) plus the
 //! shadow-scan property test validate the end-to-end guarantee.
+//!
+//! # One relocation step
+//!
+//! Lines 8–13 of Algorithm 1 exist once, here. Every relocation loop
+//! (`Ucpc`, `ParallelUcpc`'s propose phase, `IncrementalUcpc::stabilize`)
+//! decides each move with [`best_move`] — the reference [`best_candidate`]
+//! scan without a cache, the tier ladder above with one — and applies it
+//! with [`apply_relocation`], under the one threshold [`TOLERANCE`].
+//!
+//! `apply_relocation` keeps a plain (untracked) fork for unpruned runs on
+//! purpose: the statistics are bit-identical either way, but an unpruned
+//! pass never reads the drift accumulators, and maintaining them on every
+//! move slows the unpruned batch pass by about a quarter at n=2000, m=8,
+//! k=5 (the `pruning_grid` shape of `bench_relocation`).
 
 use crate::objective::{ClusterDrift, ClusterStats};
 use ucpc_uncertain::arena::MomentView;
@@ -248,13 +259,14 @@ impl PruneCounters {
     }
 }
 
-/// What the bounds allow for one object's relocation decision.
+/// What the bounds allow for one object's relocation decision (the tier
+/// ladder inside [`best_move`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruneDecision {
     /// No usable cache entry, or the bounds are too loose: run the full
     /// candidate scan (and refresh the cache).
     FullScan,
-    /// Tier 1: the cached best cannot have dropped below `−tolerance`; the
+    /// Tier 1: the cached best cannot have dropped below `−TOLERANCE`; the
     /// scan would apply nothing. Skip it.
     Skip,
     /// Tier 2: the cached argmin provably still wins; recompute its exact
@@ -456,7 +468,7 @@ impl PruneCache {
 
 /// A mutable window over a contiguous range of objects' cache rows; the unit
 /// handed to each propose-phase worker (its *per-shard drift snapshot* is
-/// whatever frozen statistics slice the caller passes to [`Self::decide`] /
+/// whatever frozen [`PassState`] the caller passes to [`Self::decide`] /
 /// [`Self::store`]).
 #[derive(Debug)]
 pub struct PruneShard<'a> {
@@ -474,11 +486,31 @@ pub fn slack(fp_scale: f64, q: f64, r: f64) -> f64 {
     1e-12 * fp_scale + 1e-9 * (1.0 + q + r)
 }
 
-/// The relocation acceptance threshold of the streaming engines: a move
-/// applies iff its delta-`J` is below `-TOLERANCE`. The single-node
-/// [`crate::incremental::IncrementalUcpc`] and the sharded owner both read
-/// this one constant, which is what keeps their decisions bit-identical.
-pub(crate) const TOLERANCE: f64 = 1e-9;
+/// The relocation acceptance threshold: a move applies iff its delta-`J`
+/// is below `-TOLERANCE`. The only relocation threshold in the engine:
+/// every relocation loop decides against it through [`best_move`] (and
+/// `ParallelUcpc`'s apply phase re-validates against it), which keeps
+/// their decisions bit-identical. It guards the termination argument of
+/// Proposition 4 against floating-point jitter.
+pub const TOLERANCE: f64 = 1e-9;
+
+/// What one relocation pass decides against: the live statistics, the
+/// drift watermarks the cache entries are diffed against, and the pass's
+/// floating-point scale. Batch searches pass epoch 0.
+#[derive(Debug, Clone, Copy)]
+pub struct PassState<'a> {
+    /// Per-cluster statistics the pass prices against.
+    pub stats: &'a [ClusterStats],
+    /// Global drift totals (the tier-0 watermark).
+    pub totals: DriftTotals,
+    /// Per-cluster remove-direction version counters (surgical
+    /// invalidation; see the module docs).
+    pub versions: &'a [u64],
+    /// Cache epoch — the coarse kill-switch.
+    pub epoch: u64,
+    /// [`fp_scale`] of `stats` (unused without a cache).
+    pub scale: f64,
+}
 
 /// The per-pass aggregate-magnitude scale fed to [`slack`].
 pub fn fp_scale(stats: &[ClusterStats]) -> f64 {
@@ -575,7 +607,7 @@ pub fn best_insertion_bounded(
 /// winner and its delta are bit-identical to [`best_candidate`]'s — both
 /// are monomorphizations of one scan, so the comparison sequence deciding
 /// `best` exists once.
-pub fn best_candidate_with_second(
+fn best_candidate_with_second(
     stats: &[ClusterStats],
     src: usize,
     v: &MomentView<'_>,
@@ -672,26 +704,80 @@ fn scan<const SECOND: bool>(
     best.map(|(dst, delta)| (dst, delta, second))
 }
 
-/// Applies one accepted relocation (remove `v` from `src`, add it to `dst`)
-/// through the drift-tracked statistic updates, folding both clusters'
-/// accumulator movement into the global `totals`. The statistic mutations
-/// are bit-identical to the untracked `remove_view`/`add_view` pair.
+/// The one relocation decision of Algorithm 1 (lines 8–9): the best move
+/// of object `i` (cluster `src`, slot generation `gen`, kernel view `v`)
+/// that lowers `J` by more than [`TOLERANCE`], as `(dst, delta)`, or `None`.
 ///
-/// When a half of the relocation is a small-size transition (that cluster's
-/// remove-direction drift could not be soundly accumulated), the matching
-/// per-cluster counter in `versions` is bumped — the surgical invalidation
-/// of the module docs: only cache entries whose `src` is that specific
-/// cluster go stale, instead of a global epoch killing every entry.
-pub fn apply_tracked_relocation(
+/// Without a cache this is the reference scan, [`best_candidate`] filtered
+/// at `-TOLERANCE`, and `counters` do not move. With one it runs the tier
+/// ladder of the module docs — skip, confirm the cached argmin, or full
+/// scan — counting each outcome, and caches a full scan that finds no move.
+/// Either way the answer is bit-identical. The caller applies a returned
+/// move and invalidates `i`'s entry.
+#[inline(always)]
+pub fn best_move(
+    pass: &PassState<'_>,
+    shard: Option<&mut PruneShard<'_>>,
+    i: usize,
+    gen: u32,
+    src: usize,
+    v: &MomentView<'_>,
+    counters: &mut PruneCounters,
+) -> Option<(usize, f64)> {
+    let Some(shard) = shard else {
+        return best_candidate(pass.stats, src, v).filter(|&(_, delta)| delta < -TOLERANCE);
+    };
+    match shard.decide(pass, i, gen, src, v) {
+        PruneDecision::Skip => {
+            counters.skips += 1;
+            None
+        }
+        PruneDecision::ConfirmBest(dst) => {
+            // Same argmin; its exact delta from the identical kernel calls
+            // the full scan would issue.
+            counters.confirms += 1;
+            let delta = pass.stats[src].delta_j_remove(v) + pass.stats[dst].delta_j_add(v);
+            (delta < -TOLERANCE).then_some((dst, delta))
+        }
+        PruneDecision::FullScan => {
+            counters.full_scans += 1;
+            let (dst, delta, second) = best_candidate_with_second(pass.stats, src, v)?;
+            if delta < -TOLERANCE {
+                return Some((dst, delta));
+            }
+            shard.store(pass, i, gen, src, (dst, delta, second));
+            None
+        }
+    }
+}
+
+/// The one relocation apply of Algorithm 1 (lines 10–13): removes `v` from
+/// `src` and adds it to `dst`.
+///
+/// With `drift`, the drift-tracked updates run, folding both clusters'
+/// accumulator movement into the totals and bumping a cluster's version
+/// when its half of the move is a small-size transition — the surgical
+/// invalidation of the module docs. Without, the plain
+/// `remove_view`/`add_view` pair runs. The statistics are bit-identical
+/// either way.
+#[inline]
+pub fn apply_relocation(
     stats: &mut [ClusterStats],
     src: usize,
     dst: usize,
     v: &MomentView<'_>,
-    totals: &mut DriftTotals,
-    versions: &mut [u64],
+    drift: Option<(&mut DriftTotals, &mut [u64])>,
 ) {
-    apply_tracked_remove(stats, src, v, totals, versions);
-    apply_tracked_insert(stats, dst, v, totals, versions);
+    match drift {
+        Some((totals, versions)) => {
+            apply_tracked_remove(stats, src, v, totals, versions);
+            apply_tracked_insert(stats, dst, v, totals, versions);
+        }
+        None => {
+            stats[src].remove_view(v);
+            stats[dst].add_view(v);
+        }
+    }
 }
 
 /// One tracked streaming *edit*: adds `v` to cluster `c` through the
@@ -742,40 +828,35 @@ impl PruneShard<'_> {
     }
 
     /// Evaluates the bound tests for object `i` (cluster `src`, kernel view
-    /// `v`) against the statistics in `stats`, the global drift totals,
-    /// cache epoch `epoch`, and the per-cluster remove-direction `versions`
-    /// (surgical invalidation: the entry is rejected iff `src`'s counter
-    /// moved since store time — see the module docs). `gen` is the slot's
-    /// current generation stamp: streaming drivers recycle slots, and an
-    /// entry stored for a departed occupant must not serve the slot's next
-    /// tenant (batch drivers pass 0, like they pass epoch 0). Purely
-    /// read-only: callers act on the returned decision.
+    /// `v`) against `pass`: its statistics, global drift totals, cache epoch
+    /// and per-cluster remove-direction versions (surgical invalidation:
+    /// the entry is rejected iff `src`'s counter moved since store time —
+    /// see the module docs). `gen` is the slot's current generation stamp:
+    /// streaming engines recycle slots, and an entry stored for a departed
+    /// occupant must not serve the slot's next tenant (batch searches pass
+    /// 0, like they pass epoch 0). Purely read-only: [`best_move`] acts on
+    /// the returned decision.
     ///
     /// Tier 0 diffs the global totals against the entry's inline snapshot —
     /// O(1), one cache line — and resolves the overwhelming majority of
     /// decisions in quiet passes. Only when that over-approximation is too
     /// loose does the O(k) per-cluster walk run (per-coefficient maxima over
     /// candidates instead of sums over all clusters).
-    #[allow(clippy::too_many_arguments)]
     pub fn decide(
         &self,
+        pass: &PassState<'_>,
         i: usize,
         gen: u32,
-        epoch: u64,
-        stats: &[ClusterStats],
-        totals: DriftTotals,
-        versions: &[u64],
         src: usize,
         v: &MomentView<'_>,
-        tolerance: f64,
-        scale: f64,
     ) -> PruneDecision {
+        let (stats, totals) = (pass.stats, pass.totals);
         let li = self.idx(i);
         let e = self.entries[li];
         if !e.valid
             || e.gen != gen
-            || e.epoch != epoch
-            || versions[src] != e.src_version
+            || e.epoch != pass.epoch
+            || pass.versions[src] != e.src_version
             || e.best_dst == src
             || e.best_dst >= stats.len()
         {
@@ -783,7 +864,7 @@ impl PruneShard<'_> {
         }
         let q = v.sum_var + v.sum_mu_sq;
         let r = v.norm_mu;
-        let guard = slack(scale, q, r);
+        let guard = slack(pass.scale, q, r);
 
         // Tier 0: global-sum drift, O(1). The sums over all clusters bound
         // both the candidate-maximum add drift and the src remove drift.
@@ -794,7 +875,7 @@ impl PruneShard<'_> {
         let rem0 = (totals.rem_const - g.rem_const).max(0.0)
             + (totals.rem_size - g.rem_size).max(0.0) * q
             + 2.0 * (totals.rem_mean - g.rem_mean).max(0.0) * r;
-        if e.best - (add0 + rem0 + guard) >= -tolerance {
+        if e.best - (add0 + rem0 + guard) >= -TOLERANCE {
             return PruneDecision::Skip;
         }
 
@@ -829,9 +910,9 @@ impl PruneShard<'_> {
             + 2.0 * (d_bst.add_mean - snap_bst[2]).max(0.0) * r;
         let oth_drift = oth_const.max(0.0) + oth_size.max(0.0) * q + 2.0 * oth_mean.max(0.0) * r;
 
-        // Tier 1: no candidate can have dropped below −tolerance.
-        if e.best - (best_drift + rem + guard) >= -tolerance
-            && e.second - (oth_drift + rem + guard) >= -tolerance
+        // Tier 1: no candidate can have dropped below −TOLERANCE.
+        if e.best - (best_drift + rem + guard) >= -TOLERANCE
+            && e.second - (oth_drift + rem + guard) >= -TOLERANCE
         {
             return PruneDecision::Skip;
         }
@@ -843,38 +924,33 @@ impl PruneShard<'_> {
         PruneDecision::FullScan
     }
 
-    /// Records the outcome of a full scan that applied no move: the best and
-    /// second-best candidate deltas plus snapshots of the global drift
-    /// totals (inline), of `src`'s remove-direction version counter, and of
-    /// every cluster's accumulators (the watermarks future [`Self::decide`]
-    /// calls diff against).
-    #[allow(clippy::too_many_arguments)]
+    /// Records the outcome of a full scan that applied no move — `scan` is
+    /// its `(best_dst, best, second)` — plus snapshots of `pass`'s global
+    /// drift totals (inline), of `src`'s remove-direction version counter,
+    /// and of every cluster's accumulators (the watermarks future
+    /// [`Self::decide`] calls diff against).
     pub fn store(
         &mut self,
+        pass: &PassState<'_>,
         i: usize,
         gen: u32,
-        epoch: u64,
-        stats: &[ClusterStats],
-        totals: DriftTotals,
-        versions: &[u64],
         src: usize,
-        best_dst: usize,
-        best: f64,
-        second: f64,
+        scan: (usize, f64, f64),
     ) {
+        let (best_dst, best, second) = scan;
         let li = self.idx(i);
         self.entries[li] = CacheEntry {
             valid: true,
             gen,
-            epoch,
-            src_version: versions[src],
+            epoch: pass.epoch,
+            src_version: pass.versions[src],
             best_dst,
             best,
             second,
-            totals,
+            totals: pass.totals,
         };
         let row = &mut self.snaps[li * self.k * SNAP_STRIDE..(li + 1) * self.k * SNAP_STRIDE];
-        for (c, stat) in stats.iter().enumerate() {
+        for (c, stat) in pass.stats.iter().enumerate() {
             let ClusterDrift {
                 add_const,
                 add_size,
@@ -951,6 +1027,22 @@ mod tests {
         assert!(!PruningConfig::Off.is_enabled());
     }
 
+    /// A pass state at scale `fp_scale(stats)`.
+    fn pass<'a>(
+        stats: &'a [ClusterStats],
+        totals: DriftTotals,
+        versions: &'a [u64],
+        epoch: u64,
+    ) -> PassState<'a> {
+        PassState {
+            stats,
+            totals,
+            versions,
+            epoch,
+            scale: fp_scale(stats),
+        }
+    }
+
     #[test]
     fn fresh_cache_forces_full_scans() {
         let data = objects(6);
@@ -960,21 +1052,8 @@ mod tests {
         let mut cache = PruneCache::new(6, 2);
         let shard = cache.view();
         let v = arena.view(0);
-        assert_eq!(
-            shard.decide(
-                0,
-                0,
-                0,
-                &stats,
-                DriftTotals::default(),
-                &[0, 0],
-                0,
-                &v,
-                1e-9,
-                fp_scale(&stats)
-            ),
-            PruneDecision::FullScan
-        );
+        let p = pass(&stats, DriftTotals::default(), &[0, 0], 0);
+        assert_eq!(shard.decide(&p, 0, 0, 0, &v), PruneDecision::FullScan);
     }
 
     #[test]
@@ -983,42 +1062,30 @@ mod tests {
         let arena = MomentArena::from_objects(&data);
         let labels = vec![0, 0, 0, 1, 1, 1];
         let stats = stats_for(&arena, &labels, 2);
-        let scale = fp_scale(&stats);
         let totals = DriftTotals::default();
         let versions = [0u64, 0];
+        let p = pass(&stats, totals, &versions, 0);
         let mut cache = PruneCache::new(6, 2);
         let mut shard = cache.view();
         let v = arena.view(0);
         // A converged object: its best candidate delta is comfortably
         // positive, so with zero drift tier 0 must fire.
-        shard.store(0, 0, 0, &stats, totals, &versions, 0, 1, 5.0, f64::INFINITY);
-        assert_eq!(
-            shard.decide(0, 0, 0, &stats, totals, &versions, 0, &v, 1e-9, scale),
-            PruneDecision::Skip
-        );
+        shard.store(&p, 0, 0, 0, (1, 5.0, f64::INFINITY));
+        assert_eq!(shard.decide(&p, 0, 0, 0, &v), PruneDecision::Skip);
         // Same entry at a later epoch: stale, full scan.
-        assert_eq!(
-            shard.decide(0, 0, 1, &stats, totals, &versions, 0, &v, 1e-9, scale),
-            PruneDecision::FullScan
-        );
+        let later = pass(&stats, totals, &versions, 1);
+        assert_eq!(shard.decide(&later, 0, 0, 0, &v), PruneDecision::FullScan);
         // Same entry under a later slot generation (the slot was recycled
         // to a new occupant): stale, full scan.
-        assert_eq!(
-            shard.decide(0, 1, 0, &stats, totals, &versions, 0, &v, 1e-9, scale),
-            PruneDecision::FullScan
-        );
+        assert_eq!(shard.decide(&p, 0, 1, 0, &v), PruneDecision::FullScan);
         // Same entry after the source cluster's remove-direction version
         // moved (a small transition touched it): surgically stale.
-        assert_eq!(
-            shard.decide(0, 0, 0, &stats, totals, &[1, 0], 0, &v, 1e-9, scale),
-            PruneDecision::FullScan
-        );
+        let bumped = pass(&stats, totals, &[1, 0], 0);
+        assert_eq!(shard.decide(&bumped, 0, 0, 0, &v), PruneDecision::FullScan);
         // A bump of a *non-source* cluster's version leaves the entry
         // usable — its remove-direction history is never consulted here.
-        assert_eq!(
-            shard.decide(0, 0, 0, &stats, totals, &[0, 7], 0, &v, 1e-9, scale),
-            PruneDecision::Skip
-        );
+        let elsewhere = pass(&stats, totals, &[0, 7], 0);
+        assert_eq!(shard.decide(&elsewhere, 0, 0, 0, &v), PruneDecision::Skip);
     }
 
     #[test]
@@ -1027,23 +1094,15 @@ mod tests {
         let arena = MomentArena::from_objects(&data);
         let labels = vec![0, 0, 0, 1, 1, 1, 2, 2, 2];
         let stats = stats_for(&arena, &labels, 3);
-        let scale = fp_scale(&stats);
-        let totals = DriftTotals::default();
-        let versions = [0u64, 0, 0];
+        let p = pass(&stats, DriftTotals::default(), &[0, 0, 0], 0);
         let mut cache = PruneCache::new(9, 3);
         let mut shard = cache.view();
         let v = arena.view(0);
         // Cached best is improving (−2) and far from second (+7): tier 2.
-        shard.store(0, 0, 0, &stats, totals, &versions, 0, 2, -2.0, 7.0);
-        assert_eq!(
-            shard.decide(0, 0, 0, &stats, totals, &versions, 0, &v, 1e-9, scale),
-            PruneDecision::ConfirmBest(2)
-        );
+        shard.store(&p, 0, 0, 0, (2, -2.0, 7.0));
+        assert_eq!(shard.decide(&p, 0, 0, 0, &v), PruneDecision::ConfirmBest(2));
         shard.invalidate(0);
-        assert_eq!(
-            shard.decide(0, 0, 0, &stats, totals, &versions, 0, &v, 1e-9, scale),
-            PruneDecision::FullScan
-        );
+        assert_eq!(shard.decide(&p, 0, 0, 0, &v), PruneDecision::FullScan);
     }
 
     #[test]
@@ -1058,46 +1117,19 @@ mod tests {
         let mut shard = cache.view();
         let v = arena.view(0);
         // Barely-positive margin: sound to skip only while nothing moves.
-        shard.store(
-            0,
-            0,
-            0,
-            &stats,
-            totals,
-            &versions,
-            0,
-            1,
-            0.05,
-            f64::INFINITY,
-        );
-        let scale = fp_scale(&stats);
-        assert_eq!(
-            shard.decide(0, 0, 0, &stats, totals, &versions, 0, &v, 1e-9, scale),
-            PruneDecision::Skip
-        );
+        let p = pass(&stats, totals, &versions, 0);
+        shard.store(&p, 0, 0, 0, (1, 0.05, f64::INFINITY));
+        assert_eq!(shard.decide(&p, 0, 0, 0, &v), PruneDecision::Skip);
         // Relocate object 7 from cluster 1 to cluster 0 (tracked): both
         // clusters drift and the tiny margin no longer proves a skip. With
         // k = 2 the argmin is trivially stable (there is only one
         // candidate), so the decision degrades to tier 2, which recomputes
         // the exact delta — never to an unsound skip.
         let v7 = arena.view(7);
-        apply_tracked_relocation(&mut stats, 1, 0, &v7, &mut totals, &mut versions);
+        apply_relocation(&mut stats, 1, 0, &v7, Some((&mut totals, &mut versions)));
         assert_eq!(versions, [0, 0], "sizes stay >= 2: no version bump");
-        assert_eq!(
-            shard.decide(
-                0,
-                0,
-                0,
-                &stats,
-                totals,
-                &versions,
-                0,
-                &v,
-                1e-9,
-                fp_scale(&stats)
-            ),
-            PruneDecision::ConfirmBest(1)
-        );
+        let p = pass(&stats, totals, &versions, 0);
+        assert_eq!(shard.decide(&p, 0, 0, 0, &v), PruneDecision::ConfirmBest(1));
     }
 
     #[test]
@@ -1115,35 +1147,129 @@ mod tests {
         let mut cache = PruneCache::new(12, 3);
         let mut shard = cache.view();
         let v = arena.view(0);
-        shard.store(0, 0, 0, &stats, totals, &versions, 0, 2, 0.4, f64::INFINITY);
+        shard.store(
+            &pass(&stats, totals, &versions, 0),
+            0,
+            0,
+            0,
+            (2, 0.4, f64::INFINITY),
+        );
         // Churn objects between clusters 1 and 2 (the candidate set):
         // eventually even the per-cluster bound must give up and rescan.
         let mut gave_up = false;
         for step in 0..50 {
             let (src, dst) = if step % 2 == 0 { (1, 2) } else { (2, 1) };
             let vx = arena.view(4 + (step % 4));
-            apply_tracked_relocation(&mut stats, src, dst, &vx, &mut totals, &mut versions);
+            apply_relocation(
+                &mut stats,
+                src,
+                dst,
+                &vx,
+                Some((&mut totals, &mut versions)),
+            );
             assert_eq!(versions, [0, 0, 0]);
-            match shard.decide(
-                0,
-                0,
-                0,
-                &stats,
-                totals,
-                &versions,
-                0,
-                &v,
-                1e-9,
-                fp_scale(&stats),
-            ) {
-                PruneDecision::Skip => {}
-                _ => {
-                    gave_up = true;
-                    break;
-                }
+            let p = pass(&stats, totals, &versions, 0);
+            if shard.decide(&p, 0, 0, 0, &v) != PruneDecision::Skip {
+                gave_up = true;
+                break;
             }
         }
         assert!(gave_up, "accumulated candidate drift must force a rescan");
+    }
+
+    #[test]
+    fn best_move_cached_and_cacheless_agree_and_count_one_tier_per_call() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for (n, m, k, seed) in [
+            (30usize, 2usize, 3usize, 1u64),
+            (60, 5, 6, 2),
+            (80, 12, 4, 3),
+        ] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let data: Vec<UncertainObject> = (0..n)
+                .map(|_| {
+                    let center = rng.gen_range(0..k) as f64 * 6.0;
+                    UncertainObject::new(
+                        (0..m)
+                            .map(|_| {
+                                let mean = center + rng.gen_range(-3.0..3.0);
+                                UnivariatePdf::normal(mean, rng.gen_range(0.05..1.0))
+                            })
+                            .collect(),
+                    )
+                })
+                .collect();
+            let arena = MomentArena::from_objects(&data);
+            let mut labels: Vec<usize> = (0..n)
+                .map(|i| if i < k { i } else { rng.gen_range(0..k) })
+                .collect();
+            let mut stats = stats_for(&arena, &labels, k);
+            let mut totals = DriftTotals::default();
+            let mut versions = vec![0u64; k];
+            let mut cache = PruneCache::new(n, k);
+            let mut counters = PruneCounters::default();
+            for _pass in 0..6 {
+                let scale = fp_scale(&stats);
+                // Indexed: the body reassigns `labels[i]` mid-pass.
+                #[allow(clippy::needless_range_loop)]
+                for i in 0..n {
+                    let src = labels[i];
+                    if stats[src].size() == 1 {
+                        continue;
+                    }
+                    let v = arena.view(i);
+                    let p = PassState {
+                        stats: &stats,
+                        totals,
+                        versions: &versions,
+                        epoch: 0,
+                        scale,
+                    };
+                    let before = counters;
+                    let plain = best_move(&p, None, i, 0, src, &v, &mut counters);
+                    assert_eq!(counters, before, "the reference scan counts nothing");
+                    let want = best_candidate(&stats, src, &v).filter(|&(_, d)| d < -TOLERANCE);
+                    assert_eq!(
+                        plain.map(|(c, d)| (c, d.to_bits())),
+                        want.map(|(c, d)| (c, d.to_bits()))
+                    );
+                    let cached =
+                        best_move(&p, Some(&mut cache.view()), i, 0, src, &v, &mut counters);
+                    let tiers = [
+                        counters.skips - before.skips,
+                        counters.confirms - before.confirms,
+                        counters.full_scans - before.full_scans,
+                    ];
+                    assert_eq!(
+                        tiers.iter().sum::<usize>(),
+                        1,
+                        "one tier per call: {tiers:?}"
+                    );
+                    assert!(tiers.iter().all(|&t| t <= 1));
+                    assert_eq!(
+                        cached.map(|(c, d)| (c, d.to_bits())),
+                        plain.map(|(c, d)| (c, d.to_bits())),
+                        "object {i} (n={n}, m={m}, k={k})"
+                    );
+                    if let Some((dst, _)) = cached {
+                        apply_relocation(
+                            &mut stats,
+                            src,
+                            dst,
+                            &v,
+                            Some((&mut totals, &mut versions)),
+                        );
+                        cache.invalidate(i);
+                        labels[i] = dst;
+                    }
+                }
+            }
+            assert!(
+                counters.skips + counters.confirms > 0,
+                "later passes must reuse cached bounds (n={n})"
+            );
+        }
     }
 
     #[test]

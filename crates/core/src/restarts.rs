@@ -106,14 +106,16 @@ impl BestOfRestarts {
         // Each worker owns one prune cache; `run_on_arena_with_cache`
         // invalidates it at the start of every restart (the per-restart
         // best/second-best state would otherwise leak between searches), so
-        // which worker executes a restart cannot affect its outcome.
+        // which worker executes a restart cannot affect its outcome. Caches
+        // start empty: the first pruned restart sizes them, and an unpruned
+        // run never does.
         let arena = MomentArena::from_objects(data);
         let seeds: Vec<u64> = (0..self.restarts).map(|_| rng.next_u64()).collect();
         let threads = resolve_threads(self.threads).min(self.restarts);
 
         let mut steals = 0usize;
         let results: Vec<Result<UcpcResult, ClusterError>> = if threads <= 1 {
-            let mut cache = PruneCache::new(arena.len(), k);
+            let mut cache = PruneCache::new(0, k);
             seeds
                 .iter()
                 .map(|&seed| self.one_restart(data, &arena, k, seed, &mut cache))
@@ -132,7 +134,7 @@ impl BestOfRestarts {
                     let arena = &arena;
                     let seeds = &seeds;
                     scope.spawn(move || {
-                        let mut cache = PruneCache::new(arena.len(), k);
+                        let mut cache = PruneCache::new(0, k);
                         while let Some(r) = pool.claim(w) {
                             let result = self.one_restart(data, arena, k, seeds[r], &mut cache);
                             *slots[r].lock().expect("result slot poisoned") = Some(result);

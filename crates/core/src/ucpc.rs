@@ -14,7 +14,10 @@
 //! [`ucpc_uncertain::arena`] for the derivation), instead of the naive three
 //! O(m) sweeps per candidate. On top of the kernel, the loop can prune
 //! whole candidate scans with the best/second-best cache and drift bounds of
-//! [`crate::pruning`] — exactly, producing byte-identical assignments.
+//! [`crate::pruning`] — exactly, producing byte-identical assignments. Each
+//! relocation is decided by [`best_move`] and applied by
+//! [`apply_relocation`], under the one threshold
+//! [`crate::pruning::TOLERANCE`].
 
 use crate::framework::{
     validate_input, validate_labels, ClusterError, Clustering, UncertainClusterer,
@@ -22,13 +25,14 @@ use crate::framework::{
 use crate::init::Initializer;
 use crate::objective::{total_objective, ClusterStats};
 use crate::pruning::{
-    apply_tracked_relocation, best_candidate, best_candidate_with_second, fp_scale, DriftTotals,
-    PruneCache, PruneCounters, PruneDecision, PruningConfig,
+    apply_relocation, best_move, fp_scale, DriftTotals, PassState, PruneCache, PruneCounters,
+    PruningConfig,
 };
 use rand::RngCore;
 use ucpc_uncertain::{MomentArena, UncertainObject};
 
-/// Configuration of the UCPC local search.
+/// Configuration of the UCPC local search. A relocation applies iff it
+/// lowers `J` by more than [`crate::pruning::TOLERANCE`].
 #[derive(Debug, Clone)]
 pub struct Ucpc {
     /// Initial-partition strategy (Line 2 of Algorithm 1).
@@ -38,9 +42,6 @@ pub struct Ucpc {
     /// bounded in interactive use; the paper's datasets converge in far fewer
     /// passes.
     pub max_iters: usize,
-    /// Minimum objective decrease for a relocation to be applied. Guards the
-    /// termination argument of Proposition 4 against floating-point jitter.
-    pub tolerance: f64,
     /// When `true`, a relocation may empty its source cluster (producing a
     /// clustering with fewer than `k` non-empty clusters). The paper's
     /// formulation permits this; keeping all `k` clusters populated is the
@@ -58,7 +59,6 @@ impl Default for Ucpc {
         Self {
             init: Initializer::RandomPartition,
             max_iters: 200,
-            tolerance: 1e-9,
             allow_empty_clusters: false,
             pruning: PruningConfig::default(),
         }
@@ -123,12 +123,8 @@ impl Ucpc {
         k: usize,
         labels: Vec<usize>,
     ) -> Result<UcpcResult, ClusterError> {
-        if self.pruning.is_enabled() {
-            let mut cache = PruneCache::new(arena.len(), k);
-            self.search(arena, k, labels, Some(&mut cache))
-        } else {
-            self.search(arena, k, labels, None)
-        }
+        // Starts empty; `run_on_arena_with_cache` sizes it when pruning is on.
+        self.run_on_arena_with_cache(arena, k, labels, &mut PruneCache::new(0, k))
     }
 
     /// Like [`Self::run_on_arena`] but reusing a caller-owned prune cache
@@ -193,11 +189,7 @@ impl Ucpc {
         while iterations < self.max_iters {
             iterations += 1;
             let mut moved_this_pass = false;
-            let scale = if shard.is_some() {
-                fp_scale(&stats)
-            } else {
-                0.0
-            };
+            let scale = shard.as_ref().map_or(0.0, |_| fp_scale(&stats));
 
             // Indexed: the body reassigns `labels[i]` while `stats` and the
             // cache shard are also borrowed, which an iterator cannot express.
@@ -208,95 +200,28 @@ impl Ucpc {
                     continue;
                 }
                 let v = arena.view(i);
-
-                let decision = match &shard {
-                    Some(s) => s.decide(
-                        i,
-                        0,
-                        0,
-                        &stats,
-                        totals,
-                        &versions,
-                        src,
-                        &v,
-                        self.tolerance,
-                        scale,
-                    ),
-                    None => PruneDecision::FullScan,
+                // Lines 8–9: the best relocation target, by the kernel form
+                // of Corollary 1 (one fused dot product per candidate).
+                let pass = PassState {
+                    stats: &stats,
+                    totals,
+                    versions: &versions,
+                    epoch: 0,
+                    scale,
                 };
-
-                match decision {
-                    PruneDecision::Skip => {
-                        // Tier 1: the scan provably applies nothing.
-                        counters.skips += 1;
-                    }
-                    PruneDecision::ConfirmBest(dst) => {
-                        // Tier 2: same argmin; recompute its exact delta with
-                        // the identical kernel calls the full scan would use.
-                        counters.confirms += 1;
-                        let delta = stats[src].delta_j_remove(&v) + stats[dst].delta_j_add(&v);
-                        if delta < -self.tolerance {
-                            apply_tracked_relocation(
-                                &mut stats,
-                                src,
-                                dst,
-                                &v,
-                                &mut totals,
-                                &mut versions,
-                            );
-                            let s = shard.as_mut().expect("tier 2 implies a cache");
-                            s.invalidate(i);
-                            labels[i] = dst;
-                            relocations += 1;
-                            moved_this_pass = true;
-                        }
-                    }
-                    PruneDecision::FullScan => {
-                        // Line 8: best relocation target. The objective
-                        // change of moving o from `src` to `dst` is
-                        //   delta = [J(src − o) − J(src)]
-                        //         + [J(dst + o) − J(dst)],
-                        // each bracket one fused dot product by the kernel
-                        // form of Corollary 1 (shared scan helpers in
-                        // `crate::pruning`; the pruned arm also tracks the
-                        // runner-up so the outcome can be cached).
-                        if let Some(s) = shard.as_mut() {
-                            counters.full_scans += 1;
-                            if let Some((dst, delta, second)) =
-                                best_candidate_with_second(&stats, src, &v)
-                            {
-                                if delta < -self.tolerance {
-                                    // Lines 10–13: apply the move and update
-                                    // statistics.
-                                    apply_tracked_relocation(
-                                        &mut stats,
-                                        src,
-                                        dst,
-                                        &v,
-                                        &mut totals,
-                                        &mut versions,
-                                    );
-                                    s.invalidate(i);
-                                    labels[i] = dst;
-                                    relocations += 1;
-                                    moved_this_pass = true;
-                                } else {
-                                    s.store(
-                                        i, 0, 0, &stats, totals, &versions, src, dst, delta, second,
-                                    );
-                                }
-                            }
-                        } else if let Some((dst, delta)) = best_candidate(&stats, src, &v) {
-                            if delta < -self.tolerance {
-                                stats[src].remove_view(&v);
-                                stats[dst].add_view(&v);
-                                labels[i] = dst;
-                                relocations += 1;
-                                moved_this_pass = true;
-                            }
-                        }
-                    }
+                let Some((dst, _)) = best_move(&pass, shard.as_mut(), i, 0, src, &v, &mut counters)
+                else {
+                    continue;
+                };
+                // Lines 10–13: apply the move and update statistics.
+                let drift = shard.is_some().then_some((&mut totals, &mut versions[..]));
+                apply_relocation(&mut stats, src, dst, &v, drift);
+                if let Some(s) = shard.as_mut() {
+                    s.invalidate(i);
                 }
+                labels[i] = dst;
+                relocations += 1;
+                moved_this_pass = true;
             }
 
             let v = total_objective(&stats);

@@ -1,7 +1,8 @@
 //! Property-style seeded-grid equivalence tests for the scalar-aggregate
 //! delta-`J` kernel: over a grid of (n, m, k) shapes and seeds, the kernel
 //! must agree with naive from-scratch recomputation after every applied
-//! relocation, every `delta_j_*` must match its naive `*_after_*` sweep, and
+//! relocation, every `delta_j_*` must match its naive `*_after_*` sweep
+//! (`ucpc_bench::naive`), and
 //! UCPC's objective trace must stay monotone under the kernel.
 
 use rand::rngs::StdRng;
@@ -9,6 +10,10 @@ use rand::{Rng, SeedableRng};
 use ucpc::core::objective::ClusterStats;
 use ucpc::core::Ucpc;
 use ucpc::uncertain::{MomentArena, UncertainObject, UnivariatePdf};
+use ucpc_bench::naive::{
+    j_after_add, j_after_remove, j_mm_after_add, j_mm_after_remove, j_naive, j_uk_after_add,
+    j_uk_after_remove, j_uk_naive,
+};
 
 /// Mixed-family random dataset (means in ±8, spreads in [0.05, 2]).
 fn dataset(n: usize, m: usize, seed: u64) -> Vec<UncertainObject> {
@@ -143,26 +148,23 @@ fn delta_kernel_matches_naive_sweeps_pointwise() {
             let src = labels[i];
             for (c, s) in stats.iter().enumerate() {
                 // The kernel's scalar objectives vs the per-dimension sweeps.
-                assert!(close(s.j(), s.j_naive(), 1e-9), "J scalar vs naive");
-                assert!(
-                    close(s.j_uk(), s.j_uk_naive(), 1e-9),
-                    "J_UK scalar vs naive"
-                );
+                assert!(close(s.j(), j_naive(s), 1e-9), "J scalar vs naive");
+                assert!(close(s.j_uk(), j_uk_naive(s), 1e-9), "J_UK scalar vs naive");
                 // Add direction is valid against any cluster.
                 assert!(
-                    close(s.delta_j_add(&v), s.j_after_add(o) - s.j_naive(), 1e-9),
+                    close(s.delta_j_add(&v), j_after_add(s, o) - j_naive(s), 1e-9),
                     "delta_j_add vs naive (n={n} m={m} k={k} i={i} c={c})"
                 );
                 assert!(
                     close(
                         s.delta_j_uk_add(&v),
-                        s.j_uk_after_add(o) - s.j_uk_naive(),
+                        j_uk_after_add(s, o) - j_uk_naive(s),
                         1e-9
                     ),
                     "delta_j_uk_add vs naive"
                 );
                 assert!(
-                    close(s.delta_j_mm_add(&v), s.j_mm_after_add(o) - s.j_mm(), 1e-9),
+                    close(s.delta_j_mm_add(&v), j_mm_after_add(s, o) - s.j_mm(), 1e-9),
                     "delta_j_mm_add vs naive"
                 );
                 // Remove direction only against the member's own cluster.
@@ -170,7 +172,7 @@ fn delta_kernel_matches_naive_sweeps_pointwise() {
                     assert!(
                         close(
                             s.delta_j_remove(&v),
-                            s.j_after_remove(o) - s.j_naive(),
+                            j_after_remove(s, o) - j_naive(s),
                             1e-9
                         ),
                         "delta_j_remove vs naive"
@@ -178,7 +180,7 @@ fn delta_kernel_matches_naive_sweeps_pointwise() {
                     assert!(
                         close(
                             s.delta_j_uk_remove(&v),
-                            s.j_uk_after_remove(o) - s.j_uk_naive(),
+                            j_uk_after_remove(s, o) - j_uk_naive(s),
                             1e-9
                         ),
                         "delta_j_uk_remove vs naive"
@@ -186,7 +188,7 @@ fn delta_kernel_matches_naive_sweeps_pointwise() {
                     assert!(
                         close(
                             s.delta_j_mm_remove(&v),
-                            s.j_mm_after_remove(o) - s.j_mm(),
+                            j_mm_after_remove(s, o) - s.j_mm(),
                             1e-9
                         ),
                         "delta_j_mm_remove vs naive"

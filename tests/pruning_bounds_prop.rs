@@ -15,12 +15,21 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ucpc::core::objective::ClusterStats;
 use ucpc::core::pruning::{
-    apply_tracked_insert, apply_tracked_relocation, apply_tracked_remove, fp_scale, DriftTotals,
-    PruneCache, PruneDecision,
+    apply_relocation, apply_tracked_insert, apply_tracked_remove, fp_scale, DriftTotals, PassState,
+    PruneCache, PruneDecision, TOLERANCE,
 };
 use ucpc::uncertain::{MomentArena, UncertainObject, UnivariatePdf};
 
-const TOLERANCE: f64 = 1e-9;
+/// A batch search's pass state (epoch 0) over the current statistics.
+fn pass<'a>(stats: &'a [ClusterStats], totals: DriftTotals, versions: &'a [u64]) -> PassState<'a> {
+    PassState {
+        stats,
+        totals,
+        versions,
+        epoch: 0,
+        scale: fp_scale(stats),
+    }
+}
 
 fn dataset(n: usize, m: usize, rng: &mut StdRng) -> Vec<UncertainObject> {
     (0..n)
@@ -121,9 +130,8 @@ proptest! {
                     if stats[src].size() <= 1 {
                         continue;
                     }
-                    if let Some((dst, best, second)) = shadow_scan(&stats, &arena, i, src) {
-                        shards[i / write_chunk]
-                            .store(i, 0, 0, &stats, totals, &versions, src, dst, best, second);
+                    if let Some(scan) = shadow_scan(&stats, &arena, i, src) {
+                        shards[i / write_chunk].store(&pass(&stats, totals, &versions), i, 0, src, scan);
                     }
                 }
             }
@@ -137,7 +145,7 @@ proptest! {
                     dst = (dst + 1) % k;
                 }
                 let v = arena.view(i);
-                apply_tracked_relocation(&mut stats, src, dst, &v, &mut totals, &mut versions);
+                apply_relocation(&mut stats, src, dst, &v, Some((&mut totals, &mut versions)));
                 cache.invalidate(i);
                 labels[i] = dst;
             }
@@ -146,7 +154,7 @@ proptest! {
             // geometry — the "stolen" windows — and shadow-check it.
             let read_chunk = rng.gen_range(1..=n);
             let shards = cache.shards(read_chunk);
-            let scale = fp_scale(&stats);
+            let p = pass(&stats, totals, &versions);
             #[allow(clippy::needless_range_loop)]
             for j in 0..n {
                 let src = labels[j];
@@ -154,8 +162,7 @@ proptest! {
                     continue;
                 }
                 let v = arena.view(j);
-                let decision = shards[j / read_chunk]
-                    .decide(j, 0, 0, &stats, totals, &versions, src, &v, TOLERANCE, scale);
+                let decision = shards[j / read_chunk].decide(&p, j, 0, src, &v);
                 let truth = shadow_scan(&stats, &arena, j, src);
                 match decision {
                     PruneDecision::FullScan => {}
@@ -237,10 +244,8 @@ proptest! {
                 if stats[src].size() <= 1 {
                     continue;
                 }
-                if let Some((dst, best, second)) = shadow_scan(&stats, &arena, i, src) {
-                    cache
-                        .view()
-                        .store(i, 0, 0, &stats, totals, &versions, src, dst, best, second);
+                if let Some(scan) = shadow_scan(&stats, &arena, i, src) {
+                    cache.view().store(&pass(&stats, totals, &versions), i, 0, src, scan);
                 }
             }
 
@@ -282,9 +287,8 @@ proptest! {
                                 dst = (dst + 1) % k;
                             }
                             let v = arena.view(i);
-                            apply_tracked_relocation(
-                                &mut stats, src, dst, &v, &mut totals, &mut versions,
-                            );
+                            let drift = Some((&mut totals, &mut versions[..]));
+                            apply_relocation(&mut stats, src, dst, &v, drift);
                             cache.invalidate(i);
                             labels[i] = Some(dst);
                         }
@@ -294,7 +298,7 @@ proptest! {
 
             // Validate every assigned object's decision against ground
             // truth.
-            let scale = fp_scale(&stats);
+            let p = pass(&stats, totals, &versions);
             #[allow(clippy::needless_range_loop)]
             for j in 0..total {
                 let Some(src) = labels[j] else { continue };
@@ -302,10 +306,7 @@ proptest! {
                     continue;
                 }
                 let v = arena.view(j);
-                let decision =
-                    cache
-                        .view()
-                        .decide(j, 0, 0, &stats, totals, &versions, src, &v, TOLERANCE, scale);
+                let decision = cache.view().decide(&p, j, 0, src, &v);
                 let truth = shadow_scan(&stats, &arena, j, src);
                 match decision {
                     PruneDecision::FullScan => {}

@@ -2,7 +2,8 @@
 //! (n, m, k) shapes — including m=1, k=1, k=n, duplicate objects and
 //! empty-cluster churn — a pruned run must produce *byte-identical*
 //! assignments and bit-identical (tolerated to 1e-10 relative) objectives
-//! for `Ucpc`, `ParallelUcpc`, `IncrementalUcpc` and `BestOfRestarts`.
+//! for `Ucpc`, `ParallelUcpc`, `IncrementalUcpc` and `BestOfRestarts`; and
+//! the serial batch search and the streaming engine must relocate alike.
 //! Pruning is configured explicitly on both arms so the suite is immune to
 //! the `UCPC_PRUNING` environment knob the CI matrix flips.
 
@@ -14,7 +15,7 @@ use support::reference::ref_parallel;
 use ucpc::core::incremental::IncrementalUcpc;
 use ucpc::core::parallel::ParallelUcpc;
 use ucpc::core::restarts::BestOfRestarts;
-use ucpc::core::{Initializer, PruningConfig, Ucpc};
+use ucpc::core::{Initializer, LogEntry, LogOp, PruningConfig, Ucpc};
 use ucpc::uncertain::{MomentArena, UncertainObject, UnivariatePdf};
 
 /// Mixed-family random dataset; with `duplicates`, every third object is a
@@ -229,6 +230,64 @@ fn incremental_ucpc_pruned_matches_unpruned_under_interleaved_edits() {
         // Final settle must agree too.
         assert_eq!(off.stabilize(20), on.stabilize(20));
         assert_eq!(off.live_labels(), on.live_labels());
+    }
+}
+
+/// The serial batch search and the streaming engine run the same
+/// relocation step (`pruning::best_move` + `pruning::apply_relocation`):
+/// seeded with the same partition, `Ucpc` and `IncrementalUcpc::stabilize`
+/// must relocate alike, move for move, under either pruning setting.
+#[test]
+fn serial_batch_and_streaming_engines_relocate_alike() {
+    for (gi, &(n, m, k)) in [
+        (30, 3, 3),
+        (40, 8, 5),
+        (60, 5, 6),
+        (200, 16, 8),
+        (500, 4, 10),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let seed = 900 + gi as u64;
+        let data = dataset(n, m, seed, false);
+        let labels = random_labels(n, k, seed + 1);
+        for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
+            let batch = Ucpc {
+                pruning,
+                ..Default::default()
+            }
+            .run_on_arena(&MomentArena::from_objects(&data), k, labels.clone())
+            .unwrap();
+
+            let mut live = IncrementalUcpc::new(m, k).unwrap();
+            live.set_pruning(pruning);
+            for (i, (o, &cluster)) in data.iter().zip(&labels).enumerate() {
+                let mo = o.moments();
+                let op = LogOp::Insert {
+                    slot: i as u32,
+                    cluster,
+                };
+                live.apply_round(&[LogEntry {
+                    op,
+                    mu: mo.mu(),
+                    mu2: mo.mu2(),
+                }])
+                .unwrap();
+            }
+            let relocations = live.stabilize(200);
+
+            let ctx = format!("n={n} m={m} k={k} {pruning:?}");
+            let streamed: Vec<usize> = live.live_labels().iter().map(|&(_, c)| c).collect();
+            assert_eq!(streamed, batch.clustering.labels(), "labels: {ctx}");
+            assert_eq!(relocations, batch.relocations, "relocations: {ctx}");
+            assert!(relocations > 0, "a random partition must relocate: {ctx}");
+            assert_eq!(
+                live.objective().to_bits(),
+                batch.objective.to_bits(),
+                "objective: {ctx}"
+            );
+        }
     }
 }
 
