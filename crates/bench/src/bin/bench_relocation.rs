@@ -16,15 +16,15 @@
 //!   thread count; and
 //! * the `IncrementalUcpc` streaming churn window (interleaved
 //!   remove/insert/stabilize) with pruning {off, bounds}, with live labels
-//!   and objective bits asserted identical across both configurations; and
-//! * the `ServingUcpc` serving grid: an open-loop placement-heavy request
-//!   stream through the batched assignment-serving front door across
-//!   micro-batch sizes, with the final partition asserted byte-identical
-//!   across batch sizes and equal to a serial replay on every repetition.
+//!   and objective bits asserted identical across both configurations.
 //!
 //! All clustered batch workloads are built through the arena-native
 //! `PdfAssignment::assign_into_arena` pipeline (no `UncertainObject`
 //! round-trip).
+//!
+//! `bench_soak` appends the `soak_gate` and `soak_grid` keys to the same
+//! file. The serving, WAL and sharded layers are measured by the
+//! repository benchmark (`perfbench/`), not here.
 //!
 //! Usage: `cargo run --release -p ucpc-bench --bin bench_relocation
 //! [output.json]` (default output path: `BENCH_relocation.json`).
@@ -33,7 +33,6 @@ use ucpc_bench::relocation::{
     blob_workload, kernel_pass, median_ns, naive_pass, parallel_comparison, pruning_comparison,
     simd_comparison, skewed_workload, workload, Shape, GRID,
 };
-use ucpc_bench::serving::{serving_comparison, wal_comparison, ServingSpec};
 use ucpc_bench::streaming::{streaming_comparison, ChurnSpec};
 
 fn main() {
@@ -257,112 +256,6 @@ fn main() {
         }
     }
 
-    // Serving grid: batched placement throughput and response latency
-    // across micro-batch sizes, interleaved best-of-reps (see
-    // `ucpc_bench::serving::serving_comparison`). Byte-identity across
-    // batch sizes and vs the serial replay is asserted on every rep.
-    let serving_reps = 5;
-    let serving_spec = ServingSpec {
-        arrivals: 4_000,
-        commit_every: 16,
-        top_k: 4,
-    };
-    let mut serving_rows = Vec::new();
-    println!(
-        "\n{:<22} {:>6} {:>12} {:>12} {:>14} {:>9}",
-        "serving (open loop)", "batch", "p50 ns", "p99 ns", "arrivals/s", "vs b=1"
-    );
-    for shape in [
-        Shape {
-            n: 2_000,
-            m: 16,
-            k: 8,
-        },
-        acceptance_shape,
-    ] {
-        let rows = serving_comparison(shape, serving_spec, 7, serving_reps, &[1, 8, 16, 32]);
-        let base = rows
-            .iter()
-            .find(|r| r.batch == 1)
-            .expect("batch-1 row present")
-            .arrivals_per_sec;
-        for row in rows {
-            let speedup = row.arrivals_per_sec / base;
-            println!(
-                "n={:<6} m={:<3} k={:<4} {:>6} {:>12} {:>12} {:>14.0} {:>8.2}x",
-                shape.n,
-                shape.m,
-                shape.k,
-                row.batch,
-                row.p50_ns,
-                row.p99_ns,
-                row.arrivals_per_sec,
-                speedup
-            );
-            serving_rows.push(format!(
-                concat!(
-                    "    {{\"n\": {}, \"m\": {}, \"k\": {}, \"batch\": {}, ",
-                    "\"p50_ns\": {}, \"p99_ns\": {}, ",
-                    "\"arrivals_per_sec\": {:.0}, \"speedup_vs_batch1\": {:.3}}}"
-                ),
-                shape.n,
-                shape.m,
-                shape.k,
-                row.batch,
-                row.p50_ns,
-                row.p99_ns,
-                row.arrivals_per_sec,
-                speedup
-            ));
-        }
-    }
-
-    // WAL overhead grid: the same open-loop stream served with the
-    // write-ahead log detached vs logging every commit into an in-memory
-    // sink, interleaved best-of-reps. Byte-identity vs the serial replay
-    // is asserted for both legs, and recovery from (streaming checkpoint,
-    // full log) is asserted bit-identical to the final partition — the
-    // measurement doubles as an end-to-end durability check.
-    let mut wal_rows = Vec::new();
-    println!(
-        "\n{:<22} {:>6} {:>14} {:>14} {:>10}",
-        "wal (open loop)", "batch", "off arr/s", "on arr/s", "overhead"
-    );
-    for shape in [
-        Shape {
-            n: 2_000,
-            m: 16,
-            k: 8,
-        },
-        acceptance_shape,
-    ] {
-        let row = wal_comparison(shape, serving_spec, 7, serving_reps, 16);
-        println!(
-            "n={:<6} m={:<3} k={:<4} {:>6} {:>14.0} {:>14.0} {:>9.1}%",
-            shape.n,
-            shape.m,
-            shape.k,
-            row.batch,
-            row.off_arrivals_per_sec,
-            row.on_arrivals_per_sec,
-            row.overhead_frac * 100.0
-        );
-        wal_rows.push(format!(
-            concat!(
-                "    {{\"n\": {}, \"m\": {}, \"k\": {}, \"batch\": {}, ",
-                "\"off_arrivals_per_sec\": {:.0}, \"on_arrivals_per_sec\": {:.0}, ",
-                "\"overhead_frac\": {:.4}}}"
-            ),
-            shape.n,
-            shape.m,
-            shape.k,
-            row.batch,
-            row.off_arrivals_per_sec,
-            row.on_arrivals_per_sec,
-            row.overhead_frac
-        ));
-    }
-
     let acceptance = GRID
         .iter()
         .position(|s| s.n == 10_000 && s.m == 32 && s.k == 20)
@@ -383,19 +276,9 @@ fn main() {
             "churn window (interleaved remove/insert/stabilize) with pruning {{off, bounds}} ",
             "— free-list row reuse + drift-tracked edits + surgical per-cluster cache ",
             "invalidation (live labels and objective bits asserted identical across both ",
-            "configurations); and the ",
-            "ServingUcpc serving grid — an open-loop placement-heavy request stream ",
-            "(1 commit per 16 arrivals, top-4 answers) through the batched ",
-            "assignment-serving front door across micro-batch sizes, interleaved ",
-            "best-of-reps, final partition asserted byte-identical across batch sizes ",
-            "and equal to a serial replay on every repetition; and the WAL overhead grid — ",
-            "the same stream with the checksummed write-ahead log detached vs logging every ",
-            "commit (in-memory sink), interleaved best-of-reps, with recovery from ",
-            "(streaming checkpoint, full log) asserted bit-identical to the final ",
-            "partition on every emission\",\n",
+            "configurations)\",\n",
             "  \"units\": \"nanoseconds (median of {reps} kernel / {preps} end-to-end / ",
-            "{pareps} parallel / {sreps} streaming repetitions, best of {servreps} ",
-            "interleaved serving repetitions, release profile)\",\n",
+            "{pareps} parallel / {sreps} streaming repetitions, release profile)\",\n",
             "  \"acceptance_shape\": {{\"n\": 10000, \"m\": 32, \"k\": 20, ",
             // The pruning gate was 1.5 when PR 2 measured it against the
             // pre-SIMD kernel; the SIMD kernel made the skipped scans ~2x
@@ -408,19 +291,7 @@ fn main() {
             // "parallel_gates_evaluable" below records whether the emitting
             // host could exercise it (a single-core container cannot show
             // any multi-thread speedup, only the determinism asserts).
-            "\"required_parallel_speedup\": 3.0, ",
-            // Serving gate: some batched row >= 1.5x the batch-size-1
-            // arrivals/sec on the acceptance shape. Single-core noise on a
-            // shared host moves both sides of that ratio; the serving grid
-            // interleaves repetitions round-robin across batch sizes so a
-            // slow window taxes every batch size alike.
-            // Durability gate: logging every commit through the WAL into
-            // an in-memory sink must cost < 15% of the WAL-off arrivals/sec
-            // at the acceptance shape (the fsync policy is the deployment's
-            // cost, not the encoder's; the gate prices framing + CRC +
-            // group commit). Checked by `bench_serving --check`.
-            "\"required_serving_speedup\": 1.5, ",
-            "\"required_wal_overhead\": 0.15}},\n",
+            "\"required_parallel_speedup\": 3.0}},\n",
             "  \"acceptance_row_index\": {acceptance},\n",
             "  \"simd_backend\": \"{backend}\",\n",
             "  \"host_parallelism\": {host},\n",
@@ -429,16 +300,13 @@ fn main() {
             "  \"simd_grid\": [\n{srows}\n  ],\n",
             "  \"pruning_grid\": [\n{prows}\n  ],\n",
             "  \"parallel_grid\": [\n{parows}\n  ],\n",
-            "  \"streaming_grid\": [\n{strows}\n  ],\n",
-            "  \"serving_grid\": [\n{servrows}\n  ],\n",
-            "  \"wal_grid\": [\n{walrows}\n  ]\n",
+            "  \"streaming_grid\": [\n{strows}\n  ]\n",
             "}}\n",
         ),
         reps = reps,
         preps = pruning_reps,
         pareps = parallel_reps,
         sreps = streaming_reps,
-        servreps = serving_reps,
         acceptance = acceptance,
         backend = simd_backend,
         host = host_parallelism,
@@ -448,8 +316,6 @@ fn main() {
         prows = pruning_rows.join(",\n"),
         parows = parallel_rows.join(",\n"),
         strows = streaming_rows.join(",\n"),
-        servrows = serving_rows.join(",\n"),
-        walrows = wal_rows.join(",\n"),
     );
     std::fs::write(&out_path, &json).expect("write benchmark baseline");
     println!("wrote {out_path}");

@@ -14,7 +14,7 @@
 //!   before and after the window).
 //!
 //! Rows are written into the `soak_grid` of `BENCH_relocation.json`
-//! (spliced, preserving the other grids). CI runs the reduced
+//! (spliced in place: every other key keeps its bytes). CI runs the reduced
 //! `--check --edits 100000` shape, which prints the gate verdict and exits
 //! non-zero on any violation without touching the JSON.
 //!
@@ -162,25 +162,24 @@ fn soak(pruning: PruningConfig, edits: usize) -> SoakRow {
     }
 }
 
-/// Splices `soak_gate` + `soak_grid` into the JSON baseline, replacing any
-/// previous soak block and preserving every other grid byte-for-byte.
+/// Splices `soak_gate` + `soak_grid` into the JSON baseline at `path`.
 fn splice(path: &str, gate: bool, rows: &[SoakRow]) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("read {path}: {e} (run bench_relocation first)"));
-    let base = match text.find(",\n  \"soak_gate\"") {
-        Some(cut) => text[..cut].to_string(),
-        None => {
-            let end = text.rfind('}').expect("JSON object");
-            text[..end].trim_end().trim_end_matches(',').to_string()
-        }
-    };
-    let mut out = base;
-    out.push_str(&format!(
+    std::fs::write(path, splice_text(&text, gate, rows))
+        .unwrap_or_else(|e| panic!("write {path}: {e}"));
+}
+
+/// Replaces the `soak_gate` + `soak_grid` span of `text` with a fresh soak
+/// block, preserving every byte before and after it. A text without a soak
+/// block gets one appended as its last key.
+fn splice_text(text: &str, gate: bool, rows: &[SoakRow]) -> String {
+    let mut block = format!(
         ",\n  \"soak_gate\": {{\"flat_memory\": {}, \"required\": true}},\n  \"soak_grid\": [\n",
         gate
-    ));
+    );
     for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
+        block.push_str(&format!(
             concat!(
                 "    {{\"backend\": \"slab\", \"pruning\": \"{}\", \"edits\": {}, ",
                 "\"window_ns\": {}, \"ns_per_edit\": {:.1}, \"alloc_calls\": {}, ",
@@ -202,8 +201,21 @@ fn splice(path: &str, gate: bool, rows: &[SoakRow]) {
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    block.push_str("  ]");
+    // The block ends at the first top-level array close after `soak_grid`.
+    const CLOSE: &str = "\n  ]";
+    match text.find(",\n  \"soak_gate\"") {
+        Some(start) => {
+            let grid = start + text[start..].find("\"soak_grid\"").expect("soak_grid");
+            let end = grid + text[grid..].find(CLOSE).expect("closed soak_grid") + CLOSE.len();
+            format!("{}{block}{}", &text[..start], &text[end..])
+        }
+        None => {
+            let end = text.rfind('}').expect("JSON object");
+            let base = text[..end].trim_end().trim_end_matches(',');
+            format!("{base}{block}\n}}\n")
+        }
+    }
 }
 
 fn main() {
@@ -261,5 +273,52 @@ fn main() {
         assert!(gate, "soak gate failed; not writing a violated baseline");
         splice(&out_path, gate, &rows);
         println!("spliced soak_grid into {out_path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(pruning: &'static str) -> SoakRow {
+        SoakRow {
+            pruning,
+            edits: 4,
+            window_ns: 40,
+            ns_per_edit: 10.0,
+            alloc_calls: 0,
+            slot_rows_before: 8,
+            slot_rows_after: 8,
+            cache_entries_before: 8,
+            cache_entries_after: 8,
+            relocations: 1,
+            flat: true,
+        }
+    }
+
+    #[test]
+    fn splice_replaces_only_the_soak_block() {
+        let head = "{\n  \"grid\": [\n    {\"n\": 1}\n  ]";
+        let stale = concat!(
+            ",\n  \"soak_gate\": {\"flat_memory\": false, \"required\": true},",
+            "\n  \"soak_grid\": [\n    {\"stale\": 1}\n  ]"
+        );
+        let tail = ",\n  \"later_grid\": [\n    {\"kept\": true}\n  ]\n}\n";
+        let rows = [row("off"), row("bounds")];
+
+        // A file without a soak block gets it appended as the last key.
+        let appended = splice_text(&format!("{head}\n}}\n"), true, &rows);
+        let block = appended
+            .strip_prefix(head)
+            .and_then(|rest| rest.strip_suffix("\n}\n"))
+            .expect("the soak block goes between the last key and the closing brace");
+        assert!(block.starts_with(",\n  \"soak_gate\": {\"flat_memory\": true"));
+        assert_eq!(block.matches("\"backend\": \"slab\"").count(), rows.len());
+
+        // An existing soak block is replaced by the same bytes, and the keys
+        // around it keep theirs.
+        let out = splice_text(&format!("{head}{stale}{tail}"), true, &rows);
+        assert_eq!(out, format!("{head}{block}{tail}"));
+        assert_eq!(splice_text(&out, true, &rows), out);
     }
 }

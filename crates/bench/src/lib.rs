@@ -9,11 +9,15 @@
 //!   (Figure 5);
 //!
 //! plus the Criterion micro-benchmarks under `benches/` and the
-//! `bench_relocation` binary that emits the committed
+//! `bench_relocation` and `bench_soak` binaries that emit the committed
 //! `BENCH_relocation.json` baseline.
 //!
 //! Results print in the paper's row/column layout and are also written as
 //! CSV under `target/experiments/`.
+//!
+//! The serving, WAL and sharded layers are measured by the repository
+//! benchmark (`perfbench/`, declared in `BENCHMARK.json`) only; this crate
+//! keeps the offline kernel grids that benchmark does not cover.
 //!
 //! ## The relocation baseline
 //!
@@ -35,22 +39,12 @@
 //! plus [`relocation::pruning_comparison`], the end-to-end relocation
 //! phase with drift-bound candidate pruning off vs on,
 //! [`relocation::parallel_comparison`], the full `ParallelUcpc` phase over
-//! a threads × {even, steal} scheduler grid on clustered and load-skewed
-//! workloads (both built through the zero-allocation
-//! `PdfAssignment::assign_into_arena` pipeline), and
-//! [`streaming::streaming_comparison`], the `IncrementalUcpc` churn loop
-//! over storage backends × pruning (slab free-list reuse + surgical
-//! invalidation vs the per-object reference path), and
-//! [`serving::serving_comparison`], the batched assignment-serving front
-//! door (`ucpc_core::serving::ServingUcpc`) under an open-loop placement
-//! stream across micro-batch sizes, reporting p50/p99 response latency
-//! and arrivals/sec (the `bench_serving` binary), and
-//! [`sharded::sharded_comparison`], the coordinator/participant
-//! replicated-log layer (`ucpc_core::sharded::ShardedUcpc`) over a shard
-//! count × {clean, chaos} transport grid, reporting edit throughput
-//! relative to single-node and the retry volume a lossy fabric induces
-//! (the `bench_sharded` binary). Every comparison doubles as an exactness
-//! check: any label divergence panics the bench.
+//! a thread-count grid on clustered and load-skewed workloads (both built
+//! through the zero-allocation `PdfAssignment::assign_into_arena`
+//! pipeline), and [`streaming::streaming_comparison`], the
+//! `IncrementalUcpc` churn loop on the slab store with pruning off vs on.
+//! Every comparison doubles as an exactness check: any label divergence
+//! panics the bench.
 
 #![warn(missing_docs)]
 
@@ -59,6 +53,4 @@ pub mod harness;
 pub mod naive;
 pub mod relocation;
 pub mod report;
-pub mod serving;
-pub mod sharded;
 pub mod streaming;

@@ -181,7 +181,7 @@ fn clean_transport_matches_single_node_across_shard_counts_and_pruning() {
 #[test]
 fn fault_schedules_reach_identical_bits_at_every_shard_count() {
     let mut total_retries = 0u64;
-    for shards in [2usize, 4, 8] {
+    for shards in [1usize, 2, 4, 8] {
         let schedules = [
             ("drops", ChaosPlan::drops(chaos_seed(shards as u64), 0.25)),
             (
