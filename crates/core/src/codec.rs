@@ -17,7 +17,7 @@
 //!                   m u64 | crc u32 (of the 20 bytes)
 //! snapshot /        "UCPCSNAP" | version u32 = 4          1 META, 2 SLOTS,
 //! shard checkpoint                                        3 FREE, 4 ROWS, 5 END,
-//!                                                         6 SHARD, 7 SHARD_ROWS
+//!                                                         6 SHARD
 //! ```
 //!
 //! [`crate::wal`] and [`crate::snapshot`] document the payload of each tag.

@@ -344,7 +344,7 @@ impl IncrementalUcpc {
 
     /// Applies one logged round — the engine's only mutation path, shared
     /// by [`Self::insert`], [`Self::remove`], [`Self::stabilize`], the
-    /// serving flush, [`crate::wal::recover`] and the sharded coordinator.
+    /// serving flush, [`crate::wal::recover`] and every sharded replica.
     ///
     /// Each entry is checked before it applies: its clusters exist and a
     /// drained one is not empty; an `Insert` names the slot the slab

@@ -268,40 +268,6 @@ impl ClusterStats {
         cross
     }
 
-    /// Merges another aggregate's contribution into this one — the
-    /// commutative combine that makes `ClusterStats` distribute: a shard's
-    /// contribution to a cluster is itself a `ClusterStats`, and the
-    /// global statistics are the merge of the per-shard partials.
-    ///
-    /// Everything except `S₂` is a plain sum. `S₂ = Σ_j (Σ_i mu_j(o_i))²`
-    /// mixes the partitions' mean sums, so the combine adds the cross
-    /// term `2⟨s_self, s_other⟩` (through the dispatched SIMD kernel —
-    /// the same code path as [`Self::add_view`], of which this is the
-    /// generalization: merging a one-object aggregate performs add_view's
-    /// arithmetic operation for operation).
-    ///
-    /// The merge is commutative in the mathematical sense; like any
-    /// floating-point reduction it is not *associative* at the bit level,
-    /// which is why the sharded protocol ships raw rows in one global
-    /// apply order (the replicated log) rather than merging partials. Drift
-    /// accumulators are bookkeeping outside the statistics proper and are
-    /// left untouched.
-    pub fn merge(&mut self, other: &ClusterStats) {
-        debug_assert_eq!(self.dims(), other.dims(), "dimension mismatch");
-        // ⟨s_self, s_other⟩ against the pre-merge mean sums, mirroring
-        // add_view's ⟨s_pre, mu(o)⟩.
-        let cross = dot(&self.mean_sum, &other.mean_sum);
-        for j in 0..self.dims() {
-            self.psi[j] += other.psi[j];
-            self.phi[j] += other.phi[j];
-            self.mean_sum[j] += other.mean_sum[j];
-        }
-        self.psi_tot += other.psi_tot;
-        self.phi_tot += other.phi_tot;
-        self.s_sq_tot += 2.0 * cross + other.s_sq_tot;
-        self.size += other.size;
-    }
-
     /// Adds one object like [`Self::add_view`] while accumulating the drift
     /// bounds of [`crate::pruning`]. Returns `true` when the transition is
     /// "small" (a cluster size below 2 before or after), in which case the
@@ -956,59 +922,5 @@ mod tests {
             (sa.j() - sb.j()).abs() > 0.1,
             "J distinguishes the clusters"
         );
-    }
-
-    /// Asserts two aggregates are equal bit for bit (stricter than
-    /// `PartialEq`, which treats `-0.0 == 0.0`).
-    fn assert_bits(a: &ClusterStats, b: &ClusterStats) {
-        assert_eq!(a.size, b.size);
-        for j in 0..a.dims() {
-            assert_eq!(a.psi[j].to_bits(), b.psi[j].to_bits(), "psi[{j}]");
-            assert_eq!(a.phi[j].to_bits(), b.phi[j].to_bits(), "phi[{j}]");
-            assert_eq!(
-                a.mean_sum[j].to_bits(),
-                b.mean_sum[j].to_bits(),
-                "mean_sum[{j}]"
-            );
-        }
-        assert_eq!(a.psi_tot.to_bits(), b.psi_tot.to_bits(), "psi_tot");
-        assert_eq!(a.phi_tot.to_bits(), b.phi_tot.to_bits(), "phi_tot");
-        assert_eq!(a.s_sq_tot.to_bits(), b.s_sq_tot.to_bits(), "s_sq_tot");
-    }
-
-    #[test]
-    fn merging_singletons_in_order_is_bitwise_add_view() {
-        let objs = objects();
-        let arena = ucpc_uncertain::MomentArena::from_objects(&objs);
-        let mut direct = ClusterStats::empty(arena.dims());
-        let mut merged = ClusterStats::empty(arena.dims());
-        for i in 0..arena.len() {
-            let v = arena.view(i);
-            direct.add_view(&v);
-            let mut singleton = ClusterStats::empty(arena.dims());
-            singleton.add_view(&v);
-            merged.merge(&singleton);
-            assert_bits(&direct, &merged);
-        }
-    }
-
-    #[test]
-    fn shard_partials_merge_to_the_global_aggregate() {
-        // Two shards each hold half the cluster; merging the partials
-        // reproduces the global statistics mathematically (the bit-level
-        // order sensitivity is exactly why the sharded protocol replays
-        // one global log instead of merging opportunistically).
-        let objs = objects();
-        let global = ClusterStats::from_members(objs.iter());
-        let mut shard0 = ClusterStats::from_members(objs[..2].iter());
-        let shard1 = ClusterStats::from_members(objs[2..].iter());
-        shard0.merge(&shard1);
-        assert_eq!(shard0.size, global.size);
-        assert!((shard0.j() - global.j()).abs() < 1e-9);
-        assert!((shard0.s_sq_tot - global.s_sq_tot).abs() < 1e-9);
-        // Commutativity: merging in the opposite order agrees too.
-        let mut flipped = ClusterStats::from_members(objs[2..].iter());
-        flipped.merge(&ClusterStats::from_members(objs[..2].iter()));
-        assert!((flipped.j() - shard0.j()).abs() < 1e-12);
     }
 }

@@ -9,16 +9,16 @@
 //! Distribution does not get to change the arithmetic. The single-node
 //! engine's state is a fold over a sequence of exact `ClusterStats`
 //! transitions (`add_view` / `remove_view`), and the fold's result
-//! depends on the order bit-for-bit ([`ClusterStats::merge`] is
-//! commutative mathematically but, like any floating-point reduction,
-//! not bit-associative). So the protocol replicates the *sequence*, not
-//! the result — as [`LogEntry`] rounds, the same record every WAL holds.
-//! A round takes two steps:
+//! depends on the order bit-for-bit: floating-point addition is not
+//! associative, so partial sums combined in another order differ in the
+//! last bits. So the protocol replicates the *sequence*, not the result —
+//! as [`LogEntry`] rounds, the same record every WAL holds. Every node is
+//! an engine replica, an [`IncrementalUcpc`] folding those rounds through
+//! [`IncrementalUcpc::apply_round`]. A round takes two steps:
 //!
-//! 1. The **coordinator** (node 0) decides and folds. It is itself an
-//!    engine replica: an [`IncrementalUcpc`] holding every row, whose
-//!    slab allocates the global slots and generations, so handle
-//!    sequences match the single-node engine exactly. An insert, a
+//! 1. The **coordinator** (node 0) decides and folds. Its replica's slab
+//!    allocates the global slots and generations, so handle sequences
+//!    match the single-node engine exactly. An insert, a
 //!    remove or a whole `stabilize` call runs on that engine — the same
 //!    placement scan, relocation passes and pruning the single-node
 //!    engine runs, folded through [`IncrementalUcpc::apply_round`] — and
@@ -27,22 +27,29 @@
 //!    nothing commits an empty round, which is still sequenced, logged
 //!    and acknowledged like any other.
 //! 2. The coordinator broadcasts the round as one `Apply` to every
-//!    participant; each logs it to its write-ahead shard log, folds it in
-//!    the same global order and acknowledges. Only when every shard has
+//!    **participant**, whose replica starts as a clone of the
+//!    coordinator's empty engine (so pruning, and with it the drift
+//!    tracking of a `Move`, matches). Each participant logs the round to
+//!    its write-ahead shard log, folds it through `apply_round` in the
+//!    same global order and acknowledges. Only when every shard has
 //!    acknowledged does the round commit and the next sequence number get
 //!    used.
 //!
-//! Every entry ships the object's raw moment rows (`mu`, `mu2`), because
-//! a participant holds only the rows it owns, and every replica applies
+//! A round has the shape every log has: only an `Insert` carries its
+//! object's raw moment rows (`mu`, `mu2`), because every replica already
+//! holds the row a `Remove` or `Move` names. Every replica applies
 //! `add_view`/`remove_view` *itself*: the `S₂` update inside `add_view`
 //! depends on the target's current mean sum, so shipping precomputed
-//! deltas would not reproduce the bits — shipping the inputs and
-//! replaying the fold does. Participants price nothing. They run the same
-//! per-entry check as the engine (clusters in range, no drain of an empty
-//! cluster, a finite row of the right length) plus their own owned-row
-//! check, and derive each row's view with the engine's canonical row
-//! fold. A round is one shared allocation: every shard's `Apply` and the
-//! coordinator's catch-up log hold the same `Arc`.
+//! deltas would not reproduce the bits — shipping the decisions and
+//! replaying the fold does. Participants price nothing; `apply_round`
+//! runs the engine's per-entry checks on every round they fold. A round
+//! is one shared allocation: every shard's `Apply` and the coordinator's
+//! catch-up log hold the same `Arc`.
+//!
+//! So each participant holds every live row, as the coordinator does:
+//! all nodes are in-process, and the replicas trade that memory for one
+//! fold, one state encoding and one log shape across serving, WAL replay
+//! and sharding.
 //!
 //! # Robustness
 //!
@@ -71,6 +78,10 @@
 //!   log's valid prefix, bumps its epoch, re-anchors its durable state,
 //!   and sends it a `Catchup` of any committed rounds the durable state
 //!   missed — rejoining without perturbing the apply log.
+//! * **Bounded catch-up** — the coordinator keeps a committed round only
+//!   while some shard's checkpoint predates it:
+//!   [`ShardedUcpc::checkpoint_shard`] drops every round all checkpoints
+//!   hold, since no shard recovers below its own checkpoint.
 //!
 //! # Durable format
 //!
@@ -78,25 +89,27 @@
 //!
 //! * The **shard log** is a real WAL ([`crate::wal::WalWriter`]): the
 //!   `UCPCWAL` header, then one round frame (`seq`, then each entry's op,
-//!   slot, clusters and raw rows) per round the shard logs, synced before
-//!   the shard replies.
-//! * The **shard checkpoint** is the snapshot container of
-//!   [`crate::snapshot`] — the same head, CRC'd chunks and END — with
-//!   two section kinds of its own:
+//!   slot, clusters and, for an `Insert`, raw rows) per round the shard
+//!   logs, synced before the shard replies. It holds the bytes a serving
+//!   WAL would hold for the same rounds.
+//! * The **shard checkpoint** is the replica's own snapshot
+//!   ([`crate::snapshot`]) behind a one-field watermark chunk:
 //!
 //! ```text
-//! kind 6 SHARD       m u64, k u64, rows u64, applied u64, stats k × STATS
-//! kind 7 SHARD_ROWS  rows { slot u32, mu m × f64, mu2 m × f64 },
-//!                    ascending slot order (≤ ROWS_PER_CHUNK per chunk)
-//! kind 5 END         empty
+//! kind 6 SHARD   applied u64
+//! kinds 1–4      the engine's snapshot sections, META through ROWS
+//! kind 5 END     empty
 //! ```
 //!
-//! `STATS` is the snapshot's own per-cluster encoding. A checkpoint
-//! rotates the log to a fresh header, as
-//! [`crate::serving::ServingUcpc::checkpoint_into`] does. Recovery decodes
-//! through the checked reader: a corrupt checkpoint, a bad log header or a
-//! wrong `m` is a [`crate::wal::WalError`], while a torn log tail is
-//! tolerated because catch-up repairs it.
+//! A checkpoint rotates the log to a fresh header, as
+//! [`crate::serving::ServingUcpc::checkpoint_into`] does. Recovery restores
+//! the replica with every check [`IncrementalUcpc::restore`] makes (cluster
+//! sizes against labels, finite statistics and rows), checks `m` and `k`,
+//! then folds the log's valid prefix through `apply_round` with the same
+//! `replay_rounds` as [`crate::wal::recover`]. A corrupt checkpoint, a bad
+//! log header, a wrong `m` or a round that does not apply is a
+//! [`crate::wal::WalError`], while a torn log tail is tolerated because
+//! catch-up repairs it.
 //!
 //! The differential chaos harness (`tests/sharded_differential.rs`) pins
 //! the headline: at shard counts {1, 2, 4, 8}, under clean and chaotic
@@ -108,26 +121,14 @@ use crate::framework::ClusterError;
 use crate::incremental::IncrementalUcpc;
 use crate::objective::ClusterStats;
 use crate::serving::Clock;
-use crate::snapshot::{
-    read_stats, write_stats, ChunkWriter, Sections, SnapshotError, CHUNK_SHARD, CHUNK_SHARD_ROWS,
-    ROWS_PER_CHUNK,
-};
+use crate::snapshot::{ChunkWriter, Sections, SnapshotError, CHUNK_SHARD};
 use crate::wal::{
     replay_rounds, scan_for_replay, LogEntry, LogOp, SharedVecIo, VecIo, WalError, WalFsync,
     WalWriter,
 };
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
-use ucpc_uncertain::{MomentArena, Moments, ObjectHandle, SlabArena, UncertainObject};
-
-/// Contiguous slots per ownership block: slot `s` belongs to shard
-/// `(s / BLOCK) % shards`. Ownership only places rows — a participant
-/// holds (and checkpoints) the rows of the slots it owns — since every
-/// shard folds every round. Any deterministic mapping preserves
-/// bit-identity (the log order, not the placement of rows, fixes the
-/// arithmetic).
-const BLOCK: u32 = 8;
+use ucpc_uncertain::{Moments, ObjectHandle, UncertainObject};
 
 /// Base retry timeout; doubles per attempt (capped) under the manual
 /// clock's millisecond ticks.
@@ -139,11 +140,6 @@ const TICK: Duration = Duration::from_millis(1);
 /// Retransmission budget per request before the driver declares the
 /// shard unreachable.
 const MAX_ATTEMPTS: u32 = 64;
-
-/// The shard owning global slot `slot` under `shards` shards.
-fn owner_of_slot(slot: u32, shards: usize) -> usize {
-    ((slot / BLOCK) as usize) % shards
-}
 
 // ---------------------------------------------------------------------
 // Protocol messages
@@ -306,23 +302,14 @@ fn shard_log(io: SharedVecIo, m: usize) -> WalWriter<SharedVecIo> {
 // Participant
 // ---------------------------------------------------------------------
 
-/// One shard node: a [`SlabArena`] partition holding the rows it owns, a
-/// full `ClusterStats` replica maintained by replaying the global log,
-/// an applied-sequence watermark (idempotence), and a write-ahead shard
-/// log (recovery).
+/// One shard node: an [`IncrementalUcpc`] replica folding every round
+/// through [`IncrementalUcpc::apply_round`], an applied-sequence watermark
+/// (idempotence), and a write-ahead shard log (recovery).
 #[derive(Debug)]
 struct Participant {
     shard: usize,
-    shards: usize,
-    m: usize,
     epoch: u64,
-    stats: Vec<ClusterStats>,
-    slab: SlabArena,
-    /// Global slot → local slab handle for the rows this shard owns.
-    local: BTreeMap<u32, ObjectHandle>,
-    /// One reused row that each replayed entry's view is folded into, so
-    /// deriving the view allocates nothing.
-    row: MomentArena,
+    engine: IncrementalUcpc,
     /// Highest globally-sequenced round reflected in durable + volatile
     /// state. Lockstep commits guarantee in-order delivery of *new*
     /// rounds, so a single watermark (not a gap set) suffices.
@@ -333,31 +320,19 @@ struct Participant {
 }
 
 impl Participant {
-    fn fresh(
-        m: usize,
-        k: usize,
-        shards: usize,
-        shard: usize,
-        epoch: u64,
-        log: SharedVecIo,
-    ) -> Self {
-        let mut row = MomentArena::with_capacity(1, m);
-        row.push_row_with(m, |_| (0.0, 0.0));
+    /// A participant whose replica starts as a clone of `empty`, the
+    /// coordinator's engine before its first round.
+    fn fresh(empty: &IncrementalUcpc, shard: usize, epoch: u64, log: SharedVecIo) -> Self {
         Self {
             shard,
-            shards,
-            m,
             epoch,
-            stats: vec![ClusterStats::empty(m); k],
-            slab: SlabArena::new(),
-            local: BTreeMap::new(),
-            row,
+            engine: empty.clone(),
             applied: 0,
-            log: shard_log(log, m),
+            log: shard_log(log, empty.m),
         }
     }
 
-    /// Rebuilds a shard from its durable bytes: decode the checkpoint
+    /// Rebuilds a shard from its durable bytes: restore the checkpoint
     /// (if any), then replay the shard log's valid prefix on top. A torn
     /// tail — even a torn header — truncates the replay at the last
     /// complete frame; the coordinator's `Catchup` supplies whatever is
@@ -367,30 +342,28 @@ impl Participant {
     /// error. The recovered participant logs to a detached sink until
     /// [`ShardedUcpc::restart`] re-anchors it.
     fn recover(
-        m: usize,
-        k: usize,
-        shards: usize,
+        empty: &IncrementalUcpc,
         shard: usize,
         epoch: u64,
         checkpoint: &[u8],
         log: &[u8],
     ) -> Result<Self, WalError> {
-        let mut p = Self::fresh(m, k, shards, shard, epoch, SharedVecIo::new());
+        let mut p = Self::fresh(empty, shard, epoch, SharedVecIo::new());
         if !checkpoint.is_empty() {
             p.restore_checkpoint(checkpoint)?;
         }
-        let scan = scan_for_replay(log, m)?;
+        let scan = scan_for_replay(log, p.engine.m)?;
         // A shard logs every round in order from its checkpoint on, so a
         // gap means the log does not belong on this checkpoint.
-        let from = p.applied;
-        p.applied = replay_rounds(&scan, from, |entries| p.apply_entries(entries))?;
+        let engine = &mut p.engine;
+        p.applied = replay_rounds(&scan, p.applied, |entries| engine.apply_round(entries))?;
         Ok(p)
     }
 
-    /// Serializes the complete shard state in the snapshot container (see
-    /// the module docs): a SHARD chunk with the watermark and the stats
-    /// replica, SHARD_ROWS chunks with the owned rows, and END. Restoring
-    /// it and replaying an empty log reproduces the state bit-for-bit.
+    /// Serializes the complete shard state (see the module docs): a SHARD
+    /// chunk with the watermark, then the replica's snapshot sections and
+    /// END. Restoring it and replaying an empty log reproduces the state
+    /// bit-for-bit.
     fn encode_checkpoint(&self) -> Vec<u8> {
         let mut io = VecIo::new();
         self.write_checkpoint(&mut io)
@@ -400,72 +373,31 @@ impl Participant {
 
     fn write_checkpoint(&self, io: &mut VecIo) -> Result<u64, SnapshotError> {
         let mut out = ChunkWriter::start(io)?;
-        let w = out.begin(CHUNK_SHARD);
-        for v in [self.m, self.stats.len(), self.local.len()] {
-            w.u64(v as u64);
-        }
-        w.u64(self.applied);
-        write_stats(w, &self.stats);
+        out.begin(CHUNK_SHARD).u64(self.applied);
         out.seal()?;
-        out.chunked(
-            CHUNK_SHARD_ROWS,
-            ROWS_PER_CHUNK,
-            &self.local,
-            |w, (&slot, h)| {
-                let v = self.slab.view(h.slot());
-                w.u32(slot);
-                w.f64s(v.mu);
-                w.f64s(v.mu2);
-            },
-        )?;
+        self.engine.write_sections(&mut out)?;
         out.finish()
     }
 
     /// Installs a checkpoint written by [`Self::encode_checkpoint`] into a
-    /// fresh participant, checking its dimensionality, cluster count, row
-    /// ownership and row finiteness. A non-finite row is
-    /// [`WalError::Corrupt`] with an empty valid prefix, as a corrupt log
-    /// round would be: the live path never admits one.
+    /// fresh participant: every check of [`IncrementalUcpc::restore`],
+    /// then the replica's dimensionality and cluster count.
     fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), WalError> {
         let mut sections = Sections::open(bytes)?;
-        let r = sections.entry(CHUNK_SHARD)?;
-        let (m, k, rows) = (r.usize()?, r.usize()?, r.usize()?);
-        if m != self.m {
+        let applied = sections.entry(CHUNK_SHARD)?.u64()?;
+        let engine = IncrementalUcpc::read_sections(&mut sections)?;
+        sections.finish()?;
+        if engine.m != self.engine.m {
             return Err(WalError::DimensionMismatch {
-                expected: self.m,
-                found: m,
+                expected: self.engine.m,
+                found: engine.m,
             });
         }
-        if k != self.stats.len() {
+        if engine.k != self.engine.k {
             return Err(SnapshotError::Corrupt("checkpoint cluster count mismatch").into());
         }
-        self.applied = r.u64()?;
-        self.stats = read_stats(r, m, k)?;
-        let mut last = None;
-        for _ in 0..rows {
-            let r = sections.entry(CHUNK_SHARD_ROWS)?;
-            let slot = r.u32()?;
-            if !self.owns(slot) || last.is_some_and(|l| l >= slot) {
-                return Err(SnapshotError::Corrupt("checkpoint row slot invalid").into());
-            }
-            last = Some(slot);
-            let mo = Moments::from_mu_mu2(r.f64s(m)?, r.f64s(m)?);
-            if !mo.view().is_finite() {
-                return Err(WalError::Corrupt {
-                    valid_bytes: 0,
-                    frames: 0,
-                    reason: "checkpoint row is non-finite",
-                });
-            }
-            let h = self.slab.insert_view(&mo.view());
-            self.local.insert(slot, h);
-        }
-        sections.finish()?;
+        (self.applied, self.engine) = (applied, engine);
         Ok(())
-    }
-
-    fn owns(&self, slot: u32) -> bool {
-        owner_of_slot(slot, self.shards) == self.shard
     }
 
     fn reply(&self, payload: Payload) -> Envelope {
@@ -475,52 +407,6 @@ impl Participant {
             epoch: self.epoch,
             payload,
         }
-    }
-
-    /// Replays log entries onto this replica: the engine's per-entry check
-    /// ([`LogOp::check`]), a row of length `m` and a finite row, then the
-    /// identical `add_view`/`remove_view` calls every replica makes in the
-    /// identical order, which is the whole bit-identity argument. Slab
-    /// bookkeeping runs only for rows this shard owns, and an owned
-    /// `Insert` (`Remove`) of a row the shard already holds (does not
-    /// hold) is refused like any other corrupt entry. A refused entry
-    /// leaves the replica partly updated, for the caller to discard.
-    fn apply_entries(&mut self, entries: &[LogEntry]) -> Result<(), &'static str> {
-        for e in entries {
-            let (drained, joined) = e.op.check(&self.stats)?;
-            let (mu, mu2) = e.row(self.m)?;
-            // The engine's canonical row fold, into the reused row.
-            self.row.overwrite_row_with(0, self.m, |j| (mu[j], mu2[j]));
-            let v = self.row.view(0);
-            if !v.is_finite() {
-                return Err("round carries a non-finite row");
-            }
-            match e.op {
-                LogOp::Insert { slot, .. } if self.owns(slot) => {
-                    if self.local.contains_key(&slot) {
-                        return Err("round inserts a row the shard already holds");
-                    }
-                    self.local.insert(slot, self.slab.insert_view(&v));
-                }
-                LogOp::Remove { slot, .. } if self.owns(slot) => {
-                    let h = self
-                        .local
-                        .remove(&slot)
-                        .ok_or("round removes a row the shard does not hold")?;
-                    self.slab
-                        .remove(h)
-                        .map_err(|_| "shard row map is out of sync")?;
-                }
-                _ => {}
-            }
-            if let Some(c) = drained {
-                self.stats[c].remove_view(&v);
-            }
-            if let Some(c) = joined {
-                self.stats[c].add_view(&v);
-            }
-        }
-        Ok(())
     }
 
     /// Logs and folds round `seq` unless the watermark already covers it
@@ -535,7 +421,7 @@ impl Participant {
         self.log
             .log_round(seq, entries)
             .expect("in-memory shard log cannot fault");
-        self.apply_entries(entries).expect(BUILT_ROUND);
+        self.engine.apply_round(entries).expect(BUILT_ROUND);
         self.applied = seq;
     }
 
@@ -571,6 +457,8 @@ impl Participant {
 #[derive(Debug)]
 struct ShardDurable {
     checkpoint: Vec<u8>,
+    /// The watermark `checkpoint` holds; no recovery starts below it.
+    checkpointed: u64,
     log: SharedVecIo,
 }
 
@@ -584,16 +472,18 @@ fn reply_matches(request: &Payload, reply: &Payload) -> bool {
     }
 }
 
-/// A log entry for `op` carrying its slot's row, copied out of
-/// `engine`'s slab.
-fn with_row(engine: &IncrementalUcpc, op: LogOp) -> LogEntry {
-    let (LogOp::Insert { slot, .. } | LogOp::Remove { slot, .. } | LogOp::Move { slot, .. }) = op;
-    let v = engine.slab.view(slot as usize);
-    LogEntry {
-        op,
-        mu: v.mu.to_vec(),
-        mu2: v.mu2.to_vec(),
-    }
+/// The log entry for `op`: an `Insert` carries its row, copied out of
+/// `engine`'s slab; a `Remove` or `Move` goes bare, since every replica
+/// holds the row.
+fn entry(engine: &IncrementalUcpc, op: LogOp) -> LogEntry {
+    let (mu, mu2) = match op {
+        LogOp::Insert { slot, .. } => {
+            let v = engine.slab.view(slot as usize);
+            (v.mu.to_vec(), v.mu2.to_vec())
+        }
+        LogOp::Remove { .. } | LogOp::Move { .. } => (Vec::new(), Vec::new()),
+    };
+    LogEntry { op, mu, mu2 }
 }
 
 // ---------------------------------------------------------------------
@@ -628,9 +518,13 @@ pub struct ShardedUcpc {
     /// (so handle sequences match the single-node engine), and it decides
     /// and folds every round before the round is broadcast.
     engine: IncrementalUcpc,
+    /// Node 0's engine before its first round: every participant replica,
+    /// fresh or recovered without a checkpoint, starts as a clone.
+    empty: IncrementalUcpc,
     /// Next round sequence number (rounds start at 1).
     next_seq: u64,
-    /// Committed rounds, for catch-up replays.
+    /// Committed rounds past the lowest shard checkpoint, for catch-up
+    /// replays.
     log: Vec<(u64, Arc<[LogEntry]>)>,
     /// Current epoch of each participant; bumped by restarts.
     epochs: Vec<u64>,
@@ -664,25 +558,18 @@ impl ShardedUcpc {
         let durable: Vec<ShardDurable> = (0..shards)
             .map(|_| ShardDurable {
                 checkpoint: Vec::new(),
+                checkpointed: 0,
                 log: SharedVecIo::new(),
             })
             .collect();
         let participants = (0..shards)
-            .map(|s| {
-                Some(Participant::fresh(
-                    m,
-                    k,
-                    shards,
-                    s,
-                    1,
-                    durable[s].log.clone(),
-                ))
-            })
+            .map(|s| Some(Participant::fresh(&engine, s, 1, durable[s].log.clone())))
             .collect();
         Ok(Self {
             shards,
             clock: ManualClock::new(),
             transport: ChaosTransport::new(shards + 1, plan),
+            empty: engine.clone(),
             engine,
             next_seq: 1,
             log: Vec::new(),
@@ -729,7 +616,7 @@ impl ShardedUcpc {
     pub fn shard_stats(&self, shard: usize) -> Option<&[ClusterStats]> {
         self.participants[shard]
             .as_ref()
-            .map(|p| p.stats.as_slice())
+            .map(|p| p.engine.cluster_stats())
     }
 
     /// A live participant's applied-sequence watermark.
@@ -780,7 +667,7 @@ impl ShardedUcpc {
             slot: h.slot() as u32,
             cluster,
         };
-        self.run_round(Arc::new([with_row(&self.engine, op)]));
+        self.run_round(Arc::new([entry(&self.engine, op)]));
         Ok(h)
     }
 
@@ -797,10 +684,8 @@ impl ShardedUcpc {
             slot: h.slot() as u32,
             cluster,
         };
-        // The row leaves the coordinator's slab with the object.
-        let entry = with_row(&self.engine, op);
         self.engine.remove(h)?;
-        self.run_round(Arc::new([entry]));
+        self.run_round(Arc::new([entry(&self.engine, op)]));
         Ok(())
     }
 
@@ -821,7 +706,7 @@ impl ShardedUcpc {
         let relocations = self.engine.stabilize_with(passes, |op| moves.push(op));
         let entries = moves
             .into_iter()
-            .map(|op| with_row(&self.engine, op))
+            .map(|op| entry(&self.engine, op))
             .collect();
         self.run_round(entries);
         relocations
@@ -858,8 +743,10 @@ impl ShardedUcpc {
     /// all without perturbing the apply log.
     ///
     /// A corrupt checkpoint, a bad log header or a wrong `m` is a checked
-    /// [`WalError`] and leaves the shard down; a torn log tail is not an
-    /// error, because catch-up repairs it.
+    /// [`WalError`] and leaves the shard down, as is a recovered watermark
+    /// past the committed rounds or below the rounds the coordinator keeps
+    /// for catch-up; a torn log tail is not an error, because catch-up
+    /// repairs it.
     ///
     /// # Panics
     ///
@@ -872,15 +759,13 @@ impl ShardedUcpc {
         );
         let epoch = self.epochs[shard] + 1;
         let d = &self.durable[shard];
-        let p = Participant::recover(
-            self.engine.m,
-            self.engine.k,
-            self.shards,
-            shard,
-            epoch,
-            &d.checkpoint,
-            &d.log.bytes(),
-        )?;
+        let p = Participant::recover(&self.empty, shard, epoch, &d.checkpoint, &d.log.bytes())?;
+        // Catch-up resends the committed rounds from `kept` on, so the
+        // recovered watermark must lie in `kept - 1..next_seq`.
+        let kept = self.log.first().map_or(self.next_seq, |(seq, _)| *seq);
+        if p.applied >= self.next_seq || p.applied + 1 < kept {
+            return Err(SnapshotError::Corrupt("shard watermark outside the catch-up log").into());
+        }
         self.epochs[shard] = epoch;
         self.participants[shard] = Some(p);
         self.checkpoint_shard(shard);
@@ -892,7 +777,8 @@ impl ShardedUcpc {
     /// as the durable checkpoint, then rotates the shard log to a fresh
     /// header — the same checkpoint-then-rotate discipline as
     /// [`crate::serving::ServingUcpc::checkpoint_into`], at shard
-    /// granularity.
+    /// granularity. The coordinator then drops every committed round all
+    /// shard checkpoints hold: no catch-up can need it.
     ///
     /// # Panics
     ///
@@ -904,8 +790,11 @@ impl ShardedUcpc {
             .expect("cannot checkpoint a crashed shard");
         let d = &mut self.durable[shard];
         d.checkpoint = p.encode_checkpoint();
+        d.checkpointed = p.applied;
         d.log.truncate(0);
         p.log = shard_log(d.log.clone(), self.engine.m);
+        let floor = self.durable.iter().map(|d| d.checkpointed).min();
+        self.log.retain(|(seq, _)| Some(*seq) > floor);
     }
 
     /// Truncates a shard's *durable* log to `keep` bytes — the
@@ -1073,11 +962,16 @@ mod tests {
         for (a, b) in sharded.cluster_stats().iter().zip(single.cluster_stats()) {
             assert!(bits_equal(a, b), "coordinator stats replica diverged");
         }
-        for shard in 0..sharded.shards() {
-            let stats = sharded.shard_stats(shard).expect("shard alive");
-            for (a, b) in stats.iter().zip(single.cluster_stats()) {
+        let coordinator = sharded.engine.snapshot();
+        for (shard, p) in sharded.participants.iter().enumerate() {
+            let p = p.as_ref().expect("shard alive");
+            for (a, b) in p.engine.cluster_stats().iter().zip(single.cluster_stats()) {
                 assert!(bits_equal(a, b), "shard {shard} stats replica diverged");
             }
+            assert!(
+                p.engine.snapshot() == coordinator,
+                "shard {shard} replica diverged"
+            );
         }
     }
 
@@ -1157,7 +1051,7 @@ mod tests {
         for i in [0, scan.records.len() / 2, scan.records.len() - 2] {
             let seq = scan.records[i].seq;
             let cut = scan.frame_ends[i] as usize + 3;
-            let p = Participant::recover(1, 2, 2, 1, 9, &[], &log[..cut]).unwrap();
+            let p = Participant::recover(&sharded.empty, 1, 9, &[], &log[..cut]).unwrap();
             assert_eq!(p.applied, seq, "cut {cut} lands on frame {i}");
         }
         // Tear the log mid-header; recovery salvages the empty prefix and
@@ -1240,11 +1134,11 @@ mod tests {
         }
         // Checksum-valid rounds, written through the log writer, that name
         // a cluster >= k, drain an empty cluster, carry a non-finite row,
-        // or insert (remove) an owned row the shard does (does not) hold:
-        // checked errors at the end of the intact log, never replay panics
-        // or silent poison. Slots 0..7 are live and owned by shard 0; slot
-        // 7 is owned but free; slot 8 belongs to shard 1. Cluster sizes
-        // are 4 and 3.
+        // name a free slot or the wrong cluster, or insert where the slab
+        // would not allocate: checked errors at the end of the intact log,
+        // never replay panics or silent poison. Slots 0..7 are live, 0, 2,
+        // 4 and 6 in cluster 0 and 1, 3 and 5 in cluster 1; slot 7 is the
+        // next to allocate.
         let rounds = scan_wal(&log).unwrap().records;
         let last = rounds.last().expect("the log holds rounds").seq;
         let with_round = |extra: &[LogEntry]| {
@@ -1256,14 +1150,18 @@ mod tests {
             w.log_round(last + 1, extra).unwrap();
             io.bytes()
         };
-        let entry = |op| LogEntry {
-            op,
+        let insert = |slot, cluster| LogEntry {
+            op: LogOp::Insert { slot, cluster },
             mu: vec![0.5],
             mu2: vec![0.5],
         };
-        let insert = |slot, cluster| entry(LogOp::Insert { slot, cluster });
-        let remove = |slot, cluster| entry(LogOp::Remove { slot, cluster });
-        let relocate = |src, dst| entry(LogOp::Move { slot: 0, src, dst });
+        let bare = |op| LogEntry {
+            op,
+            mu: Vec::new(),
+            mu2: Vec::new(),
+        };
+        let remove = |slot, cluster| bare(LogOp::Remove { slot, cluster });
+        let relocate = |src, dst| bare(LogOp::Move { slot: 0, src, dst });
         let nan = LogEntry {
             op: LogOp::Insert {
                 slot: 7,
@@ -1277,17 +1175,21 @@ mod tests {
             (vec![insert(7, 2)], "out of range"),
             (vec![relocate(0, 2)], "out of range"),
             (vec![relocate(9, 0)], "out of range"),
-            (vec![remove(8, 1); 4], "empty cluster"),
-            (vec![remove(7, 0)], "does not hold"),
-            (vec![insert(3, 0)], "already holds"),
+            (
+                vec![remove(1, 1), remove(3, 1), remove(5, 1), remove(1, 1)],
+                "empty cluster",
+            ),
+            (vec![remove(7, 0)], "free slot or the wrong cluster"),
+            (vec![remove(1, 0)], "free slot or the wrong cluster"),
+            (vec![insert(3, 0)], "would not allocate"),
             (
                 vec![insert(7, 0), remove(7, 0), remove(7, 0)],
-                "does not hold",
+                "free slot or the wrong cluster",
             ),
         ] {
             let bent = with_round(&bad);
             assert_eq!(&bent[..log.len()], &log[..], "re-logged prefix");
-            match Participant::recover(1, 2, 2, 0, 1, &checkpoint, &bent) {
+            match Participant::recover(&sharded.empty, 0, 1, &checkpoint, &bent) {
                 Err(WalError::Corrupt {
                     valid_bytes,
                     frames,
@@ -1303,14 +1205,19 @@ mod tests {
         }
         // The last of those rounds is valid without its final removal.
         let fine = with_round(&[insert(7, 0), remove(7, 0)]);
-        assert!(Participant::recover(1, 2, 2, 0, 1, &checkpoint, &fine).is_ok());
-        // A checkpoint holding a non-finite row is corrupt, not restored.
-        let mut p = Participant::recover(1, 2, 2, 0, 1, &checkpoint, &[]).unwrap();
-        let poison = Moments::from_mu_mu2(vec![f64::INFINITY], vec![0.5]);
-        p.local.insert(7, p.slab.insert_view(&poison.view()));
+        assert!(Participant::recover(&sharded.empty, 0, 1, &checkpoint, &fine).is_ok());
+        // A checkpoint holding a non-finite row is corrupt, not restored:
+        // the live row of slot 0 is swapped for an infinite one.
+        let mut p = Participant::recover(&sharded.empty, 0, 1, &checkpoint, &[]).unwrap();
+        let slab = &mut p.engine.slab;
+        slab.remove(ObjectHandle::new(0, slab.generation(0)))
+            .unwrap();
+        slab.insert_with(1, |_| (f64::INFINITY, 0.5));
         let poisoned = p.encode_checkpoint();
-        match Participant::recover(1, 2, 2, 0, 1, &poisoned, &[]) {
-            Err(WalError::Corrupt { reason, .. }) => assert!(reason.contains("non-finite")),
+        match Participant::recover(&sharded.empty, 0, 1, &poisoned, &[]) {
+            Err(WalError::Snapshot(SnapshotError::Corrupt(reason))) => {
+                assert!(reason.contains("non-finite"), "{reason}")
+            }
             other => panic!("{other:?}"),
         }
         assert!(!restart_from(&mut sharded, &poisoned, &log));
@@ -1383,7 +1290,7 @@ mod tests {
         };
         let log = sharded.durable[1].log.bytes();
         assert_eq!(empty(&log), still, "zero-entry rounds scan back");
-        let p = Participant::recover(1, 2, 2, 1, 9, &[], &log).unwrap();
+        let p = Participant::recover(&sharded.empty, 1, 9, &[], &log).unwrap();
         assert_eq!(p.applied, sharded.committed_rounds(), "and replay in order");
         // Cut the empty rounds from shard 1's log: catch-up resends them.
         sharded.crash(1);
@@ -1414,20 +1321,24 @@ mod tests {
         }
     }
 
+    fn empty() -> IncrementalUcpc {
+        IncrementalUcpc::new(1, 2).unwrap()
+    }
+
     #[test]
     fn stale_epoch_envelopes_are_fenced_off() {
-        let mut p = Participant::fresh(1, 2, 1, 0, 2, SharedVecIo::new());
+        let mut p = Participant::fresh(&empty(), 0, 2, SharedVecIo::new());
         let mut tx = ChaosTransport::new(2, ChaosPlan::clean(0));
         p.handle(apply_one(1), &mut tx); // previous life
         assert_eq!(p.applied, 0, "stale-epoch Apply must be dropped");
-        assert!(p.local.is_empty() && p.stats.iter().all(ClusterStats::is_empty));
+        assert!(p.engine.is_empty() && p.engine.cluster_stats().iter().all(ClusterStats::is_empty));
         assert!(tx.recv(0).is_none(), "and not answered");
     }
 
     #[test]
     fn a_duplicated_apply_is_re_acked_without_a_second_frame() {
         let io = SharedVecIo::new();
-        let mut p = Participant::fresh(1, 2, 1, 0, 1, io.clone());
+        let mut p = Participant::fresh(&empty(), 0, 1, io.clone());
         let mut tx = ChaosTransport::new(2, ChaosPlan::clean(0));
         let acks = |tx: &mut ChaosTransport| -> Vec<Payload> {
             std::iter::from_fn(|| tx.recv(0))
@@ -1436,13 +1347,13 @@ mod tests {
         };
         p.handle(apply_one(1), &mut tx);
         assert_eq!(acks(&mut tx), [Payload::Ack { seq: 1 }]);
-        let (log, stats) = (io.bytes(), p.stats.clone());
+        let (log, state) = (io.bytes(), p.engine.snapshot());
         assert_eq!(scan_wal(&log).unwrap().records.len(), 1);
         p.handle(apply_one(1), &mut tx);
         assert_eq!(acks(&mut tx), [Payload::Ack { seq: 1 }], "re-acked");
         assert_eq!(io.bytes(), log, "no second log frame");
-        assert!(p.stats.iter().zip(&stats).all(|(a, b)| bits_equal(a, b)));
-        assert_eq!((p.applied, p.local.len()), (1, 1));
+        assert!(p.engine.snapshot() == state, "no second fold");
+        assert_eq!((p.applied, p.engine.len()), (1, 1));
     }
 
     #[test]
@@ -1468,7 +1379,7 @@ mod tests {
         let frame = scan.records.last().unwrap();
         assert_eq!((frame.seq, frame.entries.len()), (rounds + 1, moved));
         for cut in start..log.len() {
-            let p = Participant::recover(1, 3, 2, 0, 9, &[], &log[..cut]).unwrap();
+            let p = Participant::recover(&sharded.empty, 0, 9, &[], &log[..cut]).unwrap();
             assert_eq!(p.applied, rounds, "cut {cut} drops the torn round");
             sharded.crash(0);
             let d = &mut sharded.durable[0];
@@ -1482,6 +1393,94 @@ mod tests {
         assert_eq!(sharded.stabilize(1), single.stabilize(1));
         assert_eq!(sharded.committed_rounds(), rounds + 2, "one round per call");
         assert_matches_single_node(&sharded, &single);
+    }
+
+    #[test]
+    fn checkpointing_every_shard_empties_the_catch_up_log() {
+        let mut sharded = ShardedUcpc::new(1, 2, 3).unwrap();
+        let mut single = IncrementalUcpc::new(1, 2).unwrap();
+        let mut handles = Vec::new();
+        for c in [0.0, 9.0, 0.3, 9.3, 0.1, 9.1] {
+            handles.push(sharded.insert(&obj(c)).unwrap());
+            single.insert(&obj(c)).unwrap();
+            if handles.len() == 2 {
+                sharded.checkpoint_shard(0);
+            }
+        }
+        let stale = sharded.durable[0].checkpoint.clone();
+        assert_eq!(sharded.stabilize(3), single.stabilize(3));
+        for shard in 0..3 {
+            assert!(!sharded.log.is_empty(), "shard {shard} still needs rounds");
+            sharded.checkpoint_shard(shard);
+        }
+        assert!(sharded.log.is_empty(), "every checkpoint holds every round");
+        sharded.remove(handles[1]).unwrap();
+        single.remove(handles[1]).unwrap();
+        assert_eq!(sharded.insert(&obj(0.2)), single.insert(&obj(0.2)));
+        assert_eq!(sharded.log.len(), 2);
+        sharded.crash(1);
+        sharded.restart(1).unwrap();
+        assert_eq!(sharded.shard_applied(1), Some(sharded.committed_rounds()));
+        assert_matches_single_node(&sharded, &single);
+        // State older than the rounds kept for catch-up cannot rejoin.
+        sharded.crash(0);
+        let (checkpoint, log) = (
+            sharded.durable[0].checkpoint.clone(),
+            sharded.durable[0].log.bytes(),
+        );
+        assert!(!restart_from(&mut sharded, &stale, &[]));
+        assert!(!restart_from(&mut sharded, &[], &[]));
+        assert!(restart_from(&mut sharded, &checkpoint, &log));
+    }
+
+    #[test]
+    fn a_shard_logs_the_bytes_a_serving_wal_logs() {
+        use crate::serving::{ServingConfig, ServingResponse, ServingUcpc};
+        let cfg = ServingConfig {
+            batch: 1,
+            stabilize_every: 0,
+            wal: false,
+            ..ServingConfig::default()
+        };
+        let mut serving = ServingUcpc::new(1, 3, cfg).unwrap();
+        let wal = SharedVecIo::new();
+        serving.attach_wal(wal.clone()).unwrap();
+        let mut sharded = ShardedUcpc::new(1, 3, 1).unwrap();
+        let served = |serving: &mut ServingUcpc| {
+            assert_eq!(serving.flush(), 1);
+            serving.pop_response().unwrap().1
+        };
+        let mut handles = Vec::new();
+        let mut moved = 0;
+        for (i, c) in [
+            5.8, 4.02, 8.42, 7.95, 3.87, 2.99, 6.98, 5.64, 3.71, 2.95, 0.27, 0.38,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            serving.submit_commit_object(&obj(c)).unwrap();
+            let ServingResponse::Committed { handle, .. } = served(&mut serving) else {
+                panic!("commit {i} failed");
+            };
+            assert_eq!(sharded.insert(&obj(c)).unwrap(), handle);
+            handles.push(handle);
+            if i % 3 == 2 {
+                let h = handles.remove(0);
+                serving.submit_remove(h).unwrap();
+                assert_eq!(served(&mut serving), ServingResponse::Removed(Ok(())));
+                sharded.remove(h).unwrap();
+            }
+            if i % 4 == 3 {
+                serving.submit_stabilize(3).unwrap();
+                let ServingResponse::Stabilized { relocations } = served(&mut serving) else {
+                    panic!("stabilize {i} failed");
+                };
+                assert_eq!(sharded.stabilize(3), relocations);
+                moved += relocations;
+            }
+        }
+        assert!(moved > 0, "the script logs moves");
+        assert_eq!(wal.bytes(), sharded.durable[0].log.bytes(), "one log shape");
     }
 
     #[test]

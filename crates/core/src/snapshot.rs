@@ -63,8 +63,9 @@
 //!               psi_tot f64, phi_tot f64, s_sq_tot f64, drift 6 × f64
 //! ```
 //!
-//! Kinds 6 and 7 are the shard checkpoint's sections; a shard checkpoint
-//! is the same container with the same STATS encoding (see
+//! Kind 6 SHARD is the shard checkpoint's watermark: a shard checkpoint is
+//! the same container, a SHARD chunk (`applied u64`) followed by the
+//! engine's own sections, META through ROWS, and END (see
 //! [`crate::sharded`]).
 //!
 //! Chunk boundaries are fixed constants, so the bytes of a given engine
@@ -93,7 +94,6 @@ const CHUNK_FREE: u8 = 3;
 const CHUNK_ROWS: u8 = 4;
 const CHUNK_END: u8 = 5;
 pub(crate) const CHUNK_SHARD: u8 = 6;
-pub(crate) const CHUNK_SHARD_ROWS: u8 = 7;
 
 /// Moment rows per `ROWS` chunk — the writer's peak buffer is
 /// `ROWS_PER_CHUNK × 16m` bytes regardless of how many objects are live.
@@ -152,7 +152,6 @@ fn section_name(kind: u8) -> &'static str {
         CHUNK_ROWS => "ROWS",
         CHUNK_END => "END",
         CHUNK_SHARD => "SHARD",
-        CHUNK_SHARD_ROWS => "SHARD_ROWS",
         _ => "unknown",
     }
 }
@@ -238,6 +237,8 @@ impl<'a, I: DurableIo> ChunkWriter<'a, I> {
 /// the section order, and an END chunk closing the stream with nothing
 /// after it.
 pub(crate) struct Sections<'a> {
+    /// The whole input, which every count is clamped against.
+    input: &'a [u8],
     chunks: std::vec::IntoIter<&'a [u8]>,
     cur: Reader<'a>,
     kind: u8,
@@ -267,6 +268,7 @@ impl<'a> Sections<'a> {
             _ => SnapshotError::Truncated,
         };
         Ok(Self {
+            input: bytes,
             chunks: scan.frames.into_iter(),
             cur: Reader::new(&[]),
             kind: CHUNK_END,
@@ -301,6 +303,12 @@ impl<'a> Sections<'a> {
         Ok(&mut self.cur)
     }
 
+    /// Pre-allocation clamp for entries owed by later chunks: `units`
+    /// entries of at least `bytes_each` bytes must fit in the whole input.
+    pub(crate) fn ensure(&self, units: usize, bytes_each: usize) -> Result<(), SnapshotError> {
+        Reader::new(self.input).ensure(units, bytes_each)
+    }
+
     /// Checks that the END chunk follows the last section and closes the
     /// input.
     pub(crate) fn finish(mut self) -> Result<(), SnapshotError> {
@@ -321,9 +329,8 @@ impl<'a> Sections<'a> {
     }
 }
 
-/// The STATS encoding of the module docs, shared by the snapshot's META
-/// chunk and the shard checkpoint's SHARD chunk.
-pub(crate) fn write_stats(w: &mut Writer, stats: &[ClusterStats]) {
+/// The STATS encoding of the module docs.
+fn write_stats(w: &mut Writer, stats: &[ClusterStats]) {
     for s in stats {
         w.u64(s.size() as u64);
         w.f64s(s.psi());
@@ -346,11 +353,7 @@ pub(crate) fn write_stats(w: &mut Writer, stats: &[ClusterStats]) {
 }
 
 /// Inverse of [`write_stats`] for `k` clusters of `m` dimensions.
-pub(crate) fn read_stats(
-    r: &mut Reader<'_>,
-    m: usize,
-    k: usize,
-) -> Result<Vec<ClusterStats>, SnapshotError> {
+fn read_stats(r: &mut Reader<'_>, m: usize, k: usize) -> Result<Vec<ClusterStats>, SnapshotError> {
     // Each cluster owes at least its size and nine scalars.
     r.ensure(k, 80)?;
     let mut stats = Vec::with_capacity(k);
@@ -401,8 +404,19 @@ impl IncrementalUcpc {
     /// full state. The sink is *not* synced here — durability policy
     /// belongs to the caller (see `ServingUcpc::checkpoint_into`).
     pub fn write_snapshot<I: DurableIo>(&self, io: &mut I) -> Result<u64, SnapshotError> {
-        let n_slots = self.labels.len();
         let mut out = ChunkWriter::start(io)?;
+        self.write_sections(&mut out)?;
+        out.finish()
+    }
+
+    /// Writes the engine's sections, META through ROWS, into an open
+    /// container: the snapshot's whole body, and the shard checkpoint's
+    /// after its watermark chunk.
+    pub(crate) fn write_sections<I: DurableIo>(
+        &self,
+        out: &mut ChunkWriter<'_, I>,
+    ) -> Result<(), SnapshotError> {
+        let n_slots = self.labels.len();
         let w = out.begin(CHUNK_META);
         w.u8(match self.pruning {
             PruningConfig::Off => 0,
@@ -441,8 +455,7 @@ impl IncrementalUcpc {
             let v = self.slab.view(slot);
             w.f64s(v.mu);
             w.f64s(v.mu2);
-        })?;
-        out.finish()
+        })
     }
 
     /// Rebuilds the engine from a [`Self::snapshot`] /
@@ -457,6 +470,14 @@ impl IncrementalUcpc {
     /// over.
     pub fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut sections = Sections::open(bytes)?;
+        let engine = Self::read_sections(&mut sections)?;
+        sections.finish()?;
+        Ok(engine)
+    }
+
+    /// Reads the sections [`Self::write_sections`] wrote, with every check
+    /// of [`Self::restore`] but the closing END.
+    pub(crate) fn read_sections(sections: &mut Sections<'_>) -> Result<Self, SnapshotError> {
         let r = sections.entry(CHUNK_META)?;
         let pruning = match r.u8()? {
             0 => PruningConfig::Off,
@@ -484,10 +505,9 @@ impl IncrementalUcpc {
         let stats = read_stats(r, m, k)?;
         // Entries owed by later chunks must fit in the whole input before
         // anything is reserved for them.
-        let input = Reader::new(bytes);
-        input.ensure(n_slots, 5)?;
-        input.ensure(n_free, 4)?;
-        input.ensure(live.checked_mul(m).ok_or(SnapshotError::Truncated)?, 16)?;
+        sections.ensure(n_slots, 5)?;
+        sections.ensure(n_free, 4)?;
+        sections.ensure(live.checked_mul(m).ok_or(SnapshotError::Truncated)?, 16)?;
 
         let mut labels = Vec::with_capacity(n_slots);
         let mut gens = Vec::with_capacity(n_slots);
@@ -545,7 +565,6 @@ impl IncrementalUcpc {
         }
         let occupied = labels.iter().map(Option::is_some).collect();
         let slab = SlabArena::from_parts(arena, occupied, free, gens);
-        sections.finish()?;
         Ok(Self {
             m,
             k,

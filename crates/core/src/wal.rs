@@ -17,7 +17,7 @@
 //!
 //! 1. **One fold.** The engine changes state only through
 //!    [`IncrementalUcpc::apply_round`]: inserts, removes, every move of a
-//!    relocation pass, the serving flush and the sharded coordinator all
+//!    relocation pass, the serving flush and every sharded replica all
 //!    apply entries there. Recovery applies the logged entries through the
 //!    same function, in the same order, to a state that is bit-identical
 //!    by induction (the snapshot restores bit for bit), so it performs the
@@ -27,8 +27,8 @@
 //! 2. **Rows round-trip through their bits.** An `Insert` carries the
 //!    arrival's `(mu, mu2)` rows as raw IEEE-754 bits, and the slab
 //!    derives the rest of the row through one canonical fold, live and at
-//!    replay alike. A serving `Remove` or `Move` carries no row: the
-//!    engine already holds it.
+//!    replay alike. A `Remove` or `Move` carries no row: the engine
+//!    already holds it.
 //! 3. **The decision names everything else.** An `Insert` names the slot
 //!    the slab's LIFO free list hands out next (any other is refused), so
 //!    issued handles coincide; a `Move` is drift-tracked exactly when the
@@ -51,10 +51,10 @@
 //!
 //! A round holds only the mutations it made, so `count` may be 0. Serving
 //! rounds count from 1 in each log; a shard log continues the global
-//! sequence from its checkpoint. A gap is refused. Only serving `Insert`s
-//! carry a row, while every shard entry does (a shard holds only the rows
-//! it owns). At `m = 16` a serving commit frame is 286 bytes, a remove 30,
-//! and a stabilization 21 plus 13 per move.
+//! sequence from its checkpoint. A gap is refused. Only `Insert`s carry a
+//! row, in every log: every replica holds the row a `Remove` or `Move`
+//! names. At `m = 16` a commit frame is 286 bytes, a remove 30, and a
+//! stabilization 21 plus 13 per move.
 //!
 //! # Torn tails, corruption, and poisoning
 //!
@@ -124,8 +124,8 @@ pub struct LogEntry<R = Vec<f64>> {
 }
 
 impl LogEntry<&'static [f64]> {
-    /// An entry without a row: a serving log's `Remove` or `Move`, whose
-    /// row the engine applying it already holds.
+    /// An entry without a row: a `Remove` or `Move`, whose row the engine
+    /// applying it already holds.
     pub fn bare(op: LogOp) -> Self {
         Self {
             op,
@@ -1013,7 +1013,8 @@ mod tests {
                 seq: 3,
                 entries: vec![bare(relocate), bare(relocate)],
             },
-            // ... a shard round, every entry with its row ...
+            // ... a round whose every entry carries a row, which the
+            // codec reads back for any op ...
             WalRecord {
                 seq: 9,
                 entries: [insert, relocate, remove]
