@@ -9,9 +9,9 @@
 //! prototypes — using the expected squared distance `ÊD` between mixture
 //! prototypes (Lemma 2 + Lemma 3 closed forms) as the merge criterion.
 //! Group-average linkage over `ÊD` is available as an alternative. The
-//! substitution is recorded in DESIGN.md; what the evaluation needs from this
-//! baseline is its O(n² .. n³) hierarchical behaviour and its accuracy tier,
-//! both preserved.
+//! substitution is recorded in the README's "Substitutions" section; what
+//! the evaluation needs from this baseline is its O(n² .. n³) hierarchical
+//! behaviour and its accuracy tier.
 
 use rand::RngCore;
 use ucpc_core::framework::{validate_input, ClusterError, Clustering, UncertainClusterer};

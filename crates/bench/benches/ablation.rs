@@ -1,4 +1,5 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for the choices the README's "Substitutions" section
+//! calls out:
 //!
 //! * UCPC's J objective vs the pure U-centroid-variance criterion of
 //!   Section 4.2.1 (which Theorem 2 reduces to member-variance averaging) on
@@ -102,41 +103,10 @@ fn bench_iteration_caps(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sequential_vs_parallel(c: &mut Criterion) {
-    use ucpc_core::parallel::ParallelUcpc;
-    let data = workload(6);
-    let mut group = c.benchmark_group("ucpc_sequential_vs_parallel");
-    group.sample_size(20);
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(9);
-            black_box(Ucpc::default().run(&data, 4, &mut rng).unwrap().objective)
-        })
-    });
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("parallel", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let mut rng = StdRng::seed_from_u64(9);
-                    let alg = ParallelUcpc {
-                        threads,
-                        ..Default::default()
-                    };
-                    black_box(alg.run(&data, 4, &mut rng).unwrap().objective)
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_compactness_criteria,
     bench_initializers,
-    bench_iteration_caps,
-    bench_sequential_vs_parallel
+    bench_iteration_caps
 );
 criterion_main!(benches);

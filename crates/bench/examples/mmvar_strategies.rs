@@ -2,8 +2,9 @@
 //!
 //! Greedy descent on the raw criterion `Σ σ²(C_MM)` collapses (the mixture
 //! variance is intensive in cluster size, so evaporating clusters is locally
-//! downhill); the Lloyd alternation keeps a sensible partition. DESIGN.md
-//! records why the Lloyd reading is used for the paper's "MMV" baseline.
+//! downhill); the Lloyd alternation keeps a sensible partition. The README's
+//! "Substitutions" section records why the Lloyd reading is used for the
+//! paper's "MMV" baseline.
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ucpc_baselines::{MmVar, MmVarStrategy};

@@ -10,17 +10,14 @@
 //!   convergence) with candidate pruning off vs on, on the clustered blob
 //!   workload, with skip/scan counters — the pruned run is asserted
 //!   label-identical to the unpruned one on every repetition; and
-//! * the same full relocation phase under `ParallelUcpc` for threads ∈
-//!   {1, 2, 4, 8} (pruning on) on the acceptance blob shape and on a
-//!   load-skewed shape, with labels asserted byte-identical across every
-//!   thread count; and
 //! * the `IncrementalUcpc` streaming churn window (interleaved
 //!   remove/insert/stabilize) with pruning {off, bounds}, with live labels
 //!   and objective bits asserted identical across both configurations.
 //!
-//! All clustered batch workloads are built through the arena-native
+//! The clustered batch workload is built through the arena-native
 //! `PdfAssignment::assign_into_arena` pipeline (no `UncertainObject`
-//! round-trip).
+//! round-trip). The file records the detected SIMD backend and the CPU
+//! features its dispatcher probes for (`ucpc_uncertain::simd`).
 //!
 //! `bench_soak` appends the `soak_gate` and `soak_grid` keys to the same
 //! file. The serving, WAL and sharded layers are measured by the
@@ -30,8 +27,7 @@
 //! [output.json]` (default output path: `BENCH_relocation.json`).
 
 use ucpc_bench::relocation::{
-    blob_workload, kernel_pass, median_ns, naive_pass, parallel_comparison, pruning_comparison,
-    simd_comparison, skewed_workload, workload, Shape, GRID,
+    kernel_pass, median_ns, naive_pass, pruning_comparison, simd_comparison, workload, Shape, GRID,
 };
 use ucpc_bench::streaming::{streaming_comparison, ChurnSpec};
 
@@ -146,70 +142,14 @@ fn main() {
         ));
     }
 
-    // Parallel scheduler grid: threads on the acceptance blob shape and on
-    // the load-skewed shape, pruning on; label identity across every
-    // thread count is asserted inside `parallel_comparison`.
+    // Streaming churn grid: IncrementalUcpc pruning off/on on a small and
+    // the acceptance shape; labels and objective bits are asserted
+    // identical across both configurations inside `streaming_comparison`.
     let acceptance_shape = Shape {
         n: 10_000,
         m: 32,
         k: 20,
     };
-    let threads_grid = [1usize, 2, 4, 8];
-    let parallel_reps = 3;
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut parallel_rows = Vec::new();
-    println!(
-        "\n{:<10} {:>8} {:>14} {:>9} {:>8} {:>12}",
-        "parallel", "threads", "ns/run", "speedup", "steals", "revalidated"
-    );
-    for (workload_name, arena, labels) in [
-        ("blob", blob_workload(acceptance_shape, 7)),
-        ("skewed", skewed_workload(acceptance_shape, 7)),
-    ]
-    .map(|(name, (arena, labels))| (name, arena, labels))
-    {
-        let rows = parallel_comparison(
-            &arena,
-            &labels,
-            acceptance_shape,
-            parallel_reps,
-            &threads_grid,
-        );
-        let base_ns = rows
-            .iter()
-            .find(|r| r.threads == 1)
-            .expect("1-thread row present")
-            .ns_per_run;
-        for row in rows {
-            let speedup = base_ns as f64 / row.ns_per_run as f64;
-            println!(
-                "{:<10} {:>8} {:>14} {:>8.2}x {:>8} {:>12}",
-                workload_name, row.threads, row.ns_per_run, speedup, row.steals, row.revalidated
-            );
-            parallel_rows.push(format!(
-                concat!(
-                    "    {{\"workload\": \"{}\", \"n\": {}, \"m\": {}, \"k\": {}, ",
-                    "\"threads\": {}, \"ns_per_run\": {}, ",
-                    "\"speedup_vs_1t\": {:.3}, \"steals\": {}, \"revalidated\": {}}}"
-                ),
-                workload_name,
-                row.shape.n,
-                row.shape.m,
-                row.shape.k,
-                row.threads,
-                row.ns_per_run,
-                speedup,
-                row.steals,
-                row.revalidated
-            ));
-        }
-    }
-
-    // Streaming churn grid: IncrementalUcpc pruning off/on on a small and
-    // the acceptance shape; labels and objective bits are asserted
-    // identical across both configurations inside `streaming_comparison`.
     let streaming_reps = 3;
     let spec = ChurnSpec::default();
     let mut streaming_rows = Vec::new();
@@ -269,52 +209,42 @@ fn main() {
             "pass under UCPC_SIMD=scalar vs the detected SIMD backend (labels asserted ",
             "byte-identical across backends); the full relocation phase with drift-bound ",
             "candidate pruning off vs on (clustered blob workload, pruned labels asserted ",
-            "identical to unpruned); and the full ParallelUcpc relocation phase over threads ",
-            "on the acceptance blob shape and a load-skewed shape (labels asserted ",
-            "byte-identical across every thread count; workloads built via the ",
-            "zero-allocation assign_into_arena pipeline); and the IncrementalUcpc streaming ",
+            "identical to unpruned; workload built via the zero-allocation ",
+            "assign_into_arena pipeline); and the IncrementalUcpc streaming ",
             "churn window (interleaved remove/insert/stabilize) with pruning {{off, bounds}} ",
             "— free-list row reuse + drift-tracked edits + surgical per-cluster cache ",
             "invalidation (live labels and objective bits asserted identical across both ",
             "configurations)\",\n",
             "  \"units\": \"nanoseconds (median of {reps} kernel / {preps} end-to-end / ",
-            "{pareps} parallel / {sreps} streaming repetitions, release profile)\",\n",
+            "{sreps} streaming repetitions, release profile)\",\n",
             "  \"acceptance_shape\": {{\"n\": 10000, \"m\": 32, \"k\": 20, ",
             // The pruning gate was 1.5 when PR 2 measured it against the
             // pre-SIMD kernel; the SIMD kernel made the skipped scans ~2x
             // cheaper, shrinking pruning's end-to-end win (see ROADMAP).
             "\"required_speedup\": 2.0, \"required_pruning_speedup\": 1.2, ",
-            "\"required_simd_speedup\": 1.5, ",
-            // Parallel gate: 8 threads >= 3x over 1 thread on the blob
-            // acceptance shape. It compares thread-level parallelism, so it
-            // is only evaluable on hosts with >= 8 cores —
-            // "parallel_gates_evaluable" below records whether the emitting
-            // host could exercise it (a single-core container cannot show
-            // any multi-thread speedup, only the determinism asserts).
-            "\"required_parallel_speedup\": 3.0}},\n",
+            "\"required_simd_speedup\": 1.5}},\n",
             "  \"acceptance_row_index\": {acceptance},\n",
             "  \"simd_backend\": \"{backend}\",\n",
-            "  \"host_parallelism\": {host},\n",
-            "  \"parallel_gates_evaluable\": {evaluable},\n",
+            "  \"cpu_features\": [{features}],\n",
             "  \"grid\": [\n{rows}\n  ],\n",
             "  \"simd_grid\": [\n{srows}\n  ],\n",
             "  \"pruning_grid\": [\n{prows}\n  ],\n",
-            "  \"parallel_grid\": [\n{parows}\n  ],\n",
             "  \"streaming_grid\": [\n{strows}\n  ]\n",
             "}}\n",
         ),
         reps = reps,
         preps = pruning_reps,
-        pareps = parallel_reps,
         sreps = streaming_reps,
         acceptance = acceptance,
         backend = simd_backend,
-        host = host_parallelism,
-        evaluable = host_parallelism >= 8,
+        features = ucpc_uncertain::simd::cpu_features()
+            .iter()
+            .map(|f| format!("\"{f}\""))
+            .collect::<Vec<_>>()
+            .join(", "),
         rows = rows.join(",\n"),
         srows = simd_rows.join(",\n"),
         prows = pruning_rows.join(",\n"),
-        parows = parallel_rows.join(",\n"),
         strows = streaming_rows.join(",\n"),
     );
     std::fs::write(&out_path, &json).expect("write benchmark baseline");

@@ -6,7 +6,7 @@
 //! The paper ran 4 million objects on an HPC cluster; the analogue defaults
 //! to 40,000 objects on one machine (`--objects` raises it — the trends the
 //! figure reports are linear in `n`, so the relative sweep is preserved at
-//! any absolute size; see DESIGN.md).
+//! any absolute size; see the README's "Substitutions" section).
 //!
 //! Flags:
 //! * `--objects`  size of the 100% subset (default 40000; paper 4,000,000);

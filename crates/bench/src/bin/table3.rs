@@ -4,8 +4,9 @@
 //!
 //! The microarray objects carry *inherent* probe-level uncertainty (Normal
 //! pdfs from the mgMOS-style simulator — the paper's data is not available
-//! offline; see DESIGN.md), and no reference classification exists, so only
-//! the internal criterion Q is reported, as in the paper.
+//! offline; see the README's "Substitutions" section), and no reference
+//! classification exists, so only the internal criterion Q is reported, as
+//! in the paper.
 //!
 //! Flags:
 //! * `--genes`  genes (objects) per dataset (default 300; the paper's 22k

@@ -37,12 +37,11 @@
 //!   full relocation phase under both;
 //!
 //! plus [`relocation::pruning_comparison`], the end-to-end relocation
-//! phase with drift-bound candidate pruning off vs on,
-//! [`relocation::parallel_comparison`], the full `ParallelUcpc` phase over
-//! a thread-count grid on clustered and load-skewed workloads (both built
-//! through the zero-allocation `PdfAssignment::assign_into_arena`
-//! pipeline), and [`streaming::streaming_comparison`], the
-//! `IncrementalUcpc` churn loop on the slab store with pruning off vs on.
+//! phase with drift-bound candidate pruning off vs on on a clustered
+//! workload (built through the zero-allocation
+//! `PdfAssignment::assign_into_arena` pipeline), and
+//! [`streaming::streaming_comparison`], the `IncrementalUcpc` churn loop
+//! on the slab store with pruning off vs on.
 //! Every comparison doubles as an exactness check: any label divergence
 //! panics the bench.
 

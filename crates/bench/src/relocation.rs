@@ -15,7 +15,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use ucpc_core::objective::ClusterStats;
-use ucpc_core::parallel::ParallelUcpc;
 use ucpc_core::pruning::{best_candidate, PruneCounters, PruningConfig};
 use ucpc_core::Ucpc;
 use ucpc_datasets::uncertainty::{NoiseKind, PdfAssignment, SpreadScaling, UncertaintyModel};
@@ -219,45 +218,6 @@ pub fn blob_workload(shape: Shape, seed: u64) -> (MomentArena, Vec<usize>) {
     (arena, labels)
 }
 
-/// A load-skewed clustered workload for the scheduler comparison: the first
-/// quarter of the objects sits in the ambiguous midpoint region between two
-/// cluster centers (tiny decision margins — the pruning bounds can rarely
-/// retire them, so they pay the full `k−1` candidate scan pass after pass),
-/// while the remaining three quarters form tight, well-separated blobs that
-/// tier-0 drift tests skip in O(1) after the first passes. Because the hard
-/// objects are contiguous at the front, a static even split would
-/// concentrate nearly all scan work on the first worker(s); work stealing
-/// redistributes it.
-/// Built through the arena-native `assign_into_arena` pipeline.
-pub fn skewed_workload(shape: Shape, seed: u64) -> (MomentArena, Vec<usize>) {
-    let Shape { n, m, k } = shape;
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Center c sits 40 units along axis (c mod m): pairwise separation is
-    // comfortably larger than any blob or jitter scale.
-    let center = |c: usize, j: usize| if j == c % m { 40.0 } else { 0.0 };
-    let hard = n / 4;
-    let points: Vec<Vec<f64>> = (0..n)
-        .map(|i| {
-            if i < hard {
-                // Midway between centers 0 and 1, jittered: ambiguous.
-                (0..m)
-                    .map(|j| 0.5 * (center(0, j) + center(1 % k, j)) + rng.gen_range(-2.0..2.0))
-                    .collect()
-            } else {
-                let c = i % k;
-                (0..m)
-                    .map(|j| center(c, j) + rng.gen_range(-0.5..0.5))
-                    .collect()
-            }
-        })
-        .collect();
-    let arena = arena_from_points(&points, &mut rng);
-    let labels: Vec<usize> = (0..n)
-        .map(|i| if i < k { i } else { rng.gen_range(0..k) })
-        .collect();
-    (arena, labels)
-}
-
 /// One grid row of the end-to-end pruning comparison.
 #[derive(Debug, Clone)]
 pub struct PruningRow {
@@ -325,83 +285,6 @@ pub fn pruning_comparison(shape: Shape, seed: u64, reps: usize) -> PruningRow {
         counters,
         iterations,
     }
-}
-
-/// One grid row of the parallel scheduler comparison.
-#[derive(Debug, Clone)]
-pub struct ParallelRow {
-    /// The shape measured.
-    pub shape: Shape,
-    /// Worker threads of the propose phase.
-    pub threads: usize,
-    /// Median wall time of the full relocation phase.
-    pub ns_per_run: u128,
-    /// Shards claimed across worker-run boundaries.
-    pub steals: usize,
-    /// Apply-phase proposals that had to be re-priced (the version-staled
-    /// ones).
-    pub revalidated: usize,
-    /// Relocations applied (identical across every configuration).
-    pub applied: usize,
-}
-
-/// Runs the full parallel relocation phase (identical arena + initial
-/// labels, candidate pruning on) for every thread count of
-/// `threads_grid`, `reps` repetitions each, reporting
-/// median wall times. Asserts — on every repetition — that all
-/// configurations produce byte-identical labels and identical pass/apply
-/// counts: the benchmark doubles as an end-to-end scheduler-determinism
-/// check.
-pub fn parallel_comparison(
-    arena: &MomentArena,
-    labels: &[usize],
-    shape: Shape,
-    reps: usize,
-    threads_grid: &[usize],
-) -> Vec<ParallelRow> {
-    let mut reference: Option<(Vec<usize>, usize, usize)> = None;
-    let mut rows = Vec::new();
-    for &threads in threads_grid {
-        let algo = ParallelUcpc {
-            threads,
-            pruning: PruningConfig::Bounds,
-            ..ParallelUcpc::default()
-        };
-        let mut ns = Vec::with_capacity(reps);
-        let mut last = None;
-        for _ in 0..reps {
-            let init = labels.to_vec();
-            let t = Instant::now();
-            let r = algo
-                .run_on_arena(arena, shape.k, init)
-                .expect("parallel relocation run");
-            ns.push(t.elapsed().as_nanos());
-            match &reference {
-                Some((ref_labels, iters, applied)) => {
-                    assert_eq!(
-                        ref_labels.as_slice(),
-                        r.clustering.labels(),
-                        "labels diverged: {threads} threads"
-                    );
-                    assert_eq!(*iters, r.iterations);
-                    assert_eq!(*applied, r.applied);
-                }
-                None => reference = Some((r.clustering.labels().to_vec(), r.iterations, r.applied)),
-            }
-            last = Some(r);
-        }
-        let r = last.expect("reps >= 1");
-        ns.sort_unstable();
-        rows.push(ParallelRow {
-            shape,
-            threads,
-            ns_per_run: ns[ns.len() / 2],
-            steals: r.steals,
-            revalidated: r.revalidated,
-            applied: r.applied,
-        });
-    }
-    rows
 }
 
 /// Median nanoseconds per call of `f` over `reps` timed repetitions (after
@@ -528,18 +411,6 @@ mod tests {
             2,
         );
         assert!(row.scalar_ns > 0 && row.simd_ns > 0);
-    }
-
-    #[test]
-    fn parallel_comparison_is_deterministic_across_the_grid() {
-        let shape = Shape { n: 300, m: 8, k: 4 };
-        let (arena, labels) = skewed_workload(shape, 5);
-        let rows = parallel_comparison(&arena, &labels, shape, 2, &[1, 3]);
-        // 2 thread counts; label identity asserted inside.
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| r.ns_per_run > 0));
-        // One worker owns every shard: nothing to steal.
-        assert_eq!(rows[0].steals, 0);
     }
 
     #[test]

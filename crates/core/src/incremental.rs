@@ -462,10 +462,9 @@ impl IncrementalUcpc {
                     epoch: self.epoch,
                     scale,
                 };
-                let mut shard = pruned.then(|| self.cache.view());
+                let cache = pruned.then_some(&mut self.cache);
                 let gen = self.slab.generation(i);
-                let Some((dst, _)) =
-                    best_move(&pass, shard.as_mut(), i, gen, src, &v, &mut self.counters)
+                let Some((dst, _)) = best_move(&pass, cache, i, gen, src, &v, &mut self.counters)
                 else {
                     continue;
                 };
@@ -489,22 +488,24 @@ impl IncrementalUcpc {
         relocations
     }
 
-    /// A copy of what a relocation pass mutates besides labels, for
-    /// [`Self::undo_pass`].
-    pub(crate) fn save_pass(&self) -> PassUndo {
-        PassUndo {
-            stats: self.stats.clone(),
-            totals: self.totals,
-            versions: self.versions.clone(),
-        }
+    /// Copies what a relocation pass mutates besides labels into `undo`,
+    /// for [`Self::undo_pass`]. The copy reuses `undo`'s buffers, so it
+    /// allocates nothing once `undo` has held a copy of this engine.
+    pub(crate) fn save_pass_into(&self, undo: &mut PassUndo) {
+        undo.stats.clone_from(&self.stats);
+        undo.totals = self.totals;
+        undo.versions.clone_from(&self.versions);
     }
 
-    /// Rolls back the pass that made `moves` since [`Self::save_pass`]
-    /// returned `undo`: restores the statistics, drift totals, version
-    /// counters and labels, and retires the prune cache (epoch bump),
-    /// whose entries the pass wrote against statistics that are gone.
-    pub(crate) fn undo_pass(&mut self, undo: PassUndo, moves: &[LogEntry<&[f64]>]) {
-        (self.stats, self.totals, self.versions) = (undo.stats, undo.totals, undo.versions);
+    /// Rolls back the pass that made `moves` since [`Self::save_pass_into`]
+    /// filled `undo`: swaps the statistics and version counters back in,
+    /// restores the drift totals and labels, and retires the prune cache
+    /// (epoch bump), whose entries the pass wrote against statistics that
+    /// are gone. `undo` is left holding the abandoned pass's state.
+    pub(crate) fn undo_pass(&mut self, undo: &mut PassUndo, moves: &[LogEntry<&[f64]>]) {
+        std::mem::swap(&mut self.stats, &mut undo.stats);
+        std::mem::swap(&mut self.versions, &mut undo.versions);
+        self.totals = undo.totals;
         for e in moves.iter().rev() {
             if let LogOp::Move { slot, src, .. } = e.op {
                 self.labels[slot as usize] = Some(src);
@@ -532,7 +533,7 @@ impl IncrementalUcpc {
 
 /// What a relocation pass mutates besides labels, saved so that a pass
 /// whose round cannot be logged can be undone.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct PassUndo {
     stats: Vec<ClusterStats>,
     totals: DriftTotals,
@@ -662,11 +663,12 @@ mod tests {
             inc.insert(&obj(c)).unwrap();
         }
         let before = inc.clone();
-        let undo = inc.save_pass();
+        let mut undo = PassUndo::default();
+        inc.save_pass_into(&mut undo);
         let mut moves = Vec::new();
         let moved = inc.stabilize_with(3, |op| moves.push(LogEntry::bare(op)));
         assert!(moved > 0 && moves.len() == moved);
-        inc.undo_pass(undo, &moves);
+        inc.undo_pass(&mut undo, &moves);
         assert_eq!(inc.live_labels(), before.live_labels());
         assert_eq!(inc.cluster_stats(), before.cluster_stats());
         assert_eq!(inc.totals, before.totals);

@@ -11,9 +11,8 @@
 //! ## Architecture: three layers under the relocation loop
 //!
 //! The hot path of every driver in this crate ([`ucpc::Ucpc`],
-//! [`parallel::ParallelUcpc`], [`incremental::IncrementalUcpc`],
-//! [`restarts::BestOfRestarts`]) is Algorithm 1's candidate-relocation
-//! scan, built from three layers:
+//! [`incremental::IncrementalUcpc`], [`restarts::BestOfRestarts`]) is
+//! Algorithm 1's candidate-relocation scan, built from three layers:
 //!
 //! * **Moment arena** — object moments live in a flat
 //!   [`ucpc_uncertain::MomentArena`] (contiguous rows + precomputed scalar
@@ -37,11 +36,12 @@
 //! Everything above those layers is orchestration: initialization
 //! ([`init::Initializer`]), restarts, the incremental driver's
 //! invalidation bookkeeping, and the shared [`framework`] types. The
-//! parallel drivers ([`parallel::ParallelUcpc`]'s propose phase,
-//! [`restarts::BestOfRestarts`]'s restart queue) share the work-stealing
-//! [`scheduler::WorkPool`] and the `UCPC_THREADS` resolution helper
-//! ([`scheduler::resolve_threads`]); [`parallel::SharedStats`] adds
-//! per-cluster version counters so the propose phase runs snapshot-free.
+//! relocation search itself is sequential, as in the paper: every move
+//! applies at once, which Proposition 4's termination argument rests on.
+//! Threads appear only where the work is independent:
+//! [`restarts::BestOfRestarts`] runs its restarts on scoped threads that
+//! claim restart indices from one shared counter, sized by
+//! [`scheduler::resolve_threads`] (env knob `UCPC_THREADS`).
 //! The streaming driver ([`incremental::IncrementalUcpc`]) stores its live
 //! window in a [`ucpc_uncertain::SlabArena`] (free-list row reuse), routes
 //! placements through the dot3-batched
@@ -86,7 +86,6 @@ pub mod framework;
 pub mod incremental;
 pub mod init;
 pub mod objective;
-pub mod parallel;
 pub mod pruning;
 pub mod restarts;
 pub mod scheduler;

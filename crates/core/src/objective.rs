@@ -47,7 +47,7 @@ use ucpc_uncertain::{Moments, UncertainObject};
 
 /// Per-cluster sufficient statistics with O(m) add/remove, O(1) objective
 /// evaluation, and the single-dot-product relocation kernel.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ClusterStats {
     psi: Vec<f64>,
     phi: Vec<f64>,
@@ -65,6 +65,45 @@ pub struct ClusterStats {
     /// [`Self::remove_view_tracked`], so the plain relocation path pays
     /// nothing for them.
     drift: ClusterDrift,
+}
+
+/// Written out so that [`Clone::clone_from`] reuses the three row buffers:
+/// a logged stabilization snapshots every cluster this way, with no
+/// allocation once the snapshot holds rows of the right length.
+impl Clone for ClusterStats {
+    fn clone(&self) -> Self {
+        Self {
+            psi: self.psi.clone(),
+            phi: self.phi.clone(),
+            mean_sum: self.mean_sum.clone(),
+            size: self.size,
+            psi_tot: self.psi_tot,
+            phi_tot: self.phi_tot,
+            s_sq_tot: self.s_sq_tot,
+            drift: self.drift,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            psi,
+            phi,
+            mean_sum,
+            size,
+            psi_tot,
+            phi_tot,
+            s_sq_tot,
+            drift,
+        } = source;
+        self.psi.clone_from(psi);
+        self.phi.clone_from(phi);
+        self.mean_sum.clone_from(mean_sum);
+        self.size = *size;
+        self.psi_tot = *psi_tot;
+        self.phi_tot = *phi_tot;
+        self.s_sq_tot = *s_sq_tot;
+        self.drift = *drift;
+    }
 }
 
 /// Bookkeeping is invisible to equality: two statistics objects describing

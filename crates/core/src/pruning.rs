@@ -111,7 +111,7 @@
 //! coefficients are accumulated unconditionally (they are defined down to
 //! an emptying or just-born cluster), so a small transition taints exactly
 //! one thing: the flagged cluster's remove-direction history. And
-//! [`PruneShard::decide`] consumes remove-direction drift for exactly one
+//! [`PruneCache::decide`] consumes remove-direction drift for exactly one
 //! cluster — the object's own `src` (the removal gain common to all
 //! candidates); every other cluster enters only through its add-direction
 //! accumulators. A cached bound is therefore unsound after a small
@@ -144,11 +144,11 @@
 //!
 //! # One relocation step
 //!
-//! Lines 8–13 of Algorithm 1 exist once, here. Every relocation loop
-//! (`Ucpc`, `ParallelUcpc`'s propose phase, `IncrementalUcpc::stabilize`)
-//! decides each move with [`best_move`] — the reference [`best_candidate`]
-//! scan without a cache, the tier ladder above with one — and applies it
-//! with [`apply_relocation`], under the one threshold [`TOLERANCE`].
+//! Lines 8–13 of Algorithm 1 exist once, here. Both relocation loops
+//! (`Ucpc` and `IncrementalUcpc::stabilize`) decide each move with
+//! [`best_move`] — the reference [`best_candidate`] scan without a cache,
+//! the tier ladder above with one — and apply it with
+//! [`apply_relocation`], under the one threshold [`TOLERANCE`].
 //!
 //! `apply_relocation` keeps a plain (untracked) fork for unpruned runs on
 //! purpose: the statistics are bit-identical either way, but an unpruned
@@ -335,7 +335,7 @@ impl DriftTotals {
 
 /// One object's cached scan outcome, including its snapshot of the global
 /// [`DriftTotals`] (the O(1) watermark; the per-cluster watermark lives in
-/// the shard's snapshot matrix).
+/// the cache's snapshot matrix).
 #[derive(Debug, Clone, Copy)]
 struct CacheEntry {
     valid: bool,
@@ -426,56 +426,6 @@ impl PruneCache {
     pub fn invalidate(&mut self, i: usize) {
         self.entries[i].valid = false;
     }
-
-    /// A shard covering the whole cache, for single-threaded drivers.
-    pub fn view(&mut self) -> PruneShard<'_> {
-        let k = self.k;
-        PruneShard {
-            base: 0,
-            k,
-            entries: &mut self.entries,
-            snaps: &mut self.snaps,
-        }
-    }
-
-    /// Splits the cache into consecutive shards of `chunk` objects (last one
-    /// shorter), matching the shard layout of `ParallelUcpc`'s propose
-    /// phase so each worker owns its objects' cache rows.
-    pub fn shards(&mut self, chunk: usize) -> Vec<PruneShard<'_>> {
-        assert!(chunk > 0, "shard size must be positive");
-        let k = self.k;
-        let mut shards = Vec::new();
-        let mut base = 0usize;
-        let mut entries: &mut [CacheEntry] = &mut self.entries;
-        let mut snaps: &mut [f64] = &mut self.snaps;
-        while !entries.is_empty() {
-            let take = chunk.min(entries.len());
-            let (e, e_rest) = entries.split_at_mut(take);
-            let (s, s_rest) = snaps.split_at_mut(take * k * SNAP_STRIDE);
-            shards.push(PruneShard {
-                base,
-                k,
-                entries: e,
-                snaps: s,
-            });
-            base += take;
-            entries = e_rest;
-            snaps = s_rest;
-        }
-        shards
-    }
-}
-
-/// A mutable window over a contiguous range of objects' cache rows; the unit
-/// handed to each propose-phase worker (its *per-shard drift snapshot* is
-/// whatever frozen [`PassState`] the caller passes to [`Self::decide`] /
-/// [`Self::store`]).
-#[derive(Debug)]
-pub struct PruneShard<'a> {
-    base: usize,
-    k: usize,
-    entries: &'a mut [CacheEntry],
-    snaps: &'a mut [f64],
 }
 
 /// Floating-point safety margin added on top of the accumulated drift: a
@@ -488,10 +438,9 @@ pub fn slack(fp_scale: f64, q: f64, r: f64) -> f64 {
 
 /// The relocation acceptance threshold: a move applies iff its delta-`J`
 /// is below `-TOLERANCE`. The only relocation threshold in the engine:
-/// every relocation loop decides against it through [`best_move`] (and
-/// `ParallelUcpc`'s apply phase re-validates against it), which keeps
-/// their decisions bit-identical. It guards the termination argument of
-/// Proposition 4 against floating-point jitter.
+/// every relocation loop decides against it through [`best_move`], which
+/// keeps their decisions bit-identical. It guards the termination argument
+/// of Proposition 4 against floating-point jitter.
 pub const TOLERANCE: f64 = 1e-9;
 
 /// What one relocation pass decides against: the live statistics, the
@@ -717,17 +666,17 @@ fn scan<const SECOND: bool>(
 #[inline(always)]
 pub fn best_move(
     pass: &PassState<'_>,
-    shard: Option<&mut PruneShard<'_>>,
+    cache: Option<&mut PruneCache>,
     i: usize,
     gen: u32,
     src: usize,
     v: &MomentView<'_>,
     counters: &mut PruneCounters,
 ) -> Option<(usize, f64)> {
-    let Some(shard) = shard else {
+    let Some(cache) = cache else {
         return best_candidate(pass.stats, src, v).filter(|&(_, delta)| delta < -TOLERANCE);
     };
-    match shard.decide(pass, i, gen, src, v) {
+    match cache.decide(pass, i, gen, src, v) {
         PruneDecision::Skip => {
             counters.skips += 1;
             None
@@ -745,7 +694,7 @@ pub fn best_move(
             if delta < -TOLERANCE {
                 return Some((dst, delta));
             }
-            shard.store(pass, i, gen, src, (dst, delta, second));
+            cache.store(pass, i, gen, src, (dst, delta, second));
             None
         }
     }
@@ -816,17 +765,7 @@ pub fn apply_tracked_remove(
     totals.absorb(before, stats[c].drift());
 }
 
-impl PruneShard<'_> {
-    fn idx(&self, i: usize) -> usize {
-        debug_assert!(
-            i >= self.base && i - self.base < self.entries.len(),
-            "object {i} outside shard [{}, {})",
-            self.base,
-            self.base + self.entries.len()
-        );
-        i - self.base
-    }
-
+impl PruneCache {
     /// Evaluates the bound tests for object `i` (cluster `src`, kernel view
     /// `v`) against `pass`: its statistics, global drift totals, cache epoch
     /// and per-cluster remove-direction versions (surgical invalidation:
@@ -851,8 +790,7 @@ impl PruneShard<'_> {
         v: &MomentView<'_>,
     ) -> PruneDecision {
         let (stats, totals) = (pass.stats, pass.totals);
-        let li = self.idx(i);
-        let e = self.entries[li];
+        let e = self.entries[i];
         if !e.valid
             || e.gen != gen
             || e.epoch != pass.epoch
@@ -884,7 +822,7 @@ impl PruneShard<'_> {
         // remaining candidates (`oth_*`): `e.second` is the cached minimum
         // over exactly those clusters, so their drift is charged against the
         // usually-larger second margin.
-        let row = &self.snaps[li * self.k * SNAP_STRIDE..(li + 1) * self.k * SNAP_STRIDE];
+        let row = &self.snaps[i * self.k * SNAP_STRIDE..(i + 1) * self.k * SNAP_STRIDE];
         let mut oth_const = 0.0f64;
         let mut oth_size = 0.0f64;
         let mut oth_mean = 0.0f64;
@@ -938,8 +876,7 @@ impl PruneShard<'_> {
         scan: (usize, f64, f64),
     ) {
         let (best_dst, best, second) = scan;
-        let li = self.idx(i);
-        self.entries[li] = CacheEntry {
+        self.entries[i] = CacheEntry {
             valid: true,
             gen,
             epoch: pass.epoch,
@@ -949,7 +886,7 @@ impl PruneShard<'_> {
             second,
             totals: pass.totals,
         };
-        let row = &mut self.snaps[li * self.k * SNAP_STRIDE..(li + 1) * self.k * SNAP_STRIDE];
+        let row = &mut self.snaps[i * self.k * SNAP_STRIDE..(i + 1) * self.k * SNAP_STRIDE];
         for (c, stat) in pass.stats.iter().enumerate() {
             let ClusterDrift {
                 add_const,
@@ -967,12 +904,6 @@ impl PruneShard<'_> {
             snap[4] = rem_size;
             snap[5] = rem_mean;
         }
-    }
-
-    /// Invalidates one object's entry (after it relocates).
-    pub fn invalidate(&mut self, i: usize) {
-        let li = self.idx(i);
-        self.entries[li].valid = false;
     }
 }
 
@@ -1049,11 +980,10 @@ mod tests {
         let arena = MomentArena::from_objects(&data);
         let labels = vec![0, 0, 0, 1, 1, 1];
         let stats = stats_for(&arena, &labels, 2);
-        let mut cache = PruneCache::new(6, 2);
-        let shard = cache.view();
+        let cache = PruneCache::new(6, 2);
         let v = arena.view(0);
         let p = pass(&stats, DriftTotals::default(), &[0, 0], 0);
-        assert_eq!(shard.decide(&p, 0, 0, 0, &v), PruneDecision::FullScan);
+        assert_eq!(cache.decide(&p, 0, 0, 0, &v), PruneDecision::FullScan);
     }
 
     #[test]
@@ -1066,26 +996,25 @@ mod tests {
         let versions = [0u64, 0];
         let p = pass(&stats, totals, &versions, 0);
         let mut cache = PruneCache::new(6, 2);
-        let mut shard = cache.view();
         let v = arena.view(0);
         // A converged object: its best candidate delta is comfortably
         // positive, so with zero drift tier 0 must fire.
-        shard.store(&p, 0, 0, 0, (1, 5.0, f64::INFINITY));
-        assert_eq!(shard.decide(&p, 0, 0, 0, &v), PruneDecision::Skip);
+        cache.store(&p, 0, 0, 0, (1, 5.0, f64::INFINITY));
+        assert_eq!(cache.decide(&p, 0, 0, 0, &v), PruneDecision::Skip);
         // Same entry at a later epoch: stale, full scan.
         let later = pass(&stats, totals, &versions, 1);
-        assert_eq!(shard.decide(&later, 0, 0, 0, &v), PruneDecision::FullScan);
+        assert_eq!(cache.decide(&later, 0, 0, 0, &v), PruneDecision::FullScan);
         // Same entry under a later slot generation (the slot was recycled
         // to a new occupant): stale, full scan.
-        assert_eq!(shard.decide(&p, 0, 1, 0, &v), PruneDecision::FullScan);
+        assert_eq!(cache.decide(&p, 0, 1, 0, &v), PruneDecision::FullScan);
         // Same entry after the source cluster's remove-direction version
         // moved (a small transition touched it): surgically stale.
         let bumped = pass(&stats, totals, &[1, 0], 0);
-        assert_eq!(shard.decide(&bumped, 0, 0, 0, &v), PruneDecision::FullScan);
+        assert_eq!(cache.decide(&bumped, 0, 0, 0, &v), PruneDecision::FullScan);
         // A bump of a *non-source* cluster's version leaves the entry
         // usable — its remove-direction history is never consulted here.
         let elsewhere = pass(&stats, totals, &[0, 7], 0);
-        assert_eq!(shard.decide(&elsewhere, 0, 0, 0, &v), PruneDecision::Skip);
+        assert_eq!(cache.decide(&elsewhere, 0, 0, 0, &v), PruneDecision::Skip);
     }
 
     #[test]
@@ -1096,13 +1025,12 @@ mod tests {
         let stats = stats_for(&arena, &labels, 3);
         let p = pass(&stats, DriftTotals::default(), &[0, 0, 0], 0);
         let mut cache = PruneCache::new(9, 3);
-        let mut shard = cache.view();
         let v = arena.view(0);
         // Cached best is improving (−2) and far from second (+7): tier 2.
-        shard.store(&p, 0, 0, 0, (2, -2.0, 7.0));
-        assert_eq!(shard.decide(&p, 0, 0, 0, &v), PruneDecision::ConfirmBest(2));
-        shard.invalidate(0);
-        assert_eq!(shard.decide(&p, 0, 0, 0, &v), PruneDecision::FullScan);
+        cache.store(&p, 0, 0, 0, (2, -2.0, 7.0));
+        assert_eq!(cache.decide(&p, 0, 0, 0, &v), PruneDecision::ConfirmBest(2));
+        cache.invalidate(0);
+        assert_eq!(cache.decide(&p, 0, 0, 0, &v), PruneDecision::FullScan);
     }
 
     #[test]
@@ -1114,12 +1042,11 @@ mod tests {
         let mut totals = DriftTotals::default();
         let mut versions = [0u64, 0];
         let mut cache = PruneCache::new(8, 2);
-        let mut shard = cache.view();
         let v = arena.view(0);
         // Barely-positive margin: sound to skip only while nothing moves.
         let p = pass(&stats, totals, &versions, 0);
-        shard.store(&p, 0, 0, 0, (1, 0.05, f64::INFINITY));
-        assert_eq!(shard.decide(&p, 0, 0, 0, &v), PruneDecision::Skip);
+        cache.store(&p, 0, 0, 0, (1, 0.05, f64::INFINITY));
+        assert_eq!(cache.decide(&p, 0, 0, 0, &v), PruneDecision::Skip);
         // Relocate object 7 from cluster 1 to cluster 0 (tracked): both
         // clusters drift and the tiny margin no longer proves a skip. With
         // k = 2 the argmin is trivially stable (there is only one
@@ -1129,7 +1056,7 @@ mod tests {
         apply_relocation(&mut stats, 1, 0, &v7, Some((&mut totals, &mut versions)));
         assert_eq!(versions, [0, 0], "sizes stay >= 2: no version bump");
         let p = pass(&stats, totals, &versions, 0);
-        assert_eq!(shard.decide(&p, 0, 0, 0, &v), PruneDecision::ConfirmBest(1));
+        assert_eq!(cache.decide(&p, 0, 0, 0, &v), PruneDecision::ConfirmBest(1));
     }
 
     #[test]
@@ -1145,9 +1072,8 @@ mod tests {
         let mut totals = DriftTotals::default();
         let mut versions = [0u64, 0, 0];
         let mut cache = PruneCache::new(12, 3);
-        let mut shard = cache.view();
         let v = arena.view(0);
-        shard.store(
+        cache.store(
             &pass(&stats, totals, &versions, 0),
             0,
             0,
@@ -1169,7 +1095,7 @@ mod tests {
             );
             assert_eq!(versions, [0, 0, 0]);
             let p = pass(&stats, totals, &versions, 0);
-            if shard.decide(&p, 0, 0, 0, &v) != PruneDecision::Skip {
+            if cache.decide(&p, 0, 0, 0, &v) != PruneDecision::Skip {
                 gave_up = true;
                 break;
             }
@@ -1234,8 +1160,7 @@ mod tests {
                         plain.map(|(c, d)| (c, d.to_bits())),
                         want.map(|(c, d)| (c, d.to_bits()))
                     );
-                    let cached =
-                        best_move(&p, Some(&mut cache.view()), i, 0, src, &v, &mut counters);
+                    let cached = best_move(&p, Some(&mut cache), i, 0, src, &v, &mut counters);
                     let tiers = [
                         counters.skips - before.skips,
                         counters.confirms - before.confirms,
@@ -1380,20 +1305,5 @@ mod tests {
         assert_eq!(versions, [3, 0], "2→1 breaks the remove direction");
         // The untouched cluster's version never moved.
         assert_eq!(versions[1], 0);
-    }
-
-    #[test]
-    fn shards_partition_the_cache() {
-        let mut cache = PruneCache::new(10, 2);
-        {
-            let shards = cache.shards(4);
-            assert_eq!(shards.len(), 3);
-            assert_eq!(shards[0].entries.len(), 4);
-            assert_eq!(shards[2].entries.len(), 2);
-            assert_eq!(shards[1].base, 4);
-        }
-        cache.reset(3, 5);
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.shards(8).len(), 1);
     }
 }

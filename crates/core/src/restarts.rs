@@ -10,22 +10,21 @@
 //!
 //! Restarts are embarrassingly parallel, but their wall times are wildly
 //! uneven (a lucky initialization converges in 3 passes, an unlucky one in
-//! 30), so a static restart-per-thread split wastes the fast threads. The
-//! runner therefore drains restart indices through the same work-claiming
-//! [`WorkPool`] the propose-phase shard scheduler uses — restart-level work
-//! stealing over one shared queue. Every restart's seed is drawn from the
-//! caller's RNG *before* the pool starts and results are collected by
-//! restart index, so the outcome (winner, objectives, labels) is
-//! byte-identical to the sequential loop regardless of thread count or
-//! claim order.
+//! 30), so a static restart-per-thread split wastes the fast threads.
+//! Instead every worker — the calling thread plus `threads − 1` scoped
+//! helpers — claims the next restart index from one shared atomic counter
+//! until none remain. Every restart's seed is drawn from the caller's RNG
+//! *before* any worker starts and results are placed by restart index, so
+//! the outcome (winner, objectives, labels) is bit-identical for every
+//! thread count and claim order.
 
 use crate::framework::{validate_input, ClusterError, Clustering};
 use crate::pruning::{PruneCache, PruneCounters};
-use crate::scheduler::{resolve_threads, WorkPool};
+use crate::scheduler::resolve_threads;
 use crate::ucpc::{Ucpc, UcpcResult};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use ucpc_uncertain::{MomentArena, UncertainObject};
 
 /// Restarts UCPC from `restarts` independent initializations and keeps the
@@ -55,7 +54,7 @@ pub struct BestOfRestarts {
     pub algorithm: Ucpc,
     /// Number of independent restarts (must be at least 1).
     pub restarts: usize,
-    /// Worker threads draining the restart queue (`0` = the `UCPC_THREADS`
+    /// Worker threads claiming restarts (`0` = the `UCPC_THREADS`
     /// knob, falling back to available parallelism; see
     /// [`crate::scheduler::resolve_threads`]). The result is identical for
     /// every thread count.
@@ -84,15 +83,16 @@ pub struct RestartResult {
     /// Candidate-pruning counters summed over all restarts (all zero when
     /// the wrapped algorithm runs unpruned).
     pub pruning: PruneCounters,
-    /// Restarts claimed by a worker that did not own them (zero on a
-    /// single-threaded run).
-    pub steals: usize,
 }
 
 impl BestOfRestarts {
     /// Runs all restarts (seeds drawn from `rng` up front, so the seed
     /// stream — and therefore every restart's outcome — is independent of
     /// the thread count) and returns the best.
+    ///
+    /// # Panics
+    ///
+    /// If `restarts` is 0.
     pub fn run(
         &self,
         data: &[UncertainObject],
@@ -112,51 +112,33 @@ impl BestOfRestarts {
         let arena = MomentArena::from_objects(data);
         let seeds: Vec<u64> = (0..self.restarts).map(|_| rng.next_u64()).collect();
         let threads = resolve_threads(self.threads).min(self.restarts);
-
-        let mut steals = 0usize;
-        let results: Vec<Result<UcpcResult, ClusterError>> = if threads <= 1 {
+        let next = AtomicUsize::new(0);
+        let work = || {
             let mut cache = PruneCache::new(0, k);
-            seeds
-                .iter()
-                .map(|&seed| self.one_restart(data, &arena, k, seed, &mut cache))
-                .collect()
-        } else {
-            // Restart-level work stealing: contiguous restart runs per
-            // worker, drained front-first and stolen back-first (the same
-            // pool discipline as the propose-phase shard scheduler).
-            let pool = WorkPool::new((0..self.restarts).collect::<Vec<usize>>(), threads);
-            let slots: Vec<Mutex<Option<Result<UcpcResult, ClusterError>>>> =
-                (0..self.restarts).map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for w in 0..threads {
-                    let pool = &pool;
-                    let slots = &slots;
-                    let arena = &arena;
-                    let seeds = &seeds;
-                    scope.spawn(move || {
-                        let mut cache = PruneCache::new(0, k);
-                        while let Some(r) = pool.claim(w) {
-                            let result = self.one_restart(data, arena, k, seeds[r], &mut cache);
-                            *slots[r].lock().expect("result slot poisoned") = Some(result);
-                        }
-                    });
-                }
-            });
-            steals = pool.steals();
-            slots
-                .into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .expect("result slot poisoned")
-                        .expect("every restart index was claimed exactly once")
-                })
-                .collect()
+            let mut done = Vec::new();
+            loop {
+                let r = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&seed) = seeds.get(r) else {
+                    return done;
+                };
+                done.push((r, self.one_restart(data, &arena, k, seed, &mut cache)));
+            }
         };
+        let mut results = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+            let mut results = work();
+            for h in helpers {
+                results.extend(h.join().expect("a restart worker panicked"));
+            }
+            results
+        });
+        // Each index was claimed exactly once; order them as the seeds are.
+        results.sort_unstable_by_key(|&(r, _)| r);
 
         let mut best: Option<(usize, UcpcResult)> = None;
         let mut objectives = Vec::with_capacity(self.restarts);
         let mut pruning = PruneCounters::default();
-        for (r, result) in results.into_iter().enumerate() {
+        for (r, result) in results {
             let result = result?;
             objectives.push(result.objective);
             pruning.merge(result.pruning);
@@ -173,7 +155,6 @@ impl BestOfRestarts {
             objectives,
             winner,
             pruning,
-            steals,
         })
     }
 
@@ -207,6 +188,7 @@ impl BestOfRestarts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pruning::PruningConfig;
     use ucpc_uncertain::UnivariatePdf;
 
     fn tricky_data() -> Vec<UncertainObject> {
@@ -262,29 +244,42 @@ mod tests {
     #[test]
     fn thread_count_never_changes_the_outcome() {
         let data = tricky_data();
-        let run = |threads| {
+        let run = |restarts, threads, pruning| {
             let mut rng = StdRng::seed_from_u64(5);
             BestOfRestarts {
-                restarts: 8,
+                algorithm: Ucpc {
+                    pruning,
+                    ..Ucpc::default()
+                },
+                restarts,
                 threads,
-                ..Default::default()
             }
             .run(&data, 4, &mut rng)
             .unwrap()
         };
-        let seq = run(1);
-        assert_eq!(seq.steals, 0);
-        for threads in [2, 4, 8] {
-            let par = run(threads);
-            assert_eq!(seq.winner, par.winner, "{threads} threads");
-            assert_eq!(
-                seq.best.clustering.labels(),
-                par.best.clustering.labels(),
-                "{threads} threads"
-            );
-            // Bit-identical per-restart objectives: the seed stream is drawn
-            // before the pool starts and every restart is self-contained.
-            assert_eq!(seq.objectives, par.objectives, "{threads} threads");
+        let bits =
+            |r: &RestartResult| -> Vec<u64> { r.objectives.iter().map(|o| o.to_bits()).collect() };
+        // 8 threads ask for more workers than either restart count; 3
+        // workers split 5 or 8 restarts unevenly.
+        for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
+            for restarts in [5, 8] {
+                let seq = run(restarts, 1, pruning);
+                assert_eq!(seq.objectives.len(), restarts);
+                for threads in [2, 3, 8] {
+                    let par = run(restarts, threads, pruning);
+                    let case = format!("{restarts} restarts, {threads} threads, {pruning:?}");
+                    assert_eq!(seq.winner, par.winner, "{case}");
+                    assert_eq!(
+                        seq.best.clustering.labels(),
+                        par.best.clustering.labels(),
+                        "{case}"
+                    );
+                    // Bit-identical per-restart objectives: the seed stream
+                    // is drawn before any worker starts and every restart is
+                    // self-contained.
+                    assert_eq!(bits(&seq), bits(&par), "{case}");
+                }
+            }
         }
     }
 

@@ -134,7 +134,7 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use crate::framework::ClusterError;
-use crate::incremental::{IncrementalUcpc, ObjectHandle};
+use crate::incremental::{IncrementalUcpc, ObjectHandle, PassUndo};
 use crate::objective::AddPricer;
 use crate::wal::{DurableIo, LogEntry, LogOp, VecIo, WalError, WalFsync, WalWriter};
 use ucpc_uncertain::simd::{dot_block, DISPATCH_THRESHOLD};
@@ -471,6 +471,9 @@ pub struct ServingUcpc {
     wal: Option<BoxedWal>,
     /// The moves of the current logged relocation pass: one round.
     moves: Vec<LogEntry<&'static [f64]>>,
+    /// The engine state a logged relocation pass started from, kept
+    /// between passes so that saving it reuses the same buffers.
+    undo: PassUndo,
 }
 
 impl ServingUcpc {
@@ -506,6 +509,7 @@ impl ServingUcpc {
         });
         Self {
             moves: Vec::new(),
+            undo: PassUndo::default(),
             engine,
             staging,
             free_rows: (0..cap as u32).rev().collect(),
@@ -854,14 +858,14 @@ impl ServingUcpc {
         let relocations = match &mut self.wal {
             None => self.engine.stabilize(passes),
             Some(w) => {
-                let undo = self.engine.save_pass();
+                self.engine.save_pass_into(&mut self.undo);
                 let moves = &mut self.moves;
                 moves.clear();
                 let relocations = self
                     .engine
                     .stabilize_with(passes, |op| moves.push(LogEntry::bare(op)));
                 if let Err(error) = w.log_round(w.frames() + 1, moves) {
-                    self.engine.undo_pass(undo, moves);
+                    self.engine.undo_pass(&mut self.undo, moves);
                     return Err(error);
                 }
                 relocations

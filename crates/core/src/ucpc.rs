@@ -155,7 +155,7 @@ impl Ucpc {
         arena: &MomentArena,
         k: usize,
         mut labels: Vec<usize>,
-        cache: Option<&mut PruneCache>,
+        mut cache: Option<&mut PruneCache>,
     ) -> Result<UcpcResult, ClusterError> {
         if arena.is_empty() {
             return Err(ClusterError::EmptyDataset);
@@ -183,16 +183,15 @@ impl Ucpc {
         // never bumped inside one search.
         let mut versions = vec![0u64; k];
         let mut totals = DriftTotals::default();
-        let mut shard = cache.map(|c| c.view());
 
         // Lines 4–16: relocation passes on the delta-J kernel.
         while iterations < self.max_iters {
             iterations += 1;
             let mut moved_this_pass = false;
-            let scale = shard.as_ref().map_or(0.0, |_| fp_scale(&stats));
+            let scale = cache.as_ref().map_or(0.0, |_| fp_scale(&stats));
 
             // Indexed: the body reassigns `labels[i]` while `stats` and the
-            // cache shard are also borrowed, which an iterator cannot express.
+            // cache are also borrowed, which an iterator cannot express.
             #[allow(clippy::needless_range_loop)]
             for i in 0..labels.len() {
                 let src = labels[i];
@@ -209,15 +208,16 @@ impl Ucpc {
                     epoch: 0,
                     scale,
                 };
-                let Some((dst, _)) = best_move(&pass, shard.as_mut(), i, 0, src, &v, &mut counters)
+                let Some((dst, _)) =
+                    best_move(&pass, cache.as_deref_mut(), i, 0, src, &v, &mut counters)
                 else {
                     continue;
                 };
                 // Lines 10–13: apply the move and update statistics.
-                let drift = shard.is_some().then_some((&mut totals, &mut versions[..]));
+                let drift = cache.is_some().then_some((&mut totals, &mut versions[..]));
                 apply_relocation(&mut stats, src, dst, &v, drift);
-                if let Some(s) = shard.as_mut() {
-                    s.invalidate(i);
+                if let Some(c) = cache.as_deref_mut() {
+                    c.invalidate(i);
                 }
                 labels[i] = dst;
                 relocations += 1;

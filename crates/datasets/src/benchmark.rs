@@ -8,7 +8,8 @@
 //! that clusterability is comparable to the originals (imperfectly separated,
 //! unequal class sizes). The clustering-vs-uncertainty dynamics the
 //! evaluation measures depend on the injected pdfs (Section 5.1), not on the
-//! original attribute semantics; DESIGN.md records this substitution.
+//! original attribute semantics. The README's "Substitutions" section
+//! records this substitution.
 
 use rand::Rng;
 use rand::RngCore;

@@ -3,8 +3,8 @@
 //! Seeded generators replacing the data the paper used but which is not
 //! available offline (UCI benchmark files, Broad Institute microarray data,
 //! the PUMA probe-level-uncertainty pipeline), plus the full Section-5.1
-//! uncertainty-generation protocol. Substitutions are documented per item in
-//! DESIGN.md:
+//! uncertainty-generation protocol. Each substitution is recorded in the
+//! README's "Substitutions" section:
 //!
 //! * [`benchmark`] — Table 1(a): labelled Gaussian-mixture datasets matching
 //!   each benchmark's object/attribute/class counts, with

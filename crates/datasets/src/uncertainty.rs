@@ -82,7 +82,7 @@ pub enum PerturbMethod {
 /// centering Case 1 and Case 2 share their expected values, so Θ isolates
 /// *pure* variance-awareness; under true-value centering Case 2 additionally
 /// benefits from noise-free expected values, as in the paper's protocol.
-/// DESIGN.md discusses the trade-off.
+/// The README's "Substitutions" section discusses the trade-off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Centering {
     /// Center `f` on the original point (`f = f_w`, the literal Section-5.1

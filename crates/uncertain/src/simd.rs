@@ -145,6 +145,16 @@ impl Backend {
             .collect()
     }
 
+    /// The CPU features [`Self::is_available`] requires, by their
+    /// run-time detection names.
+    pub fn features(self) -> &'static [&'static str] {
+        match self {
+            Backend::Scalar => &[],
+            Backend::Avx2 => &["avx2", "fma"],
+            Backend::Neon => &["neon"],
+        }
+    }
+
     /// The `UCPC_SIMD` value naming this backend.
     pub fn name(self) -> &'static str {
         match self {
@@ -169,6 +179,16 @@ impl Backend {
             Backend::Neon => NEON,
         }
     }
+}
+
+/// The CPU features of every backend this machine can run, by their
+/// run-time detection names (`avx2`, `fma`, `neon`) — provenance for
+/// benchmark ledgers, from the same detection as dispatch.
+pub fn cpu_features() -> Vec<&'static str> {
+    Backend::available()
+        .into_iter()
+        .flat_map(|b| b.features().iter().copied())
+        .collect()
 }
 
 const UNINIT: u8 = 0;

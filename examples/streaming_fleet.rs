@@ -7,7 +7,7 @@
 //! by the report's staleness); old reports expire. The incremental engine
 //! inserts each arrival in O(k·m), removes expirations in O(m), and runs a
 //! few relocation passes per tick. The final partition is cross-checked
-//! against a batch run of the parallel UCPC variant.
+//! against a batch UCPC run over the same window.
 //!
 //! Run with: `cargo run --release --example streaming_fleet`
 
@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use ucpc::core::incremental::IncrementalUcpc;
-use ucpc::core::parallel::ParallelUcpc;
+use ucpc::core::Ucpc;
 use ucpc::uncertain::{UncertainObject, UnivariatePdf};
 
 fn report(rng: &mut StdRng, district: usize) -> UncertainObject {
@@ -65,14 +65,14 @@ fn main() {
         }
     }
 
-    // Cross-check: batch-cluster the final window with the parallel variant.
+    // Cross-check: batch-cluster the final window.
     let live: Vec<UncertainObject> = window.iter().map(|(_, o)| o.clone()).collect();
     let mut batch_rng = StdRng::seed_from_u64(7);
-    let batch = ParallelUcpc::default()
+    let batch = Ucpc::default()
         .run(&live, k, &mut batch_rng)
         .expect("valid input");
     println!(
-        "\nbatch re-clustering (parallel UCPC): objective {:.2} vs incremental {:.2}",
+        "\nbatch re-clustering (UCPC): objective {:.2} vs incremental {:.2}",
         batch.objective,
         engine.objective()
     );

@@ -2,20 +2,16 @@
 //! (n, m, k) shapes — including m=1, k=1, k=n, duplicate objects and
 //! empty-cluster churn — a pruned run must produce *byte-identical*
 //! assignments and bit-identical (tolerated to 1e-10 relative) objectives
-//! for `Ucpc`, `ParallelUcpc`, `IncrementalUcpc` and `BestOfRestarts`; and
+//! for `Ucpc`, `IncrementalUcpc` and `BestOfRestarts`; and
 //! the serial batch search and the streaming engine must relocate alike.
 //! Pruning is configured explicitly on both arms so the suite is immune to
 //! the `UCPC_PRUNING` environment knob the CI matrix flips.
 
-mod support;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use support::reference::ref_parallel;
 use ucpc::core::incremental::IncrementalUcpc;
-use ucpc::core::parallel::ParallelUcpc;
 use ucpc::core::restarts::BestOfRestarts;
-use ucpc::core::{Initializer, LogEntry, LogOp, PruningConfig, Ucpc};
+use ucpc::core::{LogEntry, LogOp, PruningConfig, Ucpc};
 use ucpc::uncertain::{MomentArena, UncertainObject, UnivariatePdf};
 
 /// Mixed-family random dataset; with `duplicates`, every third object is a
@@ -132,54 +128,6 @@ fn ucpc_pruning_actually_fires_on_clustered_data() {
         on.pruning.decisions(),
         on.pruning.skips + on.pruning.confirms + on.pruning.full_scans
     );
-}
-
-#[test]
-fn parallel_ucpc_pruned_matches_unpruned() {
-    for (gi, &(n, m, k)) in GRID.iter().enumerate() {
-        for seed in 0..2u64 {
-            let seed = seed + 10 * gi as u64;
-            let data = dataset(n, m, seed, gi % 2 == 0);
-            let run = |pruning| {
-                let mut rng = StdRng::seed_from_u64(seed + 1);
-                ParallelUcpc {
-                    threads: 3,
-                    pruning,
-                    ..ParallelUcpc::default()
-                }
-                .run(&data, k, &mut rng)
-                .unwrap()
-            };
-            let off = run(PruningConfig::Off);
-            let on = run(PruningConfig::Bounds);
-            assert_eq!(
-                off.clustering.labels(),
-                on.clustering.labels(),
-                "parallel labels diverged: n={n} m={m} k={k} seed={seed}"
-            );
-            assert_eq!(off.iterations, on.iterations);
-            assert_eq!(off.applied, on.applied);
-            assert_eq!(off.rejected, on.rejected);
-            assert!(objectives_match(off.objective, on.objective));
-            // Both match the single-threaded reference model.
-            let init = Initializer::RandomPartition.initial_partition(
-                &data,
-                k,
-                &mut StdRng::seed_from_u64(seed + 1),
-            );
-            let (labels, iterations, applied, rejected) = ref_parallel(
-                &ParallelUcpc::default(),
-                &MomentArena::from_objects(&data),
-                k,
-                init,
-            );
-            assert_eq!(on.clustering.labels(), &labels[..]);
-            assert_eq!(
-                (on.iterations, on.applied, on.rejected),
-                (iterations, applied, rejected)
-            );
-        }
-    }
 }
 
 #[test]

@@ -6,7 +6,6 @@ use rand::SeedableRng;
 use ucpc::baselines::{FdbScan, Foptics, MmVar, Uahc, UkMeans, UkMedoids};
 use ucpc::core::framework::UncertainClusterer;
 use ucpc::core::incremental::IncrementalUcpc;
-use ucpc::core::parallel::ParallelUcpc;
 use ucpc::core::wal::WAL_HEADER_LEN;
 use ucpc::core::{
     recover, ChaosPlan, ClusterError, LogEntry, LogOp, ServingConfig, ServingError,
@@ -18,7 +17,6 @@ use ucpc::uncertain::{Moments, UncertainObject, UnivariatePdf};
 fn algorithms() -> Vec<Box<dyn UncertainClusterer>> {
     vec![
         Box::new(Ucpc::default()),
-        Box::new(ParallelUcpc::default()),
         Box::new(UkMeans::default()),
         Box::new(MmVar::default()),
         Box::new(UkMedoids::default()),

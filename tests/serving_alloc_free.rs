@@ -4,10 +4,13 @@
 //! staging arena (one row per queue slot), the pending/response queues, the
 //! delta matrix, and the fixed-size top-k answer arrays — so steady-state
 //! serving (admit → flush → answer, with commits recycling slab rows freed
-//! by removals) must hit the allocator **zero** times. This binary pins
-//! that with a counting global allocator; it holds exactly one test so no
-//! concurrently running test can pollute the counter (integration-test
-//! files compile to separate processes).
+//! by removals) must hit the allocator **zero** times. The same holds with
+//! an in-memory write-ahead log attached and cadence stabilizations
+//! running: a logged stabilization saves the engine state it may have to
+//! undo into one reused scratch. This binary pins both with a counting
+//! global allocator; it holds exactly one test so no concurrently running
+//! test can pollute the counter (integration-test files compile to
+//! separate processes).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,12 +50,94 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Live window of every measured phase.
+const N: usize = 200;
+/// Measured query + commit + remove steps per attempt.
+const PER_ATTEMPT: usize = 60;
+
+/// Drains every answered response, keeping committed handles.
+fn drain(serving: &mut ServingUcpc, ids: &mut Vec<ObjectHandle>) {
+    while let Some((_, resp)) = serving.pop_response() {
+        if let ServingResponse::Committed { handle, .. } = resp {
+            ids.push(handle);
+        }
+    }
+}
+
+/// Seeds an `N`-object window through `serving`, runs one warm-up round,
+/// then measures rounds of `PER_ATTEMPT` query + commit + remove steps and
+/// returns the fewest allocator calls any round made. `after_round` sees
+/// the layer after each measured round.
+fn cleanest_round(
+    serving: &mut ServingUcpc,
+    payloads: &[Moments],
+    mut after_round: impl FnMut(&ServingUcpc),
+) -> usize {
+    // Live handles in commit order; sized for everything the test churns.
+    let mut ids: Vec<ObjectHandle> = Vec::with_capacity(payloads.len());
+    let mut next = 0usize;
+
+    // Seed the live window through the serving path itself.
+    for _ in 0..N {
+        serving.submit_commit(&payloads[next]).unwrap();
+        next += 1;
+        serving.poll(Instant::now());
+        drain(serving, &mut ids);
+    }
+    serving.flush();
+    drain(serving, &mut ids);
+    assert_eq!(ids.len(), N);
+
+    // One warm-up round pays every one-time growth: the slab free list's
+    // first capacity, response-queue high water, and the delta matrix.
+    for _ in 0..PER_ATTEMPT {
+        serving.submit_query(&payloads[next % N]).unwrap();
+        serving.submit_commit(&payloads[next]).unwrap();
+        next += 1;
+        serving.submit_remove(ids.remove(0)).unwrap();
+        serving.poll(Instant::now());
+        drain(serving, &mut ids);
+    }
+    serving.flush();
+    drain(serving, &mut ids);
+
+    // The allocator counter is process-global, so the libtest harness
+    // thread can race a handful of its own allocations into the measured
+    // window. A genuinely per-request allocation would show up on every
+    // attempt; one observed zero-allocation run pins the contract. State
+    // persists across attempts.
+    let mut cleanest = usize::MAX;
+    for _ in 0..5 {
+        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        for _ in 0..PER_ATTEMPT {
+            serving.submit_query(&payloads[next % N]).unwrap();
+            serving.submit_commit(&payloads[next]).unwrap();
+            next += 1;
+            serving.submit_remove(ids.remove(0)).unwrap();
+            serving.poll(Instant::now());
+            drain(serving, &mut ids);
+        }
+        serving.flush();
+        drain(serving, &mut ids);
+        let during = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+        after_round(serving);
+        cleanest = cleanest.min(during);
+        if cleanest == 0 {
+            break;
+        }
+    }
+
+    // The window is intact and every request was answered exactly once.
+    assert_eq!(serving.engine().len(), N);
+    assert_eq!(serving.pending_len(), 0);
+    assert_eq!(serving.response_len(), 0);
+    cleanest
+}
+
 #[test]
 fn steady_state_serving_allocates_nothing() {
     let m = 16;
     let k = 4;
-    let n = 200; // live window
-    let churn = 300; // measured steps: one query + one commit + one removal each
 
     // All arrival payloads are materialized before the measured window; the
     // serving layer only ever borrows them (moments-form admission).
@@ -65,13 +150,16 @@ fn steady_state_serving_allocates_nothing() {
         .moments()
         .clone()
     };
-    let per_attempt = churn / 5;
-    let payloads: Vec<Moments> = (0..n + 6 * per_attempt).map(mk).collect();
+    let payloads: Vec<Moments> = (0..N + 6 * PER_ATTEMPT).map(mk).collect();
+    let engine = || {
+        let mut engine = IncrementalUcpc::new(m, k).unwrap();
+        engine.set_pruning(PruningConfig::Off);
+        engine
+    };
 
-    let mut engine = IncrementalUcpc::new(m, k).unwrap();
-    engine.set_pruning(PruningConfig::Off);
+    // Phase 1: admit, flush and answer, never stabilizing.
     let mut serving = ServingUcpc::over(
-        engine,
+        engine(),
         ServingConfig {
             batch: 8,
             queue_capacity: 32,
@@ -84,76 +172,39 @@ fn steady_state_serving_allocates_nothing() {
             ..ServingConfig::default()
         },
     );
-
-    // Live handles in commit order; sized for everything the test churns.
-    let mut ids: Vec<ObjectHandle> = Vec::with_capacity(n + 6 * per_attempt);
-    let mut next = 0usize;
-
-    // Drains every answered response, keeping committed handles.
-    fn drain(serving: &mut ServingUcpc, ids: &mut Vec<ObjectHandle>) {
-        while let Some((_, resp)) = serving.pop_response() {
-            if let ServingResponse::Committed { handle, .. } = resp {
-                ids.push(handle);
-            }
-        }
-    }
-
-    // Seed the live window through the serving path itself.
-    for _ in 0..n {
-        serving.submit_commit(&payloads[next]).unwrap();
-        next += 1;
-        serving.poll(Instant::now());
-        drain(&mut serving, &mut ids);
-    }
-    serving.flush();
-    drain(&mut serving, &mut ids);
-    assert_eq!(ids.len(), n);
-
-    // One warm-up round pays every one-time growth: the slab free list's
-    // first capacity, response-queue high water, and the delta matrix.
-    for _ in 0..per_attempt {
-        serving.submit_query(&payloads[next % n]).unwrap();
-        serving.submit_commit(&payloads[next]).unwrap();
-        next += 1;
-        serving.submit_remove(ids.remove(0)).unwrap();
-        serving.poll(Instant::now());
-        drain(&mut serving, &mut ids);
-    }
-    serving.flush();
-    drain(&mut serving, &mut ids);
-
-    // The allocator counter is process-global, so the libtest harness
-    // thread can race a handful of its own allocations into the measured
-    // window. A genuinely per-request allocation would show up on every
-    // attempt; one observed zero-allocation run pins the contract. State
-    // persists across attempts.
-    let mut cleanest = usize::MAX;
-    for _ in 0..5 {
-        let before = ALLOC_CALLS.load(Ordering::Relaxed);
-        for _ in 0..per_attempt {
-            serving.submit_query(&payloads[next % n]).unwrap();
-            serving.submit_commit(&payloads[next]).unwrap();
-            next += 1;
-            serving.submit_remove(ids.remove(0)).unwrap();
-            serving.poll(Instant::now());
-            drain(&mut serving, &mut ids);
-        }
-        serving.flush();
-        drain(&mut serving, &mut ids);
-        let during = ALLOC_CALLS.load(Ordering::Relaxed) - before;
-        cleanest = cleanest.min(during);
-        if cleanest == 0 {
-            break;
-        }
-    }
+    let cleanest = cleanest_round(&mut serving, &payloads, |_| {});
     assert_eq!(
         cleanest, 0,
         "steady-state serving hit the allocator on every attempt \
-         ({cleanest} calls at best over {per_attempt} query+commit+remove steps)"
+         ({cleanest} calls at best over {PER_ATTEMPT} query+commit+remove steps)"
     );
 
-    // The window is intact and every request was answered exactly once.
-    assert_eq!(serving.engine().len(), n);
-    assert_eq!(serving.pending_len(), 0);
-    assert_eq!(serving.response_len(), 0);
+    // Phase 2: the same traffic with an in-memory WAL attached and a
+    // logged stabilization after every 4th commit.
+    let stabilize_every = 4;
+    let mut serving = ServingUcpc::over(
+        engine(),
+        ServingConfig {
+            batch: 8,
+            queue_capacity: 32,
+            deadline: None,
+            stabilize_every,
+            stabilize_passes: 2,
+            top_k: 4,
+            wal: true,
+            ..ServingConfig::default()
+        },
+    );
+    let mut frames = serving.wal().expect("wal: true attaches a log").frames();
+    let cleanest = cleanest_round(&mut serving, &payloads, |serving| {
+        // Every stabilization logs one round, moves or not.
+        let now = serving.wal().expect("still attached").frames();
+        assert!(now - frames >= (PER_ATTEMPT / stabilize_every) as u64);
+        frames = now;
+    });
+    assert_eq!(
+        cleanest, 0,
+        "logged stabilizations hit the allocator on every attempt \
+         ({cleanest} calls at best over {PER_ATTEMPT} query+commit+remove steps)"
+    );
 }

@@ -2,27 +2,22 @@
 //! public API.
 //!
 //! By Corollary 1 a cluster's `J` depends only on its `ClusterStats`, so
-//! neither how the moments are stored nor how the propose phase is
-//! scheduled can change a label. These models are the plainest layouts
-//! that satisfy the same contracts, and the engines are pinned bitwise
-//! against them:
+//! how the moments are stored cannot change a label. These models are the
+//! plainest layouts that satisfy the same contracts, and the engines are
+//! pinned bitwise against them:
 //!
 //! * [`RefStream`] — the streaming engine with one heap-allocated
 //!   `Moments` per slot, a LIFO free list, per-slot generations, untracked
 //!   statistic updates, and unpruned relocation passes. No cache, no
 //!   pruning, no slab.
-//! * [`ref_parallel`] — the parallel relocation search run on one thread:
-//!   every pass proposes against a clone of the pass-start statistics, then
-//!   applies in ascending object order, re-pricing every proposal.
 //!
 //! The file is shared by the integration tests (`mod support;`) and
 //! included by path into the `ucpc_core` unit tests.
 
 use ucpc_core::framework::ClusterError;
 use ucpc_core::objective::{total_objective, ClusterStats};
-use ucpc_core::parallel::ParallelUcpc;
 use ucpc_core::pruning::{best_candidate, best_insertion};
-use ucpc_uncertain::{MomentArena, Moments, ObjectHandle, UncertainObject};
+use ucpc_uncertain::{Moments, ObjectHandle, UncertainObject};
 
 /// Minimum objective decrease for a relocation to apply — the engines'
 /// one relocation threshold, `pruning::TOLERANCE`, restated here so the
@@ -165,57 +160,4 @@ impl RefStream {
     pub fn len(&self) -> usize {
         self.slots.iter().flatten().count()
     }
-}
-
-/// The parallel search's reference model (module docs), from the initial
-/// `labels`, with [`TOLERANCE`] and `cfg`'s pass cap. Returns the final
-/// labels, the passes run, and the proposals applied and rejected.
-pub fn ref_parallel(
-    cfg: &ParallelUcpc,
-    arena: &MomentArena,
-    k: usize,
-    mut labels: Vec<usize>,
-) -> (Vec<usize>, usize, usize, usize) {
-    let mut stats = vec![ClusterStats::empty(arena.dims()); k];
-    for (i, &c) in labels.iter().enumerate() {
-        stats[c].add_view(&arena.view(i));
-    }
-    let (mut iterations, mut applied, mut rejected) = (0, 0, 0);
-    while iterations < cfg.max_iters {
-        iterations += 1;
-        let start = stats.clone();
-        let proposals: Vec<Option<usize>> = (0..arena.len())
-            .map(|i| {
-                let src = labels[i];
-                if start[src].size() <= 1 {
-                    return None;
-                }
-                best_candidate(&start, src, &arena.view(i))
-                    .filter(|&(_, delta)| delta < -TOLERANCE)
-                    .map(|(dst, _)| dst)
-            })
-            .collect();
-        let mut moved = false;
-        for (i, dst) in proposals.into_iter().enumerate() {
-            let Some(dst) = dst else { continue };
-            let src = labels[i];
-            let v = arena.view(i);
-            if src != dst
-                && stats[src].size() > 1
-                && stats[src].delta_j_remove(&v) + stats[dst].delta_j_add(&v) < -TOLERANCE
-            {
-                stats[src].remove_view(&v);
-                stats[dst].add_view(&v);
-                labels[i] = dst;
-                applied += 1;
-                moved = true;
-            } else {
-                rejected += 1;
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
-    (labels, iterations, applied, rejected)
 }
