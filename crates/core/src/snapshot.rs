@@ -120,6 +120,9 @@ pub enum SnapshotError {
     ChecksumMismatch(&'static str),
     /// The [`DurableIo`] sink faulted while streaming a snapshot out.
     Io(IoFault),
+    /// A chunk's payload exceeds its `u32` length field; nothing of the
+    /// chunk was written.
+    FrameTooLarge,
 }
 
 impl fmt::Display for SnapshotError {
@@ -138,6 +141,7 @@ impl fmt::Display for SnapshotError {
                 write!(f, "snapshot {section} chunk failed its checksum")
             }
             Self::Io(fault) => write!(f, "snapshot write faulted: {fault}"),
+            Self::FrameTooLarge => write!(f, "snapshot chunk exceeds the u32 length field"),
         }
     }
 }
@@ -185,9 +189,10 @@ impl<'a, I: DurableIo> ChunkWriter<'a, I> {
         &mut self.w
     }
 
-    /// Seals the chunk begun by [`Self::begin`] and streams it out.
+    /// Seals the chunk begun by [`Self::begin`] and streams it out; a
+    /// chunk too long for its length field is refused unwritten.
     pub(crate) fn seal(&mut self) -> Result<(), SnapshotError> {
-        self.w.seal_frame();
+        self.w.seal_frame().ok_or(SnapshotError::FrameTooLarge)?;
         self.write()
     }
 

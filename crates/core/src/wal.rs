@@ -366,8 +366,13 @@ impl SharedVecIo {
         self.lock().buf.truncate(len);
     }
 
+    /// The buffer, also after a writer panicked holding the lock: a
+    /// panic mid-append leaves at worst a torn tail, which every reader
+    /// already tolerates.
     fn lock(&self) -> std::sync::MutexGuard<'_, VecIo> {
-        self.inner.lock().expect("sink mutex poisoned")
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -466,6 +471,9 @@ pub enum WalError {
     },
     /// The snapshot half of [`recover`] failed.
     Snapshot(SnapshotError),
+    /// A round's frame payload exceeds its `u32` length field. Nothing was
+    /// appended, so the log is intact and the round must not apply.
+    FrameTooLarge,
 }
 
 impl fmt::Display for WalError {
@@ -495,6 +503,7 @@ impl fmt::Display for WalError {
                 "WAL logs {found}-dimensional arrivals, snapshot engine has {expected}"
             ),
             Self::Snapshot(e) => write!(f, "snapshot half of recovery failed: {e}"),
+            Self::FrameTooLarge => write!(f, "WAL round exceeds the u32 frame length field"),
         }
     }
 }
@@ -643,7 +652,9 @@ impl<I: DurableIo> WalWriter<I> {
                 p.f64s(mu2);
             }
         }
-        p.seal_frame();
+        if p.seal_frame().is_none() {
+            return Err(WalError::FrameTooLarge);
+        }
         self.commit_scratch()?;
         self.frames += 1;
         if self.fsync == WalFsync::Every {
@@ -981,6 +992,24 @@ mod tests {
         // The canonical CRC-32 test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn shared_sink_reads_and_appends_after_a_writer_panicked() {
+        let mut io = SharedVecIo::new();
+        io.write_all(b"ab").unwrap();
+        let held = io.clone();
+        let died = std::thread::spawn(move || {
+            let _guard = held.inner.lock().unwrap();
+            panic!("writer died holding the sink lock");
+        })
+        .join();
+        assert!(died.is_err() && io.inner.is_poisoned());
+        assert_eq!(io.bytes(), b"ab");
+        io.write_all(b"c").unwrap();
+        io.truncate(2);
+        io.write_all(b"d").unwrap();
+        assert_eq!(io.bytes(), b"abd");
     }
 
     #[test]
