@@ -353,8 +353,19 @@ impl<'a> Reader<'a> {
 
     /// `n` floats, clamped against the unread input before allocating.
     pub(crate) fn f64s(&mut self, n: usize) -> Result<Vec<f64>, SnapshotError> {
-        self.ensure(n, 8)?;
-        (0..n).map(|_| self.f64()).collect()
+        let mut out = Vec::new();
+        self.f64s_into(n, &mut out)?;
+        Ok(out)
+    }
+
+    /// Appends `n` floats to `out`, decoded in bulk from 8-byte chunks. The
+    /// bytes are taken, and so clamped against the input, before `out`
+    /// grows; an `out` with room left does not allocate.
+    pub(crate) fn f64s_into(&mut self, n: usize, out: &mut Vec<f64>) -> Result<(), SnapshotError> {
+        let bytes = self.take(n.checked_mul(8).ok_or(SnapshotError::Truncated)?)?;
+        let (chunks, _) = bytes.as_chunks::<8>();
+        out.extend(chunks.iter().map(|c| f64::from_le_bytes(*c)));
+        Ok(())
     }
 
     /// Pre-allocation clamp: `units` entries of at least `bytes_each`

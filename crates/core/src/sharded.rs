@@ -26,14 +26,16 @@
 //!    number. Only mutations become entries: a `stabilize` that moves
 //!    nothing commits an empty round, which is still sequenced, logged
 //!    and acknowledged like any other.
-//! 2. The coordinator broadcasts the round as one `Apply` to every
-//!    **participant**, whose replica starts as a clone of the
-//!    coordinator's empty engine (so pruning, and with it the drift
-//!    tracking of a `Move`, matches). Each participant logs the round to
-//!    its write-ahead shard log, folds it through `apply_round` in the
-//!    same global order and acknowledges. Only when every shard has
-//!    acknowledged does the round commit and the next sequence number get
-//!    used.
+//! 2. The coordinator seals the round into one WAL frame, encoded once,
+//!    appends it to its catch-up log and broadcasts an `Apply` naming the
+//!    round's sequence number to every **participant**. A participant's
+//!    replica starts as a clone of the coordinator's empty engine (so
+//!    pruning, and with it the drift tracking of a `Move`, matches). Each
+//!    participant reads the frame from the coordinator's log, appends it
+//!    verbatim to its write-ahead shard log, decodes it into a reused
+//!    scratch, folds it through `apply_round` in the same global order and
+//!    acknowledges. Only when every shard has acknowledged does the round
+//!    commit and the next sequence number get used.
 //!
 //! A round has the shape every log has: only an `Insert` carries its
 //! object's raw moment rows (`mu`, `mu2`), because every replica already
@@ -43,8 +45,13 @@
 //! deltas would not reproduce the bits — shipping the decisions and
 //! replaying the fold does. Participants price nothing; `apply_round`
 //! runs the engine's per-entry checks on every round they fold. A round
-//! is one shared allocation: every shard's `Apply` and the coordinator's
-//! catch-up log hold the same `Arc`.
+//! is one sealed frame, encoded once: the coordinator's catch-up log holds
+//! it and every shard log appends the same bytes, as Raft followers hold
+//! the leader's log rather than a re-encoding of it. Messages carry
+//! sequence numbers only. All nodes are in-process, so a participant reads
+//! the frame from the coordinator's log when it handles the message; a
+//! round the log no longer holds is dropped unacknowledged, and the
+//! retry loop resends.
 //!
 //! So each participant holds every live row, as the coordinator does:
 //! all nodes are in-process, and the replicas trade that memory for one
@@ -78,10 +85,11 @@
 //!   log's valid prefix, bumps its epoch, re-anchors its durable state,
 //!   and sends it a `Catchup` of any committed rounds the durable state
 //!   missed — rejoining without perturbing the apply log.
-//! * **Bounded catch-up** — the coordinator keeps a committed round only
-//!   while some shard's checkpoint predates it:
-//!   [`ShardedUcpc::checkpoint_shard`] drops every round all checkpoints
-//!   hold, since no shard recovers below its own checkpoint.
+//! * **Bounded catch-up** — the coordinator keeps a committed round's
+//!   frame only while some shard's checkpoint predates it:
+//!   [`ShardedUcpc::checkpoint_shard`] trims every frame all checkpoints
+//!   hold off the front of the log, since no shard recovers below its own
+//!   checkpoint. Once every shard has checkpointed, the log holds no bytes.
 //!
 //! # Durable format
 //!
@@ -90,8 +98,11 @@
 //! * The **shard log** is a real WAL ([`crate::wal::WalWriter`]): the
 //!   `UCPCWAL` header, then one round frame (`seq`, then each entry's op,
 //!   slot, clusters and, for an `Insert`, raw rows) per round the shard
-//!   logs, synced before the shard replies. It holds the bytes a serving
-//!   WAL would hold for the same rounds.
+//!   logs, synced before the shard replies. Each frame is the
+//!   coordinator's, appended verbatim, so a shard log is the header plus
+//!   the coordinator's frames past the shard's checkpoint. It holds the
+//!   bytes a serving WAL would hold for the same rounds, because both go
+//!   through the WAL's one round encoder.
 //! * The **shard checkpoint** is the replica's own snapshot
 //!   ([`crate::snapshot`]) behind a one-field watermark chunk:
 //!
@@ -116,6 +127,7 @@
 //! schedules, with mid-run crash/recovery, the final labels, stats bits
 //! and objective equal the single-node engine's bit-for-bit.
 
+use crate::codec::Writer;
 use crate::fault::{ChaosPlan, Dice, ManualClock};
 use crate::framework::ClusterError;
 use crate::incremental::IncrementalUcpc;
@@ -123,11 +135,11 @@ use crate::objective::ClusterStats;
 use crate::serving::Clock;
 use crate::snapshot::{ChunkWriter, Sections, SnapshotError, CHUNK_SHARD};
 use crate::wal::{
-    replay_rounds, scan_for_replay, LogEntry, LogOp, SharedVecIo, VecIo, WalError, WalFsync,
-    WalWriter,
+    decode_frame, encode_round, replay_rounds, scan_for_replay, LogEntry, LogOp, SharedVecIo,
+    VecIo, WalError, WalFsync, WalWriter,
 };
-use std::sync::Arc;
-use std::time::Duration;
+use std::ops::Range;
+use std::time::{Duration, Instant};
 use ucpc_uncertain::{Moments, ObjectHandle, UncertainObject};
 
 /// Base retry timeout; doubles per attempt (capped) under the manual
@@ -145,15 +157,16 @@ const MAX_ATTEMPTS: u32 = 64;
 // Protocol messages
 // ---------------------------------------------------------------------
 
-/// A protocol message body.
-#[derive(Debug, Clone, PartialEq)]
+/// A protocol message body. Every message names rounds by sequence
+/// number only: a round's content is its sealed frame in the
+/// coordinator's catch-up log, which a participant reads when it handles
+/// the message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Payload {
     /// Coordinator → participant: append and apply round `seq`.
     Apply {
         /// Global round sequence number.
         seq: u64,
-        /// The round's log entries, shared by every shard's copy.
-        entries: Arc<[LogEntry]>,
     },
     /// Participant → coordinator: round `seq` (or, after a `Catchup`,
     /// everything up to `seq`) is durable and applied.
@@ -161,17 +174,16 @@ pub enum Payload {
         /// Highest acknowledged sequence number.
         seq: u64,
     },
-    /// Coordinator → rejoining participant: the committed rounds it
-    /// missed, in sequence order.
+    /// Coordinator → rejoining participant: append and apply, in sequence
+    /// order, every committed round past its watermark up to `last`.
     Catchup {
-        /// `(seq, entries)` for every committed round past the joiner's
-        /// watermark.
-        rounds: Vec<(u64, Arc<[LogEntry]>)>,
+        /// The last committed round.
+        last: u64,
     },
 }
 
 /// One addressed, epoch-fenced protocol message.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Envelope {
     /// Sending node (0 = coordinator, `shard + 1` = participant).
     pub from: usize,
@@ -259,10 +271,8 @@ impl ChaosTransport {
         if self.dice.chance(self.plan.drop) {
             return;
         }
-        // Only a duplicated send pays for a clone; the two copies are
-        // identical, so the dice roll in the same order either way.
         if self.dice.chance(self.plan.duplicate) {
-            self.enqueue_copy(env.clone());
+            self.enqueue_copy(env);
         }
         self.enqueue_copy(env);
     }
@@ -304,7 +314,8 @@ fn shard_log(io: SharedVecIo, m: usize) -> WalWriter<SharedVecIo> {
 
 /// One shard node: an [`IncrementalUcpc`] replica folding every round
 /// through [`IncrementalUcpc::apply_round`], an applied-sequence watermark
-/// (idempotence), and a write-ahead shard log (recovery).
+/// (idempotence), and a write-ahead shard log (recovery) that appends the
+/// coordinator's sealed frames verbatim.
 #[derive(Debug)]
 struct Participant {
     shard: usize,
@@ -317,6 +328,9 @@ struct Participant {
     /// The shard log. Its sink's buffer outlives the participant
     /// ([`ShardedUcpc`] keeps a clone), which is what crash recovery reads.
     log: WalWriter<SharedVecIo>,
+    /// The round being folded, decoded in place so that steady rounds
+    /// allocate nothing.
+    scratch: Vec<LogEntry>,
 }
 
 impl Participant {
@@ -329,6 +343,7 @@ impl Participant {
             engine: empty.clone(),
             applied: 0,
             log: shard_log(log, empty.m),
+            scratch: Vec::new(),
         }
     }
 
@@ -409,43 +424,50 @@ impl Participant {
         }
     }
 
-    /// Logs and folds round `seq` unless the watermark already covers it
-    /// (a duplicate or a retransmission, which changes nothing). Round
+    /// Whether the watermark covers round `seq` once this returns. A round
+    /// past the watermark is read from the coordinator's `log`, appended
+    /// to the shard log and folded; a duplicate or a retransmission changes
+    /// nothing, and a round `log` no longer holds is not taken. Round
     /// frames are atomic: a crash mid-round recovers to the previous round
     /// boundary and catch-up resends the rest.
-    fn take_round(&mut self, seq: u64, entries: &[LogEntry]) {
+    fn take_round(&mut self, seq: u64, log: &RoundLog) -> bool {
         if seq <= self.applied {
-            return;
+            return true;
         }
+        let Some(frame) = log.frame(seq) else {
+            return false;
+        };
         // Invariant: see `shard_log` — the in-memory sink cannot fault.
         self.log
-            .log_round(seq, entries)
+            .append_frame(frame)
             .expect("in-memory shard log cannot fault");
-        self.engine.apply_round(entries).expect(BUILT_ROUND);
+        let folded = decode_frame(frame, self.engine.m, &mut self.scratch)
+            .map_err(|_| "round frame does not decode")
+            .and_then(|_| self.engine.apply_round(&self.scratch));
+        folded.expect(BUILT_ROUND);
         self.applied = seq;
+        true
     }
 
     /// The participant's message loop body. Epoch fencing happens first;
     /// everything else is keyed on the applied watermark so duplicated
-    /// and reordered deliveries are harmless.
-    fn handle(&mut self, env: Envelope, tx: &mut ChaosTransport) {
+    /// and reordered deliveries are harmless. A request naming a round
+    /// the coordinator's `log` does not hold goes unanswered.
+    fn handle(&mut self, env: Envelope, log: &RoundLog, tx: &mut ChaosTransport) {
         if env.epoch != self.epoch {
             return; // fenced: a pre-restart straggler
         }
-        match env.payload {
-            Payload::Apply { seq, entries } => {
-                self.take_round(seq, &entries);
-                tx.send(self.reply(Payload::Ack { seq }));
-            }
-            Payload::Catchup { rounds } => {
-                for (seq, entries) in rounds {
-                    self.take_round(seq, &entries);
-                }
-                tx.send(self.reply(Payload::Ack { seq: self.applied }));
-            }
+        let acked = match env.payload {
+            Payload::Apply { seq } => self.take_round(seq, log).then_some(seq),
+            Payload::Catchup { last } => (self.applied + 1..=last)
+                .all(|seq| self.take_round(seq, log))
+                .then_some(self.applied),
             // A coordinator-bound payload misdelivered by a confused
             // fabric: drop.
-            Payload::Ack { .. } => {}
+            Payload::Ack { .. } => None,
+        };
+        if let Some(seq) = acked {
+            tx.send(self.reply(Payload::Ack { seq }));
         }
     }
 }
@@ -462,28 +484,91 @@ struct ShardDurable {
     log: SharedVecIo,
 }
 
-fn reply_matches(request: &Payload, reply: &Payload) -> bool {
+fn reply_matches(request: Payload, reply: Payload) -> bool {
     match (request, reply) {
-        (Payload::Apply { seq: a, .. }, Payload::Ack { seq: b }) => a == b,
-        (Payload::Catchup { rounds }, Payload::Ack { seq }) => {
-            rounds.last().is_none_or(|(last, _)| last == seq)
+        (Payload::Apply { seq: a } | Payload::Catchup { last: a }, Payload::Ack { seq: b }) => {
+            a == b
         }
         _ => false,
     }
 }
 
-/// The log entry for `op`: an `Insert` carries its row, copied out of
-/// `engine`'s slab; a `Remove` or `Move` goes bare, since every replica
-/// holds the row.
-fn entry(engine: &IncrementalUcpc, op: LogOp) -> LogEntry {
-    let (mu, mu2) = match op {
-        LogOp::Insert { slot, .. } => {
-            let v = engine.slab.view(slot as usize);
-            (v.mu.to_vec(), v.mu2.to_vec())
+/// Bytes a catch-up log block holds: frames fill fixed blocks rather than
+/// one growing buffer, so an append never copies the frames already held.
+const LOG_BLOCK: usize = 64 << 10;
+
+/// The coordinator's catch-up log: the sealed frame of every committed
+/// round past the lowest shard checkpoint, concatenated, plus that of the
+/// round in flight. These are the bytes every shard log appends.
+#[derive(Debug, Default)]
+struct RoundLog {
+    /// Rounds trimmed off the front: the log holds rounds `trimmed + 1`
+    /// on.
+    trimmed: u64,
+    /// The frames, concatenated into blocks of at least [`LOG_BLOCK`]
+    /// bytes that never outgrow their capacity.
+    blocks: Vec<Vec<u8>>,
+    /// Each held frame's block and byte range in it, in sequence order.
+    frames: Vec<(usize, Range<usize>)>,
+    /// The encoder's reused frame buffer.
+    scratch: Writer,
+}
+
+impl RoundLog {
+    /// Sequence number the next round takes.
+    fn end(&self) -> u64 {
+        self.trimmed + self.frames.len() as u64 + 1
+    }
+
+    /// Seals `entries` as round [`Self::end`] with the WAL's round encoder
+    /// and appends the frame; returns its sequence number.
+    fn push<R: AsRef<[f64]>>(&mut self, entries: &[LogEntry<R>]) -> Result<u64, WalError> {
+        let seq = self.end();
+        let frame = encode_round(&mut self.scratch, seq, entries)?;
+        if self
+            .blocks
+            .last()
+            .is_none_or(|b| b.capacity() - b.len() < frame.len())
+        {
+            self.blocks
+                .push(Vec::with_capacity(frame.len().max(LOG_BLOCK)));
         }
-        LogOp::Remove { .. } | LogOp::Move { .. } => (Vec::new(), Vec::new()),
-    };
-    LogEntry { op, mu, mu2 }
+        let b = self.blocks.len() - 1;
+        let block = &mut self.blocks[b];
+        self.frames
+            .push((b, block.len()..block.len() + frame.len()));
+        block.extend_from_slice(frame);
+        Ok(seq)
+    }
+
+    /// The sealed frame of round `seq`, if the log holds it.
+    fn frame(&self, seq: u64) -> Option<&[u8]> {
+        let i = usize::try_from(seq.checked_sub(self.trimmed + 1)?).ok()?;
+        let (b, range) = self.frames.get(i)?;
+        self.blocks.get(*b)?.get(range.clone())
+    }
+
+    /// Trims every frame up to round `floor` off the front of the log, and
+    /// the blocks no frame it keeps lies in.
+    fn trim(&mut self, floor: u64) {
+        let n = floor
+            .saturating_sub(self.trimmed)
+            .min(self.frames.len() as u64) as usize;
+        self.frames.drain(..n);
+        self.trimmed += n as u64;
+        let dropped = self.frames.first().map_or(self.blocks.len(), |(b, _)| *b);
+        self.blocks.drain(..dropped);
+        self.frames.iter_mut().for_each(|(b, _)| *b -= dropped);
+    }
+}
+
+/// A request awaiting its reply, with its retry state.
+#[derive(Debug)]
+struct InFlight {
+    request: Envelope,
+    answered: bool,
+    deadline: Instant,
+    attempt: u32,
 }
 
 // ---------------------------------------------------------------------
@@ -521,11 +606,12 @@ pub struct ShardedUcpc {
     /// Node 0's engine before its first round: every participant replica,
     /// fresh or recovered without a checkpoint, starts as a clone.
     empty: IncrementalUcpc,
-    /// Next round sequence number (rounds start at 1).
-    next_seq: u64,
-    /// Committed rounds past the lowest shard checkpoint, for catch-up
-    /// replays.
-    log: Vec<(u64, Arc<[LogEntry]>)>,
+    /// Sealed frames of the committed rounds past the lowest shard
+    /// checkpoint (rounds start at 1), for participants to append and
+    /// catch up from.
+    log: RoundLog,
+    /// The requests of the exchange in progress, reused round to round.
+    inflight: Vec<InFlight>,
     /// Current epoch of each participant; bumped by restarts.
     epochs: Vec<u64>,
     /// Protocol retransmissions performed (diagnostic).
@@ -571,8 +657,8 @@ impl ShardedUcpc {
             transport: ChaosTransport::new(shards + 1, plan),
             empty: engine.clone(),
             engine,
-            next_seq: 1,
-            log: Vec::new(),
+            log: RoundLog::default(),
+            inflight: Vec::with_capacity(shards),
             epochs: vec![1; shards],
             retries: 0,
             participants,
@@ -626,7 +712,7 @@ impl ShardedUcpc {
 
     /// Rounds committed so far.
     pub fn committed_rounds(&self) -> u64 {
-        self.next_seq - 1
+        self.log.end() - 1
     }
 
     /// Protocol retransmissions performed so far (0 on a clean fabric).
@@ -667,7 +753,13 @@ impl ShardedUcpc {
             slot: h.slot() as u32,
             cluster,
         };
-        self.run_round(Arc::new([entry(&self.engine, op)]));
+        // The slab holds the arrival's rows bit for bit, so the frame
+        // borrows them from the arrival.
+        self.run_round(&[LogEntry {
+            op,
+            mu: mo.mu(),
+            mu2: mo.mu2(),
+        }]);
         Ok(h)
     }
 
@@ -685,7 +777,7 @@ impl ShardedUcpc {
             cluster,
         };
         self.engine.remove(h)?;
-        self.run_round(Arc::new([entry(&self.engine, op)]));
+        self.run_round(&[LogEntry::bare(op)]);
         Ok(())
     }
 
@@ -703,12 +795,10 @@ impl ShardedUcpc {
             panic!("cannot stabilize: {down}");
         }
         let mut moves = Vec::new();
-        let relocations = self.engine.stabilize_with(passes, |op| moves.push(op));
-        let entries = moves
-            .into_iter()
-            .map(|op| entry(&self.engine, op))
-            .collect();
-        self.run_round(entries);
+        let relocations = self
+            .engine
+            .stabilize_with(passes, |op| moves.push(LogEntry::bare(op)));
+        self.run_round(&moves);
         relocations
     }
 
@@ -760,10 +850,9 @@ impl ShardedUcpc {
         let epoch = self.epochs[shard] + 1;
         let d = &self.durable[shard];
         let p = Participant::recover(&self.empty, shard, epoch, &d.checkpoint, &d.log.bytes())?;
-        // Catch-up resends the committed rounds from `kept` on, so the
-        // recovered watermark must lie in `kept - 1..next_seq`.
-        let kept = self.log.first().map_or(self.next_seq, |(seq, _)| *seq);
-        if p.applied >= self.next_seq || p.applied + 1 < kept {
+        // Catch-up resends the committed rounds the log holds, so the
+        // recovered watermark must lie in `trimmed..end`.
+        if p.applied >= self.log.end() || p.applied < self.log.trimmed {
             return Err(SnapshotError::Corrupt("shard watermark outside the catch-up log").into());
         }
         self.epochs[shard] = epoch;
@@ -777,8 +866,8 @@ impl ShardedUcpc {
     /// as the durable checkpoint, then rotates the shard log to a fresh
     /// header — the same checkpoint-then-rotate discipline as
     /// [`crate::serving::ServingUcpc::checkpoint_into`], at shard
-    /// granularity. The coordinator then drops every committed round all
-    /// shard checkpoints hold: no catch-up can need it.
+    /// granularity. The coordinator then trims every committed round all
+    /// shard checkpoints hold off its log: no catch-up can need it.
     ///
     /// # Panics
     ///
@@ -794,7 +883,7 @@ impl ShardedUcpc {
         d.log.truncate(0);
         p.log = shard_log(d.log.clone(), self.engine.m);
         let floor = self.durable.iter().map(|d| d.checkpointed).min();
-        self.log.retain(|(seq, _)| Some(*seq) > floor);
+        self.log.trim(floor.unwrap_or(0));
     }
 
     /// Truncates a shard's *durable* log to `keep` bytes — the
@@ -817,7 +906,7 @@ impl ShardedUcpc {
             while let Some(env) = self.transport.recv(node) {
                 progressed = true;
                 if let Some(p) = self.participants[shard].as_mut() {
-                    p.handle(env, &mut self.transport);
+                    p.handle(env, &self.log, &mut self.transport);
                 }
             }
         }
@@ -825,41 +914,44 @@ impl ShardedUcpc {
     }
 
     /// One full committed round of entries the coordinator has already
-    /// decided and folded: broadcast `Apply` to every shard, collect all
-    /// acknowledgements, then commit. Lockstep: the next sequence number
-    /// is not used until this one is fully replicated.
-    fn run_round(&mut self, entries: Arc<[LogEntry]>) {
-        let seq = self.next_seq;
-        let applies = (0..self.shards)
-            .map(|s| Envelope {
-                from: 0,
-                to: s + 1,
-                epoch: self.epochs[s],
-                payload: Payload::Apply {
-                    seq,
-                    entries: Arc::clone(&entries),
-                },
-            })
-            .collect();
-        self.complete(applies);
-        self.log.push((seq, entries));
-        self.next_seq += 1;
+    /// decided and folded: seal them into the catch-up log, broadcast
+    /// `Apply` to every shard, collect all acknowledgements, then commit.
+    /// Lockstep: the next sequence number is not used until this one is
+    /// fully replicated.
+    fn run_round<R: AsRef<[f64]>>(&mut self, entries: &[LogEntry<R>]) {
+        let seq = self.log.push(entries).expect(BUILT_ROUND);
+        for shard in 0..self.shards {
+            self.request(shard, Payload::Apply { seq });
+        }
+        self.complete();
     }
 
-    /// Sends `requests` and drives the fabric until each has its
+    /// Queues `payload` for `shard`'s current life; [`Self::complete`]
+    /// sends it.
+    fn request(&mut self, shard: usize, payload: Payload) {
+        self.inflight.push(InFlight {
+            request: Envelope {
+                from: 0,
+                to: shard + 1,
+                epoch: self.epochs[shard],
+                payload,
+            },
+            answered: false,
+            deadline: self.clock.now() + RETRY_BASE,
+            attempt: 0,
+        });
+    }
+
+    /// Sends the queued requests and drives the fabric until each has its
     /// matching reply, retrying unanswered ones on exponentially backed
     /// off deadlines from the manual clock (advanced only when nothing
-    /// was deliverable, so schedules are deterministic). Epoch-fenced:
-    /// replies from a stale participant life are dropped.
-    fn complete(&mut self, requests: Vec<Envelope>) {
-        for r in &requests {
-            self.transport.send(r.clone());
+    /// was deliverable, so schedules are deterministic), then clears the
+    /// queue. Epoch-fenced: replies from a stale participant life are
+    /// dropped.
+    fn complete(&mut self) {
+        for f in &self.inflight {
+            self.transport.send(f.request);
         }
-        let mut got = vec![false; requests.len()];
-        let mut deadlines: Vec<(std::time::Instant, u32)> = requests
-            .iter()
-            .map(|_| (self.clock.now() + RETRY_BASE, 0u32))
-            .collect();
         loop {
             let mut progressed = self.pump_participants();
             while let Some(env) = self.transport.recv(0) {
@@ -870,66 +962,50 @@ impl ShardedUcpc {
                 if env.epoch != self.epochs[env.from - 1] {
                     continue; // fenced
                 }
-                if let Some(i) = requests
-                    .iter()
-                    .position(|r| r.to == env.from && reply_matches(&r.payload, &env.payload))
-                {
-                    got[i] = true;
+                if let Some(f) = self.inflight.iter_mut().find(|f| {
+                    f.request.to == env.from && reply_matches(f.request.payload, env.payload)
+                }) {
+                    f.answered = true;
                 }
                 // Anything else — duplicate, stale round, misdelivery —
                 // is dropped; idempotence makes that safe.
             }
-            if got.iter().all(|&g| g) {
+            if self.inflight.iter().all(|f| f.answered) {
+                self.inflight.clear();
                 return;
             }
             if !progressed {
                 self.transport.step();
                 self.clock.advance(TICK);
                 let now = self.clock.now();
-                for (i, r) in requests.iter().enumerate() {
-                    if got[i] {
+                for f in self.inflight.iter_mut() {
+                    if f.answered || now < f.deadline {
                         continue;
                     }
-                    let (deadline, attempt) = deadlines[i];
-                    if now >= deadline {
-                        assert!(
-                            attempt < MAX_ATTEMPTS,
-                            "shard {} unresponsive after {} retransmissions",
-                            r.to - 1,
-                            attempt
-                        );
-                        self.transport.send(r.clone());
-                        self.retries += 1;
-                        let next = attempt + 1;
-                        deadlines[i] = (now + RETRY_BASE * (1u32 << next.min(6)), next);
-                    }
+                    assert!(
+                        f.attempt < MAX_ATTEMPTS,
+                        "shard {} unresponsive after {} retransmissions",
+                        f.request.to - 1,
+                        f.attempt
+                    );
+                    self.transport.send(f.request);
+                    self.retries += 1;
+                    f.attempt += 1;
+                    f.deadline = now + RETRY_BASE * (1u32 << f.attempt.min(6));
                 }
             }
         }
     }
 
     /// The catch-up exchange after [`Self::restart`]: the coordinator
-    /// sends the recovered participant every committed round past its
-    /// durable watermark (`Catchup`) and waits for the acknowledgement of
-    /// the full committed prefix, through the same retry loop as every
+    /// asks the recovered participant to take every committed round past
+    /// its durable watermark (`Catchup`) and waits for the acknowledgement
+    /// of the full committed prefix, through the same retry loop as every
     /// other request. Every leg is idempotent.
     fn rejoin(&mut self, shard: usize) {
-        let applied = self.participants[shard]
-            .as_ref()
-            .expect("restart installed the participant")
-            .applied;
-        let rounds = self
-            .log
-            .iter()
-            .filter(|(s, _)| *s > applied)
-            .cloned()
-            .collect();
-        self.complete(vec![Envelope {
-            from: 0,
-            to: shard + 1,
-            epoch: self.epochs[shard],
-            payload: Payload::Catchup { rounds },
-        }]);
+        let last = self.committed_rounds();
+        self.request(shard, Payload::Catchup { last });
+        self.complete();
     }
 }
 
@@ -1014,6 +1090,74 @@ mod tests {
         let mut sharded = ShardedUcpc::with_chaos(1, 2, 3, ChaosPlan::mixed(42)).unwrap();
         let mut single = IncrementalUcpc::new(1, 2).unwrap();
         drive_script(&mut sharded, &mut single);
+        assert_matches_single_node(&sharded, &single);
+    }
+
+    #[test]
+    fn the_chaos_schedule_is_pinned() {
+        // Captured on the commit before rounds became sealed frames that
+        // messages name by sequence number: the same sends, in the same
+        // order, roll the same dice.
+        for (shards, retries) in [(2, 16), (3, 26)] {
+            let mut sharded = ShardedUcpc::with_chaos(1, 2, shards, ChaosPlan::mixed(42)).unwrap();
+            let mut single = IncrementalUcpc::new(1, 2).unwrap();
+            drive_script(&mut sharded, &mut single);
+            assert_eq!(
+                (sharded.retries(), sharded.committed_rounds()),
+                (retries, 15),
+                "{shards} shards"
+            );
+        }
+    }
+
+    /// Every live shard's log is the WAL header plus the coordinator's
+    /// frames for the rounds past that shard's checkpoint.
+    fn assert_logs_are_the_coordinators_frames(sharded: &ShardedUcpc) {
+        let header = WalWriter::create(VecIo::new(), sharded.engine.m, WalFsync::Off)
+            .unwrap()
+            .into_io()
+            .into_bytes();
+        for (shard, d) in sharded.durable.iter().enumerate() {
+            if sharded.participants[shard].is_none() {
+                continue;
+            }
+            let mut expected = header.clone();
+            for seq in d.checkpointed + 1..=sharded.committed_rounds() {
+                expected.extend_from_slice(sharded.log.frame(seq).unwrap());
+            }
+            assert_eq!(d.log.bytes(), expected, "shard {shard}");
+        }
+    }
+
+    #[test]
+    fn shard_logs_hold_the_coordinators_frames_through_chaos_checkpoints_and_crashes() {
+        let mut sharded = ShardedUcpc::with_chaos(1, 2, 3, ChaosPlan::mixed(42)).unwrap();
+        let mut single = IncrementalUcpc::new(1, 2).unwrap();
+        let mut handles = Vec::new();
+        for (i, c) in [0.0, 0.3, 9.0, 9.1, 0.1, 8.8, 0.2, 9.3, 4.5, 0.05, 7.7, 0.4]
+            .into_iter()
+            .enumerate()
+        {
+            let h = sharded.insert(&obj(c)).unwrap();
+            assert_eq!(h, single.insert(&obj(c)).unwrap());
+            handles.push(h);
+            match i % 4 {
+                0 => sharded.checkpoint_shard(i % 3),
+                1 => {
+                    sharded.crash((i + 1) % 3);
+                    assert_logs_are_the_coordinators_frames(&sharded);
+                    sharded.restart((i + 1) % 3).unwrap();
+                }
+                2 => assert_eq!(sharded.stabilize(3), single.stabilize(3)),
+                _ => {
+                    let h = handles.remove(0);
+                    sharded.remove(h).unwrap();
+                    single.remove(h).unwrap();
+                }
+            }
+            assert_logs_are_the_coordinators_frames(&sharded);
+        }
+        assert!(sharded.retries() > 0, "the schedule is lossy");
         assert_matches_single_node(&sharded, &single);
     }
 
@@ -1301,24 +1445,30 @@ mod tests {
         assert_matches_single_node(&sharded, &single);
     }
 
-    /// Round 1 for a one-shard participant in epoch `epoch`: one insert.
+    /// Round 1 for a one-shard participant in epoch `epoch`.
     fn apply_one(epoch: u64) -> Envelope {
         Envelope {
             from: 0,
             to: 1,
             epoch,
-            payload: Payload::Apply {
-                seq: 1,
-                entries: Arc::new([LogEntry {
-                    op: LogOp::Insert {
-                        slot: 0,
-                        cluster: 0,
-                    },
-                    mu: vec![1.0],
-                    mu2: vec![2.0],
-                }]),
-            },
+            payload: Payload::Apply { seq: 1 },
         }
+    }
+
+    /// A coordinator log holding round 1: one insert.
+    fn one_insert() -> RoundLog {
+        let mut log = RoundLog::default();
+        let insert = LogOp::Insert {
+            slot: 0,
+            cluster: 0,
+        };
+        log.push(&[LogEntry {
+            op: insert,
+            mu: [1.0],
+            mu2: [2.0],
+        }])
+        .unwrap();
+        log
     }
 
     fn empty() -> IncrementalUcpc {
@@ -1329,7 +1479,7 @@ mod tests {
     fn stale_epoch_envelopes_are_fenced_off() {
         let mut p = Participant::fresh(&empty(), 0, 2, SharedVecIo::new());
         let mut tx = ChaosTransport::new(2, ChaosPlan::clean(0));
-        p.handle(apply_one(1), &mut tx); // previous life
+        p.handle(apply_one(1), &one_insert(), &mut tx); // previous life
         assert_eq!(p.applied, 0, "stale-epoch Apply must be dropped");
         assert!(p.engine.is_empty() && p.engine.cluster_stats().iter().all(ClusterStats::is_empty));
         assert!(tx.recv(0).is_none(), "and not answered");
@@ -1345,15 +1495,71 @@ mod tests {
                 .map(|e| e.payload)
                 .collect()
         };
-        p.handle(apply_one(1), &mut tx);
+        let rounds = one_insert();
+        p.handle(apply_one(1), &rounds, &mut tx);
         assert_eq!(acks(&mut tx), [Payload::Ack { seq: 1 }]);
         let (log, state) = (io.bytes(), p.engine.snapshot());
         assert_eq!(scan_wal(&log).unwrap().records.len(), 1);
-        p.handle(apply_one(1), &mut tx);
+        p.handle(apply_one(1), &rounds, &mut tx);
         assert_eq!(acks(&mut tx), [Payload::Ack { seq: 1 }], "re-acked");
         assert_eq!(io.bytes(), log, "no second log frame");
         assert!(p.engine.snapshot() == state, "no second fold");
         assert_eq!((p.applied, p.engine.len()), (1, 1));
+    }
+
+    #[test]
+    fn a_round_missing_from_the_coordinator_log_goes_unanswered() {
+        let io = SharedVecIo::new();
+        let mut p = Participant::fresh(&empty(), 0, 1, io.clone());
+        let mut tx = ChaosTransport::new(2, ChaosPlan::clean(0));
+        let mut trimmed = one_insert();
+        trimmed.trim(1);
+        let catchup = Envelope {
+            payload: Payload::Catchup { last: 1 },
+            ..apply_one(1)
+        };
+        for env in [apply_one(1), catchup] {
+            p.handle(env, &trimmed, &mut tx);
+            assert!(tx.recv(0).is_none(), "{env:?} is not acknowledged");
+            assert_eq!((p.applied, io.bytes().len()), (0, WAL_HEADER_LEN));
+        }
+        // The retry finds the round once the log holds it.
+        p.handle(catchup, &one_insert(), &mut tx);
+        assert_eq!(tx.recv(0).map(|e| e.payload), Some(Payload::Ack { seq: 1 }));
+        assert_eq!((p.applied, p.engine.len()), (1, 1));
+    }
+
+    #[test]
+    fn the_catch_up_log_holds_whole_frames_across_blocks_and_trims() {
+        let mut log = RoundLog::default();
+        // 16 KiB frames, and one frame larger than a block.
+        let (row, big) = (vec![0.5; 1_000], vec![0.25; LOG_BLOCK / 8]);
+        let mut sealed = Vec::new();
+        for slot in 0..12 {
+            let r = if slot == 7 { &big } else { &row };
+            let round = [LogEntry {
+                op: LogOp::Insert { slot, cluster: 0 },
+                mu: r.as_slice(),
+                mu2: r.as_slice(),
+            }];
+            let seq = log.push(&round).unwrap();
+            let mut w = Writer::default();
+            sealed.push(encode_round(&mut w, seq, &round).unwrap().to_vec());
+        }
+        assert!(log.blocks.len() > 3, "the frames span several blocks");
+        let holds = |log: &RoundLog, from: u64| {
+            assert_eq!(log.frame(from - 1), None, "trimmed");
+            for seq in from..=12 {
+                assert_eq!(log.frame(seq), Some(&sealed[seq as usize - 1][..]));
+            }
+            assert_eq!((log.frame(13), log.end()), (None, 13));
+        };
+        holds(&log, 1);
+        log.trim(5);
+        holds(&log, 6);
+        log.trim(12);
+        assert!(log.blocks.is_empty() && log.frames.is_empty(), "no bytes");
+        holds(&log, 13);
     }
 
     #[test]
@@ -1410,14 +1616,25 @@ mod tests {
         let stale = sharded.durable[0].checkpoint.clone();
         assert_eq!(sharded.stabilize(3), single.stabilize(3));
         for shard in 0..3 {
-            assert!(!sharded.log.is_empty(), "shard {shard} still needs rounds");
+            assert!(
+                !sharded.log.frames.is_empty(),
+                "shard {shard} still needs rounds"
+            );
             sharded.checkpoint_shard(shard);
         }
-        assert!(sharded.log.is_empty(), "every checkpoint holds every round");
+        assert!(
+            sharded.log.frames.is_empty(),
+            "every checkpoint holds every round"
+        );
+        assert!(sharded.log.blocks.is_empty(), "and the log holds no bytes");
         sharded.remove(handles[1]).unwrap();
         single.remove(handles[1]).unwrap();
         assert_eq!(sharded.insert(&obj(0.2)), single.insert(&obj(0.2)));
-        assert_eq!(sharded.log.len(), 2);
+        assert_eq!(sharded.log.frames.len(), 2);
+        // Exactly those two frames: what every rotated shard log appended.
+        for d in &sharded.durable {
+            assert_eq!(sharded.log.blocks.concat(), d.log.bytes()[WAL_HEADER_LEN..]);
+        }
         sharded.crash(1);
         sharded.restart(1).unwrap();
         assert_eq!(sharded.shard_applied(1), Some(sharded.committed_rounds()));

@@ -56,6 +56,15 @@
 //! names. At `m = 16` a commit frame is 286 bytes, a remove 30, and a
 //! stabilization 21 plus 13 per move.
 //!
+//! One encoder and one decoder own this layout. The encoder seals a round
+//! into a reused frame buffer: [`WalWriter::log_round`] logs the result,
+//! and the sharded coordinator seals each round once, for every shard log
+//! to append verbatim through the writer's `append_frame`, so the shard
+//! logs need no encoding of their own. The decoder reads a frame's
+//! entries and rows in bulk into a caller's `Vec`: [`scan_wal`] passes a
+//! fresh one per frame, and a shard its reused scratch, so a steady
+//! round decodes without allocating.
+//!
 //! # Torn tails, corruption, and poisoning
 //!
 //! [`scan_wal`] walks frames until the first one that is torn (runs past
@@ -567,20 +576,23 @@ impl<I: DurableIo> WalWriter<I> {
     /// Starts a log for `m`-dimensional arrivals on `io`, writing the
     /// checksummed header immediately.
     pub fn create(io: I, m: usize, fsync: WalFsync) -> Result<Self, WalError> {
+        let mut head = Writer::with_capacity(WAL_HEADER_LEN);
+        head.bytes(WAL_MAGIC);
+        head.u32(WAL_VERSION);
+        head.u64(m as u64);
+        let crc = crc32(head.as_slice());
+        head.u32(crc);
         let mut w = Self {
             io,
             fsync,
             frames: 0,
             bytes: 0,
             poison: None,
-            scratch: Writer::with_capacity(WAL_HEADER_LEN),
+            scratch: Writer::default(),
         };
-        w.scratch.bytes(WAL_MAGIC);
-        w.scratch.u32(WAL_VERSION);
-        w.scratch.u64(m as u64);
-        let crc = crc32(w.scratch.as_slice());
-        w.scratch.u32(crc);
-        w.commit_scratch()?;
+        w.write(head.as_slice())?;
+        // The header's buffer becomes the reused frame buffer.
+        w.scratch = head;
         if w.fsync == WalFsync::Every {
             w.sync_or_poison()?;
         }
@@ -625,37 +637,22 @@ impl<I: DurableIo> WalWriter<I> {
         seq: u64,
         entries: &[LogEntry<R>],
     ) -> Result<(), WalError> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let logged = encode_round(&mut scratch, seq, entries).and_then(|f| self.append_frame(f));
+        self.scratch = scratch;
+        logged
+    }
+
+    /// Appends one round frame sealed elsewhere, by [`encode_round`],
+    /// verbatim: a shard appends the coordinator's frame, so both logs hold
+    /// the same bytes. The caller vouches that `frame` is one whole sealed
+    /// round frame; its bytes are not checked again. Poisoning and syncing
+    /// are those of [`Self::log_round`].
+    pub(crate) fn append_frame(&mut self, frame: &[u8]) -> Result<(), WalError> {
         if let Some(fault) = &self.poison {
             return Err(WalError::Poisoned(fault.clone()));
         }
-        let p = &mut self.scratch;
-        p.begin_frame();
-        p.u8(TAG_ROUND);
-        p.u64(seq);
-        p.u32(entries.len() as u32);
-        for e in entries {
-            let (mu, mu2) = (e.mu.as_ref(), e.mu2.as_ref());
-            let row = if mu.is_empty() { 0 } else { OP_ROW };
-            let (op, slot, cluster, dst) = match e.op {
-                LogOp::Insert { slot, cluster } => (OP_INSERT, slot, cluster, None),
-                LogOp::Remove { slot, cluster } => (OP_REMOVE, slot, cluster, None),
-                LogOp::Move { slot, src, dst } => (OP_MOVE, slot, src, Some(dst)),
-            };
-            p.u8(op | row);
-            p.u32(slot);
-            p.u32(cluster as u32);
-            if let Some(dst) = dst {
-                p.u32(dst as u32);
-            }
-            if row != 0 {
-                p.f64s(mu);
-                p.f64s(mu2);
-            }
-        }
-        if p.seal_frame().is_none() {
-            return Err(WalError::FrameTooLarge);
-        }
-        self.commit_scratch()?;
+        self.write(frame)?;
         self.frames += 1;
         if self.fsync == WalFsync::Every {
             // The frame is readable whether or not this sync succeeds: a
@@ -678,9 +675,8 @@ impl<I: DurableIo> WalWriter<I> {
         Ok(())
     }
 
-    /// Writes the assembled scratch buffer whole, poisoning on any fault.
-    fn commit_scratch(&mut self) -> Result<(), WalError> {
-        let bytes = self.scratch.as_slice();
+    /// Writes `bytes` whole, poisoning on any fault.
+    fn write(&mut self, bytes: &[u8]) -> Result<(), WalError> {
         match self.io.write_all(bytes) {
             Ok(()) => {
                 self.bytes += bytes.len() as u64;
@@ -702,6 +698,43 @@ impl<I: DurableIo> WalWriter<I> {
             }
         }
     }
+}
+
+/// Seals round `seq` into `p` as one frame — the round payload the module
+/// docs lay out, behind its length and CRC — and returns the frame. The one
+/// round encoder: [`WalWriter::log_round`] logs what it returns, and the
+/// sharded coordinator ships it for every shard log to append verbatim.
+/// [`WalError::FrameTooLarge`] leaves `p` unsealed.
+#[inline]
+pub(crate) fn encode_round<'p, R: AsRef<[f64]>>(
+    p: &'p mut Writer,
+    seq: u64,
+    entries: &[LogEntry<R>],
+) -> Result<&'p [u8], WalError> {
+    p.begin_frame();
+    p.u8(TAG_ROUND);
+    p.u64(seq);
+    p.u32(entries.len() as u32);
+    for e in entries {
+        let (mu, mu2) = (e.mu.as_ref(), e.mu2.as_ref());
+        let row = if mu.is_empty() { 0 } else { OP_ROW };
+        let (op, slot, cluster, dst) = match e.op {
+            LogOp::Insert { slot, cluster } => (OP_INSERT, slot, cluster, None),
+            LogOp::Remove { slot, cluster } => (OP_REMOVE, slot, cluster, None),
+            LogOp::Move { slot, src, dst } => (OP_MOVE, slot, src, Some(dst)),
+        };
+        p.u8(op | row);
+        p.u32(slot);
+        p.u32(cluster as u32);
+        if let Some(dst) = dst {
+            p.u32(dst as u32);
+        }
+        if row != 0 {
+            p.f64s(mu);
+            p.f64s(mu2);
+        }
+    }
+    p.seal_frame().ok_or(WalError::FrameTooLarge)
 }
 
 // ---------------------------------------------------------------------------
@@ -784,7 +817,11 @@ pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, WalError> {
             reason: "header dimensionality overflows usize",
         });
     };
-    let frames = scan_frames(bytes, WAL_HEADER_LEN, |p| decode_round(p, m).ok());
+    let frames = scan_frames(bytes, WAL_HEADER_LEN, |p| {
+        let mut entries = Vec::new();
+        let seq = decode_round(p, m, &mut entries).ok()?;
+        Some(WalRecord { seq, entries })
+    });
     scan.m = Some(m);
     scan.records = frames.frames;
     scan.frame_ends = frames.frame_ends;
@@ -793,9 +830,18 @@ pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, WalError> {
     Ok(scan)
 }
 
-/// Decodes one checksummed frame payload; an error if the tag or shape is
-/// wrong. Every count is clamped against the payload before allocating.
-fn decode_round(payload: &[u8], m: usize) -> Result<WalRecord, SnapshotError> {
+/// Decodes one checksummed frame payload into `entries`, which ends up
+/// holding exactly the round, and returns its sequence number; an error if
+/// the tag or shape is wrong, after which `entries` is unspecified. The one
+/// round decoder: [`scan_wal`] passes a fresh `Vec`, a shard its reused
+/// scratch, whose entries and rows are overwritten in place without
+/// allocating. Every count is clamped against the payload before
+/// allocating.
+pub(crate) fn decode_round(
+    payload: &[u8],
+    m: usize,
+    entries: &mut Vec<LogEntry>,
+) -> Result<u64, SnapshotError> {
     let mut r = Reader::new(payload);
     if r.u8()? != TAG_ROUND {
         return Err(SnapshotError::Corrupt("unknown record tag"));
@@ -804,8 +850,9 @@ fn decode_round(payload: &[u8], m: usize) -> Result<WalRecord, SnapshotError> {
     let count = r.u32()? as usize;
     // An entry is at least its op, slot and one cluster.
     r.ensure(count, 9)?;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
+    entries.truncate(count);
+    entries.reserve(count - entries.len());
+    for i in 0..count {
         let op = r.u8()?;
         let slot = r.u32()?;
         let op_kind = match op & !OP_ROW {
@@ -824,21 +871,45 @@ fn decode_round(payload: &[u8], m: usize) -> Result<WalRecord, SnapshotError> {
             },
             _ => return Err(SnapshotError::Corrupt("unknown round entry op")),
         };
-        let (mu, mu2) = if op & OP_ROW != 0 {
-            (r.f64s(m)?, r.f64s(m)?)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        entries.push(LogEntry {
-            op: op_kind,
-            mu,
-            mu2,
-        });
+        if i == entries.len() {
+            entries.push(LogEntry {
+                op: op_kind,
+                mu: Vec::new(),
+                mu2: Vec::new(),
+            });
+        }
+        let e = &mut entries[i];
+        e.op = op_kind;
+        e.mu.clear();
+        e.mu2.clear();
+        if op & OP_ROW != 0 {
+            r.f64s_into(m, &mut e.mu)?;
+            r.f64s_into(m, &mut e.mu2)?;
+        }
     }
     if r.remaining() != 0 {
         return Err(SnapshotError::Corrupt("record carries trailing bytes"));
     }
-    Ok(WalRecord { seq, entries })
+    Ok(seq)
+}
+
+/// [`decode_round`] of a whole frame, `len ‖ payload ‖ crc`, whose
+/// checksum the caller vouches for: a shard holds the frame its own
+/// coordinator sealed. The length field must span the frame exactly.
+pub(crate) fn decode_frame(
+    frame: &[u8],
+    m: usize,
+    entries: &mut Vec<LogEntry>,
+) -> Result<u64, SnapshotError> {
+    let mut r = Reader::new(frame);
+    let len = r.u32()? as usize;
+    let payload = r.take(len)?;
+    if r.remaining() != 4 {
+        return Err(SnapshotError::Corrupt(
+            "frame length does not span the frame",
+        ));
+    }
+    decode_round(payload, m, entries)
 }
 
 // ---------------------------------------------------------------------------
@@ -949,6 +1020,7 @@ pub fn recover(snapshot: &[u8], wal: &[u8]) -> Result<Recovery, WalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Writer;
     use crate::pruning::PruningConfig;
     use ucpc_uncertain::{UncertainObject, UnivariatePdf};
 
@@ -1103,6 +1175,153 @@ mod tests {
         log(&[with_row(relocate, &row, &row)]);
         log(EMPTY);
         assert_eq!(sizes, [286, 30, 47, 286, 290, 21]);
+    }
+
+    /// Row bits that a decode through any float arithmetic would lose: a
+    /// signed zero, a NaN payload, a subnormal and an infinity.
+    const ODD_ROW: [f64; 4] = [
+        -0.0,
+        f64::from_bits(0x7FF8_DEAD_BEEF_0001),
+        5e-324,
+        f64::INFINITY,
+    ];
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The frame [`encode_round`] seals for `entries` as round `seq`.
+    fn sealed(seq: u64, entries: &[LogEntry]) -> Vec<u8> {
+        encode_round(&mut Writer::default(), seq, entries)
+            .unwrap()
+            .to_vec()
+    }
+
+    #[test]
+    fn encoded_rounds_decode_to_the_same_bits() {
+        let m = ODD_ROW.len();
+        let insert = LogOp::Insert {
+            slot: 7,
+            cluster: 2,
+        };
+        let remove = LogOp::Remove {
+            slot: 7,
+            cluster: 1,
+        };
+        let relocate = LogOp::Move {
+            slot: 4,
+            src: 0,
+            dst: 3,
+        };
+        let rounds: [Vec<LogEntry>; 4] = [
+            vec![with_row(insert, &ODD_ROW, &[1.0, -2.0, 3.0, -4.0])],
+            vec![bare(remove)],
+            vec![bare(relocate), bare(relocate)],
+            Vec::new(),
+        ];
+        for (seq, round) in (u64::MAX - 3..=u64::MAX).zip(&rounds) {
+            let frame = sealed(seq, round);
+            let mut decoded = Vec::new();
+            assert_eq!(decode_frame(&frame, m, &mut decoded), Ok(seq));
+            assert_eq!(decoded.len(), round.len());
+            for (d, e) in decoded.iter().zip(round) {
+                assert_eq!(d.op, e.op);
+                assert_eq!((bits(&d.mu), bits(&d.mu2)), (bits(&e.mu), bits(&e.mu2)));
+            }
+            // The writer logs the same frame, which scans back alike.
+            let mut w = WalWriter::create(VecIo::new(), m, WalFsync::Off).unwrap();
+            w.log_round(seq, round).unwrap();
+            assert_eq!(&w.io().bytes()[WAL_HEADER_LEN..], &frame[..]);
+        }
+    }
+
+    #[test]
+    fn a_reused_scratch_holds_exactly_the_last_round() {
+        let (mu, mu2) = ([1.5, -2.5], [3.0, 7.0]);
+        let insert = LogOp::Insert {
+            slot: 3,
+            cluster: 1,
+        };
+        let relocate = LogOp::Move {
+            slot: 2,
+            src: 1,
+            dst: 0,
+        };
+        let remove = LogOp::Remove {
+            slot: 3,
+            cluster: 1,
+        };
+        let rounds = [
+            vec![
+                with_row(insert, &mu, &mu2),
+                with_row(relocate, &mu2, &mu),
+                bare(relocate),
+            ],
+            vec![bare(remove)],
+            vec![with_row(insert, &mu2, &mu)],
+        ];
+        let mut scratch = Vec::new();
+        for (seq, round) in (1..).zip(&rounds) {
+            assert_eq!(decode_frame(&sealed(seq, round), 2, &mut scratch), Ok(seq));
+            assert_eq!(&scratch, round, "round {seq}: no stale entries or rows");
+        }
+    }
+
+    #[test]
+    fn truncated_frames_and_flipped_ops_are_checked_errors() {
+        let row = [0.5, -0.25];
+        let frames = [
+            sealed(
+                1,
+                &[with_row(
+                    LogOp::Insert {
+                        slot: 0,
+                        cluster: 0,
+                    },
+                    &row,
+                    &row,
+                )],
+            ),
+            sealed(
+                2,
+                &[bare(LogOp::Remove {
+                    slot: 0,
+                    cluster: 0,
+                })],
+            ),
+            sealed(
+                3,
+                &[bare(LogOp::Move {
+                    slot: 0,
+                    src: 0,
+                    dst: 1,
+                })],
+            ),
+            sealed(4, EMPTY),
+        ];
+        let mut scratch = Vec::new();
+        for frame in &frames {
+            for cut in 0..frame.len() {
+                assert!(
+                    decode_frame(&frame[..cut], 2, &mut scratch).is_err(),
+                    "cut {cut}"
+                );
+            }
+        }
+        // len 4, tag 1, seq 8, count 4: the first entry's op byte.
+        let op = 4 + 1 + 8 + 4;
+        for frame in &frames[..3] {
+            for bit in 0..8 {
+                let mut bent = frame.clone();
+                bent[op] ^= 1 << bit;
+                let err = decode_frame(&bent, 2, &mut scratch).unwrap_err();
+                assert!(
+                    matches!(err, SnapshotError::Truncated | SnapshotError::Corrupt(_)),
+                    "op {:#04x}: {err:?}",
+                    bent[op]
+                );
+            }
+        }
     }
 
     #[test]
