@@ -13,19 +13,17 @@
 //! A flush runs the state machine admit → batch → price → apply → respond:
 //!
 //! 1. **price** — every staged arrival in the batch is priced against the
-//!    flush-start cluster statistics in two arena passes: a cluster-major
-//!    pass where one dispatched [`dot_block`] call per cluster loads that
-//!    cluster's `mean_sum` row once and fills a row of the `k × B` cross
-//!    matrix (inside, arrivals stream through the same fused [`dot3`]
-//!    batching the relocation scan uses), then an arrival-major pass that
-//!    evaluates each arrival's delta-`J` row through per-cluster hoisted
-//!    pricers ([`AddPricer`]) and folds its top-k answer while the row is
-//!    cache-hot — producing the full `B × k` delta matrix and every
-//!    arrival's ranked answer in one batch;
-//! 2. **apply** — requests are replayed in submission order: queries read
-//!    their delta row; commits, removals and every move of a stabilization
-//!    become [`LogEntry`] rounds applied through
-//!    [`IncrementalUcpc::apply_round`], the engine's one mutation path;
+//!    flush-start cluster statistics into one cluster-major `k × B` delta
+//!    matrix, one cluster row at a time: one dispatched [`dot_block`] call
+//!    loads that cluster's `mean_sum` row once and fills the row with the
+//!    cross terms (inside, arrivals stream through the same fused [`dot3`]
+//!    batching the relocation scan uses), and the cluster's hoisted
+//!    [`AddPricer`] turns each cross into its delta-`J` in place;
+//! 2. **apply** — requests are replayed in submission order: queries and
+//!    commits fold their column of the matrix into a ranked answer, once
+//!    each; commits, removals and every move of a stabilization become
+//!    [`LogEntry`] rounds applied through [`IncrementalUcpc::apply_round`],
+//!    the engine's one mutation path;
 //! 3. **respond** — each request's answer ([`ServingResponse`]) is queued
 //!    in submission order for [`ServingUcpc::pop_response`], with placement
 //!    answers carrying the top-`k'` clusters by exact delta-`J` and the
@@ -46,30 +44,28 @@
 //!   `delta = stats[c].delta_j_add(v)` over ascending `c` (the pruned scan,
 //!   [`best_insertion_bounded`], is shadow-asserted bit-identical to the
 //!   full scan). `delta_j_add(v)` is a *pure function* of the bits of
-//!   `stats[c]` and `v`, equal to `delta_j_add_with_cross(v, ⟨s_c, mu(v)⟩)`.
-//!   The batch pricer computes exactly that cross term — [`dot_block`]
-//!   yields per-arrival crosses contractually bit-identical to the single
+//!   `stats[c]` and `v`: it *is* `add_pricer().price(.., dot(s_c, mu(v)))`.
+//!   The batch pricer computes exactly that — [`dot_block`] yields
+//!   per-arrival crosses contractually bit-identical to the single
 //!   [`dot`]`(s_c, mu_i)` the serial kernel evaluates (the SIMD module's
-//!   bit-identity contract), the hoisted [`AddPricer`] evaluates the same
-//!   Corollary-1 expression in the same operation order (the hoisting
-//!   moves only *when* the per-cluster divisions happen, not their
-//!   values), and short rows below
-//!   [`DISPATCH_THRESHOLD`] use the identical per-cluster `delta_j_add`
-//!   calls — so every entry of the `B × k` matrix carries the very bits the
-//!   serial scan would compute *against flush-start statistics*.
-//! * **Staleness.** Applying the batch in submission order mutates
-//!   statistics mid-batch, so a pre-priced delta is valid only while its
-//!   cluster is untouched. Every mutation marks its clusters dirty for the
-//!   remainder of the flush: a commit dirties the cluster it fed, a removal
-//!   dirties the cluster it drained, a stabilization that relocated
-//!   anything dirties all `k`. At apply time each arrival folds a *merged*
-//!   row — the pre-priced delta for clean clusters (whose statistics are
-//!   bitwise unchanged since flush start, so the delta is bitwise what
-//!   serial would compute right now) and a live `delta_j_add` recompute for
-//!   dirty ones — with the scan's exact strict-less, first-index-wins-ties
-//!   semantics. The folded argmin therefore matches the serial scan bit for
-//!   bit (debug builds shadow-assert this against a live full scan on every
-//!   commit).
+//!   bit-identity contract; rows below [`DISPATCH_THRESHOLD`] take the same
+//!   unfused core in both), and the hoisted [`AddPricer`] is the one
+//!   implementation of the Corollary-1 expression — so every entry of the
+//!   matrix carries the very bits the serial scan would compute against
+//!   the statistics it was priced from.
+//! * **Re-price on read.** Applying the batch in submission order mutates
+//!   statistics mid-batch, and a cluster's deltas depend on its own
+//!   statistics only, so a pre-priced row goes stale exactly when its
+//!   cluster mutates. Every mutation lists its clusters as stale: a commit
+//!   the cluster it fed, an effective removal the cluster it drained, a
+//!   stabilization that relocated anything all `k`. Before an arrival's
+//!   column is folded, each stale cluster's row is re-priced over the
+//!   arrivals not yet answered — the same routine as the flush-start
+//!   pricing — so every column holds, bit for bit, what a live scan would
+//!   compute at that point of the edit sequence. The fold keeps the scan's
+//!   exact strict-less, first-index-wins-ties semantics, so its argmin
+//!   matches the serial scan bit for bit (debug builds shadow-assert this
+//!   against a live full scan on every commit).
 //! * **Storage.** The staged copy of an arrival is written **verbatim**
 //!   ([`MomentArena::overwrite_row`] on admission), and a commit is the
 //!   same `Insert` entry a serial [`IncrementalUcpc::insert`] applies: the
@@ -135,9 +131,8 @@ use std::time::{Duration, Instant};
 
 use crate::framework::ClusterError;
 use crate::incremental::{IncrementalUcpc, ObjectHandle, PassUndo};
-use crate::objective::AddPricer;
 use crate::wal::{DurableIo, LogEntry, LogOp, VecIo, WalError, WalFsync, WalWriter};
-use ucpc_uncertain::simd::{dot_block, DISPATCH_THRESHOLD};
+use ucpc_uncertain::simd::dot_block;
 use ucpc_uncertain::{MomentArena, Moments, UncertainObject};
 
 /// The serving layer's write-ahead logger: a [`WalWriter`] over a boxed
@@ -431,32 +426,20 @@ pub struct ServingUcpc {
     free_rows: Vec<u32>,
     pending: VecDeque<Request>,
     responses: VecDeque<(Ticket, ServingResponse)>,
-    /// Flush-scoped `B × k` delta matrix (row-major by arrival).
+    /// Flush-scoped `k × B` delta matrix, cluster-major: row `c` holds
+    /// every priced arrival's delta-`J` against cluster `c`, as of the
+    /// statistics it was last priced from ([`Self::price_cluster`]).
     deltas: Vec<f64>,
     /// Staging rows of the current flush's arrivals, in submission order.
     priced_rows: Vec<u32>,
-    /// Flush-scoped per-arrival scalars `(Σvar, ‖mu‖², Σμ₂)`, staged once
-    /// so the pricing loop reads no [`MomentView`] per (cluster, arrival).
-    priced_scalars: Vec<(f64, f64, f64)>,
-    /// Per-cluster cross-term scratch for [`dot_block`] (`B` entries).
-    crosses: Vec<f64>,
-    /// Flush-scoped per-cluster pricers ([`AddPricer`]) — the hoisted
-    /// constants each cluster's delta evaluation shares across the batch.
-    pricers: Vec<AddPricer>,
-    /// Flush-scoped precomputed answers, one per priced arrival, folded in
-    /// a single tight pass over the delta matrix while it is cache-hot.
-    /// Valid for an arrival unless a mutation preceded it in the batch
-    /// (`any_dirty`), in which case [`Self::answer_for`] re-folds merged.
-    answers: Vec<PlacementAnswer>,
-    /// Per-cluster dirty stamp: `dirty[c] == flush_seq` means cluster `c`
-    /// mutated during the current flush and its pre-priced deltas are
-    /// stale.
-    dirty: Vec<u64>,
-    /// Whether *any* cluster mutated during the current flush — lets
-    /// [`Self::answer_for`] skip the per-cluster dirty merge entirely on
-    /// flushes that committed nothing.
-    any_dirty: bool,
-    flush_seq: u64,
+    /// Flush-scoped per-arrival scalars `Σvar`, `‖mu‖²` and `Σμ₂`, staged
+    /// once as three columns so the pricing loop reads no [`MomentView`].
+    sum_var: Vec<f64>,
+    sum_mu_sq: Vec<f64>,
+    sum_mu2: Vec<f64>,
+    /// Clusters mutated since their row of `deltas` was priced, each
+    /// listed once (capacity `k`); [`Self::answer_for`] re-prices them.
+    stale: Vec<usize>,
     next_ticket: Ticket,
     commits_since_stabilize: usize,
     /// Construction time, stamped on requests instead of a per-admission
@@ -505,6 +488,7 @@ impl ServingUcpc {
                 m,
                 cfg.wal_fsync,
             )
+            // Invariant: a `VecIo` header write has no I/O to fail.
             .expect("in-memory sink cannot fault")
         });
         Self {
@@ -517,13 +501,10 @@ impl ServingUcpc {
             responses: VecDeque::with_capacity(cap),
             deltas: Vec::with_capacity(cap * k),
             priced_rows: Vec::with_capacity(cap),
-            priced_scalars: Vec::with_capacity(cap),
-            crosses: Vec::with_capacity(cap),
-            pricers: Vec::new(),
-            answers: Vec::with_capacity(cap),
-            dirty: vec![0; k],
-            any_dirty: false,
-            flush_seq: 0,
+            sum_var: Vec::with_capacity(cap),
+            sum_mu_sq: Vec::with_capacity(cap),
+            sum_mu2: Vec::with_capacity(cap),
+            stale: Vec::with_capacity(k),
             next_ticket: 0,
             cfg,
             commits_since_stabilize: 0,
@@ -639,6 +620,8 @@ impl ServingUcpc {
         if !mo.view().is_finite() {
             return Err(ServingError::NonFinite);
         }
+        // Invariant: there are `queue_capacity` staging rows, each held by
+        // at most one pending arrival, and the queue is not full.
         let row = self
             .free_rows
             .pop()
@@ -744,22 +727,21 @@ impl ServingUcpc {
         if self.pending.is_empty() {
             return 0;
         }
-        self.flush_seq += 1;
-        self.any_dirty = false;
         self.price_pending();
         let n = self.pending.len();
         let mut arrival = 0usize;
-        for _ in 0..n {
-            let req = self.pending.pop_front().expect("n pending requests");
+        // Nothing is admitted mid-flush, so this drains exactly the batch
+        // priced above.
+        while let Some(req) = self.pending.pop_front() {
             let response = match req.kind {
                 ReqKind::Query { row } => {
-                    let answer = self.answer_for(arrival, row);
+                    let answer = self.answer_for(arrival);
                     arrival += 1;
                     self.free_rows.push(row);
                     ServingResponse::Placed(answer)
                 }
                 ReqKind::Commit { row } => {
-                    let answer = self.answer_for(arrival, row);
+                    let answer = self.answer_for(arrival);
                     arrival += 1;
                     // Nothing is admitted mid-flush, so the row stays
                     // intact for the rest of this request.
@@ -768,14 +750,15 @@ impl ServingUcpc {
                     let v = self.staging.view(row as usize);
                     #[cfg(debug_assertions)]
                     {
-                        // The merged fold must agree with a live full scan —
-                        // the direct check of the dirty-stamp argument.
+                        // The fold must agree with a live full scan — the
+                        // direct check of the re-price-on-read argument.
+                        // Invariant: `k >= 1` at engine construction.
                         let shadow = crate::pruning::best_insertion(&self.engine.stats, &v)
                             .expect("k >= 1 clusters");
                         debug_assert_eq!(
                             (best, answer.best().1.to_bits()),
                             (shadow.0, shadow.1.to_bits()),
-                            "merged batch fold diverged from the serial scan"
+                            "batch fold diverged from the serial scan"
                         );
                     }
                     let handle = self.engine.next_handle();
@@ -794,8 +777,7 @@ impl ServingUcpc {
                             .push_back((req.ticket, ServingResponse::Failed { error }));
                         continue;
                     }
-                    self.dirty[best] = self.flush_seq;
-                    self.any_dirty = true;
+                    self.mark_stale(best);
                     self.commits_since_stabilize += 1;
                     // A cadence pass whose round cannot be logged is undone
                     // and leaves the counter standing: neither log nor
@@ -825,8 +807,7 @@ impl ServingUcpc {
                                 .push_back((req.ticket, ServingResponse::Failed { error }));
                             continue;
                         }
-                        self.dirty[cluster] = self.flush_seq;
-                        self.any_dirty = true;
+                        self.mark_stale(cluster);
                         ServingResponse::Removed(Ok(()))
                     }
                 },
@@ -872,8 +853,8 @@ impl ServingUcpc {
             }
         };
         if relocations > 0 {
-            self.dirty.fill(self.flush_seq);
-            self.any_dirty = true;
+            self.stale.clear();
+            self.stale.extend(0..self.engine.k);
         }
         Ok(relocations)
     }
@@ -883,112 +864,76 @@ impl ServingUcpc {
         self.responses.pop_front()
     }
 
-    /// Phase 1 of a flush: the `B × k` delta matrix of every staged arrival
-    /// against flush-start statistics, cluster-major with arrival-blocked
-    /// [`dot3`] so each cluster's `mean_sum` row is loaded once per three
-    /// arrivals. Every entry is bit-identical to
-    /// `stats[c].delta_j_add(&arrival)` (module docs).
+    /// Phase 1 of a flush: stages every pending arrival's row and scalars
+    /// and prices the whole `k × B` delta matrix against flush-start
+    /// statistics.
     fn price_pending(&mut self) {
         self.priced_rows.clear();
-        self.priced_scalars.clear();
+        self.sum_var.clear();
+        self.sum_mu_sq.clear();
+        self.sum_mu2.clear();
         for req in &self.pending {
             if let ReqKind::Query { row } | ReqKind::Commit { row } = req.kind {
                 self.priced_rows.push(row);
                 let v = self.staging.view(row as usize);
-                self.priced_scalars
-                    .push((v.sum_var, v.sum_mu_sq, v.sum_mu2));
+                self.sum_var.push(v.sum_var);
+                self.sum_mu_sq.push(v.sum_mu_sq);
+                self.sum_mu2.push(v.sum_mu2);
             }
         }
-        let b = self.priced_rows.len();
         let k = self.engine.k;
         self.deltas.clear();
-        self.deltas.resize(b * k, 0.0);
-        let top = self.cfg.top_k.min(k);
-        let Self {
-            engine,
-            staging,
-            priced_rows,
-            priced_scalars,
-            deltas,
-            crosses,
-            pricers,
-            answers,
-            ..
-        } = self;
-        let stats = &engine.stats;
-        answers.clear();
-        if staging.dims() >= DISPATCH_THRESHOLD {
-            // Phase a — cluster-major cross terms: one dispatched
-            // [`dot_block`] call per cluster prices every staged arrival
-            // against that cluster's `mean_sum` row (loaded once), filling
-            // one contiguous row of the `k × B` cross matrix. Each cross is
-            // bit-identical to the `dot(s, mu)` that `delta_j_add` itself
-            // issues (the `dot_block` contract). The per-cluster pricers
-            // ([`AddPricer`]) are built here too, so the divisions inside
-            // `delta_j_add_from_parts` are paid once per cluster per flush,
-            // not once per (cluster, arrival) — same bits either way.
-            crosses.clear();
-            crosses.resize(k * b, 0.0);
-            pricers.clear();
-            pricers.extend(stats.iter().map(|s| s.add_pricer()));
-            for (c, stat) in stats.iter().enumerate() {
-                dot_block(
-                    stat.mean_sum(),
-                    staging.mu_flat(),
-                    priced_rows,
-                    &mut crosses[c * b..(c + 1) * b],
-                );
-            }
-            // Phase b — arrival-major evaluation and fold: each arrival's
-            // scalar aggregates load once (not once per cluster), its delta
-            // row is written sequentially, and the answer folds immediately
-            // while that row is register/L1-hot — the vectorized-executor
-            // move applied end to end: batch the fold, not just the dots.
-            // An answer stays valid until a mutation earlier in the batch
-            // dirties statistics (`any_dirty`); those arrivals re-fold
-            // merged in [`Self::answer_for`].
-            for a in 0..b {
-                let (sum_var, sum_mu_sq, sum_mu2) = priced_scalars[a];
-                let row = &mut deltas[a * k..(a + 1) * k];
-                for (c, pricer) in pricers.iter().enumerate() {
-                    row[c] = pricer.price(sum_var, sum_mu_sq, sum_mu2, crosses[c * b + a]);
-                }
-                answers.push(fold_row(row, top));
-            }
-        } else {
-            // Short rows never reach a SIMD backend (no loads to amortize):
-            // per-cluster delta_j_add, the same regime as the serial scan.
-            for a in 0..b {
-                let v = staging.view(priced_rows[a] as usize);
-                let row = &mut deltas[a * k..(a + 1) * k];
-                for (c, stat) in stats.iter().enumerate() {
-                    row[c] = stat.delta_j_add(&v);
-                }
-                answers.push(fold_row(row, top));
-            }
+        self.deltas.resize(k * self.priced_rows.len(), 0.0);
+        self.stale.clear();
+        for c in 0..k {
+            self.price_cluster(c, 0);
         }
     }
 
-    /// Phase 2 answer for the `arrival`-th priced arrival. On an untouched
-    /// flush this is the precomputed fold; after any mutation it re-folds
-    /// the merged row — pre-priced deltas for clean clusters, live
-    /// `delta_j_add` for dirty ones — with identical semantics.
-    fn answer_for(&self, arrival: usize, row: u32) -> PlacementAnswer {
-        if !self.any_dirty {
-            return self.answers[arrival];
+    /// Prices cluster `c`'s row of the delta matrix for the priced arrivals
+    /// `from..` against its current statistics: one [`dot_block`] call
+    /// fills the crosses with the cluster's `mean_sum` row loaded once, and
+    /// the cluster's [`AddPricer`](crate::objective::AddPricer) turns each
+    /// into its delta in place. Every entry is bit-identical to
+    /// `stats[c].delta_j_add(&arrival)` (module docs).
+    fn price_cluster(&mut self, c: usize, from: usize) {
+        let b = self.priced_rows.len();
+        let stat = &self.engine.stats[c];
+        let out = &mut self.deltas[c * b + from..(c + 1) * b];
+        dot_block(
+            stat.mean_sum(),
+            self.staging.mu_flat(),
+            &self.priced_rows[from..],
+            out,
+        );
+        let pricer = stat.add_pricer();
+        let scalars = self.sum_var[from..]
+            .iter()
+            .zip(&self.sum_mu_sq[from..])
+            .zip(&self.sum_mu2[from..]);
+        for (d, ((&var, &mu_sq), &mu2)) in out.iter_mut().zip(scalars) {
+            *d = pricer.price(var, mu_sq, mu2, *d);
         }
-        let stats = &self.engine.stats;
-        let k = stats.len();
-        let top = self.cfg.top_k.min(k);
-        let deltas = &self.deltas[arrival * k..arrival * k + k];
-        let v = self.staging.view(row as usize);
-        fold_with(k, top, |c| {
-            if self.dirty[c] == self.flush_seq {
-                stats[c].delta_j_add(&v)
-            } else {
-                deltas[c]
-            }
-        })
+    }
+
+    /// Lists cluster `c` as mutated since its row was priced.
+    fn mark_stale(&mut self, c: usize) {
+        if !self.stale.contains(&c) {
+            self.stale.push(c);
+        }
+    }
+
+    /// Phase 2 answer for the `arrival`-th priced arrival: re-prices every
+    /// stale cluster over the arrivals from this one on, then folds this
+    /// arrival's column — against statistics exactly as they stand now.
+    fn answer_for(&mut self, arrival: usize) -> PlacementAnswer {
+        while let Some(c) = self.stale.pop() {
+            self.price_cluster(c, arrival);
+        }
+        let b = self.priced_rows.len();
+        let k = self.engine.k;
+        let deltas = &self.deltas;
+        fold_with(k, self.cfg.top_k.min(k), |c| deltas[c * b + arrival])
     }
 }
 
@@ -1011,16 +956,10 @@ fn log_then_apply(
     Ok(())
 }
 
-/// [`fold_with`] over a contiguous pre-priced delta row.
-fn fold_row(deltas: &[f64], top: usize) -> PlacementAnswer {
-    fold_with(deltas.len(), top, |c| deltas[c])
-}
-
 /// Folds one arrival's `k` deltas into a [`PlacementAnswer`]: best/second
 /// with the scan's exact strict-less, first-index-wins-ties `consider`
 /// semantics, plus the top-`top` ranked insertion (ties keep the lower
-/// cluster index). Pure in `delta_of` — the single fold implementation the
-/// batch pass and the dirty-merged re-fold both instantiate.
+/// cluster index). Pure in `delta_of`.
 fn fold_with(k: usize, top: usize, delta_of: impl FnMut(usize) -> f64) -> PlacementAnswer {
     // Monomorphize the insertion network on its width so the inner
     // compare-exchange chain fully unrolls into selects.
@@ -1409,5 +1348,188 @@ mod tests {
             direct.objective().to_bits()
         );
         assert_eq!(serving.engine().live_labels(), direct.live_labels());
+    }
+
+    /// An `m`-dimensional arrival centred on `c` (`arrival(c, 2)` is
+    /// [`obj`]); `m = 16` reaches the dispatched `dot_block` kernels.
+    fn arrival(c: f64, m: usize) -> UncertainObject {
+        UncertainObject::new(
+            (0..m)
+                .map(|j| match j % 2 {
+                    0 => UnivariatePdf::normal(c, 0.2),
+                    _ => UnivariatePdf::uniform_centered(-c, 0.5),
+                })
+                .collect(),
+        )
+    }
+
+    /// One request of a scripted flush.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Query(f64),
+        Commit(f64),
+        Remove(ObjectHandle),
+    }
+
+    /// What a live full scan answers for `o` right now: `delta_j_add` over
+    /// ascending `c`, ranked by a stable sort, as `(cluster, delta bits)`,
+    /// plus the margin bits.
+    fn live_scan(
+        engine: &IncrementalUcpc,
+        o: &UncertainObject,
+        top: usize,
+    ) -> (Vec<(usize, u64)>, u64) {
+        let v = o.moments().view();
+        let mut deltas: Vec<(usize, f64)> = engine
+            .cluster_stats()
+            .iter()
+            .enumerate()
+            .map(|(c, s)| (c, s.delta_j_add(&v)))
+            .collect();
+        deltas.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite deltas"));
+        let margin = match deltas.len() {
+            1 => f64::INFINITY,
+            _ => deltas[1].1 - deltas[0].1,
+        };
+        let ranked = deltas.iter().take(top).map(|&(c, d)| (c, d.to_bits()));
+        (ranked.collect(), margin.to_bits())
+    }
+
+    fn bits(answer: &PlacementAnswer) -> (Vec<(usize, u64)>, u64) {
+        let ranked = answer.ranked().iter().map(|&(c, d)| (c, d.to_bits()));
+        (ranked.collect(), answer.margin().to_bits())
+    }
+
+    /// Submits `steps` as one flush and checks every answer against a live
+    /// full scan on a serial replay at the same point of the edit sequence
+    /// (cadence stabilizes included). Returns the committed handles and the
+    /// relocations of every cadence stabilize the replay ran.
+    fn flush_matches_live_scan(
+        serving: &mut ServingUcpc,
+        m: usize,
+        steps: &[Step],
+    ) -> (Vec<ObjectHandle>, Vec<usize>) {
+        let mut shadow = serving.engine().clone();
+        let mut since = serving.commits_since_stabilize;
+        let cfg = serving.config().clone();
+        for &step in steps {
+            match step {
+                Step::Query(c) => serving.submit_query_object(&arrival(c, m)),
+                Step::Commit(c) => serving.submit_commit_object(&arrival(c, m)),
+                Step::Remove(h) => serving.submit_remove(h),
+            }
+            .unwrap();
+        }
+        assert_eq!(serving.flush(), steps.len());
+        let (mut handles, mut relocations) = (Vec::new(), Vec::new());
+        for (i, &step) in steps.iter().enumerate() {
+            let (_, got) = serving.pop_response().unwrap();
+            match (step, got) {
+                (Step::Query(c), ServingResponse::Placed(answer)) => {
+                    let want = live_scan(&shadow, &arrival(c, m), cfg.top_k);
+                    assert_eq!(bits(&answer), want, "query {i} of {steps:?}");
+                }
+                (Step::Commit(c), ServingResponse::Committed { handle, answer }) => {
+                    let o = arrival(c, m);
+                    let want = live_scan(&shadow, &o, cfg.top_k);
+                    assert_eq!(bits(&answer), want, "commit {i} of {steps:?}");
+                    assert_eq!(shadow.insert_moments(o.moments()).unwrap(), handle);
+                    handles.push(handle);
+                    since += 1;
+                    if cfg.stabilize_every != 0 && since >= cfg.stabilize_every {
+                        relocations.push(shadow.stabilize(cfg.stabilize_passes));
+                        since = 0;
+                    }
+                }
+                (Step::Remove(h), ServingResponse::Removed(got)) => {
+                    assert_eq!(got, shadow.remove(h), "remove {i} of {steps:?}");
+                }
+                (step, got) => panic!("{step:?} answered {got:?}"),
+            }
+        }
+        assert_eq!(serving.engine().cluster_stats(), shadow.cluster_stats());
+        (handles, relocations)
+    }
+
+    #[test]
+    fn a_commit_and_a_remove_on_one_cluster_reprice_before_the_next_query() {
+        for m in [2, 16] {
+            let mut serving = ServingUcpc::new(m, 2, cfg(16)).unwrap();
+            let steps = [0.0, 10.0, 0.5, 10.5].map(Step::Commit);
+            let (prefill, _) = flush_matches_live_scan(&mut serving, m, &steps);
+            let low = serving.engine().label_of(prefill[0]).unwrap();
+            let steps = [
+                Step::Query(1.0),
+                Step::Commit(0.2),
+                Step::Remove(prefill[0]),
+                Step::Query(0.3),
+                Step::Query(9.0),
+                Step::Commit(0.4),
+            ];
+            let (committed, _) = flush_matches_live_scan(&mut serving, m, &steps);
+            assert_eq!(serving.engine().label_of(committed[0]), Some(low));
+        }
+    }
+
+    #[test]
+    fn a_cadence_stabilize_that_relocates_mid_flush_reprices_every_cluster() {
+        for m in [2, 16] {
+            let every = ServingConfig {
+                stabilize_every: 4,
+                ..cfg(16)
+            };
+            let mut serving = ServingUcpc::new(m, 2, every).unwrap();
+            // Greedy placement seats 1.0 beside 10 and 11; the cadence
+            // stabilize after the fourth commit moves it back beside 0.
+            let steps = [
+                Step::Commit(0.0),
+                Step::Commit(1.0),
+                Step::Query(5.0),
+                Step::Commit(10.0),
+                Step::Commit(11.0),
+                Step::Query(0.5),
+                Step::Query(10.5),
+                Step::Commit(0.2),
+            ];
+            let (_, relocations) = flush_matches_live_scan(&mut serving, m, &steps);
+            assert!(relocations[0] > 0, "the cadence stabilize must relocate");
+        }
+    }
+
+    #[test]
+    fn a_stale_handle_remove_marks_nothing() {
+        for m in [2, 16] {
+            let mut serving = ServingUcpc::new(m, 2, cfg(16)).unwrap();
+            let steps = [0.0, 10.0, 0.5].map(Step::Commit);
+            let (prefill, _) = flush_matches_live_scan(&mut serving, m, &steps);
+            let h = prefill[0];
+            let cluster = serving.engine().label_of(h).unwrap();
+            // A live remove as the last request leaves its cluster listed…
+            flush_matches_live_scan(&mut serving, m, &[Step::Query(1.0), Step::Remove(h)]);
+            assert_eq!(serving.stale, [cluster]);
+            // …a stale-handle remove lists nothing.
+            flush_matches_live_scan(&mut serving, m, &[Step::Query(1.0), Step::Remove(h)]);
+            assert!(serving.stale.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_commit_as_the_last_request_reprices_over_an_empty_tail() {
+        for m in [2, 16] {
+            let mut serving = ServingUcpc::new(m, 2, cfg(16)).unwrap();
+            let steps = [0.0, 10.0].map(Step::Commit);
+            flush_matches_live_scan(&mut serving, m, &steps);
+            let steps = [Step::Query(1.0), Step::Query(9.0), Step::Commit(0.3)];
+            let (committed, _) = flush_matches_live_scan(&mut serving, m, &steps);
+            let best = serving.engine().label_of(committed[0]).unwrap();
+            assert_eq!(serving.stale, [best]);
+            // No arrival is left to answer: re-pricing the tail is a no-op.
+            let before = serving.deltas.clone();
+            serving.price_cluster(best, serving.priced_rows.len());
+            assert_eq!(serving.deltas, before);
+            // The next flush prices from scratch and forgets the mark.
+            let steps = [Step::Query(0.2), Step::Commit(9.5), Step::Query(0.1)];
+            flush_matches_live_scan(&mut serving, m, &steps);
+        }
     }
 }

@@ -5,12 +5,12 @@
 //! the same requests on the per-object reference model `RefStream`
 //! (`tests/support/reference.rs`), across pruning × SIMD backends, and at
 //! both kernel regimes (short rows and the dot3-batched
-//! `m ≥ DISPATCH_THRESHOLD` path).
+//! `m ≥ DISPATCH_THRESHOLD` path) and at the shapes either side of it.
 //!
 //! The serial reference computes every expected placement answer with its
 //! own independent implementation (per-cluster `delta_j_add` + a stable
-//! sort), so agreement pins the serving layer's batched pricing, dirty-
-//! cluster merging, top-k selection and margin — not just the argmin.
+//! sort), so agreement pins the serving layer's batched pricing, stale-
+//! cluster re-pricing, top-k selection and margin — not just the argmin.
 
 mod support;
 
@@ -102,7 +102,12 @@ enum Expected {
 /// stabilizing after every `STABILIZE_EVERY`-th commit exactly like the
 /// serving layer's cadence.
 fn replay_serial(ops: &[Op], m: usize) -> (RefStream, Vec<Expected>) {
-    let mut engine = RefStream::new(m, K);
+    replay_serial_k(ops, m, K)
+}
+
+/// [`replay_serial`] over `k` clusters.
+fn replay_serial_k(ops: &[Op], m: usize, k: usize) -> (RefStream, Vec<Expected>) {
+    let mut engine = RefStream::new(m, k);
     let mut ids: Vec<ObjectHandle> = Vec::new();
     let mut commits = 0usize;
     let mut expected = Vec::new();
@@ -156,7 +161,18 @@ fn replay_serving(
     m: usize,
     batch: usize,
 ) -> (ServingUcpc, Vec<ServingResponse>) {
-    let mut engine = IncrementalUcpc::new(m, K).unwrap();
+    replay_serving_k(pruning, ops, m, K, batch)
+}
+
+/// [`replay_serving`] over `k` clusters.
+fn replay_serving_k(
+    pruning: PruningConfig,
+    ops: &[Op],
+    m: usize,
+    k: usize,
+    batch: usize,
+) -> (ServingUcpc, Vec<ServingResponse>) {
+    let mut engine = IncrementalUcpc::new(m, k).unwrap();
     engine.set_pruning(pruning);
     let cfg = ServingConfig {
         batch,
@@ -334,6 +350,39 @@ fn serving_is_bit_identical_on_short_rows() {
             }
         }
     }
+}
+
+#[test]
+fn serving_is_bit_identical_either_side_of_the_dispatch_threshold() {
+    // m ∈ {15, 16, 17} straddles DISPATCH_THRESHOLD, and k = 8 clusters
+    // with top-4 answers keep the ranking non-trivial. Every mutation
+    // re-prices its cluster over the arrivals still to be answered, so the
+    // batch sizes drive `dot_block` over tails of every length mod 3.
+    const WIDE_K: usize = 8;
+    let restore = simd::active_backend();
+    for m in [15, 16, 17] {
+        let ops = script(200 + m as u64, 80, m);
+        for simd_backend in [Backend::Scalar, Backend::detect()] {
+            simd::force_backend(simd_backend).expect("backend available");
+            let (serial, expected) = replay_serial_k(&ops, m, WIDE_K);
+            for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
+                for batch in BATCH_SIZES {
+                    let (serving, log) = replay_serving_k(pruning, &ops, m, WIDE_K, batch);
+                    assert_equivalent(
+                        &serving,
+                        &log,
+                        &serial,
+                        &expected,
+                        &format!(
+                            "m {m}, k {WIDE_K}, batch {batch}, {pruning:?} / {}",
+                            simd_backend.name()
+                        ),
+                    );
+                }
+            }
+        }
+    }
+    simd::force_backend(restore).expect("restore prior backend");
 }
 
 proptest! {
