@@ -57,6 +57,8 @@ pub enum ClusterError {
     NonFinite,
     /// A sharded engine was asked for zero shards.
     NoShards,
+    /// A multi-restart run was asked for zero restarts.
+    NoRestarts,
     /// A sharded engine's shard is down, so no round can commit; restart
     /// it first. Nothing was changed.
     ShardDown {
@@ -94,6 +96,7 @@ impl fmt::Display for ClusterError {
             ),
             ClusterError::NonFinite => write!(f, "arrival has a non-finite moment"),
             ClusterError::NoShards => write!(f, "a sharded engine needs at least one shard"),
+            ClusterError::NoRestarts => write!(f, "a multi-restart run needs at least one restart"),
             ClusterError::ShardDown { shard } => {
                 write!(f, "shard {shard} is down; restart it first")
             }

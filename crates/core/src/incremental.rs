@@ -7,9 +7,10 @@
 //! live partition of a stream of uncertain objects, inserting each arrival
 //! into the cluster that minimizes the objective increase, removing departed
 //! objects, and periodically re-stabilizing with relocation passes (each pass
-//! is one iteration of Algorithm 1, run through the same relocation step as
-//! the batch searches: [`best_move`] decides, [`apply_relocation`] applies,
-//! and a move needs to lower `J` by more than [`crate::pruning::TOLERANCE`]).
+//! is one iteration of Algorithm 1: [`best_move`] decides, [`apply_relocation`]
+//! applies, and a move needs to lower `J` by more than
+//! [`crate::pruning::TOLERANCE`]). [`IncrementalUcpc::stabilize`] is the
+//! crate's only relocation loop; batch [`crate::Ucpc`] runs it too.
 //!
 //! This is the natural "moving objects" deployment of the paper's machinery:
 //! positions go stale and get refreshed continuously, and re-running batch
@@ -20,7 +21,7 @@
 //!
 //! Moments live in a [`ucpc_uncertain::SlabArena`]: flat SoA rows recycled
 //! through a LIFO free-list, so the stabilization scan streams contiguous
-//! memory exactly like the batch path and a steady-state
+//! memory and a steady-state
 //! insert-after-remove performs zero allocator calls
 //! (`tests/streaming_alloc_free.rs`). A slab row holds the same bits a
 //! standalone [`Moments`] would (see [`ucpc_uncertain::slab`]), and by
@@ -46,10 +47,14 @@
 //!   [`ClusterError::StaleHandle`], never a silent read of the slot's next
 //!   occupant. `label_of` returns `None` for stale handles.
 //!
-//! For crash recovery and migration, [`IncrementalUcpc::snapshot`]
-//! serializes the complete logical state into a versioned byte buffer and
-//! [`IncrementalUcpc::restore`] reassembles it bit-identically — see
-//! [`crate::snapshot`].
+//! # Three ways in
+//!
+//! An engine grows by [`IncrementalUcpc::insert`] from
+//! [`IncrementalUcpc::new`]; [`IncrementalUcpc::restore`] reassembles one
+//! bit-identically from [`IncrementalUcpc::snapshot`]'s bytes (see
+//! [`crate::snapshot`]); and [`IncrementalUcpc::from_arena`] bulk-loads a
+//! whole [`MomentArena`] under a given partition, which is how a batch
+//! [`crate::Ucpc`] run starts.
 //!
 //! # Surgical invalidation
 //!
@@ -67,7 +72,7 @@
 //! entries also carry the slot's generation stamp, so an entry written for
 //! a departed occupant can never serve the slot's next tenant.
 
-use crate::framework::ClusterError;
+use crate::framework::{validate_labels, ClusterError};
 use crate::objective::{total_objective, ClusterStats};
 use crate::pruning::{
     apply_relocation, apply_tracked_insert, apply_tracked_remove, best_insertion,
@@ -75,7 +80,7 @@ use crate::pruning::{
     PruningConfig,
 };
 use crate::wal::{LogEntry, LogOp};
-use ucpc_uncertain::{Moments, SlabArena, UncertainObject};
+use ucpc_uncertain::{MomentArena, Moments, SlabArena, UncertainObject};
 
 pub use ucpc_uncertain::ObjectHandle;
 
@@ -163,6 +168,63 @@ impl IncrementalUcpc {
             cache: PruneCache::new(0, k),
             counters: PruneCounters::default(),
         })
+    }
+
+    /// Bulk-loads `arena`'s rows, moved in without a copy, as slots
+    /// `0..n`, each live at generation 0 and partitioned by `labels` (one
+    /// per row, in `0..k`). Each cluster folds its rows with the plain
+    /// `add_view` in row order; nothing is logged or drift-tracked.
+    ///
+    /// `k == 0` is [`ClusterError::InvalidK`]; a bad partition is
+    /// [`ClusterError::LabelLengthMismatch`] or
+    /// [`ClusterError::LabelOutOfRange`]; a row with a non-finite moment or
+    /// scalar is [`ClusterError::NonFinite`], as at
+    /// [`Self::insert_moments`].
+    pub fn from_arena(
+        arena: MomentArena,
+        k: usize,
+        labels: &[usize],
+    ) -> Result<Self, ClusterError> {
+        let n = arena.len();
+        let mut engine = Self {
+            labels: vec![None; n],
+            live: n,
+            // `new` refuses only `k == 0`; report it against the rows.
+            ..Self::new(arena.dims(), k).map_err(|_| ClusterError::InvalidK { k, n })?
+        };
+        engine.slab = SlabArena::from_parts(arena, vec![true; n], Vec::new(), vec![0; n]);
+        engine.relabel(labels)?;
+        Ok(engine)
+    }
+
+    /// Re-partitions the rows of a [`Self::from_arena`] engine (every slot
+    /// live) into the engine `from_arena` would build, with its checks,
+    /// keeping the rows and the prune cache's buffers. Statistics are
+    /// refolded; versions, drift totals and prune counters restart from
+    /// zero; the epoch bump retires every cached bound. An error leaves the
+    /// statistics partly folded, for the caller to discard.
+    pub(crate) fn relabel(&mut self, labels: &[usize]) -> Result<(), ClusterError> {
+        validate_labels(labels, self.labels.len(), self.k)?;
+        self.stats.fill(ClusterStats::empty(self.m));
+        let mut norms_finite = true;
+        for (i, (slot, &c)) in self.labels.iter_mut().zip(labels).enumerate() {
+            let v = self.slab.view(i);
+            self.stats[c].add_view(&v);
+            norms_finite &= v.norm_mu.is_finite();
+            *slot = Some(c);
+        }
+        // Every other part of a row reaches its cluster's sums, so this
+        // refuses each row `MomentView::is_finite` refuses (and sums that
+        // overflow) in O(k·m), where a per-row sweep costs about as much as
+        // the fold itself.
+        if !norms_finite || !self.stats.iter().all(ClusterStats::is_finite) {
+            return Err(ClusterError::NonFinite);
+        }
+        self.versions.fill(0);
+        self.totals = DriftTotals::default();
+        self.counters = PruneCounters::default();
+        self.epoch += 1;
+        Ok(())
     }
 
     /// Alias of [`Self::new`]: [`StreamBackend::Slab`] is the only store.
@@ -675,6 +737,100 @@ mod tests {
         assert_eq!(inc.versions, before.versions);
         // The pass cached bounds against statistics that are gone.
         assert_eq!(inc.epoch, before.epoch + 1);
+    }
+
+    /// Three loose 2-d blobs of 90 objects as a moment arena.
+    fn blob_arena() -> MomentArena {
+        let objs: Vec<UncertainObject> = (0..90)
+            .map(|i| {
+                let c = (i % 3) as f64 * 6.0 + (i as f64 * 0.37).sin();
+                UncertainObject::new(vec![
+                    UnivariatePdf::normal(c, 0.3),
+                    UnivariatePdf::normal((i as f64 * 0.11).cos() - c, 0.2),
+                ])
+            })
+            .collect();
+        MomentArena::from_objects(&objs)
+    }
+
+    /// A deterministic partition of `n` rows into 3 clusters that cuts
+    /// across the blobs.
+    fn partition(n: usize, stride: usize) -> Vec<usize> {
+        (0..n).map(|i| (i * stride / 5) % 3).collect()
+    }
+
+    #[test]
+    fn a_relabelled_engine_matches_a_fresh_bulk_load() {
+        let search = crate::Ucpc {
+            pruning: PruningConfig::Bounds,
+            ..crate::Ucpc::default()
+        };
+        let mut reused = IncrementalUcpc::from_arena(blob_arena(), 3, &partition(90, 7)).unwrap();
+        assert!(search.drive(&mut reused).relocations > 0);
+        assert!(reused.cache_entries() > 0, "the first search cached bounds");
+
+        let second = partition(90, 4);
+        reused.relabel(&second).unwrap();
+        let mut fresh = IncrementalUcpc::from_arena(blob_arena(), 3, &second).unwrap();
+        fresh.set_pruning(PruningConfig::Bounds);
+        // Plain passes, not `drive` (whose `set_pruning` also retires the
+        // cache): the relabel alone must hide the first search's state.
+        assert_eq!(reused.stabilize(50), fresh.stabilize(50));
+        assert_eq!(reused.live_labels(), fresh.live_labels());
+        assert_eq!(reused.pruning_counters(), fresh.pruning_counters());
+        assert!(fresh.pruning_counters().skips > 0, "pruning must fire");
+        assert_eq!(reused.objective().to_bits(), fresh.objective().to_bits());
+        assert_eq!(reused.cluster_stats(), fresh.cluster_stats());
+        assert_eq!(
+            (reused.totals, &reused.versions),
+            (fresh.totals, &fresh.versions)
+        );
+    }
+
+    #[test]
+    fn from_arena_refuses_bad_input_with_checked_errors() {
+        let rows = || MomentArena::from_objects(&[obj(0.0), obj(1.0), obj(2.0)]);
+        let load = |rows, k, labels: &[usize]| IncrementalUcpc::from_arena(rows, k, labels).err();
+        assert_eq!(
+            load(rows(), 0, &[0, 0, 0]),
+            Some(ClusterError::InvalidK { k: 0, n: 3 })
+        );
+        assert_eq!(
+            load(rows(), 2, &[0, 1]),
+            Some(ClusterError::LabelLengthMismatch {
+                expected: 3,
+                found: 2
+            })
+        );
+        assert_eq!(
+            load(rows(), 2, &[0, 2, 1]),
+            Some(ClusterError::LabelOutOfRange {
+                label: 2,
+                k: 2,
+                index: 1
+            })
+        );
+        for x in [f64::NAN, f64::INFINITY, 1e200] {
+            let poisoned = [Moments::of_point(&[0.0]), Moments::of_point(&[x])];
+            let rows = MomentArena::from_moments(&poisoned);
+            assert_eq!(load(rows, 2, &[0, 1]), Some(ClusterError::NonFinite), "{x}");
+        }
+    }
+
+    #[test]
+    fn a_bulk_loaded_engine_round_trips_through_a_snapshot() {
+        let mut loaded = IncrementalUcpc::from_arena(blob_arena(), 3, &partition(90, 7)).unwrap();
+        loaded.set_pruning(PruningConfig::Bounds);
+        assert!(loaded.stabilize(1) > 0);
+        let mut restored = IncrementalUcpc::restore(&loaded.snapshot()).unwrap();
+        assert_eq!(restored.snapshot(), loaded.snapshot());
+        assert_eq!(restored.stabilize(50), loaded.stabilize(50));
+        let o = UncertainObject::new(vec![
+            UnivariatePdf::normal(6.0, 0.3),
+            UnivariatePdf::normal(-6.0, 0.2),
+        ]);
+        assert_eq!(restored.insert(&o), loaded.insert(&o));
+        assert_eq!(restored.snapshot(), loaded.snapshot());
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!
 //! ## Architecture: three layers under the relocation loop
 //!
-//! The hot path of every driver in this crate ([`ucpc::Ucpc`],
-//! [`incremental::IncrementalUcpc`], [`restarts::BestOfRestarts`]) is
-//! Algorithm 1's candidate-relocation scan, built from three layers:
+//! The hot path is Algorithm 1's candidate-relocation scan, run by one
+//! loop ([`incremental::IncrementalUcpc::stabilize`], which [`ucpc::Ucpc`]
+//! and [`restarts::BestOfRestarts`] drive over bulk-loaded engines) and
+//! built from three layers:
 //!
 //! * **Moment arena** — object moments live in a flat
 //!   [`ucpc_uncertain::MomentArena`] (contiguous rows + precomputed scalar

@@ -381,6 +381,14 @@ impl ClusterStats {
         self.drift
     }
 
+    /// Whether every sum is finite: after a fold of adds, false iff a member
+    /// had a non-finite moment or `sum_*` scalar, or a sum overflowed.
+    pub(crate) fn is_finite(&self) -> bool {
+        let totals = [self.psi_tot, self.phi_tot, self.s_sq_tot];
+        let rows = self.psi.iter().chain(&self.phi).chain(&self.mean_sum);
+        rows.chain(&totals).all(|x| x.is_finite())
+    }
+
     /// A magnitude scale for the cluster's aggregates, used to size the
     /// floating-point safety slack of the pruning bounds: cancellation noise
     /// in a delta-`J` evaluation is proportional to the largest aggregate

@@ -131,7 +131,8 @@
 //!
 //! A global *epoch* remains as the coarse kill-switch (entries record the
 //! epoch they were written in): `IncrementalUcpc::set_pruning` bumps it,
-//! and `BestOfRestarts` resets the cache between restarts.
+//! and so does the re-partition that starts each of `BestOfRestarts`'s
+//! restarts on a reused engine.
 //!
 //! The accumulators and bounds are themselves computed in floating point, so
 //! every test inflates the drift by [`slack`] — a safety margin proportional
@@ -144,11 +145,12 @@
 //!
 //! # One relocation step
 //!
-//! Lines 8–13 of Algorithm 1 exist once, here. Both relocation loops
-//! (`Ucpc` and `IncrementalUcpc::stabilize`) decide each move with
-//! [`best_move`] — the reference [`best_candidate`] scan without a cache,
-//! the tier ladder above with one — and apply it with
-//! [`apply_relocation`], under the one threshold [`TOLERANCE`].
+//! Lines 8–13 of Algorithm 1 exist once, here. The one relocation loop,
+//! `IncrementalUcpc::stabilize` (which batch `Ucpc` runs on a bulk-loaded
+//! engine), decides each move with [`best_move`] — the reference
+//! [`best_candidate`] scan without a cache, the tier ladder above with one
+//! — and applies it with [`apply_relocation`], under the one threshold
+//! [`TOLERANCE`].
 //!
 //! `apply_relocation` keeps a plain (untracked) fork for unpruned runs on
 //! purpose: the statistics are bit-identical either way, but an unpruned
@@ -342,7 +344,6 @@ struct CacheEntry {
     /// Generation stamp of the slot's occupant at store time. Streaming
     /// drivers recycle slots; an entry written for a departed occupant must
     /// not serve its slot's next tenant, so `decide` rejects on mismatch.
-    /// Batch drivers have no churn and pass a constant 0.
     gen: u32,
     epoch: u64,
     /// `versions[src]` at store time — the surgical-invalidation watermark:
@@ -401,17 +402,6 @@ impl PruneCache {
         self.entries.is_empty()
     }
 
-    /// Invalidates every entry and re-shapes the cache for `n` objects and
-    /// `k` clusters without reallocating when the shape already fits — the
-    /// per-restart reset of `BestOfRestarts`.
-    pub fn reset(&mut self, n: usize, k: usize) {
-        self.k = k;
-        self.entries.clear();
-        self.entries.resize(n, CacheEntry::invalid());
-        self.snaps.clear();
-        self.snaps.resize(n * k * SNAP_STRIDE, 0.0);
-    }
-
     /// Grows the cache to cover `n` objects (new entries invalid); keeps
     /// existing entries (used by `IncrementalUcpc`, whose slots are
     /// index-stable).
@@ -445,7 +435,7 @@ pub const TOLERANCE: f64 = 1e-9;
 
 /// What one relocation pass decides against: the live statistics, the
 /// drift watermarks the cache entries are diffed against, and the pass's
-/// floating-point scale. Batch searches pass epoch 0.
+/// floating-point scale.
 #[derive(Debug, Clone, Copy)]
 pub struct PassState<'a> {
     /// Per-cluster statistics the pass prices against.
@@ -772,9 +762,8 @@ impl PruneCache {
     /// the entry is rejected iff `src`'s counter moved since store time —
     /// see the module docs). `gen` is the slot's current generation stamp:
     /// streaming engines recycle slots, and an entry stored for a departed
-    /// occupant must not serve the slot's next tenant (batch searches pass
-    /// 0, like they pass epoch 0). Purely read-only: [`best_move`] acts on
-    /// the returned decision.
+    /// occupant must not serve the slot's next tenant. Purely read-only:
+    /// [`best_move`] acts on the returned decision.
     ///
     /// Tier 0 diffs the global totals against the entry's inline snapshot —
     /// O(1), one cache line — and resolves the overwhelming majority of

@@ -17,9 +17,15 @@
 //! *before* any worker starts and results are placed by restart index, so
 //! the outcome (winner, objectives, labels) is bit-identical for every
 //! thread count and claim order.
+//!
+//! Each worker owns one [`IncrementalUcpc`]: it copies the shared moment
+//! rows once, and each restart re-partitions them in place, resetting the
+//! statistics, counters and cached bounds, so which worker runs a restart
+//! cannot affect its outcome.
 
 use crate::framework::{validate_input, ClusterError, Clustering};
-use crate::pruning::{PruneCache, PruneCounters};
+use crate::incremental::IncrementalUcpc;
+use crate::pruning::PruneCounters;
 use crate::scheduler::resolve_threads;
 use crate::ucpc::{Ucpc, UcpcResult};
 use rand::rngs::StdRng;
@@ -52,7 +58,8 @@ use ucpc_uncertain::{MomentArena, UncertainObject};
 pub struct BestOfRestarts {
     /// The configured UCPC instance to restart.
     pub algorithm: Ucpc,
-    /// Number of independent restarts (must be at least 1).
+    /// Number of independent restarts (at least 1; 0 is
+    /// [`ClusterError::NoRestarts`]).
     pub restarts: usize,
     /// Worker threads claiming restarts (`0` = the `UCPC_THREADS`
     /// knob, falling back to available parallelism; see
@@ -88,40 +95,40 @@ pub struct RestartResult {
 impl BestOfRestarts {
     /// Runs all restarts (seeds drawn from `rng` up front, so the seed
     /// stream — and therefore every restart's outcome — is independent of
-    /// the thread count) and returns the best.
-    ///
-    /// # Panics
-    ///
-    /// If `restarts` is 0.
+    /// the thread count) and returns the best. `restarts == 0` is
+    /// [`ClusterError::NoRestarts`].
     pub fn run(
         &self,
         data: &[UncertainObject],
         k: usize,
         rng: &mut dyn RngCore,
     ) -> Result<RestartResult, ClusterError> {
-        assert!(self.restarts >= 1, "need at least one restart");
+        if self.restarts == 0 {
+            return Err(ClusterError::NoRestarts);
+        }
         validate_input(data, k)?;
-        // One arena shared by every restart: the SoA moment matrices are
-        // read-only during the search, so only the initial partition differs.
-        // Each worker owns one prune cache; `run_on_arena_with_cache`
-        // invalidates it at the start of every restart (the per-restart
-        // best/second-best state would otherwise leak between searches), so
-        // which worker executes a restart cannot affect its outcome. Caches
-        // start empty: the first pruned restart sizes them, and an unpruned
-        // run never does.
+        // One arena shared by every restart: only the initial partition
+        // differs, and each worker copies the rows once into its engine.
         let arena = MomentArena::from_objects(data);
         let seeds: Vec<u64> = (0..self.restarts).map(|_| rng.next_u64()).collect();
         let threads = resolve_threads(self.threads).min(self.restarts);
         let next = AtomicUsize::new(0);
         let work = || {
-            let mut cache = PruneCache::new(0, k);
+            let mut engine: Option<IncrementalUcpc> = None;
             let mut done = Vec::new();
             loop {
                 let r = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&seed) = seeds.get(r) else {
                     return done;
                 };
-                done.push((r, self.one_restart(data, &arena, k, seed, &mut cache)));
+                let mut seeded = StdRng::seed_from_u64(seed);
+                let labels = self.algorithm.init.initial_partition(data, k, &mut seeded);
+                let result = match &mut engine {
+                    Some(e) => e.relabel(&labels).map(|()| self.algorithm.drive(e)),
+                    None => IncrementalUcpc::from_arena(arena.clone(), k, &labels)
+                        .map(|e| self.algorithm.drive(engine.insert(e))),
+                };
+                done.push((r, result));
             }
         };
         let mut results = std::thread::scope(|scope| {
@@ -149,6 +156,7 @@ impl BestOfRestarts {
                 best = Some((r, result));
             }
         }
+        // Invariant: `restarts >= 1` was checked and every `Err` returned.
         let (winner, best) = best.expect("restarts >= 1");
         Ok(RestartResult {
             best,
@@ -156,22 +164,6 @@ impl BestOfRestarts {
             winner,
             pruning,
         })
-    }
-
-    /// Executes one restart from its pre-drawn seed, reusing the worker's
-    /// prune cache.
-    fn one_restart(
-        &self,
-        data: &[UncertainObject],
-        arena: &MomentArena,
-        k: usize,
-        seed: u64,
-        cache: &mut PruneCache,
-    ) -> Result<UcpcResult, ClusterError> {
-        let mut run_rng = StdRng::seed_from_u64(seed);
-        let labels = self.algorithm.init.initial_partition(data, k, &mut run_rng);
-        self.algorithm
-            .run_on_arena_with_cache(arena, k, labels, cache)
     }
 
     /// Convenience: just the winning partition.
@@ -281,6 +273,19 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn zero_restarts_is_a_checked_error() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let none = BestOfRestarts {
+            restarts: 0,
+            ..Default::default()
+        };
+        assert_eq!(
+            none.run(&tricky_data(), 4, &mut rng).err(),
+            Some(ClusterError::NoRestarts)
+        );
     }
 
     #[test]

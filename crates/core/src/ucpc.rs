@@ -8,31 +8,22 @@
 //! `O(I k n m)` (Proposition 5) — the same as UK-means and MMVar, and with no
 //! offline distance-precomputation phase.
 //!
-//! The relocation pass runs on the scalar-aggregate delta-`J` kernel: object
-//! moments live in a flat [`MomentArena`] and each candidate evaluation is a
-//! single fused dot product plus closed-form scalars (see
-//! [`ucpc_uncertain::arena`] for the derivation), instead of the naive three
-//! O(m) sweeps per candidate. On top of the kernel, the loop can prune
-//! whole candidate scans with the best/second-best cache and drift bounds of
-//! [`crate::pruning`] — exactly, producing byte-identical assignments. Each
-//! relocation is decided by [`best_move`] and applied by
-//! [`apply_relocation`], under the one threshold
-//! [`crate::pruning::TOLERANCE`].
+//! A run bulk-loads the moments into an [`IncrementalUcpc`]
+//! ([`IncrementalUcpc::from_arena`]) and stabilizes it one pass at a time
+//! until no object moves: the crate's one relocation loop, shared with the
+//! streaming, serving, WAL-replay and replica paths (its kernel and exact
+//! pruning are in [`ucpc_uncertain::arena`] and [`crate::pruning`]).
 
-use crate::framework::{
-    validate_input, validate_labels, ClusterError, Clustering, UncertainClusterer,
-};
+use crate::framework::{validate_input, ClusterError, Clustering, UncertainClusterer};
+use crate::incremental::IncrementalUcpc;
 use crate::init::Initializer;
-use crate::objective::{total_objective, ClusterStats};
-use crate::pruning::{
-    apply_relocation, best_move, fp_scale, DriftTotals, PassState, PruneCache, PruneCounters,
-    PruningConfig,
-};
+use crate::pruning::{PruneCounters, PruningConfig};
 use rand::RngCore;
 use ucpc_uncertain::{MomentArena, UncertainObject};
 
 /// Configuration of the UCPC local search. A relocation applies iff it
-/// lowers `J` by more than [`crate::pruning::TOLERANCE`].
+/// lowers `J` by more than [`crate::pruning::TOLERANCE`]; a relocation
+/// never empties its source cluster, so all `k` clusters stay populated.
 #[derive(Debug, Clone)]
 pub struct Ucpc {
     /// Initial-partition strategy (Line 2 of Algorithm 1).
@@ -42,11 +33,6 @@ pub struct Ucpc {
     /// bounded in interactive use; the paper's datasets converge in far fewer
     /// passes.
     pub max_iters: usize,
-    /// When `true`, a relocation may empty its source cluster (producing a
-    /// clustering with fewer than `k` non-empty clusters). The paper's
-    /// formulation permits this; keeping all `k` clusters populated is the
-    /// default because the evaluation protocol fixes `k`.
-    pub allow_empty_clusters: bool,
     /// Candidate pruning. [`PruningConfig::Bounds`] skips provably redundant
     /// candidate scans and is exactly equivalent to [`PruningConfig::Off`]
     /// (same relocations, byte-identical labels); `Off` remains the
@@ -59,7 +45,6 @@ impl Default for Ucpc {
         Self {
             init: Initializer::RandomPartition,
             max_iters: 200,
-            allow_empty_clusters: false,
             pruning: PruningConfig::default(),
         }
     }
@@ -97,7 +82,7 @@ impl Ucpc {
     ) -> Result<UcpcResult, ClusterError> {
         validate_input(data, k)?;
         let labels = self.init.initial_partition(data, k, rng);
-        self.run_on_arena(&MomentArena::from_objects(data), k, labels)
+        self.run_on_arena(MomentArena::from_objects(data), k, labels)
     }
 
     /// Runs Algorithm 1 from a caller-supplied initial partition (labels in
@@ -108,150 +93,63 @@ impl Ucpc {
         k: usize,
         labels: Vec<usize>,
     ) -> Result<UcpcResult, ClusterError> {
-        // Dimension/emptiness checks must precede arena construction (the
-        // arena panics on ragged input); label validation is run_on_arena's.
+        // The arena panics on ragged input; labels are run_on_arena's.
         validate_input(data, k)?;
-        self.run_on_arena(&MomentArena::from_objects(data), k, labels)
+        self.run_on_arena(MomentArena::from_objects(data), k, labels)
     }
 
-    /// Runs Algorithm 1 directly on a prebuilt moment arena — the form the
-    /// multi-restart wrapper uses to amortize arena construction across
-    /// restarts. Labels must be one per arena row, each in `0..k`.
+    /// Runs Algorithm 1 on a prebuilt moment arena, taken over as the
+    /// engine's rows (no copy). Labels must be one per row, each in `0..k`;
+    /// a non-finite row is [`ClusterError::NonFinite`].
     pub fn run_on_arena(
         &self,
-        arena: &MomentArena,
+        arena: MomentArena,
         k: usize,
         labels: Vec<usize>,
-    ) -> Result<UcpcResult, ClusterError> {
-        // Starts empty; `run_on_arena_with_cache` sizes it when pruning is on.
-        self.run_on_arena_with_cache(arena, k, labels, &mut PruneCache::new(0, k))
-    }
-
-    /// Like [`Self::run_on_arena`] but reusing a caller-owned prune cache
-    /// (reset on entry), so multi-restart drivers avoid re-allocating the
-    /// cache columns on every restart. Ignored when pruning is off.
-    pub fn run_on_arena_with_cache(
-        &self,
-        arena: &MomentArena,
-        k: usize,
-        labels: Vec<usize>,
-        cache: &mut PruneCache,
-    ) -> Result<UcpcResult, ClusterError> {
-        if self.pruning.is_enabled() {
-            cache.reset(arena.len(), k);
-            self.search(arena, k, labels, Some(cache))
-        } else {
-            self.search(arena, k, labels, None)
-        }
-    }
-
-    /// The relocation search shared by the pruned and unpruned entry points.
-    /// With `cache: None` this is exactly the reference Algorithm-1 loop;
-    /// with a cache it takes the tier-1/tier-2 shortcuts of
-    /// [`crate::pruning`], which are proven there to leave the relocation
-    /// sequence unchanged.
-    fn search(
-        &self,
-        arena: &MomentArena,
-        k: usize,
-        mut labels: Vec<usize>,
-        mut cache: Option<&mut PruneCache>,
     ) -> Result<UcpcResult, ClusterError> {
         if arena.is_empty() {
             return Err(ClusterError::EmptyDataset);
         }
-        if k == 0 || k > arena.len() {
+        if k > arena.len() {
             return Err(ClusterError::InvalidK { k, n: arena.len() });
         }
-        validate_labels(&labels, arena.len(), k)?;
+        let mut engine = IncrementalUcpc::from_arena(arena, k, &labels)?;
+        Ok(self.drive(&mut engine))
+    }
 
-        // Line 3: per-cluster sufficient statistics.
-        let m = arena.dims();
-        let mut stats: Vec<ClusterStats> = vec![ClusterStats::empty(m); k];
-        for (i, &label) in labels.iter().enumerate() {
-            stats[label].add_view(&arena.view(i));
-        }
-
+    /// Lines 4–16 of Algorithm 1 on a loaded engine: relocation passes
+    /// until one moves nothing or `max_iters` passes ran.
+    pub(crate) fn drive(&self, engine: &mut IncrementalUcpc) -> UcpcResult {
+        engine.set_pruning(self.pruning);
         let mut objective_trace: Vec<f64> = Vec::new();
-        let mut relocations = 0usize;
-        let mut converged = false;
-        let mut iterations = 0usize;
-        let mut counters = PruneCounters::default();
-        // Per-cluster remove-direction version counters: a small-size
-        // transition stales only the entries whose `src` it touched (the
-        // surgical invalidation of `crate::pruning`); the cache epoch is
-        // never bumped inside one search.
-        let mut versions = vec![0u64; k];
-        let mut totals = DriftTotals::default();
-
-        // Lines 4–16: relocation passes on the delta-J kernel.
-        while iterations < self.max_iters {
-            iterations += 1;
-            let mut moved_this_pass = false;
-            let scale = cache.as_ref().map_or(0.0, |_| fp_scale(&stats));
-
-            // Indexed: the body reassigns `labels[i]` while `stats` and the
-            // cache are also borrowed, which an iterator cannot express.
-            #[allow(clippy::needless_range_loop)]
-            for i in 0..labels.len() {
-                let src = labels[i];
-                if stats[src].size() == 1 && !self.allow_empty_clusters {
-                    continue;
-                }
-                let v = arena.view(i);
-                // Lines 8–9: the best relocation target, by the kernel form
-                // of Corollary 1 (one fused dot product per candidate).
-                let pass = PassState {
-                    stats: &stats,
-                    totals,
-                    versions: &versions,
-                    epoch: 0,
-                    scale,
-                };
-                let Some((dst, _)) =
-                    best_move(&pass, cache.as_deref_mut(), i, 0, src, &v, &mut counters)
-                else {
-                    continue;
-                };
-                // Lines 10–13: apply the move and update statistics.
-                let drift = cache.is_some().then_some((&mut totals, &mut versions[..]));
-                apply_relocation(&mut stats, src, dst, &v, drift);
-                if let Some(c) = cache.as_deref_mut() {
-                    c.invalidate(i);
-                }
-                labels[i] = dst;
-                relocations += 1;
-                moved_this_pass = true;
-            }
-
-            let v = total_objective(&stats);
+        let (mut relocations, mut converged) = (0, false);
+        while !converged && objective_trace.len() < self.max_iters {
+            let moved = engine.stabilize(1);
+            relocations += moved;
+            converged = moved == 0;
+            let v = engine.objective();
             if let Some(&prev) = objective_trace.last() {
-                // Relative slack: the incrementally maintained aggregates
-                // carry rounding noise proportional to the objective's
-                // magnitude, so an absolute epsilon would misfire on
-                // large-coordinate data.
+                // Relative slack: the aggregates carry rounding noise
+                // proportional to the objective's magnitude, so an absolute
+                // epsilon would misfire on large-coordinate data.
                 debug_assert!(
                     v <= prev + 1e-6 * (1.0 + prev.abs()),
                     "Proposition 4 violated: objective rose from {prev} to {v}"
                 );
             }
             objective_trace.push(v);
-
-            if !moved_this_pass {
-                converged = true;
-                break;
-            }
         }
-
-        Ok(UcpcResult {
-            clustering: Clustering::new(labels, k),
-            objective: total_objective(&stats),
+        // Every slot of a loaded engine is live, in row order.
+        let labels = engine.labels.iter().flatten().copied().collect();
+        UcpcResult {
+            clustering: Clustering::new(labels, engine.k()),
+            objective: engine.objective(),
+            iterations: objective_trace.len(),
             objective_trace,
-            iterations,
             relocations,
             converged,
-            pruning: counters,
-        })
+            pruning: engine.pruning_counters(),
+        }
     }
 }
 
@@ -273,6 +171,7 @@ impl UncertainClusterer for Ucpc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objective::ClusterStats;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ucpc_uncertain::UnivariatePdf;
@@ -457,19 +356,22 @@ mod tests {
 
     #[test]
     fn run_on_arena_validates_inputs() {
-        use ucpc_uncertain::MomentArena;
         let (data, _) = two_blobs(5, 21);
-        let arena = MomentArena::from_objects(&data);
+        let arena = || MomentArena::from_objects(&data);
         assert!(matches!(
-            Ucpc::default().run_on_arena(&MomentArena::from_objects(&[]), 2, vec![]),
+            Ucpc::default().run_on_arena(MomentArena::from_objects(&[]), 2, vec![]),
             Err(ClusterError::EmptyDataset)
         ));
         assert!(matches!(
-            Ucpc::default().run_on_arena(&arena, 0, vec![0; 10]),
+            Ucpc::default().run_on_arena(arena(), 0, vec![0; 10]),
             Err(ClusterError::InvalidK { k: 0, n: 10 })
         ));
         assert!(matches!(
-            Ucpc::default().run_on_arena(&arena, 2, vec![2; 10]),
+            Ucpc::default().run_on_arena(arena(), 11, vec![0; 10]),
+            Err(ClusterError::InvalidK { k: 11, n: 10 })
+        ));
+        assert!(matches!(
+            Ucpc::default().run_on_arena(arena(), 2, vec![2; 10]),
             Err(ClusterError::LabelOutOfRange {
                 label: 2,
                 k: 2,

@@ -1,9 +1,9 @@
 //! Exactness gate for drift-bound candidate pruning: over a seeded grid of
-//! (n, m, k) shapes — including m=1, k=1, k=n, duplicate objects and
-//! empty-cluster churn — a pruned run must produce *byte-identical*
-//! assignments and bit-identical (tolerated to 1e-10 relative) objectives
-//! for `Ucpc`, `IncrementalUcpc` and `BestOfRestarts`; and
-//! the serial batch search and the streaming engine must relocate alike.
+//! (n, m, k) shapes — including m=1, k=1, k=n and duplicate objects — a
+//! pruned run must produce *byte-identical* assignments and bit-identical
+//! (tolerated to 1e-10 relative) objectives for `Ucpc`, `IncrementalUcpc`
+//! and `BestOfRestarts`; and a bulk-loaded batch run and a row-by-row
+//! loaded streaming engine must relocate alike.
 //! Pruning is configured explicitly on both arms so the suite is immune to
 //! the `UCPC_PRUNING` environment knob the CI matrix flips.
 
@@ -71,37 +71,33 @@ fn ucpc_pruned_matches_unpruned_on_the_seeded_grid() {
     for (gi, &(n, m, k)) in GRID.iter().enumerate() {
         for seed in 0..3u64 {
             for duplicates in [false, true] {
-                for allow_empty in [false, true] {
-                    let seed = seed + 100 * gi as u64;
-                    let data = dataset(n, m, seed, duplicates);
-                    let labels = random_labels(n, k, seed + 7);
-                    let run = |pruning| {
-                        Ucpc {
-                            pruning,
-                            allow_empty_clusters: allow_empty,
-                            ..Ucpc::default()
-                        }
-                        .run_with_labels(&data, k, labels.clone())
-                        .unwrap()
-                    };
-                    let off = run(PruningConfig::Off);
-                    let on = run(PruningConfig::Bounds);
-                    assert_eq!(
-                        off.clustering.labels(),
-                        on.clustering.labels(),
-                        "labels diverged: n={n} m={m} k={k} seed={seed} \
-                         dup={duplicates} empty={allow_empty}"
-                    );
-                    assert_eq!(off.iterations, on.iterations);
-                    assert_eq!(off.relocations, on.relocations);
-                    assert!(
-                        objectives_match(off.objective, on.objective),
-                        "objective diverged: {} vs {}",
-                        off.objective,
-                        on.objective
-                    );
-                    assert_eq!(off.objective_trace.len(), on.objective_trace.len());
-                }
+                let seed = seed + 100 * gi as u64;
+                let data = dataset(n, m, seed, duplicates);
+                let labels = random_labels(n, k, seed + 7);
+                let run = |pruning| {
+                    Ucpc {
+                        pruning,
+                        ..Ucpc::default()
+                    }
+                    .run_with_labels(&data, k, labels.clone())
+                    .unwrap()
+                };
+                let off = run(PruningConfig::Off);
+                let on = run(PruningConfig::Bounds);
+                assert_eq!(
+                    off.clustering.labels(),
+                    on.clustering.labels(),
+                    "labels diverged: n={n} m={m} k={k} seed={seed} dup={duplicates}"
+                );
+                assert_eq!(off.iterations, on.iterations);
+                assert_eq!(off.relocations, on.relocations);
+                assert!(
+                    objectives_match(off.objective, on.objective),
+                    "objective diverged: {} vs {}",
+                    off.objective,
+                    on.objective
+                );
+                assert_eq!(off.objective_trace.len(), on.objective_trace.len());
             }
         }
     }
@@ -181,10 +177,10 @@ fn incremental_ucpc_pruned_matches_unpruned_under_interleaved_edits() {
     }
 }
 
-/// The serial batch search and the streaming engine run the same
-/// relocation step (`pruning::best_move` + `pruning::apply_relocation`):
-/// seeded with the same partition, `Ucpc` and `IncrementalUcpc::stabilize`
-/// must relocate alike, move for move, under either pruning setting.
+/// A batch `Ucpc` run is a bulk-loaded `IncrementalUcpc` stabilized to
+/// convergence: seeded with the same partition, it must relocate exactly
+/// like an engine loaded row by row through `apply_round` and stabilized,
+/// move for move, under either pruning setting.
 #[test]
 fn serial_batch_and_streaming_engines_relocate_alike() {
     for (gi, &(n, m, k)) in [
@@ -205,7 +201,7 @@ fn serial_batch_and_streaming_engines_relocate_alike() {
                 pruning,
                 ..Default::default()
             }
-            .run_on_arena(&MomentArena::from_objects(&data), k, labels.clone())
+            .run_on_arena(MomentArena::from_objects(&data), k, labels.clone())
             .unwrap();
 
             let mut live = IncrementalUcpc::new(m, k).unwrap();

@@ -6,13 +6,14 @@ use rand::SeedableRng;
 use ucpc::baselines::{FdbScan, Foptics, MmVar, Uahc, UkMeans, UkMedoids};
 use ucpc::core::framework::UncertainClusterer;
 use ucpc::core::incremental::IncrementalUcpc;
+use ucpc::core::restarts::BestOfRestarts;
 use ucpc::core::wal::WAL_HEADER_LEN;
 use ucpc::core::{
     recover, ChaosPlan, ClusterError, LogEntry, LogOp, ServingConfig, ServingError,
     ServingResponse, ServingUcpc, ShardedUcpc, SharedVecIo, Ucpc, WalError, WalFsync, WalWriter,
 };
 use ucpc::eval::quality;
-use ucpc::uncertain::{Moments, UncertainObject, UnivariatePdf};
+use ucpc::uncertain::{MomentArena, Moments, UncertainObject, UnivariatePdf};
 
 fn algorithms() -> Vec<Box<dyn UncertainClusterer>> {
     vec![
@@ -359,6 +360,37 @@ fn non_finite_arrivals_are_rejected_at_admission() {
     serving.flush();
     assert!(serving.engine().objective().is_finite());
     assert_eq!(serving.engine().len(), 7);
+
+    // Batch runs: the bulk load checks every row as streaming admission
+    // does, on every entry point, so no run starts from a poisoned
+    // statistic.
+    let objects: Vec<UncertainObject> = (0..6).map(clean).collect();
+    let labels = vec![0, 1, 0, 1, 0, 1, 0];
+    let refused = Some(ClusterError::NonFinite);
+    for mo in poisoned_arrivals() {
+        let rows: Vec<&Moments> = objects.iter().map(UncertainObject::moments).collect();
+        let arena = MomentArena::from_moments(rows.into_iter().chain([&mo]));
+        let run = Ucpc::default().run_on_arena(arena, 2, labels.clone());
+        assert_eq!(run.err(), refused);
+    }
+    // An object's support interval refuses a NaN coordinate, so the
+    // object entry points see the other three poisons.
+    for x in [f64::INFINITY, f64::NEG_INFINITY, 1e200] {
+        let mut data = objects.clone();
+        data.push(UncertainObject::deterministic(&[1.0, x]));
+        let mut rng = StdRng::seed_from_u64(1);
+        let ucpc = Ucpc::default();
+        assert_eq!(ucpc.run(&data, 2, &mut rng).err(), refused, "{x}");
+        assert_eq!(
+            ucpc.run_with_labels(&data, 2, labels.clone()).err(),
+            refused
+        );
+        let restarts = BestOfRestarts {
+            restarts: 3,
+            ..Default::default()
+        };
+        assert_eq!(restarts.run(&data, 2, &mut rng).err(), refused, "{x}");
+    }
 }
 
 #[test]
