@@ -18,23 +18,16 @@
 //!   drawn from a [`Dice`] so every schedule is reproducible from its
 //!   seed.
 //! * [`Dice`] — the seeded roller behind every probabilistic injector.
-//! * [`ManualClock`] — a hand-advanced [`Clock`] so retry-with-backoff
-//!   timers (and the serving deadline trigger) get exact tests instead
-//!   of sleep-based ones.
 //!
 //! [`VecIo`]: crate::wal::VecIo
 //! [`SharedVecIo`]: crate::wal::SharedVecIo
 //! [`DurableIo`]: crate::wal::DurableIo
 //! [`VecIo::with_faults`]: crate::wal::VecIo::with_faults
 //! [`SharedVecIo::with_faults`]: crate::wal::SharedVecIo::with_faults
-//! [`Clock`]: crate::serving::Clock
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::Cell;
 use std::fmt;
-use std::rc::Rc;
-use std::time::{Duration, Instant};
 
 /// A checked I/O fault from a [`crate::wal::DurableIo`] sink.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,9 +166,10 @@ impl Dice {
         self.rng.gen_bool(p)
     }
 
-    /// A uniform draw from `0..n` (`0` when `n == 0`).
+    /// A uniform draw from `0..n`. `n <= 1` has one outcome, `0`, and
+    /// never consumes a draw, as a disabled [`Self::chance`] does not.
     pub fn pick(&mut self, n: u64) -> u64 {
-        if n == 0 {
+        if n <= 1 {
             return 0;
         }
         self.rng.gen_range(0..n)
@@ -282,47 +276,9 @@ impl ChaosPlan {
     }
 }
 
-/// A hand-advanced [`crate::serving::Clock`]: `now` starts at an
-/// arbitrary base instant and moves only through [`ManualClock::advance`].
-/// Clones share the same time, so a harness can hand one clone to a
-/// retry state machine and keep advancing through another.
-#[derive(Debug, Clone)]
-pub struct ManualClock {
-    base: Instant,
-    offset: Rc<Cell<Duration>>,
-}
-
-impl ManualClock {
-    /// A clock at its base instant.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
-        Self {
-            base: Instant::now(),
-            offset: Rc::new(Cell::new(Duration::ZERO)),
-        }
-    }
-
-    /// Moves the shared time forward by `d`.
-    pub fn advance(&self, d: Duration) {
-        self.offset.set(self.offset.get() + d);
-    }
-
-    /// The shared elapsed offset since the base instant.
-    pub fn elapsed(&self) -> Duration {
-        self.offset.get()
-    }
-}
-
-impl crate::serving::Clock for ManualClock {
-    fn now(&self) -> Instant {
-        self.base + self.offset.get()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::Clock as _;
 
     #[test]
     fn io_plan_admits_through_limit_chunk_and_sync_knobs() {
@@ -353,11 +309,10 @@ mod tests {
     }
 
     #[test]
-    fn manual_clock_clones_share_time() {
-        let clock = ManualClock::new();
-        let observer = clock.clone();
-        let t0 = observer.now();
-        clock.advance(Duration::from_millis(250));
-        assert_eq!(observer.now() - t0, Duration::from_millis(250));
+    fn a_one_outcome_pick_draws_nothing() {
+        let mut a = Dice::new(9);
+        let mut b = a.clone();
+        assert_eq!((a.pick(1), a.pick(0)), (0, 0));
+        assert_eq!(a.pick(1 << 40), b.pick(1 << 40), "the stream did not move");
     }
 }

@@ -239,20 +239,6 @@ impl IncrementalUcpc {
         self.epoch += 1;
     }
 
-    /// Reserves capacity for `additional` further insertions (handle map
-    /// and moment rows), so a churn loop staying within the reservation
-    /// triggers no reallocation — the contract the steady-state
-    /// zero-allocation test pins. With slot recycling, only the *net*
-    /// liveness growth consumes the reservation: a steady-state
-    /// insert-after-remove loop consumes none of it.
-    pub fn reserve_ids(&mut self, additional: usize) {
-        self.labels.reserve(additional);
-        // Appended rows only; recycled rows need no capacity, so a
-        // reservation sized for the worst case (no removals) covers every
-        // interleaving.
-        self.slab.reserve_rows(additional, self.m);
-    }
-
     /// The per-cluster sufficient statistics of the live partition (the
     /// aggregates the consistency tests cross-check against a from-scratch
     /// rebuild).

@@ -42,7 +42,7 @@
 //! Threads appear only where the work is independent:
 //! [`restarts::BestOfRestarts`] runs its restarts on scoped threads that
 //! claim restart indices from one shared counter, sized by
-//! [`scheduler::resolve_threads`] (env knob `UCPC_THREADS`).
+//! [`restarts::BestOfRestarts::threads`] (env knob `UCPC_THREADS`).
 //! The streaming driver ([`incremental::IncrementalUcpc`]) stores its live
 //! window in a [`ucpc_uncertain::SlabArena`] (free-list row reuse), routes
 //! placements through the dot3-batched
@@ -89,7 +89,6 @@ pub mod init;
 pub mod objective;
 pub mod pruning;
 pub mod restarts;
-pub mod scheduler;
 pub mod serving;
 pub mod sharded;
 pub mod snapshot;
@@ -97,7 +96,7 @@ pub mod ucentroid;
 pub mod ucpc;
 pub mod wal;
 
-pub use fault::{ChaosPlan, Dice, IoFaultPlan, ManualClock};
+pub use fault::{ChaosPlan, Dice, IoFaultPlan};
 
 pub use framework::{ClusterError, Clustering, UncertainClusterer};
 pub use init::Initializer;

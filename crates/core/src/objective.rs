@@ -226,11 +226,6 @@ impl ClusterStats {
         &self.mean_sum
     }
 
-    /// `Υ_j = (Σ_i mu_j(o_i))^2` as written in Theorem 3.
-    pub fn upsilon(&self, j: usize) -> f64 {
-        self.mean_sum[j] * self.mean_sum[j]
-    }
-
     /// Adds one object (Corollary 1, `C+` direction). O(m).
     pub fn add(&mut self, o: &Moments) {
         self.add_view(&o.view());

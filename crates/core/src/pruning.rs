@@ -241,16 +241,6 @@ impl PruneCounters {
         }
     }
 
-    /// Fraction of placement candidates discarded without pricing.
-    pub fn placement_bypass_rate(&self) -> f64 {
-        let total = self.placement_priced + self.placement_bypassed;
-        if total == 0 {
-            0.0
-        } else {
-            self.placement_bypassed as f64 / total as f64
-        }
-    }
-
     /// Accumulates another run's counters (used by restarts and benches).
     pub fn merge(&mut self, other: PruneCounters) {
         self.skips += other.skips;

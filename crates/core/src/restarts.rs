@@ -26,7 +26,6 @@
 use crate::framework::{validate_input, ClusterError, Clustering};
 use crate::incremental::IncrementalUcpc;
 use crate::pruning::PruneCounters;
-use crate::scheduler::resolve_threads;
 use crate::ucpc::{Ucpc, UcpcResult};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -62,9 +61,8 @@ pub struct BestOfRestarts {
     /// [`ClusterError::NoRestarts`]).
     pub restarts: usize,
     /// Worker threads claiming restarts (`0` = the `UCPC_THREADS`
-    /// knob, falling back to available parallelism; see
-    /// [`crate::scheduler::resolve_threads`]). The result is identical for
-    /// every thread count.
+    /// knob, falling back to available parallelism). The result is
+    /// identical for every thread count.
     pub threads: usize,
 }
 
@@ -175,6 +173,32 @@ impl BestOfRestarts {
     ) -> Result<Clustering, ClusterError> {
         Ok(self.run(data, k, rng)?.best.clustering)
     }
+}
+
+/// Resolves [`BestOfRestarts::threads`] to a concrete worker count: an
+/// explicit non-zero value wins; `0` defers to the `UCPC_THREADS`
+/// environment knob (read through the shared warn-and-fall-back reader,
+/// [`ucpc_uncertain::env::read_knob`] — a set but invalid or zero value
+/// warns on stderr), and an unset or invalid knob falls back to
+/// [`std::thread::available_parallelism`].
+fn resolve_threads(threads: usize) -> usize {
+    if threads != 0 {
+        return threads;
+    }
+    if let Some(t) =
+        ucpc_uncertain::env::read_knob("UCPC_THREADS", "a positive integer", parse_threads)
+    {
+        return t;
+    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// Parses one `UCPC_THREADS` value: a positive integer, anything else ⇒
+/// `None`.
+fn parse_threads(v: &str) -> Option<usize> {
+    v.parse::<usize>().ok().filter(|&t| t > 0)
 }
 
 #[cfg(test)]
@@ -306,5 +330,28 @@ mod tests {
             );
         }
         assert_eq!(c.non_empty(), 4);
+    }
+
+    #[test]
+    fn threads_knob_accepts_positive_integers_only_and_warns_otherwise() {
+        assert_eq!(parse_threads("4"), Some(4));
+        assert_eq!(parse_threads("1"), Some(1));
+        assert_eq!(parse_threads("0"), None, "zero workers is meaningless");
+        assert_eq!(parse_threads("-2"), None);
+        assert_eq!(parse_threads("many"), None);
+        let (outcome, warning) = ucpc_uncertain::env::parse_knob(
+            "UCPC_THREADS",
+            Some("0"),
+            "a positive integer",
+            parse_threads,
+        );
+        assert_eq!(outcome.value(), None);
+        assert!(warning.unwrap().contains("UCPC_THREADS=\"0\""));
+    }
+
+    #[test]
+    fn explicit_thread_count_wins_over_resolution() {
+        assert_eq!(resolve_threads(3), 3);
+        assert!(resolve_threads(0) >= 1);
     }
 }

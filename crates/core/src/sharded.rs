@@ -11,14 +11,14 @@
 //! transitions (`add_view` / `remove_view`), and the fold's result
 //! depends on the order bit-for-bit: floating-point addition is not
 //! associative, so partial sums combined in another order differ in the
-//! last bits. So the protocol replicates the *sequence*, not the result —
+//! last bits. So the layer replicates the *sequence*, not the result —
 //! as [`LogEntry`] rounds, the same record every WAL holds. Every node is
 //! an engine replica, an [`IncrementalUcpc`] folding those rounds through
 //! [`IncrementalUcpc::apply_round`]. A round takes two steps:
 //!
-//! 1. The **coordinator** (node 0) decides and folds. Its replica's slab
-//!    allocates the global slots and generations, so handle sequences
-//!    match the single-node engine exactly. An insert, a
+//! 1. The **coordinator** (node 0, the log's leader) decides and folds.
+//!    Its replica's slab allocates the global slots and generations, so
+//!    handle sequences match the single-node engine exactly. An insert, a
 //!    remove or a whole `stabilize` call runs on that engine — the same
 //!    placement scan, relocation passes and pruning the single-node
 //!    engine runs, folded through [`IncrementalUcpc::apply_round`] — and
@@ -27,15 +27,14 @@
 //!    nothing commits an empty round, which is still sequenced, logged
 //!    and acknowledged like any other.
 //! 2. The coordinator seals the round into one WAL frame, encoded once,
-//!    appends it to its catch-up log and broadcasts an `Apply` naming the
-//!    round's sequence number to every **participant**. A participant's
-//!    replica starts as a clone of the coordinator's empty engine (so
-//!    pruning, and with it the drift tracking of a `Move`, matches). Each
-//!    participant reads the frame from the coordinator's log, appends it
-//!    verbatim to its write-ahead shard log, decodes it into a reused
-//!    scratch, folds it through `apply_round` in the same global order and
-//!    acknowledges. Only when every shard has acknowledged does the round
-//!    commit and the next sequence number get used.
+//!    and appends it to its log. Each **participant** (shard `s`, node
+//!    `s + 1`) takes the rounds past its watermark from that log in
+//!    sequence order: it appends each frame verbatim to its write-ahead
+//!    shard log, decodes it into a reused scratch and folds it through
+//!    `apply_round`. A participant's replica starts as a clone of the
+//!    coordinator's empty engine (so pruning, and with it the drift
+//!    tracking of a `Move`, matches). Only when every participant holds
+//!    the round does it commit and the next sequence number get used.
 //!
 //! A round has the shape every log has: only an `Insert` carries its
 //! object's raw moment rows (`mu`, `mu2`), because every replica already
@@ -44,47 +43,43 @@
 //! depends on the target's current mean sum, so shipping precomputed
 //! deltas would not reproduce the bits — shipping the decisions and
 //! replaying the fold does. Participants price nothing; `apply_round`
-//! runs the engine's per-entry checks on every round they fold. A round
-//! is one sealed frame, encoded once: the coordinator's catch-up log holds
-//! it and every shard log appends the same bytes, as Raft followers hold
-//! the leader's log rather than a re-encoding of it. Messages carry
-//! sequence numbers only. All nodes are in-process, so a participant reads
-//! the frame from the coordinator's log when it handles the message; a
-//! round the log no longer holds is dropped unacknowledged, and the
-//! retry loop resends.
-//!
-//! So each participant holds every live row, as the coordinator does:
-//! all nodes are in-process, and the replicas trade that memory for one
+//! runs the engine's per-entry checks on every round they fold. All nodes
+//! are in-process, so a participant reads frames from the coordinator's
+//! log and only sequence numbers cross the fabric. Each participant holds
+//! every live row, as the coordinator does, trading that memory for one
 //! fold, one state encoding and one log shape across serving, WAL replay
 //! and sharding.
 //!
 //! # Robustness
 //!
 //! Messages travel through the seeded [`ChaosTransport`], which drops,
-//! duplicates, reorders and delays envelopes per a
-//! [`crate::fault::ChaosPlan`]. [`ShardedUcpc::new`] runs it under
-//! [`ChaosPlan::clean`], which does none of that: a lossless FIFO. The
-//! protocol tolerates every fault a plan can inject:
+//! duplicates, reorders and delays them per a [`ChaosPlan`]
+//! ([`ShardedUcpc::new`] runs the lossless FIFO [`ChaosPlan::clean`]).
+//! Replication is cumulative log shipping: participants track the
+//! coordinator's log index as Raft followers track the leader's. It
+//! tolerates every fault a plan can inject:
 //!
-//! * **Idempotence** — every message carries its round's sequence
-//!   number; participants track the highest applied sequence and re-ack
-//!   duplicates without logging or folding them again.
-//! * **Retry with backoff** — the coordinator re-sends unanswered
-//!   requests on deadlines from the injectable [`crate::serving::Clock`]
-//!   (a [`crate::fault::ManualClock`] here, advanced only when the
-//!   transport has nothing to deliver, so schedules are deterministic).
-//! * **Epoch fencing** — each participant generation has an epoch; both
-//!   sides drop envelopes from a stale epoch, so a restarted shard never
-//!   consumes pre-crash traffic.
+//! * **One cumulative message** — the coordinator sends each participant
+//!   an [`Append`] naming the round in flight. The participant takes
+//!   every round past its watermark up to that one, in order, and once
+//!   its watermark covers it sends the same `Append` back: it holds every
+//!   round up to the one named. No copy claims more than its sender held,
+//!   so a duplicated, reordered or pre-crash copy takes nothing twice, and
+//!   the coordinator counts a reply only when it covers the round in
+//!   flight.
+//! * **Retry with backoff** — the coordinator resends to every
+//!   participant that has not answered, on deadlines counted in transport
+//!   ticks that double per resend. The fabric steps only when nothing is
+//!   deliverable, so schedules are deterministic.
 //! * **Crash + recovery** — [`ShardedUcpc::crash`] drops a participant's
 //!   volatile state; its durable bytes (checkpoint + shard log, a
 //!   [`crate::wal::SharedVecIo`] surviving the crash) remain. While a
 //!   shard is down, edits are refused with [`ClusterError::ShardDown`]
-//!   before the coordinator decides anything.
-//!   [`ShardedUcpc::restart`] rebuilds the shard from checkpoint + the
-//!   log's valid prefix, bumps its epoch, re-anchors its durable state,
-//!   and sends it a `Catchup` of any committed rounds the durable state
-//!   missed — rejoining without perturbing the apply log.
+//!   before the coordinator decides anything. [`ShardedUcpc::restart`]
+//!   rebuilds the shard from checkpoint + the log's valid prefix,
+//!   re-anchors its durable state, then runs the routine an `Append` runs
+//!   against the coordinator's log in-process. The participant rejoins at
+//!   the committed round, and no restart waits on an acknowledgement.
 //! * **Bounded catch-up** — the coordinator keeps a committed round's
 //!   frame only while some shard's checkpoint predates it:
 //!   [`ShardedUcpc::checkpoint_shard`] trims every frame all checkpoints
@@ -128,78 +123,38 @@
 //! and objective equal the single-node engine's bit-for-bit.
 
 use crate::codec::Writer;
-use crate::fault::{ChaosPlan, Dice, ManualClock};
+use crate::fault::{ChaosPlan, Dice};
 use crate::framework::ClusterError;
 use crate::incremental::IncrementalUcpc;
 use crate::objective::ClusterStats;
-use crate::serving::Clock;
 use crate::snapshot::{ChunkWriter, Sections, SnapshotError, CHUNK_SHARD};
 use crate::wal::{
     decode_frame, encode_round, replay_rounds, scan_for_replay, LogEntry, LogOp, SharedVecIo,
     VecIo, WalError, WalFsync, WalWriter,
 };
 use std::ops::Range;
-use std::time::{Duration, Instant};
 use ucpc_uncertain::{Moments, ObjectHandle, UncertainObject};
 
-/// Base retry timeout; doubles per attempt (capped) under the manual
-/// clock's millisecond ticks.
-const RETRY_BASE: Duration = Duration::from_millis(4);
+/// Ticks before an unanswered `Append` is resent; doubles per resend, to 64×.
+const RETRY_BASE: u64 = 4;
 
-/// Clock advance per idle transport step.
-const TICK: Duration = Duration::from_millis(1);
-
-/// Retransmission budget per request before the driver declares the
-/// shard unreachable.
+/// Resends per round before a shard is declared unreachable.
 const MAX_ATTEMPTS: u32 = 64;
 
-// ---------------------------------------------------------------------
-// Protocol messages
-// ---------------------------------------------------------------------
-
-/// A protocol message body. Every message names rounds by sequence
-/// number only: a round's content is its sealed frame in the
-/// coordinator's catch-up log, which a participant reads when it handles
-/// the message.
+/// The one protocol message, sent both ways. From the coordinator (node 0)
+/// it asks a participant to hold every round up to `upto`; a participant
+/// echoes it back once its watermark covers `upto`. Rounds are named by
+/// sequence number only: a round's content is its sealed frame in the
+/// coordinator's log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Payload {
-    /// Coordinator → participant: append and apply round `seq`.
-    Apply {
-        /// Global round sequence number.
-        seq: u64,
-    },
-    /// Participant → coordinator: round `seq` (or, after a `Catchup`,
-    /// everything up to `seq`) is durable and applied.
-    Ack {
-        /// Highest acknowledged sequence number.
-        seq: u64,
-    },
-    /// Coordinator → rejoining participant: append and apply, in sequence
-    /// order, every committed round past its watermark up to `last`.
-    Catchup {
-        /// The last committed round.
-        last: u64,
-    },
-}
-
-/// One addressed, epoch-fenced protocol message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Envelope {
+pub struct Append {
     /// Sending node (0 = coordinator, `shard + 1` = participant).
     pub from: usize,
     /// Destination node.
     pub to: usize,
-    /// The *participant* epoch this message belongs to (the recipient's
-    /// for coordinator→participant traffic, the sender's for replies);
-    /// either side drops mismatches, fencing off pre-crash stragglers.
-    pub epoch: u64,
-    /// Message body.
-    pub payload: Payload,
+    /// The last round asked for (a request) or held (its echo).
+    pub upto: u64,
 }
-
-// ---------------------------------------------------------------------
-// Transport
-// ---------------------------------------------------------------------
 
 #[derive(Debug)]
 struct Queued {
@@ -209,17 +164,17 @@ struct Queued {
     key: u64,
     /// Arrival tiebreaker.
     arrival: u64,
-    env: Envelope,
+    msg: Append,
 }
 
 /// The message fabric between the coordinator and the participants.
 /// Every send rolls seeded dice ([`crate::fault::Dice`]) against a
-/// [`ChaosPlan`] — drop the envelope, deliver it twice, delay a copy up
+/// [`ChaosPlan`] — drop the message, deliver it twice, delay a copy up
 /// to `max_delay` ticks, or perturb its ordering key so it overtakes (or
 /// is overtaken by) its neighbors. Identical plan + identical protocol
 /// traffic ⇒ identical schedule, so any failing chaos run replays
 /// bit-for-bit from its seed. Under [`ChaosPlan::clean`] no die ever
-/// fires: every envelope is delivered exactly once, in send order.
+/// fires: every message is delivered exactly once, in send order.
 ///
 /// Delivery is pull-based: the driver calls [`Self::recv`] per node
 /// until it returns `None`, and [`Self::step`] to advance transport time
@@ -245,8 +200,8 @@ impl ChaosTransport {
         }
     }
 
-    fn enqueue_copy(&mut self, env: Envelope) {
-        let delay = self.dice.pick(self.plan.max_delay + 1);
+    fn enqueue_copy(&mut self, msg: Append) {
+        let delay = self.dice.pick(self.plan.max_delay.saturating_add(1));
         let mut key = self.counter;
         if self.dice.chance(self.plan.reorder) {
             // Pull the key backwards so this copy overtakes up to 8
@@ -255,30 +210,29 @@ impl ChaosTransport {
         }
         let arrival = self.counter;
         self.counter += 1;
-        let to = env.to;
-        if let Some(q) = self.queues.get_mut(to) {
+        if let Some(q) = self.queues.get_mut(msg.to) {
             q.push(Queued {
-                at: self.tick + delay,
+                at: self.tick.saturating_add(delay),
                 key,
                 arrival,
-                env,
+                msg,
             });
         }
     }
 
-    /// Accepts an envelope for (eventual, possibly unfaithful) delivery.
-    pub fn send(&mut self, env: Envelope) {
+    /// Accepts a message for (eventual, possibly unfaithful) delivery.
+    pub fn send(&mut self, msg: Append) {
         if self.dice.chance(self.plan.drop) {
             return;
         }
         if self.dice.chance(self.plan.duplicate) {
-            self.enqueue_copy(env);
+            self.enqueue_copy(msg);
         }
-        self.enqueue_copy(env);
+        self.enqueue_copy(msg);
     }
 
-    /// Next deliverable envelope addressed to `node`, if any.
-    pub fn recv(&mut self, node: usize) -> Option<Envelope> {
+    /// Next deliverable message addressed to `node`, if any.
+    pub fn recv(&mut self, node: usize) -> Option<Append> {
         let tick = self.tick;
         let q = self.queues.get_mut(node)?;
         let best = q
@@ -287,7 +241,7 @@ impl ChaosTransport {
             .filter(|(_, m)| m.at <= tick)
             .min_by_key(|(_, m)| (m.key, m.arrival))
             .map(|(i, _)| i)?;
-        Some(q.swap_remove(best).env)
+        Some(q.swap_remove(best).msg)
     }
 
     /// Advances transport time by one tick (delayed deliveries mature).
@@ -308,22 +262,16 @@ fn shard_log(io: SharedVecIo, m: usize) -> WalWriter<SharedVecIo> {
     WalWriter::create(io, m, WalFsync::Every).expect("in-memory shard log cannot fault")
 }
 
-// ---------------------------------------------------------------------
-// Participant
-// ---------------------------------------------------------------------
-
 /// One shard node: an [`IncrementalUcpc`] replica folding every round
-/// through [`IncrementalUcpc::apply_round`], an applied-sequence watermark
-/// (idempotence), and a write-ahead shard log (recovery) that appends the
+/// through [`IncrementalUcpc::apply_round`], an applied-sequence
+/// watermark, and a write-ahead shard log (recovery) that appends the
 /// coordinator's sealed frames verbatim.
 #[derive(Debug)]
 struct Participant {
-    shard: usize,
-    epoch: u64,
     engine: IncrementalUcpc,
-    /// Highest globally-sequenced round reflected in durable + volatile
-    /// state. Lockstep commits guarantee in-order delivery of *new*
-    /// rounds, so a single watermark (not a gap set) suffices.
+    /// Highest round reflected in durable + volatile state. Rounds are
+    /// taken in sequence order only, so a single watermark (not a gap
+    /// set) suffices.
     applied: u64,
     /// The shard log. Its sink's buffer outlives the participant
     /// ([`ShardedUcpc`] keeps a clone), which is what crash recovery reads.
@@ -336,10 +284,8 @@ struct Participant {
 impl Participant {
     /// A participant whose replica starts as a clone of `empty`, the
     /// coordinator's engine before its first round.
-    fn fresh(empty: &IncrementalUcpc, shard: usize, epoch: u64, log: SharedVecIo) -> Self {
+    fn fresh(empty: &IncrementalUcpc, log: SharedVecIo) -> Self {
         Self {
-            shard,
-            epoch,
             engine: empty.clone(),
             applied: 0,
             log: shard_log(log, empty.m),
@@ -350,20 +296,14 @@ impl Participant {
     /// Rebuilds a shard from its durable bytes: restore the checkpoint
     /// (if any), then replay the shard log's valid prefix on top. A torn
     /// tail — even a torn header — truncates the replay at the last
-    /// complete frame; the coordinator's `Catchup` supplies whatever is
-    /// missing. A corrupt checkpoint, or a log that is not this shard's
-    /// WAL (bad magic, version or header checksum, wrong `m`, a round that
-    /// does not follow the watermark or does not apply), is a checked
-    /// error. The recovered participant logs to a detached sink until
-    /// [`ShardedUcpc::restart`] re-anchors it.
-    fn recover(
-        empty: &IncrementalUcpc,
-        shard: usize,
-        epoch: u64,
-        checkpoint: &[u8],
-        log: &[u8],
-    ) -> Result<Self, WalError> {
-        let mut p = Self::fresh(empty, shard, epoch, SharedVecIo::new());
+    /// complete frame; catch-up supplies whatever is missing. A corrupt
+    /// checkpoint, or a log that is not this shard's WAL (bad magic,
+    /// version or header checksum, wrong `m`, a round that does not follow
+    /// the watermark or does not apply), is a checked error. The recovered
+    /// participant logs to a detached sink until [`ShardedUcpc::restart`]
+    /// re-anchors it.
+    fn recover(empty: &IncrementalUcpc, checkpoint: &[u8], log: &[u8]) -> Result<Self, WalError> {
+        let mut p = Self::fresh(empty, SharedVecIo::new());
         if !checkpoint.is_empty() {
             p.restore_checkpoint(checkpoint)?;
         }
@@ -415,59 +355,43 @@ impl Participant {
         Ok(())
     }
 
-    fn reply(&self, payload: Payload) -> Envelope {
-        Envelope {
-            from: self.shard + 1,
-            to: 0,
-            epoch: self.epoch,
-            payload,
+    /// Takes every round past the watermark up to `upto`, in sequence
+    /// order: each is read from the coordinator's `log`, appended verbatim
+    /// to the shard log and folded. Returns whether the watermark now
+    /// covers `upto`; it does not if `log` no longer holds a round it
+    /// needs. A duplicate or stale request takes nothing. Round frames are
+    /// atomic: a crash mid-round recovers to the previous round boundary.
+    fn take_rounds(&mut self, upto: u64, log: &RoundLog) -> bool {
+        while self.applied < upto {
+            let Some(frame) = log.frame(self.applied + 1) else {
+                return false;
+            };
+            // Invariant: see `shard_log` — the in-memory sink cannot fault.
+            self.log
+                .append_frame(frame)
+                .expect("in-memory shard log cannot fault");
+            let folded = decode_frame(frame, self.engine.m, &mut self.scratch)
+                .map_err(|_| "round frame does not decode")
+                .and_then(|_| self.engine.apply_round(&self.scratch));
+            folded.expect(BUILT_ROUND);
+            self.applied += 1;
         }
-    }
-
-    /// Whether the watermark covers round `seq` once this returns. A round
-    /// past the watermark is read from the coordinator's `log`, appended
-    /// to the shard log and folded; a duplicate or a retransmission changes
-    /// nothing, and a round `log` no longer holds is not taken. Round
-    /// frames are atomic: a crash mid-round recovers to the previous round
-    /// boundary and catch-up resends the rest.
-    fn take_round(&mut self, seq: u64, log: &RoundLog) -> bool {
-        if seq <= self.applied {
-            return true;
-        }
-        let Some(frame) = log.frame(seq) else {
-            return false;
-        };
-        // Invariant: see `shard_log` — the in-memory sink cannot fault.
-        self.log
-            .append_frame(frame)
-            .expect("in-memory shard log cannot fault");
-        let folded = decode_frame(frame, self.engine.m, &mut self.scratch)
-            .map_err(|_| "round frame does not decode")
-            .and_then(|_| self.engine.apply_round(&self.scratch));
-        folded.expect(BUILT_ROUND);
-        self.applied = seq;
         true
     }
 
-    /// The participant's message loop body. Epoch fencing happens first;
-    /// everything else is keyed on the applied watermark so duplicated
-    /// and reordered deliveries are harmless. A request naming a round
-    /// the coordinator's `log` does not hold goes unanswered.
-    fn handle(&mut self, env: Envelope, log: &RoundLog, tx: &mut ChaosTransport) {
-        if env.epoch != self.epoch {
-            return; // fenced: a pre-restart straggler
-        }
-        let acked = match env.payload {
-            Payload::Apply { seq } => self.take_round(seq, log).then_some(seq),
-            Payload::Catchup { last } => (self.applied + 1..=last)
-                .all(|seq| self.take_round(seq, log))
-                .then_some(self.applied),
-            // A coordinator-bound payload misdelivered by a confused
-            // fabric: drop.
-            Payload::Ack { .. } => None,
-        };
-        if let Some(seq) = acked {
-            tx.send(self.reply(Payload::Ack { seq }));
+    /// The participant's message loop body: take the rounds `msg` asks for
+    /// and, once the watermark covers them, echo `msg` back; a request
+    /// `log` can no longer serve goes unanswered. The echo names the round
+    /// asked for, not the watermark, so a stale request's reply answers no
+    /// later round, and the replies (and so the fault schedule) depend only
+    /// on the requests delivered.
+    fn handle(&mut self, msg: Append, log: &RoundLog, tx: &mut ChaosTransport) {
+        if self.take_rounds(msg.upto, log) {
+            tx.send(Append {
+                from: msg.to,
+                to: msg.from,
+                ..msg
+            });
         }
     }
 }
@@ -476,21 +400,12 @@ impl Participant {
 /// shard log accumulated since. Both live outside the participant (the
 /// [`SharedVecIo`] buffer is shared), so [`ShardedUcpc::crash`] destroys
 /// only volatile state — exactly a process crash.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ShardDurable {
     checkpoint: Vec<u8>,
     /// The watermark `checkpoint` holds; no recovery starts below it.
     checkpointed: u64,
     log: SharedVecIo,
-}
-
-fn reply_matches(request: Payload, reply: Payload) -> bool {
-    match (request, reply) {
-        (Payload::Apply { seq: a } | Payload::Catchup { last: a }, Payload::Ack { seq: b }) => {
-            a == b
-        }
-        _ => false,
-    }
 }
 
 /// Bytes a catch-up log block holds: frames fill fixed blocks rather than
@@ -562,23 +477,10 @@ impl RoundLog {
     }
 }
 
-/// A request awaiting its reply, with its retry state.
-#[derive(Debug)]
-struct InFlight {
-    request: Envelope,
-    answered: bool,
-    deadline: Instant,
-    attempt: u32,
-}
-
-// ---------------------------------------------------------------------
-// ShardedUcpc — the synchronous driver
-// ---------------------------------------------------------------------
-
 /// A UCPC partition sharded across in-process coordinator/participant
 /// nodes, byte-identical to [`crate::incremental::IncrementalUcpc`] at
 /// any shard count under any tolerated fault schedule (see the module
-/// docs for the protocol and the bit-identity argument).
+/// docs for the replication and the bit-identity argument).
 ///
 /// ```
 /// use ucpc_core::sharded::ShardedUcpc;
@@ -597,23 +499,21 @@ struct InFlight {
 #[derive(Debug)]
 pub struct ShardedUcpc {
     shards: usize,
-    clock: ManualClock,
     transport: ChaosTransport,
     /// Node 0's engine replica: its slab allocates slots and generations
     /// (so handle sequences match the single-node engine), and it decides
-    /// and folds every round before the round is broadcast.
+    /// and folds every round before the round is shipped.
     engine: IncrementalUcpc,
     /// Node 0's engine before its first round: every participant replica,
     /// fresh or recovered without a checkpoint, starts as a clone.
     empty: IncrementalUcpc,
     /// Sealed frames of the committed rounds past the lowest shard
-    /// checkpoint (rounds start at 1), for participants to append and
-    /// catch up from.
+    /// checkpoint (rounds start at 1), for participants to append.
     log: RoundLog,
-    /// The requests of the exchange in progress, reused round to round.
-    inflight: Vec<InFlight>,
-    /// Current epoch of each participant; bumped by restarts.
-    epochs: Vec<u64>,
+    /// Per shard, for the round in flight: the tick its next resend is
+    /// due and the resends so far, or `None` once the shard holds the
+    /// round. Reused round to round.
+    waiting: Vec<Option<(u64, u32)>>,
     /// Protocol retransmissions performed (diagnostic).
     retries: u64,
     participants: Vec<Option<Participant>>,
@@ -641,25 +541,18 @@ impl ShardedUcpc {
         if shards == 0 {
             return Err(ClusterError::NoShards);
         }
-        let durable: Vec<ShardDurable> = (0..shards)
-            .map(|_| ShardDurable {
-                checkpoint: Vec::new(),
-                checkpointed: 0,
-                log: SharedVecIo::new(),
-            })
-            .collect();
-        let participants = (0..shards)
-            .map(|s| Some(Participant::fresh(&engine, s, 1, durable[s].log.clone())))
+        let durable: Vec<ShardDurable> = (0..shards).map(|_| ShardDurable::default()).collect();
+        let participants = durable
+            .iter()
+            .map(|d| Some(Participant::fresh(&engine, d.log.clone())))
             .collect();
         Ok(Self {
             shards,
-            clock: ManualClock::new(),
             transport: ChaosTransport::new(shards + 1, plan),
             empty: engine.clone(),
             engine,
             log: RoundLog::default(),
-            inflight: Vec::with_capacity(shards),
-            epochs: vec![1; shards],
+            waiting: Vec::with_capacity(shards),
             retries: 0,
             participants,
             durable,
@@ -748,18 +641,13 @@ impl ShardedUcpc {
     pub fn insert_moments(&mut self, mo: &Moments) -> Result<ObjectHandle, ClusterError> {
         self.shards_up()?;
         let h = self.engine.insert_moments(mo)?;
+        let slot = h.slot() as u32;
         let cluster = self.engine.labels[h.slot()].expect("the arrival is live");
-        let op = LogOp::Insert {
-            slot: h.slot() as u32,
-            cluster,
-        };
+        let op = LogOp::Insert { slot, cluster };
         // The slab holds the arrival's rows bit for bit, so the frame
         // borrows them from the arrival.
-        self.run_round(&[LogEntry {
-            op,
-            mu: mo.mu(),
-            mu2: mo.mu2(),
-        }]);
+        let (mu, mu2) = (mo.mu(), mo.mu2());
+        self.run_round(&[LogEntry { op, mu, mu2 }]);
         Ok(h)
     }
 
@@ -768,14 +656,12 @@ impl ShardedUcpc {
     /// before anything changes.
     pub fn remove(&mut self, h: ObjectHandle) -> Result<(), ClusterError> {
         self.shards_up()?;
+        let slot = h.slot() as u32;
         let cluster = self.label_of(h).ok_or(ClusterError::StaleHandle {
-            slot: h.slot() as u32,
+            slot,
             generation: h.generation(),
         })?;
-        let op = LogOp::Remove {
-            slot: h.slot() as u32,
-            cluster,
-        };
+        let op = LogOp::Remove { slot, cluster };
         self.engine.remove(h)?;
         self.run_round(&[LogEntry::bare(op)]);
         Ok(())
@@ -810,8 +696,6 @@ impl ShardedUcpc {
         }
     }
 
-    // -- crash / recovery ---------------------------------------------
-
     /// Kills a participant's volatile state (its process). Durable bytes
     /// — checkpoint and shard log — survive for [`Self::restart`]. Until
     /// then, inserts and removes are [`ClusterError::ShardDown`] and
@@ -825,18 +709,14 @@ impl ShardedUcpc {
         self.participants[shard] = None;
     }
 
-    /// Recovers a crashed shard from checkpoint + shard-log valid
-    /// prefix, fences off its previous life with a new epoch, re-anchors
-    /// its durable state with [`Self::checkpoint_shard`] (so a torn tail
-    /// is dropped, not appended after), and sends it a `Catchup` so the
-    /// rejoined replica reflects every committed round —
-    /// all without perturbing the apply log.
-    ///
-    /// A corrupt checkpoint, a bad log header or a wrong `m` is a checked
-    /// [`WalError`] and leaves the shard down, as is a recovered watermark
-    /// past the committed rounds or below the rounds the coordinator keeps
-    /// for catch-up; a torn log tail is not an error, because catch-up
-    /// repairs it.
+    /// Recovers a crashed shard from checkpoint + shard-log valid prefix,
+    /// re-anchors its durable state with [`Self::checkpoint_shard`] (so a
+    /// torn tail is dropped, not appended after), then takes the committed
+    /// rounds it lacks from the coordinator's log in-process, as an
+    /// `Append` would. A corrupt checkpoint, a bad log header, a wrong `m`
+    /// or a recovered watermark outside the rounds the coordinator keeps is
+    /// a checked [`WalError`] and leaves the shard down; a torn log tail is
+    /// not an error, because catch-up repairs it.
     ///
     /// # Panics
     ///
@@ -847,18 +727,21 @@ impl ShardedUcpc {
             self.participants[shard].is_none(),
             "shard {shard} is running"
         );
-        let epoch = self.epochs[shard] + 1;
         let d = &self.durable[shard];
-        let p = Participant::recover(&self.empty, shard, epoch, &d.checkpoint, &d.log.bytes())?;
-        // Catch-up resends the committed rounds the log holds, so the
-        // recovered watermark must lie in `trimmed..end`.
+        let p = Participant::recover(&self.empty, &d.checkpoint, &d.log.bytes())?;
+        // Catch-up takes the committed rounds the coordinator's log holds,
+        // so the recovered watermark must lie in `trimmed..end`.
         if p.applied >= self.log.end() || p.applied < self.log.trimmed {
             return Err(SnapshotError::Corrupt("shard watermark outside the catch-up log").into());
         }
-        self.epochs[shard] = epoch;
         self.participants[shard] = Some(p);
         self.checkpoint_shard(shard);
-        self.rejoin(shard);
+        // The re-anchor trims no round past this shard's watermark, so the
+        // log holds every round the participant takes here.
+        let committed = self.committed_rounds();
+        if let Some(p) = &mut self.participants[shard] {
+            p.take_rounds(committed, &self.log);
+        }
         Ok(())
     }
 
@@ -894,118 +777,71 @@ impl ShardedUcpc {
         self.durable[shard].log.truncate(keep);
     }
 
-    // -- protocol driving ---------------------------------------------
-
-    /// Delivers every pending participant-bound envelope (alive shards
-    /// handle them and may reply; a crashed shard's mail is lost, as a
-    /// down node's would be). Returns whether anything was delivered.
-    fn pump_participants(&mut self) -> bool {
+    /// Delivers every deliverable message: live participants handle theirs
+    /// (a crashed shard's mail is lost), and the coordinator stops waiting
+    /// on every shard whose reply covers round `seq`. Returns whether
+    /// anything was delivered.
+    fn pump(&mut self, seq: u64) -> bool {
         let mut progressed = false;
         for shard in 0..self.shards {
-            let node = shard + 1;
-            while let Some(env) = self.transport.recv(node) {
+            while let Some(msg) = self.transport.recv(shard + 1) {
                 progressed = true;
                 if let Some(p) = self.participants[shard].as_mut() {
-                    p.handle(env, &self.log, &mut self.transport);
+                    p.handle(msg, &self.log, &mut self.transport);
                 }
+            }
+        }
+        while let Some(reply) = self.transport.recv(0) {
+            progressed = true;
+            // Node 0 wraps out of range, as does any node past the shards.
+            let wait = self.waiting.get_mut(reply.from.wrapping_sub(1));
+            if let Some(wait) = wait.filter(|_| reply.upto >= seq) {
+                *wait = None;
             }
         }
         progressed
     }
 
     /// One full committed round of entries the coordinator has already
-    /// decided and folded: seal them into the catch-up log, broadcast
-    /// `Apply` to every shard, collect all acknowledgements, then commit.
-    /// Lockstep: the next sequence number is not used until this one is
-    /// fully replicated.
+    /// decided and folded: seal them into its log, send every shard an
+    /// `Append` up to the new round, and drive the fabric until each shard
+    /// replies that it holds the round, resending to the rest on backed-off
+    /// deadlines counted in transport ticks (the fabric steps only when
+    /// nothing was deliverable, so schedules are deterministic). Lockstep:
+    /// the next sequence number is not used until this one is replicated.
     fn run_round<R: AsRef<[f64]>>(&mut self, entries: &[LogEntry<R>]) {
         let seq = self.log.push(entries).expect(BUILT_ROUND);
+        let append = |shard: usize| Append {
+            from: 0,
+            to: shard + 1,
+            upto: seq,
+        };
+        self.waiting.clear();
+        let due = self.transport.tick + RETRY_BASE;
+        self.waiting.resize(self.shards, Some((due, 0)));
         for shard in 0..self.shards {
-            self.request(shard, Payload::Apply { seq });
+            self.transport.send(append(shard));
         }
-        self.complete();
-    }
-
-    /// Queues `payload` for `shard`'s current life; [`Self::complete`]
-    /// sends it.
-    fn request(&mut self, shard: usize, payload: Payload) {
-        self.inflight.push(InFlight {
-            request: Envelope {
-                from: 0,
-                to: shard + 1,
-                epoch: self.epochs[shard],
-                payload,
-            },
-            answered: false,
-            deadline: self.clock.now() + RETRY_BASE,
-            attempt: 0,
-        });
-    }
-
-    /// Sends the queued requests and drives the fabric until each has its
-    /// matching reply, retrying unanswered ones on exponentially backed
-    /// off deadlines from the manual clock (advanced only when nothing
-    /// was deliverable, so schedules are deterministic), then clears the
-    /// queue. Epoch-fenced: replies from a stale participant life are
-    /// dropped.
-    fn complete(&mut self) {
-        for f in &self.inflight {
-            self.transport.send(f.request);
-        }
-        loop {
-            let mut progressed = self.pump_participants();
-            while let Some(env) = self.transport.recv(0) {
-                progressed = true;
-                if env.from == 0 || env.from > self.shards {
+        while self.waiting.iter().any(Option::is_some) {
+            if self.pump(seq) {
+                continue;
+            }
+            self.transport.step();
+            let now = self.transport.tick;
+            for (shard, wait) in self.waiting.iter_mut().enumerate() {
+                let Some((due, resends)) = wait.as_mut().filter(|(due, _)| now >= *due) else {
                     continue;
-                }
-                if env.epoch != self.epochs[env.from - 1] {
-                    continue; // fenced
-                }
-                if let Some(f) = self.inflight.iter_mut().find(|f| {
-                    f.request.to == env.from && reply_matches(f.request.payload, env.payload)
-                }) {
-                    f.answered = true;
-                }
-                // Anything else — duplicate, stale round, misdelivery —
-                // is dropped; idempotence makes that safe.
-            }
-            if self.inflight.iter().all(|f| f.answered) {
-                self.inflight.clear();
-                return;
-            }
-            if !progressed {
-                self.transport.step();
-                self.clock.advance(TICK);
-                let now = self.clock.now();
-                for f in self.inflight.iter_mut() {
-                    if f.answered || now < f.deadline {
-                        continue;
-                    }
-                    assert!(
-                        f.attempt < MAX_ATTEMPTS,
-                        "shard {} unresponsive after {} retransmissions",
-                        f.request.to - 1,
-                        f.attempt
-                    );
-                    self.transport.send(f.request);
-                    self.retries += 1;
-                    f.attempt += 1;
-                    f.deadline = now + RETRY_BASE * (1u32 << f.attempt.min(6));
-                }
+                };
+                assert!(
+                    *resends < MAX_ATTEMPTS,
+                    "shard {shard} unresponsive after {resends} retransmissions"
+                );
+                self.transport.send(append(shard));
+                self.retries += 1;
+                *resends += 1;
+                *due = now + (RETRY_BASE << (*resends).min(6));
             }
         }
-    }
-
-    /// The catch-up exchange after [`Self::restart`]: the coordinator
-    /// asks the recovered participant to take every committed round past
-    /// its durable watermark (`Catchup`) and waits for the acknowledgement
-    /// of the full committed prefix, through the same retry loop as every
-    /// other request. Every leg is idempotent.
-    fn rejoin(&mut self, shard: usize) {
-        let last = self.committed_rounds();
-        self.request(shard, Payload::Catchup { last });
-        self.complete();
     }
 }
 
@@ -1087,7 +923,8 @@ mod tests {
 
     #[test]
     fn chaotic_fabric_reaches_the_same_bits_with_retries() {
-        let mut sharded = ShardedUcpc::with_chaos(1, 2, 3, ChaosPlan::mixed(42)).unwrap();
+        let plan = ChaosPlan::mixed(42).seed_from_env();
+        let mut sharded = ShardedUcpc::with_chaos(1, 2, 3, plan).unwrap();
         let mut single = IncrementalUcpc::new(1, 2).unwrap();
         drive_script(&mut sharded, &mut single);
         assert_matches_single_node(&sharded, &single);
@@ -1131,7 +968,8 @@ mod tests {
 
     #[test]
     fn shard_logs_hold_the_coordinators_frames_through_chaos_checkpoints_and_crashes() {
-        let mut sharded = ShardedUcpc::with_chaos(1, 2, 3, ChaosPlan::mixed(42)).unwrap();
+        let plan = ChaosPlan::mixed(42).seed_from_env();
+        let mut sharded = ShardedUcpc::with_chaos(1, 2, 3, plan).unwrap();
         let mut single = IncrementalUcpc::new(1, 2).unwrap();
         let mut handles = Vec::new();
         for (i, c) in [0.0, 0.3, 9.0, 9.1, 0.1, 8.8, 0.2, 9.3, 4.5, 0.05, 7.7, 0.4]
@@ -1195,7 +1033,7 @@ mod tests {
         for i in [0, scan.records.len() / 2, scan.records.len() - 2] {
             let seq = scan.records[i].seq;
             let cut = scan.frame_ends[i] as usize + 3;
-            let p = Participant::recover(&sharded.empty, 1, 9, &[], &log[..cut]).unwrap();
+            let p = Participant::recover(&sharded.empty, &[], &log[..cut]).unwrap();
             assert_eq!(p.applied, seq, "cut {cut} lands on frame {i}");
         }
         // Tear the log mid-header; recovery salvages the empty prefix and
@@ -1333,7 +1171,7 @@ mod tests {
         ] {
             let bent = with_round(&bad);
             assert_eq!(&bent[..log.len()], &log[..], "re-logged prefix");
-            match Participant::recover(&sharded.empty, 0, 1, &checkpoint, &bent) {
+            match Participant::recover(&sharded.empty, &checkpoint, &bent) {
                 Err(WalError::Corrupt {
                     valid_bytes,
                     frames,
@@ -1349,16 +1187,16 @@ mod tests {
         }
         // The last of those rounds is valid without its final removal.
         let fine = with_round(&[insert(7, 0), remove(7, 0)]);
-        assert!(Participant::recover(&sharded.empty, 0, 1, &checkpoint, &fine).is_ok());
+        assert!(Participant::recover(&sharded.empty, &checkpoint, &fine).is_ok());
         // A checkpoint holding a non-finite row is corrupt, not restored:
         // the live row of slot 0 is swapped for an infinite one.
-        let mut p = Participant::recover(&sharded.empty, 0, 1, &checkpoint, &[]).unwrap();
+        let mut p = Participant::recover(&sharded.empty, &checkpoint, &[]).unwrap();
         let slab = &mut p.engine.slab;
         slab.remove(ObjectHandle::new(0, slab.generation(0)))
             .unwrap();
         slab.insert_with(1, |_| (f64::INFINITY, 0.5));
         let poisoned = p.encode_checkpoint();
-        match Participant::recover(&sharded.empty, 0, 1, &poisoned, &[]) {
+        match Participant::recover(&sharded.empty, &poisoned, &[]) {
             Err(WalError::Snapshot(SnapshotError::Corrupt(reason))) => {
                 assert!(reason.contains("non-finite"), "{reason}")
             }
@@ -1369,35 +1207,31 @@ mod tests {
 
     #[test]
     fn chaos_transport_is_reproducible_from_its_seed() {
-        let run = |seed: u64| {
-            let mut sharded = ShardedUcpc::with_chaos(1, 2, 2, ChaosPlan::mixed(seed)).unwrap();
+        let run = |plan: ChaosPlan| {
+            let mut sharded = ShardedUcpc::with_chaos(1, 2, 2, plan).unwrap();
             for c in [0.0, 9.0, 0.1, 9.1, 0.2] {
                 sharded.insert(&obj(c)).unwrap();
             }
             sharded.stabilize(3);
             (sharded.retries(), sharded.live_labels())
         };
-        assert_eq!(run(7), run(7), "same seed, same schedule");
+        let plan = ChaosPlan::mixed(7).seed_from_env();
+        assert_eq!(run(plan), run(plan), "same seed, same schedule");
     }
 
     #[test]
     fn clean_chaos_transport_delivers_each_envelope_once_in_send_order() {
         let mut tx = ChaosTransport::new(3, ChaosPlan::clean(5));
-        let ack = |to, seq| Envelope {
-            from: 0,
-            to,
-            epoch: 1,
-            payload: Payload::Ack { seq },
-        };
         for seq in 0..40 {
-            tx.send(ack(1 + (seq as usize) % 2, seq));
+            tx.send(Append {
+                from: 0,
+                to: 1 + (seq as usize) % 2,
+                upto: seq,
+            });
         }
         for node in [1, 2] {
             let got: Vec<u64> = std::iter::from_fn(|| tx.recv(node))
-                .map(|env| match env.payload {
-                    Payload::Ack { seq } => seq,
-                    other => panic!("{other:?}"),
-                })
+                .map(|msg| msg.upto)
                 .collect();
             let sent: Vec<u64> = (0..40).filter(|s| 1 + (*s as usize) % 2 == node).collect();
             assert_eq!(got, sent, "node {node}: once each, in send order");
@@ -1434,7 +1268,7 @@ mod tests {
         };
         let log = sharded.durable[1].log.bytes();
         assert_eq!(empty(&log), still, "zero-entry rounds scan back");
-        let p = Participant::recover(&sharded.empty, 1, 9, &[], &log).unwrap();
+        let p = Participant::recover(&sharded.empty, &[], &log).unwrap();
         assert_eq!(p.applied, sharded.committed_rounds(), "and replay in order");
         // Cut the empty rounds from shard 1's log: catch-up resends them.
         sharded.crash(1);
@@ -1445,29 +1279,37 @@ mod tests {
         assert_matches_single_node(&sharded, &single);
     }
 
-    /// Round 1 for a one-shard participant in epoch `epoch`.
-    fn apply_one(epoch: u64) -> Envelope {
-        Envelope {
+    /// The coordinator asks a one-shard participant for rounds up to `upto`.
+    fn append(upto: u64) -> Append {
+        Append {
             from: 0,
             to: 1,
-            epoch,
-            payload: Payload::Apply { seq: 1 },
+            upto,
         }
     }
 
-    /// A coordinator log holding round 1: one insert.
-    fn one_insert() -> RoundLog {
+    /// The participant's reply: it holds every round up to `upto`.
+    fn held(upto: u64) -> Append {
+        Append {
+            from: 1,
+            to: 0,
+            upto,
+        }
+    }
+
+    /// A coordinator log holding rounds `1..=n`, round `i` inserting slot
+    /// `i - 1`.
+    fn inserts(n: u32) -> RoundLog {
         let mut log = RoundLog::default();
-        let insert = LogOp::Insert {
-            slot: 0,
-            cluster: 0,
-        };
-        log.push(&[LogEntry {
-            op: insert,
-            mu: [1.0],
-            mu2: [2.0],
-        }])
-        .unwrap();
+        for slot in 0..n {
+            let insert = LogOp::Insert { slot, cluster: 0 };
+            log.push(&[LogEntry {
+                op: insert,
+                mu: [1.0],
+                mu2: [2.0],
+            }])
+            .unwrap();
+        }
         log
     }
 
@@ -1476,32 +1318,95 @@ mod tests {
     }
 
     #[test]
-    fn stale_epoch_envelopes_are_fenced_off() {
-        let mut p = Participant::fresh(&empty(), 0, 2, SharedVecIo::new());
+    fn pre_crash_copies_neither_refold_a_round_nor_answer_one() {
+        let mut sharded = ShardedUcpc::new(1, 2, 1).unwrap();
+        let mut single = IncrementalUcpc::new(1, 2).unwrap();
+        for c in [0.0, 9.0, 0.3, 9.3] {
+            assert_eq!(sharded.insert(&obj(c)), single.insert(&obj(c)));
+        }
+        // Crash with a log torn inside round 3: recovery lands on round 2
+        // and the restart catches up to round 4 in-process.
+        sharded.crash(0);
+        let ends = scan_wal(&sharded.durable[0].log.bytes())
+            .unwrap()
+            .frame_ends;
+        sharded.truncate_shard_wal(0, ends[2] as usize - 1);
+        sharded.restart(0).unwrap();
+        assert_eq!(sharded.shard_applied(0), Some(4));
+        // Copies from the previous life, still in flight: requests for
+        // rounds 2 and 4, and the old participant's reply for round 4.
+        let stale = [append(2), append(4), held(4)];
+        stale
+            .into_iter()
+            .for_each(|msg| sharded.transport.send(msg));
+        assert_eq!(sharded.insert(&obj(0.1)), single.insert(&obj(0.1)));
+        assert_eq!(sharded.shard_applied(0), Some(5));
+        assert_logs_are_the_coordinators_frames(&sharded);
+        let seqs: Vec<u64> = scan_wal(&sharded.durable[0].log.bytes())
+            .unwrap()
+            .records
+            .iter()
+            .map(|r| r.seq)
+            .collect();
+        assert_eq!(seqs, [3, 4, 5], "each round logged once, in order");
+        assert_matches_single_node(&sharded, &single);
+        // A stale reply covers no round past the one its sender held: with
+        // every new message lost, round 6 waits out its resends for the
+        // rejoined shard instead of committing on the old copies.
+        stale
+            .into_iter()
+            .for_each(|msg| sharded.transport.send(msg));
+        sharded.transport.plan.drop = 1.0;
+        let lost =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sharded.insert(&obj(9.1))));
+        let why = lost.expect_err("round 6 must wait for the rejoined shard");
+        let why = why.downcast_ref::<String>().expect("a formatted panic");
+        assert!(why.contains("shard 0 unresponsive"), "{why}");
+        assert_eq!(sharded.retries(), u64::from(MAX_ATTEMPTS));
+    }
+
+    #[test]
+    fn an_append_takes_every_round_up_to_it_in_order() {
+        let io = SharedVecIo::new();
+        let mut p = Participant::fresh(&empty(), io.clone());
         let mut tx = ChaosTransport::new(2, ChaosPlan::clean(0));
-        p.handle(apply_one(1), &one_insert(), &mut tx); // previous life
-        assert_eq!(p.applied, 0, "stale-epoch Apply must be dropped");
-        assert!(p.engine.is_empty() && p.engine.cluster_stats().iter().all(ClusterStats::is_empty));
-        assert!(tx.recv(0).is_none(), "and not answered");
+        let rounds = inserts(4);
+        p.handle(append(3), &rounds, &mut tx);
+        assert_eq!(tx.recv(0), Some(held(3)));
+        let log = io.bytes();
+        let seqs: Vec<u64> = scan_wal(&log)
+            .unwrap()
+            .records
+            .iter()
+            .map(|r| r.seq)
+            .collect();
+        assert_eq!(seqs, [1, 2, 3], "no gap, and nothing past the request");
+        let frames: Vec<u8> = (1..=3)
+            .flat_map(|seq| rounds.frame(seq).unwrap().to_vec())
+            .collect();
+        assert_eq!(
+            log[WAL_HEADER_LEN..],
+            frames[..],
+            "the coordinator's frames"
+        );
+        assert_eq!((p.applied, p.engine.len()), (3, 3));
     }
 
     #[test]
     fn a_duplicated_apply_is_re_acked_without_a_second_frame() {
         let io = SharedVecIo::new();
-        let mut p = Participant::fresh(&empty(), 0, 1, io.clone());
+        let mut p = Participant::fresh(&empty(), io.clone());
         let mut tx = ChaosTransport::new(2, ChaosPlan::clean(0));
-        let acks = |tx: &mut ChaosTransport| -> Vec<Payload> {
-            std::iter::from_fn(|| tx.recv(0))
-                .map(|e| e.payload)
-                .collect()
+        let replies = |tx: &mut ChaosTransport| -> Vec<Append> {
+            std::iter::from_fn(|| tx.recv(0)).collect()
         };
-        let rounds = one_insert();
-        p.handle(apply_one(1), &rounds, &mut tx);
-        assert_eq!(acks(&mut tx), [Payload::Ack { seq: 1 }]);
+        let rounds = inserts(1);
+        p.handle(append(1), &rounds, &mut tx);
+        assert_eq!(replies(&mut tx), [held(1)]);
         let (log, state) = (io.bytes(), p.engine.snapshot());
         assert_eq!(scan_wal(&log).unwrap().records.len(), 1);
-        p.handle(apply_one(1), &rounds, &mut tx);
-        assert_eq!(acks(&mut tx), [Payload::Ack { seq: 1 }], "re-acked");
+        p.handle(append(1), &rounds, &mut tx);
+        assert_eq!(replies(&mut tx), [held(1)], "re-acked");
         assert_eq!(io.bytes(), log, "no second log frame");
         assert!(p.engine.snapshot() == state, "no second fold");
         assert_eq!((p.applied, p.engine.len()), (1, 1));
@@ -1510,22 +1415,16 @@ mod tests {
     #[test]
     fn a_round_missing_from_the_coordinator_log_goes_unanswered() {
         let io = SharedVecIo::new();
-        let mut p = Participant::fresh(&empty(), 0, 1, io.clone());
+        let mut p = Participant::fresh(&empty(), io.clone());
         let mut tx = ChaosTransport::new(2, ChaosPlan::clean(0));
-        let mut trimmed = one_insert();
+        let mut trimmed = inserts(1);
         trimmed.trim(1);
-        let catchup = Envelope {
-            payload: Payload::Catchup { last: 1 },
-            ..apply_one(1)
-        };
-        for env in [apply_one(1), catchup] {
-            p.handle(env, &trimmed, &mut tx);
-            assert!(tx.recv(0).is_none(), "{env:?} is not acknowledged");
-            assert_eq!((p.applied, io.bytes().len()), (0, WAL_HEADER_LEN));
-        }
+        p.handle(append(1), &trimmed, &mut tx);
+        assert!(tx.recv(0).is_none(), "not acknowledged");
+        assert_eq!((p.applied, io.bytes().len()), (0, WAL_HEADER_LEN));
         // The retry finds the round once the log holds it.
-        p.handle(catchup, &one_insert(), &mut tx);
-        assert_eq!(tx.recv(0).map(|e| e.payload), Some(Payload::Ack { seq: 1 }));
+        p.handle(append(1), &inserts(1), &mut tx);
+        assert_eq!(tx.recv(0), Some(held(1)));
         assert_eq!((p.applied, p.engine.len()), (1, 1));
     }
 
@@ -1585,7 +1484,7 @@ mod tests {
         let frame = scan.records.last().unwrap();
         assert_eq!((frame.seq, frame.entries.len()), (rounds + 1, moved));
         for cut in start..log.len() {
-            let p = Participant::recover(&sharded.empty, 0, 9, &[], &log[..cut]).unwrap();
+            let p = Participant::recover(&sharded.empty, &[], &log[..cut]).unwrap();
             assert_eq!(p.applied, rounds, "cut {cut} drops the torn round");
             sharded.crash(0);
             let d = &mut sharded.durable[0];
