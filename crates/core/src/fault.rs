@@ -1,23 +1,24 @@
 //! Shared fault-injection plumbing for the durability and transport
-//! chaos suites.
-//!
-//! Before this module, each fault surface grew its own knobs: [`VecIo`]
-//! carried fail-after-N-bytes / short-write / failing-sync fields,
-//! [`SharedVecIo`] carried a subset, and the sharded transport was about
-//! to grow a third set. Now every injector configures faults the same
-//! way:
+//! chaos suites. Every injector configures its faults the same way:
 //!
 //! * [`IoFaultPlan`] — the *deterministic* byte-counted faults of a
 //!   [`DurableIo`] sink: ENOSPC at an exact byte offset, a maximum
 //!   accepted chunk per `write` call (forces short writes), and failing
 //!   `sync`. Consumed by [`VecIo::with_faults`] and
 //!   [`SharedVecIo::with_faults`].
-//! * [`ChaosPlan`] — the *seeded probabilistic* faults of the sharded
-//!   transport ([`crate::sharded::ChaosTransport`]): per-message drop /
-//!   duplicate / reorder probabilities and a bounded delivery delay,
-//!   drawn from a [`Dice`] so every schedule is reproducible from its
-//!   seed.
+//! * [`ChaosPlan`] — the *seeded probabilistic* faults of a message
+//!   fabric: per-message drop / duplicate / reorder probabilities and a
+//!   bounded delivery delay, drawn from a [`Dice`] so every schedule is
+//!   reproducible from its seed.
 //! * [`Dice`] — the seeded roller behind every probabilistic injector.
+//!
+//! The fabric itself, `ChaosTransport`, is crate-private: the sharded
+//! engine ([`crate::sharded`]) runs its coordinator and participants over
+//! it. Each send rolls, in this order, drop, duplicate, then per copy its
+//! delay and reorder; a channel at zero draws nothing. Messages wait in
+//! per-node queues until their tick matures and are delivered lowest
+//! ordering key first, so the same plan and the same traffic replay the
+//! same schedule.
 //!
 //! [`VecIo`]: crate::wal::VecIo
 //! [`SharedVecIo`]: crate::wal::SharedVecIo
@@ -276,6 +277,101 @@ impl ChaosPlan {
     }
 }
 
+#[derive(Debug)]
+struct Queued<M> {
+    /// Transport tick at which this copy becomes deliverable.
+    at: u64,
+    /// Delivery ordering key (reordering perturbs it backwards).
+    key: u64,
+    /// Arrival tiebreaker.
+    arrival: u64,
+    msg: M,
+}
+
+/// A message fabric between numbered nodes. Every send rolls the [`Dice`]
+/// against a [`ChaosPlan`]: drop the message, deliver it twice, delay a
+/// copy up to `max_delay` ticks, or perturb its ordering key so that it
+/// overtakes (or is overtaken by) its neighbours. The same plan and the
+/// same traffic give the same schedule, so a failing chaos run replays
+/// bit for bit from its seed. Under [`ChaosPlan::clean`] no die fires:
+/// every message is delivered once, in send order.
+///
+/// Delivery is pull-based: the caller polls [`Self::recv`] per node until
+/// it returns `None`, and calls [`Self::step`] to advance transport time when
+/// nothing was deliverable.
+#[derive(Debug)]
+pub(crate) struct ChaosTransport<M> {
+    pub(crate) plan: ChaosPlan,
+    dice: Dice,
+    /// Transport time, in ticks.
+    pub(crate) tick: u64,
+    counter: u64,
+    queues: Vec<Vec<Queued<M>>>,
+}
+
+impl<M: Copy> ChaosTransport<M> {
+    /// A fabric for `nodes` nodes faulting per `plan`.
+    pub(crate) fn new(nodes: usize, plan: ChaosPlan) -> Self {
+        Self {
+            plan,
+            dice: Dice::new(plan.seed),
+            tick: 0,
+            counter: 0,
+            queues: (0..nodes).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    fn enqueue_copy(&mut self, to: usize, msg: M) {
+        let delay = self.dice.pick(self.plan.max_delay.saturating_add(1));
+        let mut key = self.counter;
+        if self.dice.chance(self.plan.reorder) {
+            // Pull the key backwards so this copy overtakes up to 8
+            // earlier same-tick sends (ties broken by arrival).
+            key = key.saturating_sub(1 + self.dice.pick(8));
+        }
+        let arrival = self.counter;
+        self.counter += 1;
+        if let Some(q) = self.queues.get_mut(to) {
+            q.push(Queued {
+                at: self.tick.saturating_add(delay),
+                key,
+                arrival,
+                msg,
+            });
+        }
+    }
+
+    /// Accepts `msg` for (eventual, possibly unfaithful) delivery to node
+    /// `to`; a node out of range loses it.
+    pub(crate) fn send(&mut self, to: usize, msg: M) {
+        if self.dice.chance(self.plan.drop) {
+            return;
+        }
+        if self.dice.chance(self.plan.duplicate) {
+            self.enqueue_copy(to, msg);
+        }
+        self.enqueue_copy(to, msg);
+    }
+
+    /// Next deliverable message addressed to `node`, if any.
+    pub(crate) fn recv(&mut self, node: usize) -> Option<M> {
+        let tick = self.tick;
+        let q = self.queues.get_mut(node)?;
+        let best = q
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| m.at <= tick)
+            .min_by_key(|(_, m)| (m.key, m.arrival))
+            .map(|(i, _)| i)?;
+        Some(q.swap_remove(best).msg)
+    }
+
+    /// Advances transport time by one tick (delayed deliveries mature).
+    pub(crate) fn step(&mut self) {
+        self.tick += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,5 +410,21 @@ mod tests {
         let mut b = a.clone();
         assert_eq!((a.pick(1), a.pick(0)), (0, 0));
         assert_eq!(a.pick(1 << 40), b.pick(1 << 40), "the stream did not move");
+    }
+
+    #[test]
+    fn clean_chaos_transport_delivers_each_envelope_once_in_send_order() {
+        let mut tx = ChaosTransport::new(3, ChaosPlan::clean(5));
+        let to = |seq: u64| 1 + (seq as usize) % 2;
+        for seq in 0..40 {
+            tx.send(to(seq), seq);
+        }
+        for node in [1, 2] {
+            let got: Vec<u64> = std::iter::from_fn(|| tx.recv(node)).collect();
+            let sent: Vec<u64> = (0..40).filter(|&s| to(s) == node).collect();
+            assert_eq!(got, sent, "node {node}: once each, in send order");
+        }
+        tx.step();
+        assert!((0..3).all(|node| tx.recv(node).is_none()), "nothing left");
     }
 }

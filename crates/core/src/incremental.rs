@@ -413,19 +413,36 @@ impl IncrementalUcpc {
             | LogOp::Remove { slot, .. }
             | LogOp::Move { slot, .. }) = e.op;
             let s = slot as usize;
-            let h = match drained {
-                Some(c) if self.labels.get(s) == Some(&Some(c)) => {
-                    ObjectHandle::new(slot, self.slab.generation(s))
+            match (drained, joined) {
+                (Some(c), _) if self.labels.get(s) != Some(&Some(c)) => {
+                    return Err("round names a free slot or the wrong cluster")
                 }
-                Some(_) => return Err("round names a free slot or the wrong cluster"),
-                None if self.next_handle().slot() != s => {
-                    return Err("round inserts at a slot the slab would not allocate")
+                (Some(src), Some(dst)) => self.relocate(s, src, dst),
+                (Some(c), None) => {
+                    let h = ObjectHandle::new(slot, self.slab.generation(s));
+                    let v = self.slab.view(s);
+                    apply_tracked_remove(
+                        &mut self.stats,
+                        c,
+                        &v,
+                        &mut self.totals,
+                        &mut self.versions,
+                    );
+                    // A departure frees its slot.
+                    self.slab
+                        .remove(h)
+                        .map_err(|_| "slab and label map are out of sync")?;
+                    self.labels[s] = None;
+                    self.live -= 1;
                 }
-                None => {
+                (None, Some(c)) => {
+                    if self.next_handle().slot() != s {
+                        return Err("round inserts at a slot the slab would not allocate");
+                    }
                     let (mu, mu2) = e.row(self.m)?;
                     // The one canonical fold derives the variance row and
                     // scalar aggregates, live and at replay alike.
-                    let h = self.slab.insert_with(self.m, |j| (mu[j], mu2[j]));
+                    self.slab.insert_with(self.m, |j| (mu[j], mu2[j]));
                     // For a folded row these three sums are finite iff
                     // every entry is: a non-finite `mu_j` or `mu2_j`, or an
                     // overflowing square or sum, reaches one of them.
@@ -434,43 +451,43 @@ impl IncrementalUcpc {
                     if !sums.iter().all(|x| x.is_finite()) {
                         return Err("round carries a non-finite row");
                     }
-                    h
+                    apply_tracked_insert(
+                        &mut self.stats,
+                        c,
+                        &v,
+                        &mut self.totals,
+                        &mut self.versions,
+                    );
+                    if s == self.labels.len() {
+                        self.labels.push(Some(c));
+                    } else {
+                        self.labels[s] = Some(c);
+                    }
+                    self.live += 1;
                 }
-            };
-            let v = self.slab.view(s);
-            // Edits are drift-tracked; a move only under pruning, as the
-            // live pass applies it.
-            let tracked = self.pruning.is_enabled();
-            let (stats, totals, versions) = (&mut self.stats, &mut self.totals, &mut self.versions);
-            match (drained, joined) {
-                (Some(src), Some(dst)) => {
-                    let drift = tracked.then_some((totals, &mut versions[..]));
-                    apply_relocation(stats, src, dst, &v, drift);
-                }
-                (Some(c), None) => apply_tracked_remove(stats, c, &v, totals, versions),
-                (None, Some(c)) => apply_tracked_insert(stats, c, &v, totals, versions),
                 (None, None) => {}
-            }
-            if s == self.labels.len() {
-                self.labels.push(joined);
-            } else {
-                self.labels[s] = joined;
-            }
-            // A departure frees its slot; a move retires the slot's cached
-            // bound (the cache covers the slots of the last pruned pass).
-            match (drained, joined) {
-                (None, _) => self.live += 1,
-                (_, None) => {
-                    self.slab
-                        .remove(h)
-                        .map_err(|_| "slab and label map are out of sync")?;
-                    self.live -= 1;
-                }
-                _ if s < self.cache.len() => self.cache.invalidate(s),
-                _ => {}
             }
         }
         Ok(())
+    }
+
+    /// Relocates the object in live slot `s` from `src` to `dst`, both
+    /// existing clusters with `src` its label: the unchecked body of a
+    /// `Move` entry, which a relocation pass applies directly. The move is
+    /// drift-tracked exactly when pruning is on, as the live pass applies
+    /// it, and retires the slot's cached bound (the cache covers the slots
+    /// of the last pruned pass).
+    fn relocate(&mut self, s: usize, src: usize, dst: usize) {
+        let v = self.slab.view(s);
+        let drift = self
+            .pruning
+            .is_enabled()
+            .then_some((&mut self.totals, &mut self.versions[..]));
+        apply_relocation(&mut self.stats, src, dst, &v, drift);
+        self.labels[s] = Some(dst);
+        if s < self.cache.len() {
+            self.cache.invalidate(s);
+        }
     }
 
     /// Runs up to `passes` relocation passes of Algorithm 1 over the live
@@ -484,8 +501,8 @@ impl IncrementalUcpc {
     }
 
     /// [`Self::stabilize`], handing every move to `each` after applying it
-    /// through [`Self::apply_round`] — the serving layer logs a pass's
-    /// moves as one round this way.
+    /// with the body of [`Self::apply_round`]'s `Move` arm — the serving
+    /// layer logs a pass's moves as one round this way.
     pub(crate) fn stabilize_with(&mut self, passes: usize, mut each: impl FnMut(LogOp)) -> usize {
         let mut relocations = 0usize;
         let pruned = self.pruning.is_enabled();
@@ -516,16 +533,14 @@ impl IncrementalUcpc {
                 else {
                     continue;
                 };
-                let op = LogOp::Move {
+                // `i` is live in `src`, and the scan picks an existing
+                // cluster: nothing for `apply_round` to check.
+                self.relocate(i, src, dst);
+                each(LogOp::Move {
                     slot: i as u32,
                     src,
                     dst,
-                };
-                // Invariant: `i` is live in `src` and the scans pick an
-                // existing cluster.
-                self.apply_round(&[LogEntry::bare(op)])
-                    .expect("a relocation the pass picked applies");
-                each(op);
+                });
                 relocations += 1;
                 moved = true;
             }

@@ -105,7 +105,7 @@ pub use pruning::{PruneCounters, PruningConfig};
 pub use serving::{
     Clock, PlacementAnswer, ServingConfig, ServingError, ServingResponse, ServingUcpc, SystemClock,
 };
-pub use sharded::{ChaosTransport, ShardedUcpc};
+pub use sharded::ShardedUcpc;
 pub use snapshot::SnapshotError;
 pub use ucentroid::UCentroid;
 pub use ucpc::{Ucpc, UcpcResult};

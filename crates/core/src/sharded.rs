@@ -4,118 +4,67 @@
 //! single-node [`crate::incremental::IncrementalUcpc`]** at every shard
 //! count, under every injected fault schedule.
 //!
-//! # The replicated deterministic log
+//! # A shard follows the coordinator's log
 //!
-//! Distribution does not get to change the arithmetic. The single-node
-//! engine's state is a fold over a sequence of exact `ClusterStats`
-//! transitions (`add_view` / `remove_view`), and the fold's result
-//! depends on the order bit-for-bit: floating-point addition is not
-//! associative, so partial sums combined in another order differ in the
-//! last bits. So the layer replicates the *sequence*, not the result —
-//! as [`LogEntry`] rounds, the same record every WAL holds. Every node is
-//! an engine replica, an [`IncrementalUcpc`] folding those rounds through
-//! [`IncrementalUcpc::apply_round`]. A round takes two steps:
+//! The single-node engine's state is a fold over a sequence of exact
+//! `ClusterStats` transitions (`add_view` / `remove_view`), and the fold's
+//! bits depend on its order: floating-point addition is not associative.
+//! So the layer replicates the *sequence*, not the result, as the
+//! [`LogEntry`] rounds every WAL holds. Every node is an
+//! [`IncrementalUcpc`] replica folding those rounds through
+//! [`IncrementalUcpc::apply_round`]:
 //!
-//! 1. The **coordinator** (node 0, the log's leader) decides and folds.
-//!    Its replica's slab allocates the global slots and generations, so
-//!    handle sequences match the single-node engine exactly. An insert, a
-//!    remove or a whole `stabilize` call runs on that engine — the same
-//!    placement scan, relocation passes and pruning the single-node
-//!    engine runs, folded through [`IncrementalUcpc::apply_round`] — and
-//!    its mutations become one round under the next global sequence
-//!    number. Only mutations become entries: a `stabilize` that moves
-//!    nothing commits an empty round, which is still sequenced, logged
-//!    and acknowledged like any other.
-//! 2. The coordinator seals the round into one WAL frame, encoded once,
-//!    and appends it to its log. Each **participant** (shard `s`, node
-//!    `s + 1`) takes the rounds past its watermark from that log in
-//!    sequence order: it appends each frame verbatim to its write-ahead
-//!    shard log, decodes it into a reused scratch and folds it through
-//!    `apply_round`. A participant's replica starts as a clone of the
-//!    coordinator's empty engine (so pruning, and with it the drift
-//!    tracking of a `Move`, matches). Only when every participant holds
-//!    the round does it commit and the next sequence number get used.
+//! 1. The **coordinator** (node 0) decides and folds. An insert, a remove
+//!    or a whole `stabilize` call runs on its replica, with the placement
+//!    scan, relocation passes and pruning of the single-node engine, and
+//!    its slab allocates slots and generations, so handles match. The
+//!    call's mutations become one round under the next sequence number; a
+//!    `stabilize` that moves nothing commits an empty round.
+//! 2. The coordinator seals the round into one WAL frame in its log. Each
+//!    **participant** (shard `s`, node `s + 1`) takes the rounds past its
+//!    watermark from that log in order, appends each frame verbatim to its
+//!    shard log and folds it. Every replica runs `add_view`/`remove_view`
+//!    itself, because the `S₂` update depends on the target's current
+//!    sums: shipping the decisions and replaying the fold reproduces the
+//!    bits, shipping deltas would not. The round commits once every
+//!    participant holds it.
 //!
-//! A round has the shape every log has: only an `Insert` carries its
-//! object's raw moment rows (`mu`, `mu2`), because every replica already
-//! holds the row a `Remove` or `Move` names. Every replica applies
-//! `add_view`/`remove_view` *itself*: the `S₂` update inside `add_view`
-//! depends on the target's current mean sum, so shipping precomputed
-//! deltas would not reproduce the bits — shipping the decisions and
-//! replaying the fold does. Participants price nothing; `apply_round`
-//! runs the engine's per-entry checks on every round they fold. All nodes
-//! are in-process, so a participant reads frames from the coordinator's
-//! log and only sequence numbers cross the fabric. Each participant holds
-//! every live row, as the coordinator does, trading that memory for one
-//! fold, one state encoding and one log shape across serving, WAL replay
-//! and sharding.
+//! All nodes are in-process, so only sequence numbers cross the fabric,
+//! and each participant holds every live row, as the coordinator does. In
+//! exchange serving, WAL replay and sharding share one fold, one state
+//! encoding and one log shape. A shard's durable state is a serving
+//! engine's: a checkpoint plus the WAL written since, in the formats
+//! [`crate::wal`] and [`crate::snapshot`] document. Every shard is
+//! checkpointed when the engine is built, so [`crate::wal::recover`] is
+//! the one way a shard comes back.
 //!
 //! # Robustness
 //!
-//! Messages travel through the seeded [`ChaosTransport`], which drops,
-//! duplicates, reorders and delays them per a [`ChaosPlan`]
+//! Messages travel through a seeded chaos fabric ([`crate::fault`]) that
+//! drops, duplicates, reorders and delays them per a [`ChaosPlan`]
 //! ([`ShardedUcpc::new`] runs the lossless FIFO [`ChaosPlan::clean`]).
-//! Replication is cumulative log shipping: participants track the
-//! coordinator's log index as Raft followers track the leader's. It
-//! tolerates every fault a plan can inject:
+//! Replication is cumulative log shipping, as Raft followers track the
+//! leader's log index:
 //!
 //! * **One cumulative message** — the coordinator sends each participant
-//!   an [`Append`] naming the round in flight. The participant takes
-//!   every round past its watermark up to that one, in order, and once
-//!   its watermark covers it sends the same `Append` back: it holds every
-//!   round up to the one named. No copy claims more than its sender held,
-//!   so a duplicated, reordered or pre-crash copy takes nothing twice, and
-//!   the coordinator counts a reply only when it covers the round in
-//!   flight.
-//! * **Retry with backoff** — the coordinator resends to every
-//!   participant that has not answered, on deadlines counted in transport
-//!   ticks that double per resend. The fabric steps only when nothing is
-//!   deliverable, so schedules are deterministic.
+//!   an [`Append`] naming the round in flight. The participant takes every
+//!   round past its watermark up to that one and then sends the same
+//!   `Append` back. No copy claims more than its sender held, so a
+//!   duplicated, reordered or pre-crash copy takes nothing twice, and the
+//!   coordinator counts a reply only when it covers the round in flight.
+//! * **Retry with backoff** — the coordinator resends to every participant
+//!   that has not answered, on deadlines counted in transport ticks that
+//!   double per resend. The fabric steps only when nothing is deliverable,
+//!   so schedules are deterministic.
 //! * **Crash + recovery** — [`ShardedUcpc::crash`] drops a participant's
-//!   volatile state; its durable bytes (checkpoint + shard log, a
-//!   [`crate::wal::SharedVecIo`] surviving the crash) remain. While a
-//!   shard is down, edits are refused with [`ClusterError::ShardDown`]
-//!   before the coordinator decides anything. [`ShardedUcpc::restart`]
-//!   rebuilds the shard from checkpoint + the log's valid prefix,
-//!   re-anchors its durable state, then runs the routine an `Append` runs
-//!   against the coordinator's log in-process. The participant rejoins at
-//!   the committed round, and no restart waits on an acknowledgement.
-//! * **Bounded catch-up** — the coordinator keeps a committed round's
-//!   frame only while some shard's checkpoint predates it:
-//!   [`ShardedUcpc::checkpoint_shard`] trims every frame all checkpoints
-//!   hold off the front of the log, since no shard recovers below its own
-//!   checkpoint. Once every shard has checkpointed, the log holds no bytes.
-//!
-//! # Durable format
-//!
-//! Both durable streams go through the one [`crate::codec`]:
-//!
-//! * The **shard log** is a real WAL ([`crate::wal::WalWriter`]): the
-//!   `UCPCWAL` header, then one round frame (`seq`, then each entry's op,
-//!   slot, clusters and, for an `Insert`, raw rows) per round the shard
-//!   logs, synced before the shard replies. Each frame is the
-//!   coordinator's, appended verbatim, so a shard log is the header plus
-//!   the coordinator's frames past the shard's checkpoint. It holds the
-//!   bytes a serving WAL would hold for the same rounds, because both go
-//!   through the WAL's one round encoder.
-//! * The **shard checkpoint** is the replica's own snapshot
-//!   ([`crate::snapshot`]) behind a one-field watermark chunk:
-//!
-//! ```text
-//! kind 6 SHARD   applied u64
-//! kinds 1–4      the engine's snapshot sections, META through ROWS
-//! kind 5 END     empty
-//! ```
-//!
-//! A checkpoint rotates the log to a fresh header, as
-//! [`crate::serving::ServingUcpc::checkpoint_into`] does. Recovery restores
-//! the replica with every check [`IncrementalUcpc::restore`] makes (cluster
-//! sizes against labels, finite statistics and rows), checks `m` and `k`,
-//! then folds the log's valid prefix through `apply_round` with the same
-//! `replay_rounds` as [`crate::wal::recover`]. A corrupt checkpoint, a bad
-//! log header, a wrong `m` or a round that does not apply is a
-//! [`crate::wal::WalError`], while a torn log tail is tolerated because
-//! catch-up repairs it.
+//!   volatile state; its checkpoint and shard log survive. While a shard
+//!   is down, edits are refused with [`ClusterError::ShardDown`].
+//!   [`ShardedUcpc::restart`] recovers the shard through
+//!   [`crate::wal::recover`], re-checkpoints it, and takes the rounds it
+//!   lacks from the coordinator's log in-process, as an `Append` would.
+//! * **Bounded catch-up** — [`ShardedUcpc::checkpoint_shard`] trims every
+//!   frame all shard checkpoints hold off the coordinator's log, since no
+//!   shard recovers below its own checkpoint.
 //!
 //! The differential chaos harness (`tests/sharded_differential.rs`) pins
 //! the headline: at shard counts {1, 2, 4, 8}, under clean and chaotic
@@ -123,14 +72,14 @@
 //! and objective equal the single-node engine's bit-for-bit.
 
 use crate::codec::Writer;
-use crate::fault::{ChaosPlan, Dice};
+use crate::fault::{ChaosPlan, ChaosTransport};
 use crate::framework::ClusterError;
 use crate::incremental::IncrementalUcpc;
 use crate::objective::ClusterStats;
-use crate::snapshot::{ChunkWriter, Sections, SnapshotError, CHUNK_SHARD};
+use crate::snapshot::SnapshotError;
 use crate::wal::{
-    decode_frame, encode_round, replay_rounds, scan_for_replay, LogEntry, LogOp, SharedVecIo,
-    VecIo, WalError, WalFsync, WalWriter,
+    decode_frame, encode_checkpoint, encode_round, recover, LogEntry, LogOp, Recovery, SharedVecIo,
+    WalError, WalFsync, WalWriter,
 };
 use std::ops::Range;
 use ucpc_uncertain::{Moments, ObjectHandle, UncertainObject};
@@ -154,100 +103,6 @@ pub struct Append {
     pub to: usize,
     /// The last round asked for (a request) or held (its echo).
     pub upto: u64,
-}
-
-#[derive(Debug)]
-struct Queued {
-    /// Transport tick at which this copy becomes deliverable.
-    at: u64,
-    /// Delivery ordering key (reordering perturbs it backwards).
-    key: u64,
-    /// Arrival tiebreaker.
-    arrival: u64,
-    msg: Append,
-}
-
-/// The message fabric between the coordinator and the participants.
-/// Every send rolls seeded dice ([`crate::fault::Dice`]) against a
-/// [`ChaosPlan`] — drop the message, deliver it twice, delay a copy up
-/// to `max_delay` ticks, or perturb its ordering key so it overtakes (or
-/// is overtaken by) its neighbors. Identical plan + identical protocol
-/// traffic ⇒ identical schedule, so any failing chaos run replays
-/// bit-for-bit from its seed. Under [`ChaosPlan::clean`] no die ever
-/// fires: every message is delivered exactly once, in send order.
-///
-/// Delivery is pull-based: the driver calls [`Self::recv`] per node
-/// until it returns `None`, and [`Self::step`] to advance transport time
-/// when nothing was deliverable.
-#[derive(Debug)]
-pub struct ChaosTransport {
-    plan: ChaosPlan,
-    dice: Dice,
-    tick: u64,
-    counter: u64,
-    queues: Vec<Vec<Queued>>,
-}
-
-impl ChaosTransport {
-    /// A fabric for `nodes` nodes faulting per `plan`.
-    pub fn new(nodes: usize, plan: ChaosPlan) -> Self {
-        Self {
-            plan,
-            dice: Dice::new(plan.seed),
-            tick: 0,
-            counter: 0,
-            queues: (0..nodes).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    fn enqueue_copy(&mut self, msg: Append) {
-        let delay = self.dice.pick(self.plan.max_delay.saturating_add(1));
-        let mut key = self.counter;
-        if self.dice.chance(self.plan.reorder) {
-            // Pull the key backwards so this copy overtakes up to 8
-            // earlier same-tick sends (ties broken by arrival).
-            key = key.saturating_sub(1 + self.dice.pick(8));
-        }
-        let arrival = self.counter;
-        self.counter += 1;
-        if let Some(q) = self.queues.get_mut(msg.to) {
-            q.push(Queued {
-                at: self.tick.saturating_add(delay),
-                key,
-                arrival,
-                msg,
-            });
-        }
-    }
-
-    /// Accepts a message for (eventual, possibly unfaithful) delivery.
-    pub fn send(&mut self, msg: Append) {
-        if self.dice.chance(self.plan.drop) {
-            return;
-        }
-        if self.dice.chance(self.plan.duplicate) {
-            self.enqueue_copy(msg);
-        }
-        self.enqueue_copy(msg);
-    }
-
-    /// Next deliverable message addressed to `node`, if any.
-    pub fn recv(&mut self, node: usize) -> Option<Append> {
-        let tick = self.tick;
-        let q = self.queues.get_mut(node)?;
-        let best = q
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.at <= tick)
-            .min_by_key(|(_, m)| (m.key, m.arrival))
-            .map(|(i, _)| i)?;
-        Some(q.swap_remove(best).msg)
-    }
-
-    /// Advances transport time by one tick (delayed deliveries mature).
-    pub fn step(&mut self) {
-        self.tick += 1;
-    }
 }
 
 /// The `expect` message of folds over rounds the coordinator built:
@@ -282,77 +137,15 @@ struct Participant {
 }
 
 impl Participant {
-    /// A participant whose replica starts as a clone of `empty`, the
-    /// coordinator's engine before its first round.
-    fn fresh(empty: &IncrementalUcpc, log: SharedVecIo) -> Self {
+    /// A participant holding `engine` at watermark `applied`. It logs to a
+    /// detached sink until [`ShardedUcpc::checkpoint_shard`] anchors it.
+    fn new(engine: IncrementalUcpc, applied: u64) -> Self {
         Self {
-            engine: empty.clone(),
-            applied: 0,
-            log: shard_log(log, empty.m),
+            log: shard_log(SharedVecIo::new(), engine.m),
+            engine,
+            applied,
             scratch: Vec::new(),
         }
-    }
-
-    /// Rebuilds a shard from its durable bytes: restore the checkpoint
-    /// (if any), then replay the shard log's valid prefix on top. A torn
-    /// tail — even a torn header — truncates the replay at the last
-    /// complete frame; catch-up supplies whatever is missing. A corrupt
-    /// checkpoint, or a log that is not this shard's WAL (bad magic,
-    /// version or header checksum, wrong `m`, a round that does not follow
-    /// the watermark or does not apply), is a checked error. The recovered
-    /// participant logs to a detached sink until [`ShardedUcpc::restart`]
-    /// re-anchors it.
-    fn recover(empty: &IncrementalUcpc, checkpoint: &[u8], log: &[u8]) -> Result<Self, WalError> {
-        let mut p = Self::fresh(empty, SharedVecIo::new());
-        if !checkpoint.is_empty() {
-            p.restore_checkpoint(checkpoint)?;
-        }
-        let scan = scan_for_replay(log, p.engine.m)?;
-        // A shard logs every round in order from its checkpoint on, so a
-        // gap means the log does not belong on this checkpoint.
-        let engine = &mut p.engine;
-        p.applied = replay_rounds(&scan, p.applied, |entries| engine.apply_round(entries))?;
-        Ok(p)
-    }
-
-    /// Serializes the complete shard state (see the module docs): a SHARD
-    /// chunk with the watermark, then the replica's snapshot sections and
-    /// END. Restoring it and replaying an empty log reproduces the state
-    /// bit-for-bit.
-    fn encode_checkpoint(&self) -> Vec<u8> {
-        let mut io = VecIo::new();
-        self.write_checkpoint(&mut io)
-            .expect("in-memory sink cannot fault");
-        io.into_bytes()
-    }
-
-    fn write_checkpoint(&self, io: &mut VecIo) -> Result<u64, SnapshotError> {
-        let mut out = ChunkWriter::start(io)?;
-        out.begin(CHUNK_SHARD).u64(self.applied);
-        out.seal()?;
-        self.engine.write_sections(&mut out)?;
-        out.finish()
-    }
-
-    /// Installs a checkpoint written by [`Self::encode_checkpoint`] into a
-    /// fresh participant: every check of [`IncrementalUcpc::restore`],
-    /// then the replica's dimensionality and cluster count.
-    fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), WalError> {
-        let mut sections = Sections::open(bytes)?;
-        let applied = sections.entry(CHUNK_SHARD)?.u64()?;
-        let engine = IncrementalUcpc::read_sections(&mut sections)?;
-        sections.finish()?;
-        if engine.m != self.engine.m {
-            return Err(WalError::DimensionMismatch {
-                expected: self.engine.m,
-                found: engine.m,
-            });
-        }
-        if engine.k != self.engine.k {
-            return Err(SnapshotError::Corrupt("checkpoint cluster count mismatch").into());
-        }
-        (self.applied, self.engine) = (applied, engine);
-        Ok(())
     }
 
     /// Takes every round past the watermark up to `upto`, in sequence
@@ -385,13 +178,16 @@ impl Participant {
     /// asked for, not the watermark, so a stale request's reply answers no
     /// later round, and the replies (and so the fault schedule) depend only
     /// on the requests delivered.
-    fn handle(&mut self, msg: Append, log: &RoundLog, tx: &mut ChaosTransport) {
+    fn handle(&mut self, msg: Append, log: &RoundLog, tx: &mut ChaosTransport<Append>) {
         if self.take_rounds(msg.upto, log) {
-            tx.send(Append {
-                from: msg.to,
-                to: msg.from,
-                ..msg
-            });
+            tx.send(
+                msg.from,
+                Append {
+                    from: msg.to,
+                    to: msg.from,
+                    ..msg
+                },
+            );
         }
     }
 }
@@ -499,14 +295,11 @@ impl RoundLog {
 #[derive(Debug)]
 pub struct ShardedUcpc {
     shards: usize,
-    transport: ChaosTransport,
+    transport: ChaosTransport<Append>,
     /// Node 0's engine replica: its slab allocates slots and generations
     /// (so handle sequences match the single-node engine), and it decides
     /// and folds every round before the round is shipped.
     engine: IncrementalUcpc,
-    /// Node 0's engine before its first round: every participant replica,
-    /// fresh or recovered without a checkpoint, starts as a clone.
-    empty: IncrementalUcpc,
     /// Sealed frames of the committed rounds past the lowest shard
     /// checkpoint (rounds start at 1), for participants to append.
     log: RoundLog,
@@ -529,8 +322,10 @@ impl ShardedUcpc {
         Self::with_chaos(m, k, shards, ChaosPlan::clean(0))
     }
 
-    /// [`Self::new`] on a [`ChaosTransport`] faulting per `plan` (node 0
-    /// is the coordinator, nodes `1..=shards` the participants).
+    /// [`Self::new`] on a chaos fabric faulting per `plan` (node 0 is the
+    /// coordinator, nodes `1..=shards` the participants). Every shard
+    /// starts as a clone of the coordinator's empty replica, checkpointed
+    /// at watermark 0.
     pub fn with_chaos(
         m: usize,
         k: usize,
@@ -541,22 +336,22 @@ impl ShardedUcpc {
         if shards == 0 {
             return Err(ClusterError::NoShards);
         }
-        let durable: Vec<ShardDurable> = (0..shards).map(|_| ShardDurable::default()).collect();
-        let participants = durable
-            .iter()
-            .map(|d| Some(Participant::fresh(&engine, d.log.clone())))
-            .collect();
-        Ok(Self {
+        let mut sharded = Self {
             shards,
             transport: ChaosTransport::new(shards + 1, plan),
-            empty: engine.clone(),
+            participants: (0..shards)
+                .map(|_| Some(Participant::new(engine.clone(), 0)))
+                .collect(),
             engine,
             log: RoundLog::default(),
             waiting: Vec::with_capacity(shards),
             retries: 0,
-            participants,
-            durable,
-        })
+            durable: (0..shards).map(|_| ShardDurable::default()).collect(),
+        };
+        for shard in 0..shards {
+            sharded.checkpoint_shard(shard);
+        }
+        Ok(sharded)
     }
 
     /// Number of shards.
@@ -701,7 +496,6 @@ impl ShardedUcpc {
     /// then, inserts and removes are [`ClusterError::ShardDown`] and
     /// [`Self::stabilize`] panics.
     pub fn crash(&mut self, shard: usize) {
-        assert!(shard < self.shards, "shard index out of range");
         assert!(
             self.participants[shard].is_some(),
             "shard {shard} is already down"
@@ -709,32 +503,43 @@ impl ShardedUcpc {
         self.participants[shard] = None;
     }
 
-    /// Recovers a crashed shard from checkpoint + shard-log valid prefix,
-    /// re-anchors its durable state with [`Self::checkpoint_shard`] (so a
-    /// torn tail is dropped, not appended after), then takes the committed
-    /// rounds it lacks from the coordinator's log in-process, as an
-    /// `Append` would. A corrupt checkpoint, a bad log header, a wrong `m`
-    /// or a recovered watermark outside the rounds the coordinator keeps is
-    /// a checked [`WalError`] and leaves the shard down; a torn log tail is
-    /// not an error, because catch-up repairs it.
+    /// Recovers a crashed shard from its checkpoint and shard log through
+    /// [`crate::wal::recover`], re-anchors its durable state with
+    /// [`Self::checkpoint_shard`] (so a torn tail is dropped, not appended
+    /// after), then takes the committed rounds it lacks from the
+    /// coordinator's log in-process, as an `Append` would. Whatever
+    /// `recover` refuses, a replica of another `m` or `k`, or a watermark
+    /// outside the rounds the coordinator keeps is a checked [`WalError`]
+    /// and leaves the shard down; a torn log tail is not an error, because
+    /// catch-up repairs it.
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range or still running.
     pub fn restart(&mut self, shard: usize) -> Result<(), WalError> {
-        assert!(shard < self.shards, "shard index out of range");
         assert!(
             self.participants[shard].is_none(),
             "shard {shard} is running"
         );
         let d = &self.durable[shard];
-        let p = Participant::recover(&self.empty, &d.checkpoint, &d.log.bytes())?;
+        let Recovery {
+            engine, applied, ..
+        } = recover(&d.checkpoint, &d.log.bytes())?;
+        if engine.m != self.engine.m {
+            return Err(WalError::DimensionMismatch {
+                expected: self.engine.m,
+                found: engine.m,
+            });
+        }
+        if engine.k != self.engine.k {
+            return Err(SnapshotError::Corrupt("checkpoint cluster count mismatch").into());
+        }
         // Catch-up takes the committed rounds the coordinator's log holds,
         // so the recovered watermark must lie in `trimmed..end`.
-        if p.applied >= self.log.end() || p.applied < self.log.trimmed {
+        if applied >= self.log.end() || applied < self.log.trimmed {
             return Err(SnapshotError::Corrupt("shard watermark outside the catch-up log").into());
         }
-        self.participants[shard] = Some(p);
+        self.participants[shard] = Some(Participant::new(engine, applied));
         self.checkpoint_shard(shard);
         // The re-anchor trims no round past this shard's watermark, so the
         // log holds every round the participant takes here.
@@ -756,12 +561,11 @@ impl ShardedUcpc {
     ///
     /// Panics if `shard` is out of range or crashed.
     pub fn checkpoint_shard(&mut self, shard: usize) {
-        assert!(shard < self.shards, "shard index out of range");
         let p = self.participants[shard]
             .as_mut()
             .expect("cannot checkpoint a crashed shard");
         let d = &mut self.durable[shard];
-        d.checkpoint = p.encode_checkpoint();
+        d.checkpoint = encode_checkpoint(&p.engine, p.applied);
         d.checkpointed = p.applied;
         d.log.truncate(0);
         p.log = shard_log(d.log.clone(), self.engine.m);
@@ -773,7 +577,6 @@ impl ShardedUcpc {
     /// crash-surgery hook recovery tests cut torn tails with (the
     /// running participant is unaffected until it crashes).
     pub fn truncate_shard_wal(&mut self, shard: usize, keep: usize) {
-        assert!(shard < self.shards, "shard index out of range");
         self.durable[shard].log.truncate(keep);
     }
 
@@ -820,7 +623,7 @@ impl ShardedUcpc {
         let due = self.transport.tick + RETRY_BASE;
         self.waiting.resize(self.shards, Some((due, 0)));
         for shard in 0..self.shards {
-            self.transport.send(append(shard));
+            self.transport.send(shard + 1, append(shard));
         }
         while self.waiting.iter().any(Option::is_some) {
             if self.pump(seq) {
@@ -836,7 +639,7 @@ impl ShardedUcpc {
                     *resends < MAX_ATTEMPTS,
                     "shard {shard} unresponsive after {resends} retransmissions"
                 );
-                self.transport.send(append(shard));
+                self.transport.send(shard + 1, append(shard));
                 self.retries += 1;
                 *resends += 1;
                 *due = now + (RETRY_BASE << (*resends).min(6));
@@ -848,7 +651,8 @@ impl ShardedUcpc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{scan_wal, DurableIo, WalRecord, WAL_HEADER_LEN};
+    use crate::fault::Dice;
+    use crate::wal::{scan_wal, DurableIo, VecIo, WalRecord, WAL_HEADER_LEN};
     use ucpc_uncertain::UnivariatePdf;
 
     fn obj(c: f64) -> UncertainObject {
@@ -1028,13 +832,16 @@ mod tests {
         sharded.crash(1);
         // A cut three bytes into frame i + 1 keeps frames 0..=i whole:
         // recovery lands on frame i's round, before any catch-up.
-        let log = sharded.durable[1].log.bytes();
+        let (genesis, log) = (
+            sharded.durable[1].checkpoint.clone(),
+            sharded.durable[1].log.bytes(),
+        );
         let scan = scan_wal(&log).unwrap();
         for i in [0, scan.records.len() / 2, scan.records.len() - 2] {
             let seq = scan.records[i].seq;
             let cut = scan.frame_ends[i] as usize + 3;
-            let p = Participant::recover(&sharded.empty, &[], &log[..cut]).unwrap();
-            assert_eq!(p.applied, seq, "cut {cut} lands on frame {i}");
+            let r = recover(&genesis, &log[..cut]).unwrap();
+            assert_eq!(r.applied, seq, "cut {cut} lands on frame {i}");
         }
         // Tear the log mid-header; recovery salvages the empty prefix and
         // catch-up replays the difference.
@@ -1082,8 +889,6 @@ mod tests {
         let log = sharded.durable[0].log.bytes();
         assert!(restart_from(&mut sharded, &checkpoint, &log));
         // Every truncation — 0 to 4 bytes included, once an underflow.
-        // An empty checkpoint means none, and the rotated log then skips
-        // the checkpointed rounds.
         for cut in 0..checkpoint.len() {
             assert!(!restart_from(&mut sharded, &checkpoint[..cut], &log));
         }
@@ -1171,7 +976,7 @@ mod tests {
         ] {
             let bent = with_round(&bad);
             assert_eq!(&bent[..log.len()], &log[..], "re-logged prefix");
-            match Participant::recover(&sharded.empty, &checkpoint, &bent) {
+            match recover(&checkpoint, &bent) {
                 Err(WalError::Corrupt {
                     valid_bytes,
                     frames,
@@ -1187,16 +992,16 @@ mod tests {
         }
         // The last of those rounds is valid without its final removal.
         let fine = with_round(&[insert(7, 0), remove(7, 0)]);
-        assert!(Participant::recover(&sharded.empty, &checkpoint, &fine).is_ok());
+        assert!(recover(&checkpoint, &fine).is_ok());
         // A checkpoint holding a non-finite row is corrupt, not restored:
         // the live row of slot 0 is swapped for an infinite one.
-        let mut p = Participant::recover(&sharded.empty, &checkpoint, &[]).unwrap();
+        let mut p = recover(&checkpoint, &[]).unwrap();
         let slab = &mut p.engine.slab;
         slab.remove(ObjectHandle::new(0, slab.generation(0)))
             .unwrap();
         slab.insert_with(1, |_| (f64::INFINITY, 0.5));
-        let poisoned = p.encode_checkpoint();
-        match Participant::recover(&sharded.empty, &poisoned, &[]) {
+        let poisoned = encode_checkpoint(&p.engine, p.applied);
+        match recover(&poisoned, &[]) {
             Err(WalError::Snapshot(SnapshotError::Corrupt(reason))) => {
                 assert!(reason.contains("non-finite"), "{reason}")
             }
@@ -1217,27 +1022,6 @@ mod tests {
         };
         let plan = ChaosPlan::mixed(7).seed_from_env();
         assert_eq!(run(plan), run(plan), "same seed, same schedule");
-    }
-
-    #[test]
-    fn clean_chaos_transport_delivers_each_envelope_once_in_send_order() {
-        let mut tx = ChaosTransport::new(3, ChaosPlan::clean(5));
-        for seq in 0..40 {
-            tx.send(Append {
-                from: 0,
-                to: 1 + (seq as usize) % 2,
-                upto: seq,
-            });
-        }
-        for node in [1, 2] {
-            let got: Vec<u64> = std::iter::from_fn(|| tx.recv(node))
-                .map(|msg| msg.upto)
-                .collect();
-            let sent: Vec<u64> = (0..40).filter(|s| 1 + (*s as usize) % 2 == node).collect();
-            assert_eq!(got, sent, "node {node}: once each, in send order");
-        }
-        tx.step();
-        assert!((0..3).all(|node| tx.recv(node).is_none()), "nothing left");
     }
 
     #[test]
@@ -1268,8 +1052,8 @@ mod tests {
         };
         let log = sharded.durable[1].log.bytes();
         assert_eq!(empty(&log), still, "zero-entry rounds scan back");
-        let p = Participant::recover(&sharded.empty, &[], &log).unwrap();
-        assert_eq!(p.applied, sharded.committed_rounds(), "and replay in order");
+        let r = recover(&sharded.durable[1].checkpoint, &log).unwrap();
+        assert_eq!(r.applied, sharded.committed_rounds(), "and replay in order");
         // Cut the empty rounds from shard 1's log: catch-up resends them.
         sharded.crash(1);
         sharded.truncate_shard_wal(1, before.1);
@@ -1338,7 +1122,7 @@ mod tests {
         let stale = [append(2), append(4), held(4)];
         stale
             .into_iter()
-            .for_each(|msg| sharded.transport.send(msg));
+            .for_each(|msg| sharded.transport.send(msg.to, msg));
         assert_eq!(sharded.insert(&obj(0.1)), single.insert(&obj(0.1)));
         assert_eq!(sharded.shard_applied(0), Some(5));
         assert_logs_are_the_coordinators_frames(&sharded);
@@ -1355,7 +1139,7 @@ mod tests {
         // rejoined shard instead of committing on the old copies.
         stale
             .into_iter()
-            .for_each(|msg| sharded.transport.send(msg));
+            .for_each(|msg| sharded.transport.send(msg.to, msg));
         sharded.transport.plan.drop = 1.0;
         let lost =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sharded.insert(&obj(9.1))));
@@ -1367,8 +1151,8 @@ mod tests {
 
     #[test]
     fn an_append_takes_every_round_up_to_it_in_order() {
-        let io = SharedVecIo::new();
-        let mut p = Participant::fresh(&empty(), io.clone());
+        let mut p = Participant::new(empty(), 0);
+        let io = p.log.io().clone();
         let mut tx = ChaosTransport::new(2, ChaosPlan::clean(0));
         let rounds = inserts(4);
         p.handle(append(3), &rounds, &mut tx);
@@ -1394,10 +1178,10 @@ mod tests {
 
     #[test]
     fn a_duplicated_apply_is_re_acked_without_a_second_frame() {
-        let io = SharedVecIo::new();
-        let mut p = Participant::fresh(&empty(), io.clone());
+        let mut p = Participant::new(empty(), 0);
+        let io = p.log.io().clone();
         let mut tx = ChaosTransport::new(2, ChaosPlan::clean(0));
-        let replies = |tx: &mut ChaosTransport| -> Vec<Append> {
+        let replies = |tx: &mut ChaosTransport<Append>| -> Vec<Append> {
             std::iter::from_fn(|| tx.recv(0)).collect()
         };
         let rounds = inserts(1);
@@ -1414,8 +1198,8 @@ mod tests {
 
     #[test]
     fn a_round_missing_from_the_coordinator_log_goes_unanswered() {
-        let io = SharedVecIo::new();
-        let mut p = Participant::fresh(&empty(), io.clone());
+        let mut p = Participant::new(empty(), 0);
+        let io = p.log.io().clone();
         let mut tx = ChaosTransport::new(2, ChaosPlan::clean(0));
         let mut trimmed = inserts(1);
         trimmed.trim(1);
@@ -1475,6 +1259,7 @@ mod tests {
             sharded.committed_rounds(),
             sharded.durable[0].log.bytes().len(),
         );
+        let genesis = sharded.durable[0].checkpoint.clone();
         let moved = sharded.stabilize(5);
         assert_eq!(moved, single.stabilize(5));
         assert!(moved > 1, "the round carries several moves");
@@ -1484,11 +1269,11 @@ mod tests {
         let frame = scan.records.last().unwrap();
         assert_eq!((frame.seq, frame.entries.len()), (rounds + 1, moved));
         for cut in start..log.len() {
-            let p = Participant::recover(&sharded.empty, &[], &log[..cut]).unwrap();
-            assert_eq!(p.applied, rounds, "cut {cut} drops the torn round");
+            let r = recover(&genesis, &log[..cut]).unwrap();
+            assert_eq!(r.applied, rounds, "cut {cut} drops the torn round");
             sharded.crash(0);
             let d = &mut sharded.durable[0];
-            d.checkpoint.clear();
+            d.checkpoint.clone_from(&genesis);
             d.log.truncate(0);
             d.log.clone().write_all(&log[..cut]).unwrap();
             sharded.restart(0).unwrap();

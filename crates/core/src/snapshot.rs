@@ -63,10 +63,11 @@
 //!               psi_tot f64, phi_tot f64, s_sq_tot f64, drift 6 × f64
 //! ```
 //!
-//! Kind 6 SHARD is the shard checkpoint's watermark: a shard checkpoint is
-//! the same container, a SHARD chunk (`applied u64`) followed by the
-//! engine's own sections, META through ROWS, and END (see
-//! [`crate::sharded`]).
+//! Kind 6 SHARD is a checkpoint's *watermark*, the last round the state
+//! reflects: a shard checkpoint is the same container with a SHARD chunk
+//! (`applied u64`) ahead of META. [`IncrementalUcpc::restore`] refuses
+//! it; [`crate::wal::recover`] reads the watermark and replays the log
+//! from the round after it. The [`crate::wal`] docs hold its layout.
 //!
 //! Chunk boundaries are fixed constants, so the bytes of a given engine
 //! state are deterministic and `snapshot(restore(s)) == s` holds bytewise.
@@ -306,6 +307,13 @@ impl<'a> Sections<'a> {
             return Err(SnapshotError::Corrupt("section carries extra entries"));
         }
         Ok(&mut self.cur)
+    }
+
+    /// Whether the next chunk opens section `kind`, for a section a
+    /// container may lead with or leave out.
+    pub(crate) fn next_is(&self, kind: u8) -> bool {
+        let next = self.chunks.as_slice().first().and_then(|c| c.first());
+        self.cur.remaining() == 0 && next == Some(&kind)
     }
 
     /// Pre-allocation clamp for entries owed by later chunks: `units`

@@ -49,12 +49,22 @@
 //!              then, iff op has bit 0x80 set: mu m × f64, mu2 m × f64
 //! ```
 //!
-//! A round holds only the mutations it made, so `count` may be 0. Serving
-//! rounds count from 1 in each log; a shard log continues the global
-//! sequence from its checkpoint. A gap is refused. Only `Insert`s carry a
-//! row, in every log: every replica holds the row a `Remove` or `Move`
-//! names. At `m = 16` a commit frame is 286 bytes, a remove 30, and a
-//! stabilization 21 plus 13 per move.
+//! A round holds only the mutations it made, so `count` may be 0. Only
+//! `Insert`s carry a row, in every log: every replica holds the row a
+//! `Remove` or `Move` names. At `m = 16` a commit frame is 286 bytes, a
+//! remove 30, and a stabilization 21 plus 13 per move.
+//!
+//! # Checkpoints and their watermark
+//!
+//! A log is replayed onto the checkpoint it was started after. A serving
+//! checkpoint is a plain [`IncrementalUcpc::snapshot`], and its log counts
+//! rounds from 1. A shard checkpoint leads the same container with a
+//! SHARD chunk holding its *watermark* `w`, the last round it reflects
+//! (`applied u64`, kind 6 in the [`crate::snapshot`] table), and its log
+//! continues the coordinator's sequence at `w + 1`. [`recover`] reads
+//! either, treats a plain snapshot as watermark 0, and refuses a round
+//! that does not follow its predecessor: a log replayed onto the wrong
+//! checkpoint is [`WalError::Corrupt`], never a silent gap.
 //!
 //! One encoder and one decoder own this layout. The encoder seals a round
 //! into a reused frame buffer: [`WalWriter::log_round`] logs the result,
@@ -92,7 +102,7 @@
 use crate::codec::{crc32, scan_frames, Reader, Writer};
 use crate::incremental::IncrementalUcpc;
 use crate::objective::ClusterStats;
-use crate::snapshot::SnapshotError;
+use crate::snapshot::{ChunkWriter, Sections, SnapshotError, CHUNK_SHARD};
 use std::fmt;
 use std::io::Write as _;
 
@@ -916,63 +926,15 @@ pub(crate) fn decode_frame(
 // Recovery
 // ---------------------------------------------------------------------------
 
-/// [`scan_wal`] for a log about to be replayed onto an `m`-dimensional
-/// replica — the header checks serving and shard recovery share. On top
-/// of the scan's own, a header that is all there but fails its checksum
-/// is [`WalError::Corrupt`] (damage at the head of the log, not a torn
-/// tail), and a header declaring another `m` is
-/// [`WalError::DimensionMismatch`].
-pub(crate) fn scan_for_replay(bytes: &[u8], m: usize) -> Result<WalScan, WalError> {
-    let scan = scan_wal(bytes)?;
-    if let Some(found) = scan.m.filter(|&found| found != m) {
-        return Err(WalError::DimensionMismatch { expected: m, found });
-    }
-    if scan.m.is_none() && bytes.len() >= WAL_HEADER_LEN {
-        return Err(WalError::Corrupt {
-            valid_bytes: 0,
-            frames: 0,
-            reason: "log header checksum mismatch",
-        });
-    }
-    Ok(scan)
-}
-
-/// Folds the scanned rounds in log order through `apply`, the first one
-/// following watermark `applied`; returns the last sequence number
-/// applied. A round that does not follow its predecessor, or that `apply`
-/// refuses, is [`WalError::Corrupt`] at the end of the intact prefix
-/// before it: a checksum-valid round can still be corrupt.
-pub(crate) fn replay_rounds(
-    scan: &WalScan,
-    mut applied: u64,
-    mut apply: impl FnMut(&[LogEntry]) -> Result<(), &'static str>,
-) -> Result<u64, WalError> {
-    for (i, rec) in scan.records.iter().enumerate() {
-        let replayed = if rec.seq != applied.wrapping_add(1) {
-            Err("round does not follow the log's sequence")
-        } else {
-            apply(&rec.entries)
-        };
-        if let Err(reason) = replayed {
-            return Err(WalError::Corrupt {
-                valid_bytes: i
-                    .checked_sub(1)
-                    .map_or(WAL_HEADER_LEN as u64, |j| scan.frame_ends[j]),
-                frames: i as u64,
-                reason,
-            });
-        }
-        applied = rec.seq;
-    }
-    Ok(applied)
-}
-
 /// Outcome of [`recover`]: the rebuilt engine plus the salvage report.
 #[derive(Debug)]
 pub struct Recovery {
     /// The engine, bit-identical to the uninterrupted run at the point of
     /// the last intact frame.
     pub engine: IncrementalUcpc,
+    /// The last round the engine reflects: the checkpoint's watermark plus
+    /// the rounds replayed on top of it.
+    pub applied: u64,
     /// WAL frames replayed on top of the snapshot.
     pub frames_applied: u64,
     /// Byte offset of the end of the valid WAL prefix.
@@ -985,32 +947,92 @@ pub struct Recovery {
     pub damage: Option<WalDamage>,
 }
 
+/// A shard checkpoint of `engine` at watermark `applied`: a SHARD chunk
+/// holding the watermark, then the engine's snapshot sections and END (see
+/// the module docs), which [`recover`] reads back.
+pub(crate) fn encode_checkpoint(engine: &IncrementalUcpc, applied: u64) -> Vec<u8> {
+    let mut io = VecIo::new();
+    let written = ChunkWriter::start(&mut io).and_then(|mut out| {
+        out.begin(CHUNK_SHARD).u64(applied);
+        out.seal()?;
+        engine.write_sections(&mut out)?;
+        out.finish()
+    });
+    written.expect("in-memory sink cannot fault");
+    io.into_bytes()
+}
+
 /// Rebuilds an engine from its last checkpoint plus the WAL written since:
-/// restores the snapshot, scans the log's valid prefix, and folds every
-/// intact round through [`IncrementalUcpc::apply_round`], rounds numbered
-/// from 1. See the module docs for the byte-identity derivation and the
-/// salvage semantics.
+/// restores the checkpoint, scans the log's valid prefix, and folds every
+/// intact round through [`IncrementalUcpc::apply_round`]. See the module
+/// docs for the byte-identity derivation and the salvage semantics.
+///
+/// The checkpoint is a plain snapshot ([`IncrementalUcpc::snapshot`]),
+/// whose log numbers its rounds from 1, or a shard checkpoint led by its
+/// watermark `w` (`encode_checkpoint`), whose log continues at round
+/// `w + 1`. Either way [`Recovery::applied`] reports the last round
+/// applied, and a round that does not follow its predecessor is
+/// [`WalError::Corrupt`]: the log does not belong on that checkpoint.
 ///
 /// An empty `wal` (crash before the log header was written) recovers to
-/// exactly the snapshot. A torn or corrupt tail truncates replay at the
+/// exactly the checkpoint. A torn or corrupt tail truncates replay at the
 /// salvage point, reported in [`Recovery::damage`]. A complete header that
 /// fails its checksum, a header of another dimensionality, or an intact
-/// round that does not apply is a hard error: snapshot and log are not
-/// from the same history.
-pub fn recover(snapshot: &[u8], wal: &[u8]) -> Result<Recovery, WalError> {
-    let mut engine = IncrementalUcpc::restore(snapshot)?;
+/// round that does not apply is a hard error: checkpoint and log are not
+/// from the same history. A checksum-valid round can still be corrupt; the
+/// error then names the end of the intact prefix before it.
+pub fn recover(checkpoint: &[u8], wal: &[u8]) -> Result<Recovery, WalError> {
+    let mut sections = Sections::open(checkpoint)?;
+    let mut applied = if sections.next_is(CHUNK_SHARD) {
+        sections.entry(CHUNK_SHARD)?.u64()?
+    } else {
+        0
+    };
+    let mut engine = IncrementalUcpc::read_sections(&mut sections)?;
+    sections.finish()?;
     if wal.is_empty() {
         return Ok(Recovery {
             engine,
+            applied,
             frames_applied: 0,
             valid_bytes: 0,
             damage: None,
         });
     }
-    let scan = scan_for_replay(wal, engine.m)?;
-    replay_rounds(&scan, 0, |entries| engine.apply_round(entries))?;
+    let scan = scan_wal(wal)?;
+    if let Some(found) = scan.m.filter(|&found| found != engine.m) {
+        return Err(WalError::DimensionMismatch {
+            expected: engine.m,
+            found,
+        });
+    }
+    if scan.m.is_none() && wal.len() >= WAL_HEADER_LEN {
+        return Err(WalError::Corrupt {
+            valid_bytes: 0,
+            frames: 0,
+            reason: "log header checksum mismatch",
+        });
+    }
+    for (i, rec) in scan.records.iter().enumerate() {
+        let replayed = if rec.seq != applied.wrapping_add(1) {
+            Err("round does not follow the log's sequence")
+        } else {
+            engine.apply_round(&rec.entries)
+        };
+        if let Err(reason) = replayed {
+            return Err(WalError::Corrupt {
+                valid_bytes: i
+                    .checked_sub(1)
+                    .map_or(WAL_HEADER_LEN as u64, |j| scan.frame_ends[j]),
+                frames: i as u64,
+                reason,
+            });
+        }
+        applied = rec.seq;
+    }
     Ok(Recovery {
         engine,
+        applied,
         frames_applied: scan.records.len() as u64,
         valid_bytes: scan.valid_bytes,
         damage: scan.damage,
@@ -1554,6 +1576,78 @@ mod tests {
                 assert!(reason.contains("free slot"), "{reason}");
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn recover_continues_a_watermark_checkpoint_at_the_next_round() {
+        for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
+            let fresh = || {
+                let mut e = IncrementalUcpc::new(2, 2).unwrap();
+                e.set_pruning(pruning);
+                e
+            };
+            // Rounds 1..=7: six one-entry inserts, then a pass's moves.
+            let mut live = fresh();
+            let mut rounds = Vec::new();
+            for c in [0.0, 1.0, 10.0, 11.0, 0.25, 10.5] {
+                let o = obj(c);
+                let h = live.insert(&o).unwrap();
+                let op = LogOp::Insert {
+                    slot: h.slot() as u32,
+                    cluster: live.label_of(h).unwrap(),
+                };
+                rounds.push(vec![with_row(op, o.moments().mu(), o.moments().mu2())]);
+            }
+            let mut moves = Vec::new();
+            live.stabilize_with(3, |op| moves.push(bare(op)));
+            assert!(!moves.is_empty(), "the script must relocate something");
+            rounds.push(moves);
+            let last = rounds.len() as u64;
+            let log_from = |first: u64| {
+                let mut w = WalWriter::create(VecIo::new(), 2, WalFsync::Off).unwrap();
+                for seq in first..=last {
+                    w.log_round(seq, &rounds[seq as usize - 1]).unwrap();
+                }
+                w.into_io().into_bytes()
+            };
+            // A plain snapshot is watermark 0: its log starts at round 1.
+            let rec = recover(&fresh().snapshot(), &log_from(1)).unwrap();
+            assert_eq!(rec.applied, last);
+            assert_eq!(rec.engine.snapshot(), live.snapshot(), "{pruning:?}");
+            for watermark in [0, 1, 4, last] {
+                let mut at = fresh();
+                for round in &rounds[..watermark as usize] {
+                    at.apply_round(round).unwrap();
+                }
+                let checkpoint = encode_checkpoint(&at, watermark);
+                let rec = recover(&checkpoint, &log_from(watermark + 1)).unwrap();
+                assert_eq!((rec.applied, rec.frames_applied), (last, last - watermark));
+                assert_eq!(rec.damage, None);
+                assert_eq!(rec.engine.live_labels(), live.live_labels());
+                assert_eq!(rec.engine.objective().to_bits(), live.objective().to_bits());
+                assert_eq!(rec.engine.snapshot(), live.snapshot(), "{pruning:?}");
+                // The checkpoint alone recovers to its own watermark.
+                let rec = recover(&checkpoint, &[]).unwrap();
+                assert_eq!(rec.applied, watermark);
+                assert_eq!(rec.engine.snapshot(), at.snapshot());
+                if watermark == 0 {
+                    continue;
+                }
+                // A log that starts over at round 1 is not this
+                // checkpoint's: its first round does not follow.
+                match recover(&checkpoint, &log_from(1)) {
+                    Err(WalError::Corrupt {
+                        valid_bytes,
+                        frames: 0,
+                        reason,
+                    }) => {
+                        assert_eq!(valid_bytes, WAL_HEADER_LEN as u64);
+                        assert!(reason.contains("does not follow"), "{reason}");
+                    }
+                    other => panic!("watermark {watermark}: {other:?}"),
+                }
+            }
         }
     }
 }

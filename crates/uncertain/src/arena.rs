@@ -242,41 +242,6 @@ impl MomentArena {
         self.norm_mu[i] = mo.norm_mu();
     }
 
-    /// Appends one row copied **verbatim** from a kernel view — the
-    /// [`MomentView`]-sourced counterpart of [`Self::push`], writing the
-    /// same bits `push` would write for the `Moments` behind the view
-    /// (variance row and all four scalars copied, never re-derived). This
-    /// lets a row hop between arenas — e.g. from a serving layer's staging
-    /// ring into a slab store — without materialising an owned `Moments`
-    /// and without perturbing a single bit.
-    pub fn push_row_view(&mut self, v: &MomentView<'_>) {
-        self.prepare_dims(v.dims());
-        self.mu.extend_from_slice(v.mu);
-        self.mu2.extend_from_slice(v.mu2);
-        self.var.extend_from_slice(v.var);
-        self.sum_mu_sq.push(v.sum_mu_sq);
-        self.sum_mu2.push(v.sum_mu2);
-        self.sum_var.push(v.sum_var);
-        self.norm_mu.push(v.norm_mu);
-        self.n += 1;
-    }
-
-    /// Overwrites row `i` in place copied **verbatim** from a kernel view —
-    /// the [`MomentView`]-sourced counterpart of [`Self::overwrite_row`],
-    /// with the same bit-for-bit copy contract as [`Self::push_row_view`].
-    pub fn overwrite_row_view(&mut self, i: usize, v: &MomentView<'_>) {
-        assert!(i < self.n, "row {i} out of bounds (n = {})", self.n);
-        assert_eq!(v.dims(), self.m, "arena rows must share one dimensionality");
-        let row = i * self.m..(i + 1) * self.m;
-        self.mu[row.clone()].copy_from_slice(v.mu);
-        self.mu2[row.clone()].copy_from_slice(v.mu2);
-        self.var[row].copy_from_slice(v.var);
-        self.sum_mu_sq[i] = v.sum_mu_sq;
-        self.sum_mu2[i] = v.sum_mu2;
-        self.sum_var[i] = v.sum_var;
-        self.norm_mu[i] = v.norm_mu;
-    }
-
     /// Overwrites row `i` in place from a `(mu_j, (mu_2)_j)` fill closure —
     /// the in-place counterpart of [`Self::push_row_with`], with the
     /// identical per-dimension fold order for the derived variance and
@@ -602,25 +567,6 @@ mod tests {
         assert_ne!(arena, reference);
         let mo = objs[0].moments();
         arena.overwrite_row_with(0, 3, |j| (mo.mu()[j], mo.mu2()[j]));
-        assert_eq!(arena, reference);
-    }
-
-    #[test]
-    fn view_writers_match_moments_writers_bit_for_bit() {
-        let objs = objects();
-        let reference = MomentArena::from_objects(&objs);
-        // push_row_view from Moments views.
-        let mut pushed = MomentArena::with_capacity(objs.len(), 3);
-        for o in &objs {
-            pushed.push_row_view(&o.moments().view());
-        }
-        assert_eq!(pushed, reference);
-        // overwrite_row_view from another arena's row views.
-        let mut arena = MomentArena::from_moments([objs[1].moments(), objs[0].moments()]);
-        let v0 = reference.view(0);
-        let v1 = reference.view(1);
-        arena.overwrite_row_view(0, &v0);
-        arena.overwrite_row_view(1, &v1);
         assert_eq!(arena, reference);
     }
 

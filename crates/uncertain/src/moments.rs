@@ -124,9 +124,7 @@ impl Moments {
     /// [`crate::arena::MomentArena::push`] /
     /// [`crate::arena::MomentArena::overwrite_row`], which copy the same
     /// fields bit for bit) therefore reproduces the original `Moments`
-    /// exactly. This is the staging→commit hop of the serving layer: an
-    /// arrival staged into a scratch arena row commits into the engine's
-    /// store with precisely the bits a direct `insert` would have stored.
+    /// exactly.
     pub fn from_view(v: &MomentView<'_>) -> Self {
         debug_assert_eq!(v.mu.len(), v.mu2.len());
         debug_assert_eq!(v.mu.len(), v.var.len());

@@ -322,30 +322,6 @@ impl SlabArena {
         }
     }
 
-    /// Inserts one object copied **verbatim** from a kernel view — the
-    /// [`MomentView`]-sourced counterpart of [`Self::insert`]
-    /// ([`MomentArena::push_row_view`] / [`MomentArena::overwrite_row_view`]):
-    /// every row and scalar is copied, never re-derived, so the inserted row
-    /// is bit-identical to inserting the [`Moments`] behind the view. This
-    /// is the serving layer's staging→store hop: an arrival staged in a
-    /// scratch arena commits here without materialising an owned `Moments`.
-    /// Returns the object's handle.
-    pub fn insert_view(&mut self, v: &MomentView<'_>) -> ObjectHandle {
-        match self.free.pop() {
-            Some(slot) => {
-                let slot = slot as usize;
-                self.arena.overwrite_row_view(slot, v);
-                self.stamp(slot)
-            }
-            None => {
-                self.arena.push_row_view(v);
-                self.occupied.push(false);
-                self.gens.push(0);
-                self.stamp(self.arena.len() - 1)
-            }
-        }
-    }
-
     /// Frees the object behind `h` for reuse, bumping the slot's
     /// generation so `h` (and any copy of it) is permanently stale. The
     /// row's contents stay untouched until the next recycling insertion
@@ -470,38 +446,6 @@ mod tests {
             assert_eq!(a.mu2, b.mu2);
             assert_eq!(a.var, b.var);
             assert_eq!(a.sum_mu_sq.to_bits(), b.sum_mu_sq.to_bits());
-            assert_eq!(a.sum_var.to_bits(), b.sum_var.to_bits());
-            assert_eq!(a.norm_mu.to_bits(), b.norm_mu.to_bits());
-        }
-    }
-
-    #[test]
-    fn insert_view_matches_insert_bitwise() {
-        let mut by_moments = SlabArena::new();
-        let mut by_view = SlabArena::new();
-        let mut hm = Vec::new();
-        let mut hv = Vec::new();
-        for i in 0..3 {
-            let m = mo(i as f64 * 0.7 - 1.0);
-            hm.push(by_moments.insert(&m));
-            hv.push(by_view.insert_view(&m.view()));
-        }
-        assert_eq!(hm, hv, "both write paths must issue identical handles");
-        // Churn a slot through both write paths (recycling overwrite).
-        by_moments.remove(hm[1]).unwrap();
-        by_view.remove(hv[1]).unwrap();
-        let m = mo(42.0);
-        let rm = by_moments.insert(&m);
-        let rv = by_view.insert_view(&m.view());
-        assert_eq!(rm, rv);
-        for i in 0..3 {
-            let a = by_moments.view(i);
-            let b = by_view.view(i);
-            assert_eq!(a.mu, b.mu);
-            assert_eq!(a.mu2, b.mu2);
-            assert_eq!(a.var, b.var);
-            assert_eq!(a.sum_mu_sq.to_bits(), b.sum_mu_sq.to_bits());
-            assert_eq!(a.sum_mu2.to_bits(), b.sum_mu2.to_bits());
             assert_eq!(a.sum_var.to_bits(), b.sum_var.to_bits());
             assert_eq!(a.norm_mu.to_bits(), b.norm_mu.to_bits());
         }
