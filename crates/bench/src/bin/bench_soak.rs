@@ -181,7 +181,7 @@ fn splice_text(text: &str, gate: bool, rows: &[SoakRow]) -> String {
     for (i, r) in rows.iter().enumerate() {
         block.push_str(&format!(
             concat!(
-                "    {{\"backend\": \"slab\", \"pruning\": \"{}\", \"edits\": {}, ",
+                "    {{\"pruning\": \"{}\", \"edits\": {}, ",
                 "\"window_ns\": {}, \"ns_per_edit\": {:.1}, \"alloc_calls\": {}, ",
                 "\"slot_rows_before\": {}, \"slot_rows_after\": {}, ",
                 "\"cache_entries_before\": {}, \"cache_entries_after\": {}, ",
@@ -313,7 +313,7 @@ mod tests {
             .and_then(|rest| rest.strip_suffix("\n}\n"))
             .expect("the soak block goes between the last key and the closing brace");
         assert!(block.starts_with(",\n  \"soak_gate\": {\"flat_memory\": true"));
-        assert_eq!(block.matches("\"backend\": \"slab\"").count(), rows.len());
+        assert_eq!(block.matches("\"pruning\": ").count(), rows.len());
 
         // An existing soak block is replaced by the same bytes, and the keys
         // around it keep theirs.

@@ -131,8 +131,6 @@ pub fn churn_once(w: &StreamingWorkload, pruning: PruningConfig) -> ChurnOutcome
             skips: after.skips - before.skips,
             confirms: after.confirms - before.confirms,
             full_scans: after.full_scans - before.full_scans,
-            placement_priced: after.placement_priced - before.placement_priced,
-            placement_bypassed: after.placement_bypassed - before.placement_bypassed,
         },
     }
 }
@@ -263,7 +261,6 @@ mod tests {
             skips: after.skips - before.skips,
             confirms: after.confirms - before.confirms,
             full_scans: after.full_scans - before.full_scans,
-            ..PruneCounters::default()
         };
         assert!(
             tracked.counters.skip_rate() > bumped.skip_rate(),

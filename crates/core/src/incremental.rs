@@ -75,9 +75,8 @@
 use crate::framework::{validate_labels, ClusterError};
 use crate::objective::{total_objective, ClusterStats};
 use crate::pruning::{
-    apply_relocation, apply_tracked_insert, apply_tracked_remove, best_insertion,
-    best_insertion_bounded, best_move, fp_scale, DriftTotals, PassState, PruneCache, PruneCounters,
-    PruningConfig,
+    apply_relocation, apply_tracked_insert, apply_tracked_remove, best_insertion, best_move,
+    fp_scale, DriftTotals, PassState, PruneCache, PruneCounters, PruningConfig,
 };
 use crate::wal::{LogEntry, LogOp};
 use ucpc_uncertain::{MomentArena, Moments, SlabArena, UncertainObject};
@@ -130,8 +129,8 @@ pub struct IncrementalUcpc {
     /// slot, so it tops out at the live-window high-water mark.
     pub(crate) labels: Vec<Option<usize>>,
     pub(crate) live: usize,
-    /// Candidate pruning for [`Self::stabilize`] passes and the bounded
-    /// placement scan of [`Self::insert`].
+    /// Candidate pruning for [`Self::stabilize`] passes; placement in
+    /// [`Self::insert`] always scans every cluster.
     pub(crate) pruning: PruningConfig,
     /// Prune-cache epoch — the coarse kill-switch, bumped by
     /// [`Self::set_pruning`]. Edits never need it: they are drift-tracked,
@@ -246,8 +245,8 @@ impl IncrementalUcpc {
         &self.stats
     }
 
-    /// Candidate-pruning counters accumulated over all stabilization passes
-    /// and bounded placement scans.
+    /// Candidate-pruning counters accumulated over all pruned stabilization
+    /// passes (placement scans count nothing).
     pub fn pruning_counters(&self) -> PruneCounters {
         self.counters
     }
@@ -302,12 +301,9 @@ impl IncrementalUcpc {
 
     /// Inserts an object into the cluster that minimizes the objective
     /// increase (O(k·m) by Corollary 1) and returns its generation-stamped
-    /// handle. With pruning off the placement scan is the dot3-batched
-    /// [`best_insertion`] kernel over all `k` clusters; with pruning on it
-    /// is the Cauchy–Schwarz-bounded [`best_insertion_bounded`] scan, which
-    /// prices only the clusters the lower bound cannot exclude and returns
-    /// a bit-identical `(cluster, delta)` (shadow-asserted in debug
-    /// builds).
+    /// handle. The placement scan is the dot3-batched [`best_insertion`]
+    /// kernel over all `k` clusters, whatever the pruning setting: pruning
+    /// governs relocation passes only.
     pub fn insert(&mut self, object: &UncertainObject) -> Result<ObjectHandle, ClusterError> {
         self.insert_moments(object.moments())
     }
@@ -330,23 +326,7 @@ impl IncrementalUcpc {
         if !v.is_finite() {
             return Err(ClusterError::NonFinite);
         }
-        let (cluster, _delta) = if self.pruning.is_enabled() {
-            let scale = fp_scale(&self.stats);
-            let picked = best_insertion_bounded(&self.stats, &v, scale, &mut self.counters)
-                .expect("k >= 1 clusters");
-            #[cfg(debug_assertions)]
-            {
-                let shadow = best_insertion(&self.stats, &v).expect("k >= 1 clusters");
-                debug_assert_eq!(
-                    (picked.0, picked.1.to_bits()),
-                    (shadow.0, shadow.1.to_bits()),
-                    "bounded placement must match the full scan bit for bit"
-                );
-            }
-            picked
-        } else {
-            best_insertion(&self.stats, &v).expect("k >= 1 clusters")
-        };
+        let (cluster, _delta) = best_insertion(&self.stats, &v).expect("k >= 1 clusters");
         let h = self.next_handle();
         let op = LogOp::Insert {
             slot: h.slot() as u32,

@@ -508,21 +508,6 @@ impl ClusterStats {
         }
     }
 
-    /// An exact lower bound on [`Self::delta_j_add`] that needs **no dot
-    /// product**: [`Self::delta_j_add_with_cross`] is strictly decreasing in
-    /// the cross term (its coefficient is `−2/(|C|+1)`), and Cauchy–Schwarz
-    /// caps the cross term at `⟨s, mu(o)⟩ ≤ ‖s‖·‖mu(o)‖ = sqrt(S₂)·‖mu(o)‖`,
-    /// so evaluating the delta at that cap bounds the true value from below.
-    /// O(1) per cluster; the bounded placement scan
-    /// ([`crate::pruning::best_insertion_bounded`]) uses it to discard
-    /// clusters that provably cannot win the placement argmin, guarded by
-    /// [`crate::pruning::slack`] against floating-point rounding.
-    #[inline]
-    pub fn delta_j_add_lower_bound(&self, v: &MomentView<'_>) -> f64 {
-        let cross_max = self.s_sq_tot.max(0.0).sqrt() * v.norm_mu;
-        self.delta_j_add_with_cross(v, cross_max)
-    }
-
     /// The incrementally-maintained scalar aggregates
     /// `(Ψ_tot, Φ_tot, S₂)` — raw state for the snapshot codec.
     pub(crate) fn scalar_aggregates(&self) -> (f64, f64, f64) {

@@ -72,7 +72,8 @@
 //! applies the move iff `d* < −TOLERANCE`. After a full scan that applied no
 //! move, the cache stores `best = d(c*)`, `c*`, and
 //! `second = min_{c ∉ {src, c*}} d(c)`, together with a snapshot of every
-//! cluster's drift accumulators. Let `D_best(o)` be the add-direction drift
+//! cluster's add-direction drift accumulators and of `src`'s
+//! remove-direction ones. Let `D_best(o)` be the add-direction drift
 //! bound of the cached best cluster `c*` alone, `D_oth(o)` the
 //! per-coefficient maxima (of `acc − snapshot`, combined with `q(o)` and
 //! `‖mu(o)‖`) over the remaining candidates, and `D_rem(o)` the
@@ -150,7 +151,10 @@
 //! engine), decides each move with [`best_move`] — the reference
 //! [`best_candidate`] scan without a cache, the tier ladder above with one
 //! — and applies it with [`apply_relocation`], under the one threshold
-//! [`TOLERANCE`].
+//! [`TOLERANCE`]. Pruning lives in this step only: placing an arrival is
+//! always the full dot3-batched [`best_insertion`] scan, one fused dot
+//! product per cluster, which a Cauchy–Schwarz cap on the cross term was
+//! measured too loose to beat.
 //!
 //! `apply_relocation` keeps a plain (untracked) fork for unpruned runs on
 //! purpose: the statistics are bit-identical either way, but an unpruned
@@ -207,7 +211,9 @@ impl Default for PruningConfig {
     }
 }
 
-/// Skip/scan counters of one pruned run; all zeros when pruning is off.
+/// Decision counters of the pruned relocation passes of one run, one tier
+/// per decision; all zeros when pruning is off. Placement scans are never
+/// pruned and count nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneCounters {
     /// Tier-1 outcomes: the whole candidate scan was proven redundant.
@@ -217,12 +223,6 @@ pub struct PruneCounters {
     pub confirms: usize,
     /// Objects that ran the full `k−1` candidate scan.
     pub full_scans: usize,
-    /// Placement-scan candidates whose exact delta was priced (dot product
-    /// evaluated) by [`best_insertion_bounded`].
-    pub placement_priced: usize,
-    /// Placement-scan candidates discarded by the Cauchy–Schwarz lower
-    /// bound without pricing.
-    pub placement_bypassed: usize,
 }
 
 impl PruneCounters {
@@ -246,8 +246,6 @@ impl PruneCounters {
         self.skips += other.skips;
         self.confirms += other.confirms;
         self.full_scans += other.full_scans;
-        self.placement_priced += other.placement_priced;
-        self.placement_bypassed += other.placement_bypassed;
     }
 }
 
@@ -265,10 +263,6 @@ pub enum PruneDecision {
     /// delta only.
     ConfirmBest(usize),
 }
-
-/// Number of drift coefficients snapshotted per cluster (two directions ×
-/// three coefficients).
-const SNAP_STRIDE: usize = 6;
 
 /// Driver-maintained global drift totals: the six coefficient accumulators
 /// summed over *all* clusters, updated on every tracked relocation. Each is
@@ -335,6 +329,10 @@ struct CacheEntry {
     /// drivers recycle slots; an entry written for a departed occupant must
     /// not serve its slot's next tenant, so `decide` rejects on mismatch.
     gen: u32,
+    /// The object's cluster at store time, whose remove-direction triple
+    /// closes the snapshot row. A relocation invalidates the entry, so a
+    /// valid entry always matches; `decide` still rejects a mismatch.
+    src: usize,
     epoch: u64,
     /// `versions[src]` at store time — the surgical-invalidation watermark:
     /// the entry dies iff `src`'s remove-direction version moves (see the
@@ -351,6 +349,7 @@ impl CacheEntry {
         Self {
             valid: false,
             gen: 0,
+            src: usize::MAX,
             epoch: 0,
             src_version: 0,
             best_dst: usize::MAX,
@@ -362,9 +361,11 @@ impl CacheEntry {
 }
 
 /// The per-object pruning state: best/second-best cache rows plus a flat
-/// `n × 6k` snapshot matrix of the per-cluster drift accumulators at cache
-/// time (columns alongside the [`ucpc_uncertain::MomentArena`]'s moment
-/// columns).
+/// `n × 3(k+1)` snapshot matrix of the drift accumulators at cache time,
+/// holding exactly what [`Self::decide`] reads. Row `i` is the
+/// add-direction triple `(const, size, mean)` of every cluster in order,
+/// then the remove-direction triple of object `i`'s own cluster `src`, the
+/// only cluster whose remove direction a decision consults.
 #[derive(Debug, Clone)]
 pub struct PruneCache {
     k: usize,
@@ -378,8 +379,13 @@ impl PruneCache {
         Self {
             k,
             entries: vec![CacheEntry::invalid(); n],
-            snaps: vec![0.0; n * k * SNAP_STRIDE],
+            snaps: vec![0.0; n * Self::stride(k)],
         }
+    }
+
+    /// Floats per snapshot row: three per cluster, three for `src`.
+    fn stride(k: usize) -> usize {
+        3 * (k + 1)
     }
 
     /// Number of objects covered.
@@ -398,7 +404,7 @@ impl PruneCache {
     pub fn grow(&mut self, n: usize) {
         if n > self.entries.len() {
             self.entries.resize(n, CacheEntry::invalid());
-            self.snaps.resize(n * self.k * SNAP_STRIDE, 0.0);
+            self.snaps.resize(n * Self::stride(self.k), 0.0);
         }
     }
 
@@ -458,9 +464,10 @@ pub fn fp_scale(stats: &[ClusterStats]) -> f64 {
 /// Candidates are batched in threes through the fused
 /// [`ucpc_uncertain::simd::dot3`] kernel, which loads the object's `mu` row
 /// once per block instead of once per candidate; `dot3`'s components are
-/// bit-identical to single `dot` calls and the deltas are consumed in
-/// ascending cluster order, so batching changes wall-clock time and
-/// nothing else.
+/// bit-identical to single `dot` calls (rows below the SIMD dispatch
+/// threshold included: both take the same unfused core) and the deltas are
+/// consumed in ascending cluster order, so batching changes wall-clock time
+/// and nothing else.
 pub fn best_candidate(
     stats: &[ClusterStats],
     src: usize,
@@ -472,62 +479,14 @@ pub fn best_candidate(
 
 /// The streaming *placement* scan: the cluster minimizing `delta_j_add`
 /// over **all** `k` clusters (no source to leave, no removal gain) — what
-/// `IncrementalUcpc::insert` runs per arriving object, O(k·m) by
-/// Corollary 1. Shares the dot3-batched scan body of [`best_candidate`], so
-/// placement gets the same SIMD batching as relocation and the deltas are
-/// bit-identical to a per-cluster `delta_j_add` loop (strict-less minimum,
-/// first index wins ties). `None` only for an empty cluster slice.
+/// `IncrementalUcpc::insert` runs per arriving object, pruning on or off,
+/// O(k·m) by Corollary 1. Shares the dot3-batched scan body of
+/// [`best_candidate`], so placement gets the same SIMD batching as
+/// relocation and the deltas are bit-identical to a per-cluster
+/// `delta_j_add` loop (strict-less minimum, first index wins ties). `None`
+/// only for an empty cluster slice.
 pub fn best_insertion(stats: &[ClusterStats], v: &MomentView<'_>) -> Option<(usize, f64)> {
     scan::<false>(stats, usize::MAX, 0.0, v).map(|(dst, delta, _)| (dst, delta))
-}
-
-/// The *bounded* placement scan: identical result to [`best_insertion`] —
-/// same winner, bit-identical delta — but prices only the clusters the
-/// Cauchy–Schwarz lower bound ([`ClusterStats::delta_j_add_lower_bound`])
-/// cannot rule out. Clusters are visited in ascending order keeping the
-/// exact running best; a cluster `c` is discarded without its dot product
-/// when `L(c) − guard ≥ best_so_far`, where `guard` is the [`slack`] margin
-/// covering the rounding noise of both sides.
-///
-/// **Exactness.** In exact arithmetic `L(c) ≤ delta(c)`, so a discarded
-/// cluster satisfies `delta(c) ≥ L(c) ≥ best_so_far + guard > best_final`
-/// (the running best only decreases): it can neither win nor tie the final
-/// minimum, and since ties are broken by *first* index, dropping it cannot
-/// change the argmin either. In floating point both `L(c)` and `delta(c)`
-/// carry ~`ε·magnitude` rounding noise; `guard` is orders of magnitude
-/// above it (same construction as the relocation-scan slack). Priced
-/// candidates evaluate the identical [`ClusterStats::delta_j_add`] call an
-/// unbounded scan would issue, so the returned `(argmin, delta)` is
-/// bit-identical — asserted by a shadow full scan in debug builds of
-/// `IncrementalUcpc::insert` and by `tests/pruning_exactness.rs`.
-///
-/// Allocation-free (plain loop): the call sits inside the streaming
-/// insert path whose zero-allocation steady state is pinned by test.
-/// `counters` tallies priced vs bypassed candidates.
-pub fn best_insertion_bounded(
-    stats: &[ClusterStats],
-    v: &MomentView<'_>,
-    scale: f64,
-    counters: &mut PruneCounters,
-) -> Option<(usize, f64)> {
-    let q = v.sum_var + v.sum_mu_sq;
-    let guard = slack(scale, q, v.norm_mu);
-    let mut best: Option<(usize, f64)> = None;
-    for (c, stat) in stats.iter().enumerate() {
-        if let Some((_, bd)) = best {
-            if stat.delta_j_add_lower_bound(v) - guard >= bd {
-                counters.placement_bypassed += 1;
-                continue;
-            }
-        }
-        counters.placement_priced += 1;
-        let delta = stat.delta_j_add(v);
-        match best {
-            Some((_, bd)) if delta >= bd => {}
-            _ => best = Some((c, delta)),
-        }
-    }
-    best
 }
 
 /// [`best_candidate`] with runner-up tracking: additionally returns the
@@ -586,49 +545,37 @@ fn scan<const SECOND: bool>(
 
     let mut best: Option<(usize, f64)> = None;
     let mut second = f64::INFINITY;
-    if v.mu.len() < ucpc_uncertain::simd::DISPATCH_THRESHOLD {
-        // Short rows never reach a SIMD backend, so there are no loads to
-        // amortize — the batching bookkeeping would be pure overhead. The
-        // per-candidate kernel calls are the same, so the deltas are
-        // bit-identical to the batched path's.
-        for (dst, stat) in stats.iter().enumerate() {
-            if dst == skip {
-                continue;
-            }
+    // Candidates in ascending order, skipping `skip`: whole blocks of three
+    // share one fused dot3 pass that loads the object's mu row once, and
+    // the last one or two take the plain dispatched dot — by the
+    // bit-identity contract the same bits a dot3 block would produce.
+    let k = stats.len();
+    let mut next = 0usize;
+    let mut take = || {
+        if next == skip {
+            next += 1;
+        }
+        next += 1;
+        next - 1
+    };
+    for _ in 0..(k - usize::from(skip < k)) / 3 {
+        let block = [take(), take(), take()];
+        let crosses = ucpc_uncertain::simd::dot3(
+            v.mu,
+            stats[block[0]].mean_sum(),
+            stats[block[1]].mean_sum(),
+            stats[block[2]].mean_sum(),
+        );
+        for (&c, &cross) in block.iter().zip(&crosses) {
+            let delta = base + stats[c].delta_j_add_with_cross(v, cross);
+            consider::<SECOND>(&mut best, &mut second, c, delta);
+        }
+    }
+    for (c, stat) in stats.iter().enumerate().skip(next) {
+        if c != skip {
             let delta = base + stat.delta_j_add(v);
-            consider::<SECOND>(&mut best, &mut second, dst, delta);
+            consider::<SECOND>(&mut best, &mut second, c, delta);
         }
-        return best.map(|(dst, delta)| (dst, delta, second));
-    }
-    // Batch candidates in threes: one fused dot3 pass computes the three
-    // ⟨s_C, mu(o)⟩ cross terms while loading the object's mu row once.
-    let mut pending = [0usize; 3];
-    let mut filled = 0usize;
-    for dst in 0..stats.len() {
-        if dst == skip {
-            continue;
-        }
-        pending[filled] = dst;
-        filled += 1;
-        if filled == 3 {
-            let crosses = ucpc_uncertain::simd::dot3(
-                v.mu,
-                stats[pending[0]].mean_sum(),
-                stats[pending[1]].mean_sum(),
-                stats[pending[2]].mean_sum(),
-            );
-            for (&c, &cross) in pending.iter().zip(&crosses) {
-                let delta = base + stats[c].delta_j_add_with_cross(v, cross);
-                consider::<SECOND>(&mut best, &mut second, c, delta);
-            }
-            filled = 0;
-        }
-    }
-    // Remainder (< 3 candidates) through the plain dispatched dot — by the
-    // bit-identity contract this matches what a dot3 block would produce.
-    for &dst in &pending[..filled] {
-        let delta = base + stats[dst].delta_j_add(v);
-        consider::<SECOND>(&mut best, &mut second, dst, delta);
     }
     best.map(|(dst, delta)| (dst, delta, second))
 }
@@ -772,6 +719,7 @@ impl PruneCache {
         let e = self.entries[i];
         if !e.valid
             || e.gen != gen
+            || e.src != src
             || e.epoch != pass.epoch
             || pass.versions[src] != e.src_version
             || e.best_dst == src
@@ -801,7 +749,8 @@ impl PruneCache {
         // remaining candidates (`oth_*`): `e.second` is the cached minimum
         // over exactly those clusters, so their drift is charged against the
         // usually-larger second margin.
-        let row = &self.snaps[i * self.k * SNAP_STRIDE..(i + 1) * self.k * SNAP_STRIDE];
+        let stride = Self::stride(self.k);
+        let row = &self.snaps[i * stride..(i + 1) * stride];
         let mut oth_const = 0.0f64;
         let mut oth_size = 0.0f64;
         let mut oth_mean = 0.0f64;
@@ -810,18 +759,18 @@ impl PruneCache {
                 continue;
             }
             let d = stat.drift();
-            let snap = &row[c * SNAP_STRIDE..(c + 1) * SNAP_STRIDE];
+            let snap = &row[3 * c..3 * c + 3];
             oth_const = oth_const.max(d.add_const - snap[0]);
             oth_size = oth_size.max(d.add_size - snap[1]);
             oth_mean = oth_mean.max(d.add_mean - snap[2]);
         }
         let d_src = stats[src].drift();
-        let snap_src = &row[src * SNAP_STRIDE..(src + 1) * SNAP_STRIDE];
-        let rem = (d_src.rem_const - snap_src[3]).max(0.0)
-            + (d_src.rem_size - snap_src[4]).max(0.0) * q
-            + 2.0 * (d_src.rem_mean - snap_src[5]).max(0.0) * r;
+        let snap_src = &row[3 * self.k..];
+        let rem = (d_src.rem_const - snap_src[0]).max(0.0)
+            + (d_src.rem_size - snap_src[1]).max(0.0) * q
+            + 2.0 * (d_src.rem_mean - snap_src[2]).max(0.0) * r;
         let d_bst = stats[e.best_dst].drift();
-        let snap_bst = &row[e.best_dst * SNAP_STRIDE..(e.best_dst + 1) * SNAP_STRIDE];
+        let snap_bst = &row[3 * e.best_dst..3 * e.best_dst + 3];
         let best_drift = (d_bst.add_const - snap_bst[0]).max(0.0)
             + (d_bst.add_size - snap_bst[1]).max(0.0) * q
             + 2.0 * (d_bst.add_mean - snap_bst[2]).max(0.0) * r;
@@ -844,8 +793,9 @@ impl PruneCache {
     /// Records the outcome of a full scan that applied no move — `scan` is
     /// its `(best_dst, best, second)` — plus snapshots of `pass`'s global
     /// drift totals (inline), of `src`'s remove-direction version counter,
-    /// and of every cluster's accumulators (the watermarks future
-    /// [`Self::decide`] calls diff against).
+    /// of every cluster's add-direction accumulators and of `src`'s
+    /// remove-direction ones (the watermarks future [`Self::decide`] calls
+    /// diff against).
     pub fn store(
         &mut self,
         pass: &PassState<'_>,
@@ -858,6 +808,7 @@ impl PruneCache {
         self.entries[i] = CacheEntry {
             valid: true,
             gen,
+            src,
             epoch: pass.epoch,
             src_version: pass.versions[src],
             best_dst,
@@ -865,24 +816,14 @@ impl PruneCache {
             second,
             totals: pass.totals,
         };
-        let row = &mut self.snaps[i * self.k * SNAP_STRIDE..(i + 1) * self.k * SNAP_STRIDE];
-        for (c, stat) in pass.stats.iter().enumerate() {
-            let ClusterDrift {
-                add_const,
-                add_size,
-                add_mean,
-                rem_const,
-                rem_size,
-                rem_mean,
-            } = stat.drift();
-            let snap = &mut row[c * SNAP_STRIDE..(c + 1) * SNAP_STRIDE];
-            snap[0] = add_const;
-            snap[1] = add_size;
-            snap[2] = add_mean;
-            snap[3] = rem_const;
-            snap[4] = rem_size;
-            snap[5] = rem_mean;
+        let stride = Self::stride(self.k);
+        let row = &mut self.snaps[i * stride..(i + 1) * stride];
+        for (snap, stat) in row.chunks_exact_mut(3).zip(pass.stats) {
+            let d = stat.drift();
+            snap.copy_from_slice(&[d.add_const, d.add_size, d.add_mean]);
         }
+        let d = pass.stats[src].drift();
+        row[3 * self.k..].copy_from_slice(&[d.rem_const, d.rem_size, d.rem_mean]);
     }
 }
 
@@ -1178,8 +1119,8 @@ mod tests {
 
     #[test]
     fn best_insertion_matches_scalar_placement_loop() {
-        // Both the short-row (unbatched) and the dot3-batched regimes, odd
-        // and even k, empty clusters included.
+        // Rows below and above the SIMD dispatch threshold, odd and even k,
+        // empty clusters included.
         for m in [2usize, 32] {
             let data: Vec<UncertainObject> = (0..14)
                 .map(|i| {
@@ -1215,47 +1156,6 @@ mod tests {
                     assert_eq!(got_d.to_bits(), want_d.to_bits(), "m={m} k={k}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn bounded_placement_matches_full_placement_bitwise() {
-        // Well-separated clusters across both scan regimes (short rows and
-        // dot3-batched rows): the bound must discard most candidates while
-        // the winner and its delta stay bit-identical to the full scan.
-        for m in [2usize, 32] {
-            let data: Vec<UncertainObject> = (0..20)
-                .map(|i| {
-                    let center = (i % 5) as f64 * 100.0;
-                    UncertainObject::new(
-                        (0..m)
-                            .map(|j| UnivariatePdf::normal(center + j as f64 * 0.1, 0.2))
-                            .collect(),
-                    )
-                })
-                .collect();
-            let arena = MomentArena::from_objects(&data);
-            let labels: Vec<usize> = (0..15).map(|i| i % 5).collect();
-            let stats = stats_for(&arena, &labels, 5);
-            let scale = fp_scale(&stats);
-            let mut counters = PruneCounters::default();
-            for probe in 15..20 {
-                let v = arena.view(probe);
-                let (full_c, full_d) = best_insertion(&stats, &v).unwrap();
-                let (bnd_c, bnd_d) =
-                    best_insertion_bounded(&stats, &v, scale, &mut counters).unwrap();
-                assert_eq!(bnd_c, full_c, "m={m} probe={probe}");
-                assert_eq!(bnd_d.to_bits(), full_d.to_bits(), "m={m} probe={probe}");
-            }
-            assert!(
-                counters.placement_bypassed > 0,
-                "separated clusters must let the bound discard candidates (m={m})"
-            );
-            assert_eq!(
-                counters.placement_priced + counters.placement_bypassed,
-                5 * 5,
-                "every candidate is either priced or bypassed (m={m})"
-            );
         }
     }
 

@@ -40,10 +40,9 @@
 //! **byte-identical** to `B` serial [`IncrementalUcpc::insert`] calls.
 //! That holds by construction:
 //!
-//! * **Deltas.** Serial placement scans fold
-//!   `delta = stats[c].delta_j_add(v)` over ascending `c` (the pruned scan,
-//!   [`best_insertion_bounded`], is shadow-asserted bit-identical to the
-//!   full scan). `delta_j_add(v)` is a *pure function* of the bits of
+//! * **Deltas.** The serial placement scan, [`best_insertion`], folds
+//!   `delta = stats[c].delta_j_add(v)` over ascending `c`, pruning on or
+//!   off. `delta_j_add(v)` is a *pure function* of the bits of
 //!   `stats[c]` and `v`: it *is* `add_pricer().price(.., dot(s_c, mu(v)))`.
 //!   The batch pricer computes exactly that — [`dot_block`] yields
 //!   per-arrival crosses contractually bit-identical to the single
@@ -118,7 +117,7 @@
 //! the shared warn-and-fall-back knob reader
 //! ([`ucpc_uncertain::env::read_knob`]).
 //!
-//! [`best_insertion_bounded`]: crate::pruning::best_insertion_bounded
+//! [`best_insertion`]: crate::pruning::best_insertion
 //! [`dot`]: ucpc_uncertain::simd::dot
 //! [`dot3`]: ucpc_uncertain::simd::dot3
 //! [`dot_block`]: ucpc_uncertain::simd::dot_block

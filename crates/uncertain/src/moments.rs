@@ -117,28 +117,6 @@ impl Moments {
         self.norm_mu
     }
 
-    /// Rebuilds owned moments from a kernel view, copying every field —
-    /// the variance row and all four scalar aggregates included —
-    /// **verbatim**, without re-deriving anything. A round trip through
-    /// [`Self::view`] (or through an arena row written by
-    /// [`crate::arena::MomentArena::push`] /
-    /// [`crate::arena::MomentArena::overwrite_row`], which copy the same
-    /// fields bit for bit) therefore reproduces the original `Moments`
-    /// exactly.
-    pub fn from_view(v: &MomentView<'_>) -> Self {
-        debug_assert_eq!(v.mu.len(), v.mu2.len());
-        debug_assert_eq!(v.mu.len(), v.var.len());
-        Self {
-            mu: v.mu.into(),
-            mu2: v.mu2.into(),
-            var: v.var.into(),
-            total_var: v.sum_var,
-            sum_mu_sq: v.sum_mu_sq,
-            sum_mu2: v.sum_mu2,
-            norm_mu: v.norm_mu,
-        }
-    }
-
     /// Kernel view over these moments (same shape as
     /// [`crate::arena::MomentArena::view`], for callers that hold moments
     /// outside an arena, e.g. streaming insertion).
@@ -193,21 +171,5 @@ mod tests {
     #[should_panic(expected = "equal length")]
     fn ragged_moments_panic() {
         let _ = Moments::from_mu_mu2(vec![1.0], vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn from_view_round_trips_bit_for_bit() {
-        let m = Moments::from_mu_mu2(vec![1.5, -2.25, 0.125], vec![3.0, 5.5, 0.75]);
-        let rebuilt = Moments::from_view(&m.view());
-        assert_eq!(rebuilt, m);
-        // PartialEq compares f64 fields, but pin the scalar bits explicitly:
-        // from_view must copy, never re-derive.
-        assert_eq!(
-            rebuilt.total_variance().to_bits(),
-            m.total_variance().to_bits()
-        );
-        assert_eq!(rebuilt.sum_mu_sq().to_bits(), m.sum_mu_sq().to_bits());
-        assert_eq!(rebuilt.sum_mu2().to_bits(), m.sum_mu2().to_bits());
-        assert_eq!(rebuilt.norm_mu().to_bits(), m.norm_mu().to_bits());
     }
 }
