@@ -5,8 +5,8 @@
 //! The churn loop models the moving-objects deployment: a settled live
 //! partition, a stream of departures and arrivals (each arrival placed by
 //! the O(k·m) Corollary-1 scan, each departure an O(m) retraction), and a
-//! periodic stabilization sweep. Edits are drift-tracked, so the sweep
-//! keeps its cached bounds (surgical invalidation — see
+//! periodic stabilization sweep. Once a pruned sweep has cached bounds,
+//! edits are drift-tracked, so the next sweep keeps them (surgical invalidation — see
 //! `ucpc_core::pruning`). Labels are asserted byte-identical across both
 //! configurations on every repetition, so the comparison doubles as an
 //! end-to-end exactness check.

@@ -56,27 +56,38 @@
 //! whole [`MomentArena`] under a given partition, which is how a batch
 //! [`crate::Ucpc`] run starts.
 //!
-//! # Surgical invalidation
+//! # Surgical invalidation, tracked lazily
 //!
-//! Edits go through the drift-tracked statistic updates (`add_view_tracked`
-//! / `remove_view_tracked`, bit-identical statistics to the untracked
-//! ones), so an edit is just one more transition the drift bounds already
-//! cover: cached pruning bounds *widen* instead of dying. Only a small-size
-//! transition (the touched cluster passing through size `< 2`, where the
-//! remove-direction coefficients are undefined) taints history, and only
-//! the entries whose `src` is the touched cluster are invalidated, via the
-//! per-cluster version counters of [`crate::pruning`] (module docs there
-//! derive the soundness). On churny streams this is the difference between
-//! every stabilization pass re-scanning all `n` objects and the pass
-//! skipping everything the edits provably could not have changed. Cache
-//! entries also carry the slot's generation stamp, so an entry written for
-//! a departed occupant can never serve the slot's next tenant.
+//! Once a pruned pass has cached bounds, edits go through the drift-tracked
+//! statistic updates (`add_view_tracked` / `remove_view_tracked`,
+//! bit-identical statistics to the untracked ones), so an edit is just one
+//! more transition the drift bounds already cover: cached pruning bounds
+//! *widen* instead of dying. Only a small-size transition (the touched
+//! cluster passing through size `< 2`, where the remove-direction
+//! coefficients are undefined) taints history, and only the entries whose
+//! `src` is the touched cluster are invalidated, via the per-cluster version
+//! counters of [`crate::pruning`] (module docs there derive the soundness).
+//! On churny streams this is the difference between every stabilization
+//! pass re-scanning all `n` objects and the pass skipping everything the
+//! edits provably could not have changed. Cache entries also carry the
+//! slot's generation stamp, so an entry written for a departed occupant can
+//! never serve the slot's next tenant.
+//!
+//! Tracking is paid only while somebody can read it. A pruned pass turns
+//! it on; every prune-cache epoch bump ([`IncrementalUcpc::set_pruning`],
+//! the re-partition of a restart, an undone pass) turns it off, through one
+//! helper that writes both, so no cache entry of the current epoch exists
+//! while edits fold untracked. Until the next pruned pass, inserts, removes
+//! and replayed moves take the plain O(m) fold, and that pass starts from
+//! entries of an older epoch, which it never trusts. Drift therefore
+//! depends on pass history, which is why snapshots leave it out
+//! ([`crate::snapshot`]).
 
 use crate::framework::{validate_labels, ClusterError};
 use crate::objective::{total_objective, ClusterStats};
 use crate::pruning::{
-    apply_relocation, apply_tracked_insert, apply_tracked_remove, best_insertion, best_move,
-    fp_scale, DriftTotals, PassState, PruneCache, PruneCounters, PruningConfig,
+    apply_insert, apply_relocation, apply_remove, best_insertion, best_move, fp_scale, DriftTotals,
+    PassState, PruneCache, PruneCounters, PruningConfig,
 };
 use crate::wal::{LogEntry, LogOp};
 use ucpc_uncertain::{MomentArena, Moments, SlabArena, UncertainObject};
@@ -89,8 +100,8 @@ pub use ucpc_uncertain::ObjectHandle;
 /// [`IncrementalUcpc::with_backend`] keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamBackend {
-    /// Flat [`SlabArena`] rows with free-list reuse, drift-tracked edits,
-    /// per-cluster surgical invalidation.
+    /// Flat [`SlabArena`] rows with free-list reuse, lazily drift-tracked
+    /// edits, per-cluster surgical invalidation.
     Slab,
 }
 
@@ -132,12 +143,15 @@ pub struct IncrementalUcpc {
     /// Candidate pruning for [`Self::stabilize`] passes; placement in
     /// [`Self::insert`] always scans every cluster.
     pub(crate) pruning: PruningConfig,
-    /// Prune-cache epoch — the coarse kill-switch, bumped by
-    /// [`Self::set_pruning`]. Edits never need it: they are drift-tracked,
-    /// small-size transitions go through the per-cluster `versions` below,
-    /// and slot recycling is covered by the cache entries' generation
-    /// stamps.
+    /// Prune-cache epoch — the coarse kill-switch, bumped only by
+    /// [`Self::retire_cache`]. Tracked edits never need it: small-size
+    /// transitions go through the per-cluster `versions` below, and slot
+    /// recycling is covered by the cache entries' generation stamps.
     pub(crate) epoch: u64,
+    /// Whether edits and moves fold drift-tracked: set when a pruned pass
+    /// starts, cleared with every epoch bump, so that while it is `false`
+    /// no cache entry carries the current `epoch`.
+    pub(crate) tracking: bool,
     /// Per-cluster remove-direction version counters — the surgical
     /// invalidation watermarks of [`crate::pruning`].
     pub(crate) versions: Vec<u64>,
@@ -162,6 +176,7 @@ impl IncrementalUcpc {
             live: 0,
             pruning: PruningConfig::default(),
             epoch: 0,
+            tracking: false,
             versions: vec![0; k],
             totals: DriftTotals::default(),
             cache: PruneCache::new(0, k),
@@ -200,8 +215,8 @@ impl IncrementalUcpc {
     /// live) into the engine `from_arena` would build, with its checks,
     /// keeping the rows and the prune cache's buffers. Statistics are
     /// refolded; versions, drift totals and prune counters restart from
-    /// zero; the epoch bump retires every cached bound. An error leaves the
-    /// statistics partly folded, for the caller to discard.
+    /// zero; [`Self::retire_cache`] retires every cached bound. An error
+    /// leaves the statistics partly folded, for the caller to discard.
     pub(crate) fn relabel(&mut self, labels: &[usize]) -> Result<(), ClusterError> {
         validate_labels(labels, self.labels.len(), self.k)?;
         self.stats.fill(ClusterStats::empty(self.m));
@@ -222,8 +237,17 @@ impl IncrementalUcpc {
         self.versions.fill(0);
         self.totals = DriftTotals::default();
         self.counters = PruneCounters::default();
-        self.epoch += 1;
+        self.retire_cache();
         Ok(())
+    }
+
+    /// Retires every cached bound (epoch bump) and stops drift tracking
+    /// until the next pruned pass. The one writer of both, so "not
+    /// tracking ⇒ no prune-cache entry carries the current epoch" holds
+    /// everywhere.
+    fn retire_cache(&mut self) {
+        self.epoch += 1;
+        self.tracking = false;
     }
 
     /// Alias of [`Self::new`]: [`StreamBackend::Slab`] is the only store.
@@ -232,10 +256,11 @@ impl IncrementalUcpc {
     }
 
     /// Enables or disables candidate pruning for subsequent
-    /// [`Self::stabilize`] calls; outstanding cached bounds are discarded.
+    /// [`Self::stabilize`] calls; outstanding cached bounds are discarded,
+    /// and edits fold untracked until the next pruned pass.
     pub fn set_pruning(&mut self, pruning: PruningConfig) {
         self.pruning = pruning;
-        self.epoch += 1;
+        self.retire_cache();
     }
 
     /// The per-cluster sufficient statistics of the live partition (the
@@ -378,11 +403,11 @@ impl IncrementalUcpc {
     /// drained one is not empty; an `Insert` names the slot the slab
     /// allocates next and carries a finite `m`-dimensional row; a `Remove`
     /// or `Move` names a live slot labelled with the cluster it leaves (its
-    /// row is read from the slab). Inserts and removes are drift-tracked
-    /// edits; a move is drift-tracked exactly when pruning is on, as in the
-    /// live pass. The first failing entry stops the fold with the reason
-    /// and leaves the engine partly updated, for a replaying caller to
-    /// discard.
+    /// row is read from the slab). One tracking rule covers all three ops:
+    /// an entry folds drift-tracked iff a pruned pass's cache entries are
+    /// live (module docs), and with the plain O(m) update otherwise. The
+    /// first failing entry stops the fold with the reason and leaves the
+    /// engine partly updated, for a replaying caller to discard.
     pub fn apply_round<R: AsRef<[f64]>>(
         &mut self,
         entries: &[LogEntry<R>],
@@ -401,13 +426,10 @@ impl IncrementalUcpc {
                 (Some(c), None) => {
                     let h = ObjectHandle::new(slot, self.slab.generation(s));
                     let v = self.slab.view(s);
-                    apply_tracked_remove(
-                        &mut self.stats,
-                        c,
-                        &v,
-                        &mut self.totals,
-                        &mut self.versions,
-                    );
+                    let drift = self
+                        .tracking
+                        .then_some((&mut self.totals, &mut self.versions[..]));
+                    apply_remove(&mut self.stats, c, &v, drift);
                     // A departure frees its slot.
                     self.slab
                         .remove(h)
@@ -431,13 +453,10 @@ impl IncrementalUcpc {
                     if !sums.iter().all(|x| x.is_finite()) {
                         return Err("round carries a non-finite row");
                     }
-                    apply_tracked_insert(
-                        &mut self.stats,
-                        c,
-                        &v,
-                        &mut self.totals,
-                        &mut self.versions,
-                    );
+                    let drift = self
+                        .tracking
+                        .then_some((&mut self.totals, &mut self.versions[..]));
+                    apply_insert(&mut self.stats, c, &v, drift);
                     if s == self.labels.len() {
                         self.labels.push(Some(c));
                     } else {
@@ -454,14 +473,13 @@ impl IncrementalUcpc {
     /// Relocates the object in live slot `s` from `src` to `dst`, both
     /// existing clusters with `src` its label: the unchecked body of a
     /// `Move` entry, which a relocation pass applies directly. The move is
-    /// drift-tracked exactly when pruning is on, as the live pass applies
-    /// it, and retires the slot's cached bound (the cache covers the slots
-    /// of the last pruned pass).
+    /// drift-tracked under the one rule of [`Self::apply_round`], and
+    /// retires the slot's cached bound (the cache covers the slots of the
+    /// last pruned pass).
     fn relocate(&mut self, s: usize, src: usize, dst: usize) {
         let v = self.slab.view(s);
         let drift = self
-            .pruning
-            .is_enabled()
+            .tracking
             .then_some((&mut self.totals, &mut self.versions[..]));
         apply_relocation(&mut self.stats, src, dst, &v, drift);
         self.labels[s] = Some(dst);
@@ -488,6 +506,9 @@ impl IncrementalUcpc {
         let pruned = self.pruning.is_enabled();
         if pruned {
             self.cache.grow(self.labels.len());
+            // From here on every fold is tracked, so the entries this pass
+            // caches see every transition after them.
+            self.tracking = true;
         }
         for _ in 0..passes {
             let mut moved = false;
@@ -543,8 +564,9 @@ impl IncrementalUcpc {
     /// Rolls back the pass that made `moves` since [`Self::save_pass_into`]
     /// filled `undo`: swaps the statistics and version counters back in,
     /// restores the drift totals and labels, and retires the prune cache
-    /// (epoch bump), whose entries the pass wrote against statistics that
-    /// are gone. `undo` is left holding the abandoned pass's state.
+    /// ([`Self::retire_cache`]), whose entries the pass wrote against
+    /// statistics that are gone. `undo` is left holding the abandoned
+    /// pass's state.
     pub(crate) fn undo_pass(&mut self, undo: &mut PassUndo, moves: &[LogEntry<&[f64]>]) {
         std::mem::swap(&mut self.stats, &mut undo.stats);
         std::mem::swap(&mut self.versions, &mut undo.versions);
@@ -554,7 +576,7 @@ impl IncrementalUcpc {
                 self.labels[slot as usize] = Some(src);
             }
         }
-        self.epoch += 1;
+        self.retire_cache();
     }
 
     /// Current handles and labels of all live objects, in slot order.
@@ -716,8 +738,10 @@ mod tests {
         assert_eq!(inc.cluster_stats(), before.cluster_stats());
         assert_eq!(inc.totals, before.totals);
         assert_eq!(inc.versions, before.versions);
-        // The pass cached bounds against statistics that are gone.
+        // The pass cached bounds against statistics that are gone, and
+        // edits fold untracked until the next pruned pass.
         assert_eq!(inc.epoch, before.epoch + 1);
+        assert!(!inc.tracking);
     }
 
     /// Three loose 2-d blobs of 90 objects as a moment arena.

@@ -46,10 +46,11 @@
 //! The streaming driver ([`incremental::IncrementalUcpc`]) stores its live
 //! window in a [`ucpc_uncertain::SlabArena`] (free-list row reuse), routes
 //! placements through the dot3-batched
-//! [`pruning::best_insertion`] scan, and performs edits through the
-//! drift-tracked updates so pruning bounds survive them — only a cluster
-//! passing through size < 2 surgically invalidates the entries rooted in
-//! it, via the per-cluster version counters of [`pruning`].
+//! [`pruning::best_insertion`] scan, and, once a pruned pass has cached
+//! bounds, performs edits through the drift-tracked updates so those
+//! bounds survive them — only a cluster passing through size < 2
+//! surgically invalidates the entries rooted in it, via the per-cluster
+//! version counters of [`pruning`]. Until then edits fold untracked.
 //!
 //! ```
 //! use rand::rngs::StdRng;

@@ -62,8 +62,9 @@ pub struct ClusterStats {
     s_sq_tot: f64,
     /// Monotone drift accumulators for the pruning bounds (see
     /// [`crate::pruning`]); grown only by [`Self::add_view_tracked`] /
-    /// [`Self::remove_view_tracked`], so the plain relocation path pays
-    /// nothing for them.
+    /// [`Self::remove_view_tracked`], so the plain path — every fold while
+    /// no pruned pass's bounds are live — pays nothing for them. Not
+    /// logical state: snapshots leave them out.
     drift: ClusterDrift,
 }
 
@@ -517,8 +518,8 @@ impl ClusterStats {
     /// Reassembles statistics from raw serialized state (snapshot restore).
     /// Nothing is re-derived: the parts are installed verbatim, so a value
     /// round-tripped through [`Self::scalar_aggregates`] and the public
-    /// accessors is bit-identical to the original.
-    #[allow(clippy::too_many_arguments)]
+    /// accessors is bit-identical to the original. The drift accumulators
+    /// start at zero: they are pruning bookkeeping, not logical state.
     pub(crate) fn from_raw_parts(
         psi: Vec<f64>,
         phi: Vec<f64>,
@@ -527,7 +528,6 @@ impl ClusterStats {
         psi_tot: f64,
         phi_tot: f64,
         s_sq_tot: f64,
-        drift: ClusterDrift,
     ) -> Self {
         debug_assert_eq!(psi.len(), phi.len());
         debug_assert_eq!(psi.len(), mean_sum.len());
@@ -539,7 +539,7 @@ impl ClusterStats {
             psi_tot,
             phi_tot,
             s_sq_tot,
-            drift,
+            drift: ClusterDrift::default(),
         }
     }
 

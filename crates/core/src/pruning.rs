@@ -124,16 +124,22 @@
 //! entry only when `versions[src]` moved past the value snapshotted at
 //! store time. Entries whose `src` sits elsewhere ride straight through —
 //! their bounds simply widen by the (always-sound) add-direction drift.
-//! The same argument covers streaming edits: `IncrementalUcpc` performs
-//! inserts/removals through the *tracked* updates, so an edit is just one
-//! more transition the accumulators already bound, and only a small edit
-//! bumps the touched cluster's version — no cached bound elsewhere is
-//! disturbed.
+//! The same argument covers streaming edits: while cached entries are
+//! live, `IncrementalUcpc` performs inserts/removals through the *tracked*
+//! updates ([`apply_insert`] / [`apply_remove`] with drift), so an edit is
+//! just one more transition the accumulators already bound, and only a
+//! small edit bumps the touched cluster's version — no cached bound
+//! elsewhere is disturbed.
 //!
 //! A global *epoch* remains as the coarse kill-switch (entries record the
 //! epoch they were written in): `IncrementalUcpc::set_pruning` bumps it,
-//! and so does the re-partition that starts each of `BestOfRestarts`'s
-//! restarts on a reused engine.
+//! and so do the re-partition that starts each of `BestOfRestarts`'s
+//! restarts on a reused engine and an undone pass. The epoch is also what
+//! lets tracking be lazy: the bump switches tracking off, and only a
+//! pruned pass switches it back on, before it caches anything. An edit
+//! folded untracked therefore happens only while every entry is of an
+//! older epoch, which no decision trusts; the accumulators it skipped are
+//! never diffed across.
 //!
 //! The accumulators and bounds are themselves computed in floating point, so
 //! every test inflates the drift by [`slack`] — a safety margin proportional
@@ -156,11 +162,16 @@
 //! product per cluster, which a Cauchy–Schwarz cap on the cross term was
 //! measured too loose to beat.
 //!
-//! `apply_relocation` keeps a plain (untracked) fork for unpruned runs on
-//! purpose: the statistics are bit-identical either way, but an unpruned
-//! pass never reads the drift accumulators, and maintaining them on every
-//! move slows the unpruned batch pass by about a quarter at n=2000, m=8,
-//! k=5 (the `pruning_grid` shape of `bench_relocation`).
+//! [`apply_insert`], [`apply_remove`] and [`apply_relocation`] each keep a
+//! plain (untracked) fork on purpose: the statistics are bit-identical
+//! either way, but only a pruned pass reads the drift accumulators, and
+//! maintaining them costs 8 divisions, 2 square roots and two
+//! [`ClusterDrift`] copies per update on top of the O(m) fold. On every
+//! move that slowed the unpruned batch pass by about a quarter at n=2000,
+//! m=8, k=5 (the `pruning_grid` shape of `bench_relocation`), and on
+//! every edit it cost `bench_soak`'s unpruned leg about a tenth of its
+//! ns/edit. The engine passes drift only while a pruned pass's entries
+//! are live.
 
 use crate::objective::{ClusterDrift, ClusterStats};
 use ucpc_uncertain::arena::MomentView;
@@ -291,31 +302,6 @@ impl DriftTotals {
         self.rem_const += after.rem_const - before.rem_const;
         self.rem_size += after.rem_size - before.rem_size;
         self.rem_mean += after.rem_mean - before.rem_mean;
-    }
-
-    /// The six accumulators in snapshot order — raw state for the snapshot
-    /// codec.
-    pub(crate) fn to_array(self) -> [f64; 6] {
-        [
-            self.add_const,
-            self.add_size,
-            self.add_mean,
-            self.rem_const,
-            self.rem_size,
-            self.rem_mean,
-        ]
-    }
-
-    /// Inverse of [`Self::to_array`] (snapshot restore; bit-verbatim).
-    pub(crate) fn from_array(a: [f64; 6]) -> Self {
-        Self {
-            add_const: a[0],
-            add_size: a[1],
-            add_mean: a[2],
-            rem_const: a[3],
-            rem_size: a[4],
-            rem_mean: a[5],
-        }
     }
 }
 
@@ -627,69 +613,63 @@ pub fn best_move(
     }
 }
 
-/// The one relocation apply of Algorithm 1 (lines 10–13): removes `v` from
-/// `src` and adds it to `dst`.
+/// The engine's drift bookkeeping for one statistic update: the global
+/// [`DriftTotals`] and the per-cluster remove-direction version counters,
+/// or `None` for the plain update.
+pub type Drift<'a> = Option<(&'a mut DriftTotals, &'a mut [u64])>;
+
+/// Adds `v` to cluster `c`: one streaming insert, or the second half of
+/// [`apply_relocation`].
 ///
-/// With `drift`, the drift-tracked updates run, folding both clusters'
-/// accumulator movement into the totals and bumping a cluster's version
-/// when its half of the move is a small-size transition — the surgical
-/// invalidation of the module docs. Without, the plain
-/// `remove_view`/`add_view` pair runs. The statistics are bit-identical
-/// either way.
+/// With `drift`, the drift-tracked update ([`ClusterStats::add_view_tracked`])
+/// runs, folds `c`'s accumulator movement into the totals, and bumps
+/// `versions[c]` iff the transition was small — the surgical invalidation
+/// of the module docs. Without, the plain `add_view` runs. The statistics
+/// are bit-identical either way.
+#[inline]
+pub fn apply_insert(stats: &mut [ClusterStats], c: usize, v: &MomentView<'_>, drift: Drift<'_>) {
+    match drift {
+        Some((totals, versions)) => {
+            let before = stats[c].drift();
+            if stats[c].add_view_tracked(v) {
+                versions[c] = versions[c].wrapping_add(1);
+            }
+            totals.absorb(before, stats[c].drift());
+        }
+        None => stats[c].add_view(v),
+    }
+}
+
+/// Removes `v` from cluster `c`: the [`apply_insert`] counterpart through
+/// [`ClusterStats::remove_view_tracked`] or the plain `remove_view`.
+#[inline]
+pub fn apply_remove(stats: &mut [ClusterStats], c: usize, v: &MomentView<'_>, drift: Drift<'_>) {
+    match drift {
+        Some((totals, versions)) => {
+            let before = stats[c].drift();
+            if stats[c].remove_view_tracked(v) {
+                versions[c] = versions[c].wrapping_add(1);
+            }
+            totals.absorb(before, stats[c].drift());
+        }
+        None => stats[c].remove_view(v),
+    }
+}
+
+/// The one relocation apply of Algorithm 1 (lines 10–13): removes `v` from
+/// `src` and adds it to `dst`, each half tracked iff `drift` is given (see
+/// [`apply_insert`]).
 #[inline]
 pub fn apply_relocation(
     stats: &mut [ClusterStats],
     src: usize,
     dst: usize,
     v: &MomentView<'_>,
-    drift: Option<(&mut DriftTotals, &mut [u64])>,
+    mut drift: Drift<'_>,
 ) {
-    match drift {
-        Some((totals, versions)) => {
-            apply_tracked_remove(stats, src, v, totals, versions);
-            apply_tracked_insert(stats, dst, v, totals, versions);
-        }
-        None => {
-            stats[src].remove_view(v);
-            stats[dst].add_view(v);
-        }
-    }
-}
-
-/// One tracked streaming *edit*: adds `v` to cluster `c` through the
-/// drift-tracked update ([`ClusterStats::add_view_tracked`], bit-identical
-/// statistics to the plain `add_view`), folds `c`'s accumulator movement
-/// into `totals`, and bumps `versions[c]` iff the transition was small —
-/// the insert half of the surgical-invalidation contract used by
-/// `IncrementalUcpc`.
-pub fn apply_tracked_insert(
-    stats: &mut [ClusterStats],
-    c: usize,
-    v: &MomentView<'_>,
-    totals: &mut DriftTotals,
-    versions: &mut [u64],
-) {
-    let before = stats[c].drift();
-    if stats[c].add_view_tracked(v) {
-        versions[c] = versions[c].wrapping_add(1);
-    }
-    totals.absorb(before, stats[c].drift());
-}
-
-/// One tracked streaming removal: the [`apply_tracked_insert`] counterpart
-/// through [`ClusterStats::remove_view_tracked`].
-pub fn apply_tracked_remove(
-    stats: &mut [ClusterStats],
-    c: usize,
-    v: &MomentView<'_>,
-    totals: &mut DriftTotals,
-    versions: &mut [u64],
-) {
-    let before = stats[c].drift();
-    if stats[c].remove_view_tracked(v) {
-        versions[c] = versions[c].wrapping_add(1);
-    }
-    totals.absorb(before, stats[c].drift());
+    let reborrowed = drift.as_mut().map(|(t, vs)| (&mut **t, &mut **vs));
+    apply_remove(stats, src, v, reborrowed);
+    apply_insert(stats, dst, v, drift);
 }
 
 impl PruneCache {
@@ -1167,20 +1147,27 @@ mod tests {
         let mut totals = DriftTotals::default();
         let mut versions = [0u64, 0];
         // Growing cluster 0 from empty: sizes 0→1 and 1→2 are small.
-        apply_tracked_insert(&mut stats, 0, &arena.view(0), &mut totals, &mut versions);
-        apply_tracked_insert(&mut stats, 0, &arena.view(1), &mut totals, &mut versions);
+        for i in [0, 1] {
+            let drift = Some((&mut totals, &mut versions[..]));
+            apply_insert(&mut stats, 0, &arena.view(i), drift);
+        }
         assert_eq!(versions, [2, 0]);
         // 2→3 and 3→4 are trackable: no bump anywhere.
-        apply_tracked_insert(&mut stats, 0, &arena.view(2), &mut totals, &mut versions);
-        apply_tracked_insert(&mut stats, 0, &arena.view(3), &mut totals, &mut versions);
+        for i in [2, 3] {
+            let drift = Some((&mut totals, &mut versions[..]));
+            apply_insert(&mut stats, 0, &arena.view(i), drift);
+        }
         assert_eq!(versions, [2, 0]);
         // Removal 4→3 is trackable; 3→2 small? No: remove is small when the
         // post size drops below 2, i.e. pre-size n < 3. 4→3 and 3→2 keep
         // both sizes >= 2, 2→1 is small.
-        apply_tracked_remove(&mut stats, 0, &arena.view(3), &mut totals, &mut versions);
-        apply_tracked_remove(&mut stats, 0, &arena.view(2), &mut totals, &mut versions);
+        for i in [3, 2] {
+            let drift = Some((&mut totals, &mut versions[..]));
+            apply_remove(&mut stats, 0, &arena.view(i), drift);
+        }
         assert_eq!(versions, [2, 0]);
-        apply_tracked_remove(&mut stats, 0, &arena.view(1), &mut totals, &mut versions);
+        let drift = Some((&mut totals, &mut versions[..]));
+        apply_remove(&mut stats, 0, &arena.view(1), drift);
         assert_eq!(versions, [3, 0], "2→1 breaks the remove direction");
         // The untouched cluster's version never moved.
         assert_eq!(versions[1], 0);

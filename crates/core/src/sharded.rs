@@ -465,22 +465,28 @@ impl ShardedUcpc {
     /// Runs up to `passes` relocation passes of Algorithm 1 on the
     /// coordinator's replica — the single-node pass itself, pruning
     /// included — and replicates every move it made as one round (an
-    /// empty one if nothing moved); returns the number of relocations.
+    /// empty one if nothing moved); returns the number of relocations. A
+    /// down shard is [`ClusterError::ShardDown`], checked before any pass
+    /// runs, so nothing changes.
+    pub fn try_stabilize(&mut self, passes: usize) -> Result<usize, ClusterError> {
+        self.shards_up()?;
+        let mut moves = Vec::new();
+        let relocations = self
+            .engine
+            .stabilize_with(passes, |op| moves.push(LogEntry::bare(op)));
+        self.run_round(&moves);
+        Ok(relocations)
+    }
+
+    /// [`Self::try_stabilize`] for a caller that keeps every shard up.
     ///
     /// # Panics
     ///
     /// Panics, before any pass runs, if a shard is down: restart it
     /// first.
     pub fn stabilize(&mut self, passes: usize) -> usize {
-        if let Err(down) = self.shards_up() {
-            panic!("cannot stabilize: {down}");
-        }
-        let mut moves = Vec::new();
-        let relocations = self
-            .engine
-            .stabilize_with(passes, |op| moves.push(LogEntry::bare(op)));
-        self.run_round(&moves);
-        relocations
+        self.try_stabilize(passes)
+            .unwrap_or_else(|down| panic!("cannot stabilize: {down}"))
     }
 
     /// [`ClusterError::ShardDown`] naming the first crashed shard, if any.
@@ -493,8 +499,8 @@ impl ShardedUcpc {
 
     /// Kills a participant's volatile state (its process). Durable bytes
     /// — checkpoint and shard log — survive for [`Self::restart`]. Until
-    /// then, inserts and removes are [`ClusterError::ShardDown`] and
-    /// [`Self::stabilize`] panics.
+    /// then, inserts, removes and [`Self::try_stabilize`] are
+    /// [`ClusterError::ShardDown`], and [`Self::stabilize`] panics.
     pub fn crash(&mut self, shard: usize) {
         assert!(
             self.participants[shard].is_some(),
@@ -1382,6 +1388,30 @@ mod tests {
         }
         assert!(moved > 0, "the script logs moves");
         assert_eq!(wal.bytes(), sharded.durable[0].log.bytes(), "one log shape");
+    }
+
+    #[test]
+    fn try_stabilize_refuses_a_down_shard_before_its_passes() {
+        let mut sharded = ShardedUcpc::new(1, 2, 2).unwrap();
+        let mut single = IncrementalUcpc::new(1, 2).unwrap();
+        // Adversarial order: the first pass has moves to make.
+        for c in [0.0, 1.0, 10.0, 11.0, 12.0] {
+            assert_eq!(sharded.insert(&obj(c)), single.insert(&obj(c)));
+        }
+        sharded.crash(1);
+        let (rounds, objective) = (sharded.committed_rounds(), sharded.objective());
+        assert_eq!(
+            sharded.try_stabilize(3),
+            Err(ClusterError::ShardDown { shard: 1 })
+        );
+        assert_eq!(sharded.committed_rounds(), rounds, "no round ran");
+        assert_eq!(sharded.objective().to_bits(), objective.to_bits());
+        sharded.restart(1).unwrap();
+        let moved = single.stabilize(3);
+        assert!(moved > 0, "the script relocates");
+        assert_eq!(sharded.try_stabilize(3), Ok(moved));
+        assert_eq!(sharded.committed_rounds(), rounds + 1);
+        assert_matches_single_node(&sharded, &single);
     }
 
     #[test]

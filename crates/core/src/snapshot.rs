@@ -2,14 +2,13 @@
 //!
 //! [`IncrementalUcpc::snapshot`] serializes the complete logical state of a
 //! live clustering — its moment rows, slot generations and free-list,
-//! labels, per-cluster [`ClusterStats`] (including the drift
-//! accumulators), the pruning configuration, and the invalidation
-//! watermarks (`epoch`, per-cluster `versions`, global drift totals) — into
-//! a self-describing byte buffer. [`IncrementalUcpc::restore`] reassembles
-//! an engine that is **bit-identical** to the original: continuing the same
-//! edit script on the restored engine produces byte-for-byte the labels,
-//! statistics bits and objective of the uninterrupted run, with pruning
-//! on/off and on every SIMD backend (`tests/snapshot_roundtrip.rs`).
+//! labels, per-cluster [`ClusterStats`] and the pruning configuration —
+//! into a self-describing byte buffer. [`IncrementalUcpc::restore`]
+//! reassembles an engine that is **bit-identical** to the original:
+//! continuing the same edit script on the restored engine produces
+//! byte-for-byte the labels, statistics bits and objective of the
+//! uninterrupted run, with pruning on/off and on every SIMD backend
+//! (`tests/snapshot_roundtrip.rs`).
 //!
 //! # Why the round-trip is exact
 //!
@@ -25,16 +24,21 @@
 //! overwrites it whole), so its residual bytes are not logical state — and
 //! zeroing them makes `snapshot(restore(s)) == s` hold bytewise.
 //!
-//! The prune cache's *entries* are deliberately excluded: a restored cache
-//! starts empty and entries regrow invalid, which is always sound (an
-//! invalid entry forces the exact full scan). The invalidation watermarks
-//! — `epoch`, `versions`, drift totals — *are* carried over, so bounds
-//! cached after restore are validated against exactly the history the
-//! original engine would have used.
+//! The prune cache is deliberately excluded, entries and watermarks alike:
+//! a restored cache starts empty and entries regrow invalid, which is
+//! always sound (an invalid entry forces the exact full scan). With no
+//! entry left, nothing needs the history the watermarks (`epoch`,
+//! per-cluster `versions`, drift totals, per-cluster drift accumulators)
+//! describe, and that history is not logical state anyway: edits are
+//! drift-tracked only while a pruned pass's entries are live (see
+//! [`crate::incremental`]), so a coordinator that runs passes and a
+//! replica that only replays them hold different drift for the same
+//! clustering. Restore starts every watermark at zero, and two engines
+//! with the same clustering write the same bytes.
 //!
 //! # Format
 //!
-//! One format, version 4: a 12-byte head, then bounded, individually
+//! One format, version 5: a 12-byte head, then bounded, individually
 //! CRC-32-checksummed chunks — each one a [`crate::codec`] frame whose
 //! payload starts with the section kind. [`IncrementalUcpc::write_snapshot`]
 //! streams them to a [`DurableIo`] sink, so a checkpoint never
@@ -42,17 +46,18 @@
 //! dominant term, go out [`ROWS_PER_CHUNK`] rows at a time), and any
 //! flipped or torn byte is caught by the chunk checksum rather than by
 //! downstream validation. Readers reject every other version — versions 1
-//! to 3 included — with [`SnapshotError::UnsupportedVersion`]. Version 4
+//! to 4 included — with [`SnapshotError::UnsupportedVersion`]. Version 4
 //! dropped version 3's META backend byte when the slab became the only
-//! moment store.
+//! moment store; version 5 dropped the prune watermarks above (META's
+//! `epoch`, `versions` and drift totals, and STATS's six drift
+//! accumulators).
 //!
 //! The head and the chunk framing are in the [`crate::codec`] table; the
 //! sections, in this order, are:
 //!
 //! ```text
 //! kind 1 META   pruning u8 (0 Off, 1 Bounds), m u64, k u64, live u64,
-//!               epoch u64, n_slots u64, n_free u64, versions k × u64,
-//!               totals 6 × f64, k × STATS
+//!               n_slots u64, n_free u64, k × STATS
 //! kind 2 SLOTS  per slot: flag u8, label u64 if live, gen u32
 //!               (≤ SLOTS_PER_CHUNK slots per chunk, ascending)
 //! kind 3 FREE   freed slots u32, LIFO order (≤ FREE_PER_CHUNK each)
@@ -60,7 +65,7 @@
 //!               order (≤ ROWS_PER_CHUNK rows per chunk)
 //! kind 5 END    empty — a stream without it is truncated
 //! STATS         size u64, psi m × f64, phi m × f64, mean_sum m × f64,
-//!               psi_tot f64, phi_tot f64, s_sq_tot f64, drift 6 × f64
+//!               psi_tot f64, phi_tot f64, s_sq_tot f64
 //! ```
 //!
 //! Kind 6 SHARD is a checkpoint's *watermark*, the last round the state
@@ -79,14 +84,14 @@
 
 use crate::codec::{scan_frames, Reader, Writer, CHECKSUM_MISMATCH};
 use crate::incremental::IncrementalUcpc;
-use crate::objective::{ClusterDrift, ClusterStats};
+use crate::objective::ClusterStats;
 use crate::pruning::{DriftTotals, PruneCache, PruneCounters, PruningConfig};
 use crate::wal::{DurableIo, IoFault, VecIo};
 use std::fmt;
 use ucpc_uncertain::{MomentArena, SlabArena};
 
 const MAGIC: &[u8; 8] = b"UCPCSNAP";
-const VERSION: u32 = 4;
+const VERSION: u32 = 5;
 const HEAD_LEN: usize = 12;
 
 const CHUNK_META: u8 = 1;
@@ -350,48 +355,26 @@ fn write_stats(w: &mut Writer, stats: &[ClusterStats]) {
         w.f64s(s.phi());
         w.f64s(s.mean_sum());
         let (psi_tot, phi_tot, s_sq_tot) = s.scalar_aggregates();
-        let d = s.drift();
-        w.f64s(&[
-            psi_tot,
-            phi_tot,
-            s_sq_tot,
-            d.add_const,
-            d.add_size,
-            d.add_mean,
-            d.rem_const,
-            d.rem_size,
-            d.rem_mean,
-        ]);
+        w.f64s(&[psi_tot, phi_tot, s_sq_tot]);
     }
 }
 
 /// Inverse of [`write_stats`] for `k` clusters of `m` dimensions.
 fn read_stats(r: &mut Reader<'_>, m: usize, k: usize) -> Result<Vec<ClusterStats>, SnapshotError> {
-    // Each cluster owes at least its size and nine scalars.
-    r.ensure(k, 80)?;
+    // Each cluster owes at least its size and three scalars.
+    r.ensure(k, 32)?;
     let mut stats = Vec::with_capacity(k);
     for _ in 0..k {
         let size = r.usize()?;
         let rows = [r.f64s(m)?, r.f64s(m)?, r.f64s(m)?];
-        // psi_tot, phi_tot, s_sq_tot, then the six drift accumulators.
-        let mut t = [0.0; 9];
-        for x in &mut t {
-            *x = r.f64()?;
-        }
+        let t = [r.f64()?, r.f64()?, r.f64()?];
         if !rows.iter().flatten().chain(&t).all(|x| x.is_finite()) {
             return Err(SnapshotError::Corrupt("cluster statistics are non-finite"));
         }
         let [psi, phi, mean_sum] = rows;
-        let drift = ClusterDrift {
-            add_const: t[3],
-            add_size: t[4],
-            add_mean: t[5],
-            rem_const: t[6],
-            rem_size: t[7],
-            rem_mean: t[8],
-        };
+        let [psi_tot, phi_tot, s_sq_tot] = t;
         stats.push(ClusterStats::from_raw_parts(
-            psi, phi, mean_sum, size, t[0], t[1], t[2], drift,
+            psi, phi, mean_sum, size, psi_tot, phi_tot, s_sq_tot,
         ));
     }
     Ok(stats)
@@ -435,16 +418,9 @@ impl IncrementalUcpc {
             PruningConfig::Off => 0,
             PruningConfig::Bounds => 1,
         });
-        for v in [self.m, self.k, self.live] {
+        for v in [self.m, self.k, self.live, n_slots, n_slots - self.live] {
             w.u64(v as u64);
         }
-        w.u64(self.epoch);
-        w.u64(n_slots as u64);
-        w.u64((n_slots - self.live) as u64);
-        for &v in &self.versions {
-            w.u64(v);
-        }
-        w.f64s(&self.totals.to_array());
         write_stats(w, &self.stats);
         out.seal()?;
         out.chunked(CHUNK_SLOTS, SLOTS_PER_CHUNK, 0..n_slots, |w, slot| {
@@ -474,7 +450,8 @@ impl IncrementalUcpc {
     /// Rebuilds the engine from a [`Self::snapshot`] /
     /// [`Self::write_snapshot`] buffer, bit-identical to the engine that
     /// produced it. The prune cache restarts empty (entries regrow invalid
-    /// — always sound); the pruning counters restart at zero.
+    /// — always sound); its watermarks and the pruning counters restart at
+    /// zero.
     ///
     /// Statistics are not trusted either: a cluster whose size differs
     /// from the number of live slots labelled with it, or any non-finite
@@ -503,17 +480,10 @@ impl IncrementalUcpc {
             return Err(SnapshotError::Corrupt("k must be at least 1"));
         }
         let live = r.usize()?;
-        let epoch = r.u64()?;
         let n_slots = r.usize()?;
         let n_free = r.usize()?;
         if n_slots.checked_sub(live) != Some(n_free) {
             return Err(SnapshotError::Corrupt("free-list length mismatch"));
-        }
-        r.ensure(k, 8)?;
-        let versions = (0..k).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
-        let mut totals = [0.0; 6];
-        for t in &mut totals {
-            *t = r.f64()?;
         }
         let stats = read_stats(r, m, k)?;
         // Entries owed by later chunks must fit in the whole input before
@@ -586,9 +556,10 @@ impl IncrementalUcpc {
             labels,
             live,
             pruning,
-            epoch,
-            versions,
-            totals: DriftTotals::from_array(totals),
+            epoch: 0,
+            tracking: false,
+            versions: vec![0; k],
+            totals: DriftTotals::default(),
             cache: PruneCache::new(0, k),
             counters: PruneCounters::default(),
         })
@@ -742,8 +713,8 @@ mod tests {
             IncrementalUcpc::restore(b"not a snapshot at all...").unwrap_err(),
             SnapshotError::BadMagic
         );
-        // Versions 1 to 3 are gone; any version but 4 is rejected.
-        for version in [1, 2, 3, 99] {
+        // Versions 1 to 4 are gone; any version but 5 is rejected.
+        for version in [1, 2, 3, 4, 99] {
             let mut other = bytes.clone();
             other[8] = version;
             assert_eq!(

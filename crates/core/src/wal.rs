@@ -31,9 +31,10 @@
 //!    already holds it.
 //! 3. **The decision names everything else.** An `Insert` names the slot
 //!    the slab's LIFO free list hands out next (any other is refused), so
-//!    issued handles coincide; a `Move` is drift-tracked exactly when the
-//!    engine prunes, as in the live pass (the snapshot records pruning),
-//!    so even drift totals and version counters match.
+//!    issued handles coincide. Drift bookkeeping is the one thing replay
+//!    need not reproduce: a recovered engine folds every entry untracked
+//!    until its own first pruned pass, and the snapshot leaves drift out,
+//!    so a recovered engine and the live one still write the same bytes.
 //!
 //! # Format
 //!

@@ -29,27 +29,23 @@ const GOLDEN_WAL: &str = concat!(
     "000001020000000000000001000000020300000001000000c3ccdf0c",
 );
 
-/// 744 bytes: the version-4 head, then META, SLOTS, ROWS and END chunks.
+/// 576 bytes: the version-5 head, then META, SLOTS, ROWS and END chunks.
 const GOLDEN_SNAPSHOT: &str = concat!(
-    "55435043534e415004000000d2010000010004000000000000000200000000000000030000000000",
-    "00000100000000000000030000000000000000000000000000000200000000000000010000000000",
-    "00005555555555a73940abaaaaaaaaaaf23f5fdcc947589f19400000000000000000000000000000",
-    "000000000000000000000200000000000000000000000000e03f000000000000e03f000000000000",
-    "e03f000000000000e03f0000000000002a400000000000801c4000000000004014400000000000a0",
-    "2d4000000000000008c0000000000000f03f00000000000006400000000000000a40000000000000",
-    "004000000000000044400000000000203c40aaaaaaaaaa0a2d40565555555555e53f37afe14d7bf3",
-    "0f400000000000000000000000000000000000000000000000000100000000000000000000000000",
+    "55435043534e4150050000002a010000010004000000000000000200000000000000030000000000",
+    "0000030000000000000000000000000000000200000000000000000000000000e03f000000000000",
+    "e03f000000000000e03f000000000000e03f0000000000002a400000000000801c40000000000040",
+    "14400000000000a02d4000000000000008c0000000000000f03f0000000000000640000000000000",
+    "0a40000000000000004000000000000044400000000000203c400100000000000000000000000000",
     "d03f000000000000d03f000000000000d03f000000000000d03f0000000000403040000000000000",
     "d13f0000000000001a40000000000000f43f0000000000001040000000000000c03f000000000000",
-    "04c0000000000000f03f000000000000f03f00000000004438400000000000443740000000000044",
-    "2640000000000000e03f8609b241354b034000000000000000000000000000000000000000000000",
-    "0000f8101ba728000000020100000000000000000000000001010000000000000000000000010000",
-    "00000000000000000000b07a3518c100000004000000000000e03f000000000000f4bf0000000000",
-    "0000400000000000000e40000000000000e03f000000000000fd3f00000000000011400000000000",
-    "a02c400000000000001040000000000000c03f00000000000004c0000000000000f03f0000000000",
-    "403040000000000000d13f0000000000001a40000000000000f43f0000000000000cc00000000000",
-    "000240000000000000e83f000000000000e0bf000000000000294000000000004015400000000000",
-    "00ea3f000000000000e03f2901bedf0100000005222a288b",
+    "04c0000000000000f03f000000000000f03f00000000004438400000000000443740bbe3f78d2800",
+    "00000201000000000000000000000000010100000000000000000000000100000000000000000000",
+    "0000b07a3518c100000004000000000000e03f000000000000f4bf00000000000000400000000000",
+    "000e40000000000000e03f000000000000fd3f00000000000011400000000000a02c400000000000",
+    "001040000000000000c03f00000000000004c0000000000000f03f00000000004030400000000000",
+    "00d13f0000000000001a40000000000000f43f0000000000000cc000000000000002400000000000",
+    "00e83f000000000000e0bf00000000000029400000000000401540000000000000ea3f0000000000",
+    "00e03f2901bedf0100000005222a288b",
 );
 
 fn unhex(s: &str) -> Vec<u8> {

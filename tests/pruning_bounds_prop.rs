@@ -15,8 +15,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ucpc::core::objective::ClusterStats;
 use ucpc::core::pruning::{
-    apply_relocation, apply_tracked_insert, apply_tracked_remove, fp_scale, DriftTotals, PassState,
-    PruneCache, PruneDecision, TOLERANCE,
+    apply_insert, apply_relocation, apply_remove, fp_scale, DriftTotals, PassState, PruneCache,
+    PruneDecision, TOLERANCE,
 };
 use ucpc::uncertain::{MomentArena, UncertainObject, UnivariatePdf};
 
@@ -155,7 +155,7 @@ proptest! {
                     if let Some(&i) = unassigned.get(rng.gen_range(0..unassigned.len().max(1))) {
                         let dst = rng.gen_range(0..k);
                         let v = arena.view(i);
-                        apply_tracked_insert(&mut stats, dst, &v, &mut totals, &mut versions);
+                        apply_insert(&mut stats, dst, &v, Some((&mut totals, &mut versions)));
                         cache.invalidate(i);
                         labels[i] = Some(dst);
                     }
@@ -168,7 +168,7 @@ proptest! {
                         let i = assigned[rng.gen_range(0..assigned.len())];
                         let src = labels[i].take().expect("assigned");
                         let v = arena.view(i);
-                        apply_tracked_remove(&mut stats, src, &v, &mut totals, &mut versions);
+                        apply_remove(&mut stats, src, &v, Some((&mut totals, &mut versions)));
                         cache.invalidate(i);
                     }
                 }

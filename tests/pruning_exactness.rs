@@ -10,6 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ucpc::core::incremental::IncrementalUcpc;
+use ucpc::core::objective::{ClusterDrift, ClusterStats};
 use ucpc::core::restarts::BestOfRestarts;
 use ucpc::core::{LogEntry, LogOp, PruningConfig, Ucpc};
 use ucpc::uncertain::{MomentArena, UncertainObject, UnivariatePdf};
@@ -175,6 +176,94 @@ fn incremental_ucpc_pruned_matches_unpruned_under_interleaved_edits() {
         assert_eq!(off.stabilize(20), on.stabilize(20));
         assert_eq!(off.live_labels(), on.live_labels());
     }
+}
+
+/// The bits of every cluster's statistics: rows, size and `J`.
+fn stats_bits(e: &IncrementalUcpc) -> Vec<u64> {
+    e.cluster_stats()
+        .iter()
+        .flat_map(|s| {
+            let rows = s.psi().iter().chain(s.phi()).chain(s.mean_sum());
+            rows.map(|x| x.to_bits())
+                .chain([s.size() as u64, s.j().to_bits()])
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// Drift tracking is lazy: edits fold untracked until a pruned pass caches
+/// bounds, and tracked from then until the next `set_pruning`. A seeded
+/// churn script flips pruning Off → Bounds → Off → Bounds mid-stream, with
+/// stabilize bursts in between. After every step the engine must equal an
+/// always-Off twin bit for bit, and every edit must follow the rule: it
+/// leaves each cluster's drift accumulators untouched while no pruned pass
+/// ran since the flip, and moves them once one did.
+#[test]
+fn lazy_drift_tracking_is_bit_neutral_across_pruning_flips() {
+    let k = 4;
+    let mut rng = StdRng::seed_from_u64(29);
+    let mut twin = IncrementalUcpc::new(2, k).unwrap();
+    let mut live = IncrementalUcpc::new(2, k).unwrap();
+    twin.set_pruning(PruningConfig::Off);
+    let drifts = |e: &IncrementalUcpc| -> Vec<ClusterDrift> {
+        e.cluster_stats().iter().map(ClusterStats::drift).collect()
+    };
+    let (mut tracked, mut untracked) = (0, 0);
+    for (phase, pruning) in [
+        PruningConfig::Off,
+        PruningConfig::Bounds,
+        PruningConfig::Off,
+        PruningConfig::Bounds,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        live.set_pruning(pruning);
+        let mut pass_ran = false;
+        for step in 0..150 {
+            let what = format!("phase {phase} ({pruning:?}), step {step}");
+            let before = drifts(&live);
+            let edited = match rng.gen_range(0..10u8) {
+                0..=4 => {
+                    let c = rng.gen_range(-9.0..9.0);
+                    let o = UncertainObject::new(vec![
+                        UnivariatePdf::normal(c, rng.gen_range(0.05..1.0)),
+                        UnivariatePdf::normal((c * 1.7).sin() * 6.0, 0.3),
+                    ]);
+                    assert_eq!(live.insert(&o), twin.insert(&o), "{what}");
+                    true
+                }
+                5..=7 => {
+                    let alive = twin.live_labels();
+                    if alive.len() > k {
+                        let h = alive[rng.gen_range(0..alive.len())].0;
+                        assert_eq!(live.remove(h), twin.remove(h), "{what}");
+                    }
+                    alive.len() > k
+                }
+                _ => {
+                    let passes = rng.gen_range(1..4usize);
+                    assert_eq!(live.stabilize(passes), twin.stabilize(passes), "{what}");
+                    pass_ran |= pruning.is_enabled();
+                    false
+                }
+            };
+            if edited {
+                let moved = drifts(&live) != before;
+                assert_eq!(moved, pass_ran, "drift tracking off the rule: {what}");
+                *(if moved { &mut tracked } else { &mut untracked }) += 1;
+            }
+            assert_eq!(live.live_labels(), twin.live_labels(), "{what}");
+            assert_eq!(stats_bits(&live), stats_bits(&twin), "{what}");
+            assert_eq!(
+                live.objective().to_bits(),
+                twin.objective().to_bits(),
+                "{what}"
+            );
+        }
+    }
+    assert!(tracked > 0 && untracked > 0, "{tracked} / {untracked}");
+    assert!(live.pruning_counters().skips > 0, "pruning must fire");
 }
 
 /// A batch `Ucpc` run is a bulk-loaded `IncrementalUcpc` stabilized to

@@ -107,15 +107,15 @@ proptest! {
 fn hostile_meta_count_fields_fail_fast_without_allocating() {
     let victim = &victims()[0];
     // Head: magic(8) + version(4). META chunk: len u32 at 12, kind at 16,
-    // pruning 17, then u64 fields m 18, k 26, live 34, epoch 42,
-    // n_slots 50, n_free 58 — see the module docs format table.
+    // pruning 17, then u64 fields m 18, k 26, live 34, n_slots 42,
+    // n_free 50 — see the module docs format table.
     let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
     let len = u32::from_le_bytes(victim[12..16].try_into().unwrap()) as usize;
     let crc_at = 16 + len;
     let live = u64_at(victim, 34);
     for (field, patches) in [
         ("k", vec![(26, u64::MAX)]),
-        ("n_slots", vec![(50, u64::MAX), (58, u64::MAX - live)]),
+        ("n_slots", vec![(42, u64::MAX), (50, u64::MAX - live)]),
     ] {
         let mut bent = victim.clone();
         for (at, value) in patches {
@@ -180,11 +180,10 @@ fn patch_and_reseal(snapshot: &[u8], chunk: usize, at: usize, bytes: &[u8]) -> V
 fn restore_refuses_stats_that_disagree_with_the_rows_or_are_not_finite() {
     for victim in victims() {
         let back = IncrementalUcpc::restore(victim).unwrap();
-        // META is the first chunk: after pruning 17, the six u64 fields
-        // from m at 18 to n_free at 58, versions k × u64 from 66, then
-        // totals 6 × f64 and cluster 0's STATS: size u64, psi m × f64.
-        let k = back.k();
-        let size_at = 66 + 8 * k + 6 * 8;
+        // META is the first chunk: after pruning 17, the five u64 fields
+        // from m at 18 to n_free at 50, then cluster 0's STATS from 58:
+        // size u64, psi m × f64.
+        let size_at = 58;
         let size = u64::from_le_bytes(victim[size_at..size_at + 8].try_into().unwrap());
         assert_eq!(size as usize, back.sizes()[0], "offsets match the format");
         assert!(size > 0, "cluster 0 has members");

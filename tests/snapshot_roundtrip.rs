@@ -203,8 +203,8 @@ fn streaming_snapshot_roundtrips_and_older_versions_are_rejected() {
         assert_eq!(sink.bytes(), &bytes[..], "streamed bytes diverged: {what}");
         let back = IncrementalUcpc::restore(&bytes).expect("restores");
         assert_matches_reference(&back, &reference(&script), &what);
-        // Versions 1 to 3 are no longer read: one format, version 4.
-        for version in [1u8, 2, 3] {
+        // Versions 1 to 4 are no longer read: one format, version 5.
+        for version in [1u8, 2, 3, 4] {
             let mut old = bytes.clone();
             old[8..12].copy_from_slice(&u32::from(version).to_le_bytes());
             assert_eq!(
@@ -214,6 +214,32 @@ fn streaming_snapshot_roundtrips_and_older_versions_are_rejected() {
             );
         }
     }
+}
+
+/// Drift bookkeeping depends on which passes an engine ran, so version 5
+/// leaves it out: the same clustering reached through different pass
+/// histories writes the same bytes. One engine runs the script pruned
+/// (tracked edits after its first pass), one runs it unpruned and switches
+/// pruning on at the end (never tracked), and one is restored mid-script
+/// (cold cache, watermarks from zero).
+#[test]
+fn engines_with_different_pass_histories_write_identical_snapshots() {
+    let script = churn_script(44, 160);
+    let pruned = run(PruningConfig::Bounds, &script, None);
+    let mut unpruned = run(PruningConfig::Off, &script, None);
+    unpruned.set_pruning(PruningConfig::Bounds);
+    let recovered = run(PruningConfig::Bounds, &script, Some(script.len() / 2));
+    let drift_of =
+        |e: &IncrementalUcpc| -> Vec<_> { e.cluster_stats().iter().map(|s| s.drift()).collect() };
+    assert!(
+        pruned.pruning_counters().skips > 0,
+        "the pruned run skipped"
+    );
+    assert_ne!(drift_of(&pruned), drift_of(&unpruned), "histories differ");
+    assert_ne!(drift_of(&pruned), drift_of(&recovered), "histories differ");
+    let bytes = pruned.snapshot();
+    assert_eq!(unpruned.snapshot(), bytes, "unpruned history");
+    assert_eq!(recovered.snapshot(), bytes, "recovered history");
 }
 
 proptest! {
