@@ -28,9 +28,9 @@
 //! * [`relocation::naive_pass`] — the original three-sweep Corollary-1
 //!   evaluation (per-dimension loops over `Moments`);
 //! * [`relocation::kernel_pass`] — the production scan:
-//!   `ucpc_core::pruning::best_candidate` over a flat
-//!   [`ucpc_uncertain::MomentArena`], one fused (dot3-batched,
-//!   runtime-dispatched) dot product per candidate;
+//!   `ucpc_core::pruning::PricingTable::relocation` over a flat
+//!   [`ucpc_uncertain::MomentArena`], every candidate's cross term from
+//!   one runtime-dispatched `dot_block` over the table's mean-sum rows;
 //! * [`relocation::simd_comparison`] — the same kernel pass with the
 //!   scalar backend forced vs the machine's detected SIMD backend
 //!   (`ucpc_uncertain::simd`), asserting byte-identical labels from the

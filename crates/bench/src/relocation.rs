@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use ucpc_core::objective::ClusterStats;
-use ucpc_core::pruning::{best_candidate, PruneCounters, PruningConfig};
+use ucpc_core::pruning::{PricingTable, PruneCounters, PruningConfig};
 use ucpc_core::Ucpc;
 use ucpc_datasets::uncertainty::{NoiseKind, PdfAssignment, SpreadScaling, UncertaintyModel};
 use ucpc_uncertain::simd::{self, Backend};
@@ -129,12 +129,13 @@ pub fn naive_pass(w: &Workload) -> f64 {
     acc
 }
 
-/// The same evaluation-only pass on the scalar-aggregate delta-`J` kernel:
-/// one fused dot product per candidate over the arena's contiguous rows,
-/// routed through [`best_candidate`] — the exact (dot3-batched, runtime-
-/// dispatched) scan the relocation drivers run, so this measures the
-/// production code path under whichever SIMD backend is active.
+/// The same evaluation-only pass on the scalar-aggregate delta-`J` kernel,
+/// through the scan the engine runs: [`PricingTable::relocation`] prices
+/// every candidate with one `dot_block` over the table's `k × m` mean-sum
+/// rows plus hoisted per-cluster pricers (the table is filled once, since
+/// the pass moves nothing), under whichever SIMD backend is active.
 pub fn kernel_pass(w: &Workload) -> f64 {
+    let mut table = PricingTable::new(w.arena.dims(), w.k);
     let mut acc = 0.0;
     for i in 0..w.arena.len() {
         let src = w.labels[i];
@@ -142,7 +143,7 @@ pub fn kernel_pass(w: &Workload) -> f64 {
             continue;
         }
         let v = w.arena.view(i);
-        if let Some((_, delta)) = best_candidate(&w.stats, src, &v) {
+        if let Some((_, delta, _)) = table.relocation(&w.stats, src, &v) {
             acc += delta;
         }
     }

@@ -86,8 +86,8 @@
 use crate::framework::{validate_labels, ClusterError};
 use crate::objective::{total_objective, ClusterStats};
 use crate::pruning::{
-    apply_insert, apply_relocation, apply_remove, best_insertion, best_move, fp_scale, DriftTotals,
-    PassState, PruneCache, PruneCounters, PruningConfig,
+    apply_insert, apply_relocation, apply_remove, best_move, fp_scale, DriftTotals, PassState,
+    PricingTable, PruneCache, PruneCounters, PruningConfig,
 };
 use crate::wal::{LogEntry, LogOp};
 use ucpc_uncertain::{MomentArena, Moments, SlabArena, UncertainObject};
@@ -158,6 +158,11 @@ pub struct IncrementalUcpc {
     pub(crate) totals: DriftTotals,
     pub(crate) cache: PruneCache,
     pub(crate) counters: PruneCounters,
+    /// What placement and relocation scans price against: every cluster's
+    /// `mean_sum` row and pricers, re-derived lazily. Every write to
+    /// `stats` marks the clusters it touched stale ([`Self::apply_round`],
+    /// [`Self::relocate`], [`Self::retire_cache`]).
+    pub(crate) table: PricingTable,
 }
 
 impl IncrementalUcpc {
@@ -181,6 +186,7 @@ impl IncrementalUcpc {
             totals: DriftTotals::default(),
             cache: PruneCache::new(0, k),
             counters: PruneCounters::default(),
+            table: PricingTable::new(m, k),
         })
     }
 
@@ -220,6 +226,7 @@ impl IncrementalUcpc {
     pub(crate) fn relabel(&mut self, labels: &[usize]) -> Result<(), ClusterError> {
         validate_labels(labels, self.labels.len(), self.k)?;
         self.stats.fill(ClusterStats::empty(self.m));
+        self.retire_cache();
         let mut norms_finite = true;
         for (i, (slot, &c)) in self.labels.iter_mut().zip(labels).enumerate() {
             let v = self.slab.view(i);
@@ -237,17 +244,18 @@ impl IncrementalUcpc {
         self.versions.fill(0);
         self.totals = DriftTotals::default();
         self.counters = PruneCounters::default();
-        self.retire_cache();
         Ok(())
     }
 
     /// Retires every cached bound (epoch bump) and stops drift tracking
     /// until the next pruned pass. The one writer of both, so "not
     /// tracking ⇒ no prune-cache entry carries the current epoch" holds
-    /// everywhere.
+    /// everywhere. Every caller replaces the statistics wholesale, so
+    /// every pricing-table row goes stale too.
     fn retire_cache(&mut self) {
         self.epoch += 1;
         self.tracking = false;
+        self.table.mark_all_stale();
     }
 
     /// Alias of [`Self::new`]: [`StreamBackend::Slab`] is the only store.
@@ -326,9 +334,10 @@ impl IncrementalUcpc {
 
     /// Inserts an object into the cluster that minimizes the objective
     /// increase (O(k·m) by Corollary 1) and returns its generation-stamped
-    /// handle. The placement scan is the dot3-batched [`best_insertion`]
-    /// kernel over all `k` clusters, whatever the pruning setting: pruning
-    /// governs relocation passes only.
+    /// handle. The placement scan prices all `k` clusters with one
+    /// `dot_block` over the engine's [`PricingTable`], whatever the pruning
+    /// setting (pruning governs relocation passes only), and picks what the
+    /// reference [`crate::pruning::best_insertion`] would.
     pub fn insert(&mut self, object: &UncertainObject) -> Result<ObjectHandle, ClusterError> {
         self.insert_moments(object.moments())
     }
@@ -351,7 +360,11 @@ impl IncrementalUcpc {
         if !v.is_finite() {
             return Err(ClusterError::NonFinite);
         }
-        let (cluster, _delta) = best_insertion(&self.stats, &v).expect("k >= 1 clusters");
+        // Invariant: `new` refuses `k == 0`, so there is a cluster to pick.
+        let (cluster, _delta) = self
+            .table
+            .placement(&self.stats, &v)
+            .expect("k >= 1 clusters");
         let h = self.next_handle();
         let op = LogOp::Insert {
             slot: h.slot() as u32,
@@ -430,6 +443,7 @@ impl IncrementalUcpc {
                         .tracking
                         .then_some((&mut self.totals, &mut self.versions[..]));
                     apply_remove(&mut self.stats, c, &v, drift);
+                    self.table.mark_stale(c);
                     // A departure frees its slot.
                     self.slab
                         .remove(h)
@@ -457,6 +471,7 @@ impl IncrementalUcpc {
                         .tracking
                         .then_some((&mut self.totals, &mut self.versions[..]));
                     apply_insert(&mut self.stats, c, &v, drift);
+                    self.table.mark_stale(c);
                     if s == self.labels.len() {
                         self.labels.push(Some(c));
                     } else {
@@ -482,6 +497,8 @@ impl IncrementalUcpc {
             .tracking
             .then_some((&mut self.totals, &mut self.versions[..]));
         apply_relocation(&mut self.stats, src, dst, &v, drift);
+        self.table.mark_stale(src);
+        self.table.mark_stale(dst);
         self.labels[s] = Some(dst);
         if s < self.cache.len() {
             self.cache.invalidate(s);
@@ -528,10 +545,10 @@ impl IncrementalUcpc {
                     epoch: self.epoch,
                     scale,
                 };
-                let cache = pruned.then_some(&mut self.cache);
+                let cache = pruned.then_some((&mut self.cache, &mut self.counters));
                 let gen = self.slab.generation(i);
-                let Some((dst, _)) = best_move(&pass, cache, i, gen, src, &v, &mut self.counters)
-                else {
+                let table = &mut self.table;
+                let Some((dst, _)) = best_move(&pass, table, cache, i, gen, src, &v) else {
                     continue;
                 };
                 // `i` is live in `src`, and the scan picks an existing

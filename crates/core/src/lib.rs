@@ -25,8 +25,9 @@
 //!   per-cluster sufficient statistics and scalar aggregates so that
 //!   [`objective::ClusterStats::delta_j_add`] /
 //!   [`objective::ClusterStats::delta_j_remove`] price a relocation in
-//!   O(m), and [`pruning::best_candidate`] batches candidate clusters in
-//!   threes through the fused `dot3` pass.
+//!   O(m), and the engine's [`pruning::PricingTable`] prices all `k`
+//!   candidates of a decision with one `dot_block` over a `k × m` copy of
+//!   the mean sums plus `k` hoisted pricers.
 //! * **Pruning tiers** — [`pruning`] caches each object's best/second-best
 //!   deltas and bounds how much any cluster's delta can have drifted since
 //!   (tier 0 globally in O(1), tier 1 per cluster in O(k), tier 2
@@ -44,9 +45,9 @@
 //! claim restart indices from one shared counter, sized by
 //! [`restarts::BestOfRestarts::threads`] (env knob `UCPC_THREADS`).
 //! The streaming driver ([`incremental::IncrementalUcpc`]) stores its live
-//! window in a [`ucpc_uncertain::SlabArena`] (free-list row reuse), routes
-//! placements through the dot3-batched
-//! [`pruning::best_insertion`] scan, and, once a pruned pass has cached
+//! window in a [`ucpc_uncertain::SlabArena`] (free-list row reuse), places
+//! each arrival through the same pricing table (one `dot_block` over every
+//! cluster), and, once a pruned pass has cached
 //! bounds, performs edits through the drift-tracked updates so those
 //! bounds survive them — only a cluster passing through size < 2
 //! surgically invalidates the entries rooted in it, via the per-cluster

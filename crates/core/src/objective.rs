@@ -458,50 +458,39 @@ impl ClusterStats {
     #[inline]
     pub fn delta_j_add(&self, v: &MomentView<'_>) -> f64 {
         debug_assert_eq!(v.dims(), self.dims(), "dimension mismatch");
-        self.delta_j_add_with_cross(v, dot(&self.mean_sum, v.mu))
+        let cross = dot(&self.mean_sum, v.mu);
+        self.add_pricer()
+            .price(v.sum_var, v.sum_mu_sq, v.sum_mu2, cross)
     }
 
-    /// [`Self::delta_j_add`] with the `⟨s, mu(o)⟩` cross term supplied by
-    /// the caller — the hook that lets a candidate scan batch several
-    /// clusters' cross terms into one fused [`ucpc_uncertain::simd::dot3`]
-    /// pass over the object's `mu` row. `cross` must be the dot product of
-    /// [`Self::mean_sum`] with `v.mu` computed by the dispatched kernel;
-    /// because `dot3`'s components are bit-identical to single `dot` calls,
-    /// batched and unbatched scans produce identical deltas.
-    #[inline]
-    pub fn delta_j_add_with_cross(&self, v: &MomentView<'_>, cross: f64) -> f64 {
-        self.delta_j_add_from_parts(v.sum_var, v.sum_mu_sq, v.sum_mu2, cross)
-    }
-
-    /// [`Self::delta_j_add_with_cross`] with the object reduced to the three
-    /// scalars the formula actually reads (`Σvar`, `‖mu‖²`, `Σμ₂`) — the
-    /// hook for batch pricing loops that stage those scalars once per
-    /// arrival instead of materializing a [`MomentView`] per (cluster,
-    /// arrival) pair. This *is* the Corollary-1 delta: every other add-side
-    /// delta entry point delegates here, so all of them are bit-identical
-    /// by construction.
-    #[inline]
-    pub fn delta_j_add_from_parts(
-        &self,
-        sum_var: f64,
-        sum_mu_sq: f64,
-        sum_mu2: f64,
-        cross: f64,
-    ) -> f64 {
-        self.add_pricer().price(sum_var, sum_mu_sq, sum_mu2, cross)
-    }
-
-    /// The cluster's add-side pricing constants, hoisted for a batch loop:
-    /// `1/(|C|+1)` and the base objective `J(C)` cost one division each and
-    /// are identical for every arrival priced against the same statistics,
-    /// so a `B × k` pricing pass pays them once per cluster instead of once
-    /// per (cluster, arrival). [`Self::delta_j_add_from_parts`] delegates to
+    /// The cluster's add-side pricing constants, hoisted for a candidate
+    /// scan: `1/(|C|+1)` and the base objective `J(C)` cost one division
+    /// each and are identical for every object priced against the same
+    /// statistics, so a scan pays them once per cluster instead of once per
+    /// (cluster, object). [`Self::delta_j_add`] delegates to
     /// [`AddPricer::price`], keeping every add-side delta bit-identical by
     /// construction.
     #[inline]
     pub fn add_pricer(&self) -> AddPricer {
         AddPricer {
             new_inv: 1.0 / (self.size + 1) as f64,
+            psi_tot: self.psi_tot,
+            s_sq_tot: self.s_sq_tot,
+            phi_tot: self.phi_tot,
+            j_base: self.j(),
+        }
+    }
+
+    /// The cluster's remove-side pricing constants, hoisted like
+    /// [`Self::add_pricer`]; [`Self::delta_j_remove`] delegates to
+    /// [`RemovePricer::price`]. A cluster of at most one member prices
+    /// every removal at `−J(C)` (for an empty cluster, which no scan removes
+    /// from, that is `−0.0`).
+    #[inline]
+    pub fn remove_pricer(&self) -> RemovePricer {
+        RemovePricer {
+            last: self.size <= 1,
+            new_inv: 1.0 / self.size.saturating_sub(1) as f64,
             psi_tot: self.psi_tot,
             s_sq_tot: self.s_sq_tot,
             phi_tot: self.phi_tot,
@@ -578,18 +567,18 @@ impl ClusterStats {
     #[inline]
     pub fn delta_j_remove(&self, v: &MomentView<'_>) -> f64 {
         debug_assert_eq!(v.dims(), self.dims(), "dimension mismatch");
+        // Invariant: callers price the removal of a member, so the cluster
+        // holds at least one; an empty one means the caller lost track of
+        // its labels.
         assert!(self.size > 0, "cannot remove from an empty cluster");
-        if self.size == 1 {
-            return -self.j();
-        }
-        let cross = dot(&self.mean_sum, v.mu);
-        let new_inv = 1.0 / (self.size - 1) as f64;
-        let psi = self.psi_tot - v.sum_var;
-        // ⟨s − mu, mu⟩ = ⟨s, mu⟩ − Σ mu², so against the pre-removal sums:
-        // S₂' = S₂ − 2⟨s, mu⟩ + Σ mu².
-        let s_sq = self.s_sq_tot - 2.0 * cross + v.sum_mu_sq;
-        let j_new = (psi - s_sq) * new_inv + self.phi_tot - v.sum_mu2;
-        j_new - self.j()
+        // A singleton's removal gain reads no cross term.
+        let cross = if self.size == 1 {
+            0.0
+        } else {
+            dot(&self.mean_sum, v.mu)
+        };
+        self.remove_pricer()
+            .price(v.sum_var, v.sum_mu_sq, v.sum_mu2, cross)
     }
 
     /// `J_UK(C ∪ {o}) − J_UK(C)` via the kernel (Lemma 1 analogue of
@@ -670,11 +659,10 @@ impl ClusterStats {
 }
 
 /// Per-cluster constants of the Corollary-1 add delta, captured once by
-/// [`ClusterStats::add_pricer`] so a batch pricing loop pays the two
-/// divisions (`1/(|C|+1)` and the one inside `J(C)`) per cluster rather
-/// than per (cluster, arrival). [`AddPricer::price`] is *the*
-/// implementation of the delta — [`ClusterStats::delta_j_add_from_parts`]
-/// (and through it every add-side entry point) delegates here.
+/// [`ClusterStats::add_pricer`] so a scan pays the two divisions
+/// (`1/(|C|+1)` and the one inside `J(C)`) per cluster rather than per
+/// (cluster, object). [`AddPricer::price`] is *the* implementation of the
+/// delta — [`ClusterStats::delta_j_add`] delegates here.
 #[derive(Debug, Clone, Copy)]
 pub struct AddPricer {
     new_inv: f64,
@@ -685,15 +673,47 @@ pub struct AddPricer {
 }
 
 impl AddPricer {
-    /// Objective change of adding an arrival reduced to its three scalars
-    /// plus the `⟨s, mu⟩` cross term — operation-for-operation the
-    /// Corollary-1 formula of [`ClusterStats::delta_j_add_from_parts`], so
-    /// hoisted and unhoisted evaluation produce identical bits.
+    /// Objective change of adding an object reduced to its three scalars
+    /// (`Σvar`, `‖mu‖²`, `Σμ₂`) plus the `⟨s, mu⟩` cross term — the
+    /// Corollary-1 formula, so hoisted and unhoisted evaluation produce
+    /// identical bits.
     #[inline]
     pub fn price(&self, sum_var: f64, sum_mu_sq: f64, sum_mu2: f64, cross: f64) -> f64 {
         let psi = self.psi_tot + sum_var;
         let s_sq = self.s_sq_tot + 2.0 * cross + sum_mu_sq;
         let j_new = (psi - s_sq) * self.new_inv + self.phi_tot + sum_mu2;
+        j_new - self.j_base
+    }
+}
+
+/// Per-cluster constants of the Corollary-1 remove delta, captured once by
+/// [`ClusterStats::remove_pricer`]; [`RemovePricer::price`] is *the*
+/// implementation of the removal gain — [`ClusterStats::delta_j_remove`]
+/// delegates here.
+#[derive(Debug, Clone, Copy)]
+pub struct RemovePricer {
+    /// At most one member: the removal gain is `−J(C)`, whatever the object.
+    last: bool,
+    new_inv: f64,
+    psi_tot: f64,
+    s_sq_tot: f64,
+    phi_tot: f64,
+    j_base: f64,
+}
+
+impl RemovePricer {
+    /// Objective change of removing a member reduced to its three scalars
+    /// plus the `⟨s, mu⟩` cross term against the pre-removal sums.
+    #[inline]
+    pub fn price(&self, sum_var: f64, sum_mu_sq: f64, sum_mu2: f64, cross: f64) -> f64 {
+        if self.last {
+            return -self.j_base;
+        }
+        let psi = self.psi_tot - sum_var;
+        // ⟨s − mu, mu⟩ = ⟨s, mu⟩ − Σ mu², so against the pre-removal sums:
+        // S₂' = S₂ − 2⟨s, mu⟩ + Σ mu².
+        let s_sq = self.s_sq_tot - 2.0 * cross + sum_mu_sq;
+        let j_new = (psi - s_sq) * self.new_inv + self.phi_tot - sum_mu2;
         j_new - self.j_base
     }
 }

@@ -92,8 +92,8 @@
 //!   candidate, so the argmin is decided by the add terms alone. If
 //!   `best + D_best < second − D_oth` (strictly), the cached `c*` is still
 //!   the unique argmin; the pass recomputes the *exact* delta for `c*` only
-//!   (two fused dot products instead of `k`) with the identical kernel
-//!   calls an unpruned scan would issue for `c*`, and applies the identical
+//!   (one two-row [`dot_block`] instead of `k` rows) with the identical
+//!   pricing an unpruned scan would do for `c*`, and applies the identical
 //!   decision — bit-for-bit, because the float operations are the same.
 //!
 //! A preliminary **tier 0** runs both tests with a single global
@@ -154,13 +154,20 @@
 //!
 //! Lines 8–13 of Algorithm 1 exist once, here. The one relocation loop,
 //! `IncrementalUcpc::stabilize` (which batch `Ucpc` runs on a bulk-loaded
-//! engine), decides each move with [`best_move`] — the reference
-//! [`best_candidate`] scan without a cache, the tier ladder above with one
-//! — and applies it with [`apply_relocation`], under the one threshold
-//! [`TOLERANCE`]. Pruning lives in this step only: placing an arrival is
-//! always the full dot3-batched [`best_insertion`] scan, one fused dot
-//! product per cluster, which a Cauchy–Schwarz cap on the cross term was
-//! measured too loose to beat.
+//! engine), decides each move with [`best_move`] — the full scan without a
+//! cache, the tier ladder above with one — and applies it with
+//! [`apply_relocation`], under the one threshold [`TOLERANCE`]. Pruning
+//! lives in this step only: placing an arrival is always the full scan over
+//! every cluster, which a Cauchy–Schwarz cap on the cross term was measured
+//! too loose to beat.
+//!
+//! Every scan the engine runs — placement, the full relocation scan and the
+//! tier-2 confirm — prices through one [`PricingTable`]: one
+//! [`dot_block`] over a `k × m` copy of the clusters' mean sums yields every
+//! cross term `⟨s_C, mu(o)⟩`, and each cluster's hoisted [`AddPricer`] and
+//! [`RemovePricer`] turn them into deltas in O(1). The stateless
+//! [`best_candidate`] and [`best_insertion`] loops are the reference the
+//! table is held to, bit for bit.
 //!
 //! [`apply_insert`], [`apply_remove`] and [`apply_relocation`] each keep a
 //! plain (untracked) fork on purpose: the statistics are bit-identical
@@ -173,8 +180,9 @@
 //! ns/edit. The engine passes drift only while a pruned pass's entries
 //! are live.
 
-use crate::objective::{ClusterDrift, ClusterStats};
+use crate::objective::{AddPricer, ClusterDrift, ClusterStats, RemovePricer};
 use ucpc_uncertain::arena::MomentView;
+use ucpc_uncertain::simd::dot_block;
 
 /// Whether the relocation loops use the drift-bound candidate pruning.
 ///
@@ -443,151 +451,264 @@ pub fn fp_scale(stats: &[ClusterStats]) -> f64 {
 
 /// The reference `k−1` candidate scan: removal gain from `src` plus
 /// `delta_j_add` against every other cluster, strict-less minimum (first
-/// index wins ties). Every relocation driver routes its unpruned scans
-/// through here so the tie-break semantics the pruning exactness guarantee
-/// depends on exist in exactly one place.
-///
-/// Candidates are batched in threes through the fused
-/// [`ucpc_uncertain::simd::dot3`] kernel, which loads the object's `mu` row
-/// once per block instead of once per candidate; `dot3`'s components are
-/// bit-identical to single `dot` calls (rows below the SIMD dispatch
-/// threshold included: both take the same unfused core) and the deltas are
-/// consumed in ascending cluster order, so batching changes wall-clock time
-/// and nothing else.
+/// index wins ties). A plain stateless loop, one dispatched dot product per
+/// candidate: the engine decides through [`PricingTable::relocation`],
+/// which returns the same winner and the same bits, and this loop is the
+/// oracle the reference model and the benchmarks hold it to.
 pub fn best_candidate(
     stats: &[ClusterStats],
     src: usize,
     v: &MomentView<'_>,
 ) -> Option<(usize, f64)> {
     let removal_gain = stats[src].delta_j_remove(v);
-    scan::<false>(stats, src, removal_gain, v).map(|(dst, delta, _)| (dst, delta))
-}
-
-/// The streaming *placement* scan: the cluster minimizing `delta_j_add`
-/// over **all** `k` clusters (no source to leave, no removal gain) — what
-/// `IncrementalUcpc::insert` runs per arriving object, pruning on or off,
-/// O(k·m) by Corollary 1. Shares the dot3-batched scan body of
-/// [`best_candidate`], so placement gets the same SIMD batching as
-/// relocation and the deltas are bit-identical to a per-cluster
-/// `delta_j_add` loop (strict-less minimum, first index wins ties). `None`
-/// only for an empty cluster slice.
-pub fn best_insertion(stats: &[ClusterStats], v: &MomentView<'_>) -> Option<(usize, f64)> {
-    scan::<false>(stats, usize::MAX, 0.0, v).map(|(dst, delta, _)| (dst, delta))
-}
-
-/// [`best_candidate`] with runner-up tracking: additionally returns the
-/// minimum delta over the candidates other than the winner (`+∞` when k=2),
-/// which is what a pruned full scan caches as the second-best margin. The
-/// winner and its delta are bit-identical to [`best_candidate`]'s — both
-/// are monomorphizations of one scan, so the comparison sequence deciding
-/// `best` exists once.
-fn best_candidate_with_second(
-    stats: &[ClusterStats],
-    src: usize,
-    v: &MomentView<'_>,
-) -> Option<(usize, f64, f64)> {
-    let removal_gain = stats[src].delta_j_remove(v);
-    scan::<true>(stats, src, removal_gain, v)
-}
-
-/// The shared scan body: offers `base + delta_j_add(c)` for every cluster
-/// `c != skip` in ascending order (`skip = usize::MAX` ⇒ no exclusion, the
-/// insertion-placement case; relocation scans pass `skip = src` and the
-/// removal gain as `base`). `SECOND` compiles the runner-up tracking in or
-/// out; the candidate deltas and the best-selection comparisons are the
-/// same instructions either way. `second` is `+∞` when not tracked.
-#[inline]
-fn scan<const SECOND: bool>(
-    stats: &[ClusterStats],
-    skip: usize,
-    base: f64,
-    v: &MomentView<'_>,
-) -> Option<(usize, f64, f64)> {
-    /// Folds one candidate delta into the best/second state with the
-    /// strict-less, first-index-wins-ties semantics the exactness guarantee
-    /// pins. Candidates must be offered in ascending cluster order.
-    #[inline(always)]
-    fn consider<const SECOND: bool>(
-        best: &mut Option<(usize, f64)>,
-        second: &mut f64,
-        dst: usize,
-        delta: f64,
-    ) {
-        match *best {
-            Some((_, bd)) if delta >= bd => {
-                if SECOND && delta < *second {
-                    *second = delta;
-                }
-            }
-            Some((_, bd)) => {
-                if SECOND {
-                    *second = bd;
-                }
-                *best = Some((dst, delta));
-            }
-            None => *best = Some((dst, delta)),
-        }
-    }
-
-    let mut best: Option<(usize, f64)> = None;
+    let mut best = None;
     let mut second = f64::INFINITY;
-    // Candidates in ascending order, skipping `skip`: whole blocks of three
-    // share one fused dot3 pass that loads the object's mu row once, and
-    // the last one or two take the plain dispatched dot — by the
-    // bit-identity contract the same bits a dot3 block would produce.
-    let k = stats.len();
-    let mut next = 0usize;
-    let mut take = || {
-        if next == skip {
-            next += 1;
-        }
-        next += 1;
-        next - 1
-    };
-    for _ in 0..(k - usize::from(skip < k)) / 3 {
-        let block = [take(), take(), take()];
-        let crosses = ucpc_uncertain::simd::dot3(
-            v.mu,
-            stats[block[0]].mean_sum(),
-            stats[block[1]].mean_sum(),
-            stats[block[2]].mean_sum(),
-        );
-        for (&c, &cross) in block.iter().zip(&crosses) {
-            let delta = base + stats[c].delta_j_add_with_cross(v, cross);
-            consider::<SECOND>(&mut best, &mut second, c, delta);
+    for (c, stat) in stats.iter().enumerate() {
+        if c != src {
+            consider(
+                &mut best,
+                &mut second,
+                c,
+                removal_gain + stat.delta_j_add(v),
+            );
         }
     }
-    for (c, stat) in stats.iter().enumerate().skip(next) {
-        if c != skip {
-            let delta = base + stat.delta_j_add(v);
-            consider::<SECOND>(&mut best, &mut second, c, delta);
+    best
+}
+
+/// The reference *placement* scan: the cluster minimizing `delta_j_add`
+/// over **all** `k` clusters (no source to leave, no removal gain), O(k·m)
+/// by Corollary 1, with the same strict-less, first-index-wins-ties fold
+/// as [`best_candidate`]. `IncrementalUcpc::insert` places through
+/// [`PricingTable::placement`], which returns the same winner and the same
+/// bits. `None` only for an empty cluster slice.
+pub fn best_insertion(stats: &[ClusterStats], v: &MomentView<'_>) -> Option<(usize, f64)> {
+    let mut best = None;
+    let mut second = f64::INFINITY;
+    for (c, stat) in stats.iter().enumerate() {
+        consider(&mut best, &mut second, c, stat.delta_j_add(v));
+    }
+    best
+}
+
+/// Folds one candidate delta into the best/second state with the
+/// strict-less, first-index-wins-ties semantics the exactness guarantee
+/// pins: `second` ends as the minimum over every candidate but the winner
+/// (`+∞` when there is none). Candidates must be offered in ascending
+/// cluster order.
+#[inline(always)]
+fn consider(best: &mut Option<(usize, f64)>, second: &mut f64, dst: usize, delta: f64) {
+    match *best {
+        Some((_, bd)) if delta >= bd => {
+            if delta < *second {
+                *second = delta;
+            }
+        }
+        Some((_, bd)) => {
+            *second = bd;
+            *best = Some((dst, delta));
+        }
+        None => *best = Some((dst, delta)),
+    }
+}
+
+/// The engine's pricing table: a contiguous `k × m` copy of every
+/// cluster's `mean_sum` plus each cluster's hoisted [`AddPricer`] and
+/// [`RemovePricer`], so that a scan prices all `k` candidates with one
+/// [`dot_block`] over the table (one dispatch, four rows per reduction on
+/// AVX2) and `k` O(1) pricer evaluations, instead of a dispatched dot
+/// product and two divisions per candidate.
+///
+/// Rows are refreshed lazily: the owner marks a cluster stale whenever its
+/// statistics change ([`Self::mark_stale`], [`Self::mark_all_stale`]), and
+/// a scan re-derives the stale rows, and a relocation its own cluster's
+/// stale remover, from the statistics it is handed before it reads them.
+/// A row is a copy and a pricer a pure
+/// function of the statistics, so a refreshed table prices every candidate
+/// with the bits of [`ClusterStats::delta_j_add`] /
+/// [`ClusterStats::delta_j_remove`] (and `dot_block` is bit-identical to
+/// per-row `dot`): the scans agree with [`best_insertion`] and
+/// [`best_candidate`] bit for bit, provided no mark was missed.
+#[derive(Debug, Clone)]
+pub struct PricingTable {
+    m: usize,
+    /// Row `c` is cluster `c`'s `mean_sum` as of its last refresh.
+    means: Vec<f64>,
+    add: Vec<AddPricer>,
+    remove: Vec<RemovePricer>,
+    /// Row `c` and `add[c]` need re-deriving.
+    stale: Vec<bool>,
+    /// The clusters `stale` marks, each once, so a refresh visits only
+    /// those.
+    dirty: Vec<u32>,
+    /// `remove[c]` needs re-deriving. A decision reads only its own
+    /// cluster's remover, so it is refreshed on that read alone: edits
+    /// followed by placements never pay for removers nobody prices.
+    remove_stale: Vec<bool>,
+    /// `0..k`: the row block of a full scan.
+    every: Vec<u32>,
+    /// A full scan's buffer: the cross terms `⟨s_c, mu⟩`, then the deltas.
+    cross: Vec<f64>,
+}
+
+impl PricingTable {
+    /// A table for `k` clusters over `m` dimensions, every row stale.
+    pub fn new(m: usize, k: usize) -> Self {
+        let empty = ClusterStats::empty(m);
+        let every: Vec<u32> = (0..k as u32).collect();
+        Self {
+            m,
+            means: vec![0.0; k * m],
+            add: vec![empty.add_pricer(); k],
+            remove: vec![empty.remove_pricer(); k],
+            stale: vec![true; k],
+            dirty: every.clone(),
+            remove_stale: vec![true; k],
+            every,
+            cross: vec![0.0; k],
         }
     }
-    best.map(|(dst, delta)| (dst, delta, second))
+
+    /// Marks cluster `c`'s row stale: its statistics changed.
+    #[inline]
+    pub fn mark_stale(&mut self, c: usize) {
+        if !std::mem::replace(&mut self.stale[c], true) {
+            self.dirty.push(c as u32);
+        }
+        self.remove_stale[c] = true;
+    }
+
+    /// Marks every row stale: the statistics were replaced wholesale.
+    pub fn mark_all_stale(&mut self) {
+        self.stale.fill(true);
+        self.dirty.clone_from(&self.every);
+        self.remove_stale.fill(true);
+    }
+
+    /// `stats[c]`'s removal pricer, re-derived first if stale.
+    fn remover(&mut self, stats: &[ClusterStats], c: usize) -> RemovePricer {
+        if std::mem::take(&mut self.remove_stale[c]) {
+            self.remove[c] = stats[c].remove_pricer();
+        }
+        self.remove[c]
+    }
+
+    /// Re-derives the stale rows and add pricers from `stats`.
+    fn refresh(&mut self, stats: &[ClusterStats]) {
+        let m = self.m;
+        while let Some(c) = self.dirty.pop() {
+            let c = c as usize;
+            self.stale[c] = false;
+            self.means[c * m..(c + 1) * m].copy_from_slice(stats[c].mean_sum());
+            self.add[c] = stats[c].add_pricer();
+        }
+    }
+
+    /// Fills `cross` with `⟨s_c, mu⟩` for every cluster with one
+    /// `dot_block`, then folds every candidate in ascending order into
+    /// `(best, delta, second)`: for a member of `src`, `src`'s removal gain
+    /// plus the add delta of every other cluster; for an arrival
+    /// (`src = None`), the add delta of every cluster.
+    fn scan(
+        &mut self,
+        stats: &[ClusterStats],
+        src: Option<usize>,
+        v: &MomentView<'_>,
+    ) -> Option<(usize, f64, f64)> {
+        self.refresh(stats);
+        dot_block(v.mu, &self.means, &self.every, &mut self.cross);
+        let (var, mu_sq, mu2) = (v.sum_var, v.sum_mu_sq, v.sum_mu2);
+        // `-0.0 + x` is `x` bit for bit: placement adds nothing.
+        let (skip, base) = match src {
+            Some(s) => (
+                s,
+                self.remover(stats, s).price(var, mu_sq, mu2, self.cross[s]),
+            ),
+            None => (usize::MAX, -0.0),
+        };
+        // Price first, fold second: the pricing loop has no branch to
+        // wait on. The buffer now holds every cluster's delta.
+        for (add, cross) in self.add.iter().zip(&mut self.cross) {
+            *cross = base + add.price(var, mu_sq, mu2, *cross);
+        }
+        let mut best = None;
+        let mut second = f64::INFINITY;
+        for (c, &delta) in self.cross.iter().enumerate() {
+            if c != skip {
+                consider(&mut best, &mut second, c, delta);
+            }
+        }
+        best.map(|(dst, delta)| (dst, delta, second))
+    }
+
+    /// The placement scan against `stats`: [`best_insertion`]'s winner and
+    /// bits. `None` only for `k = 0`.
+    pub fn placement(
+        &mut self,
+        stats: &[ClusterStats],
+        v: &MomentView<'_>,
+    ) -> Option<(usize, f64)> {
+        let best = self.scan(stats, None, v);
+        best.map(|(dst, delta, _)| (dst, delta))
+    }
+
+    /// The relocation scan of a member of `src` against `stats`:
+    /// [`best_candidate`]'s winner and bits, plus the minimum delta over
+    /// the candidates other than the winner (`+∞` when `k = 2`), which a
+    /// pruned full scan caches as the second-best margin. `None` when
+    /// `k = 1`.
+    pub fn relocation(
+        &mut self,
+        stats: &[ClusterStats],
+        src: usize,
+        v: &MomentView<'_>,
+    ) -> Option<(usize, f64, f64)> {
+        self.scan(stats, Some(src), v)
+    }
+
+    /// The exact delta of moving a member of `src` to `dst`, both rows in
+    /// one two-row `dot_block`: the bits a full scan computes for `dst`.
+    fn confirm(
+        &mut self,
+        stats: &[ClusterStats],
+        src: usize,
+        dst: usize,
+        v: &MomentView<'_>,
+    ) -> f64 {
+        self.refresh(stats);
+        let mut cross = [0.0; 2];
+        dot_block(v.mu, &self.means, &[src as u32, dst as u32], &mut cross);
+        let (var, mu_sq, mu2) = (v.sum_var, v.sum_mu_sq, v.sum_mu2);
+        self.remover(stats, src).price(var, mu_sq, mu2, cross[0])
+            + self.add[dst].price(var, mu_sq, mu2, cross[1])
+    }
 }
 
 /// The one relocation decision of Algorithm 1 (lines 8–9): the best move
 /// of object `i` (cluster `src`, slot generation `gen`, kernel view `v`)
 /// that lowers `J` by more than [`TOLERANCE`], as `(dst, delta)`, or `None`.
+/// Every candidate is priced through `table` against `pass.stats`.
 ///
-/// Without a cache this is the reference scan, [`best_candidate`] filtered
-/// at `-TOLERANCE`, and `counters` do not move. With one it runs the tier
-/// ladder of the module docs — skip, confirm the cached argmin, or full
-/// scan — counting each outcome, and caches a full scan that finds no move.
-/// Either way the answer is bit-identical. The caller applies a returned
-/// move and invalidates `i`'s entry.
+/// Without `pruned` this is the full scan, [`PricingTable::relocation`]
+/// filtered at `-TOLERANCE`. With a cache and its counters it runs the
+/// tier ladder of the module docs — skip, confirm the cached argmin, or
+/// full scan — counting each outcome, and caches a full scan that finds no
+/// move. Either way the answer is bit-identical to [`best_candidate`]
+/// filtered at `-TOLERANCE`. The caller applies a returned move,
+/// invalidates `i`'s entry and marks both clusters stale in `table`.
 #[inline(always)]
 pub fn best_move(
     pass: &PassState<'_>,
-    cache: Option<&mut PruneCache>,
+    table: &mut PricingTable,
+    pruned: Option<(&mut PruneCache, &mut PruneCounters)>,
     i: usize,
     gen: u32,
     src: usize,
     v: &MomentView<'_>,
-    counters: &mut PruneCounters,
 ) -> Option<(usize, f64)> {
-    let Some(cache) = cache else {
-        return best_candidate(pass.stats, src, v).filter(|&(_, delta)| delta < -TOLERANCE);
+    let Some((cache, counters)) = pruned else {
+        let (dst, delta, _) = table.relocation(pass.stats, src, v)?;
+        return (delta < -TOLERANCE).then_some((dst, delta));
     };
     match cache.decide(pass, i, gen, src, v) {
         PruneDecision::Skip => {
@@ -595,15 +716,15 @@ pub fn best_move(
             None
         }
         PruneDecision::ConfirmBest(dst) => {
-            // Same argmin; its exact delta from the identical kernel calls
-            // the full scan would issue.
+            // Same argmin; its exact delta from the identical pricing the
+            // full scan would do.
             counters.confirms += 1;
-            let delta = pass.stats[src].delta_j_remove(v) + pass.stats[dst].delta_j_add(v);
+            let delta = table.confirm(pass.stats, src, dst, v);
             (delta < -TOLERANCE).then_some((dst, delta))
         }
         PruneDecision::FullScan => {
             counters.full_scans += 1;
-            let (dst, delta, second) = best_candidate_with_second(pass.stats, src, v)?;
+            let (dst, delta, second) = table.relocation(pass.stats, src, v)?;
             if delta < -TOLERANCE {
                 return Some((dst, delta));
             }
@@ -1035,6 +1156,7 @@ mod tests {
             let mut versions = vec![0u64; k];
             let mut cache = PruneCache::new(n, k);
             let mut counters = PruneCounters::default();
+            let mut table = PricingTable::new(m, k);
             for _pass in 0..6 {
                 let scale = fp_scale(&stats);
                 // Indexed: the body reassigns `labels[i]` mid-pass.
@@ -1053,14 +1175,14 @@ mod tests {
                         scale,
                     };
                     let before = counters;
-                    let plain = best_move(&p, None, i, 0, src, &v, &mut counters);
-                    assert_eq!(counters, before, "the reference scan counts nothing");
+                    let plain = best_move(&p, &mut table, None, i, 0, src, &v);
                     let want = best_candidate(&stats, src, &v).filter(|&(_, d)| d < -TOLERANCE);
                     assert_eq!(
                         plain.map(|(c, d)| (c, d.to_bits())),
                         want.map(|(c, d)| (c, d.to_bits()))
                     );
-                    let cached = best_move(&p, Some(&mut cache), i, 0, src, &v, &mut counters);
+                    let pruned = Some((&mut cache, &mut counters));
+                    let cached = best_move(&p, &mut table, pruned, i, 0, src, &v);
                     let tiers = [
                         counters.skips - before.skips,
                         counters.confirms - before.confirms,
@@ -1086,6 +1208,8 @@ mod tests {
                             Some((&mut totals, &mut versions)),
                         );
                         cache.invalidate(i);
+                        table.mark_stale(src);
+                        table.mark_stale(dst);
                         labels[i] = dst;
                     }
                 }
@@ -1134,6 +1258,11 @@ mod tests {
                     }
                     assert_eq!(got_c, want_c, "m={m} k={k} probe={probe}");
                     assert_eq!(got_d.to_bits(), want_d.to_bits(), "m={m} k={k}");
+                    let table = PricingTable::new(m, k + 1).placement(&stats, &v);
+                    assert_eq!(
+                        table.map(|(c, d)| (c, d.to_bits())),
+                        Some((want_c, want_d.to_bits()))
+                    );
                 }
             }
         }

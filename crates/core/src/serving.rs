@@ -16,9 +16,9 @@
 //!    flush-start cluster statistics into one cluster-major `k × B` delta
 //!    matrix, one cluster row at a time: one dispatched [`dot_block`] call
 //!    loads that cluster's `mean_sum` row once and fills the row with the
-//!    cross terms (inside, arrivals stream through the same fused [`dot3`]
-//!    batching the relocation scan uses), and the cluster's hoisted
-//!    [`AddPricer`] turns each cross into its delta-`J` in place;
+//!    cross terms (on AVX2, four arrivals per reduction, the kernel the
+//!    engine's own scans use), and the cluster's hoisted [`AddPricer`]
+//!    turns each cross into its delta-`J` in place;
 //! 2. **apply** — requests are replayed in submission order: queries and
 //!    commits fold their column of the matrix into a ranked answer, once
 //!    each; commits, removals and every move of a stabilization become
@@ -40,7 +40,8 @@
 //! **byte-identical** to `B` serial [`IncrementalUcpc::insert`] calls.
 //! That holds by construction:
 //!
-//! * **Deltas.** The serial placement scan, [`best_insertion`], folds
+//! * **Deltas.** The serial placement scan (the engine's pricing table,
+//!   held bit for bit to the reference [`best_insertion`]) folds
 //!   `delta = stats[c].delta_j_add(v)` over ascending `c`, pruning on or
 //!   off. `delta_j_add(v)` is a *pure function* of the bits of
 //!   `stats[c]` and `v`: it *is* `add_pricer().price(.., dot(s_c, mu(v)))`.
@@ -119,7 +120,6 @@
 //!
 //! [`best_insertion`]: crate::pruning::best_insertion
 //! [`dot`]: ucpc_uncertain::simd::dot
-//! [`dot3`]: ucpc_uncertain::simd::dot3
 //! [`dot_block`]: ucpc_uncertain::simd::dot_block
 //! [`AddPricer`]: crate::objective::AddPricer
 //! [`DISPATCH_THRESHOLD`]: ucpc_uncertain::simd::DISPATCH_THRESHOLD

@@ -85,7 +85,7 @@
 use crate::codec::{scan_frames, Reader, Writer, CHECKSUM_MISMATCH};
 use crate::incremental::IncrementalUcpc;
 use crate::objective::ClusterStats;
-use crate::pruning::{DriftTotals, PruneCache, PruneCounters, PruningConfig};
+use crate::pruning::{DriftTotals, PricingTable, PruneCache, PruneCounters, PruningConfig};
 use crate::wal::{DurableIo, IoFault, VecIo};
 use std::fmt;
 use ucpc_uncertain::{MomentArena, SlabArena};
@@ -561,6 +561,7 @@ impl IncrementalUcpc {
             versions: vec![0; k],
             totals: DriftTotals::default(),
             cache: PruneCache::new(0, k),
+            table: PricingTable::new(m, k),
             counters: PruneCounters::default(),
         })
     }

@@ -6,10 +6,9 @@
 //! * [`dot`] — the dispatched `⟨a, b⟩` kernel consumed by
 //!   `ucpc_core::objective::ClusterStats::delta_j_add` and friends through
 //!   its [`crate::arena::dot`] re-export;
-//! * [`dot3`] — a fused variant computing three dot products of one shared
-//!   row against three mean-sum vectors in a single pass
-//!   (`⟨x, a⟩, ⟨x, b⟩, ⟨x, c⟩`), so a candidate scan batching clusters in
-//!   threes loads the object's `mu` row once instead of three times;
+//! * [`dot_block`] — one shared row against a block of rows of a flat
+//!   matrix in a single dispatched call, the primitive behind every
+//!   candidate scan (the engine's pricing table) and the serving flush;
 //! * [`Backend`] — the explicit backend set (scalar, AVX2+FMA, NEON) with
 //!   runtime detection, the `UCPC_SIMD` environment knob, and
 //!   [`force_backend`] for benches and tests;
@@ -52,15 +51,15 @@
 //! changes wall-clock time and nothing else: clustering labels are
 //! byte-identical across backends, which is what lets the whole tier-1 test
 //! suite (including the pruning-exactness guarantees of
-//! `ucpc_core::pruning`) run unchanged under any backend. [`dot3`]'s
-//! per-dot lane structure is identical to [`dot`]'s, so a scan that batches
-//! candidates in threes is bit-identical to one that evaluates them one at
-//! a time.
+//! `ucpc_core::pruning`) run unchanged under any backend. [`dot_block`]'s
+//! per-row lane structure is identical to [`dot`]'s, so a scan that prices
+//! a block of candidates in one call is bit-identical to one that evaluates
+//! them one at a time.
 //!
 //! Rows shorter than [`DISPATCH_THRESHOLD`] bypass dispatch entirely: a
 //! non-inlinable backend call costs more than the (L1-resident) work it
-//! would do, so every entry point — [`dot`], [`dot3`], [`dot_with`],
-//! [`dot3_with`] — routes short rows through the inlined unfused loop
+//! would do, so every entry point — [`dot`], [`dot_block`], [`dot_with`],
+//! [`dot_block_with`] — routes short rows through the inlined unfused loop
 //! *before* consulting the backend. The branch is uniform across entry
 //! points and backend choices, so short rows are backend-independent and
 //! the cross-backend identity holds over the full length range.
@@ -74,8 +73,10 @@
 //! # Performance notes
 //!
 //! The AVX2 path retires four 256-bit FMAs per main-block iteration and is
-//! limited by the two loads it issues per FMA; [`dot3`] lifts that to three
-//! FMAs per four loads by sharing the `x` row. [`Backend::Scalar`] is a
+//! limited by the two loads it issues per FMA. Its [`dot_block`] takes
+//! rows four at a time when `m` is a multiple of 16: the shared `x` row is
+//! loaded once per four FMAs, and the four rows' lanes go through one
+//! vector reduction instead of four horizontal ones. [`Backend::Scalar`] is a
 //! genuine one-element-at-a-time loop: its `f64::mul_add` compiles to a
 //! scalar `fmadd` instruction where the build target has FMA and otherwise
 //! calls libm's correctly-rounded `fma` (glibc dispatches that to hardware
@@ -199,7 +200,7 @@ const NEON: u8 = 3;
 /// The cached dispatch decision; `UNINIT` until first kernel use.
 static ACTIVE: AtomicU8 = AtomicU8::new(UNINIT);
 
-/// The backend the dispatched [`dot`]/[`dot3`] calls will use (resolving it
+/// The backend the dispatched [`dot`]/[`dot_block`] calls will use (resolving it
 /// now if this is the first kernel touch).
 #[inline]
 pub fn active_backend() -> Backend {
@@ -293,52 +294,26 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
-/// Three fused dot products sharing one pass over `x`:
-/// `[⟨x, a⟩, ⟨x, b⟩, ⟨x, c⟩]`.
-///
-/// The candidate scan of the relocation loop evaluates `⟨s_C, mu(o)⟩` for
-/// every candidate cluster `C` against the *same* contiguous `mu(o)` row of
-/// the [`crate::arena::MomentArena`]; batching candidates in threes loads
-/// that row once per block instead of once per candidate. Each component
-/// uses exactly [`dot`]'s lane structure, so `dot3(x, a, b, c)` is
-/// bit-identical to `[dot(x, a), dot(x, b), dot(x, c)]` — scans may batch
-/// or not without changing a single bit of output.
-#[inline]
-pub fn dot3(x: &[f64], a: &[f64], b: &[f64], c: &[f64]) -> [f64; 3] {
-    assert!(
-        a.len() == x.len() && b.len() == x.len() && c.len() == x.len(),
-        "dot3 requires equal-length slices"
-    );
-    if x.len() < DISPATCH_THRESHOLD {
-        return [unfused_core(x, a), unfused_core(x, b), unfused_core(x, c)];
-    }
-    match active_backend() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { avx2::dot3(x, a, b, c) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unsafe { neon::dot3(x, a, b, c) },
-        _ => scalar::dot3(x, a, b, c),
-    }
-}
-
 /// Fused dot products of one shared row `x` against a *block* of rows of a
 /// flat row-major matrix: `out[i] = ⟨x, mu[idx[i]·m .. idx[i]·m+m]⟩` with
 /// `m = x.len()`.
 ///
-/// This is the batch-pricing primitive behind the serving front door: a
-/// micro-batch prices `B` staged arrivals against each cluster's
-/// `mean_sum` row, and calling [`dot`] (or even [`dot3`]) per pair pays
-/// the dispatch branch and the non-inlinable `#[target_feature]` call
-/// frame `B` times per cluster — at placement sizes (`m ≈ 32`) that
-/// overhead rivals the FMA work itself. `dot_block` dispatches **once**
-/// and composes the backend's own `dot3`/`dot` bodies inside a single
-/// target-feature frame (same enabled features ⇒ the triple-dot bodies
-/// inline), so the shared `x` row stays in registers across the block.
+/// This is the pricing primitive of every candidate scan: the engine's
+/// placement and relocation scans price one object's `mu` row against
+/// every cluster's `mean_sum` row of a `k × m` table, and the serving
+/// flush prices one cluster's `mean_sum` row against `B` staged arrivals.
+/// Calling [`dot`] per pair pays the dispatch branch, the non-inlinable
+/// `#[target_feature]` call frame and a horizontal reduction per row — at
+/// these sizes (`m ≈ 16–64`) that overhead rivals the FMA work itself.
+/// `dot_block` dispatches **once**; the AVX2 body takes rows four at a
+/// time, loading each block of `x` once for four rows' FMAs and reducing
+/// the four rows' lanes together.
 ///
 /// Every component is bit-identical to the corresponding single
-/// [`dot(x, row)`](dot) call — the composition reuses the exact per-dot
-/// lane structure, so batched and per-request pricing can never diverge
-/// by a bit (the serving differential harness pins this end to end).
+/// [`dot(x, row)`](dot) call — each row keeps the exact per-dot lane
+/// structure and reduction order, so batched and per-row pricing can never
+/// diverge by a bit (the unit tests pin every block length and remainder,
+/// and the serving differential harness pins it end to end).
 ///
 /// `idx` entries may repeat and appear in any order; each must satisfy
 /// `(idx[i]+1)·m ≤ mu.len()` (checked by the row slicing).
@@ -399,27 +374,6 @@ pub fn dot_with(backend: Backend, a: &[f64], b: &[f64]) -> f64 {
         Backend::Avx2 => unsafe { avx2::dot(a, b) },
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => unsafe { neon::dot(a, b) },
-        #[allow(unreachable_patterns)]
-        _ => unreachable!("availability checked above"),
-    }
-}
-
-/// [`dot3`] through one explicit backend (which must be available).
-pub fn dot3_with(backend: Backend, x: &[f64], a: &[f64], b: &[f64], c: &[f64]) -> [f64; 3] {
-    assert!(
-        a.len() == x.len() && b.len() == x.len() && c.len() == x.len(),
-        "dot3 requires equal-length slices"
-    );
-    assert!(backend.is_available(), "backend not available on this CPU");
-    if x.len() < DISPATCH_THRESHOLD {
-        return [unfused_core(x, a), unfused_core(x, b), unfused_core(x, c)];
-    }
-    match backend {
-        Backend::Scalar => scalar::dot3(x, a, b, c),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { avx2::dot3(x, a, b, c) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unsafe { neon::dot3(x, a, b, c) },
         #[allow(unreachable_patterns)]
         _ => unreachable!("availability checked above"),
     }
@@ -530,14 +484,6 @@ mod scalar {
         combine(main16, main4, tail)
     }
 
-    /// Delegates to three [`dot`] calls: scalar code has no loads to
-    /// amortize, and delegation makes the bit-identity to the one-at-a-time
-    /// scan structural rather than re-derived.
-    #[inline]
-    pub(super) fn dot3(x: &[f64], a: &[f64], b: &[f64], c: &[f64]) -> [f64; 3] {
-        [dot(x, a), dot(x, b), dot(x, c)]
-    }
-
     /// Per-row [`dot`] over the block — no call overhead to amortize in
     /// scalar code, and delegation keeps the bits structural.
     pub(super) fn dot_block(x: &[f64], mu: &[f64], idx: &[u32], out: &mut [f64]) {
@@ -553,8 +499,10 @@ mod scalar {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::{
-        __m256d, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_fmadd_pd,
-        _mm256_loadu_pd, _mm256_setzero_pd, _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_unpackhi_pd,
+        __m256d, _mm256_add_pd, _mm256_blend_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd,
+        _mm256_fmadd_pd, _mm256_hadd_pd, _mm256_loadu_pd, _mm256_permute2f128_pd,
+        _mm256_setzero_pd, _mm256_storeu_pd, _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64,
+        _mm_unpackhi_pd,
     };
 
     /// Canonical 4-lane reduction of one 256-bit accumulator holding lanes
@@ -634,99 +582,82 @@ mod avx2 {
         super::combine(main16, main4, tail)
     }
 
-    /// Truly fused triple dot: the `x` row is loaded once per block and fed
-    /// to three FMA accumulator sets (12 of the 16 ymm registers), lifting
-    /// the loads-per-FMA ratio from 2 to 4/3.
-    ///
-    /// # Safety
-    /// As for [`dot`].
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn dot3(x: &[f64], a: &[f64], b: &[f64], c: &[f64]) -> [f64; 3] {
-        let n = x.len();
-        let px = x.as_ptr();
-        let pa = a.as_ptr();
-        let pb = b.as_ptr();
-        let pc = c.as_ptr();
-        let blocks = n / 16;
-        let has16 = blocks > 0;
-        let mut acc = [[_mm256_setzero_pd(); 4]; 3];
-        for i in 0..blocks {
-            let base = i * 16;
-            // Indexing three accumulator sets with one loop variable is the
-            // point here (shared `xv` per quad); an iterator can't span them.
-            #[allow(clippy::needless_range_loop)]
-            for v in 0..4 {
-                let xv = _mm256_loadu_pd(px.add(base + 4 * v));
-                acc[0][v] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(pa.add(base + 4 * v)), acc[0][v]);
-                acc[1][v] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(pb.add(base + 4 * v)), acc[1][v]);
-                acc[2][v] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(pc.add(base + 4 * v)), acc[2][v]);
-            }
-        }
-        let mut base = blocks * 16;
-        let has4 = base + 4 <= n;
-        let mut quads = [_mm256_setzero_pd(); 3];
-        while base + 4 <= n {
-            let xv = _mm256_loadu_pd(px.add(base));
-            quads[0] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(pa.add(base)), quads[0]);
-            quads[1] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(pb.add(base)), quads[1]);
-            quads[2] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(pc.add(base)), quads[2]);
-            base += 4;
-        }
-        let mut out = [0.0f64; 3];
-        for (d, o) in out.iter_mut().enumerate() {
-            let main16 = if has16 {
-                Some(reduce_ymm(_mm256_add_pd(
-                    _mm256_add_pd(acc[d][0], acc[d][1]),
-                    _mm256_add_pd(acc[d][2], acc[d][3]),
-                )))
-            } else {
-                None
-            };
-            let main4 = if has4 {
-                Some(reduce_ymm(quads[d]))
-            } else {
-                None
-            };
-            let other = match d {
-                0 => a,
-                1 => b,
-                _ => c,
-            };
-            let mut tail = 0.0f64;
-            for i in base..n {
-                tail = x[i].mul_add(other[i], tail);
-            }
-            *o = super::combine(main16, main4, tail);
-        }
-        out
+    /// Reduces four rows' main-block partials at once. `s[d]` holds row
+    /// `d`'s lanes `[r_0, r_1, r_2, r_3]`; lane `d` of the result is row
+    /// `d`'s `(r_0 + r_2) + (r_1 + r_3)`, the association of
+    /// [`reduce_ymm`]. A blend and a lane swap pair `r_0` with `r_2` and
+    /// `r_1` with `r_3` for rows 0 and 2 (1 and 3) in one add, and one
+    /// `hadd` finishes all four rows. Addition commutes bit for bit, so
+    /// rows 2 and 3, whose pairs come out swapped, get the same bits.
+    #[inline(always)]
+    unsafe fn reduce_rows4(s: [__m256d; 4]) -> __m256d {
+        // [s0_0 + s0_2, s0_1 + s0_3, s2_2 + s2_0, s2_3 + s2_1]
+        let u02 = _mm256_add_pd(
+            _mm256_blend_pd::<0b1100>(s[0], s[2]),
+            _mm256_permute2f128_pd::<0x21>(s[0], s[2]),
+        );
+        let u13 = _mm256_add_pd(
+            _mm256_blend_pd::<0b1100>(s[1], s[3]),
+            _mm256_permute2f128_pd::<0x21>(s[1], s[3]),
+        );
+        _mm256_hadd_pd(u02, u13)
     }
 
-    /// Block pricing: triples through [`dot3`], remainder through [`dot`] —
-    /// all inside one `#[target_feature]` frame, so the triple-dot bodies
-    /// inline (matching features) and the dispatch/call overhead is paid
-    /// once per block instead of once per row.
+    /// Four dot products of `x` against the rows at `rows`, for `m` a
+    /// multiple of 16: each row keeps [`dot`]'s four 4-lane
+    /// accumulators, every block of `x` is loaded once for the four rows,
+    /// and [`reduce_rows4`] replaces four horizontal reductions. With no
+    /// quad stage and an empty tail, [`super::combine`] is `main16 + 0.0`,
+    /// added here to all four lanes at once (it turns a `-0.0` into `+0.0`
+    /// exactly as the per-row path does).
+    ///
+    /// # Safety
+    /// As for [`dot`]; every row must hold `x.len()` elements.
+    #[inline(always)]
+    unsafe fn dot_rows4(x: &[f64], rows: [&[f64]; 4]) -> __m256d {
+        let px = x.as_ptr();
+        let pr = rows.map(<[f64]>::as_ptr);
+        let mut acc = [[_mm256_setzero_pd(); 4]; 4];
+        for base in (0..x.len()).step_by(16) {
+            for v in 0..4 {
+                let xv = _mm256_loadu_pd(px.add(base + 4 * v));
+                for (a, p) in acc.iter_mut().zip(&pr) {
+                    a[v] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(p.add(base + 4 * v)), a[v]);
+                }
+            }
+        }
+        // r_j = (l_j + l_{j+4}) + (l_{j+8} + l_{j+12}) per row — reduce16.
+        let mut s = [_mm256_setzero_pd(); 4];
+        for (sd, a) in s.iter_mut().zip(&acc) {
+            *sd = _mm256_add_pd(_mm256_add_pd(a[0], a[1]), _mm256_add_pd(a[2], a[3]));
+        }
+        _mm256_add_pd(reduce_rows4(s), _mm256_setzero_pd())
+    }
+
+    /// Block pricing inside one `#[target_feature]` frame, so dispatch and
+    /// call overhead are paid once per block. When `m` is a multiple of
+    /// 16, rows go four at a time through [`dot_rows4`]; the last `< 4`
+    /// rows, and every row of any other `m`, take [`dot`]'s body.
     ///
     /// # Safety
     /// As for [`dot`].
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn dot_block(x: &[f64], mu: &[f64], idx: &[u32], out: &mut [f64]) {
         let m = x.len();
-        let b = idx.len();
-        let row = |i: usize| {
-            let r = idx[i] as usize;
+        let row = |r: u32| {
+            let r = r as usize;
             &mu[r * m..r * m + m]
         };
-        let mut i = 0usize;
-        while i + 3 <= b {
-            let d = dot3(x, row(i), row(i + 1), row(i + 2));
-            out[i] = d[0];
-            out[i + 1] = d[1];
-            out[i + 2] = d[2];
-            i += 3;
+        let mut done = 0;
+        if m.is_multiple_of(16) {
+            for (o, r) in out.chunks_exact_mut(4).zip(idx.chunks_exact(4)) {
+                let d = dot_rows4(x, [row(r[0]), row(r[1]), row(r[2]), row(r[3])]);
+                _mm256_storeu_pd(o.as_mut_ptr(), d);
+            }
+            done = idx.len() / 4 * 4;
         }
-        while i < b {
-            out[i] = dot(x, row(i));
-            i += 1;
+        for (o, &r) in out[done..].iter_mut().zip(&idx[done..]) {
+            *o = dot(x, row(r));
         }
     }
 }
@@ -790,18 +721,6 @@ mod neon {
         super::combine(main16, main4, tail)
     }
 
-    /// Delegates to three [`dot`] calls: a fused triple would need 24 live
-    /// accumulator registers plus loads, past the 32-register NEON file, and
-    /// the shared `x` row stays L1-resident across the three passes anyway.
-    /// Delegation also makes bit-identity with the unbatched scan structural.
-    ///
-    /// # Safety
-    /// As for [`dot`].
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn dot3(x: &[f64], a: &[f64], b: &[f64], c: &[f64]) -> [f64; 3] {
-        [dot(x, a), dot(x, b), dot(x, c)]
-    }
-
     /// Block pricing: per-row [`dot`] inside one `#[target_feature]` frame
     /// (the row dots inline — matching features), paying dispatch and call
     /// overhead once per block instead of once per row.
@@ -859,55 +778,51 @@ mod tests {
     }
 
     #[test]
-    fn dot3_is_bit_identical_to_three_dots_on_every_backend() {
-        for backend in Backend::available() {
-            for n in 0..70usize {
-                let (x, a) = vecs(n);
-                let b: Vec<f64> = x.iter().map(|v| v * 0.5 + 1.0).collect();
-                let c: Vec<f64> = x.iter().map(|v| 2.0 - v).collect();
-                let fused = dot3_with(backend, &x, &a, &b, &c);
-                let split = [
-                    dot_with(backend, &x, &a),
-                    dot_with(backend, &x, &b),
-                    dot_with(backend, &x, &c),
-                ];
-                for d in 0..3 {
-                    assert_eq!(
-                        fused[d].to_bits(),
-                        split[d].to_bits(),
-                        "{} dot3[{d}] at length {n}",
-                        backend.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn dot_block_is_bit_identical_to_per_row_dots_on_every_backend() {
+        // Rows 0..9 are ordinary; the rest are hostile: all `-0.0`,
+        // alternating `±0.0` (signed-zero products), a `+∞` entry, a `-∞`
+        // entry, and a NaN entry.
+        const NAN_ROW: u32 = 13;
         for backend in Backend::available() {
-            // m brackets the dispatch threshold and exercises 16-block,
-            // quad, and tail lanes; block sizes cover the empty block, the
-            // sub-triple remainder, and full triples; indices are scattered
-            // and repeat.
-            for m in [2usize, 8, 16, 32, 33, 48] {
-                let rows = 9usize;
-                let mu: Vec<f64> = (0..rows * m).map(|i| (i as f64) * 0.29 - 6.3).collect();
+            // m brackets the dispatch threshold and exercises the 16-block
+            // (four-row) path, quads and tails.
+            for m in [2usize, 8, 16, 20, 32, 33, 48, 64] {
+                let mut mu: Vec<f64> = (0..9 * m).map(|i| (i as f64) * 0.29 - 6.3).collect();
+                mu.extend((0..m).map(|_| -0.0));
+                mu.extend((0..m).map(|j| if j % 2 == 0 { 0.0 } else { -0.0 }));
+                for special in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                    let at = mu.len() + m / 2;
+                    mu.extend((0..m).map(|j| 0.5 + j as f64));
+                    mu[at] = special;
+                }
                 let x: Vec<f64> = (0..m).map(|i| 1.7 - (i as f64) * 0.13).collect();
-                let idx_pool: Vec<u32> = vec![4, 0, 8, 2, 2, 7, 1, 5, 3, 6, 0];
-                for b in 0..idx_pool.len() {
-                    let idx = &idx_pool[..b];
-                    let mut out = vec![0.0f64; b];
-                    dot_block_with(backend, &x, &mu, idx, &mut out);
-                    for (i, &r) in idx.iter().enumerate() {
-                        let r = r as usize;
-                        let single = dot_with(backend, &x, &mu[r * m..r * m + m]);
-                        assert_eq!(
-                            out[i].to_bits(),
-                            single.to_bits(),
-                            "{} dot_block[{i}] (row {r}) at m={m}, b={b}",
-                            backend.name()
-                        );
+                // Scattered and repeating; each rotation moves every hostile
+                // row through each lane of a four-row group.
+                let pool: [u32; 13] = [4, 9, 0, 8, 11, 2, 10, 7, 12, 1, 13, 5, 3];
+                for shift in 0..4 {
+                    let mut pool = pool;
+                    pool.rotate_left(shift);
+                    // Every block length from empty to past three groups of
+                    // four, so each remainder length shows up.
+                    for b in 0..=pool.len() {
+                        let idx = &pool[..b];
+                        let mut out = vec![0.0f64; b];
+                        dot_block_with(backend, &x, &mu, idx, &mut out);
+                        for (i, &r) in idx.iter().enumerate() {
+                            let row = &mu[r as usize * m..(r as usize + 1) * m];
+                            let what = format!(
+                                "{} dot_block[{i}] (row {r}) at m={m}, b={b}",
+                                backend.name()
+                            );
+                            if r == NAN_ROW {
+                                assert!(out[i].is_nan(), "{what} swallowed a NaN");
+                                continue;
+                            }
+                            let single = dot_with(backend, &x, row);
+                            assert_eq!(out[i].to_bits(), single.to_bits(), "{what}");
+                            let scalar = dot_with(Backend::Scalar, &x, row);
+                            assert_eq!(out[i].to_bits(), scalar.to_bits(), "{what} vs scalar");
+                        }
                     }
                 }
             }
@@ -997,7 +912,9 @@ mod tests {
     fn empty_and_tiny_inputs() {
         assert_eq!(dot(&[], &[]), 0.0);
         assert_eq!(dot(&[2.0], &[3.0]), 6.0);
-        assert_eq!(dot3(&[], &[], &[], &[]), [0.0; 3]);
+        let mut out = [1.0; 2];
+        dot_block(&[], &[], &[0, 0], &mut out);
+        assert_eq!(out, [0.0; 2]);
     }
 
     #[test]

@@ -7,13 +7,22 @@
 //! Pruning is configured explicitly on both arms so the suite is immune to
 //! the `UCPC_PRUNING` environment knob the CI matrix flips.
 
+mod support;
+
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
+use support::reference::RefStream;
+use ucpc::core::fault::IoFaultPlan;
 use ucpc::core::incremental::IncrementalUcpc;
 use ucpc::core::objective::{ClusterDrift, ClusterStats};
+use ucpc::core::pruning::best_insertion;
 use ucpc::core::restarts::BestOfRestarts;
-use ucpc::core::{LogEntry, LogOp, PruningConfig, Ucpc};
-use ucpc::uncertain::{MomentArena, UncertainObject, UnivariatePdf};
+use ucpc::core::wal::WAL_HEADER_LEN;
+use ucpc::core::{
+    LogEntry, LogOp, PruningConfig, ServingConfig, ServingResponse, ServingUcpc, Ucpc, VecIo,
+    WalFsync,
+};
+use ucpc::uncertain::{MomentArena, ObjectHandle, UncertainObject, UnivariatePdf};
 
 /// Mixed-family random dataset; with `duplicates`, every third object is a
 /// clone of the first (ties must break identically in both arms).
@@ -179,8 +188,8 @@ fn incremental_ucpc_pruned_matches_unpruned_under_interleaved_edits() {
 }
 
 /// The bits of every cluster's statistics: rows, size and `J`.
-fn stats_bits(e: &IncrementalUcpc) -> Vec<u64> {
-    e.cluster_stats()
+fn stats_bits(stats: &[ClusterStats]) -> Vec<u64> {
+    stats
         .iter()
         .flat_map(|s| {
             let rows = s.psi().iter().chain(s.phi()).chain(s.mean_sum());
@@ -254,7 +263,11 @@ fn lazy_drift_tracking_is_bit_neutral_across_pruning_flips() {
                 *(if moved { &mut tracked } else { &mut untracked }) += 1;
             }
             assert_eq!(live.live_labels(), twin.live_labels(), "{what}");
-            assert_eq!(stats_bits(&live), stats_bits(&twin), "{what}");
+            assert_eq!(
+                stats_bits(live.cluster_stats()),
+                stats_bits(twin.cluster_stats()),
+                "{what}"
+            );
             assert_eq!(
                 live.objective().to_bits(),
                 twin.objective().to_bits(),
@@ -358,4 +371,162 @@ fn best_of_restarts_pruned_matches_unpruned() {
         assert!(on.pruning.decisions() > 0);
         assert_eq!(off.pruning.decisions(), 0);
     }
+}
+
+/// The engine against the stateless reference model, bit for bit.
+fn assert_matches_reference(e: &IncrementalUcpc, r: &RefStream, what: &str) {
+    assert_eq!(e.live_labels(), r.live_labels(), "labels: {what}");
+    assert_eq!(
+        stats_bits(e.cluster_stats()),
+        stats_bits(r.cluster_stats()),
+        "statistics: {what}"
+    );
+    assert_eq!(e.objective().to_bits(), r.objective().to_bits(), "{what}");
+}
+
+/// One step of seeded churn on the engine and the reference in lockstep:
+/// an insert whose placement must be the stateless `best_insertion`'s, a
+/// remove, or a stabilize whose relocations (the stateless
+/// `best_candidate` scan's, in `RefStream`) must match move for move.
+fn churn_step(
+    e: &mut IncrementalUcpc,
+    r: &mut RefStream,
+    live: &mut Vec<ObjectHandle>,
+    rng: &mut StdRng,
+    what: &str,
+) {
+    let m = e.cluster_stats()[0].dims();
+    match rng.gen_range(0..10u8) {
+        0..=4 => {
+            let o = &dataset(1, m, rng.next_u64(), false)[0];
+            let (want, _) = best_insertion(e.cluster_stats(), &o.moments().view()).unwrap();
+            let h = e.insert(o).unwrap();
+            assert_eq!(e.label_of(h), Some(want), "placement: {what}");
+            assert_eq!(r.insert(o), Ok(h), "handle: {what}");
+            live.push(h);
+        }
+        5..=7 if live.len() > 1 => {
+            let h = live.swap_remove(rng.gen_range(0..live.len()));
+            e.remove(h).unwrap();
+            r.remove(h).unwrap();
+        }
+        _ => {
+            let passes = rng.gen_range(1..4usize);
+            assert_eq!(
+                e.stabilize(passes),
+                r.stabilize(passes),
+                "relocations: {what}"
+            );
+        }
+    }
+    assert_matches_reference(e, r, what);
+}
+
+/// The engine's pricing table re-derives a cluster's row only when an edit
+/// or move marked it stale. If any mutation path missed its mark, a later
+/// placement or relocation would price against an old row: this script
+/// drives every path — churn with stabilizes, an undone pass (a WAL sink
+/// that cannot hold the round), a snapshot restore, and the relabel
+/// between `BestOfRestarts` restarts — and holds every decision to the
+/// stateless `best_insertion` / `best_candidate` scans bit for bit.
+#[test]
+fn the_pricing_table_never_prices_a_stale_row() {
+    let mut undone_moves = 0;
+    for k in [1usize, 2, 3, 5, 8, 20] {
+        for m in [1usize, 8, 16, 33] {
+            for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
+                let mut rng = StdRng::seed_from_u64((k * 100 + m) as u64);
+                let mut e = IncrementalUcpc::new(m, k).unwrap();
+                e.set_pruning(pruning);
+                let mut r = RefStream::new(m, k);
+                let mut live = Vec::new();
+                let shape = format!("k={k}, m={m}, {pruning:?}");
+                for step in 0..3 * k + 40 {
+                    let what = format!("{shape}, step {step}");
+                    churn_step(&mut e, &mut r, &mut live, &mut rng, &what);
+                }
+
+                // A pass whose round the log cannot hold is undone.
+                undone_moves += r.clone().stabilize(3);
+                let cfg = ServingConfig {
+                    batch: 1,
+                    queue_capacity: 1,
+                    deadline: None,
+                    stabilize_every: 0,
+                    stabilize_passes: 1,
+                    top_k: 1,
+                    wal: false,
+                    wal_fsync: WalFsync::Flush,
+                };
+                let mut serving = ServingUcpc::over(e, cfg);
+                let full = IoFaultPlan::new().byte_limit(WAL_HEADER_LEN);
+                serving.attach_wal(VecIo::with_faults(full)).unwrap();
+                serving.submit_stabilize(3).unwrap();
+                serving.flush();
+                let response = serving.pop_response().map(|(_, resp)| resp);
+                assert!(
+                    matches!(response, Some(ServingResponse::Failed { .. })),
+                    "{shape}: {response:?}"
+                );
+                e = serving.into_engine();
+                assert_matches_reference(&e, &r, &format!("{shape}, undone pass"));
+                for step in 0..30 {
+                    let what = format!("{shape}, after the undo, step {step}");
+                    churn_step(&mut e, &mut r, &mut live, &mut rng, &what);
+                }
+
+                // A restored engine prices from fresh rows.
+                e = IncrementalUcpc::restore(&e.snapshot()).unwrap();
+                for step in 0..30 {
+                    let what = format!("{shape}, after the restore, step {step}");
+                    churn_step(&mut e, &mut r, &mut live, &mut rng, &what);
+                }
+                let what = format!("{shape}, settled");
+                assert_eq!(e.stabilize(50), r.stabilize(50), "{what}");
+                assert_matches_reference(&e, &r, &what);
+
+                // One engine relabelled from restart to restart.
+                let n = 3 * k + 10;
+                let data = dataset(n, m, (k * m) as u64, false);
+                let algorithm = Ucpc {
+                    pruning,
+                    ..Ucpc::default()
+                };
+                let restarts = BestOfRestarts {
+                    algorithm: algorithm.clone(),
+                    restarts: 3,
+                    threads: 1,
+                };
+                let got = restarts
+                    .run(&data, k, &mut StdRng::seed_from_u64(7))
+                    .unwrap();
+                let mut seeds = StdRng::seed_from_u64(7);
+                for (restart, &objective) in got.objectives.iter().enumerate() {
+                    let mut seeded = StdRng::seed_from_u64(seeds.next_u64());
+                    let labels = algorithm.init.initial_partition(&data, k, &mut seeded);
+                    let mut reference = RefStream::from_partition(&data, k, &labels);
+                    for _ in 0..algorithm.max_iters {
+                        if reference.stabilize(1) == 0 {
+                            break;
+                        }
+                    }
+                    let what = format!("{shape}, restart {restart}");
+                    assert_eq!(
+                        objective.to_bits(),
+                        reference.objective().to_bits(),
+                        "{what}"
+                    );
+                    if restart == got.winner {
+                        let want: Vec<usize> = reference
+                            .live_labels()
+                            .into_iter()
+                            .map(|(_, c)| c)
+                            .collect();
+                        assert_eq!(got.best.clustering.labels(), &want[..], "{what}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(undone_moves > 0, "no undone pass moved anything");
 }

@@ -4,7 +4,7 @@
 //! produce *bitwise* the answers and engine state of a serial replay of
 //! the same requests on the per-object reference model `RefStream`
 //! (`tests/support/reference.rs`), across pruning × SIMD backends, and at
-//! both kernel regimes (short rows and the dot3-batched
+//! both kernel regimes (short rows and the dispatched
 //! `m ≥ DISPATCH_THRESHOLD` path) and at the shapes either side of it.
 //!
 //! The serial reference computes every expected placement answer with its
@@ -300,9 +300,9 @@ fn assert_equivalent(
 #[test]
 fn serving_is_bit_identical_to_serial_across_the_full_matrix() {
     // batch {1,3,16,64} × {off,bounds} × {scalar,detected SIMD}, at
-    // m = 16 — the dot3-batched pricing regime, where the arrival-blocked
-    // kernel and the serial cluster-triple scan must still agree bit for
-    // bit.
+    // m = 16 — the dispatched pricing regime, where the arrival-blocked
+    // four-row kernel and the engine's cluster-blocked table scan must
+    // still agree bit for bit.
     let restore = simd::active_backend();
     for seed in 0..2u64 {
         let ops = script(seed, 70, 16);

@@ -1,9 +1,8 @@
 //! Dispatch-matrix and property tests of the runtime-dispatched SIMD dot
 //! kernel (`ucpc_uncertain::simd`): every backend the machine can run is
 //! held to the documented bit-identity contract against the scalar
-//! fallback, the fused `dot3` is held to its three-single-dots identity,
-//! and the unfused PR 1 reference loop bounds the rounding error. The
-//! end-to-end guarantee — byte-identical clustering labels across
+//! fallback, and the unfused reference loop bounds the rounding error.
+//! The end-to-end guarantee — byte-identical clustering labels across
 //! backends — is checked by running the full UCPC search under each.
 
 use proptest::prelude::*;
@@ -11,9 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ucpc::core::framework::UncertainClusterer;
 use ucpc::core::Ucpc;
-use ucpc::uncertain::simd::{
-    dot3_with, dot_unfused, dot_with, force_backend, Backend, DISPATCH_THRESHOLD,
-};
+use ucpc::uncertain::simd::{dot_unfused, dot_with, force_backend, Backend, DISPATCH_THRESHOLD};
 use ucpc::uncertain::{UncertainObject, UnivariatePdf};
 
 /// One ULP of `x` (the spacing to the next representable magnitude), with a
@@ -47,13 +44,6 @@ fn dispatch_matrix_covers_every_backend_and_length() {
                 got.to_bits(),
                 reference.to_bits(),
                 "{backend:?} != scalar at length {n}"
-            );
-            let fused = dot3_with(backend, &a, &b, &b, &a);
-            assert_eq!(fused[0].to_bits(), got.to_bits(), "dot3[0] at {n}");
-            assert_eq!(
-                fused[2].to_bits(),
-                dot_with(backend, &a, &a).to_bits(),
-                "dot3[2] at {n}"
             );
         }
     }

@@ -50,6 +50,19 @@ impl RefStream {
         }
     }
 
+    /// A model holding `objects` in slots `0..n`, each live at generation
+    /// 0 in the cluster `labels` gives it, every cluster folded in slot
+    /// order — the engine a batch run bulk-loads.
+    pub fn from_partition(objects: &[UncertainObject], k: usize, labels: &[usize]) -> Self {
+        let mut model = Self::new(objects[0].dims(), k);
+        for (o, &c) in objects.iter().zip(labels) {
+            model.stats[c].add(o.moments());
+            model.slots.push(Some((o.moments().clone(), c)));
+            model.gens.push(0);
+        }
+        model
+    }
+
     /// Places an object in the cluster of least objective increase.
     pub fn insert(&mut self, o: &UncertainObject) -> Result<ObjectHandle, ClusterError> {
         self.insert_moments(o.moments())
