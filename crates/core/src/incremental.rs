@@ -90,6 +90,7 @@ use crate::pruning::{
     PricingTable, PruneCache, PruneCounters, PruningConfig,
 };
 use crate::wal::{LogEntry, LogOp};
+use ucpc_uncertain::arena::MomentView;
 use ucpc_uncertain::{MomentArena, Moments, SlabArena, UncertainObject};
 
 pub use ucpc_uncertain::ObjectHandle;
@@ -378,6 +379,14 @@ impl IncrementalUcpc {
         }])
         .expect("a priced, finite arrival applies");
         Ok(h)
+    }
+
+    /// Every cluster's placement delta for `v`, `delta_j_add(v)` in cluster
+    /// order, priced through the engine's [`PricingTable`] against the
+    /// statistics as they stand: what the placement scan folds, and what
+    /// the serving flush answers from.
+    pub(crate) fn placement_deltas(&mut self, v: &MomentView<'_>) -> &[f64] {
+        self.table.price(&self.stats, v)
     }
 
     /// The handle the next insertion receives: the slab's LIFO free list

@@ -162,12 +162,12 @@
 //! too loose to beat.
 //!
 //! Every scan the engine runs — placement, the full relocation scan and the
-//! tier-2 confirm — prices through one [`PricingTable`]: one
-//! [`dot_block`] over a `k × m` copy of the clusters' mean sums yields every
-//! cross term `⟨s_C, mu(o)⟩`, and each cluster's hoisted [`AddPricer`] and
-//! [`RemovePricer`] turn them into deltas in O(1). The stateless
-//! [`best_candidate`] and [`best_insertion`] loops are the reference the
-//! table is held to, bit for bit.
+//! tier-2 confirm — and every serving answer prices through one
+//! [`PricingTable`]: one [`dot_block`] over a `k × m` copy of the clusters'
+//! mean sums yields every cross term `⟨s_C, mu(o)⟩`, and each cluster's
+//! hoisted [`AddPricer`] and [`RemovePricer`] turn them into deltas in
+//! O(1). The stateless [`best_candidate`] and [`best_insertion`] loops are
+//! the reference the table is held to, bit for bit.
 //!
 //! [`apply_insert`], [`apply_remove`] and [`apply_relocation`] each keep a
 //! plain (untracked) fork on purpose: the statistics are bit-identical
@@ -461,19 +461,9 @@ pub fn best_candidate(
     v: &MomentView<'_>,
 ) -> Option<(usize, f64)> {
     let removal_gain = stats[src].delta_j_remove(v);
-    let mut best = None;
-    let mut second = f64::INFINITY;
-    for (c, stat) in stats.iter().enumerate() {
-        if c != src {
-            consider(
-                &mut best,
-                &mut second,
-                c,
-                removal_gain + stat.delta_j_add(v),
-            );
-        }
-    }
-    best
+    let moves = stats.iter().enumerate().filter(|&(c, _)| c != src);
+    let best = fold(moves.map(|(c, stat)| (c, removal_gain + stat.delta_j_add(v))));
+    best.map(|(dst, delta, _)| (dst, delta))
 }
 
 /// The reference *placement* scan: the cluster minimizing `delta_j_add`
@@ -483,12 +473,26 @@ pub fn best_candidate(
 /// [`PricingTable::placement`], which returns the same winner and the same
 /// bits. `None` only for an empty cluster slice.
 pub fn best_insertion(stats: &[ClusterStats], v: &MomentView<'_>) -> Option<(usize, f64)> {
+    let best = fold(
+        stats
+            .iter()
+            .enumerate()
+            .map(|(c, stat)| (c, stat.delta_j_add(v))),
+    );
+    best.map(|(dst, delta, _)| (dst, delta))
+}
+
+/// Folds `(cluster, delta)` candidates, offered in ascending cluster order,
+/// into `(best, delta, second)` with [`consider`]. `None` when there is no
+/// candidate.
+#[inline(always)]
+fn fold(candidates: impl Iterator<Item = (usize, f64)>) -> Option<(usize, f64, f64)> {
     let mut best = None;
     let mut second = f64::INFINITY;
-    for (c, stat) in stats.iter().enumerate() {
-        consider(&mut best, &mut second, c, stat.delta_j_add(v));
+    for (c, delta) in candidates {
+        consider(&mut best, &mut second, c, delta);
     }
-    best
+    best.map(|(dst, delta)| (dst, delta, second))
 }
 
 /// Folds one candidate delta into the best/second state with the
@@ -547,8 +551,10 @@ pub struct PricingTable {
     remove_stale: Vec<bool>,
     /// `0..k`: the row block of a full scan.
     every: Vec<u32>,
-    /// A full scan's buffer: the cross terms `⟨s_c, mu⟩`, then the deltas.
+    /// A full scan's cross terms `⟨s_c, mu⟩`, one per cluster.
     cross: Vec<f64>,
+    /// A full scan's add deltas, one per cluster ([`Self::price`]).
+    deltas: Vec<f64>,
 }
 
 impl PricingTable {
@@ -566,6 +572,7 @@ impl PricingTable {
             remove_stale: vec![true; k],
             every,
             cross: vec![0.0; k],
+            deltas: vec![0.0; k],
         }
     }
 
@@ -604,41 +611,19 @@ impl PricingTable {
         }
     }
 
-    /// Fills `cross` with `⟨s_c, mu⟩` for every cluster with one
-    /// `dot_block`, then folds every candidate in ascending order into
-    /// `(best, delta, second)`: for a member of `src`, `src`'s removal gain
-    /// plus the add delta of every other cluster; for an arrival
-    /// (`src = None`), the add delta of every cluster.
-    fn scan(
-        &mut self,
-        stats: &[ClusterStats],
-        src: Option<usize>,
-        v: &MomentView<'_>,
-    ) -> Option<(usize, f64, f64)> {
+    /// Prices an arrival `v` against every cluster: re-derives the stale
+    /// rows, fills `cross` with `⟨s_c, mu⟩` for every cluster with one
+    /// `dot_block`, and returns each cluster's add delta in cluster order,
+    /// the bits of `stats[c].delta_j_add(v)`. Placement, relocation and
+    /// the serving flush all price through this one loop.
+    pub(crate) fn price(&mut self, stats: &[ClusterStats], v: &MomentView<'_>) -> &[f64] {
         self.refresh(stats);
         dot_block(v.mu, &self.means, &self.every, &mut self.cross);
         let (var, mu_sq, mu2) = (v.sum_var, v.sum_mu_sq, v.sum_mu2);
-        // `-0.0 + x` is `x` bit for bit: placement adds nothing.
-        let (skip, base) = match src {
-            Some(s) => (
-                s,
-                self.remover(stats, s).price(var, mu_sq, mu2, self.cross[s]),
-            ),
-            None => (usize::MAX, -0.0),
-        };
-        // Price first, fold second: the pricing loop has no branch to
-        // wait on. The buffer now holds every cluster's delta.
-        for (add, cross) in self.add.iter().zip(&mut self.cross) {
-            *cross = base + add.price(var, mu_sq, mu2, *cross);
+        for ((delta, add), &cross) in self.deltas.iter_mut().zip(&self.add).zip(&self.cross) {
+            *delta = add.price(var, mu_sq, mu2, cross);
         }
-        let mut best = None;
-        let mut second = f64::INFINITY;
-        for (c, &delta) in self.cross.iter().enumerate() {
-            if c != skip {
-                consider(&mut best, &mut second, c, delta);
-            }
-        }
-        best.map(|(dst, delta)| (dst, delta, second))
+        &self.deltas
     }
 
     /// The placement scan against `stats`: [`best_insertion`]'s winner and
@@ -648,8 +633,8 @@ impl PricingTable {
         stats: &[ClusterStats],
         v: &MomentView<'_>,
     ) -> Option<(usize, f64)> {
-        let best = self.scan(stats, None, v);
-        best.map(|(dst, delta, _)| (dst, delta))
+        let deltas = self.price(stats, v);
+        fold(deltas.iter().copied().enumerate()).map(|(dst, delta, _)| (dst, delta))
     }
 
     /// The relocation scan of a member of `src` against `stats`:
@@ -663,7 +648,13 @@ impl PricingTable {
         src: usize,
         v: &MomentView<'_>,
     ) -> Option<(usize, f64, f64)> {
-        self.scan(stats, Some(src), v)
+        self.price(stats, v);
+        let (var, mu_sq, mu2) = (v.sum_var, v.sum_mu_sq, v.sum_mu2);
+        let gain = self
+            .remover(stats, src)
+            .price(var, mu_sq, mu2, self.cross[src]);
+        let moves = self.deltas.iter().enumerate().filter(|&(c, _)| c != src);
+        fold(moves.map(|(c, &add)| (c, gain + add)))
     }
 
     /// The exact delta of moving a member of `src` to `dst`, both rows in

@@ -12,18 +12,15 @@
 //! [`ServingUcpc::poll`] when the batch-size or deadline trigger fires.
 //! A flush runs the state machine admit → batch → price → apply → respond:
 //!
-//! 1. **price** — every staged arrival in the batch is priced against the
-//!    flush-start cluster statistics into one cluster-major `k × B` delta
-//!    matrix, one cluster row at a time: one dispatched [`dot_block`] call
-//!    loads that cluster's `mean_sum` row once and fills the row with the
-//!    cross terms (on AVX2, four arrivals per reduction, the kernel the
-//!    engine's own scans use), and the cluster's hoisted [`AddPricer`]
-//!    turns each cross into its delta-`J` in place;
-//! 2. **apply** — requests are replayed in submission order: queries and
-//!    commits fold their column of the matrix into a ranked answer, once
-//!    each; commits, removals and every move of a stabilization become
-//!    [`LogEntry`] rounds applied through [`IncrementalUcpc::apply_round`],
-//!    the engine's one mutation path;
+//! 1. **price** — requests are replayed in submission order, and each
+//!    answer reads the engine's pricing table: a query or commit is priced
+//!    at its turn against every cluster, one dispatched [`dot_block`] over
+//!    the table's `k × m` mean rows (on AVX2, four clusters per
+//!    reduction) and each cluster's hoisted [`AddPricer`], and its `k`
+//!    deltas are folded into a ranked answer;
+//! 2. **apply** — commits, removals and every move of a stabilization
+//!    become [`LogEntry`] rounds applied through
+//!    [`IncrementalUcpc::apply_round`], the engine's one mutation path;
 //! 3. **respond** — each request's answer ([`ServingResponse`]) is queued
 //!    in submission order for [`ServingUcpc::pop_response`], with placement
 //!    answers carrying the top-`k'` clusters by exact delta-`J` and the
@@ -40,32 +37,24 @@
 //! **byte-identical** to `B` serial [`IncrementalUcpc::insert`] calls.
 //! That holds by construction:
 //!
-//! * **Deltas.** The serial placement scan (the engine's pricing table,
-//!   held bit for bit to the reference [`best_insertion`]) folds
-//!   `delta = stats[c].delta_j_add(v)` over ascending `c`, pruning on or
-//!   off. `delta_j_add(v)` is a *pure function* of the bits of
-//!   `stats[c]` and `v`: it *is* `add_pricer().price(.., dot(s_c, mu(v)))`.
-//!   The batch pricer computes exactly that — [`dot_block`] yields
-//!   per-arrival crosses contractually bit-identical to the single
-//!   [`dot`]`(s_c, mu_i)` the serial kernel evaluates (the SIMD module's
-//!   bit-identity contract; rows below [`DISPATCH_THRESHOLD`] take the same
-//!   unfused core in both), and the hoisted [`AddPricer`] is the one
-//!   implementation of the Corollary-1 expression — so every entry of the
-//!   matrix carries the very bits the serial scan would compute against
-//!   the statistics it was priced from.
-//! * **Re-price on read.** Applying the batch in submission order mutates
-//!   statistics mid-batch, and a cluster's deltas depend on its own
-//!   statistics only, so a pre-priced row goes stale exactly when its
-//!   cluster mutates. Every mutation lists its clusters as stale: a commit
-//!   the cluster it fed, an effective removal the cluster it drained, a
-//!   stabilization that relocated anything all `k`. Before an arrival's
-//!   column is folded, each stale cluster's row is re-priced over the
-//!   arrivals not yet answered — the same routine as the flush-start
-//!   pricing — so every column holds, bit for bit, what a live scan would
-//!   compute at that point of the edit sequence. The fold keeps the scan's
-//!   exact strict-less, first-index-wins-ties semantics, so its argmin
-//!   matches the serial scan bit for bit (debug builds shadow-assert this
-//!   against a live full scan on every commit).
+//! * **Deltas.** Each answer reads the engine's pricing table: the very
+//!   routine the serial placement scan prices through (held bit for bit
+//!   to the reference [`best_insertion`]), which yields
+//!   `stats[c].delta_j_add(v)` for every `c`, pruning on or off.
+//!   `delta_j_add(v)` is a *pure function* of the bits of `stats[c]` and
+//!   `v`: it *is* `add_pricer().price(.., dot(s_c, mu(v)))`, and
+//!   [`dot_block`]'s crosses are contractually bit-identical to the single
+//!   [`dot`] (the SIMD module's bit-identity contract; rows below
+//!   [`DISPATCH_THRESHOLD`] take the same unfused core in both). Each
+//!   answer is priced at its turn, after every mutation before it in the
+//!   flush, and every engine mutation marks the table rows of the clusters
+//!   it touched stale (a commit the cluster it fed, an effective removal
+//!   the cluster it drained, a relocation both ends, an undone
+//!   stabilization all `k`), so the deltas are, bit for bit, what a live
+//!   scan computes at that point of the edit sequence. The fold keeps the
+//!   scan's exact strict-less, first-index-wins-ties semantics, so its
+//!   argmin matches the serial scan bit for bit (debug builds
+//!   shadow-assert this against a live full scan on every commit).
 //! * **Storage.** The staged copy of an arrival is written **verbatim**
 //!   ([`MomentArena::overwrite_row`] on admission), and a commit is the
 //!   same `Insert` entry a serial [`IncrementalUcpc::insert`] applies: the
@@ -131,7 +120,6 @@ use std::time::{Duration, Instant};
 use crate::framework::ClusterError;
 use crate::incremental::{IncrementalUcpc, ObjectHandle, PassUndo};
 use crate::wal::{DurableIo, LogEntry, LogOp, VecIo, WalError, WalFsync, WalWriter};
-use ucpc_uncertain::simd::dot_block;
 use ucpc_uncertain::{MomentArena, Moments, UncertainObject};
 
 /// The serving layer's write-ahead logger: a [`WalWriter`] over a boxed
@@ -425,20 +413,6 @@ pub struct ServingUcpc {
     free_rows: Vec<u32>,
     pending: VecDeque<Request>,
     responses: VecDeque<(Ticket, ServingResponse)>,
-    /// Flush-scoped `k × B` delta matrix, cluster-major: row `c` holds
-    /// every priced arrival's delta-`J` against cluster `c`, as of the
-    /// statistics it was last priced from ([`Self::price_cluster`]).
-    deltas: Vec<f64>,
-    /// Staging rows of the current flush's arrivals, in submission order.
-    priced_rows: Vec<u32>,
-    /// Flush-scoped per-arrival scalars `Σvar`, `‖mu‖²` and `Σμ₂`, staged
-    /// once as three columns so the pricing loop reads no [`MomentView`].
-    sum_var: Vec<f64>,
-    sum_mu_sq: Vec<f64>,
-    sum_mu2: Vec<f64>,
-    /// Clusters mutated since their row of `deltas` was priced, each
-    /// listed once (capacity `k`); [`Self::answer_for`] re-prices them.
-    stale: Vec<usize>,
     next_ticket: Ticket,
     commits_since_stabilize: usize,
     /// Construction time, stamped on requests instead of a per-admission
@@ -476,7 +450,6 @@ impl ServingUcpc {
         cfg.top_k = cfg.top_k.clamp(1, MAX_TOP_K);
         let cap = cfg.queue_capacity;
         let m = engine.m;
-        let k = engine.k;
         let mut staging = MomentArena::with_capacity(cap, m);
         for _ in 0..cap {
             staging.push_row_with(m, |_| (0.0, 0.0));
@@ -498,12 +471,6 @@ impl ServingUcpc {
             free_rows: (0..cap as u32).rev().collect(),
             pending: VecDeque::with_capacity(cap),
             responses: VecDeque::with_capacity(cap),
-            deltas: Vec::with_capacity(cap * k),
-            priced_rows: Vec::with_capacity(cap),
-            sum_var: Vec::with_capacity(cap),
-            sum_mu_sq: Vec::with_capacity(cap),
-            sum_mu2: Vec::with_capacity(cap),
-            stale: Vec::with_capacity(k),
             next_ticket: 0,
             cfg,
             commits_since_stabilize: 0,
@@ -605,11 +572,7 @@ impl ServingUcpc {
     }
 
     fn admit(&mut self, mo: &Moments) -> Result<u32, ServingError> {
-        if self.pending.len() >= self.cfg.queue_capacity {
-            return Err(ServingError::QueueFull {
-                capacity: self.cfg.queue_capacity,
-            });
-        }
+        self.check_admission()?;
         if mo.dims() != self.engine.m {
             return Err(ServingError::DimensionMismatch {
                 expected: self.engine.m,
@@ -719,29 +682,25 @@ impl ServingUcpc {
         }
     }
 
-    /// Flushes every pending request as one micro-batch (price → apply →
-    /// respond; module docs) regardless of triggers. Returns the number of
-    /// responses produced.
+    /// Flushes every pending request as one micro-batch (price and apply
+    /// in submission order → respond; module docs) regardless of triggers.
+    /// Returns the number of responses produced.
     pub fn flush(&mut self) -> usize {
         if self.pending.is_empty() {
             return 0;
         }
-        self.price_pending();
         let n = self.pending.len();
-        let mut arrival = 0usize;
         // Nothing is admitted mid-flush, so this drains exactly the batch
-        // priced above.
+        // pending now.
         while let Some(req) = self.pending.pop_front() {
             let response = match req.kind {
                 ReqKind::Query { row } => {
-                    let answer = self.answer_for(arrival);
-                    arrival += 1;
+                    let answer = self.answer_for(row);
                     self.free_rows.push(row);
                     ServingResponse::Placed(answer)
                 }
                 ReqKind::Commit { row } => {
-                    let answer = self.answer_for(arrival);
-                    arrival += 1;
+                    let answer = self.answer_for(row);
                     // Nothing is admitted mid-flush, so the row stays
                     // intact for the rest of this request.
                     self.free_rows.push(row);
@@ -750,7 +709,8 @@ impl ServingUcpc {
                     #[cfg(debug_assertions)]
                     {
                         // The fold must agree with a live full scan — the
-                        // direct check of the re-price-on-read argument.
+                        // direct check that no mutation left a table row
+                        // stale.
                         // Invariant: `k >= 1` at engine construction.
                         let shadow = crate::pruning::best_insertion(&self.engine.stats, &v)
                             .expect("k >= 1 clusters");
@@ -776,7 +736,6 @@ impl ServingUcpc {
                             .push_back((req.ticket, ServingResponse::Failed { error }));
                         continue;
                     }
-                    self.mark_stale(best);
                     self.commits_since_stabilize += 1;
                     // A cadence pass whose round cannot be logged is undone
                     // and leaves the counter standing: neither log nor
@@ -806,7 +765,6 @@ impl ServingUcpc {
                                 .push_back((req.ticket, ServingResponse::Failed { error }));
                             continue;
                         }
-                        self.mark_stale(cluster);
                         ServingResponse::Removed(Ok(()))
                     }
                 },
@@ -835,25 +793,18 @@ impl ServingUcpc {
     /// restored, prune cache retired) and the logging failure returned, so
     /// the engine still holds only state the log can reproduce.
     fn stabilize_logged(&mut self, passes: usize) -> Result<usize, WalError> {
-        let relocations = match &mut self.wal {
-            None => self.engine.stabilize(passes),
-            Some(w) => {
-                self.engine.save_pass_into(&mut self.undo);
-                let moves = &mut self.moves;
-                moves.clear();
-                let relocations = self
-                    .engine
-                    .stabilize_with(passes, |op| moves.push(LogEntry::bare(op)));
-                if let Err(error) = w.log_round(w.frames() + 1, moves) {
-                    self.engine.undo_pass(&mut self.undo, moves);
-                    return Err(error);
-                }
-                relocations
-            }
+        let Some(w) = &mut self.wal else {
+            return Ok(self.engine.stabilize(passes));
         };
-        if relocations > 0 {
-            self.stale.clear();
-            self.stale.extend(0..self.engine.k);
+        self.engine.save_pass_into(&mut self.undo);
+        let moves = &mut self.moves;
+        moves.clear();
+        let relocations = self
+            .engine
+            .stabilize_with(passes, |op| moves.push(LogEntry::bare(op)));
+        if let Err(error) = w.log_round(w.frames() + 1, moves) {
+            self.engine.undo_pass(&mut self.undo, moves);
+            return Err(error);
         }
         Ok(relocations)
     }
@@ -863,76 +814,14 @@ impl ServingUcpc {
         self.responses.pop_front()
     }
 
-    /// Phase 1 of a flush: stages every pending arrival's row and scalars
-    /// and prices the whole `k × B` delta matrix against flush-start
-    /// statistics.
-    fn price_pending(&mut self) {
-        self.priced_rows.clear();
-        self.sum_var.clear();
-        self.sum_mu_sq.clear();
-        self.sum_mu2.clear();
-        for req in &self.pending {
-            if let ReqKind::Query { row } | ReqKind::Commit { row } = req.kind {
-                self.priced_rows.push(row);
-                let v = self.staging.view(row as usize);
-                self.sum_var.push(v.sum_var);
-                self.sum_mu_sq.push(v.sum_mu_sq);
-                self.sum_mu2.push(v.sum_mu2);
-            }
-        }
-        let k = self.engine.k;
-        self.deltas.clear();
-        self.deltas.resize(k * self.priced_rows.len(), 0.0);
-        self.stale.clear();
-        for c in 0..k {
-            self.price_cluster(c, 0);
-        }
-    }
-
-    /// Prices cluster `c`'s row of the delta matrix for the priced arrivals
-    /// `from..` against its current statistics: one [`dot_block`] call
-    /// fills the crosses with the cluster's `mean_sum` row loaded once, and
-    /// the cluster's [`AddPricer`](crate::objective::AddPricer) turns each
-    /// into its delta in place. Every entry is bit-identical to
-    /// `stats[c].delta_j_add(&arrival)` (module docs).
-    fn price_cluster(&mut self, c: usize, from: usize) {
-        let b = self.priced_rows.len();
-        let stat = &self.engine.stats[c];
-        let out = &mut self.deltas[c * b + from..(c + 1) * b];
-        dot_block(
-            stat.mean_sum(),
-            self.staging.mu_flat(),
-            &self.priced_rows[from..],
-            out,
-        );
-        let pricer = stat.add_pricer();
-        let scalars = self.sum_var[from..]
-            .iter()
-            .zip(&self.sum_mu_sq[from..])
-            .zip(&self.sum_mu2[from..]);
-        for (d, ((&var, &mu_sq), &mu2)) in out.iter_mut().zip(scalars) {
-            *d = pricer.price(var, mu_sq, mu2, *d);
-        }
-    }
-
-    /// Lists cluster `c` as mutated since its row was priced.
-    fn mark_stale(&mut self, c: usize) {
-        if !self.stale.contains(&c) {
-            self.stale.push(c);
-        }
-    }
-
-    /// Phase 2 answer for the `arrival`-th priced arrival: re-prices every
-    /// stale cluster over the arrivals from this one on, then folds this
-    /// arrival's column — against statistics exactly as they stand now.
-    fn answer_for(&mut self, arrival: usize) -> PlacementAnswer {
-        while let Some(c) = self.stale.pop() {
-            self.price_cluster(c, arrival);
-        }
-        let b = self.priced_rows.len();
-        let k = self.engine.k;
-        let deltas = &self.deltas;
-        fold_with(k, self.cfg.top_k.min(k), |c| deltas[c * b + arrival])
+    /// The placement answer for the arrival staged in `row`: its deltas
+    /// from the engine's pricing table against the statistics as they stand
+    /// now, folded into a ranked answer.
+    fn answer_for(&mut self, row: u32) -> PlacementAnswer {
+        let v = self.staging.view(row as usize);
+        let deltas = self.engine.placement_deltas(&v);
+        let k = deltas.len();
+        fold_with(k, self.cfg.top_k.min(k), |c| deltas[c])
     }
 }
 
@@ -1496,37 +1385,27 @@ mod tests {
     }
 
     #[test]
-    fn a_stale_handle_remove_marks_nothing() {
+    fn a_stale_handle_remove_after_a_live_one_answers_like_a_live_scan() {
         for m in [2, 16] {
             let mut serving = ServingUcpc::new(m, 2, cfg(16)).unwrap();
             let steps = [0.0, 10.0, 0.5].map(Step::Commit);
             let (prefill, _) = flush_matches_live_scan(&mut serving, m, &steps);
             let h = prefill[0];
-            let cluster = serving.engine().label_of(h).unwrap();
-            // A live remove as the last request leaves its cluster listed…
+            // A live remove as the last request, then the same handle again,
+            // now stale: both flushes answer like a live scan.
             flush_matches_live_scan(&mut serving, m, &[Step::Query(1.0), Step::Remove(h)]);
-            assert_eq!(serving.stale, [cluster]);
-            // …a stale-handle remove lists nothing.
             flush_matches_live_scan(&mut serving, m, &[Step::Query(1.0), Step::Remove(h)]);
-            assert!(serving.stale.is_empty());
         }
     }
 
     #[test]
-    fn a_commit_as_the_last_request_reprices_over_an_empty_tail() {
+    fn a_commit_as_the_last_request_leaves_the_next_flush_exact() {
         for m in [2, 16] {
             let mut serving = ServingUcpc::new(m, 2, cfg(16)).unwrap();
             let steps = [0.0, 10.0].map(Step::Commit);
             flush_matches_live_scan(&mut serving, m, &steps);
             let steps = [Step::Query(1.0), Step::Query(9.0), Step::Commit(0.3)];
-            let (committed, _) = flush_matches_live_scan(&mut serving, m, &steps);
-            let best = serving.engine().label_of(committed[0]).unwrap();
-            assert_eq!(serving.stale, [best]);
-            // No arrival is left to answer: re-pricing the tail is a no-op.
-            let before = serving.deltas.clone();
-            serving.price_cluster(best, serving.priced_rows.len());
-            assert_eq!(serving.deltas, before);
-            // The next flush prices from scratch and forgets the mark.
+            flush_matches_live_scan(&mut serving, m, &steps);
             let steps = [Step::Query(0.2), Step::Commit(9.5), Step::Query(0.1)];
             flush_matches_live_scan(&mut serving, m, &steps);
         }

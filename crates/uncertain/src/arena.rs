@@ -303,13 +303,6 @@ impl MomentArena {
         &self.mu[i * self.m..(i + 1) * self.m]
     }
 
-    /// The whole `mu` matrix, row-major (`n × m`, row `i` at
-    /// `i*m..(i+1)*m`) — the flat operand batched kernels
-    /// ([`crate::simd::dot_block`]) index by row number.
-    pub fn mu_flat(&self) -> &[f64] {
-        &self.mu
-    }
-
     /// The `mu_2` row of object `i`.
     pub fn mu2_row(&self, i: usize) -> &[f64] {
         &self.mu2[i * self.m..(i + 1) * self.m]

@@ -1,10 +1,11 @@
 //! Zero-allocation gate for the serving front door's steady state.
 //!
 //! [`ServingUcpc`] preallocates everything its request loop touches — the
-//! staging arena (one row per queue slot), the pending/response queues, the
-//! delta matrix, and the fixed-size top-k answer arrays — so steady-state
-//! serving (admit → flush → answer, with commits recycling slab rows freed
-//! by removals) must hit the allocator **zero** times. The same holds with
+//! staging arena (one row per queue slot), the pending/response queues and
+//! the fixed-size top-k answer arrays; answers read the engine's
+//! preallocated pricing table — so steady-state serving (admit → flush →
+//! answer, with commits recycling slab rows freed by removals) must hit
+//! the allocator **zero** times. The same holds with
 //! an in-memory write-ahead log attached and cadence stabilizations
 //! running: a logged stabilization saves the engine state it may have to
 //! undo into one reused scratch. This binary pins both with a counting
@@ -89,7 +90,7 @@ fn cleanest_round(
     assert_eq!(ids.len(), N);
 
     // One warm-up round pays every one-time growth: the slab free list's
-    // first capacity, response-queue high water, and the delta matrix.
+    // first capacity and the response-queue high water.
     for _ in 0..PER_ATTEMPT {
         serving.submit_query(&payloads[next % N]).unwrap();
         serving.submit_commit(&payloads[next]).unwrap();

@@ -9,8 +9,9 @@
 //!
 //! The serial reference computes every expected placement answer with its
 //! own independent implementation (per-cluster `delta_j_add` + a stable
-//! sort), so agreement pins the serving layer's batched pricing, stale-
-//! cluster re-pricing, top-k selection and margin — not just the argmin.
+//! sort), so agreement pins the pricing-table reads each answer makes (and
+//! the stale marks every mutation leaves), top-k selection and margin —
+//! not just the argmin.
 
 mod support;
 
@@ -355,9 +356,10 @@ fn serving_is_bit_identical_on_short_rows() {
 #[test]
 fn serving_is_bit_identical_either_side_of_the_dispatch_threshold() {
     // m ∈ {15, 16, 17} straddles DISPATCH_THRESHOLD, and k = 8 clusters
-    // with top-4 answers keep the ranking non-trivial. Every mutation
-    // re-prices its cluster over the arrivals still to be answered, so the
-    // batch sizes drive `dot_block` over tails of every length mod 3.
+    // with top-4 answers keep the ranking non-trivial. Every answer prices
+    // all eight clusters with one `dot_block` over the engine's pricing
+    // table: two four-row AVX2 groups at m = 16, the per-row path at 15
+    // and 17.
     const WIDE_K: usize = 8;
     let restore = simd::active_backend();
     for m in [15, 16, 17] {

@@ -631,6 +631,11 @@ fn a_stabilize_whose_round_hits_enospc_fails_and_changes_nothing() {
     let mut victim = serve(sink.clone());
     let before = victim.engine().clone();
     victim.submit_stabilize(3).unwrap();
+    // Queries in the same flush, answered after the undone pass.
+    let queries = [-5.0, 5.0, 26.0];
+    for c in queries {
+        victim.submit_query_object(&obj(c, 0.3)).unwrap();
+    }
     victim.flush();
     let (_, resp) = victim.pop_response().unwrap();
     assert!(
@@ -646,6 +651,32 @@ fn a_stabilize_whose_round_hits_enospc_fails_and_changes_nothing() {
     assert_eq!(after.live_labels(), before.live_labels());
     assert_eq!(after.cluster_stats(), before.cluster_stats());
     assert_eq!(after.objective().to_bits(), before.objective().to_bits());
+    // Each query is answered against the restored statistics, bit for bit
+    // what a live `delta_j_add` scan of `before` ranks.
+    for c in queries {
+        let (_, resp) = victim.pop_response().unwrap();
+        let ServingResponse::Placed(answer) = resp else {
+            panic!("query at {c} answered {resp:?}")
+        };
+        let o = obj(c, 0.3);
+        let v = o.moments().view();
+        let mut deltas: Vec<(usize, f64)> = before
+            .cluster_stats()
+            .iter()
+            .enumerate()
+            .map(|(c, s)| (c, s.delta_j_add(&v)))
+            .collect();
+        deltas.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite deltas"));
+        let want: Vec<(usize, u64)> = deltas[..2].iter().map(|&(c, d)| (c, d.to_bits())).collect();
+        let got: Vec<(usize, u64)> = answer
+            .ranked()
+            .iter()
+            .map(|&(c, d)| (c, d.to_bits()))
+            .collect();
+        assert_eq!(got, want, "query at {c}");
+        let margin = deltas[1].1 - deltas[0].1;
+        assert_eq!(answer.margin().to_bits(), margin.to_bits(), "query at {c}");
+    }
 
     // Recovery equals the survivor, and both evolve identically.
     let rec = recover(&checkpoint, &sink.bytes()).unwrap();
