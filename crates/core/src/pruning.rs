@@ -648,13 +648,29 @@ impl PricingTable {
         src: usize,
         v: &MomentView<'_>,
     ) -> Option<(usize, f64, f64)> {
+        let gain = self.price_moves(stats, src, v);
+        fold(self.moves(src, gain))
+    }
+
+    /// Prices a member of `src` against every cluster ([`Self::price`])
+    /// and returns its removal gain, which [`Self::moves`] adds to each
+    /// candidate's add delta.
+    fn price_moves(&mut self, stats: &[ClusterStats], src: usize, v: &MomentView<'_>) -> f64 {
         self.price(stats, v);
         let (var, mu_sq, mu2) = (v.sum_var, v.sum_mu_sq, v.sum_mu2);
-        let gain = self
-            .remover(stats, src)
-            .price(var, mu_sq, mu2, self.cross[src]);
-        let moves = self.deltas.iter().enumerate().filter(|&(c, _)| c != src);
-        fold(moves.map(|(c, &add)| (c, gain + add)))
+        self.remover(stats, src)
+            .price(var, mu_sq, mu2, self.cross[src])
+    }
+
+    /// The priced relocation candidates of a member of `src` with removal
+    /// gain `gain`: `(dst, gain + add delta)` for every cluster but `src`,
+    /// in cluster order.
+    fn moves(&self, src: usize, gain: f64) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.deltas
+            .iter()
+            .enumerate()
+            .filter(move |&(c, _)| c != src)
+            .map(move |(c, &add)| (c, gain + add))
     }
 
     /// The exact delta of moving a member of `src` to `dst`, both rows in
@@ -681,7 +697,8 @@ impl PricingTable {
 /// Every candidate is priced through `table` against `pass.stats`.
 ///
 /// Without `pruned` this is the full scan, [`PricingTable::relocation`]
-/// filtered at `-TOLERANCE`. With a cache and its counters it runs the
+/// filtered at `-TOLERANCE`, except that a member no candidate moves skips
+/// the fold. With a cache and its counters it runs the
 /// tier ladder of the module docs — skip, confirm the cached argmin, or
 /// full scan — counting each outcome, and caches a full scan that finds no
 /// move. Either way the answer is bit-identical to [`best_candidate`]
@@ -698,7 +715,13 @@ pub fn best_move(
     v: &MomentView<'_>,
 ) -> Option<(usize, f64)> {
     let Some((cache, counters)) = pruned else {
-        let (dst, delta, _) = table.relocation(pass.stats, src, v)?;
+        // The fold returns one of these candidates, so it moves nothing
+        // unless one of them lies below the threshold.
+        let gain = table.price_moves(pass.stats, src, v);
+        if !table.moves(src, gain).any(|(_, delta)| delta < -TOLERANCE) {
+            return None;
+        }
+        let (dst, delta, _) = fold(table.moves(src, gain))?;
         return (delta < -TOLERANCE).then_some((dst, delta));
     };
     match cache.decide(pass, i, gen, src, v) {
@@ -1209,6 +1232,80 @@ mod tests {
                 counters.skips + counters.confirms > 0,
                 "later passes must reuse cached bounds (n={n})"
             );
+        }
+    }
+
+    /// The unpruned decision for a member of `src` at `v`, on a fresh table.
+    fn unpruned(stats: &[ClusterStats], src: usize, v: &MomentView<'_>) -> Option<(usize, u64)> {
+        let p = pass(stats, DriftTotals::default(), &[], 0);
+        let mut table = PricingTable::new(v.dims(), stats.len());
+        let decided = best_move(&p, &mut table, None, 0, 0, src, v);
+        decided.map(|(c, d)| (c, d.to_bits()))
+    }
+
+    /// The reference scan filtered at the threshold, as [`unpruned`] reads.
+    fn filtered(stats: &[ClusterStats], src: usize, v: &MomentView<'_>) -> Option<(usize, u64)> {
+        let best = best_candidate(stats, src, v).filter(|&(_, d)| d < -TOLERANCE);
+        best.map(|(c, d)| (c, d.to_bits()))
+    }
+
+    #[test]
+    fn an_unpruned_decision_is_the_reference_scan_filtered_at_the_threshold() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use ucpc_uncertain::Moments;
+        // A point mass at the origin prices every add into a cluster with
+        // `Ψ = S₂ = 0` at exactly `0.0`, and its removal from a singleton
+        // at `−J = −Φ`: every candidate ties at exactly `−Φ`.
+        let origin = MomentArena::from_moments([&Moments::from_mu_mu2(vec![0.0], vec![0.0])]);
+        let singleton = |phi: f64| {
+            ClusterStats::from_raw_parts(vec![0.0], vec![phi], vec![0.0], 1, 0.0, phi, 0.0)
+        };
+        // `−just_below` is the float next below `−TOLERANCE`.
+        let just_below = TOLERANCE.next_up();
+        for k in [1, 2, 3, 8] {
+            for (phi, moves) in [
+                (TOLERANCE, false),
+                (just_below, true),
+                (0.0, false),
+                (1.0, true),
+            ] {
+                let stats = vec![singleton(phi); k];
+                for src in 0..k {
+                    let v = origin.view(0);
+                    assert_eq!(stats[src].delta_j_remove(&v), -phi);
+                    assert_eq!(stats[src].delta_j_add(&v), 0.0);
+                    // The tie goes to the first cluster but `src`.
+                    let first = (0..k).find(|&c| c != src).filter(|_| moves);
+                    let want = first.map(|dst| (dst, (-phi).to_bits()));
+                    assert_eq!(filtered(&stats, src, &v), want, "k={k} phi={phi}");
+                    assert_eq!(unpruned(&stats, src, &v), want, "k={k} phi={phi}");
+                }
+            }
+            // Real clusters: every member against every other cluster.
+            let mut rng = StdRng::seed_from_u64(k as u64);
+            for m in [2usize, 16] {
+                let n = 6 * k;
+                let data: Vec<UncertainObject> = (0..n)
+                    .map(|_| {
+                        let center = rng.gen_range(0..k) as f64 * 4.0;
+                        let pdfs = (0..m)
+                            .map(|_| UnivariatePdf::normal(center + rng.gen_range(-3.0..3.0), 0.5));
+                        UncertainObject::new(pdfs.collect())
+                    })
+                    .collect();
+                let arena = MomentArena::from_objects(&data);
+                let labels: Vec<usize> = (0..n).map(|i| i % k).collect();
+                let stats = stats_for(&arena, &labels, k);
+                let mut moved = 0;
+                for (i, &src) in labels.iter().enumerate() {
+                    let v = arena.view(i);
+                    let want = filtered(&stats, src, &v);
+                    assert_eq!(unpruned(&stats, src, &v), want, "k={k} m={m} i={i}");
+                    moved += usize::from(want.is_some());
+                }
+                assert!(k == 1 || moved > 0, "some member moves (k={k}, m={m})");
+            }
         }
     }
 

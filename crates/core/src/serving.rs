@@ -865,14 +865,16 @@ fn fold_with(k: usize, top: usize, delta_of: impl FnMut(usize) -> f64) -> Placem
 /// The fold proper, as a branchless insertion network of width `W`
 /// (`W = max(top, 2)`, so the best/second margin falls out of slots 0/1).
 ///
-/// Each cluster's delta ripples down the sorted slot array via
-/// compare-exchange steps written select-style: real delta orderings are
-/// adversarial for a branch predictor (the ranked-insertion formulation
-/// measurably stalled on misses), while selects cost the same few cycles
-/// regardless of order. Strict-less comparison keeps ties on the earlier
-/// cluster index — an equal delta never displaces a seated one and seating
-/// order is ascending `c` — which is exactly the placement scan's
-/// first-index-wins-ties semantics.
+/// Each cluster's delta is inserted into the sorted slot array with every
+/// slot written select-style: real delta orderings are adversarial for a
+/// branch predictor (the ranked-insertion formulation measurably stalled
+/// on misses), while selects cost the same few cycles regardless of order.
+/// Every slot decides from the array as it stood before the insert: the
+/// arrival takes the first slot whose delta it is strictly below, and every
+/// slot past that one takes its predecessor. So an arrival lands after
+/// every seated delta it ties, and a displaced entry never passes an equal
+/// one; seating order is ascending `c`, so ties keep the lower cluster
+/// index — the placement scan's first-index-wins-ties semantics.
 fn fold_net<const W: usize>(
     k: usize,
     top: usize,
@@ -881,16 +883,19 @@ fn fold_net<const W: usize>(
     let mut d = [f64::INFINITY; W];
     let mut ci = [usize::MAX; W];
     for c in 0..k {
-        let mut delta = delta_of(c);
-        let mut cc = c;
-        for i in 0..W {
+        let delta = delta_of(c);
+        // Bottom up, so that slot `i - 1` still holds its old entry.
+        for i in (0..W).rev() {
+            let above = i.saturating_sub(1);
+            let shift = i > 0 && delta < d[above];
             let take = delta < d[i];
-            let next_d = if take { d[i] } else { delta };
-            let next_c = if take { ci[i] } else { cc };
-            d[i] = if take { delta } else { d[i] };
-            ci[i] = if take { cc } else { ci[i] };
-            delta = next_d;
-            cc = next_c;
+            (d[i], ci[i]) = if shift {
+                (d[above], ci[above])
+            } else if take {
+                (delta, c)
+            } else {
+                (d[i], ci[i])
+            };
         }
     }
     let len = top.min(k);
@@ -1408,6 +1413,40 @@ mod tests {
             flush_matches_live_scan(&mut serving, m, &steps);
             let steps = [Step::Query(0.2), Step::Commit(9.5), Step::Query(0.1)];
             flush_matches_live_scan(&mut serving, m, &steps);
+        }
+    }
+
+    #[test]
+    fn the_ranking_is_a_stable_sort_of_the_deltas() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Few distinct values, `±0.0` among them, so most inputs tie.
+        let values = [-1.5, -0.0, 0.0, 0.25, 2.0, -1.5e-9, 1e300];
+        let bits = |r: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            r.iter().map(|&(c, d)| (c, d.to_bits())).collect()
+        };
+        let mut rng = StdRng::seed_from_u64(7);
+        for k in 1..=10 {
+            for top in 1..=MAX_TOP_K {
+                for _ in 0..64 {
+                    let deltas: Vec<f64> = (0..k)
+                        .map(|_| values[rng.gen_range(0..values.len())])
+                        .collect();
+                    // A stable sort by delta alone: ties, `±0.0` included,
+                    // keep ascending cluster order.
+                    let mut sorted: Vec<(usize, f64)> =
+                        deltas.iter().copied().enumerate().collect();
+                    sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+                    let a = fold_with(k, top, |c| deltas[c]);
+                    let want = &sorted[..top.min(k)];
+                    assert_eq!(bits(a.ranked()), bits(want), "{deltas:?}, top {top}");
+                    let margin = match sorted[..] {
+                        [(_, best), (_, second), ..] => second - best,
+                        _ => f64::INFINITY,
+                    };
+                    assert_eq!(a.margin().to_bits(), margin.to_bits(), "{deltas:?}");
+                }
+            }
         }
     }
 }

@@ -23,7 +23,9 @@
 //! 2. The coordinator seals the round into one WAL frame in its log. Each
 //!    **participant** (shard `s`, node `s + 1`) takes the rounds past its
 //!    watermark from that log in order, appends each frame verbatim to its
-//!    shard log and folds it. Every replica runs `add_view`/`remove_view`
+//!    shard log and folds it. The shard log's writer belongs to the
+//!    shard's durable state, not to the participant, and nothing else
+//!    writes to or locks it. Every replica runs `add_view`/`remove_view`
 //!    itself, because the `S₂` update depends on the target's current
 //!    sums: shipping the decisions and replaying the fold reproduces the
 //!    bits, shipping deltas would not. The round commits once every
@@ -78,7 +80,7 @@ use crate::incremental::IncrementalUcpc;
 use crate::objective::ClusterStats;
 use crate::snapshot::SnapshotError;
 use crate::wal::{
-    decode_frame, encode_checkpoint, encode_round, recover, LogEntry, LogOp, Recovery, SharedVecIo,
+    decode_frame, encode_checkpoint, encode_round, recover, LogEntry, LogOp, Recovery, VecIo,
     WalError, WalFsync, WalWriter,
 };
 use std::ops::Range;
@@ -111,16 +113,17 @@ const BUILT_ROUND: &str = "coordinator-built rounds are well-formed";
 
 /// A shard log on `io`: a WAL of round frames, synced per round so a
 /// round is durable before the shard acknowledges it.
-fn shard_log(io: SharedVecIo, m: usize) -> WalWriter<SharedVecIo> {
+fn shard_log(io: VecIo, m: usize) -> WalWriter<VecIo> {
     // Invariant: shard logs are unbounded in-memory sinks with no fault
     // plan, so neither the header write nor its sync can fail.
     WalWriter::create(io, m, WalFsync::Every).expect("in-memory shard log cannot fault")
 }
 
-/// One shard node: an [`IncrementalUcpc`] replica folding every round
-/// through [`IncrementalUcpc::apply_round`], an applied-sequence
-/// watermark, and a write-ahead shard log (recovery) that appends the
-/// coordinator's sealed frames verbatim.
+/// One shard node's volatile state: an [`IncrementalUcpc`] replica
+/// folding every round through [`IncrementalUcpc::apply_round`] and an
+/// applied-sequence watermark. Its write-ahead shard log, which appends
+/// the coordinator's sealed frames verbatim, is durable state
+/// ([`ShardDurable`]) that each call is handed.
 #[derive(Debug)]
 struct Participant {
     engine: IncrementalUcpc,
@@ -128,20 +131,15 @@ struct Participant {
     /// taken in sequence order only, so a single watermark (not a gap
     /// set) suffices.
     applied: u64,
-    /// The shard log. Its sink's buffer outlives the participant
-    /// ([`ShardedUcpc`] keeps a clone), which is what crash recovery reads.
-    log: WalWriter<SharedVecIo>,
     /// The round being folded, decoded in place so that steady rounds
     /// allocate nothing.
     scratch: Vec<LogEntry>,
 }
 
 impl Participant {
-    /// A participant holding `engine` at watermark `applied`. It logs to a
-    /// detached sink until [`ShardedUcpc::checkpoint_shard`] anchors it.
+    /// A participant holding `engine` at watermark `applied`.
     fn new(engine: IncrementalUcpc, applied: u64) -> Self {
         Self {
-            log: shard_log(SharedVecIo::new(), engine.m),
             engine,
             applied,
             scratch: Vec::new(),
@@ -150,18 +148,17 @@ impl Participant {
 
     /// Takes every round past the watermark up to `upto`, in sequence
     /// order: each is read from the coordinator's `log`, appended verbatim
-    /// to the shard log and folded. Returns whether the watermark now
-    /// covers `upto`; it does not if `log` no longer holds a round it
+    /// to the shard log `wal` and folded. Returns whether the watermark
+    /// now covers `upto`; it does not if `log` no longer holds a round it
     /// needs. A duplicate or stale request takes nothing. Round frames are
     /// atomic: a crash mid-round recovers to the previous round boundary.
-    fn take_rounds(&mut self, upto: u64, log: &RoundLog) -> bool {
+    fn take_rounds(&mut self, upto: u64, log: &RoundLog, wal: &mut WalWriter<VecIo>) -> bool {
         while self.applied < upto {
             let Some(frame) = log.frame(self.applied + 1) else {
                 return false;
             };
             // Invariant: see `shard_log` — the in-memory sink cannot fault.
-            self.log
-                .append_frame(frame)
+            wal.append_frame(frame)
                 .expect("in-memory shard log cannot fault");
             let folded = decode_frame(frame, self.engine.m, &mut self.scratch)
                 .map_err(|_| "round frame does not decode")
@@ -178,8 +175,14 @@ impl Participant {
     /// asked for, not the watermark, so a stale request's reply answers no
     /// later round, and the replies (and so the fault schedule) depend only
     /// on the requests delivered.
-    fn handle(&mut self, msg: Append, log: &RoundLog, tx: &mut ChaosTransport<Append>) {
-        if self.take_rounds(msg.upto, log) {
+    fn handle(
+        &mut self,
+        msg: Append,
+        log: &RoundLog,
+        wal: &mut WalWriter<VecIo>,
+        tx: &mut ChaosTransport<Append>,
+    ) {
+        if self.take_rounds(msg.upto, log, wal) {
             tx.send(
                 msg.from,
                 Append {
@@ -193,15 +196,17 @@ impl Participant {
 }
 
 /// A shard's surviving storage: the last checkpoint's bytes plus the
-/// shard log accumulated since. Both live outside the participant (the
-/// [`SharedVecIo`] buffer is shared), so [`ShardedUcpc::crash`] destroys
+/// shard log accumulated since. Both live outside the participant, which
+/// borrows the log's writer per call, so [`ShardedUcpc::crash`] destroys
 /// only volatile state — exactly a process crash.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ShardDurable {
     checkpoint: Vec<u8>,
     /// The watermark `checkpoint` holds; no recovery starts below it.
     checkpointed: u64,
-    log: SharedVecIo,
+    /// The shard log: its writer, and in its sink the bytes recovery
+    /// reads.
+    log: WalWriter<VecIo>,
 }
 
 /// Bytes a catch-up log block holds: frames fill fixed blocks rather than
@@ -346,7 +351,13 @@ impl ShardedUcpc {
             log: RoundLog::default(),
             waiting: Vec::with_capacity(shards),
             retries: 0,
-            durable: (0..shards).map(|_| ShardDurable::default()).collect(),
+            durable: (0..shards)
+                .map(|_| ShardDurable {
+                    checkpoint: Vec::new(),
+                    checkpointed: 0,
+                    log: shard_log(VecIo::new(), m),
+                })
+                .collect(),
         };
         for shard in 0..shards {
             sharded.checkpoint_shard(shard);
@@ -530,7 +541,7 @@ impl ShardedUcpc {
         let d = &self.durable[shard];
         let Recovery {
             engine, applied, ..
-        } = recover(&d.checkpoint, &d.log.bytes())?;
+        } = recover(&d.checkpoint, d.log.io().bytes())?;
         if engine.m != self.engine.m {
             return Err(WalError::DimensionMismatch {
                 expected: self.engine.m,
@@ -551,7 +562,7 @@ impl ShardedUcpc {
         // log holds every round the participant takes here.
         let committed = self.committed_rounds();
         if let Some(p) = &mut self.participants[shard] {
-            p.take_rounds(committed, &self.log);
+            p.take_rounds(committed, &self.log, &mut self.durable[shard].log);
         }
         Ok(())
     }
@@ -573,17 +584,23 @@ impl ShardedUcpc {
         let d = &mut self.durable[shard];
         d.checkpoint = encode_checkpoint(&p.engine, p.applied);
         d.checkpointed = p.applied;
-        d.log.truncate(0);
-        p.log = shard_log(d.log.clone(), self.engine.m);
+        // The rotated log reuses the old one's buffer.
+        let mut io = std::mem::take(d.log.io_mut());
+        io.truncate(0);
+        d.log = shard_log(io, self.engine.m);
         let floor = self.durable.iter().map(|d| d.checkpointed).min();
         self.log.trim(floor.unwrap_or(0));
     }
 
     /// Truncates a shard's *durable* log to `keep` bytes — the
-    /// crash-surgery hook recovery tests cut torn tails with (the
-    /// running participant is unaffected until it crashes).
+    /// crash-surgery hook recovery tests cut torn tails with. A running
+    /// participant keeps its state and appends its next rounds after the
+    /// cut. After a cut inside a frame, recovery stops at the tear and
+    /// catch-up supplies the rest; after a cut on a frame boundary, the
+    /// rounds appended since do not follow the log's sequence, and
+    /// [`Self::restart`] refuses the log.
     pub fn truncate_shard_wal(&mut self, shard: usize, keep: usize) {
-        self.durable[shard].log.truncate(keep);
+        self.durable[shard].log.io_mut().truncate(keep);
     }
 
     /// Delivers every deliverable message: live participants handle theirs
@@ -596,7 +613,8 @@ impl ShardedUcpc {
             while let Some(msg) = self.transport.recv(shard + 1) {
                 progressed = true;
                 if let Some(p) = self.participants[shard].as_mut() {
-                    p.handle(msg, &self.log, &mut self.transport);
+                    let wal = &mut self.durable[shard].log;
+                    p.handle(msg, &self.log, wal, &mut self.transport);
                 }
             }
         }
@@ -658,7 +676,7 @@ impl ShardedUcpc {
 mod tests {
     use super::*;
     use crate::fault::Dice;
-    use crate::wal::{scan_wal, DurableIo, VecIo, WalRecord, WAL_HEADER_LEN};
+    use crate::wal::{scan_wal, DurableIo, WalRecord, WAL_HEADER_LEN};
     use ucpc_uncertain::UnivariatePdf;
 
     fn obj(c: f64) -> UncertainObject {
@@ -772,7 +790,7 @@ mod tests {
             for seq in d.checkpointed + 1..=sharded.committed_rounds() {
                 expected.extend_from_slice(sharded.log.frame(seq).unwrap());
             }
-            assert_eq!(d.log.bytes(), expected, "shard {shard}");
+            assert_eq!(d.log.io().bytes(), expected, "shard {shard}");
         }
     }
 
@@ -840,7 +858,7 @@ mod tests {
         // recovery lands on frame i's round, before any catch-up.
         let (genesis, log) = (
             sharded.durable[1].checkpoint.clone(),
-            sharded.durable[1].log.bytes(),
+            sharded.durable[1].log.io().bytes().to_vec(),
         );
         let scan = scan_wal(&log).unwrap();
         for i in [0, scan.records.len() / 2, scan.records.len() - 2] {
@@ -858,6 +876,49 @@ mod tests {
         assert_matches_single_node(&sharded, &single);
     }
 
+    #[test]
+    fn a_running_shard_appends_after_a_cut_and_recovers_to_the_tear() {
+        let mut sharded = ShardedUcpc::new(1, 2, 2).unwrap();
+        let mut single = IncrementalUcpc::new(1, 2).unwrap();
+        let mut handles = Vec::new();
+        for c in [0.0, 1.0, 10.0, 11.0, 12.0] {
+            let h = sharded.insert(&obj(c)).unwrap();
+            assert_eq!(h, single.insert(&obj(c)).unwrap());
+            handles.push(h);
+        }
+        // Cut shard 1's log three bytes into round 3 while the shard runs.
+        let ends = scan_wal(sharded.durable[1].log.io().bytes())
+            .unwrap()
+            .frame_ends;
+        let cut = ends[1] as usize + 3;
+        sharded.truncate_shard_wal(1, cut);
+        let torn = sharded.durable[1].log.io().bytes().to_vec();
+        // The running shard keeps folding and appends after the tear.
+        assert_eq!(sharded.insert(&obj(0.5)), single.insert(&obj(0.5)));
+        sharded.remove(handles[0]).unwrap();
+        single.remove(handles[0]).unwrap();
+        let moved = sharded.stabilize(3);
+        assert_eq!(moved, single.stabilize(3));
+        assert!(moved > 0, "the stabilize round carries moves");
+        let committed = sharded.committed_rounds();
+        assert_eq!(sharded.shard_applied(1), Some(committed));
+        let mut expected = torn;
+        for seq in 6..=committed {
+            expected.extend_from_slice(sharded.log.frame(seq).unwrap());
+        }
+        let log = sharded.durable[1].log.io().bytes();
+        assert_eq!(log, expected, "the rounds after the cut follow the tear");
+        // Recovery stops at the tear; catch-up supplies the rest.
+        let r = recover(&sharded.durable[1].checkpoint, log).unwrap();
+        assert_eq!((r.applied, r.valid_bytes), (2, ends[1]));
+        assert!(r.damage.is_some(), "the tear is damage, not an error");
+        sharded.crash(1);
+        sharded.restart(1).unwrap();
+        assert_eq!(sharded.shard_applied(1), Some(committed));
+        assert_logs_are_the_coordinators_frames(&sharded);
+        assert_matches_single_node(&sharded, &single);
+    }
+
     /// Installs `checkpoint` + `log` as shard 0's durable bytes and
     /// restarts it. A checked error leaves the shard down (`false`); a
     /// rejoin must land on the committed watermark with the coordinator's
@@ -865,8 +926,9 @@ mod tests {
     fn restart_from(sharded: &mut ShardedUcpc, checkpoint: &[u8], log: &[u8]) -> bool {
         let d = &mut sharded.durable[0];
         d.checkpoint = checkpoint.to_vec();
-        d.log.truncate(0);
-        d.log.clone().write_all(log).unwrap();
+        let io = d.log.io_mut();
+        io.truncate(0);
+        io.write_all(log).unwrap();
         if sharded.restart(0).is_err() {
             return false;
         }
@@ -892,7 +954,7 @@ mod tests {
         }
         sharded.crash(0);
         let checkpoint = sharded.durable[0].checkpoint.clone();
-        let log = sharded.durable[0].log.bytes();
+        let log = sharded.durable[0].log.io().bytes().to_vec();
         assert!(restart_from(&mut sharded, &checkpoint, &log));
         // Every truncation — 0 to 4 bytes included, once an underflow.
         for cut in 0..checkpoint.len() {
@@ -935,13 +997,12 @@ mod tests {
         let rounds = scan_wal(&log).unwrap().records;
         let last = rounds.last().expect("the log holds rounds").seq;
         let with_round = |extra: &[LogEntry]| {
-            let io = SharedVecIo::new();
-            let mut w = WalWriter::create(io.clone(), 1, WalFsync::Off).unwrap();
+            let mut w = WalWriter::create(VecIo::new(), 1, WalFsync::Off).unwrap();
             for r in &rounds {
                 w.log_round(r.seq, &r.entries).unwrap();
             }
             w.log_round(last + 1, extra).unwrap();
-            io.bytes()
+            w.into_io().into_bytes()
         };
         let insert = |slot, cluster| LogEntry {
             op: LogOp::Insert { slot, cluster },
@@ -1042,7 +1103,7 @@ mod tests {
         single.stabilize(5);
         let before = (
             sharded.committed_rounds(),
-            sharded.durable[1].log.bytes().len(),
+            sharded.durable[1].log.io().bytes().len(),
         );
         assert_eq!(sharded.stabilize(1), 0, "the window has settled");
         let still: Vec<u64> = (before.0 + 1..=sharded.committed_rounds()).collect();
@@ -1056,16 +1117,16 @@ mod tests {
                 .map(|r| r.seq)
                 .collect()
         };
-        let log = sharded.durable[1].log.bytes();
-        assert_eq!(empty(&log), still, "zero-entry rounds scan back");
-        let r = recover(&sharded.durable[1].checkpoint, &log).unwrap();
+        let log = sharded.durable[1].log.io().bytes();
+        assert_eq!(empty(log), still, "zero-entry rounds scan back");
+        let r = recover(&sharded.durable[1].checkpoint, log).unwrap();
         assert_eq!(r.applied, sharded.committed_rounds(), "and replay in order");
         // Cut the empty rounds from shard 1's log: catch-up resends them.
         sharded.crash(1);
         sharded.truncate_shard_wal(1, before.1);
         sharded.restart(1).unwrap();
         assert_eq!(sharded.shard_applied(1), Some(sharded.committed_rounds()));
-        assert_eq!(empty(&sharded.durable[1].log.bytes()), still);
+        assert_eq!(empty(sharded.durable[1].log.io().bytes()), still);
         assert_matches_single_node(&sharded, &single);
     }
 
@@ -1117,7 +1178,7 @@ mod tests {
         // Crash with a log torn inside round 3: recovery lands on round 2
         // and the restart catches up to round 4 in-process.
         sharded.crash(0);
-        let ends = scan_wal(&sharded.durable[0].log.bytes())
+        let ends = scan_wal(sharded.durable[0].log.io().bytes())
             .unwrap()
             .frame_ends;
         sharded.truncate_shard_wal(0, ends[2] as usize - 1);
@@ -1132,7 +1193,7 @@ mod tests {
         assert_eq!(sharded.insert(&obj(0.1)), single.insert(&obj(0.1)));
         assert_eq!(sharded.shard_applied(0), Some(5));
         assert_logs_are_the_coordinators_frames(&sharded);
-        let seqs: Vec<u64> = scan_wal(&sharded.durable[0].log.bytes())
+        let seqs: Vec<u64> = scan_wal(sharded.durable[0].log.io().bytes())
             .unwrap()
             .records
             .iter()
@@ -1158,13 +1219,13 @@ mod tests {
     #[test]
     fn an_append_takes_every_round_up_to_it_in_order() {
         let mut p = Participant::new(empty(), 0);
-        let io = p.log.io().clone();
+        let mut wal = shard_log(VecIo::new(), 1);
         let mut tx = ChaosTransport::new(2, ChaosPlan::clean(0));
         let rounds = inserts(4);
-        p.handle(append(3), &rounds, &mut tx);
+        p.handle(append(3), &rounds, &mut wal, &mut tx);
         assert_eq!(tx.recv(0), Some(held(3)));
-        let log = io.bytes();
-        let seqs: Vec<u64> = scan_wal(&log)
+        let log = wal.io().bytes();
+        let seqs: Vec<u64> = scan_wal(log)
             .unwrap()
             .records
             .iter()
@@ -1185,19 +1246,19 @@ mod tests {
     #[test]
     fn a_duplicated_apply_is_re_acked_without_a_second_frame() {
         let mut p = Participant::new(empty(), 0);
-        let io = p.log.io().clone();
+        let mut wal = shard_log(VecIo::new(), 1);
         let mut tx = ChaosTransport::new(2, ChaosPlan::clean(0));
         let replies = |tx: &mut ChaosTransport<Append>| -> Vec<Append> {
             std::iter::from_fn(|| tx.recv(0)).collect()
         };
         let rounds = inserts(1);
-        p.handle(append(1), &rounds, &mut tx);
+        p.handle(append(1), &rounds, &mut wal, &mut tx);
         assert_eq!(replies(&mut tx), [held(1)]);
-        let (log, state) = (io.bytes(), p.engine.snapshot());
+        let (log, state) = (wal.io().bytes().to_vec(), p.engine.snapshot());
         assert_eq!(scan_wal(&log).unwrap().records.len(), 1);
-        p.handle(append(1), &rounds, &mut tx);
+        p.handle(append(1), &rounds, &mut wal, &mut tx);
         assert_eq!(replies(&mut tx), [held(1)], "re-acked");
-        assert_eq!(io.bytes(), log, "no second log frame");
+        assert_eq!(wal.io().bytes(), log, "no second log frame");
         assert!(p.engine.snapshot() == state, "no second fold");
         assert_eq!((p.applied, p.engine.len()), (1, 1));
     }
@@ -1205,15 +1266,15 @@ mod tests {
     #[test]
     fn a_round_missing_from_the_coordinator_log_goes_unanswered() {
         let mut p = Participant::new(empty(), 0);
-        let io = p.log.io().clone();
+        let mut wal = shard_log(VecIo::new(), 1);
         let mut tx = ChaosTransport::new(2, ChaosPlan::clean(0));
         let mut trimmed = inserts(1);
         trimmed.trim(1);
-        p.handle(append(1), &trimmed, &mut tx);
+        p.handle(append(1), &trimmed, &mut wal, &mut tx);
         assert!(tx.recv(0).is_none(), "not acknowledged");
-        assert_eq!((p.applied, io.bytes().len()), (0, WAL_HEADER_LEN));
+        assert_eq!((p.applied, wal.io().bytes().len()), (0, WAL_HEADER_LEN));
         // The retry finds the round once the log holds it.
-        p.handle(append(1), &inserts(1), &mut tx);
+        p.handle(append(1), &inserts(1), &mut wal, &mut tx);
         assert_eq!(tx.recv(0), Some(held(1)));
         assert_eq!((p.applied, p.engine.len()), (1, 1));
     }
@@ -1263,14 +1324,14 @@ mod tests {
         }
         let (rounds, start) = (
             sharded.committed_rounds(),
-            sharded.durable[0].log.bytes().len(),
+            sharded.durable[0].log.io().bytes().len(),
         );
         let genesis = sharded.durable[0].checkpoint.clone();
         let moved = sharded.stabilize(5);
         assert_eq!(moved, single.stabilize(5));
         assert!(moved > 1, "the round carries several moves");
         assert_eq!(sharded.committed_rounds(), rounds + 1, "one round per call");
-        let log = sharded.durable[0].log.bytes();
+        let log = sharded.durable[0].log.io().bytes().to_vec();
         let scan = scan_wal(&log).unwrap();
         let frame = scan.records.last().unwrap();
         assert_eq!((frame.seq, frame.entries.len()), (rounds + 1, moved));
@@ -1280,8 +1341,9 @@ mod tests {
             sharded.crash(0);
             let d = &mut sharded.durable[0];
             d.checkpoint.clone_from(&genesis);
-            d.log.truncate(0);
-            d.log.clone().write_all(&log[..cut]).unwrap();
+            let io = d.log.io_mut();
+            io.truncate(0);
+            io.write_all(&log[..cut]).unwrap();
             sharded.restart(0).unwrap();
             assert_eq!(sharded.shard_applied(0), Some(rounds + 1), "cut {cut}");
             assert_matches_single_node(&sharded, &single);
@@ -1323,7 +1385,10 @@ mod tests {
         assert_eq!(sharded.log.frames.len(), 2);
         // Exactly those two frames: what every rotated shard log appended.
         for d in &sharded.durable {
-            assert_eq!(sharded.log.blocks.concat(), d.log.bytes()[WAL_HEADER_LEN..]);
+            assert_eq!(
+                sharded.log.blocks.concat(),
+                d.log.io().bytes()[WAL_HEADER_LEN..]
+            );
         }
         sharded.crash(1);
         sharded.restart(1).unwrap();
@@ -1333,7 +1398,7 @@ mod tests {
         sharded.crash(0);
         let (checkpoint, log) = (
             sharded.durable[0].checkpoint.clone(),
-            sharded.durable[0].log.bytes(),
+            sharded.durable[0].log.io().bytes().to_vec(),
         );
         assert!(!restart_from(&mut sharded, &stale, &[]));
         assert!(!restart_from(&mut sharded, &[], &[]));
@@ -1350,7 +1415,7 @@ mod tests {
             ..ServingConfig::default()
         };
         let mut serving = ServingUcpc::new(1, 3, cfg).unwrap();
-        let wal = SharedVecIo::new();
+        let wal = crate::wal::SharedVecIo::new();
         serving.attach_wal(wal.clone()).unwrap();
         let mut sharded = ShardedUcpc::new(1, 3, 1).unwrap();
         let served = |serving: &mut ServingUcpc| {
@@ -1387,7 +1452,11 @@ mod tests {
             }
         }
         assert!(moved > 0, "the script logs moves");
-        assert_eq!(wal.bytes(), sharded.durable[0].log.bytes(), "one log shape");
+        assert_eq!(
+            wal.bytes(),
+            sharded.durable[0].log.io().bytes(),
+            "one log shape"
+        );
     }
 
     #[test]

@@ -318,6 +318,13 @@ impl VecIo {
         self.buf
     }
 
+    /// Truncates the buffer to `len` bytes (no-op when already shorter):
+    /// the crash-surgery hook a shard log is cut with, and the reset a
+    /// shard log's buffer gets when its checkpoint rotates it.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
+    }
+
     /// Number of successful [`DurableIo::sync`] calls — lets tests pin the
     /// group-commit policy (one sync per flush, not per frame).
     pub fn syncs(&self) -> u64 {
@@ -381,7 +388,7 @@ impl SharedVecIo {
 
     /// Truncates the shared buffer to `len` bytes (no-op when already
     /// shorter) — the crash-surgery hook recovery harnesses use to cut a
-    /// torn tail, and checkpoint rotation uses to reset a shard log.
+    /// torn tail.
     pub fn truncate(&self, len: usize) {
         self.lock().buf.truncate(len);
     }
@@ -613,6 +620,12 @@ impl<I: DurableIo> WalWriter<I> {
     /// The sink (e.g. to read back a [`VecIo`] buffer).
     pub fn io(&self) -> &I {
         &self.io
+    }
+
+    /// The sink, for surgery beneath the writer: the frame and byte
+    /// counts do not follow what is done to it.
+    pub(crate) fn io_mut(&mut self) -> &mut I {
+        &mut self.io
     }
 
     /// Consumes the writer, yielding the sink.

@@ -1,6 +1,7 @@
 //! Top-k answer semantics of the serving front door: ranking length
 //! clamps to the live cluster count, ties in delta-J keep the lower
-//! cluster index (the serial scan's first-wins rule), the degenerate
+//! cluster index (the serial scan's first-wins rule), also below a best
+//! that arrived after them, the degenerate
 //! `k = 1` margin is `+∞`, and the engine's placement scan
 //! ([`best_insertion`]) agrees with the head of the serving ranking — same
 //! winner, bit-identical delta — not just on the argmin.
@@ -13,7 +14,7 @@ use ucpc::core::serving::{
     PlacementAnswer, ServingConfig, ServingResponse, ServingUcpc, MAX_TOP_K,
 };
 use ucpc::core::PruningConfig;
-use ucpc::uncertain::{Moments, UncertainObject, UnivariatePdf};
+use ucpc::uncertain::{MomentArena, Moments, UncertainObject, UnivariatePdf};
 
 fn arrival_at(rng: &mut StdRng, m: usize, center: f64) -> Moments {
     let o = UncertainObject::new(
@@ -94,6 +95,27 @@ fn ties_in_delta_j_keep_the_lower_cluster_index() {
     }
     assert_eq!(a.best(), (0, d0), "tie at the top goes to cluster 0");
     assert_eq!(a.margin(), 0.0, "tied best and second-best leave no margin");
+}
+
+#[test]
+fn a_displaced_tie_keeps_its_lower_index() {
+    // Clusters 0 and 1 hold the same row, so they tie bitwise; a probe
+    // near cluster 2's row ranks 2 first, and the tie below it must still
+    // come back in ascending index order.
+    let mut rng = StdRng::seed_from_u64(5);
+    let (a, p) = (arrival_at(&mut rng, 4, 0.0), arrival_at(&mut rng, 4, 10.0));
+    let arena = MomentArena::from_moments([&a, &a, &p]);
+    let engine = IncrementalUcpc::from_arena(arena, 3, &[0, 1, 2]).unwrap();
+    let mut serving = ServingUcpc::over(engine, config(MAX_TOP_K));
+    let answer = query(&mut serving, &arrival_at(&mut rng, 4, 10.0));
+    let order: Vec<usize> = answer.ranked().iter().map(|&(c, _)| c).collect();
+    assert_eq!(
+        order,
+        vec![2, 0, 1],
+        "the tie below the best ranks by index"
+    );
+    let (d0, d1) = (answer.ranked()[1].1, answer.ranked()[2].1);
+    assert_eq!(d0.to_bits(), d1.to_bits(), "clusters 0 and 1 tie bitwise");
 }
 
 #[test]
