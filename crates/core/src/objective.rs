@@ -37,8 +37,18 @@
 //! collapse each candidate relocation to closed-form scalars plus a single
 //! fused dot product `⟨s, mu(o)⟩` over contiguous memory — see the
 //! derivation in [`ucpc_uncertain::arena`]. The `delta_j_*` methods are this
-//! kernel. The original three-sweep O(m) evaluation, the `naive` reference
-//! that tests and benches compare against, lives outside the engine in
+//! kernel.
+//!
+//! Adding or removing an object keeps the aggregates current with the same
+//! algebra: one dispatched `dot` for the `⟨s, mu(o)⟩` cross term (before an
+//! add, after a remove), then three element-wise slice passes, one per row
+//! (`psi += var`, `phi += mu2`, `mean_sum += mu`, or `−=`), which the
+//! compiler vectorizes, then O(1) scalar updates from the view's
+//! precomputed sums. Each row element is still one IEEE add or subtract, so
+//! the bits do not depend on how the passes are vectorized.
+//!
+//! The original three-sweep O(m) evaluation, the `naive` reference that
+//! tests and benches compare against, lives outside the engine in
 //! `ucpc_bench::naive`, over the public [`ClusterStats::psi`] /
 //! [`ClusterStats::phi`] / [`ClusterStats::mean_sum`] getters.
 
@@ -168,6 +178,17 @@ fn displacement(scale: f64, sum_mu_sq: f64, cross: f64, s_sq: f64) -> f64 {
         .sqrt()
 }
 
+/// `dst[j] = op(dst[j], src[j])` for every `j`: one statistic row's part of
+/// a fold, as a zipped slice pass the compiler vectorizes (an indexed loop
+/// over the three rows keeps its bounds checks and stays scalar). The
+/// caller has checked that the rows have equal length.
+#[inline(always)]
+fn row_pass(dst: &mut [f64], src: &[f64], op: impl Fn(f64, f64) -> f64) {
+    for (d, &x) in dst.iter_mut().zip(src) {
+        *d = op(*d, x);
+    }
+}
+
 impl ClusterStats {
     /// Empty cluster over `m` dimensions.
     pub fn empty(m: usize) -> Self {
@@ -183,7 +204,12 @@ impl ClusterStats {
         }
     }
 
-    /// Builds statistics from a set of member objects.
+    /// Builds statistics from a set of member objects, folded in order.
+    ///
+    /// # Panics
+    ///
+    /// If `members` is empty (an empty cluster has no `m`; use
+    /// [`Self::empty`]) or the members disagree on their dimensionality.
     pub fn from_members<'a>(members: impl IntoIterator<Item = &'a UncertainObject>) -> Self {
         let mut iter = members.into_iter();
         let first = iter
@@ -228,6 +254,10 @@ impl ClusterStats {
     }
 
     /// Adds one object (Corollary 1, `C+` direction). O(m).
+    ///
+    /// # Panics
+    ///
+    /// If `o` does not have the cluster's `m` dimensions.
     pub fn add(&mut self, o: &Moments) {
         self.add_view(&o.view());
     }
@@ -236,13 +266,25 @@ impl ClusterStats {
     ///
     /// The caller must only remove objects previously added; this is not
     /// checked beyond a size underflow panic.
+    ///
+    /// # Panics
+    ///
+    /// If the cluster is empty or `o` does not have the cluster's `m`
+    /// dimensions.
     pub fn remove(&mut self, o: &Moments) {
         self.remove_view(&o.view());
     }
 
-    /// Adds one object through a kernel view: one fused O(m) pass updates the
-    /// per-dimension vectors and the `⟨s, mu⟩` cross term, then the scalar
-    /// aggregates move by the view's precomputed scalars.
+    /// Adds one object through a kernel view: one dispatched `dot` takes the
+    /// `⟨s, mu⟩` cross term against the pre-add mean sums, three
+    /// element-wise slice passes add the view's `var`, `mu2` and `mu` rows
+    /// to `psi`, `phi` and `mean_sum`, and the scalar aggregates move by the
+    /// view's precomputed scalars. O(m).
+    ///
+    /// # Panics
+    ///
+    /// If any of the view's three rows does not have the cluster's `m`
+    /// entries — checked before anything is folded, in release builds too.
     pub fn add_view(&mut self, v: &MomentView<'_>) {
         self.add_view_impl(v);
     }
@@ -251,17 +293,15 @@ impl ClusterStats {
     /// the update already computes, which the drift-tracked wrapper reuses
     /// for the exact normalized-mean displacement.
     fn add_view_impl(&mut self, v: &MomentView<'_>) -> f64 {
-        debug_assert_eq!(v.dims(), self.dims(), "dimension mismatch");
+        self.check_rows(v);
         // The ⟨s, mu(o)⟩ cross term goes through the dispatched SIMD kernel
         // — the same code path (and therefore the same bits) as the
         // scan-side `delta_j_*` evaluations and the drift-displacement
         // updates that reuse the returned value.
         let cross = dot(&self.mean_sum, v.mu);
-        for j in 0..self.dims() {
-            self.psi[j] += v.var[j];
-            self.phi[j] += v.mu2[j];
-            self.mean_sum[j] += v.mu[j];
-        }
+        row_pass(&mut self.psi, v.var, |s, x| s + x);
+        row_pass(&mut self.phi, v.mu2, |s, x| s + x);
+        row_pass(&mut self.mean_sum, v.mu, |s, x| s + x);
         self.psi_tot += v.sum_var;
         self.phi_tot += v.sum_mu2;
         self.s_sq_tot += 2.0 * cross + v.sum_mu_sq;
@@ -269,7 +309,14 @@ impl ClusterStats {
         cross
     }
 
-    /// Removes one member through a kernel view (see [`Self::add_view`]).
+    /// Removes one member through a kernel view: the three slice passes of
+    /// [`Self::add_view`] subtract the rows, then one dispatched `dot` takes
+    /// the cross term against the post-removal mean sums. O(m).
+    ///
+    /// # Panics
+    ///
+    /// If the cluster is empty, or any of the view's three rows does not
+    /// have the cluster's `m` entries (checked before anything is folded).
     pub fn remove_view(&mut self, v: &MomentView<'_>) {
         self.remove_view_impl(v);
     }
@@ -277,13 +324,14 @@ impl ClusterStats {
     /// [`Self::remove_view`]'s body; returns the `⟨s_post, mu(o)⟩` cross
     /// term (so `⟨s_pre, mu(o)⟩ = cross + Σ mu_j²`).
     fn remove_view_impl(&mut self, v: &MomentView<'_>) -> f64 {
+        // Invariant: only a member is removed, so the cluster holds at least
+        // one; an empty one means the caller lost track of its labels, and
+        // folding on would underflow the size.
         assert!(self.size > 0, "cannot remove from an empty cluster");
-        debug_assert_eq!(v.dims(), self.dims(), "dimension mismatch");
-        for j in 0..self.dims() {
-            self.psi[j] -= v.var[j];
-            self.phi[j] -= v.mu2[j];
-            self.mean_sum[j] -= v.mu[j];
-        }
+        self.check_rows(v);
+        row_pass(&mut self.psi, v.var, |s, x| s - x);
+        row_pass(&mut self.phi, v.mu2, |s, x| s - x);
+        row_pass(&mut self.mean_sum, v.mu, |s, x| s - x);
         // ⟨s_post, mu(o)⟩ through the dispatched SIMD kernel, against the
         // already-updated mean sums.
         let cross = dot(&self.mean_sum, v.mu);
@@ -301,6 +349,21 @@ impl ClusterStats {
             self.s_sq_tot = 0.0;
         }
         cross
+    }
+
+    /// The one length check of a fold, hoisted out of its row passes.
+    #[inline]
+    fn check_rows(&self, v: &MomentView<'_>) {
+        let m = self.dims();
+        // Invariant: every view folded into a cluster has the cluster's m
+        // entries in each row; engines refuse a mismatched arrival at
+        // admission. Checked in release builds too, before anything is
+        // folded: the zipped row passes would otherwise stop at the shorter
+        // row and fold a truncated object without a word.
+        assert!(
+            v.mu.len() == m && v.mu2.len() == m && v.var.len() == m,
+            "dimension mismatch"
+        );
     }
 
     /// Adds one object like [`Self::add_view`] while accumulating the drift
@@ -455,9 +518,13 @@ impl ClusterStats {
     /// full.add_view(&arena.view(2));
     /// assert!((predicted - full.j()).abs() < 1e-12);
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// If `v` does not have the cluster's `m` dimensions (`dot`'s length
+    /// check).
     #[inline]
     pub fn delta_j_add(&self, v: &MomentView<'_>) -> f64 {
-        debug_assert_eq!(v.dims(), self.dims(), "dimension mismatch");
         let cross = dot(&self.mean_sum, v.mu);
         self.add_pricer()
             .price(v.sum_var, v.sum_mu_sq, v.sum_mu2, cross)
@@ -518,8 +585,9 @@ impl ClusterStats {
         phi_tot: f64,
         s_sq_tot: f64,
     ) -> Self {
-        debug_assert_eq!(psi.len(), phi.len());
-        debug_assert_eq!(psi.len(), mean_sum.len());
+        // Invariant: the snapshot reader reads each of the three rows at the
+        // engine's m, so they cannot disagree.
+        debug_assert!(psi.len() == phi.len() && psi.len() == mean_sum.len());
         Self {
             psi,
             phi,
@@ -564,12 +632,18 @@ impl ClusterStats {
     /// single.add_view(&arena.view(0));
     /// assert_eq!(single.delta_j_remove(&arena.view(0)), -single.j());
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// If the cluster is empty, or `v` does not have the cluster's `m`
+    /// dimensions (a singleton's removal reads no row, so there only debug
+    /// builds check).
     #[inline]
     pub fn delta_j_remove(&self, v: &MomentView<'_>) -> f64 {
-        debug_assert_eq!(v.dims(), self.dims(), "dimension mismatch");
         // Invariant: callers price the removal of a member, so the cluster
-        // holds at least one; an empty one means the caller lost track of
-        // its labels.
+        // holds at least one and the member has its m; an empty one means
+        // the caller lost track of its labels.
+        debug_assert_eq!(v.dims(), self.dims(), "dimension mismatch");
         assert!(self.size > 0, "cannot remove from an empty cluster");
         // A singleton's removal gain reads no cross term.
         let cross = if self.size == 1 {
@@ -583,9 +657,13 @@ impl ClusterStats {
 
     /// `J_UK(C ∪ {o}) − J_UK(C)` via the kernel (Lemma 1 analogue of
     /// [`Self::delta_j_add`]).
+    ///
+    /// # Panics
+    ///
+    /// If `v` does not have the cluster's `m` dimensions (`dot`'s length
+    /// check).
     #[inline]
     pub fn delta_j_uk_add(&self, v: &MomentView<'_>) -> f64 {
-        debug_assert_eq!(v.dims(), self.dims(), "dimension mismatch");
         let cross = dot(&self.mean_sum, v.mu);
         let s_sq = self.s_sq_tot + 2.0 * cross + v.sum_mu_sq;
         let j_new = self.phi_tot + v.sum_mu2 - s_sq / (self.size + 1) as f64;
@@ -594,8 +672,13 @@ impl ClusterStats {
 
     /// `J_UK(C ∖ {o}) − J_UK(C)` via the kernel. `o` must be a member;
     /// `−J_UK(C)` when removing the last member.
+    ///
+    /// # Panics
+    ///
+    /// Like [`Self::delta_j_remove`].
     #[inline]
     pub fn delta_j_uk_remove(&self, v: &MomentView<'_>) -> f64 {
+        // Invariant: as in `delta_j_remove`, `o` is a member.
         debug_assert_eq!(v.dims(), self.dims(), "dimension mismatch");
         assert!(self.size > 0, "cannot remove from an empty cluster");
         if self.size == 1 {
@@ -629,6 +712,10 @@ impl ClusterStats {
     /// The UK-means centroid (Eq. 7) — the average of member expected values;
     /// also `mu` of both the MMVar mixture centroid (Lemma 2) and the
     /// U-centroid (Lemma 5).
+    ///
+    /// # Panics
+    ///
+    /// If the cluster is empty: an empty cluster has no centroid.
     pub fn centroid(&self) -> Vec<f64> {
         assert!(self.size > 0, "centroid of an empty cluster is undefined");
         let inv = 1.0 / self.size as f64;
@@ -637,6 +724,10 @@ impl ClusterStats {
 
     /// Moments of the MMVar mixture centroid `C_MM` (Lemma 2):
     /// `mu = (1/|C|) Σ mu(o)`, `mu_2 = (1/|C|) Σ mu_2(o)`.
+    ///
+    /// # Panics
+    ///
+    /// If the cluster is empty: an empty cluster has no mixture.
     pub fn mixture_moments(&self) -> Moments {
         assert!(self.size > 0, "mixture of an empty cluster is undefined");
         let inv = 1.0 / self.size as f64;

@@ -3,13 +3,20 @@
 //! must agree with naive from-scratch recomputation after every applied
 //! relocation, every `delta_j_*` must match its naive `*_after_*` sweep
 //! (`ucpc_bench::naive`), and
-//! UCPC's objective trace must stay monotone under the kernel.
+//! UCPC's objective trace must stay monotone under the kernel. The
+//! statistic updates themselves (`add_view`, `remove_view` and their
+//! drift-tracked forms) are held bit for bit to the per-dimension
+//! reference fold in `tests/support/fold.rs`.
+
+mod support;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use support::fold::RefFold;
 use ucpc::core::objective::ClusterStats;
 use ucpc::core::Ucpc;
-use ucpc::uncertain::{MomentArena, UncertainObject, UnivariatePdf};
+use ucpc::uncertain::{MomentArena, MomentView, UncertainObject, UnivariatePdf};
 use ucpc_bench::naive::{
     j_after_add, j_after_remove, j_mm_after_add, j_mm_after_remove, j_naive, j_uk_after_add,
     j_uk_after_remove, j_uk_naive,
@@ -319,6 +326,197 @@ fn objective_trace_stays_monotone_and_final_j_matches_rebuild() {
                 "n={n} m={m} k={k} seed={seed}: final {} vs rebuilt {rebuilt}",
                 r.objective
             );
+        }
+    }
+}
+
+/// One object's raw rows and the scalars a `MomentView` carries. Rows are
+/// drawn entry by entry, so they need not be consistent moments: the fold
+/// is plain arithmetic on whatever the view holds.
+struct RawRow {
+    mu: Vec<f64>,
+    mu2: Vec<f64>,
+    var: Vec<f64>,
+}
+
+impl RawRow {
+    fn view(&self) -> MomentView<'_> {
+        let sum_mu_sq: f64 = self.mu.iter().map(|x| x * x).sum();
+        MomentView {
+            mu: &self.mu,
+            mu2: &self.mu2,
+            var: &self.var,
+            sum_mu_sq,
+            sum_mu2: self.mu2.iter().sum(),
+            sum_var: self.var.iter().sum(),
+            norm_mu: sum_mu_sq.sqrt(),
+        }
+    }
+}
+
+/// ±0.0, subnormals, ±1e±300 or an ordinary value.
+fn hostile(rng: &mut StdRng) -> f64 {
+    let sign = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+    sign * match rng.gen_range(0..6u8) {
+        0 => 0.0,
+        1 => f64::from_bits(rng.gen_range(1..1u64 << 52)),
+        2 => 1e300,
+        3 => 1e-300,
+        _ => rng.gen_range(0.0..8.0),
+    }
+}
+
+fn raw_row(m: usize, rng: &mut StdRng) -> RawRow {
+    let mut draw = || (0..m).map(|_| hostile(rng)).collect::<Vec<f64>>();
+    RawRow {
+        mu: draw(),
+        mu2: draw(),
+        var: draw(),
+    }
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+fn assert_same_as_reference(stats: &ClusterStats, r: &RefFold, ctx: &str) {
+    assert_eq!(bits(stats.psi()), bits(&r.psi), "{ctx}: psi");
+    assert_eq!(bits(stats.phi()), bits(&r.phi), "{ctx}: phi");
+    assert_eq!(bits(stats.mean_sum()), bits(&r.mean_sum), "{ctx}: mean_sum");
+    assert_eq!(stats.size(), r.size, "{ctx}: size");
+    assert_eq!(stats.j().to_bits(), r.j().to_bits(), "{ctx}: J");
+    let (d, e) = (stats.drift(), r.drift);
+    let fields = |d: ucpc::core::objective::ClusterDrift| {
+        [
+            d.add_const,
+            d.add_size,
+            d.add_mean,
+            d.rem_const,
+            d.rem_size,
+            d.rem_mean,
+        ]
+    };
+    assert_eq!(bits(&fields(d)), bits(&fields(e)), "{ctx}: drift");
+}
+
+#[test]
+fn statistic_updates_match_the_per_dimension_reference_fold_bit_for_bit() {
+    for m in (1..=33).chain([64]) {
+        for seed in 0..3u64 {
+            let mut rng = StdRng::seed_from_u64(7000 + 100 * m as u64 + seed);
+            let pool: Vec<RawRow> = (0..24).map(|_| raw_row(m, &mut rng)).collect();
+            let mut stats = ClusterStats::empty(m);
+            let mut reference = RefFold::new(m);
+            let mut members: Vec<usize> = Vec::new();
+            // Grow, churn, then drain to empty: large clusters, the small
+            // transitions near sizes 0–2 and the re-zeroed empty cluster.
+            for (phase, p_add, steps) in
+                [("grow", 0.8, 120), ("churn", 0.5, 160), ("drain", 0.0, 0)]
+            {
+                let steps = if phase == "drain" {
+                    members.len()
+                } else {
+                    steps
+                };
+                for step in 0..steps {
+                    let tracked = rng.gen_bool(0.5);
+                    let adding = members.is_empty() || rng.gen_bool(p_add);
+                    let (i, small) = if adding {
+                        let i = rng.gen_range(0..pool.len());
+                        members.push(i);
+                        let v = pool[i].view();
+                        if tracked {
+                            (
+                                i,
+                                Some((stats.add_view_tracked(&v), reference.add_tracked(&v))),
+                            )
+                        } else {
+                            stats.add_view(&v);
+                            reference.add(&v);
+                            (i, None)
+                        }
+                    } else {
+                        let i = members.swap_remove(rng.gen_range(0..members.len()));
+                        let v = pool[i].view();
+                        if tracked {
+                            let got = stats.remove_view_tracked(&v);
+                            (i, Some((got, reference.remove_tracked(&v))))
+                        } else {
+                            stats.remove_view(&v);
+                            reference.remove(&v);
+                            (i, None)
+                        }
+                    };
+                    let ctx = format!(
+                        "m={m} seed={seed} {phase} step {step}: {} row {i}{}",
+                        if adding { "add" } else { "remove" },
+                        if tracked { " tracked" } else { "" }
+                    );
+                    if let Some((got, want)) = small {
+                        assert_eq!(got, want, "{ctx}: small-transition flag");
+                    }
+                    assert_same_as_reference(&stats, &reference, &ctx);
+                }
+            }
+            assert!(stats.is_empty(), "m={m} seed={seed}: drained");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "dimension mismatch")]
+fn adding_a_view_with_a_short_row_panics() {
+    let mut stats = ClusterStats::empty(4);
+    let short = RawRow {
+        mu: vec![1.0; 4],
+        mu2: vec![2.0; 4],
+        var: vec![1.0; 3],
+    };
+    stats.add_view(&short.view());
+}
+
+#[test]
+fn a_mismatched_view_panics_before_anything_is_folded() {
+    let full = RawRow {
+        mu: vec![1.0, -2.0, 0.5, 3.0],
+        mu2: vec![2.0, 4.5, 0.5, 9.5],
+        var: vec![1.0, 0.5, 0.25, 0.5],
+    };
+    // Each way a view's rows can disagree with the 4-dimensional cluster:
+    // one row one entry short or one entry long.
+    let mismatched = [3, 5].into_iter().flat_map(|n| {
+        ["mu", "mu2", "var"].map(|row| {
+            let len = |r: &str| if r == row { n } else { 4 };
+            let bad = RawRow {
+                mu: vec![1.0; len("mu")],
+                mu2: vec![2.0; len("mu2")],
+                var: vec![1.0; len("var")],
+            };
+            (row, n, bad)
+        })
+    });
+    for (row, len, bad) in mismatched {
+        for entry in ["add", "add tracked", "remove", "remove tracked"] {
+            let mut stats = ClusterStats::empty(4);
+            let mut reference = RefFold::new(4);
+            for _ in 0..3 {
+                stats.add_view_tracked(&full.view());
+                reference.add_tracked(&full.view());
+            }
+            let v = bad.view();
+            let folded = catch_unwind(AssertUnwindSafe(|| match entry {
+                "add" => stats.add_view(&v),
+                "add tracked" => {
+                    stats.add_view_tracked(&v);
+                }
+                "remove" => stats.remove_view(&v),
+                _ => {
+                    stats.remove_view_tracked(&v);
+                }
+            }));
+            let ctx = format!("{entry} with a {len}-entry {row} row");
+            assert!(folded.is_err(), "{ctx}: folded instead of panicking");
+            assert_same_as_reference(&stats, &reference, &ctx);
         }
     }
 }

@@ -3,4 +3,5 @@
 // Each suite uses only part of the support code.
 #![allow(dead_code)]
 
+pub mod fold;
 pub mod reference;
