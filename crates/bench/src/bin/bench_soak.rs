@@ -117,7 +117,7 @@ fn soak(pruning: PruningConfig, edits: usize) -> SoakRow {
     live.stabilize(1);
 
     let slot_rows_before = live.slot_rows();
-    let cache_entries_before = live.cache_entries();
+    let cache_entries_before = live.pruner().cache_entries();
     let pairs = edits / 2;
     let mut relocations = 0usize;
 
@@ -136,7 +136,7 @@ fn soak(pruning: PruningConfig, edits: usize) -> SoakRow {
     let alloc_calls = ALLOC_CALLS.load(Ordering::Relaxed) - alloc_before;
 
     let slot_rows_after = live.slot_rows();
-    let cache_entries_after = live.cache_entries();
+    let cache_entries_after = live.pruner().cache_entries();
     assert_eq!(live.len(), n, "window size is steady");
 
     let flat = alloc_calls == 0

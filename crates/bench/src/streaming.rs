@@ -237,7 +237,7 @@ mod tests {
         };
         let w = streaming_workload(shape, spec, 23);
         let tracked = churn_once(&w, PruningConfig::Bounds);
-        // The same churn with the whole cache dropped (an epoch bump)
+        // The same churn with the whole cache dropped (a pruner retire)
         // before every sweep: what an engine with untracked edits must do.
         let mut live = IncrementalUcpc::new(shape.m, shape.k).unwrap();
         live.set_pruning(PruningConfig::Bounds);

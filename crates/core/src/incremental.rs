@@ -7,8 +7,8 @@
 //! live partition of a stream of uncertain objects, inserting each arrival
 //! into the cluster that minimizes the objective increase, removing departed
 //! objects, and periodically re-stabilizing with relocation passes (each pass
-//! is one iteration of Algorithm 1: [`best_move`] decides, [`apply_relocation`]
-//! applies, and a move needs to lower `J` by more than
+//! is one iteration of Algorithm 1: [`Pruner::best_move`] decides,
+//! [`Pruner::relocate`] applies, and a move needs to lower `J` by more than
 //! [`crate::pruning::TOLERANCE`]). [`IncrementalUcpc::stabilize`] is the
 //! crate's only relocation loop; batch [`crate::Ucpc`] runs it too.
 //!
@@ -58,9 +58,11 @@
 //!
 //! # Surgical invalidation, tracked lazily
 //!
-//! Once a pruned pass has cached bounds, edits go through the drift-tracked
-//! statistic updates (`add_view_tracked` / `remove_view_tracked`,
-//! bit-identical statistics to the untracked ones), so an edit is just one
+//! The engine owns its pruning state in one [`Pruner`] and hands it every
+//! statistic update and every relocation decision. Once a pruned pass has
+//! cached bounds, the pruner folds edits drift-tracked
+//! ([`crate::pruning::track_add`] / [`crate::pruning::track_remove`],
+//! bit-identical statistics to the untracked fold), so an edit is just one
 //! more transition the drift bounds already cover: cached pruning bounds
 //! *widen* instead of dying. Only a small-size transition (the touched
 //! cluster passing through size `< 2`, where the remove-direction
@@ -74,21 +76,18 @@
 //! never serve the slot's next tenant.
 //!
 //! Tracking is paid only while somebody can read it. A pruned pass turns
-//! it on; every prune-cache epoch bump ([`IncrementalUcpc::set_pruning`],
-//! the re-partition of a restart, an undone pass) turns it off, through one
-//! helper that writes both, so no cache entry of the current epoch exists
-//! while edits fold untracked. Until the next pruned pass, inserts, removes
-//! and replayed moves take the plain O(m) fold, and that pass starts from
-//! entries of an older epoch, which it never trusts. Drift therefore
-//! depends on pass history, which is why snapshots leave it out
-//! ([`crate::snapshot`]).
+//! it on; [`Pruner::retire`] turns it off, empties the cache and zeroes
+//! every watermark, and [`IncrementalUcpc::set_pruning`], the
+//! re-partition of a restart and an undone pass all retire. Until the next
+//! pruned pass, inserts, removes and replayed moves take the plain O(m)
+//! fold, and that pass caches against accumulators that start from zero.
+//! Drift therefore depends on pass history, which is why snapshots leave
+//! it out ([`crate::snapshot`]); a restored engine's pruner is
+//! [`Pruner::new`], the state a retire leaves.
 
 use crate::framework::{validate_labels, ClusterError};
 use crate::objective::{total_objective, ClusterStats};
-use crate::pruning::{
-    apply_insert, apply_relocation, apply_remove, best_move, fp_scale, DriftTotals, PassState,
-    PricingTable, PruneCache, PruneCounters, PruningConfig,
-};
+use crate::pruning::{PricingTable, PruneCounters, Pruner, PruningConfig};
 use crate::wal::{LogEntry, LogOp};
 use ucpc_uncertain::arena::MomentView;
 use ucpc_uncertain::{MomentArena, Moments, SlabArena, UncertainObject};
@@ -141,28 +140,13 @@ pub struct IncrementalUcpc {
     /// slot, so it tops out at the live-window high-water mark.
     pub(crate) labels: Vec<Option<usize>>,
     pub(crate) live: usize,
-    /// Candidate pruning for [`Self::stabilize`] passes; placement in
-    /// [`Self::insert`] always scans every cluster.
-    pub(crate) pruning: PruningConfig,
-    /// Prune-cache epoch — the coarse kill-switch, bumped only by
-    /// [`Self::retire_cache`]. Tracked edits never need it: small-size
-    /// transitions go through the per-cluster `versions` below, and slot
-    /// recycling is covered by the cache entries' generation stamps.
-    pub(crate) epoch: u64,
-    /// Whether edits and moves fold drift-tracked: set when a pruned pass
-    /// starts, cleared with every epoch bump, so that while it is `false`
-    /// no cache entry carries the current `epoch`.
-    pub(crate) tracking: bool,
-    /// Per-cluster remove-direction version counters — the surgical
-    /// invalidation watermarks of [`crate::pruning`].
-    pub(crate) versions: Vec<u64>,
-    pub(crate) totals: DriftTotals,
-    pub(crate) cache: PruneCache,
-    pub(crate) counters: PruneCounters,
+    /// All relocation-pruning state; every write to `stats` goes through
+    /// it. Placement in [`Self::insert`] always scans every cluster.
+    pub(crate) pruner: Pruner,
     /// What placement and relocation scans price against: every cluster's
     /// `mean_sum` row and pricers, re-derived lazily. Every write to
     /// `stats` marks the clusters it touched stale ([`Self::apply_round`],
-    /// [`Self::relocate`], [`Self::retire_cache`]).
+    /// [`Self::relocate`], [`Self::relabel`], [`Self::undo_pass`]).
     pub(crate) table: PricingTable,
 }
 
@@ -180,13 +164,7 @@ impl IncrementalUcpc {
             slab: SlabArena::new(),
             labels: Vec::new(),
             live: 0,
-            pruning: PruningConfig::default(),
-            epoch: 0,
-            tracking: false,
-            versions: vec![0; k],
-            totals: DriftTotals::default(),
-            cache: PruneCache::new(0, k),
-            counters: PruneCounters::default(),
+            pruner: Pruner::new(k, PruningConfig::default()),
             table: PricingTable::new(m, k),
         })
     }
@@ -221,13 +199,15 @@ impl IncrementalUcpc {
     /// Re-partitions the rows of a [`Self::from_arena`] engine (every slot
     /// live) into the engine `from_arena` would build, with its checks,
     /// keeping the rows and the prune cache's buffers. Statistics are
-    /// refolded; versions, drift totals and prune counters restart from
-    /// zero; [`Self::retire_cache`] retires every cached bound. An error
-    /// leaves the statistics partly folded, for the caller to discard.
+    /// refolded, the pruner retires ([`Pruner::retire`]) and its counters
+    /// restart from zero. An error leaves the statistics partly folded, for
+    /// the caller to discard.
     pub(crate) fn relabel(&mut self, labels: &[usize]) -> Result<(), ClusterError> {
         validate_labels(labels, self.labels.len(), self.k)?;
         self.stats.fill(ClusterStats::empty(self.m));
-        self.retire_cache();
+        self.pruner.retire();
+        self.pruner.reset_counters();
+        self.table.mark_all_stale();
         let mut norms_finite = true;
         for (i, (slot, &c)) in self.labels.iter_mut().zip(labels).enumerate() {
             let v = self.slab.view(i);
@@ -242,21 +222,7 @@ impl IncrementalUcpc {
         if !norms_finite || !self.stats.iter().all(ClusterStats::is_finite) {
             return Err(ClusterError::NonFinite);
         }
-        self.versions.fill(0);
-        self.totals = DriftTotals::default();
-        self.counters = PruneCounters::default();
         Ok(())
-    }
-
-    /// Retires every cached bound (epoch bump) and stops drift tracking
-    /// until the next pruned pass. The one writer of both, so "not
-    /// tracking ⇒ no prune-cache entry carries the current epoch" holds
-    /// everywhere. Every caller replaces the statistics wholesale, so
-    /// every pricing-table row goes stale too.
-    fn retire_cache(&mut self) {
-        self.epoch += 1;
-        self.tracking = false;
-        self.table.mark_all_stale();
     }
 
     /// Alias of [`Self::new`]: [`StreamBackend::Slab`] is the only store.
@@ -265,11 +231,11 @@ impl IncrementalUcpc {
     }
 
     /// Enables or disables candidate pruning for subsequent
-    /// [`Self::stabilize`] calls; outstanding cached bounds are discarded,
-    /// and edits fold untracked until the next pruned pass.
+    /// [`Self::stabilize`] calls. The pruner retires ([`Pruner::retire`]):
+    /// outstanding cached bounds are discarded, and edits fold untracked
+    /// until the next pruned pass.
     pub fn set_pruning(&mut self, pruning: PruningConfig) {
-        self.pruning = pruning;
-        self.retire_cache();
+        self.pruner.set_config(pruning);
     }
 
     /// The per-cluster sufficient statistics of the live partition (the
@@ -282,7 +248,13 @@ impl IncrementalUcpc {
     /// Candidate-pruning counters accumulated over all pruned stabilization
     /// passes (placement scans count nothing).
     pub fn pruning_counters(&self) -> PruneCounters {
-        self.counters
+        self.pruner.counters()
+    }
+
+    /// The engine's relocation-pruning state: its configuration, cache,
+    /// drift watermarks and counters.
+    pub fn pruner(&self) -> &Pruner {
+        &self.pruner
     }
 
     /// Number of live objects.
@@ -307,12 +279,6 @@ impl IncrementalUcpc {
     /// exactly that.
     pub fn slot_rows(&self) -> usize {
         self.labels.len()
-    }
-
-    /// Number of prune-cache entries currently allocated (0 until the
-    /// first pruned stabilization pass; bounded by [`Self::slot_rows`]).
-    pub fn cache_entries(&self) -> usize {
-        self.cache.len()
     }
 
     /// Current total objective `Σ_C J(C)`.
@@ -425,9 +391,9 @@ impl IncrementalUcpc {
     /// drained one is not empty; an `Insert` names the slot the slab
     /// allocates next and carries a finite `m`-dimensional row; a `Remove`
     /// or `Move` names a live slot labelled with the cluster it leaves (its
-    /// row is read from the slab). One tracking rule covers all three ops:
-    /// an entry folds drift-tracked iff a pruned pass's cache entries are
-    /// live (module docs), and with the plain O(m) update otherwise. The
+    /// row is read from the slab). Every entry folds through the [`Pruner`],
+    /// drift-tracked iff a pruned pass's cache entries are live (module
+    /// docs), and with the plain O(m) update otherwise. The
     /// first failing entry stops the fold with the reason and leaves the
     /// engine partly updated, for a replaying caller to discard.
     pub fn apply_round<R: AsRef<[f64]>>(
@@ -448,10 +414,7 @@ impl IncrementalUcpc {
                 (Some(c), None) => {
                     let h = ObjectHandle::new(slot, self.slab.generation(s));
                     let v = self.slab.view(s);
-                    let drift = self
-                        .tracking
-                        .then_some((&mut self.totals, &mut self.versions[..]));
-                    apply_remove(&mut self.stats, c, &v, drift);
+                    self.pruner.remove(&mut self.stats, c, &v);
                     self.table.mark_stale(c);
                     // A departure frees its slot.
                     self.slab
@@ -476,10 +439,7 @@ impl IncrementalUcpc {
                     if !sums.iter().all(|x| x.is_finite()) {
                         return Err("round carries a non-finite row");
                     }
-                    let drift = self
-                        .tracking
-                        .then_some((&mut self.totals, &mut self.versions[..]));
-                    apply_insert(&mut self.stats, c, &v, drift);
+                    self.pruner.add(&mut self.stats, c, &v);
                     self.table.mark_stale(c);
                     if s == self.labels.len() {
                         self.labels.push(Some(c));
@@ -496,27 +456,20 @@ impl IncrementalUcpc {
 
     /// Relocates the object in live slot `s` from `src` to `dst`, both
     /// existing clusters with `src` its label: the unchecked body of a
-    /// `Move` entry, which a relocation pass applies directly. The move is
-    /// drift-tracked under the one rule of [`Self::apply_round`], and
-    /// retires the slot's cached bound (the cache covers the slots of the
-    /// last pruned pass).
+    /// `Move` entry, which a relocation pass applies directly. The move
+    /// goes through [`Pruner::relocate`], drift-tracked under the one rule
+    /// of [`Self::apply_round`], and invalidates the slot's cached bound.
     fn relocate(&mut self, s: usize, src: usize, dst: usize) {
         let v = self.slab.view(s);
-        let drift = self
-            .tracking
-            .then_some((&mut self.totals, &mut self.versions[..]));
-        apply_relocation(&mut self.stats, src, dst, &v, drift);
+        self.pruner.relocate(&mut self.stats, s, src, dst, &v);
         self.table.mark_stale(src);
         self.table.mark_stale(dst);
         self.labels[s] = Some(dst);
-        if s < self.cache.len() {
-            self.cache.invalidate(s);
-        }
     }
 
     /// Runs up to `passes` relocation passes of Algorithm 1 over the live
     /// objects; returns the number of relocations applied. Each object's
-    /// move is decided by [`best_move`] — with pruning enabled through the
+    /// move is decided by [`Pruner::best_move`] — with pruning enabled through the
     /// exact tier-1/tier-2 shortcuts of [`crate::pruning`] — and applies iff
     /// it lowers `J` by more than [`crate::pruning::TOLERANCE`]; the
     /// relocation sequence is identical either way.
@@ -529,16 +482,9 @@ impl IncrementalUcpc {
     /// layer logs a pass's moves as one round this way.
     pub(crate) fn stabilize_with(&mut self, passes: usize, mut each: impl FnMut(LogOp)) -> usize {
         let mut relocations = 0usize;
-        let pruned = self.pruning.is_enabled();
-        if pruned {
-            self.cache.grow(self.labels.len());
-            // From here on every fold is tracked, so the entries this pass
-            // caches see every transition after them.
-            self.tracking = true;
-        }
         for _ in 0..passes {
             let mut moved = false;
-            let scale = if pruned { fp_scale(&self.stats) } else { 0.0 };
+            self.pruner.begin_pass(&self.stats, self.labels.len());
             for i in 0..self.labels.len() {
                 let Some(src) = self.labels[i] else { continue };
                 if self.stats[src].size() == 1 {
@@ -547,17 +493,9 @@ impl IncrementalUcpc {
                 // Borrowed straight out of the slab: no per-object clone
                 // of the moments is ever needed.
                 let v = self.slab.view(i);
-                let pass = PassState {
-                    stats: &self.stats,
-                    totals: self.totals,
-                    versions: &self.versions,
-                    epoch: self.epoch,
-                    scale,
-                };
-                let cache = pruned.then_some((&mut self.cache, &mut self.counters));
                 let gen = self.slab.generation(i);
-                let table = &mut self.table;
-                let Some((dst, _)) = best_move(&pass, table, cache, i, gen, src, &v) else {
+                let (stats, table) = (&self.stats, &mut self.table);
+                let Some((dst, _)) = self.pruner.best_move(stats, table, i, gen, src, &v) else {
                     continue;
                 };
                 // `i` is live in `src`, and the scan picks an existing
@@ -578,31 +516,28 @@ impl IncrementalUcpc {
         relocations
     }
 
-    /// Copies what a relocation pass mutates besides labels into `undo`,
-    /// for [`Self::undo_pass`]. The copy reuses `undo`'s buffers, so it
+    /// Copies the statistics a relocation pass mutates into `undo`, for
+    /// [`Self::undo_pass`] (which restores labels from the pass's moves and
+    /// retires the pruner). The copy reuses `undo`'s buffers, so it
     /// allocates nothing once `undo` has held a copy of this engine.
     pub(crate) fn save_pass_into(&self, undo: &mut PassUndo) {
         undo.stats.clone_from(&self.stats);
-        undo.totals = self.totals;
-        undo.versions.clone_from(&self.versions);
     }
 
     /// Rolls back the pass that made `moves` since [`Self::save_pass_into`]
-    /// filled `undo`: swaps the statistics and version counters back in,
-    /// restores the drift totals and labels, and retires the prune cache
-    /// ([`Self::retire_cache`]), whose entries the pass wrote against
-    /// statistics that are gone. `undo` is left holding the abandoned
-    /// pass's state.
+    /// filled `undo`: swaps the statistics back in, restores the labels,
+    /// and retires the pruner ([`Pruner::retire`]), whose entries and
+    /// watermarks the pass wrote against statistics that are gone. `undo`
+    /// is left holding the abandoned pass's statistics.
     pub(crate) fn undo_pass(&mut self, undo: &mut PassUndo, moves: &[LogEntry<&[f64]>]) {
         std::mem::swap(&mut self.stats, &mut undo.stats);
-        std::mem::swap(&mut self.versions, &mut undo.versions);
-        self.totals = undo.totals;
         for e in moves.iter().rev() {
             if let LogOp::Move { slot, src, .. } = e.op {
                 self.labels[slot as usize] = Some(src);
             }
         }
-        self.retire_cache();
+        self.pruner.retire();
+        self.table.mark_all_stale();
     }
 
     /// Current handles and labels of all live objects, in slot order.
@@ -622,13 +557,11 @@ impl IncrementalUcpc {
     }
 }
 
-/// What a relocation pass mutates besides labels, saved so that a pass
-/// whose round cannot be logged can be undone.
+/// The statistics before a relocation pass, saved so that a pass whose
+/// round cannot be logged can be undone.
 #[derive(Debug, Default)]
 pub(crate) struct PassUndo {
     stats: Vec<ClusterStats>,
-    totals: DriftTotals,
-    versions: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -759,15 +692,122 @@ mod tests {
         let mut moves = Vec::new();
         let moved = inc.stabilize_with(3, |op| moves.push(LogEntry::bare(op)));
         assert!(moved > 0 && moves.len() == moved);
+        assert!(inc.pruner().cache_entries() > 0, "the pass cached bounds");
+        let counted = inc.pruning_counters();
         inc.undo_pass(&mut undo, &moves);
         assert_eq!(inc.live_labels(), before.live_labels());
         assert_eq!(inc.cluster_stats(), before.cluster_stats());
-        assert_eq!(inc.totals, before.totals);
-        assert_eq!(inc.versions, before.versions);
-        // The pass cached bounds against statistics that are gone, and
-        // edits fold untracked until the next pruned pass.
-        assert_eq!(inc.epoch, before.epoch + 1);
-        assert!(!inc.tracking);
+        // The pass cached bounds against statistics that are gone: the
+        // pruner retires, so the cache is empty, every watermark is zero
+        // and edits fold untracked until the next pruned pass.
+        assert_eq!(inc.pruner().cache_entries(), 0);
+        assert!(inc.pruner().is_fresh());
+        assert_eq!(inc.pruning_counters(), counted, "counters survive");
+    }
+
+    /// A pruned churn-plus-stabilize script with slot reuse: the labels,
+    /// objective bits, prune-counter deltas and drift accumulators it ends
+    /// on.
+    #[allow(clippy::type_complexity)]
+    fn pruned_churn(
+        engine: &mut IncrementalUcpc,
+    ) -> (
+        Vec<(ObjectHandle, usize)>,
+        u64,
+        [usize; 3],
+        Vec<crate::pruning::ClusterDrift>,
+    ) {
+        assert_eq!(engine.pruner().config(), PruningConfig::Bounds);
+        let before = engine.pruning_counters();
+        for step in 0..120usize {
+            let x = step as f64;
+            let c = (step % 3) as f64 * 6.0 + (x * 0.53).sin();
+            engine
+                .insert(&UncertainObject::new(vec![
+                    UnivariatePdf::normal(c, 0.3),
+                    UnivariatePdf::normal((x * 0.17).cos() - c, 0.2),
+                ]))
+                .unwrap();
+            let victim = engine.live_labels()[step % 7].0;
+            engine.remove(victim).unwrap();
+            if step % 20 == 19 {
+                engine.stabilize(3);
+            }
+        }
+        let after = engine.pruning_counters();
+        let delta = [
+            after.skips - before.skips,
+            after.confirms - before.confirms,
+            after.full_scans - before.full_scans,
+        ];
+        let drift = engine.pruner().drift().to_vec();
+        (
+            engine.live_labels(),
+            engine.objective().to_bits(),
+            delta,
+            drift,
+        )
+    }
+
+    /// `engine` holds a fresh pruner — an empty cache, every drift
+    /// accumulator zero — and continues a pruned script exactly like an
+    /// engine restored from its snapshot.
+    fn assert_retired(mut engine: IncrementalUcpc, what: &str) {
+        use crate::pruning::ClusterDrift;
+        assert_eq!(engine.pruner().cache_entries(), 0, "{what}");
+        let zero = ClusterDrift::default();
+        assert!(engine.pruner().drift().iter().all(|&d| d == zero), "{what}");
+        assert!(engine.pruner().is_fresh(), "{what}");
+        let mut restored = IncrementalUcpc::restore(&engine.snapshot()).unwrap();
+        let ran = pruned_churn(&mut engine);
+        assert!(ran.2[0] > 0, "{what}: pruning must fire");
+        assert_eq!(ran, pruned_churn(&mut restored), "{what}");
+    }
+
+    #[test]
+    fn every_retire_lands_on_a_fresh_pruner() {
+        use crate::serving::{ServingConfig, ServingResponse, ServingUcpc};
+        use crate::wal::{VecIo, WAL_HEADER_LEN};
+        // A pruned engine with live cache entries and tracked churn behind
+        // them, so every watermark is non-zero.
+        let mut churned = IncrementalUcpc::from_arena(blob_arena(), 3, &partition(90, 7)).unwrap();
+        churned.set_pruning(PruningConfig::Bounds);
+        churned.stabilize(50);
+        pruned_churn(&mut churned);
+        assert!(churned.pruner().cache_entries() > 0);
+        assert!(!churned.pruner().is_fresh());
+
+        let mut flipped = churned.clone();
+        flipped.set_pruning(PruningConfig::Bounds);
+        assert_retired(flipped, "set_pruning");
+
+        // `BestOfRestarts` relabels a bulk-loaded engine (every slot live).
+        let mut restarted =
+            IncrementalUcpc::from_arena(blob_arena(), 3, &partition(90, 7)).unwrap();
+        restarted.set_pruning(PruningConfig::Bounds);
+        restarted.stabilize(50);
+        assert!(restarted.pruner().cache_entries() > 0);
+        restarted.relabel(&partition(90, 4)).unwrap();
+        assert_eq!(restarted.pruning_counters(), PruneCounters::default());
+        assert_retired(restarted, "relabel");
+
+        // A stabilize whose round finds the log full is undone.
+        let config = ServingConfig {
+            stabilize_every: 0,
+            ..ServingConfig::default()
+        };
+        let mut serving = ServingUcpc::over(churned.clone(), config);
+        serving.attach_wal(VecIo::limited(WAL_HEADER_LEN)).unwrap();
+        serving.submit_stabilize(3).unwrap();
+        serving.flush();
+        let (_, response) = serving.pop_response().unwrap();
+        assert!(matches!(response, ServingResponse::Failed { .. }));
+        assert_retired(serving.engine().clone(), "undone pass");
+
+        assert_retired(
+            IncrementalUcpc::restore(&churned.snapshot()).unwrap(),
+            "restore",
+        );
     }
 
     /// Three loose 2-d blobs of 90 objects as a moment arena.
@@ -798,7 +838,10 @@ mod tests {
         };
         let mut reused = IncrementalUcpc::from_arena(blob_arena(), 3, &partition(90, 7)).unwrap();
         assert!(search.drive(&mut reused).relocations > 0);
-        assert!(reused.cache_entries() > 0, "the first search cached bounds");
+        assert!(
+            reused.pruner().cache_entries() > 0,
+            "the first search cached bounds"
+        );
 
         let second = partition(90, 4);
         reused.relabel(&second).unwrap();
@@ -812,10 +855,7 @@ mod tests {
         assert!(fresh.pruning_counters().skips > 0, "pruning must fire");
         assert_eq!(reused.objective().to_bits(), fresh.objective().to_bits());
         assert_eq!(reused.cluster_stats(), fresh.cluster_stats());
-        assert_eq!(
-            (reused.totals, &reused.versions),
-            (fresh.totals, &fresh.versions)
-        );
+        assert_eq!(reused.pruner(), fresh.pruner());
     }
 
     #[test]

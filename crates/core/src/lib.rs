@@ -28,18 +28,21 @@
 //!   O(m), and the engine's [`pruning::PricingTable`] prices all `k`
 //!   candidates of a decision with one `dot_block` over a `k × m` copy of
 //!   the mean sums plus `k` hoisted pricers.
-//! * **Pruning tiers** — [`pruning`] caches each object's best/second-best
-//!   deltas and bounds how much any cluster's delta can have drifted since
-//!   (tier 0 globally in O(1), tier 1 per cluster in O(k), tier 2
-//!   confirming a still-winning argmin with two dot products), skipping
-//!   provably redundant scans *exactly*: pruned runs produce byte-identical
-//!   labels (env knob `UCPC_PRUNING`, [`pruning::PruningConfig`]).
+//! * **Pruning tiers** — a [`pruning::Pruner`] caches each object's
+//!   best/second-best deltas and bounds how much any cluster's delta can
+//!   have drifted since (tier 0 globally in O(1), tier 1 per cluster in
+//!   O(k), tier 2 confirming a still-winning argmin with two dot products),
+//!   skipping provably redundant scans *exactly*: pruned runs produce
+//!   byte-identical labels (env knob `UCPC_PRUNING`,
+//!   [`pruning::PruningConfig`]). The pruner owns every piece of that
+//!   state — cache, drift watermarks, counters — beside the statistics,
+//!   which hold Corollary 1's sums only.
 //!
 //! Everything above those layers is orchestration: initialization
-//! ([`init::Initializer`]), restarts, the incremental driver's
-//! invalidation bookkeeping, and the shared [`framework`] types. The
-//! relocation search itself is sequential, as in the paper: every move
-//! applies at once, which Proposition 4's termination argument rests on.
+//! ([`init::Initializer`]), restarts, the incremental driver, and the
+//! shared [`framework`] types. The relocation search itself is sequential,
+//! as in the paper: every move applies at once, which Proposition 4's
+//! termination argument rests on.
 //! Threads appear only where the work is independent:
 //! [`restarts::BestOfRestarts`] runs its restarts on scoped threads that
 //! claim restart indices from one shared counter, sized by
@@ -47,11 +50,12 @@
 //! The streaming driver ([`incremental::IncrementalUcpc`]) stores its live
 //! window in a [`ucpc_uncertain::SlabArena`] (free-list row reuse), places
 //! each arrival through the same pricing table (one `dot_block` over every
-//! cluster), and, once a pruned pass has cached
-//! bounds, performs edits through the drift-tracked updates so those
+//! cluster), and hands every statistic update to its pruner. Once a pruned
+//! pass has cached bounds, the pruner folds edits drift-tracked so those
 //! bounds survive them — only a cluster passing through size < 2
 //! surgically invalidates the entries rooted in it, via the per-cluster
-//! version counters of [`pruning`]. Until then edits fold untracked.
+//! version counters of [`pruning`]. Until then, and after every
+//! [`pruning::Pruner::retire`], edits fold untracked.
 //!
 //! ```
 //! use rand::rngs::StdRng;

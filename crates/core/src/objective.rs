@@ -57,7 +57,15 @@ use ucpc_uncertain::{Moments, UncertainObject};
 
 /// Per-cluster sufficient statistics with O(m) add/remove, O(1) objective
 /// evaluation, and the single-dot-product relocation kernel.
-#[derive(Debug)]
+///
+/// The fields are Corollary 1's sums and nothing else: the size, the rows
+/// `Ψ`, `Φ` and `s`, and their three scalar aggregates. Two values are
+/// equal iff they hold the same sums bit for bit, whatever history folded
+/// them. Relocation pruning keeps its drift accumulators beside the
+/// statistics, in [`crate::pruning::Pruner`], and folds through
+/// [`crate::pruning::track_add`] / [`crate::pruning::track_remove`] while
+/// it tracks.
+#[derive(Debug, PartialEq)]
 pub struct ClusterStats {
     psi: Vec<f64>,
     phi: Vec<f64>,
@@ -70,12 +78,6 @@ pub struct ClusterStats {
     /// `S₂ = Σ_j s_j²`, maintained incrementally via the kernel identity
     /// `Σ_j (s_j ± mu_j)² = S₂ ± 2⟨s, mu⟩ + Σ_j mu_j²`.
     s_sq_tot: f64,
-    /// Monotone drift accumulators for the pruning bounds (see
-    /// [`crate::pruning`]); grown only by [`Self::add_view_tracked`] /
-    /// [`Self::remove_view_tracked`], so the plain path — every fold while
-    /// no pruned pass's bounds are live — pays nothing for them. Not
-    /// logical state: snapshots leave them out.
-    drift: ClusterDrift,
 }
 
 /// Written out so that [`Clone::clone_from`] reuses the three row buffers:
@@ -91,7 +93,6 @@ impl Clone for ClusterStats {
             psi_tot: self.psi_tot,
             phi_tot: self.phi_tot,
             s_sq_tot: self.s_sq_tot,
-            drift: self.drift,
         }
     }
 
@@ -104,7 +105,6 @@ impl Clone for ClusterStats {
             psi_tot,
             phi_tot,
             s_sq_tot,
-            drift,
         } = source;
         self.psi.clone_from(psi);
         self.phi.clone_from(phi);
@@ -113,69 +113,7 @@ impl Clone for ClusterStats {
         self.psi_tot = *psi_tot;
         self.phi_tot = *phi_tot;
         self.s_sq_tot = *s_sq_tot;
-        self.drift = *drift;
     }
-}
-
-/// Bookkeeping is invisible to equality: two statistics objects describing
-/// the same cluster compare equal regardless of how many tracked relocations
-/// each has witnessed.
-impl PartialEq for ClusterStats {
-    fn eq(&self, other: &Self) -> bool {
-        self.psi == other.psi
-            && self.phi == other.phi
-            && self.mean_sum == other.mean_sum
-            && self.size == other.size
-            && self.psi_tot == other.psi_tot
-            && self.phi_tot == other.phi_tot
-            && self.s_sq_tot == other.s_sq_tot
-    }
-}
-
-/// Per-cluster accumulated drift-bound coefficients: for each of the two
-/// delta-`J` directions (add a candidate / remove a member), the running sums
-/// of the constant, size-coupled and mean-coupled coefficients derived in
-/// [`crate::pruning`]. All six sums are monotone non-decreasing within one
-/// search, which lets per-object snapshots of them act as watermarks.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ClusterDrift {
-    /// Add-direction constant term `Σ |T(C') − T(C)|`.
-    pub add_const: f64,
-    /// Add-direction coefficient of `q(o) = sigma²(o) + ‖mu(o)‖²`.
-    pub add_size: f64,
-    /// Add-direction coefficient of `2‖mu(o)‖`.
-    pub add_mean: f64,
-    /// Remove-direction constant term `Σ |U(C') − U(C)|`.
-    pub rem_const: f64,
-    /// Remove-direction coefficient of `q(o)`.
-    pub rem_size: f64,
-    /// Remove-direction coefficient of `2‖mu(o)‖`.
-    pub rem_mean: f64,
-}
-
-/// `T(C) = (Ψ_tot − S₂) / (|C| (|C|+1))`, the cluster-only constant of the
-/// add-direction delta (zero for an empty cluster).
-fn t_term(size: usize, a: f64) -> f64 {
-    if size == 0 {
-        0.0
-    } else {
-        a / (size as f64 * (size + 1) as f64)
-    }
-}
-
-/// `U(C) = (Ψ_tot − S₂) / (|C| (|C|−1))`, the cluster-only constant of the
-/// remove-direction delta. Callers guarantee `size >= 2`.
-fn u_term(size: usize, a: f64) -> f64 {
-    a / (size as f64 * (size - 1) as f64)
-}
-
-/// `‖mu(o)·scale − s‖`, the un-normalized mean-sum displacement of a
-/// tracked transition, expanded through the already-available scalars:
-/// `scale²·Σmu² − 2·scale·⟨s, mu⟩ + ‖s‖²` (clamped against cancellation).
-fn displacement(scale: f64, sum_mu_sq: f64, cross: f64, s_sq: f64) -> f64 {
-    (scale * scale * sum_mu_sq - 2.0 * scale * cross + s_sq)
-        .max(0.0)
-        .sqrt()
 }
 
 /// `dst[j] = op(dst[j], src[j])` for every `j`: one statistic row's part of
@@ -200,7 +138,6 @@ impl ClusterStats {
             psi_tot: 0.0,
             phi_tot: 0.0,
             s_sq_tot: 0.0,
-            drift: ClusterDrift::default(),
         }
     }
 
@@ -290,9 +227,10 @@ impl ClusterStats {
     }
 
     /// [`Self::add_view`]'s body; returns the `⟨s_pre, mu(o)⟩` cross term
-    /// the update already computes, which the drift-tracked wrapper reuses
-    /// for the exact normalized-mean displacement.
-    fn add_view_impl(&mut self, v: &MomentView<'_>) -> f64 {
+    /// the update already computes, which the drift-tracked
+    /// [`crate::pruning::track_add`] reuses for the exact normalized-mean
+    /// displacement.
+    pub(crate) fn add_view_impl(&mut self, v: &MomentView<'_>) -> f64 {
         self.check_rows(v);
         // The ⟨s, mu(o)⟩ cross term goes through the dispatched SIMD kernel
         // — the same code path (and therefore the same bits) as the
@@ -323,7 +261,7 @@ impl ClusterStats {
 
     /// [`Self::remove_view`]'s body; returns the `⟨s_post, mu(o)⟩` cross
     /// term (so `⟨s_pre, mu(o)⟩ = cross + Σ mu_j²`).
-    fn remove_view_impl(&mut self, v: &MomentView<'_>) -> f64 {
+    pub(crate) fn remove_view_impl(&mut self, v: &MomentView<'_>) -> f64 {
         // Invariant: only a member is removed, so the cluster holds at least
         // one; an empty one means the caller lost track of its labels, and
         // folding on would underflow the size.
@@ -364,80 +302,6 @@ impl ClusterStats {
             v.mu.len() == m && v.mu2.len() == m && v.var.len() == m,
             "dimension mismatch"
         );
-    }
-
-    /// Adds one object like [`Self::add_view`] while accumulating the drift
-    /// bounds of [`crate::pruning`]. Returns `true` when the transition is
-    /// "small" (a cluster size below 2 before or after), in which case the
-    /// remove-direction coefficients could not be soundly accumulated and
-    /// the caller must invalidate the cache entries rooted in this cluster
-    /// (bump its per-cluster version — the add-direction coefficients are
-    /// accumulated unconditionally and stay sound, which is what makes the
-    /// surgical invalidation of [`crate::pruning`] exact).
-    pub fn add_view_tracked(&mut self, v: &MomentView<'_>) -> bool {
-        let n = self.size;
-        let a_pre = self.psi_tot - self.s_sq_tot;
-        let s_sq_pre = self.s_sq_tot;
-        // ⟨s_pre, mu(o)⟩, computed inside the update it piggybacks on.
-        let cross = self.add_view_impl(v);
-        let a_post = self.psi_tot - self.s_sq_tot;
-        let w = |scale: f64| displacement(scale, v.sum_mu_sq, cross, s_sq_pre);
-
-        // Add direction (denominators n+1 → n+2): the normalized mean moves
-        // by exactly ‖mu(o)·(n+1) − s‖ / ((n+1)(n+2)).
-        let inv_pre = 1.0 / (n + 1) as f64;
-        let inv_post = 1.0 / (n + 2) as f64;
-        self.drift.add_const += (t_term(n + 1, a_post) - t_term(n, a_pre)).abs();
-        self.drift.add_size += inv_pre - inv_post;
-        self.drift.add_mean += w((n + 1) as f64) * (inv_pre * inv_post);
-
-        // Remove direction (denominators n−1 → n): needs both sizes >= 2.
-        if n < 2 {
-            return true;
-        }
-        let rinv_pre = 1.0 / (n - 1) as f64;
-        let rinv_post = 1.0 / n as f64;
-        self.drift.rem_const += (u_term(n + 1, a_post) - u_term(n, a_pre)).abs();
-        self.drift.rem_size += rinv_pre - rinv_post;
-        self.drift.rem_mean += w((n - 1) as f64) * (rinv_pre * rinv_post);
-        false
-    }
-
-    /// Removes one member like [`Self::remove_view`] while accumulating the
-    /// drift bounds of [`crate::pruning`]; same `true` ⇒ version-bump
-    /// contract as [`Self::add_view_tracked`].
-    pub fn remove_view_tracked(&mut self, v: &MomentView<'_>) -> bool {
-        let n = self.size;
-        let a_pre = self.psi_tot - self.s_sq_tot;
-        let s_sq_pre = self.s_sq_tot;
-        // remove_view's cross is ⟨s_post, mu(o)⟩; shift back to s_pre.
-        let cross = self.remove_view_impl(v) + v.sum_mu_sq;
-        let a_post = self.psi_tot - self.s_sq_tot;
-        let w = |scale: f64| displacement(scale, v.sum_mu_sq, cross, s_sq_pre);
-
-        // Add direction (denominators n+1 → n): exact displacement
-        // ‖s − mu(o)·(n+1)‖ / (n(n+1)); valid down to emptying the cluster.
-        let inv_pre = 1.0 / (n + 1) as f64;
-        let inv_post = 1.0 / n as f64;
-        self.drift.add_const += (t_term(n - 1, a_post) - t_term(n, a_pre)).abs();
-        self.drift.add_size += inv_post - inv_pre;
-        self.drift.add_mean += w((n + 1) as f64) * (inv_pre * inv_post);
-
-        // Remove direction (denominators n−1 → n−2): needs both sizes >= 2.
-        if n < 3 {
-            return true;
-        }
-        let rinv_pre = 1.0 / (n - 1) as f64;
-        let rinv_post = 1.0 / (n - 2) as f64;
-        self.drift.rem_const += (u_term(n - 1, a_post) - u_term(n, a_pre)).abs();
-        self.drift.rem_size += rinv_post - rinv_pre;
-        self.drift.rem_mean += w((n - 1) as f64) * (rinv_pre * rinv_post);
-        false
-    }
-
-    /// The accumulated drift-bound coefficients (see [`crate::pruning`]).
-    pub fn drift(&self) -> ClusterDrift {
-        self.drift
     }
 
     /// Whether every sum is finite: after a fold of adds, false iff a member
@@ -574,8 +438,7 @@ impl ClusterStats {
     /// Reassembles statistics from raw serialized state (snapshot restore).
     /// Nothing is re-derived: the parts are installed verbatim, so a value
     /// round-tripped through [`Self::scalar_aggregates`] and the public
-    /// accessors is bit-identical to the original. The drift accumulators
-    /// start at zero: they are pruning bookkeeping, not logical state.
+    /// accessors is bit-identical to the original.
     pub(crate) fn from_raw_parts(
         psi: Vec<f64>,
         phi: Vec<f64>,
@@ -596,7 +459,6 @@ impl ClusterStats {
             psi_tot,
             phi_tot,
             s_sq_tot,
-            drift: ClusterDrift::default(),
         }
     }
 

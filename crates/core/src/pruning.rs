@@ -57,8 +57,10 @@
 //! relocation. The exactness matters: the naive triangle split
 //! `‖s‖·|1/d'−1/d| + ‖mu(x)‖/d'` loses the cancellation between `mu(x)` and
 //! `s` (both roughly aligned with the cluster mean) and is an order of
-//! magnitude looser on realistic data. Each [`ClusterStats`] accumulates
-//! these three coefficients per direction ([`ClusterDrift`]); every term is
+//! magnitude looser on realistic data. The [`Pruner`] accumulates these
+//! three coefficients per direction for every cluster ([`ClusterDrift`]),
+//! next to the cluster's [`ClusterStats`] rather than inside them: the
+//! statistics stay Corollary 1's sums and nothing else. Every term is
 //! non-negative, so the accumulators are monotone and for any earlier
 //! snapshot the difference `acc(now) − acc(snapshot)` bounds the total
 //! drift of that cluster's delta over the whole intervening relocation
@@ -97,7 +99,7 @@
 //!   decision — bit-for-bit, because the float operations are the same.
 //!
 //! A preliminary **tier 0** runs both tests with a single global
-//! [`DriftTotals`] — the accumulators summed over all clusters, snapshotted
+//! `DriftTotals` — the accumulators summed over all clusters, snapshotted
 //! inline in the cache entry — which over-approximates every per-cluster
 //! difference at O(1) cost and resolves almost all decisions in quiet
 //! passes without touching the per-cluster snapshot row.
@@ -105,41 +107,45 @@
 //! # Surgical invalidation: per-cluster remove-direction versions
 //!
 //! Any transition that takes a cluster through size `< 2` is flagged by the
-//! tracked updates ([`ClusterStats::add_view_tracked`]) because the
+//! tracked updates ([`track_add`], [`track_remove`]) because the
 //! remove-direction coefficients are not defined there — that cluster's
 //! remove-direction accumulators silently miss the transition's drift and
 //! can no longer be trusted as watermarks. Crucially, the *add*-direction
 //! coefficients are accumulated unconditionally (they are defined down to
 //! an emptying or just-born cluster), so a small transition taints exactly
 //! one thing: the flagged cluster's remove-direction history. And
-//! [`PruneCache::decide`] consumes remove-direction drift for exactly one
+//! [`Pruner::decide`] consumes remove-direction drift for exactly one
 //! cluster — the object's own `src` (the removal gain common to all
 //! candidates); every other cluster enters only through its add-direction
 //! accumulators. A cached bound is therefore unsound after a small
 //! transition **iff** its `src` is the flagged cluster.
 //!
-//! The drivers exploit this with per-cluster *remove-direction version
-//! counters*: a tracked [`apply_relocation`] bumps `versions[c]` only when
+//! The pruner exploits this with per-cluster *remove-direction version
+//! counters*: a tracked [`Pruner::relocate`] bumps `versions[c]` only when
 //! cluster `c`'s half of the relocation was small, and `decide` rejects an
 //! entry only when `versions[src]` moved past the value snapshotted at
 //! store time. Entries whose `src` sits elsewhere ride straight through —
 //! their bounds simply widen by the (always-sound) add-direction drift.
-//! The same argument covers streaming edits: while cached entries are
-//! live, `IncrementalUcpc` performs inserts/removals through the *tracked*
-//! updates ([`apply_insert`] / [`apply_remove`] with drift), so an edit is
-//! just one more transition the accumulators already bound, and only a
-//! small edit bumps the touched cluster's version — no cached bound
-//! elsewhere is disturbed.
+//! The same argument covers streaming edits: `IncrementalUcpc` hands every
+//! insert and removal to [`Pruner::add`] / [`Pruner::remove`], which fold
+//! it tracked while cached entries are live, so an edit is just one more
+//! transition the accumulators already bound, and only a small edit bumps
+//! the touched cluster's version — no cached bound elsewhere is disturbed.
 //!
-//! A global *epoch* remains as the coarse kill-switch (entries record the
-//! epoch they were written in): `IncrementalUcpc::set_pruning` bumps it,
-//! and so do the re-partition that starts each of `BestOfRestarts`'s
-//! restarts on a reused engine and an undone pass. The epoch is also what
-//! lets tracking be lazy: the bump switches tracking off, and only a
-//! pruned pass switches it back on, before it caches anything. An edit
-//! folded untracked therefore happens only while every entry is of an
-//! older epoch, which no decision trusts; the accumulators it skipped are
-//! never diffed across.
+//! # Retiring
+//!
+//! [`Pruner::retire`] is the coarse kill-switch: it empties the cache and
+//! zeroes every watermark (per-cluster accumulators, their totals and the
+//! versions), which is exactly the state [`Pruner::new`] builds; only the
+//! configuration and the counters survive. `IncrementalUcpc::set_pruning`
+//! retires, and so do the re-partition that starts each of
+//! `BestOfRestarts`'s restarts on a reused engine and an undone pass, and
+//! a snapshot restore builds `Pruner::new` outright. Retiring is also what
+//! lets tracking be lazy: it switches tracking off, and only
+//! [`Pruner::begin_pass`] of a pruned pass switches it back on, before
+//! anything is cached. An update folded untracked therefore happens only
+//! while the cache is empty, and every entry stored later diffs against
+//! accumulators that have seen every transition since.
 //!
 //! The accumulators and bounds are themselves computed in floating point, so
 //! every test inflates the drift by [`slack`] — a safety margin proportional
@@ -154,9 +160,9 @@
 //!
 //! Lines 8–13 of Algorithm 1 exist once, here. The one relocation loop,
 //! `IncrementalUcpc::stabilize` (which batch `Ucpc` runs on a bulk-loaded
-//! engine), decides each move with [`best_move`] — the full scan without a
-//! cache, the tier ladder above with one — and applies it with
-//! [`apply_relocation`], under the one threshold [`TOLERANCE`]. Pruning
+//! engine), decides each move with [`Pruner::best_move`] — the full scan
+//! with pruning off, the tier ladder above with it on — and applies it with
+//! [`Pruner::relocate`], under the one threshold [`TOLERANCE`]. Pruning
 //! lives in this step only: placing an arrival is always the full scan over
 //! every cluster, which a Cauchy–Schwarz cap on the cross term was measured
 //! too loose to beat.
@@ -169,18 +175,18 @@
 //! O(1). The stateless [`best_candidate`] and [`best_insertion`] loops are
 //! the reference the table is held to, bit for bit.
 //!
-//! [`apply_insert`], [`apply_remove`] and [`apply_relocation`] each keep a
-//! plain (untracked) fork on purpose: the statistics are bit-identical
+//! [`Pruner::add`], [`Pruner::remove`] and [`Pruner::relocate`] each keep
+//! a plain (untracked) fork on purpose: the statistics are bit-identical
 //! either way, but only a pruned pass reads the drift accumulators, and
 //! maintaining them costs 8 divisions, 2 square roots and two
 //! [`ClusterDrift`] copies per update on top of the O(m) fold. On every
 //! move that slowed the unpruned batch pass by about a quarter at n=2000,
 //! m=8, k=5 (the `pruning_grid` shape of `bench_relocation`), and on
 //! every edit it cost `bench_soak`'s unpruned leg about a tenth of its
-//! ns/edit. The engine passes drift only while a pruned pass's entries
-//! are live.
+//! ns/edit. The pruner tracks only while a pruned pass's entries are
+//! live.
 
-use crate::objective::{AddPricer, ClusterDrift, ClusterStats, RemovePricer};
+use crate::objective::{AddPricer, ClusterStats, RemovePricer};
 use ucpc_uncertain::arena::MomentView;
 use ucpc_uncertain::simd::dot_block;
 
@@ -269,7 +275,7 @@ impl PruneCounters {
 }
 
 /// What the bounds allow for one object's relocation decision (the tier
-/// ladder inside [`best_move`]).
+/// ladder inside [`Pruner::best_move`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruneDecision {
     /// No usable cache entry, or the bounds are too loose: run the full
@@ -283,14 +289,145 @@ pub enum PruneDecision {
     ConfirmBest(usize),
 }
 
-/// Driver-maintained global drift totals: the six coefficient accumulators
-/// summed over *all* clusters, updated on every tracked relocation. Each is
-/// an upper bound on the corresponding per-cluster accumulator (every
+/// One cluster's accumulated drift-bound coefficients: for each of the two
+/// delta-`J` directions (add a candidate / remove a member), the running
+/// sums of the constant, size-coupled and mean-coupled coefficients derived
+/// in the module docs. All six sums are monotone non-decreasing between two
+/// retires ([`Pruner::retire`]), which lets per-object snapshots of them act
+/// as watermarks.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ClusterDrift {
+    /// Add-direction constant term `Σ |T(C') − T(C)|`.
+    pub add_const: f64,
+    /// Add-direction coefficient of `q(o) = sigma²(o) + ‖mu(o)‖²`.
+    pub add_size: f64,
+    /// Add-direction coefficient of `2‖mu(o)‖`.
+    pub add_mean: f64,
+    /// Remove-direction constant term `Σ |U(C') − U(C)|`.
+    pub rem_const: f64,
+    /// Remove-direction coefficient of `q(o)`.
+    pub rem_size: f64,
+    /// Remove-direction coefficient of `2‖mu(o)‖`.
+    pub rem_mean: f64,
+}
+
+/// `T(C) = (Ψ_tot − S₂) / (|C| (|C|+1))`, the cluster-only constant of the
+/// add-direction delta (zero for an empty cluster).
+fn t_term(size: usize, a: f64) -> f64 {
+    if size == 0 {
+        0.0
+    } else {
+        a / (size as f64 * (size + 1) as f64)
+    }
+}
+
+/// `U(C) = (Ψ_tot − S₂) / (|C| (|C|−1))`, the cluster-only constant of the
+/// remove-direction delta. Callers guarantee `size >= 2`.
+fn u_term(size: usize, a: f64) -> f64 {
+    a / (size as f64 * (size - 1) as f64)
+}
+
+/// `‖mu(o)·scale − s‖`, the un-normalized mean-sum displacement of a
+/// tracked transition, expanded through the already-available scalars:
+/// `scale²·Σmu² − 2·scale·⟨s, mu⟩ + ‖s‖²` (clamped against cancellation).
+fn displacement(scale: f64, sum_mu_sq: f64, cross: f64, s_sq: f64) -> f64 {
+    (scale * scale * sum_mu_sq - 2.0 * scale * cross + s_sq)
+        .max(0.0)
+        .sqrt()
+}
+
+/// `Ψ_tot − S₂` and `S₂` of `stats`: what a tracked transition diffs.
+fn spread(stats: &ClusterStats) -> (f64, f64) {
+    let (psi_tot, _, s_sq_tot) = stats.scalar_aggregates();
+    (psi_tot - s_sq_tot, s_sq_tot)
+}
+
+/// Adds `v` to `stats` with the fold of [`ClusterStats::add_view`] while
+/// accumulating the transition's drift bounds into `drift`. Returns `true`
+/// when the transition is "small" (a cluster size below 2 before or after):
+/// the remove-direction coefficients could not be accumulated, so the
+/// caller must invalidate the cache entries rooted in this cluster (bump
+/// its version — the add-direction coefficients are accumulated
+/// unconditionally and stay sound, which is what makes the surgical
+/// invalidation of the module docs exact).
+///
+/// # Panics
+///
+/// Like [`ClusterStats::add_view`].
+pub fn track_add(stats: &mut ClusterStats, drift: &mut ClusterDrift, v: &MomentView<'_>) -> bool {
+    let n = stats.size();
+    let (a_pre, s_sq_pre) = spread(stats);
+    // ⟨s_pre, mu(o)⟩, computed inside the update it piggybacks on.
+    let cross = stats.add_view_impl(v);
+    let (a_post, _) = spread(stats);
+    let w = |scale: f64| displacement(scale, v.sum_mu_sq, cross, s_sq_pre);
+
+    // Add direction (denominators n+1 → n+2): the normalized mean moves
+    // by exactly ‖mu(o)·(n+1) − s‖ / ((n+1)(n+2)).
+    let inv_pre = 1.0 / (n + 1) as f64;
+    let inv_post = 1.0 / (n + 2) as f64;
+    drift.add_const += (t_term(n + 1, a_post) - t_term(n, a_pre)).abs();
+    drift.add_size += inv_pre - inv_post;
+    drift.add_mean += w((n + 1) as f64) * (inv_pre * inv_post);
+
+    // Remove direction (denominators n−1 → n): needs both sizes >= 2.
+    if n < 2 {
+        return true;
+    }
+    let rinv_pre = 1.0 / (n - 1) as f64;
+    let rinv_post = 1.0 / n as f64;
+    drift.rem_const += (u_term(n + 1, a_post) - u_term(n, a_pre)).abs();
+    drift.rem_size += rinv_pre - rinv_post;
+    drift.rem_mean += w((n - 1) as f64) * (rinv_pre * rinv_post);
+    false
+}
+
+/// Removes member `v` from `stats` with the fold of
+/// [`ClusterStats::remove_view`] while accumulating drift; the same `true`
+/// ⇒ version-bump contract as [`track_add`].
+///
+/// # Panics
+///
+/// Like [`ClusterStats::remove_view`].
+pub fn track_remove(
+    stats: &mut ClusterStats,
+    drift: &mut ClusterDrift,
+    v: &MomentView<'_>,
+) -> bool {
+    let n = stats.size();
+    let (a_pre, s_sq_pre) = spread(stats);
+    // remove_view's cross is ⟨s_post, mu(o)⟩; shift back to s_pre.
+    let cross = stats.remove_view_impl(v) + v.sum_mu_sq;
+    let (a_post, _) = spread(stats);
+    let w = |scale: f64| displacement(scale, v.sum_mu_sq, cross, s_sq_pre);
+
+    // Add direction (denominators n+1 → n): exact displacement
+    // ‖s − mu(o)·(n+1)‖ / (n(n+1)); valid down to emptying the cluster.
+    let inv_pre = 1.0 / (n + 1) as f64;
+    let inv_post = 1.0 / n as f64;
+    drift.add_const += (t_term(n - 1, a_post) - t_term(n, a_pre)).abs();
+    drift.add_size += inv_post - inv_pre;
+    drift.add_mean += w((n + 1) as f64) * (inv_pre * inv_post);
+
+    // Remove direction (denominators n−1 → n−2): needs both sizes >= 2.
+    if n < 3 {
+        return true;
+    }
+    let rinv_pre = 1.0 / (n - 1) as f64;
+    let rinv_post = 1.0 / (n - 2) as f64;
+    drift.rem_const += (u_term(n - 1, a_post) - u_term(n, a_pre)).abs();
+    drift.rem_size += rinv_post - rinv_pre;
+    drift.rem_mean += w((n - 1) as f64) * (rinv_pre * rinv_post);
+    false
+}
+
+/// The six coefficient accumulators summed over *all* clusters. Each is an
+/// upper bound on the corresponding per-cluster accumulator (every
 /// increment is non-negative), so the O(1) tier-0 test can diff two copies
 /// of this struct instead of walking the per-cluster snapshot row; the O(k)
 /// per-cluster walk remains as a tighter fallback for semi-active passes.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct DriftTotals {
+struct DriftTotals {
     add_const: f64,
     add_size: f64,
     add_mean: f64,
@@ -300,10 +437,10 @@ pub struct DriftTotals {
 }
 
 impl DriftTotals {
-    /// Folds one cluster's accumulator movement (`before` → `after`, as
-    /// returned by [`ClusterStats::drift`] around a tracked relocation) into
-    /// the totals.
-    pub fn absorb(&mut self, before: ClusterDrift, after: ClusterDrift) {
+    /// Folds one cluster's accumulator movement (`before` → `after`,
+    /// around a tracked update) into the totals. The difference, not the
+    /// increments themselves: adding those directly rounds differently.
+    fn absorb(&mut self, before: ClusterDrift, after: ClusterDrift) {
         self.add_const += after.add_const - before.add_const;
         self.add_size += after.add_size - before.add_size;
         self.add_mean += after.add_mean - before.add_mean;
@@ -315,8 +452,8 @@ impl DriftTotals {
 
 /// One object's cached scan outcome, including its snapshot of the global
 /// [`DriftTotals`] (the O(1) watermark; the per-cluster watermark lives in
-/// the cache's snapshot matrix).
-#[derive(Debug, Clone, Copy)]
+/// the pruner's snapshot matrix).
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct CacheEntry {
     valid: bool,
     /// Generation stamp of the slot's occupant at store time. Streaming
@@ -327,7 +464,6 @@ struct CacheEntry {
     /// closes the snapshot row. A relocation invalidates the entry, so a
     /// valid entry always matches; `decide` still rejects a mismatch.
     src: usize,
-    epoch: u64,
     /// `versions[src]` at store time — the surgical-invalidation watermark:
     /// the entry dies iff `src`'s remove-direction version moves (see the
     /// module docs).
@@ -344,7 +480,6 @@ impl CacheEntry {
             valid: false,
             gen: 0,
             src: usize::MAX,
-            epoch: 0,
             src_version: 0,
             best_dst: usize::MAX,
             best: f64::INFINITY,
@@ -354,57 +489,351 @@ impl CacheEntry {
     }
 }
 
-/// The per-object pruning state: best/second-best cache rows plus a flat
-/// `n × 3(k+1)` snapshot matrix of the drift accumulators at cache time,
-/// holding exactly what [`Self::decide`] reads. Row `i` is the
-/// add-direction triple `(const, size, mean)` of every cluster in order,
-/// then the remove-direction triple of object `i`'s own cluster `src`, the
-/// only cluster whose remove direction a decision consults.
-#[derive(Debug, Clone)]
-pub struct PruneCache {
-    k: usize,
+/// All pruning state of one engine: the configuration, the tracking flag,
+/// each cluster's [`ClusterDrift`], their `DriftTotals`, the per-cluster
+/// remove-direction versions, the cache and the counters. Every statistic
+/// update ([`Self::add`], [`Self::remove`], [`Self::relocate`]) and every
+/// relocation decision ([`Self::best_move`]) goes through it, so it alone
+/// decides what is tracked and what a cached bound may trust.
+///
+/// The cache is one entry per object plus a flat `n × 3(k+1)` snapshot
+/// matrix of the drift accumulators at store time, holding exactly what
+/// [`Self::decide`] reads: row `i` is the add-direction triple
+/// `(const, size, mean)` of every cluster in order, then the
+/// remove-direction triple of object `i`'s own cluster `src`, the only
+/// cluster whose remove direction a decision consults.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Pruner {
+    config: PruningConfig,
+    /// Whether updates fold drift-tracked: set by a pruned pass's
+    /// [`Self::begin_pass`], cleared by [`Self::retire`], so that while it
+    /// is `false` the cache is empty.
+    tracking: bool,
+    drift: Vec<ClusterDrift>,
+    totals: DriftTotals,
+    versions: Vec<u64>,
     entries: Vec<CacheEntry>,
     snaps: Vec<f64>,
+    counters: PruneCounters,
+    /// [`fp_scale`] of the statistics at the current pass's start.
+    scale: f64,
 }
 
-impl PruneCache {
-    /// An all-invalid cache for `n` objects and `k` clusters.
-    pub fn new(n: usize, k: usize) -> Self {
+impl Pruner {
+    /// An empty cache and zero watermarks for `k` clusters under `config`.
+    pub fn new(k: usize, config: PruningConfig) -> Self {
         Self {
-            k,
-            entries: vec![CacheEntry::invalid(); n],
-            snaps: vec![0.0; n * Self::stride(k)],
+            config,
+            tracking: false,
+            drift: vec![ClusterDrift::default(); k],
+            totals: DriftTotals::default(),
+            versions: vec![0; k],
+            entries: Vec::new(),
+            snaps: Vec::new(),
+            counters: PruneCounters::default(),
+            scale: 0.0,
         }
     }
 
     /// Floats per snapshot row: three per cluster, three for `src`.
-    fn stride(k: usize) -> usize {
-        3 * (k + 1)
+    fn stride(&self) -> usize {
+        3 * (self.drift.len() + 1)
     }
 
-    /// Number of objects covered.
-    pub fn len(&self) -> usize {
+    /// Whether relocation passes prune.
+    pub fn config(&self) -> PruningConfig {
+        self.config
+    }
+
+    /// Switches pruning on or off for later passes, and retires.
+    pub fn set_config(&mut self, config: PruningConfig) {
+        self.config = config;
+        self.retire();
+    }
+
+    /// Empties the cache and zeroes every watermark — the per-cluster
+    /// accumulators, their totals and the versions — and stops tracking
+    /// until the next pruned pass: the state [`Self::new`] builds, keeping
+    /// the configuration, the counters and the cache's buffers. Called
+    /// whenever cached bounds may no longer hold: a configuration change,
+    /// a re-partition, an undone pass.
+    pub fn retire(&mut self) {
+        self.tracking = false;
+        self.drift.fill(ClusterDrift::default());
+        self.totals = DriftTotals::default();
+        self.versions.fill(0);
+        self.entries.clear();
+        self.snaps.clear();
+        self.scale = 0.0;
+    }
+
+    /// Decision counters accumulated over every pruned pass.
+    pub fn counters(&self) -> PruneCounters {
+        self.counters
+    }
+
+    /// Restarts the counters from zero (a re-partitioned engine's run).
+    pub(crate) fn reset_counters(&mut self) {
+        self.counters = PruneCounters::default();
+    }
+
+    /// Number of cache entries allocated: zero after a retire, then the
+    /// slot count of the last pruned pass, so bounded by the engine's
+    /// live-window high-water mark.
+    pub fn cache_entries(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether the cache covers no objects.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// Each cluster's accumulated drift coefficients.
+    pub fn drift(&self) -> &[ClusterDrift] {
+        &self.drift
     }
 
-    /// Grows the cache to cover `n` objects (new entries invalid); keeps
-    /// existing entries (used by `IncrementalUcpc`, whose slots are
-    /// index-stable).
-    pub fn grow(&mut self, n: usize) {
-        if n > self.entries.len() {
-            self.entries.resize(n, CacheEntry::invalid());
-            self.snaps.resize(n * Self::stride(self.k), 0.0);
+    /// Opens one relocation pass over `slots` objects against `stats`. A
+    /// pruned pass grows the cache to cover every slot (new entries
+    /// invalid), takes the pass's floating-point scale and switches
+    /// tracking on, so the entries it caches see every transition after
+    /// them. Does nothing when pruning is off.
+    pub fn begin_pass(&mut self, stats: &[ClusterStats], slots: usize) {
+        if !self.config.is_enabled() {
+            return;
+        }
+        if slots > self.entries.len() {
+            self.entries.resize(slots, CacheEntry::invalid());
+            self.snaps.resize(slots * self.stride(), 0.0);
+        }
+        self.scale = fp_scale(stats);
+        self.tracking = true;
+    }
+
+    /// Adds `v` to cluster `c`: one insert, or the second half of
+    /// [`Self::relocate`]. While tracking, [`track_add`] runs, `c`'s
+    /// accumulator movement joins the totals, and a small transition bumps
+    /// `c`'s version — the surgical invalidation of the module docs.
+    /// Otherwise the plain `add_view` runs. The statistics are
+    /// bit-identical either way.
+    #[inline]
+    pub fn add(&mut self, stats: &mut [ClusterStats], c: usize, v: &MomentView<'_>) {
+        if !self.tracking {
+            stats[c].add_view(v);
+            return;
+        }
+        let before = self.drift[c];
+        if track_add(&mut stats[c], &mut self.drift[c], v) {
+            self.versions[c] = self.versions[c].wrapping_add(1);
+        }
+        self.totals.absorb(before, self.drift[c]);
+    }
+
+    /// Removes member `v` from cluster `c`: the [`Self::add`] counterpart
+    /// through [`track_remove`] or the plain `remove_view`.
+    #[inline]
+    pub fn remove(&mut self, stats: &mut [ClusterStats], c: usize, v: &MomentView<'_>) {
+        if !self.tracking {
+            stats[c].remove_view(v);
+            return;
+        }
+        let before = self.drift[c];
+        if track_remove(&mut stats[c], &mut self.drift[c], v) {
+            self.versions[c] = self.versions[c].wrapping_add(1);
+        }
+        self.totals.absorb(before, self.drift[c]);
+    }
+
+    /// The one relocation apply of Algorithm 1 (lines 10–13): moves object
+    /// `i` (view `v`) from `src` to `dst` through [`Self::remove`] and
+    /// [`Self::add`], and invalidates `i`'s cache entry.
+    #[inline]
+    pub fn relocate(
+        &mut self,
+        stats: &mut [ClusterStats],
+        i: usize,
+        src: usize,
+        dst: usize,
+        v: &MomentView<'_>,
+    ) {
+        self.remove(stats, src, v);
+        self.add(stats, dst, v);
+        if let Some(e) = self.entries.get_mut(i) {
+            e.valid = false;
         }
     }
 
-    /// Invalidates one object's entry (after it relocates).
-    pub fn invalidate(&mut self, i: usize) {
-        self.entries[i].valid = false;
+    /// The one relocation decision of Algorithm 1 (lines 8–9): the best
+    /// move of object `i` (cluster `src`, slot generation `gen`, kernel
+    /// view `v`) that lowers `J` by more than [`TOLERANCE`], as
+    /// `(dst, delta)`, or `None`. Every candidate is priced through `table`
+    /// against `stats`.
+    ///
+    /// With pruning off this is the full scan, [`PricingTable::relocation`]
+    /// filtered at `-TOLERANCE`, except that a member no candidate moves
+    /// skips the fold. With pruning on (after [`Self::begin_pass`]) it runs
+    /// the tier ladder of the module docs — skip, confirm the cached
+    /// argmin, or full scan — counting each outcome, and caches a full scan
+    /// that finds no move. Either way the answer is bit-identical to
+    /// [`best_candidate`] filtered at `-TOLERANCE`. The caller applies a
+    /// returned move through [`Self::relocate`] and marks both clusters
+    /// stale in `table`.
+    #[inline(always)]
+    pub fn best_move(
+        &mut self,
+        stats: &[ClusterStats],
+        table: &mut PricingTable,
+        i: usize,
+        gen: u32,
+        src: usize,
+        v: &MomentView<'_>,
+    ) -> Option<(usize, f64)> {
+        if !self.config.is_enabled() {
+            // The fold returns one of these candidates, so it moves nothing
+            // unless one of them lies below the threshold.
+            let gain = table.price_moves(stats, src, v);
+            if !table.moves(src, gain).any(|(_, delta)| delta < -TOLERANCE) {
+                return None;
+            }
+            let (dst, delta, _) = fold(table.moves(src, gain))?;
+            return (delta < -TOLERANCE).then_some((dst, delta));
+        }
+        match self.decide(i, gen, src, v) {
+            PruneDecision::Skip => {
+                self.counters.skips += 1;
+                None
+            }
+            PruneDecision::ConfirmBest(dst) => {
+                // Same argmin; its exact delta from the identical pricing the
+                // full scan would do.
+                self.counters.confirms += 1;
+                let delta = table.confirm(stats, src, dst, v);
+                (delta < -TOLERANCE).then_some((dst, delta))
+            }
+            PruneDecision::FullScan => {
+                self.counters.full_scans += 1;
+                let (dst, delta, second) = table.relocation(stats, src, v)?;
+                if delta < -TOLERANCE {
+                    return Some((dst, delta));
+                }
+                self.store(i, gen, src, (dst, delta, second));
+                None
+            }
+        }
+    }
+
+    /// Evaluates the bound tests for object `i` (cluster `src`, kernel view
+    /// `v`) against the current watermarks: the global drift totals and
+    /// the per-cluster remove-direction versions (surgical invalidation:
+    /// the entry is rejected iff `src`'s counter moved since store time —
+    /// see the module docs). `gen` is the slot's current generation stamp:
+    /// streaming engines recycle slots, and an entry stored for a departed
+    /// occupant must not serve the slot's next tenant. Purely read-only:
+    /// [`Self::best_move`] acts on the returned decision. Slot `i` must be
+    /// covered by the last [`Self::begin_pass`].
+    ///
+    /// Tier 0 diffs the global totals against the entry's inline snapshot —
+    /// O(1), one cache line — and resolves the overwhelming majority of
+    /// decisions in quiet passes. Only when that over-approximation is too
+    /// loose does the O(k) per-cluster walk run (per-coefficient maxima over
+    /// candidates instead of sums over all clusters).
+    pub fn decide(&self, i: usize, gen: u32, src: usize, v: &MomentView<'_>) -> PruneDecision {
+        let (drift, totals) = (&self.drift, self.totals);
+        let e = self.entries[i];
+        if !e.valid
+            || e.gen != gen
+            || e.src != src
+            || self.versions[src] != e.src_version
+            || e.best_dst == src
+            || e.best_dst >= drift.len()
+        {
+            return PruneDecision::FullScan;
+        }
+        let q = v.sum_var + v.sum_mu_sq;
+        let r = v.norm_mu;
+        let guard = slack(self.scale, q, r);
+
+        // Tier 0: global-sum drift, O(1). The sums over all clusters bound
+        // both the candidate-maximum add drift and the src remove drift.
+        let g = e.totals;
+        let add0 = (totals.add_const - g.add_const).max(0.0)
+            + (totals.add_size - g.add_size).max(0.0) * q
+            + 2.0 * (totals.add_mean - g.add_mean).max(0.0) * r;
+        let rem0 = (totals.rem_const - g.rem_const).max(0.0)
+            + (totals.rem_size - g.rem_size).max(0.0) * q
+            + 2.0 * (totals.rem_mean - g.rem_mean).max(0.0) * r;
+        if e.best - (add0 + rem0 + guard) >= -TOLERANCE {
+            return PruneDecision::Skip;
+        }
+
+        // Per-cluster refinement. The cached best's own add-direction drift
+        // (`d_best`) is kept apart from the per-coefficient maxima over the
+        // remaining candidates (`oth_*`): `e.second` is the cached minimum
+        // over exactly those clusters, so their drift is charged against the
+        // usually-larger second margin.
+        let k = drift.len();
+        let stride = self.stride();
+        let row = &self.snaps[i * stride..(i + 1) * stride];
+        let mut oth_const = 0.0f64;
+        let mut oth_size = 0.0f64;
+        let mut oth_mean = 0.0f64;
+        for (c, d) in drift.iter().enumerate() {
+            if c == src || c == e.best_dst {
+                continue;
+            }
+            let snap = &row[3 * c..3 * c + 3];
+            oth_const = oth_const.max(d.add_const - snap[0]);
+            oth_size = oth_size.max(d.add_size - snap[1]);
+            oth_mean = oth_mean.max(d.add_mean - snap[2]);
+        }
+        let d_src = drift[src];
+        let snap_src = &row[3 * k..];
+        let rem = (d_src.rem_const - snap_src[0]).max(0.0)
+            + (d_src.rem_size - snap_src[1]).max(0.0) * q
+            + 2.0 * (d_src.rem_mean - snap_src[2]).max(0.0) * r;
+        let d_bst = drift[e.best_dst];
+        let snap_bst = &row[3 * e.best_dst..3 * e.best_dst + 3];
+        let best_drift = (d_bst.add_const - snap_bst[0]).max(0.0)
+            + (d_bst.add_size - snap_bst[1]).max(0.0) * q
+            + 2.0 * (d_bst.add_mean - snap_bst[2]).max(0.0) * r;
+        let oth_drift = oth_const.max(0.0) + oth_size.max(0.0) * q + 2.0 * oth_mean.max(0.0) * r;
+
+        // Tier 1: no candidate can have dropped below −TOLERANCE.
+        if e.best - (best_drift + rem + guard) >= -TOLERANCE
+            && e.second - (oth_drift + rem + guard) >= -TOLERANCE
+        {
+            return PruneDecision::Skip;
+        }
+        // Tier 2: the cached argmin provably still wins (the remove term is
+        // common to all candidates, so only add-direction drift matters).
+        if e.best + best_drift + guard < e.second - oth_drift - guard {
+            return PruneDecision::ConfirmBest(e.best_dst);
+        }
+        PruneDecision::FullScan
+    }
+
+    /// Records the outcome of a full scan of object `i` that applied no
+    /// move — `scan` is its `(best_dst, best, second)` — plus snapshots of
+    /// the global drift totals (inline), of `src`'s remove-direction
+    /// version, of every cluster's add-direction accumulators and of
+    /// `src`'s remove-direction ones (the watermarks later
+    /// [`Self::decide`] calls diff against). Slot `i` must be covered by
+    /// the last [`Self::begin_pass`].
+    pub fn store(&mut self, i: usize, gen: u32, src: usize, scan: (usize, f64, f64)) {
+        let (best_dst, best, second) = scan;
+        self.entries[i] = CacheEntry {
+            valid: true,
+            gen,
+            src,
+            src_version: self.versions[src],
+            best_dst,
+            best,
+            second,
+            totals: self.totals,
+        };
+        let (k, stride) = (self.drift.len(), self.stride());
+        let row = &mut self.snaps[i * stride..(i + 1) * stride];
+        for (snap, d) in row.chunks_exact_mut(3).zip(&self.drift) {
+            snap.copy_from_slice(&[d.add_const, d.add_size, d.add_mean]);
+        }
+        let d = self.drift[src];
+        row[3 * k..].copy_from_slice(&[d.rem_const, d.rem_size, d.rem_mean]);
     }
 }
 
@@ -418,31 +847,13 @@ pub fn slack(fp_scale: f64, q: f64, r: f64) -> f64 {
 
 /// The relocation acceptance threshold: a move applies iff its delta-`J`
 /// is below `-TOLERANCE`. The only relocation threshold in the engine:
-/// every relocation loop decides against it through [`best_move`], which
+/// every relocation loop decides against it through [`Pruner::best_move`], which
 /// keeps their decisions bit-identical. It guards the termination argument
 /// of Proposition 4 against floating-point jitter.
 pub const TOLERANCE: f64 = 1e-9;
 
-/// What one relocation pass decides against: the live statistics, the
-/// drift watermarks the cache entries are diffed against, and the pass's
-/// floating-point scale.
-#[derive(Debug, Clone, Copy)]
-pub struct PassState<'a> {
-    /// Per-cluster statistics the pass prices against.
-    pub stats: &'a [ClusterStats],
-    /// Global drift totals (the tier-0 watermark).
-    pub totals: DriftTotals,
-    /// Per-cluster remove-direction version counters (surgical
-    /// invalidation; see the module docs).
-    pub versions: &'a [u64],
-    /// Cache epoch — the coarse kill-switch.
-    pub epoch: u64,
-    /// [`fp_scale`] of `stats` (unused without a cache).
-    pub scale: f64,
-}
-
 /// The per-pass aggregate-magnitude scale fed to [`slack`].
-pub fn fp_scale(stats: &[ClusterStats]) -> f64 {
+fn fp_scale(stats: &[ClusterStats]) -> f64 {
     stats
         .iter()
         .map(ClusterStats::magnitude)
@@ -691,257 +1102,6 @@ impl PricingTable {
     }
 }
 
-/// The one relocation decision of Algorithm 1 (lines 8–9): the best move
-/// of object `i` (cluster `src`, slot generation `gen`, kernel view `v`)
-/// that lowers `J` by more than [`TOLERANCE`], as `(dst, delta)`, or `None`.
-/// Every candidate is priced through `table` against `pass.stats`.
-///
-/// Without `pruned` this is the full scan, [`PricingTable::relocation`]
-/// filtered at `-TOLERANCE`, except that a member no candidate moves skips
-/// the fold. With a cache and its counters it runs the
-/// tier ladder of the module docs — skip, confirm the cached argmin, or
-/// full scan — counting each outcome, and caches a full scan that finds no
-/// move. Either way the answer is bit-identical to [`best_candidate`]
-/// filtered at `-TOLERANCE`. The caller applies a returned move,
-/// invalidates `i`'s entry and marks both clusters stale in `table`.
-#[inline(always)]
-pub fn best_move(
-    pass: &PassState<'_>,
-    table: &mut PricingTable,
-    pruned: Option<(&mut PruneCache, &mut PruneCounters)>,
-    i: usize,
-    gen: u32,
-    src: usize,
-    v: &MomentView<'_>,
-) -> Option<(usize, f64)> {
-    let Some((cache, counters)) = pruned else {
-        // The fold returns one of these candidates, so it moves nothing
-        // unless one of them lies below the threshold.
-        let gain = table.price_moves(pass.stats, src, v);
-        if !table.moves(src, gain).any(|(_, delta)| delta < -TOLERANCE) {
-            return None;
-        }
-        let (dst, delta, _) = fold(table.moves(src, gain))?;
-        return (delta < -TOLERANCE).then_some((dst, delta));
-    };
-    match cache.decide(pass, i, gen, src, v) {
-        PruneDecision::Skip => {
-            counters.skips += 1;
-            None
-        }
-        PruneDecision::ConfirmBest(dst) => {
-            // Same argmin; its exact delta from the identical pricing the
-            // full scan would do.
-            counters.confirms += 1;
-            let delta = table.confirm(pass.stats, src, dst, v);
-            (delta < -TOLERANCE).then_some((dst, delta))
-        }
-        PruneDecision::FullScan => {
-            counters.full_scans += 1;
-            let (dst, delta, second) = table.relocation(pass.stats, src, v)?;
-            if delta < -TOLERANCE {
-                return Some((dst, delta));
-            }
-            cache.store(pass, i, gen, src, (dst, delta, second));
-            None
-        }
-    }
-}
-
-/// The engine's drift bookkeeping for one statistic update: the global
-/// [`DriftTotals`] and the per-cluster remove-direction version counters,
-/// or `None` for the plain update.
-pub type Drift<'a> = Option<(&'a mut DriftTotals, &'a mut [u64])>;
-
-/// Adds `v` to cluster `c`: one streaming insert, or the second half of
-/// [`apply_relocation`].
-///
-/// With `drift`, the drift-tracked update ([`ClusterStats::add_view_tracked`])
-/// runs, folds `c`'s accumulator movement into the totals, and bumps
-/// `versions[c]` iff the transition was small — the surgical invalidation
-/// of the module docs. Without, the plain `add_view` runs. The statistics
-/// are bit-identical either way.
-#[inline]
-pub fn apply_insert(stats: &mut [ClusterStats], c: usize, v: &MomentView<'_>, drift: Drift<'_>) {
-    match drift {
-        Some((totals, versions)) => {
-            let before = stats[c].drift();
-            if stats[c].add_view_tracked(v) {
-                versions[c] = versions[c].wrapping_add(1);
-            }
-            totals.absorb(before, stats[c].drift());
-        }
-        None => stats[c].add_view(v),
-    }
-}
-
-/// Removes `v` from cluster `c`: the [`apply_insert`] counterpart through
-/// [`ClusterStats::remove_view_tracked`] or the plain `remove_view`.
-#[inline]
-pub fn apply_remove(stats: &mut [ClusterStats], c: usize, v: &MomentView<'_>, drift: Drift<'_>) {
-    match drift {
-        Some((totals, versions)) => {
-            let before = stats[c].drift();
-            if stats[c].remove_view_tracked(v) {
-                versions[c] = versions[c].wrapping_add(1);
-            }
-            totals.absorb(before, stats[c].drift());
-        }
-        None => stats[c].remove_view(v),
-    }
-}
-
-/// The one relocation apply of Algorithm 1 (lines 10–13): removes `v` from
-/// `src` and adds it to `dst`, each half tracked iff `drift` is given (see
-/// [`apply_insert`]).
-#[inline]
-pub fn apply_relocation(
-    stats: &mut [ClusterStats],
-    src: usize,
-    dst: usize,
-    v: &MomentView<'_>,
-    mut drift: Drift<'_>,
-) {
-    let reborrowed = drift.as_mut().map(|(t, vs)| (&mut **t, &mut **vs));
-    apply_remove(stats, src, v, reborrowed);
-    apply_insert(stats, dst, v, drift);
-}
-
-impl PruneCache {
-    /// Evaluates the bound tests for object `i` (cluster `src`, kernel view
-    /// `v`) against `pass`: its statistics, global drift totals, cache epoch
-    /// and per-cluster remove-direction versions (surgical invalidation:
-    /// the entry is rejected iff `src`'s counter moved since store time —
-    /// see the module docs). `gen` is the slot's current generation stamp:
-    /// streaming engines recycle slots, and an entry stored for a departed
-    /// occupant must not serve the slot's next tenant. Purely read-only:
-    /// [`best_move`] acts on the returned decision.
-    ///
-    /// Tier 0 diffs the global totals against the entry's inline snapshot —
-    /// O(1), one cache line — and resolves the overwhelming majority of
-    /// decisions in quiet passes. Only when that over-approximation is too
-    /// loose does the O(k) per-cluster walk run (per-coefficient maxima over
-    /// candidates instead of sums over all clusters).
-    pub fn decide(
-        &self,
-        pass: &PassState<'_>,
-        i: usize,
-        gen: u32,
-        src: usize,
-        v: &MomentView<'_>,
-    ) -> PruneDecision {
-        let (stats, totals) = (pass.stats, pass.totals);
-        let e = self.entries[i];
-        if !e.valid
-            || e.gen != gen
-            || e.src != src
-            || e.epoch != pass.epoch
-            || pass.versions[src] != e.src_version
-            || e.best_dst == src
-            || e.best_dst >= stats.len()
-        {
-            return PruneDecision::FullScan;
-        }
-        let q = v.sum_var + v.sum_mu_sq;
-        let r = v.norm_mu;
-        let guard = slack(pass.scale, q, r);
-
-        // Tier 0: global-sum drift, O(1). The sums over all clusters bound
-        // both the candidate-maximum add drift and the src remove drift.
-        let g = e.totals;
-        let add0 = (totals.add_const - g.add_const).max(0.0)
-            + (totals.add_size - g.add_size).max(0.0) * q
-            + 2.0 * (totals.add_mean - g.add_mean).max(0.0) * r;
-        let rem0 = (totals.rem_const - g.rem_const).max(0.0)
-            + (totals.rem_size - g.rem_size).max(0.0) * q
-            + 2.0 * (totals.rem_mean - g.rem_mean).max(0.0) * r;
-        if e.best - (add0 + rem0 + guard) >= -TOLERANCE {
-            return PruneDecision::Skip;
-        }
-
-        // Per-cluster refinement. The cached best's own add-direction drift
-        // (`d_best`) is kept apart from the per-coefficient maxima over the
-        // remaining candidates (`oth_*`): `e.second` is the cached minimum
-        // over exactly those clusters, so their drift is charged against the
-        // usually-larger second margin.
-        let stride = Self::stride(self.k);
-        let row = &self.snaps[i * stride..(i + 1) * stride];
-        let mut oth_const = 0.0f64;
-        let mut oth_size = 0.0f64;
-        let mut oth_mean = 0.0f64;
-        for (c, stat) in stats.iter().enumerate() {
-            if c == src || c == e.best_dst {
-                continue;
-            }
-            let d = stat.drift();
-            let snap = &row[3 * c..3 * c + 3];
-            oth_const = oth_const.max(d.add_const - snap[0]);
-            oth_size = oth_size.max(d.add_size - snap[1]);
-            oth_mean = oth_mean.max(d.add_mean - snap[2]);
-        }
-        let d_src = stats[src].drift();
-        let snap_src = &row[3 * self.k..];
-        let rem = (d_src.rem_const - snap_src[0]).max(0.0)
-            + (d_src.rem_size - snap_src[1]).max(0.0) * q
-            + 2.0 * (d_src.rem_mean - snap_src[2]).max(0.0) * r;
-        let d_bst = stats[e.best_dst].drift();
-        let snap_bst = &row[3 * e.best_dst..3 * e.best_dst + 3];
-        let best_drift = (d_bst.add_const - snap_bst[0]).max(0.0)
-            + (d_bst.add_size - snap_bst[1]).max(0.0) * q
-            + 2.0 * (d_bst.add_mean - snap_bst[2]).max(0.0) * r;
-        let oth_drift = oth_const.max(0.0) + oth_size.max(0.0) * q + 2.0 * oth_mean.max(0.0) * r;
-
-        // Tier 1: no candidate can have dropped below −TOLERANCE.
-        if e.best - (best_drift + rem + guard) >= -TOLERANCE
-            && e.second - (oth_drift + rem + guard) >= -TOLERANCE
-        {
-            return PruneDecision::Skip;
-        }
-        // Tier 2: the cached argmin provably still wins (the remove term is
-        // common to all candidates, so only add-direction drift matters).
-        if e.best + best_drift + guard < e.second - oth_drift - guard {
-            return PruneDecision::ConfirmBest(e.best_dst);
-        }
-        PruneDecision::FullScan
-    }
-
-    /// Records the outcome of a full scan that applied no move — `scan` is
-    /// its `(best_dst, best, second)` — plus snapshots of `pass`'s global
-    /// drift totals (inline), of `src`'s remove-direction version counter,
-    /// of every cluster's add-direction accumulators and of `src`'s
-    /// remove-direction ones (the watermarks future [`Self::decide`] calls
-    /// diff against).
-    pub fn store(
-        &mut self,
-        pass: &PassState<'_>,
-        i: usize,
-        gen: u32,
-        src: usize,
-        scan: (usize, f64, f64),
-    ) {
-        let (best_dst, best, second) = scan;
-        self.entries[i] = CacheEntry {
-            valid: true,
-            gen,
-            src,
-            epoch: pass.epoch,
-            src_version: pass.versions[src],
-            best_dst,
-            best,
-            second,
-            totals: pass.totals,
-        };
-        let stride = Self::stride(self.k);
-        let row = &mut self.snaps[i * stride..(i + 1) * stride];
-        for (snap, stat) in row.chunks_exact_mut(3).zip(pass.stats) {
-            let d = stat.drift();
-            snap.copy_from_slice(&[d.add_const, d.add_size, d.add_mean]);
-        }
-        let d = pass.stats[src].drift();
-        row[3 * self.k..].copy_from_slice(&[d.rem_const, d.rem_size, d.rem_mean]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -993,19 +1153,25 @@ mod tests {
         assert!(!PruningConfig::Off.is_enabled());
     }
 
-    /// A pass state at scale `fp_scale(stats)`.
-    fn pass<'a>(
-        stats: &'a [ClusterStats],
-        totals: DriftTotals,
-        versions: &'a [u64],
-        epoch: u64,
-    ) -> PassState<'a> {
-        PassState {
-            stats,
-            totals,
-            versions,
-            epoch,
-            scale: fp_scale(stats),
+    /// A pruning-enabled pruner for `k` clusters with a pass begun over
+    /// `n` slots of `stats`: its cache covers them and it tracks.
+    fn pruner(stats: &[ClusterStats], n: usize) -> Pruner {
+        let mut pruner = Pruner::new(stats.len(), PruningConfig::Bounds);
+        pruner.begin_pass(stats, n);
+        pruner
+    }
+
+    impl Pruner {
+        /// Whether this pruner holds the state [`Pruner::new`] builds,
+        /// counters and configuration aside.
+        pub(crate) fn is_fresh(&self) -> bool {
+            let zero = ClusterDrift::default();
+            self.entries.is_empty()
+                && self.snaps.is_empty()
+                && !self.tracking
+                && self.totals == DriftTotals::default()
+                && self.versions.iter().all(|&v| v == 0)
+                && self.drift.iter().all(|&d| d == zero)
         }
     }
 
@@ -1015,41 +1181,47 @@ mod tests {
         let arena = MomentArena::from_objects(&data);
         let labels = vec![0, 0, 0, 1, 1, 1];
         let stats = stats_for(&arena, &labels, 2);
-        let cache = PruneCache::new(6, 2);
+        let pruner = pruner(&stats, 6);
         let v = arena.view(0);
-        let p = pass(&stats, DriftTotals::default(), &[0, 0], 0);
-        assert_eq!(cache.decide(&p, 0, 0, 0, &v), PruneDecision::FullScan);
+        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::FullScan);
     }
 
     #[test]
-    fn unchanged_statistics_allow_skip_and_epoch_bump_invalidates() {
+    fn unchanged_statistics_allow_skip_and_retire_invalidates() {
         let data = objects(6);
         let arena = MomentArena::from_objects(&data);
         let labels = vec![0, 0, 0, 1, 1, 1];
-        let stats = stats_for(&arena, &labels, 2);
-        let totals = DriftTotals::default();
-        let versions = [0u64, 0];
-        let p = pass(&stats, totals, &versions, 0);
-        let mut cache = PruneCache::new(6, 2);
+        let mut stats = stats_for(&arena, &labels, 2);
+        let mut pruner = pruner(&stats, 6);
         let v = arena.view(0);
         // A converged object: its best candidate delta is comfortably
         // positive, so with zero drift tier 0 must fire.
-        cache.store(&p, 0, 0, 0, (1, 5.0, f64::INFINITY));
-        assert_eq!(cache.decide(&p, 0, 0, 0, &v), PruneDecision::Skip);
-        // Same entry at a later epoch: stale, full scan.
-        let later = pass(&stats, totals, &versions, 1);
-        assert_eq!(cache.decide(&later, 0, 0, 0, &v), PruneDecision::FullScan);
+        pruner.store(0, 0, 0, (1, 5.0, f64::INFINITY));
+        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::Skip);
         // Same entry under a later slot generation (the slot was recycled
         // to a new occupant): stale, full scan.
-        assert_eq!(cache.decide(&p, 0, 1, 0, &v), PruneDecision::FullScan);
+        assert_eq!(pruner.decide(0, 1, 0, &v), PruneDecision::FullScan);
         // Same entry after the source cluster's remove-direction version
         // moved (a small transition touched it): surgically stale.
-        let bumped = pass(&stats, totals, &[1, 0], 0);
-        assert_eq!(cache.decide(&bumped, 0, 0, 0, &v), PruneDecision::FullScan);
+        pruner.versions = vec![1, 0];
+        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::FullScan);
         // A bump of a *non-source* cluster's version leaves the entry
         // usable — its remove-direction history is never consulted here.
-        let elsewhere = pass(&stats, totals, &[0, 7], 0);
-        assert_eq!(cache.decide(&elsewhere, 0, 0, 0, &v), PruneDecision::Skip);
+        pruner.versions = vec![0, 7];
+        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::Skip);
+        // Tracked churn moves the watermarks; a retire drops the entry and
+        // zeroes every watermark, keeping the counters.
+        pruner.relocate(&mut stats, 4, 1, 0, &arena.view(4));
+        assert!(pruner.drift().iter().any(|&d| d != ClusterDrift::default()));
+        pruner.counters.skips = 3;
+        pruner.retire();
+        assert_eq!(pruner.cache_entries(), 0, "the entry is gone");
+        assert!(pruner.is_fresh(), "the watermarks are zero");
+        assert_eq!(pruner.counters().skips, 3, "counters survive a retire");
+        assert_eq!(pruner.config(), PruningConfig::Bounds);
+        // The next pass regrows the cache invalid: the old entry is dead.
+        pruner.begin_pass(&stats, 6);
+        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::FullScan);
     }
 
     #[test]
@@ -1057,15 +1229,16 @@ mod tests {
         let data = objects(9);
         let arena = MomentArena::from_objects(&data);
         let labels = vec![0, 0, 0, 1, 1, 1, 2, 2, 2];
-        let stats = stats_for(&arena, &labels, 3);
-        let p = pass(&stats, DriftTotals::default(), &[0, 0, 0], 0);
-        let mut cache = PruneCache::new(9, 3);
+        let mut stats = stats_for(&arena, &labels, 3);
+        let mut pruner = pruner(&stats, 9);
         let v = arena.view(0);
         // Cached best is improving (−2) and far from second (+7): tier 2.
-        cache.store(&p, 0, 0, 0, (2, -2.0, 7.0));
-        assert_eq!(cache.decide(&p, 0, 0, 0, &v), PruneDecision::ConfirmBest(2));
-        cache.invalidate(0);
-        assert_eq!(cache.decide(&p, 0, 0, 0, &v), PruneDecision::FullScan);
+        pruner.store(0, 0, 0, (2, -2.0, 7.0));
+        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::ConfirmBest(2));
+        // Relocating the object invalidates its entry.
+        pruner.relocate(&mut stats, 0, 0, 2, &v);
+        assert!(!pruner.entries[0].valid);
+        assert_eq!(pruner.decide(0, 0, 2, &v), PruneDecision::FullScan);
     }
 
     #[test]
@@ -1074,24 +1247,20 @@ mod tests {
         let arena = MomentArena::from_objects(&data);
         let labels = vec![0, 0, 0, 0, 1, 1, 1, 1];
         let mut stats = stats_for(&arena, &labels, 2);
-        let mut totals = DriftTotals::default();
-        let mut versions = [0u64, 0];
-        let mut cache = PruneCache::new(8, 2);
+        let mut pruner = pruner(&stats, 8);
         let v = arena.view(0);
         // Barely-positive margin: sound to skip only while nothing moves.
-        let p = pass(&stats, totals, &versions, 0);
-        cache.store(&p, 0, 0, 0, (1, 0.05, f64::INFINITY));
-        assert_eq!(cache.decide(&p, 0, 0, 0, &v), PruneDecision::Skip);
+        pruner.store(0, 0, 0, (1, 0.05, f64::INFINITY));
+        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::Skip);
         // Relocate object 7 from cluster 1 to cluster 0 (tracked): both
         // clusters drift and the tiny margin no longer proves a skip. With
         // k = 2 the argmin is trivially stable (there is only one
         // candidate), so the decision degrades to tier 2, which recomputes
         // the exact delta — never to an unsound skip.
-        let v7 = arena.view(7);
-        apply_relocation(&mut stats, 1, 0, &v7, Some((&mut totals, &mut versions)));
-        assert_eq!(versions, [0, 0], "sizes stay >= 2: no version bump");
-        let p = pass(&stats, totals, &versions, 0);
-        assert_eq!(cache.decide(&p, 0, 0, 0, &v), PruneDecision::ConfirmBest(1));
+        pruner.relocate(&mut stats, 7, 1, 0, &arena.view(7));
+        assert_eq!(pruner.versions, [0, 0], "sizes stay >= 2: no version bump");
+        pruner.begin_pass(&stats, 8);
+        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::ConfirmBest(1));
     }
 
     #[test]
@@ -1104,33 +1273,19 @@ mod tests {
         let arena = MomentArena::from_objects(&data);
         let labels = vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2];
         let mut stats = stats_for(&arena, &labels, 3);
-        let mut totals = DriftTotals::default();
-        let mut versions = [0u64, 0, 0];
-        let mut cache = PruneCache::new(12, 3);
+        let mut pruner = pruner(&stats, 12);
         let v = arena.view(0);
-        cache.store(
-            &pass(&stats, totals, &versions, 0),
-            0,
-            0,
-            0,
-            (2, 0.4, f64::INFINITY),
-        );
+        pruner.store(0, 0, 0, (2, 0.4, f64::INFINITY));
         // Churn objects between clusters 1 and 2 (the candidate set):
         // eventually even the per-cluster bound must give up and rescan.
         let mut gave_up = false;
         for step in 0..50 {
             let (src, dst) = if step % 2 == 0 { (1, 2) } else { (2, 1) };
-            let vx = arena.view(4 + (step % 4));
-            apply_relocation(
-                &mut stats,
-                src,
-                dst,
-                &vx,
-                Some((&mut totals, &mut versions)),
-            );
-            assert_eq!(versions, [0, 0, 0]);
-            let p = pass(&stats, totals, &versions, 0);
-            if cache.decide(&p, 0, 0, 0, &v) != PruneDecision::Skip {
+            let i = 4 + (step % 4);
+            pruner.relocate(&mut stats, i, src, dst, &arena.view(i));
+            assert_eq!(pruner.versions, [0, 0, 0]);
+            pruner.begin_pass(&stats, 12);
+            if pruner.decide(0, 0, 0, &v) != PruneDecision::Skip {
                 gave_up = true;
                 break;
             }
@@ -1166,13 +1321,12 @@ mod tests {
                 .map(|i| if i < k { i } else { rng.gen_range(0..k) })
                 .collect();
             let mut stats = stats_for(&arena, &labels, k);
-            let mut totals = DriftTotals::default();
-            let mut versions = vec![0u64; k];
-            let mut cache = PruneCache::new(n, k);
-            let mut counters = PruneCounters::default();
+            let mut plain = Pruner::new(k, PruningConfig::Off);
+            let mut pruned = Pruner::new(k, PruningConfig::Bounds);
             let mut table = PricingTable::new(m, k);
             for _pass in 0..6 {
-                let scale = fp_scale(&stats);
+                plain.begin_pass(&stats, n);
+                pruned.begin_pass(&stats, n);
                 // Indexed: the body reassigns `labels[i]` mid-pass.
                 #[allow(clippy::needless_range_loop)]
                 for i in 0..n {
@@ -1181,22 +1335,15 @@ mod tests {
                         continue;
                     }
                     let v = arena.view(i);
-                    let p = PassState {
-                        stats: &stats,
-                        totals,
-                        versions: &versions,
-                        epoch: 0,
-                        scale,
-                    };
-                    let before = counters;
-                    let plain = best_move(&p, &mut table, None, i, 0, src, &v);
+                    let before = pruned.counters();
+                    let uncached = plain.best_move(&stats, &mut table, i, 0, src, &v);
                     let want = best_candidate(&stats, src, &v).filter(|&(_, d)| d < -TOLERANCE);
                     assert_eq!(
-                        plain.map(|(c, d)| (c, d.to_bits())),
+                        uncached.map(|(c, d)| (c, d.to_bits())),
                         want.map(|(c, d)| (c, d.to_bits()))
                     );
-                    let pruned = Some((&mut cache, &mut counters));
-                    let cached = best_move(&p, &mut table, pruned, i, 0, src, &v);
+                    let cached = pruned.best_move(&stats, &mut table, i, 0, src, &v);
+                    let counters = pruned.counters();
                     let tiers = [
                         counters.skips - before.skips,
                         counters.confirms - before.confirms,
@@ -1210,36 +1357,31 @@ mod tests {
                     assert!(tiers.iter().all(|&t| t <= 1));
                     assert_eq!(
                         cached.map(|(c, d)| (c, d.to_bits())),
-                        plain.map(|(c, d)| (c, d.to_bits())),
+                        uncached.map(|(c, d)| (c, d.to_bits())),
                         "object {i} (n={n}, m={m}, k={k})"
                     );
                     if let Some((dst, _)) = cached {
-                        apply_relocation(
-                            &mut stats,
-                            src,
-                            dst,
-                            &v,
-                            Some((&mut totals, &mut versions)),
-                        );
-                        cache.invalidate(i);
+                        pruned.relocate(&mut stats, i, src, dst, &v);
                         table.mark_stale(src);
                         table.mark_stale(dst);
                         labels[i] = dst;
                     }
                 }
             }
+            let counters = pruned.counters();
             assert!(
                 counters.skips + counters.confirms > 0,
                 "later passes must reuse cached bounds (n={n})"
             );
+            assert_eq!(plain.counters(), PruneCounters::default());
         }
     }
 
     /// The unpruned decision for a member of `src` at `v`, on a fresh table.
     fn unpruned(stats: &[ClusterStats], src: usize, v: &MomentView<'_>) -> Option<(usize, u64)> {
-        let p = pass(stats, DriftTotals::default(), &[], 0);
+        let mut pruner = Pruner::new(stats.len(), PruningConfig::Off);
         let mut table = PricingTable::new(v.dims(), stats.len());
-        let decided = best_move(&p, &mut table, None, 0, 0, src, v);
+        let decided = pruner.best_move(stats, &mut table, 0, 0, src, v);
         decided.map(|(c, d)| (c, d.to_bits()))
     }
 
@@ -1361,32 +1503,27 @@ mod tests {
         let data = objects(8);
         let arena = MomentArena::from_objects(&data);
         let mut stats = vec![ClusterStats::empty(arena.dims()); 2];
-        let mut totals = DriftTotals::default();
-        let mut versions = [0u64, 0];
+        let mut pruner = pruner(&stats, 8);
         // Growing cluster 0 from empty: sizes 0→1 and 1→2 are small.
         for i in [0, 1] {
-            let drift = Some((&mut totals, &mut versions[..]));
-            apply_insert(&mut stats, 0, &arena.view(i), drift);
+            pruner.add(&mut stats, 0, &arena.view(i));
         }
-        assert_eq!(versions, [2, 0]);
+        assert_eq!(pruner.versions, [2, 0]);
         // 2→3 and 3→4 are trackable: no bump anywhere.
         for i in [2, 3] {
-            let drift = Some((&mut totals, &mut versions[..]));
-            apply_insert(&mut stats, 0, &arena.view(i), drift);
+            pruner.add(&mut stats, 0, &arena.view(i));
         }
-        assert_eq!(versions, [2, 0]);
+        assert_eq!(pruner.versions, [2, 0]);
         // Removal 4→3 is trackable; 3→2 small? No: remove is small when the
         // post size drops below 2, i.e. pre-size n < 3. 4→3 and 3→2 keep
         // both sizes >= 2, 2→1 is small.
         for i in [3, 2] {
-            let drift = Some((&mut totals, &mut versions[..]));
-            apply_remove(&mut stats, 0, &arena.view(i), drift);
+            pruner.remove(&mut stats, 0, &arena.view(i));
         }
-        assert_eq!(versions, [2, 0]);
-        let drift = Some((&mut totals, &mut versions[..]));
-        apply_remove(&mut stats, 0, &arena.view(1), drift);
-        assert_eq!(versions, [3, 0], "2→1 breaks the remove direction");
+        assert_eq!(pruner.versions, [2, 0]);
+        pruner.remove(&mut stats, 0, &arena.view(1));
+        assert_eq!(pruner.versions, [3, 0], "2→1 breaks the remove direction");
         // The untouched cluster's version never moved.
-        assert_eq!(versions[1], 0);
+        assert_eq!(pruner.versions[1], 0);
     }
 }

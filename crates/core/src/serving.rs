@@ -789,8 +789,8 @@ impl ServingUcpc {
     /// Runs up to `passes` relocation passes and logs their moves as one
     /// round. The pass runs first — its moves are known only afterwards —
     /// on a saved copy of what it mutates: if the round cannot be logged,
-    /// the pass is undone (statistics, drift totals, versions and labels
-    /// restored, prune cache retired) and the logging failure returned, so
+    /// the pass is undone (statistics and labels restored, pruner retired)
+    /// and the logging failure returned, so
     /// the engine still holds only state the log can reproduce.
     fn stabilize_logged(&mut self, passes: usize) -> Result<usize, WalError> {
         let Some(w) = &mut self.wal else {

@@ -24,17 +24,18 @@
 //! overwrites it whole), so its residual bytes are not logical state — and
 //! zeroing them makes `snapshot(restore(s)) == s` hold bytewise.
 //!
-//! The prune cache is deliberately excluded, entries and watermarks alike:
-//! a restored cache starts empty and entries regrow invalid, which is
-//! always sound (an invalid entry forces the exact full scan). With no
-//! entry left, nothing needs the history the watermarks (`epoch`,
-//! per-cluster `versions`, drift totals, per-cluster drift accumulators)
-//! describe, and that history is not logical state anyway: edits are
-//! drift-tracked only while a pruned pass's entries are live (see
-//! [`crate::incremental`]), so a coordinator that runs passes and a
-//! replica that only replays them hold different drift for the same
-//! clustering. Restore starts every watermark at zero, and two engines
-//! with the same clustering write the same bytes.
+//! The pruner's state is deliberately excluded, cache and watermarks
+//! alike, and only its configuration is written: restore builds
+//! [`Pruner::new`], the state [`Pruner::retire`] leaves — an empty cache
+//! whose entries regrow invalid, which is always sound (an invalid entry
+//! forces the exact full scan), and every watermark (per-cluster
+//! `versions`, drift totals, per-cluster drift accumulators) at zero. With
+//! no entry left, nothing needs the history the watermarks describe, and
+//! that history is not logical state anyway: edits are drift-tracked only
+//! while a pruned pass's entries are live (see [`crate::incremental`]), so
+//! a coordinator that runs passes and a replica that only replays them
+//! hold different drift for the same clustering. Two engines with the
+//! same clustering write the same bytes.
 //!
 //! # Format
 //!
@@ -85,7 +86,7 @@
 use crate::codec::{scan_frames, Reader, Writer, CHECKSUM_MISMATCH};
 use crate::incremental::IncrementalUcpc;
 use crate::objective::ClusterStats;
-use crate::pruning::{DriftTotals, PricingTable, PruneCache, PruneCounters, PruningConfig};
+use crate::pruning::{PricingTable, Pruner, PruningConfig};
 use crate::wal::{DurableIo, IoFault, VecIo};
 use std::fmt;
 use ucpc_uncertain::{MomentArena, SlabArena};
@@ -414,7 +415,7 @@ impl IncrementalUcpc {
     ) -> Result<(), SnapshotError> {
         let n_slots = self.labels.len();
         let w = out.begin(CHUNK_META);
-        w.u8(match self.pruning {
+        w.u8(match self.pruner.config() {
             PruningConfig::Off => 0,
             PruningConfig::Bounds => 1,
         });
@@ -449,9 +450,9 @@ impl IncrementalUcpc {
 
     /// Rebuilds the engine from a [`Self::snapshot`] /
     /// [`Self::write_snapshot`] buffer, bit-identical to the engine that
-    /// produced it. The prune cache restarts empty (entries regrow invalid
-    /// — always sound); its watermarks and the pruning counters restart at
-    /// zero.
+    /// produced it. Its pruner is [`Pruner::new`] under the saved
+    /// configuration: an empty cache (entries regrow invalid — always
+    /// sound), zero watermarks and zero counters.
     ///
     /// Statistics are not trusted either: a cluster whose size differs
     /// from the number of live slots labelled with it, or any non-finite
@@ -555,14 +556,8 @@ impl IncrementalUcpc {
             slab,
             labels,
             live,
-            pruning,
-            epoch: 0,
-            tracking: false,
-            versions: vec![0; k],
-            totals: DriftTotals::default(),
-            cache: PruneCache::new(0, k),
+            pruner: Pruner::new(k, pruning),
             table: PricingTable::new(m, k),
-            counters: PruneCounters::default(),
         })
     }
 }

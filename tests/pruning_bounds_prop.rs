@@ -8,28 +8,15 @@
 //! The per-cluster remove-direction version counters (surgical
 //! invalidation, see `ucpc_core::pruning`) are exercised directly: edits
 //! that empty or nearly empty a cluster bump only that cluster's counter,
-//! and every entry that survives must still pass its shadow scan.
+//! and every entry that survives must still pass its shadow scan. Every
+//! update and decision goes through one `Pruner`, as in the engine.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ucpc::core::objective::ClusterStats;
-use ucpc::core::pruning::{
-    apply_insert, apply_relocation, apply_remove, fp_scale, DriftTotals, PassState, PruneCache,
-    PruneDecision, TOLERANCE,
-};
+use ucpc::core::pruning::{PruneDecision, Pruner, PruningConfig, TOLERANCE};
 use ucpc::uncertain::{MomentArena, UncertainObject, UnivariatePdf};
-
-/// A batch search's pass state (epoch 0) over the current statistics.
-fn pass<'a>(stats: &'a [ClusterStats], totals: DriftTotals, versions: &'a [u64]) -> PassState<'a> {
-    PassState {
-        stats,
-        totals,
-        versions,
-        epoch: 0,
-        scale: fp_scale(stats),
-    }
-}
 
 fn dataset(n: usize, m: usize, rng: &mut StdRng) -> Vec<UncertainObject> {
     (0..n)
@@ -126,9 +113,12 @@ proptest! {
             }
         }
 
-        let mut cache = PruneCache::new(total, k);
-        let mut totals = DriftTotals::default();
-        let mut versions = vec![0u64; k];
+        // Opening a pass covers every object and switches tracking on.
+        let mut pruner = Pruner::new(k, PruningConfig::Bounds);
+        pruner.begin_pass(&stats, total);
+        // Each object's generation: bumped on every re-insert, so an entry
+        // stored for an earlier stay never serves the next one.
+        let mut gens = vec![0u32; total];
 
         for _step in 0..steps {
             // Cache a handful of random objects from genuine scans.
@@ -139,7 +129,7 @@ proptest! {
                     continue;
                 }
                 if let Some(scan) = shadow_scan(&stats, &arena, i, src) {
-                    cache.store(&pass(&stats, totals, &versions), i, 0, src, scan);
+                    pruner.store(i, gens[i], src, scan);
                 }
             }
 
@@ -154,9 +144,8 @@ proptest! {
                         (0..total).filter(|&i| labels[i].is_none()).collect();
                     if let Some(&i) = unassigned.get(rng.gen_range(0..unassigned.len().max(1))) {
                         let dst = rng.gen_range(0..k);
-                        let v = arena.view(i);
-                        apply_insert(&mut stats, dst, &v, Some((&mut totals, &mut versions)));
-                        cache.invalidate(i);
+                        pruner.add(&mut stats, dst, &arena.view(i));
+                        gens[i] += 1;
                         labels[i] = Some(dst);
                     }
                 }
@@ -167,9 +156,7 @@ proptest! {
                     if assigned.len() > k {
                         let i = assigned[rng.gen_range(0..assigned.len())];
                         let src = labels[i].take().expect("assigned");
-                        let v = arena.view(i);
-                        apply_remove(&mut stats, src, &v, Some((&mut totals, &mut versions)));
-                        cache.invalidate(i);
+                        pruner.remove(&mut stats, src, &arena.view(i));
                     }
                 }
                 _ => {
@@ -180,10 +167,7 @@ proptest! {
                             if dst == src {
                                 dst = (dst + 1) % k;
                             }
-                            let v = arena.view(i);
-                            let drift = Some((&mut totals, &mut versions[..]));
-                            apply_relocation(&mut stats, src, dst, &v, drift);
-                            cache.invalidate(i);
+                            pruner.relocate(&mut stats, i, src, dst, &arena.view(i));
                             labels[i] = Some(dst);
                         }
                     }
@@ -191,8 +175,8 @@ proptest! {
             }
 
             // Validate every assigned object's decision against ground
-            // truth.
-            let p = pass(&stats, totals, &versions);
+            // truth, at the pass scale of the current statistics.
+            pruner.begin_pass(&stats, total);
             #[allow(clippy::needless_range_loop)]
             for j in 0..total {
                 let Some(src) = labels[j] else { continue };
@@ -200,7 +184,7 @@ proptest! {
                     continue;
                 }
                 let v = arena.view(j);
-                let decision = cache.decide(&p, j, 0, src, &v);
+                let decision = pruner.decide(j, gens[j], src, &v);
                 let truth = shadow_scan(&stats, &arena, j, src);
                 match decision {
                     PruneDecision::FullScan => {}

@@ -14,8 +14,9 @@ use rand::{Rng, RngCore, SeedableRng};
 use support::reference::RefStream;
 use ucpc::core::fault::IoFaultPlan;
 use ucpc::core::incremental::IncrementalUcpc;
-use ucpc::core::objective::{ClusterDrift, ClusterStats};
+use ucpc::core::objective::ClusterStats;
 use ucpc::core::pruning::best_insertion;
+use ucpc::core::pruning::ClusterDrift;
 use ucpc::core::restarts::BestOfRestarts;
 use ucpc::core::wal::WAL_HEADER_LEN;
 use ucpc::core::{
@@ -214,9 +215,7 @@ fn lazy_drift_tracking_is_bit_neutral_across_pruning_flips() {
     let mut twin = IncrementalUcpc::new(2, k).unwrap();
     let mut live = IncrementalUcpc::new(2, k).unwrap();
     twin.set_pruning(PruningConfig::Off);
-    let drifts = |e: &IncrementalUcpc| -> Vec<ClusterDrift> {
-        e.cluster_stats().iter().map(ClusterStats::drift).collect()
-    };
+    let drifts = |e: &IncrementalUcpc| -> Vec<ClusterDrift> { e.pruner().drift().to_vec() };
     let (mut tracked, mut untracked) = (0, 0);
     for (phase, pruning) in [
         PruningConfig::Off,

@@ -1,7 +1,7 @@
 //! Allocation-size gate for unpruned `BestOfRestarts`.
 //!
-//! The prune cache holds `n·k·6` drift-snapshot `f64`s — at n = 100k,
-//! k = 2000 that is ~9.6 GB per worker — and an unpruned search never reads
+//! The prune cache holds `n·3(k+1)` drift-snapshot `f64`s — at n = 100k,
+//! k = 2000 that is ~4.8 GB per worker — and an unpruned search never reads
 //! it. This binary pins, with a counting global allocator, that an unpruned
 //! multi-restart run never makes an allocation of cache size. It holds
 //! exactly one test so no concurrently running test can pollute the
@@ -73,7 +73,7 @@ fn unpruned_restarts_never_allocate_a_prune_cache() {
         let result = runner.run(&data, k, &mut StdRng::seed_from_u64(7)).unwrap();
         let largest = LARGEST.load(Ordering::Relaxed);
         assert_eq!(result.objectives.len(), 2);
-        let cache_bytes = n * k * 6 * std::mem::size_of::<f64>();
+        let cache_bytes = n * 3 * (k + 1) * std::mem::size_of::<f64>();
         assert!(
             largest < cache_bytes,
             "an unpruned run ({threads} threads) allocated {largest} bytes at once; \

@@ -229,8 +229,7 @@ fn engines_with_different_pass_histories_write_identical_snapshots() {
     let mut unpruned = run(PruningConfig::Off, &script, None);
     unpruned.set_pruning(PruningConfig::Bounds);
     let recovered = run(PruningConfig::Bounds, &script, Some(script.len() / 2));
-    let drift_of =
-        |e: &IncrementalUcpc| -> Vec<_> { e.cluster_stats().iter().map(|s| s.drift()).collect() };
+    let drift_of = |e: &IncrementalUcpc| e.pruner().drift().to_vec();
     assert!(
         pruned.pruning_counters().skips > 0,
         "the pruned run skipped"

@@ -127,7 +127,7 @@ fn steady_state_insert_after_remove_allocates_nothing() {
         high_water,
         "handle-indexed state must not grow under steady churn"
     );
-    assert_eq!(live.cache_entries(), 0, "no pruned pass ran");
+    assert_eq!(live.pruner().cache_entries(), 0, "no pruned pass ran");
 
     // The churned partition is still exact: every live handle resolves and
     // the objective matches a from-scratch statistics rebuild.

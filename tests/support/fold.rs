@@ -9,7 +9,7 @@
 //! the engine's, so the engine's statistics must equal it bit for bit,
 //! however the engine's row passes are vectorized.
 
-use ucpc_core::objective::ClusterDrift;
+use ucpc_core::pruning::ClusterDrift;
 use ucpc_uncertain::arena::{dot, MomentView};
 
 /// The reference statistics of one cluster (module docs).
