@@ -1,5 +1,5 @@
-//! Churn soak bench: millions of edits through `IncrementalUcpc` on the
-//! slab store, gated on **flat memory**.
+//! Churn soak bench: millions of edits through `IncrementalUcpc` over
+//! recycled arena rows, gated on **flat memory**.
 //!
 //! The generation-stamped handle scheme promises that weeks of streaming
 //! churn cannot grow any handle-indexed structure: slots are recycled, so
@@ -108,7 +108,7 @@ fn soak(pruning: PruningConfig, edits: usize) -> SoakRow {
 
     // Settle, then warm every lazily-grown structure before the measured
     // window: one stabilization sweep sizes the prune cache (a single
-    // allocation, once), and one edit pair pays the slab free-list's first
+    // allocation, once), and one edit pair pays the engine free list's first
     // capacity growth. From here on the engine has nothing left to grow.
     live.stabilize(5);
     let victim = ids[oldest];

@@ -41,7 +41,7 @@
 //! workload (built through the zero-allocation
 //! `PdfAssignment::assign_into_arena` pipeline), and
 //! [`streaming::streaming_comparison`], the `IncrementalUcpc` churn loop
-//! on the slab store with pruning off vs on.
+//! over recycled arena rows with pruning off vs on.
 //! Every comparison doubles as an exactness check: any label divergence
 //! panics the bench.
 

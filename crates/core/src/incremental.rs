@@ -19,25 +19,49 @@
 //!
 //! # Storage
 //!
-//! Moments live in a [`ucpc_uncertain::SlabArena`]: flat SoA rows recycled
-//! through a LIFO free-list, so the stabilization scan streams contiguous
-//! memory and a steady-state
-//! insert-after-remove performs zero allocator calls
-//! (`tests/streaming_alloc_free.rs`). A slab row holds the same bits a
-//! standalone [`Moments`] would (see [`ucpc_uncertain::slab`]), and by
-//! Corollary 1 a cluster's `J` depends only on its [`ClusterStats`], so the
-//! storage cannot change a label: `tests/incremental_consistency.rs` pins
-//! handles, labels, statistics and objectives bitwise against a per-object
-//! reference model (`tests/support/reference.rs`) across pruning × SIMD.
+//! The engine owns its slots outright. Moments live in one
+//! [`MomentArena`], one row per slot; `labels` is the only record of which
+//! slots are live; `gens` holds each slot's generation; and `free` lists the
+//! freed slots, popped last-in-first-out. A removal frees its slot and the
+//! next insertion overwrites that row in place
+//! ([`MomentArena::overwrite_row_with`]), so the stabilization scan streams
+//! contiguous memory and a steady-state insert-after-remove performs zero
+//! allocator calls (`tests/streaming_alloc_free.rs`). The allocation policy
+//! is part of what the engine logs: an `Insert` entry names the slot the
+//! free list hands out next ([`IncrementalUcpc::apply_round`] refuses any
+//! other), so a replica or a replay issues the same handles.
+//!
+//! Reusing a slot must be indistinguishable from appending to a never-used
+//! engine, or results would depend on the churn history. Three facts make
+//! it so:
+//!
+//! 1. **Rows are written whole.** Appended and recycled rows go through the
+//!    one canonical fold ([`MomentArena::push_row_with`] /
+//!    [`MomentArena::overwrite_row_with`]), which copies `mu`/`mu2`
+//!    verbatim and re-derives `var` and the scalar aggregates; no bit of
+//!    the previous occupant survives.
+//! 2. **Free rows are never read.** Every row read is gated by `labels`,
+//!    so what a departed object leaves behind is unobservable; a removal
+//!    changes only the label, the generation and the free list.
+//! 3. **Generations never feed the kernels.** They gate *access* only, so
+//!    two engines holding the same live rows price and fold the same bits
+//!    however many generations each slot has consumed.
+//!
+//! By Corollary 1 a cluster's `J` depends only on its [`ClusterStats`], so
+//! the storage cannot change a label: `tests/incremental_consistency.rs`
+//! and `tests/stream_handles.rs` pin handles, labels, statistics and
+//! objectives bitwise against a per-object reference model
+//! (`tests/support/reference.rs`) across pruning × SIMD.
 //!
 //! # Generation-stamped handles
 //!
-//! [`IncrementalUcpc::insert`] returns an [`ObjectHandle`] — slot plus the
-//! slot's generation counter at insertion time (see
-//! [`ucpc_uncertain::slab`] for the scheme). Two consequences:
+//! [`IncrementalUcpc::insert`] returns an [`ObjectHandle`]: the slot plus
+//! the slot's generation at insertion time. A removal bumps the slot's
+//! generation (wrapping; [`ObjectHandle`] bounds the aliasing window). Two
+//! consequences:
 //!
 //! * **Bounded state.** Every handle-indexed structure — the label map,
-//!   the moment storage, and (with pruning on) the prune cache's entries
+//!   the moment rows, and (with pruning on) the prune cache's entries
 //!   and drift-snapshot rows — is indexed by *slot* and therefore capped at
 //!   the high-water mark of concurrent liveness, not the total insertion
 //!   count (`tests/streaming_alloc_free.rs` and the `bench_soak`
@@ -90,18 +114,19 @@ use crate::objective::{total_objective, ClusterStats};
 use crate::pruning::{PricingTable, PruneCounters, Pruner, PruningConfig};
 use crate::wal::{LogEntry, LogOp};
 use ucpc_uncertain::arena::MomentView;
-use ucpc_uncertain::{MomentArena, Moments, SlabArena, UncertainObject};
+use ucpc_uncertain::{MomentArena, Moments, UncertainObject};
 
 pub use ucpc_uncertain::ObjectHandle;
 
-/// Moment storage of [`IncrementalUcpc`]: the slab is the only store.
+/// Moment storage of [`IncrementalUcpc`]: the engine's own recycled
+/// arena rows are the only store.
 ///
 /// The enum survives only so that callers written against
 /// [`IncrementalUcpc::with_backend`] keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamBackend {
-    /// Flat [`SlabArena`] rows with free-list reuse, lazily drift-tracked
-    /// edits, per-cluster surgical invalidation.
+    /// Flat arena rows with free-list reuse, lazily drift-tracked edits,
+    /// per-cluster surgical invalidation.
     Slab,
 }
 
@@ -134,12 +159,17 @@ pub struct IncrementalUcpc {
     pub(crate) m: usize,
     pub(crate) k: usize,
     pub(crate) stats: Vec<ClusterStats>,
-    /// Moments of every live object, one slab row per slot.
-    pub(crate) slab: SlabArena,
-    /// Per-slot cluster label (`None` while the slot is free). Indexed by
-    /// slot, so it tops out at the live-window high-water mark.
+    /// One moment row per slot; a free slot's row is never read.
+    pub(crate) rows: MomentArena,
+    /// Per-slot cluster label, `None` while the slot is free: the only
+    /// record of which slots are live. Indexed by slot, so it tops out at
+    /// the live-window high-water mark.
     pub(crate) labels: Vec<Option<usize>>,
-    pub(crate) live: usize,
+    /// Per-slot generation: the occupant's while live, the next occupant's
+    /// while free (bumped, wrapping, when the slot is freed).
+    pub(crate) gens: Vec<u32>,
+    /// Freed slots, popped last-in-first-out by the next insertion.
+    pub(crate) free: Vec<u32>,
     /// All relocation-pruning state; every write to `stats` goes through
     /// it. Placement in [`Self::insert`] always scans every cluster.
     pub(crate) pruner: Pruner,
@@ -161,9 +191,10 @@ impl IncrementalUcpc {
             m,
             k,
             stats: vec![ClusterStats::empty(m); k],
-            slab: SlabArena::new(),
+            rows: MomentArena::from_moments([]),
             labels: Vec::new(),
-            live: 0,
+            gens: Vec::new(),
+            free: Vec::new(),
             pruner: Pruner::new(k, PruningConfig::default()),
             table: PricingTable::new(m, k),
         })
@@ -184,24 +215,24 @@ impl IncrementalUcpc {
         k: usize,
         labels: &[usize],
     ) -> Result<Self, ClusterError> {
-        let n = arena.len();
+        let (n, m) = (arena.len(), arena.dims());
         let mut engine = Self {
+            rows: arena,
             labels: vec![None; n],
-            live: n,
+            gens: vec![0; n],
             // `new` refuses only `k == 0`; report it against the rows.
-            ..Self::new(arena.dims(), k).map_err(|_| ClusterError::InvalidK { k, n })?
+            ..Self::new(m, k).map_err(|_| ClusterError::InvalidK { k, n })?
         };
-        engine.slab = SlabArena::from_parts(arena, vec![true; n], Vec::new(), vec![0; n]);
         engine.relabel(labels)?;
         Ok(engine)
     }
 
     /// Re-partitions the rows of a [`Self::from_arena`] engine (every slot
-    /// live) into the engine `from_arena` would build, with its checks,
-    /// keeping the rows and the prune cache's buffers. Statistics are
-    /// refolded, the pruner retires ([`Pruner::retire`]) and its counters
-    /// restart from zero. An error leaves the statistics partly folded, for
-    /// the caller to discard.
+    /// live, the free list empty) into the engine `from_arena` would
+    /// build, with its checks, keeping the rows and the prune cache's
+    /// buffers. Statistics are refolded, the pruner retires
+    /// ([`Pruner::retire`]) and its counters restart from zero. An error
+    /// leaves the statistics partly folded, for the caller to discard.
     pub(crate) fn relabel(&mut self, labels: &[usize]) -> Result<(), ClusterError> {
         validate_labels(labels, self.labels.len(), self.k)?;
         self.stats.fill(ClusterStats::empty(self.m));
@@ -210,7 +241,7 @@ impl IncrementalUcpc {
         self.table.mark_all_stale();
         let mut norms_finite = true;
         for (i, (slot, &c)) in self.labels.iter_mut().zip(labels).enumerate() {
-            let v = self.slab.view(i);
+            let v = self.rows.view(i);
             self.stats[c].add_view(&v);
             norms_finite &= v.norm_mu.is_finite();
             *slot = Some(c);
@@ -259,12 +290,12 @@ impl IncrementalUcpc {
 
     /// Number of live objects.
     pub fn len(&self) -> usize {
-        self.live
+        self.labels.len() - self.free.len()
     }
 
     /// Whether no objects are present.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
     /// Number of clusters.
@@ -288,10 +319,10 @@ impl IncrementalUcpc {
 
     /// Current cluster of a live object; `None` if the handle is stale.
     pub fn label_of(&self, h: ObjectHandle) -> Option<usize> {
-        if !self.slab.contains(h) {
-            return None;
+        match self.gens.get(h.slot()) {
+            Some(&gen) if gen == h.generation() => self.labels[h.slot()],
+            _ => None,
         }
-        self.labels[h.slot()]
     }
 
     /// Cluster sizes.
@@ -337,7 +368,7 @@ impl IncrementalUcpc {
             slot: h.slot() as u32,
             cluster,
         };
-        // Invariant: the slab's next slot, an existing cluster, a finite row.
+        // Invariant: the next slot, an existing cluster, a finite row.
         self.apply_round(&[LogEntry {
             op,
             mu: mo.mu(),
@@ -355,14 +386,21 @@ impl IncrementalUcpc {
         self.table.price(&self.stats, v)
     }
 
-    /// The handle the next insertion receives: the slab's LIFO free list
-    /// hands out its most recently freed slot under that slot's current
-    /// generation, else a fresh slot at generation 0.
+    /// The slot the next insertion takes: the most recently freed one,
+    /// else a fresh slot past the last.
+    fn next_slot(&self) -> usize {
+        self.free.last().map_or(self.labels.len(), |&s| s as usize)
+    }
+
+    /// The handle the next insertion receives: [`Self::next_slot`] under
+    /// that slot's current generation, 0 for a fresh slot.
     pub(crate) fn next_handle(&self) -> ObjectHandle {
-        match self.slab.free_slots().last() {
-            Some(&slot) => ObjectHandle::new(slot, self.slab.generation(slot as usize)),
-            None => ObjectHandle::new(self.labels.len() as u32, 0),
-        }
+        let s = self.next_slot();
+        // Invariant: slots stay below 2³² — every slot holds a row of at
+        // least 32 bytes, so 2³² of them would take 128 GiB. Past that the
+        // cast wraps, and `apply_round`, which compares slots unwrapped,
+        // refuses the insert rather than alias a live slot.
+        ObjectHandle::new(s as u32, self.gens.get(s).copied().unwrap_or(0))
     }
 
     /// Removes a live object in O(m). A stale handle — already removed, or
@@ -388,14 +426,15 @@ impl IncrementalUcpc {
     /// serving flush, [`crate::wal::recover`] and every sharded replica.
     ///
     /// Each entry is checked before it applies: its clusters exist and a
-    /// drained one is not empty; an `Insert` names the slot the slab
+    /// drained one is not empty; an `Insert` names the slot the engine
     /// allocates next and carries a finite `m`-dimensional row; a `Remove`
     /// or `Move` names a live slot labelled with the cluster it leaves (its
-    /// row is read from the slab). Every entry folds through the [`Pruner`],
-    /// drift-tracked iff a pruned pass's cache entries are live (module
-    /// docs), and with the plain O(m) update otherwise. The
-    /// first failing entry stops the fold with the reason and leaves the
-    /// engine partly updated, for a replaying caller to discard.
+    /// row is read from the engine's rows). Every entry folds through the
+    /// [`Pruner`], drift-tracked iff a pruned pass's cache entries are live
+    /// (module docs), and with the plain O(m) update otherwise. The first
+    /// failing entry stops the fold with the reason; a refused entry
+    /// changes nothing (a refused `Insert` leaves its slot free), but the
+    /// entries before it stay applied, for a replaying caller to discard.
     pub fn apply_round<R: AsRef<[f64]>>(
         &mut self,
         entries: &[LogEntry<R>],
@@ -412,41 +451,48 @@ impl IncrementalUcpc {
                 }
                 (Some(src), Some(dst)) => self.relocate(s, src, dst),
                 (Some(c), None) => {
-                    let h = ObjectHandle::new(slot, self.slab.generation(s));
-                    let v = self.slab.view(s);
+                    let v = self.rows.view(s);
                     self.pruner.remove(&mut self.stats, c, &v);
                     self.table.mark_stale(c);
-                    // A departure frees its slot.
-                    self.slab
-                        .remove(h)
-                        .map_err(|_| "slab and label map are out of sync")?;
+                    // A departure frees its slot under the next generation.
                     self.labels[s] = None;
-                    self.live -= 1;
+                    self.gens[s] = self.gens[s].wrapping_add(1);
+                    self.free.push(slot);
                 }
                 (None, Some(c)) => {
-                    if self.next_handle().slot() != s {
-                        return Err("round inserts at a slot the slab would not allocate");
+                    if s != self.next_slot() {
+                        return Err("round inserts at a slot the engine would not allocate");
                     }
                     let (mu, mu2) = e.row(self.m)?;
                     // The one canonical fold derives the variance row and
                     // scalar aggregates, live and at replay alike.
-                    self.slab.insert_with(self.m, |j| (mu[j], mu2[j]));
+                    let fill = |j: usize| (mu[j], mu2[j]);
+                    let recycled = s < self.labels.len();
+                    if recycled {
+                        self.rows.overwrite_row_with(s, self.m, fill);
+                    } else {
+                        self.rows.push_row_with(self.m, fill);
+                    }
                     // For a folded row these three sums are finite iff
                     // every entry is: a non-finite `mu_j` or `mu2_j`, or an
                     // overflowing square or sum, reaches one of them.
-                    let v = self.slab.view(s);
+                    let v = self.rows.view(s);
                     let sums = [v.sum_mu_sq, v.sum_mu2, v.sum_var];
                     if !sums.iter().all(|x| x.is_finite()) {
+                        // The slot stays free: a recycled row is not read
+                        // before its next write, and an appended one goes.
+                        self.rows.truncate(self.labels.len());
                         return Err("round carries a non-finite row");
                     }
                     self.pruner.add(&mut self.stats, c, &v);
                     self.table.mark_stale(c);
-                    if s == self.labels.len() {
-                        self.labels.push(Some(c));
-                    } else {
+                    if recycled {
+                        self.free.pop();
                         self.labels[s] = Some(c);
+                    } else {
+                        self.labels.push(Some(c));
+                        self.gens.push(0);
                     }
-                    self.live += 1;
                 }
                 (None, None) => {}
             }
@@ -460,7 +506,7 @@ impl IncrementalUcpc {
     /// goes through [`Pruner::relocate`], drift-tracked under the one rule
     /// of [`Self::apply_round`], and invalidates the slot's cached bound.
     fn relocate(&mut self, s: usize, src: usize, dst: usize) {
-        let v = self.slab.view(s);
+        let v = self.rows.view(s);
         self.pruner.relocate(&mut self.stats, s, src, dst, &v);
         self.table.mark_stale(src);
         self.table.mark_stale(dst);
@@ -490,10 +536,10 @@ impl IncrementalUcpc {
                 if self.stats[src].size() == 1 {
                     continue;
                 }
-                // Borrowed straight out of the slab: no per-object clone
+                // Borrowed straight out of the arena: no per-object clone
                 // of the moments is ever needed.
-                let v = self.slab.view(i);
-                let gen = self.slab.generation(i);
+                let v = self.rows.view(i);
+                let gen = self.gens[i];
                 let (stats, table) = (&self.stats, &mut self.table);
                 let Some((dst, _)) = self.pruner.best_move(stats, table, i, gen, src, &v) else {
                     continue;
@@ -545,14 +591,7 @@ impl IncrementalUcpc {
         self.labels
             .iter()
             .enumerate()
-            .filter_map(|(slot, l)| {
-                l.map(|c| {
-                    (
-                        ObjectHandle::new(slot as u32, self.slab.generation(slot)),
-                        c,
-                    )
-                })
-            })
+            .filter_map(|(slot, l)| l.map(|c| (ObjectHandle::new(slot as u32, self.gens[slot]), c)))
             .collect()
     }
 }
@@ -645,8 +684,171 @@ mod tests {
     }
 
     #[test]
+    fn freed_slots_are_recycled_lifo() {
+        let mut inc = IncrementalUcpc::new(1, 2).unwrap();
+        let handles: Vec<ObjectHandle> = (0..4)
+            .map(|i| inc.insert(&obj(i as f64)).unwrap())
+            .collect();
+        let issued: Vec<_> = handles.iter().map(|h| (h.slot(), h.generation())).collect();
+        assert_eq!(issued, [(0, 0), (1, 0), (2, 0), (3, 0)]);
+        inc.remove(handles[1]).unwrap();
+        inc.remove(handles[3]).unwrap();
+        assert_eq!((inc.len(), inc.free.len()), (2, 2));
+        // Last freed, first reused, under the next generation; nothing is
+        // appended while a slot is free.
+        let r3 = inc.insert(&obj(10.0)).unwrap();
+        let r1 = inc.insert(&obj(11.0)).unwrap();
+        assert_eq!((r3.slot(), r3.generation()), (3, 1));
+        assert_eq!((r1.slot(), r1.generation()), (1, 1));
+        assert_eq!(inc.rows.len(), 4);
+        let appended = inc.insert(&obj(12.0)).unwrap();
+        assert_eq!((appended.slot(), appended.generation()), (4, 0));
+        // A recycled row holds its new occupant's bits, every derived
+        // column included.
+        let fresh = obj(11.0);
+        let (v, mo) = (inc.rows.view(1), fresh.moments());
+        assert_eq!((v.mu, v.mu2, v.var), (mo.mu(), mo.mu2(), mo.variance()));
+        let bits = |x: [f64; 4]| x.map(f64::to_bits);
+        assert_eq!(
+            bits([v.sum_mu_sq, v.sum_mu2, v.sum_var, v.norm_mu]),
+            bits([
+                mo.sum_mu_sq(),
+                mo.sum_mu2(),
+                mo.total_variance(),
+                mo.norm_mu()
+            ])
+        );
+    }
+
+    /// Asserts that slot `slot` serves `o`'s moments, every derived column
+    /// bit for bit.
+    fn assert_row_holds(inc: &IncrementalUcpc, slot: usize, o: &UncertainObject) {
+        let (v, mo) = (inc.rows.view(slot), o.moments());
+        let bits = |x: &[f64]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(v.mu), bits(mo.mu()));
+        assert_eq!(bits(v.mu2), bits(mo.mu2()));
+        assert_eq!(bits(v.var), bits(mo.variance()));
+        assert_eq!(
+            bits(&[v.sum_mu_sq, v.sum_mu2, v.sum_var, v.norm_mu]),
+            bits(&[
+                mo.sum_mu_sq(),
+                mo.sum_mu2(),
+                mo.total_variance(),
+                mo.norm_mu()
+            ])
+        );
+    }
+
+    #[test]
+    fn generation_wraps_without_aliasing() {
+        let mut inc = IncrementalUcpc::new(1, 2).unwrap();
+        inc.insert(&obj(0.0)).unwrap();
+        // Slot 0's occupant sits at the last generation before the wrap.
+        inc.gens[0] = u32::MAX;
+        let held = ObjectHandle::new(0, u32::MAX);
+        assert_eq!(inc.label_of(held), Some(0));
+        inc.remove(held).unwrap();
+        assert_eq!(inc.gens[0], 0, "the generation wraps to 0");
+        let o = obj(2.0);
+        let next = inc.insert(&o).unwrap();
+        assert_eq!((next.slot(), next.generation()), (0, 0));
+        assert_eq!(inc.label_of(held), None);
+        assert_eq!(
+            inc.remove(held),
+            Err(ClusterError::StaleHandle {
+                slot: 0,
+                generation: u32::MAX
+            })
+        );
+        assert!(inc.label_of(next).is_some());
+        assert_row_holds(&inc, 0, &o);
+    }
+
+    #[test]
+    fn generation_wraparound_keeps_recycling_without_aliasing() {
+        let mut inc = IncrementalUcpc::new(1, 2).unwrap();
+        inc.insert(&obj(0.0)).unwrap();
+        let neighbour = inc.insert(&obj(9.0)).unwrap();
+        // Slot 0's occupant sits at the last generation before the wrap.
+        inc.gens[0] = u32::MAX;
+        let pre_wrap = ObjectHandle::new(0, u32::MAX);
+        assert_eq!(inc.label_of(pre_wrap), Some(0));
+        inc.remove(pre_wrap).unwrap();
+        let mut previous = pre_wrap;
+        for round in 0..20u32 {
+            let o = obj(0.5 + round as f64);
+            let h = inc.insert(&o).unwrap();
+            assert_eq!((h.slot(), h.generation()), (0, round), "counts up from 0");
+            for stale in [pre_wrap, previous] {
+                assert_eq!(inc.label_of(stale), None);
+                assert_eq!(
+                    inc.remove(stale),
+                    Err(ClusterError::StaleHandle {
+                        slot: 0,
+                        generation: stale.generation()
+                    })
+                );
+            }
+            assert_row_holds(&inc, 0, &o);
+            inc.remove(h).unwrap();
+            previous = h;
+        }
+        assert_eq!(inc.live_labels(), [(neighbour, 1)]);
+    }
+
+    #[test]
+    fn a_refused_insert_leaves_the_slot_state_untouched() {
+        // The refused insert targets a fresh slot, then a recycled one, and
+        // carries a non-finite entry or one whose square overflows.
+        for (recycle, x) in [
+            (false, f64::INFINITY),
+            (true, f64::INFINITY),
+            (false, 1e200),
+        ] {
+            let mut inc = IncrementalUcpc::new(1, 2).unwrap();
+            let mut fresh = IncrementalUcpc::new(1, 2).unwrap();
+            let a = inc.insert(&obj(0.0)).unwrap();
+            fresh.insert(&obj(0.0)).unwrap();
+            if recycle {
+                for engine in [&mut inc, &mut fresh] {
+                    let b = engine.insert(&obj(9.0)).unwrap();
+                    engine.remove(b).unwrap();
+                }
+            }
+            let before = (inc.len(), inc.next_handle(), inc.snapshot());
+            let op = LogOp::Insert {
+                slot: before.1.slot() as u32,
+                cluster: 0,
+            };
+            let bad = LogEntry {
+                op,
+                mu: vec![x],
+                mu2: vec![0.5],
+            };
+            assert_eq!(
+                inc.apply_round(&[bad]),
+                Err("round carries a non-finite row")
+            );
+            let after = (inc.len(), inc.next_handle(), inc.snapshot());
+            assert!(
+                after == before,
+                "{recycle} {x}: the refusal changed the engine"
+            );
+            // The engine goes on exactly like one that never saw it.
+            let h = inc.insert(&obj(5.0)).unwrap();
+            assert_eq!(fresh.insert(&obj(5.0)), Ok(h), "{recycle} {x}");
+            inc.remove(a).unwrap();
+            fresh.remove(a).unwrap();
+            assert_eq!(inc.live_labels(), fresh.live_labels());
+            assert_eq!(inc.cluster_stats(), fresh.cluster_stats());
+            assert_eq!(inc.rows.len(), fresh.rows.len());
+            assert_eq!(inc.snapshot(), fresh.snapshot(), "{recycle} {x}");
+        }
+    }
+
+    #[test]
     fn backends_issue_identical_handle_sequences() {
-        // The slab engine and the per-object reference model recycle slots
+        // The engine and the per-object reference model recycle slots
         // through the same LIFO discipline, so they issue the same handles.
         // `(true, x)` inserts an object at `x`; `(false, i)` removes the
         // i-th live handle. Two removals in a row leave two free slots, so
@@ -962,7 +1164,7 @@ mod tests {
         // 40 handles were churned through — the label map and moment
         // storage are live-window-bounded.
         assert_eq!(inc.slot_rows(), 6, "slots must be recycled, not appended");
-        assert_eq!(inc.slab.rows(), 6, "rows must be recycled, not appended");
+        assert_eq!(inc.rows.len(), 6, "rows must be recycled, not appended");
         assert!(ids.iter().all(|&id| inc.label_of(id).is_some()));
     }
 }

@@ -48,7 +48,8 @@
 //! claim restart indices from one shared counter, sized by
 //! [`restarts::BestOfRestarts::threads`] (env knob `UCPC_THREADS`).
 //! The streaming driver ([`incremental::IncrementalUcpc`]) stores its live
-//! window in a [`ucpc_uncertain::SlabArena`] (free-list row reuse), places
+//! window in one [`ucpc_uncertain::MomentArena`] whose rows it recycles
+//! through its own free list under generation-stamped handles, places
 //! each arrival through the same pricing table (one `dot_block` over every
 //! cluster), and hands every statistic update to its pruner. Once a pruned
 //! pass has cached bounds, the pruner folds edits drift-tracked so those

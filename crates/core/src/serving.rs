@@ -58,11 +58,11 @@
 //! * **Storage.** The staged copy of an arrival is written **verbatim**
 //!   ([`MomentArena::overwrite_row`] on admission), and a commit is the
 //!   same `Insert` entry a serial [`IncrementalUcpc::insert`] applies: the
-//!   arrival's `(mu, mu2)` rows, the cluster, and the slot the slab
+//!   arrival's `(mu, mu2)` rows, the cluster, and the slot the engine
 //!   allocates next. [`IncrementalUcpc::apply_round`] derives the stored
-//!   row through the slab's one canonical fold and replays the serial
-//!   insert's mutation sequence (tracked statistics update, store, label
-//!   write, live count), so even the issued [`ObjectHandle`]s coincide.
+//!   row through the engine's one canonical fold and replays the serial
+//!   insert's mutation sequence (store, tracked statistics update, slot
+//!   and label write), so even the issued [`ObjectHandle`]s coincide.
 //! * **Cadence.** Stabilization runs on a *commit counter*
 //!   ([`ServingConfig::stabilize_every`]), firing immediately after every
 //!   N-th commit — mid-batch when the batch spans the boundary — so the
@@ -837,7 +837,7 @@ fn log_then_apply(
         w.log_round(w.frames() + 1, entries)?;
     }
     // Invariant: the flush builds rounds from priced, admitted arrivals at
-    // the slab's next slot and from live handles in their own clusters.
+    // the engine's next slot and from live handles in their own clusters.
     engine
         .apply_round(entries)
         .expect("a round the flush built applies");

@@ -17,9 +17,10 @@
 //! 1. The **coordinator** (node 0) decides and folds. An insert, a remove
 //!    or a whole `stabilize` call runs on its replica, with the placement
 //!    scan, relocation passes and pruning of the single-node engine, and
-//!    its slab allocates slots and generations, so handles match. The
-//!    call's mutations become one round under the next sequence number; a
-//!    `stabilize` that moves nothing commits an empty round.
+//!    it allocates slots and generations as a single node does, so
+//!    handles match. The call's mutations become one round under the next
+//!    sequence number; a `stabilize` that moves nothing commits an empty
+//!    round.
 //! 2. The coordinator seals the round into one WAL frame in its log. Each
 //!    **participant** (shard `s`, node `s + 1`) takes the rounds past its
 //!    watermark from that log in order, appends each frame verbatim to its
@@ -301,8 +302,8 @@ impl RoundLog {
 pub struct ShardedUcpc {
     shards: usize,
     transport: ChaosTransport<Append>,
-    /// Node 0's engine replica: its slab allocates slots and generations
-    /// (so handle sequences match the single-node engine), and it decides
+    /// Node 0's engine replica: it allocates slots and generations (so
+    /// handle sequences match the single-node engine), and it decides
     /// and folds every round before the round is shipped.
     engine: IncrementalUcpc,
     /// Sealed frames of the committed rounds past the lowest shard
@@ -344,9 +345,7 @@ impl ShardedUcpc {
         let mut sharded = Self {
             shards,
             transport: ChaosTransport::new(shards + 1, plan),
-            participants: (0..shards)
-                .map(|_| Some(Participant::new(engine.clone(), 0)))
-                .collect(),
+            participants: (0..shards).map(|_| None).collect(),
             engine,
             log: RoundLog::default(),
             waiting: Vec::with_capacity(shards),
@@ -360,7 +359,8 @@ impl ShardedUcpc {
                 .collect(),
         };
         for shard in 0..shards {
-            sharded.checkpoint_shard(shard);
+            let p = Participant::new(sharded.engine.clone(), 0);
+            sharded.anchor(shard, p);
         }
         Ok(sharded)
     }
@@ -427,7 +427,7 @@ impl ShardedUcpc {
     /// Current handles and labels of all live objects, in slot order —
     /// directly comparable with the single-node engine's
     /// [`IncrementalUcpc::live_labels`] because the coordinator's replica
-    /// allocates slots and generations with the identical slab.
+    /// allocates slots and generations as the single-node engine does.
     pub fn live_labels(&self) -> Vec<(ObjectHandle, usize)> {
         self.engine.live_labels()
     }
@@ -450,7 +450,7 @@ impl ShardedUcpc {
         let slot = h.slot() as u32;
         let cluster = self.engine.labels[h.slot()].expect("the arrival is live");
         let op = LogOp::Insert { slot, cluster };
-        // The slab holds the arrival's rows bit for bit, so the frame
+        // The engine holds the arrival's rows bit for bit, so the frame
         // borrows them from the arrival.
         let (mu, mu2) = (mo.mu(), mo.mu2());
         self.run_round(&[LogEntry { op, mu, mu2 }]);
@@ -521,9 +521,9 @@ impl ShardedUcpc {
     }
 
     /// Recovers a crashed shard from its checkpoint and shard log through
-    /// [`crate::wal::recover`], re-anchors its durable state with
-    /// [`Self::checkpoint_shard`] (so a torn tail is dropped, not appended
-    /// after), then takes the committed rounds it lacks from the
+    /// [`crate::wal::recover`], re-anchors its durable state as
+    /// [`Self::checkpoint_shard`] does (so a torn tail is dropped, not
+    /// appended after), then takes the committed rounds it lacks from the
     /// coordinator's log in-process, as an `Append` would. Whatever
     /// `recover` refuses, a replica of another `m` or `k`, or a watermark
     /// outside the rounds the coordinator keeps is a checked [`WalError`]
@@ -556,8 +556,7 @@ impl ShardedUcpc {
         if applied >= self.log.end() || applied < self.log.trimmed {
             return Err(SnapshotError::Corrupt("shard watermark outside the catch-up log").into());
         }
-        self.participants[shard] = Some(Participant::new(engine, applied));
-        self.checkpoint_shard(shard);
+        self.anchor(shard, Participant::new(engine, applied));
         // The re-anchor trims no round past this shard's watermark, so the
         // log holds every round the participant takes here.
         let committed = self.committed_rounds();
@@ -572,15 +571,24 @@ impl ShardedUcpc {
     /// header — the same checkpoint-then-rotate discipline as
     /// [`crate::serving::ServingUcpc::checkpoint_into`], at shard
     /// granularity. The coordinator then trims every committed round all
-    /// shard checkpoints hold off its log: no catch-up can need it.
+    /// shard checkpoints hold off its log: no catch-up can need it. A
+    /// crashed shard is [`ClusterError::ShardDown`] and changes nothing:
+    /// its durable bytes are what [`Self::restart`] recovers from.
     ///
     /// # Panics
     ///
-    /// Panics if `shard` is out of range or crashed.
-    pub fn checkpoint_shard(&mut self, shard: usize) {
+    /// Panics if `shard` is out of range.
+    pub fn checkpoint_shard(&mut self, shard: usize) -> Result<(), ClusterError> {
         let p = self.participants[shard]
-            .as_mut()
-            .expect("cannot checkpoint a crashed shard");
+            .take()
+            .ok_or(ClusterError::ShardDown { shard })?;
+        self.anchor(shard, p);
+        Ok(())
+    }
+
+    /// Runs shard `shard` as `p`, checkpointed as [`Self::checkpoint_shard`]
+    /// describes.
+    fn anchor(&mut self, shard: usize, p: Participant) {
         let d = &mut self.durable[shard];
         d.checkpoint = encode_checkpoint(&p.engine, p.applied);
         d.checkpointed = p.applied;
@@ -590,6 +598,7 @@ impl ShardedUcpc {
         d.log = shard_log(io, self.engine.m);
         let floor = self.durable.iter().map(|d| d.checkpointed).min();
         self.log.trim(floor.unwrap_or(0));
+        self.participants[shard] = Some(p);
     }
 
     /// Truncates a shard's *durable* log to `keep` bytes — the
@@ -808,7 +817,7 @@ mod tests {
             assert_eq!(h, single.insert(&obj(c)).unwrap());
             handles.push(h);
             match i % 4 {
-                0 => sharded.checkpoint_shard(i % 3),
+                0 => sharded.checkpoint_shard(i % 3).unwrap(),
                 1 => {
                     sharded.crash((i + 1) % 3);
                     assert_logs_are_the_coordinators_frames(&sharded);
@@ -828,6 +837,31 @@ mod tests {
     }
 
     #[test]
+    fn checkpointing_a_crashed_shard_is_refused_and_changes_nothing() {
+        let mut sharded = ShardedUcpc::new(1, 2, 2).unwrap();
+        for c in [0.0, 9.0, 0.3, 9.3] {
+            sharded.insert(&obj(c)).unwrap();
+        }
+        sharded.checkpoint_shard(0).unwrap();
+        sharded.insert(&obj(0.1)).unwrap();
+        sharded.crash(1);
+        let durable = |s: &ShardedUcpc| {
+            let d = &s.durable[1];
+            let log = d.log.io().bytes().to_vec();
+            (d.checkpoint.clone(), d.checkpointed, log, s.log.trimmed)
+        };
+        let before = durable(&sharded);
+        assert_eq!(
+            sharded.checkpoint_shard(1),
+            Err(ClusterError::ShardDown { shard: 1 })
+        );
+        assert_eq!(durable(&sharded), before, "the durable bytes stay put");
+        sharded.restart(1).unwrap();
+        assert_eq!(sharded.shard_applied(1), Some(sharded.committed_rounds()));
+        sharded.checkpoint_shard(1).unwrap();
+    }
+
+    #[test]
     fn crash_recovery_rejoins_bit_identically() {
         let mut sharded = ShardedUcpc::new(1, 2, 2).unwrap();
         let mut single = IncrementalUcpc::new(1, 2).unwrap();
@@ -836,7 +870,7 @@ mod tests {
             sharded.insert(&o).unwrap();
             single.insert(&o).unwrap();
         }
-        sharded.checkpoint_shard(0);
+        sharded.checkpoint_shard(0).unwrap();
         sharded.crash(0);
         sharded.restart(0).unwrap();
         assert_eq!(sharded.shard_applied(0), Some(sharded.committed_rounds()));
@@ -948,7 +982,7 @@ mod tests {
         for c in [0.0, 9.0, 0.3, 9.3, 0.1] {
             sharded.insert(&obj(c)).unwrap();
         }
-        sharded.checkpoint_shard(0);
+        sharded.checkpoint_shard(0).unwrap();
         for c in [9.1, 0.2] {
             sharded.insert(&obj(c)).unwrap();
         }
@@ -989,8 +1023,8 @@ mod tests {
         }
         // Checksum-valid rounds, written through the log writer, that name
         // a cluster >= k, drain an empty cluster, carry a non-finite row,
-        // name a free slot or the wrong cluster, or insert where the slab
-        // would not allocate: checked errors at the end of the intact log,
+        // name a free slot or the wrong cluster, or insert where the
+        // engine would not allocate: checked errors at the end of the intact log,
         // never replay panics or silent poison. Slots 0..7 are live, 0, 2,
         // 4 and 6 in cluster 0 and 1, 3 and 5 in cluster 1; slot 7 is the
         // next to allocate.
@@ -1063,10 +1097,9 @@ mod tests {
         // A checkpoint holding a non-finite row is corrupt, not restored:
         // the live row of slot 0 is swapped for an infinite one.
         let mut p = recover(&checkpoint, &[]).unwrap();
-        let slab = &mut p.engine.slab;
-        slab.remove(ObjectHandle::new(0, slab.generation(0)))
-            .unwrap();
-        slab.insert_with(1, |_| (f64::INFINITY, 0.5));
+        p.engine
+            .rows
+            .overwrite_row_with(0, 1, |_| (f64::INFINITY, 0.5));
         let poisoned = encode_checkpoint(&p.engine, p.applied);
         match recover(&poisoned, &[]) {
             Err(WalError::Snapshot(SnapshotError::Corrupt(reason))) => {
@@ -1362,7 +1395,7 @@ mod tests {
             handles.push(sharded.insert(&obj(c)).unwrap());
             single.insert(&obj(c)).unwrap();
             if handles.len() == 2 {
-                sharded.checkpoint_shard(0);
+                sharded.checkpoint_shard(0).unwrap();
             }
         }
         let stale = sharded.durable[0].checkpoint.clone();
@@ -1372,7 +1405,7 @@ mod tests {
                 !sharded.log.frames.is_empty(),
                 "shard {shard} still needs rounds"
             );
-            sharded.checkpoint_shard(shard);
+            sharded.checkpoint_shard(shard).unwrap();
         }
         assert!(
             sharded.log.frames.is_empty(),

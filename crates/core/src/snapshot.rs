@@ -16,13 +16,13 @@
 //! ([`f64::to_bits`] / [`f64::from_bits`], little-endian), never through
 //! decimal formatting. Statistics are installed verbatim through
 //! `ClusterStats::from_raw_parts` — nothing is re-derived from the rows.
-//! Slab rows are rebuilt from their serialized `(mu, mu2)` pairs through
+//! Live rows are rebuilt from their serialized `(mu, mu2)` pairs through
 //! the same canonical per-dimension fold every insertion uses, which is
-//! bit-identical to the original write (see [`ucpc_uncertain::slab`] for
+//! bit-identical to the original write (see [`crate::incremental`] for
 //! the derivation). Freed rows are *not* serialized and restore as zeros:
-//! a freed row is never read (the free-list guarantees the next occupant
-//! overwrites it whole), so its residual bytes are not logical state — and
-//! zeroing them makes `snapshot(restore(s)) == s` hold bytewise.
+//! a freed row is never read (the next occupant overwrites it whole), so
+//! its residual bytes are not logical state — and zeroing them makes
+//! `snapshot(restore(s)) == s` hold bytewise.
 //!
 //! The pruner's state is deliberately excluded, cache and watermarks
 //! alike, and only its configuration is written: restore builds
@@ -48,8 +48,8 @@
 //! flipped or torn byte is caught by the chunk checksum rather than by
 //! downstream validation. Readers reject every other version — versions 1
 //! to 4 included — with [`SnapshotError::UnsupportedVersion`]. Version 4
-//! dropped version 3's META backend byte when the slab became the only
-//! moment store; version 5 dropped the prune watermarks above (META's
+//! dropped version 3's META backend byte when recycled arena rows became
+//! the only moment store; version 5 dropped the prune watermarks above (META's
 //! `epoch`, `versions` and drift totals, and STATS's six drift
 //! accumulators).
 //!
@@ -89,7 +89,7 @@ use crate::objective::ClusterStats;
 use crate::pruning::{PricingTable, Pruner, PruningConfig};
 use crate::wal::{DurableIo, IoFault, VecIo};
 use std::fmt;
-use ucpc_uncertain::{MomentArena, SlabArena};
+use ucpc_uncertain::MomentArena;
 
 const MAGIC: &[u8; 8] = b"UCPCSNAP";
 const VERSION: u32 = 5;
@@ -419,7 +419,7 @@ impl IncrementalUcpc {
             PruningConfig::Off => 0,
             PruningConfig::Bounds => 1,
         });
-        for v in [self.m, self.k, self.live, n_slots, n_slots - self.live] {
+        for v in [self.m, self.k, self.len(), n_slots, self.free.len()] {
             w.u64(v as u64);
         }
         write_stats(w, &self.stats);
@@ -432,17 +432,12 @@ impl IncrementalUcpc {
                 }
                 None => w.u8(0),
             }
-            w.u32(self.slab.generation(slot));
+            w.u32(self.gens[slot]);
         })?;
-        out.chunked(
-            CHUNK_FREE,
-            FREE_PER_CHUNK,
-            self.slab.free_slots(),
-            |w, &s| w.u32(s),
-        )?;
+        out.chunked(CHUNK_FREE, FREE_PER_CHUNK, &self.free, |w, &s| w.u32(s))?;
         let live = (0..n_slots).filter(|&slot| self.labels[slot].is_some());
         out.chunked(CHUNK_ROWS, ROWS_PER_CHUNK, live, |w, slot| {
-            let v = self.slab.view(slot);
+            let v = self.rows.view(slot);
             w.f64s(v.mu);
             w.f64s(v.mu2);
         })
@@ -532,30 +527,29 @@ impl IncrementalUcpc {
             freed[slot] = true;
             free.push(s);
         }
-        let mut arena = MomentArena::with_capacity(n_slots, m);
+        let mut rows = MomentArena::with_capacity(n_slots, m);
         for l in &labels {
             if l.is_some() {
                 let r = sections.entry(CHUNK_ROWS)?;
                 let (mu, mu2) = (r.f64s(m)?, r.f64s(m)?);
                 // The same canonical per-dimension fold the original
                 // insertion used — bit-identical row reconstruction.
-                arena.push_row_with(m, |d| (mu[d], mu2[d]));
-                if !arena.view(arena.len() - 1).is_finite() {
+                rows.push_row_with(m, |d| (mu[d], mu2[d]));
+                if !rows.view(rows.len() - 1).is_finite() {
                     return Err(SnapshotError::Corrupt("row is non-finite"));
                 }
             } else {
-                arena.push_row_with(m, |_| (0.0, 0.0));
+                rows.push_row_with(m, |_| (0.0, 0.0));
             }
         }
-        let occupied = labels.iter().map(Option::is_some).collect();
-        let slab = SlabArena::from_parts(arena, occupied, free, gens);
         Ok(Self {
             m,
             k,
             stats,
-            slab,
+            rows,
             labels,
-            live,
+            gens,
+            free,
             pruner: Pruner::new(k, pruning),
             table: PricingTable::new(m, k),
         })

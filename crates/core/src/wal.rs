@@ -25,12 +25,12 @@
 //!    recovery, so replay does not depend on serial pricing equalling
 //!    batched pricing, and a stabilization costs its moves, not its passes.
 //! 2. **Rows round-trip through their bits.** An `Insert` carries the
-//!    arrival's `(mu, mu2)` rows as raw IEEE-754 bits, and the slab
+//!    arrival's `(mu, mu2)` rows as raw IEEE-754 bits, and the engine
 //!    derives the rest of the row through one canonical fold, live and at
 //!    replay alike. A `Remove` or `Move` carries no row: the engine
 //!    already holds it.
 //! 3. **The decision names everything else.** An `Insert` names the slot
-//!    the slab's LIFO free list hands out next (any other is refused), so
+//!    the engine's LIFO free list hands out next (any other is refused), so
 //!    issued handles coincide. Drift bookkeeping is the one thing replay
 //!    need not reproduce: a recovered engine folds every entry untracked
 //!    until its own first pruned pass, and the snapshot leaves drift out,

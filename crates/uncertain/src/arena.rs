@@ -222,9 +222,7 @@ impl MomentArena {
     /// Overwrites row `i` in place with another object's moments, scalar
     /// columns included — no column grows or reallocates. The bits written
     /// are exactly the ones [`Self::push`] would have appended, so a reused
-    /// row is indistinguishable from a freshly pushed one; this is the
-    /// in-place half of the slab free-list reuse contract
-    /// (see [`crate::slab::SlabArena`]).
+    /// row is indistinguishable from a freshly pushed one.
     pub fn overwrite_row(&mut self, i: usize, mo: &Moments) {
         assert!(i < self.n, "row {i} out of bounds (n = {})", self.n);
         assert_eq!(
@@ -265,6 +263,24 @@ impl MomentArena {
         self.sum_mu2[i] = sum_mu2;
         self.sum_var[i] = sum_var;
         self.norm_mu[i] = sum_mu_sq.sqrt();
+    }
+
+    /// Drops every row past the first `n` (none if the arena holds `n`
+    /// rows or fewer), keeping the columns' capacity.
+    pub fn truncate(&mut self, n: usize) {
+        let n = n.min(self.n);
+        for col in [&mut self.mu, &mut self.mu2, &mut self.var] {
+            col.truncate(n * self.m);
+        }
+        for col in [
+            &mut self.sum_mu_sq,
+            &mut self.sum_mu2,
+            &mut self.sum_var,
+            &mut self.norm_mu,
+        ] {
+            col.truncate(n);
+        }
+        self.n = n;
     }
 
     /// Pins the arena's dimensionality on the first row (with a small
@@ -346,6 +362,45 @@ impl MomentArena {
             sum_var: self.sum_var[i],
             norm_mu: self.norm_mu[i],
         }
+    }
+}
+
+/// A generation-stamped handle to one object of a store that recycles
+/// arena rows (the streaming engine, `ucpc_core::incremental`).
+///
+/// `slot` is the storage row; `gen` is the slot's generation counter at
+/// insertion time. The store bumps a slot's generation, wrapping, each
+/// time it frees the slot, so a handle is valid exactly while the object
+/// it named is live and can never alias the slot's next occupant.
+///
+/// The generation wraps at `u32::MAX`. A stale handle could only be
+/// mistaken for live again after exactly 2³² removals of *its own slot*
+/// while the handle is still retained: at a million edits per second
+/// against one slot that is over an hour of adversarial churn aimed at a
+/// single held handle, and any interleaved edit of another slot resets
+/// the clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ObjectHandle {
+    slot: u32,
+    gen: u32,
+}
+
+impl ObjectHandle {
+    /// Assembles a handle from raw parts (snapshot restore, tests). A
+    /// fabricated handle is safe: the store checks every handle against
+    /// the slot's current generation and liveness.
+    pub fn new(slot: u32, gen: u32) -> Self {
+        Self { slot, gen }
+    }
+
+    /// The storage slot (row index while live).
+    pub fn slot(self) -> usize {
+        self.slot as usize
+    }
+
+    /// The slot generation this handle was issued under.
+    pub fn generation(self) -> u32 {
+        self.gen
     }
 }
 
@@ -561,6 +616,23 @@ mod tests {
         let mo = objs[0].moments();
         arena.overwrite_row_with(0, 3, |j| (mo.mu()[j], mo.mu2()[j]));
         assert_eq!(arena, reference);
+    }
+
+    #[test]
+    fn truncate_drops_trailing_rows_only() {
+        let objs = objects();
+        let mut arena = MomentArena::from_objects(&objs);
+        arena.truncate(objs.len() + 1);
+        assert_eq!(
+            arena,
+            MomentArena::from_objects(&objs),
+            "nothing past the end"
+        );
+        arena.truncate(1);
+        assert_eq!(arena, MomentArena::from_objects(&objs[..1]));
+        // Rows pushed after a cut land where a fresh arena puts them.
+        arena.push(objs[1].moments());
+        assert_eq!(arena, MomentArena::from_objects(&objs[..2]));
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!    flat row-major matrices plus per-object scalar columns, deriving the
 //!    dot-product form of the Corollary-1 update (see the [`arena`] module
 //!    docs), so every candidate relocation in `ucpc-core` costs one fused
-//!    O(m) dot product; [`slab::SlabArena`] adds free-list row reuse on top
-//!    for streaming insert/remove workloads, keeping the same contiguity
-//!    with zero steady-state allocation;
+//!    O(m) dot product; the streaming engine recycles its rows in place
+//!    ([`arena::MomentArena::overwrite_row_with`]) under generation-stamped
+//!    [`ObjectHandle`]s, keeping the same contiguity with zero steady-state
+//!    allocation;
 //! 4. [`simd`] dispatches that dot product at run time to an explicit
 //!    AVX2+FMA or NEON kernel (env knob `UCPC_SIMD`), with every backend
 //!    bit-identical to the scalar fallback by construction.
@@ -60,12 +61,10 @@ pub mod pdf;
 pub mod region;
 pub mod sampling;
 pub mod simd;
-pub mod slab;
 pub mod stats;
 
-pub use arena::{MomentArena, MomentView};
+pub use arena::{MomentArena, MomentView, ObjectHandle};
 pub use moments::Moments;
 pub use object::UncertainObject;
 pub use pdf::{PdfFamily, UnivariatePdf};
 pub use region::{BoxRegion, Interval};
-pub use slab::{ObjectHandle, SlabArena, StaleHandle};

@@ -8,7 +8,7 @@
 //!    that ignored it could skip a scan whose outcome the departed member
 //!    changed. The engine's tracked edits must keep every cached bound
 //!    sound.
-//! 2. **Reference equivalence**: the slab engine (free-list row reuse,
+//! 2. **Reference equivalence**: the engine (free-list row reuse,
 //!    drift-tracked edits, surgical per-cluster invalidation) must be
 //!    *byte-identical* to the per-object reference model `RefStream`
 //!    (`tests/support/reference.rs`) — handles, labels, per-cluster
@@ -270,7 +270,7 @@ fn churn_script(seed: u64, steps: usize) -> Vec<Op> {
 
 #[test]
 fn slab_backend_is_byte_identical_to_objects_backend() {
-    // The slab engine against the per-object reference model (the former
+    // The engine against the per-object reference model (the former
     // `objects` backend), × {pruning off, bounds} × {scalar, detected
     // SIMD}: every configuration must produce the reference's labels,
     // bit-identical per-cluster statistics and objective, and the same
@@ -367,20 +367,20 @@ proptest! {
     ) {
         let script = churn_script(seed, steps);
         let pruning = if pruned == 1 { PruningConfig::Bounds } else { PruningConfig::Off };
-        let (slab, reference, by_handle) = replay(pruning, &script, false);
+        let (engine, reference, by_handle) = replay(pruning, &script, false);
 
-        prop_assert_eq!(reference.live_labels(), slab.live_labels());
-        prop_assert_eq!(reference.cluster_stats(), slab.cluster_stats());
+        prop_assert_eq!(reference.live_labels(), engine.live_labels());
+        prop_assert_eq!(reference.cluster_stats(), engine.cluster_stats());
         prop_assert_eq!(
             reference.objective().to_bits(),
-            slab.objective().to_bits()
+            engine.objective().to_bits()
         );
 
         // Both agree with a from-scratch statistics rebuild, recovering
         // objects through the handle association (slots are recycled, so
         // slot index is not a payload identity).
-        let rebuilt = rebuild(&slab, &by_handle);
-        for (kept, fresh) in slab.cluster_stats().iter().zip(&rebuilt) {
+        let rebuilt = rebuild(&engine, &by_handle);
+        for (kept, fresh) in engine.cluster_stats().iter().zip(&rebuilt) {
             prop_assert_eq!(kept.size(), fresh.size());
             prop_assert!(close(kept.j(), fresh.j()));
         }

@@ -75,7 +75,7 @@ proptest! {
 
     /// Random relocation churn *interleaved with tracked streaming edits*
     /// (inserts of pooled extra objects, removals of assigned ones — the
-    /// slab backend's edit path, including edits that take clusters through
+    /// engine's edit path, including edits that take clusters through
     /// size < 2 and fire the surgical per-cluster invalidation); after
     /// every step, every cached object's decision is validated against a
     /// shadow scan.

@@ -4,7 +4,7 @@
 //! staging arena (one row per queue slot), the pending/response queues and
 //! the fixed-size top-k answer arrays; answers read the engine's
 //! preallocated pricing table — so steady-state serving (admit → flush →
-//! answer, with commits recycling slab rows freed by removals) must hit
+//! answer, with commits recycling arena rows freed by removals) must hit
 //! the allocator **zero** times. The same holds with
 //! an in-memory write-ahead log attached and cadence stabilizations
 //! running: a logged stabilization saves the engine state it may have to
@@ -89,7 +89,7 @@ fn cleanest_round(
     drain(serving, &mut ids);
     assert_eq!(ids.len(), N);
 
-    // One warm-up round pays every one-time growth: the slab free list's
+    // One warm-up round pays every one-time growth: the engine free list's
     // first capacity and the response-queue high water.
     for _ in 0..PER_ATTEMPT {
         serving.submit_query(&payloads[next % N]).unwrap();

@@ -229,7 +229,7 @@ fn mid_run_crash_recovery_and_rejoin_stays_bit_identical() {
     // Checkpoint, keep editing so the WAL accumulates rounds past the
     // checkpoint, then crash: recovery must replay checkpoint + WAL and
     // rejoin at the committed watermark.
-    sharded.checkpoint_shard(crash_shard);
+    sharded.checkpoint_shard(crash_shard).unwrap();
     for step in second {
         apply_step(step, &mut sharded, &mut single, &mut handles);
     }

@@ -1,9 +1,8 @@
-//! Zero-allocation and flat-memory gate for the slab streaming path.
+//! Zero-allocation and flat-memory gate for the streaming path.
 //!
-//! `IncrementalUcpc` on the slab backend promises that steady-state churn —
+//! `IncrementalUcpc` promises that steady-state churn —
 //! insert-after-remove — touches the allocator **zero** times: the freed
-//! moment row is recycled in place ([`ucpc::uncertain::SlabArena`]'s free
-//! list), the generation-stamped handle scheme recycles the label-map slot
+//! moment row is recycled in place (the engine's free list), the generation-stamped handle scheme recycles the label-map slot
 //! with it, the placement scan and the tracked statistic updates run
 //! entirely on borrowed views and stack scalars, and no `Moments` is ever
 //! cloned. With slot recycling, **no reservation is needed**: no
@@ -80,7 +79,7 @@ fn steady_state_insert_after_remove_allocates_nothing() {
         .map(|(i, o)| (live.insert(o).unwrap(), i))
         .collect();
 
-    // One warm-up edit pays the slab free-list's first capacity growth.
+    // One warm-up edit pays the engine free list's first capacity growth.
     // From then on steady-state churn is allocation-free with no
     // reservation at all: slot recycling means no handle-indexed map ever
     // grows, so there is nothing to reserve for.

@@ -9,7 +9,7 @@
 //! * [`RefStream`] — the streaming engine with one heap-allocated
 //!   `Moments` per slot, a LIFO free list, per-slot generations, untracked
 //!   statistic updates, and unpruned relocation passes. No cache, no
-//!   pruning, no slab.
+//!   pruning, no shared arena.
 //!
 //! The file is shared by the integration tests (`mod support;`) and
 //! included by path into the `ucpc_core` unit tests.
