@@ -30,7 +30,7 @@
 //! * [`relocation::kernel_pass`] — the production scan:
 //!   `ucpc_core::pruning::PricingTable::relocation` over a flat
 //!   [`ucpc_uncertain::MomentArena`], every candidate's cross term from
-//!   one runtime-dispatched `dot_block` over the table's mean-sum rows;
+//!   one runtime-dispatched `dot_block` over the clusters' mean-sum rows;
 //! * [`relocation::simd_comparison`] — the same kernel pass with the
 //!   scalar backend forced vs the machine's detected SIMD backend
 //!   (`ucpc_uncertain::simd`), asserting byte-identical labels from the

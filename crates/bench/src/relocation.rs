@@ -131,11 +131,11 @@ pub fn naive_pass(w: &Workload) -> f64 {
 
 /// The same evaluation-only pass on the scalar-aggregate delta-`J` kernel,
 /// through the scan the engine runs: [`PricingTable::relocation`] prices
-/// every candidate with one `dot_block` over the table's `k × m` mean-sum
-/// rows plus hoisted per-cluster pricers (the table is filled once, since
-/// the pass moves nothing), under whichever SIMD backend is active.
+/// every candidate with one `dot_block` over the clusters' own mean-sum
+/// rows plus hoisted per-cluster pricers (derived once, since the pass
+/// moves nothing), under whichever SIMD backend is active.
 pub fn kernel_pass(w: &Workload) -> f64 {
-    let mut table = PricingTable::new(w.arena.dims(), w.k);
+    let mut table = PricingTable::new(w.k);
     let mut acc = 0.0;
     for i in 0..w.arena.len() {
         let src = w.labels[i];

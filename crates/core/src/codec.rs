@@ -15,7 +15,7 @@
 //! stream            head                                  payload tags
 //! WAL / shard log   "UCPCWAL\0" | version u32 = 2 |       1 Round
 //!                   m u64 | crc u32 (of the 20 bytes)
-//! snapshot /        "UCPCSNAP" | version u32 = 4          1 META, 2 SLOTS,
+//! snapshot /        "UCPCSNAP" | version u32 = 5          1 META, 2 SLOTS,
 //! shard checkpoint                                        3 FREE, 4 ROWS, 5 END,
 //!                                                         6 SHARD
 //! ```

@@ -111,7 +111,7 @@
 
 use crate::framework::{validate_labels, ClusterError};
 use crate::objective::{total_objective, ClusterStats};
-use crate::pruning::{PricingTable, PruneCounters, Pruner, PruningConfig};
+use crate::pruning::{PruneCounters, Pruner, PruningConfig};
 use crate::wal::{LogEntry, LogOp};
 use ucpc_uncertain::arena::MomentView;
 use ucpc_uncertain::{MomentArena, Moments, UncertainObject};
@@ -170,14 +170,10 @@ pub struct IncrementalUcpc {
     pub(crate) gens: Vec<u32>,
     /// Freed slots, popped last-in-first-out by the next insertion.
     pub(crate) free: Vec<u32>,
-    /// All relocation-pruning state; every write to `stats` goes through
-    /// it. Placement in [`Self::insert`] always scans every cluster.
+    /// All relocation-pruning state and the pricing table; `stats` change
+    /// only as [`crate::pruning`] allows. Placement in [`Self::insert`]
+    /// always scans every cluster.
     pub(crate) pruner: Pruner,
-    /// What placement and relocation scans price against: every cluster's
-    /// `mean_sum` row and pricers, re-derived lazily. Every write to
-    /// `stats` marks the clusters it touched stale ([`Self::apply_round`],
-    /// [`Self::relocate`], [`Self::relabel`], [`Self::undo_pass`]).
-    pub(crate) table: PricingTable,
 }
 
 impl IncrementalUcpc {
@@ -196,7 +192,6 @@ impl IncrementalUcpc {
             gens: Vec::new(),
             free: Vec::new(),
             pruner: Pruner::new(k, PruningConfig::default()),
-            table: PricingTable::new(m, k),
         })
     }
 
@@ -238,7 +233,6 @@ impl IncrementalUcpc {
         self.stats.fill(ClusterStats::empty(self.m));
         self.pruner.retire();
         self.pruner.reset_counters();
-        self.table.mark_all_stale();
         let mut norms_finite = true;
         for (i, (slot, &c)) in self.labels.iter_mut().zip(labels).enumerate() {
             let v = self.rows.view(i);
@@ -333,8 +327,9 @@ impl IncrementalUcpc {
     /// Inserts an object into the cluster that minimizes the objective
     /// increase (O(k·m) by Corollary 1) and returns its generation-stamped
     /// handle. The placement scan prices all `k` clusters with one
-    /// `dot_block` over the engine's [`PricingTable`], whatever the pruning
-    /// setting (pruning governs relocation passes only), and picks what the
+    /// `dot_block` over their own `mean_sum` rows through the pruner's
+    /// [`crate::pruning::PricingTable`], whatever the pruning setting
+    /// (pruning governs relocation passes only), and picks what the
     /// reference [`crate::pruning::best_insertion`] would.
     pub fn insert(&mut self, object: &UncertainObject) -> Result<ObjectHandle, ClusterError> {
         self.insert_moments(object.moments())
@@ -347,6 +342,15 @@ impl IncrementalUcpc {
     /// non-finite moment or precomputed scalar is
     /// [`ClusterError::NonFinite`] and changes nothing.
     pub fn insert_moments(&mut self, mo: &Moments) -> Result<ObjectHandle, ClusterError> {
+        self.insert_logged(mo).map(|(h, _)| h)
+    }
+
+    /// [`Self::insert_moments`], also returning the `Insert` it applied:
+    /// what a replicating caller ships.
+    pub(crate) fn insert_logged(
+        &mut self,
+        mo: &Moments,
+    ) -> Result<(ObjectHandle, LogOp), ClusterError> {
         if mo.dims() != self.m {
             return Err(ClusterError::DimensionMismatch {
                 expected: self.m,
@@ -360,7 +364,7 @@ impl IncrementalUcpc {
         }
         // Invariant: `new` refuses `k == 0`, so there is a cluster to pick.
         let (cluster, _delta) = self
-            .table
+            .pruner
             .placement(&self.stats, &v)
             .expect("k >= 1 clusters");
         let h = self.next_handle();
@@ -375,15 +379,15 @@ impl IncrementalUcpc {
             mu2: mo.mu2(),
         }])
         .expect("a priced, finite arrival applies");
-        Ok(h)
+        Ok((h, op))
     }
 
     /// Every cluster's placement delta for `v`, `delta_j_add(v)` in cluster
-    /// order, priced through the engine's [`PricingTable`] against the
-    /// statistics as they stand: what the placement scan folds, and what
-    /// the serving flush answers from.
+    /// order, priced through the pruner's table against the statistics as
+    /// they stand: what the placement scan folds, and what the serving
+    /// flush answers from.
     pub(crate) fn placement_deltas(&mut self, v: &MomentView<'_>) -> &[f64] {
-        self.table.price(&self.stats, v)
+        self.pruner.price(&self.stats, v)
     }
 
     /// The slot the next insertion takes: the most recently freed one,
@@ -407,18 +411,24 @@ impl IncrementalUcpc {
     /// its slot recycled to a later arrival — returns
     /// [`ClusterError::StaleHandle`] and changes nothing.
     pub fn remove(&mut self, h: ObjectHandle) -> Result<(), ClusterError> {
+        self.remove_logged(h).map(drop)
+    }
+
+    /// [`Self::remove`], also returning the `Remove` it applied: what a
+    /// replicating caller ships.
+    pub(crate) fn remove_logged(&mut self, h: ObjectHandle) -> Result<LogOp, ClusterError> {
         let cluster = self.label_of(h).ok_or(ClusterError::StaleHandle {
             slot: h.slot() as u32,
             generation: h.generation(),
         })?;
-        let entry = LogEntry::bare(LogOp::Remove {
+        let op = LogOp::Remove {
             slot: h.slot() as u32,
             cluster,
-        });
+        };
         // Invariant: the handle is live and `cluster` is its label.
-        self.apply_round(&[entry])
+        self.apply_round(&[LogEntry::bare(op)])
             .expect("removing a live object applies");
-        Ok(())
+        Ok(op)
     }
 
     /// Applies one logged round — the engine's only mutation path, shared
@@ -453,7 +463,6 @@ impl IncrementalUcpc {
                 (Some(c), None) => {
                     let v = self.rows.view(s);
                     self.pruner.remove(&mut self.stats, c, &v);
-                    self.table.mark_stale(c);
                     // A departure frees its slot under the next generation.
                     self.labels[s] = None;
                     self.gens[s] = self.gens[s].wrapping_add(1);
@@ -485,7 +494,6 @@ impl IncrementalUcpc {
                         return Err("round carries a non-finite row");
                     }
                     self.pruner.add(&mut self.stats, c, &v);
-                    self.table.mark_stale(c);
                     if recycled {
                         self.free.pop();
                         self.labels[s] = Some(c);
@@ -508,8 +516,6 @@ impl IncrementalUcpc {
     fn relocate(&mut self, s: usize, src: usize, dst: usize) {
         let v = self.rows.view(s);
         self.pruner.relocate(&mut self.stats, s, src, dst, &v);
-        self.table.mark_stale(src);
-        self.table.mark_stale(dst);
         self.labels[s] = Some(dst);
     }
 
@@ -540,8 +546,7 @@ impl IncrementalUcpc {
                 // of the moments is ever needed.
                 let v = self.rows.view(i);
                 let gen = self.gens[i];
-                let (stats, table) = (&self.stats, &mut self.table);
-                let Some((dst, _)) = self.pruner.best_move(stats, table, i, gen, src, &v) else {
+                let Some((dst, _)) = self.pruner.best_move(&self.stats, i, gen, src, &v) else {
                     continue;
                 };
                 // `i` is live in `src`, and the scan picks an existing
@@ -583,7 +588,6 @@ impl IncrementalUcpc {
             }
         }
         self.pruner.retire();
-        self.table.mark_all_stale();
     }
 
     /// Current handles and labels of all live objects, in slot order.

@@ -26,8 +26,8 @@
 //!   [`objective::ClusterStats::delta_j_add`] /
 //!   [`objective::ClusterStats::delta_j_remove`] price a relocation in
 //!   O(m), and the engine's [`pruning::PricingTable`] prices all `k`
-//!   candidates of a decision with one `dot_block` over a `k × m` copy of
-//!   the mean sums plus `k` hoisted pricers.
+//!   candidates of a decision with one `dot_block` over the clusters' own
+//!   mean-sum rows plus `k` hoisted pricers.
 //! * **Pruning tiers** — a [`pruning::Pruner`] caches each object's
 //!   best/second-best deltas and bounds how much any cluster's delta can
 //!   have drifted since (tier 0 globally in O(1), tier 1 per cluster in
@@ -35,8 +35,8 @@
 //!   skipping provably redundant scans *exactly*: pruned runs produce
 //!   byte-identical labels (env knob `UCPC_PRUNING`,
 //!   [`pruning::PruningConfig`]). The pruner owns every piece of that
-//!   state — cache, drift watermarks, counters — beside the statistics,
-//!   which hold Corollary 1's sums only.
+//!   state — cache, drift watermarks, counters — and the pricing table
+//!   beside the statistics, which hold Corollary 1's sums only.
 //!
 //! Everything above those layers is orchestration: initialization
 //! ([`init::Initializer`]), restarts, the incremental driver, and the

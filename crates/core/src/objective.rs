@@ -616,7 +616,7 @@ impl ClusterStats {
 /// (`1/(|C|+1)` and the one inside `J(C)`) per cluster rather than per
 /// (cluster, object). [`AddPricer::price`] is *the* implementation of the
 /// delta — [`ClusterStats::delta_j_add`] delegates here.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AddPricer {
     new_inv: f64,
     psi_tot: f64,
@@ -643,7 +643,7 @@ impl AddPricer {
 /// [`ClusterStats::remove_pricer`]; [`RemovePricer::price`] is *the*
 /// implementation of the removal gain — [`ClusterStats::delta_j_remove`]
 /// delegates here.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RemovePricer {
     /// At most one member: the removal gain is `−J(C)`, whatever the object.
     last: bool,

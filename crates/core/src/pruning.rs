@@ -134,13 +134,14 @@
 //!
 //! # Retiring
 //!
-//! [`Pruner::retire`] is the coarse kill-switch: it empties the cache and
+//! [`Pruner::retire`] is the coarse kill-switch: it empties the cache,
 //! zeroes every watermark (per-cluster accumulators, their totals and the
-//! versions), which is exactly the state [`Pruner::new`] builds; only the
-//! configuration and the counters survive. `IncrementalUcpc::set_pruning`
-//! retires, and so do the re-partition that starts each of
-//! `BestOfRestarts`'s restarts on a reused engine and an undone pass, and
-//! a snapshot restore builds `Pruner::new` outright. Retiring is also what
+//! versions) and makes every pricer stale, which is exactly the state
+//! [`Pruner::new`] builds; only the configuration and the counters
+//! survive. `IncrementalUcpc::set_pruning` retires, and so do the
+//! re-partition that starts each of `BestOfRestarts`'s restarts on a
+//! reused engine and an undone pass, and a snapshot restore builds
+//! `Pruner::new` outright. Retiring is also what
 //! lets tracking be lazy: it switches tracking off, and only
 //! [`Pruner::begin_pass`] of a pruned pass switches it back on, before
 //! anything is cached. An update folded untracked therefore happens only
@@ -168,12 +169,19 @@
 //! too loose to beat.
 //!
 //! Every scan the engine runs — placement, the full relocation scan and the
-//! tier-2 confirm — and every serving answer prices through one
-//! [`PricingTable`]: one [`dot_block`] over a `k × m` copy of the clusters'
-//! mean sums yields every cross term `⟨s_C, mu(o)⟩`, and each cluster's
-//! hoisted [`AddPricer`] and [`RemovePricer`] turn them into deltas in
-//! O(1). The stateless [`best_candidate`] and [`best_insertion`] loops are
-//! the reference the table is held to, bit for bit.
+//! tier-2 confirm — and every serving answer prices through the pruner's
+//! one [`PricingTable`]: one [`dot_block`] over the clusters' `mean_sum`
+//! rows, read in place, yields every cross term `⟨s_C, mu(o)⟩`, and each
+//! cluster's hoisted [`AddPricer`] and [`RemovePricer`] turn them into
+//! deltas in O(1). The stateless [`best_candidate`] and [`best_insertion`]
+//! loops are the reference the table is held to, bit for bit.
+//!
+//! The pricers are the only state the table derives from the statistics,
+//! and one rule keeps them current: **statistics change only through the
+//! [`Pruner`] ([`Pruner::add`], [`Pruner::remove`], [`Pruner::relocate`]),
+//! or wholesale with a [`Pruner::retire`] before the next decision.** An
+//! update makes the folded cluster's pricers stale, a retire every
+//! pricer, and a scan re-derives a stale pricer before it reads it.
 //!
 //! [`Pruner::add`], [`Pruner::remove`] and [`Pruner::relocate`] each keep
 //! a plain (untracked) fork on purpose: the statistics are bit-identical
@@ -491,10 +499,12 @@ impl CacheEntry {
 
 /// All pruning state of one engine: the configuration, the tracking flag,
 /// each cluster's [`ClusterDrift`], their `DriftTotals`, the per-cluster
-/// remove-direction versions, the cache and the counters. Every statistic
-/// update ([`Self::add`], [`Self::remove`], [`Self::relocate`]) and every
-/// relocation decision ([`Self::best_move`]) goes through it, so it alone
-/// decides what is tracked and what a cached bound may trust.
+/// remove-direction versions, the cache and the counters, plus the
+/// [`PricingTable`] every scan prices through. Every statistic update
+/// ([`Self::add`], [`Self::remove`], [`Self::relocate`]) and every
+/// decision ([`Self::best_move`], [`Self::placement`]) goes through it,
+/// so it alone decides what is tracked, what a cached bound may trust and
+/// which pricers are stale.
 ///
 /// The cache is one entry per object plus a flat `n × 3(k+1)` snapshot
 /// matrix of the drift accumulators at store time, holding exactly what
@@ -517,6 +527,8 @@ pub struct Pruner {
     counters: PruneCounters,
     /// [`fp_scale`] of the statistics at the current pass's start.
     scale: f64,
+    /// What every decision prices through.
+    table: PricingTable,
 }
 
 impl Pruner {
@@ -532,6 +544,7 @@ impl Pruner {
             snaps: Vec::new(),
             counters: PruneCounters::default(),
             scale: 0.0,
+            table: PricingTable::new(k),
         }
     }
 
@@ -551,12 +564,12 @@ impl Pruner {
         self.retire();
     }
 
-    /// Empties the cache and zeroes every watermark — the per-cluster
-    /// accumulators, their totals and the versions — and stops tracking
-    /// until the next pruned pass: the state [`Self::new`] builds, keeping
-    /// the configuration, the counters and the cache's buffers. Called
-    /// whenever cached bounds may no longer hold: a configuration change,
-    /// a re-partition, an undone pass.
+    /// Empties the cache, zeroes every watermark — the per-cluster
+    /// accumulators, their totals and the versions — makes every pricer
+    /// stale and stops tracking until the next pruned pass: the state
+    /// [`Self::new`] builds, keeping the configuration, the counters and
+    /// the buffers. Called whenever cached bounds may no longer hold: a
+    /// configuration change, a re-partition, an undone pass.
     pub fn retire(&mut self) {
         self.tracking = false;
         self.drift.fill(ClusterDrift::default());
@@ -565,6 +578,7 @@ impl Pruner {
         self.entries.clear();
         self.snaps.clear();
         self.scale = 0.0;
+        self.table.mark_all_stale();
     }
 
     /// Decision counters accumulated over every pruned pass.
@@ -607,13 +621,14 @@ impl Pruner {
     }
 
     /// Adds `v` to cluster `c`: one insert, or the second half of
-    /// [`Self::relocate`]. While tracking, [`track_add`] runs, `c`'s
-    /// accumulator movement joins the totals, and a small transition bumps
-    /// `c`'s version — the surgical invalidation of the module docs.
-    /// Otherwise the plain `add_view` runs. The statistics are
-    /// bit-identical either way.
+    /// [`Self::relocate`]. `c`'s pricers go stale. While tracking,
+    /// [`track_add`] runs, `c`'s accumulator movement joins the totals,
+    /// and a small transition bumps `c`'s version — the surgical
+    /// invalidation of the module docs. Otherwise the plain `add_view`
+    /// runs. The statistics are bit-identical either way.
     #[inline]
     pub fn add(&mut self, stats: &mut [ClusterStats], c: usize, v: &MomentView<'_>) {
+        self.table.mark_stale(c);
         if !self.tracking {
             stats[c].add_view(v);
             return;
@@ -629,6 +644,7 @@ impl Pruner {
     /// through [`track_remove`] or the plain `remove_view`.
     #[inline]
     pub fn remove(&mut self, stats: &mut [ClusterStats], c: usize, v: &MomentView<'_>) {
+        self.table.mark_stale(c);
         if !self.tracking {
             stats[c].remove_view(v);
             return;
@@ -662,8 +678,8 @@ impl Pruner {
     /// The one relocation decision of Algorithm 1 (lines 8–9): the best
     /// move of object `i` (cluster `src`, slot generation `gen`, kernel
     /// view `v`) that lowers `J` by more than [`TOLERANCE`], as
-    /// `(dst, delta)`, or `None`. Every candidate is priced through `table`
-    /// against `stats`.
+    /// `(dst, delta)`, or `None`. Every candidate is priced through the
+    /// pruner's [`PricingTable`] against `stats`.
     ///
     /// With pruning off this is the full scan, [`PricingTable::relocation`]
     /// filtered at `-TOLERANCE`, except that a member no candidate moves
@@ -672,13 +688,11 @@ impl Pruner {
     /// argmin, or full scan — counting each outcome, and caches a full scan
     /// that finds no move. Either way the answer is bit-identical to
     /// [`best_candidate`] filtered at `-TOLERANCE`. The caller applies a
-    /// returned move through [`Self::relocate`] and marks both clusters
-    /// stale in `table`.
+    /// returned move through [`Self::relocate`].
     #[inline(always)]
     pub fn best_move(
         &mut self,
         stats: &[ClusterStats],
-        table: &mut PricingTable,
         i: usize,
         gen: u32,
         src: usize,
@@ -687,6 +701,7 @@ impl Pruner {
         if !self.config.is_enabled() {
             // The fold returns one of these candidates, so it moves nothing
             // unless one of them lies below the threshold.
+            let table = &mut self.table;
             let gain = table.price_moves(stats, src, v);
             if !table.moves(src, gain).any(|(_, delta)| delta < -TOLERANCE) {
                 return None;
@@ -703,12 +718,12 @@ impl Pruner {
                 // Same argmin; its exact delta from the identical pricing the
                 // full scan would do.
                 self.counters.confirms += 1;
-                let delta = table.confirm(stats, src, dst, v);
+                let delta = self.table.confirm(stats, src, dst, v);
                 (delta < -TOLERANCE).then_some((dst, delta))
             }
             PruneDecision::FullScan => {
                 self.counters.full_scans += 1;
-                let (dst, delta, second) = table.relocation(stats, src, v)?;
+                let (dst, delta, second) = self.table.relocation(stats, src, v)?;
                 if delta < -TOLERANCE {
                     return Some((dst, delta));
                 }
@@ -716,6 +731,24 @@ impl Pruner {
                 None
             }
         }
+    }
+
+    /// The placement scan of an arrival `v` against `stats`, never
+    /// pruned: [`best_insertion`]'s winner and bits. `None` only for
+    /// `k = 0`.
+    pub fn placement(
+        &mut self,
+        stats: &[ClusterStats],
+        v: &MomentView<'_>,
+    ) -> Option<(usize, f64)> {
+        let deltas = self.price(stats, v);
+        fold(deltas.iter().copied().enumerate()).map(|(dst, delta, _)| (dst, delta))
+    }
+
+    /// Every cluster's add delta for `v` against `stats`, in cluster
+    /// order ([`PricingTable::price`]): what [`Self::placement`] folds.
+    pub(crate) fn price(&mut self, stats: &[ClusterStats], v: &MomentView<'_>) -> &[f64] {
+        self.table.price(stats, v)
     }
 
     /// Evaluates the bound tests for object `i` (cluster `src`, kernel view
@@ -881,7 +914,7 @@ pub fn best_candidate(
 /// over **all** `k` clusters (no source to leave, no removal gain), O(k·m)
 /// by Corollary 1, with the same strict-less, first-index-wins-ties fold
 /// as [`best_candidate`]. `IncrementalUcpc::insert` places through
-/// [`PricingTable::placement`], which returns the same winner and the same
+/// [`Pruner::placement`], which returns the same winner and the same
 /// bits. `None` only for an empty cluster slice.
 pub fn best_insertion(stats: &[ClusterStats], v: &MomentView<'_>) -> Option<(usize, f64)> {
     let best = fold(
@@ -927,125 +960,85 @@ fn consider(best: &mut Option<(usize, f64)>, second: &mut f64, dst: usize, delta
     }
 }
 
-/// The engine's pricing table: a contiguous `k × m` copy of every
-/// cluster's `mean_sum` plus each cluster's hoisted [`AddPricer`] and
+/// The engine's pricing table: each cluster's hoisted [`AddPricer`] and
 /// [`RemovePricer`], so that a scan prices all `k` candidates with one
-/// [`dot_block`] over the table (one dispatch, four rows per reduction on
-/// AVX2) and `k` O(1) pricer evaluations, instead of a dispatched dot
-/// product and two divisions per candidate.
+/// [`dot_block`] over the clusters' `mean_sum` rows, read in place (one
+/// dispatch, four rows per reduction on AVX2), and `k` O(1) pricer
+/// evaluations, instead of a dispatched dot product and two divisions per
+/// candidate.
 ///
-/// Rows are refreshed lazily: the owner marks a cluster stale whenever its
-/// statistics change ([`Self::mark_stale`], [`Self::mark_all_stale`]), and
-/// a scan re-derives the stale rows, and a relocation its own cluster's
-/// stale remover, from the statistics it is handed before it reads them.
-/// A row is a copy and a pricer a pure
-/// function of the statistics, so a refreshed table prices every candidate
-/// with the bits of [`ClusterStats::delta_j_add`] /
-/// [`ClusterStats::delta_j_remove`] (and `dot_block` is bit-identical to
-/// per-row `dot`): the scans agree with [`best_insertion`] and
-/// [`best_candidate`] bit for bit, provided no mark was missed.
+/// Pricers are derived lazily: a stale one is `None`, and a scan derives
+/// it from the statistics it is handed before it reads it. A pricer is a
+/// pure function of the statistics and `dot_block` is bit-identical to
+/// per-row `dot`, so the table prices every candidate with the bits of
+/// [`ClusterStats::delta_j_add`] / [`ClusterStats::delta_j_remove`]: the
+/// scans agree with [`best_insertion`] and [`best_candidate`] bit for bit
+/// under the staleness rule of the module docs. Outside a [`Pruner`], a
+/// table must be handed unchanging statistics.
 #[derive(Debug, Clone)]
 pub struct PricingTable {
-    m: usize,
-    /// Row `c` is cluster `c`'s `mean_sum` as of its last refresh.
-    means: Vec<f64>,
-    add: Vec<AddPricer>,
-    remove: Vec<RemovePricer>,
-    /// Row `c` and `add[c]` need re-deriving.
-    stale: Vec<bool>,
-    /// The clusters `stale` marks, each once, so a refresh visits only
-    /// those.
-    dirty: Vec<u32>,
-    /// `remove[c]` needs re-deriving. A decision reads only its own
-    /// cluster's remover, so it is refreshed on that read alone: edits
-    /// followed by placements never pay for removers nobody prices.
-    remove_stale: Vec<bool>,
-    /// `0..k`: the row block of a full scan.
-    every: Vec<u32>,
+    add: Vec<Option<AddPricer>>,
+    /// A decision reads only its own cluster's remover, so it is derived
+    /// on that read alone: edits followed by placements never pay for
+    /// removers nobody prices.
+    remove: Vec<Option<RemovePricer>>,
     /// A full scan's cross terms `⟨s_c, mu⟩`, one per cluster.
     cross: Vec<f64>,
     /// A full scan's add deltas, one per cluster ([`Self::price`]).
     deltas: Vec<f64>,
 }
 
+/// Equal pricers, stale ones as stale: the scratch rows carry no state.
+impl PartialEq for PricingTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.add == other.add && self.remove == other.remove
+    }
+}
+
 impl PricingTable {
-    /// A table for `k` clusters over `m` dimensions, every row stale.
-    pub fn new(m: usize, k: usize) -> Self {
-        let empty = ClusterStats::empty(m);
-        let every: Vec<u32> = (0..k as u32).collect();
+    /// A table for `k` clusters, every pricer stale.
+    pub fn new(k: usize) -> Self {
         Self {
-            m,
-            means: vec![0.0; k * m],
-            add: vec![empty.add_pricer(); k],
-            remove: vec![empty.remove_pricer(); k],
-            stale: vec![true; k],
-            dirty: every.clone(),
-            remove_stale: vec![true; k],
-            every,
+            add: vec![None; k],
+            remove: vec![None; k],
             cross: vec![0.0; k],
             deltas: vec![0.0; k],
         }
     }
 
-    /// Marks cluster `c`'s row stale: its statistics changed.
+    /// Makes cluster `c`'s pricers stale: its statistics changed.
     #[inline]
-    pub fn mark_stale(&mut self, c: usize) {
-        if !std::mem::replace(&mut self.stale[c], true) {
-            self.dirty.push(c as u32);
-        }
-        self.remove_stale[c] = true;
+    fn mark_stale(&mut self, c: usize) {
+        self.add[c] = None;
+        self.remove[c] = None;
     }
 
-    /// Marks every row stale: the statistics were replaced wholesale.
-    pub fn mark_all_stale(&mut self) {
-        self.stale.fill(true);
-        self.dirty.clone_from(&self.every);
-        self.remove_stale.fill(true);
+    /// Makes every pricer stale: the statistics were replaced wholesale.
+    fn mark_all_stale(&mut self) {
+        self.add.fill(None);
+        self.remove.fill(None);
     }
 
-    /// `stats[c]`'s removal pricer, re-derived first if stale.
+    /// `stats[c]`'s removal pricer, derived first if stale.
     fn remover(&mut self, stats: &[ClusterStats], c: usize) -> RemovePricer {
-        if std::mem::take(&mut self.remove_stale[c]) {
-            self.remove[c] = stats[c].remove_pricer();
-        }
-        self.remove[c]
+        *self.remove[c].get_or_insert_with(|| stats[c].remove_pricer())
     }
 
-    /// Re-derives the stale rows and add pricers from `stats`.
-    fn refresh(&mut self, stats: &[ClusterStats]) {
-        let m = self.m;
-        while let Some(c) = self.dirty.pop() {
-            let c = c as usize;
-            self.stale[c] = false;
-            self.means[c * m..(c + 1) * m].copy_from_slice(stats[c].mean_sum());
-            self.add[c] = stats[c].add_pricer();
-        }
-    }
-
-    /// Prices an arrival `v` against every cluster: re-derives the stale
-    /// rows, fills `cross` with `⟨s_c, mu⟩` for every cluster with one
-    /// `dot_block`, and returns each cluster's add delta in cluster order,
-    /// the bits of `stats[c].delta_j_add(v)`. Placement, relocation and
-    /// the serving flush all price through this one loop.
+    /// Prices an arrival `v` against every cluster: fills `cross` with
+    /// `⟨s_c, mu⟩` for every cluster with one `dot_block` over the
+    /// clusters' own rows, derives the stale add pricers, and returns each
+    /// cluster's add delta in cluster order, the bits of
+    /// `stats[c].delta_j_add(v)`. Placement, relocation and the serving
+    /// answers all price through this one loop.
     pub(crate) fn price(&mut self, stats: &[ClusterStats], v: &MomentView<'_>) -> &[f64] {
-        self.refresh(stats);
-        dot_block(v.mu, &self.means, &self.every, &mut self.cross);
+        dot_block(v.mu, |c| stats[c].mean_sum(), &mut self.cross);
         let (var, mu_sq, mu2) = (v.sum_var, v.sum_mu_sq, v.sum_mu2);
-        for ((delta, add), &cross) in self.deltas.iter_mut().zip(&self.add).zip(&self.cross) {
+        let priced = self.deltas.iter_mut().zip(&mut self.add).zip(&self.cross);
+        for (c, ((delta, add), &cross)) in priced.enumerate() {
+            let add = add.get_or_insert_with(|| stats[c].add_pricer());
             *delta = add.price(var, mu_sq, mu2, cross);
         }
         &self.deltas
-    }
-
-    /// The placement scan against `stats`: [`best_insertion`]'s winner and
-    /// bits. `None` only for `k = 0`.
-    pub fn placement(
-        &mut self,
-        stats: &[ClusterStats],
-        v: &MomentView<'_>,
-    ) -> Option<(usize, f64)> {
-        let deltas = self.price(stats, v);
-        fold(deltas.iter().copied().enumerate()).map(|(dst, delta, _)| (dst, delta))
     }
 
     /// The relocation scan of a member of `src` against `stats`:
@@ -1093,12 +1086,12 @@ impl PricingTable {
         dst: usize,
         v: &MomentView<'_>,
     ) -> f64 {
-        self.refresh(stats);
         let mut cross = [0.0; 2];
-        dot_block(v.mu, &self.means, &[src as u32, dst as u32], &mut cross);
+        dot_block(v.mu, |r| stats[[src, dst][r]].mean_sum(), &mut cross);
         let (var, mu_sq, mu2) = (v.sum_var, v.sum_mu_sq, v.sum_mu2);
+        let add = *self.add[dst].get_or_insert_with(|| stats[dst].add_pricer());
         self.remover(stats, src).price(var, mu_sq, mu2, cross[0])
-            + self.add[dst].price(var, mu_sq, mu2, cross[1])
+            + add.price(var, mu_sq, mu2, cross[1])
     }
 }
 
@@ -1166,7 +1159,8 @@ mod tests {
         /// counters and configuration aside.
         pub(crate) fn is_fresh(&self) -> bool {
             let zero = ClusterDrift::default();
-            self.entries.is_empty()
+            self.table == PricingTable::new(self.drift.len())
+                && self.entries.is_empty()
                 && self.snaps.is_empty()
                 && !self.tracking
                 && self.totals == DriftTotals::default()
@@ -1321,9 +1315,11 @@ mod tests {
                 .map(|i| if i < k { i } else { rng.gen_range(0..k) })
                 .collect();
             let mut stats = stats_for(&arena, &labels, k);
+            // Each pruner folds every move into its own copy of the
+            // statistics, so each table sees every relocation.
+            let mut plain_stats = stats.clone();
             let mut plain = Pruner::new(k, PruningConfig::Off);
             let mut pruned = Pruner::new(k, PruningConfig::Bounds);
-            let mut table = PricingTable::new(m, k);
             for _pass in 0..6 {
                 plain.begin_pass(&stats, n);
                 pruned.begin_pass(&stats, n);
@@ -1336,13 +1332,13 @@ mod tests {
                     }
                     let v = arena.view(i);
                     let before = pruned.counters();
-                    let uncached = plain.best_move(&stats, &mut table, i, 0, src, &v);
+                    let uncached = plain.best_move(&plain_stats, i, 0, src, &v);
                     let want = best_candidate(&stats, src, &v).filter(|&(_, d)| d < -TOLERANCE);
                     assert_eq!(
                         uncached.map(|(c, d)| (c, d.to_bits())),
                         want.map(|(c, d)| (c, d.to_bits()))
                     );
-                    let cached = pruned.best_move(&stats, &mut table, i, 0, src, &v);
+                    let cached = pruned.best_move(&stats, i, 0, src, &v);
                     let counters = pruned.counters();
                     let tiers = [
                         counters.skips - before.skips,
@@ -1362,10 +1358,10 @@ mod tests {
                     );
                     if let Some((dst, _)) = cached {
                         pruned.relocate(&mut stats, i, src, dst, &v);
-                        table.mark_stale(src);
-                        table.mark_stale(dst);
+                        plain.relocate(&mut plain_stats, i, src, dst, &v);
                         labels[i] = dst;
                     }
+                    assert_eq!(plain_stats, stats, "object {i}: the copies fold alike");
                 }
             }
             let counters = pruned.counters();
@@ -1377,11 +1373,11 @@ mod tests {
         }
     }
 
-    /// The unpruned decision for a member of `src` at `v`, on a fresh table.
+    /// The unpruned decision for a member of `src` at `v`, on a fresh
+    /// pruner and so a fresh table.
     fn unpruned(stats: &[ClusterStats], src: usize, v: &MomentView<'_>) -> Option<(usize, u64)> {
         let mut pruner = Pruner::new(stats.len(), PruningConfig::Off);
-        let mut table = PricingTable::new(v.dims(), stats.len());
-        let decided = pruner.best_move(stats, &mut table, 0, 0, src, v);
+        let decided = pruner.best_move(stats, 0, 0, src, v);
         decided.map(|(c, d)| (c, d.to_bits()))
     }
 
@@ -1488,9 +1484,9 @@ mod tests {
                     }
                     assert_eq!(got_c, want_c, "m={m} k={k} probe={probe}");
                     assert_eq!(got_d.to_bits(), want_d.to_bits(), "m={m} k={k}");
-                    let table = PricingTable::new(m, k + 1).placement(&stats, &v);
+                    let placed = Pruner::new(k + 1, PruningConfig::Off).placement(&stats, &v);
                     assert_eq!(
-                        table.map(|(c, d)| (c, d.to_bits())),
+                        placed.map(|(c, d)| (c, d.to_bits())),
                         Some((want_c, want_d.to_bits()))
                     );
                 }

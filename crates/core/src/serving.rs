@@ -15,7 +15,7 @@
 //! 1. **price** — requests are replayed in submission order, and each
 //!    answer reads the engine's pricing table: a query or commit is priced
 //!    at its turn against every cluster, one dispatched [`dot_block`] over
-//!    the table's `k × m` mean rows (on AVX2, four clusters per
+//!    the clusters' own `mean_sum` rows (on AVX2, four clusters per
 //!    reduction) and each cluster's hoisted [`AddPricer`], and its `k`
 //!    deltas are folded into a ranked answer;
 //! 2. **apply** — commits, removals and every move of a stabilization
@@ -47,14 +47,15 @@
 //!   [`dot`] (the SIMD module's bit-identity contract; rows below
 //!   [`DISPATCH_THRESHOLD`] take the same unfused core in both). Each
 //!   answer is priced at its turn, after every mutation before it in the
-//!   flush, and every engine mutation marks the table rows of the clusters
-//!   it touched stale (a commit the cluster it fed, an effective removal
-//!   the cluster it drained, a relocation both ends, an undone
-//!   stabilization all `k`), so the deltas are, bit for bit, what a live
-//!   scan computes at that point of the edit sequence. The fold keeps the
-//!   scan's exact strict-less, first-index-wins-ties semantics, so its
-//!   argmin matches the serial scan bit for bit (debug builds
-//!   shadow-assert this against a live full scan on every commit).
+//!   flush, and every engine mutation folds through the pruner that owns
+//!   the table, which makes the touched clusters' pricers stale (a commit
+//!   the cluster it fed, a removal the cluster it drained, a relocation
+//!   both ends, an undone stabilization all `k`), so the deltas are, bit
+//!   for bit, what a live scan computes at that point of the edit
+//!   sequence. The fold keeps the scan's exact strict-less,
+//!   first-index-wins-ties semantics, so its argmin matches the serial
+//!   scan bit for bit (debug builds shadow-assert this against a live
+//!   full scan on every commit).
 //! * **Storage.** The staged copy of an arrival is written **verbatim**
 //!   ([`MomentArena::overwrite_row`] on admission), and a commit is the
 //!   same `Insert` entry a serial [`IncrementalUcpc::insert`] applies: the
@@ -709,8 +710,8 @@ impl ServingUcpc {
                     #[cfg(debug_assertions)]
                     {
                         // The fold must agree with a live full scan — the
-                        // direct check that no mutation left a table row
-                        // stale.
+                        // direct check that no statistics change left a
+                        // pricer stale.
                         // Invariant: `k >= 1` at engine construction.
                         let shadow = crate::pruning::best_insertion(&self.engine.stats, &v)
                             .expect("k >= 1 clusters");

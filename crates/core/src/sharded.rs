@@ -81,8 +81,8 @@ use crate::incremental::IncrementalUcpc;
 use crate::objective::ClusterStats;
 use crate::snapshot::SnapshotError;
 use crate::wal::{
-    decode_frame, encode_checkpoint, encode_round, recover, LogEntry, LogOp, Recovery, VecIo,
-    WalError, WalFsync, WalWriter,
+    decode_frame, encode_checkpoint, encode_round, recover, LogEntry, Recovery, VecIo, WalError,
+    WalFsync, WalWriter,
 };
 use std::ops::Range;
 use ucpc_uncertain::{Moments, ObjectHandle, UncertainObject};
@@ -446,10 +446,7 @@ impl ShardedUcpc {
     /// round.
     pub fn insert_moments(&mut self, mo: &Moments) -> Result<ObjectHandle, ClusterError> {
         self.shards_up()?;
-        let h = self.engine.insert_moments(mo)?;
-        let slot = h.slot() as u32;
-        let cluster = self.engine.labels[h.slot()].expect("the arrival is live");
-        let op = LogOp::Insert { slot, cluster };
+        let (h, op) = self.engine.insert_logged(mo)?;
         // The engine holds the arrival's rows bit for bit, so the frame
         // borrows them from the arrival.
         let (mu, mu2) = (mo.mu(), mo.mu2());
@@ -462,13 +459,7 @@ impl ShardedUcpc {
     /// before anything changes.
     pub fn remove(&mut self, h: ObjectHandle) -> Result<(), ClusterError> {
         self.shards_up()?;
-        let slot = h.slot() as u32;
-        let cluster = self.label_of(h).ok_or(ClusterError::StaleHandle {
-            slot,
-            generation: h.generation(),
-        })?;
-        let op = LogOp::Remove { slot, cluster };
-        self.engine.remove(h)?;
+        let op = self.engine.remove_logged(h)?;
         self.run_round(&[LogEntry::bare(op)]);
         Ok(())
     }
@@ -685,7 +676,7 @@ impl ShardedUcpc {
 mod tests {
     use super::*;
     use crate::fault::Dice;
-    use crate::wal::{scan_wal, DurableIo, WalRecord, WAL_HEADER_LEN};
+    use crate::wal::{scan_wal, DurableIo, LogOp, WalRecord, WAL_HEADER_LEN};
     use ucpc_uncertain::UnivariatePdf;
 
     fn obj(c: f64) -> UncertainObject {

@@ -86,7 +86,7 @@
 use crate::codec::{scan_frames, Reader, Writer, CHECKSUM_MISMATCH};
 use crate::incremental::IncrementalUcpc;
 use crate::objective::ClusterStats;
-use crate::pruning::{PricingTable, Pruner, PruningConfig};
+use crate::pruning::{Pruner, PruningConfig};
 use crate::wal::{DurableIo, IoFault, VecIo};
 use std::fmt;
 use ucpc_uncertain::MomentArena;
@@ -551,7 +551,6 @@ impl IncrementalUcpc {
             gens,
             free,
             pruner: Pruner::new(k, pruning),
-            table: PricingTable::new(m, k),
         })
     }
 }

@@ -6,9 +6,10 @@
 //! * [`dot`] — the dispatched `⟨a, b⟩` kernel consumed by
 //!   `ucpc_core::objective::ClusterStats::delta_j_add` and friends through
 //!   its [`crate::arena::dot`] re-export;
-//! * [`dot_block`] — one shared row against a block of rows of a flat
-//!   matrix in a single dispatched call, the primitive behind every
-//!   candidate scan (the engine's pricing table) and the serving flush;
+//! * [`dot_block`] — one shared row against a block of rows, each read in
+//!   place through an accessor, in a single dispatched call: the primitive
+//!   behind every candidate scan and serving answer (the engine's pricing
+//!   table);
 //! * [`Backend`] — the explicit backend set (scalar, AVX2+FMA, NEON) with
 //!   runtime detection, the `UCPC_SIMD` environment knob, and
 //!   [`force_backend`] for benches and tests;
@@ -278,6 +279,21 @@ pub const DISPATCH_THRESHOLD: usize = 16;
 /// ```
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+    dot_on(active_backend, a, b)
+}
+
+/// [`dot`] through one explicit backend (which must be available) — the
+/// hook behind the dispatch-matrix tests and per-backend benches.
+pub fn dot_with(backend: Backend, a: &[f64], b: &[f64]) -> f64 {
+    assert!(backend.is_available(), "backend not available on this CPU");
+    dot_on(|| backend, a, b)
+}
+
+/// The body of [`dot`] and [`dot_with`]: short rows take the inlined
+/// unfused loop before `backend` is consulted, and the backend, which is
+/// the active one or one the caller checked is available, takes the rest.
+#[inline(always)]
+fn dot_on(backend: impl FnOnce() -> Backend, a: &[f64], b: &[f64]) -> f64 {
     // A hard check, not a debug_assert: silently truncating on mismatched
     // lengths would turn a caller's dimension bug into wrong relocation
     // deltas in release builds. One predictable branch on the hot path.
@@ -285,97 +301,88 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     if a.len() < DISPATCH_THRESHOLD {
         return unfused_core(a, b);
     }
-    match active_backend() {
+    // SAFETY: `backend` yields an available backend; the lengths match.
+    match backend() {
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { avx2::dot(a, b) },
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => unsafe { neon::dot(a, b) },
+        // Scalar, or another architecture's backend, never available here.
         _ => scalar::dot(a, b),
     }
 }
 
-/// Fused dot products of one shared row `x` against a *block* of rows of a
-/// flat row-major matrix: `out[i] = ⟨x, mu[idx[i]·m .. idx[i]·m+m]⟩` with
-/// `m = x.len()`.
+/// Fused dot products of one shared row `x` against a *block* of rows:
+/// `out[i] = ⟨x, row(i)⟩` for every `i < out.len()`.
 ///
 /// This is the pricing primitive of every candidate scan: the engine's
-/// placement and relocation scans price one object's `mu` row against
-/// every cluster's `mean_sum` row of a `k × m` table, and the serving
-/// flush prices one cluster's `mean_sum` row against `B` staged arrivals.
-/// Calling [`dot`] per pair pays the dispatch branch, the non-inlinable
-/// `#[target_feature]` call frame and a horizontal reduction per row — at
-/// these sizes (`m ≈ 16–64`) that overhead rivals the FMA work itself.
-/// `dot_block` dispatches **once**; the AVX2 body takes rows four at a
-/// time, loading each block of `x` once for four rows' FMAs and reducing
-/// the four rows' lanes together.
+/// pricing table prices one object's `mu` row against every cluster's
+/// `mean_sum` row, read in place through `row`, for placement, the
+/// relocation scans and the serving answers alike (and against two rows
+/// for a tier-2 confirm). Calling [`dot`] per pair pays the dispatch
+/// branch, the non-inlinable `#[target_feature]` call frame and a
+/// horizontal reduction per row — at these sizes (`m ≈ 16–64`) that
+/// overhead rivals the FMA work itself. `dot_block` dispatches **once**;
+/// the AVX2 body takes rows four at a time, loading each block of `x` once
+/// for four rows' FMAs and reducing the four rows' lanes together.
 ///
 /// Every component is bit-identical to the corresponding single
-/// [`dot(x, row)`](dot) call — each row keeps the exact per-dot lane
+/// [`dot(x, row(i))`](dot) call — each row keeps the exact per-dot lane
 /// structure and reduction order, so batched and per-row pricing can never
 /// diverge by a bit (the unit tests pin every block length and remainder,
 /// and the serving differential harness pins it end to end).
 ///
-/// `idx` entries may repeat and appear in any order; each must satisfy
-/// `(idx[i]+1)·m ≤ mu.len()` (checked by the row slicing).
+/// `row` may return the same row more than once, and rows from separate
+/// allocations.
+///
+/// # Panics
+///
+/// If a row's length differs from `x.len()`.
 #[inline]
-pub fn dot_block(x: &[f64], mu: &[f64], idx: &[u32], out: &mut [f64]) {
-    assert_eq!(idx.len(), out.len(), "dot_block needs one output per row");
-    let m = x.len();
-    if m < DISPATCH_THRESHOLD {
-        for (o, &r) in out.iter_mut().zip(idx) {
-            let r = r as usize;
-            *o = unfused_core(x, &mu[r * m..r * m + m]);
-        }
-        return;
-    }
-    match active_backend() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { avx2::dot_block(x, mu, idx, out) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unsafe { neon::dot_block(x, mu, idx, out) },
-        _ => scalar::dot_block(x, mu, idx, out),
-    }
+pub fn dot_block<'a>(x: &[f64], row: impl Fn(usize) -> &'a [f64], out: &mut [f64]) {
+    dot_block_on(active_backend, x, row, out);
 }
 
 /// [`dot_block`] through one explicit backend (which must be available).
-pub fn dot_block_with(backend: Backend, x: &[f64], mu: &[f64], idx: &[u32], out: &mut [f64]) {
-    assert_eq!(idx.len(), out.len(), "dot_block needs one output per row");
+pub fn dot_block_with<'a>(
+    backend: Backend,
+    x: &[f64],
+    row: impl Fn(usize) -> &'a [f64],
+    out: &mut [f64],
+) {
     assert!(backend.is_available(), "backend not available on this CPU");
+    dot_block_on(|| backend, x, row, out);
+}
+
+/// The body of [`dot_block`] and [`dot_block_with`], as [`dot_on`] is
+/// [`dot`]'s. Each row is checked to hold `x.len()` elements: the
+/// backends read rows through raw pointers.
+#[inline(always)]
+fn dot_block_on<'a>(
+    backend: impl FnOnce() -> Backend,
+    x: &[f64],
+    row: impl Fn(usize) -> &'a [f64],
+    out: &mut [f64],
+) {
     let m = x.len();
+    let row = move |i| {
+        let r = row(i);
+        assert_eq!(r.len(), m, "dot_block rows must match x's length");
+        r
+    };
     if m < DISPATCH_THRESHOLD {
-        for (o, &r) in out.iter_mut().zip(idx) {
-            let r = r as usize;
-            *o = unfused_core(x, &mu[r * m..r * m + m]);
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = unfused_core(x, row(i));
         }
         return;
     }
-    match backend {
-        Backend::Scalar => scalar::dot_block(x, mu, idx, out),
+    // SAFETY: `backend` yields an available backend; `row` checks lengths.
+    match backend() {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { avx2::dot_block(x, mu, idx, out) },
+        Backend::Avx2 => unsafe { avx2::dot_block(x, row, out) },
         #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unsafe { neon::dot_block(x, mu, idx, out) },
-        #[allow(unreachable_patterns)]
-        _ => unreachable!("availability checked above"),
-    }
-}
-
-/// [`dot`] through one explicit backend (which must be available) — the
-/// hook behind the dispatch-matrix tests and per-backend benches.
-pub fn dot_with(backend: Backend, a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot product requires equal-length slices");
-    assert!(backend.is_available(), "backend not available on this CPU");
-    if a.len() < DISPATCH_THRESHOLD {
-        return unfused_core(a, b);
-    }
-    match backend {
-        Backend::Scalar => scalar::dot(a, b),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { avx2::dot(a, b) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unsafe { neon::dot(a, b) },
-        #[allow(unreachable_patterns)]
-        _ => unreachable!("availability checked above"),
+        Backend::Neon => unsafe { neon::dot_block(x, row, out) },
+        _ => scalar::dot_block(x, row, out),
     }
 }
 
@@ -486,11 +493,9 @@ mod scalar {
 
     /// Per-row [`dot`] over the block — no call overhead to amortize in
     /// scalar code, and delegation keeps the bits structural.
-    pub(super) fn dot_block(x: &[f64], mu: &[f64], idx: &[u32], out: &mut [f64]) {
-        let m = x.len();
-        for (o, &r) in out.iter_mut().zip(idx) {
-            let r = r as usize;
-            *o = dot(x, &mu[r * m..r * m + m]);
+    pub(super) fn dot_block<'a>(x: &[f64], row: impl Fn(usize) -> &'a [f64], out: &mut [f64]) {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = dot(x, row(i));
         }
     }
 }
@@ -518,6 +523,8 @@ mod avx2 {
     /// # Safety
     /// Caller must have verified `avx2` and `fma` CPU support; slices must
     /// be equal length (checked by the dispatch wrappers).
+    // Inlinable into `dot_block`, which is generic and so compiled in the calling crate.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn dot(a: &[f64], b: &[f64]) -> f64 {
         let n = a.len();
@@ -640,24 +647,23 @@ mod avx2 {
     /// rows, and every row of any other `m`, take [`dot`]'s body.
     ///
     /// # Safety
-    /// As for [`dot`].
+    /// As for [`dot`], and every row must hold `x.len()` elements.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn dot_block(x: &[f64], mu: &[f64], idx: &[u32], out: &mut [f64]) {
-        let m = x.len();
-        let row = |r: u32| {
-            let r = r as usize;
-            &mu[r * m..r * m + m]
-        };
+    pub(super) unsafe fn dot_block<'a>(
+        x: &[f64],
+        row: impl Fn(usize) -> &'a [f64],
+        out: &mut [f64],
+    ) {
         let mut done = 0;
-        if m.is_multiple_of(16) {
-            for (o, r) in out.chunks_exact_mut(4).zip(idx.chunks_exact(4)) {
-                let d = dot_rows4(x, [row(r[0]), row(r[1]), row(r[2]), row(r[3])]);
+        if x.len().is_multiple_of(16) {
+            for o in out.chunks_exact_mut(4) {
+                let d = dot_rows4(x, [row(done), row(done + 1), row(done + 2), row(done + 3)]);
                 _mm256_storeu_pd(o.as_mut_ptr(), d);
+                done += 4;
             }
-            done = idx.len() / 4 * 4;
         }
-        for (o, &r) in out[done..].iter_mut().zip(&idx[done..]) {
-            *o = dot(x, row(r));
+        for (i, o) in out.iter_mut().enumerate().skip(done) {
+            *o = dot(x, row(i));
         }
     }
 }
@@ -673,6 +679,7 @@ mod neon {
     /// # Safety
     /// Caller must have verified NEON support; slices must be equal length
     /// (checked by the dispatch wrappers).
+    #[inline]
     #[target_feature(enable = "neon")]
     pub(super) unsafe fn dot(a: &[f64], b: &[f64]) -> f64 {
         let n = a.len();
@@ -726,13 +733,15 @@ mod neon {
     /// overhead once per block instead of once per row.
     ///
     /// # Safety
-    /// As for [`dot`].
+    /// As for [`dot`], and every row must hold `x.len()` elements.
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn dot_block(x: &[f64], mu: &[f64], idx: &[u32], out: &mut [f64]) {
-        let m = x.len();
-        for (o, &r) in out.iter_mut().zip(idx) {
-            let r = r as usize;
-            *o = dot(x, &mu[r * m..r * m + m]);
+    pub(super) unsafe fn dot_block<'a>(
+        x: &[f64],
+        row: impl Fn(usize) -> &'a [f64],
+        out: &mut [f64],
+    ) {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = dot(x, row(i));
         }
     }
 }
@@ -782,7 +791,7 @@ mod tests {
         // Rows 0..9 are ordinary; the rest are hostile: all `-0.0`,
         // alternating `±0.0` (signed-zero products), a `+∞` entry, a `-∞`
         // entry, and a NaN entry.
-        const NAN_ROW: u32 = 13;
+        const NAN_ROW: usize = 13;
         for backend in Backend::available() {
             // m brackets the dispatch threshold and exercises the 16-block
             // (four-row) path, quads and tails.
@@ -795,10 +804,14 @@ mod tests {
                     mu.extend((0..m).map(|j| 0.5 + j as f64));
                     mu[at] = special;
                 }
+                // The same rows twice: slices of one flat matrix, and one
+                // allocation per row, as the engine's clusters hold them.
+                let flat: Vec<&[f64]> = mu.chunks_exact(m).collect();
+                let owned: Vec<Vec<f64>> = mu.chunks_exact(m).map(<[f64]>::to_vec).collect();
                 let x: Vec<f64> = (0..m).map(|i| 1.7 - (i as f64) * 0.13).collect();
                 // Scattered and repeating; each rotation moves every hostile
                 // row through each lane of a four-row group.
-                let pool: [u32; 13] = [4, 9, 0, 8, 11, 2, 10, 7, 12, 1, 13, 5, 3];
+                let pool: [usize; 13] = [4, 9, 0, 8, 11, 2, 10, 7, 12, 1, 13, 5, 3];
                 for shift in 0..4 {
                     let mut pool = pool;
                     pool.rotate_left(shift);
@@ -807,26 +820,37 @@ mod tests {
                     for b in 0..=pool.len() {
                         let idx = &pool[..b];
                         let mut out = vec![0.0f64; b];
-                        dot_block_with(backend, &x, &mu, idx, &mut out);
+                        dot_block_with(backend, &x, |i| flat[idx[i]], &mut out);
+                        let mut apart = vec![0.0f64; b];
+                        dot_block_with(backend, &x, |i| &owned[idx[i]], &mut apart);
                         for (i, &r) in idx.iter().enumerate() {
-                            let row = &mu[r as usize * m..(r as usize + 1) * m];
                             let what = format!(
                                 "{} dot_block[{i}] (row {r}) at m={m}, b={b}",
                                 backend.name()
                             );
                             if r == NAN_ROW {
                                 assert!(out[i].is_nan(), "{what} swallowed a NaN");
+                                assert!(apart[i].is_nan(), "{what} apart swallowed a NaN");
                                 continue;
                             }
-                            let single = dot_with(backend, &x, row);
+                            let single = dot_with(backend, &x, flat[r]);
                             assert_eq!(out[i].to_bits(), single.to_bits(), "{what}");
-                            let scalar = dot_with(Backend::Scalar, &x, row);
+                            assert_eq!(apart[i].to_bits(), single.to_bits(), "{what} apart");
+                            let scalar = dot_with(Backend::Scalar, &x, flat[r]);
                             assert_eq!(out[i].to_bits(), scalar.to_bits(), "{what} vs scalar");
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "dot_block rows must match")]
+    fn dot_block_refuses_a_row_of_the_wrong_length() {
+        let x = [1.0; 16];
+        let short = [1.0; 15];
+        dot_block(&x, |_| &short, &mut [0.0]);
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -913,7 +937,7 @@ mod tests {
         assert_eq!(dot(&[], &[]), 0.0);
         assert_eq!(dot(&[2.0], &[3.0]), 6.0);
         let mut out = [1.0; 2];
-        dot_block(&[], &[], &[0, 0], &mut out);
+        dot_block(&[], |_| &[], &mut out);
         assert_eq!(out, [0.0; 2]);
     }
 
