@@ -212,7 +212,7 @@ fn main() {
             "identical to unpruned; workload built via the zero-allocation ",
             "assign_into_arena pipeline); and the IncrementalUcpc streaming ",
             "churn window (interleaved remove/insert/stabilize) with pruning {{off, bounds}} ",
-            "— free-list row reuse + drift-tracked edits + surgical per-cluster cache ",
+            "— free-list row reuse + edits charged once per pruned pass + surgical per-cluster cache ",
             "invalidation (live labels and objective bits asserted identical across both ",
             "configurations)\",\n",
             "  \"units\": \"nanoseconds (median of {reps} kernel / {preps} end-to-end / ",

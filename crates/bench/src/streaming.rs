@@ -5,8 +5,9 @@
 //! The churn loop models the moving-objects deployment: a settled live
 //! partition, a stream of departures and arrivals (each arrival placed by
 //! the O(k·m) Corollary-1 scan, each departure an O(m) retraction), and a
-//! periodic stabilization sweep. Once a pruned sweep has cached bounds,
-//! edits are drift-tracked, so the next sweep keeps them (surgical invalidation — see
+//! periodic stabilization sweep. Edits fold untracked, and the next pruned
+//! sweep charges each cluster's net change since the last one ended, so it
+//! keeps the cached bounds (surgical invalidation — see
 //! `ucpc_core::pruning`). Labels are asserted byte-identical across both
 //! configurations on every repetition, so the comparison doubles as an
 //! end-to-end exactness check.
@@ -236,9 +237,10 @@ mod tests {
             passes: 2,
         };
         let w = streaming_workload(shape, spec, 23);
-        let tracked = churn_once(&w, PruningConfig::Bounds);
+        let charged = churn_once(&w, PruningConfig::Bounds);
         // The same churn with the whole cache dropped (a pruner retire)
-        // before every sweep: what an engine with untracked edits must do.
+        // before every sweep: what an engine that cannot bound its edits
+        // must do.
         let mut live = IncrementalUcpc::new(shape.m, shape.k).unwrap();
         live.set_pruning(PruningConfig::Bounds);
         let mut ids: Vec<ObjectHandle> =
@@ -255,7 +257,7 @@ mod tests {
         }
         live.set_pruning(PruningConfig::Bounds);
         live.stabilize(spec.passes);
-        assert_eq!(live.live_labels(), tracked.labels);
+        assert_eq!(live.live_labels(), charged.labels);
         let after = live.pruning_counters();
         let bumped = PruneCounters {
             skips: after.skips - before.skips,
@@ -263,9 +265,9 @@ mod tests {
             full_scans: after.full_scans - before.full_scans,
         };
         assert!(
-            tracked.counters.skip_rate() > bumped.skip_rate(),
-            "tracked skip-rate {} must beat epoch bumps {}",
-            tracked.counters.skip_rate(),
+            charged.counters.skip_rate() > bumped.skip_rate(),
+            "charged skip-rate {} must beat epoch bumps {}",
+            charged.counters.skip_rate(),
             bumped.skip_rate()
         );
     }

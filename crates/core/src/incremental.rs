@@ -80,31 +80,32 @@
 //! whole [`MomentArena`] under a given partition, which is how a batch
 //! [`crate::Ucpc`] run starts.
 //!
-//! # Surgical invalidation, tracked lazily
+//! # Surgical invalidation, charged per pass
 //!
 //! The engine owns its pruning state in one [`Pruner`] and hands it every
-//! statistic update and every relocation decision. Once a pruned pass has
-//! cached bounds, the pruner folds edits drift-tracked
+//! statistic update and every relocation decision. Inside a pruned pass
+//! the pruner folds the pass's moves drift-tracked
 //! ([`crate::pruning::track_add`] / [`crate::pruning::track_remove`],
-//! bit-identical statistics to the untracked fold), so an edit is just one
-//! more transition the drift bounds already cover: cached pruning bounds
-//! *widen* instead of dying. Only a small-size transition (the touched
-//! cluster passing through size `< 2`, where the remove-direction
+//! bit-identical statistics to the untracked fold), and every pass ends
+//! with [`Pruner::end_pass`], which snapshots each cluster. Inserts,
+//! removes and replayed moves until the next pass take the plain O(m)
+//! fold, and that pass's [`Pruner::begin_pass`] charges each cluster's net
+//! change since the snapshot as one transition, so cached pruning bounds
+//! *widen* by how far each cluster actually moved instead of dying. Only a cluster that was
+//! below 2 members at either end of a change (where the remove-direction
 //! coefficients are undefined) taints history, and only the entries whose
-//! `src` is the touched cluster are invalidated, via the per-cluster version
-//! counters of [`crate::pruning`] (module docs there derive the soundness).
-//! On churny streams this is the difference between every stabilization
-//! pass re-scanning all `n` objects and the pass skipping everything the
-//! edits provably could not have changed. Cache entries also carry the
-//! slot's generation stamp, so an entry written for a departed occupant can
-//! never serve the slot's next tenant.
+//! `src` is that cluster are invalidated, via the per-cluster version
+//! counters of [`crate::pruning`] (module docs there derive the
+//! soundness). On churny streams this is the difference between every
+//! stabilization pass re-scanning all `n` objects and the pass skipping
+//! everything the edits provably could not have changed. Cache entries
+//! also carry the slot's generation stamp, so an entry written for a
+//! departed occupant can never serve the slot's next tenant.
 //!
-//! Tracking is paid only while somebody can read it. A pruned pass turns
-//! it on; [`Pruner::retire`] turns it off, empties the cache and zeroes
-//! every watermark, and [`IncrementalUcpc::set_pruning`], the
-//! re-partition of a restart and an undone pass all retire. Until the next
-//! pruned pass, inserts, removes and replayed moves take the plain O(m)
-//! fold, and that pass caches against accumulators that start from zero.
+//! [`Pruner::retire`] empties the cache, zeroes every watermark and drops
+//! the snapshot, and [`IncrementalUcpc::set_pruning`], the re-partition of
+//! a restart and an undone pass all retire; the next pruned pass then
+//! charges nothing and caches against accumulators that start from zero.
 //! Drift therefore depends on pass history, which is why snapshots leave
 //! it out ([`crate::snapshot`]); a restored engine's pruner is
 //! [`Pruner::new`], the state a retire leaves.
@@ -125,8 +126,8 @@ pub use ucpc_uncertain::ObjectHandle;
 /// [`IncrementalUcpc::with_backend`] keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamBackend {
-    /// Flat arena rows with free-list reuse, lazily drift-tracked edits,
-    /// per-cluster surgical invalidation.
+    /// Flat arena rows with free-list reuse, edits charged once per
+    /// pruned pass, per-cluster surgical invalidation.
     Slab,
 }
 
@@ -257,8 +258,8 @@ impl IncrementalUcpc {
 
     /// Enables or disables candidate pruning for subsequent
     /// [`Self::stabilize`] calls. The pruner retires ([`Pruner::retire`]):
-    /// outstanding cached bounds are discarded, and edits fold untracked
-    /// until the next pruned pass.
+    /// outstanding cached bounds are discarded, and the next pruned pass
+    /// charges nothing.
     pub fn set_pruning(&mut self, pruning: PruningConfig) {
         self.pruner.set_config(pruning);
     }
@@ -440,8 +441,8 @@ impl IncrementalUcpc {
     /// allocates next and carries a finite `m`-dimensional row; a `Remove`
     /// or `Move` names a live slot labelled with the cluster it leaves (its
     /// row is read from the engine's rows). Every entry folds through the
-    /// [`Pruner`], drift-tracked iff a pruned pass's cache entries are live
-    /// (module docs), and with the plain O(m) update otherwise. The first
+    /// [`Pruner`] with the plain O(m) update, charged to the drift bounds
+    /// by the next pruned pass (module docs). The first
     /// failing entry stops the fold with the reason; a refused entry
     /// changes nothing (a refused `Insert` leaves its slot free), but the
     /// entries before it stay applied, for a replaying caller to discard.
@@ -511,8 +512,8 @@ impl IncrementalUcpc {
     /// Relocates the object in live slot `s` from `src` to `dst`, both
     /// existing clusters with `src` its label: the unchecked body of a
     /// `Move` entry, which a relocation pass applies directly. The move
-    /// goes through [`Pruner::relocate`], drift-tracked under the one rule
-    /// of [`Self::apply_round`], and invalidates the slot's cached bound.
+    /// goes through [`Pruner::relocate`], drift-tracked iff a pruned pass
+    /// is open, and invalidates the slot's cached bound.
     fn relocate(&mut self, s: usize, src: usize, dst: usize) {
         let v = self.rows.view(s);
         self.pruner.relocate(&mut self.stats, s, src, dst, &v);
@@ -531,7 +532,9 @@ impl IncrementalUcpc {
 
     /// [`Self::stabilize`], handing every move to `each` after applying it
     /// with the body of [`Self::apply_round`]'s `Move` arm — the serving
-    /// layer logs a pass's moves as one round this way.
+    /// layer logs a pass's moves as one round this way. Every pass, the
+    /// last one too, opens with [`Pruner::begin_pass`] and closes with
+    /// [`Pruner::end_pass`].
     pub(crate) fn stabilize_with(&mut self, passes: usize, mut each: impl FnMut(LogOp)) -> usize {
         let mut relocations = 0usize;
         for _ in 0..passes {
@@ -560,6 +563,7 @@ impl IncrementalUcpc {
                 relocations += 1;
                 moved = true;
             }
+            self.pruner.end_pass(&self.stats);
             if !moved {
                 break;
             }

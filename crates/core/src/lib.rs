@@ -51,12 +51,13 @@
 //! window in one [`ucpc_uncertain::MomentArena`] whose rows it recycles
 //! through its own free list under generation-stamped handles, places
 //! each arrival through the same pricing table (one `dot_block` over every
-//! cluster), and hands every statistic update to its pruner. Once a pruned
-//! pass has cached bounds, the pruner folds edits drift-tracked so those
-//! bounds survive them — only a cluster passing through size < 2
+//! cluster), and hands every statistic update to its pruner. Edits fold
+//! untracked; the next pruned pass charges each cluster's net change since
+//! the previous pass ended as one transition, so cached bounds survive
+//! them — only a cluster below 2 members at either end of the change
 //! surgically invalidates the entries rooted in it, via the per-cluster
-//! version counters of [`pruning`]. Until then, and after every
-//! [`pruning::Pruner::retire`], edits fold untracked.
+//! version counters of [`pruning`]. After a [`pruning::Pruner::retire`]
+//! there is nothing cached and nothing to charge.
 //!
 //! ```
 //! use rand::rngs::StdRng;

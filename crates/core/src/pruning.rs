@@ -122,31 +122,51 @@
 //!
 //! The pruner exploits this with per-cluster *remove-direction version
 //! counters*: a tracked [`Pruner::relocate`] bumps `versions[c]` only when
-//! cluster `c`'s half of the relocation was small, and `decide` rejects an
-//! entry only when `versions[src]` moved past the value snapshotted at
-//! store time. Entries whose `src` sits elsewhere ride straight through —
-//! their bounds simply widen by the (always-sound) add-direction drift.
-//! The same argument covers streaming edits: `IncrementalUcpc` hands every
-//! insert and removal to [`Pruner::add`] / [`Pruner::remove`], which fold
-//! it tracked while cached entries are live, so an edit is just one more
-//! transition the accumulators already bound, and only a small edit bumps
-//! the touched cluster's version — no cached bound elsewhere is disturbed.
+//! cluster `c`'s half of the relocation was small (and a charge between
+//! passes, below, only when cluster `c` was small at either end), and
+//! `decide` rejects an entry only when `versions[src]` moved past the
+//! value snapshotted at store time. Entries whose `src` sits elsewhere
+//! ride straight through — their bounds simply widen by the (always-sound)
+//! add-direction drift.
+//!
+//! # Streaming edits: one charge per cluster per pass
+//!
+//! Drift is tracked per transition only while a pruned pass is open,
+//! because only there are cache entries stored between two updates. Its
+//! [`Pruner::end_pass`] snapshots each cluster's size, `Ψ_tot − S₂` and
+//! `mean_sum` row and switches tracking off, so the inserts, removals and
+//! replayed moves `IncrementalUcpc` hands [`Pruner::add`] /
+//! [`Pruner::remove`] until the next pass take the plain fold. That pass's
+//! [`Pruner::begin_pass`] then charges each cluster's net change since the
+//! snapshot, `C → C'`, as one transition, with the direct bound above for
+//! "any sequence of member additions/removals": `|T(C') − T(C)|`,
+//! `|1/(n'+1) − 1/(n+1)|` and `‖s'/(n'+1) − s/(n+1)‖` in the add
+//! direction, the same with `n−1` denominators in the remove direction.
+//! Every entry was stored before the snapshot, so its watermark difference
+//! covers the chain up to the snapshot plus this one step, which by the
+//! triangle inequality bounds its drift and is never looser than
+//! charging the edits one by one (the rule of Hamerly's k-means bounds:
+//! each bound moves once per iteration, by how far its centre moved). A
+//! cluster that did not change is charged nothing, so back-to-back passes
+//! charge exactly zero. One that changed with fewer than 2 members at
+//! either end has no remove-direction bound, and bumps its version
+//! instead — only the entries rooted in it die, no cached bound elsewhere
+//! is disturbed. An entry stored outside a pass would not be covered,
+//! which is why [`Pruner::store`] runs only inside one.
 //!
 //! # Retiring
 //!
 //! [`Pruner::retire`] is the coarse kill-switch: it empties the cache,
 //! zeroes every watermark (per-cluster accumulators, their totals and the
-//! versions) and makes every pricer stale, which is exactly the state
-//! [`Pruner::new`] builds; only the configuration and the counters
-//! survive. `IncrementalUcpc::set_pruning` retires, and so do the
-//! re-partition that starts each of `BestOfRestarts`'s restarts on a
-//! reused engine and an undone pass, and a snapshot restore builds
-//! `Pruner::new` outright. Retiring is also what
-//! lets tracking be lazy: it switches tracking off, and only
-//! [`Pruner::begin_pass`] of a pruned pass switches it back on, before
-//! anything is cached. An update folded untracked therefore happens only
-//! while the cache is empty, and every entry stored later diffs against
-//! accumulators that have seen every transition since.
+//! versions), drops the last pass's end snapshot and makes every pricer
+//! stale, which is exactly the state [`Pruner::new`] builds; only the
+//! configuration and the counters survive. `IncrementalUcpc::set_pruning`
+//! retires, and so do the re-partition that starts each of
+//! `BestOfRestarts`'s restarts on a reused engine and an undone pass, and
+//! a snapshot restore builds `Pruner::new` outright. With no snapshot the
+//! next [`Pruner::begin_pass`] charges nothing, and nothing needs it: the
+//! cache is empty, so every entry stored later diffs against accumulators
+//! that have seen every transition since.
 //!
 //! The accumulators and bounds are themselves computed in floating point, so
 //! every test inflates the drift by [`slack`] — a safety margin proportional
@@ -185,14 +205,13 @@
 //!
 //! [`Pruner::add`], [`Pruner::remove`] and [`Pruner::relocate`] each keep
 //! a plain (untracked) fork on purpose: the statistics are bit-identical
-//! either way, but only a pruned pass reads the drift accumulators, and
-//! maintaining them costs 8 divisions, 2 square roots and two
+//! either way, but tracking costs 8 divisions, 2 square roots and two
 //! [`ClusterDrift`] copies per update on top of the O(m) fold. On every
 //! move that slowed the unpruned batch pass by about a quarter at n=2000,
-//! m=8, k=5 (the `pruning_grid` shape of `bench_relocation`), and on
-//! every edit it cost `bench_soak`'s unpruned leg about a tenth of its
-//! ns/edit. The pruner tracks only while a pruned pass's entries are
-//! live.
+//! m=8, k=5 (the `pruning_grid` shape of `bench_relocation`). The pruner
+//! tracks only the moves of an open pruned pass; every edit between
+//! passes takes the plain fold, and the next pass pays one O(m) charge
+//! per changed cluster instead.
 
 use crate::objective::{AddPricer, ClusterStats, RemovePricer};
 use ucpc_uncertain::arena::MomentView;
@@ -344,6 +363,21 @@ fn displacement(scale: f64, sum_mu_sq: f64, cross: f64, s_sq: f64) -> f64 {
         .sqrt()
 }
 
+/// `‖s1/d1 − s0/d0‖`, the mean-coupled coefficient of a charged
+/// transition, as `‖s1·d0 − s0·d1‖ / (d0·d1)` summed element by element, so
+/// that no difference of two large sums can shrink it.
+fn mean_shift(s0: &[f64], d0: f64, s1: &[f64], d1: f64) -> f64 {
+    let sq: f64 = s0
+        .iter()
+        .zip(s1)
+        .map(|(&x0, &x1)| {
+            let e = x1 * d0 - x0 * d1;
+            e * e
+        })
+        .sum();
+    sq.sqrt() / (d0 * d1)
+}
+
 /// `Ψ_tot − S₂` and `S₂` of `stats`: what a tracked transition diffs.
 fn spread(stats: &ClusterStats) -> (f64, f64) {
     let (psi_tot, _, s_sq_tot) = stats.scalar_aggregates();
@@ -446,7 +480,7 @@ struct DriftTotals {
 
 impl DriftTotals {
     /// Folds one cluster's accumulator movement (`before` → `after`,
-    /// around a tracked update) into the totals. The difference, not the
+    /// around a tracked update or a charge) into the totals. The difference, not the
     /// increments themselves: adding those directly rounds differently.
     fn absorb(&mut self, before: ClusterDrift, after: ClusterDrift) {
         self.add_const += after.add_const - before.add_const;
@@ -498,9 +532,9 @@ impl CacheEntry {
 }
 
 /// All pruning state of one engine: the configuration, the tracking flag,
-/// each cluster's [`ClusterDrift`], their `DriftTotals`, the per-cluster
-/// remove-direction versions, the cache and the counters, plus the
-/// [`PricingTable`] every scan prices through. Every statistic update
+/// the last pass's end snapshot, each cluster's [`ClusterDrift`], their
+/// `DriftTotals`, the per-cluster remove-direction versions, the cache and
+/// the counters, plus the [`PricingTable`] every scan prices through. Every statistic update
 /// ([`Self::add`], [`Self::remove`], [`Self::relocate`]) and every
 /// decision ([`Self::best_move`], [`Self::placement`]) goes through it,
 /// so it alone decides what is tracked, what a cached bound may trust and
@@ -515,10 +549,15 @@ impl CacheEntry {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pruner {
     config: PruningConfig,
-    /// Whether updates fold drift-tracked: set by a pruned pass's
-    /// [`Self::begin_pass`], cleared by [`Self::retire`], so that while it
-    /// is `false` the cache is empty.
+    /// Whether updates fold drift-tracked: set while a pruned pass is open,
+    /// from its [`Self::begin_pass`] to its [`Self::end_pass`], and cleared
+    /// by [`Self::retire`]. While it is `false`, the cache is empty or
+    /// `pass_end` holds the statistics every entry's bounds reach.
     tracking: bool,
+    /// Each cluster's `(size, Ψ_tot − S₂, mean_sum)` at the last pruned
+    /// pass's [`Self::end_pass`], `m + 2` floats per cluster, which the
+    /// next [`Self::begin_pass`] charges from and empties; empty otherwise.
+    pass_end: Vec<f64>,
     drift: Vec<ClusterDrift>,
     totals: DriftTotals,
     versions: Vec<u64>,
@@ -537,6 +576,7 @@ impl Pruner {
         Self {
             config,
             tracking: false,
+            pass_end: Vec::new(),
             drift: vec![ClusterDrift::default(); k],
             totals: DriftTotals::default(),
             versions: vec![0; k],
@@ -565,13 +605,15 @@ impl Pruner {
     }
 
     /// Empties the cache, zeroes every watermark — the per-cluster
-    /// accumulators, their totals and the versions — makes every pricer
-    /// stale and stops tracking until the next pruned pass: the state
-    /// [`Self::new`] builds, keeping the configuration, the counters and
-    /// the buffers. Called whenever cached bounds may no longer hold: a
-    /// configuration change, a re-partition, an undone pass.
+    /// accumulators, their totals and the versions — drops the last pass's
+    /// end snapshot, makes every pricer stale and stops tracking until the
+    /// next pruned pass: the state [`Self::new`] builds, keeping the
+    /// configuration, the counters and the buffers. Called whenever cached
+    /// bounds may no longer hold: a configuration change, a re-partition,
+    /// an undone pass.
     pub fn retire(&mut self) {
         self.tracking = false;
+        self.pass_end.clear();
         self.drift.fill(ClusterDrift::default());
         self.totals = DriftTotals::default();
         self.versions.fill(0);
@@ -605,9 +647,11 @@ impl Pruner {
 
     /// Opens one relocation pass over `slots` objects against `stats`. A
     /// pruned pass grows the cache to cover every slot (new entries
-    /// invalid), takes the pass's floating-point scale and switches
-    /// tracking on, so the entries it caches see every transition after
-    /// them. Does nothing when pruning is off.
+    /// invalid), charges every cluster's net change since the last
+    /// [`Self::end_pass`] (module docs), takes the pass's
+    /// floating-point scale and switches tracking on, so the entries it
+    /// caches see every transition after them. Does nothing when pruning is
+    /// off.
     pub fn begin_pass(&mut self, stats: &[ClusterStats], slots: usize) {
         if !self.config.is_enabled() {
             return;
@@ -616,8 +660,65 @@ impl Pruner {
             self.entries.resize(slots, CacheEntry::invalid());
             self.snaps.resize(slots * self.stride(), 0.0);
         }
+        self.charge(stats);
         self.scale = fp_scale(stats);
         self.tracking = true;
+    }
+
+    /// Closes the open pruned pass: snapshots each cluster's size,
+    /// `Ψ_tot − S₂` and `mean_sum` row of `stats` and switches tracking
+    /// off, so the edits until the next [`Self::begin_pass`] take the plain
+    /// fold and that pass charges their net effect at once. Does nothing
+    /// when no pruned pass is open (pruning off, or a pass already closed).
+    pub fn end_pass(&mut self, stats: &[ClusterStats]) {
+        if !self.tracking {
+            return;
+        }
+        self.pass_end.clear();
+        for s in stats {
+            self.pass_end.extend([s.size() as f64, spread(s).0]);
+            self.pass_end.extend_from_slice(s.mean_sum());
+        }
+        self.tracking = false;
+    }
+
+    /// Charges each cluster's net change from the `pass_end` snapshot to
+    /// `stats` into its [`ClusterDrift`] and the drift totals as one
+    /// transition, with the direct bound of the module docs, and empties
+    /// the snapshot. A cluster that did not change is charged nothing; one
+    /// that changed with fewer than 2 members at either end bumps its
+    /// version instead of charging the remove direction.
+    fn charge(&mut self, stats: &[ClusterStats]) {
+        if self.pass_end.is_empty() {
+            return;
+        }
+        let stride = self.pass_end.len() / stats.len();
+        let ends = self.pass_end.chunks_exact(stride);
+        for (c, (now, then)) in stats.iter().zip(ends).enumerate() {
+            let (n0, a0, s0) = (then[0] as usize, then[1], &then[2..]);
+            let (n1, a1, s1) = (now.size(), spread(now).0, now.mean_sum());
+            if n0 == n1 && a0 == a1 && s0 == s1 {
+                continue;
+            }
+            let before = self.drift[c];
+            let d = &mut self.drift[c];
+            // Add direction, denominators n+1: defined at every size.
+            let (p0, p1) = ((n0 + 1) as f64, (n1 + 1) as f64);
+            d.add_const += (t_term(n1, a1) - t_term(n0, a0)).abs();
+            d.add_size += (1.0 / p1 - 1.0 / p0).abs();
+            d.add_mean += mean_shift(s0, p0, s1, p1);
+            // Remove direction, denominators n−1: needs both sizes >= 2.
+            if n0 < 2 || n1 < 2 {
+                self.versions[c] = self.versions[c].wrapping_add(1);
+            } else {
+                let (r0, r1) = ((n0 - 1) as f64, (n1 - 1) as f64);
+                d.rem_const += (u_term(n1, a1) - u_term(n0, a0)).abs();
+                d.rem_size += (1.0 / r1 - 1.0 / r0).abs();
+                d.rem_mean += mean_shift(s0, r0, s1, r1);
+            }
+            self.totals.absorb(before, self.drift[c]);
+        }
+        self.pass_end.clear();
     }
 
     /// Adds `v` to cluster `c`: one insert, or the second half of
@@ -847,7 +948,9 @@ impl Pruner {
     /// version, of every cluster's add-direction accumulators and of
     /// `src`'s remove-direction ones (the watermarks later
     /// [`Self::decide`] calls diff against). Slot `i` must be covered by
-    /// the last [`Self::begin_pass`].
+    /// the last [`Self::begin_pass`], and that pass must still be open:
+    /// the next pass's charge starts at [`Self::end_pass`] and would miss
+    /// what changed between it and a later store.
     pub fn store(&mut self, i: usize, gen: u32, src: usize, scan: (usize, f64, f64)) {
         let (best_dst, best, second) = scan;
         self.entries[i] = CacheEntry {
@@ -1163,6 +1266,7 @@ mod tests {
                 && self.entries.is_empty()
                 && self.snaps.is_empty()
                 && !self.tracking
+                && self.pass_end.is_empty()
                 && self.totals == DriftTotals::default()
                 && self.versions.iter().all(|&v| v == 0)
                 && self.drift.iter().all(|&d| d == zero)
@@ -1492,6 +1596,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_charge_with_no_change_since_the_pass_end_adds_exactly_zero() {
+        let data = objects(8);
+        let arena = MomentArena::from_objects(&data);
+        let labels = vec![0, 0, 0, 0, 1, 1, 1, 1];
+        let mut stats = stats_for(&arena, &labels, 2);
+        let mut pruner = pruner(&stats, 8);
+        // Tracked moves inside the pass make every add watermark non-zero.
+        pruner.relocate(&mut stats, 7, 1, 0, &arena.view(7));
+        pruner.relocate(&mut stats, 3, 0, 1, &arena.view(3));
+        assert!(pruner.drift.iter().all(|d| d.add_size > 0.0));
+        let (drift, totals, versions) =
+            (pruner.drift.clone(), pruner.totals, pruner.versions.clone());
+        pruner.end_pass(&stats);
+        assert!(!pruner.tracking);
+        // A second close snapshots nothing new.
+        pruner.end_pass(&stats);
+        pruner.begin_pass(&stats, 8);
+        assert!(
+            pruner.pass_end.is_empty(),
+            "the charge consumes the snapshot"
+        );
+        assert_eq!(pruner.drift, drift);
+        assert_eq!(pruner.totals, totals);
+        assert_eq!(pruner.versions, versions);
+        // With pruning off no pass opens, so closing one changes nothing.
+        let mut off = Pruner::new(2, PruningConfig::Off);
+        off.begin_pass(&stats, 8);
+        off.end_pass(&stats);
+        assert!(off.is_fresh());
+    }
+
+    #[test]
+    fn a_cluster_emptied_between_passes_bumps_only_its_version() {
+        let data = objects(12);
+        let arena = MomentArena::from_objects(&data);
+        let labels = vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2];
+        let mut stats = stats_for(&arena, &labels, 3);
+        let mut pruner = pruner(&stats, 12);
+        // Wide margins, one entry rooted in cluster 0, one in cluster 1.
+        pruner.store(0, 0, 0, (2, 1e6, 2e6));
+        pruner.store(7, 0, 1, (0, 1e6, 2e6));
+        pruner.end_pass(&stats);
+        // Cluster 1 goes from 4 members to 1, untracked.
+        for i in [4, 5, 6] {
+            pruner.remove(&mut stats, 1, &arena.view(i));
+        }
+        assert_eq!(pruner.drift, [ClusterDrift::default(); 3]);
+        pruner.begin_pass(&stats, 12);
+        assert_eq!(pruner.versions, [0, 1, 0]);
+        let charged = pruner.drift[1];
+        assert!(charged.add_const > 0.0 && charged.add_size > 0.0 && charged.add_mean > 0.0);
+        assert_eq!(
+            (charged.rem_const, charged.rem_size, charged.rem_mean),
+            (0.0, 0.0, 0.0)
+        );
+        assert_eq!(pruner.drift[0], ClusterDrift::default());
+        assert_eq!(pruner.drift[2], ClusterDrift::default());
+        assert_eq!(
+            pruner.decide(7, 0, 1, &arena.view(7)),
+            PruneDecision::FullScan
+        );
+        assert_eq!(pruner.decide(0, 0, 0, &arena.view(0)), PruneDecision::Skip);
+        // And from 1 member to none.
+        pruner.end_pass(&stats);
+        pruner.remove(&mut stats, 1, &arena.view(7));
+        pruner.begin_pass(&stats, 12);
+        assert_eq!(pruner.versions, [0, 2, 0]);
+        assert_eq!(pruner.decide(0, 0, 0, &arena.view(0)), PruneDecision::Skip);
     }
 
     #[test]

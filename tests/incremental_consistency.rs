@@ -6,11 +6,11 @@
 //! 1. **Cache/stat consistency** (seed regression): a removal changes a
 //!    cluster's statistics between stabilization passes; a cached bound
 //!    that ignored it could skip a scan whose outcome the departed member
-//!    changed. The engine's tracked edits must keep every cached bound
-//!    sound.
-//! 2. **Reference equivalence**: the engine (free-list row reuse,
-//!    drift-tracked edits, surgical per-cluster invalidation) must be
-//!    *byte-identical* to the per-object reference model `RefStream`
+//!    changed. The drift the next pruned pass charges for the engine's
+//!    edits must keep every cached bound sound.
+//! 2. **Reference equivalence**: the engine (free-list row reuse, edits
+//!    charged once per pruned pass, surgical per-cluster invalidation)
+//!    must be *byte-identical* to the per-object reference model `RefStream`
 //!    (`tests/support/reference.rs`) — handles, labels, per-cluster
 //!    statistics, objectives — across pruning configurations and SIMD
 //!    backends, under arbitrary interleavings with slot reuse. A proptest
@@ -333,8 +333,8 @@ fn stale_handle_errors_are_identical_across_backends() {
 
 #[test]
 fn surgical_invalidation_skips_more_than_epoch_bumps() {
-    // The whole point of the tracked-edit path: after edits, cached bounds
-    // survive (widened). The same script replayed with the whole cache
+    // The whole point of charging edits to the drift bounds: after edits,
+    // cached bounds survive (widened). The same script replayed with the whole cache
     // dropped before every stabilization — a global invalidation per edit
     // batch — must reach the same labels and statistics with a strictly
     // lower hit rate.

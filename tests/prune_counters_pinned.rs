@@ -57,7 +57,7 @@ fn a_churning_then_stabilizing_stream_prunes_exactly_as_pinned() {
     let counters = live.pruning_counters();
     assert_eq!(
         (settled, churned, last, tiers(counters)),
-        (5, 37, 0, (4697, 3423, 2380)),
+        (5, 37, 0, (6729, 2634, 1137)),
         "{counters:?}"
     );
     assert!(counters.confirms > 0 && counters.skips > 0);

@@ -1,9 +1,10 @@
 //! Property test of the drift-bound *invariant itself*, not just run-level
 //! outcomes: over random relocation sequences — including adversarial,
-//! non-greedy moves the search would never take, and tracked streaming
-//! edits (inserts/removals outside any relocation) — whenever the bound
-//! machinery says "skip" (or "the cached argmin still wins"), a shadow full
-//! scan must agree. A lucky end-to-end equality cannot mask an unsound
+//! non-greedy moves the search would never take, and streaming edits
+//! (inserts/removals outside any relocation), folded tracked inside a pass
+//! or untracked between two passes and charged by the next — whenever the
+//! bound machinery says "skip" (or "the cached argmin still wins"), a
+//! shadow full scan must agree. A lucky end-to-end equality cannot mask an unsound
 //! bound here: every single decision is cross-checked against ground truth.
 //! The per-cluster remove-direction version counters (surgical
 //! invalidation, see `ucpc_core::pruning`) are exercised directly: edits
@@ -70,15 +71,154 @@ fn shadow_scan(
     best.map(|(dst, delta)| (dst, delta, second))
 }
 
+/// One random script: relocation churn *interleaved with streaming
+/// edits* (inserts of pooled extra objects, removals of assigned ones —
+/// the engine's edit path, including edits that take clusters through
+/// size < 2 and fire the surgical per-cluster invalidation); after every
+/// step, every cached object's decision is validated against a shadow
+/// scan. With `charged`, about half the steps close the pass
+/// ([`Pruner::end_pass`]) before their edit, so that edit folds untracked
+/// and the validating `begin_pass` charges it. Returns the number of
+/// validated skips.
+fn validate_script(
+    seed: u64,
+    (n, extras, m, k, steps): (usize, usize, usize, usize, usize),
+    charged: bool,
+) -> Result<usize, String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let total = n + extras;
+    let data = dataset(total, m, &mut rng);
+    let arena = MomentArena::from_objects(&data);
+    // Core objects start assigned; the extra pool starts outside the
+    // clustering and is streamed in/out by edits.
+    let mut labels: Vec<Option<usize>> = (0..total)
+        .map(|i| {
+            if i >= n {
+                None
+            } else if i < k {
+                Some(i)
+            } else {
+                Some(rng.gen_range(0..k))
+            }
+        })
+        .collect();
+    let mut stats = vec![ClusterStats::empty(m); k];
+    for (i, l) in labels.iter().enumerate() {
+        if let Some(l) = *l {
+            stats[l].add_view(&arena.view(i));
+        }
+    }
+
+    // Opening a pass covers every object and switches tracking on.
+    let mut pruner = Pruner::new(k, PruningConfig::Bounds);
+    pruner.begin_pass(&stats, total);
+    // Each object's generation: bumped on every re-insert, so an entry
+    // stored for an earlier stay never serves the next one.
+    let mut gens = vec![0u32; total];
+    let mut skips = 0;
+
+    for _step in 0..steps {
+        // Cache a handful of random objects from genuine scans.
+        for _ in 0..3 {
+            let i = rng.gen_range(0..total);
+            let Some(src) = labels[i] else { continue };
+            if stats[src].size() <= 1 {
+                continue;
+            }
+            if let Some(scan) = shadow_scan(&stats, &arena, i, src) {
+                pruner.store(i, gens[i], src, scan);
+            }
+        }
+        if charged && rng.gen_bool(0.5) {
+            pruner.end_pass(&stats);
+        }
+
+        // One adversarial action: a non-greedy relocation, an insert of a
+        // pooled object, or a removal.
+        match rng.gen_range(0..4u8) {
+            0 => {
+                // Insert: any unassigned object, any cluster — including
+                // empty ones (small transition ⇒ surgical version bump on
+                // exactly that cluster).
+                let unassigned: Vec<usize> = (0..total).filter(|&i| labels[i].is_none()).collect();
+                if let Some(&i) = unassigned.get(rng.gen_range(0..unassigned.len().max(1))) {
+                    let dst = rng.gen_range(0..k);
+                    pruner.add(&mut stats, dst, &arena.view(i));
+                    gens[i] += 1;
+                    labels[i] = Some(dst);
+                }
+            }
+            1 => {
+                // Removal — allowed to empty a cluster.
+                let assigned: Vec<usize> = (0..total).filter(|&i| labels[i].is_some()).collect();
+                if assigned.len() > k {
+                    let i = assigned[rng.gen_range(0..assigned.len())];
+                    let src = labels[i].take().expect("assigned");
+                    pruner.remove(&mut stats, src, &arena.view(i));
+                }
+            }
+            _ => {
+                let i = rng.gen_range(0..total);
+                if let Some(src) = labels[i] {
+                    if stats[src].size() > 1 {
+                        let mut dst = rng.gen_range(0..k);
+                        if dst == src {
+                            dst = (dst + 1) % k;
+                        }
+                        pruner.relocate(&mut stats, i, src, dst, &arena.view(i));
+                        labels[i] = Some(dst);
+                    }
+                }
+            }
+        }
+
+        // Validate every assigned object's decision against ground truth,
+        // at the pass scale of the current statistics.
+        pruner.begin_pass(&stats, total);
+        #[allow(clippy::needless_range_loop)]
+        for j in 0..total {
+            let Some(src) = labels[j] else { continue };
+            if stats[src].size() <= 1 {
+                continue;
+            }
+            let v = arena.view(j);
+            let decision = pruner.decide(j, gens[j], src, &v);
+            let truth = shadow_scan(&stats, &arena, j, src);
+            match decision {
+                PruneDecision::FullScan => {}
+                PruneDecision::Skip => {
+                    let (_, best, _) = truth.expect("k >= 2 yields candidates");
+                    prop_assert!(
+                        best >= -TOLERANCE,
+                        "unsound skip: shadow best {best} would relocate \
+                         (object {j}, seed {seed})"
+                    );
+                    skips += 1;
+                }
+                PruneDecision::ConfirmBest(dst) => {
+                    let (true_dst, best, second) = truth.expect("candidates exist");
+                    prop_assert_eq!(
+                        dst,
+                        true_dst,
+                        "unsound argmin confirmation (object {}, seed {})",
+                        j,
+                        seed
+                    );
+                    prop_assert!(
+                        best < second || second == f64::INFINITY,
+                        "confirmed argmin is not strictly winning"
+                    );
+                }
+            }
+        }
+    }
+    Ok(skips)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(30))]
 
-    /// Random relocation churn *interleaved with tracked streaming edits*
-    /// (inserts of pooled extra objects, removals of assigned ones — the
-    /// engine's edit path, including edits that take clusters through
-    /// size < 2 and fire the surgical per-cluster invalidation); after
-    /// every step, every cached object's decision is validated against a
-    /// shadow scan.
+    /// Every step's edit folds tracked inside one open pass.
     #[test]
     fn skip_and_confirm_decisions_survive_shadow_scans(
         seed in 0u64..1_000_000,
@@ -89,126 +229,21 @@ proptest! {
         steps in 10usize..60,
     ) {
         prop_assume!(k < n);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let total = n + extras;
-        let data = dataset(total, m, &mut rng);
-        let arena = MomentArena::from_objects(&data);
-        // Core objects start assigned; the extra pool starts outside the
-        // clustering and is streamed in/out by tracked edits.
-        let mut labels: Vec<Option<usize>> = (0..total)
-            .map(|i| {
-                if i >= n {
-                    None
-                } else if i < k {
-                    Some(i)
-                } else {
-                    Some(rng.gen_range(0..k))
-                }
-            })
-            .collect();
-        let mut stats = vec![ClusterStats::empty(m); k];
-        for (i, l) in labels.iter().enumerate() {
-            if let Some(l) = *l {
-                stats[l].add_view(&arena.view(i));
-            }
-        }
+        validate_script(seed, (n, extras, m, k, steps), false)?;
+    }
 
-        // Opening a pass covers every object and switches tracking on.
-        let mut pruner = Pruner::new(k, PruningConfig::Bounds);
-        pruner.begin_pass(&stats, total);
-        // Each object's generation: bumped on every re-insert, so an entry
-        // stored for an earlier stay never serves the next one.
-        let mut gens = vec![0u32; total];
-
-        for _step in 0..steps {
-            // Cache a handful of random objects from genuine scans.
-            for _ in 0..3 {
-                let i = rng.gen_range(0..total);
-                let Some(src) = labels[i] else { continue };
-                if stats[src].size() <= 1 {
-                    continue;
-                }
-                if let Some(scan) = shadow_scan(&stats, &arena, i, src) {
-                    pruner.store(i, gens[i], src, scan);
-                }
-            }
-
-            // One adversarial action: a non-greedy relocation, a tracked
-            // insert of a pooled object, or a tracked removal.
-            match rng.gen_range(0..4u8) {
-                0 => {
-                    // Tracked insert: any unassigned object, any cluster —
-                    // including empty ones (small transition ⇒ surgical
-                    // version bump on exactly that cluster).
-                    let unassigned: Vec<usize> =
-                        (0..total).filter(|&i| labels[i].is_none()).collect();
-                    if let Some(&i) = unassigned.get(rng.gen_range(0..unassigned.len().max(1))) {
-                        let dst = rng.gen_range(0..k);
-                        pruner.add(&mut stats, dst, &arena.view(i));
-                        gens[i] += 1;
-                        labels[i] = Some(dst);
-                    }
-                }
-                1 => {
-                    // Tracked removal — allowed to empty a cluster.
-                    let assigned: Vec<usize> =
-                        (0..total).filter(|&i| labels[i].is_some()).collect();
-                    if assigned.len() > k {
-                        let i = assigned[rng.gen_range(0..assigned.len())];
-                        let src = labels[i].take().expect("assigned");
-                        pruner.remove(&mut stats, src, &arena.view(i));
-                    }
-                }
-                _ => {
-                    let i = rng.gen_range(0..total);
-                    if let Some(src) = labels[i] {
-                        if stats[src].size() > 1 {
-                            let mut dst = rng.gen_range(0..k);
-                            if dst == src {
-                                dst = (dst + 1) % k;
-                            }
-                            pruner.relocate(&mut stats, i, src, dst, &arena.view(i));
-                            labels[i] = Some(dst);
-                        }
-                    }
-                }
-            }
-
-            // Validate every assigned object's decision against ground
-            // truth, at the pass scale of the current statistics.
-            pruner.begin_pass(&stats, total);
-            #[allow(clippy::needless_range_loop)]
-            for j in 0..total {
-                let Some(src) = labels[j] else { continue };
-                if stats[src].size() <= 1 {
-                    continue;
-                }
-                let v = arena.view(j);
-                let decision = pruner.decide(j, gens[j], src, &v);
-                let truth = shadow_scan(&stats, &arena, j, src);
-                match decision {
-                    PruneDecision::FullScan => {}
-                    PruneDecision::Skip => {
-                        let (_, best, _) = truth.expect("k >= 2 yields candidates");
-                        prop_assert!(
-                            best >= -TOLERANCE,
-                            "unsound skip: shadow best {best} would relocate \
-                             (object {j}, seed {seed})"
-                        );
-                    }
-                    PruneDecision::ConfirmBest(dst) => {
-                        let (true_dst, best, second) = truth.expect("candidates exist");
-                        prop_assert_eq!(
-                            dst, true_dst,
-                            "unsound argmin confirmation (object {}, seed {})", j, seed
-                        );
-                        prop_assert!(
-                            best < second || second == f64::INFINITY,
-                            "confirmed argmin is not strictly winning"
-                        );
-                    }
-                }
-            }
-        }
+    /// About half the steps' edits fold untracked between two passes and
+    /// are charged by the next pass's net-change bound.
+    #[test]
+    fn charged_edits_between_passes_survive_shadow_scans(
+        seed in 0u64..1_000_000,
+        n in 12usize..40,
+        extras in 3usize..10,
+        m in 1usize..6,
+        k in 2usize..6,
+        steps in 10usize..60,
+    ) {
+        prop_assume!(k < n);
+        validate_script(seed, (n, extras, m, k, steps), true)?;
     }
 }

@@ -201,13 +201,15 @@ fn stats_bits(stats: &[ClusterStats]) -> Vec<u64> {
         .collect()
 }
 
-/// Drift tracking is lazy: edits fold untracked until a pruned pass caches
-/// bounds, and tracked from then until the next `set_pruning`. A seeded
-/// churn script flips pruning Off → Bounds → Off → Bounds mid-stream, with
-/// stabilize bursts in between. After every step the engine must equal an
-/// always-Off twin bit for bit, and every edit must follow the rule: it
-/// leaves each cluster's drift accumulators untouched while no pruned pass
-/// ran since the flip, and moves them once one did.
+/// Drift is charged per pass: an edit folds untracked under either
+/// setting, and the next pruned pass charges the clusters that edits
+/// changed since the previous pruned pass ended. A seeded churn script
+/// flips pruning Off → Bounds → Off → Bounds mid-stream, with stabilize
+/// bursts in between. After every step the engine must equal an always-Off
+/// twin bit for bit, and the rule must hold: no edit moves a cluster's
+/// drift accumulators, and a pruned stabilize after a pruned pass moves
+/// those of every cluster changed since that pass's end, and of no other
+/// when it relocates nothing.
 #[test]
 fn lazy_drift_tracking_is_bit_neutral_across_pruning_flips() {
     let k = 4;
@@ -216,7 +218,9 @@ fn lazy_drift_tracking_is_bit_neutral_across_pruning_flips() {
     let mut live = IncrementalUcpc::new(2, k).unwrap();
     twin.set_pruning(PruningConfig::Off);
     let drifts = |e: &IncrementalUcpc| -> Vec<ClusterDrift> { e.pruner().drift().to_vec() };
-    let (mut tracked, mut untracked) = (0, 0);
+    // Edits made while a pruned pass's end awaits its charge, edits made
+    // with no pruned pass since the flip, and clusters charged.
+    let (mut pending, mut fresh, mut charged) = (0, 0, 0);
     for (phase, pruning) in [
         PruningConfig::Off,
         PruningConfig::Bounds,
@@ -227,7 +231,8 @@ fn lazy_drift_tracking_is_bit_neutral_across_pruning_flips() {
     .enumerate()
     {
         live.set_pruning(pruning);
-        let mut pass_ran = false;
+        // The statistics at the last pruned pass's end since the flip.
+        let mut pass_end: Option<Vec<ClusterStats>> = None;
         for step in 0..150 {
             let what = format!("phase {phase} ({pruning:?}), step {step}");
             let before = drifts(&live);
@@ -250,16 +255,41 @@ fn lazy_drift_tracking_is_bit_neutral_across_pruning_flips() {
                     alive.len() > k
                 }
                 _ => {
+                    let changed: Vec<bool> = match &pass_end {
+                        Some(end) => live
+                            .cluster_stats()
+                            .iter()
+                            .zip(end)
+                            .map(|(a, b)| a != b)
+                            .collect(),
+                        None => vec![false; k],
+                    };
                     let passes = rng.gen_range(1..4usize);
-                    assert_eq!(live.stabilize(passes), twin.stabilize(passes), "{what}");
-                    pass_ran |= pruning.is_enabled();
+                    let moves = live.stabilize(passes);
+                    assert_eq!(moves, twin.stabilize(passes), "{what}");
+                    let after = drifts(&live);
+                    for (c, &changed) in changed.iter().enumerate() {
+                        let moved = after[c] != before[c];
+                        if changed {
+                            assert!(moved, "cluster {c} changed but was not charged: {what}");
+                            charged += 1;
+                        } else if moves == 0 {
+                            assert!(!moved, "cluster {c} charged unchanged: {what}");
+                        }
+                    }
+                    if pruning.is_enabled() {
+                        pass_end = Some(live.cluster_stats().to_vec());
+                    }
                     false
                 }
             };
             if edited {
-                let moved = drifts(&live) != before;
-                assert_eq!(moved, pass_ran, "drift tracking off the rule: {what}");
-                *(if moved { &mut tracked } else { &mut untracked }) += 1;
+                assert_eq!(drifts(&live), before, "an edit moved drift: {what}");
+                *(if pass_end.is_some() {
+                    &mut pending
+                } else {
+                    &mut fresh
+                }) += 1;
             }
             assert_eq!(live.live_labels(), twin.live_labels(), "{what}");
             assert_eq!(
@@ -274,7 +304,10 @@ fn lazy_drift_tracking_is_bit_neutral_across_pruning_flips() {
             );
         }
     }
-    assert!(tracked > 0 && untracked > 0, "{tracked} / {untracked}");
+    assert!(
+        pending > 0 && fresh > 0 && charged > 0,
+        "{pending} / {fresh} / {charged}"
+    );
     assert!(live.pruning_counters().skips > 0, "pruning must fire");
 }
 

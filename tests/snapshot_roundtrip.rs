@@ -219,9 +219,9 @@ fn streaming_snapshot_roundtrips_and_older_versions_are_rejected() {
 /// Drift bookkeeping depends on which passes an engine ran, so version 5
 /// leaves it out: the same clustering reached through different pass
 /// histories writes the same bytes. One engine runs the script pruned
-/// (tracked edits after its first pass), one runs it unpruned and switches
-/// pruning on at the end (never tracked), and one is restored mid-script
-/// (cold cache, watermarks from zero).
+/// (edits charged to the drift bounds after its first pass), one runs it
+/// unpruned and switches pruning on at the end (nothing charged), and one
+/// is restored mid-script (cold cache, watermarks from zero).
 #[test]
 fn engines_with_different_pass_histories_write_identical_snapshots() {
     let script = churn_script(44, 160);

@@ -3,7 +3,7 @@
 //! `IncrementalUcpc` promises that steady-state churn —
 //! insert-after-remove — touches the allocator **zero** times: the freed
 //! moment row is recycled in place (the engine's free list), the generation-stamped handle scheme recycles the label-map slot
-//! with it, the placement scan and the tracked statistic updates run
+//! with it, the placement scan and the statistic updates run
 //! entirely on borrowed views and stack scalars, and no `Moments` is ever
 //! cloned. With slot recycling, **no reservation is needed**: no
 //! handle-indexed structure grows at all under steady churn (the slot
