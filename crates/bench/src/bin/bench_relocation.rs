@@ -212,17 +212,13 @@ fn main() {
             "identical to unpruned; workload built via the zero-allocation ",
             "assign_into_arena pipeline); and the IncrementalUcpc streaming ",
             "churn window (interleaved remove/insert/stabilize) with pruning {{off, bounds}} ",
-            "— free-list row reuse + edits charged once per pruned pass + surgical per-cluster cache ",
-            "invalidation (live labels and objective bits asserted identical across both ",
-            "configurations)\",\n",
+            "— free-list row reuse + edits charged as net changes when a cached bound next ",
+            "reads them + surgical per-cluster cache invalidation (live labels and objective ",
+            "bits asserted identical across both configurations)\",\n",
             "  \"units\": \"nanoseconds (median of {reps} kernel / {preps} end-to-end / ",
             "{sreps} streaming repetitions, release profile)\",\n",
             "  \"acceptance_shape\": {{\"n\": 10000, \"m\": 32, \"k\": 20, ",
-            // The pruning gate was 1.5 when PR 2 measured it against the
-            // pre-SIMD kernel; the SIMD kernel made the skipped scans ~2x
-            // cheaper, shrinking pruning's end-to-end win (see ROADMAP).
-            "\"required_speedup\": 2.0, \"required_pruning_speedup\": 1.2, ",
-            "\"required_simd_speedup\": 1.5}},\n",
+            "\"required_speedup\": 2.0, \"required_simd_speedup\": 1.5}},\n",
             "  \"acceptance_row_index\": {acceptance},\n",
             "  \"simd_backend\": \"{backend}\",\n",
             "  \"cpu_features\": [{features}],\n",

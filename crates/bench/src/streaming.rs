@@ -5,9 +5,9 @@
 //! The churn loop models the moving-objects deployment: a settled live
 //! partition, a stream of departures and arrivals (each arrival placed by
 //! the O(k·m) Corollary-1 scan, each departure an O(m) retraction), and a
-//! periodic stabilization sweep. Edits fold untracked, and the next pruned
-//! sweep charges each cluster's net change since the last one ended, so it
-//! keeps the cached bounds (surgical invalidation — see
+//! periodic stabilization sweep. Edits take the plain fold, and the next
+//! pruned sweep charges each cluster's net change when it first reads a
+//! cached bound, so it keeps the cached bounds (surgical invalidation — see
 //! `ucpc_core::pruning`). Labels are asserted byte-identical across both
 //! configurations on every repetition, so the comparison doubles as an
 //! end-to-end exactness check.

@@ -80,18 +80,15 @@
 //! whole [`MomentArena`] under a given partition, which is how a batch
 //! [`crate::Ucpc`] run starts.
 //!
-//! # Surgical invalidation, charged per pass
+//! # Surgical invalidation, charged on read
 //!
 //! The engine owns its pruning state in one [`Pruner`] and hands it every
-//! statistic update and every relocation decision. Inside a pruned pass
-//! the pruner folds the pass's moves drift-tracked
-//! ([`crate::pruning::track_add`] / [`crate::pruning::track_remove`],
-//! bit-identical statistics to the untracked fold), and every pass ends
-//! with [`Pruner::end_pass`], which snapshots each cluster. Inserts,
-//! removes and replayed moves until the next pass take the plain O(m)
-//! fold, and that pass's [`Pruner::begin_pass`] charges each cluster's net
-//! change since the snapshot as one transition, so cached pruning bounds
-//! *widen* by how far each cluster actually moved instead of dying. Only a cluster that was
+//! statistic update and every relocation decision. Every insert, remove,
+//! replayed move and relocation takes the plain O(m) fold and marks its
+//! cluster changed, and the next cached bound the pruner reads or stores
+//! first charges each changed cluster's net change since its last charge
+//! as one transition, so cached pruning bounds *widen* by how far each
+//! cluster actually moved instead of dying. Only a cluster that was
 //! below 2 members at either end of a change (where the remove-direction
 //! coefficients are undefined) taints history, and only the entries whose
 //! `src` is that cluster are invalidated, via the per-cluster version
@@ -103,9 +100,9 @@
 //! departed occupant can never serve the slot's next tenant.
 //!
 //! [`Pruner::retire`] empties the cache, zeroes every watermark and drops
-//! the snapshot, and [`IncrementalUcpc::set_pruning`], the re-partition of
-//! a restart and an undone pass all retire; the next pruned pass then
-//! charges nothing and caches against accumulators that start from zero.
+//! the charge state, and [`IncrementalUcpc::set_pruning`], the re-partition
+//! of a restart and an undone pass all retire; the next pruned pass then
+//! caches against accumulators that start from zero.
 //! Drift therefore depends on pass history, which is why snapshots leave
 //! it out ([`crate::snapshot`]); a restored engine's pruner is
 //! [`Pruner::new`], the state a retire leaves.
@@ -126,8 +123,9 @@ pub use ucpc_uncertain::ObjectHandle;
 /// [`IncrementalUcpc::with_backend`] keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamBackend {
-    /// Flat arena rows with free-list reuse, edits charged once per
-    /// pruned pass, per-cluster surgical invalidation.
+    /// Flat arena rows with free-list reuse, edits charged as net changes
+    /// when a cached bound next reads them, per-cluster surgical
+    /// invalidation.
     Slab,
 }
 
@@ -199,7 +197,7 @@ impl IncrementalUcpc {
     /// Bulk-loads `arena`'s rows, moved in without a copy, as slots
     /// `0..n`, each live at generation 0 and partitioned by `labels` (one
     /// per row, in `0..k`). Each cluster folds its rows with the plain
-    /// `add_view` in row order; nothing is logged or drift-tracked.
+    /// `add_view` in row order; nothing is logged or charged.
     ///
     /// `k == 0` is [`ClusterError::InvalidK`]; a bad partition is
     /// [`ClusterError::LabelLengthMismatch`] or
@@ -512,8 +510,8 @@ impl IncrementalUcpc {
     /// Relocates the object in live slot `s` from `src` to `dst`, both
     /// existing clusters with `src` its label: the unchecked body of a
     /// `Move` entry, which a relocation pass applies directly. The move
-    /// goes through [`Pruner::relocate`], drift-tracked iff a pruned pass
-    /// is open, and invalidates the slot's cached bound.
+    /// goes through [`Pruner::relocate`], which marks both clusters
+    /// changed and invalidates the slot's cached bound.
     fn relocate(&mut self, s: usize, src: usize, dst: usize) {
         let v = self.rows.view(s);
         self.pruner.relocate(&mut self.stats, s, src, dst, &v);
@@ -532,9 +530,8 @@ impl IncrementalUcpc {
 
     /// [`Self::stabilize`], handing every move to `each` after applying it
     /// with the body of [`Self::apply_round`]'s `Move` arm — the serving
-    /// layer logs a pass's moves as one round this way. Every pass, the
-    /// last one too, opens with [`Pruner::begin_pass`] and closes with
-    /// [`Pruner::end_pass`].
+    /// layer logs a pass's moves as one round this way. Every pass opens
+    /// with [`Pruner::begin_pass`].
     pub(crate) fn stabilize_with(&mut self, passes: usize, mut each: impl FnMut(LogOp)) -> usize {
         let mut relocations = 0usize;
         for _ in 0..passes {
@@ -563,7 +560,6 @@ impl IncrementalUcpc {
                 relocations += 1;
                 moved = true;
             }
-            self.pruner.end_pass(&self.stats);
             if !moved {
                 break;
             }
@@ -909,7 +905,7 @@ mod tests {
         assert_eq!(inc.cluster_stats(), before.cluster_stats());
         // The pass cached bounds against statistics that are gone: the
         // pruner retires, so the cache is empty, every watermark is zero
-        // and edits fold untracked until the next pruned pass.
+        // and nothing is charged until the next pruned pass.
         assert_eq!(inc.pruner().cache_entries(), 0);
         assert!(inc.pruner().is_fresh());
         assert_eq!(inc.pruning_counters(), counted, "counters survive");
@@ -978,7 +974,7 @@ mod tests {
     fn every_retire_lands_on_a_fresh_pruner() {
         use crate::serving::{ServingConfig, ServingResponse, ServingUcpc};
         use crate::wal::{VecIo, WAL_HEADER_LEN};
-        // A pruned engine with live cache entries and tracked churn behind
+        // A pruned engine with live cache entries and charged churn behind
         // them, so every watermark is non-zero.
         let mut churned = IncrementalUcpc::from_arena(blob_arena(), 3, &partition(90, 7)).unwrap();
         churned.set_pruning(PruningConfig::Bounds);

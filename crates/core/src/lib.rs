@@ -51,13 +51,15 @@
 //! window in one [`ucpc_uncertain::MomentArena`] whose rows it recycles
 //! through its own free list under generation-stamped handles, places
 //! each arrival through the same pricing table (one `dot_block` over every
-//! cluster), and hands every statistic update to its pruner. Edits fold
-//! untracked; the next pruned pass charges each cluster's net change since
-//! the previous pass ended as one transition, so cached bounds survive
-//! them — only a cluster below 2 members at either end of the change
-//! surgically invalidates the entries rooted in it, via the per-cluster
-//! version counters of [`pruning`]. After a [`pruning::Pruner::retire`]
-//! there is nothing cached and nothing to charge.
+//! cluster), and hands every statistic update to its pruner. Every update
+//! takes the plain fold and marks its cluster changed; the next cached
+//! bound the pruner reads or stores first charges each changed cluster's
+//! net change since its last charge as one transition, so cached bounds
+//! survive edits — only a cluster below 2 members at either end of the
+//! change surgically invalidates the entries rooted in it, via the
+//! per-cluster version counters of [`pruning`]. After a
+//! [`pruning::Pruner::retire`] there is nothing cached and nothing to
+//! charge.
 //!
 //! ```
 //! use rand::rngs::StdRng;

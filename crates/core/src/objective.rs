@@ -62,9 +62,9 @@ use ucpc_uncertain::{Moments, UncertainObject};
 /// `Ψ`, `Φ` and `s`, and their three scalar aggregates. Two values are
 /// equal iff they hold the same sums bit for bit, whatever history folded
 /// them. Relocation pruning keeps its drift accumulators beside the
-/// statistics, in [`crate::pruning::Pruner`], and folds through
-/// [`crate::pruning::track_add`] / [`crate::pruning::track_remove`] while
-/// it tracks.
+/// statistics, in [`crate::pruning::Pruner`], which folds every update
+/// through [`Self::add_view`] / [`Self::remove_view`] and charges a
+/// cluster's net change from its rows and aggregates alone.
 #[derive(Debug, PartialEq)]
 pub struct ClusterStats {
     psi: Vec<f64>,
@@ -223,19 +223,10 @@ impl ClusterStats {
     /// If any of the view's three rows does not have the cluster's `m`
     /// entries — checked before anything is folded, in release builds too.
     pub fn add_view(&mut self, v: &MomentView<'_>) {
-        self.add_view_impl(v);
-    }
-
-    /// [`Self::add_view`]'s body; returns the `⟨s_pre, mu(o)⟩` cross term
-    /// the update already computes, which the drift-tracked
-    /// [`crate::pruning::track_add`] reuses for the exact normalized-mean
-    /// displacement.
-    pub(crate) fn add_view_impl(&mut self, v: &MomentView<'_>) -> f64 {
         self.check_rows(v);
         // The ⟨s, mu(o)⟩ cross term goes through the dispatched SIMD kernel
         // — the same code path (and therefore the same bits) as the
-        // scan-side `delta_j_*` evaluations and the drift-displacement
-        // updates that reuse the returned value.
+        // scan-side `delta_j_*` evaluations.
         let cross = dot(&self.mean_sum, v.mu);
         row_pass(&mut self.psi, v.var, |s, x| s + x);
         row_pass(&mut self.phi, v.mu2, |s, x| s + x);
@@ -244,7 +235,6 @@ impl ClusterStats {
         self.phi_tot += v.sum_mu2;
         self.s_sq_tot += 2.0 * cross + v.sum_mu_sq;
         self.size += 1;
-        cross
     }
 
     /// Removes one member through a kernel view: the three slice passes of
@@ -256,12 +246,6 @@ impl ClusterStats {
     /// If the cluster is empty, or any of the view's three rows does not
     /// have the cluster's `m` entries (checked before anything is folded).
     pub fn remove_view(&mut self, v: &MomentView<'_>) {
-        self.remove_view_impl(v);
-    }
-
-    /// [`Self::remove_view`]'s body; returns the `⟨s_post, mu(o)⟩` cross
-    /// term (so `⟨s_pre, mu(o)⟩ = cross + Σ mu_j²`).
-    pub(crate) fn remove_view_impl(&mut self, v: &MomentView<'_>) -> f64 {
         // Invariant: only a member is removed, so the cluster holds at least
         // one; an empty one means the caller lost track of its labels, and
         // folding on would underflow the size.
@@ -286,7 +270,6 @@ impl ClusterStats {
             self.phi_tot = 0.0;
             self.s_sq_tot = 0.0;
         }
-        cross
     }
 
     /// The one length check of a fold, hoisted out of its row passes.

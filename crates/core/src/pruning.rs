@@ -39,32 +39,16 @@
 //! ```
 //!
 //! where `q(o) = sigma²(o) + ‖mu(o)‖² ≥ |sigma²(o) − ‖mu(o)‖²|`, and the
-//! analogous bound for `delta_remove` with `n±1` replaced by `n∓1`-style
-//! denominators (`1/(n−1)`, valid whenever both sizes are ≥ 2). For a single
-//! tracked transition `C → C ± x` the mean-coupled factor is not merely
-//! bounded but *exact*, and O(1): with `d, d'` the direction's denominators,
-//!
-//! ```text
-//! ‖s'/d' − s/d‖ = ‖(s ± mu(x)) d − s d'‖ / (d d')
-//!               = ‖mu(x)·a − s‖ / (d d'),        a = ±d = ∓(d' − d)·…,
-//! ```
-//!
-//! where the numerator collapses to `‖mu(x)·a − s‖` with `a = n+1` (add
-//! direction) or `a = n−1` (remove direction) for either transition, and
-//! expands through scalars that are already on hand:
-//! `‖mu(x)·a − s‖² = a²·Σmu(x)² − 2a⟨s, mu(x)⟩ + S₂`, the cross term being
-//! computed by the very `add_view`/`remove_view` pass that applies the
-//! relocation. The exactness matters: the naive triangle split
-//! `‖s‖·|1/d'−1/d| + ‖mu(x)‖/d'` loses the cancellation between `mu(x)` and
-//! `s` (both roughly aligned with the cluster mean) and is an order of
-//! magnitude looser on realistic data. The [`Pruner`] accumulates these
-//! three coefficients per direction for every cluster ([`ClusterDrift`]),
-//! next to the cluster's [`ClusterStats`] rather than inside them: the
-//! statistics stay Corollary 1's sums and nothing else. Every term is
-//! non-negative, so the accumulators are monotone and for any earlier
-//! snapshot the difference `acc(now) − acc(snapshot)` bounds the total
-//! drift of that cluster's delta over the whole intervening relocation
-//! history (triangle inequality over the chain of transitions).
+//! analogous bound for `delta_remove` with `n∓1`-style denominators
+//! (`1/(n−1)`, valid whenever both sizes are ≥ 2). The bound reads the two
+//! ends only, never the path between them. The [`Pruner`] accumulates
+//! these three coefficients per direction for every cluster
+//! ([`ClusterDrift`]), next to the cluster's [`ClusterStats`] rather than
+//! inside them: the statistics stay Corollary 1's sums and nothing else.
+//! Every term is non-negative, so the accumulators are monotone and for any
+//! earlier snapshot the difference `acc(now) − acc(snapshot)` bounds the
+//! total drift of that cluster's delta over the whole intervening history
+//! (triangle inequality over the chain of charges, see "One drift rule").
 //!
 //! # Soundness of the two skip tests
 //!
@@ -106,67 +90,65 @@
 //!
 //! # Surgical invalidation: per-cluster remove-direction versions
 //!
-//! Any transition that takes a cluster through size `< 2` is flagged by the
-//! tracked updates ([`track_add`], [`track_remove`]) because the
-//! remove-direction coefficients are not defined there — that cluster's
-//! remove-direction accumulators silently miss the transition's drift and
-//! can no longer be trusted as watermarks. Crucially, the *add*-direction
-//! coefficients are accumulated unconditionally (they are defined down to
-//! an emptying or just-born cluster), so a small transition taints exactly
-//! one thing: the flagged cluster's remove-direction history. And
-//! [`Pruner::decide`] consumes remove-direction drift for exactly one
-//! cluster — the object's own `src` (the removal gain common to all
-//! candidates); every other cluster enters only through its add-direction
-//! accumulators. A cached bound is therefore unsound after a small
-//! transition **iff** its `src` is the flagged cluster.
+//! A charge (next section) with fewer than 2 members at either end has no
+//! remove-direction bound, because the coefficients are not defined there,
+//! so that cluster's remove-direction accumulators miss the change and can
+//! no longer be trusted as watermarks. Crucially, the *add*-direction
+//! coefficients are charged unconditionally (they are defined down to an
+//! empty cluster), so such a charge taints exactly one thing: that
+//! cluster's remove-direction history. And [`Pruner::decide`] consumes
+//! remove-direction drift for exactly one cluster — the object's own `src`
+//! (the removal gain common to all candidates); every other cluster enters
+//! only through its add-direction accumulators. A cached bound is
+//! therefore unsound after such a charge **iff** its `src` is that cluster.
 //!
 //! The pruner exploits this with per-cluster *remove-direction version
-//! counters*: a tracked [`Pruner::relocate`] bumps `versions[c]` only when
-//! cluster `c`'s half of the relocation was small (and a charge between
-//! passes, below, only when cluster `c` was small at either end), and
-//! `decide` rejects an entry only when `versions[src]` moved past the
-//! value snapshotted at store time. Entries whose `src` sits elsewhere
-//! ride straight through — their bounds simply widen by the (always-sound)
-//! add-direction drift.
+//! counters*: such a charge bumps `versions[c]` instead of charging `c`'s
+//! remove direction, and `decide` rejects an entry only when
+//! `versions[src]` moved past the value snapshotted at store time. Entries
+//! whose `src` sits elsewhere ride straight through — their bounds simply
+//! widen by the (always-sound) add-direction drift.
 //!
-//! # Streaming edits: one charge per cluster per pass
+//! # One drift rule: a cluster's net change, charged on the next read
 //!
-//! Drift is tracked per transition only while a pruned pass is open,
-//! because only there are cache entries stored between two updates. Its
-//! [`Pruner::end_pass`] snapshots each cluster's size, `Ψ_tot − S₂` and
-//! `mean_sum` row and switches tracking off, so the inserts, removals and
-//! replayed moves `IncrementalUcpc` hands [`Pruner::add`] /
-//! [`Pruner::remove`] until the next pass take the plain fold. That pass's
-//! [`Pruner::begin_pass`] then charges each cluster's net change since the
-//! snapshot, `C → C'`, as one transition, with the direct bound above for
-//! "any sequence of member additions/removals": `|T(C') − T(C)|`,
-//! `|1/(n'+1) − 1/(n+1)|` and `‖s'/(n'+1) − s/(n+1)‖` in the add
-//! direction, the same with `n−1` denominators in the remove direction.
-//! Every entry was stored before the snapshot, so its watermark difference
-//! covers the chain up to the snapshot plus this one step, which by the
-//! triangle inequality bounds its drift and is never looser than
-//! charging the edits one by one (the rule of Hamerly's k-means bounds:
-//! each bound moves once per iteration, by how far its centre moved). A
-//! cluster that did not change is charged nothing, so back-to-back passes
-//! charge exactly zero. One that changed with fewer than 2 members at
-//! either end has no remove-direction bound, and bumps its version
-//! instead — only the entries rooted in it die, no cached bound elsewhere
-//! is disturbed. An entry stored outside a pass would not be covered,
-//! which is why [`Pruner::store`] runs only inside one.
+//! Every statistics update ([`Pruner::add`], [`Pruner::remove`], and so
+//! every [`Pruner::relocate`]) is the plain O(m) fold plus a mark: the
+//! cluster joins a dirty list of at most `k`. The pruner keeps each
+//! cluster's size, `Ψ_tot − S₂` and `mean_sum` row at its last charge as
+//! the start of its next one. Before [`Pruner::decide`] reads a watermark,
+//! and before [`Pruner::store`] snapshots one, each dirty cluster's net
+//! change since its start, `C → C'`, is charged as one transition with the
+//! direct bound above: `|T(C') − T(C)|`, `|1/(n'+1) − 1/(n+1)|` and
+//! `‖s'/(n'+1) − s/(n+1)‖` in the add direction, the same with `n−1`
+//! denominators in the remove direction, and `C'` becomes the start. The
+//! mean term is summed element by element as `‖s'·d − s·d'‖ / (d·d')`, so
+//! that no difference of two large sums can shrink it.
+//!
+//! A store charges first, so every cluster's start then equals its
+//! statistics at store time, and the charges made until a later decide
+//! (that decide's own included) chain from those statistics to the
+//! current ones: by the triangle inequality the watermark difference the
+//! decide reads bounds the drift. Charging several edits' net change at
+//! once is never looser than charging them one by one — the rule of
+//! Hamerly's k-means bounds: each bound moves once per iteration, by how
+//! far its centre moved — so the edits between two passes cost one charge
+//! per changed cluster, and a cluster that did not change is charged
+//! nothing, so back-to-back passes charge exactly zero. A charge with
+//! fewer than 2 members at either end bumps the version instead of
+//! charging the remove direction (above). With no start rows yet, after
+//! [`Pruner::new`] or a retire, the first charge records every cluster and
+//! charges nothing: the cache is empty, so there is no bound to cover.
 //!
 //! # Retiring
 //!
 //! [`Pruner::retire`] is the coarse kill-switch: it empties the cache,
 //! zeroes every watermark (per-cluster accumulators, their totals and the
-//! versions), drops the last pass's end snapshot and makes every pricer
-//! stale, which is exactly the state [`Pruner::new`] builds; only the
-//! configuration and the counters survive. `IncrementalUcpc::set_pruning`
+//! versions), drops the start rows and the dirty list and makes every
+//! pricer stale, which is exactly the state [`Pruner::new`] builds; only
+//! the configuration and the counters survive. `IncrementalUcpc::set_pruning`
 //! retires, and so do the re-partition that starts each of
 //! `BestOfRestarts`'s restarts on a reused engine and an undone pass, and
-//! a snapshot restore builds `Pruner::new` outright. With no snapshot the
-//! next [`Pruner::begin_pass`] charges nothing, and nothing needs it: the
-//! cache is empty, so every entry stored later diffs against accumulators
-//! that have seen every transition since.
+//! a snapshot restore builds `Pruner::new` outright.
 //!
 //! The accumulators and bounds are themselves computed in floating point, so
 //! every test inflates the drift by [`slack`] — a safety margin proportional
@@ -202,16 +184,6 @@
 //! or wholesale with a [`Pruner::retire`] before the next decision.** An
 //! update makes the folded cluster's pricers stale, a retire every
 //! pricer, and a scan re-derives a stale pricer before it reads it.
-//!
-//! [`Pruner::add`], [`Pruner::remove`] and [`Pruner::relocate`] each keep
-//! a plain (untracked) fork on purpose: the statistics are bit-identical
-//! either way, but tracking costs 8 divisions, 2 square roots and two
-//! [`ClusterDrift`] copies per update on top of the O(m) fold. On every
-//! move that slowed the unpruned batch pass by about a quarter at n=2000,
-//! m=8, k=5 (the `pruning_grid` shape of `bench_relocation`). The pruner
-//! tracks only the moves of an open pruned pass; every edit between
-//! passes takes the plain fold, and the next pass pays one O(m) charge
-//! per changed cluster instead.
 
 use crate::objective::{AddPricer, ClusterStats, RemovePricer};
 use ucpc_uncertain::arena::MomentView;
@@ -354,113 +326,25 @@ fn u_term(size: usize, a: f64) -> f64 {
     a / (size as f64 * (size - 1) as f64)
 }
 
-/// `‖mu(o)·scale − s‖`, the un-normalized mean-sum displacement of a
-/// tracked transition, expanded through the already-available scalars:
-/// `scale²·Σmu² − 2·scale·⟨s, mu⟩ + ‖s‖²` (clamped against cancellation).
-fn displacement(scale: f64, sum_mu_sq: f64, cross: f64, s_sq: f64) -> f64 {
-    (scale * scale * sum_mu_sq - 2.0 * scale * cross + s_sq)
-        .max(0.0)
-        .sqrt()
+/// `‖s1/d1 − s0/d0‖` for the add direction's denominators `p = (d0, d1)`
+/// and the remove direction's `r` in one pass: the mean-coupled
+/// coefficients of a charged transition. Each is `‖s1·d0 − s0·d1‖ /
+/// (d0·d1)` summed element by element, so that no difference of two large
+/// sums can shrink it.
+fn mean_shifts(s0: &[f64], s1: &[f64], p: (f64, f64), r: (f64, f64)) -> (f64, f64) {
+    let (mut add, mut rem) = (0.0f64, 0.0f64);
+    for (&x0, &x1) in s0.iter().zip(s1) {
+        let (a, b) = (x1 * p.0 - x0 * p.1, x1 * r.0 - x0 * r.1);
+        add += a * a;
+        rem += b * b;
+    }
+    (add.sqrt() / (p.0 * p.1), rem.sqrt() / (r.0 * r.1))
 }
 
-/// `‖s1/d1 − s0/d0‖`, the mean-coupled coefficient of a charged
-/// transition, as `‖s1·d0 − s0·d1‖ / (d0·d1)` summed element by element, so
-/// that no difference of two large sums can shrink it.
-fn mean_shift(s0: &[f64], d0: f64, s1: &[f64], d1: f64) -> f64 {
-    let sq: f64 = s0
-        .iter()
-        .zip(s1)
-        .map(|(&x0, &x1)| {
-            let e = x1 * d0 - x0 * d1;
-            e * e
-        })
-        .sum();
-    sq.sqrt() / (d0 * d1)
-}
-
-/// `Ψ_tot − S₂` and `S₂` of `stats`: what a tracked transition diffs.
-fn spread(stats: &ClusterStats) -> (f64, f64) {
+/// `Ψ_tot − S₂` of `stats`, the numerator of `T(C)` and `U(C)`.
+fn spread(stats: &ClusterStats) -> f64 {
     let (psi_tot, _, s_sq_tot) = stats.scalar_aggregates();
-    (psi_tot - s_sq_tot, s_sq_tot)
-}
-
-/// Adds `v` to `stats` with the fold of [`ClusterStats::add_view`] while
-/// accumulating the transition's drift bounds into `drift`. Returns `true`
-/// when the transition is "small" (a cluster size below 2 before or after):
-/// the remove-direction coefficients could not be accumulated, so the
-/// caller must invalidate the cache entries rooted in this cluster (bump
-/// its version — the add-direction coefficients are accumulated
-/// unconditionally and stay sound, which is what makes the surgical
-/// invalidation of the module docs exact).
-///
-/// # Panics
-///
-/// Like [`ClusterStats::add_view`].
-pub fn track_add(stats: &mut ClusterStats, drift: &mut ClusterDrift, v: &MomentView<'_>) -> bool {
-    let n = stats.size();
-    let (a_pre, s_sq_pre) = spread(stats);
-    // ⟨s_pre, mu(o)⟩, computed inside the update it piggybacks on.
-    let cross = stats.add_view_impl(v);
-    let (a_post, _) = spread(stats);
-    let w = |scale: f64| displacement(scale, v.sum_mu_sq, cross, s_sq_pre);
-
-    // Add direction (denominators n+1 → n+2): the normalized mean moves
-    // by exactly ‖mu(o)·(n+1) − s‖ / ((n+1)(n+2)).
-    let inv_pre = 1.0 / (n + 1) as f64;
-    let inv_post = 1.0 / (n + 2) as f64;
-    drift.add_const += (t_term(n + 1, a_post) - t_term(n, a_pre)).abs();
-    drift.add_size += inv_pre - inv_post;
-    drift.add_mean += w((n + 1) as f64) * (inv_pre * inv_post);
-
-    // Remove direction (denominators n−1 → n): needs both sizes >= 2.
-    if n < 2 {
-        return true;
-    }
-    let rinv_pre = 1.0 / (n - 1) as f64;
-    let rinv_post = 1.0 / n as f64;
-    drift.rem_const += (u_term(n + 1, a_post) - u_term(n, a_pre)).abs();
-    drift.rem_size += rinv_pre - rinv_post;
-    drift.rem_mean += w((n - 1) as f64) * (rinv_pre * rinv_post);
-    false
-}
-
-/// Removes member `v` from `stats` with the fold of
-/// [`ClusterStats::remove_view`] while accumulating drift; the same `true`
-/// ⇒ version-bump contract as [`track_add`].
-///
-/// # Panics
-///
-/// Like [`ClusterStats::remove_view`].
-pub fn track_remove(
-    stats: &mut ClusterStats,
-    drift: &mut ClusterDrift,
-    v: &MomentView<'_>,
-) -> bool {
-    let n = stats.size();
-    let (a_pre, s_sq_pre) = spread(stats);
-    // remove_view's cross is ⟨s_post, mu(o)⟩; shift back to s_pre.
-    let cross = stats.remove_view_impl(v) + v.sum_mu_sq;
-    let (a_post, _) = spread(stats);
-    let w = |scale: f64| displacement(scale, v.sum_mu_sq, cross, s_sq_pre);
-
-    // Add direction (denominators n+1 → n): exact displacement
-    // ‖s − mu(o)·(n+1)‖ / (n(n+1)); valid down to emptying the cluster.
-    let inv_pre = 1.0 / (n + 1) as f64;
-    let inv_post = 1.0 / n as f64;
-    drift.add_const += (t_term(n - 1, a_post) - t_term(n, a_pre)).abs();
-    drift.add_size += inv_post - inv_pre;
-    drift.add_mean += w((n + 1) as f64) * (inv_pre * inv_post);
-
-    // Remove direction (denominators n−1 → n−2): needs both sizes >= 2.
-    if n < 3 {
-        return true;
-    }
-    let rinv_pre = 1.0 / (n - 1) as f64;
-    let rinv_post = 1.0 / (n - 2) as f64;
-    drift.rem_const += (u_term(n - 1, a_post) - u_term(n, a_pre)).abs();
-    drift.rem_size += rinv_post - rinv_pre;
-    drift.rem_mean += w((n - 1) as f64) * (rinv_pre * rinv_post);
-    false
+    psi_tot - s_sq_tot
 }
 
 /// The six coefficient accumulators summed over *all* clusters. Each is an
@@ -479,9 +363,9 @@ struct DriftTotals {
 }
 
 impl DriftTotals {
-    /// Folds one cluster's accumulator movement (`before` → `after`,
-    /// around a tracked update or a charge) into the totals. The difference, not the
-    /// increments themselves: adding those directly rounds differently.
+    /// Folds one cluster's accumulator movement (`before` → `after`, around
+    /// a charge) into the totals. The difference, not the increments
+    /// themselves: adding those directly rounds differently.
     fn absorb(&mut self, before: ClusterDrift, after: ClusterDrift) {
         self.add_const += after.add_const - before.add_const;
         self.add_size += after.add_size - before.add_size;
@@ -531,14 +415,14 @@ impl CacheEntry {
     }
 }
 
-/// All pruning state of one engine: the configuration, the tracking flag,
-/// the last pass's end snapshot, each cluster's [`ClusterDrift`], their
-/// `DriftTotals`, the per-cluster remove-direction versions, the cache and
-/// the counters, plus the [`PricingTable`] every scan prices through. Every statistic update
-/// ([`Self::add`], [`Self::remove`], [`Self::relocate`]) and every
-/// decision ([`Self::best_move`], [`Self::placement`]) goes through it,
-/// so it alone decides what is tracked, what a cached bound may trust and
-/// which pricers are stale.
+/// All pruning state of one engine: the configuration, each cluster's
+/// [`ClusterDrift`], their `DriftTotals`, the per-cluster remove-direction
+/// versions, the charge state (dirty list and start rows), the cache and
+/// the counters, plus the [`PricingTable`] every scan prices through.
+/// Every statistic update ([`Self::add`], [`Self::remove`],
+/// [`Self::relocate`]) and every decision ([`Self::best_move`],
+/// [`Self::placement`]) goes through it, so it alone decides what is
+/// charged, what a cached bound may trust and which pricers are stale.
 ///
 /// The cache is one entry per object plus a flat `n × 3(k+1)` snapshot
 /// matrix of the drift accumulators at store time, holding exactly what
@@ -549,15 +433,14 @@ impl CacheEntry {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pruner {
     config: PruningConfig,
-    /// Whether updates fold drift-tracked: set while a pruned pass is open,
-    /// from its [`Self::begin_pass`] to its [`Self::end_pass`], and cleared
-    /// by [`Self::retire`]. While it is `false`, the cache is empty or
-    /// `pass_end` holds the statistics every entry's bounds reach.
-    tracking: bool,
-    /// Each cluster's `(size, Ψ_tot − S₂, mean_sum)` at the last pruned
-    /// pass's [`Self::end_pass`], `m + 2` floats per cluster, which the
-    /// next [`Self::begin_pass`] charges from and empties; empty otherwise.
-    pass_end: Vec<f64>,
+    /// Whether each cluster changed since its last charge.
+    dirty: Vec<bool>,
+    /// The clusters flagged in `dirty`, each once: at most `k`.
+    changed: Vec<usize>,
+    /// Each cluster's `(size, Ψ_tot − S₂, mean_sum)` at its last charge,
+    /// `m + 2` floats per cluster, where its next charge starts; empty
+    /// until the first charge after [`Self::new`] or [`Self::retire`].
+    starts: Vec<f64>,
     drift: Vec<ClusterDrift>,
     totals: DriftTotals,
     versions: Vec<u64>,
@@ -575,8 +458,9 @@ impl Pruner {
     pub fn new(k: usize, config: PruningConfig) -> Self {
         Self {
             config,
-            tracking: false,
-            pass_end: Vec::new(),
+            dirty: vec![false; k],
+            changed: Vec::with_capacity(k),
+            starts: Vec::new(),
             drift: vec![ClusterDrift::default(); k],
             totals: DriftTotals::default(),
             versions: vec![0; k],
@@ -605,15 +489,15 @@ impl Pruner {
     }
 
     /// Empties the cache, zeroes every watermark — the per-cluster
-    /// accumulators, their totals and the versions — drops the last pass's
-    /// end snapshot, makes every pricer stale and stops tracking until the
-    /// next pruned pass: the state [`Self::new`] builds, keeping the
-    /// configuration, the counters and the buffers. Called whenever cached
-    /// bounds may no longer hold: a configuration change, a re-partition,
-    /// an undone pass.
+    /// accumulators, their totals and the versions — drops the start rows
+    /// and the dirty list and makes every pricer stale: the state
+    /// [`Self::new`] builds, keeping the configuration, the counters and
+    /// the buffers. Called whenever cached bounds may no longer hold: a
+    /// configuration change, a re-partition, an undone pass.
     pub fn retire(&mut self) {
-        self.tracking = false;
-        self.pass_end.clear();
+        self.dirty.fill(false);
+        self.changed.clear();
+        self.starts.clear();
         self.drift.fill(ClusterDrift::default());
         self.totals = DriftTotals::default();
         self.versions.fill(0);
@@ -640,18 +524,16 @@ impl Pruner {
         self.entries.len()
     }
 
-    /// Each cluster's accumulated drift coefficients.
+    /// Each cluster's accumulated drift coefficients, as of the last
+    /// charge.
     pub fn drift(&self) -> &[ClusterDrift] {
         &self.drift
     }
 
     /// Opens one relocation pass over `slots` objects against `stats`. A
     /// pruned pass grows the cache to cover every slot (new entries
-    /// invalid), charges every cluster's net change since the last
-    /// [`Self::end_pass`] (module docs), takes the pass's
-    /// floating-point scale and switches tracking on, so the entries it
-    /// caches see every transition after them. Does nothing when pruning is
-    /// off.
+    /// invalid) and takes the pass's floating-point scale. Does nothing
+    /// when pruning is off.
     pub fn begin_pass(&mut self, stats: &[ClusterStats], slots: usize) {
         if !self.config.is_enabled() {
             return;
@@ -660,101 +542,96 @@ impl Pruner {
             self.entries.resize(slots, CacheEntry::invalid());
             self.snaps.resize(slots * self.stride(), 0.0);
         }
-        self.charge(stats);
         self.scale = fp_scale(stats);
-        self.tracking = true;
     }
 
-    /// Closes the open pruned pass: snapshots each cluster's size,
-    /// `Ψ_tot − S₂` and `mean_sum` row of `stats` and switches tracking
-    /// off, so the edits until the next [`Self::begin_pass`] take the plain
-    /// fold and that pass charges their net effect at once. Does nothing
-    /// when no pruned pass is open (pruning off, or a pass already closed).
-    pub fn end_pass(&mut self, stats: &[ClusterStats]) {
-        if !self.tracking {
-            return;
+    /// Marks cluster `c` changed: its pricers go stale and it joins the
+    /// dirty list the next charge reads.
+    #[inline]
+    fn touch(&mut self, c: usize) {
+        self.table.mark_stale(c);
+        if !self.dirty[c] {
+            self.dirty[c] = true;
+            self.changed.push(c);
         }
-        self.pass_end.clear();
-        for s in stats {
-            self.pass_end.extend([s.size() as f64, spread(s).0]);
-            self.pass_end.extend_from_slice(s.mean_sum());
-        }
-        self.tracking = false;
     }
 
-    /// Charges each cluster's net change from the `pass_end` snapshot to
+    /// Charges each dirty cluster's net change from its start row to
     /// `stats` into its [`ClusterDrift`] and the drift totals as one
-    /// transition, with the direct bound of the module docs, and empties
-    /// the snapshot. A cluster that did not change is charged nothing; one
-    /// that changed with fewer than 2 members at either end bumps its
-    /// version instead of charging the remove direction.
+    /// transition, with the direct bound of the module docs, and makes
+    /// `stats` its next start. A cluster that did not change is charged
+    /// nothing; one that changed with fewer than 2 members at either end
+    /// bumps its version instead of charging the remove direction. With
+    /// no start rows yet, records every cluster and charges nothing.
+    #[inline]
     fn charge(&mut self, stats: &[ClusterStats]) {
-        if self.pass_end.is_empty() {
+        // Most reads find nothing changed since the last one.
+        if self.changed.is_empty() && !self.starts.is_empty() {
             return;
         }
-        let stride = self.pass_end.len() / stats.len();
-        let ends = self.pass_end.chunks_exact(stride);
-        for (c, (now, then)) in stats.iter().zip(ends).enumerate() {
-            let (n0, a0, s0) = (then[0] as usize, then[1], &then[2..]);
-            let (n1, a1, s1) = (now.size(), spread(now).0, now.mean_sum());
+        self.charge_changed(stats);
+    }
+
+    /// [`Self::charge`]'s body, kept out of line.
+    fn charge_changed(&mut self, stats: &[ClusterStats]) {
+        if self.starts.is_empty() {
+            for s in stats {
+                self.starts.extend([s.size() as f64, spread(s)]);
+                self.starts.extend_from_slice(s.mean_sum());
+            }
+            self.dirty.fill(false);
+            self.changed.clear();
+            return;
+        }
+        for c in self.changed.drain(..) {
+            self.dirty[c] = false;
+            let now = &stats[c];
+            let stride = now.dims() + 2;
+            let start = &mut self.starts[c * stride..(c + 1) * stride];
+            let (n0, a0, s0) = (start[0] as usize, start[1], &start[2..]);
+            let (n1, a1, s1) = (now.size(), spread(now), now.mean_sum());
             if n0 == n1 && a0 == a1 && s0 == s1 {
                 continue;
             }
             let before = self.drift[c];
             let d = &mut self.drift[c];
-            // Add direction, denominators n+1: defined at every size.
+            // Denominators n+1 (add direction) and n−1 (remove direction).
             let (p0, p1) = ((n0 + 1) as f64, (n1 + 1) as f64);
+            let (r0, r1) = (n0 as f64 - 1.0, n1 as f64 - 1.0);
+            let (add_mean, rem_mean) = mean_shifts(s0, s1, (p0, p1), (r0, r1));
+            // The add direction is defined at every size.
             d.add_const += (t_term(n1, a1) - t_term(n0, a0)).abs();
             d.add_size += (1.0 / p1 - 1.0 / p0).abs();
-            d.add_mean += mean_shift(s0, p0, s1, p1);
+            d.add_mean += add_mean;
             // Remove direction, denominators n−1: needs both sizes >= 2.
             if n0 < 2 || n1 < 2 {
                 self.versions[c] = self.versions[c].wrapping_add(1);
             } else {
-                let (r0, r1) = ((n0 - 1) as f64, (n1 - 1) as f64);
                 d.rem_const += (u_term(n1, a1) - u_term(n0, a0)).abs();
                 d.rem_size += (1.0 / r1 - 1.0 / r0).abs();
-                d.rem_mean += mean_shift(s0, r0, s1, r1);
+                d.rem_mean += rem_mean;
             }
             self.totals.absorb(before, self.drift[c]);
+            start[..2].copy_from_slice(&[n1 as f64, a1]);
+            start[2..].copy_from_slice(s1);
         }
-        self.pass_end.clear();
     }
 
     /// Adds `v` to cluster `c`: one insert, or the second half of
-    /// [`Self::relocate`]. `c`'s pricers go stale. While tracking,
-    /// [`track_add`] runs, `c`'s accumulator movement joins the totals,
-    /// and a small transition bumps `c`'s version — the surgical
-    /// invalidation of the module docs. Otherwise the plain `add_view`
-    /// runs. The statistics are bit-identical either way.
+    /// [`Self::relocate`]. `c` is marked changed and folds with the plain
+    /// `add_view`; the next bound read charges it.
     #[inline]
     pub fn add(&mut self, stats: &mut [ClusterStats], c: usize, v: &MomentView<'_>) {
-        self.table.mark_stale(c);
-        if !self.tracking {
-            stats[c].add_view(v);
-            return;
-        }
-        let before = self.drift[c];
-        if track_add(&mut stats[c], &mut self.drift[c], v) {
-            self.versions[c] = self.versions[c].wrapping_add(1);
-        }
-        self.totals.absorb(before, self.drift[c]);
+        self.touch(c);
+        stats[c].add_view(v);
     }
 
     /// Removes member `v` from cluster `c`: the [`Self::add`] counterpart
-    /// through [`track_remove`] or the plain `remove_view`.
+    /// through `remove_view`.
     #[inline]
     pub fn remove(&mut self, stats: &mut [ClusterStats], c: usize, v: &MomentView<'_>) {
-        self.table.mark_stale(c);
-        if !self.tracking {
-            stats[c].remove_view(v);
-            return;
-        }
-        let before = self.drift[c];
-        if track_remove(&mut stats[c], &mut self.drift[c], v) {
-            self.versions[c] = self.versions[c].wrapping_add(1);
-        }
-        self.totals.absorb(before, self.drift[c]);
+        self.touch(c);
+        stats[c].remove_view(v);
     }
 
     /// The one relocation apply of Algorithm 1 (lines 10–13): moves object
@@ -810,7 +687,7 @@ impl Pruner {
             let (dst, delta, _) = fold(table.moves(src, gain))?;
             return (delta < -TOLERANCE).then_some((dst, delta));
         }
-        match self.decide(i, gen, src, v) {
+        match self.decide(stats, i, gen, src, v) {
             PruneDecision::Skip => {
                 self.counters.skips += 1;
                 None
@@ -828,7 +705,7 @@ impl Pruner {
                 if delta < -TOLERANCE {
                     return Some((dst, delta));
                 }
-                self.store(i, gen, src, (dst, delta, second));
+                self.store(stats, i, gen, src, (dst, delta, second));
                 None
             }
         }
@@ -858,27 +735,39 @@ impl Pruner {
     /// the entry is rejected iff `src`'s counter moved since store time —
     /// see the module docs). `gen` is the slot's current generation stamp:
     /// streaming engines recycle slots, and an entry stored for a departed
-    /// occupant must not serve the slot's next tenant. Purely read-only:
-    /// [`Self::best_move`] acts on the returned decision. Slot `i` must be
-    /// covered by the last [`Self::begin_pass`].
+    /// occupant must not serve the slot's next tenant. An entry that is
+    /// unusable on its own is rejected first; otherwise every change to
+    /// `stats` since the last charge is charged before any watermark is
+    /// read. [`Self::best_move`] acts on the returned decision. Slot `i`
+    /// must be covered by the last [`Self::begin_pass`].
     ///
     /// Tier 0 diffs the global totals against the entry's inline snapshot —
     /// O(1), one cache line — and resolves the overwhelming majority of
     /// decisions in quiet passes. Only when that over-approximation is too
     /// loose does the O(k) per-cluster walk run (per-coefficient maxima over
     /// candidates instead of sums over all clusters).
-    pub fn decide(&self, i: usize, gen: u32, src: usize, v: &MomentView<'_>) -> PruneDecision {
-        let (drift, totals) = (&self.drift, self.totals);
+    pub fn decide(
+        &mut self,
+        stats: &[ClusterStats],
+        i: usize,
+        gen: u32,
+        src: usize,
+        v: &MomentView<'_>,
+    ) -> PruneDecision {
         let e = self.entries[i];
         if !e.valid
             || e.gen != gen
             || e.src != src
-            || self.versions[src] != e.src_version
             || e.best_dst == src
-            || e.best_dst >= drift.len()
+            || e.best_dst >= self.drift.len()
         {
             return PruneDecision::FullScan;
         }
+        self.charge(stats);
+        if self.versions[src] != e.src_version {
+            return PruneDecision::FullScan;
+        }
+        let (drift, totals) = (&self.drift, self.totals);
         let q = v.sum_var + v.sum_mu_sq;
         let r = v.norm_mu;
         let guard = slack(self.scale, q, r);
@@ -947,11 +836,19 @@ impl Pruner {
     /// the global drift totals (inline), of `src`'s remove-direction
     /// version, of every cluster's add-direction accumulators and of
     /// `src`'s remove-direction ones (the watermarks later
-    /// [`Self::decide`] calls diff against). Slot `i` must be covered by
-    /// the last [`Self::begin_pass`], and that pass must still be open:
-    /// the next pass's charge starts at [`Self::end_pass`] and would miss
-    /// what changed between it and a later store.
-    pub fn store(&mut self, i: usize, gen: u32, src: usize, scan: (usize, f64, f64)) {
+    /// [`Self::decide`] calls diff against), taken after charging every
+    /// change to `stats` since the last charge. `scan` must have been
+    /// computed against `stats`, and slot `i` must be covered by the last
+    /// [`Self::begin_pass`].
+    pub fn store(
+        &mut self,
+        stats: &[ClusterStats],
+        i: usize,
+        gen: u32,
+        src: usize,
+        scan: (usize, f64, f64),
+    ) {
+        self.charge(stats);
         let (best_dst, best, second) = scan;
         self.entries[i] = CacheEntry {
             valid: true,
@@ -1250,7 +1147,7 @@ mod tests {
     }
 
     /// A pruning-enabled pruner for `k` clusters with a pass begun over
-    /// `n` slots of `stats`: its cache covers them and it tracks.
+    /// `n` slots of `stats`: its cache covers them.
     fn pruner(stats: &[ClusterStats], n: usize) -> Pruner {
         let mut pruner = Pruner::new(stats.len(), PruningConfig::Bounds);
         pruner.begin_pass(stats, n);
@@ -1265,8 +1162,9 @@ mod tests {
             self.table == PricingTable::new(self.drift.len())
                 && self.entries.is_empty()
                 && self.snaps.is_empty()
-                && !self.tracking
-                && self.pass_end.is_empty()
+                && self.starts.is_empty()
+                && self.changed.is_empty()
+                && self.dirty.iter().all(|&d| !d)
                 && self.totals == DriftTotals::default()
                 && self.versions.iter().all(|&v| v == 0)
                 && self.drift.iter().all(|&d| d == zero)
@@ -1279,9 +1177,9 @@ mod tests {
         let arena = MomentArena::from_objects(&data);
         let labels = vec![0, 0, 0, 1, 1, 1];
         let stats = stats_for(&arena, &labels, 2);
-        let pruner = pruner(&stats, 6);
+        let mut pruner = pruner(&stats, 6);
         let v = arena.view(0);
-        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::FullScan);
+        assert_eq!(pruner.decide(&stats, 0, 0, 0, &v), PruneDecision::FullScan);
     }
 
     #[test]
@@ -1294,23 +1192,29 @@ mod tests {
         let v = arena.view(0);
         // A converged object: its best candidate delta is comfortably
         // positive, so with zero drift tier 0 must fire.
-        pruner.store(0, 0, 0, (1, 5.0, f64::INFINITY));
-        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::Skip);
+        pruner.store(&stats, 0, 0, 0, (1, 5.0, f64::INFINITY));
+        assert_eq!(pruner.decide(&stats, 0, 0, 0, &v), PruneDecision::Skip);
         // Same entry under a later slot generation (the slot was recycled
         // to a new occupant): stale, full scan.
-        assert_eq!(pruner.decide(0, 1, 0, &v), PruneDecision::FullScan);
+        assert_eq!(pruner.decide(&stats, 0, 1, 0, &v), PruneDecision::FullScan);
         // Same entry after the source cluster's remove-direction version
         // moved (a small transition touched it): surgically stale.
         pruner.versions = vec![1, 0];
-        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::FullScan);
+        assert_eq!(pruner.decide(&stats, 0, 0, 0, &v), PruneDecision::FullScan);
         // A bump of a *non-source* cluster's version leaves the entry
         // usable — its remove-direction history is never consulted here.
         pruner.versions = vec![0, 7];
-        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::Skip);
-        // Tracked churn moves the watermarks; a retire drops the entry and
-        // zeroes every watermark, keeping the counters.
+        assert_eq!(pruner.decide(&stats, 0, 0, 0, &v), PruneDecision::Skip);
+        // Churn moves the watermarks once a decision charges it; a retire
+        // drops the entry and zeroes every watermark, keeping the counters.
         pruner.relocate(&mut stats, 4, 1, 0, &arena.view(4));
-        assert!(pruner.drift().iter().any(|&d| d != ClusterDrift::default()));
+        assert_eq!(
+            pruner.drift(),
+            [ClusterDrift::default(); 2],
+            "not yet charged"
+        );
+        pruner.decide(&stats, 0, 0, 0, &v);
+        assert!(pruner.drift().iter().all(|&d| d != ClusterDrift::default()));
         pruner.counters.skips = 3;
         pruner.retire();
         assert_eq!(pruner.cache_entries(), 0, "the entry is gone");
@@ -1319,7 +1223,7 @@ mod tests {
         assert_eq!(pruner.config(), PruningConfig::Bounds);
         // The next pass regrows the cache invalid: the old entry is dead.
         pruner.begin_pass(&stats, 6);
-        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::FullScan);
+        assert_eq!(pruner.decide(&stats, 0, 0, 0, &v), PruneDecision::FullScan);
     }
 
     #[test]
@@ -1331,12 +1235,15 @@ mod tests {
         let mut pruner = pruner(&stats, 9);
         let v = arena.view(0);
         // Cached best is improving (−2) and far from second (+7): tier 2.
-        pruner.store(0, 0, 0, (2, -2.0, 7.0));
-        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::ConfirmBest(2));
+        pruner.store(&stats, 0, 0, 0, (2, -2.0, 7.0));
+        assert_eq!(
+            pruner.decide(&stats, 0, 0, 0, &v),
+            PruneDecision::ConfirmBest(2)
+        );
         // Relocating the object invalidates its entry.
         pruner.relocate(&mut stats, 0, 0, 2, &v);
         assert!(!pruner.entries[0].valid);
-        assert_eq!(pruner.decide(0, 0, 2, &v), PruneDecision::FullScan);
+        assert_eq!(pruner.decide(&stats, 0, 0, 2, &v), PruneDecision::FullScan);
     }
 
     #[test]
@@ -1348,17 +1255,20 @@ mod tests {
         let mut pruner = pruner(&stats, 8);
         let v = arena.view(0);
         // Barely-positive margin: sound to skip only while nothing moves.
-        pruner.store(0, 0, 0, (1, 0.05, f64::INFINITY));
-        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::Skip);
-        // Relocate object 7 from cluster 1 to cluster 0 (tracked): both
-        // clusters drift and the tiny margin no longer proves a skip. With
-        // k = 2 the argmin is trivially stable (there is only one
-        // candidate), so the decision degrades to tier 2, which recomputes
-        // the exact delta — never to an unsound skip.
+        pruner.store(&stats, 0, 0, 0, (1, 0.05, f64::INFINITY));
+        assert_eq!(pruner.decide(&stats, 0, 0, 0, &v), PruneDecision::Skip);
+        // Relocate object 7 from cluster 1 to cluster 0: both clusters
+        // drift and the tiny margin no longer proves a skip. With k = 2 the
+        // argmin is trivially stable (there is only one candidate), so the
+        // decision degrades to tier 2, which recomputes the exact delta —
+        // never to an unsound skip.
         pruner.relocate(&mut stats, 7, 1, 0, &arena.view(7));
-        assert_eq!(pruner.versions, [0, 0], "sizes stay >= 2: no version bump");
         pruner.begin_pass(&stats, 8);
-        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::ConfirmBest(1));
+        assert_eq!(
+            pruner.decide(&stats, 0, 0, 0, &v),
+            PruneDecision::ConfirmBest(1)
+        );
+        assert_eq!(pruner.versions, [0, 0], "sizes stay >= 2: no version bump");
     }
 
     #[test]
@@ -1373,7 +1283,7 @@ mod tests {
         let mut stats = stats_for(&arena, &labels, 3);
         let mut pruner = pruner(&stats, 12);
         let v = arena.view(0);
-        pruner.store(0, 0, 0, (2, 0.4, f64::INFINITY));
+        pruner.store(&stats, 0, 0, 0, (2, 0.4, f64::INFINITY));
         // Churn objects between clusters 1 and 2 (the candidate set):
         // eventually even the per-cluster bound must give up and rescan.
         let mut gave_up = false;
@@ -1381,9 +1291,10 @@ mod tests {
             let (src, dst) = if step % 2 == 0 { (1, 2) } else { (2, 1) };
             let i = 4 + (step % 4);
             pruner.relocate(&mut stats, i, src, dst, &arena.view(i));
-            assert_eq!(pruner.versions, [0, 0, 0]);
             pruner.begin_pass(&stats, 12);
-            if pruner.decide(0, 0, 0, &v) != PruneDecision::Skip {
+            let decision = pruner.decide(&stats, 0, 0, 0, &v);
+            assert_eq!(pruner.versions, [0, 0, 0]);
+            if decision != PruneDecision::Skip {
                 gave_up = true;
                 break;
             }
@@ -1599,34 +1510,40 @@ mod tests {
     }
 
     #[test]
-    fn a_charge_with_no_change_since_the_pass_end_adds_exactly_zero() {
+    fn a_charge_with_no_change_since_the_last_charge_adds_exactly_zero() {
         let data = objects(8);
         let arena = MomentArena::from_objects(&data);
         let labels = vec![0, 0, 0, 0, 1, 1, 1, 1];
         let mut stats = stats_for(&arena, &labels, 2);
         let mut pruner = pruner(&stats, 8);
-        // Tracked moves inside the pass make every add watermark non-zero.
+        // The first charge records every cluster and charges nothing.
+        pruner.store(&stats, 0, 0, 0, (1, 5.0, 6.0));
+        assert!(pruner.drift.iter().all(|&d| d == ClusterDrift::default()));
+        // Two moves, charged by the next read, make every add watermark
+        // non-zero.
         pruner.relocate(&mut stats, 7, 1, 0, &arena.view(7));
-        pruner.relocate(&mut stats, 3, 0, 1, &arena.view(3));
+        pruner.relocate(&mut stats, 6, 1, 0, &arena.view(6));
+        assert_eq!(pruner.changed, [1, 0], "each changed cluster listed once");
+        pruner.decide(&stats, 0, 0, 0, &arena.view(0));
         assert!(pruner.drift.iter().all(|d| d.add_size > 0.0));
+        assert!(pruner.changed.is_empty(), "the charge consumes the list");
+        assert!(pruner.dirty.iter().all(|&d| !d));
         let (drift, totals, versions) =
             (pruner.drift.clone(), pruner.totals, pruner.versions.clone());
-        pruner.end_pass(&stats);
-        assert!(!pruner.tracking);
-        // A second close snapshots nothing new.
-        pruner.end_pass(&stats);
+        // Further reads, a new pass and a cluster marked changed whose
+        // statistics did not change all charge exactly nothing.
+        pruner.decide(&stats, 0, 0, 0, &arena.view(0));
+        pruner.store(&stats, 1, 0, 0, (1, 5.0, 6.0));
         pruner.begin_pass(&stats, 8);
-        assert!(
-            pruner.pass_end.is_empty(),
-            "the charge consumes the snapshot"
-        );
+        pruner.touch(0);
+        pruner.decide(&stats, 0, 0, 0, &arena.view(0));
         assert_eq!(pruner.drift, drift);
         assert_eq!(pruner.totals, totals);
         assert_eq!(pruner.versions, versions);
-        // With pruning off no pass opens, so closing one changes nothing.
+        // With pruning off a pass caches nothing, so it leaves the pruner
+        // as new built it.
         let mut off = Pruner::new(2, PruningConfig::Off);
         off.begin_pass(&stats, 8);
-        off.end_pass(&stats);
         assert!(off.is_fresh());
     }
 
@@ -1638,15 +1555,20 @@ mod tests {
         let mut stats = stats_for(&arena, &labels, 3);
         let mut pruner = pruner(&stats, 12);
         // Wide margins, one entry rooted in cluster 0, one in cluster 1.
-        pruner.store(0, 0, 0, (2, 1e6, 2e6));
-        pruner.store(7, 0, 1, (0, 1e6, 2e6));
-        pruner.end_pass(&stats);
-        // Cluster 1 goes from 4 members to 1, untracked.
+        pruner.store(&stats, 0, 0, 0, (2, 1e6, 2e6));
+        pruner.store(&stats, 7, 0, 1, (0, 1e6, 2e6));
+        // Cluster 1 goes from 4 members to 1; nothing is charged yet.
         for i in [4, 5, 6] {
             pruner.remove(&mut stats, 1, &arena.view(i));
         }
         assert_eq!(pruner.drift, [ClusterDrift::default(); 3]);
         pruner.begin_pass(&stats, 12);
+        // The read charges first, so the bumped version rejects the entry
+        // rooted in cluster 1.
+        assert_eq!(
+            pruner.decide(&stats, 7, 0, 1, &arena.view(7)),
+            PruneDecision::FullScan
+        );
         assert_eq!(pruner.versions, [0, 1, 0]);
         let charged = pruner.drift[1];
         assert!(charged.add_const > 0.0 && charged.add_size > 0.0 && charged.add_mean > 0.0);
@@ -1657,44 +1579,162 @@ mod tests {
         assert_eq!(pruner.drift[0], ClusterDrift::default());
         assert_eq!(pruner.drift[2], ClusterDrift::default());
         assert_eq!(
-            pruner.decide(7, 0, 1, &arena.view(7)),
-            PruneDecision::FullScan
+            pruner.decide(&stats, 0, 0, 0, &arena.view(0)),
+            PruneDecision::Skip
         );
-        assert_eq!(pruner.decide(0, 0, 0, &arena.view(0)), PruneDecision::Skip);
         // And from 1 member to none.
-        pruner.end_pass(&stats);
         pruner.remove(&mut stats, 1, &arena.view(7));
-        pruner.begin_pass(&stats, 12);
+        assert_eq!(
+            pruner.decide(&stats, 0, 0, 0, &arena.view(0)),
+            PruneDecision::Skip
+        );
         assert_eq!(pruner.versions, [0, 2, 0]);
-        assert_eq!(pruner.decide(0, 0, 0, &arena.view(0)), PruneDecision::Skip);
     }
 
     #[test]
-    fn tracked_edits_bump_versions_only_on_small_transitions() {
+    fn charged_edits_bump_versions_only_on_small_transitions() {
         let data = objects(8);
         let arena = MomentArena::from_objects(&data);
         let mut stats = vec![ClusterStats::empty(arena.dims()); 2];
         let mut pruner = pruner(&stats, 8);
-        // Growing cluster 0 from empty: sizes 0→1 and 1→2 are small.
-        for i in [0, 1] {
-            pruner.add(&mut stats, 0, &arena.view(i));
-        }
-        assert_eq!(pruner.versions, [2, 0]);
-        // 2→3 and 3→4 are trackable: no bump anywhere.
-        for i in [2, 3] {
-            pruner.add(&mut stats, 0, &arena.view(i));
-        }
-        assert_eq!(pruner.versions, [2, 0]);
-        // Removal 4→3 is trackable; 3→2 small? No: remove is small when the
-        // post size drops below 2, i.e. pre-size n < 3. 4→3 and 3→2 keep
-        // both sizes >= 2, 2→1 is small.
-        for i in [3, 2] {
+        pruner.charge(&stats);
+        let mut edit = |add: bool, i: usize| {
+            if add {
+                pruner.add(&mut stats, 0, &arena.view(i));
+            } else {
+                pruner.remove(&mut stats, 0, &arena.view(i));
+            }
+            pruner.charge(&stats);
+            pruner.versions.clone()
+        };
+        // Growing cluster 0 from empty, one charge per edit: sizes 0→1 and
+        // 1→2 are small.
+        assert_eq!(edit(true, 0), [1, 0]);
+        assert_eq!(edit(true, 1), [2, 0]);
+        // 2→3, 3→4, 4→3 and 3→2 keep both ends >= 2: no bump anywhere.
+        assert_eq!(edit(true, 2), [2, 0]);
+        assert_eq!(edit(true, 3), [2, 0]);
+        assert_eq!(edit(false, 3), [2, 0]);
+        assert_eq!(edit(false, 2), [2, 0]);
+        // 2→1 breaks the remove direction.
+        assert_eq!(edit(false, 1), [3, 0], "2→1 breaks the remove direction");
+        // A net change reads its two ends only: 1→3 through 2 bumps once,
+        // and 3→3 through 1 not at all.
+        pruner.add(&mut stats, 0, &arena.view(1));
+        pruner.add(&mut stats, 0, &arena.view(2));
+        pruner.charge(&stats);
+        assert_eq!(pruner.versions, [4, 0]);
+        let before = pruner.drift[0];
+        for i in [1, 2] {
             pruner.remove(&mut stats, 0, &arena.view(i));
         }
-        assert_eq!(pruner.versions, [2, 0]);
-        pruner.remove(&mut stats, 0, &arena.view(1));
-        assert_eq!(pruner.versions, [3, 0], "2→1 breaks the remove direction");
-        // The untouched cluster's version never moved.
-        assert_eq!(pruner.versions[1], 0);
+        for i in [4, 5] {
+            pruner.add(&mut stats, 0, &arena.view(i));
+        }
+        pruner.charge(&stats);
+        assert_eq!(pruner.versions, [4, 0]);
+        assert!(
+            pruner.drift[0].rem_mean > before.rem_mean,
+            "charged instead"
+        );
+    }
+
+    /// The six accumulators of `d`, in field order.
+    fn coefficients(d: ClusterDrift) -> [f64; 6] {
+        [
+            d.add_const,
+            d.add_size,
+            d.add_mean,
+            d.rem_const,
+            d.rem_size,
+            d.rem_mean,
+        ]
+    }
+
+    #[test]
+    fn one_net_charge_is_never_looser_than_a_charge_per_edit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (n, k) = (40usize, 3usize);
+            let data: Vec<UncertainObject> = (0..n)
+                .map(|_| {
+                    let pdfs = (0..4).map(|_| {
+                        UnivariatePdf::normal(rng.gen_range(-5.0..5.0), rng.gen_range(0.1..1.0))
+                    });
+                    UncertainObject::new(pdfs.collect())
+                })
+                .collect();
+            let arena = MomentArena::from_objects(&data);
+            // Half the objects start in a cluster, the rest outside.
+            let mut labels: Vec<Option<usize>> =
+                (0..n).map(|i| (i < n / 2).then_some(i % k)).collect();
+            let start = stats_for(
+                &arena,
+                &labels.iter().flatten().copied().collect::<Vec<_>>(),
+                k,
+            );
+            let (mut each, mut net) = (start.clone(), start);
+            let mut stepwise = pruner(&each, n);
+            let mut once = pruner(&net, n);
+            stepwise.charge(&each);
+            once.charge(&net);
+            let mut edits = 0;
+            while edits < 60 {
+                let i = rng.gen_range(0..n);
+                let c = rng.gen_range(0..k);
+                // Inserts, removes and moves, every cluster kept at >= 2
+                // members so that no step bumps a version instead.
+                match labels[i] {
+                    None => {
+                        stepwise.add(&mut each, c, &arena.view(i));
+                        once.add(&mut net, c, &arena.view(i));
+                        labels[i] = Some(c);
+                    }
+                    Some(src) if each[src].size() > 2 && src != c && rng.gen_bool(0.5) => {
+                        stepwise.relocate(&mut each, i, src, c, &arena.view(i));
+                        once.relocate(&mut net, i, src, c, &arena.view(i));
+                        labels[i] = Some(c);
+                    }
+                    Some(src) if each[src].size() > 2 => {
+                        stepwise.remove(&mut each, src, &arena.view(i));
+                        once.remove(&mut net, src, &arena.view(i));
+                        labels[i] = None;
+                    }
+                    Some(_) => continue,
+                }
+                stepwise.charge(&each);
+                edits += 1;
+            }
+            once.charge(&net);
+            assert_eq!(each, net, "seed {seed}: the statistics fold alike");
+            assert_eq!(stepwise.versions, [0; 3]);
+            assert_eq!(once.versions, [0; 3]);
+            for c in 0..k {
+                let (a, b) = (coefficients(once.drift[c]), coefficients(stepwise.drift[c]));
+                for (j, (&a, &b)) in a.iter().zip(&b).enumerate() {
+                    assert!(
+                        a <= b * (1.0 + 1e-12),
+                        "seed {seed} cluster {c} [{j}]: {a} > {b}"
+                    );
+                }
+                assert!(a[2] > 0.0, "seed {seed} cluster {c} changed");
+            }
+            let totals = |p: &Pruner| {
+                let t = p.totals;
+                [
+                    t.add_const,
+                    t.add_size,
+                    t.add_mean,
+                    t.rem_const,
+                    t.rem_size,
+                    t.rem_mean,
+                ]
+            };
+            for (&a, &b) in totals(&once).iter().zip(&totals(&stepwise)) {
+                assert!(a <= b * (1.0 + 1e-12), "seed {seed} totals: {a} > {b}");
+            }
+        }
     }
 }

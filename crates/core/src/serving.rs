@@ -62,7 +62,7 @@
 //!   arrival's `(mu, mu2)` rows, the cluster, and the slot the engine
 //!   allocates next. [`IncrementalUcpc::apply_round`] derives the stored
 //!   row through the engine's one canonical fold and replays the serial
-//!   insert's mutation sequence (store, tracked statistics update, slot
+//!   insert's mutation sequence (store, the pruner's statistics update, slot
 //!   and label write), so even the issued [`ObjectHandle`]s coincide.
 //! * **Cadence.** Stabilization runs on a *commit counter*
 //!   ([`ServingConfig::stabilize_every`]), firing immediately after every

@@ -31,10 +31,10 @@
 //! forces the exact full scan), and every watermark (per-cluster
 //! `versions`, drift totals, per-cluster drift accumulators) at zero. With
 //! no entry left, nothing needs the history the watermarks describe, and
-//! that history is not logical state anyway: drift is charged only by
-//! pruned passes (see [`crate::incremental`]), so a coordinator that runs
-//! passes and a replica that only replays them hold different drift for
-//! the same clustering. Two engines with the
+//! that history is not logical state anyway: drift is charged only when a
+//! pruned pass reads or stores a cached bound (see [`crate::incremental`]),
+//! so a coordinator that runs passes and a replica that only replays them
+//! hold different drift for the same clustering. Two engines with the
 //! same clustering write the same bytes.
 //!
 //! # Format

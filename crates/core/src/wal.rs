@@ -32,8 +32,8 @@
 //! 3. **The decision names everything else.** An `Insert` names the slot
 //!    the engine's LIFO free list hands out next (any other is refused), so
 //!    issued handles coincide. Drift bookkeeping is the one thing replay
-//!    need not reproduce: a recovered engine folds every entry untracked
-//!    until its own first pruned pass, and the snapshot leaves drift out,
+//!    need not reproduce: a recovered engine's drift starts at zero and is
+//!    charged only by its own pruned passes, and the snapshot leaves it out,
 //!    so a recovered engine and the live one still write the same bytes.
 //!
 //! # Format

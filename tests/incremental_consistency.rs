@@ -6,10 +6,11 @@
 //! 1. **Cache/stat consistency** (seed regression): a removal changes a
 //!    cluster's statistics between stabilization passes; a cached bound
 //!    that ignored it could skip a scan whose outcome the departed member
-//!    changed. The drift the next pruned pass charges for the engine's
-//!    edits must keep every cached bound sound.
+//!    changed. The drift charged for the engine's edits when the next
+//!    pruned pass reads a cached bound must keep every bound sound.
 //! 2. **Reference equivalence**: the engine (free-list row reuse, edits
-//!    charged once per pruned pass, surgical per-cluster invalidation)
+//!    charged as net changes on the next read, surgical per-cluster
+//!    invalidation)
 //!    must be *byte-identical* to the per-object reference model `RefStream`
 //!    (`tests/support/reference.rs`) — handles, labels, per-cluster
 //!    statistics, objectives — across pruning configurations and SIMD
@@ -339,16 +340,16 @@ fn surgical_invalidation_skips_more_than_epoch_bumps() {
     // batch — must reach the same labels and statistics with a strictly
     // lower hit rate.
     let script = churn_script(99, 200);
-    let (tracked, reference, _) = replay(PruningConfig::Bounds, &script, false);
+    let (charged, reference, _) = replay(PruningConfig::Bounds, &script, false);
     let (global, _, _) = replay(PruningConfig::Bounds, &script, true);
-    assert_identical(&tracked, &reference, "tracked run");
+    assert_identical(&charged, &reference, "charged run");
     assert_identical(&global, &reference, "globally invalidated run");
-    let ct = tracked.pruning_counters();
+    let ct = charged.pruning_counters();
     let cg = global.pruning_counters();
     assert!(
         ct.skip_rate() > cg.skip_rate(),
         "surgical invalidation must raise the cache hit-rate: \
-         tracked {ct:?} vs global {cg:?}"
+         charged {ct:?} vs global {cg:?}"
     );
 }
 

@@ -4,8 +4,7 @@
 //! relocation, every `delta_j_*` must match its naive `*_after_*` sweep
 //! (`ucpc_bench::naive`), and
 //! UCPC's objective trace must stay monotone under the kernel. The
-//! statistic updates themselves (`add_view`, `remove_view` and their
-//! drift-tracked forms `pruning::track_add` / `track_remove`) are held bit
+//! statistic updates themselves (`add_view`, `remove_view`) are held bit
 //! for bit to the per-dimension reference fold in `tests/support/fold.rs`.
 
 mod support;
@@ -15,7 +14,6 @@ use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use support::fold::RefFold;
 use ucpc::core::objective::ClusterStats;
-use ucpc::core::pruning::{track_add, track_remove, ClusterDrift};
 use ucpc::core::Ucpc;
 use ucpc::uncertain::{MomentArena, MomentView, UncertainObject, UnivariatePdf};
 use ucpc_bench::naive::{
@@ -380,24 +378,12 @@ fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
-fn assert_same_as_reference(stats: &ClusterStats, drift: &ClusterDrift, r: &RefFold, ctx: &str) {
+fn assert_same_as_reference(stats: &ClusterStats, r: &RefFold, ctx: &str) {
     assert_eq!(bits(stats.psi()), bits(&r.psi), "{ctx}: psi");
     assert_eq!(bits(stats.phi()), bits(&r.phi), "{ctx}: phi");
     assert_eq!(bits(stats.mean_sum()), bits(&r.mean_sum), "{ctx}: mean_sum");
     assert_eq!(stats.size(), r.size, "{ctx}: size");
     assert_eq!(stats.j().to_bits(), r.j().to_bits(), "{ctx}: J");
-    let (d, e) = (*drift, r.drift);
-    let fields = |d: ClusterDrift| {
-        [
-            d.add_const,
-            d.add_size,
-            d.add_mean,
-            d.rem_const,
-            d.rem_size,
-            d.rem_mean,
-        ]
-    };
-    assert_eq!(bits(&fields(d)), bits(&fields(e)), "{ctx}: drift");
 }
 
 #[test]
@@ -407,7 +393,6 @@ fn statistic_updates_match_the_per_dimension_reference_fold_bit_for_bit() {
             let mut rng = StdRng::seed_from_u64(7000 + 100 * m as u64 + seed);
             let pool: Vec<RawRow> = (0..24).map(|_| raw_row(m, &mut rng)).collect();
             let mut stats = ClusterStats::empty(m);
-            let mut drift = ClusterDrift::default();
             let mut reference = RefFold::new(m);
             let mut members: Vec<usize> = Vec::new();
             // Grow, churn, then drain to empty: large clusters, the small
@@ -421,41 +406,24 @@ fn statistic_updates_match_the_per_dimension_reference_fold_bit_for_bit() {
                     steps
                 };
                 for step in 0..steps {
-                    let tracked = rng.gen_bool(0.5);
                     let adding = members.is_empty() || rng.gen_bool(p_add);
-                    let (i, small) = if adding {
+                    let i = if adding {
                         let i = rng.gen_range(0..pool.len());
                         members.push(i);
-                        let v = pool[i].view();
-                        if tracked {
-                            let got = track_add(&mut stats, &mut drift, &v);
-                            (i, Some((got, reference.add_tracked(&v))))
-                        } else {
-                            stats.add_view(&v);
-                            reference.add(&v);
-                            (i, None)
-                        }
+                        stats.add_view(&pool[i].view());
+                        reference.add(&pool[i].view());
+                        i
                     } else {
                         let i = members.swap_remove(rng.gen_range(0..members.len()));
-                        let v = pool[i].view();
-                        if tracked {
-                            let got = track_remove(&mut stats, &mut drift, &v);
-                            (i, Some((got, reference.remove_tracked(&v))))
-                        } else {
-                            stats.remove_view(&v);
-                            reference.remove(&v);
-                            (i, None)
-                        }
+                        stats.remove_view(&pool[i].view());
+                        reference.remove(&pool[i].view());
+                        i
                     };
                     let ctx = format!(
-                        "m={m} seed={seed} {phase} step {step}: {} row {i}{}",
+                        "m={m} seed={seed} {phase} step {step}: {} row {i}",
                         if adding { "add" } else { "remove" },
-                        if tracked { " tracked" } else { "" }
                     );
-                    if let Some((got, want)) = small {
-                        assert_eq!(got, want, "{ctx}: small-transition flag");
-                    }
-                    assert_same_as_reference(&stats, &drift, &reference, &ctx);
+                    assert_same_as_reference(&stats, &reference, &ctx);
                 }
             }
             assert!(stats.is_empty(), "m={m} seed={seed}: drained");
@@ -496,28 +464,21 @@ fn a_mismatched_view_panics_before_anything_is_folded() {
         })
     });
     for (row, len, bad) in mismatched {
-        for entry in ["add", "add tracked", "remove", "remove tracked"] {
+        for entry in ["add", "remove"] {
             let mut stats = ClusterStats::empty(4);
-            let mut drift = ClusterDrift::default();
             let mut reference = RefFold::new(4);
             for _ in 0..3 {
-                track_add(&mut stats, &mut drift, &full.view());
-                reference.add_tracked(&full.view());
+                stats.add_view(&full.view());
+                reference.add(&full.view());
             }
             let v = bad.view();
             let folded = catch_unwind(AssertUnwindSafe(|| match entry {
                 "add" => stats.add_view(&v),
-                "add tracked" => {
-                    track_add(&mut stats, &mut drift, &v);
-                }
-                "remove" => stats.remove_view(&v),
-                _ => {
-                    track_remove(&mut stats, &mut drift, &v);
-                }
+                _ => stats.remove_view(&v),
             }));
             let ctx = format!("{entry} with a {len}-entry {row} row");
             assert!(folded.is_err(), "{ctx}: folded instead of panicking");
-            assert_same_as_reference(&stats, &drift, &reference, &ctx);
+            assert_same_as_reference(&stats, &reference, &ctx);
         }
     }
 }

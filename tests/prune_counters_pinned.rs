@@ -83,7 +83,7 @@ fn a_scrambled_batch_run_prunes_exactly_as_pinned() {
     assert!(run.converged);
     assert_eq!(
         (run.iterations, run.relocations, tiers(run.pruning)),
-        (4, 556, (391, 62, 1547)),
+        (4, 556, (393, 62, 1545)),
         "{:?}",
         run.pruning
     );

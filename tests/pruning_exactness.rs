@@ -201,9 +201,9 @@ fn stats_bits(stats: &[ClusterStats]) -> Vec<u64> {
         .collect()
 }
 
-/// Drift is charged per pass: an edit folds untracked under either
+/// Drift is charged on read: an edit takes the plain fold under either
 /// setting, and the next pruned pass charges the clusters that edits
-/// changed since the previous pruned pass ended. A seeded churn script
+/// changed when it first reads or stores a cached bound. A seeded churn script
 /// flips pruning Off → Bounds → Off → Bounds mid-stream, with stabilize
 /// bursts in between. After every step the engine must equal an always-Off
 /// twin bit for bit, and the rule must hold: no edit moves a cluster's

@@ -7,7 +7,7 @@
 //! pinned bitwise against them:
 //!
 //! * [`RefStream`] — the streaming engine with one heap-allocated
-//!   `Moments` per slot, a LIFO free list, per-slot generations, untracked
+//!   `Moments` per slot, a LIFO free list, per-slot generations, plain
 //!   statistic updates, and unpruned relocation passes. No cache, no
 //!   pruning, no shared arena.
 //!
