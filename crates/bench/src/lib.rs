@@ -29,8 +29,9 @@
 //!   evaluation (per-dimension loops over `Moments`);
 //! * [`relocation::kernel_pass`] — the production scan:
 //!   `ucpc_core::pruning::PricingTable::relocation` over a flat
-//!   [`ucpc_uncertain::MomentArena`], every candidate's cross term from
-//!   one runtime-dispatched `dot_block` over the clusters' mean-sum rows;
+//!   [`ucpc_uncertain::MomentArena`], every candidate's cross term and add
+//!   delta from one runtime-dispatched `price_block` over the clusters'
+//!   mean-sum rows;
 //! * [`relocation::simd_comparison`] — the same kernel pass with the
 //!   scalar backend forced vs the machine's detected SIMD backend
 //!   (`ucpc_uncertain::simd`), asserting byte-identical labels from the

@@ -326,7 +326,7 @@ impl IncrementalUcpc {
     /// Inserts an object into the cluster that minimizes the objective
     /// increase (O(k·m) by Corollary 1) and returns its generation-stamped
     /// handle. The placement scan prices all `k` clusters with one
-    /// `dot_block` over their own `mean_sum` rows through the pruner's
+    /// `price_block` over their own `mean_sum` rows through the pruner's
     /// [`crate::pruning::PricingTable`], whatever the pruning setting
     /// (pruning governs relocation passes only), and picks what the
     /// reference [`crate::pruning::best_insertion`] would.

@@ -26,8 +26,8 @@
 //!   [`objective::ClusterStats::delta_j_add`] /
 //!   [`objective::ClusterStats::delta_j_remove`] price a relocation in
 //!   O(m), and the engine's [`pruning::PricingTable`] prices all `k`
-//!   candidates of a decision with one `dot_block` over the clusters' own
-//!   mean-sum rows plus `k` hoisted pricers.
+//!   candidates of a decision with one fused `price_block` call over the
+//!   clusters' own mean-sum rows and their `k` hoisted pricers.
 //! * **Pruning tiers** — a [`pruning::Pruner`] caches each object's
 //!   best/second-best deltas and bounds how much any cluster's delta can
 //!   have drifted since (tier 0 globally in O(1), tier 1 per cluster in
@@ -50,8 +50,8 @@
 //! The streaming driver ([`incremental::IncrementalUcpc`]) stores its live
 //! window in one [`ucpc_uncertain::MomentArena`] whose rows it recycles
 //! through its own free list under generation-stamped handles, places
-//! each arrival through the same pricing table (one `dot_block` over every
-//! cluster), and hands every statistic update to its pruner. Every update
+//! each arrival through the same pricing table (one `price_block` over
+//! every cluster), and hands every statistic update to its pruner. Every update
 //! takes the plain fold and marks its cluster changed; the next cached
 //! bound the pruner reads or stores first charges each changed cluster's
 //! net change since its last charge as one transition, so cached bounds

@@ -53,6 +53,7 @@
 //! [`ClusterStats::phi`] / [`ClusterStats::mean_sum`] getters.
 
 use ucpc_uncertain::arena::{dot, MomentView};
+use ucpc_uncertain::simd::add_delta;
 use ucpc_uncertain::{Moments, UncertainObject};
 
 /// Per-cluster sufficient statistics with O(m) add/remove, O(1) objective
@@ -597,8 +598,11 @@ impl ClusterStats {
 /// Per-cluster constants of the Corollary-1 add delta, captured once by
 /// [`ClusterStats::add_pricer`] so a scan pays the two divisions
 /// (`1/(|C|+1)` and the one inside `J(C)`) per cluster rather than per
-/// (cluster, object). [`AddPricer::price`] is *the* implementation of the
-/// delta — [`ClusterStats::delta_j_add`] delegates here.
+/// (cluster, object). [`AddPricer::price`] is the scalar reference of the
+/// delta — [`ClusterStats::delta_j_add`] delegates here — and the engine's
+/// fused kernel, [`ucpc_uncertain::simd::price_block`], is held to it bit
+/// for bit: both evaluate [`simd::add_delta`](ucpc_uncertain::simd::add_delta)
+/// on the same five constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AddPricer {
     new_inv: f64,
@@ -615,10 +619,20 @@ impl AddPricer {
     /// identical bits.
     #[inline]
     pub fn price(&self, sum_var: f64, sum_mu_sq: f64, sum_mu2: f64, cross: f64) -> f64 {
-        let psi = self.psi_tot + sum_var;
-        let s_sq = self.s_sq_tot + 2.0 * cross + sum_mu_sq;
-        let j_new = (psi - s_sq) * self.new_inv + self.phi_tot + sum_mu2;
-        j_new - self.j_base
+        add_delta(self.constants(), [sum_var, sum_mu_sq, sum_mu2], cross)
+    }
+
+    /// The constants in [`add_delta`]'s order, `[1/(|C|+1), Ψ_tot, S₂,
+    /// Φ_tot, J(C)]`: one entry of each of `price_block`'s pricer columns.
+    #[inline]
+    pub(crate) fn constants(&self) -> [f64; 5] {
+        [
+            self.new_inv,
+            self.psi_tot,
+            self.s_sq_tot,
+            self.phi_tot,
+            self.j_base,
+        ]
     }
 }
 

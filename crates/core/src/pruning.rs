@@ -170,12 +170,15 @@
 //! every cluster, which a Cauchy–Schwarz cap on the cross term was measured
 //! too loose to beat.
 //!
-//! Every scan the engine runs — placement, the full relocation scan and the
-//! tier-2 confirm — and every serving answer prices through the pruner's
-//! one [`PricingTable`]: one [`dot_block`] over the clusters' `mean_sum`
-//! rows, read in place, yields every cross term `⟨s_C, mu(o)⟩`, and each
-//! cluster's hoisted [`AddPricer`] and [`RemovePricer`] turn them into
-//! deltas in O(1). The stateless [`best_candidate`] and [`best_insertion`]
+//! Every scan the engine runs — placement, the unpruned relocation
+//! decision, the pruned full scan and the tier-2 confirm — and every
+//! serving answer prices through the pruner's one [`PricingTable`]. A full
+//! scan is one [`price_block`] call: it yields every cross term
+//! `⟨s_C, mu(o)⟩` over the clusters' `mean_sum` rows, read in place, and
+//! turns each into its add delta from the clusters' hoisted add pricers,
+//! held as five columns; a removal gain takes the source's hoisted
+//! [`RemovePricer`] in O(1), and a confirm prices its two rows with one
+//! [`dot_block`]. The stateless [`best_candidate`] and [`best_insertion`]
 //! loops are the reference the table is held to, bit for bit.
 //!
 //! The pricers are the only state the table derives from the statistics,
@@ -183,11 +186,12 @@
 //! [`Pruner`] ([`Pruner::add`], [`Pruner::remove`], [`Pruner::relocate`]),
 //! or wholesale with a [`Pruner::retire`] before the next decision.** An
 //! update makes the folded cluster's pricers stale, a retire every
-//! pricer, and a scan re-derives a stale pricer before it reads it.
+//! pricer, and every read of a pricer — a scan's or a confirm's —
+//! re-derives a stale one first.
 
-use crate::objective::{AddPricer, ClusterStats, RemovePricer};
+use crate::objective::{ClusterStats, RemovePricer};
 use ucpc_uncertain::arena::MomentView;
-use ucpc_uncertain::simd::dot_block;
+use ucpc_uncertain::simd::{add_delta, dot_block, price_block};
 
 /// Whether the relocation loops use the drift-bound candidate pruning.
 ///
@@ -960,24 +964,36 @@ fn consider(best: &mut Option<(usize, f64)>, second: &mut f64, dst: usize, delta
     }
 }
 
-/// The engine's pricing table: each cluster's hoisted [`AddPricer`] and
+/// The engine's pricing table: each cluster's hoisted add pricer and
 /// [`RemovePricer`], so that a scan prices all `k` candidates with one
-/// [`dot_block`] over the clusters' `mean_sum` rows, read in place (one
-/// dispatch, four rows per reduction on AVX2), and `k` O(1) pricer
-/// evaluations, instead of a dispatched dot product and two divisions per
-/// candidate.
+/// [`price_block`] call — every cross term over the clusters' `mean_sum`
+/// rows, read in place, and every add delta from the pricers — instead of
+/// a dispatched dot product and two divisions per candidate.
 ///
-/// Pricers are derived lazily: a stale one is `None`, and a scan derives
-/// it from the statistics it is handed before it reads it. A pricer is a
-/// pure function of the statistics and `dot_block` is bit-identical to
-/// per-row `dot`, so the table prices every candidate with the bits of
-/// [`ClusterStats::delta_j_add`] / [`ClusterStats::delta_j_remove`]: the
-/// scans agree with [`best_insertion`] and [`best_candidate`] bit for bit
-/// under the staleness rule of the module docs. Outside a [`Pruner`], a
-/// table must be handed unchanging statistics.
+/// The add pricers are stored as [`price_block`]'s five `k`-long pricer
+/// columns (each cluster's `AddPricer` constants, in [`add_delta`]'s
+/// order) plus one stale mask; the remove pricers, which a decision reads
+/// one at a time, as options. Pricers are derived lazily: a stale one is
+/// re-derived from the statistics a scan is handed before it is read, by a
+/// full scan and the tier-2 confirm alike. A pricer is a pure function of
+/// the statistics and [`price_block`] is bit-identical to
+/// [`dot`](ucpc_uncertain::simd::dot) followed by
+/// [`AddPricer::price`](crate::objective::AddPricer::price), so the table
+/// prices every candidate with the bits of [`ClusterStats::delta_j_add`] /
+/// [`ClusterStats::delta_j_remove`]: the scans agree with
+/// [`best_insertion`] and [`best_candidate`] bit for bit under the
+/// staleness rule of the module docs. Outside a [`Pruner`], a table must be
+/// handed unchanging statistics.
 #[derive(Debug, Clone)]
 pub struct PricingTable {
-    add: Vec<Option<AddPricer>>,
+    /// Column `j` holds entry `j` of every cluster's
+    /// `AddPricer::constants`; cluster `c`'s entries are read only while
+    /// its stale bit is clear.
+    add: [Vec<f64>; 5],
+    /// Bit `c % 64` of word `c / 64` is set while cluster `c`'s add-pricer
+    /// entries predate its statistics: a pricing with nothing stale tests
+    /// one word per 64 clusters.
+    stale: Vec<u64>,
     /// A decision reads only its own cluster's remover, so it is derived
     /// on that read alone: edits followed by placements never pay for
     /// removers nobody prices.
@@ -988,35 +1004,87 @@ pub struct PricingTable {
     deltas: Vec<f64>,
 }
 
-/// Equal pricers, stale ones as stale: the scratch rows carry no state.
+/// Equal pricers, stale ones as stale: the scratch rows, and the entries
+/// of stale add pricers, carry no state.
 impl PartialEq for PricingTable {
     fn eq(&self, other: &Self) -> bool {
-        self.add == other.add && self.remove == other.remove
+        self.stale == other.stale
+            && self.remove == other.remove
+            && (0..self.remove.len())
+                .filter(|&c| !self.is_stale(c))
+                .all(|c| self.adder(c) == other.adder(c))
+    }
+}
+
+/// Sets the bit of each of `k` clusters in `mask`, and no other bit.
+fn mark_every(mask: &mut [u64], k: usize) {
+    mask.fill(u64::MAX);
+    if let Some(last) = mask.last_mut() {
+        *last >>= (64 - k % 64) % 64;
     }
 }
 
 impl PricingTable {
     /// A table for `k` clusters, every pricer stale.
     pub fn new(k: usize) -> Self {
-        Self {
-            add: vec![None; k],
+        let mut table = Self {
+            add: std::array::from_fn(|_| vec![0.0; k]),
+            stale: vec![0; k.div_ceil(64)],
             remove: vec![None; k],
             cross: vec![0.0; k],
             deltas: vec![0.0; k],
-        }
+        };
+        table.mark_all_stale();
+        table
     }
 
     /// Makes cluster `c`'s pricers stale: its statistics changed.
     #[inline]
     fn mark_stale(&mut self, c: usize) {
-        self.add[c] = None;
+        self.stale[c / 64] |= 1 << (c % 64);
         self.remove[c] = None;
     }
 
     /// Makes every pricer stale: the statistics were replaced wholesale.
     fn mark_all_stale(&mut self) {
-        self.add.fill(None);
+        mark_every(&mut self.stale, self.remove.len());
         self.remove.fill(None);
+    }
+
+    /// Whether cluster `c`'s add pricer is stale.
+    #[inline]
+    fn is_stale(&self, c: usize) -> bool {
+        self.stale[c / 64] & (1 << (c % 64)) != 0
+    }
+
+    /// Re-derives every stale add pricer from `stats` into the columns.
+    #[inline(always)]
+    fn refresh(&mut self, stats: &[ClusterStats]) {
+        for word in 0..self.stale.len() {
+            let mut bits = std::mem::take(&mut self.stale[word]);
+            while bits != 0 {
+                self.derive(stats, 64 * word + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// Writes `stats[c]`'s add pricer into the columns. Out of line: a
+    /// pricing runs it only after an update, and inlined into
+    /// [`Self::price`] it made every pass of an unpruned 2,000×8×5 batch
+    /// run 4–12% slower, moves or none.
+    #[inline(never)]
+    fn derive(&mut self, stats: &[ClusterStats], c: usize) {
+        let constants = stats[c].add_pricer().constants();
+        for (column, value) in self.add.iter_mut().zip(constants) {
+            column[c] = value;
+        }
+    }
+
+    /// Cluster `c`'s add-pricer constants as the columns hold them.
+    #[inline]
+    fn adder(&self, c: usize) -> [f64; 5] {
+        self.add.each_ref().map(|column| column[c])
     }
 
     /// `stats[c]`'s removal pricer, derived first if stale.
@@ -1024,20 +1092,21 @@ impl PricingTable {
         *self.remove[c].get_or_insert_with(|| stats[c].remove_pricer())
     }
 
-    /// Prices an arrival `v` against every cluster: fills `cross` with
-    /// `⟨s_c, mu⟩` for every cluster with one `dot_block` over the
-    /// clusters' own rows, derives the stale add pricers, and returns each
-    /// cluster's add delta in cluster order, the bits of
-    /// `stats[c].delta_j_add(v)`. Placement, relocation and the serving
-    /// answers all price through this one loop.
+    /// Prices an arrival `v` against every cluster: derives the stale add
+    /// pricers, then one [`price_block`] fills `cross` with `⟨s_c, mu⟩`
+    /// over the clusters' own rows and returns each cluster's add delta in
+    /// cluster order, the bits of `stats[c].delta_j_add(v)`. Placement,
+    /// relocation and the serving answers all price through this one call.
     pub(crate) fn price(&mut self, stats: &[ClusterStats], v: &MomentView<'_>) -> &[f64] {
-        dot_block(v.mu, |c| stats[c].mean_sum(), &mut self.cross);
-        let (var, mu_sq, mu2) = (v.sum_var, v.sum_mu_sq, v.sum_mu2);
-        let priced = self.deltas.iter_mut().zip(&mut self.add).zip(&self.cross);
-        for (c, ((delta, add), &cross)) in priced.enumerate() {
-            let add = add.get_or_insert_with(|| stats[c].add_pricer());
-            *delta = add.price(var, mu_sq, mu2, cross);
-        }
+        self.refresh(stats);
+        price_block(
+            v.mu,
+            [v.sum_var, v.sum_mu_sq, v.sum_mu2],
+            |c| stats[c].mean_sum(),
+            &self.add,
+            &mut self.cross,
+            &mut self.deltas,
+        );
         &self.deltas
     }
 
@@ -1079,6 +1148,8 @@ impl PricingTable {
 
     /// The exact delta of moving a member of `src` to `dst`, both rows in
     /// one two-row `dot_block`: the bits a full scan computes for `dst`.
+    /// It reads `dst`'s add pricer from the columns, so it derives a stale
+    /// one first, as [`Self::price`] does.
     fn confirm(
         &mut self,
         stats: &[ClusterStats],
@@ -1089,9 +1160,12 @@ impl PricingTable {
         let mut cross = [0.0; 2];
         dot_block(v.mu, |r| stats[[src, dst][r]].mean_sum(), &mut cross);
         let (var, mu_sq, mu2) = (v.sum_var, v.sum_mu_sq, v.sum_mu2);
-        let add = *self.add[dst].get_or_insert_with(|| stats[dst].add_pricer());
+        if self.is_stale(dst) {
+            self.derive(stats, dst);
+            self.stale[dst / 64] &= !(1 << (dst % 64));
+        }
         self.remover(stats, src).price(var, mu_sq, mu2, cross[0])
-            + add.price(var, mu_sq, mu2, cross[1])
+            + add_delta(self.adder(dst), [var, mu_sq, mu2], cross[1])
     }
 }
 
@@ -1504,6 +1578,46 @@ mod tests {
                         placed.map(|(c, d)| (c, d.to_bits())),
                         Some((want_c, want_d.to_bits()))
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_stale_mask_covers_clusters_past_its_first_word() {
+        // k on both sides of the mask's 64-cluster words; edits land in
+        // the first and the last word, and a retire marks them all.
+        let m = 16;
+        let data: Vec<UncertainObject> = (0..300)
+            .map(|i| {
+                let mean = |j: usize| ((i * 7 + j * 3) % 23) as f64 * 0.4 - 4.0;
+                UncertainObject::new(
+                    (0..m)
+                        .map(|j| UnivariatePdf::normal(mean(j), 0.2))
+                        .collect(),
+                )
+            })
+            .collect();
+        let arena = MomentArena::from_objects(&data);
+        for k in [63usize, 64, 65, 130] {
+            let labels: Vec<usize> = (0..2 * k).map(|i| i % k).collect();
+            let mut stats = stats_for(&arena, &labels, k);
+            let mut pruner = Pruner::new(k, PruningConfig::Off);
+            for (step, i) in (2 * k..2 * k + 40).enumerate() {
+                let v = arena.view(i);
+                let deltas = pruner.price(&stats, &v).to_vec();
+                for (c, (delta, stat)) in deltas.iter().zip(&stats).enumerate() {
+                    let want = stat.delta_j_add(&v);
+                    assert_eq!(delta.to_bits(), want.to_bits(), "k={k}, step {step}, c={c}");
+                }
+                let c = if step % 2 == 0 {
+                    k - 1 - step % 3
+                } else {
+                    step % 3
+                };
+                pruner.add(&mut stats, c, &v);
+                if step % 10 == 9 {
+                    pruner.retire();
                 }
             }
         }

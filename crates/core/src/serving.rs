@@ -14,10 +14,11 @@
 //!
 //! 1. **price** — requests are replayed in submission order, and each
 //!    answer reads the engine's pricing table: a query or commit is priced
-//!    at its turn against every cluster, one dispatched [`dot_block`] over
-//!    the clusters' own `mean_sum` rows (on AVX2, four clusters per
-//!    reduction) and each cluster's hoisted [`AddPricer`], and its `k`
-//!    deltas are folded into a ranked answer;
+//!    at its turn against every cluster, one dispatched [`price_block`]
+//!    over the clusters' own `mean_sum` rows and their hoisted add pricers
+//!    ([`AddPricer`], held as columns; on AVX2, four clusters per
+//!    reduction and per delta), and its `k` deltas are folded into a
+//!    ranked answer;
 //! 2. **apply** — commits, removals and every move of a stabilization
 //!    become [`LogEntry`] rounds applied through
 //!    [`IncrementalUcpc::apply_round`], the engine's one mutation path;
@@ -43,8 +44,9 @@
 //!   `stats[c].delta_j_add(v)` for every `c`, pruning on or off.
 //!   `delta_j_add(v)` is a *pure function* of the bits of `stats[c]` and
 //!   `v`: it *is* `add_pricer().price(.., dot(s_c, mu(v)))`, and
-//!   [`dot_block`]'s crosses are contractually bit-identical to the single
-//!   [`dot`] (the SIMD module's bit-identity contract; rows below
+//!   [`price_block`]'s crosses and deltas are contractually bit-identical
+//!   to the single [`dot`] and that formula (the SIMD module's
+//!   bit-identity contract; rows below
 //!   [`DISPATCH_THRESHOLD`] take the same unfused core in both). Each
 //!   answer is priced at its turn, after every mutation before it in the
 //!   flush, and every engine mutation folds through the pruner that owns
@@ -110,7 +112,7 @@
 //!
 //! [`best_insertion`]: crate::pruning::best_insertion
 //! [`dot`]: ucpc_uncertain::simd::dot
-//! [`dot_block`]: ucpc_uncertain::simd::dot_block
+//! [`price_block`]: ucpc_uncertain::simd::price_block
 //! [`AddPricer`]: crate::objective::AddPricer
 //! [`DISPATCH_THRESHOLD`]: ucpc_uncertain::simd::DISPATCH_THRESHOLD
 //! [`MomentArena::overwrite_row`]: ucpc_uncertain::MomentArena::overwrite_row
@@ -1245,7 +1247,7 @@ mod tests {
     }
 
     /// An `m`-dimensional arrival centred on `c` (`arrival(c, 2)` is
-    /// [`obj`]); `m = 16` reaches the dispatched `dot_block` kernels.
+    /// [`obj`]); `m = 16` reaches the dispatched `price_block` kernel.
     fn arrival(c: f64, m: usize) -> UncertainObject {
         UncertainObject::new(
             (0..m)

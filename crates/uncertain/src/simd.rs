@@ -7,9 +7,13 @@
 //!   `ucpc_core::objective::ClusterStats::delta_j_add` and friends through
 //!   its [`crate::arena::dot`] re-export;
 //! * [`dot_block`] — one shared row against a block of rows, each read in
-//!   place through an accessor, in a single dispatched call: the primitive
-//!   behind every candidate scan and serving answer (the engine's pricing
-//!   table);
+//!   place through an accessor, in a single dispatched call (the engine's
+//!   two-row tier-2 confirm);
+//! * [`price_block`] — the fused pricing kernel: one object's cross terms
+//!   against `k` clusters' rows *and* its `k` Corollary-1 add deltas, from
+//!   five pricer columns, in one dispatched call; every candidate scan and
+//!   serving answer runs it (the engine's pricing table), and
+//!   [`add_delta`] is the one scalar formula it is held to;
 //! * [`Backend`] — the explicit backend set (scalar, AVX2+FMA, NEON) with
 //!   runtime detection, the `UCPC_SIMD` environment knob, and
 //!   [`force_backend`] for benches and tests;
@@ -57,6 +61,17 @@
 //! a block of candidates in one call is bit-identical to one that evaluates
 //! them one at a time.
 //!
+//! [`price_block`] extends the contract to the add delta: each cross is
+//! [`dot`]'s, and each delta is [`add_delta`] applied to it. The AVX2 body
+//! evaluates [`add_delta`]'s five additions, two multiplications and two
+//! subtractions as separate vector operations in the same order (no
+//! contraction into FMA, which would round once where the scalar formula
+//! rounds twice), so a delta priced four clusters per vector and one priced
+//! alone have the same bits. `simd::tests` holds every backend's
+//! [`price_block`] to [`dot`] plus [`add_delta`] over `k ∈ 0..=13 ∪ {20}`,
+//! `m` from 1 to 80, and rows, pricers and scalars holding `±0.0`, `±∞`,
+//! `1e±150` and NaN.
+//!
 //! Rows shorter than [`DISPATCH_THRESHOLD`] bypass dispatch entirely: a
 //! non-inlinable backend call costs more than the (L1-resident) work it
 //! would do, so every entry point — [`dot`], [`dot_block`], [`dot_with`],
@@ -77,7 +92,14 @@
 //! limited by the two loads it issues per FMA. Its [`dot_block`] takes
 //! rows four at a time when `m` is a multiple of 16: the shared `x` row is
 //! loaded once per four FMAs, and the four rows' lanes go through one
-//! vector reduction instead of four horizontal ones. [`Backend::Scalar`] is a
+//! vector reduction instead of four horizontal ones. Its [`price_block`]
+//! does the same inside one `#[target_feature]` frame, keeps the four
+//! crosses in a register for the delta epilogue, and is compiled apart for
+//! `m = 16` and `m = 32`, whose block loops unroll: at `k = 8, m = 16` the
+//! fused call takes about 30 ns where [`dot_block`] plus the scalar
+//! epilogue take 50 (`relocation_kernel`'s `price_block` group). Other
+//! shapes price row by row, so each cross stays in a register for its
+//! delta. [`Backend::Scalar`] is a
 //! genuine one-element-at-a-time loop: its `f64::mul_add` compiles to a
 //! scalar `fmadd` instruction where the build target has FMA and otherwise
 //! calls libm's correctly-rounded `fma` (glibc dispatches that to hardware
@@ -315,11 +337,9 @@ fn dot_on(backend: impl FnOnce() -> Backend, a: &[f64], b: &[f64]) -> f64 {
 /// Fused dot products of one shared row `x` against a *block* of rows:
 /// `out[i] = ⟨x, row(i)⟩` for every `i < out.len()`.
 ///
-/// This is the pricing primitive of every candidate scan: the engine's
-/// pricing table prices one object's `mu` row against every cluster's
-/// `mean_sum` row, read in place through `row`, for placement, the
-/// relocation scans and the serving answers alike (and against two rows
-/// for a tier-2 confirm). Calling [`dot`] per pair pays the dispatch
+/// The engine prices a tier-2 confirm's two rows with it; full scans take
+/// [`price_block`], which adds each row's delta. Calling [`dot`] per pair
+/// pays the dispatch
 /// branch, the non-inlinable `#[target_feature]` call frame and a
 /// horizontal reduction per row — at these sizes (`m ≈ 16–64`) that
 /// overhead rivals the FMA work itself. `dot_block` dispatches **once**;
@@ -365,11 +385,7 @@ fn dot_block_on<'a>(
     out: &mut [f64],
 ) {
     let m = x.len();
-    let row = move |i| {
-        let r = row(i);
-        assert_eq!(r.len(), m, "dot_block rows must match x's length");
-        r
-    };
+    let row = checked_rows(m, row);
     if m < DISPATCH_THRESHOLD {
         for (i, o) in out.iter_mut().enumerate() {
             *o = unfused_core(x, row(i));
@@ -383,6 +399,138 @@ fn dot_block_on<'a>(
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => unsafe { neon::dot_block(x, row, out) },
         _ => scalar::dot_block(x, row, out),
+    }
+}
+
+/// The Corollary-1 add delta of one object joining one cluster, from the
+/// object's scalars `[Σvar, ‖mu‖², Σμ₂]`, the cluster's pricer
+/// `[1/(|C|+1), Ψ_tot, S₂, Φ_tot, J(C)]` and their cross term
+/// `⟨s_C, mu⟩`. The one formula of the add delta: the scalar add pricer
+/// and [`price_block`]'s scalar epilogue call it, and the AVX2 epilogue
+/// performs its operations in the same order, each rounded once (no
+/// contraction into FMA).
+#[inline(always)]
+pub fn add_delta(pricer: [f64; 5], scalars: [f64; 3], cross: f64) -> f64 {
+    let [new_inv, psi_tot, s_sq_tot, phi_tot, j_base] = pricer;
+    let [sum_var, sum_mu_sq, sum_mu2] = scalars;
+    let psi = psi_tot + sum_var;
+    let s_sq = s_sq_tot + 2.0 * cross + sum_mu_sq;
+    let j_new = (psi - s_sq) * new_inv + phi_tot + sum_mu2;
+    j_new - j_base
+}
+
+/// Prices one object against a block of clusters in one dispatched call:
+/// `cross[c] = ⟨x, row(c)⟩` and
+/// `deltas[c] = add_delta([pricers[0][c], …, pricers[4][c]], scalars, cross[c])`
+/// for every `c < cross.len()`. `x` is the object's `mu` row, `scalars` its
+/// `[Σvar, ‖mu‖², Σμ₂]`, `row(c)` cluster `c`'s `mean_sum` row (read in
+/// place) and `pricers` the clusters' add pricers as five columns in
+/// [`add_delta`]'s order. This is the pricing of every candidate scan: the
+/// engine's pricing table calls it for placement, relocation and every
+/// serving answer.
+///
+/// Every component is bit-identical to [`dot`] followed by [`add_delta`]:
+/// the crosses keep [`dot`]'s lane structure, and the AVX2 epilogue is
+/// [`add_delta`]'s operations in its order, four clusters per vector. The
+/// AVX2 body, for `m` a multiple of 16, takes clusters four at a time (each
+/// row with its own accumulators, one reduction for four rows) and is
+/// compiled separately for `m = 16` and `m = 32`; the last `< 4` clusters,
+/// every other shape and the other backends take [`dot`] and the scalar
+/// [`add_delta`] row by row.
+///
+/// # Panics
+///
+/// If a row's length differs from `x.len()`, or `deltas` or a pricer
+/// column is not `cross.len()` long.
+#[inline]
+pub fn price_block<'a>(
+    x: &[f64],
+    scalars: [f64; 3],
+    row: impl Fn(usize) -> &'a [f64],
+    pricers: &[Vec<f64>; 5],
+    cross: &mut [f64],
+    deltas: &mut [f64],
+) {
+    price_block_on(active_backend, x, scalars, row, pricers, cross, deltas);
+}
+
+/// [`price_block`] through one explicit backend (which must be available).
+pub fn price_block_with<'a>(
+    backend: Backend,
+    x: &[f64],
+    scalars: [f64; 3],
+    row: impl Fn(usize) -> &'a [f64],
+    pricers: &[Vec<f64>; 5],
+    cross: &mut [f64],
+    deltas: &mut [f64],
+) {
+    assert!(backend.is_available(), "backend not available on this CPU");
+    price_block_on(|| backend, x, scalars, row, pricers, cross, deltas);
+}
+
+/// The body of [`price_block`] and [`price_block_with`]. The AVX2 body
+/// reads and writes through raw pointers, so it is entered only after the
+/// output and column lengths are checked here, with every row checked by
+/// [`checked_rows`].
+///
+/// Every other shape prices each row as its cross term is computed:
+/// [`dot`]'s bits, which are [`dot_block`]'s, and the scalar
+/// [`add_delta`]. Keeping the cross in a register matters on short rows,
+/// where the whole pricing is a few dozen cycles: a separate epilogue pass
+/// is vectorized, and its 16-byte loads of crosses and freshly derived
+/// pricers, each spanning two 8-byte stores made just before, miss the
+/// store-to-load forwarding and stall.
+#[inline(always)]
+fn price_block_on<'a>(
+    backend: impl FnOnce() -> Backend,
+    x: &[f64],
+    scalars: [f64; 3],
+    row: impl Fn(usize) -> &'a [f64],
+    pricers: &[Vec<f64>; 5],
+    cross: &mut [f64],
+    deltas: &mut [f64],
+) {
+    let k = cross.len();
+    assert!(
+        deltas.len() == k && pricers.iter().all(|p| p.len() == k),
+        "price_block outputs and pricer columns must have one entry per row"
+    );
+    let backend = backend();
+    #[cfg(target_arch = "x86_64")]
+    if backend == Backend::Avx2 && x.len() >= DISPATCH_THRESHOLD && x.len().is_multiple_of(16) {
+        let row = checked_rows(x.len(), row);
+        // SAFETY: the backend is available (the active one, or checked by
+        // `price_block_with`); `row` checks every row's length and the
+        // lengths of `deltas` and the columns are checked above.
+        unsafe {
+            match x.len() {
+                16 => avx2::price_block::<1>(x, scalars, row, pricers, cross, deltas),
+                32 => avx2::price_block::<2>(x, scalars, row, pricers, cross, deltas),
+                _ => avx2::price_block::<0>(x, scalars, row, pricers, cross, deltas),
+            }
+        }
+        return;
+    }
+    for (c, (cross, delta)) in cross.iter_mut().zip(deltas.iter_mut()).enumerate() {
+        *cross = dot_on(|| backend, x, row(c));
+        *delta = add_delta(pricer(pricers, c), scalars, *cross);
+    }
+}
+
+/// Row `c`'s pricer from the five pricer columns.
+#[inline(always)]
+fn pricer(pricers: &[Vec<f64>; 5], c: usize) -> [f64; 5] {
+    pricers.each_ref().map(|column| column[c])
+}
+
+/// `row` with every row checked to hold `m` elements, for the backends
+/// that read rows through raw pointers.
+#[inline(always)]
+fn checked_rows<'a>(m: usize, row: impl Fn(usize) -> &'a [f64]) -> impl Fn(usize) -> &'a [f64] {
+    move |i| {
+        let r = row(i);
+        assert_eq!(r.len(), m, "dot_block rows must match x's length");
+        r
     }
 }
 
@@ -505,9 +653,9 @@ mod scalar {
 mod avx2 {
     use std::arch::x86_64::{
         __m256d, _mm256_add_pd, _mm256_blend_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd,
-        _mm256_fmadd_pd, _mm256_hadd_pd, _mm256_loadu_pd, _mm256_permute2f128_pd,
-        _mm256_setzero_pd, _mm256_storeu_pd, _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64,
-        _mm_unpackhi_pd,
+        _mm256_fmadd_pd, _mm256_hadd_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute2f128_pd,
+        _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm_add_pd, _mm_add_sd,
+        _mm_cvtsd_f64, _mm_unpackhi_pd,
     };
 
     /// Canonical 4-lane reduction of one 256-bit accumulator holding lanes
@@ -610,22 +758,23 @@ mod avx2 {
         _mm256_hadd_pd(u02, u13)
     }
 
-    /// Four dot products of `x` against the rows at `rows`, for `m` a
-    /// multiple of 16: each row keeps [`dot`]'s four 4-lane
+    /// Four dot products of `x` against the rows at `rows`, for `m =
+    /// 16 · blocks`: each row keeps [`dot`]'s four 4-lane
     /// accumulators, every block of `x` is loaded once for the four rows,
     /// and [`reduce_rows4`] replaces four horizontal reductions. With no
     /// quad stage and an empty tail, [`super::combine`] is `main16 + 0.0`,
     /// added here to all four lanes at once (it turns a `-0.0` into `+0.0`
-    /// exactly as the per-row path does).
+    /// exactly as the per-row path does). A constant `blocks` unrolls.
     ///
     /// # Safety
-    /// As for [`dot`]; every row must hold `x.len()` elements.
+    /// As for [`dot`]; `x` and every row must hold `16 · blocks` elements.
     #[inline(always)]
-    unsafe fn dot_rows4(x: &[f64], rows: [&[f64]; 4]) -> __m256d {
+    unsafe fn dot_rows4(x: &[f64], blocks: usize, rows: [&[f64]; 4]) -> __m256d {
         let px = x.as_ptr();
         let pr = rows.map(<[f64]>::as_ptr);
         let mut acc = [[_mm256_setzero_pd(); 4]; 4];
-        for base in (0..x.len()).step_by(16) {
+        for i in 0..blocks {
+            let base = 16 * i;
             for v in 0..4 {
                 let xv = _mm256_loadu_pd(px.add(base + 4 * v));
                 for (a, p) in acc.iter_mut().zip(&pr) {
@@ -657,13 +806,67 @@ mod avx2 {
         let mut done = 0;
         if x.len().is_multiple_of(16) {
             for o in out.chunks_exact_mut(4) {
-                let d = dot_rows4(x, [row(done), row(done + 1), row(done + 2), row(done + 3)]);
-                _mm256_storeu_pd(o.as_mut_ptr(), d);
+                let rows = [row(done), row(done + 1), row(done + 2), row(done + 3)];
+                _mm256_storeu_pd(o.as_mut_ptr(), dot_rows4(x, x.len() / 16, rows));
                 done += 4;
             }
         }
         for (i, o) in out.iter_mut().enumerate().skip(done) {
             *o = dot(x, row(i));
+        }
+    }
+
+    /// [`super::price_block`]'s fused body for `m` a multiple of 16:
+    /// clusters go four at a time through [`dot_rows4`], whose crosses
+    /// stay in a register for [`super::add_delta`]'s operations on four
+    /// clusters at once (mul and add apart, never fused), with the
+    /// pricers read from their columns. `B` is `m / 16` when that is
+    /// fixed at compile time, or 0 to read it from `x`. The last `< 4`
+    /// clusters take [`dot`] and the scalar [`super::add_delta`].
+    ///
+    /// # Safety
+    /// As for [`dot`]; `x.len()` must be a multiple of 16 (`16 · B` when
+    /// `B > 0`), every row must hold `x.len()` elements and `deltas` and
+    /// every pricer column must be `cross.len()` long.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn price_block<'a, const B: usize>(
+        x: &[f64],
+        scalars: [f64; 3],
+        row: impl Fn(usize) -> &'a [f64],
+        pricers: &[Vec<f64>; 5],
+        cross: &mut [f64],
+        deltas: &mut [f64],
+    ) {
+        let blocks = if B > 0 { B } else { x.len() / 16 };
+        let sum_var = _mm256_set1_pd(scalars[0]);
+        let sum_mu_sq = _mm256_set1_pd(scalars[1]);
+        let sum_mu2 = _mm256_set1_pd(scalars[2]);
+        let two = _mm256_set1_pd(2.0);
+        let [new_inv, psi_tot, s_sq_tot, phi_tot, j_base] = pricers.each_ref().map(|p| p.as_ptr());
+        let k = cross.len();
+        let mut c = 0;
+        while c + 4 <= k {
+            let rows = [row(c), row(c + 1), row(c + 2), row(c + 3)];
+            let d = dot_rows4(x, blocks, rows);
+            _mm256_storeu_pd(cross.as_mut_ptr().add(c), d);
+            let psi = _mm256_add_pd(_mm256_loadu_pd(psi_tot.add(c)), sum_var);
+            let s_sq = _mm256_add_pd(
+                _mm256_add_pd(_mm256_loadu_pd(s_sq_tot.add(c)), _mm256_mul_pd(two, d)),
+                sum_mu_sq,
+            );
+            let scaled = _mm256_mul_pd(_mm256_sub_pd(psi, s_sq), _mm256_loadu_pd(new_inv.add(c)));
+            let j_new = _mm256_add_pd(
+                _mm256_add_pd(scaled, _mm256_loadu_pd(phi_tot.add(c))),
+                sum_mu2,
+            );
+            let delta = _mm256_sub_pd(j_new, _mm256_loadu_pd(j_base.add(c)));
+            _mm256_storeu_pd(deltas.as_mut_ptr().add(c), delta);
+            c += 4;
+        }
+        let rest = cross.iter_mut().zip(deltas.iter_mut()).enumerate().skip(c);
+        for (i, (cross, delta)) in rest {
+            *cross = dot(x, row(i));
+            *delta = super::add_delta(super::pricer(pricers, i), scalars, *cross);
         }
     }
 }
@@ -843,6 +1046,106 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn price_block_is_bit_identical_to_dot_and_the_scalar_epilogue_on_every_backend() {
+        // Hostile values for rows, pricers and scalars: signed zeros,
+        // infinities, and magnitudes whose products overflow or vanish.
+        const HOSTILE: [f64; 6] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1e150, -1e-150];
+        // Row 2 holds a NaN whenever k > 2.
+        const NAN_ROW: usize = 2;
+        let value = |seed: usize| -> f64 {
+            match seed % 11 {
+                s @ 0..=5 => HOSTILE[s],
+                s => (seed as f64) * 0.173 - 3.7 + s as f64,
+            }
+        };
+        for backend in Backend::available() {
+            for m in [1usize, 8, 15, 16, 17, 32, 33, 48, 64, 80] {
+                for k in (0..=13).chain([20]) {
+                    // Ordinary rows and columns, with hostile entries
+                    // scattered through them.
+                    let mut rows: Vec<Vec<f64>> = (0..k)
+                        .map(|c| {
+                            (0..m)
+                                .map(|j| match (c * 7 + j * 3) % 13 {
+                                    0 => value(c + j),
+                                    _ => ((c * m + j) as f64) * 0.29 - 6.3,
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    if k > NAN_ROW {
+                        rows[NAN_ROW][m / 2] = f64::NAN;
+                    }
+                    let columns: [Vec<f64>; 5] = std::array::from_fn(|col| {
+                        (0..k)
+                            .map(|c| match (c + 2 * col) % 5 {
+                                0 => value(c * 5 + col),
+                                _ => 0.5 + (c * 5 + col) as f64 * 0.37,
+                            })
+                            .collect()
+                    });
+                    let x: Vec<f64> = (0..m).map(|j| 1.7 - (j as f64) * 0.13).collect();
+                    let ordinary = [2.25, 1.5, 3.75];
+                    let scalar_sets = [
+                        ordinary,
+                        [0.0, -0.0, 0.0],
+                        [-0.0, 0.0, -0.0],
+                        [f64::INFINITY, 1.0, 2.0],
+                        [1.0, f64::NEG_INFINITY, 2.0],
+                        [1e150, -1e150, 1e-150],
+                    ];
+                    for scalars in scalar_sets {
+                        let mut cross = vec![0.0; k];
+                        let mut deltas = vec![0.0; k];
+                        price_block_with(
+                            backend,
+                            &x,
+                            scalars,
+                            |c| &rows[c],
+                            &columns,
+                            &mut cross,
+                            &mut deltas,
+                        );
+                        for c in 0..k {
+                            let what = format!(
+                                "{} price_block[{c}] at m={m}, k={k}, scalars {scalars:?}",
+                                backend.name()
+                            );
+                            let want_cross = dot_with(Backend::Scalar, &x, &rows[c]);
+                            let pricer = columns.each_ref().map(|col| col[c]);
+                            let want = add_delta(pricer, scalars, want_cross);
+                            if c == NAN_ROW {
+                                assert!(cross[c].is_nan(), "{what} swallowed a NaN cross");
+                                assert!(deltas[c].is_nan(), "{what} swallowed a NaN delta");
+                                continue;
+                            }
+                            // A NaN's payload is not part of the contract.
+                            let same = |got: f64, want: f64| {
+                                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+                            };
+                            assert!(same(cross[c], want_cross), "{what} cross {}", cross[c]);
+                            assert!(
+                                same(deltas[c], want),
+                                "{what} delta {} vs {want}",
+                                deltas[c]
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one entry per row")]
+    fn price_block_refuses_a_short_pricer_column() {
+        let x = [1.0; 16];
+        let mut pricers: [Vec<f64>; 5] = std::array::from_fn(|_| vec![1.0; 4]);
+        pricers[2].pop();
+        price_block(&x, [0.0; 3], |_| &x, &pricers, &mut [0.0; 4], &mut [0.0; 4]);
     }
 
     #[test]
