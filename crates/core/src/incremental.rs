@@ -35,11 +35,13 @@
 //! engine, or results would depend on the churn history. Three facts make
 //! it so:
 //!
-//! 1. **Rows are written whole.** Appended and recycled rows go through the
-//!    one canonical fold ([`MomentArena::push_row_with`] /
+//! 1. **Rows are written whole.** A slot is its `mu` and `mu2` rows and
+//!    four scalars (`2m + 4` floats; the variances are derived where a
+//!    fold reads them). Appended and recycled rows go through the one
+//!    canonical fold ([`MomentArena::push_row_with`] /
 //!    [`MomentArena::overwrite_row_with`]), which copies `mu`/`mu2`
-//!    verbatim and re-derives `var` and the scalar aggregates; no bit of
-//!    the previous occupant survives.
+//!    verbatim and re-derives the scalar aggregates; no bit of the
+//!    previous occupant survives.
 //! 2. **Free rows are never read.** Every row read is gated by `labels`,
 //!    so what a departed object leaves behind is unobservable; a removal
 //!    changes only the label, the generation and the free list.
@@ -239,10 +241,11 @@ impl IncrementalUcpc {
             norms_finite &= v.norm_mu.is_finite();
             *slot = Some(c);
         }
-        // Every other part of a row reaches its cluster's sums, so this
-        // refuses each row `MomentView::is_finite` refuses (and sums that
-        // overflow) in O(k·m), where a per-row sweep costs about as much as
-        // the fold itself.
+        // `MomentView::is_finite` reads a row's four sums only, and the
+        // other three reach the cluster totals (`sum_var` into `Ψ_tot`,
+        // `sum_mu2` into `Φ_tot`, `sum_mu_sq` into `S₂`), so this refuses
+        // each row it refuses (and sums that overflow) in O(k·m) without a
+        // second read of the rows.
         if !norms_finite || !self.stats.iter().all(ClusterStats::is_finite) {
             return Err(ClusterError::NonFinite);
         }
@@ -472,8 +475,8 @@ impl IncrementalUcpc {
                         return Err("round inserts at a slot the engine would not allocate");
                     }
                     let (mu, mu2) = e.row(self.m)?;
-                    // The one canonical fold derives the variance row and
-                    // scalar aggregates, live and at replay alike.
+                    // The one canonical fold derives the scalar
+                    // aggregates, live and at replay alike.
                     let fill = |j: usize| (mu[j], mu2[j]);
                     let recycled = s < self.labels.len();
                     if recycled {
@@ -481,12 +484,10 @@ impl IncrementalUcpc {
                     } else {
                         self.rows.push_row_with(self.m, fill);
                     }
-                    // For a folded row these three sums are finite iff
-                    // every entry is: a non-finite `mu_j` or `mu2_j`, or an
-                    // overflowing square or sum, reaches one of them.
+                    // A folded row's sums are finite iff every entry is
+                    // (`MomentView::is_finite`).
                     let v = self.rows.view(s);
-                    let sums = [v.sum_mu_sq, v.sum_mu2, v.sum_var];
-                    if !sums.iter().all(|x| x.is_finite()) {
+                    if !v.is_finite() {
                         // The slot stays free: a recycled row is not read
                         // before its next write, and an appended one goes.
                         self.rows.truncate(self.labels.len());
@@ -711,7 +712,8 @@ mod tests {
         // column included.
         let fresh = obj(11.0);
         let (v, mo) = (inc.rows.view(1), fresh.moments());
-        assert_eq!((v.mu, v.mu2, v.var), (mo.mu(), mo.mu2(), mo.variance()));
+        assert_eq!((v.mu, v.mu2), (mo.mu(), mo.mu2()));
+        assert_eq!(v.variances().collect::<Vec<_>>(), mo.variance());
         let bits = |x: [f64; 4]| x.map(f64::to_bits);
         assert_eq!(
             bits([v.sum_mu_sq, v.sum_mu2, v.sum_var, v.norm_mu]),
@@ -731,7 +733,10 @@ mod tests {
         let bits = |x: &[f64]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(v.mu), bits(mo.mu()));
         assert_eq!(bits(v.mu2), bits(mo.mu2()));
-        assert_eq!(bits(v.var), bits(mo.variance()));
+        assert_eq!(
+            bits(&v.variances().collect::<Vec<_>>()),
+            bits(mo.variance())
+        );
         assert_eq!(
             bits(&[v.sum_mu_sq, v.sum_mu2, v.sum_var, v.norm_mu]),
             bits(&[

@@ -44,8 +44,9 @@
 //! add, after a remove), then three element-wise slice passes, one per row
 //! (`psi += var`, `phi += mu2`, `mean_sum += mu`, or `−=`), which the
 //! compiler vectorizes, then O(1) scalar updates from the view's
-//! precomputed sums. Each row element is still one IEEE add or subtract, so
-//! the bits do not depend on how the passes are vectorized.
+//! precomputed sums; the `psi` pass derives `var` ([`MomentView::variances`]).
+//! Each row element is still one IEEE add or subtract, so the bits do not
+//! depend on how the passes are vectorized.
 //!
 //! The original three-sweep O(m) evaluation, the `naive` reference that
 //! tests and benches compare against, lives outside the engine in
@@ -117,13 +118,13 @@ impl Clone for ClusterStats {
     }
 }
 
-/// `dst[j] = op(dst[j], src[j])` for every `j`: one statistic row's part of
-/// a fold, as a zipped slice pass the compiler vectorizes (an indexed loop
-/// over the three rows keeps its bounds checks and stays scalar). The
-/// caller has checked that the rows have equal length.
+/// `dst[j] = op(dst[j], x_j)` over `src`'s values (a row, or the derived
+/// variances): one statistic row's part of a fold, as a zipped pass the
+/// compiler vectorizes (an indexed loop keeps its bounds checks and stays
+/// scalar). The caller has checked that the rows have equal length.
 #[inline(always)]
-fn row_pass(dst: &mut [f64], src: &[f64], op: impl Fn(f64, f64) -> f64) {
-    for (d, &x) in dst.iter_mut().zip(src) {
+fn row_pass(dst: &mut [f64], src: impl Iterator<Item = f64>, op: impl Fn(f64, f64) -> f64) {
+    for (d, x) in dst.iter_mut().zip(src) {
         *d = op(*d, x);
     }
 }
@@ -215,13 +216,13 @@ impl ClusterStats {
 
     /// Adds one object through a kernel view: one dispatched `dot` takes the
     /// `⟨s, mu⟩` cross term against the pre-add mean sums, three
-    /// element-wise slice passes add the view's `var`, `mu2` and `mu` rows
-    /// to `psi`, `phi` and `mean_sum`, and the scalar aggregates move by the
-    /// view's precomputed scalars. O(m).
+    /// element-wise passes add the view's derived variances, `mu2` and `mu`
+    /// rows to `psi`, `phi` and `mean_sum`, and the scalar aggregates move
+    /// by the view's precomputed scalars. O(m).
     ///
     /// # Panics
     ///
-    /// If any of the view's three rows does not have the cluster's `m`
+    /// If either of the view's two rows does not have the cluster's `m`
     /// entries — checked before anything is folded, in release builds too.
     pub fn add_view(&mut self, v: &MomentView<'_>) {
         self.check_rows(v);
@@ -229,9 +230,9 @@ impl ClusterStats {
         // — the same code path (and therefore the same bits) as the
         // scan-side `delta_j_*` evaluations.
         let cross = dot(&self.mean_sum, v.mu);
-        row_pass(&mut self.psi, v.var, |s, x| s + x);
-        row_pass(&mut self.phi, v.mu2, |s, x| s + x);
-        row_pass(&mut self.mean_sum, v.mu, |s, x| s + x);
+        row_pass(&mut self.psi, v.variances(), |s, x| s + x);
+        row_pass(&mut self.phi, v.mu2.iter().copied(), |s, x| s + x);
+        row_pass(&mut self.mean_sum, v.mu.iter().copied(), |s, x| s + x);
         self.psi_tot += v.sum_var;
         self.phi_tot += v.sum_mu2;
         self.s_sq_tot += 2.0 * cross + v.sum_mu_sq;
@@ -244,7 +245,7 @@ impl ClusterStats {
     ///
     /// # Panics
     ///
-    /// If the cluster is empty, or any of the view's three rows does not
+    /// If the cluster is empty, or either of the view's two rows does not
     /// have the cluster's `m` entries (checked before anything is folded).
     pub fn remove_view(&mut self, v: &MomentView<'_>) {
         // Invariant: only a member is removed, so the cluster holds at least
@@ -252,9 +253,9 @@ impl ClusterStats {
         // folding on would underflow the size.
         assert!(self.size > 0, "cannot remove from an empty cluster");
         self.check_rows(v);
-        row_pass(&mut self.psi, v.var, |s, x| s - x);
-        row_pass(&mut self.phi, v.mu2, |s, x| s - x);
-        row_pass(&mut self.mean_sum, v.mu, |s, x| s - x);
+        row_pass(&mut self.psi, v.variances(), |s, x| s - x);
+        row_pass(&mut self.phi, v.mu2.iter().copied(), |s, x| s - x);
+        row_pass(&mut self.mean_sum, v.mu.iter().copied(), |s, x| s - x);
         // ⟨s_post, mu(o)⟩ through the dispatched SIMD kernel, against the
         // already-updated mean sums.
         let cross = dot(&self.mean_sum, v.mu);
@@ -278,14 +279,11 @@ impl ClusterStats {
     fn check_rows(&self, v: &MomentView<'_>) {
         let m = self.dims();
         // Invariant: every view folded into a cluster has the cluster's m
-        // entries in each row; engines refuse a mismatched arrival at
+        // entries in both rows; engines refuse a mismatched arrival at
         // admission. Checked in release builds too, before anything is
         // folded: the zipped row passes would otherwise stop at the shorter
         // row and fold a truncated object without a word.
-        assert!(
-            v.mu.len() == m && v.mu2.len() == m && v.var.len() == m,
-            "dimension mismatch"
-        );
+        assert!(v.mu.len() == m && v.mu2.len() == m, "dimension mismatch");
     }
 
     /// Whether every sum is finite: after a fold of adds, false iff a member
@@ -835,6 +833,50 @@ mod tests {
             assert!((stats.psi()[j] - before.psi()[j]).abs() < 1e-9);
             assert!((stats.phi()[j] - before.phi()[j]).abs() < 1e-9);
             assert!((stats.mean_sum()[j] - before.mean_sum()[j]).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn the_psi_row_is_the_fold_of_the_stored_variances_bit_for_bit() {
+        // Hostile moments at m = 17 (a vector body and a remainder): the
+        // fold derives each variance from `mu` and `mu2`, and must land on
+        // the bits an indexed fold of `Moments::variance` lands on.
+        let hostile = [
+            f64::NAN,
+            f64::INFINITY,
+            -0.0,
+            0.0,
+            5e-324,
+            1e300,
+            -1e300,
+            1e200,
+            1.5,
+            -2.25,
+        ];
+        let m = 17;
+        let rows: Vec<Moments> = (0..60)
+            .map(|r| {
+                let mu = (0..m).map(|j| hostile[(r + j) % 10]).collect();
+                let mu2 = (0..m).map(|j| hostile[(3 * r + 7 * j) % 10]).collect();
+                Moments::from_mu_mu2(mu, mu2)
+            })
+            .collect();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut stats = ClusterStats::empty(m);
+        let mut psi = vec![0.0; m];
+        for (i, mo) in rows.iter().enumerate() {
+            stats.add(mo);
+            for (p, &var) in psi.iter_mut().zip(mo.variance()) {
+                *p += var;
+            }
+            if i % 3 == 2 {
+                // Every third step the previous arrival leaves again.
+                stats.remove(&rows[i - 1]);
+                for (p, &var) in psi.iter_mut().zip(rows[i - 1].variance()) {
+                    *p -= var;
+                }
+            }
+            assert_eq!(bits(stats.psi()), bits(&psi), "after row {i}");
         }
     }
 

@@ -433,10 +433,13 @@ mod tests {
         let first = arena.len();
         a.assign_into_arena(&mut arena);
         assert_eq!(arena.len(), 2 * first);
-        // Appended rows repeat the first batch exactly.
-        for i in 0..first {
+        // Appended rows repeat the first batch exactly, and the variances
+        // derived from them are the object route's stored rows.
+        for (i, o) in a.uncertain_objects().iter().enumerate() {
             assert_eq!(arena.mu_row(i), arena.mu_row(first + i));
-            assert_eq!(arena.var_row(i), arena.var_row(first + i));
+            assert_eq!(arena.mu2_row(i), arena.mu2_row(first + i));
+            let var: Vec<f64> = arena.view(first + i).variances().collect();
+            assert_eq!(var, o.variance());
         }
     }
 

@@ -5,12 +5,16 @@
 //!
 //! UCPC's entire `O(I·k·n·m)` cost (Proposition 5) is the inner
 //! candidate-relocation evaluation. With per-object [`Moments`] stored as
-//! three separately heap-allocated slices, every candidate evaluation chases
-//! pointers into small scattered allocations and re-reads `mu`, `mu_2` and
-//! `sigma^2` once per cluster statistic it updates. [`MomentArena`] stores
-//! the moments of a whole dataset as three contiguous row-major `n × m`
-//! matrices plus three per-object scalar columns, so the hot loop touches one
-//! contiguous row per object and a handful of scalars.
+//! separately heap-allocated slices, every candidate evaluation chases
+//! pointers into small scattered allocations. [`MomentArena`] stores the
+//! moments of a whole dataset as two contiguous row-major `n × m` matrices
+//! (`mu` and `mu_2`) plus four per-object scalar columns — `2m + 4` floats
+//! per object — so the hot loop touches one contiguous row per object and a
+//! handful of scalars.
+//!
+//! No variance row is stored: its one reader, the `Ψ` pass of a cluster
+//! fold, derives it from the two rows it streams anyway, through the same
+//! [`variance`] helper (Eq. 5) as [`Moments::from_mu_mu2`].
 //!
 //! # The dot-product form of the Corollary-1 update
 //!
@@ -53,7 +57,11 @@
 //! * `sum_mu_sq(o) = Σ_j mu_j(o)²`,
 //! * `sum_mu2(o)  = Σ_j (mu_2)_j(o)` (the object's contribution to `Φ_tot`),
 //! * `sum_var(o)  = Σ_j sigma²_j(o)` (Eq. 6's global variance; the
-//!   contribution to `Ψ_tot`).
+//!   contribution to `Ψ_tot`; with `norm_mu(o)` the fourth column).
+//!
+//! These sums certify finiteness: a float sum with a NaN or infinite term is
+//! non-finite, and the variance of finite moments is finite, so
+//! [`MomentView::is_finite`] reads the sums alone.
 //!
 //! [`MomentView`] bundles one object's rows and scalars; `ClusterStats` in
 //! `ucpc-core` consumes views through its `delta_j_*` methods and keeps the
@@ -70,8 +78,6 @@ pub struct MomentView<'a> {
     pub mu: &'a [f64],
     /// Second-order moments `(mu_2)_j(o)`.
     pub mu2: &'a [f64],
-    /// Variances `sigma²_j(o)`.
-    pub var: &'a [f64],
     /// `Σ_j mu_j(o)²`.
     pub sum_mu_sq: f64,
     /// `Σ_j (mu_2)_j(o)` — the object's contribution to `Φ_tot`.
@@ -84,34 +90,38 @@ pub struct MomentView<'a> {
     pub norm_mu: f64,
 }
 
-impl MomentView<'_> {
+impl<'a> MomentView<'a> {
     /// Number of dimensions `m`.
     pub fn dims(&self) -> usize {
         self.mu.len()
     }
 
-    /// Whether every moment entry and every precomputed scalar is finite.
-    /// A NaN or ±inf anywhere — including a finite `mu` whose square
-    /// overflows — would poison the cluster statistics it joins, so
-    /// streaming engines reject such arrivals before pricing them.
+    /// The variances `sigma²_j(o)`, derived from the rows by [`variance`].
+    #[inline]
+    pub fn variances(&self) -> impl Iterator<Item = f64> + 'a {
+        let (mu, mu2) = (self.mu, self.mu2);
+        mu.iter().zip(mu2).map(|(&m, &m2)| variance(m, m2))
+    }
+
+    /// Whether the four sums are finite: in O(1), for a view whose scalars
+    /// are its rows' sums, whether every entry is (module docs). Engines
+    /// reject a non-finite arrival before it can poison a cluster.
     #[inline]
     pub fn is_finite(&self) -> bool {
-        // A branch-free fold per row, so the check vectorizes.
-        let finite = |row: &[f64]| row.iter().fold(true, |ok, x| ok & x.is_finite());
         let scalars = [self.sum_mu_sq, self.sum_mu2, self.sum_var, self.norm_mu];
-        finite(self.mu) & finite(self.mu2) & finite(self.var) & finite(&scalars)
+        scalars.iter().fold(true, |ok, x| ok & x.is_finite())
     }
 }
 
 /// Contiguous row-major SoA storage of the moments of `n` objects over `m`
-/// dimensions, with precomputed per-object scalar aggregates.
+/// dimensions: the `mu` and `mu_2` rows plus four precomputed per-object
+/// scalars, `2m + 4` floats per object (module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MomentArena {
     n: usize,
     m: usize,
     mu: Vec<f64>,
     mu2: Vec<f64>,
-    var: Vec<f64>,
     sum_mu_sq: Vec<f64>,
     sum_mu2: Vec<f64>,
     sum_var: Vec<f64>,
@@ -133,7 +143,6 @@ impl MomentArena {
             m: 0,
             mu: Vec::new(),
             mu2: Vec::new(),
-            var: Vec::new(),
             sum_mu_sq: Vec::new(),
             sum_mu2: Vec::new(),
             sum_var: Vec::new(),
@@ -162,7 +171,6 @@ impl MomentArena {
         self.prepare_dims(dims);
         self.mu.reserve(additional * dims);
         self.mu2.reserve(additional * dims);
-        self.var.reserve(additional * dims);
         self.sum_mu_sq.reserve(additional);
         self.sum_mu2.reserve(additional);
         self.sum_var.reserve(additional);
@@ -176,7 +184,6 @@ impl MomentArena {
         let per_row = self.m.max(1);
         (self.mu.capacity() / per_row)
             .min(self.mu2.capacity() / per_row)
-            .min(self.var.capacity() / per_row)
             .min(self.sum_mu_sq.capacity())
             .min(self.sum_mu2.capacity())
             .min(self.sum_var.capacity())
@@ -188,7 +195,6 @@ impl MomentArena {
         self.prepare_dims(mo.dims());
         self.mu.extend_from_slice(mo.mu());
         self.mu2.extend_from_slice(mo.mu2());
-        self.var.extend_from_slice(mo.variance());
         self.sum_mu_sq.push(mo.sum_mu_sq());
         self.sum_mu2.push(mo.sum_mu2());
         self.sum_var.push(mo.total_variance());
@@ -197,20 +203,18 @@ impl MomentArena {
     }
 
     /// Appends one row *without* a [`Moments`] value: `fill(j)` yields the
-    /// dimension's `(mu_j, (mu_2)_j)` pair and the arena derives the
-    /// variance (`(mu_2 − mu²)⁺`, Eq. 5 with the same
-    /// cancellation clamp as [`Moments::from_mu_mu2`]) and the scalar
-    /// aggregates in the same per-dimension fold order — so a row built here
-    /// is bit-identical to pushing the equivalent `Moments`. This is the
+    /// dimension's `(mu_j, (mu_2)_j)` pair and the arena derives the scalar
+    /// aggregates as [`Moments::from_mu_mu2`] does, in the same dimension
+    /// order — so a row built here is bit-identical to pushing the
+    /// equivalent `Moments`. This is the
     /// batch pipeline's write path: no per-object vectors exist, and with
     /// capacity reserved ([`Self::with_capacity`] / [`Self::reserve_rows`])
     /// the fill performs no heap allocation at all.
     pub fn push_row_with(&mut self, dims: usize, fill: impl FnMut(usize) -> (f64, f64)) {
         self.prepare_dims(dims);
-        let (sum_mu_sq, sum_mu2, sum_var) = fold_row(dims, fill, |_, mu, mu2, var| {
+        let (sum_mu_sq, sum_mu2, sum_var) = fold_row(dims, fill, |_, mu, mu2| {
             self.mu.push(mu);
             self.mu2.push(mu2);
-            self.var.push(var);
         });
         self.sum_mu_sq.push(sum_mu_sq);
         self.sum_mu2.push(sum_mu2);
@@ -232,8 +236,7 @@ impl MomentArena {
         );
         let row = i * self.m..(i + 1) * self.m;
         self.mu[row.clone()].copy_from_slice(mo.mu());
-        self.mu2[row.clone()].copy_from_slice(mo.mu2());
-        self.var[row].copy_from_slice(mo.variance());
+        self.mu2[row].copy_from_slice(mo.mu2());
         self.sum_mu_sq[i] = mo.sum_mu_sq();
         self.sum_mu2[i] = mo.sum_mu2();
         self.sum_var[i] = mo.total_variance();
@@ -241,9 +244,8 @@ impl MomentArena {
     }
 
     /// Overwrites row `i` in place from a `(mu_j, (mu_2)_j)` fill closure —
-    /// the in-place counterpart of [`Self::push_row_with`], with the
-    /// identical per-dimension fold order for the derived variance and
-    /// scalar aggregates, so an overwritten row is bit-identical to the row
+    /// the in-place counterpart of [`Self::push_row_with`], with the same
+    /// fold, so an overwritten row is bit-identical to the row
     /// `push_row_with` would have appended from the same fill.
     pub fn overwrite_row_with(
         &mut self,
@@ -254,10 +256,9 @@ impl MomentArena {
         assert!(i < self.n, "row {i} out of bounds (n = {})", self.n);
         assert_eq!(dims, self.m, "arena rows must share one dimensionality");
         let base = i * self.m;
-        let (sum_mu_sq, sum_mu2, sum_var) = fold_row(dims, fill, |j, mu, mu2, var| {
+        let (sum_mu_sq, sum_mu2, sum_var) = fold_row(dims, fill, |j, mu, mu2| {
             self.mu[base + j] = mu;
             self.mu2[base + j] = mu2;
-            self.var[base + j] = var;
         });
         self.sum_mu_sq[i] = sum_mu_sq;
         self.sum_mu2[i] = sum_mu2;
@@ -269,7 +270,7 @@ impl MomentArena {
     /// rows or fewer), keeping the columns' capacity.
     pub fn truncate(&mut self, n: usize) {
         let n = n.min(self.n);
-        for col in [&mut self.mu, &mut self.mu2, &mut self.var] {
+        for col in [&mut self.mu, &mut self.mu2] {
             col.truncate(n * self.m);
         }
         for col in [
@@ -293,7 +294,6 @@ impl MomentArena {
                 let hint = 64 * dims;
                 self.mu.reserve(hint);
                 self.mu2.reserve(hint);
-                self.var.reserve(hint);
             }
         }
         assert_eq!(dims, self.m, "arena rows must share one dimensionality");
@@ -324,11 +324,6 @@ impl MomentArena {
         &self.mu2[i * self.m..(i + 1) * self.m]
     }
 
-    /// The variance row of object `i`.
-    pub fn var_row(&self, i: usize) -> &[f64] {
-        &self.var[i * self.m..(i + 1) * self.m]
-    }
-
     /// `Σ_j mu_j(o_i)²`.
     pub fn sum_mu_sq(&self, i: usize) -> f64 {
         self.sum_mu_sq[i]
@@ -350,13 +345,12 @@ impl MomentArena {
         self.norm_mu[i]
     }
 
-    /// The kernel view of object `i`: its three rows plus the scalars.
+    /// The kernel view of object `i`: its two rows plus the scalars.
     pub fn view(&self, i: usize) -> MomentView<'_> {
         let row = i * self.m..(i + 1) * self.m;
         MomentView {
             mu: &self.mu[row.clone()],
-            mu2: &self.mu2[row.clone()],
-            var: &self.var[row],
+            mu2: &self.mu2[row],
             sum_mu_sq: self.sum_mu_sq[i],
             sum_mu2: self.sum_mu2[i],
             sum_var: self.sum_var[i],
@@ -404,29 +398,36 @@ impl ObjectHandle {
     }
 }
 
+/// One dimension's variance, Eq. (5): `sigma² = (mu_2 − mu²)⁺`, the clamp
+/// zeroing cancellation residue on point-mass dimensions (and, as
+/// `f64::max` does, a NaN difference). Every variance in the workspace is
+/// this expression, so stored and derived ones agree bit for bit.
+#[inline]
+pub fn variance(mu: f64, mu2: f64) -> f64 {
+    (mu2 - mu * mu).max(0.0)
+}
+
 /// The one canonical per-row fold behind [`MomentArena::push_row_with`]
-/// and [`MomentArena::overwrite_row_with`]: derives each dimension's
-/// variance (`(mu_2 − mu²)⁺`, the same cancellation clamp as
-/// [`Moments::from_mu_mu2`]), hands the triple to `write`, and accumulates
-/// the scalar aggregates in dimension order. Appended and overwritten rows
-/// are bit-identical *because this fold exists exactly once* — the two
-/// write paths differ only in where `write` puts the values.
+/// and [`MomentArena::overwrite_row_with`]: hands each `(mu, mu_2)` pair to
+/// `write` and accumulates the scalar aggregates in dimension order.
+/// Appended and overwritten rows are bit-identical *because this fold
+/// exists exactly once* — the two write paths differ only in where `write`
+/// puts the values.
 #[inline]
 fn fold_row(
     dims: usize,
     mut fill: impl FnMut(usize) -> (f64, f64),
-    mut write: impl FnMut(usize, f64, f64, f64),
+    mut write: impl FnMut(usize, f64, f64),
 ) -> (f64, f64, f64) {
     let mut sum_mu_sq = 0.0f64;
     let mut sum_mu2 = 0.0f64;
     let mut sum_var = 0.0f64;
     for j in 0..dims {
         let (mu, mu2) = fill(j);
-        let var = (mu2 - mu * mu).max(0.0);
-        write(j, mu, mu2, var);
+        write(j, mu, mu2);
         sum_mu_sq += mu * mu;
         sum_mu2 += mu2;
-        sum_var += var;
+        sum_var += variance(mu, mu2);
     }
     (sum_mu_sq, sum_mu2, sum_var)
 }
@@ -491,6 +492,14 @@ mod tests {
         ]
     }
 
+    fn derived_var(v: &MomentView<'_>) -> Vec<f64> {
+        v.variances().collect()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn rows_match_per_object_moments() {
         let objs = objects();
@@ -500,7 +509,7 @@ mod tests {
         for (i, o) in objs.iter().enumerate() {
             assert_eq!(arena.mu_row(i), o.mu());
             assert_eq!(arena.mu2_row(i), o.mu2());
-            assert_eq!(arena.var_row(i), o.variance());
+            assert_eq!(bits(&derived_var(&arena.view(i))), bits(o.variance()));
         }
     }
 
@@ -508,10 +517,10 @@ mod tests {
     fn scalars_match_row_sums() {
         let objs = objects();
         let arena = MomentArena::from_objects(&objs);
-        for i in 0..arena.len() {
+        for (i, o) in objs.iter().enumerate() {
             let mu_sq: f64 = arena.mu_row(i).iter().map(|&x| x * x).sum();
             let mu2: f64 = arena.mu2_row(i).iter().sum();
-            let var: f64 = arena.var_row(i).iter().sum();
+            let var: f64 = o.variance().iter().sum();
             assert!((arena.sum_mu_sq(i) - mu_sq).abs() < 1e-12);
             assert!((arena.sum_mu2(i) - mu2).abs() < 1e-12);
             assert!((arena.sum_var(i) - var).abs() < 1e-12);
@@ -532,11 +541,176 @@ mod tests {
             let m = o.moments().view();
             assert_eq!(a.mu, m.mu);
             assert_eq!(a.mu2, m.mu2);
-            assert_eq!(a.var, m.var);
+            assert_eq!(bits(&derived_var(&a)), bits(o.variance()));
+            assert_eq!(bits(&derived_var(&m)), bits(o.variance()));
             assert!((a.sum_mu_sq - m.sum_mu_sq).abs() < 1e-12);
             assert!((a.sum_mu2 - m.sum_mu2).abs() < 1e-12);
             assert!((a.sum_var - m.sum_var).abs() < 1e-12);
         }
+    }
+
+    /// NaN, ±∞, ±0.0, subnormals, ±1e±300, ±f64::MAX, ordinary values and
+    /// ±1e200, whose square overflows.
+    const HOSTILE: [f64; 19] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        5e-324,
+        -1e-310,
+        1e-300,
+        -1e-300,
+        1e300,
+        -1e300,
+        f64::MAX,
+        f64::MIN,
+        1e200,
+        -1e200,
+        1.5,
+        -2.25,
+        0.5,
+        4.0,
+    ];
+
+    /// Every `(mu, mu2)` pair of [`HOSTILE`] values as a one-dimensional
+    /// row, then, at each `m` (a vector body with and without a remainder),
+    /// ordinary rows with one or two hostile pairs planted at positions
+    /// that walk across the row.
+    fn hostile_rows() -> Vec<(Vec<f64>, Vec<f64>)> {
+        let pairs: Vec<(f64, f64)> = HOSTILE
+            .iter()
+            .flat_map(|&mu| HOSTILE.iter().map(move |&mu2| (mu, mu2)))
+            .collect();
+        let mut rows: Vec<_> = pairs
+            .iter()
+            .map(|&(mu, mu2)| (vec![mu], vec![mu2]))
+            .collect();
+        for m in [4, 16, 17] {
+            for (r, &p) in pairs.iter().enumerate() {
+                let mut mu: Vec<f64> = (0..m).map(|j| 0.5 * j as f64 - 1.0).collect();
+                let mut mu2: Vec<f64> = mu.iter().map(|x| x * x + 1.0).collect();
+                (mu[r % m], mu2[r % m]) = p;
+                if r % 2 == 1 {
+                    let j = (7 * r + 3) % m;
+                    (mu[j], mu2[j]) = pairs[(37 * r + 11) % pairs.len()];
+                }
+                rows.push((mu, mu2));
+            }
+        }
+        rows
+    }
+
+    /// The arena's two write paths, one object per row.
+    fn arenas(mo: &Moments) -> [MomentArena; 2] {
+        let pushed = MomentArena::from_moments([mo]);
+        let mut filled = MomentArena::with_capacity(1, mo.dims());
+        filled.push_row_with(mo.dims(), |j| (mo.mu()[j], mo.mu2()[j]));
+        [pushed, filled]
+    }
+
+    #[test]
+    fn the_sums_decide_finiteness_as_the_row_walk_does() {
+        // The elementwise check the sums replace: every entry of the
+        // `mu`, `mu2` and variance rows and every scalar.
+        let walk = |v: &MomentView<'_>, var: &[f64]| {
+            let scalars = [v.sum_mu_sq, v.sum_mu2, v.sum_var, v.norm_mu];
+            [v.mu, v.mu2, var, &scalars]
+                .iter()
+                .all(|row| row.iter().all(|x| x.is_finite()))
+        };
+        let rows = hostile_rows();
+        let mut refused = 0;
+        for (mu, mu2) in &rows {
+            let mo = Moments::from_mu_mu2(mu.clone(), mu2.clone());
+            let expected = walk(&mo.view(), mo.variance());
+            assert_eq!(
+                mo.view().is_finite(),
+                expected,
+                "Moments view {mu:?} {mu2:?}"
+            );
+            for arena in arenas(&mo) {
+                let v = arena.view(0);
+                assert_eq!(v.is_finite(), walk(&v, &derived_var(&v)), "{mu:?} {mu2:?}");
+                assert_eq!(v.is_finite(), expected, "arena view {mu:?} {mu2:?}");
+            }
+            refused += usize::from(!expected);
+        }
+        // Both answers occur, so the comparison is not vacuous.
+        assert!(refused > 0 && refused < rows.len());
+    }
+
+    #[test]
+    fn derived_variances_and_their_psi_fold_match_the_stored_row_bit_for_bit() {
+        let rows = hostile_rows();
+        for m in [1, 4, 16, 17] {
+            // Start Ψ at −0.0 so the sign of a zero variance shows.
+            let mut psi = vec![-0.0; m];
+            let mut psi_ref = psi.clone();
+            for (i, (mu, mu2)) in rows.iter().filter(|(mu, _)| mu.len() == m).enumerate() {
+                let mo = Moments::from_mu_mu2(mu.clone(), mu2.clone());
+                for arena in arenas(&mo) {
+                    let v = arena.view(0);
+                    assert_eq!(
+                        bits(&derived_var(&v)),
+                        bits(mo.variance()),
+                        "{mu:?} {mu2:?}"
+                    );
+                }
+                // The fold's zipped Ψ pass, deriving each variance, against
+                // an indexed fold of the stored row; every third row leaves.
+                let sub = i % 3 == 2;
+                let v = mo.view();
+                for ((d, &x), &x2) in psi.iter_mut().zip(v.mu).zip(v.mu2) {
+                    *d = if sub {
+                        *d - variance(x, x2)
+                    } else {
+                        *d + variance(x, x2)
+                    };
+                }
+                for (j, &var) in mo.variance().iter().enumerate() {
+                    psi_ref[j] = if sub {
+                        psi_ref[j] - var
+                    } else {
+                        psi_ref[j] + var
+                    };
+                }
+                assert_eq!(bits(&psi), bits(&psi_ref), "m={m} after row {i}");
+            }
+        }
+        // μ₂ = −0.0 over μ = ±0.0 leaves −0.0 − 0.0 = −0.0 for the clamp.
+        for mu in [0.0, -0.0] {
+            let mo = Moments::from_mu_mu2(vec![mu], vec![-0.0]);
+            assert_eq!(variance(mu, -0.0).to_bits(), mo.variance()[0].to_bits());
+        }
+    }
+
+    #[test]
+    fn a_slot_holds_two_rows_and_four_scalars() {
+        let m = 16;
+        let mut arena = MomentArena::with_capacity(10, m);
+        for i in 0..10 {
+            arena.push_row_with(m, |j| ((i * m + j) as f64, 1.0));
+        }
+        // Naming every field makes a new column fail to compile here.
+        let MomentArena {
+            n,
+            m: _,
+            mu,
+            mu2,
+            sum_mu_sq,
+            sum_mu2,
+            sum_var,
+            norm_mu,
+        } = &arena;
+        let columns = [mu, mu2, sum_mu_sq, sum_mu2, sum_var, norm_mu];
+        let floats: usize = columns.iter().map(|c| c.len()).sum();
+        assert_eq!(floats, n * (2 * m + 4));
+        assert_eq!(
+            floats * std::mem::size_of::<f64>() / n,
+            288,
+            "bytes per slot"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! stores them once per object (Line 1 of Algorithm 1), so that the clustering
 //! loops never touch a pdf again.
 
-use crate::arena::MomentView;
+use crate::arena::{variance, MomentView};
 use serde::{Deserialize, Serialize};
 
 /// Per-dimension expected value, second-order moment and variance of an
@@ -26,7 +26,8 @@ pub struct Moments {
 
 impl Moments {
     /// Builds moments from the per-dimension expected values and second-order
-    /// moments; variances follow from Eq. (5), `sigma^2_j = (mu_2)_j - mu_j^2`.
+    /// moments; variances follow from Eq. (5), `sigma^2_j = (mu_2)_j - mu_j^2`,
+    /// through [`crate::arena::variance`].
     ///
     /// Tiny negative variances caused by floating-point cancellation are
     /// clamped to zero so degenerate (point-mass) dimensions are exact.
@@ -35,7 +36,7 @@ impl Moments {
         let var: Box<[f64]> = mu
             .iter()
             .zip(&mu2)
-            .map(|(&m, &m2)| (m2 - m * m).max(0.0))
+            .map(|(&m, &m2)| variance(m, m2))
             .collect();
         let total_var = var.iter().sum();
         let sum_mu_sq: f64 = mu.iter().map(|&m| m * m).sum();
@@ -119,12 +120,13 @@ impl Moments {
 
     /// Kernel view over these moments (same shape as
     /// [`crate::arena::MomentArena::view`], for callers that hold moments
-    /// outside an arena, e.g. streaming insertion).
+    /// outside an arena, e.g. streaming insertion). The view carries no
+    /// variance row: a fold derives it from `mu` and `mu2` bit for bit as
+    /// [`Self::variance`] holds it.
     pub fn view(&self) -> MomentView<'_> {
         MomentView {
             mu: &self.mu,
             mu2: &self.mu2,
-            var: &self.var,
             sum_mu_sq: self.sum_mu_sq,
             sum_mu2: self.sum_mu2,
             sum_var: self.total_var,

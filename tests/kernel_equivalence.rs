@@ -330,26 +330,27 @@ fn objective_trace_stays_monotone_and_final_j_matches_rebuild() {
 }
 
 /// One object's raw rows and the scalars a `MomentView` carries. Rows are
-/// drawn entry by entry, so they need not be consistent moments: the fold
-/// is plain arithmetic on whatever the view holds.
+/// drawn entry by entry, so `mu2` need not be consistent with `mu`: the
+/// fold is plain arithmetic on whatever the view holds, its variances
+/// derived from the two rows.
 struct RawRow {
     mu: Vec<f64>,
     mu2: Vec<f64>,
-    var: Vec<f64>,
 }
 
 impl RawRow {
     fn view(&self) -> MomentView<'_> {
         let sum_mu_sq: f64 = self.mu.iter().map(|x| x * x).sum();
-        MomentView {
+        let mut v = MomentView {
             mu: &self.mu,
             mu2: &self.mu2,
-            var: &self.var,
             sum_mu_sq,
             sum_mu2: self.mu2.iter().sum(),
-            sum_var: self.var.iter().sum(),
+            sum_var: 0.0,
             norm_mu: sum_mu_sq.sqrt(),
-        }
+        };
+        v.sum_var = v.variances().sum();
+        v
     }
 }
 
@@ -370,7 +371,6 @@ fn raw_row(m: usize, rng: &mut StdRng) -> RawRow {
     RawRow {
         mu: draw(),
         mu2: draw(),
-        var: draw(),
     }
 }
 
@@ -437,8 +437,7 @@ fn adding_a_view_with_a_short_row_panics() {
     let mut stats = ClusterStats::empty(4);
     let short = RawRow {
         mu: vec![1.0; 4],
-        mu2: vec![2.0; 4],
-        var: vec![1.0; 3],
+        mu2: vec![2.0; 3],
     };
     stats.add_view(&short.view());
 }
@@ -448,17 +447,15 @@ fn a_mismatched_view_panics_before_anything_is_folded() {
     let full = RawRow {
         mu: vec![1.0, -2.0, 0.5, 3.0],
         mu2: vec![2.0, 4.5, 0.5, 9.5],
-        var: vec![1.0, 0.5, 0.25, 0.5],
     };
     // Each way a view's rows can disagree with the 4-dimensional cluster:
     // one row one entry short or one entry long.
     let mismatched = [3, 5].into_iter().flat_map(|n| {
-        ["mu", "mu2", "var"].map(|row| {
+        ["mu", "mu2"].map(|row| {
             let len = |r: &str| if r == row { n } else { 4 };
             let bad = RawRow {
                 mu: vec![1.0; len("mu")],
                 mu2: vec![2.0; len("mu2")],
-                var: vec![1.0; len("var")],
             };
             (row, n, bad)
         })

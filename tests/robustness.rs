@@ -373,9 +373,8 @@ fn non_finite_arrivals_are_rejected_at_admission() {
         let run = Ucpc::default().run_on_arena(arena, 2, labels.clone());
         assert_eq!(run.err(), refused);
     }
-    // An object's support interval refuses a NaN coordinate, so the
-    // object entry points see the other three poisons.
-    for x in [f64::INFINITY, f64::NEG_INFINITY, 1e200] {
+    // The object entry points see all four poisons.
+    for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e200] {
         let mut data = objects.clone();
         data.push(UncertainObject::deterministic(&[1.0, x]));
         let mut rng = StdRng::seed_from_u64(1);

@@ -3,12 +3,14 @@
 //!
 //! [`RefFold`] restates Corollary 1's add/remove updates the plainest way:
 //! one indexed loop over the dimensions and the `⟨s, mu(o)⟩` cross term
-//! from the same dispatched `dot` (before an add, after a remove). Every
-//! row element is one IEEE add or subtract in the same order as the
+//! from the same dispatched `dot` (before an add, after a remove). Each
+//! variance comes from the view's `mu` and `mu2` entries through
+//! `arena::variance`, the helper every stored variance was computed with.
+//! Every row element is one IEEE add or subtract in the same order as the
 //! engine's, so the engine's statistics must equal it bit for bit, however
 //! the engine's row passes are vectorized.
 
-use ucpc_uncertain::arena::{dot, MomentView};
+use ucpc_uncertain::arena::{dot, variance, MomentView};
 
 /// The reference statistics of one cluster (module docs).
 #[derive(Debug, Clone)]
@@ -49,7 +51,7 @@ impl RefFold {
     pub fn add(&mut self, v: &MomentView<'_>) {
         let cross = dot(&self.mean_sum, v.mu);
         for j in 0..self.psi.len() {
-            self.psi[j] += v.var[j];
+            self.psi[j] += variance(v.mu[j], v.mu2[j]);
             self.phi[j] += v.mu2[j];
             self.mean_sum[j] += v.mu[j];
         }
@@ -63,7 +65,7 @@ impl RefFold {
     pub fn remove(&mut self, v: &MomentView<'_>) {
         assert!(self.size > 0, "reference: remove from an empty cluster");
         for j in 0..self.psi.len() {
-            self.psi[j] -= v.var[j];
+            self.psi[j] -= variance(v.mu[j], v.mu2[j]);
             self.phi[j] -= v.mu2[j];
             self.mean_sum[j] -= v.mu[j];
         }
