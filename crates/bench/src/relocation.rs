@@ -135,7 +135,7 @@ pub fn naive_pass(w: &Workload) -> f64 {
 /// rows plus hoisted per-cluster pricers (derived once, since the pass
 /// moves nothing), under whichever SIMD backend is active.
 pub fn kernel_pass(w: &Workload) -> f64 {
-    let mut table = PricingTable::new(w.k);
+    let mut table = PricingTable::new(w.stats.clone());
     let mut acc = 0.0;
     for i in 0..w.arena.len() {
         let src = w.labels[i];
@@ -143,7 +143,7 @@ pub fn kernel_pass(w: &Workload) -> f64 {
             continue;
         }
         let v = w.arena.view(i);
-        if let Some((_, delta, _)) = table.relocation(&w.stats, src, &v) {
+        if let Some((_, delta, _)) = table.relocation(src, &v) {
             acc += delta;
         }
     }

@@ -84,10 +84,12 @@
 //!
 //! # Surgical invalidation, charged on read
 //!
-//! The engine owns its pruning state in one [`Pruner`] and hands it every
+//! The engine keeps its cluster statistics and its pruning state in one
+//! [`Pruner`], whose pricing table owns the statistics, and hands it every
 //! statistic update and every relocation decision. Every insert, remove,
-//! replayed move and relocation takes the plain O(m) fold and marks its
-//! cluster changed, and the next cached bound the pruner reads or stores
+//! replayed move and relocation takes the plain O(m) fold, which rewrites
+//! the cluster's pricers, and marks its cluster changed, and the next
+//! cached bound the pruner reads or stores
 //! first charges each changed cluster's net change since its last charge
 //! as one transition, so cached pruning bounds *widen* by how far each
 //! cluster actually moved instead of dying. Only a cluster that was
@@ -102,9 +104,11 @@
 //! departed occupant can never serve the slot's next tenant.
 //!
 //! [`Pruner::retire`] empties the cache, zeroes every watermark and drops
-//! the charge state, and [`IncrementalUcpc::set_pruning`], the re-partition
-//! of a restart and an undone pass all retire; the next pruned pass then
-//! caches against accumulators that start from zero.
+//! the charge state, and [`IncrementalUcpc::set_pruning`] retires; so do
+//! the re-partition of a restart and an undone pass, the two wholesale
+//! refolds of the statistics, which derive every cluster's pricers once.
+//! The next pruned pass then caches against accumulators that start from
+//! zero.
 //! Drift therefore depends on pass history, which is why snapshots leave
 //! it out ([`crate::snapshot`]); a restored engine's pruner is
 //! [`Pruner::new`], the state a retire leaves.
@@ -159,7 +163,6 @@ pub enum StreamBackend {
 pub struct IncrementalUcpc {
     pub(crate) m: usize,
     pub(crate) k: usize,
-    pub(crate) stats: Vec<ClusterStats>,
     /// One moment row per slot; a free slot's row is never read.
     pub(crate) rows: MomentArena,
     /// Per-slot cluster label, `None` while the slot is free: the only
@@ -171,9 +174,9 @@ pub struct IncrementalUcpc {
     pub(crate) gens: Vec<u32>,
     /// Freed slots, popped last-in-first-out by the next insertion.
     pub(crate) free: Vec<u32>,
-    /// All relocation-pruning state and the pricing table; `stats` change
-    /// only as [`crate::pruning`] allows. Placement in [`Self::insert`]
-    /// always scans every cluster.
+    /// The clusters' statistics, in the pricing table that folds them, and
+    /// all relocation-pruning state. Placement in [`Self::insert`] always
+    /// scans every cluster.
     pub(crate) pruner: Pruner,
 }
 
@@ -187,12 +190,11 @@ impl IncrementalUcpc {
         Ok(Self {
             m,
             k,
-            stats: vec![ClusterStats::empty(m); k],
             rows: MomentArena::from_moments([]),
             labels: Vec::new(),
             gens: Vec::new(),
             free: Vec::new(),
-            pruner: Pruner::new(k, PruningConfig::default()),
+            pruner: Pruner::new(vec![ClusterStats::empty(m); k], PruningConfig::default()),
         })
     }
 
@@ -226,27 +228,31 @@ impl IncrementalUcpc {
     /// Re-partitions the rows of a [`Self::from_arena`] engine (every slot
     /// live, the free list empty) into the engine `from_arena` would
     /// build, with its checks, keeping the rows and the prune cache's
-    /// buffers. Statistics are refolded, the pruner retires
-    /// ([`Pruner::retire`]) and its counters restart from zero. An error
-    /// leaves the statistics partly folded, for the caller to discard.
+    /// buffers. The statistics are refolded through the pruner's one
+    /// wholesale refold, which retires it ([`Pruner::retire`]), and its
+    /// counters restart from zero. An error leaves the statistics partly
+    /// folded, for the caller to discard.
     pub(crate) fn relabel(&mut self, labels: &[usize]) -> Result<(), ClusterError> {
         validate_labels(labels, self.labels.len(), self.k)?;
-        self.stats.fill(ClusterStats::empty(self.m));
-        self.pruner.retire();
         self.pruner.reset_counters();
-        let mut norms_finite = true;
-        for (i, (slot, &c)) in self.labels.iter_mut().zip(labels).enumerate() {
-            let v = self.rows.view(i);
-            self.stats[c].add_view(&v);
-            norms_finite &= v.norm_mu.is_finite();
-            *slot = Some(c);
-        }
+        let (m, rows, slots) = (self.m, &self.rows, &mut self.labels);
+        let norms_finite = self.pruner.refold(|stats| {
+            stats.fill(ClusterStats::empty(m));
+            let mut norms_finite = true;
+            for (i, (slot, &c)) in slots.iter_mut().zip(labels).enumerate() {
+                let v = rows.view(i);
+                stats[c].add_view(&v);
+                norms_finite &= v.norm_mu.is_finite();
+                *slot = Some(c);
+            }
+            norms_finite
+        });
         // `MomentView::is_finite` reads a row's four sums only, and the
         // other three reach the cluster totals (`sum_var` into `Ψ_tot`,
         // `sum_mu2` into `Φ_tot`, `sum_mu_sq` into `S₂`), so this refuses
         // each row it refuses (and sums that overflow) in O(k·m) without a
         // second read of the rows.
-        if !norms_finite || !self.stats.iter().all(ClusterStats::is_finite) {
+        if !norms_finite || !self.cluster_stats().iter().all(ClusterStats::is_finite) {
             return Err(ClusterError::NonFinite);
         }
         Ok(())
@@ -269,7 +275,7 @@ impl IncrementalUcpc {
     /// aggregates the consistency tests cross-check against a from-scratch
     /// rebuild).
     pub fn cluster_stats(&self) -> &[ClusterStats] {
-        &self.stats
+        self.pruner.stats()
     }
 
     /// Candidate-pruning counters accumulated over all pruned stabilization
@@ -310,7 +316,7 @@ impl IncrementalUcpc {
 
     /// Current total objective `Σ_C J(C)`.
     pub fn objective(&self) -> f64 {
-        total_objective(&self.stats)
+        total_objective(self.cluster_stats())
     }
 
     /// Current cluster of a live object; `None` if the handle is stale.
@@ -323,7 +329,10 @@ impl IncrementalUcpc {
 
     /// Cluster sizes.
     pub fn sizes(&self) -> Vec<usize> {
-        self.stats.iter().map(ClusterStats::size).collect()
+        self.cluster_stats()
+            .iter()
+            .map(ClusterStats::size)
+            .collect()
     }
 
     /// Inserts an object into the cluster that minimizes the objective
@@ -365,10 +374,7 @@ impl IncrementalUcpc {
             return Err(ClusterError::NonFinite);
         }
         // Invariant: `new` refuses `k == 0`, so there is a cluster to pick.
-        let (cluster, _delta) = self
-            .pruner
-            .placement(&self.stats, &v)
-            .expect("k >= 1 clusters");
+        let (cluster, _delta) = self.pruner.placement(&v).expect("k >= 1 clusters");
         let h = self.next_handle();
         let op = LogOp::Insert {
             slot: h.slot() as u32,
@@ -389,7 +395,7 @@ impl IncrementalUcpc {
     /// they stand: what the placement scan folds, and what the serving
     /// flush answers from.
     pub(crate) fn placement_deltas(&mut self, v: &MomentView<'_>) -> &[f64] {
-        self.pruner.price(&self.stats, v)
+        self.pruner.price(v)
     }
 
     /// The slot the next insertion takes: the most recently freed one,
@@ -452,7 +458,7 @@ impl IncrementalUcpc {
         entries: &[LogEntry<R>],
     ) -> Result<(), &'static str> {
         for e in entries {
-            let (drained, joined) = e.op.check(&self.stats)?;
+            let (drained, joined) = e.op.check(self.cluster_stats())?;
             let (LogOp::Insert { slot, .. }
             | LogOp::Remove { slot, .. }
             | LogOp::Move { slot, .. }) = e.op;
@@ -464,7 +470,7 @@ impl IncrementalUcpc {
                 (Some(src), Some(dst)) => self.relocate(s, src, dst),
                 (Some(c), None) => {
                     let v = self.rows.view(s);
-                    self.pruner.remove(&mut self.stats, c, &v);
+                    self.pruner.remove(c, &v);
                     // A departure frees its slot under the next generation.
                     self.labels[s] = None;
                     self.gens[s] = self.gens[s].wrapping_add(1);
@@ -493,7 +499,7 @@ impl IncrementalUcpc {
                         self.rows.truncate(self.labels.len());
                         return Err("round carries a non-finite row");
                     }
-                    self.pruner.add(&mut self.stats, c, &v);
+                    self.pruner.add(c, &v);
                     if recycled {
                         self.free.pop();
                         self.labels[s] = Some(c);
@@ -511,11 +517,11 @@ impl IncrementalUcpc {
     /// Relocates the object in live slot `s` from `src` to `dst`, both
     /// existing clusters with `src` its label: the unchecked body of a
     /// `Move` entry, which a relocation pass applies directly. The move
-    /// goes through [`Pruner::relocate`], which marks both clusters
-    /// changed and invalidates the slot's cached bound.
+    /// goes through [`Pruner::relocate`], which folds both clusters, marks
+    /// them changed and invalidates the slot's cached bound.
     fn relocate(&mut self, s: usize, src: usize, dst: usize) {
         let v = self.rows.view(s);
-        self.pruner.relocate(&mut self.stats, s, src, dst, &v);
+        self.pruner.relocate(s, src, dst, &v);
         self.labels[s] = Some(dst);
     }
 
@@ -537,17 +543,17 @@ impl IncrementalUcpc {
         let mut relocations = 0usize;
         for _ in 0..passes {
             let mut moved = false;
-            self.pruner.begin_pass(&self.stats, self.labels.len());
+            self.pruner.begin_pass(self.labels.len());
             for i in 0..self.labels.len() {
                 let Some(src) = self.labels[i] else { continue };
-                if self.stats[src].size() == 1 {
+                if self.cluster_stats()[src].size() == 1 {
                     continue;
                 }
                 // Borrowed straight out of the arena: no per-object clone
                 // of the moments is ever needed.
                 let v = self.rows.view(i);
                 let gen = self.gens[i];
-                let Some((dst, _)) = self.pruner.best_move(&self.stats, i, gen, src, &v) else {
+                let Some((dst, _)) = self.pruner.best_move(i, gen, src, &v) else {
                     continue;
                 };
                 // `i` is live in `src`, and the scan picks an existing
@@ -573,22 +579,23 @@ impl IncrementalUcpc {
     /// retires the pruner). The copy reuses `undo`'s buffers, so it
     /// allocates nothing once `undo` has held a copy of this engine.
     pub(crate) fn save_pass_into(&self, undo: &mut PassUndo) {
-        undo.stats.clone_from(&self.stats);
+        self.cluster_stats().clone_into(&mut undo.stats);
     }
 
     /// Rolls back the pass that made `moves` since [`Self::save_pass_into`]
-    /// filled `undo`: swaps the statistics back in, restores the labels,
-    /// and retires the pruner ([`Pruner::retire`]), whose entries and
-    /// watermarks the pass wrote against statistics that are gone. `undo`
-    /// is left holding the abandoned pass's statistics.
+    /// filled `undo`: swaps the statistics back in with one wholesale
+    /// refold of the pruner, which retires ([`Pruner::retire`]) since its
+    /// entries and watermarks were written against statistics that are
+    /// gone, and restores the labels. `undo` is left holding the abandoned
+    /// pass's statistics.
     pub(crate) fn undo_pass(&mut self, undo: &mut PassUndo, moves: &[LogEntry<&[f64]>]) {
-        std::mem::swap(&mut self.stats, &mut undo.stats);
+        self.pruner
+            .refold(|stats| stats.swap_with_slice(&mut undo.stats));
         for e in moves.iter().rev() {
             if let LogOp::Move { slot, src, .. } = e.op {
                 self.labels[slot as usize] = Some(src);
             }
         }
-        self.pruner.retire();
     }
 
     /// Current handles and labels of all live objects, in slot order.

@@ -25,9 +25,11 @@
 //!   per-cluster sufficient statistics and scalar aggregates so that
 //!   [`objective::ClusterStats::delta_j_add`] /
 //!   [`objective::ClusterStats::delta_j_remove`] price a relocation in
-//!   O(m), and the engine's [`pruning::PricingTable`] prices all `k`
-//!   candidates of a decision with one fused `price_block` call over the
-//!   clusters' own mean-sum rows and their `k` hoisted pricers.
+//!   O(m), and the engine's [`pruning::PricingTable`], which owns those
+//!   statistics and rewrites a cluster's hoisted pricers whenever it folds
+//!   the cluster, prices all `k` candidates of a decision with one fused
+//!   `price_block` call over the clusters' own mean-sum rows and their `k`
+//!   pricers.
 //! * **Pruning tiers** — a [`pruning::Pruner`] caches each object's
 //!   best/second-best deltas and bounds how much any cluster's delta can
 //!   have drifted since (tier 0 globally in O(1), tier 1 per cluster in

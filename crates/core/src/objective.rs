@@ -675,6 +675,21 @@ pub fn total_objective(stats: &[ClusterStats]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RemovePricer {
+        /// The pricer's fields, the floats as bits: what a bit-for-bit
+        /// comparison of two pricers reads.
+        pub(crate) fn bits(&self) -> (bool, [u64; 5]) {
+            let fields = [
+                self.new_inv,
+                self.psi_tot,
+                self.s_sq_tot,
+                self.phi_tot,
+                self.j_base,
+            ];
+            (self.last, fields.map(f64::to_bits))
+        }
+    }
     use crate::ucentroid::UCentroid;
     use ucpc_uncertain::distance::expected_sq_distance_to_point;
     use ucpc_uncertain::{UncertainObject, UnivariatePdf};

@@ -112,8 +112,9 @@
 //! # One drift rule: a cluster's net change, charged on the next read
 //!
 //! Every statistics update ([`Pruner::add`], [`Pruner::remove`], and so
-//! every [`Pruner::relocate`]) is the plain O(m) fold plus a mark: the
-//! cluster joins a dirty list of at most `k`. The pruner keeps each
+//! every [`Pruner::relocate`]) is the plain O(m) fold, which also rewrites
+//! the cluster's pricers, plus a mark: the cluster joins a dirty list of
+//! at most `k`. The pruner keeps each
 //! cluster's size, `Ψ_tot − S₂` and `mean_sum` row at its last charge as
 //! the start of its next one. Before [`Pruner::decide`] reads a watermark,
 //! and before [`Pruner::store`] snapshots one, each dirty cluster's net
@@ -143,12 +144,12 @@
 //!
 //! [`Pruner::retire`] is the coarse kill-switch: it empties the cache,
 //! zeroes every watermark (per-cluster accumulators, their totals and the
-//! versions), drops the start rows and the dirty list and makes every
-//! pricer stale, which is exactly the state [`Pruner::new`] builds; only
-//! the configuration and the counters survive. `IncrementalUcpc::set_pruning`
-//! retires, and so do the re-partition that starts each of
-//! `BestOfRestarts`'s restarts on a reused engine and an undone pass, and
-//! a snapshot restore builds `Pruner::new` outright.
+//! versions) and drops the start rows and the dirty list, which is exactly
+//! the state [`Pruner::new`] builds; the statistics, their pricers, the
+//! configuration and the counters survive. `IncrementalUcpc::set_pruning`
+//! retires, and so does every wholesale refold — the re-partition that
+//! starts each of `BestOfRestarts`'s restarts on a reused engine, and an
+//! undone pass — while a snapshot restore builds `Pruner::new` outright.
 //!
 //! The accumulators and bounds are themselves computed in floating point, so
 //! every test inflates the drift by [`slack`] — a safety margin proportional
@@ -181,15 +182,17 @@
 //! [`dot_block`]. The stateless [`best_candidate`] and [`best_insertion`]
 //! loops are the reference the table is held to, bit for bit.
 //!
-//! The pricers are the only state the table derives from the statistics,
-//! and one rule keeps them current: **statistics change only through the
-//! [`Pruner`] ([`Pruner::add`], [`Pruner::remove`], [`Pruner::relocate`]),
-//! or wholesale with a [`Pruner::retire`] before the next decision.** An
-//! update makes the folded cluster's pricers stale, a retire every
-//! pricer, and every read of a pricer — a scan's or a confirm's —
-//! re-derives a stale one first.
+//! The pricers are the only state derived from the statistics, and the
+//! table keeps them current by owning both: **a cluster's statistics
+//! change only through the table's folds.** [`Pruner::add`],
+//! [`Pruner::remove`] and so [`Pruner::relocate`] fold one cluster and
+//! rewrite its pricers in the same call; a wholesale refold (a
+//! re-partition, an undone pass) replaces every cluster's statistics and
+//! then derives each cluster's pricers once, as [`Pruner::new`] does for
+//! the statistics a restore installs. A scan or a confirm therefore reads
+//! its pricers as they stand and derives nothing.
 
-use crate::objective::{ClusterStats, RemovePricer};
+use crate::objective::{AddPricer, ClusterStats, RemovePricer};
 use ucpc_uncertain::arena::MomentView;
 use ucpc_uncertain::simd::{add_delta, dot_block, price_block};
 
@@ -209,7 +212,7 @@ pub enum PruningConfig {
 
 impl PruningConfig {
     /// Parses one knob value (`"bounds"`/`"on"`/`"1"` ⇒ [`Self::Bounds`],
-    /// `"off"`/`"0"` ⇒ [`Self::Off]`, anything else ⇒ `None`) — the pure
+    /// `"off"`/`"0"` ⇒ [`Self::Off`], anything else ⇒ `None`) — the pure
     /// worker behind [`Self::from_env`], exposed for env-free unit tests.
     pub fn parse(v: &str) -> Option<Self> {
         match v {
@@ -422,11 +425,12 @@ impl CacheEntry {
 /// All pruning state of one engine: the configuration, each cluster's
 /// [`ClusterDrift`], their `DriftTotals`, the per-cluster remove-direction
 /// versions, the charge state (dirty list and start rows), the cache and
-/// the counters, plus the [`PricingTable`] every scan prices through.
-/// Every statistic update ([`Self::add`], [`Self::remove`],
-/// [`Self::relocate`]) and every decision ([`Self::best_move`],
-/// [`Self::placement`]) goes through it, so it alone decides what is
-/// charged, what a cached bound may trust and which pricers are stale.
+/// the counters, plus the [`PricingTable`] that holds the clusters'
+/// statistics and prices every scan. Every statistic update
+/// ([`Self::add`], [`Self::remove`], [`Self::relocate`], a wholesale
+/// refold) and every decision ([`Self::best_move`], [`Self::placement`])
+/// goes through it, so it alone decides what is charged and what a cached
+/// bound may trust, and the table keeps every pricer current.
 ///
 /// The cache is one entry per object plus a flat `n × 3(k+1)` snapshot
 /// matrix of the drift accumulators at store time, holding exactly what
@@ -458,8 +462,11 @@ pub struct Pruner {
 }
 
 impl Pruner {
-    /// An empty cache and zero watermarks for `k` clusters under `config`.
-    pub fn new(k: usize, config: PruningConfig) -> Self {
+    /// An empty cache and zero watermarks under `config` for one cluster
+    /// per entry of `stats`, which the pruner's table takes over with every
+    /// pricer derived ([`PricingTable::new`]).
+    pub fn new(stats: Vec<ClusterStats>, config: PruningConfig) -> Self {
+        let k = stats.len();
         Self {
             config,
             dirty: vec![false; k],
@@ -472,8 +479,22 @@ impl Pruner {
             snaps: Vec::new(),
             counters: PruneCounters::default(),
             scale: 0.0,
-            table: PricingTable::new(k),
+            table: PricingTable::new(stats),
         }
+    }
+
+    /// The clusters' statistics, which change only through this pruner.
+    pub fn stats(&self) -> &[ClusterStats] {
+        &self.table.stats
+    }
+
+    /// Replaces the statistics wholesale: `f` refolds them in place, then
+    /// the table derives every cluster's pricers once
+    /// ([`PricingTable::refold`]) and the pruner retires, since no cached
+    /// bound describes the new statistics. Returns what `f` returns.
+    pub(crate) fn refold<R>(&mut self, f: impl FnOnce(&mut [ClusterStats]) -> R) -> R {
+        self.retire();
+        self.table.refold(f)
     }
 
     /// Floats per snapshot row: three per cluster, three for `src`.
@@ -493,9 +514,9 @@ impl Pruner {
     }
 
     /// Empties the cache, zeroes every watermark — the per-cluster
-    /// accumulators, their totals and the versions — drops the start rows
-    /// and the dirty list and makes every pricer stale: the state
-    /// [`Self::new`] builds, keeping the configuration, the counters and
+    /// accumulators, their totals and the versions — and drops the start
+    /// rows and the dirty list: the state [`Self::new`] builds, keeping the
+    /// statistics and their pricers, the configuration, the counters and
     /// the buffers. Called whenever cached bounds may no longer hold: a
     /// configuration change, a re-partition, an undone pass.
     pub fn retire(&mut self) {
@@ -508,7 +529,6 @@ impl Pruner {
         self.entries.clear();
         self.snaps.clear();
         self.scale = 0.0;
-        self.table.mark_all_stale();
     }
 
     /// Decision counters accumulated over every pruned pass.
@@ -534,11 +554,10 @@ impl Pruner {
         &self.drift
     }
 
-    /// Opens one relocation pass over `slots` objects against `stats`. A
-    /// pruned pass grows the cache to cover every slot (new entries
-    /// invalid) and takes the pass's floating-point scale. Does nothing
-    /// when pruning is off.
-    pub fn begin_pass(&mut self, stats: &[ClusterStats], slots: usize) {
+    /// Opens one relocation pass over `slots` objects. A pruned pass grows
+    /// the cache to cover every slot (new entries invalid) and takes the
+    /// pass's floating-point scale. Does nothing when pruning is off.
+    pub fn begin_pass(&mut self, slots: usize) {
         if !self.config.is_enabled() {
             return;
         }
@@ -546,38 +565,39 @@ impl Pruner {
             self.entries.resize(slots, CacheEntry::invalid());
             self.snaps.resize(slots * self.stride(), 0.0);
         }
-        self.scale = fp_scale(stats);
+        self.scale = fp_scale(self.stats());
     }
 
-    /// Marks cluster `c` changed: its pricers go stale and it joins the
-    /// dirty list the next charge reads.
+    /// Marks cluster `c` changed: it joins the dirty list the next charge
+    /// reads.
     #[inline]
     fn touch(&mut self, c: usize) {
-        self.table.mark_stale(c);
         if !self.dirty[c] {
             self.dirty[c] = true;
             self.changed.push(c);
         }
     }
 
-    /// Charges each dirty cluster's net change from its start row to
-    /// `stats` into its [`ClusterDrift`] and the drift totals as one
+    /// Charges each dirty cluster's net change from its start row to its
+    /// statistics into its [`ClusterDrift`] and the drift totals as one
     /// transition, with the direct bound of the module docs, and makes
-    /// `stats` its next start. A cluster that did not change is charged
-    /// nothing; one that changed with fewer than 2 members at either end
-    /// bumps its version instead of charging the remove direction. With
-    /// no start rows yet, records every cluster and charges nothing.
+    /// the statistics its next start. A cluster that did not change is
+    /// charged nothing; one that changed with fewer than 2 members at
+    /// either end bumps its version instead of charging the remove
+    /// direction. With no start rows yet, records every cluster and
+    /// charges nothing.
     #[inline]
-    fn charge(&mut self, stats: &[ClusterStats]) {
+    fn charge(&mut self) {
         // Most reads find nothing changed since the last one.
         if self.changed.is_empty() && !self.starts.is_empty() {
             return;
         }
-        self.charge_changed(stats);
+        self.charge_changed();
     }
 
     /// [`Self::charge`]'s body, kept out of line.
-    fn charge_changed(&mut self, stats: &[ClusterStats]) {
+    fn charge_changed(&mut self) {
+        let stats = &self.table.stats;
         if self.starts.is_empty() {
             for s in stats {
                 self.starts.extend([s.size() as f64, spread(s)]);
@@ -622,36 +642,30 @@ impl Pruner {
     }
 
     /// Adds `v` to cluster `c`: one insert, or the second half of
-    /// [`Self::relocate`]. `c` is marked changed and folds with the plain
-    /// `add_view`; the next bound read charges it.
+    /// [`Self::relocate`]. `c` is marked changed and the table folds it
+    /// with the plain `add_view` and rewrites its pricers; the next bound
+    /// read charges it.
     #[inline]
-    pub fn add(&mut self, stats: &mut [ClusterStats], c: usize, v: &MomentView<'_>) {
+    pub fn add(&mut self, c: usize, v: &MomentView<'_>) {
         self.touch(c);
-        stats[c].add_view(v);
+        self.table.add(c, v);
     }
 
     /// Removes member `v` from cluster `c`: the [`Self::add`] counterpart
     /// through `remove_view`.
     #[inline]
-    pub fn remove(&mut self, stats: &mut [ClusterStats], c: usize, v: &MomentView<'_>) {
+    pub fn remove(&mut self, c: usize, v: &MomentView<'_>) {
         self.touch(c);
-        stats[c].remove_view(v);
+        self.table.remove(c, v);
     }
 
     /// The one relocation apply of Algorithm 1 (lines 10–13): moves object
     /// `i` (view `v`) from `src` to `dst` through [`Self::remove`] and
     /// [`Self::add`], and invalidates `i`'s cache entry.
     #[inline]
-    pub fn relocate(
-        &mut self,
-        stats: &mut [ClusterStats],
-        i: usize,
-        src: usize,
-        dst: usize,
-        v: &MomentView<'_>,
-    ) {
-        self.remove(stats, src, v);
-        self.add(stats, dst, v);
+    pub fn relocate(&mut self, i: usize, src: usize, dst: usize, v: &MomentView<'_>) {
+        self.remove(src, v);
+        self.add(dst, v);
         if let Some(e) = self.entries.get_mut(i) {
             e.valid = false;
         }
@@ -661,7 +675,7 @@ impl Pruner {
     /// move of object `i` (cluster `src`, slot generation `gen`, kernel
     /// view `v`) that lowers `J` by more than [`TOLERANCE`], as
     /// `(dst, delta)`, or `None`. Every candidate is priced through the
-    /// pruner's [`PricingTable`] against `stats`.
+    /// pruner's [`PricingTable`].
     ///
     /// With pruning off this is the full scan, [`PricingTable::relocation`]
     /// filtered at `-TOLERANCE`, except that a member no candidate moves
@@ -674,7 +688,6 @@ impl Pruner {
     #[inline(always)]
     pub fn best_move(
         &mut self,
-        stats: &[ClusterStats],
         i: usize,
         gen: u32,
         src: usize,
@@ -684,14 +697,14 @@ impl Pruner {
             // The fold returns one of these candidates, so it moves nothing
             // unless one of them lies below the threshold.
             let table = &mut self.table;
-            let gain = table.price_moves(stats, src, v);
+            let gain = table.price_moves(src, v);
             if !table.moves(src, gain).any(|(_, delta)| delta < -TOLERANCE) {
                 return None;
             }
             let (dst, delta, _) = fold(table.moves(src, gain))?;
             return (delta < -TOLERANCE).then_some((dst, delta));
         }
-        match self.decide(stats, i, gen, src, v) {
+        match self.decide(i, gen, src, v) {
             PruneDecision::Skip => {
                 self.counters.skips += 1;
                 None
@@ -700,37 +713,32 @@ impl Pruner {
                 // Same argmin; its exact delta from the identical pricing the
                 // full scan would do.
                 self.counters.confirms += 1;
-                let delta = self.table.confirm(stats, src, dst, v);
+                let delta = self.table.confirm(src, dst, v);
                 (delta < -TOLERANCE).then_some((dst, delta))
             }
             PruneDecision::FullScan => {
                 self.counters.full_scans += 1;
-                let (dst, delta, second) = self.table.relocation(stats, src, v)?;
+                let (dst, delta, second) = self.table.relocation(src, v)?;
                 if delta < -TOLERANCE {
                     return Some((dst, delta));
                 }
-                self.store(stats, i, gen, src, (dst, delta, second));
+                self.store(i, gen, src, (dst, delta, second));
                 None
             }
         }
     }
 
-    /// The placement scan of an arrival `v` against `stats`, never
-    /// pruned: [`best_insertion`]'s winner and bits. `None` only for
-    /// `k = 0`.
-    pub fn placement(
-        &mut self,
-        stats: &[ClusterStats],
-        v: &MomentView<'_>,
-    ) -> Option<(usize, f64)> {
-        let deltas = self.price(stats, v);
+    /// The placement scan of an arrival `v`, never pruned:
+    /// [`best_insertion`]'s winner and bits. `None` only for `k = 0`.
+    pub fn placement(&mut self, v: &MomentView<'_>) -> Option<(usize, f64)> {
+        let deltas = self.price(v);
         fold(deltas.iter().copied().enumerate()).map(|(dst, delta, _)| (dst, delta))
     }
 
-    /// Every cluster's add delta for `v` against `stats`, in cluster
-    /// order ([`PricingTable::price`]): what [`Self::placement`] folds.
-    pub(crate) fn price(&mut self, stats: &[ClusterStats], v: &MomentView<'_>) -> &[f64] {
-        self.table.price(stats, v)
+    /// Every cluster's add delta for `v`, in cluster order
+    /// ([`PricingTable::price`]): what [`Self::placement`] folds.
+    pub(crate) fn price(&mut self, v: &MomentView<'_>) -> &[f64] {
+        self.table.price(v)
     }
 
     /// Evaluates the bound tests for object `i` (cluster `src`, kernel view
@@ -741,23 +749,17 @@ impl Pruner {
     /// streaming engines recycle slots, and an entry stored for a departed
     /// occupant must not serve the slot's next tenant. An entry that is
     /// unusable on its own is rejected first; otherwise every change to
-    /// `stats` since the last charge is charged before any watermark is
-    /// read. [`Self::best_move`] acts on the returned decision. Slot `i`
-    /// must be covered by the last [`Self::begin_pass`].
+    /// the statistics since the last charge is charged before any
+    /// watermark is read. [`Self::best_move`] acts on the returned
+    /// decision. Slot `i` must be covered by the last
+    /// [`Self::begin_pass`].
     ///
     /// Tier 0 diffs the global totals against the entry's inline snapshot —
     /// O(1), one cache line — and resolves the overwhelming majority of
     /// decisions in quiet passes. Only when that over-approximation is too
     /// loose does the O(k) per-cluster walk run (per-coefficient maxima over
     /// candidates instead of sums over all clusters).
-    pub fn decide(
-        &mut self,
-        stats: &[ClusterStats],
-        i: usize,
-        gen: u32,
-        src: usize,
-        v: &MomentView<'_>,
-    ) -> PruneDecision {
+    pub fn decide(&mut self, i: usize, gen: u32, src: usize, v: &MomentView<'_>) -> PruneDecision {
         let e = self.entries[i];
         if !e.valid
             || e.gen != gen
@@ -767,7 +769,7 @@ impl Pruner {
         {
             return PruneDecision::FullScan;
         }
-        self.charge(stats);
+        self.charge();
         if self.versions[src] != e.src_version {
             return PruneDecision::FullScan;
         }
@@ -841,18 +843,11 @@ impl Pruner {
     /// version, of every cluster's add-direction accumulators and of
     /// `src`'s remove-direction ones (the watermarks later
     /// [`Self::decide`] calls diff against), taken after charging every
-    /// change to `stats` since the last charge. `scan` must have been
-    /// computed against `stats`, and slot `i` must be covered by the last
-    /// [`Self::begin_pass`].
-    pub fn store(
-        &mut self,
-        stats: &[ClusterStats],
-        i: usize,
-        gen: u32,
-        src: usize,
-        scan: (usize, f64, f64),
-    ) {
-        self.charge(stats);
+    /// change to the statistics since the last charge. `scan` must have
+    /// been computed against the current statistics, and slot `i` must be
+    /// covered by the last [`Self::begin_pass`].
+    pub fn store(&mut self, i: usize, gen: u32, src: usize, scan: (usize, f64, f64)) {
+        self.charge();
         let (best_dst, best, second) = scan;
         self.entries[i] = CacheEntry {
             valid: true,
@@ -964,119 +959,99 @@ fn consider(best: &mut Option<(usize, f64)>, second: &mut f64, dst: usize, delta
     }
 }
 
-/// The engine's pricing table: each cluster's hoisted add pricer and
-/// [`RemovePricer`], so that a scan prices all `k` candidates with one
-/// [`price_block`] call — every cross term over the clusters' `mean_sum`
-/// rows, read in place, and every add delta from the pricers — instead of
-/// a dispatched dot product and two divisions per candidate.
+/// The engine's pricing table: the clusters' statistics and, beside them,
+/// each cluster's hoisted add pricer and [`RemovePricer`], so that a scan
+/// prices all `k` candidates with one [`price_block`] call — every cross
+/// term over the clusters' `mean_sum` rows, read in place, and every add
+/// delta from the pricers — instead of a dispatched dot product and two
+/// divisions per candidate.
 ///
 /// The add pricers are stored as [`price_block`]'s five `k`-long pricer
 /// columns (each cluster's `AddPricer` constants, in [`add_delta`]'s
-/// order) plus one stale mask; the remove pricers, which a decision reads
-/// one at a time, as options. Pricers are derived lazily: a stale one is
-/// re-derived from the statistics a scan is handed before it is read, by a
-/// full scan and the tier-2 confirm alike. A pricer is a pure function of
-/// the statistics and [`price_block`] is bit-identical to
+/// order); the remove pricers, which a decision reads one at a time, as a
+/// row. The table owns the statistics, and its folds are the only way they
+/// change: a single-cluster fold rewrites that cluster's pricers in the
+/// same call, and the wholesale `refold` derives every cluster's pricers
+/// once, so every pricer is always the one its cluster's statistics
+/// give. A pricer is a pure function of the statistics and
+/// [`price_block`] is bit-identical to
 /// [`dot`](ucpc_uncertain::simd::dot) followed by
 /// [`AddPricer::price`](crate::objective::AddPricer::price), so the table
 /// prices every candidate with the bits of [`ClusterStats::delta_j_add`] /
 /// [`ClusterStats::delta_j_remove`]: the scans agree with
-/// [`best_insertion`] and [`best_candidate`] bit for bit under the
-/// staleness rule of the module docs. Outside a [`Pruner`], a table must be
-/// handed unchanging statistics.
-#[derive(Debug, Clone)]
+/// [`best_insertion`] and [`best_candidate`] bit for bit.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PricingTable {
+    /// Corollary 1's sums, one per cluster.
+    stats: Vec<ClusterStats>,
     /// Column `j` holds entry `j` of every cluster's
-    /// `AddPricer::constants`; cluster `c`'s entries are read only while
-    /// its stale bit is clear.
+    /// `AddPricer::constants`.
     add: [Vec<f64>; 5],
-    /// Bit `c % 64` of word `c / 64` is set while cluster `c`'s add-pricer
-    /// entries predate its statistics: a pricing with nothing stale tests
-    /// one word per 64 clusters.
-    stale: Vec<u64>,
-    /// A decision reads only its own cluster's remover, so it is derived
-    /// on that read alone: edits followed by placements never pay for
-    /// removers nobody prices.
-    remove: Vec<Option<RemovePricer>>,
-    /// A full scan's cross terms `⟨s_c, mu⟩`, one per cluster.
+    /// Every cluster's removal pricer.
+    remove: Vec<RemovePricer>,
+    /// The last pricing's cross terms `⟨s_c, mu⟩`, one per cluster.
     cross: Vec<f64>,
-    /// A full scan's add deltas, one per cluster ([`Self::price`]).
+    /// The last pricing's add deltas, one per cluster ([`Self::price`]).
     deltas: Vec<f64>,
 }
 
-/// Equal pricers, stale ones as stale: the scratch rows, and the entries
-/// of stale add pricers, carry no state.
-impl PartialEq for PricingTable {
-    fn eq(&self, other: &Self) -> bool {
-        self.stale == other.stale
-            && self.remove == other.remove
-            && (0..self.remove.len())
-                .filter(|&c| !self.is_stale(c))
-                .all(|c| self.adder(c) == other.adder(c))
-    }
-}
-
-/// Sets the bit of each of `k` clusters in `mask`, and no other bit.
-fn mark_every(mask: &mut [u64], k: usize) {
-    mask.fill(u64::MAX);
-    if let Some(last) = mask.last_mut() {
-        *last >>= (64 - k % 64) % 64;
-    }
-}
-
 impl PricingTable {
-    /// A table for `k` clusters, every pricer stale.
-    pub fn new(k: usize) -> Self {
+    /// A table over `stats`, one cluster per entry, with every pricer
+    /// derived by the wholesale `refold`: what a snapshot restore installs.
+    pub fn new(stats: Vec<ClusterStats>) -> Self {
+        let k = stats.len();
         let mut table = Self {
+            stats,
             add: std::array::from_fn(|_| vec![0.0; k]),
-            stale: vec![0; k.div_ceil(64)],
-            remove: vec![None; k],
+            remove: Vec::with_capacity(k),
             cross: vec![0.0; k],
             deltas: vec![0.0; k],
         };
-        table.mark_all_stale();
+        table.refold(|_| ());
         table
     }
 
-    /// Makes cluster `c`'s pricers stale: its statistics changed.
-    #[inline]
-    fn mark_stale(&mut self, c: usize) {
-        self.stale[c / 64] |= 1 << (c % 64);
-        self.remove[c] = None;
-    }
-
-    /// Makes every pricer stale: the statistics were replaced wholesale.
-    fn mark_all_stale(&mut self) {
-        mark_every(&mut self.stale, self.remove.len());
-        self.remove.fill(None);
-    }
-
-    /// Whether cluster `c`'s add pricer is stale.
-    #[inline]
-    fn is_stale(&self, c: usize) -> bool {
-        self.stale[c / 64] & (1 << (c % 64)) != 0
-    }
-
-    /// Re-derives every stale add pricer from `stats` into the columns.
-    #[inline(always)]
-    fn refresh(&mut self, stats: &[ClusterStats]) {
-        for word in 0..self.stale.len() {
-            let mut bits = std::mem::take(&mut self.stale[word]);
-            while bits != 0 {
-                self.derive(stats, 64 * word + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
+    /// The one wholesale change: `f` refolds the statistics in place, then
+    /// every cluster's pricers are derived once. Returns what `f` returns.
+    pub(crate) fn refold<R>(&mut self, f: impl FnOnce(&mut [ClusterStats]) -> R) -> R {
+        let out = f(&mut self.stats);
+        self.remove.clear();
+        self.remove
+            .extend(self.stats.iter().map(ClusterStats::remove_pricer));
+        for c in 0..self.stats.len() {
+            self.write_adder(c, self.stats[c].add_pricer());
         }
+        out
     }
 
-    /// Writes `stats[c]`'s add pricer into the columns. Out of line: a
-    /// pricing runs it only after an update, and inlined into
-    /// [`Self::price`] it made every pass of an unpruned 2,000×8×5 batch
-    /// run 4–12% slower, moves or none.
-    #[inline(never)]
-    fn derive(&mut self, stats: &[ClusterStats], c: usize) {
-        let constants = stats[c].add_pricer().constants();
-        for (column, value) in self.add.iter_mut().zip(constants) {
+    /// Folds `v` into cluster `c` and rewrites `c`'s pricers.
+    #[inline]
+    fn add(&mut self, c: usize, v: &MomentView<'_>) {
+        self.stats[c].add_view(v);
+        self.derive(c);
+    }
+
+    /// Folds member `v` out of cluster `c` and rewrites `c`'s pricers.
+    #[inline]
+    fn remove(&mut self, c: usize, v: &MomentView<'_>) {
+        self.stats[c].remove_view(v);
+        self.derive(c);
+    }
+
+    /// Rewrites cluster `c`'s add pricer and remover from its statistics,
+    /// both derived before either is stored.
+    #[inline]
+    fn derive(&mut self, c: usize) {
+        let stat = &self.stats[c];
+        let (adder, remover) = (stat.add_pricer(), stat.remove_pricer());
+        self.write_adder(c, adder);
+        self.remove[c] = remover;
+    }
+
+    /// Writes `adder`'s constants into cluster `c`'s column entries.
+    #[inline]
+    fn write_adder(&mut self, c: usize, adder: AddPricer) {
+        for (column, value) in self.add.iter_mut().zip(adder.constants()) {
             column[c] = value;
         }
     }
@@ -1087,22 +1062,16 @@ impl PricingTable {
         self.add.each_ref().map(|column| column[c])
     }
 
-    /// `stats[c]`'s removal pricer, derived first if stale.
-    fn remover(&mut self, stats: &[ClusterStats], c: usize) -> RemovePricer {
-        *self.remove[c].get_or_insert_with(|| stats[c].remove_pricer())
-    }
-
-    /// Prices an arrival `v` against every cluster: derives the stale add
-    /// pricers, then one [`price_block`] fills `cross` with `⟨s_c, mu⟩`
-    /// over the clusters' own rows and returns each cluster's add delta in
-    /// cluster order, the bits of `stats[c].delta_j_add(v)`. Placement,
-    /// relocation and the serving answers all price through this one call.
-    pub(crate) fn price(&mut self, stats: &[ClusterStats], v: &MomentView<'_>) -> &[f64] {
-        self.refresh(stats);
+    /// Prices an arrival `v` against every cluster: one [`price_block`]
+    /// fills `cross` with `⟨s_c, mu⟩` over the clusters' own rows and
+    /// returns each cluster's add delta in cluster order, the bits of
+    /// `stats[c].delta_j_add(v)`. Placement, relocation and the serving
+    /// answers all price through this one call.
+    pub(crate) fn price(&mut self, v: &MomentView<'_>) -> &[f64] {
         price_block(
             v.mu,
             [v.sum_var, v.sum_mu_sq, v.sum_mu2],
-            |c| stats[c].mean_sum(),
+            |c| self.stats[c].mean_sum(),
             &self.add,
             &mut self.cross,
             &mut self.deltas,
@@ -1110,29 +1079,22 @@ impl PricingTable {
         &self.deltas
     }
 
-    /// The relocation scan of a member of `src` against `stats`:
-    /// [`best_candidate`]'s winner and bits, plus the minimum delta over
-    /// the candidates other than the winner (`+∞` when `k = 2`), which a
-    /// pruned full scan caches as the second-best margin. `None` when
-    /// `k = 1`.
-    pub fn relocation(
-        &mut self,
-        stats: &[ClusterStats],
-        src: usize,
-        v: &MomentView<'_>,
-    ) -> Option<(usize, f64, f64)> {
-        let gain = self.price_moves(stats, src, v);
+    /// The relocation scan of a member of `src`: [`best_candidate`]'s
+    /// winner and bits, plus the minimum delta over the candidates other
+    /// than the winner (`+∞` when `k = 2`), which a pruned full scan
+    /// caches as the second-best margin. `None` when `k = 1`.
+    pub fn relocation(&mut self, src: usize, v: &MomentView<'_>) -> Option<(usize, f64, f64)> {
+        let gain = self.price_moves(src, v);
         fold(self.moves(src, gain))
     }
 
     /// Prices a member of `src` against every cluster ([`Self::price`])
     /// and returns its removal gain, which [`Self::moves`] adds to each
     /// candidate's add delta.
-    fn price_moves(&mut self, stats: &[ClusterStats], src: usize, v: &MomentView<'_>) -> f64 {
-        self.price(stats, v);
+    fn price_moves(&mut self, src: usize, v: &MomentView<'_>) -> f64 {
+        self.price(v);
         let (var, mu_sq, mu2) = (v.sum_var, v.sum_mu_sq, v.sum_mu2);
-        self.remover(stats, src)
-            .price(var, mu_sq, mu2, self.cross[src])
+        self.remove[src].price(var, mu_sq, mu2, self.cross[src])
     }
 
     /// The priced relocation candidates of a member of `src` with removal
@@ -1148,23 +1110,11 @@ impl PricingTable {
 
     /// The exact delta of moving a member of `src` to `dst`, both rows in
     /// one two-row `dot_block`: the bits a full scan computes for `dst`.
-    /// It reads `dst`'s add pricer from the columns, so it derives a stale
-    /// one first, as [`Self::price`] does.
-    fn confirm(
-        &mut self,
-        stats: &[ClusterStats],
-        src: usize,
-        dst: usize,
-        v: &MomentView<'_>,
-    ) -> f64 {
+    fn confirm(&self, src: usize, dst: usize, v: &MomentView<'_>) -> f64 {
         let mut cross = [0.0; 2];
-        dot_block(v.mu, |r| stats[[src, dst][r]].mean_sum(), &mut cross);
+        dot_block(v.mu, |r| self.stats[[src, dst][r]].mean_sum(), &mut cross);
         let (var, mu_sq, mu2) = (v.sum_var, v.sum_mu_sq, v.sum_mu2);
-        if self.is_stale(dst) {
-            self.derive(stats, dst);
-            self.stale[dst / 64] &= !(1 << (dst % 64));
-        }
-        self.remover(stats, src).price(var, mu_sq, mu2, cross[0])
+        self.remove[src].price(var, mu_sq, mu2, cross[0])
             + add_delta(self.adder(dst), [var, mu_sq, mu2], cross[1])
     }
 }
@@ -1220,11 +1170,11 @@ mod tests {
         assert!(!PruningConfig::Off.is_enabled());
     }
 
-    /// A pruning-enabled pruner for `k` clusters with a pass begun over
-    /// `n` slots of `stats`: its cache covers them.
-    fn pruner(stats: &[ClusterStats], n: usize) -> Pruner {
-        let mut pruner = Pruner::new(stats.len(), PruningConfig::Bounds);
-        pruner.begin_pass(stats, n);
+    /// A pruning-enabled pruner over `stats` with a pass begun over `n`
+    /// slots: its cache covers them.
+    fn pruner(stats: Vec<ClusterStats>, n: usize) -> Pruner {
+        let mut pruner = Pruner::new(stats, PruningConfig::Bounds);
+        pruner.begin_pass(n);
         pruner
     }
 
@@ -1233,8 +1183,7 @@ mod tests {
         /// counters and configuration aside.
         pub(crate) fn is_fresh(&self) -> bool {
             let zero = ClusterDrift::default();
-            self.table == PricingTable::new(self.drift.len())
-                && self.entries.is_empty()
+            self.entries.is_empty()
                 && self.snaps.is_empty()
                 && self.starts.is_empty()
                 && self.changed.is_empty()
@@ -1250,10 +1199,9 @@ mod tests {
         let data = objects(6);
         let arena = MomentArena::from_objects(&data);
         let labels = vec![0, 0, 0, 1, 1, 1];
-        let stats = stats_for(&arena, &labels, 2);
-        let mut pruner = pruner(&stats, 6);
+        let mut pruner = pruner(stats_for(&arena, &labels, 2), 6);
         let v = arena.view(0);
-        assert_eq!(pruner.decide(&stats, 0, 0, 0, &v), PruneDecision::FullScan);
+        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::FullScan);
     }
 
     #[test]
@@ -1261,33 +1209,32 @@ mod tests {
         let data = objects(6);
         let arena = MomentArena::from_objects(&data);
         let labels = vec![0, 0, 0, 1, 1, 1];
-        let mut stats = stats_for(&arena, &labels, 2);
-        let mut pruner = pruner(&stats, 6);
+        let mut pruner = pruner(stats_for(&arena, &labels, 2), 6);
         let v = arena.view(0);
         // A converged object: its best candidate delta is comfortably
         // positive, so with zero drift tier 0 must fire.
-        pruner.store(&stats, 0, 0, 0, (1, 5.0, f64::INFINITY));
-        assert_eq!(pruner.decide(&stats, 0, 0, 0, &v), PruneDecision::Skip);
+        pruner.store(0, 0, 0, (1, 5.0, f64::INFINITY));
+        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::Skip);
         // Same entry under a later slot generation (the slot was recycled
         // to a new occupant): stale, full scan.
-        assert_eq!(pruner.decide(&stats, 0, 1, 0, &v), PruneDecision::FullScan);
+        assert_eq!(pruner.decide(0, 1, 0, &v), PruneDecision::FullScan);
         // Same entry after the source cluster's remove-direction version
         // moved (a small transition touched it): surgically stale.
         pruner.versions = vec![1, 0];
-        assert_eq!(pruner.decide(&stats, 0, 0, 0, &v), PruneDecision::FullScan);
+        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::FullScan);
         // A bump of a *non-source* cluster's version leaves the entry
         // usable — its remove-direction history is never consulted here.
         pruner.versions = vec![0, 7];
-        assert_eq!(pruner.decide(&stats, 0, 0, 0, &v), PruneDecision::Skip);
+        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::Skip);
         // Churn moves the watermarks once a decision charges it; a retire
         // drops the entry and zeroes every watermark, keeping the counters.
-        pruner.relocate(&mut stats, 4, 1, 0, &arena.view(4));
+        pruner.relocate(4, 1, 0, &arena.view(4));
         assert_eq!(
             pruner.drift(),
             [ClusterDrift::default(); 2],
             "not yet charged"
         );
-        pruner.decide(&stats, 0, 0, 0, &v);
+        pruner.decide(0, 0, 0, &v);
         assert!(pruner.drift().iter().all(|&d| d != ClusterDrift::default()));
         pruner.counters.skips = 3;
         pruner.retire();
@@ -1296,8 +1243,8 @@ mod tests {
         assert_eq!(pruner.counters().skips, 3, "counters survive a retire");
         assert_eq!(pruner.config(), PruningConfig::Bounds);
         // The next pass regrows the cache invalid: the old entry is dead.
-        pruner.begin_pass(&stats, 6);
-        assert_eq!(pruner.decide(&stats, 0, 0, 0, &v), PruneDecision::FullScan);
+        pruner.begin_pass(6);
+        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::FullScan);
     }
 
     #[test]
@@ -1305,19 +1252,15 @@ mod tests {
         let data = objects(9);
         let arena = MomentArena::from_objects(&data);
         let labels = vec![0, 0, 0, 1, 1, 1, 2, 2, 2];
-        let mut stats = stats_for(&arena, &labels, 3);
-        let mut pruner = pruner(&stats, 9);
+        let mut pruner = pruner(stats_for(&arena, &labels, 3), 9);
         let v = arena.view(0);
         // Cached best is improving (−2) and far from second (+7): tier 2.
-        pruner.store(&stats, 0, 0, 0, (2, -2.0, 7.0));
-        assert_eq!(
-            pruner.decide(&stats, 0, 0, 0, &v),
-            PruneDecision::ConfirmBest(2)
-        );
+        pruner.store(0, 0, 0, (2, -2.0, 7.0));
+        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::ConfirmBest(2));
         // Relocating the object invalidates its entry.
-        pruner.relocate(&mut stats, 0, 0, 2, &v);
+        pruner.relocate(0, 0, 2, &v);
         assert!(!pruner.entries[0].valid);
-        assert_eq!(pruner.decide(&stats, 0, 0, 2, &v), PruneDecision::FullScan);
+        assert_eq!(pruner.decide(0, 0, 2, &v), PruneDecision::FullScan);
     }
 
     #[test]
@@ -1325,23 +1268,19 @@ mod tests {
         let data = objects(8);
         let arena = MomentArena::from_objects(&data);
         let labels = vec![0, 0, 0, 0, 1, 1, 1, 1];
-        let mut stats = stats_for(&arena, &labels, 2);
-        let mut pruner = pruner(&stats, 8);
+        let mut pruner = pruner(stats_for(&arena, &labels, 2), 8);
         let v = arena.view(0);
         // Barely-positive margin: sound to skip only while nothing moves.
-        pruner.store(&stats, 0, 0, 0, (1, 0.05, f64::INFINITY));
-        assert_eq!(pruner.decide(&stats, 0, 0, 0, &v), PruneDecision::Skip);
+        pruner.store(0, 0, 0, (1, 0.05, f64::INFINITY));
+        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::Skip);
         // Relocate object 7 from cluster 1 to cluster 0: both clusters
         // drift and the tiny margin no longer proves a skip. With k = 2 the
         // argmin is trivially stable (there is only one candidate), so the
         // decision degrades to tier 2, which recomputes the exact delta —
         // never to an unsound skip.
-        pruner.relocate(&mut stats, 7, 1, 0, &arena.view(7));
-        pruner.begin_pass(&stats, 8);
-        assert_eq!(
-            pruner.decide(&stats, 0, 0, 0, &v),
-            PruneDecision::ConfirmBest(1)
-        );
+        pruner.relocate(7, 1, 0, &arena.view(7));
+        pruner.begin_pass(8);
+        assert_eq!(pruner.decide(0, 0, 0, &v), PruneDecision::ConfirmBest(1));
         assert_eq!(pruner.versions, [0, 0], "sizes stay >= 2: no version bump");
     }
 
@@ -1354,19 +1293,18 @@ mod tests {
         let data = objects(12);
         let arena = MomentArena::from_objects(&data);
         let labels = vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2];
-        let mut stats = stats_for(&arena, &labels, 3);
-        let mut pruner = pruner(&stats, 12);
+        let mut pruner = pruner(stats_for(&arena, &labels, 3), 12);
         let v = arena.view(0);
-        pruner.store(&stats, 0, 0, 0, (2, 0.4, f64::INFINITY));
+        pruner.store(0, 0, 0, (2, 0.4, f64::INFINITY));
         // Churn objects between clusters 1 and 2 (the candidate set):
         // eventually even the per-cluster bound must give up and rescan.
         let mut gave_up = false;
         for step in 0..50 {
             let (src, dst) = if step % 2 == 0 { (1, 2) } else { (2, 1) };
             let i = 4 + (step % 4);
-            pruner.relocate(&mut stats, i, src, dst, &arena.view(i));
-            pruner.begin_pass(&stats, 12);
-            let decision = pruner.decide(&stats, 0, 0, 0, &v);
+            pruner.relocate(i, src, dst, &arena.view(i));
+            pruner.begin_pass(12);
+            let decision = pruner.decide(0, 0, 0, &v);
             assert_eq!(pruner.versions, [0, 0, 0]);
             if decision != PruneDecision::Skip {
                 gave_up = true;
@@ -1403,31 +1341,31 @@ mod tests {
             let mut labels: Vec<usize> = (0..n)
                 .map(|i| if i < k { i } else { rng.gen_range(0..k) })
                 .collect();
-            let mut stats = stats_for(&arena, &labels, k);
+            let stats = stats_for(&arena, &labels, k);
             // Each pruner folds every move into its own copy of the
             // statistics, so each table sees every relocation.
-            let mut plain_stats = stats.clone();
-            let mut plain = Pruner::new(k, PruningConfig::Off);
-            let mut pruned = Pruner::new(k, PruningConfig::Bounds);
+            let mut plain = Pruner::new(stats.clone(), PruningConfig::Off);
+            let mut pruned = Pruner::new(stats, PruningConfig::Bounds);
             for _pass in 0..6 {
-                plain.begin_pass(&stats, n);
-                pruned.begin_pass(&stats, n);
+                plain.begin_pass(n);
+                pruned.begin_pass(n);
                 // Indexed: the body reassigns `labels[i]` mid-pass.
                 #[allow(clippy::needless_range_loop)]
                 for i in 0..n {
                     let src = labels[i];
-                    if stats[src].size() == 1 {
+                    if pruned.stats()[src].size() == 1 {
                         continue;
                     }
                     let v = arena.view(i);
                     let before = pruned.counters();
-                    let uncached = plain.best_move(&plain_stats, i, 0, src, &v);
-                    let want = best_candidate(&stats, src, &v).filter(|&(_, d)| d < -TOLERANCE);
+                    let uncached = plain.best_move(i, 0, src, &v);
+                    let want =
+                        best_candidate(pruned.stats(), src, &v).filter(|&(_, d)| d < -TOLERANCE);
                     assert_eq!(
                         uncached.map(|(c, d)| (c, d.to_bits())),
                         want.map(|(c, d)| (c, d.to_bits()))
                     );
-                    let cached = pruned.best_move(&stats, i, 0, src, &v);
+                    let cached = pruned.best_move(i, 0, src, &v);
                     let counters = pruned.counters();
                     let tiers = [
                         counters.skips - before.skips,
@@ -1446,11 +1384,15 @@ mod tests {
                         "object {i} (n={n}, m={m}, k={k})"
                     );
                     if let Some((dst, _)) = cached {
-                        pruned.relocate(&mut stats, i, src, dst, &v);
-                        plain.relocate(&mut plain_stats, i, src, dst, &v);
+                        pruned.relocate(i, src, dst, &v);
+                        plain.relocate(i, src, dst, &v);
                         labels[i] = dst;
                     }
-                    assert_eq!(plain_stats, stats, "object {i}: the copies fold alike");
+                    assert_eq!(
+                        plain.stats(),
+                        pruned.stats(),
+                        "object {i}: the copies fold alike"
+                    );
                 }
             }
             let counters = pruned.counters();
@@ -1465,8 +1407,8 @@ mod tests {
     /// The unpruned decision for a member of `src` at `v`, on a fresh
     /// pruner and so a fresh table.
     fn unpruned(stats: &[ClusterStats], src: usize, v: &MomentView<'_>) -> Option<(usize, u64)> {
-        let mut pruner = Pruner::new(stats.len(), PruningConfig::Off);
-        let decided = pruner.best_move(stats, 0, 0, src, v);
+        let mut pruner = Pruner::new(stats.to_vec(), PruningConfig::Off);
+        let decided = pruner.best_move(0, 0, src, v);
         decided.map(|(c, d)| (c, d.to_bits()))
     }
 
@@ -1573,7 +1515,7 @@ mod tests {
                     }
                     assert_eq!(got_c, want_c, "m={m} k={k} probe={probe}");
                     assert_eq!(got_d.to_bits(), want_d.to_bits(), "m={m} k={k}");
-                    let placed = Pruner::new(k + 1, PruningConfig::Off).placement(&stats, &v);
+                    let placed = Pruner::new(stats.clone(), PruningConfig::Off).placement(&v);
                     assert_eq!(
                         placed.map(|(c, d)| (c, d.to_bits())),
                         Some((want_c, want_d.to_bits()))
@@ -1583,10 +1525,23 @@ mod tests {
         }
     }
 
+    /// Asserts bit for bit that every cluster's pricers in `pruner`'s
+    /// table are the ones its statistics give.
+    fn assert_current(pruner: &Pruner, what: &str) {
+        let table = &pruner.table;
+        for (c, stat) in table.stats.iter().enumerate() {
+            let want = stat.add_pricer().constants().map(f64::to_bits);
+            assert_eq!(table.adder(c).map(f64::to_bits), want, "{what}, c={c}");
+            let want = stat.remove_pricer().bits();
+            assert_eq!(table.remove[c].bits(), want, "{what}, c={c}");
+        }
+    }
+
     #[test]
-    fn the_stale_mask_covers_clusters_past_its_first_word() {
-        // k on both sides of the mask's 64-cluster words; edits land in
-        // the first and the last word, and a retire marks them all.
+    fn every_pricer_is_current_after_every_fold() {
+        // k on both sides of 64 and past 128; edits land among the first
+        // and the last 64 clusters, and every kind of fold is followed by
+        // a check of every cluster's pricers.
         let m = 16;
         let data: Vec<UncertainObject> = (0..300)
             .map(|i| {
@@ -1601,12 +1556,14 @@ mod tests {
         let arena = MomentArena::from_objects(&data);
         for k in [63usize, 64, 65, 130] {
             let labels: Vec<usize> = (0..2 * k).map(|i| i % k).collect();
-            let mut stats = stats_for(&arena, &labels, k);
-            let mut pruner = Pruner::new(k, PruningConfig::Off);
+            let mut pruner = Pruner::new(stats_for(&arena, &labels, k), PruningConfig::Off);
+            assert_current(&pruner, &format!("k={k}, new"));
+            // The arrivals folded in so far, with their clusters.
+            let mut members: Vec<(usize, usize)> = Vec::new();
             for (step, i) in (2 * k..2 * k + 40).enumerate() {
                 let v = arena.view(i);
-                let deltas = pruner.price(&stats, &v).to_vec();
-                for (c, (delta, stat)) in deltas.iter().zip(&stats).enumerate() {
+                let deltas = pruner.price(&v).to_vec();
+                for (c, (delta, stat)) in deltas.iter().zip(pruner.stats()).enumerate() {
                     let want = stat.delta_j_add(&v);
                     assert_eq!(delta.to_bits(), want.to_bits(), "k={k}, step {step}, c={c}");
                 }
@@ -1615,9 +1572,36 @@ mod tests {
                 } else {
                     step % 3
                 };
-                pruner.add(&mut stats, c, &v);
+                let what = format!("k={k}, step {step}");
+                pruner.add(c, &v);
+                members.push((i, c));
+                assert_current(&pruner, &format!("{what}, add"));
+                match step % 4 {
+                    1 => {
+                        let (j, from) = members.remove(0);
+                        pruner.remove(from, &arena.view(j));
+                        assert_current(&pruner, &format!("{what}, remove"));
+                    }
+                    3 => {
+                        let (j, from) = members[0];
+                        let to = (from + 1) % k;
+                        pruner.relocate(j, from, to, &arena.view(j));
+                        members[0].1 = to;
+                        assert_current(&pruner, &format!("{what}, relocate"));
+                    }
+                    _ => {}
+                }
+                if step % 10 == 4 {
+                    // Every cluster takes its successor's statistics.
+                    pruner.refold(|stats| stats.rotate_left(1));
+                    for (_, c) in &mut members {
+                        *c = (*c + k - 1) % k;
+                    }
+                    assert_current(&pruner, &format!("{what}, refold"));
+                }
                 if step % 10 == 9 {
                     pruner.retire();
+                    assert_current(&pruner, &format!("{what}, retire"));
                 }
             }
         }
@@ -1628,17 +1612,16 @@ mod tests {
         let data = objects(8);
         let arena = MomentArena::from_objects(&data);
         let labels = vec![0, 0, 0, 0, 1, 1, 1, 1];
-        let mut stats = stats_for(&arena, &labels, 2);
-        let mut pruner = pruner(&stats, 8);
+        let mut pruner = pruner(stats_for(&arena, &labels, 2), 8);
         // The first charge records every cluster and charges nothing.
-        pruner.store(&stats, 0, 0, 0, (1, 5.0, 6.0));
+        pruner.store(0, 0, 0, (1, 5.0, 6.0));
         assert!(pruner.drift.iter().all(|&d| d == ClusterDrift::default()));
         // Two moves, charged by the next read, make every add watermark
         // non-zero.
-        pruner.relocate(&mut stats, 7, 1, 0, &arena.view(7));
-        pruner.relocate(&mut stats, 6, 1, 0, &arena.view(6));
+        pruner.relocate(7, 1, 0, &arena.view(7));
+        pruner.relocate(6, 1, 0, &arena.view(6));
         assert_eq!(pruner.changed, [1, 0], "each changed cluster listed once");
-        pruner.decide(&stats, 0, 0, 0, &arena.view(0));
+        pruner.decide(0, 0, 0, &arena.view(0));
         assert!(pruner.drift.iter().all(|d| d.add_size > 0.0));
         assert!(pruner.changed.is_empty(), "the charge consumes the list");
         assert!(pruner.dirty.iter().all(|&d| !d));
@@ -1646,18 +1629,18 @@ mod tests {
             (pruner.drift.clone(), pruner.totals, pruner.versions.clone());
         // Further reads, a new pass and a cluster marked changed whose
         // statistics did not change all charge exactly nothing.
-        pruner.decide(&stats, 0, 0, 0, &arena.view(0));
-        pruner.store(&stats, 1, 0, 0, (1, 5.0, 6.0));
-        pruner.begin_pass(&stats, 8);
+        pruner.decide(0, 0, 0, &arena.view(0));
+        pruner.store(1, 0, 0, (1, 5.0, 6.0));
+        pruner.begin_pass(8);
         pruner.touch(0);
-        pruner.decide(&stats, 0, 0, 0, &arena.view(0));
+        pruner.decide(0, 0, 0, &arena.view(0));
         assert_eq!(pruner.drift, drift);
         assert_eq!(pruner.totals, totals);
         assert_eq!(pruner.versions, versions);
         // With pruning off a pass caches nothing, so it leaves the pruner
         // as new built it.
-        let mut off = Pruner::new(2, PruningConfig::Off);
-        off.begin_pass(&stats, 8);
+        let mut off = Pruner::new(pruner.stats().to_vec(), PruningConfig::Off);
+        off.begin_pass(8);
         assert!(off.is_fresh());
     }
 
@@ -1666,21 +1649,20 @@ mod tests {
         let data = objects(12);
         let arena = MomentArena::from_objects(&data);
         let labels = vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2];
-        let mut stats = stats_for(&arena, &labels, 3);
-        let mut pruner = pruner(&stats, 12);
+        let mut pruner = pruner(stats_for(&arena, &labels, 3), 12);
         // Wide margins, one entry rooted in cluster 0, one in cluster 1.
-        pruner.store(&stats, 0, 0, 0, (2, 1e6, 2e6));
-        pruner.store(&stats, 7, 0, 1, (0, 1e6, 2e6));
+        pruner.store(0, 0, 0, (2, 1e6, 2e6));
+        pruner.store(7, 0, 1, (0, 1e6, 2e6));
         // Cluster 1 goes from 4 members to 1; nothing is charged yet.
         for i in [4, 5, 6] {
-            pruner.remove(&mut stats, 1, &arena.view(i));
+            pruner.remove(1, &arena.view(i));
         }
         assert_eq!(pruner.drift, [ClusterDrift::default(); 3]);
-        pruner.begin_pass(&stats, 12);
+        pruner.begin_pass(12);
         // The read charges first, so the bumped version rejects the entry
         // rooted in cluster 1.
         assert_eq!(
-            pruner.decide(&stats, 7, 0, 1, &arena.view(7)),
+            pruner.decide(7, 0, 1, &arena.view(7)),
             PruneDecision::FullScan
         );
         assert_eq!(pruner.versions, [0, 1, 0]);
@@ -1692,16 +1674,10 @@ mod tests {
         );
         assert_eq!(pruner.drift[0], ClusterDrift::default());
         assert_eq!(pruner.drift[2], ClusterDrift::default());
-        assert_eq!(
-            pruner.decide(&stats, 0, 0, 0, &arena.view(0)),
-            PruneDecision::Skip
-        );
+        assert_eq!(pruner.decide(0, 0, 0, &arena.view(0)), PruneDecision::Skip);
         // And from 1 member to none.
-        pruner.remove(&mut stats, 1, &arena.view(7));
-        assert_eq!(
-            pruner.decide(&stats, 0, 0, 0, &arena.view(0)),
-            PruneDecision::Skip
-        );
+        pruner.remove(1, &arena.view(7));
+        assert_eq!(pruner.decide(0, 0, 0, &arena.view(0)), PruneDecision::Skip);
         assert_eq!(pruner.versions, [0, 2, 0]);
     }
 
@@ -1709,16 +1685,15 @@ mod tests {
     fn charged_edits_bump_versions_only_on_small_transitions() {
         let data = objects(8);
         let arena = MomentArena::from_objects(&data);
-        let mut stats = vec![ClusterStats::empty(arena.dims()); 2];
-        let mut pruner = pruner(&stats, 8);
-        pruner.charge(&stats);
+        let mut pruner = pruner(vec![ClusterStats::empty(arena.dims()); 2], 8);
+        pruner.charge();
         let mut edit = |add: bool, i: usize| {
             if add {
-                pruner.add(&mut stats, 0, &arena.view(i));
+                pruner.add(0, &arena.view(i));
             } else {
-                pruner.remove(&mut stats, 0, &arena.view(i));
+                pruner.remove(0, &arena.view(i));
             }
-            pruner.charge(&stats);
+            pruner.charge();
             pruner.versions.clone()
         };
         // Growing cluster 0 from empty, one charge per edit: sizes 0→1 and
@@ -1734,18 +1709,18 @@ mod tests {
         assert_eq!(edit(false, 1), [3, 0], "2→1 breaks the remove direction");
         // A net change reads its two ends only: 1→3 through 2 bumps once,
         // and 3→3 through 1 not at all.
-        pruner.add(&mut stats, 0, &arena.view(1));
-        pruner.add(&mut stats, 0, &arena.view(2));
-        pruner.charge(&stats);
+        pruner.add(0, &arena.view(1));
+        pruner.add(0, &arena.view(2));
+        pruner.charge();
         assert_eq!(pruner.versions, [4, 0]);
         let before = pruner.drift[0];
         for i in [1, 2] {
-            pruner.remove(&mut stats, 0, &arena.view(i));
+            pruner.remove(0, &arena.view(i));
         }
         for i in [4, 5] {
-            pruner.add(&mut stats, 0, &arena.view(i));
+            pruner.add(0, &arena.view(i));
         }
-        pruner.charge(&stats);
+        pruner.charge();
         assert_eq!(pruner.versions, [4, 0]);
         assert!(
             pruner.drift[0].rem_mean > before.rem_mean,
@@ -1789,11 +1764,10 @@ mod tests {
                 &labels.iter().flatten().copied().collect::<Vec<_>>(),
                 k,
             );
-            let (mut each, mut net) = (start.clone(), start);
-            let mut stepwise = pruner(&each, n);
-            let mut once = pruner(&net, n);
-            stepwise.charge(&each);
-            once.charge(&net);
+            let mut stepwise = pruner(start.clone(), n);
+            let mut once = pruner(start, n);
+            stepwise.charge();
+            once.charge();
             let mut edits = 0;
             while edits < 60 {
                 let i = rng.gen_range(0..n);
@@ -1802,27 +1776,33 @@ mod tests {
                 // members so that no step bumps a version instead.
                 match labels[i] {
                     None => {
-                        stepwise.add(&mut each, c, &arena.view(i));
-                        once.add(&mut net, c, &arena.view(i));
+                        stepwise.add(c, &arena.view(i));
+                        once.add(c, &arena.view(i));
                         labels[i] = Some(c);
                     }
-                    Some(src) if each[src].size() > 2 && src != c && rng.gen_bool(0.5) => {
-                        stepwise.relocate(&mut each, i, src, c, &arena.view(i));
-                        once.relocate(&mut net, i, src, c, &arena.view(i));
+                    Some(src)
+                        if stepwise.stats()[src].size() > 2 && src != c && rng.gen_bool(0.5) =>
+                    {
+                        stepwise.relocate(i, src, c, &arena.view(i));
+                        once.relocate(i, src, c, &arena.view(i));
                         labels[i] = Some(c);
                     }
-                    Some(src) if each[src].size() > 2 => {
-                        stepwise.remove(&mut each, src, &arena.view(i));
-                        once.remove(&mut net, src, &arena.view(i));
+                    Some(src) if stepwise.stats()[src].size() > 2 => {
+                        stepwise.remove(src, &arena.view(i));
+                        once.remove(src, &arena.view(i));
                         labels[i] = None;
                     }
                     Some(_) => continue,
                 }
-                stepwise.charge(&each);
+                stepwise.charge();
                 edits += 1;
             }
-            once.charge(&net);
-            assert_eq!(each, net, "seed {seed}: the statistics fold alike");
+            once.charge();
+            assert_eq!(
+                stepwise.stats(),
+                once.stats(),
+                "seed {seed}: the statistics fold alike"
+            );
             assert_eq!(stepwise.versions, [0; 3]);
             assert_eq!(once.versions, [0; 3]);
             for c in 0..k {

@@ -16,9 +16,9 @@
 //!    answer reads the engine's pricing table: a query or commit is priced
 //!    at its turn against every cluster, one dispatched [`price_block`]
 //!    over the clusters' own `mean_sum` rows and their hoisted add pricers
-//!    ([`AddPricer`], held as columns; on AVX2, four clusters per
-//!    reduction and per delta), and its `k` deltas are folded into a
-//!    ranked answer;
+//!    ([`AddPricer`], held as columns beside the statistics and rewritten
+//!    by every fold; on AVX2, four clusters per reduction and per delta),
+//!    and its `k` deltas are folded into a ranked answer;
 //! 2. **apply** — commits, removals and every move of a stabilization
 //!    become [`LogEntry`] rounds applied through
 //!    [`IncrementalUcpc::apply_round`], the engine's one mutation path;
@@ -49,10 +49,11 @@
 //!   bit-identity contract; rows below
 //!   [`DISPATCH_THRESHOLD`] take the same unfused core in both). Each
 //!   answer is priced at its turn, after every mutation before it in the
-//!   flush, and every engine mutation folds through the pruner that owns
-//!   the table, which makes the touched clusters' pricers stale (a commit
-//!   the cluster it fed, a removal the cluster it drained, a relocation
-//!   both ends, an undone stabilization all `k`), so the deltas are, bit
+//!   flush, and every engine mutation is a fold of the table that owns
+//!   the statistics, which rewrites the touched clusters' pricers in the
+//!   same call (a commit the cluster it fed, a removal the cluster it
+//!   drained, a relocation both ends; an undone stabilization refolds all
+//!   `k` and derives each cluster's pricers once), so the deltas are, bit
 //!   for bit, what a live scan computes at that point of the edit
 //!   sequence. The fold keeps the scan's exact strict-less,
 //!   first-index-wins-ties semantics, so its argmin matches the serial
@@ -711,12 +712,13 @@ impl ServingUcpc {
                     let v = self.staging.view(row as usize);
                     #[cfg(debug_assertions)]
                     {
-                        // The fold must agree with a live full scan — the
-                        // direct check that no statistics change left a
-                        // pricer stale.
+                        // The fold must agree with a live full scan of
+                        // `cluster_stats()` — the direct check that every
+                        // statistics change rewrote its pricers.
                         // Invariant: `k >= 1` at engine construction.
-                        let shadow = crate::pruning::best_insertion(&self.engine.stats, &v)
-                            .expect("k >= 1 clusters");
+                        let shadow =
+                            crate::pruning::best_insertion(self.engine.cluster_stats(), &v)
+                                .expect("k >= 1 clusters");
                         debug_assert_eq!(
                             (best, answer.best().1.to_bits()),
                             (shadow.0, shadow.1.to_bits()),

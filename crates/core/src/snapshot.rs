@@ -422,7 +422,7 @@ impl IncrementalUcpc {
         for v in [self.m, self.k, self.len(), n_slots, self.free.len()] {
             w.u64(v as u64);
         }
-        write_stats(w, &self.stats);
+        write_stats(w, self.cluster_stats());
         out.seal()?;
         out.chunked(CHUNK_SLOTS, SLOTS_PER_CHUNK, 0..n_slots, |w, slot| {
             match self.labels[slot] {
@@ -545,12 +545,11 @@ impl IncrementalUcpc {
         Ok(Self {
             m,
             k,
-            stats,
             rows,
             labels,
             gens,
             free,
-            pruner: Pruner::new(k, pruning),
+            pruner: Pruner::new(stats, pruning),
         })
     }
 }

@@ -407,14 +407,15 @@ pub fn variance(mu: f64, mu2: f64) -> f64 {
     (mu2 - mu * mu).max(0.0)
 }
 
-/// The one canonical per-row fold behind [`MomentArena::push_row_with`]
-/// and [`MomentArena::overwrite_row_with`]: hands each `(mu, mu_2)` pair to
-/// `write` and accumulates the scalar aggregates in dimension order.
-/// Appended and overwritten rows are bit-identical *because this fold
-/// exists exactly once* — the two write paths differ only in where `write`
-/// puts the values.
+/// The one canonical per-row fold behind [`MomentArena::push_row_with`],
+/// [`MomentArena::overwrite_row_with`] and [`Moments::from_mu_mu2`]: hands
+/// each `(mu, mu_2)` pair to `write` and accumulates the scalar aggregates
+/// in dimension order from `+0.0`. Every write path's sums are
+/// bit-identical *because this fold exists exactly once* — they differ
+/// only in where `write` puts the values. (`Iterator::sum` starts from
+/// `−0.0`, so a row of `−0.0` entries would sum to `−0.0` through it.)
 #[inline]
-fn fold_row(
+pub(crate) fn fold_row(
     dims: usize,
     mut fill: impl FnMut(usize) -> (f64, f64),
     mut write: impl FnMut(usize, f64, f64),
@@ -720,6 +721,31 @@ mod tests {
             let b: Vec<f64> = (0..n).map(|i| 1.0 - (i as f64) * 0.25).collect();
             let naive: f64 = a.iter().zip(&b).map(|(&x, &y)| x * y).sum();
             assert!((dot(&a, &b) - naive).abs() < 1e-9, "length {n}");
+        }
+    }
+
+    #[test]
+    fn every_write_path_sums_a_row_of_negative_zeros_alike() {
+        let bits = |x: [f64; 4]| x.map(f64::to_bits);
+        for m in [1usize, 2, 5, 16, 17] {
+            let zeros = vec![-0.0; m];
+            let mo = Moments::from_mu_mu2(zeros.clone(), zeros);
+            let want = bits([
+                mo.sum_mu_sq(),
+                mo.sum_mu2(),
+                mo.total_variance(),
+                mo.norm_mu(),
+            ]);
+            assert_eq!(want, [0; 4], "m={m}: every sum is +0.0");
+            let mut pushed = MomentArena::from_moments([]);
+            pushed.push(&mo);
+            let mut folded = MomentArena::from_moments([]);
+            folded.push_row_with(m, |_| (-0.0, -0.0));
+            for (arena, path) in [(&pushed, "push"), (&folded, "push_row_with")] {
+                let v = arena.view(0);
+                let got = bits([v.sum_mu_sq, v.sum_mu2, v.sum_var, v.norm_mu]);
+                assert_eq!(got, want, "m={m}, {path}");
+            }
         }
     }
 

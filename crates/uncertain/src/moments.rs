@@ -6,7 +6,7 @@
 //! stores them once per object (Line 1 of Algorithm 1), so that the clustering
 //! loops never touch a pdf again.
 
-use crate::arena::{variance, MomentView};
+use crate::arena::{fold_row, variance, MomentView};
 use serde::{Deserialize, Serialize};
 
 /// Per-dimension expected value, second-order moment and variance of an
@@ -30,7 +30,9 @@ impl Moments {
     /// through [`crate::arena::variance`].
     ///
     /// Tiny negative variances caused by floating-point cancellation are
-    /// clamped to zero so degenerate (point-mass) dimensions are exact.
+    /// clamped to zero so degenerate (point-mass) dimensions are exact. The
+    /// scalar aggregates come from the arena's one row fold, so they are
+    /// the bits every arena write path stores.
     pub fn from_mu_mu2(mu: Vec<f64>, mu2: Vec<f64>) -> Self {
         assert_eq!(mu.len(), mu2.len(), "moment vectors must have equal length");
         let var: Box<[f64]> = mu
@@ -38,9 +40,7 @@ impl Moments {
             .zip(&mu2)
             .map(|(&m, &m2)| variance(m, m2))
             .collect();
-        let total_var = var.iter().sum();
-        let sum_mu_sq: f64 = mu.iter().map(|&m| m * m).sum();
-        let sum_mu2 = mu2.iter().sum();
+        let (sum_mu_sq, sum_mu2, total_var) = fold_row(mu.len(), |j| (mu[j], mu2[j]), |_, _, _| {});
         Self {
             mu: mu.into(),
             mu2: mu2.into(),

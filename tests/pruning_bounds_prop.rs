@@ -72,10 +72,10 @@ fn shadow_scan(
 }
 
 /// Caches up to `tries` random assigned objects from genuine scans of
-/// `stats`.
+/// the pruner's statistics.
 fn store_some(
     pruner: &mut Pruner,
-    (stats, arena): (&[ClusterStats], &MomentArena),
+    arena: &MomentArena,
     (labels, gens): (&[Option<usize>], &[u32]),
     rng: &mut StdRng,
     tries: usize,
@@ -83,11 +83,11 @@ fn store_some(
     for _ in 0..tries {
         let i = rng.gen_range(0..labels.len());
         let Some(src) = labels[i] else { continue };
-        if stats[src].size() <= 1 {
+        if pruner.stats()[src].size() <= 1 {
             continue;
         }
-        if let Some(scan) = shadow_scan(stats, arena, i, src) {
-            pruner.store(stats, i, gens[i], src, scan);
+        if let Some(scan) = shadow_scan(pruner.stats(), arena, i, src) {
+            pruner.store(i, gens[i], src, scan);
         }
     }
 }
@@ -132,15 +132,15 @@ fn validate_script(
     }
 
     // Opening a pass covers every object.
-    let mut pruner = Pruner::new(k, PruningConfig::Bounds);
-    pruner.begin_pass(&stats, total);
+    let mut pruner = Pruner::new(stats, PruningConfig::Bounds);
+    pruner.begin_pass(total);
     // Each object's generation: bumped on every re-insert, so an entry
     // stored for an earlier stay never serves the next one.
     let mut gens = vec![0u32; total];
     let mut skips = 0;
 
     for _step in 0..steps {
-        store_some(&mut pruner, (&stats, &arena), (&labels, &gens), &mut rng, 3);
+        store_some(&mut pruner, &arena, (&labels, &gens), &mut rng, 3);
 
         // Adversarial edits: non-greedy relocations, inserts of pooled
         // objects, removals.
@@ -155,7 +155,7 @@ fn validate_script(
                         (0..total).filter(|&i| labels[i].is_none()).collect();
                     if let Some(&i) = unassigned.get(rng.gen_range(0..unassigned.len().max(1))) {
                         let dst = rng.gen_range(0..k);
-                        pruner.add(&mut stats, dst, &arena.view(i));
+                        pruner.add(dst, &arena.view(i));
                         gens[i] += 1;
                         labels[i] = Some(dst);
                     }
@@ -167,18 +167,18 @@ fn validate_script(
                     if assigned.len() > k {
                         let i = assigned[rng.gen_range(0..assigned.len())];
                         let src = labels[i].take().expect("assigned");
-                        pruner.remove(&mut stats, src, &arena.view(i));
+                        pruner.remove(src, &arena.view(i));
                     }
                 }
                 _ => {
                     let i = rng.gen_range(0..total);
                     if let Some(src) = labels[i] {
-                        if stats[src].size() > 1 {
+                        if pruner.stats()[src].size() > 1 {
                             let mut dst = rng.gen_range(0..k);
                             if dst == src {
                                 dst = (dst + 1) % k;
                             }
-                            pruner.relocate(&mut stats, i, src, dst, &arena.view(i));
+                            pruner.relocate(i, src, dst, &arena.view(i));
                             labels[i] = Some(dst);
                         }
                     }
@@ -186,21 +186,21 @@ fn validate_script(
             }
         }
         if charged && rng.gen_bool(0.5) {
-            store_some(&mut pruner, (&stats, &arena), (&labels, &gens), &mut rng, 2);
+            store_some(&mut pruner, &arena, (&labels, &gens), &mut rng, 2);
         }
 
         // Validate every assigned object's decision against ground truth,
         // at the pass scale of the current statistics.
-        pruner.begin_pass(&stats, total);
+        pruner.begin_pass(total);
         #[allow(clippy::needless_range_loop)]
         for j in 0..total {
             let Some(src) = labels[j] else { continue };
-            if stats[src].size() <= 1 {
+            if pruner.stats()[src].size() <= 1 {
                 continue;
             }
             let v = arena.view(j);
-            let decision = pruner.decide(&stats, j, gens[j], src, &v);
-            let truth = shadow_scan(&stats, &arena, j, src);
+            let decision = pruner.decide(j, gens[j], src, &v);
+            let truth = shadow_scan(pruner.stats(), &arena, j, src);
             match decision {
                 PruneDecision::FullScan => {}
                 PruneDecision::Skip => {

@@ -454,9 +454,10 @@ fn churn_step(
     assert_matches_reference(e, r, what);
 }
 
-/// The engine's pricing table re-derives a cluster's row only when an edit
-/// or move marked it stale. If any mutation path missed its mark, a later
-/// placement or relocation would price against an old row: this script
+/// The engine's pricing table rewrites a cluster's pricers in every fold
+/// of its statistics, and derives every cluster's after a wholesale
+/// refold or a restore. If any mutation path skipped that write, a later
+/// placement or relocation would price against an old pricer: this script
 /// drives every path — churn with stabilizes, an undone pass (a WAL sink
 /// that cannot hold the round), a snapshot restore, and the relabel
 /// between `BestOfRestarts` restarts — and holds every decision to the
